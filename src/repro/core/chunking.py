@@ -11,7 +11,9 @@ provides all the arithmetic the paper's algorithms need:
   ``s = ((i*c)+j)*c)+k`` formula), so edge chunks simply leave some
   offsets unused;
 - bulk (numpy) converters between global coordinates and
-  ``(chunk_no, offset)`` pairs for the loader and vectorized kernels.
+  ``(chunk_no, offset)`` pairs for the loader and the region functions;
+- the two-way split of an ``offsetInChunk`` the vectorized consolidation
+  kernel indexes its composed per-chunk tables with.
 """
 
 from __future__ import annotations
@@ -50,6 +52,20 @@ class ChunkGeometry:
         # row-major strides within a chunk and over the chunk grid
         self.cell_strides = _row_major_strides(self.chunk_shape)
         self.grid_strides = _row_major_strides(self.grid)
+        # the axis cutting the chunk into two halves of near-equal cell
+        # counts (see split_offsets); a 1-D chunk has nothing to cut
+        split = min(
+            range(1, self.ndim),
+            key=lambda k: abs(
+                math.prod(self.chunk_shape[:k]) - math.prod(self.chunk_shape[k:])
+            ),
+            default=0,
+        )
+        self.offset_halves: tuple[range, ...] = tuple(
+            dims
+            for dims in (range(split), range(split, self.ndim))
+            if dims
+        )
 
     # -- scalar conversions ------------------------------------------------
 
@@ -150,13 +166,40 @@ class ChunkGeometry:
     def chunk_offset_to_coords(
         self, chunk_no: int, offsets: np.ndarray
     ) -> np.ndarray:
-        """Global coordinates ``(n, ndim)`` of offsets within one chunk."""
-        offsets = np.asarray(offsets, dtype=np.int64)
-        origin = np.array(self.chunk_origin(chunk_no), dtype=np.int64)
-        strides = np.array(self.cell_strides, dtype=np.int64)
-        chunk_shape = np.array(self.chunk_shape, dtype=np.int64)
-        in_chunk = (offsets[:, None] // strides) % chunk_shape
-        return in_chunk + origin
+        """Global coordinates ``(n, ndim)`` of offsets within one chunk.
+
+        Offsets must lie in ``[0, chunk_cells)`` (decoded chunks always
+        do): the first axis then needs no ``%`` and the last no ``//``.
+        """
+        offsets = np.asarray(offsets)
+        origin = self.chunk_origin(chunk_no)
+        coords = np.empty((len(offsets), self.ndim), dtype=np.int64)
+        last = self.ndim - 1
+        for axis in range(self.ndim):
+            index = offsets
+            if axis != last:
+                index = index // self.cell_strides[axis]
+            if axis:
+                index = index % self.chunk_shape[axis]
+            np.add(index, origin[axis], out=coords[:, axis])
+        return coords
+
+    def split_offsets(self, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
+        """One row-major sub-offset per entry of :attr:`offset_halves`.
+
+        A row-major offset over ``chunk_shape`` is ``hi * stride + lo``
+        with ``hi`` the row-major offset over the leading dimensions and
+        ``lo`` over the trailing ones.  Anything that is a sum of
+        per-dimension terms can therefore be looked up as ``table_hi[hi]
+        + table_lo[lo]`` from two tables of about ``sqrt(chunk_cells)``
+        entries, for one integer division per cell whatever the rank —
+        instead of a ``//`` and a ``%`` per cell *per dimension*.
+        """
+        if len(self.offset_halves) == 1:
+            return (offsets,)
+        stride = self.cell_strides[self.offset_halves[1].start - 1]
+        hi = offsets // stride
+        return hi, offsets - hi * stride
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChunkGeometry):

@@ -20,7 +20,11 @@ optionally materialize it back into a persisted
 Two execution modes: ``interpreted`` runs the per-cell loop exactly as
 the pseudo-code reads (used for the figures so the relational baseline,
 also per-tuple Python, pays symmetric interpreter costs);
-``vectorized`` runs the same mapping with numpy gathers per chunk.
+``vectorized`` keeps the pass position-based end to end: a cell's
+``offsetInChunk`` is split once into a high and a low part and each
+part indexes a small per-chunk table that already holds the composed
+IndexToIndex × result-stride contributions of its dimensions, so no
+cell's coordinates are ever rebuilt (see :class:`_ComposedTables`).
 """
 
 from __future__ import annotations
@@ -31,13 +35,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.aggregates import get_aggregate
+from repro.core.chunking import ChunkGeometry
 from repro.core.index_to_index import IndexToIndex
 from repro.core.olap_array import OLAPArray
 from repro.errors import QueryError
 from repro.obs.tracer import get_tracer
 from repro.util.stats import Counters
 
-_VECTOR_AGGS = {"sum", "count", "min", "max"}
+#: how each vectorizable aggregate folds into its column; ``count`` has
+#: no column — the per-cell touch counts already are the answer
+_VECTOR_UFUNCS = {
+    "sum": np.add,
+    "avg": np.add,
+    "min": np.minimum,
+    "max": np.maximum,
+    "count": None,
+}
 
 
 @dataclass(frozen=True)
@@ -147,8 +160,9 @@ class ResultAccumulator:
         self.aggs = [get_aggregate(n) for n in names]
         # interpreted state: one list of per-measure states per touched cell
         self._states: dict[int, list] = {}
-        # vectorized state: accumulator matrices + per-cell touch counts
-        self._vec: np.ndarray | None = None
+        # vectorized state: per-cell touch counts plus one contiguous
+        # column per measure in the array's own dtype (None for count)
+        self._vec: list[np.ndarray | None] | None = None
         self._vec_counts: np.ndarray | None = None
 
     # -- interpreted path ----------------------------------------------------
@@ -169,81 +183,86 @@ class ResultAccumulator:
     # -- vectorized path ---------------------------------------------------------
 
     def _vec_init(self) -> None:
-        self._vec_counts = np.zeros(self.total_cells, dtype=np.int64)
-        columns = []
         for name in self.agg_names:
-            if name == "min":
-                columns.append(np.full(self.total_cells, np.inf))
-            elif name == "max":
-                columns.append(np.full(self.total_cells, -np.inf))
-            else:
-                columns.append(np.zeros(self.total_cells, dtype=np.float64))
-        self._vec = np.stack(columns, axis=1)
-
-    def add_many(self, linear: np.ndarray, values: np.ndarray) -> None:
-        """Fold many cells at once (vectorized mode)."""
-        for name in self.agg_names:
-            if name not in _VECTOR_AGGS and name != "avg":
+            if name not in _VECTOR_UFUNCS:
                 raise QueryError(
                     f"aggregate {name!r} not supported in vectorized mode"
                 )
+        # Columns stay in the measure dtype so int64 folds are exact past
+        # 2**53.  min/max start at the dtype's extreme; whether a cell
+        # holds a real value is decided by its touch count, never by
+        # comparing against the sentinel.
+        dtype = np.dtype(self.array.dtype)
+        if dtype.kind == "f":
+            lowest, highest = -np.inf, np.inf
+        else:
+            lowest, highest = np.iinfo(dtype).min, np.iinfo(dtype).max
+        fill = {"sum": 0, "avg": 0, "min": highest, "max": lowest}
+        self._vec_counts = np.zeros(self.total_cells, dtype=np.int64)
+        self._vec = [
+            None
+            if name == "count"
+            else np.full(self.total_cells, fill[name], dtype=dtype)
+            for name in self.agg_names
+        ]
+
+    def add_many(self, linear: np.ndarray, values: np.ndarray) -> None:
+        """Fold many cells at once (vectorized mode).
+
+        ``values`` is the chunk's ``(count, p)`` matrix in the array's
+        dtype; ``linear`` holds each row's result cell.
+        """
         if self._vec is None:
             self._vec_init()
         np.add.at(self._vec_counts, linear, 1)
-        for m, name in enumerate(self.agg_names):
-            column = values[:, m].astype(np.float64)
-            if name in ("sum", "avg"):
-                np.add.at(self._vec[:, m], linear, column)
-            elif name == "count":
-                np.add.at(self._vec[:, m], linear, 1.0)
-            elif name == "min":
-                np.minimum.at(self._vec[:, m], linear, column)
-            elif name == "max":
-                np.maximum.at(self._vec[:, m], linear, column)
+        for m, (name, column) in enumerate(zip(self.agg_names, self._vec)):
+            if column is not None:
+                # a decoded chunk's values are a view at an odd byte offset
+                # of its payload; ufunc.at only takes its fast path on
+                # aligned operands
+                measures = np.require(values[:, m], requirements="A")
+                _VECTOR_UFUNCS[name].at(column, linear, measures)
 
     # -- extraction -------------------------------------------------------------------
 
-    def _group_values(self, linear: int) -> tuple:
-        out = []
-        for d, (spec, i2i, stride) in enumerate(
-            zip(self.specs, self.i2is, self.result_strides)
-        ):
-            if spec.kind == "drop":
-                continue
-            index = (linear // stride) % self.result_shape[d]
-            out.append(i2i.target_keys[index])
-        return tuple(out)
+    def _group_columns(self, linear) -> list[list]:
+        """Group values of result cells, one list per kept dimension."""
+        indices = np.unravel_index(linear, self.result_shape)
+        return [
+            list(map(i2i.target_keys.__getitem__, index.tolist()))
+            for spec, i2i, index in zip(self.specs, self.i2is, indices)
+            if spec.kind != "drop"
+        ]
 
     def rows(self) -> list[tuple]:
         """Sorted output rows: ``(group values..., aggregates...)``."""
-        out = []
+        out: list[tuple] = []
         if self._vec is not None:
-            touched = np.nonzero(self._vec_counts)[0]
-            integral = self.array.dtype == "int64"
-            for linear in touched.tolist():
-                cells = []
-                for m, name in enumerate(self.agg_names):
-                    value = float(self._vec[linear, m])
-                    if name == "avg":
-                        value = value / float(self._vec_counts[linear])
-                    elif name == "count":
-                        value = int(value)
-                    elif integral:
-                        value = int(value)
-                    cells.append(value)
-                out.append(self._group_values(linear) + tuple(cells))
-        for linear, state in self._states.items():
-            results = tuple(
-                agg.result(state[m]) for m, agg in enumerate(self.aggs)
-            )
-            out.append(self._group_values(linear) + results)
+            touched = np.flatnonzero(self._vec_counts)
+            counts = self._vec_counts[touched].tolist()
+            columns = []
+            for name, column in zip(self.agg_names, self._vec):
+                if column is None:
+                    columns.append(counts)
+                    continue
+                cells = column[touched].tolist()
+                if name == "avg":  # Python numbers: the interpreted division
+                    cells = [total / n for total, n in zip(cells, counts)]
+                columns.append(cells)
+            out.extend(zip(*self._group_columns(touched), *columns))
+        if self._states:
+            results = [
+                [agg.result(state[m]) for state in self._states.values()]
+                for m, agg in enumerate(self.aggs)
+            ]
+            out.extend(zip(*self._group_columns(list(self._states)), *results))
         out.sort()
         return out
 
     def touched_cells(self) -> int:
         """Number of distinct result cells that received input."""
         if self._vec is not None:
-            return int((self._vec_counts > 0).sum())
+            return int(np.count_nonzero(self._vec_counts))
         return len(self._states)
 
     # -- shard transport (the repro.shard scatter-gather hook) -------------------
@@ -252,10 +271,11 @@ class ResultAccumulator:
         """The accumulator's aggregate state as a picklable payload.
 
         Every interpreted aggregate state is a plain Python scalar or
-        tuple and the vectorized state is a pair of ndarrays, so the
-        payload crosses a process boundary losslessly.  The structural
-        parts (array, specs, strides) are *not* included — the receiver
-        rebuilds an accumulator against its own array handle and calls
+        tuple and the vectorized state is the touch counts plus a list
+        of native-dtype columns, so the payload crosses a process
+        boundary losslessly.  The structural parts (array, specs,
+        strides) are *not* included — the receiver rebuilds an
+        accumulator against its own array handle and calls
         :meth:`import_state`.
         """
         return {
@@ -294,13 +314,9 @@ class ResultAccumulator:
             if self._vec is None:
                 self._vec_init()
             self._vec_counts += other._vec_counts
-            for m, name in enumerate(self.agg_names):
-                if name == "min":
-                    np.minimum(self._vec[:, m], other._vec[:, m], out=self._vec[:, m])
-                elif name == "max":
-                    np.maximum(self._vec[:, m], other._vec[:, m], out=self._vec[:, m])
-                else:  # sum / count / avg accumulate additively
-                    self._vec[:, m] += other._vec[:, m]
+            for name, mine, theirs in zip(self.agg_names, self._vec, other._vec):
+                if mine is not None:
+                    _VECTOR_UFUNCS[name](mine, theirs, out=mine)
 
 
 def allowed_masks(
@@ -323,6 +339,81 @@ def _chunk_overlaps(geometry, chunk_no: int, masks: list[np.ndarray]) -> bool:
         if not mask[origin[d] : origin[d] + geometry.chunk_shape[d]].any():
             return False
     return True
+
+
+def outer_fold(ufunc: np.ufunc, parts: list[np.ndarray]) -> np.ndarray:
+    """``ufunc`` folded over the cross product of 1-D arrays, flattened.
+
+    Row-major flattening: with per-dimension parts in dimension order
+    the result is indexed by the row-major offset over those dimensions.
+    """
+    total = parts[0]
+    for part in parts[1:]:
+        total = ufunc.outer(total, part)
+    return total.ravel()
+
+
+class _ComposedTables:
+    """A per-cell quantity looked up from ``offsetInChunk``, not coordinates.
+
+    The §4.1 pass is position-based: a cell's result cell is
+    ``Σ_d mapping[d][index_d] * result_stride[d]``, a fold (here ``+``)
+    of one independent term per dimension.  Instead of rebuilding every
+    cell's ``index_d`` from its offset, fold the terms themselves: for
+    each half of the dimensions (:attr:`ChunkGeometry.offset_halves`)
+    the outer fold of the chunk's slices of the per-dimension term
+    arrays is a table indexed by that half's sub-offset, and the cell's
+    value is ``table_hi[hi] ∘ table_lo[lo]``.  Two tables rather than
+    one keep them at about ``sqrt(chunk_cells)`` entries — far fewer
+    than the cells they serve — and rather than one per dimension keep
+    the per-cell work at two gathers whatever the rank.
+
+    With ``np.logical_and`` over per-dimension membership masks the same
+    tables answer "is this cell selected".
+
+    Term arrays are padded once to whole chunks (with the ufunc's
+    absorbing zero/False; those slots are never addressed — edge chunks
+    leave the offsets beyond the array unused), so every chunk slices
+    full-width tables.  A half whose terms are all the ufunc's identity
+    (dropped dimensions, unselected dimensions) contributes nothing and
+    is skipped.
+    """
+
+    def __init__(
+        self, geometry: ChunkGeometry, terms: list[np.ndarray], ufunc: np.ufunc
+    ):
+        self.ufunc = ufunc
+        self.chunk_shape = geometry.chunk_shape
+        self.terms = []
+        for term, cells, extent in zip(terms, geometry.grid, geometry.chunk_shape):
+            padded = np.zeros(cells * extent, dtype=term.dtype)
+            padded[: len(term)] = term
+            self.terms.append(padded)
+        self.halves = [
+            dims
+            if any((terms[d] != ufunc.identity).any() for d in dims)
+            else None
+            for dims in geometry.offset_halves
+        ]
+
+    def gather(
+        self, origin: tuple[int, ...], sub_offsets: tuple[np.ndarray, ...]
+    ) -> np.ndarray | None:
+        """The quantity for each cell of one chunk (``None`` = identity)."""
+        out = None
+        for dims, sub_offset in zip(self.halves, sub_offsets):
+            if dims is None:
+                continue
+            table = outer_fold(
+                self.ufunc,
+                [
+                    self.terms[d][origin[d] : origin[d] + self.chunk_shape[d]]
+                    for d in dims
+                ],
+            )
+            picked = table.take(sub_offset)
+            out = picked if out is None else self.ufunc(out, picked, out=out)
+        return out
 
 
 def scan_chunk_range(
@@ -385,8 +476,21 @@ def scan_chunk_range(
                     accumulator.add_one(linear, value_rows[j])
                     scanned += 1
     else:
-        strides = np.array(accumulator.result_strides, dtype=np.int64)
-        maps = [i.mapping.astype(np.int64) for i in accumulator.i2is]
+        targets = _ComposedTables(
+            geometry,
+            [
+                i2i.mapping.astype(np.int64) * stride
+                for i2i, stride in zip(
+                    accumulator.i2is, accumulator.result_strides
+                )
+            ],
+            np.add,
+        )
+        selected = (
+            _ComposedTables(geometry, masks, np.logical_and)
+            if masks is not None
+            else None
+        )
         for chunk_no in chunk_range:
             if masks is not None and not _chunk_overlaps(
                 geometry, chunk_no, masks
@@ -397,20 +501,21 @@ def scan_chunk_range(
             if not len(offsets):
                 continue
             chunks_read += 1
-            coords = geometry.chunk_offset_to_coords(chunk_no, offsets)
-            if masks is not None:
-                keep = np.ones(len(offsets), dtype=bool)
-                for d in range(geometry.ndim):
-                    keep &= masks[d][coords[:, d]]
+            origin = geometry.chunk_origin(chunk_no)
+            halves = geometry.split_offsets(offsets)
+            keep = (
+                selected.gather(origin, halves) if selected is not None else None
+            )
+            if keep is not None:
                 if not keep.any():
                     continue
-                coords = coords[keep]
+                halves = tuple(half[keep] for half in halves)
                 values = values[keep]
-            linear = np.zeros(len(coords), dtype=np.int64)
-            for d in range(geometry.ndim):
-                linear += maps[d][coords[:, d]] * strides[d]
+            linear = targets.gather(origin, halves)
+            if linear is None:  # every dimension dropped: one result cell
+                linear = np.zeros(len(values), dtype=np.int64)
             accumulator.add_many(linear, values)
-            scanned += len(coords)
+            scanned += len(values)
     if counters is not None:
         counters.add("chunks_read", chunks_read)
         counters.add("cells_scanned", scanned)

@@ -28,6 +28,7 @@ re-reads its chunk through the buffer pool.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -37,6 +38,7 @@ from repro.core.consolidate import (
     ConsolidationResult,
     ConsolidationSpec,
     ResultAccumulator,
+    outer_fold,
 )
 from repro.core.olap_array import OLAPArray
 from repro.errors import DimensionError, QueryError
@@ -253,13 +255,29 @@ def _enumerate_chunked_vectorized(
     if any(not g for g in grouped):
         return
     grid_coords = [sorted(g) for g in grouped]
-    maps = [i.mapping.astype(np.int64) for i in accumulator.i2is]
-    result_strides = accumulator.result_strides
-    cell_strides = geometry.cell_strides
-    chunk_shape = geometry.chunk_shape
     grid_strides = geometry.grid_strides
-
-    import itertools
+    # per (dimension, grid coordinate): the selected indices' offset and
+    # result contributions, shared by every chunk in that grid slab
+    offset_parts: list[dict[int, np.ndarray]] = []
+    result_parts: list[dict[int, np.ndarray]] = []
+    for d in range(ndim):
+        mapping = accumulator.i2is[d].mapping.astype(np.int64)
+        selected = {
+            g: np.array(indices, dtype=np.int64)
+            for g, indices in grouped[d].items()
+        }
+        offset_parts.append(
+            {
+                g: (idx % geometry.chunk_shape[d]) * geometry.cell_strides[d]
+                for g, idx in selected.items()
+            }
+        )
+        result_parts.append(
+            {
+                g: mapping[idx] * accumulator.result_strides[d]
+                for g, idx in selected.items()
+            }
+        )
 
     for chunk_grid in itertools.product(*grid_coords):
         chunk_no = sum(g * s for g, s in zip(chunk_grid, grid_strides))
@@ -267,14 +285,14 @@ def _enumerate_chunked_vectorized(
         if not len(offsets):
             counters.add("empty_chunks_skipped")
             continue
-        offset_parts = []
-        result_parts = []
-        for d in range(ndim):
-            idx = np.array(grouped[d][chunk_grid[d]], dtype=np.int64)
-            offset_parts.append((idx % chunk_shape[d]) * cell_strides[d])
-            result_parts.append(maps[d][idx] * result_strides[d])
-        candidate_offsets = _outer_sum(offset_parts)
-        candidate_results = _outer_sum(result_parts)
+        # row-major over sorted per-dimension parts: candidates ascend,
+        # the paper's "increasing order of their chunk offsets"
+        candidate_offsets = outer_fold(
+            np.add, [offset_parts[d][g] for d, g in enumerate(chunk_grid)]
+        )
+        candidate_results = outer_fold(
+            np.add, [result_parts[d][g] for d, g in enumerate(chunk_grid)]
+        )
         counters.add("cells_probed", candidate_offsets.size)
         positions = np.searchsorted(offsets, candidate_offsets)
         positions_clipped = np.minimum(positions, len(offsets) - 1)
@@ -283,18 +301,6 @@ def _enumerate_chunked_vectorized(
             accumulator.add_many(
                 candidate_results[hits], values[positions_clipped[hits]]
             )
-
-
-def _outer_sum(parts: list[np.ndarray]) -> np.ndarray:
-    """Flattened sum over the cross product of 1-D contribution arrays.
-
-    Row-major flattening of sorted inputs yields ascending offsets —
-    the paper's "increasing order of their chunk offsets".
-    """
-    total = parts[0]
-    for part in parts[1:]:
-        total = np.add.outer(total, part)
-    return total.ravel()
 
 
 def _enumerate_naive(
@@ -308,8 +314,6 @@ def _enumerate_naive(
     ndim = geometry.ndim
     maps = accumulator.mapping_lists()
     result_strides = accumulator.result_strides
-
-    import itertools
 
     for coords in itertools.product(*final_lists):
         counters.add("cells_probed")

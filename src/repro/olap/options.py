@@ -32,7 +32,7 @@ from typing import Union
 from repro.errors import QueryError
 from repro.obs.tracing import TraceContext
 
-#: aggregates the vectorized kernels support (``_VECTOR_AGGS`` + avg)
+#: aggregates the vectorized kernels support (``_VECTOR_UFUNCS``'s keys)
 VECTORIZABLE_AGGREGATES = frozenset({"sum", "count", "min", "max", "avg"})
 
 #: executors the shard coordinator knows how to drive

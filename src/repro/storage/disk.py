@@ -107,12 +107,12 @@ class SimulatedDisk:
             jump = 0  # first access after a reset: a full seek
         else:
             jump = page_id - self._last_accessed
-        seconds = self.model.access_seconds(self.page_size, jump)
-        self.counters.add("sim_io_s", seconds)
+        amounts = {"sim_io_s": self.model.access_seconds(self.page_size, jump)}
         if jump != 1:
-            self.counters.add("seeks")
-        self.counters.add(f"pages_{kind}")
-        self.counters.add(f"bytes_{kind}", self.page_size)
+            amounts["seeks"] = 1.0
+        amounts[f"pages_{kind}"] = 1.0
+        amounts[f"bytes_{kind}"] = self.page_size
+        self.counters.add_many(amounts)
         self._last_accessed = page_id
 
     def read_page(self, page_id: int) -> bytes:

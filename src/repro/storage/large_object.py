@@ -93,8 +93,10 @@ class LargeObjectStore:
         """Fetch an object's full payload."""
         first, length = self._read_entry(oid)
         npages = self._data_pages(length)
+        # join copies straight out of the pool's bytearrays, and slicing
+        # bytes to their full length (a page-aligned object) copies nothing
         parts = [self.pool.get(first + i) for i in range(npages)]
-        return b"".join(bytes(p) for p in parts)[:length]
+        return b"".join(parts)[:length]
 
     def length(self, oid: int) -> int:
         """Stored payload length of an object."""

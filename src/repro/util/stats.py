@@ -34,6 +34,12 @@ class Counters:
         with self._lock:
             self._values[name] += amount
 
+    def add_many(self, amounts: dict[str, float]) -> None:
+        """Increment several counters under one lock acquisition."""
+        with self._lock:
+            for name, amount in amounts.items():
+                self._values[name] += amount
+
     def get(self, name: str) -> float:
         """Current value of ``name`` (0 if never incremented)."""
         with self._lock:
@@ -55,10 +61,7 @@ class Counters:
         """Add every counter of ``other`` into this bag."""
         # snapshot first: taking both locks at once could deadlock
         # against a concurrent merge in the opposite direction
-        items = other.snapshot()
-        with self._lock:
-            for name, value in items.items():
-                self._values[name] += value
+        self.add_many(other.snapshot())
 
     def __iadd__(self, other: "Counters") -> "Counters":
         """``bag += other`` merges ``other`` into this bag."""

@@ -107,3 +107,35 @@ class TestBuildAndRun:
         assert total["pages_read"] == (
             a.stats["pages_read"] + b.stats["pages_read"]
         )
+
+
+class TestGoldenCounters:
+    """A cold Query 1 at ``small`` scale costs exactly what it always has.
+
+    The vectorized kernel and the storage read path are tuned for CPU
+    time only; which pages are read, in which order, and how many cells
+    are folded must not move.  The values are what the commit before the
+    offset-native kernel (PR 13) produced, in both modes.
+    """
+
+    GOLDEN = {
+        "pages_read": 558,
+        "seeks": 27,
+        "bytes_read": 71424,
+        "pool_misses": 558,
+        "pool_hits": 72,
+        "chunks_read": 80,
+        "cells_scanned": 5120,
+    }
+
+    @pytest.mark.parametrize("mode", ["vectorized", "interpreted"])
+    def test_cold_query1_counters_are_pinned(self, mode):
+        from repro.data.datasets import dataset1
+
+        config = dataset1("small")[1]
+        engine = build_cube_engine(config, bench_settings("small"))
+        result = engine.query(query1_for(config), backend="array", mode=mode)
+        assert {
+            name: result.stats.get(name) for name in self.GOLDEN
+        } == self.GOLDEN
+        assert result.sim_io_s == pytest.approx(1.2609765625, rel=1e-9)

@@ -160,3 +160,38 @@ def test_locate_is_a_bijection(g, data):
 def test_grid_covers_all_chunks(g):
     seen = {g.chunk_of(g.chunk_origin(c)) for c in range(g.n_chunks)}
     assert seen == set(range(g.n_chunks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometries(), st.data())
+def test_bulk_offset_math_matches_scalar(g, data):
+    chunk_no = data.draw(st.integers(0, g.n_chunks - 1), label="chunk")
+    offsets = np.array(
+        data.draw(
+            st.lists(st.integers(0, g.chunk_cells - 1), max_size=20),
+            label="offsets",
+        ),
+        dtype=np.int32,  # what a decoded chunk hands over
+    )
+    coords = g.chunk_offset_to_coords(chunk_no, offsets)
+    assert coords.shape == (len(offsets), g.ndim)
+    assert coords.dtype == np.int64
+    expected = [g.cell_of(chunk_no, int(offset)) for offset in offsets]
+    assert [tuple(row) for row in coords.tolist()] == expected
+
+    # each half's sub-offset is the row-major offset over its own axes
+    halves = g.split_offsets(offsets)
+    assert [d for dims in g.offset_halves for d in dims] == list(range(g.ndim))
+    origin = g.chunk_origin(chunk_no)
+    for dims, sub_offsets in zip(g.offset_halves, halves):
+        assert sub_offsets.dtype == offsets.dtype
+        rebuilt = np.zeros(len(offsets), dtype=np.int64)
+        for d in dims:
+            rebuilt = rebuilt * g.chunk_shape[d] + (coords[:, d] - origin[d])
+        assert sub_offsets.tolist() == rebuilt.tolist()
+
+
+def test_split_axis_balances_the_paper_chunk():
+    g = ChunkGeometry((40, 40, 40, 100), (20, 20, 20, 10))
+    assert g.offset_halves == (range(0, 2), range(2, 4))  # 400 x 200 entries
+    assert ChunkGeometry((7,), (3,)).offset_halves == (range(0, 1),)

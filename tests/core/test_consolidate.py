@@ -1,5 +1,6 @@
 """Tests for the §4.1 array consolidation algorithm."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,9 +109,77 @@ class TestModeEquivalence:
         array, _ = cube
         a = consolidate(array, LEVEL1, aggregate="avg", mode="interpreted")
         b = consolidate(array, LEVEL1, aggregate="avg", mode="vectorized")
-        for ra, rb in zip(a.rows, b.rows):
-            assert ra[:-1] == rb[:-1]
-            assert ra[-1] == pytest.approx(rb[-1])
+        # both divide the same Python numbers: identical, not just close
+        assert a.rows == b.rows
+
+
+class TestVectorizedExtraction:
+    @pytest.mark.parametrize(
+        "dtype, value_type", [("int64", int), ("float64", float)]
+    )
+    def test_row_cell_types(self, fm_big, dtype, value_type):
+        array = build_olap_array(
+            fm_big,
+            f"typed.{dtype}",
+            make_dimensions(),
+            make_facts(),
+            (3, 2, 4),
+            dtype=dtype,
+        )
+        expected = {
+            "sum": value_type,
+            "min": value_type,
+            "max": value_type,
+            "count": int,
+            "avg": float,
+        }
+        for aggregate, cell_type in expected.items():
+            out = consolidate(
+                array, LEVEL1, aggregate=aggregate, mode="vectorized"
+            )
+            assert out.rows
+            assert {type(row[-1]) for row in out.rows} == {cell_type}, aggregate
+
+    def test_group_values_are_the_target_key_objects(self, cube):
+        from repro.core.index_to_index import IndexToIndex
+
+        array, _ = cube
+        targets = [("odd",), ("even",)]
+        by_parity = IndexToIndex(
+            np.array([k % 2 for k in range(SIZES[0])], dtype=np.int32), targets
+        )
+        specs = [
+            ConsolidationSpec.mapping(by_parity),
+            ConsolidationSpec.drop(),
+            ConsolidationSpec.key(),
+        ]
+        out = consolidate(array, specs, mode="vectorized")
+        assert out.rows == sorted(out.rows)
+        assert all(any(row[0] is t for t in targets) for row in out.rows)
+        assert {type(row[1]) for row in out.rows} == {int}
+        assert out.rows == consolidate(array, specs, mode="interpreted").rows
+
+    def test_no_coordinates_are_reconstructed(self, cube, monkeypatch):
+        from repro.core.chunking import ChunkGeometry
+        from repro.core.consolidate import ResultAccumulator, scan_chunk_range
+
+        def refuse(self, chunk_no, offsets):
+            raise AssertionError("the vectorized scan rebuilt coordinates")
+
+        monkeypatch.setattr(ChunkGeometry, "chunk_offset_to_coords", refuse)
+        array, facts = cube
+        accumulator = ResultAccumulator(array, LEVEL1)
+        allowed = [[0, 4, 5], list(range(SIZES[1])), [1, 2, 6]]
+        scanned = scan_chunk_range(
+            array,
+            accumulator,
+            range(array.geometry.n_chunks),
+            "vectorized",
+            allowed=allowed,
+        )
+        assert scanned == sum(
+            all(f[d] in allowed[d] for d in range(3)) for f in facts
+        )
 
 
 class TestValidation:

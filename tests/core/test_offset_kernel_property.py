@@ -1,0 +1,188 @@
+"""The offset-native kernel equals the per-cell loop equals a brute fold.
+
+One property over random geometries (ragged edge chunks, 1-D arrays,
+size-1 axes, chunk shape == shape), every spec kind, the five
+vectorizable aggregates, one or two measures of either dtype, with and
+without a pushed-down selection: ``vectorized`` == ``interpreted`` == a
+fold over the raw fact tuples in plain Python arithmetic — for a whole
+:func:`consolidate`, for :func:`scan_chunk_range` over two chunk ranges
+merged with ``merge_from``, and across an ``export_state`` → pickle →
+``import_state`` hop (what the process shard executor does).
+
+int64 measures range past 2**53 so a float64 detour would show; float
+measures are multiples of 1/4 so their sums are exact in any order and
+``==`` is the right comparison.
+"""
+
+import itertools
+import pickle
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import ConsolidationSpec, consolidate
+from repro.core.builder import DimensionData, build_olap_array
+from repro.core.consolidate import ResultAccumulator, scan_chunk_range
+from repro.core.index_to_index import IndexToIndex
+from repro.storage import BufferPool, FileManager, SimulatedDisk
+
+AGGREGATES = ("sum", "count", "min", "max", "avg")
+
+FOLDS = {
+    "sum": sum,
+    "count": len,
+    "min": min,
+    "max": max,
+    "avg": lambda values: sum(values) / len(values),
+}
+
+
+@st.composite
+def cases(draw):
+    ndim = draw(st.integers(1, 4))
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(ndim))
+    chunk_shape = tuple(
+        draw(st.one_of(st.just(size), st.integers(1, size))) for size in shape
+    )
+    dtype = draw(st.sampled_from(["int64", "float64"]))
+    if dtype == "int64":
+        measure = st.integers(-(2**55), 2**55)
+    else:
+        measure = st.integers(-400, 400).map(lambda quarters: quarters / 4)
+    cells = list(itertools.product(*[range(size) for size in shape]))
+    chosen = draw(
+        st.lists(st.sampled_from(cells), unique=True, max_size=len(cells))
+    )
+    # the loader reads the measure count off the first fact; none means 1
+    n_measures = draw(st.integers(1, 2)) if chosen else 1
+    facts = [
+        cell + tuple(draw(measure) for _ in range(n_measures))
+        for cell in chosen
+    ]
+
+    dimensions, specs, group_of = [], [], []
+    for d, size in enumerate(shape):
+        fanout = draw(st.integers(1, size))
+        levels = [f"L{d}{key % fanout}" for key in range(size)]
+        dimensions.append(
+            DimensionData(f"dim{d}", list(range(size)), {"h1": levels})
+        )
+        kind = draw(st.sampled_from(["level", "key", "drop", "mapping"]))
+        if kind == "level":
+            specs.append(ConsolidationSpec.level("h1"))
+            group_of.append(levels)
+        elif kind == "key":
+            specs.append(ConsolidationSpec.key())
+            group_of.append(list(range(size)))
+        elif kind == "drop":
+            specs.append(ConsolidationSpec.drop())
+            group_of.append(None)
+        else:
+            n_targets = draw(st.integers(1, size))
+            mapping = [draw(st.integers(0, n_targets - 1)) for _ in range(size)]
+            targets = [f"M{d}{t}" for t in range(n_targets)]
+            specs.append(
+                ConsolidationSpec.mapping(
+                    IndexToIndex(np.array(mapping, dtype=np.int32), targets)
+                )
+            )
+            group_of.append([targets[t] for t in mapping])
+
+    aggregates = [draw(st.sampled_from(AGGREGATES)) for _ in range(n_measures)]
+    allowed = draw(
+        st.none()
+        | st.tuples(
+            *[
+                st.lists(st.integers(0, size - 1), unique=True).map(sorted)
+                for size in shape
+            ]
+        ).map(list)
+    )
+    return {
+        "shape": shape,
+        "chunk_shape": chunk_shape,
+        "dtype": dtype,
+        "facts": facts,
+        "dimensions": dimensions,
+        "specs": specs,
+        "group_of": group_of,
+        "aggregates": aggregates,
+        "allowed": allowed,
+        "cut": draw(st.floats(0, 1)),
+    }
+
+
+def brute_force(case, allowed):
+    ndim = len(case["shape"])
+    groups: dict[tuple, list[list]] = {}
+    for fact in case["facts"]:
+        if allowed is not None and any(
+            fact[d] not in allowed[d] for d in range(ndim)
+        ):
+            continue
+        key = tuple(
+            group[fact[d]]
+            for d, group in enumerate(case["group_of"])
+            if group is not None
+        )
+        columns = groups.setdefault(key, [[] for _ in case["aggregates"]])
+        for column, value in zip(columns, fact[ndim:]):
+            column.append(value)
+    return sorted(
+        key
+        + tuple(
+            FOLDS[name](column)
+            for name, column in zip(case["aggregates"], columns)
+        )
+        for key, columns in groups.items()
+    )
+
+
+def build(case):
+    disk = SimulatedDisk(page_size=1024)
+    fm = FileManager(BufferPool(disk, capacity_bytes=512 * 1024))
+    return build_olap_array(
+        fm,
+        "cube",
+        case["dimensions"],
+        case["facts"],
+        chunk_shape=case["chunk_shape"],
+        dtype=case["dtype"],
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(cases())
+def test_vectorized_equals_interpreted_equals_brute_force(case):
+    array = build(case)
+    specs, aggregates, allowed = case["specs"], case["aggregates"], case["allowed"]
+    n_chunks = array.geometry.n_chunks
+    cut = round(case["cut"] * n_chunks)
+
+    whole = brute_force(case, None)
+    for mode in ("interpreted", "vectorized"):
+        assert consolidate(array, specs, aggregates, mode=mode).rows == whole, mode
+
+    expected = brute_force(case, allowed)
+    for mode in ("interpreted", "vectorized"):
+        left = ResultAccumulator(array, specs, aggregates)
+        right = ResultAccumulator(array, specs, aggregates)
+        scanned = scan_chunk_range(
+            array, left, range(cut), mode, allowed=allowed
+        ) + scan_chunk_range(
+            array, right, range(cut, n_chunks), mode, allowed=allowed
+        )
+        assert scanned == sum(
+            allowed is None
+            or all(fact[d] in allowed[d] for d in range(len(case["shape"])))
+            for fact in case["facts"]
+        )
+        # the right half crosses a process boundary before it merges
+        shipped = ResultAccumulator(array, specs, aggregates).import_state(
+            pickle.loads(pickle.dumps(right.export_state()))
+        )
+        assert shipped.rows() == right.rows(), mode
+        left.merge_from(shipped)
+        assert left.rows() == expected, mode
+        assert left.touched_cells() == len(expected), mode

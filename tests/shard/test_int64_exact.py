@@ -1,0 +1,107 @@
+"""int64 measures past 2**53 aggregate exactly on every vectorized route.
+
+float64 holds integers exactly only up to 2**53, so a vectorized scan
+that accumulates int64 measures in float64 silently disagrees with the
+interpreted loop (Python ints) above that.  Every route that reaches
+the vectorized kernel — ``consolidate`` itself, the thread and process
+shard executors (whose partial states cross ``export_state`` /
+``import_state``), and ``QueryService.execute`` — must return what an
+exact fold of the fact rows returns.
+"""
+
+import pytest
+
+from repro.core import ConsolidationSpec, consolidate
+from repro.data import (
+    SyntheticCubeConfig,
+    cube_schema_for,
+    generate_dimension_rows,
+    generate_fact_rows,
+)
+from repro.olap import ConsolidationQuery, OlapEngine
+from repro.serve import QueryService
+
+BIG = 2**53 + 1
+
+CONFIG = SyntheticCubeConfig(
+    name="big",
+    dim_sizes=(4, 6),
+    n_valid=20,
+    chunk_shape=(2, 3),
+    fanout1=2,
+    fanout2=2,
+    seed=3,
+)
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    engine = OlapEngine(page_size=1024, pool_bytes=1024 * 1024)
+    fact_rows = [
+        row[:-1] + (BIG + 2 * i,)
+        for i, row in enumerate(generate_fact_rows(CONFIG))
+    ]
+    engine.load_cube(
+        cube_schema_for(CONFIG),
+        generate_dimension_rows(CONFIG),
+        fact_rows,
+        chunk_shape=CONFIG.chunk_shape,
+        backends=("array",),
+    )
+    yield engine, fact_rows
+    engine.close_shards()
+
+
+def exact_fold(fact_rows, aggregate):
+    """Group by dim0's h01 with Python-int arithmetic."""
+    groups: dict[str, list[int]] = {}
+    for row in fact_rows:
+        groups.setdefault(f"AA{row[0] % CONFIG.fanout1}", []).append(row[-1])
+    fold = {
+        "sum": sum,
+        "min": min,
+        "max": max,
+        "count": len,
+        "avg": lambda values: sum(values) / len(values),
+    }[aggregate]
+    return sorted((key, fold(values)) for key, values in groups.items())
+
+
+def query(aggregate):
+    return ConsolidationQuery.build(
+        "big", group_by={"dim0": "h01"}, aggregate=aggregate
+    )
+
+
+AGGREGATES = ("sum", "min", "max", "avg", "count")
+
+
+@pytest.mark.parametrize("aggregate", AGGREGATES)
+class TestExactPast2Pow53:
+    def test_consolidate(self, loaded, aggregate):
+        engine, fact_rows = loaded
+        array = engine.cube("big").array
+        specs = [ConsolidationSpec.level("h01"), ConsolidationSpec.drop()]
+        expected = exact_fold(fact_rows, aggregate)
+        for mode in ("interpreted", "vectorized"):
+            out = consolidate(array, specs, aggregate=aggregate, mode=mode)
+            assert out.rows == expected, mode
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_two_shards(self, loaded, aggregate, executor):
+        engine, fact_rows = loaded
+        result = engine.query(
+            query(aggregate),
+            backend="array",
+            mode="vectorized",
+            shards=2,
+            executor=executor,
+        )
+        assert result.stats.get("shards") == 2
+        assert result.rows == exact_fold(fact_rows, aggregate)
+
+    def test_query_service(self, loaded, aggregate):
+        engine, fact_rows = loaded
+        with QueryService(engine) as service:
+            result = service.execute(query(aggregate))
+        assert result.rows == exact_fold(fact_rows, aggregate)

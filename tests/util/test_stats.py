@@ -15,6 +15,15 @@ class TestCounters:
         c.add("reads", 2)
         assert c.get("reads") == 3
 
+    def test_add_many_equals_repeated_add(self):
+        one, many = Counters(), Counters()
+        for bag in (one, many):
+            bag.add("reads", 2)
+        one.add("reads")
+        one.add("bytes", 8192)
+        many.add_many({"reads": 1.0, "bytes": 8192})
+        assert many.snapshot() == one.snapshot()
+
     def test_reset(self):
         c = Counters()
         c.add("x", 5)
