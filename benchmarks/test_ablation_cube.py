@@ -70,9 +70,10 @@ def test_ablation_cube(benchmark, array, table, strategy):
     def run_one_pass():
         engine.db.cold_cache()
         olap_array.invalidate_caches()
+        io_before = engine.db.sim_io_seconds()
         counters = Counters()
         compute_cube(olap_array, specs(olap_array), counters=counters)
-        return counters, engine.db.sim_io_seconds()
+        return counters, engine.db.sim_io_seconds() - io_before
 
     def run_separate():
         # sixteen independent queries, each cold (the paper's protocol)
@@ -81,6 +82,7 @@ def test_ablation_cube(benchmark, array, table, strategy):
         for subset_specs in all_subset_specs(olap_array):
             engine.db.cold_cache()
             olap_array.invalidate_caches()
+            io_before = engine.db.sim_io_seconds()
             if all(s.kind == "drop" for s in subset_specs):
                 olap_array.sum_region([None] * 4)  # the grand total
             else:
@@ -90,7 +92,7 @@ def test_ablation_cube(benchmark, array, table, strategy):
                     mode="vectorized",
                     counters=counters,
                 )
-            sim_io += engine.db.sim_io_seconds()
+            sim_io += engine.db.sim_io_seconds() - io_before
         return counters, sim_io
 
     run = run_one_pass if strategy == "one_pass_cube" else run_separate

@@ -524,6 +524,13 @@ def _gate(payload: dict, failures: list[str]) -> None:
         )
     elif not probe["analyzed"]:
         failures.append("explain probe plan was not analyzed")
+    else:
+        negative = _negative_actuals(probe["plan"])
+        if negative:
+            failures.append(
+                f"explain probe measured negative work: {negative} "
+                "(counters only count up; gate: none)"
+            )
     if payload["writes"] == 0 and payload["write_every"]:
         failures.append("churn writer never ran")
     trace = payload.get("trace") or {}
@@ -555,6 +562,22 @@ def _gate(payload: dict, failures: list[str]) -> None:
             failures.append(
                 "memory budget set but no trajectory sample recorded"
             )
+
+
+def _negative_actuals(explain: dict) -> dict[str, float]:
+    """Every negative actual or total in an analyzed plan payload."""
+    measured = [("totals", explain["execution"]["totals"])]
+    nodes = [explain["plan"]]
+    while nodes:
+        node = nodes.pop()
+        measured.append((node["op"], node.get("actuals", {})))
+        nodes.extend(node.get("children", ()))
+    return {
+        f"{where}.{name}": value
+        for where, counters in measured
+        for name, value in counters.items()
+        if value < 0
+    }
 
 
 def write_replay_artifact(payload: dict, path: str) -> None:

@@ -106,9 +106,7 @@ class RollupRouter:
         self._inflight: dict[tuple, str] = {}
         self._worker: threading.Thread | None = None
         if registry is not None:
-            registry.register(
-                "api:rollup", self.counters, reset=lambda: None, replace=True
-            )
+            registry.register("api:rollup", self.counters, replace=True)
             registry.register_gauge(
                 "rollup.resident_rows",
                 lambda: float(self.resident_rows()),

@@ -398,9 +398,7 @@ class ApiEndpoint:
         self.traces = getattr(service, "traces", None)
         self.router = RollupRouter(engine, service, registry=registry)
         self.counters = Counters()
-        registry.register(
-            "api:server", self.counters, reset=lambda: None, replace=True
-        )
+        registry.register("api:server", self.counters, replace=True)
         self._histograms = {
             name: registry.register_histogram(name, replace=True)
             for name in (

@@ -147,11 +147,7 @@ def run_serving_smoke(
                     "query_latency_observations": view.histogram_counts.get(
                         "repro_serve_query_latency_seconds", 0.0
                     ),
-                    # histogram count, not the counter: cold runs reset
-                    # counters, histograms keep their history
-                    "wal_fsyncs": view.histogram_counts.get(
-                        "repro_wal_fsync_seconds", 0.0
-                    ),
+                    "wal_fsyncs": view.counter("repro_wal_fsyncs"),
                 },
                 "counters": {
                     name: value

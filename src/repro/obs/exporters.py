@@ -192,13 +192,6 @@ def prometheus_text(registry, prefix: str = "repro") -> str:
         metric = f"{prefix}_{_sanitize(gauge)}"
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {value:g}")
-    resets = getattr(registry, "resets", None)
-    if resets is not None:
-        # the reset epoch rides along so scrape-side delta math (repro
-        # top's QPS) can tell a counter reset from a negative rate
-        metric = f"{prefix}_registry_resets"
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {float(resets):g}")
     return "\n".join(lines) + "\n"
 
 

@@ -121,10 +121,7 @@ class MemoryAccountant:
         # fallback) must not recurse into a second reclaim
         self._reclaim_lock = threading.Lock()
         if registry is not None:
-            # cumulative serving telemetry: survives per-query resets
-            registry.register(
-                "obs:memory", self.counters, reset=lambda: None, replace=True
-            )
+            registry.register("obs:memory", self.counters, replace=True)
             registry.register_gauge(
                 "memory.total_resident_bytes",
                 self.total_resident_bytes,

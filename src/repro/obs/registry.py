@@ -2,31 +2,31 @@
 
 Every component that accounts work into a
 :class:`~repro.util.stats.Counters` bag — the simulated disk, the
-buffer pool, the WAL, fact files, OLAP arrays, per-query counter bags —
-registers that bag under a source name.  The registry then answers the
-two questions the harness and the tracer keep asking:
+buffer pool, the WAL, fact files, OLAP arrays, the serving layer, the
+HTTP API, per-query counter bags — registers that bag under a source
+name.  There is one rule: **sources count up, a cost is a difference.**
+No bag is zeroed at a measurement boundary; what a query, a span or a
+sampling window cost is :func:`~repro.util.stats.counter_delta` of two
+:meth:`MetricsRegistry.snapshot_by_source` maps, and
+:meth:`MetricsRegistry.merged_snapshot` is the lifetime total.  A
+snapshot costs what changed, not what exists: a source hands out the
+same frozen dict until its next increment and ``counter_delta`` skips it
+by identity.
 
-- "what is the total of every counter right now?" (:meth:`merged_snapshot`,
-  which replaced the hand-rolled ``disk + pool + query`` dict plumbing
-  in ``olap/engine.py``), and
-- "zero everything for the next cold run" (:meth:`reset_all`, which
-  returns the pre-reset totals so no measurement is ever lost at a
-  query boundary).
+A per-query bag registered with :meth:`MetricsRegistry.scoped` is folded
+into the ``retired`` bag when its block ends, so totals never drop when
+a query finishes and a span enclosing the query sees the query's
+``cells_scanned`` / ``btree_probes`` in its own difference.  Gauges
+(callables sampled at export time) and cumulative
+:class:`~repro.obs.histogram.Histogram` latency distributions ride along
+for the Prometheus exporter.
 
-Sources registered with a ``reset`` callable get that called instead of
-a plain counter reset — the simulated disk uses this to also forget its
-arm position.  Gauges (callables sampled at export time: pool residency,
-WAL size) ride along for the Prometheus exporter, as do
-:class:`~repro.obs.histogram.Histogram` latency distributions, which
-are *cumulative*: :meth:`reset_all` (a per-query stat boundary) leaves
-them alone so the serving dashboard sees the whole process history.
-
-The registry itself is thread-safe: the 8-thread serving layer
-registers per-query scoped sources, samples gauges and scrapes
-snapshots concurrently, so every map mutation happens under one lock.
-:meth:`scoped` additionally uniquifies its source name — two queries
-in flight both registering ``"query"`` get distinct actual names
-instead of a spurious duplicate-source error.
+The registry is thread-safe: the serving layer registers per-query
+scoped sources, samples gauges and scrapes snapshots concurrently, so
+every map mutation — and every snapshot, so that a bag is never seen
+both live and retired — happens under one lock.  :meth:`scoped`
+uniquifies its source name: two queries in flight both registering
+``"query"`` get distinct names instead of a duplicate-source error.
 """
 
 from __future__ import annotations
@@ -37,7 +37,12 @@ from contextlib import contextmanager
 
 from repro.errors import MetricsError
 from repro.obs.histogram import Histogram
-from repro.util.stats import Counters
+from repro.util.stats import Counters, counter_delta
+
+
+#: the snapshot key of the bag finished :meth:`MetricsRegistry.scoped`
+#: sources are folded into; not registrable
+RETIRED = "retired"
 
 
 class MetricsRegistry:
@@ -45,43 +50,23 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._sources: dict[str, Counters] = {}
-        self._resets: dict[str, Callable[[], object] | None] = {}
+        self._retired = Counters()
         self._gauges: dict[str, Callable[[], float]] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._reset_epoch = 0
         self._lock = threading.RLock()
-
-    @property
-    def resets(self) -> int:
-        """Monotonic count of :meth:`reset_all` boundaries ever crossed.
-
-        Counter samplers (the time-series store, ``repro top``) compare
-        this epoch between two snapshots: when it moved, a smaller
-        counter value means "the counter restarted from zero", not "work
-        was un-done", so the delta since the reset is the current value
-        rather than a negative difference.
-        """
-        with self._lock:
-            return self._reset_epoch
 
     # -- sources -----------------------------------------------------------
 
     def register(
-        self,
-        name: str,
-        counters: Counters,
-        reset: Callable[[], object] | None = None,
-        replace: bool = False,
+        self, name: str, counters: Counters, replace: bool = False
     ) -> Counters:
-        """Register one counter source under ``name``.
-
-        ``reset`` overrides the boundary reset (default: zero the bag).
-        """
+        """Register one counter source under ``name``."""
+        if name == RETIRED:
+            raise MetricsError(f"metrics source name {name!r} is reserved")
         with self._lock:
             if name in self._sources and not replace:
                 raise MetricsError(f"metrics source {name!r} already registered")
             self._sources[name] = counters
-            self._resets[name] = reset
         return counters
 
     def unregister(self, name: str) -> None:
@@ -90,7 +75,6 @@ class MetricsRegistry:
             if name not in self._sources:
                 raise MetricsError(f"no metrics source named {name!r}")
             del self._sources[name]
-            del self._resets[name]
 
     @contextmanager
     def scoped(self, name: str, counters: Counters):
@@ -100,20 +84,23 @@ class MetricsRegistry:
         (``chunks_read``, ``btree_probes``, ...) to the tracer while the
         query runs.  When ``name`` is already taken — two queries in
         flight — a uniquified ``name#N`` is used, so concurrent scoped
-        sources never collide.
+        sources never collide.  On exit the bag's counts move into the
+        ``retired`` bag in one step, so no total drops and no snapshot
+        sees them twice.
         """
         with self._lock:
             actual = name
             serial = 2
-            while actual in self._sources:
+            while actual in self._sources or actual == RETIRED:
                 actual = f"{name}#{serial}"
                 serial += 1
             self._sources[actual] = counters
-            self._resets[actual] = None
         try:
             yield counters
         finally:
-            self.unregister(actual)
+            with self._lock:
+                del self._sources[actual]
+                self._retired.merge(counters)
 
     def counters(self, name: str) -> Counters:
         """The registered bag for ``name``."""
@@ -205,40 +192,25 @@ class MetricsRegistry:
 
     # -- collection --------------------------------------------------------
 
-    def merged(self) -> Counters:
-        """A fresh bag holding every source's counters summed by name."""
+    def snapshot_by_source(self) -> dict[str, dict[str, float]]:
+        """Per-source frozen snapshots, keyed by source name.
+
+        Empty sources are kept; the ``retired`` bag appears once a
+        scoped source has been folded into it.  The dicts are shared
+        (see :meth:`Counters.frozen <repro.util.stats.Counters.frozen>`):
+        read them, diff two maps with
+        :func:`~repro.util.stats.counter_delta`, never mutate them.
+        """
         with self._lock:
-            sources = list(self._sources.values())
-        total = Counters()
-        for counters in sources:
-            total.merge(counters)
-        return total
+            snapshot = {
+                name: counters.frozen()
+                for name, counters in self._sources.items()
+            }
+            retired = self._retired.frozen()
+        if retired:
+            snapshot[RETIRED] = retired
+        return snapshot
 
     def merged_snapshot(self) -> dict[str, float]:
-        """Plain-dict totals across all sources (zero values dropped)."""
-        return self.merged().snapshot()
-
-    def snapshot_by_source(self) -> dict[str, dict[str, float]]:
-        """Per-source snapshots, keyed by source name (empty ones kept)."""
-        with self._lock:
-            items = sorted(self._sources.items())
-        return {name: counters.snapshot() for name, counters in items}
-
-    def reset_all(self) -> dict[str, float]:
-        """Zero every counter source; returns the pre-reset merged snapshot.
-
-        Histograms and gauges are left untouched: they are cumulative
-        serving telemetry, not per-run cost accounting.
-        """
-        before = self.merged_snapshot()
-        with self._lock:
-            items = list(self._sources.items())
-            resets = dict(self._resets)
-            self._reset_epoch += 1
-        for name, counters in items:
-            reset = resets[name]
-            if reset is not None:
-                reset()
-            else:
-                counters.reset()
-        return before
+        """Lifetime totals across all sources, summed by counter name."""
+        return counter_delta({}, self.snapshot_by_source())

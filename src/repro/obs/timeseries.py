@@ -6,8 +6,8 @@ workload, not a single query, yet until this layer every observability
 surface (counters, histograms, EXPLAIN) was point-in-time.  The
 :class:`TimeSeriesStore` closes that gap: at a configurable interval it
 snapshots the whole :class:`~repro.obs.registry.MetricsRegistry` —
-merged counter totals, sampled gauges, cumulative histogram buckets —
-into a fixed-capacity ring, and answers *windowed* questions:
+per-source counter snapshots, sampled gauges, cumulative histogram
+buckets — into a fixed-capacity ring, and answers *windowed* questions:
 
 - "what was the query rate over the last 30 s?" (:meth:`counter_rate`),
 - "what is the p99 over the last 30 s, not since process start?"
@@ -16,15 +16,17 @@ into a fixed-capacity ring, and answers *windowed* questions:
 - "how did the cache hit rate evolve?" (:meth:`counter_series` /
   :meth:`window_ratio`).
 
-Counter snapshots are **reset-aware**: the engine's cold-run protocol
-calls ``reset_all`` at every query boundary, so raw counter differences
-between two snapshots can go negative.  Each sample therefore carries
-the registry's monotonic reset epoch; a delta across an epoch change is
-taken as the newer sample's absolute value (the amount accumulated
-*since* the reset — work between the older sample and the reset is
-lost, never negated).  Histograms and the ``serve:*`` sources are
-cumulative (their boundary reset is a no-op), so their windows are
-exact.
+Windows are **exact**: every registered source counts up for the life
+of its owner and histograms are cumulative, so what happened between two
+samples is their difference — the same
+:func:`~repro.util.stats.counter_delta` a span or a query uses, over the
+same per-source snapshots.  Ten queries between two samples move
+``pages_read`` by the sum of the ten ``QueryResult.stats["pages_read"]``.
+The one exception is a source that is unregistered or replaced (a
+service restarted over the same engine) inside the window: it takes its
+history with it, and the window clamps at zero rather than going
+negative.  A source idle between two samples shares one snapshot dict
+between them, so a quiet ring costs little.
 
 The store is thread-safe and cheap enough to sample at sub-second
 intervals; :meth:`start` runs the sampler on a daemon thread and fires
@@ -43,15 +45,16 @@ from repro.errors import MetricsError
 from repro.obs.histogram import quantile_from_buckets
 from repro.obs.memory import deep_sizeof
 from repro.obs.registry import MetricsRegistry
+from repro.util.stats import counter_delta
 
 
 @dataclass(frozen=True)
 class TimePoint:
-    """One registry snapshot: wall time, reset epoch, and values."""
+    """One registry snapshot: wall time and values."""
 
     t: float
-    epoch: int
-    counters: dict[str, float] = field(default_factory=dict)
+    #: source name -> that source's frozen counters (shared, read-only)
+    sources: dict[str, dict[str, float]] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
     #: histogram name -> (bounds, per-bucket cumulative-from-zero counts
     #: including the overflow bucket, sum, count) — all cumulative over
@@ -61,16 +64,10 @@ class TimePoint:
     )
 
 
-def _counter_delta(
-    older: TimePoint, newer: TimePoint, name: str
-) -> float:
-    """Reset-aware counter movement between two adjacent samples."""
-    after = newer.counters.get(name, 0.0)
-    if newer.epoch != older.epoch:
-        # the counter restarted from zero at least once in between:
-        # credit what accumulated since the last reset, never a negative
-        return max(0.0, after)
-    return max(0.0, after - older.counters.get(name, 0.0))
+def _moved(older: TimePoint, newer: TimePoint, name: str) -> float:
+    """How far counter ``name`` moved between two samples."""
+    delta = counter_delta(older.sources, newer.sources)
+    return max(0.0, delta.get(name, 0.0))
 
 
 class TimeSeriesStore:
@@ -104,8 +101,7 @@ class TimeSeriesStore:
     def sample(self, now: float | None = None) -> TimePoint:
         """Snapshot the registry into the ring; returns the new point."""
         registry = self.registry
-        epoch = registry.resets
-        counters = registry.merged_snapshot()
+        sources = registry.snapshot_by_source()
         gauges = registry.gauge_values()
         histograms = {}
         for hname, snap in registry.histogram_snapshots().items():
@@ -117,8 +113,7 @@ class TimeSeriesStore:
             )
         point = TimePoint(
             t=time.time() if now is None else now,
-            epoch=epoch,
-            counters=counters,
+            sources=sources,
             gauges=gauges,
             histograms=histograms,
         )
@@ -211,11 +206,11 @@ class TimeSeriesStore:
     # -- windowed counter math -----------------------------------------------
 
     def counter_delta(self, name: str, window_s: float) -> float:
-        """Total (reset-aware) counter movement over the window."""
+        """Total counter movement over the window."""
         points = self.points(window_s)
-        return sum(
-            _counter_delta(a, b, name) for a, b in zip(points, points[1:])
-        )
+        if len(points) < 2:
+            return 0.0
+        return _moved(points[0], points[-1], name)
 
     def counter_rate(self, name: str, window_s: float) -> float:
         """Per-second rate of a counter over the trailing window."""
@@ -230,12 +225,9 @@ class TimeSeriesStore:
     def counter_series(
         self, name: str, window_s: float | None = None
     ) -> list[tuple[float, float]]:
-        """Per-interval (t, delta) pairs for one counter, reset-aware."""
+        """Per-interval (t, delta) pairs for one counter."""
         points = self.points(window_s)
-        return [
-            (b.t, _counter_delta(a, b, name))
-            for a, b in zip(points, points[1:])
-        ]
+        return [(b.t, _moved(a, b, name)) for a, b in zip(points, points[1:])]
 
     def gauge_series(
         self, name: str, window_s: float | None = None
@@ -270,8 +262,8 @@ class TimeSeriesStore:
     ) -> tuple[tuple[float, ...], list[int]] | None:
         """``(bounds, per-bucket counts)`` for the trailing window.
 
-        Histograms are cumulative over process life and survive cold
-        resets, so the element-wise difference of the newest and oldest
+        Histograms are cumulative over process life, so the
+        element-wise difference of the newest and oldest
         in-window bucket vectors *is* the histogram of observations made
         between those two samples.  Returns ``None`` when the metric is
         absent or the window holds fewer than two points.
@@ -341,8 +333,9 @@ class TimeSeriesStore:
         if latest is None:
             return {}
         names: dict[str, str] = {}
-        for name in latest.counters:
-            names[name] = "counter"
+        for counters in latest.sources.values():
+            for name in counters:
+                names[name] = "counter"
         for name in latest.gauges:
             names[name] = "gauge"
         for name in latest.histograms:

@@ -23,6 +23,7 @@ from repro.obs.exporters import (
     parse_prometheus_text,
 )
 from repro.obs.histogram import quantile_from_buckets
+from repro.util.stats import counter_delta
 
 
 def fetch_metrics(url: str, timeout_s: float = 5.0) -> str:
@@ -153,29 +154,18 @@ class MetricsView:
         )[1]
 
 
-def counter_delta(
-    previous: MetricsView, current: MetricsView, base: str
-) -> float:
-    """Reset-aware counter movement between two scrapes.
-
-    The registry exports its monotonic reset epoch as the
-    ``repro_registry_resets`` gauge; when it moved between the scrapes
-    the counter restarted from zero, so the delta is the newer absolute
-    value (what accumulated since the reset) — never a negative.
-    """
-    after = current.counter(base)
-    if current.gauge("repro_registry_resets") != previous.gauge(
-        "repro_registry_resets"
-    ):
-        return max(0.0, after)
-    return max(0.0, after - previous.counter(base))
-
-
 def qps(previous: MetricsView, current: MetricsView, interval_s: float) -> float:
-    """Admitted queries per second between two scrapes."""
+    """Admitted queries per second between two scrapes.
+
+    Exported counters only count up, so the rate is their difference;
+    it clamps at zero when the scraped process restarted in between.
+    """
     if interval_s <= 0:
         return 0.0
-    return counter_delta(previous, current, "repro_serve_admitted") / interval_s
+    moved = counter_delta(
+        {"scrape": previous.counters}, {"scrape": current.counters}
+    )
+    return max(0.0, moved.get("repro_serve_admitted", 0.0)) / interval_s
 
 
 def _fmt_ms(seconds: float) -> str:

@@ -5,9 +5,16 @@ dimension lookups, chunk-meta directory reads, chunk fetch/decompress,
 offset probes, accumulation, partition merges, hash-table build/probe —
 as a tree of :class:`Span` objects.  Each span carries its wall-clock
 duration and, when the tracer is bound to a
-:class:`~repro.obs.registry.MetricsRegistry`, the *delta* of every
-registered counter between span entry and exit, so the simulated-I/O
-accounting of §4 decomposes exactly over the span tree.
+:class:`~repro.obs.registry.MetricsRegistry`, the
+:func:`~repro.util.stats.counter_delta` of the registry's per-source
+snapshots at span entry and exit, so the simulated-I/O accounting of §4
+decomposes exactly over the span tree.  Sources only count up, so a
+delta is never negative (bar the array keys a scan moves from the
+array's bag to the query's, if another thread's span catches them in
+between), and a span enclosing a whole query — a rollup rebuild,
+``serve_query`` — includes that query's own counters.  The registry is
+process-wide: a span's delta covers everything done while it was open,
+other threads' I/O included.
 
 Instrumented call sites never pay for tracing unless it is on: the
 module-level active tracer defaults to :data:`NULL_TRACER`, whose
@@ -31,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.util.stats import Counters
+from repro.util.stats import Counters, counter_delta
 
 #: live span-name stacks by thread ident, maintained by every open
 #: :class:`_LiveSpan`.  ``threading.local`` hides a thread's stack from
@@ -154,7 +161,7 @@ class _LiveSpan:
     def __init__(self, tracer: "Tracer", span: Span):
         self._tracer = tracer
         self._span = span
-        self._before: dict[str, float] | None = None
+        self._before: dict[str, dict[str, float]] | None = None
 
     def __enter__(self) -> Span:
         tracer = self._tracer
@@ -175,7 +182,7 @@ class _LiveSpan:
             names = _SPAN_STACKS[ident] = []
         names.append(span.name)
         if tracer.registry is not None:
-            self._before = tracer.registry.merged_snapshot()
+            self._before = tracer.registry.snapshot_by_source()
         span.start_s = time.perf_counter()
         return span
 
@@ -184,17 +191,9 @@ class _LiveSpan:
         span.duration_s = time.perf_counter() - span.start_s
         tracer = self._tracer
         if self._before is not None:
-            after = tracer.registry.merged_snapshot()
-            before = self._before
-            delta = {}
-            for name, value in after.items():
-                change = value - before.get(name, 0.0)
-                if change:
-                    delta[name] = change
-            for name, value in before.items():
-                if name not in after and value:
-                    delta[name] = -value
-            span.io = delta
+            span.io = counter_delta(
+                self._before, tracer.registry.snapshot_by_source()
+            )
         tracer._stack.pop()
         ident = threading.get_ident()
         names = _SPAN_STACKS.get(ident)
@@ -212,8 +211,8 @@ class Tracer:
     nests under that thread's innermost span, or starts a new root tree
     (the serving layer and thread-backed partitioned consolidation rely
     on this).  Counter deltas on concurrently open spans overlap — each
-    span still reports the registry delta over its own lifetime, which
-    under concurrency includes other threads' I/O.
+    span reports the registry delta over its own lifetime, whoever did
+    the work.
     """
 
     enabled = True

@@ -58,7 +58,7 @@ from repro.olap.star_schema import (
 )
 from repro.relational.catalog import Database
 from repro.relational.star_join import DimensionJoinSpec
-from repro.util.stats import Counters, Timer
+from repro.util.stats import Counters, Timer, counter_delta
 
 _RELATIONAL_BACKENDS = ("starjoin", "bitmap", "btree", "mbtree", "leftdeep")
 #: the built-in backends; the live set is ``backends.backend_names()``
@@ -440,7 +440,10 @@ class OlapEngine:
         """Execute a consolidation query.
 
         With ``cold=True`` (the paper's methodology) the buffer pool is
-        flushed and I/O statistics zeroed before the measured run.
+        flushed before the measured run.  ``result.stats`` is what every
+        registered counter source moved by while the query ran (the
+        difference of two registry snapshots; the cache preparation is
+        not billed).
         ``shards > 1`` scatters the array consolidation over chunk-range
         shards on the given ``executor`` (see :mod:`repro.shard`).
         """
@@ -477,7 +480,9 @@ class OlapEngine:
                 state.array.invalidate_caches()
             self.db.cold_cache()
         else:
-            self.db.reset_stats()
+            self.db.disk.park()
+        metrics = self.db.metrics
+        before = metrics.snapshot_by_source()
         counters = Counters()
         resolved = resolve_mode(mode, query.aggregate, backend)
         result_mode = resolved if backend == "array" else "interpreted"
@@ -494,7 +499,7 @@ class OlapEngine:
             allow_partial=allow_partial,
             trace=trace,
         )
-        with self.db.metrics.scoped("query", counters):
+        with metrics.scoped("query", counters):
             with get_tracer().span(
                 "query",
                 cube=query.cube,
@@ -510,13 +515,11 @@ class OlapEngine:
                 ):
                     with Timer() as timer:
                         result = impl.execute(ctx, query)
-            stats = self.db.metrics.merged_snapshot()
-        self.db.metrics.observe("engine.query_seconds", timer.elapsed)
-        self.db.metrics.observe(
-            f"engine.backend.{backend}_seconds", timer.elapsed
-        )
+            stats = counter_delta(before, metrics.snapshot_by_source())
+        metrics.observe("engine.query_seconds", timer.elapsed)
+        metrics.observe(f"engine.backend.{backend}_seconds", timer.elapsed)
         result.elapsed_s = timer.elapsed
-        result.sim_io_s = self.db.sim_io_seconds()
+        result.sim_io_s = stats.get("sim_io_s", 0.0)
         result.stats = stats
         return result
 
@@ -681,17 +684,11 @@ class OlapEngine:
                 counters.add("explain.misestimates")
 
     def _explain_stats(self) -> Counters:
-        """The cumulative ``engine:explain`` counter bag (keep-reset,
-        like the serving layer's counters, so cold runs don't zero it)."""
+        """The ``engine:explain`` counter bag, registered on first use."""
         if self._explain_counters is None:
-            counters = Counters()
-            self.db.metrics.register(
-                "engine:explain",
-                counters,
-                reset=lambda: None,
-                replace=True,
+            self._explain_counters = self.db.metrics.register(
+                "engine:explain", Counters(), replace=True
             )
-            self._explain_counters = counters
         return self._explain_counters
 
     def chunk_heatmap(self, cube: str, top: int = 10) -> dict:
@@ -870,7 +867,8 @@ class OlapEngine:
             reaggregate = (
                 "sum" if query.aggregate in ("sum", "count") else query.aggregate
             )
-            self.db.reset_stats()
+            self.db.disk.park()
+            before = self.db.metrics.snapshot_by_source()
             counters = Counters()
             with self.db.metrics.scoped("query", counters):
                 with get_tracer().span(
@@ -889,13 +887,15 @@ class OlapEngine:
                             query,
                             self._reorder_array_rows(state, query, result.rows),
                         )
-                stats = self.db.metrics.merged_snapshot()
+                stats = counter_delta(
+                    before, self.db.metrics.snapshot_by_source()
+                )
             return QueryResult(
                 rows=rows,
                 backend=f"view:{name}",
                 mode="vectorized",
                 elapsed_s=timer.elapsed,
-                sim_io_s=self.db.sim_io_seconds(),
+                sim_io_s=stats.get("sim_io_s", 0.0),
                 stats=stats,
             )
         raise PlanError(

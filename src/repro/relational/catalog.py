@@ -59,7 +59,7 @@ class Database:
         self.locks = LockManager()
         self.metrics = self._build_metrics()
         #: per-array chunk access counters; cumulative across queries
-        #: (cold_cache / reset_stats leave it alone, like histograms)
+        #: (cold_cache leaves it alone)
         self.heatmap = ChunkHeatmap()
         self._tables: dict[str, HeapFile | FactFile] = {}
         self._btrees: dict[str, BTree] = {}
@@ -72,8 +72,8 @@ class Database:
         """Register every storage-stack counter source, gauge and
         latency histogram."""
         metrics = MetricsRegistry()
-        metrics.register("disk", self.disk.counters, reset=self.disk.reset_stats)
-        metrics.register("pool", self.pool.counters, reset=self.pool.reset_stats)
+        metrics.register("disk", self.disk.counters)
+        metrics.register("pool", self.pool.counters)
         metrics.register_gauge("pool_resident_pages", self.pool.resident_pages)
         metrics.register_gauge("pool_hit_rate", self.pool.hit_rate)
         metrics.register_gauge("disk_used_bytes", self.disk.used_bytes)
@@ -344,24 +344,20 @@ class Database:
     # -- measurement support ---------------------------------------------------------
 
     def cold_cache(self) -> None:
-        """Flush and empty the buffer pool, zero all I/O statistics.
+        """Flush and empty the buffer pool and park the disk arm.
 
         This is the paper's pre-query ritual ("we flushed both the Unix
         file system buffer and Paradise buffer pool before running each
-        query").
+        query").  Counters are not touched: take :meth:`stats` before
+        and after the measured work and subtract.
         """
         self.pool.clear()
-        self.reset_stats()
-
-    def reset_stats(self) -> dict[str, float]:
-        """Zero every registered counter source without disturbing the
-        cache; returns the pre-reset merged snapshot."""
-        return self.metrics.reset_all()
+        self.disk.park()
 
     def stats(self) -> dict[str, float]:
-        """All registered counters merged, since the last reset."""
+        """All registered counters merged, over the database's lifetime."""
         return self.metrics.merged_snapshot()
 
     def sim_io_seconds(self) -> float:
-        """Simulated I/O seconds since the last reset."""
+        """Simulated I/O seconds over the database's lifetime."""
         return self.disk.counters.get("sim_io_s")

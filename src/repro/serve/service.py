@@ -24,9 +24,10 @@ service layers concurrency *around* it:
   replays the WAL in place and lifts the degradation.
 
 All cache and admission counters register in the
-:class:`~repro.obs.registry.MetricsRegistry` with a no-op reset so they
-stay cumulative across the engine's per-query stat boundaries, and
-queue depth / cache residency export as gauges.
+:class:`~repro.obs.registry.MetricsRegistry` and, like every source
+there, count up for the life of the service (a window or a query is a
+difference of two snapshots); queue depth / cache residency export as
+gauges.
 
 The service also owns the **temporal** observability stack: a
 :class:`~repro.obs.timeseries.TimeSeriesStore` over the engine's
@@ -211,17 +212,14 @@ class QueryService:
 
     def _register_metrics(self) -> None:
         registry = self.engine.db.metrics
-        keep = lambda: None  # noqa: E731 — cumulative across query resets
-        registry.register("serve:service", self.counters, reset=keep, replace=True)
+        registry.register("serve:service", self.counters, replace=True)
         registry.register(
-            "serve:result_cache", self.results.counters, reset=keep, replace=True
+            "serve:result_cache", self.results.counters, replace=True
         )
         registry.register(
-            "serve:chunk_cache", self.chunks.counters, reset=keep, replace=True
+            "serve:chunk_cache", self.chunks.counters, replace=True
         )
-        registry.register(
-            "serve:traces", self.traces.counters, reset=keep, replace=True
-        )
+        registry.register("serve:traces", self.traces.counters, replace=True)
         registry.register_gauge(
             "serve.in_flight", lambda: float(self._in_flight), replace=True
         )

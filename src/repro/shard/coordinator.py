@@ -30,7 +30,7 @@ from that image.  Worker-simulated I/O is folded back into the parent
 disk's ``sim_io_s`` so cost accounting stays comparable with the
 thread path.
 
-Metrics flow into the registry's keep-reset ``engine:shard`` bag
+Metrics flow into the registry's ``engine:shard`` bag
 (``shard.queries``, ``shard.scatter_ms``, ``shard.merge_ms``,
 ``shard.retries``, ``shard.timeouts``, ``shard.partial_results``,
 per-shard ``shard.<i>.pool_hits``/``pool_misses``) and into the
@@ -74,10 +74,8 @@ class ShardCoordinator:
     def __init__(self, engine):
         self.engine = engine
         self.timeout_s: float | None = self.DEFAULT_TIMEOUT_S
-        # keep-reset like engine:explain / the serving counters: a cold
-        # query run must not zero the cumulative shard totals
         self.counters = engine.db.metrics.register(
-            "engine:shard", Counters(), reset=lambda: None, replace=True
+            "engine:shard", Counters(), replace=True
         )
         self._workspace: str | None = None
         self._images: dict[str, tuple[int, str]] = {}

@@ -41,7 +41,7 @@ from repro.core.consolidate import (
 from repro.errors import QueryError, TransientDiskError
 from repro.obs.exporters import span_to_dict
 from repro.obs.tracer import Span, Tracer, thread_tracing
-from repro.util.stats import Counters
+from repro.util.stats import Counters, counter_delta
 
 #: per-process cache: image_path -> (Database, {array_name: OLAPArray})
 _WORKER_STATE: dict = {}
@@ -188,6 +188,7 @@ def _open_worker_db(task: dict):
     name = task["array_name"]
     if name not in arrays:
         arrays[name] = OLAPArray.open(db.fm, name)
+        db.metrics.register(f"array:{name}", arrays[name].counters)
     return db, arrays[name]
 
 
@@ -201,9 +202,7 @@ def run_shard_task(task: dict) -> dict:
     _maybe_fail(task)
     started = time.perf_counter()
     db, array = _open_worker_db(task)
-    before_array = array.counters.snapshot()
-    before_pool = db.pool.counters.snapshot()
-    before_disk = db.disk.counters.snapshot()
+    before = db.metrics.snapshot_by_source()
     counters = Counters()
     accumulator = ResultAccumulator(
         array, build_specs(task["specs"]), task["aggregate"]
@@ -221,15 +220,10 @@ def run_shard_task(task: dict) -> dict:
 
     root = _traced_scan(task, scan, executor="process")
     deltas = counters.snapshot()
-    for bag, before in (
-        (array.counters, before_array),
-        (db.pool.counters, before_pool),
-        (db.disk.counters, before_disk),
-    ):
-        after = bag.snapshot()
-        for key in after:
-            if key in _DELTA_KEYS and key not in deltas:
-                deltas[key] = after[key] - before.get(key, 0.0)
+    moved = counter_delta(before, db.metrics.snapshot_by_source())
+    for key, value in moved.items():
+        if key in _DELTA_KEYS and key not in deltas:
+            deltas[key] = value
     result = {
         "shard": task["shard"],
         "state": accumulator.export_state(),

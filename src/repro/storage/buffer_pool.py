@@ -227,12 +227,8 @@ class BufferPool:
         return self.resident_pages() * (self.disk.page_size + _FRAME_OVERHEAD)
 
     def hit_rate(self) -> float:
-        """Fraction of page requests served from the pool (0.0 if none)."""
+        """Fraction of page requests served from the pool over the
+        pool's lifetime (0.0 if none)."""
         hits = self.counters.get("pool_hits")
         total = hits + self.counters.get("pool_misses")
         return hits / total if total else 0.0
-
-    def reset_stats(self) -> dict[str, float]:
-        """Zero pool counters (query boundary); returns the pre-reset
-        snapshot so callers can keep the previous run's measurements."""
-        return self.counters.reset()

@@ -104,7 +104,7 @@ class SimulatedDisk:
 
     def _account(self, page_id: int, kind: str) -> None:
         if self._last_accessed is None:
-            jump = 0  # first access after a reset: a full seek
+            jump = 0  # first access after park(): a full seek
         else:
             jump = page_id - self._last_accessed
         amounts = {"sim_io_s": self.model.access_seconds(self.page_size, jump)}
@@ -137,12 +137,10 @@ class SimulatedDisk:
 
     # -- statistics ---------------------------------------------------------
 
-    def reset_stats(self) -> dict[str, float]:
-        """Zero all counters and forget arm position (query boundary);
-        returns the pre-reset snapshot."""
-        before = self.counters.reset()
+    def park(self) -> None:
+        """Forget the arm position (query boundary): the next access
+        pays a full seek wherever the previous query left the arm."""
         self._last_accessed = None
-        return before
 
     def used_bytes(self) -> int:
         """Total bytes of allocated pages (the on-disk footprint)."""

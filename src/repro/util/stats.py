@@ -15,30 +15,35 @@ from dataclasses import dataclass, field
 
 
 class Counters:
-    """A bag of named numeric counters.
+    """A bag of named numeric counters that only count up.
 
     Unknown names read as zero, so callers can add domain-specific
     counters (``chunks_read``, ``btree_probes``, ...) without
     registration.  All operations are thread-safe: the serving layer
     lets concurrent queries account into shared bags (the buffer pool's,
     an array's), so increments must not be lost to read-modify-write
-    races.
+    races.  A bag is never zeroed at a measurement boundary: what a
+    query, span or shard task cost is the :func:`counter_delta` of two
+    snapshots.
     """
 
     def __init__(self) -> None:
         self._values: dict[str, float] = defaultdict(float)
         self._lock = threading.Lock()
+        self._frozen: dict[str, float] | None = None
 
     def add(self, name: str, amount: float = 1.0) -> None:
         """Increment ``name`` by ``amount``."""
         with self._lock:
             self._values[name] += amount
+            self._frozen = None
 
     def add_many(self, amounts: dict[str, float]) -> None:
         """Increment several counters under one lock acquisition."""
         with self._lock:
             for name, amount in amounts.items():
                 self._values[name] += amount
+            self._frozen = None
 
     def get(self, name: str) -> float:
         """Current value of ``name`` (0 if never incremented)."""
@@ -46,22 +51,35 @@ class Counters:
             return self._values.get(name, 0.0)
 
     def reset(self) -> dict[str, float]:
-        """Zero every counter; returns the pre-reset snapshot."""
+        """Empty a bag whose counts were just merged into another one
+        (an array's into the query's); never a measurement boundary."""
         with self._lock:
             before = {k: v for k, v in self._values.items() if v}
             self._values.clear()
+            self._frozen = None
         return before
+
+    def frozen(self) -> dict[str, float]:
+        """All non-zero counters as a shared dict: the same object
+        until the next increment, so :func:`counter_delta` can skip an
+        idle bag by identity.  Read-only (:meth:`snapshot` copies)."""
+        with self._lock:
+            frozen = self._frozen
+            if frozen is None:
+                frozen = self._frozen = {
+                    k: v for k, v in self._values.items() if v
+                }
+            return frozen
 
     def snapshot(self) -> dict[str, float]:
         """A plain-dict copy of all non-zero counters."""
-        with self._lock:
-            return {k: v for k, v in self._values.items() if v}
+        return dict(self.frozen())
 
     def merge(self, other: "Counters") -> None:
         """Add every counter of ``other`` into this bag."""
         # snapshot first: taking both locks at once could deadlock
         # against a concurrent merge in the opposite direction
-        self.add_many(other.snapshot())
+        self.add_many(other.frozen())
 
     def __iadd__(self, other: "Counters") -> "Counters":
         """``bag += other`` merges ``other`` into this bag."""
@@ -71,6 +89,36 @@ class Counters:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v:g}" for k, v in sorted(self._values.items()))
         return f"Counters({inner})"
+
+
+_EMPTY: dict[str, float] = {}
+
+
+def counter_delta(
+    before: dict[str, dict[str, float]], after: dict[str, dict[str, float]]
+) -> dict[str, float]:
+    """What moved between two ``{source: frozen snapshot}`` maps.
+
+    The one way a cost is computed: per-source differences summed by
+    counter name, zero movement dropped.  A source whose snapshot is the
+    same object on both sides did not increment in between and is
+    skipped unread; one present on a single side counts whole (a
+    per-query bag that registered, or was folded into the registry's
+    retired bag, which gained the same amount).
+    """
+    delta: dict[str, float] = {}
+    for source, now in after.items():
+        was = before.get(source, _EMPTY)
+        if was is not now:
+            for name, value in now.items():
+                delta[name] = delta.get(name, 0.0) + value
+            for name, value in was.items():
+                delta[name] = delta.get(name, 0.0) - value
+    for source, was in before.items():
+        if source not in after:
+            for name, value in was.items():
+                delta[name] = delta.get(name, 0.0) - value
+    return {name: change for name, change in delta.items() if change}
 
 
 @dataclass

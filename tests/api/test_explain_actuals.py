@@ -1,0 +1,130 @@
+"""EXPLAIN ANALYZE actuals are differences of counters that only count up.
+
+A span's actuals used to be taken across whatever zeroed the registry
+underneath it: a routed request whose grain was rebuilt inside the
+``rollup.route`` span reported ``pool_hits: -977``.  Nothing resets any
+more, so no actual can be negative — alone, after other requests, or
+(the keys an array hands over to a query apart) beside concurrent
+readers and writes.
+"""
+
+import json
+import threading
+import time
+import urllib.error
+import urllib.request
+
+from repro.api.replay import _negative_actuals
+from repro.api.server import ApiServer
+from repro.data import generate_fact_rows
+
+from .conftest import CONFIG
+
+ROUTED = "/cube/sales/aggregate?drilldown=dim0:h02&explain=1&analyze=1"
+BASE = "/cube/sales/aggregate?drilldown=dim2:d2"
+BASE_ANALYZED = BASE + "&explain=1&analyze=1"
+
+#: the array keys still change hands between an array's bag and the
+#: query's bag inside a scan, so a concurrent span can catch them between
+#: the two; every other key (disk, pool, wal, fact:*, serve, api) only
+#: counts up
+HANDED_OVER = {"chunks_read", "chunk_bytes_read", "dir_loads", "i2i_loads"}
+
+
+def _get(url):
+    try:
+        with urllib.request.urlopen(url, timeout=30) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+class TestSingleThreaded:
+    def test_first_request_on_a_fresh_stack(self, stack):
+        _, _, endpoint = stack
+        with ApiServer(endpoint) as srv:
+            status, payload = _get(srv.url + ROUTED)
+        assert status == 200
+        plan = payload["explain"]
+        assert plan["backend"] == "rollup" and plan["analyzed"]
+        assert _negative_actuals(plan) == {}
+        # the grain was built inside the span: the span holds that work,
+        # including the per-query counters of the build's own queries
+        route = plan["plan"]["actuals"]
+        assert route["rollup.rebuilds"] == 1
+        assert route["cells_scanned"] > 0
+        assert route["chunks_read"] > 0
+
+    def test_after_one_base_request(self, stack):
+        _, _, endpoint = stack
+        with ApiServer(endpoint) as srv:
+            assert _get(srv.url + BASE)[0] == 200
+            status, payload = _get(srv.url + ROUTED)
+        assert status == 200
+        plan = payload["explain"]
+        assert plan["backend"] == "rollup"
+        assert _negative_actuals(plan) == {}
+        assert plan["plan"]["actuals"]["cells_scanned"] > 0
+
+
+class TestBesideReadersAndWrites:
+    def test_actuals_never_negative(self, stack):
+        _, service, endpoint = stack
+        write_keys = [tuple(row[:3]) for row in generate_fact_rows(CONFIG)[:24]]
+        stop = threading.Event()
+        problems: list = []
+        statuses: list[int] = []
+        plans: list[dict] = []
+        lock = threading.Lock()
+
+        def writer():
+            beat = 0
+            while not stop.is_set():
+                try:
+                    service.write_cell(
+                        CONFIG.name, write_keys[beat % 24], (beat % 7,)
+                    )
+                except Exception as exc:  # noqa: BLE001 — reported below
+                    problems.append(exc)
+                    return
+                beat += 1
+                stop.wait(0.002)
+
+        def reader(index, url):
+            turn = 0
+            while not stop.is_set():
+                path = ROUTED if (index + turn) % 2 else BASE_ANALYZED
+                status, payload = _get(url + path)
+                with lock:
+                    statuses.append(status)
+                    if status == 200:
+                        plans.append(payload["explain"])
+                turn += 1
+
+        with ApiServer(endpoint) as srv:
+            threads = [threading.Thread(target=writer)]
+            threads += [
+                threading.Thread(target=reader, args=(i, srv.url))
+                for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            time.sleep(2.0)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+
+        assert problems == []
+        assert statuses and all(status < 500 for status in statuses)
+        assert endpoint.counters.get("api.responses_5xx") == 0
+        assert {plan["backend"] for plan in plans} >= {"rollup"}
+        assert len({plan["backend"] for plan in plans}) > 1  # base ran too
+        assert any("pool_hits" in plan["execution"]["totals"] for plan in plans)
+        negatives = {
+            where: value
+            for plan in plans
+            for where, value in _negative_actuals(plan).items()
+            if where.rsplit(".", 1)[1] not in HANDED_OVER
+        }
+        assert negatives == {}

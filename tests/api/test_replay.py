@@ -1,6 +1,7 @@
 """Traffic replay: deterministic schedules, end-to-end runs over real
 HTTP with zero 5xx, and artifact writing."""
 
+import copy
 import json
 import random
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro.api.replay import (
     ReplaySettings,
+    _gate,
     _percentile,
     _schedule,
     run_replay,
@@ -81,6 +83,14 @@ class TestRunReplay:
         assert probe["status"] == 200
         assert probe["root_op"] == "rollup.route"
         assert probe["analyzed"]
+
+    def test_gate_rejects_negative_actuals(self, report):
+        payload = copy.deepcopy(report.payload)
+        payload["explain_probe"]["plan"]["plan"]["actuals"]["pool_hits"] = -29.0
+        failures: list[str] = []
+        _gate(payload, failures)
+        assert len(failures) == 1
+        assert "rollup.route.pool_hits" in failures[0]
 
     def test_artifact_round_trips(self, report, tmp_path):
         path = tmp_path / "BENCH_api.json"

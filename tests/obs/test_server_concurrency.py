@@ -2,8 +2,10 @@
 
 Readers GET ``/metrics``, ``/timeseries/*``, ``/alerts`` and
 ``/profile`` from several threads while a mutator adds counters,
-records observations, samples the TSDB and fires ``reset_all`` — every
-response must stay parseable (exposition text or JSON), never a 500.
+records observations, samples the TSDB, retires per-query bags and swaps
+the source for a fresh bag (the one way a total still restarts from
+zero: a service re-registering with ``replace=True``) — every response
+must stay parseable (exposition text or JSON), never a 500.
 """
 
 import json
@@ -67,9 +69,11 @@ def test_reads_survive_concurrent_mutation_and_resets(stack):
         for i in range(ROUNDS):
             registry.counters("svc").add("svc.requests", 1)
             registry.observe("svc.latency_seconds", 0.001 * (i + 1))
+            with registry.scoped("query", Counters()) as bag:
+                bag.add("svc.probes", 1)
             tsdb.sample()
             if i % 5 == 4:
-                registry.reset_all()
+                registry.register("svc", Counters(), replace=True)
 
     def read(path):
         start.wait()
@@ -108,12 +112,12 @@ def test_known_metric_route_stays_200_across_resets(stack):
     status, body = _get(f"{server.url}/timeseries/svc.requests")
     assert status == 200
     assert json.loads(body)["kind"] == "counter"
-    registry.reset_all()
+    registry.register("svc", Counters(), replace=True)
     registry.counters("svc").add("svc.requests", 1)
     tsdb.sample()
     status, body = _get(f"{server.url}/timeseries/svc.requests")
     assert status == 200
     payload = json.loads(body)
-    # reset-aware: per-interval deltas never go negative
+    # a replaced source restarts from zero: deltas clamp, never negative
     assert payload["points"]
     assert all(point["delta"] >= 0 for point in payload["points"])

@@ -1,4 +1,4 @@
-"""TimeSeriesStore: snapshots, reset-aware deltas, windowed quantiles."""
+"""TimeSeriesStore: snapshots, exact windowed deltas, windowed quantiles."""
 
 import time
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import MetricsError
 from repro.obs.registry import MetricsRegistry
-from repro.obs.timeseries import TimePoint, TimeSeriesStore, _counter_delta
+from repro.obs.timeseries import TimePoint, TimeSeriesStore
 from repro.util.stats import Counters
 
 
@@ -29,8 +29,7 @@ class TestSampling:
         store = TimeSeriesStore(registry)
         point = store.sample(now=100.0)
         assert point.t == 100.0
-        assert point.epoch == 0
-        assert point.counters["requests"] == 3.0
+        assert point.sources["svc"]["requests"] == 3.0
         assert point.gauges["depth"] == 4.0
         bounds, counts, total_sum, count = point.histograms["lat_seconds"]
         assert count == 1
@@ -82,24 +81,33 @@ class TestCounterMath:
         series = store.counter_series("requests")
         assert series == [(5.0, 10.0), (10.0, 20.0)]
 
-    def test_delta_across_reset_epoch_never_negative(self, registry):
+    def test_replaced_source_clamps_the_window_at_zero(self, registry):
         store = TimeSeriesStore(registry)
         _bump(registry, "requests", 100)
         store.sample(now=0.0)
-        registry.reset_all()  # cold-run boundary zeroes the bag
+        # a restarted service swaps in a fresh bag: its history is gone
+        registry.register("svc", Counters(), replace=True)
         _bump(registry, "requests", 7)
         store.sample(now=1.0)
-        # raw difference would be 7 - 100 = -93; the epoch bump credits
-        # what accumulated since the reset instead
-        assert store.counter_delta("requests", 100.0) == 7.0
+        assert store.counter_delta("requests", 100.0) == 0.0
+        assert store.counter_series("requests") == [(1.0, 0.0)]
 
-    def test_epoch_race_clamps_to_zero(self):
-        # reset_all bumps the epoch before zeroing: a sample landing in
-        # between can carry (new epoch, old value); the next delta must
-        # clamp at the newer absolute value, never go negative
-        older = TimePoint(t=0.0, epoch=1, counters={"c": 50.0})
-        newer = TimePoint(t=1.0, epoch=1, counters={"c": 3.0})
-        assert _counter_delta(older, newer, "c") == 0.0
+    def test_scoped_bags_keep_counting_after_they_end(self, registry):
+        store = TimeSeriesStore(registry)
+        store.sample(now=0.0)
+        for probes in (3, 4):
+            bag = Counters()
+            with registry.scoped("query", bag):
+                bag.add("probes", probes)
+        store.sample(now=1.0)
+        assert store.counter_delta("probes", 100.0) == 7.0
+
+    def test_idle_sources_share_one_snapshot_between_points(self, registry):
+        _bump(registry, "requests")
+        store = TimeSeriesStore(registry)
+        a = store.sample(now=0.0)
+        b = store.sample(now=1.0)
+        assert a.sources["svc"] is b.sources["svc"]
 
     def test_window_ratio_hit_rate_shape(self, registry):
         store = TimeSeriesStore(registry)
@@ -114,6 +122,38 @@ class TestCounterMath:
         store.sample(now=0.0)
         store.sample(now=1.0)
         assert store.window_ratio("hits", "misses", 100.0) is None
+
+
+class TestWindowsOverRealQueries:
+    def test_window_equals_the_sum_of_the_queries_in_it(self):
+        # each cold query used to zero the registry, so a window kept
+        # only what followed the last reset; now it is the exact sum
+        from repro.bench import bench_settings, build_cube_engine, query1_for
+        from repro.data import SyntheticCubeConfig
+
+        config = SyntheticCubeConfig(
+            name="tiny",
+            dim_sizes=(6, 6, 6, 10),
+            n_valid=150,
+            chunk_shape=(3, 3, 3, 5),
+            fanout1=3,
+        )
+        engine = build_cube_engine(config, bench_settings("small"))
+        store = TimeSeriesStore(engine.db.metrics)
+        engine.query(query1_for(config), backend="array")
+        store.sample(now=0.0)
+        results = [
+            engine.query(query1_for(config), backend=backend)
+            for backend in ("array", "starjoin", "array", "bitmap", "array")
+        ]
+        store.sample(now=1.0)
+        for name in ("pages_read", "seeks", "pool_misses", "cells_scanned"):
+            assert store.counter_delta(name, 10.0) == sum(
+                result.stats.get(name, 0.0) for result in results
+            ), name
+        assert sum(r.stats["pages_read"] for r in results) > results[-1].stats[
+            "pages_read"
+        ]
 
 
 class TestHistogramWindows:
@@ -138,15 +178,6 @@ class TestHistogramWindows:
         store.sample(now=5.0)  # no new observations in between
         assert store.window_quantile("lat_seconds", 0.99, 10.0) is None
         assert store.window_count("lat_seconds", 10.0) == 0
-
-    def test_histograms_survive_cold_resets(self, registry):
-        registry.observe("lat_seconds", 0.01)
-        store = TimeSeriesStore(registry)
-        store.sample(now=0.0)
-        registry.reset_all()  # histograms are cumulative: not zeroed
-        registry.observe("lat_seconds", 0.02)
-        store.sample(now=1.0)
-        assert store.window_count("lat_seconds", 10.0) == 1
 
     def test_quantile_series_skips_idle_intervals(self, registry):
         store = TimeSeriesStore(registry)

@@ -63,21 +63,22 @@ class TestMeasurement:
         table = db.create_heap_table("dim0", DIM)
         table.insert_many([(i, "a") for i in range(100)])
         db.cold_cache()
-        assert db.stats() == {}
+        before = db.stats().get("pages_read", 0)
         list(table.scan())
-        assert db.stats()["pages_read"] > 0
+        assert db.stats()["pages_read"] > before
 
     def test_warm_scan_reads_nothing(self, db):
         table = db.create_heap_table("dim0", DIM)
         table.insert_many([(i, "a") for i in range(100)])
         list(table.scan())  # warm the pool
-        db.reset_stats()
+        before = db.stats().get("pages_read", 0)
         list(table.scan())
-        assert db.stats().get("pages_read", 0) == 0
+        assert db.stats().get("pages_read", 0) == before
 
     def test_sim_io_seconds_positive_when_cold(self, db):
         table = db.create_heap_table("dim0", DIM)
         table.insert_many([(i, "a") for i in range(200)])
         db.cold_cache()
+        before = db.sim_io_seconds()
         list(table.scan())
-        assert db.sim_io_seconds() > 0
+        assert db.sim_io_seconds() > before

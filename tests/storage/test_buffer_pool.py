@@ -16,7 +16,6 @@ class TestCaching:
         disk, pool = make_pool()
         pid = pool.new_page()
         pool.flush_all()
-        disk.reset_stats()
         pool.get(pid)
         pool.get(pid)
         assert disk.counters.get("pages_read") == 0
@@ -26,7 +25,6 @@ class TestCaching:
         disk, pool = make_pool()
         pid = pool.new_page()
         pool.clear()
-        disk.reset_stats()
         pool.get(pid)
         assert disk.counters.get("pages_read") == 1
         assert pool.counters.get("pool_misses") == 1
@@ -39,11 +37,11 @@ class TestCaching:
         pool.get(a)  # a is now most recent
         pool.new_page()  # evicts b
         assert pool.resident_pages() == 2
-        disk.reset_stats()
+        before = disk.counters.get("pages_read")
         pool.get(a)
-        assert disk.counters.get("pages_read") == 0  # a stayed resident
+        assert disk.counters.get("pages_read") == before  # a stayed resident
         pool.get(b)
-        assert disk.counters.get("pages_read") == 1  # b was evicted
+        assert disk.counters.get("pages_read") == before + 1  # b was evicted
 
     def test_dirty_eviction_writes_back(self):
         disk, pool = make_pool(frames=1)
@@ -84,9 +82,9 @@ class TestPinning:
         pool.pin(a)
         pool.new_page()
         pool.new_page()  # must evict the other page, not a
-        disk.reset_stats()
+        before = disk.counters.get("pages_read")
         pool.get(a)
-        assert disk.counters.get("pages_read") == 0
+        assert disk.counters.get("pages_read") == before
         pool.unpin(a)
 
     def test_all_pinned_raises(self):
@@ -121,22 +119,21 @@ class TestColdReset:
         assert pool.resident_pages() == 0
         assert disk.read_page(pid)[1] == 0x42
 
-    def test_reset_stats_returns_pre_reset_snapshot(self):
+    def test_clear_leaves_the_counters_alone(self):
         disk, pool = make_pool()
         pid = pool.new_page()
         pool.clear()
         pool.get(pid)
         pool.get(pid)
-        before = pool.reset_stats()
-        assert before["pool_misses"] == 1
-        assert before["pool_hits"] == 1
-        assert pool.counters.get("pool_hits") == 0
+        before = pool.counters.snapshot()
+        assert before == {"pool_misses": 1, "pool_hits": 1}
+        pool.clear()
+        assert pool.counters.snapshot() == before
 
     def test_hit_rate(self):
         disk, pool = make_pool()
         pid = pool.new_page()
         pool.clear()
-        pool.reset_stats()
         assert pool.hit_rate() == 0.0  # no accesses yet
         pool.get(pid)  # miss
         pool.get(pid)  # hit

@@ -64,20 +64,18 @@ class TestCostModel:
         disk = SimulatedDisk(page_size=1024 * 1024, model=model)
         disk.allocate(10)
         disk.read_page(0)
-        disk.reset_stats()
-        disk._last_accessed = 0
+        before = disk.counters.get("sim_io_s")
         disk.read_page(4)  # forward skip of 4 pages within the window
-        assert disk.counters.get("sim_io_s") == pytest.approx(4.0)
+        assert disk.counters.get("sim_io_s") - before == pytest.approx(4.0)
 
     def test_far_forward_skip_is_a_seek(self):
         model = DiskModel(seek_ms=10, transfer_mb_per_s=1, near_window_pages=2)
         disk = SimulatedDisk(page_size=1024 * 1024, model=model)
         disk.allocate(20)
         disk.read_page(0)
-        disk.reset_stats()
-        disk._last_accessed = 0
+        before = disk.counters.get("sim_io_s")
         disk.read_page(10)
-        assert disk.counters.get("sim_io_s") == pytest.approx(1.01)
+        assert disk.counters.get("sim_io_s") - before == pytest.approx(1.01)
 
     def test_backward_jump_is_a_seek(self):
         model = DiskModel(seek_ms=10, transfer_mb_per_s=1, near_window_pages=8)
@@ -96,13 +94,15 @@ class TestCostModel:
         # one seek (10 ms) + 2 MB transfer at 10 MB/s (200 ms)
         assert disk.counters.get("sim_io_s") == pytest.approx(0.21)
 
-    def test_reset_stats_forgets_arm_position(self, disk):
+    def test_park_forgets_arm_position(self, disk):
         disk.allocate(2)
         disk.read_page(0)
-        disk.reset_stats()
-        disk.read_page(1)
-        assert disk.counters.get("seeks") == 1
-        assert disk.counters.get("pages_read") == 1
+        before = disk.counters.snapshot()
+        disk.park()
+        assert disk.counters.snapshot() == before  # counters only count up
+        disk.read_page(1)  # sequential, but the arm was parked: a seek
+        assert disk.counters.get("seeks") - before["seeks"] == 1
+        assert disk.counters.get("pages_read") - before["pages_read"] == 1
 
     def test_used_bytes(self, disk):
         disk.allocate(3)
