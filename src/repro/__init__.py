@@ -34,7 +34,6 @@ from repro.core import (
     build_olap_array,
     compute_cube,
     consolidate,
-    consolidate_partitioned,
     consolidate_with_selection,
 )
 from repro.errors import ReproError
@@ -68,7 +67,6 @@ __all__ = [
     "Selection",
     "consolidate",
     "consolidate_with_selection",
-    "consolidate_partitioned",
     "compute_cube",
     # OLAP layer
     "CubeSchema",

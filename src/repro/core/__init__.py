@@ -12,6 +12,7 @@
 - :mod:`repro.core.consolidate` — §4.1 array consolidation.
 - :mod:`repro.core.select_consolidate` — §4.2 consolidation with
   selection.
+- :mod:`repro.core.cube` — the CUBE operator (all 2ⁿ group-bys, one walk).
 """
 
 from repro.core.chunking import ChunkGeometry
@@ -32,7 +33,6 @@ from repro.core.consolidate import (
     consolidate,
 )
 from repro.core.select_consolidate import Selection, consolidate_with_selection
-from repro.core.parallel import consolidate_partitioned, partition_chunks
 from repro.core.cube import compute_cube
 
 __all__ = [
@@ -51,7 +51,5 @@ __all__ = [
     "consolidate",
     "Selection",
     "consolidate_with_selection",
-    "consolidate_partitioned",
-    "partition_chunks",
     "compute_cube",
 ]

@@ -12,8 +12,10 @@ provides all the arithmetic the paper's algorithms need:
   offsets unused;
 - bulk (numpy) converters between global coordinates and
   ``(chunk_no, offset)`` pairs for the loader and the region functions;
-- the two-way split of an ``offsetInChunk`` the vectorized consolidation
-  kernel indexes its composed per-chunk tables with.
+- the two-way split of an ``offsetInChunk`` and the composed per-chunk
+  tables (:class:`ComposedTables`) the vectorized kernels index with it;
+- the one place that decides which chunks a selection can touch
+  (:meth:`ChunkGeometry.overlapping_chunks`).
 """
 
 from __future__ import annotations
@@ -23,6 +25,18 @@ import math
 import numpy as np
 
 from repro.errors import ChunkError
+
+
+def outer_fold(ufunc: np.ufunc, parts: list[np.ndarray]) -> np.ndarray:
+    """``ufunc`` folded over the cross product of 1-D arrays, flattened.
+
+    Row-major flattening: with per-dimension parts in dimension order
+    the result is indexed by the row-major offset over those dimensions.
+    """
+    total = parts[0]
+    for part in parts[1:]:
+        total = ufunc.outer(total, part)
+    return total.ravel()
 
 
 class ChunkGeometry:
@@ -201,6 +215,46 @@ class ChunkGeometry:
         hi = offsets // stride
         return hi, offsets - hi * stride
 
+    # -- selections ---------------------------------------------------------------
+
+    def pad_to_chunks(self, terms: list[np.ndarray]) -> list[np.ndarray]:
+        """Per-dimension arrays zero-padded to whole chunks.
+
+        The padding slots are never addressed — edge chunks leave the
+        offsets beyond the array unused — so every chunk slices
+        full-width.
+        """
+        padded = []
+        for term, cells, extent in zip(terms, self.grid, self.chunk_shape):
+            whole = np.zeros(cells * extent, dtype=term.dtype)
+            whole[: len(term)] = term
+            padded.append(whole)
+        return padded
+
+    def overlapping_chunks(self, chunk_range: range, masks=None):
+        """Chunk numbers of ``chunk_range`` a selection can touch, ascending.
+
+        ``masks`` holds one boolean membership array per dimension; a
+        chunk survives when its index box holds a selected index on
+        every dimension.  Enumerated directly from the touched grid
+        coordinates (their cross product in row-major order *is*
+        ascending chunk-number order), then clipped to the range — no
+        chunk is tested one by one.  Without masks every chunk survives.
+        """
+        if masks is None:
+            return chunk_range
+        touched = [
+            np.flatnonzero(mask.reshape(cells, -1).any(axis=1)) * stride
+            for mask, cells, stride in zip(
+                self.pad_to_chunks(masks), self.grid, self.grid_strides
+            )
+        ]
+        chunk_nos = outer_fold(np.add, touched)
+        low, high = np.searchsorted(
+            chunk_nos, (chunk_range.start, chunk_range.stop)
+        )
+        return chunk_nos[low:high].tolist()
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChunkGeometry):
             return NotImplemented
@@ -215,3 +269,60 @@ def _row_major_strides(shape: tuple[int, ...]) -> tuple[int, ...]:
     for axis in range(len(shape) - 2, -1, -1):
         strides[axis] = strides[axis + 1] * shape[axis + 1]
     return tuple(strides)
+
+
+class ComposedTables:
+    """A per-cell quantity looked up from ``offsetInChunk``, not coordinates.
+
+    The §4.1 pass is position-based: a cell's result cell is
+    ``Σ_d mapping[d][index_d] * result_stride[d]``, a fold (here ``+``)
+    of one independent term per dimension.  Instead of rebuilding every
+    cell's ``index_d`` from its offset, fold the terms themselves: for
+    each half of the dimensions (:attr:`ChunkGeometry.offset_halves`)
+    the outer fold of the chunk's slices of the per-dimension term
+    arrays is a table indexed by that half's sub-offset, and the cell's
+    value is ``table_hi[hi] ∘ table_lo[lo]``.  Two tables rather than
+    one keep them at about ``sqrt(chunk_cells)`` entries — far fewer
+    than the cells they serve — and rather than one per dimension keep
+    the per-cell work at two gathers whatever the rank.
+
+    With ``np.logical_and`` over per-dimension membership masks the same
+    tables answer "is this cell selected".
+
+    Term arrays are padded once to whole chunks (with the ufunc's
+    absorbing zero/False), so every chunk slices full-width tables.  A
+    half whose terms are all the ufunc's identity (dropped dimensions,
+    unselected dimensions) contributes nothing and is skipped.
+    """
+
+    def __init__(
+        self, geometry: ChunkGeometry, terms: list[np.ndarray], ufunc: np.ufunc
+    ):
+        self.ufunc = ufunc
+        self.chunk_shape = geometry.chunk_shape
+        self.terms = geometry.pad_to_chunks(terms)
+        self.halves = [
+            dims
+            if any((terms[d] != ufunc.identity).any() for d in dims)
+            else None
+            for dims in geometry.offset_halves
+        ]
+
+    def gather(
+        self, origin: tuple[int, ...], sub_offsets: tuple[np.ndarray, ...]
+    ) -> np.ndarray | None:
+        """The quantity for each cell of one chunk (``None`` = identity)."""
+        out = None
+        for dims, sub_offset in zip(self.halves, sub_offsets):
+            if dims is None:
+                continue
+            table = outer_fold(
+                self.ufunc,
+                [
+                    self.terms[d][origin[d] : origin[d] + self.chunk_shape[d]]
+                    for d in dims
+                ],
+            )
+            picked = table.take(sub_offset)
+            out = picked if out is None else self.ufunc(out, picked, out=out)
+        return out

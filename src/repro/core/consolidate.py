@@ -24,7 +24,13 @@ also per-tuple Python, pays symmetric interpreter costs);
 ``offsetInChunk`` is split once into a high and a low part and each
 part indexes a small per-chunk table that already holds the composed
 IndexToIndex × result-stride contributions of its dimensions, so no
-cell's coordinates are ever rebuilt (see :class:`_ComposedTables`).
+cell's coordinates are ever rebuilt (see
+:class:`~repro.core.chunking.ComposedTables`).
+
+Either way the chunks come from the one walk
+(:meth:`OLAPArray.walk <repro.core.olap_array.OLAPArray.walk>`): a mode
+is a per-chunk kernel, a pushed-down selection is the walk's masks, and
+a partition is the walk over a sub-range (:func:`scan_chunk_range`).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.aggregates import get_aggregate
-from repro.core.chunking import ChunkGeometry
+from repro.core.chunking import ComposedTables
 from repro.core.index_to_index import IndexToIndex
 from repro.core.olap_array import OLAPArray
 from repro.errors import QueryError
@@ -96,7 +102,7 @@ class ConsolidationResult:
 
 
 def _resolve_specs(
-    array: OLAPArray, specs: list[ConsolidationSpec]
+    array: OLAPArray, specs: list[ConsolidationSpec], counters: Counters | None
 ) -> list[IndexToIndex]:
     if len(specs) != array.geometry.ndim:
         raise QueryError(
@@ -106,7 +112,7 @@ def _resolve_specs(
     i2is = []
     for d, spec in enumerate(specs):
         if spec.kind == "level":
-            i2is.append(array.index_to_index(d, spec.attr))
+            i2is.append(array.index_to_index(d, spec.attr, counters))
         elif spec.kind == "key":
             i2is.append(IndexToIndex.identity(array.dims[d].keys()))
         elif spec.kind == "drop":
@@ -129,7 +135,8 @@ class ResultAccumulator:
     Result cells are addressed positionally: ``linear = Σ result_index[d]
     * stride[d]`` where each dimension's result index comes from its
     IndexToIndex array.  Dropped dimensions contribute a size-1 axis and
-    are omitted from output rows.
+    are omitted from output rows.  ``counters`` is billed the
+    IndexToIndex loads the specs cause (default: the array's own bag).
     """
 
     def __init__(
@@ -137,10 +144,11 @@ class ResultAccumulator:
         array: OLAPArray,
         specs: list[ConsolidationSpec],
         aggregate: str | list[str] = "sum",
+        counters: Counters | None = None,
     ):
         self.array = array
         self.specs = list(specs)
-        self.i2is = _resolve_specs(array, specs)
+        self.i2is = _resolve_specs(array, specs, counters)
         self.result_shape = tuple(i.target_size for i in self.i2is)
         self.total_cells = math.prod(self.result_shape)
         strides = [1] * len(self.result_shape)
@@ -164,6 +172,7 @@ class ResultAccumulator:
         # column per measure in the array's own dtype (None for count)
         self._vec: list[np.ndarray | None] | None = None
         self._vec_counts: np.ndarray | None = None
+        self._targets: ComposedTables | None = None
 
     # -- interpreted path ----------------------------------------------------
 
@@ -222,6 +231,30 @@ class ResultAccumulator:
                 # aligned operands
                 measures = np.require(values[:, m], requirements="A")
                 _VECTOR_UFUNCS[name].at(column, linear, measures)
+
+    def target_terms(self) -> list[np.ndarray]:
+        """Per dimension, each index's contribution to the result cell:
+        its IndexToIndex target times the dimension's result stride."""
+        return [
+            i2i.mapping.astype(np.int64) * stride
+            for i2i, stride in zip(self.i2is, self.result_strides)
+        ]
+
+    def add_chunk(self, origin, sub_offsets, values: np.ndarray) -> None:
+        """Fold one chunk's cells, addressed by their split offsets.
+
+        The vectorized kernel: each cell's result cell is gathered from
+        the composed IndexToIndex × result-stride tables, never from
+        rebuilt coordinates.
+        """
+        if self._targets is None:
+            self._targets = ComposedTables(
+                self.array.geometry, self.target_terms(), np.add
+            )
+        linear = self._targets.gather(origin, sub_offsets)
+        if linear is None:  # every dimension dropped: one result cell
+            linear = np.zeros(len(values), dtype=np.int64)
+        self.add_many(linear, values)
 
     # -- extraction -------------------------------------------------------------------
 
@@ -332,88 +365,40 @@ def allowed_masks(
     return masks
 
 
-def _chunk_overlaps(geometry, chunk_no: int, masks: list[np.ndarray]) -> bool:
-    """Whether a chunk's index box intersects the selection at all."""
-    origin = geometry.chunk_origin(chunk_no)
-    for d, mask in enumerate(masks):
-        if not mask[origin[d] : origin[d] + geometry.chunk_shape[d]].any():
-            return False
-    return True
+def _scan_interpreted(array, accumulator, cells) -> int:
+    """The per-cell kernel, exactly as the §4.1 pseudo-code reads."""
+    geometry = array.geometry
+    maps = accumulator.mapping_lists()
+    strides = accumulator.result_strides
+    cell_strides = geometry.cell_strides
+    chunk_shape = geometry.chunk_shape
+    ndim = geometry.ndim
+    scanned = 0
+    for chunk_no, offsets, values in cells:
+        origin = geometry.chunk_origin(chunk_no)
+        value_rows = values.tolist()
+        for j, offset in enumerate(offsets.tolist()):
+            linear = 0
+            for d in range(ndim):
+                index = origin[d] + (offset // cell_strides[d]) % chunk_shape[d]
+                linear += maps[d][index] * strides[d]
+            accumulator.add_one(linear, value_rows[j])
+        scanned += len(value_rows)
+    return scanned
 
 
-def outer_fold(ufunc: np.ufunc, parts: list[np.ndarray]) -> np.ndarray:
-    """``ufunc`` folded over the cross product of 1-D arrays, flattened.
-
-    Row-major flattening: with per-dimension parts in dimension order
-    the result is indexed by the row-major offset over those dimensions.
-    """
-    total = parts[0]
-    for part in parts[1:]:
-        total = ufunc.outer(total, part)
-    return total.ravel()
-
-
-class _ComposedTables:
-    """A per-cell quantity looked up from ``offsetInChunk``, not coordinates.
-
-    The §4.1 pass is position-based: a cell's result cell is
-    ``Σ_d mapping[d][index_d] * result_stride[d]``, a fold (here ``+``)
-    of one independent term per dimension.  Instead of rebuilding every
-    cell's ``index_d`` from its offset, fold the terms themselves: for
-    each half of the dimensions (:attr:`ChunkGeometry.offset_halves`)
-    the outer fold of the chunk's slices of the per-dimension term
-    arrays is a table indexed by that half's sub-offset, and the cell's
-    value is ``table_hi[hi] ∘ table_lo[lo]``.  Two tables rather than
-    one keep them at about ``sqrt(chunk_cells)`` entries — far fewer
-    than the cells they serve — and rather than one per dimension keep
-    the per-cell work at two gathers whatever the rank.
-
-    With ``np.logical_and`` over per-dimension membership masks the same
-    tables answer "is this cell selected".
-
-    Term arrays are padded once to whole chunks (with the ufunc's
-    absorbing zero/False; those slots are never addressed — edge chunks
-    leave the offsets beyond the array unused), so every chunk slices
-    full-width tables.  A half whose terms are all the ufunc's identity
-    (dropped dimensions, unselected dimensions) contributes nothing and
-    is skipped.
-    """
-
-    def __init__(
-        self, geometry: ChunkGeometry, terms: list[np.ndarray], ufunc: np.ufunc
-    ):
-        self.ufunc = ufunc
-        self.chunk_shape = geometry.chunk_shape
-        self.terms = []
-        for term, cells, extent in zip(terms, geometry.grid, geometry.chunk_shape):
-            padded = np.zeros(cells * extent, dtype=term.dtype)
-            padded[: len(term)] = term
-            self.terms.append(padded)
-        self.halves = [
-            dims
-            if any((terms[d] != ufunc.identity).any() for d in dims)
-            else None
-            for dims in geometry.offset_halves
-        ]
-
-    def gather(
-        self, origin: tuple[int, ...], sub_offsets: tuple[np.ndarray, ...]
-    ) -> np.ndarray | None:
-        """The quantity for each cell of one chunk (``None`` = identity)."""
-        out = None
-        for dims, sub_offset in zip(self.halves, sub_offsets):
-            if dims is None:
-                continue
-            table = outer_fold(
-                self.ufunc,
-                [
-                    self.terms[d][origin[d] : origin[d] + self.chunk_shape[d]]
-                    for d in dims
-                ],
-            )
-            picked = table.take(sub_offset)
-            out = picked if out is None else self.ufunc(out, picked, out=out)
-        return out
+def _scan_vectorized(array, accumulator, cells) -> int:
+    """The composed-table kernel: two gathers per cell whatever the rank."""
+    geometry = array.geometry
+    scanned = 0
+    for chunk_no, offsets, values in cells:
+        accumulator.add_chunk(
+            geometry.chunk_origin(chunk_no),
+            geometry.split_offsets(offsets),
+            values,
+        )
+        scanned += len(values)
+    return scanned
 
 
 def scan_chunk_range(
@@ -426,101 +411,25 @@ def scan_chunk_range(
 ) -> int:
     """Run the §4.1 scan over a range of chunk numbers.
 
-    Factored out so a partitioned consolidation (see
-    :func:`repro.core.parallel.consolidate_partitioned`) and the shard
-    workers (:mod:`repro.shard.worker`) can drive one accumulator per
-    chunk partition.  Returns the number of valid cells folded in.
+    A partition (a shard task, see :mod:`repro.shard.worker`) is this
+    over a sub-range with an accumulator of its own; partials combine
+    with :meth:`ResultAccumulator.merge_from`.  Returns the number of
+    valid cells folded in.
 
     ``allowed`` (per-dimension sorted index lists, the §4.2 "final
     lists") pushes a selection into the scan: chunks whose index box
     misses the selection are skipped without a read, and non-matching
-    cells inside surviving chunks are filtered out.  ``counters``, when
-    given, receives per-call ``chunks_read`` / ``chunks_skipped`` /
-    ``cells_scanned`` — the per-shard attribution the shared
-    ``array.counters`` bag cannot provide under concurrent scans.
+    cells inside surviving chunks are filtered out.  ``counters`` is
+    billed everything the scan spends — the walk's chunk keys plus
+    ``cells_scanned`` (default: the array's own bag).
     """
-    geometry = array.geometry
+    counters = array.counters if counters is None else counters
     masks = allowed_masks(array, allowed) if allowed is not None else None
-    scanned = 0
-    chunks_read = 0
-    chunks_skipped = 0
-    if mode == "interpreted":
-        maps = accumulator.mapping_lists()
-        strides = accumulator.result_strides
-        cell_strides = geometry.cell_strides
-        chunk_shape = geometry.chunk_shape
-        ndim = geometry.ndim
-        mask_lists = [m.tolist() for m in masks] if masks is not None else None
-        for chunk_no in chunk_range:
-            if masks is not None and not _chunk_overlaps(
-                geometry, chunk_no, masks
-            ):
-                chunks_skipped += 1
-                continue
-            offsets, values = array.read_chunk(chunk_no)
-            if not len(offsets):
-                continue
-            chunks_read += 1
-            origin = geometry.chunk_origin(chunk_no)
-            value_rows = values.tolist()
-            for j, offset in enumerate(offsets.tolist()):
-                linear = 0
-                keep = True
-                for d in range(ndim):
-                    index = origin[d] + (offset // cell_strides[d]) % chunk_shape[d]
-                    if mask_lists is not None and not mask_lists[d][index]:
-                        keep = False
-                        break
-                    linear += maps[d][index] * strides[d]
-                if keep:
-                    accumulator.add_one(linear, value_rows[j])
-                    scanned += 1
-    else:
-        targets = _ComposedTables(
-            geometry,
-            [
-                i2i.mapping.astype(np.int64) * stride
-                for i2i, stride in zip(
-                    accumulator.i2is, accumulator.result_strides
-                )
-            ],
-            np.add,
-        )
-        selected = (
-            _ComposedTables(geometry, masks, np.logical_and)
-            if masks is not None
-            else None
-        )
-        for chunk_no in chunk_range:
-            if masks is not None and not _chunk_overlaps(
-                geometry, chunk_no, masks
-            ):
-                chunks_skipped += 1
-                continue
-            offsets, values = array.read_chunk(chunk_no)
-            if not len(offsets):
-                continue
-            chunks_read += 1
-            origin = geometry.chunk_origin(chunk_no)
-            halves = geometry.split_offsets(offsets)
-            keep = (
-                selected.gather(origin, halves) if selected is not None else None
-            )
-            if keep is not None:
-                if not keep.any():
-                    continue
-                halves = tuple(half[keep] for half in halves)
-                values = values[keep]
-            linear = targets.gather(origin, halves)
-            if linear is None:  # every dimension dropped: one result cell
-                linear = np.zeros(len(values), dtype=np.int64)
-            accumulator.add_many(linear, values)
-            scanned += len(values)
-    if counters is not None:
-        counters.add("chunks_read", chunks_read)
-        counters.add("cells_scanned", scanned)
-        if chunks_skipped:
-            counters.add("chunks_skipped", chunks_skipped)
+    kernel = _scan_interpreted if mode == "interpreted" else _scan_vectorized
+    scanned = kernel(
+        array, accumulator, array.selected_cells(chunk_range, masks, counters)
+    )
+    counters.add("cells_scanned", scanned)
     return scanned
 
 
@@ -543,16 +452,17 @@ def consolidate(
     counters = counters if counters is not None else Counters()
     tracer = get_tracer()
     with tracer.span("resolve_mappings"):
-        accumulator = ResultAccumulator(array, specs, aggregate)
+        accumulator = ResultAccumulator(array, specs, aggregate, counters)
     with tracer.span(
         "scan_chunks", mode=mode, chunks=array.geometry.n_chunks
     ):
-        scanned = scan_chunk_range(
-            array, accumulator, range(array.geometry.n_chunks), mode
+        scan_chunk_range(
+            array,
+            accumulator,
+            range(array.geometry.n_chunks),
+            mode,
+            counters=counters,
         )
-        counters.add("cells_scanned", scanned)
-        counters.merge(array.counters)
-        array.counters.reset()
     counters.add("result_cells", accumulator.touched_cells())
 
     with tracer.span("extract_rows"):

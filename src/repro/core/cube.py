@@ -3,9 +3,9 @@
 The paper's companion work ([ZDN97], "An Array-Based Algorithm for
 Simultaneous Multi-Dimensional Aggregates") computes *all* 2ⁿ group-bys
 of a cube from the chunked array in a single pass.  This module brings
-that operator to the ADT: one scan of the chunks, with each cell's
-per-dimension result indices computed once and folded into every
-subset's accumulator.
+that operator to the ADT: one walk of the chunks, with each cell's
+``offsetInChunk`` split once and every subset's accumulator gathering
+its result cell from its own composed tables.
 
 Compared with running 2ⁿ separate consolidations, the shared scan pays
 for chunk I/O and decompression once — the ablation
@@ -15,8 +15,6 @@ for chunk I/O and decompression once — the ablation
 from __future__ import annotations
 
 from itertools import combinations
-
-import numpy as np
 
 from repro.core.consolidate import ConsolidationSpec, ResultAccumulator
 from repro.core.olap_array import OLAPArray
@@ -42,7 +40,8 @@ def compute_cube(
     grouped (``level(attr)`` or ``key()``; ``drop`` is disallowed —
     the cube drops dimensions per subset).  Returns a dict mapping each
     grouped-dimension-name tuple (in cube order; ``()`` is the grand
-    total) to its sorted rows.
+    total) to its sorted rows.  The scan is billed to ``counters``
+    (default: the array's own bag).
     """
     ndim = array.geometry.ndim
     if len(specs) != ndim:
@@ -50,7 +49,7 @@ def compute_cube(
     if any(spec.kind == "drop" for spec in specs):
         raise QueryError("cube specs must not contain drop(); every "
                          "dimension is dropped in some subset anyway")
-    counters = counters if counters is not None else Counters()
+    counters = array.counters if counters is None else counters
 
     all_subsets = [
         subset
@@ -67,49 +66,34 @@ def compute_cube(
             s for s in all_subsets if _subset_key(array, s) in wanted
         ]
 
+    geometry = array.geometry
     tracer = get_tracer()
     with tracer.span("resolve_mappings", subsets=len(all_subsets)):
-        accumulators: dict[tuple[int, ...], ResultAccumulator] = {}
-        for subset in all_subsets:
-            subset_specs = [
-                specs[d] if d in subset else ConsolidationSpec.drop()
-                for d in range(ndim)
-            ]
-            accumulators[subset] = ResultAccumulator(
-                array, subset_specs, aggregate
-            )
-
-        # the full-group accumulator's maps serve every subset: a dropped
-        # dimension just contributes stride 0
-        reference = ResultAccumulator(array, specs, aggregate)
-        maps = [i.mapping.astype(np.int64) for i in reference.i2is]
-        subset_strides = {
-            subset: np.array(
+        accumulators = {
+            subset: ResultAccumulator(
+                array,
                 [
-                    acc.result_strides[d] if d in subset else 0
+                    specs[d] if d in subset else ConsolidationSpec.drop()
                     for d in range(ndim)
                 ],
-                dtype=np.int64,
+                aggregate,
+                counters,
             )
-            for subset, acc in accumulators.items()
+            for subset in all_subsets
         }
 
-    with tracer.span("cube_scan", chunks=array.geometry.n_chunks):
+    with tracer.span("cube_scan", chunks=geometry.n_chunks):
         scanned = 0
-        for chunk_no, offsets, values in array.cells():
-            coords = array.geometry.chunk_offset_to_coords(chunk_no, offsets)
-            mapped = [maps[d][coords[:, d]] for d in range(ndim)]
+        for chunk_no, offsets, values in array.walk(
+            range(geometry.n_chunks), None, counters
+        ):
+            origin = geometry.chunk_origin(chunk_no)
+            halves = geometry.split_offsets(offsets)
             scanned += len(offsets)
-            for subset, accumulator in accumulators.items():
-                strides = subset_strides[subset]
-                linear = np.zeros(len(offsets), dtype=np.int64)
-                for d in subset:
-                    linear += mapped[d] * strides[d]
-                accumulator.add_many(linear, values)
+            for accumulator in accumulators.values():
+                accumulator.add_chunk(origin, halves, values)
         counters.add("cells_scanned", scanned)
         counters.add("group_bys_computed", len(accumulators))
-        counters.merge(array.counters)
-        array.counters.reset()
 
     with tracer.span("extract_rows"):
         return {

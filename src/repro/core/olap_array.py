@@ -15,6 +15,13 @@ An :class:`OLAPArray` bundles, all on storage pages:
 ADT functions (the §3.5 function set): cell read/write, region
 summation, slicing, and — in their own modules — consolidation and
 consolidation with selection.
+
+Every operator that visits chunks does so through one walk,
+:meth:`OLAPArray.walk`: chunks in physical order, the ones a selection
+cannot touch skipped unread, each read billed to the caller's counter
+bag.  Reads nobody owns (a bare :meth:`OLAPArray.get_cell`, the
+read-modify-write of :meth:`OLAPArray.write_cell`) fall to the array's
+own :attr:`OLAPArray.counters`, a lifetime bag that is never emptied.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import math
 
 import numpy as np
 
-from repro.core.chunking import ChunkGeometry
+from repro.core.chunking import ChunkGeometry, ComposedTables
 from repro.core.compression import decode_chunk, get_codec
 from repro.core.dimension_index import DimensionIndex
 from repro.core.index_to_index import IndexToIndex
@@ -80,12 +87,18 @@ class OLAPArray:
         #: separately every uncached disk read) is counted per chunk
         self.heatmap = None
 
-    def _entries(self) -> list[tuple[int, int, int]]:
+    def _bag(self, counters: Counters | None) -> Counters:
+        """Who pays for a read: the caller's bag, else the array's own."""
+        return self.counters if counters is None else counters
+
+    def _entries(
+        self, counters: Counters | None = None
+    ) -> list[tuple[int, int, int]]:
         """Chunk meta entries, loaded once sequentially and cached."""
         if self._dir_cache is None:
             with get_tracer().span("chunk_directory_load", array=self.name):
                 self._dir_cache = self.directory.load_all()
-            self.counters.add("dir_loads")
+            self._bag(counters).add("dir_loads")
         return self._dir_cache
 
     def invalidate_caches(self) -> None:
@@ -150,7 +163,9 @@ class OLAPArray:
             self._attr_tree_cache[(d, attr)] = cached
         return cached
 
-    def index_to_index(self, dim: int | str, attr: str) -> IndexToIndex:
+    def index_to_index(
+        self, dim: int | str, attr: str, counters: Counters | None = None
+    ) -> IndexToIndex:
         """The §3.4 IndexToIndex array for one hierarchy level."""
         d = self.dim_no(dim)
         cached = self._i2i_cache.get((d, attr))
@@ -165,51 +180,97 @@ class OLAPArray:
                 "i2i_load", dim=self.dim_names[d], attr=attr
             ):
                 cached = IndexToIndex.from_blob(self.aux.read(info["i2i_oid"]))
-            self.counters.add("i2i_loads")
+            self._bag(counters).add("i2i_loads")
             self._i2i_cache[(d, attr)] = cached
         return cached
 
     # -- chunk access -------------------------------------------------------------------
 
-    def read_chunk(self, chunk_no: int) -> tuple[np.ndarray, np.ndarray]:
+    def read_chunk(
+        self, chunk_no: int, counters: Counters | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Decode one chunk: ``(sorted offsets, (count, p) values)``.
 
         Empty chunks return empty arrays without touching the disk
         (the §4.2 skip optimization relies on this).  With a
         :attr:`chunk_cache` attached, repeated reads of the same chunk
         return the shared decoded copy — callers must treat the returned
-        arrays as read-only (every in-tree consumer does).
+        arrays as read-only (every in-tree consumer does).  ``counters``
+        is the bag a payload fetch is billed to (default: the array's
+        own); a cache hit fetches nothing and bills nothing.
         """
         if self.heatmap is not None:
             self.heatmap.record(self.name, chunk_no)
         cache = self.chunk_cache
         if cache is not None:
-            return cache.get_chunk(self, chunk_no)
-        return self._read_chunk_direct(chunk_no)
+            return cache.get_chunk(self, chunk_no, counters)
+        return self._read_chunk_direct(chunk_no, counters)
 
-    def _read_chunk_direct(self, chunk_no: int) -> tuple[np.ndarray, np.ndarray]:
+    def _read_chunk_direct(
+        self, chunk_no: int, counters: Counters | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The uncached read path (large-object fetch + decode)."""
-        oid, _, count = self._entries()[chunk_no]
+        counters = self._bag(counters)
+        oid, _, count = self._entries(counters)[chunk_no]
         if oid == NO_CHUNK or count == 0:
             return _EMPTY_OFFSETS, np.empty(
                 (0, self.n_measures), dtype=self._np_dtype
             )
-        self.counters.add("chunks_read")
+        counters.add("chunks_read")
         if self.heatmap is not None:
             self.heatmap.record(self.name, chunk_no, disk=True)
         payload = self.chunks.read(oid)
-        self.counters.add("chunk_bytes_read", len(payload))
+        counters.add("chunk_bytes_read", len(payload))
         return decode_chunk(
             payload, self.geometry.chunk_cells, self.n_measures, self.dtype
         )
 
-    def cells(self):
-        """Yield ``(chunk_no, offsets, values)`` for every non-empty chunk,
-        in chunk-number (physical) order."""
-        for chunk_no in range(self.geometry.n_chunks):
-            offsets, values = self.read_chunk(chunk_no)
+    def walk(
+        self, chunk_range: range, masks=None, counters: Counters | None = None
+    ):
+        """The one chunk walk: non-empty chunks a selection can touch.
+
+        Yields ``(chunk_no, offsets, values)`` in ascending chunk number
+        — the chunks' physical order (§4.2) — over ``chunk_range`` (a
+        partition is just a sub-range).  ``masks`` (one boolean
+        membership array per dimension) prunes chunks whose index box
+        misses the selection without reading them.  Everything spent is
+        billed to ``counters``: ``chunks_skipped`` (pruned),
+        ``empty_chunks_skipped`` (no stored cell, known from the
+        directory alone), and per fetched payload ``chunks_read`` /
+        ``chunk_bytes_read``, so the three add up to the range cold.
+        """
+        counters = self._bag(counters)
+        chunk_nos = self.geometry.overlapping_chunks(chunk_range, masks)
+        counters.add("chunks_skipped", len(chunk_range) - len(chunk_nos))
+        empty = 0
+        for chunk_no in chunk_nos:
+            offsets, values = self.read_chunk(chunk_no, counters)
             if len(offsets):
                 yield chunk_no, offsets, values
+            else:
+                empty += 1
+        counters.add("empty_chunks_skipped", empty)
+
+    def selected_cells(self, chunk_range: range, masks=None, counters=None):
+        """:meth:`walk`, narrowed to the cells the selection keeps.
+
+        The per-cell filter is the ``logical_and`` of the same masks that
+        pruned the chunks, looked up by ``offsetInChunk``.
+        """
+        if masks is None:
+            yield from self.walk(chunk_range, None, counters)
+            return
+        selected = ComposedTables(self.geometry, masks, np.logical_and)
+        for chunk_no, offsets, values in self.walk(chunk_range, masks, counters):
+            keep = selected.gather(
+                self.geometry.chunk_origin(chunk_no),
+                self.geometry.split_offsets(offsets),
+            )
+            if keep is None:
+                yield chunk_no, offsets, values
+            elif keep.any():
+                yield chunk_no, offsets[keep], values[keep]
 
     # -- the §3.5 Read/Write function --------------------------------------------------------
 
@@ -289,6 +350,18 @@ class OLAPArray:
             normalized.append((low, high))
         return normalized
 
+    def _region_cells(self, ranges):
+        """The walk over an index-range box: ``(chunk_no, offsets, values)``
+        of the valid cells inside it; chunks outside are never read."""
+        masks = []
+        for (low, high), size in zip(
+            self._normalize_ranges(ranges), self.geometry.shape
+        ):
+            mask = np.zeros(size, dtype=bool)
+            mask[low : high + 1] = True
+            masks.append(mask)
+        return self.selected_cells(range(self.geometry.n_chunks), masks)
+
     def sum_region(self, ranges) -> np.ndarray:
         """Per-measure sums over an index-range box.
 
@@ -296,33 +369,10 @@ class OLAPArray:
         dimension (``None`` = the whole dimension).  Chunks outside the
         box are never read.
         """
-        box = self._normalize_ranges(ranges)
         totals = np.zeros(self.n_measures, dtype=self._np_dtype)
-        lows = np.array([b[0] for b in box])
-        highs = np.array([b[1] for b in box])
-        for chunk_no in self._chunks_overlapping(box):
-            offsets, values = self.read_chunk(chunk_no)
-            if not len(offsets):
-                continue
-            coords = self.geometry.chunk_offset_to_coords(chunk_no, offsets)
-            inside = ((coords >= lows) & (coords <= highs)).all(axis=1)
-            totals += values[inside].sum(axis=0, dtype=self._np_dtype)
+        for _, _, values in self._region_cells(ranges):
+            totals += values.sum(axis=0, dtype=self._np_dtype)
         return totals
-
-    def _chunks_overlapping(self, box):
-        grid_ranges = []
-        for (low, high), cs in zip(box, self.geometry.chunk_shape):
-            grid_ranges.append(range(low // cs, high // cs + 1))
-        strides = self.geometry.grid_strides
-
-        def emit(axis, base):
-            if axis == len(grid_ranges):
-                yield base
-                return
-            for g in grid_ranges[axis]:
-                yield from emit(axis + 1, base + g * strides[axis])
-
-        yield from emit(0, 0)
 
     def slice_dim(self, dim: int | str, key) -> list[tuple[tuple, np.ndarray]]:
         """All valid cells with one dimension fixed at ``key``.
@@ -336,15 +386,10 @@ class OLAPArray:
             (index, index) if axis == d else None
             for axis in range(self.geometry.ndim)
         ]
-        box = self._normalize_ranges(box)
         out = []
-        for chunk_no in self._chunks_overlapping(box):
-            offsets, values = self.read_chunk(chunk_no)
-            if not len(offsets):
-                continue
+        for chunk_no, offsets, values in self._region_cells(box):
             coords = self.geometry.chunk_offset_to_coords(chunk_no, offsets)
-            inside = coords[:, d] == index
-            for row, measure in zip(coords[inside], values[inside]):
+            for row, measure in zip(coords, values):
                 keys = tuple(
                     self.dims[axis].key_of(int(c)) for axis, c in enumerate(row)
                 )
@@ -356,18 +401,7 @@ class OLAPArray:
 
     def _region_values(self, ranges) -> np.ndarray:
         """All measure rows of valid cells inside a region box."""
-        box = self._normalize_ranges(ranges)
-        lows = np.array([b[0] for b in box])
-        highs = np.array([b[1] for b in box])
-        parts = []
-        for chunk_no in self._chunks_overlapping(box):
-            offsets, values = self.read_chunk(chunk_no)
-            if not len(offsets):
-                continue
-            coords = self.geometry.chunk_offset_to_coords(chunk_no, offsets)
-            inside = ((coords >= lows) & (coords <= highs)).all(axis=1)
-            if inside.any():
-                parts.append(values[inside])
+        parts = [values for _, _, values in self._region_cells(ranges)]
         if not parts:
             return np.empty((0, self.n_measures), dtype=self._np_dtype)
         return np.concatenate(parts, axis=0)

@@ -21,6 +21,10 @@ With the paper's three optimizations:
    **binary search**;
 3. within a chunk, elements are generated in increasing offset order.
 
+Optimization 1 is the one chunk walk every array operator shares
+(:meth:`OLAPArray.walk <repro.core.olap_array.OLAPArray.walk>`, its
+masks the final lists); the probe is a per-chunk kernel over it.
+
 ``order="naive"`` disables optimization 1/3 (the ablation ``abl5``):
 elements stream in global index order and every element re-derives and
 re-reads its chunk through the buffer pool.
@@ -34,11 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.chunking import outer_fold
 from repro.core.consolidate import (
     ConsolidationResult,
     ConsolidationSpec,
     ResultAccumulator,
-    outer_fold,
+    allowed_masks,
 )
 from repro.core.olap_array import OLAPArray
 from repro.errors import DimensionError, QueryError
@@ -139,7 +144,7 @@ def consolidate_with_selection(
     counters = counters if counters is not None else Counters()
     tracer = get_tracer()
     with tracer.span("resolve_mappings"):
-        accumulator = ResultAccumulator(array, specs, aggregate)
+        accumulator = ResultAccumulator(array, specs, aggregate, counters)
     with tracer.span("btree_dimension_lookup", selections=len(selections)):
         final_lists = _final_index_lists(array, selections, counters)
     counters.add(
@@ -150,157 +155,87 @@ def consolidate_with_selection(
     with tracer.span("probe_chunks", mode=mode, order=order):
         if order == "naive":
             _enumerate_naive(array, accumulator, final_lists, counters)
-        elif mode == "interpreted":
-            _enumerate_chunked_interpreted(
-                array, accumulator, final_lists, counters
-            )
         else:
-            _enumerate_chunked_vectorized(
-                array, accumulator, final_lists, counters
-            )
-        counters.merge(array.counters)
-        array.counters.reset()
+            _probe_chunks(array, accumulator, final_lists, mode, counters)
     counters.add("result_cells", accumulator.touched_cells())
     with tracer.span("extract_rows"):
         rows = accumulator.rows()
     return ConsolidationResult(rows=rows, counters=counters)
 
 
-def _group_by_grid(
-    final_lists: list[list[int]], chunk_shape: tuple[int, ...]
-) -> list[dict[int, list[int]]]:
-    """Split each dimension's final list by chunk-grid coordinate."""
-    grouped: list[dict[int, list[int]]] = []
-    for indices, cs in zip(final_lists, chunk_shape):
-        by_grid: dict[int, list[int]] = {}
-        for index in indices:  # indices are sorted, so the lists stay sorted
-            by_grid.setdefault(index // cs, []).append(index)
-        grouped.append(by_grid)
-    return grouped
-
-
-def _enumerate_chunked_interpreted(
+def _probe_chunks(
     array: OLAPArray,
     accumulator: ResultAccumulator,
     final_lists: list[list[int]],
+    mode: str,
     counters: Counters,
 ) -> None:
+    """Probe the cross product chunk by chunk, in chunk-number order."""
     geometry = array.geometry
-    ndim = geometry.ndim
-    grouped = _group_by_grid(final_lists, geometry.chunk_shape)
-    if any(not g for g in grouped):
-        return
-    grid_coords = [sorted(g) for g in grouped]
-    maps = accumulator.mapping_lists()
-    result_strides = accumulator.result_strides
-    cell_strides = geometry.cell_strides
-    chunk_shape = geometry.chunk_shape
-    grid_strides = geometry.grid_strides
-
-    def visit_chunk(chunk_grid: tuple[int, ...]) -> None:
-        chunk_no = sum(g * s for g, s in zip(chunk_grid, grid_strides))
-        offsets, values = array.read_chunk(chunk_no)
-        if not len(offsets):
-            counters.add("empty_chunks_skipped")
-            return
-        offset_list = offsets.tolist()
-        value_rows = values.tolist()
-        dim_indices = [grouped[d][chunk_grid[d]] for d in range(ndim)]
-        # precompute each index's offset contribution and result contribution
-        contribs = [
-            [
-                ((idx % chunk_shape[d]) * cell_strides[d],
-                 maps[d][idx] * result_strides[d])
-                for idx in dim_indices[d]
-            ]
-            for d in range(ndim)
-        ]
-
-        def recurse(axis: int, offset_base: int, result_base: int) -> None:
-            if axis == ndim:
-                counters.add("cells_probed")
-                position = bisect_left(offset_list, offset_base)
-                if (
-                    position < len(offset_list)
-                    and offset_list[position] == offset_base
-                ):
-                    accumulator.add_one(result_base, value_rows[position])
-                return
-            for off_c, res_c in contribs[axis]:
-                recurse(axis + 1, offset_base + off_c, result_base + res_c)
-
-        recurse(0, 0, 0)
-
-    def walk_grid(axis: int, prefix: list[int]) -> None:
-        if axis == ndim:
-            visit_chunk(tuple(prefix))
-            return
-        for g in grid_coords[axis]:
-            prefix.append(g)
-            walk_grid(axis + 1, prefix)
-            prefix.pop()
-
-    walk_grid(0, [])
-
-
-def _enumerate_chunked_vectorized(
-    array: OLAPArray,
-    accumulator: ResultAccumulator,
-    final_lists: list[list[int]],
-    counters: Counters,
-) -> None:
-    geometry = array.geometry
-    ndim = geometry.ndim
-    grouped = _group_by_grid(final_lists, geometry.chunk_shape)
-    if any(not g for g in grouped):
-        return
-    grid_coords = [sorted(g) for g in grouped]
-    grid_strides = geometry.grid_strides
+    masks = allowed_masks(array, final_lists)
     # per (dimension, grid coordinate): the selected indices' offset and
-    # result contributions, shared by every chunk in that grid slab
-    offset_parts: list[dict[int, np.ndarray]] = []
-    result_parts: list[dict[int, np.ndarray]] = []
-    for d in range(ndim):
-        mapping = accumulator.i2is[d].mapping.astype(np.int64)
-        selected = {
-            g: np.array(indices, dtype=np.int64)
-            for g, indices in grouped[d].items()
-        }
-        offset_parts.append(
-            {
-                g: (idx % geometry.chunk_shape[d]) * geometry.cell_strides[d]
-                for g, idx in selected.items()
-            }
-        )
-        result_parts.append(
-            {
-                g: mapping[idx] * accumulator.result_strides[d]
-                for g, idx in selected.items()
-            }
-        )
+    # result contributions, ascending, shared by every chunk in that slab
+    slabs = []
+    for mask, targets, extent, stride in zip(
+        masks,
+        accumulator.target_terms(),
+        geometry.chunk_shape,
+        geometry.cell_strides,
+    ):
+        slabs.append([])
+        for start in range(0, len(mask), extent):
+            local = np.flatnonzero(mask[start : start + extent])
+            slabs[-1].append((local * stride, targets[start + local]))
+    kernel = _probe_interpreted if mode == "interpreted" else _probe_vectorized
+    for chunk_no, offsets, values in array.walk(
+        range(geometry.n_chunks), masks, counters
+    ):
+        parts = [
+            slabs[d][g] for d, g in enumerate(geometry.chunk_coords(chunk_no))
+        ]
+        kernel(accumulator, parts, offsets, values, counters)
 
-    for chunk_grid in itertools.product(*grid_coords):
-        chunk_no = sum(g * s for g, s in zip(chunk_grid, grid_strides))
-        offsets, values = array.read_chunk(chunk_no)
-        if not len(offsets):
-            counters.add("empty_chunks_skipped")
-            continue
-        # row-major over sorted per-dimension parts: candidates ascend,
-        # the paper's "increasing order of their chunk offsets"
-        candidate_offsets = outer_fold(
-            np.add, [offset_parts[d][g] for d, g in enumerate(chunk_grid)]
+
+def _probe_interpreted(accumulator, parts, offsets, values, counters) -> None:
+    """One binary search per cross-product element, as the paper reads."""
+    offset_list = offsets.tolist()
+    value_rows = values.tolist()
+    contribs = [
+        list(zip(offset_part.tolist(), result_part.tolist()))
+        for offset_part, result_part in parts
+    ]
+    ndim = len(contribs)
+
+    def recurse(axis: int, offset_base: int, result_base: int) -> None:
+        if axis == ndim:
+            counters.add("cells_probed")
+            position = bisect_left(offset_list, offset_base)
+            if (
+                position < len(offset_list)
+                and offset_list[position] == offset_base
+            ):
+                accumulator.add_one(result_base, value_rows[position])
+            return
+        for off_c, res_c in contribs[axis]:
+            recurse(axis + 1, offset_base + off_c, result_base + res_c)
+
+    recurse(0, 0, 0)
+
+
+def _probe_vectorized(accumulator, parts, offsets, values, counters) -> None:
+    """All of a chunk's elements against its sorted offsets at once."""
+    # row-major over sorted per-dimension parts: candidates ascend,
+    # the paper's "increasing order of their chunk offsets"
+    candidate_offsets = outer_fold(np.add, [part[0] for part in parts])
+    candidate_results = outer_fold(np.add, [part[1] for part in parts])
+    counters.add("cells_probed", candidate_offsets.size)
+    positions = np.searchsorted(offsets, candidate_offsets)
+    positions_clipped = np.minimum(positions, len(offsets) - 1)
+    hits = offsets[positions_clipped] == candidate_offsets
+    if hits.any():
+        accumulator.add_many(
+            candidate_results[hits], values[positions_clipped[hits]]
         )
-        candidate_results = outer_fold(
-            np.add, [result_parts[d][g] for d, g in enumerate(chunk_grid)]
-        )
-        counters.add("cells_probed", candidate_offsets.size)
-        positions = np.searchsorted(offsets, candidate_offsets)
-        positions_clipped = np.minimum(positions, len(offsets) - 1)
-        hits = offsets[positions_clipped] == candidate_offsets
-        if hits.any():
-            accumulator.add_many(
-                candidate_results[hits], values[positions_clipped[hits]]
-            )
 
 
 def _enumerate_naive(
@@ -318,7 +253,7 @@ def _enumerate_naive(
     for coords in itertools.product(*final_lists):
         counters.add("cells_probed")
         chunk_no, offset = geometry.locate(coords)
-        offsets, values = array.read_chunk(chunk_no)
+        offsets, values = array.read_chunk(chunk_no, counters)
         position = int(np.searchsorted(offsets, offset))
         if position < len(offsets) and offsets[position] == offset:
             linear = sum(

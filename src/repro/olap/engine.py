@@ -762,13 +762,15 @@ class OlapEngine:
                 specs.append(ConsolidationSpec.key())
             else:
                 specs.append(ConsolidationSpec.level(attr))
-        result = consolidate(
-            state.array,
-            specs,
-            aggregate=query.aggregate,
-            mode=resolve_mode(mode, query.aggregate, "array"),
-            materialize_as=view_name,
-        )
+        with self.db.metrics.scoped("materialize", Counters()) as counters:
+            result = consolidate(
+                state.array,
+                specs,
+                aggregate=query.aggregate,
+                mode=resolve_mode(mode, query.aggregate, "array"),
+                counters=counters,
+                materialize_as=view_name,
+            )
         self._views[view_name] = _ViewState(
             array=result.result_array,
             cube=query.cube,

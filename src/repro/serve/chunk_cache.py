@@ -82,8 +82,13 @@ class ChunkCache:
         del self._entries[key]
         self._resident_bytes -= self._sizes.pop(key, 0)
 
-    def get_chunk(self, array: "OLAPArray", chunk_no: int):
-        """The decoded chunk, from cache or via one serialized disk read."""
+    def get_chunk(self, array: "OLAPArray", chunk_no: int, counters=None):
+        """The decoded chunk, from cache or via one serialized disk read.
+
+        A miss's payload fetch is billed to ``counters`` (see
+        :meth:`OLAPArray.read_chunk <repro.core.olap_array.OLAPArray.
+        read_chunk>`); a hit bills only ``chunk_cache.hits`` here.
+        """
         key = (array.name, chunk_no)
         lookup_start = time.perf_counter()
         with self._lock:
@@ -108,7 +113,7 @@ class ChunkCache:
                     )
                     return hit
             decode_start = time.perf_counter()
-            chunk = array._read_chunk_direct(chunk_no)
+            chunk = array._read_chunk_direct(chunk_no, counters)
             self.histograms["chunk_cache.decode_seconds"].observe(
                 time.perf_counter() - decode_start
             )

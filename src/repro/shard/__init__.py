@@ -5,13 +5,14 @@ partitionable by chunk range, and every aggregate carries a mergeable
 sketch (§6) — so a cube shards by splitting its chunk directory into
 contiguous ranges, scattering each range's scan to a worker, and
 merging the partial :class:`~repro.core.consolidate.ResultAccumulator`
-states.
+states.  A shard's scan is the one chunk walk over a sub-range
+(:func:`repro.core.consolidate.scan_chunk_range`); there is no other
+partitioned-scan path in the tree.
 
 - :mod:`repro.shard.plan` — chunk-range assignments with per-shard
   chunk/cell estimates (also the EXPLAIN estimate source);
 - :mod:`repro.shard.executor` — the Executor protocol
-  (``local`` / ``thread`` / ``process``) generalizing the
-  ``executor="thread"`` seam of :mod:`repro.core.parallel`;
+  (``local`` / ``thread`` / ``process``);
 - :mod:`repro.shard.worker` — the per-shard scan task, runnable
   in-process or in a spawned worker over its own volume image, buffer
   pool and WAL segment directory;

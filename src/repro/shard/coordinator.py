@@ -59,9 +59,6 @@ from repro.shard.plan import ShardPlan, plan_shards
 from repro.shard.worker import run_inline_task, run_shard_task
 from repro.util.stats import Counters
 
-#: array-counter keys re-added per shard (skip in the shared-bag merge)
-_PER_SHARD_KEYS = {"chunks_read"}
-
 
 class ShardCoordinator:
     """Plans, scatters and merges sharded consolidations for one engine."""
@@ -143,6 +140,7 @@ class ShardCoordinator:
         cube: str = "",
         generation: int = 0,
         allowed: list[list[int]] | None = None,
+        counters: Counters | None = None,
     ) -> ShardPlan:
         return plan_shards(
             array,
@@ -151,6 +149,7 @@ class ShardCoordinator:
             cube=cube,
             generation=generation,
             allowed=allowed,
+            counters=counters,
         )
 
     # -- the scatter-gather consolidation ------------------------------------
@@ -172,7 +171,7 @@ class ShardCoordinator:
         bag.add("shard.queries")
 
         with tracer.span("resolve_mappings"):
-            merged = ResultAccumulator(array, specs, aggregate)
+            merged = ResultAccumulator(array, specs, aggregate, counters)
         allowed = None
         if selections:
             with tracer.span("btree_dimension_lookup"):
@@ -185,6 +184,7 @@ class ShardCoordinator:
             cube=cube,
             generation=state.generation,
             allowed=allowed,
+            counters=counters,
         )
         executor = self.executor(ctx.executor)
         # the distributed trace context crossing into the workers: the
@@ -228,14 +228,6 @@ class ShardCoordinator:
                 counters.add("shard_partial", len(lost))
                 scatter_span.annotate(partial=True, lost_ranges=lost_token)
             self._bind_shard_actuals(ctx, plan, partials)
-            if ctx.executor in ("local", "thread"):
-                # inline scans accumulated into the shared array bag;
-                # chunks_read was re-added per shard just above, so only
-                # the remaining keys (bytes, dir/i2i loads) merge here
-                for key, value in array.counters.snapshot().items():
-                    if key not in _PER_SHARD_KEYS:
-                        counters.add(key, value)
-                array.counters.reset()
         scatter_s = time.perf_counter() - scatter_started
         bag.add("shard.scatter_ms", scatter_s * 1e3)
         self.engine.db.metrics.observe(
@@ -331,20 +323,20 @@ class ShardCoordinator:
             for a in plan.assignments
         ]
         cleanup = lambda: None  # noqa: E731
-        if plan.executor == "thread":
-            # same preparation as parallel._scan_threaded: resolve the
-            # lazy chunk directory on this thread, and serialize buffer
-            # pool access through a (possibly temporary) chunk cache
-            array._entries()
-            if array.chunk_cache is None:
-                from repro.serve.chunk_cache import ChunkCache
+        if plan.executor == "thread" and array.chunk_cache is None:
+            # everything lazily loaded (chunk directory, mappings) was
+            # resolved on this thread by the plan and the merged
+            # accumulator; what is left is the buffer pool, whose
+            # pin/evict bookkeeping is single-threaded — a temporary
+            # chunk cache's I/O lock serializes it under the scans
+            from repro.serve.chunk_cache import ChunkCache
 
-                temporary = ChunkCache(max_chunks=max(8, plan.shards))
-                array.chunk_cache = temporary
+            temporary = ChunkCache(max_chunks=max(8, plan.shards))
+            array.chunk_cache = temporary
 
-                def cleanup() -> None:
-                    array.chunk_cache = None
-                    temporary.clear()
+            def cleanup() -> None:
+                array.chunk_cache = None
+                temporary.clear()
 
         return tasks, run_inline_task, cleanup
 
@@ -402,12 +394,11 @@ class ShardCoordinator:
         tracer = get_tracer()
         counters = ctx.counters
         bag = self.counters
-        inline = plan.executor in ("local", "thread")
         for assignment in plan.assignments:
             result = partials.get(assignment.shard_no)
             if result is None:
                 continue  # lost shard (partial mode)
-            deltas = result["counters"]
+            deltas = dict(result["counters"])
             with tracer.span(
                 f"shard_scan_{assignment.shard_no}",
                 shard=assignment.shard_no,
@@ -415,24 +406,25 @@ class ShardCoordinator:
                 executor=plan.executor,
             ) as span:
                 span.annotate(scan_s=round(result["scan_s"], 6))
-                # fold on key *presence*: a measured zero ("this shard
-                # read nothing") is a report, not an absence, and
-                # truthiness used to drop it on the floor
-                for key in ("chunks_read", "cells_scanned", "chunks_skipped"):
+                # a process worker's pool and disk are its own: its hit
+                # rates go to the shard bag, its simulated I/O into the
+                # parent disk's so cost accounting (result.sim_io_s)
+                # matches the thread path
+                for key in ("pool_hits", "pool_misses"):
                     if key in deltas:
-                        counters.add(key, deltas[key])
-                if not inline:
-                    if "chunk_bytes_read" in deltas:
-                        counters.add(
-                            "chunk_bytes_read", deltas["chunk_bytes_read"]
+                        bag.add(
+                            f"shard.{assignment.shard_no}.{key}",
+                            deltas.pop(key),
                         )
-                    # the worker's simulated I/O happened on its own
-                    # disk; fold it into the parent's so cost accounting
-                    # (result.sim_io_s) matches the thread path
-                    if "sim_io_s" in deltas:
-                        self.engine.db.disk.counters.add(
-                            "sim_io_s", deltas["sim_io_s"]
-                        )
+                if "sim_io_s" in deltas:
+                    self.engine.db.disk.counters.add(
+                        "sim_io_s", deltas.pop("sim_io_s")
+                    )
+                # the rest is the task's private bag; the query's bag
+                # receives it here, once, whatever the executor (a
+                # measured zero is a report too, so fold on presence)
+                for key, value in deltas.items():
+                    counters.add(key, value)
                 worker_roots = result.get("trace")
                 if worker_roots and tracer.enabled:
                     # re-parent the worker's serialized span tree under
@@ -444,16 +436,10 @@ class ShardCoordinator:
             self.engine.db.metrics.observe(
                 "engine.shard.scan_seconds", result["scan_s"]
             )
-            if not inline:
-                for key in ("pool_hits", "pool_misses"):
-                    if key in deltas:
-                        bag.add(
-                            f"shard.{assignment.shard_no}.{key}", deltas[key]
-                        )
-                if "pool_resident_bytes" in result:
-                    self._worker_pool_bytes[assignment.shard_no] = float(
-                        result["pool_resident_bytes"]
-                    )
+            if "pool_resident_bytes" in result:
+                self._worker_pool_bytes[assignment.shard_no] = float(
+                    result["pool_resident_bytes"]
+                )
 
     def worker_pool_resident_bytes(self) -> float:
         """Last-known buffer-pool bytes summed across process workers.

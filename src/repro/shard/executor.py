@@ -1,8 +1,7 @@
 """The shard Executor protocol: ``local`` / ``thread`` / ``process``.
 
-This generalizes the ``executor="thread"`` seam of
-:mod:`repro.core.parallel` into a proper protocol the coordinator (and
-``consolidate_partitioned`` itself) selects per query:
+Where a shard's sub-range scan runs, selected per query by the
+coordinator:
 
 - :class:`LocalShardExecutor` runs tasks inline on the calling thread —
   the deterministic tests/debug executor;

@@ -1,14 +1,14 @@
 """Shard planning: chunk-range assignments over the chunk directory.
 
 A shard plan is pure metadata: it partitions ``range(n_chunks)`` into
-contiguous near-equal ranges (reusing
-:func:`repro.core.parallel.partition_chunks`, so the thread-partition
-and shard layouts agree) and prices each range from the chunk meta
-directory alone — non-empty chunks, stored bytes and valid cells, the
-same catalog statistics the array EXPLAIN estimates are built from.
-With a selection's final index lists the estimates are refined by grid
-overlap: chunks whose index box misses the selection are excluded, and
-surviving chunks' cell counts are scaled by the within-box selectivity.
+contiguous near-equal ranges (:func:`partition_chunks`) and prices each
+range from the chunk meta directory alone — non-empty chunks, stored
+bytes and valid cells, the same catalog statistics the array EXPLAIN
+estimates are built from.  With a selection's final index lists the
+estimates are refined by grid overlap: only the chunks the walk itself
+would visit (:meth:`ChunkGeometry.overlapping_chunks
+<repro.core.chunking.ChunkGeometry.overlapping_chunks>`) are priced,
+their cell counts scaled by the within-box selectivity.
 """
 
 from __future__ import annotations
@@ -20,7 +20,27 @@ import numpy as np
 from repro.core.consolidate import allowed_masks
 from repro.core.meta import NO_CHUNK
 from repro.core.olap_array import OLAPArray
-from repro.core.parallel import partition_chunks
+from repro.errors import QueryError
+from repro.util.stats import Counters
+
+
+def partition_chunks(n_chunks: int, n_partitions: int) -> list[range]:
+    """Split ``range(n_chunks)`` into contiguous, near-equal ranges.
+
+    Contiguity keeps each partition's disk reads sequential — the same
+    layout argument §4.2 makes for the single-node scan.
+    """
+    if n_partitions <= 0:
+        raise QueryError(f"n_partitions must be positive, got {n_partitions}")
+    n_partitions = min(n_partitions, max(1, n_chunks))
+    base, extra = divmod(n_chunks, n_partitions)
+    ranges = []
+    start = 0
+    for p in range(n_partitions):
+        size = base + (1 if p < extra else 0)
+        ranges.append(range(start, start + size))
+        start += size
+    return ranges
 
 
 @dataclass(frozen=True)
@@ -79,12 +99,7 @@ def _box_selectivity(
     fraction = 1.0
     for d, mask in enumerate(masks):
         box = mask[origin[d] : origin[d] + geometry.chunk_shape[d]]
-        if not len(box):
-            return 0.0
-        hits = int(box.sum())
-        if not hits:
-            return 0.0
-        fraction *= hits / len(box)
+        fraction *= int(box.sum()) / len(box)
     return fraction
 
 
@@ -95,6 +110,7 @@ def plan_shards(
     cube: str = "",
     generation: int = 0,
     allowed: list[list[int]] | None = None,
+    counters: Counters | None = None,
 ) -> ShardPlan:
     """Assign contiguous chunk ranges to ``shards`` workers.
 
@@ -102,8 +118,9 @@ def plan_shards(
     per-shard estimates to selection-overlapping chunks only — the same
     grid pruning the workers' filtered scan applies, so a cold sharded
     run's actual ``chunks_read`` matches its estimate exactly.
+    ``counters`` is billed the directory load planning may cause.
     """
-    entries = array._entries()
+    entries = array._entries(counters)
     geometry = array.geometry
     masks = allowed_masks(array, allowed) if allowed is not None else None
     ranges = partition_chunks(geometry.n_chunks, shards)
@@ -112,17 +129,13 @@ def plan_shards(
         chunks = 0
         cells = 0.0
         nbytes = 0
-        for chunk_no in chunk_range:
+        for chunk_no in geometry.overlapping_chunks(chunk_range, masks):
             oid, length, count = entries[chunk_no]
             if oid == NO_CHUNK or not count:
                 continue
             if masks is not None:
-                fraction = _box_selectivity(geometry, chunk_no, masks)
-                if fraction == 0.0:
-                    continue
-                cells += count * fraction
-            else:
-                cells += count
+                count *= _box_selectivity(geometry, chunk_no, masks)
+            cells += count
             chunks += 1
             nbytes += length
         assignments.append(

@@ -1,7 +1,8 @@
 """The per-shard scan task: one chunk range → one partial accumulator.
 
-Two entry points run the *same* §4.1 scan
-(:func:`repro.core.consolidate.scan_chunk_range`):
+Two entry points run the *same* §4.1 scan — the one chunk walk over the
+task's sub-range (:func:`repro.core.consolidate.scan_chunk_range`),
+billed to a counter bag private to the task:
 
 - :func:`run_inline_task` executes against live objects in the
   coordinator's process (the ``local`` and ``thread`` executors) and
@@ -46,16 +47,9 @@ from repro.util.stats import Counters, counter_delta
 #: per-process cache: image_path -> (Database, {array_name: OLAPArray})
 _WORKER_STATE: dict = {}
 
-#: the counter keys a worker reports back per shard
-_DELTA_KEYS = (
-    "chunks_read",
-    "chunks_skipped",
-    "cells_scanned",
-    "chunk_bytes_read",
-    "pool_hits",
-    "pool_misses",
-    "sim_io_s",
-)
+#: what a worker process's own pool and disk spent on a task, shipped
+#: beside the scan's bag (an inline task shares the parent's)
+_STORAGE_KEYS = ("pool_hits", "pool_misses", "sim_io_s")
 
 
 def _maybe_fail(task: dict) -> None:
@@ -131,7 +125,7 @@ def run_inline_task(task: dict) -> dict:
     started = time.perf_counter()
     counters = Counters()
     accumulator = ResultAccumulator(
-        task["array"], task["specs"], task["aggregate"]
+        task["array"], task["specs"], task["aggregate"], counters
     )
 
     def scan() -> None:
@@ -195,9 +189,10 @@ def _open_worker_db(task: dict):
 def run_shard_task(task: dict) -> dict:
     """Scan one chunk range in a worker process; return a picklable dict.
 
-    The returned ``counters`` are *deltas* over this task (the worker's
-    database is long-lived), so the coordinator can attribute pool hit
-    rates and simulated I/O to individual shards.
+    The returned ``counters`` are what this task spent: the scan's own
+    bag plus the *deltas* of the worker's pool and disk over the task
+    (its database is long-lived), so the coordinator can attribute pool
+    hit rates and simulated I/O to individual shards.
     """
     _maybe_fail(task)
     started = time.perf_counter()
@@ -205,7 +200,7 @@ def run_shard_task(task: dict) -> dict:
     before = db.metrics.snapshot_by_source()
     counters = Counters()
     accumulator = ResultAccumulator(
-        array, build_specs(task["specs"]), task["aggregate"]
+        array, build_specs(task["specs"]), task["aggregate"], counters
     )
 
     def scan() -> None:
@@ -221,9 +216,9 @@ def run_shard_task(task: dict) -> dict:
     root = _traced_scan(task, scan, executor="process")
     deltas = counters.snapshot()
     moved = counter_delta(before, db.metrics.snapshot_by_source())
-    for key, value in moved.items():
-        if key in _DELTA_KEYS and key not in deltas:
-            deltas[key] = value
+    deltas.update(
+        (key, moved[key]) for key in _STORAGE_KEYS if key in moved
+    )
     result = {
         "shard": task["shard"],
         "state": accumulator.export_state(),

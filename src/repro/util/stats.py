@@ -22,9 +22,8 @@ class Counters:
     registration.  All operations are thread-safe: the serving layer
     lets concurrent queries account into shared bags (the buffer pool's,
     an array's), so increments must not be lost to read-modify-write
-    races.  A bag is never zeroed at a measurement boundary: what a
-    query, span or shard task cost is the :func:`counter_delta` of two
-    snapshots.
+    races.  A bag is never zeroed: what a query, span or shard task
+    cost is the :func:`counter_delta` of two snapshots.
     """
 
     def __init__(self) -> None:
@@ -49,15 +48,6 @@ class Counters:
         """Current value of ``name`` (0 if never incremented)."""
         with self._lock:
             return self._values.get(name, 0.0)
-
-    def reset(self) -> dict[str, float]:
-        """Empty a bag whose counts were just merged into another one
-        (an array's into the query's); never a measurement boundary."""
-        with self._lock:
-            before = {k: v for k, v in self._values.items() if v}
-            self._values.clear()
-            self._frozen = None
-        return before
 
     def frozen(self) -> dict[str, float]:
         """All non-zero counters as a shared dict: the same object

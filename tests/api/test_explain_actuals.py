@@ -3,9 +3,10 @@
 A span's actuals used to be taken across whatever zeroed the registry
 underneath it: a routed request whose grain was rebuilt inside the
 ``rollup.route`` span reported ``pool_hits: -977``.  Nothing resets any
-more, so no actual can be negative — alone, after other requests, or
-(the keys an array hands over to a query apart) beside concurrent
-readers and writes.
+more — the array keys included, now that a scan bills its reads straight
+to the query's bag instead of handing them over — so no actual can be
+negative: alone, after other requests, or beside concurrent readers and
+writes.
 """
 
 import json
@@ -23,12 +24,6 @@ from .conftest import CONFIG
 ROUTED = "/cube/sales/aggregate?drilldown=dim0:h02&explain=1&analyze=1"
 BASE = "/cube/sales/aggregate?drilldown=dim2:d2"
 BASE_ANALYZED = BASE + "&explain=1&analyze=1"
-
-#: the array keys still change hands between an array's bag and the
-#: query's bag inside a scan, so a concurrent span can catch them between
-#: the two; every other key (disk, pool, wal, fact:*, serve, api) only
-#: counts up
-HANDED_OVER = {"chunks_read", "chunk_bytes_read", "dir_loads", "i2i_loads"}
 
 
 def _get(url):
@@ -125,6 +120,5 @@ class TestBesideReadersAndWrites:
             where: value
             for plan in plans
             for where, value in _negative_actuals(plan).items()
-            if where.rsplit(".", 1)[1] not in HANDED_OVER
         }
         assert negatives == {}

@@ -21,7 +21,7 @@ class TestBuild:
 
     def test_chunks_sorted_by_offset(self, cube):
         array, _ = cube
-        for _, offsets, _ in array.cells():
+        for _, offsets, _ in array.walk(range(array.geometry.n_chunks)):
             assert (offsets[1:] > offsets[:-1]).all()
 
     def test_chunk_objects_in_chunk_number_order(self, cube):
@@ -48,7 +48,7 @@ class TestBuild:
             fm_big, "empty", make_dimensions(), [], (3, 2, 4)
         )
         assert array.n_valid == 0
-        assert list(array.cells()) == []
+        assert list(array.walk(range(array.geometry.n_chunks))) == []
 
     def test_duplicate_cell_rejected(self, fm_big):
         facts = [(0, 0, 0, 1), (0, 0, 0, 2)]

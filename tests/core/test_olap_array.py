@@ -85,9 +85,9 @@ class TestRegionSum:
     def test_untouched_chunks_not_read(self, cube, fm_big):
         array, _ = cube
         fm_big.pool.clear()
-        array.counters.reset()
+        before = array.counters.get("chunks_read")
         array.sum_region([(0, 0), (0, 0), (0, 0)])
-        assert array.counters.get("chunks_read") <= 1
+        assert array.counters.get("chunks_read") - before <= 1
 
     def test_bad_ranges(self, cube):
         array, _ = cube

@@ -1,15 +1,124 @@
-"""Tests for partitioned consolidation (the §6 parallelization hook)."""
+"""Partitioned consolidation: the one walk over sub-ranges, merged exactly.
+
+There is no partitioned-consolidation function any more (the §6 hook is
+``scan_chunk_range`` over a sub-range + ``merge_from``, and the shard
+``local``/``thread`` executors are what run it concurrently), so every
+property the old ``consolidate_partitioned`` had is restated here over
+those pieces: any partition count and every aggregate's sketch merge
+to the direct consolidation, under real threads too.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ConsolidationSpec, consolidate, consolidate_partitioned
-from repro.core.parallel import partition_chunks
+from repro.core import ConsolidationSpec, consolidate
+from repro.core.consolidate import ResultAccumulator, scan_chunk_range
 from repro.errors import QueryError
+from repro.shard import ThreadShardExecutor
+from repro.shard.plan import partition_chunks
+from repro.shard.worker import run_inline_task
 from repro.util.stats import Counters
 
 LEVEL1 = [ConsolidationSpec.level("h1")] * 3
+
+
+def scan_partitioned(
+    array, specs, partitions, aggregate="sum", mode="interpreted", counters=None
+):
+    """Sub-range scans into accumulators of their own, then merged."""
+    merged = ResultAccumulator(array, specs, aggregate)
+    ranges = partition_chunks(array.geometry.n_chunks, partitions)
+    for chunk_range in ranges:
+        partial = ResultAccumulator(array, specs, aggregate)
+        scan_chunk_range(
+            array, partial, chunk_range, mode, counters=counters
+        )
+        merged.merge_from(partial)
+    return merged.rows(), len(ranges)
+
+
+def scan_threaded(
+    array, specs, partitions, aggregate="sum", mode="interpreted",
+    max_workers=None,
+):
+    """The same sub-range scans as thread-executor shard tasks.
+
+    What the coordinator does for ``executor="thread"`` without an
+    engine around it: a chunk cache's I/O lock serializes the buffer
+    pool under the concurrent scans.
+    """
+    from repro.serve import ChunkCache
+
+    merged = ResultAccumulator(array, specs, aggregate)
+    array._entries()
+    tasks = [
+        {
+            "shard": shard,
+            "array": array,
+            "specs": specs,
+            "aggregate": aggregate,
+            "mode": mode,
+            "start": chunk_range.start,
+            "stop": chunk_range.stop,
+        }
+        for shard, chunk_range in enumerate(
+            partition_chunks(array.geometry.n_chunks, partitions)
+        )
+    ]
+    own_cache = array.chunk_cache is None
+    if own_cache:
+        array.chunk_cache = ChunkCache()
+    try:
+        results = ThreadShardExecutor(max_workers=max_workers).map_tasks(
+            run_inline_task, tasks
+        )
+    finally:
+        if own_cache:
+            array.chunk_cache = None
+    totals = Counters()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+        merged.merge_from(result["accumulator"])
+        totals.add_many(result["counters"])
+    return merged.rows(), totals
+
+
+def assert_rows_close(left, right):
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        assert a[:-1] == b[:-1]
+        assert a[-1] == pytest.approx(b[-1])
+
+
+@pytest.fixture(scope="module")
+def engine():
+    from repro.data import (
+        cube_schema_for,
+        generate_dimension_rows,
+        generate_fact_rows,
+    )
+    from repro.olap import OlapEngine
+    from tests.shard.conftest import CONFIG
+
+    engine = OlapEngine(page_size=1024, pool_bytes=1024 * 1024)
+    engine.load_cube(
+        cube_schema_for(CONFIG),
+        generate_dimension_rows(CONFIG),
+        generate_fact_rows(CONFIG),
+        chunk_shape=CONFIG.chunk_shape,
+    )
+    yield engine
+    engine.close_shards()
+
+
+def engine_query():
+    from repro.olap import ConsolidationQuery
+
+    return ConsolidationQuery.build(
+        "cube", group_by={"dim0": "h01", "dim1": "h11"}
+    )
 
 
 class TestPartitionChunks:
@@ -42,21 +151,17 @@ class TestEquivalence:
     def test_matches_direct_consolidation(self, cube, mode, partitions):
         array, _ = cube
         direct = consolidate(array, LEVEL1, mode=mode)
-        partitioned = consolidate_partitioned(
-            array, LEVEL1, partitions, mode=mode
-        )
-        assert partitioned.rows == direct.rows
+        rows, _ = scan_partitioned(array, LEVEL1, partitions, mode=mode)
+        assert rows == direct.rows
 
     def test_min_max_merge(self, cube, mode):
         array, _ = cube
         for aggregate in ("min", "max", "count", "avg"):
             direct = consolidate(array, LEVEL1, aggregate=aggregate, mode=mode)
-            partitioned = consolidate_partitioned(
+            rows, _ = scan_partitioned(
                 array, LEVEL1, 4, aggregate=aggregate, mode=mode
             )
-            for a, b in zip(direct.rows, partitioned.rows):
-                assert a[:-1] == b[:-1]
-                assert a[-1] == pytest.approx(b[-1])
+            assert_rows_close(direct.rows, rows)
 
 
 class TestVarianceMerge:
@@ -64,17 +169,15 @@ class TestVarianceMerge:
         array, facts = cube
         specs = [ConsolidationSpec.drop()] * 2 + [ConsolidationSpec.level("h1")]
         direct = consolidate(array, specs, aggregate="var")
-        partitioned = consolidate_partitioned(array, specs, 5, aggregate="var")
-        for a, b in zip(direct.rows, partitioned.rows):
-            assert a[0] == b[0]
-            assert a[1] == pytest.approx(b[1])
+        rows, _ = scan_partitioned(array, specs, 5, aggregate="var")
+        assert_rows_close(direct.rows, rows)
 
     def test_var_matches_numpy(self, cube):
         import numpy as np
 
         array, facts = cube
         specs = [ConsolidationSpec.drop()] * 3
-        # fully collapapsed: one group holding every measure
+        # fully collapsed: one group holding every measure
         result = consolidate(array, specs, aggregate="var")
         values = [f[3] for f in facts]
         assert result.rows == [(pytest.approx(np.var(values)),)]
@@ -82,16 +185,14 @@ class TestVarianceMerge:
 
 @pytest.mark.parametrize("mode", ["interpreted", "vectorized"])
 class TestThreadedExecutor:
-    """executor="thread": the oracle holds under real concurrency."""
+    """The thread executor: the oracle holds under real concurrency."""
 
     @pytest.mark.parametrize("partitions", [1, 2, 3, 7])
     def test_matches_direct_consolidation(self, cube, mode, partitions):
         array, _ = cube
         direct = consolidate(array, LEVEL1, mode=mode)
-        threaded = consolidate_partitioned(
-            array, LEVEL1, partitions, mode=mode, executor="thread"
-        )
-        assert threaded.rows == direct.rows
+        rows, _ = scan_threaded(array, LEVEL1, partitions, mode=mode)
+        assert rows == direct.rows
 
     def test_matches_serial_executor(self, cube, mode):
         array, _ = cube
@@ -99,83 +200,85 @@ class TestThreadedExecutor:
         if mode == "interpreted":  # var has no vectorized kernel
             aggregates += ("var",)
         for aggregate in aggregates:
-            serial = consolidate_partitioned(
+            serial, _ = scan_partitioned(
                 array, LEVEL1, 4, aggregate=aggregate, mode=mode
             )
-            threaded = consolidate_partitioned(
-                array, LEVEL1, 4, aggregate=aggregate, mode=mode,
-                executor="thread",
+            threaded, _ = scan_threaded(
+                array, LEVEL1, 4, aggregate=aggregate, mode=mode
             )
-            for a, b in zip(serial.rows, threaded.rows):
-                assert a[:-1] == b[:-1]
-                assert a[-1] == pytest.approx(b[-1])
+            assert_rows_close(serial, threaded)
 
     def test_max_workers_capped(self, cube, mode):
         array, _ = cube
         direct = consolidate(array, LEVEL1, mode=mode)
-        threaded = consolidate_partitioned(
-            array, LEVEL1, 6, mode=mode, executor="thread", max_workers=2
-        )
-        assert threaded.rows == direct.rows
+        rows, _ = scan_threaded(array, LEVEL1, 6, mode=mode, max_workers=2)
+        assert rows == direct.rows
 
 
 class TestThreadedPlumbing:
     def test_counters_recorded(self, cube):
+        # each task bills a bag of its own; their sum is the whole scan
         array, facts = cube
-        counters = Counters()
-        consolidate_partitioned(
-            array, LEVEL1, 3, counters=counters, executor="thread"
+        _, totals = scan_threaded(array, LEVEL1, 3)
+        assert totals.get("cells_scanned") == len(facts)
+        assert (
+            totals.get("chunks_read") + totals.get("empty_chunks_skipped")
+            == array.geometry.n_chunks
         )
-        assert counters.get("partitions") == 3
-        assert counters.get("cells_scanned") == len(facts)
 
-    def test_bad_executor(self, cube):
-        array, _ = cube
-        with pytest.raises(QueryError):
-            consolidate_partitioned(array, LEVEL1, 2, executor="fork")
+    def test_bad_executor(self, engine):
+        with pytest.raises(QueryError, match="unknown executor"):
+            engine.query(
+                engine_query(), backend="array", shards=2, executor="fork"
+            )
 
-    def test_temporary_chunk_cache_detached(self, cube):
-        array, _ = cube
+    def test_temporary_chunk_cache_detached(self, engine):
+        array = engine.cube("cube").array
         assert array.chunk_cache is None
-        consolidate_partitioned(array, LEVEL1, 4, executor="thread")
+        engine.query(
+            engine_query(), backend="array", shards=4, executor="thread"
+        )
         assert array.chunk_cache is None
 
-    def test_attached_chunk_cache_reused(self, cube):
+    def test_attached_chunk_cache_reused(self, engine):
         from repro.serve import ChunkCache
 
-        array, _ = cube
+        array = engine.cube("cube").array
         cache = ChunkCache()
         array.chunk_cache = cache
         try:
-            first = consolidate_partitioned(
-                array, LEVEL1, 4, executor="thread"
-            )
-            second = consolidate_partitioned(
-                array, LEVEL1, 4, executor="thread"
+            first, second = (
+                engine.query(
+                    engine_query(),
+                    backend="array",
+                    shards=4,
+                    executor="thread",
+                    cold=cold,
+                )
+                for cold in (True, False)
             )
         finally:
             array.chunk_cache = None
         assert second.rows == first.rows
         # the second pass reads every chunk out of the shared cache
         assert cache.counters.get("chunk_cache.hits") >= array.geometry.n_chunks
+        assert second.stats.get("chunks_read", 0) == 0
 
 
 class TestCounters:
     def test_partition_count_recorded(self, cube):
         array, facts = cube
         counters = Counters()
-        consolidate_partitioned(array, LEVEL1, 3, counters=counters)
-        assert counters.get("partitions") == 3
+        _, partitions = scan_partitioned(array, LEVEL1, 3, counters=counters)
+        assert partitions == 3
         assert counters.get("cells_scanned") == len(facts)
 
     def test_bad_mode(self, cube):
         array, _ = cube
         with pytest.raises(QueryError):
-            consolidate_partitioned(array, LEVEL1, 2, mode="threads")
+            consolidate(array, LEVEL1, mode="threads")
 
     def test_merge_incompatible_accumulators(self, cube):
-        from repro.core.consolidate import ResultAccumulator
-
         array, _ = cube
         a = ResultAccumulator(array, LEVEL1)
         b = ResultAccumulator(
@@ -199,7 +302,5 @@ def test_any_partitioning_is_exact(partitions, aggregate):
     facts = make_facts(density=0.4, seed=partitions)
     array = build_olap_array(fm, "c", make_dimensions(), facts, (3, 2, 4))
     direct = consolidate(array, LEVEL1, aggregate=aggregate)
-    partitioned = consolidate_partitioned(
-        array, LEVEL1, partitions, aggregate=aggregate
-    )
-    assert partitioned.rows == direct.rows
+    rows, _ = scan_partitioned(array, LEVEL1, partitions, aggregate=aggregate)
+    assert rows == direct.rows

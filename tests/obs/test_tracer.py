@@ -110,19 +110,6 @@ class TestCounterDeltas:
         root = tracer.roots[0]
         assert root.leaf_io_totals() == root.io
 
-    def test_merge_and_reset_between_sources_is_invisible(self):
-        # the consolidate() pattern: array counters merged into the query
-        # bag and reset — both registered, so the merged total is invariant
-        registry = MetricsRegistry()
-        query = registry.register("query", Counters())
-        array = registry.register("array", Counters())
-        tracer = Tracer(registry=registry)
-        with tracer.span("root"):
-            array.add("chunks_read", 4)
-            query.merge(array)
-            array.reset()
-        assert tracer.roots[0].io == {"chunks_read": 4}
-
     def test_no_registry_means_no_io(self):
         tracer = Tracer()
         with tracer.span("root"):

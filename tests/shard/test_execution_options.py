@@ -4,7 +4,6 @@ import warnings
 
 import pytest
 
-from repro.core import ConsolidationSpec, consolidate_partitioned
 from repro.errors import QueryError
 from repro.olap import ConsolidationQuery, ExecutionOptions, resolve_mode
 
@@ -104,12 +103,3 @@ class TestEngineSurface:
         )
         assert engine.query(stddev, backend="array").mode == "interpreted"
 
-
-class TestParallelShim:
-    def test_serial_alias_removed(self, engine):
-        state = engine._cubes["cube"]
-        specs = [ConsolidationSpec.level("h01")] + [
-            ConsolidationSpec.drop()
-        ] * 2
-        with pytest.raises(QueryError, match="unknown executor"):
-            consolidate_partitioned(state.array, specs, 2, executor="serial")

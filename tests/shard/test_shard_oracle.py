@@ -70,6 +70,30 @@ class TestOracleMatrix:
         )
         assert result.rows == expected
 
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("executor", ("local", "thread"))
+    @pytest.mark.parametrize("aggregate", ("min", "max", "var"))
+    def test_sketch_aggregates_match(self, engine, shards, executor, aggregate):
+        # the partition-exactness the deleted core.parallel tests held:
+        # min/max fold, and var's (n, Σ, Σx²) sketch merges exactly
+        query = ConsolidationQuery.build(
+            "cube", group_by={"dim0": "h01", "dim1": "h11"}, aggregate=aggregate
+        )
+        expected = oracle(engine, query)
+        modes = MODES if aggregate != "var" else ("interpreted",)
+        for mode in modes:
+            result = engine.query(
+                query,
+                backend="array",
+                mode=mode,
+                shards=shards,
+                executor=executor,
+            )
+            assert len(result.rows) == len(expected)
+            for got, want in zip(result.rows, expected):
+                assert got[:-1] == want[:-1]
+                assert got[-1] == pytest.approx(want[-1])
+
     def test_remainder_assignment_covers_every_chunk(self, engine):
         # 8 chunks over 7 shards: one shard gets the remainder, none
         # may be dropped or double-counted
