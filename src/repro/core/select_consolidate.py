@@ -24,6 +24,12 @@ With the paper's three optimizations:
 Optimization 1 is the one chunk walk every array operator shares
 (:meth:`OLAPArray.walk <repro.core.olap_array.OLAPArray.walk>`, its
 masks the final lists); the probe is a per-chunk kernel over it.
+``interpreted`` mode runs the loop above as written, one ``bisect`` per
+element.  ``vectorized`` mode hands the final lists to
+:func:`~repro.core.consolidate.scan_chunk_range` — the same call a shard
+task makes — whose selection kernel probes a chunk's elements in one
+``searchsorted`` when they are few against its stored cells, and masks
+the stored cells instead when they are not.
 
 ``order="naive"`` disables optimization 1/3 (the ablation ``abl5``):
 elements stream in global index order and every element re-derives and
@@ -38,12 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.chunking import outer_fold
 from repro.core.consolidate import (
     ConsolidationResult,
     ConsolidationSpec,
     ResultAccumulator,
     allowed_masks,
+    scan_chunk_range,
+    selection_slabs,
 )
 from repro.core.olap_array import OLAPArray
 from repro.errors import DimensionError, QueryError
@@ -121,10 +128,15 @@ def _final_index_lists(
                     matched.update(tree.search(value))
                     counters.add("btree_probes")
         per_dim[d] = matched if per_dim[d] is None else per_dim[d] & matched
-    return [
+    final_lists = [
         sorted(chosen) if chosen is not None else list(range(size))
         for chosen, size in zip(per_dim, array.geometry.shape)
     ]
+    counters.add(
+        "cross_product_size",
+        float(np.prod([len(lst) for lst in final_lists])),
+    )
+    return final_lists
 
 
 def consolidate_with_selection(
@@ -147,16 +159,20 @@ def consolidate_with_selection(
         accumulator = ResultAccumulator(array, specs, aggregate, counters)
     with tracer.span("btree_dimension_lookup", selections=len(selections)):
         final_lists = _final_index_lists(array, selections, counters)
-    counters.add(
-        "cross_product_size",
-        float(np.prod([len(lst) for lst in final_lists])),
-    )
-
     with tracer.span("probe_chunks", mode=mode, order=order):
         if order == "naive":
             _enumerate_naive(array, accumulator, final_lists, counters)
+        elif mode == "interpreted":
+            _probe_chunks(array, accumulator, final_lists, counters)
         else:
-            _probe_chunks(array, accumulator, final_lists, mode, counters)
+            scan_chunk_range(
+                array,
+                accumulator,
+                range(array.geometry.n_chunks),
+                mode,
+                allowed=final_lists,
+                counters=counters,
+            )
     counters.add("result_cells", accumulator.touched_cells())
     with tracer.span("extract_rows"):
         rows = accumulator.rows()
@@ -167,33 +183,19 @@ def _probe_chunks(
     array: OLAPArray,
     accumulator: ResultAccumulator,
     final_lists: list[list[int]],
-    mode: str,
     counters: Counters,
 ) -> None:
     """Probe the cross product chunk by chunk, in chunk-number order."""
     geometry = array.geometry
     masks = allowed_masks(array, final_lists)
-    # per (dimension, grid coordinate): the selected indices' offset and
-    # result contributions, ascending, shared by every chunk in that slab
-    slabs = []
-    for mask, targets, extent, stride in zip(
-        masks,
-        accumulator.target_terms(),
-        geometry.chunk_shape,
-        geometry.cell_strides,
-    ):
-        slabs.append([])
-        for start in range(0, len(mask), extent):
-            local = np.flatnonzero(mask[start : start + extent])
-            slabs[-1].append((local * stride, targets[start + local]))
-    kernel = _probe_interpreted if mode == "interpreted" else _probe_vectorized
+    slabs = selection_slabs(geometry, masks, accumulator.target_terms())
     for chunk_no, offsets, values in array.walk(
         range(geometry.n_chunks), masks, counters
     ):
         parts = [
             slabs[d][g] for d, g in enumerate(geometry.chunk_coords(chunk_no))
         ]
-        kernel(accumulator, parts, offsets, values, counters)
+        _probe_interpreted(accumulator, parts, offsets, values, counters)
 
 
 def _probe_interpreted(accumulator, parts, offsets, values, counters) -> None:
@@ -220,22 +222,6 @@ def _probe_interpreted(accumulator, parts, offsets, values, counters) -> None:
             recurse(axis + 1, offset_base + off_c, result_base + res_c)
 
     recurse(0, 0, 0)
-
-
-def _probe_vectorized(accumulator, parts, offsets, values, counters) -> None:
-    """All of a chunk's elements against its sorted offsets at once."""
-    # row-major over sorted per-dimension parts: candidates ascend,
-    # the paper's "increasing order of their chunk offsets"
-    candidate_offsets = outer_fold(np.add, [part[0] for part in parts])
-    candidate_results = outer_fold(np.add, [part[1] for part in parts])
-    counters.add("cells_probed", candidate_offsets.size)
-    positions = np.searchsorted(offsets, candidate_offsets)
-    positions_clipped = np.minimum(positions, len(offsets) - 1)
-    hits = offsets[positions_clipped] == candidate_offsets
-    if hits.any():
-        accumulator.add_many(
-            candidate_results[hits], values[positions_clipped[hits]]
-        )
 
 
 def _enumerate_naive(

@@ -38,8 +38,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.consolidate import ConsolidationSpec, consolidate
-from repro.core.meta import NO_CHUNK
+from repro.core.consolidate import (
+    ConsolidationSpec,
+    allowed_masks,
+    consolidate,
+    estimate_chunk_range,
+)
 from repro.obs.explain import PlanNode
 from repro.obs.tracer import get_tracer
 from repro.obs.tracing import TraceContext
@@ -161,24 +165,6 @@ class Backend(ABC):
 # -- estimate helpers --------------------------------------------------------
 
 
-def _array_catalog_stats(array) -> dict[str, int]:
-    """Non-empty chunk count, stored bytes and valid cells, from the
-    chunk meta directory alone (no chunk payload is touched)."""
-    non_empty = 0
-    total_bytes = 0
-    cells = 0
-    for oid, length, count in array._entries():
-        if oid != NO_CHUNK and count:
-            non_empty += 1
-            total_bytes += length
-            cells += count
-    return {
-        "non_empty_chunks": non_empty,
-        "chunk_bytes": total_bytes,
-        "n_valid": cells,
-    }
-
-
 def _estimated_groups(ctx: BackendContext, query) -> int:
     """Upper bound on result groups: Π per-dimension distinct values."""
     engine, state = ctx.engine, ctx.state
@@ -191,6 +177,20 @@ def _estimated_groups(ctx: BackendContext, query) -> int:
             values = engine._dimension_attr_map(state, dim_name, attr).values()
             total *= max(1, len(set(values)))
     return total
+
+
+def _selection_index_lists(array, schema, key_sets) -> list[list[int]]:
+    """The §4.2 final index lists, derived from the dimension tables'
+    key sets (no B-tree is probed at plan time)."""
+    allowed = []
+    for d, dim in enumerate(schema.dimensions):
+        keys = array.dims[d].keys()
+        if dim.name in key_sets:
+            chosen = key_sets[dim.name]
+            allowed.append([i for i, key in enumerate(keys) if key in chosen])
+        else:
+            allowed.append(list(range(len(keys))))
+    return allowed
 
 
 def _estimated_btree_probes(query) -> int:
@@ -340,16 +340,17 @@ class ArrayBackend(Backend):
         engine, state = ctx.engine, ctx.state
         array = state.array
         schema = state.schema
-        stats = _array_catalog_stats(array)
         geometry = array.geometry
         n_chunks = geometry.n_chunks
-        density = stats["non_empty_chunks"] / n_chunks if n_chunks else 0.0
+        # the whole array off the chunk directory: non-empty chunks,
+        # stored bytes and valid cells, by the counters a scan bills
+        stored = estimate_chunk_range(array, range(n_chunks))
         level_loads = sum(
             1
             for dim_name, attr in query.group_by
             if attr != schema.dimension(dim_name).key
         )
-        groups = min(stats["n_valid"], _estimated_groups(ctx, query))
+        groups = min(stored["cells_scanned"], _estimated_groups(ctx, query))
         root = PlanNode(
             "array.query",
             span="query",
@@ -357,7 +358,7 @@ class ArrayBackend(Backend):
         )
         if ctx.shards > 1:
             return self._explain_sharded(
-                ctx, query, root, stats, groups, level_loads
+                ctx, query, root, groups, level_loads
             )
         if query.selections:
             key_sets = engine._selection_key_sets(state, query)
@@ -370,24 +371,35 @@ class ArrayBackend(Backend):
             cross = math.prod(n_sel)
             if ctx.order == "naive":
                 # every cross-product element re-reads its chunk
-                chunk_visits = cross
-                est_chunks_read = round(cross * density)
-                est_skipped = 0
-            else:
-                # chunk-by-chunk: Π per-dim grid coordinates covered
-                chunk_visits = math.prod(
-                    min(n, -(-size // cs))
-                    for n, size, cs in zip(
-                        n_sel, geometry.shape, geometry.chunk_shape
-                    )
+                est_chunks_read = round(
+                    cross * stored["chunks_read"] / n_chunks
                 )
-                est_chunks_read = round(chunk_visits * density)
-                est_skipped = chunk_visits - est_chunks_read
-            avg_bytes = (
-                stats["chunk_bytes"] / stats["non_empty_chunks"]
-                if stats["non_empty_chunks"]
-                else 0.0
-            )
+                avg_bytes = (
+                    stored["chunk_bytes_read"] / stored["chunks_read"]
+                    if stored["chunks_read"]
+                    else 0.0
+                )
+                probe_estimates = {
+                    "cells_probed": cross,
+                    "chunks_read": est_chunks_read,
+                    "chunk_bytes_read": round(est_chunks_read * avg_bytes),
+                }
+            else:
+                # chunk by chunk: what the walk and its kernel will bill,
+                # priced from the directory the scan itself reads
+                probe_estimates = estimate_chunk_range(
+                    array,
+                    range(n_chunks),
+                    allowed_masks(
+                        array, _selection_index_lists(array, schema, key_sets)
+                    ),
+                )
+                candidates = probe_estimates.pop("candidates")
+                if ctx.mode == "interpreted":
+                    # the paper's loop probes every element and folds hits
+                    probe_estimates["cells_probed"] = candidates
+                    del probe_estimates["cells_scanned"]
+            probe_estimates["dir_loads"] = 1
             body = root.add(
                 PlanNode(
                     "array.consolidate_with_selection",
@@ -425,13 +437,7 @@ class ArrayBackend(Backend):
                     "array.probe_chunks",
                     span="probe_chunks",
                     detail={"mode": ctx.mode, "order": ctx.order},
-                    estimates={
-                        "cells_probed": cross,
-                        "chunks_read": est_chunks_read,
-                        "chunk_bytes_read": round(est_chunks_read * avg_bytes),
-                        "empty_chunks_skipped": est_skipped,
-                        "dir_loads": 1,
-                    },
+                    estimates=probe_estimates,
                 )
             )
             body.add(PlanNode("array.extract_rows", span="extract_rows"))
@@ -457,9 +463,9 @@ class ArrayBackend(Backend):
                     span="scan_chunks",
                     detail={"n_chunks": n_chunks, "mode": ctx.mode},
                     estimates={
-                        "chunks_read": stats["non_empty_chunks"],
-                        "cells_scanned": stats["n_valid"],
-                        "chunk_bytes_read": stats["chunk_bytes"],
+                        "chunks_read": stored["chunks_read"],
+                        "cells_scanned": stored["cells_scanned"],
+                        "chunk_bytes_read": stored["chunk_bytes_read"],
                         "dir_loads": 1,
                     },
                 )
@@ -476,7 +482,7 @@ class ArrayBackend(Backend):
         )
         return root
 
-    def _explain_sharded(self, ctx, query, root, stats, groups, level_loads):
+    def _explain_sharded(self, ctx, query, root, groups, level_loads):
         """The scatter/gather plan shape for ``ctx.shards > 1``.
 
         Per-shard estimates come from the same
@@ -493,17 +499,9 @@ class ArrayBackend(Backend):
         schema = state.schema
         allowed = None
         if query.selections:
-            key_sets = engine._selection_key_sets(state, query)
-            allowed = []
-            for d, dim in enumerate(schema.dimensions):
-                keys = array.dims[d].keys()
-                if dim.name in key_sets:
-                    chosen = key_sets[dim.name]
-                    allowed.append(
-                        [i for i, key in enumerate(keys) if key in chosen]
-                    )
-                else:
-                    allowed.append(list(range(len(keys))))
+            allowed = _selection_index_lists(
+                array, schema, engine._selection_key_sets(state, query)
+            )
         plan = plan_shards(
             array,
             ctx.shards,
@@ -512,6 +510,18 @@ class ArrayBackend(Backend):
             generation=state.generation,
             allowed=allowed,
         )
+
+        def scan_estimates(priced) -> dict:
+            """The plan's or one assignment's pricing, by counter name."""
+            estimates = {
+                "chunks_read": priced.est_chunks,
+                "cells_scanned": priced.est_cells,
+            }
+            if allowed is not None and ctx.mode == "vectorized":
+                # only the vectorized selection kernel ever probes
+                estimates["cells_probed"] = priced.est_probed
+            return estimates
+
         body = root.add(
             PlanNode(
                 "array.shard_consolidate",
@@ -550,10 +560,7 @@ class ArrayBackend(Backend):
                     "executor": plan.executor,
                     "ranges": plan.ranges_token(),
                 },
-                estimates={
-                    "chunks_read": plan.est_chunks,
-                    "cells_scanned": plan.est_cells,
-                },
+                estimates=scan_estimates(plan),
             )
         )
         for assignment in plan.assignments:
@@ -564,10 +571,7 @@ class ArrayBackend(Backend):
                     detail={
                         "range": f"{assignment.start}:{assignment.stop}",
                     },
-                    estimates={
-                        "chunks_read": assignment.est_chunks,
-                        "cells_scanned": assignment.est_cells,
-                    },
+                    estimates=scan_estimates(assignment),
                 )
             )
         body.add(

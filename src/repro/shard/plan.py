@@ -2,23 +2,19 @@
 
 A shard plan is pure metadata: it partitions ``range(n_chunks)`` into
 contiguous near-equal ranges (:func:`partition_chunks`) and prices each
-range from the chunk meta directory alone — non-empty chunks, stored
-bytes and valid cells, the same catalog statistics the array EXPLAIN
-estimates are built from.  With a selection's final index lists the
-estimates are refined by grid overlap: only the chunks the walk itself
-would visit (:meth:`ChunkGeometry.overlapping_chunks
-<repro.core.chunking.ChunkGeometry.overlapping_chunks>`) are priced,
-their cell counts scaled by the within-box selectivity.
+range from the chunk meta directory alone
+(:func:`repro.core.consolidate.estimate_chunk_range`, the same pricing
+the unsharded array EXPLAIN uses): non-empty chunks, stored bytes, valid
+cells and — with a selection's final index lists — only the chunks the
+walk itself would visit, their cell counts scaled by the within-box
+selectivity and their probes decided by the kernel's own direction rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.consolidate import allowed_masks
-from repro.core.meta import NO_CHUNK
+from repro.core.consolidate import allowed_masks, estimate_chunk_range
 from repro.core.olap_array import OLAPArray
 from repro.errors import QueryError
 from repro.util.stats import Counters
@@ -53,6 +49,8 @@ class ShardAssignment:
     est_chunks: int
     est_cells: int
     est_bytes: int
+    #: cross-product elements a vectorized selection will binary-search
+    est_probed: int
 
     @property
     def chunk_range(self) -> range:
@@ -85,22 +83,14 @@ class ShardPlan:
     def est_cells(self) -> int:
         return sum(a.est_cells for a in self.assignments)
 
+    @property
+    def est_probed(self) -> int:
+        return sum(a.est_probed for a in self.assignments)
+
     def ranges_token(self) -> str:
         """Compact ``start:stop`` list, e.g. ``0:16,16:32`` (fingerprints,
         plan details)."""
         return ",".join(f"{a.start}:{a.stop}" for a in self.assignments)
-
-
-def _box_selectivity(
-    geometry, chunk_no: int, masks: list[np.ndarray]
-) -> float:
-    """Fraction of a chunk's index box that survives the selection."""
-    origin = geometry.chunk_origin(chunk_no)
-    fraction = 1.0
-    for d, mask in enumerate(masks):
-        box = mask[origin[d] : origin[d] + geometry.chunk_shape[d]]
-        fraction *= int(box.sum()) / len(box)
-    return fraction
 
 
 def plan_shards(
@@ -116,42 +106,31 @@ def plan_shards(
 
     ``allowed`` (the §4.2 per-dimension final index lists) refines the
     per-shard estimates to selection-overlapping chunks only — the same
-    grid pruning the workers' filtered scan applies, so a cold sharded
+    grid pruning the workers' scan applies, so a cold sharded
     run's actual ``chunks_read`` matches its estimate exactly.
     ``counters`` is billed the directory load planning may cause.
     """
-    entries = array._entries(counters)
-    geometry = array.geometry
     masks = allowed_masks(array, allowed) if allowed is not None else None
-    ranges = partition_chunks(geometry.n_chunks, shards)
     assignments = []
-    for shard_no, chunk_range in enumerate(ranges):
-        chunks = 0
-        cells = 0.0
-        nbytes = 0
-        for chunk_no in geometry.overlapping_chunks(chunk_range, masks):
-            oid, length, count = entries[chunk_no]
-            if oid == NO_CHUNK or not count:
-                continue
-            if masks is not None:
-                count *= _box_selectivity(geometry, chunk_no, masks)
-            cells += count
-            chunks += 1
-            nbytes += length
+    for shard_no, chunk_range in enumerate(
+        partition_chunks(array.geometry.n_chunks, shards)
+    ):
+        estimate = estimate_chunk_range(array, chunk_range, masks, counters)
         assignments.append(
             ShardAssignment(
                 shard_no=shard_no,
                 start=chunk_range.start,
                 stop=chunk_range.stop,
-                est_chunks=chunks,
-                est_cells=round(cells),
-                est_bytes=nbytes,
+                est_chunks=estimate["chunks_read"],
+                est_cells=estimate["cells_scanned"],
+                est_bytes=estimate["chunk_bytes_read"],
+                est_probed=estimate["cells_probed"],
             )
         )
     return ShardPlan(
         cube=cube,
         generation=generation,
-        n_chunks=geometry.n_chunks,
+        n_chunks=array.geometry.n_chunks,
         executor=executor,
         assignments=tuple(assignments),
     )

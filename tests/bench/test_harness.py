@@ -139,3 +139,62 @@ class TestGoldenCounters:
             name: result.stats.get(name) for name in self.GOLDEN
         } == self.GOLDEN
         assert result.sim_io_s == pytest.approx(1.2609765625, rel=1e-9)
+
+
+class TestGoldenDirections:
+    """Which direction the vectorized selection kernel takes is a count.
+
+    A cold one-dimension ``hX1`` selection at ``small`` scale offers each
+    chunk ≈ 160 candidates against ≈ 64 stored cells, so every chunk is
+    filtered and nothing is binary-searched; Query 2 offers one
+    candidate per chunk, so every chunk is probed.  A rule that stopped
+    firing would show here as a count, where a timing never would.  The
+    I/O is the walk's, whatever the kernel does with a chunk: the values
+    are what the commit before the direction rule (PR 16) read.
+    """
+
+    ONE_DIMENSION = {
+        "cells_probed": 0,
+        "cells_scanned": 624,
+        "cross_product_size": 6400,
+        "chunks_read": 40,
+        "pages_read": 289,
+        "seeks": 16,
+    }
+    QUERY2 = {
+        "cells_probed": 10,
+        "cells_scanned": 2,
+        "cross_product_size": 10,
+        "chunks_read": 10,
+        "pages_read": 108,
+        "seeks": 27,
+    }
+
+    @staticmethod
+    def _cold_stats(query_for, golden):
+        from repro.data.datasets import dataset1
+
+        config = dataset1("small")[1]
+        engine = build_cube_engine(config, bench_settings("small"))
+        result = engine.query(
+            query_for(config), backend="array", mode="vectorized"
+        )
+        return {name: result.stats.get(name, 0) for name in golden}
+
+    def test_one_dimension_selection_filters_every_chunk(self):
+        from repro.olap import ConsolidationQuery, SelectionPredicate
+
+        def one_dimension(config):
+            return ConsolidationQuery.build(
+                config.name,
+                group_by={"dim1": "h11"},
+                selections=[SelectionPredicate.in_list("dim0", "h01", "AA0")],
+            )
+
+        assert (
+            self._cold_stats(one_dimension, self.ONE_DIMENSION)
+            == self.ONE_DIMENSION
+        )
+
+    def test_query2_probes_every_chunk(self):
+        assert self._cold_stats(query2_for, self.QUERY2) == self.QUERY2

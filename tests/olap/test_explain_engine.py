@@ -125,6 +125,112 @@ class TestArrayExactness:
         assert heat["hottest"][0][1] >= 1
 
 
+class TestSelectionKernelEstimates:
+    """EXPLAIN follows the selection kernel.
+
+    ``array.probe_chunks`` is priced by the rule the kernel itself
+    applies, from the directory the walk reads: what the walk prunes is
+    estimated (it used to show ``chunks_skipped=70`` beside an
+    ``empty_chunks_skipped=0`` estimate and nothing else), a filtered
+    chunk estimates no probes (it used to estimate the whole cross
+    product for every query), and the cells folded are estimated at all.
+    """
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        from repro.bench import bench_settings, build_cube_engine
+        from repro.data.datasets import dataset1
+
+        config = dataset1("small")[1]
+        return build_cube_engine(config, bench_settings("small")), config
+
+    @staticmethod
+    def _one_dimension(config):
+        """``dim0.h01 = AA0``: one value of ten, all chunks filtered."""
+        return ConsolidationQuery.build(
+            config.name,
+            group_by={"dim1": "h11"},
+            selections=[SelectionPredicate.in_list("dim0", "h01", "AA0")],
+        )
+
+    @staticmethod
+    def _within_2x(node):
+        assert node.estimates, node.op
+        for name, estimate in node.estimates.items():
+            actual = node.actuals.get(name, 0)
+            if not actual:
+                assert estimate == 0, f"{name}: estimated {estimate}, no actual"
+            else:
+                assert actual / 2 <= estimate <= actual * 2, (
+                    f"{name}: estimated {estimate}, actual {actual}"
+                )
+
+    @pytest.mark.parametrize("mode", ["vectorized", "interpreted"])
+    @pytest.mark.parametrize("which", ["one_dimension", "query2"])
+    def test_probe_node_estimates_within_2x_of_actuals(
+        self, small, which, mode
+    ):
+        from repro.bench import query2_for
+
+        engine, config = small
+        query = (
+            self._one_dimension(config)
+            if which == "one_dimension"
+            else query2_for(config)
+        )
+        plan = engine.explain(
+            query,
+            ExecutionOptions(backend="array", mode=mode),
+            analyze=True,
+            cold=True,
+        )
+        probe = _node(plan, "array.probe_chunks")
+        self._within_2x(probe)
+        # the walk's keys are read off the same directory: exact cold
+        for name in ("chunks_read", "chunk_bytes_read", "chunks_skipped"):
+            assert probe.estimates[name] == probe.actuals.get(name, 0), name
+
+    def test_estimates_name_the_direction(self, small):
+        from repro.bench import query2_for
+
+        engine, config = small
+        options = ExecutionOptions(backend="array", mode="vectorized")
+        filtered = _node(
+            engine.explain(self._one_dimension(config), options),
+            "array.probe_chunks",
+        )
+        assert filtered.estimates["cells_probed"] == 0
+        assert filtered.estimates["cells_scanned"] > 0
+        probed = _node(
+            engine.explain(query2_for(config), options), "array.probe_chunks"
+        )
+        assert probed.estimates["cells_probed"] == 10
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_shard_scan_nodes_share_the_pricing(self, small, shards):
+        from repro.bench import query2_for
+
+        engine, config = small
+        for query in (self._one_dimension(config), query2_for(config)):
+            plan = engine.explain(
+                query,
+                ExecutionOptions(
+                    backend="array", mode="vectorized", shards=shards
+                ),
+                analyze=True,
+                cold=True,
+            )
+            scans = [
+                n for n in plan.root.walk() if n.op.startswith("shard.scan[")
+            ]
+            assert len(scans) == shards
+            for scan in scans:
+                self._within_2x(scan)
+                assert scan.estimates["cells_probed"] == scan.actuals.get(
+                    "cells_probed", 0
+                )
+
+
 class TestPlanShape:
     def test_estimate_only_plan_has_no_actuals(self, engine):
         plan = engine.explain(_q1(), ExecutionOptions(backend="array"))
