@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterable, Iterator
+from itertools import islice
 
 from repro.errors import FileError
 from repro.relational.schema import Schema
@@ -100,16 +101,25 @@ class FactFile:
         return tuple_no
 
     def append_many(self, rows: Iterable[tuple]) -> None:
-        """Bulk append without per-row metadata writes."""
+        """Bulk append: the pool is touched once per page, the metadata
+        written once at the end."""
         codec = self.schema.codec
-        for row in rows:
-            page_no, index = divmod(self._count, self.records_per_page)
+        size, per_page = self.record_size, self.records_per_page
+        rows = iter(rows)
+        while True:
+            page_no, index = divmod(self._count, per_page)
+            # taken before the frame is fetched: ``rows`` may itself
+            # read through this pool and evict the page being filled
+            batch = list(islice(rows, per_page - index))
+            if not batch:
+                break
             if page_no == self._file.npages:
                 self._file.append_page()
             buf = self._file.read(page_no)
-            codec.pack_into(buf, index * self.record_size, row)
             self._file.mark_dirty(page_no)
-            self._count += 1
+            for offset, row in zip(range(index * size, per_page * size, size), batch):
+                codec.pack_into(buf, offset, row)
+                self._count += 1
         self._store_meta()
 
     def update(self, tuple_no: int, row: tuple) -> None:

@@ -5,9 +5,20 @@ The pool mirrors the paper's Paradise configuration: a 16 MB pool over
 calls :meth:`BufferPool.clear` before each measured run, as the paper
 flushed both the Unix file-system cache and the Paradise pool.
 
-Concurrency notes: this is a single-threaded reproduction, so frames
-carry pin counts for correctness of eviction (a pinned frame is never
-evicted) but no latching.
+Concurrency notes: the pool takes no lock and no latch of its own; its
+callers serialise access.  Under the serving layer chunks are read
+through :class:`~repro.serve.chunk_cache.ChunkCache`, whose I/O lock
+admits one pool reader at a time; the shard coordinator gives a thread
+fan-out a temporary cache of the same kind; writers hold the cube's
+exclusive lock.  Frames carry pin counts for correctness of eviction
+(a pinned frame is never evicted).
+
+Frame states: a frame faulted in by :meth:`BufferPool.get_run` holds the
+disk's own immutable ``bytes`` image (a cold scan copies no page);
+:meth:`BufferPool.get`, the mutable accessor every writer goes through
+before :meth:`BufferPool.mark_dirty`, replaces it by a private
+``bytearray`` on first use.  Everything else reads a frame through
+``bytes(frame.data)`` and cannot tell the two apart.
 
 Recovery integration: when constructed with a
 :class:`~repro.storage.wal.WriteAheadLog`, the pool runs a **no-steal /
@@ -34,7 +45,7 @@ DEFAULT_POOL_BYTES = 16 * 1024 * 1024
 
 @dataclass
 class _Frame:
-    data: bytearray
+    data: bytes | bytearray  # bytes: clean and shared with the disk
     dirty: bool = False
     pin_count: int = 0
     logged: bool = field(default=True, repr=False)
@@ -78,12 +89,45 @@ class BufferPool:
         if frame is not None:
             self._frames.move_to_end(page_id)
             self.counters.add("pool_hits")
+            if type(frame.data) is bytes:  # faulted in by get_run
+                frame.data = bytearray(frame.data)
             return frame.data
         self.counters.add("pool_misses")
         self._make_room()
         data = bytearray(self.disk.read_page(page_id))
         self._frames[page_id] = _Frame(data)
         return data
+
+    def get_run(self, first: int, n: int) -> list[bytes | bytearray]:
+        """Read-only buffers of ``n`` consecutive pages, as a new list.
+
+        Defined as ``[get(first + i) for i in range(n)]``: the same
+        hits and misses, LRU order and disk reads in the same order.
+        When the missing pages fit without evicting anything it gets
+        there with one residency scan, one :meth:`SimulatedDisk.read_run`
+        per maximal missing sub-run and one counter update, and the new
+        frames share the disk's images; otherwise it is that loop.
+        """
+        frames = self._frames
+        pages = range(first, first + n)
+        resident = [page_id for page_id in pages if page_id in frames]
+        missing = n - len(resident)
+        if len(frames) + missing > self.capacity_frames:
+            return [self.get(page_id) for page_id in pages]
+        self.counters.add_many(
+            {"pool_hits": len(resident), "pool_misses": missing}
+        )
+        if missing:
+            start = first
+            for stop in (*resident, first + n):  # ends a missing sub-run
+                if stop > start:
+                    images = self.disk.read_run(start, stop - start)
+                    for page_id, image in enumerate(images, start):
+                        frames[page_id] = _Frame(image)
+                start = stop + 1
+        for page_id in pages:
+            frames.move_to_end(page_id)
+        return [frames[page_id].data for page_id in pages]
 
     def new_page(self, count: int = 1) -> int:
         """Allocate ``count`` fresh zeroed pages; return the first id.
@@ -121,7 +165,10 @@ class BufferPool:
             frame = _Frame(bytearray(image), dirty=True, logged=False)
             self._frames[page_id] = frame
         else:
-            frame.data[:] = image
+            if type(frame.data) is bytes:
+                frame.data = bytearray(image)
+            else:
+                frame.data[:] = image
             frame.dirty = True
             frame.logged = False
             self._frames.move_to_end(page_id)

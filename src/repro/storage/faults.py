@@ -60,14 +60,26 @@ class FaultyDisk(SimulatedDisk):
     persisted) crash points.
     """
 
-    def read_page(self, page_id: int) -> bytes:
+    def _draw_read_faults(self, first: int, n: int) -> None:
+        """One transient-error draw per page, in page order, before any
+        of the read is accounted or returned."""
         plan = active_plan()
-        if plan is not None and plan.should_fail_read():
-            self.counters.add("transient_read_errors")
-            raise TransientDiskError(
-                f"transient read error on page {page_id} (injected)"
-            )
+        if plan is None:
+            return
+        for page_id in range(first, first + n):
+            if plan.should_fail_read():
+                self.counters.add("transient_read_errors")
+                raise TransientDiskError(
+                    f"transient read error on page {page_id} (injected)"
+                )
+
+    def read_page(self, page_id: int) -> bytes:
+        self._draw_read_faults(page_id, 1)
         return super().read_page(page_id)
+
+    def read_run(self, first: int, n: int) -> list[bytes]:
+        self._draw_read_faults(first, n)
+        return super().read_run(first, n)
 
     def write_page(self, page_id: int, image: bytes) -> None:
         crash_point("disk.write")

@@ -92,11 +92,11 @@ class LargeObjectStore:
     def read(self, oid: int) -> bytes:
         """Fetch an object's full payload."""
         first, length = self._read_entry(oid)
-        npages = self._data_pages(length)
-        # join copies straight out of the pool's bytearrays, and slicing
-        # bytes to their full length (a page-aligned object) copies nothing
-        parts = [self.pool.get(first + i) for i in range(npages)]
-        return b"".join(parts)[:length]
+        pages = self.pool.get_run(first, self._data_pages(length))
+        # only the last page is padded: trim it to the payload's tail so
+        # the join is the one copy the payload gets
+        pages[-1] = pages[-1][: length - (len(pages) - 1) * self.page_size]
+        return b"".join(pages)
 
     def length(self, oid: int) -> int:
         """Stored payload length of an object."""

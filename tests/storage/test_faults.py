@@ -104,6 +104,56 @@ class TestFaultyDisk:
             assert disk.read_page(0) == b"\x05" * 64  # healed
         assert disk.counters.get("transient_read_errors") == 2
 
+    def test_run_read_draws_one_fault_per_page_in_page_order(self):
+        """A seeded plan fails the same page whether the pages are read
+        one at a time or as a run."""
+
+        def failing_page(read):
+            disk = FaultyDisk(page_size=64)
+            disk.allocate(12)
+            plan = FaultPlan(seed=5, transient_read_errors=1, transient_read_prob=0.2)
+            with fault_plan(plan):
+                with pytest.raises(TransientDiskError) as caught:
+                    for _ in range(10):
+                        read(disk)
+            assert disk.counters.get("transient_read_errors") == 1
+            return str(caught.value), disk.counters.get("pages_read")
+
+        by_page, pages_before = failing_page(
+            lambda disk: [disk.read_page(p) for p in range(12)]
+        )
+        by_run, runs_before = failing_page(lambda disk: disk.read_run(0, 12))
+        assert by_run == by_page
+        # a failed run accounts none of its pages
+        assert runs_before == pages_before - pages_before % 12
+
+    def test_failed_run_installs_no_partial_frame_and_the_retry_heals(self):
+        from repro.storage import FileManager, LargeObjectStore
+
+        disk = FaultyDisk(page_size=256)
+        pool = BufferPool(disk, capacity_bytes=64 * 256)
+        store = LargeObjectStore(FileManager(pool), "objs")
+        payload = bytes(range(250)) * 10  # ten pages, the last one partial
+        oid = store.create(payload)
+        first = store.first_page(oid)
+        pool.clear()
+        store.length(oid)  # directory page in
+        pool.get(first + 4)  # splits the object's run in two
+        plan = FaultPlan(transient_read_errors=1)
+        # pages first..first+3 read clean, then the third page of the
+        # second sub-run (first+5..first+9) fails
+        draws = iter([False] * 6 + [True])
+        plan.should_fail_read = lambda: next(draws, False)
+        with fault_plan(plan):
+            with pytest.raises(TransientDiskError, match=f"page {first + 7} "):
+                store.read(oid)
+            assert disk.counters.get("transient_read_errors") == 1
+            assert not any(first + i in pool._frames for i in range(5, 10))
+            for page_id, frame in pool._frames.items():
+                assert bytes(frame.data) == disk._pages[page_id]
+            assert store.read(oid) == payload
+        assert disk.counters.get("transient_read_errors") == 1
+
     def test_transient_error_is_transient(self):
         assert issubclass(TransientDiskError, TransientError)
 

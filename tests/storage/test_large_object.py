@@ -72,6 +72,57 @@ class TestBasics:
             assert store.read(oid) == bytes([i % 256])
 
 
+_PAGE = 1024  # the conftest disk's page size
+
+
+class TestReadEveryLength:
+    """``read`` trims the last page and joins once: every payload length
+    around the page boundaries, from every pool state, round-trips."""
+
+    @pytest.mark.parametrize(
+        "resident", ["cold", "warm", "first page", "a middle page"]
+    )
+    @pytest.mark.parametrize(
+        "length",
+        [0, 1, _PAGE - 1, _PAGE, _PAGE + 1, 12 * _PAGE - 1, 12 * _PAGE, 12 * _PAGE + 5],
+    )
+    def test_roundtrip(self, store, length, resident):
+        payload = bytes(i * 7 % 251 for i in range(length))
+        store.create(b"neighbour before")
+        oid = store.create(payload)
+        store.create(b"neighbour after")
+        first, pages = store.first_page(oid), store.object_pages(oid)
+        assert pages == max(1, -(-length // _PAGE))
+        if resident != "warm":
+            store.pool.clear()
+        if resident == "first page":
+            store.pool.get(first)
+        elif resident == "a middle page":
+            store.pool.get(first + pages // 2)
+        for _ in range(2):  # the second read is served from the pool
+            got = store.read(oid)
+            assert type(got) is bytes and got == payload
+        assert store.first_page(oid) == first
+        assert store.object_pages(oid) == pages
+        assert store.length(oid) == length
+
+    def test_cold_read_is_one_run_read(self, store, monkeypatch):
+        oid = store.create(bytes(12 * _PAGE - 100))
+        first = store.first_page(oid)
+        store.pool.clear()
+        store.length(oid)  # directory page in, as during a scan
+        disk = store.pool.disk
+        calls = []
+        for name in ("read_run", "read_page"):
+            real = getattr(disk, name)
+            monkeypatch.setattr(
+                disk, name,
+                lambda *a, _name=name, _real=real: calls.append((_name, *a)) or _real(*a),
+            )
+        store.read(oid)
+        assert calls == [("read_run", first, 12)]
+
+
 @settings(max_examples=30)
 @given(st.lists(st.binary(max_size=5000), min_size=1, max_size=12))
 def test_many_objects_roundtrip(payloads):
