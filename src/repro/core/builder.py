@@ -1,16 +1,18 @@
 """Bulk loader: dimension data + fact tuples → a persisted OLAP array.
 
-The loader assigns array indices in dimension-table order, converts
-fact tuples to ``(chunk, offset)`` pairs in one vectorized pass, sorts
-by chunk then offset (giving §3.3's sorted chunk payloads and §4.2's
-chunk-number disk order), encodes each chunk with the chosen codec and
-writes the meta directory, dimension B-trees, attribute B-trees and
+The loader assigns array indices in dimension-table order and works a
+column at a time: key columns become array indices, cells become
+``(chunk, offset)`` pairs sorted by chunk then offset (giving §3.3's
+sorted chunk payloads and §4.2's chunk-number disk order).  Only once
+that is checked does it encode each chunk with the chosen codec and
+write the meta directory, dimension B-trees, attribute B-trees and
 IndexToIndex arrays.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +27,7 @@ from repro.errors import ArrayError, DimensionError
 from repro.index.btree import BTree
 from repro.storage.large_object import LargeObjectStore
 from repro.storage.page_file import FileManager
+from repro.util.records import as_column, fact_columns
 
 
 @dataclass
@@ -48,6 +51,38 @@ class DimensionData:
                     f"{len(values)} values for {len(self.keys)} keys"
                 )
 
+    def indices_of(self, column: np.ndarray) -> np.ndarray:
+        """The array index of every key in a fact column: a binary
+        search into the sorted keys, then an equality check.  As in a
+        dict, ``"1"`` is not ``1``: a column of the other kind holds no
+        known key."""
+        keys = as_column(self.keys)
+        indices = np.zeros(len(column), dtype=np.intp)
+        found = np.zeros(len(column), dtype=bool)
+        if len(keys) and (column.dtype.kind == "U") == (keys.dtype.kind == "U"):
+            order = np.argsort(keys, kind="stable")
+            at = np.searchsorted(keys[order], column)
+            indices = order.take(at, mode="clip")
+            found = keys[indices] == column
+        if not found.all():
+            raise DimensionError(
+                "fact tuple references unknown dimension key "
+                f"{column[~found][0].item()!r}"
+            )
+        return indices
+
+
+def fact_coords(
+    dimensions: list[DimensionData], columns: list[np.ndarray]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Fact columns as per-dimension array indices, and the measures."""
+    if columns and len(columns) <= len(dimensions):
+        raise ArrayError(
+            f"fact tuples need {len(dimensions)} keys plus at least one measure"
+        )
+    coords = [d.indices_of(column) for d, column in zip(dimensions, columns)]
+    return coords, columns[len(dimensions):]
+
 
 def build_olap_array(
     fm: FileManager,
@@ -61,119 +96,111 @@ def build_olap_array(
 ) -> OLAPArray:
     """Build and persist an :class:`OLAPArray` from fact tuples.
 
-    ``facts`` yields ``(key_0, ..., key_{n-1}, m_1, ..., m_p)`` tuples.
-    The array shape is the per-dimension distinct key counts; two fact
-    tuples addressing the same cell raise :class:`ArrayError`.
+    ``facts`` holds ``(key_0, ..., key_{n-1}, m_1, ..., m_p)`` rows, as
+    tuples or array-backed (:func:`~repro.util.records.fact_columns`).
+    The array shape is the per-dimension distinct key counts; an unknown
+    key (:class:`DimensionError`) or two rows addressing the same cell
+    (:class:`ArrayError`) reject the load before anything is created.
     """
+    coords, measures = fact_coords(dimensions, fact_columns(facts))
+    return plan_olap_array(
+        dimensions, coords, measures, chunk_shape, codec, dtype, measure_names
+    )(fm, name)
+
+
+def plan_olap_array(
+    dimensions: list[DimensionData],
+    coords: list[np.ndarray],
+    measures: list[np.ndarray],
+    chunk_shape: tuple[int, ...],
+    codec: str = "chunk-offset",
+    dtype: str = "int64",
+    measure_names: list[str] | None = None,
+) -> Callable[[FileManager, str], OLAPArray]:
+    """Check a load (:func:`fact_coords`' columns) and return its second
+    half, ``store(fm, name)``, which only creates and writes."""
     if not dimensions:
         raise DimensionError("an array needs at least one dimension")
-    get_codec(codec)  # validate early
-
-    shape = tuple(len(d.keys) for d in dimensions)
-    geometry = ChunkGeometry(shape, chunk_shape)
-    ndim = geometry.ndim
-
-    # Stores first: the directory's pages are fully allocated up front so
-    # the chunk objects that follow land contiguously in chunk order.
-    chunk_store = LargeObjectStore(fm, f"{name}.chunks")
-    aux = LargeObjectStore(fm, f"{name}.aux")
-    directory = ChunkDirectory.create(fm, f"{name}.dir", geometry.n_chunks)
-
-    dim_indexes = [
-        DimensionIndex.build(fm, aux, f"{name}.dim{i}.key", d.keys)
-        for i, d in enumerate(dimensions)
-    ]
-    key_maps = [d.index_map() for d in dim_indexes]
-
-    # -- fact tuples → coords + measures -------------------------------------
-    coords_rows: list[tuple[int, ...]] = []
-    measure_rows: list[tuple] = []
-    n_measures = None
-    for row in facts:
-        if n_measures is None:
-            n_measures = len(row) - ndim
-            if n_measures < 1:
-                raise ArrayError(
-                    f"fact tuples need {ndim} keys plus at least one measure"
-                )
-        try:
-            coords_rows.append(
-                tuple(key_maps[d][row[d]] for d in range(ndim))
-            )
-        except KeyError as exc:
-            raise DimensionError(
-                f"fact tuple references unknown dimension key {exc.args[0]!r}"
-            ) from None
-        measure_rows.append(row[ndim:])
-    if n_measures is None:
-        n_measures = 1
+    codec_obj = get_codec(codec)
+    geometry = ChunkGeometry(tuple(len(d.keys) for d in dimensions), chunk_shape)
+    n_measures = len(measures) or len(measure_names or ["m0"])
     if measure_names is None:
         measure_names = [f"m{i}" for i in range(n_measures)]
     if len(measure_names) != n_measures:
         raise ArrayError(
             f"{len(measure_names)} measure names for {n_measures} measures"
         )
-
-    np_dtype = np.int64 if dtype == "int64" else np.float64
-    codec_obj = get_codec(codec)
-    if coords_rows:
-        coords = np.array(coords_rows, dtype=np.int64)
-        values = np.array(measure_rows, dtype=np_dtype).reshape(
-            len(measure_rows), n_measures
-        )
-        chunk_nos, offsets = geometry.coords_to_chunk_offset(coords)
-        order = np.lexsort((offsets, chunk_nos))
-        chunk_nos, offsets, values = (
-            chunk_nos[order],
-            offsets[order],
-            values[order],
-        )
-        same = (np.diff(chunk_nos) == 0) & (np.diff(offsets) == 0)
-        if same.any():
-            where = int(np.nonzero(same)[0][0])
-            raise ArrayError(
-                "duplicate fact tuples address one cell (chunk "
-                f"{int(chunk_nos[where])}, offset {int(offsets[where])})"
+    if any(m.dtype.kind == "U" for m in measures):
+        raise ArrayError("measures must be numbers")
+    values = np.empty((len(measures[0]) if measures else 0, n_measures), dtype)
+    for i, measure in enumerate(measures):  # each cast alone: no int via float
+        values[:, i] = measure
+    # one sort key per cell, chunk-major; equal keys are duplicate
+    # cells, so an unstable sort still yields the one order
+    cells = np.zeros(len(values), dtype=np.int64)
+    if coords:
+        chunk_nos, offsets = geometry.locate_columns(coords)
+        cells += chunk_nos * geometry.chunk_cells + offsets
+    order = np.argsort(cells)
+    cells, values = cells[order], values[order]
+    same = np.flatnonzero(cells[1:] == cells[:-1])
+    if same.size:
+        raise ArrayError(
+            "duplicate fact tuples address one cell (chunk {}, offset {})".format(
+                *divmod(int(cells[same[0]]), geometry.chunk_cells)
             )
-        boundaries = np.searchsorted(
-            chunk_nos, np.arange(geometry.n_chunks + 1)
         )
-        for chunk_no in range(geometry.n_chunks):
-            start, stop = boundaries[chunk_no], boundaries[chunk_no + 1]
+
+    def store(fm: FileManager, name: str) -> OLAPArray:
+        # Stores first: the directory's pages are fully allocated up
+        # front so the chunk objects that follow land contiguously in
+        # chunk order.
+        chunk_store = LargeObjectStore(fm, f"{name}.chunks")
+        aux = LargeObjectStore(fm, f"{name}.aux")
+        directory = ChunkDirectory.create(fm, f"{name}.dir", geometry.n_chunks)
+        dim_indexes = [
+            DimensionIndex.build(fm, aux, f"{name}.dim{i}.key", d.keys)
+            for i, d in enumerate(dimensions)
+        ]
+        firsts = np.arange(geometry.n_chunks + 1) * geometry.chunk_cells
+        bounds = np.searchsorted(cells, firsts).tolist()
+        for chunk_no, (start, stop) in enumerate(zip(bounds, bounds[1:])):
             if start == stop:
                 continue
             payload = codec_obj.encode(
-                offsets[start:stop].astype(np.int32),
+                (cells[start:stop] - firsts[chunk_no]).astype(np.int32),
                 values[start:stop],
                 geometry.chunk_cells,
                 dtype,
             )
             oid = chunk_store.create(payload)
-            directory.set_entry(chunk_no, oid, len(payload), int(stop - start))
+            directory.set_entry(chunk_no, oid, len(payload), stop - start)
 
-    # -- attribute B-trees and IndexToIndex arrays ------------------------------
-    meta_dims = []
-    for i, (data, dim_index) in enumerate(zip(dimensions, dim_indexes)):
-        attrs_meta = {}
-        for attr, attr_values in data.attributes.items():
-            tree = BTree.create(fm, f"{name}.dim{i}.{attr}.idx")
-            for index, value in enumerate(attr_values):
-                tree.insert(value, index)
-            i2i = IndexToIndex.build(list(attr_values))
-            attrs_meta[attr] = {"i2i_oid": aux.create(i2i.to_blob())}
-        meta_dims.append(
-            {"name": data.name, "rev_oid": dim_index.rev_oid, "attrs": attrs_meta}
-        )
+        # -- attribute B-trees and IndexToIndex arrays ------------------------------
+        meta_dims = []
+        for i, (data, dim_index) in enumerate(zip(dimensions, dim_indexes)):
+            attrs_meta = {}
+            for attr, attr_values in data.attributes.items():
+                tree = BTree.create(fm, f"{name}.dim{i}.{attr}.idx")
+                for index, value in enumerate(attr_values):
+                    tree.insert(value, index)
+                i2i = IndexToIndex.build(list(attr_values))
+                attrs_meta[attr] = {"i2i_oid": aux.create(i2i.to_blob())}
+            meta_dims.append(
+                {"name": data.name, "rev_oid": dim_index.rev_oid, "attrs": attrs_meta}
+            )
 
-    meta = {
-        "name": name,
-        "shape": list(shape),
-        "chunk_shape": list(geometry.chunk_shape),
-        "dtype": dtype,
-        "n_measures": n_measures,
-        "measure_names": measure_names,
-        "codec": codec,
-        "dims": meta_dims,
-    }
-    directory.set_array_meta_oid(aux.create(json.dumps(meta).encode("utf-8")))
-    return OLAPArray(fm, name, meta)
+        meta = {
+            "name": name,
+            "shape": list(geometry.shape),
+            "chunk_shape": list(geometry.chunk_shape),
+            "dtype": dtype,
+            "n_measures": n_measures,
+            "measure_names": measure_names,
+            "codec": codec,
+            "dims": meta_dims,
+        }
+        directory.set_array_meta_oid(aux.create(json.dumps(meta).encode("utf-8")))
+        return OLAPArray(fm, name, meta)
+
+    return store

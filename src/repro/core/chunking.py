@@ -21,6 +21,7 @@ provides all the arithmetic the paper's algorithms need:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -171,10 +172,21 @@ class ChunkGeometry:
             coords.min() < 0 or (coords >= np.array(self.shape)).any()
         ):
             raise ChunkError("coordinates out of array bounds")
-        chunk_shape = np.array(self.chunk_shape, dtype=np.int64)
-        grid_coords, in_chunk = np.divmod(coords, chunk_shape)
-        chunk_nos = grid_coords @ np.array(self.grid_strides, dtype=np.int64)
-        offsets = in_chunk @ np.array(self.cell_strides, dtype=np.int64)
+        return self.locate_columns(coords.T)
+
+    def locate_columns(
+        self, columns: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`locate` over one in-bounds index column per axis: both
+        results are sums of one term per axis, gathered from two small
+        per-axis tables (no per-cell division)."""
+        chunk_nos = offsets = 0
+        for column, size, extent, grid_stride, cell_stride in zip(
+            columns, self.shape, self.chunk_shape, self.grid_strides, self.cell_strides
+        ):
+            grid, cell = np.divmod(np.arange(size), extent)
+            chunk_nos = chunk_nos + (grid * grid_stride)[column]
+            offsets = offsets + (cell * cell_stride)[column]
         return chunk_nos, offsets
 
     def chunk_offset_to_coords(

@@ -15,11 +15,22 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.errors import BitmapError
 from repro.index.btree import BTree
 from repro.storage.large_object import LargeObjectStore
 from repro.storage.page_file import FileManager
 from repro.util.bitset import Bitset
+
+
+def factorize(values: Iterable) -> tuple[list, np.ndarray]:
+    """The distinct ``values`` ascending, and each value's index into them."""
+    values = list(values)
+    labels = sorted(set(values))
+    code_of = {label: code for code, label in enumerate(labels)}
+    codes = np.fromiter(map(code_of.__getitem__, values), np.intp, len(values))
+    return labels, codes
 
 
 class BitmapIndex:
@@ -51,22 +62,32 @@ class BitmapIndex:
 
         ``position_values`` yields the attribute value of position
         0, 1, 2, ... — i.e. for each fact tuple, the (joined) dimension
-        attribute value.  One pass groups positions per value; each
-        group becomes one stored bitmap.
+        attribute value.
         """
-        index = cls(fm, name, length)
-        groups: dict[object, list[int]] = {}
-        position = -1
-        for position, value in enumerate(position_values):
-            groups.setdefault(value, []).append(position)
-        if position + 1 != length:
+        return cls.build_coded(fm, name, length, *factorize(position_values))
+
+    @classmethod
+    def build_coded(
+        cls,
+        fm: FileManager,
+        name: str,
+        length: int,
+        labels: list,
+        codes: np.ndarray,
+    ) -> "BitmapIndex":
+        """:meth:`build` from a coded column: position ``t`` holds
+        ``labels[codes[t]]``, ``labels`` ascending.  Each label that
+        occurs becomes one stored bitmap."""
+        if len(codes) != length:
             raise BitmapError(
-                f"got {position + 1} position values, expected {length}"
+                f"got {len(codes)} position values, expected {length}"
             )
-        for value in sorted(groups):
-            bits = Bitset.from_indices(length, groups[value])
-            oid = index._store.create(bits.to_bytes())
-            index._directory.insert(value, oid)
+        index = cls(fm, name, length)
+        for code, label in enumerate(labels):
+            member = codes == code
+            if member.any():
+                oid = index._store.create(Bitset.from_mask(member).to_bytes())
+                index._directory.insert(label, oid)
         return index
 
     # -- lookup ------------------------------------------------------------------

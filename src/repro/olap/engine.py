@@ -27,13 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
-from repro.core.builder import DimensionData, build_olap_array
+from repro.core.builder import DimensionData, fact_coords, plan_olap_array
 from repro.core.consolidate import ConsolidationSpec, consolidate
 from repro.core.index_to_index import IndexToIndex
 from repro.core.olap_array import OLAPArray
 from repro.errors import CatalogError, PlanError, QueryError
+from repro.index.bitmap import factorize
 from repro.obs.tracer import get_tracer
 from repro.obs.tracing import TraceContext, current_trace_context
 from repro.olap import backends as backend_registry
@@ -58,6 +59,7 @@ from repro.olap.star_schema import (
 )
 from repro.relational.catalog import Database
 from repro.relational.star_join import DimensionJoinSpec
+from repro.util.records import fact_columns
 from repro.util.stats import Counters, Timer, counter_delta
 
 _RELATIONAL_BACKENDS = ("starjoin", "bitmap", "btree", "mbtree", "leftdeep")
@@ -116,6 +118,21 @@ class _ViewState:
     aggregate: str
 
 
+def _dimension_data(schema: CubeSchema, dimension_rows) -> list[DimensionData]:
+    """The loader's view of ``(key, level values...)`` dimension rows."""
+    return [
+        DimensionData(
+            dim.name,
+            [r[0] for r in dimension_rows[dim.name]],
+            {
+                level: [r[i + 1] for r in dimension_rows[dim.name]]
+                for i, level in enumerate(dim.level_names)
+            },
+        )
+        for dim in schema.dimensions
+    ]
+
+
 class OlapEngine:
     """Loads cubes into both physical designs and runs consolidations."""
 
@@ -133,7 +150,7 @@ class OlapEngine:
         self,
         schema: CubeSchema,
         dimension_rows: dict[str, list[tuple]],
-        fact_rows: list[tuple],
+        fact_rows: Iterable[tuple],
         chunk_shape: tuple[int, ...] | None = None,
         codec: str = "chunk-offset",
         backends: tuple[str, ...] = ("array", "relational"),
@@ -145,9 +162,11 @@ class OlapEngine:
         """Load dimension and fact data into the requested designs.
 
         ``dimension_rows[dim]`` holds ``(key, level values...)`` tuples;
-        ``fact_rows`` holds ``(keys..., measures...)`` tuples.  With
-        ``backends=("array",)`` or ``("relational",)`` only one design
-        is built (the storage experiments use this).
+        ``fact_rows`` holds ``(keys..., measures...)`` rows, as tuples or
+        array-backed (:func:`~repro.util.records.fact_columns`), and is
+        checked whole — a :class:`~repro.errors.ReproError` subclass —
+        before anything is created.  With ``backends=("array",)`` or
+        ``("relational",)`` only one design is built.
         ``relational_layout="snowflake"`` normalizes each dimension into
         a chain of level tables (§2.2's variant); every relational
         algorithm then joins through the chain transparently.
@@ -164,7 +183,25 @@ class OlapEngine:
         unknown = set(backends) - {"array", "relational"}
         if unknown:
             raise QueryError(f"unknown backends {sorted(unknown)}")
-        fact_rows = list(fact_rows)
+        # Check, then create: each plan holds one design's checked input
+        # and nothing exists yet, so a rejected load leaves nothing behind.
+        columns = fact_columns(fact_rows)
+        dim_data = _dimension_data(schema, dimension_rows)
+        coords, measures = fact_coords(dim_data, columns)
+        plans = []
+        if "relational" in backends:
+            plans.append(
+                self._plan_relational(
+                    schema, dim_data, columns, coords, bitmap_attrs,
+                    fact_btrees, fact_mbtree,
+                )
+            )
+        if "array" in backends:
+            plans.append(
+                self._plan_array(
+                    schema, dim_data, coords, measures, chunk_shape, codec
+                )
+            )
 
         with self.db.locks.locked(schema.name, "X", "loader"):
             state = _CubeState(schema=schema, dim_tables={})
@@ -184,30 +221,20 @@ class OlapEngine:
                     table.insert_many(dimension_rows[dim.name])
                     state.dim_tables[dim.name] = table
 
-            if "relational" in backends:
-                self._build_relational(
-                    state, fact_rows, bitmap_attrs, fact_btrees, fact_mbtree
-                )
-            if "array" in backends:
-                self._build_array(
-                    state, dimension_rows, fact_rows, chunk_shape, codec
-                )
+            for build in plans:
+                build(state)
             self._cubes[schema.name] = state
             # The load is one transaction: under a WAL nothing above is
             # durable (or evictable, no-steal) until this commit.
             self.db.commit()
         return state
 
-    def _build_relational(
-        self, state, fact_rows, bitmap_attrs, fact_btrees, fact_mbtree=False
-    ) -> None:
-        schema = state.schema
-        fact = self.db.create_fact_table(
-            fact_table_name(schema), fact_table_schema(schema)
-        )
-        fact.append_many(fact_rows)
-        state.fact = fact
-
+    def _plan_relational(
+        self, schema, dim_data, columns, coords, bitmap_attrs, fact_btrees,
+        fact_mbtree=False,
+    ) -> Callable[[_CubeState], None]:
+        """Check the relational design's input; ``build(state)`` creates it."""
+        records = fact_table_schema(schema).codec.pack_columns(columns)
         if bitmap_attrs == "all":
             wanted = [
                 (d.name, level)
@@ -216,71 +243,78 @@ class OlapEngine:
             ]
         else:
             wanted = list(bitmap_attrs)
+        bitmaps = []
         for dim_name, attr in wanted:
-            dim = schema.dimension(dim_name)
-            if attr not in dim.level_names:
+            if attr not in schema.dimension(dim_name).level_names:
                 raise QueryError(
                     f"cannot build bitmap on {dim_name}.{attr}: not a level"
                 )
             d = schema.dim_no(dim_name)
-            attr_map = self._dimension_attr_map(state, dim_name, attr)
-            values = (attr_map[row[d]] for row in fact_rows)
-            self.db.create_bitmap_index(
-                bitmap_index_name(schema, dim_name, attr), len(fact_rows), values
-            )
-            state.bitmap_attrs.add((dim_name, attr))
+            # the join by column: fact key -> dimension row -> its label
+            labels, codes = factorize(dim_data[d].attributes[attr])
+            bitmaps.append((dim_name, attr, labels, codes[coords[d]]))
 
-        if fact_btrees:
-            for dim in schema.dimensions:
-                self.db.create_btree_index(
-                    btree_index_name(schema, dim.name),
-                    fact_table_name(schema),
-                    dim.key,
+        def build(state: _CubeState) -> None:
+            state.fact = self.db.create_fact_table(
+                fact_table_name(schema), fact_table_schema(schema)
+            )
+            state.fact.append_records(records)
+            for dim_name, attr, labels, codes in bitmaps:
+                self.db.create_coded_bitmap_index(
+                    bitmap_index_name(schema, dim_name, attr),
+                    len(records), labels, codes,
                 )
-                state.btree_dims.add(dim.name)
+                state.bitmap_attrs.add((dim_name, attr))
 
-        if fact_mbtree:
-            self.db.create_composite_btree_index(
-                mbtree_index_name(schema),
-                fact_table_name(schema),
-                [d.key for d in schema.dimensions],
-            )
-            state.has_mbtree = True
+            if fact_btrees:
+                for dim in schema.dimensions:
+                    self.db.create_btree_index(
+                        btree_index_name(schema, dim.name),
+                        fact_table_name(schema),
+                        dim.key,
+                    )
+                    state.btree_dims.add(dim.name)
 
-    def _build_array(
-        self, state, dimension_rows, fact_rows, chunk_shape, codec,
+            if fact_mbtree:
+                self.db.create_composite_btree_index(
+                    mbtree_index_name(schema),
+                    fact_table_name(schema),
+                    [d.key for d in schema.dimensions],
+                )
+                state.has_mbtree = True
+
+        return build
+
+    def _plan_array(
+        self, schema, dim_data, coords, measures, chunk_shape, codec,
         name: str | None = None,
-    ) -> None:
-        schema = state.schema
-        dim_data = []
-        for dim in schema.dimensions:
-            rows = dimension_rows[dim.name]
-            keys = [r[0] for r in rows]
-            attributes = {
-                level: [r[i + 1] for r in rows]
-                for i, level in enumerate(dim.level_names)
-            }
-            dim_data.append(DimensionData(dim.name, keys, attributes))
+    ) -> Callable[[_CubeState], None]:
+        """Check the array design's input; ``build(state)`` creates it."""
         if chunk_shape is None:
             chunk_shape = tuple(
                 min(len(d.keys), 16) for d in dim_data
             )
-        chunk_cache = state.array.chunk_cache if state.array is not None else None
-        state.array = build_olap_array(
-            self.db.fm,
-            name if name is not None else array_name(schema),
+        store = plan_olap_array(
             dim_data,
-            fact_rows,
+            coords,
+            measures,
             chunk_shape,
             codec=codec,
             dtype=schema.measure_dtype,
             measure_names=[m.name for m in schema.measures],
         )
-        state.array.chunk_cache = chunk_cache
-        state.array.heatmap = self.db.heatmap
-        self.db.metrics.register(
-            f"array:{array_name(schema)}", state.array.counters, replace=True
-        )
+
+        def build(state: _CubeState) -> None:
+            array = store(self.db.fm, name or array_name(schema))
+            if state.array is not None:
+                array.chunk_cache = state.array.chunk_cache
+            array.heatmap = self.db.heatmap
+            self.db.metrics.register(
+                f"array:{array_name(schema)}", array.counters, replace=True
+            )
+            state.array = array
+
+        return build
 
     def attach_cube(self, schema: CubeSchema) -> _CubeState:
         """Re-register a cube that already lives in this engine's database.
@@ -1039,16 +1073,18 @@ class OlapEngine:
         the position-based indices stale (see :meth:`write_cell`).
         """
         state = self.cube(cube)
-        rows = [tuple(row) for row in rows]
-        if not rows:
+        columns = fact_columns(rows)
+        if not columns:
             return
         ndim = len(state.schema.dimensions)
-        with self.db.locks.locked(cube, "X", f"append-{id(rows)}"):
+        if state.fact is not None:
+            records = state.fact.schema.codec.pack_columns(columns)
+        with self.db.locks.locked(cube, "X", f"append-{id(columns)}"):
             if state.fact is not None:
-                state.fact.append_many(rows)
+                state.fact.append_records(records)
                 state.indices_stale = True
             if state.array is not None:
-                for row in rows:
+                for row in zip(*(column.tolist() for column in columns)):
                     keys, measures = row[:ndim], row[ndim:]
                     existing = state.array.get_cell(keys)
                     if existing is not None:
@@ -1089,16 +1125,17 @@ class OlapEngine:
                 raise PlanError(
                     "rebuild_array is not supported for snowflake layouts"
                 )
-            fact_rows = list(state.fact.scan())
+            columns = fact_columns(state.fact.scan())
             if chunk_shape is None and old is not None:
                 chunk_shape = old.geometry.chunk_shape
             if codec is None:
                 codec = old.codec_name if old is not None else "chunk-offset"
             name = f"{array_name(state.schema)}.g{state.generation + 1}"
-            self._build_array(
-                state, dimension_rows, fact_rows, chunk_shape, codec,
-                name=name,
-            )
+            dim_data = _dimension_data(state.schema, dimension_rows)
+            self._plan_array(
+                state.schema, dim_data, *fact_coords(dim_data, columns),
+                chunk_shape, codec, name,
+            )(state)
             # indices_stale is NOT cleared: the bitmap/B-tree indices
             # still cover only the originally loaded tuple positions
             self._note_write(state)

@@ -9,7 +9,7 @@ a ``Database`` for cold-cache resets and I/O statistics.
 from __future__ import annotations
 
 from repro.errors import CatalogError
-from repro.index.bitmap import BitmapIndex
+from repro.index.bitmap import BitmapIndex, factorize
 from repro.index.btree import BTree
 from repro.obs.heatmap import ChunkHeatmap
 from repro.obs.registry import MetricsRegistry
@@ -273,13 +273,22 @@ class Database:
         """Build a bitmap index over an explicit position/value stream.
 
         Join bitmap indices need values *joined through* the fact table,
-        so the caller supplies the per-position values (see
-        :func:`repro.olap.engine.OlapEngine.build_relational`).
+        so the caller supplies the attribute value of every position
+        (or, to :meth:`create_coded_bitmap_index`, that column coded).
         """
+        return self.create_coded_bitmap_index(
+            index_name, length, *factorize(position_values)
+        )
+
+    def create_coded_bitmap_index(
+        self, index_name: str, length: int, labels: list, codes
+    ) -> BitmapIndex:
+        """:meth:`create_bitmap_index` over ascending ``labels`` and
+        each position's index into them (the loader's form)."""
         # the position-space length rides in the catalog kind so that
         # attach() can reconstruct the index
         self._register(index_name, f"bitmap:{length}")
-        index = BitmapIndex.build(self.fm, index_name, length, position_values)
+        index = BitmapIndex.build_coded(self.fm, index_name, length, labels, codes)
         self._bitmaps[index_name] = index
         return index
 

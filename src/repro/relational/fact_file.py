@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterable, Iterator
-from itertools import islice
+
+import numpy as np
 
 from repro.errors import FileError
 from repro.relational.schema import Schema
 from repro.storage.page_file import FileManager, PageFile
 from repro.util.bitset import Bitset
+from repro.util.records import fact_columns
 from repro.util.stats import Counters
 
 _META_HEAD = struct.Struct("<qH")  # tuple count, schema text length
@@ -89,37 +91,40 @@ class FactFile:
 
     def append(self, row: tuple) -> int:
         """Append one row; returns its tuple number."""
-        tuple_no = self._count
-        page_no, index = divmod(tuple_no, self.records_per_page)
-        if page_no == self._file.npages:
-            self._file.append_page()
-        buf = self._file.read(page_no)
-        self.schema.codec.pack_into(buf, index * self.record_size, row)
-        self._file.mark_dirty(page_no)
-        self._count += 1
-        self._store_meta()
-        return tuple_no
+        self.append_many([row])
+        return self._count - 1
 
     def append_many(self, rows: Iterable[tuple]) -> None:
-        """Bulk append: the pool is touched once per page, the metadata
-        written once at the end."""
-        codec = self.schema.codec
+        """Bulk append row tuples: taken whole before a page is touched
+        (``rows`` may itself read through this pool), packed and checked
+        as columns.  If the source raises midway, what it had yielded is
+        stored and counted."""
+        taken: list[tuple] = []
+        try:
+            taken.extend(rows)
+        finally:
+            self.append_records(self.schema.codec.pack_columns(fact_columns(taken)))
+
+    def append_records(self, records: np.ndarray) -> None:
+        """Append packed records (``schema.codec.pack_columns``): one
+        slice copy per page, the metadata written once at the end."""
+        if records.dtype != self.schema.codec.dtype:
+            raise FileError("records are not packed for this table's schema")
+        raw = memoryview(records.view(np.uint8))
         size, per_page = self.record_size, self.records_per_page
-        rows = iter(rows)
-        while True:
+        done = 0
+        while done < len(records):
             page_no, index = divmod(self._count, per_page)
-            # taken before the frame is fetched: ``rows`` may itself
-            # read through this pool and evict the page being filled
-            batch = list(islice(rows, per_page - index))
-            if not batch:
-                break
+            take = min(per_page - index, len(records) - done)
             if page_no == self._file.npages:
                 self._file.append_page()
             buf = self._file.read(page_no)
             self._file.mark_dirty(page_no)
-            for offset, row in zip(range(index * size, per_page * size, size), batch):
-                codec.pack_into(buf, offset, row)
-                self._count += 1
+            buf[index * size : (index + take) * size] = raw[
+                done * size : (done + take) * size
+            ]
+            self._count += take
+            done += take
         self._store_meta()
 
     def update(self, tuple_no: int, row: tuple) -> None:

@@ -57,6 +57,14 @@ class Bitset:
         return bits
 
     @classmethod
+    def from_mask(cls, mask: np.ndarray) -> "Bitset":
+        """The bitset whose bit ``t`` is ``mask[t]`` (a boolean array)."""
+        bits = cls(len(mask))
+        packed = np.packbits(mask, bitorder="little")
+        bits._words.view(np.uint8)[: len(packed)] = packed
+        return bits
+
+    @classmethod
     def ones(cls, length: int) -> "Bitset":
         """A bitset with every bit set."""
         bits = cls(length)

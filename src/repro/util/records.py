@@ -10,7 +10,9 @@ fixed-width strings into exactly ``record_size`` bytes using
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.errors import SchemaError
 
@@ -19,6 +21,40 @@ _FORMATS = {
     "int64": "q",
     "float64": "d",
 }
+
+
+def as_column(values: Sequence) -> np.ndarray:
+    """One field's values as an ``int64``, ``float64`` or ``<U`` array
+    of their own kind: ``[1, "1"]`` is an error, not two strings, and an
+    int past ``int64`` an error, not a float."""
+    column = np.asarray(values)
+    kind = column.dtype.kind
+    if kind in "bi":
+        return column.astype(np.int64, copy=False)
+    types = set(map(type, values))  # ints alone turn float only past int64
+    if (kind == "f" and not types <= {int, bool}) or (
+        kind == "U" and types <= {str, np.str_}
+    ):
+        return column
+    raise SchemaError(f"column of mixed kinds or past int64: {values[:3]}...")
+
+
+def fact_columns(rows: Iterable[Sequence]) -> list[np.ndarray]:
+    """Rows as one array per field: the loaders' only row-to-column door.
+
+    Array-backed rows (``__array__``: an ndarray, the generator's
+    ``FactRows``) give column views; any other iterable of tuples is
+    transposed and each column typed on its own.  No rows, no columns.
+    """
+    if hasattr(rows, "__array__"):
+        table = np.asarray(rows)
+        if table.ndim != 2 or table.dtype.kind not in "iuf":
+            raise SchemaError(f"not a 2-D numeric table: {table.shape} {table.dtype}")
+        return list(table.T)
+    rows = list(rows)
+    if len(set(map(len, rows))) > 1:  # zip() would stop at the shortest
+        raise SchemaError("fact rows differ in length")
+    return [as_column(values) for values in zip(*rows)]
 
 
 class RecordCodec:
@@ -48,6 +84,10 @@ class RecordCodec:
             else:
                 raise SchemaError(f"unknown field type {ftype!r}")
         self._struct = struct.Struct(fmt)
+        #: the same record as a packed numpy dtype, to lay down by column
+        widths = zip(field_types, self._string_widths)
+        codes = [f"S{w}" if w else "<" + _FORMATS[t] for t, w in widths]
+        self.dtype = np.dtype([(f"f{i}", code) for i, code in enumerate(codes)])
 
     @property
     def record_size(self) -> int:
@@ -89,6 +129,28 @@ class RecordCodec:
     def pack_into(self, buffer, offset: int, values: Sequence) -> None:
         """Encode one record into ``buffer`` at ``offset``."""
         self._struct.pack_into(buffer, offset, *self._encode_fields(values))
+
+    def pack_columns(self, columns: list[np.ndarray]) -> np.ndarray:
+        """Whole columns (:func:`fact_columns`) as packed records, the
+        bytes of :meth:`pack` on each row in turn.  A value its field
+        cannot hold (int out of range, string too wide) raises
+        :class:`SchemaError`: no cast wraps or truncates."""
+        if columns and len(columns) != len(self.field_types):
+            raise SchemaError(
+                f"record has {len(columns)} values, codec expects "
+                f"{len(self.field_types)}"
+            )
+        records = np.empty(len(columns[0]) if columns else 0, dtype=self.dtype)
+        for name, ftype, column in zip(self.dtype.names, self.field_types, columns):
+            kinds = {"f": "iuf", "S": "U"}.get(self.dtype[name].kind, "iu")
+            if column.dtype.kind not in kinds:
+                raise SchemaError(f"a {column.dtype} column cannot fill a {ftype} field")
+            if kinds == "U":
+                column = np.char.encode(column, "utf-8")
+            records[name] = column
+            if ftype != "float64" and (records[name] != column).any():
+                raise SchemaError(f"a value does not fit its {ftype} field")
+        return records
 
     def unpack(self, payload: bytes) -> tuple:
         """Decode one record."""
