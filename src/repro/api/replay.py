@@ -499,10 +499,10 @@ def _gate(payload: dict, failures: list[str]) -> None:
             f"{payload['statuses']['5xx']} responses were 5xx (gate: zero)"
         )
     rollup = payload["rollup"]
-    if rollup["hits"] + rollup["base_fallbacks"] and rollup["hit_rate"] <= 0.5:
+    if rollup["hits"] + rollup["base_fallbacks"] and rollup["hit_rate"] <= 0.8:
         failures.append(
             f"rollup hit rate {rollup['hit_rate']:.0%} at or below the "
-            "50% floor for the skewed mix"
+            "80% floor for the skewed mix"
         )
     routed = payload["latency"]["routed"]
     base = payload["latency"]["base"]

@@ -1,30 +1,26 @@
 """The rollup router: multi-grain materialized aggregates + routing.
 
 The AppLovin pre-aggregation strategy: maintain a small family of
-aggregates materialized at declared grains (built through the same §4
-consolidation engine as every other query), route each API request to
-the **coarsest covering** aggregate, and fall back to base-cube
+aggregates materialized at declared grains, route each API request to
+the **coarsest covering** grain, and fall back to base-cube
 consolidation when nothing covers.  A rollup covers a request when
+every dimension the request references (drilldown *or* cut) is present
+in the grain at a finer-or-equal hierarchy level, so the requested
+attribute is a function of the stored one; every API aggregate
+navigates (a :class:`~repro.api.grain.Grain` carries counts, sums, mins
+and maxs).
 
-- the aggregate is mergeable over pre-aggregated cells (``sum``,
-  ``count``, ``min``, ``max`` — ``count`` re-rolls as a sum of counts;
-  ``avg`` is never navigable without carrying sum+count, so it always
-  falls back), and
-- every dimension the request references (drilldown *or* cut) is
-  present in the rollup grain at a finer-or-equal hierarchy level, so
-  the requested attribute is a function of the stored one.
-
-Materialized rows are invalidated exactly like the serving layer's
-result cache: each entry is keyed to the cube generation it was built
-at, and any write bumps the generation.  Refresh is *asynchronous*: a
-request that finds its chosen rollup stale (or not yet built) is
-answered from the base cube — the same cost it would pay with no
-router — while a daemon worker rebuilds the grain, so serving-path
-latency never includes a build.  Routing metadata surfaces through
-EXPLAIN as a
-``rollup.route`` plan node (chosen grain vs. base, candidate set, exact
-row estimates) whose ANALYZE actuals bind to the scan's registry
-counter deltas, like every engine plan node.
+Grains are **built once, before the first request**
+(:meth:`RollupRouter.materialize`), **patched by the write** (the
+engine's write listener folds a cell's ``(old, new)`` into every fresh
+grain) and **re-rolled by numpy**.  What a delta cannot express —
+appends, an array rebuild, recovery, an evicted grain, an overwrite off
+a min or max the cell may have tied — leaves the grain behind the cube
+generation: a request that finds it so is answered from the base cube
+(what it would cost with no router) while a daemon worker rebuilds the
+grain, so serving-path latency never includes a build.  Routing surfaces
+through EXPLAIN as a ``rollup.route`` plan node whose ANALYZE actuals
+bind to registry counter deltas, like every engine plan node.
 """
 
 from __future__ import annotations
@@ -34,9 +30,12 @@ import threading
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.api.grain import FOLDS, Grain, walk_columns
 from repro.api.model import LogicalCube, RollupDecl
-from repro.errors import ApiRequestError
-from repro.obs.memory import deep_sizeof
+from repro.core.consolidate import ConsolidationSpec, ResultAccumulator
+from repro.errors import PlanError, ReproError
 from repro.obs.tracing import (
     TraceContext,
     add_trace_link,
@@ -44,19 +43,7 @@ from repro.obs.tracing import (
     new_trace_context,
     trace_context,
 )
-from repro.olap.query import ConsolidationQuery
 from repro.util.stats import Counters
-
-#: aggregates whose pre-aggregated cells merge exactly (``count`` cells
-#: merge additively; ``avg`` would need a (sum, count) sketch)
-NAVIGABLE_AGGREGATES = frozenset({"sum", "count", "min", "max"})
-
-_MERGE = {
-    "sum": lambda a, b: a + b,
-    "count": lambda a, b: a + b,
-    "min": min,
-    "max": max,
-}
 
 
 @dataclass(frozen=True)
@@ -73,22 +60,20 @@ class RouteDecision:
 class RollupRouter:
     """Routes aggregate requests onto materialized multi-grain rollups.
 
-    Thread-safe: the store lock only guards the dict, never a build —
-    concurrent rebuilds of the same grain are harmless (last write
-    wins, both are correct for their sampled generation).
+    Thread-safe: the store lock only guards the dicts, never a build.
+    Builds and the write listener both run under the service's engine
+    lock, so a grain is built from, and patched against, one generation.
     """
 
     def __init__(self, engine, service, registry=None):
         self.engine = engine
         self.service = service
         self._registry = registry
-        self._grain_gauges: set[tuple] = set()
         self.counters = Counters()
         self._lock = threading.Lock()
-        #: (logical cube, rollup name, aggregate) -> (generation, rows)
-        self._store: dict[tuple, tuple[int, list]] = {}
-        #: measured bytes per stored entry (parallel to ``_store``)
-        self._bytes: dict[tuple, int] = {}
+        #: (logical cube, rollup name) -> the grain's latest generation
+        self._store: dict[tuple, Grain] = {}
+        self._declared: dict[tuple, tuple[LogicalCube, RollupDecl]] = {}
         #: monotonic time of each grain's last routed hit — the
         #: "coldest grain" ordering for pressure eviction
         self._last_hit: dict[tuple, float] = {}
@@ -101,22 +86,20 @@ class RollupRouter:
         self._cardinalities: dict[tuple, int] = {}
         #: async refresh machinery (lazy: no thread until first schedule)
         self._refresh_queue: queue.Queue = queue.Queue()
-        #: in-flight (cube, rollup, aggregate) -> the build's trace_id,
-        #: so a deduplicated schedule still links to the running build
+        #: in-flight (cube, rollup) -> the build's trace_id, so a
+        #: deduplicated schedule still links to the running build
         self._inflight: dict[tuple, str] = {}
         self._worker: threading.Thread | None = None
+        engine.add_write_listener(self._on_write)
         if registry is not None:
             registry.register("api:rollup", self.counters, replace=True)
-            registry.register_gauge(
-                "rollup.resident_rows",
-                lambda: float(self.resident_rows()),
-                replace=True,
-            )
-            registry.register_gauge(
-                "rollup.resident_bytes",
-                lambda: float(self.resident_bytes()),
-                replace=True,
-            )
+            for name, read in (
+                ("rollup.resident_rows", self.resident_rows),
+                ("rollup.resident_bytes", self.resident_bytes),
+            ):
+                registry.register_gauge(
+                    name, lambda read=read: float(read()), replace=True
+                )
 
     # -- hierarchy value maps ----------------------------------------------
 
@@ -181,10 +164,7 @@ class RollupRouter:
         return rows
 
     def _covers(
-        self,
-        cube: LogicalCube,
-        rollup: RollupDecl,
-        referenced: dict[str, int],
+        self, cube: LogicalCube, rollup: RollupDecl, referenced: dict[str, int]
     ) -> bool:
         """Whether every referenced (dim → coarsest-needed level index)
         is present in the grain at a finer-or-equal level."""
@@ -196,62 +176,46 @@ class RollupRouter:
             dim = cube.dimension(dim_name)
             if dim.level_index(grain_attr) > needed_index:
                 return False  # stored coarser than requested
-            if grain_attr != dim.hierarchy[needed_index]:
-                # requested level must be derivable from the stored one
-                derived = self.derive_map(
-                    cube.cube, dim_name, grain_attr,
-                    dim.hierarchy[needed_index],
-                )
-                if derived is None:
-                    return False
+            needed = dim.hierarchy[needed_index]
+            # the requested level must be derivable from the stored one
+            if grain_attr != needed and (
+                self.derive_map(cube.cube, dim_name, grain_attr, needed) is None
+            ):
+                return False
         return True
 
     def route(
-        self,
-        cube: LogicalCube,
-        group_by: list[tuple[str, str]],
-        cuts: list,
+        self, cube: LogicalCube, group_by: list[tuple[str, str]], cuts: list,
         aggregate: str,
     ) -> RouteDecision:
         """Pick the smallest covering rollup, or fall back to base.
 
-        ``cuts`` items carry ``dimension`` and ``attribute`` fields
-        (see :class:`repro.api.server.Cut`).
+        ``cuts`` items carry ``dimension`` and ``attribute`` fields (see
+        :class:`repro.api.server.Cut`).  ``aggregate`` does not narrow
+        the choice: every grain carries counts, sums, mins and maxs.
         """
         referenced: dict[str, int] = {}
         for dim_name, attr in list(group_by) + [
             (c.dimension, c.attribute) for c in cuts
         ]:
             index = cube.dimension(dim_name).level_index(attr)
-            previous = referenced.get(dim_name, index)
-            referenced[dim_name] = min(previous, index)
-        if aggregate not in NAVIGABLE_AGGREGATES:
-            return RouteDecision(
-                source="base",
-                rollup=None,
-                reason=f"aggregate {aggregate!r} is not navigable",
-                candidates=(),
-            )
-        covering = [
-            r for r in cube.rollups if self._covers(cube, r, referenced)
-        ]
-        if not covering:
-            return RouteDecision(
-                source="base",
-                rollup=None,
-                reason="no declared rollup covers the request",
-                candidates=(),
-            )
+            referenced[dim_name] = min(referenced.get(dim_name, index), index)
         sized = sorted(
-            (self.estimated_rows(cube, r), r.name, r) for r in covering
+            (self.estimated_rows(cube, r), r.name, r)
+            for r in cube.rollups
+            if self._covers(cube, r, referenced)
         )
+        if not sized:
+            return RouteDecision(
+                "base", None, "no declared rollup covers the request", ()
+            )
         rows, _, chosen = sized[0]
         return RouteDecision(
             source="rollup",
             rollup=chosen,
             reason=(
                 f"rollup {chosen.name!r} is the smallest of "
-                f"{len(covering)} covering grain(s)"
+                f"{len(sized)} covering grain(s)"
             ),
             candidates=tuple(name for _, name, _ in sized),
             estimated_rows=rows,
@@ -259,183 +223,223 @@ class RollupRouter:
 
     # -- materialization -----------------------------------------------------
 
-    def rollup_query(
-        self, cube: LogicalCube, rollup: RollupDecl, aggregate: str
-    ) -> ConsolidationQuery:
-        """The base-cube consolidation that materializes one grain."""
-        return ConsolidationQuery.build(
-            cube.cube,
-            group_by=dict(rollup.grain),
-            aggregate=aggregate,
-        )
+    def materialize(self, cube: LogicalCube) -> None:
+        """Build every declared grain of ``cube`` now, finest first, so
+        each coarser one re-rolls from a resident one.  A cube that is
+        not loaded or is degraded is left to the first request's refresh."""
+        try:
+            for rollup in sorted(
+                cube.rollups, key=lambda r: -self.estimated_rows(cube, r)
+            ):
+                self.rows_for(cube, rollup)
+        except ReproError:
+            self.counters.add("rollup.refresh_failures")
 
-    def rows_for(
-        self, cube: LogicalCube, rollup: RollupDecl, aggregate: str
-    ) -> list:
-        """The materialized rows of one (grain, aggregate), rebuilt
-        *synchronously* when the cube generation has moved (the EXPLAIN
-        path and the refresh worker use this; the serving path goes
-        through :meth:`try_rows` so a request never waits on a build)."""
+    def _fresh(self, cube: LogicalCube, rollup: RollupDecl) -> Grain | None:
+        """The stored grain, if it is at the cube's generation."""
         generation = self.engine.cube_generation(cube.cube)
-        key = (cube.name, rollup.name, aggregate)
+        key = (cube.name, rollup.name)
         with self._lock:
-            entry = self._store.get(key)
-            if entry is not None and entry[0] == generation:
-                self._last_hit[key] = time.monotonic()
-                return entry[1]
-        # build outside the lock: it is a real (serialized) engine query
-        # run under the service's configured ExecutionOptions defaults
-        result = self.service.execute(self.rollup_query(cube, rollup, aggregate))
-        rows = list(result.rows)
-        self.counters.add("rollup.rebuilds")
-        nbytes = deep_sizeof(rows)
-        # a write racing the build would bump the generation; storing the
-        # pre-build sample is conservative (next request rebuilds again)
-        with self._lock:
-            self._store[key] = (generation, rows)
-            self._bytes[key] = nbytes
+            grain = self._store.get(key)
+            if grain is None or grain.generation != generation:
+                return None
             self._last_hit[key] = time.monotonic()
-        self._register_grain_gauge(key)
-        # outside the lock: the pressure hook may call right back into
-        # reclaim_grains(), which takes it
+        return grain
+
+    def rows_for(self, cube: LogicalCube, rollup: RollupDecl, aggregate=None) -> Grain:
+        """The materialized grain, rebuilt *synchronously* when it is
+        behind the cube generation (start-up, the EXPLAIN path and the
+        refresh worker use this; the serving path goes through
+        :meth:`try_rows` so a request never waits on a build).  Every
+        aggregate rides in a grain, whichever one the caller names."""
+        grain = self._fresh(cube, rollup)
+        if grain is not None:
+            return grain
+        key = (cube.name, rollup.name)
+        with self.service.engine_access(cube.cube) as state:
+            # under the engine lock no write can move the generation; a
+            # write that held it may have patched the grain fresh
+            grain = self._fresh(cube, rollup)
+            if grain is not None:
+                return grain
+            grain = self._build(cube, rollup, state)
+            self.counters.add("rollup.rebuilds")
+            with self._lock:
+                self._store[key] = grain
+                self._declared[key] = (cube, rollup)
+                self._last_hit[key] = time.monotonic()
+        if self._registry is not None:
+            name = "/".join(key)
+            self._registry.register_gauge(
+                "rollup.rows." + ".".join(key),
+                lambda: float(self.grain_rows().get(name, 0)),
+                replace=True,
+            )
+        # outside both locks: the pressure hook may call right back into
+        # reclaim_grains(), and reclaim never runs under the engine lock
         if self.pressure_callback is not None:
             self.pressure_callback()
-        return rows
+        return grain
 
-    def _register_grain_gauge(self, key: tuple) -> None:
-        """Per-grain resident-row gauge, registered on first build."""
-        if self._registry is None or key in self._grain_gauges:
-            return
-
-        def sample(k: tuple = key) -> float:
-            with self._lock:
-                entry = self._store.get(k)
-            return float(len(entry[1])) if entry is not None else 0.0
-
-        self._registry.register_gauge(
-            "rollup.rows." + ".".join(key), sample, replace=True
+    def _build(self, cube: LogicalCube, rollup: RollupDecl, state) -> Grain:
+        """One grain at ``state``'s generation: re-rolled from the
+        smallest fresh resident grain that covers it (building a grain is
+        routing its own definition), else from one walk of the base array."""
+        array = state.array
+        if array is None:
+            raise PlanError("a rollup grain needs the cube's array backend")
+        level = rollup.grain_dict()
+        specs = [
+            ConsolidationSpec.drop()
+            if name not in level
+            else ConsolidationSpec.key()
+            if level[name] == state.schema.dimension(name).key
+            else ConsolidationSpec.level(level[name])
+            for name in array.dim_names
+        ]
+        # the grain's own consolidation, resolved but never fed: its
+        # IndexToIndex arrays and result strides are the grain's layout
+        layout = ResultAccumulator(array, specs)
+        terms = layout.target_terms()
+        axes = tuple(
+            (name, level[name], layout.i2is[d].target_keys)
+            for d, name in enumerate(array.dim_names)
+            if name in level
         )
-        self._grain_gauges.add(key)
+        with self._lock:
+            stored = dict(self._store)
+        for name in self.route(cube, list(rollup.grain), [], "sum").candidates:
+            source = stored.get((cube.name, name))
+            if (
+                name != rollup.name
+                and source is not None
+                and source.generation == state.generation
+            ):
+                everything = dict.fromkeys(FOLDS, range(array.n_measures))
+                counts, columns = source.reroll(axes, [], everything, self.derive_map)
+                break
+        else:
+            with self.engine.db.metrics.scoped("rollup_build", Counters()) as bag:
+                counts, columns = walk_columns(array, terms, layout.total_cells, bag)
+        key_terms = [
+            dict(zip(dim.keys(), term.tolist())) for dim, term in zip(array.dims, terms)
+        ]
+        return Grain(cube.cube, axes, key_terms, state.generation, counts, columns)
+
+    def _on_write(self, physical: str, delta: tuple | None) -> None:
+        """The engine's write listener: fold a one-cell write into every
+        grain of ``physical`` that was fresh before it and stamp it with
+        the new generation.  A grain the fold cannot follow
+        (:meth:`Grain.folded`) is rebuilt here, by the write — finest
+        first, so the coarser re-roll: a reader finds after a
+        ``write_cell`` the grains it found before it.  A write without a
+        delta leaves its grains behind: the stale path."""
+        if delta is None:
+            return
+        generation = self.engine.cube_generation(physical)
+        missed = []
+        with self._lock:
+            for key, grain in list(self._store.items()):
+                if (grain.physical, grain.generation) != (physical, generation - 1):
+                    continue
+                patched = grain.folded(*delta, generation)
+                if patched is None:
+                    missed.append((-len(grain.counts), key))
+                else:
+                    self._store[key] = patched
+                    self.counters.add("rollup.deltas")
+        for _, key in sorted(missed):
+            self.counters.add("rollup.delta_misses")
+            try:
+                self.rows_for(*self._declared[key])
+            except Exception:  # the write is durable: its grain stays behind
+                self.counters.add("rollup.refresh_failures")
 
     def try_rows(
         self, cube: LogicalCube, rollup: RollupDecl, aggregate: str
-    ) -> list | None:
-        """Fresh materialized rows, or ``None`` with a background
-        refresh scheduled.
-
-        The serving-path contract: a request must never pay a rollup
-        build inline.  Stale or missing entries hand the request back
-        to base-cube consolidation (same cost the request would pay
-        with no router at all) while the refresh worker rebuilds; the
-        next request at this grain scans the fresh rows.
-        """
-        generation = self.engine.cube_generation(cube.cube)
-        key = (cube.name, rollup.name, aggregate)
-        with self._lock:
-            entry = self._store.get(key)
-            if entry is not None and entry[0] == generation:
-                self._last_hit[key] = time.monotonic()
-                return entry[1]
-        if entry is not None:
+    ) -> Grain | None:
+        """The fresh materialized grain, or ``None`` with a background
+        refresh scheduled: a request must never pay a rollup build
+        inline.  A grain that is behind or missing hands the request
+        back to base-cube consolidation while the refresh worker
+        rebuilds; the next request at this grain scans the fresh one."""
+        grain = self._fresh(cube, rollup)
+        if grain is None:
             self.counters.add("rollup.stale")
-        self.schedule_refresh(cube, rollup, aggregate)
-        return None
+            self.schedule_refresh(cube, rollup, aggregate)
+        return grain
 
     def schedule_refresh(
-        self, cube: LogicalCube, rollup: RollupDecl, aggregate: str
+        self, cube: LogicalCube, rollup: RollupDecl, aggregate: str | None = None
     ) -> str:
-        """Queue one (grain, aggregate) rebuild, deduplicating in-flight
-        work; starts the daemon refresh worker on first use.
+        """Queue one grain rebuild, deduplicating in-flight work; starts
+        the daemon refresh worker on first use.  Returns the build's
+        trace_id.
 
         The build's :class:`TraceContext` is minted *here*, at schedule
         time, so the scheduling request can record which background
-        build it caused before the build has run a single instruction:
-        a ``schedules`` link is attached to the caller's active trace,
-        and the build later records the reverse ``follows_from`` link.
-        A deduplicated schedule links to the already-running build
-        instead of minting a second identity.  Returns the build's
-        trace_id.
+        build it caused before it has run: a ``schedules`` link goes on
+        the caller's active trace, the build later records the reverse
+        ``follows_from``.  A deduplicated schedule links to the running
+        build; no second identity is minted.
         """
-        key = (cube.name, rollup.name, aggregate)
-        refresh_ctx = new_trace_context(origin="rollup-refresh")
+        key = (cube.name, rollup.name)
+        refresh_ctx = None
         with self._lock:
-            existing = self._inflight.get(key)
-            if existing is None:
-                self._inflight[key] = refresh_ctx.trace_id
+            trace_id = self._inflight.get(key)
+            if trace_id is None:
+                refresh_ctx = new_trace_context(origin="rollup-refresh")
+                trace_id = self._inflight[key] = refresh_ctx.trace_id
                 if self._worker is None:
                     self._worker = threading.Thread(
-                        target=self._refresh_loop,
-                        name="rollup-refresh",
-                        daemon=True,
+                        target=self._refresh_loop, name="rollup-refresh", daemon=True
                     )
                     self._worker.start()
-        trace_id = existing if existing is not None else refresh_ctx.trace_id
-        detail = f"rollup {cube.name}/{rollup.name}/{aggregate}"
-        add_trace_link("schedules", trace_id, detail=detail)
-        if existing is not None:
-            return existing
-        scheduler = current_trace_context()
-        self.counters.add("rollup.refreshes_scheduled")
-        self._refresh_queue.put(
-            (
-                cube,
-                rollup,
-                aggregate,
-                refresh_ctx,
-                scheduler.trace_id if scheduler is not None else None,
+        add_trace_link("schedules", trace_id, detail="rollup " + "/".join(key))
+        if refresh_ctx is not None:
+            scheduler = current_trace_context()
+            self.counters.add("rollup.refreshes_scheduled")
+            self._refresh_queue.put(
+                (cube, rollup, refresh_ctx, scheduler and scheduler.trace_id)
             )
-        )
-        return refresh_ctx.trace_id
+        return trace_id
 
     def _refresh_loop(self) -> None:
         while True:
             item = self._refresh_queue.get()
             if item is None:
                 return
-            cube, rollup, aggregate, refresh_ctx, scheduler_trace_id = item
-            key = (cube.name, rollup.name, aggregate)
+            cube, rollup, refresh_ctx, scheduler_trace_id = item
+            key = (cube.name, rollup.name)
             status = "ok"
             start = time.perf_counter()
             try:
-                # the build runs under its own trace identity: the
-                # service query it issues reads the thread-local and
-                # joins this trace, not the request that scheduled it
+                # the build runs under its own trace identity, not the
+                # one of the request that scheduled it
                 with trace_context(refresh_ctx):
-                    self.rows_for(cube, rollup, aggregate)
+                    self.rows_for(cube, rollup)
             except Exception as exc:
-                # a degraded cube or admission pressure fails the
-                # refresh, not the requests it was serving; the next
-                # stale hit reschedules
+                # a degraded cube or an I/O fault fails the refresh, not
+                # the requests it was serving; the next stale hit
+                # reschedules
                 status = type(exc).__name__
                 self.counters.add("rollup.refresh_failures")
             finally:
                 self._record_refresh(
-                    refresh_ctx,
-                    scheduler_trace_id,
-                    cube,
-                    rollup,
-                    aggregate,
-                    status,
+                    refresh_ctx, scheduler_trace_id, key, status,
                     time.perf_counter() - start,
                 )
                 with self._lock:
                     self._inflight.pop(key, None)
 
     def _record_refresh(
-        self,
-        refresh_ctx: TraceContext,
-        scheduler_trace_id: str | None,
-        cube: LogicalCube,
-        rollup: RollupDecl,
-        aggregate: str,
-        status: str,
-        latency_s: float,
+        self, refresh_ctx: TraceContext, scheduler_trace_id: str | None,
+        key: tuple[str, str], status: str, latency_s: float,
     ) -> None:
         """Record the finished build's trace, linked back to its cause."""
         store = getattr(self.service, "traces", None)
         if store is None:
             return
-        detail = f"rollup {cube.name}/{rollup.name}/{aggregate}"
         links = []
         if scheduler_trace_id is not None:
             links.append(
@@ -447,33 +451,21 @@ class RollupRouter:
             )
         store.record(
             refresh_ctx,
-            name=f"rollup-refresh:{cube.name}/{rollup.name}/{aggregate}",
+            name="rollup-refresh:" + "/".join(key),
             origin="rollup-refresh",
             status=status,
             latency_s=latency_s,
             links=links,
-            attrs={
-                "cube": cube.name,
-                "rollup": rollup.name,
-                "aggregate": aggregate,
-            },
+            attrs={"cube": key[0], "rollup": key[1]},
             force=True,  # causally linked builds are always kept
         )
-        if scheduler_trace_id is not None:
-            # belt and braces: if the scheduling request's record is
-            # already resident, attach the forward link there too (its
-            # own add_trace_link only lands if its layer records links)
-            store.link(
-                scheduler_trace_id,
-                {
-                    "kind": "schedules",
-                    "trace_id": refresh_ctx.trace_id,
-                    "detail": detail,
-                },
-            )
 
     def close(self) -> None:
-        """Stop the refresh worker (if it ever started)."""
+        """Detach from the engine; stop the refresh worker if it started."""
+        try:
+            self.engine.remove_write_listener(self._on_write)
+        except ValueError:  # already detached
+            pass
         with self._lock:
             worker = self._worker
             self._worker = None
@@ -481,82 +473,65 @@ class RollupRouter:
             self._refresh_queue.put(None)
             worker.join(timeout=5)
 
-    def resident_rollups(self) -> int:
-        """Materialized (grain, aggregate) entries currently stored."""
-        with self._lock:
-            return len(self._store)
-
-    def resident_rows(self) -> int:
-        """Total materialized rows held across every stored grain (the
-        ``rollup.resident_rows`` gauge: the router's memory footprint
-        in cells, not entries)."""
-        with self._lock:
-            return sum(len(rows) for _, rows in self._store.values())
-
-    def grain_rows(self) -> dict[str, int]:
-        """Materialized row count per stored entry, keyed
-        ``<cube>/<rollup>/<aggregate>``, for the rollup stats payload."""
-        with self._lock:
-            return {
-                "/".join(key): len(rows)
-                for key, (_, rows) in sorted(self._store.items())
-            }
-
-    # -- memory accounting ---------------------------------------------------
-
-    def resident_bytes(self) -> int:
-        """Measured bytes across every stored grain (O(entries))."""
-        with self._lock:
-            return sum(self._bytes.values())
+    # -- residency and memory accounting ---------------------------------------
 
     def grain_stats(self) -> dict[str, dict]:
-        """Per-entry ``{rows, resident_bytes, last_hit_age_s}``, keyed
-        ``<cube>/<rollup>/<aggregate>`` — the ``/rollups`` breakdown."""
+        """Per stored grain, keyed ``<cube>/<rollup>``: ``{rows,
+        resident_bytes, last_hit_age_s}``; bytes are the columns' ``nbytes``."""
         now = time.monotonic()
         with self._lock:
-            return {
-                "/".join(key): {
-                    "rows": len(rows),
-                    "resident_bytes": self._bytes.get(key, 0),
-                    "last_hit_age_s": (
-                        round(now - self._last_hit[key], 3)
-                        if key in self._last_hit
-                        else None
-                    ),
-                }
-                for key, (_, rows) in sorted(self._store.items())
+            stored = [
+                (key, grain, self._last_hit.get(key))
+                for key, grain in sorted(self._store.items())
+            ]
+        return {
+            "/".join(key): {
+                "rows": len(grain),
+                "resident_bytes": grain.nbytes,
+                "last_hit_age_s": None if hit is None else round(now - hit, 3),
             }
+            for key, grain, hit in stored
+        }
+
+    def resident_rollups(self) -> int:
+        """Materialized grains currently stored."""
+        return len(self.grain_stats())
+
+    def grain_rows(self) -> dict[str, int]:
+        """Non-empty cells per stored grain, for the rollup stats payload."""
+        return {name: stats["rows"] for name, stats in self.grain_stats().items()}
+
+    def resident_rows(self) -> int:
+        """Non-empty cells across every stored grain."""
+        return sum(self.grain_rows().values())
+
+    def resident_bytes(self) -> int:
+        """Bytes held by every stored grain (the memory ledger's figure)."""
+        return sum(s["resident_bytes"] for s in self.grain_stats().values())
 
     def top_entries(self, n: int = 10) -> list[dict]:
         """The ``n`` largest grains as ``{"key", "bytes"}`` dicts."""
-        with self._lock:
-            sized = sorted(
-                self._bytes.items(), key=lambda item: item[1], reverse=True
-            )
-        return [
-            {"key": "/".join(key), "bytes": nbytes}
-            for key, nbytes in sized[:n]
+        sized = [
+            {"key": name, "bytes": stats["resident_bytes"]}
+            for name, stats in self.grain_stats().items()
         ]
+        return sorted(sized, key=lambda entry: entry["bytes"], reverse=True)[:n]
 
     def reclaim_grains(self, target_bytes: int) -> int:
         """Evict coldest-first (by routed-hit recency) until at most
-        ``target_bytes`` remain; returns bytes freed.
-
-        An evicted grain is indistinguishable from a never-built one:
-        the next request routed to it falls back to base-cube
-        consolidation and schedules an async rebuild — exactly the
-        stale path, so serving correctness is untouched.
+        ``target_bytes`` remain; returns bytes freed.  An evicted grain
+        is a never-built one: the next request routed to it falls back
+        to base and schedules an async rebuild — the stale path.
         """
         freed = 0
         with self._lock:
-            coldest = sorted(
+            resident = sum(grain.nbytes for grain in self._store.values())
+            for key in sorted(
                 self._store, key=lambda key: self._last_hit.get(key, 0.0)
-            )
-            for key in coldest:
-                if sum(self._bytes.values()) <= target_bytes:
+            ):
+                if resident - freed <= target_bytes:
                     break
-                del self._store[key]
-                freed += self._bytes.pop(key, 0)
+                freed += self._store.pop(key).nbytes
                 self._last_hit.pop(key, None)
                 self.counters.add("rollup.evictions")
         return freed
@@ -564,78 +539,39 @@ class RollupRouter:
     # -- answering -----------------------------------------------------------
 
     def scan(
-        self,
-        cube: LogicalCube,
-        rollup: RollupDecl,
-        rows: list,
-        group_by: list[tuple[str, str]],
-        cuts: list,
-        aggregate: str,
+        self, cube: LogicalCube, rollup: RollupDecl, rows: Grain,
+        group_by: list[tuple[str, str]], cuts: list, aggregate: str,
         measure_indexes: list[int],
     ) -> list[tuple]:
-        """Re-aggregate materialized rows to the requested shape.
-
-        Each stored row is ``(grain values..., measure values...)`` in
-        grain order; requested attributes derive from stored ones via
-        the verified hierarchy maps, cuts filter on derived values, and
-        measures merge with the aggregate's exact merge function.
+        """Re-aggregate a materialized grain (``rows``, as handed out by
+        :meth:`rows_for` / :meth:`try_rows`) to the requested shape
+        (:meth:`Grain.reroll`).  ``count`` is the counts and ``avg``
+        divides Σsum by Σcount in Python numbers, as
+        :meth:`ResultAccumulator.rows` does.  Rows come out sorted: axis
+        members are sorted and cells row-major.
         """
-        merge = _MERGE[aggregate]
-        grain = rollup.grain
-        grain_pos = {dim: i for i, (dim, _) in enumerate(grain)}
-        grain_attr = dict(grain)
-        n_grain = len(grain)
-
-        def deriver(dim: str, attr: str):
-            stored = grain_attr[dim]
-            pos = grain_pos[dim]
-            if stored == attr:
-                return lambda row: row[pos]
-            mapping = self.derive_map(cube.cube, dim, stored, attr)
-            if mapping is None:  # pragma: no cover — routing verified it
-                raise ApiRequestError(
-                    f"{attr!r} is not derivable from rollup grain "
-                    f"{stored!r} on dimension {dim!r}"
-                )
-            return lambda row: mapping[row[pos]]
-
-        group_fns = [deriver(dim, attr) for dim, attr in group_by]
-        cut_fns = [(deriver(c.dimension, c.attribute), c) for c in cuts]
-
-        cells: dict[tuple, list] = {}
-        scanned = 0
-        for row in rows:
-            scanned += 1
-            if any(not cut.matches(fn(row)) for fn, cut in cut_fns):
-                continue
-            key = tuple(fn(row) for fn in group_fns)
-            measures = [row[n_grain + m] for m in measure_indexes]
-            cell = cells.get(key)
-            if cell is None:
-                cells[key] = measures
-            else:
-                for i, value in enumerate(measures):
-                    cell[i] = merge(cell[i], value)
-        self.counters.add("rollup.rows_scanned", scanned)
-        self.counters.add("rollup.cells_emitted", len(cells))
-        return sorted(key + tuple(values) for key, values in cells.items())
-
-    def answer(
-        self,
-        cube: LogicalCube,
-        decision: RouteDecision,
-        group_by: list[tuple[str, str]],
-        cuts: list,
-        aggregate: str,
-        measure_indexes: list[int],
-    ) -> tuple[list[tuple], int, float]:
-        """Serve one routed request: ``(rows, rows_scanned, elapsed_s)``."""
-        rollup = decision.rollup
-        assert rollup is not None
-        start = time.perf_counter()
-        stored = self.rows_for(cube, rollup, aggregate)
-        rows = self.scan(
-            cube, rollup, stored, group_by, cuts, aggregate, measure_indexes
+        axes = [
+            (dim, attr, sorted(set(self._attr_map(rows.physical, dim, attr).values())))
+            for dim, attr in group_by
+        ]
+        name = {"avg": "sum", "count": None}.get(aggregate, aggregate)
+        counts, columns = rows.reroll(
+            axes, cuts, {name: measure_indexes} if name else {}, self.derive_map
         )
-        self.counters.add("rollup.hits")
-        return rows, len(stored), time.perf_counter() - start
+        touched = np.flatnonzero(counts)
+        touches = counts[touched].tolist()
+        measures = [touches] * len(measure_indexes)
+        if name:
+            measures = columns[name][:, touched].tolist()
+        if aggregate == "avg":
+            measures = [
+                [total / n for total, n in zip(cells, touches)] for cells in measures
+            ]
+        shape = tuple(len(members) for _, _, members in axes) or (1,)
+        groups = [
+            list(map(members.__getitem__, index.tolist()))
+            for (_, _, members), index in zip(axes, np.unravel_index(touched, shape))
+        ]
+        self.counters.add("rollup.rows_scanned", len(rows))
+        self.counters.add("rollup.cells_emitted", len(touched))
+        return list(zip(*groups, *measures))

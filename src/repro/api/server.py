@@ -53,7 +53,7 @@ from repro.errors import (
 )
 from repro.obs.exporters import prometheus_text, span_to_dict
 from repro.obs.explain import PlanNode, QueryPlan, attach_actuals
-from repro.obs.tracer import Tracer, thread_tracing
+from repro.obs.tracer import Tracer, get_tracer, thread_tracing
 from repro.obs.tracing import (
     TraceContext,
     adopt_trace_id,
@@ -429,6 +429,10 @@ class ApiEndpoint:
             self.router.pressure_callback = (
                 lambda: memory.maybe_reclaim("rollup_build")
             )
+        # every declared grain exists before the first request: a write
+        # patches a grain, so none is ever built because one was asked for
+        for cube in model.cubes:
+            self.router.materialize(cube)
 
     def close(self) -> None:
         """Stop the router's background refresh worker."""
@@ -511,10 +515,10 @@ class ApiEndpoint:
         }
 
     def rollup_stats_payload(self) -> dict:
-        """Router residency + per-grain materialized row counts.
-
-        ``grains`` stays a plain name → row-count map (pinned by
-        clients); the byte/recency breakdown rides in ``grain_stats``.
+        """Router residency, per grain (``<cube>/<rollup>``: every
+        aggregate rides in one entry).  ``grains`` stays a plain name →
+        row-count map; the byte (``Σ column.nbytes``) / recency breakdown
+        rides in ``grain_stats``, patches and misses in ``counters``.
         """
         return {
             "resident_entries": self.router.resident_rollups(),
@@ -684,56 +688,37 @@ class ApiEndpoint:
         ]
         rollup = decision.rollup
         assert rollup is not None
+        shape = list(request.drilldown), list(request.cuts), request.aggregate
         if not request.explain:
             stored = self.router.try_rows(cube, rollup, request.aggregate)
             if stored is None:
                 return None  # caller falls back to base for this request
-            rows = self.router.scan(
-                cube, rollup, stored, list(request.drilldown),
-                list(request.cuts), request.aggregate, measure_indexes,
-            )
+            rows = self.router.scan(cube, rollup, stored, *shape, measure_indexes)
             self.router.counters.add("rollup.hits")
             return self._shape(request, rows, decision, len(stored), None)
         # EXPLAIN (and ANALYZE): answer once, under a tracer when
         # actuals are wanted, and bind them to the rollup plan nodes
         plan = self._rollup_plan(cube, request, decision)
-        tracer = (
-            Tracer(registry=self.registry) if request.analyze else None
-        )
+        tracer = Tracer(registry=self.registry) if request.analyze else get_tracer()
         started = time.perf_counter()
-        if tracer is not None:
-            with thread_tracing(tracer):
-                with tracer.span(
-                    "rollup.route", rollup=rollup.name, cube=cube.name
-                ):
-                    stored = self.router.rows_for(
-                        cube, rollup, request.aggregate
+        with thread_tracing(tracer):
+            with tracer.span("rollup.route", rollup=rollup.name, cube=cube.name):
+                stored = self.router.rows_for(cube, rollup, request.aggregate)
+                with tracer.span("rollup.scan", rows=len(stored)):
+                    rows = self.router.scan(
+                        cube, rollup, stored, *shape, measure_indexes
                     )
-                    with tracer.span("rollup.scan", rows=len(stored)):
-                        rows = self.router.scan(
-                            cube, rollup, stored, list(request.drilldown),
-                            list(request.cuts), request.aggregate,
-                            measure_indexes,
-                        )
-                    self.router.counters.add("rollup.hits")
-        else:
-            rows, _, _ = self.router.answer(
-                cube, decision, list(request.drilldown), list(request.cuts),
-                request.aggregate, measure_indexes,
-            )
-            stored = self.router.rows_for(cube, rollup, request.aggregate)
+                self.router.counters.add("rollup.hits")
         elapsed = time.perf_counter() - started
         scan_node = plan.root.children[0]
         scan_node.estimates["rollup.rows_scanned"] = len(stored)
-        if tracer is not None and tracer.roots:
+        if request.analyze and tracer.roots:
             attach_actuals(plan.root, tracer.roots[0])
             plan.analyzed = True
             plan.rows = len(rows)
             plan.elapsed_s = elapsed
             plan.sim_io_s = 0.0
-            plan.totals = dict(
-                tracer.roots[0].io
-            )
+            plan.totals = dict(tracer.roots[0].io)
             self.engine._record_misestimates(plan)
             self.counters.add("api.explain_analyzes")
         self.counters.add("api.explains")

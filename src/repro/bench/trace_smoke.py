@@ -14,8 +14,8 @@ Two halves, one verdict:
    deltas key for key).
 
 2. **Async causality** — drive the slicer API over loopback HTTP with
-   the structured access log on, force a stale-grain fallback with a
-   churn write, and assert the response's ``X-Trace-Id`` resolves on
+   the structured access log on, force a stale-grain fallback by
+   evicting the grain, and assert the response's ``X-Trace-Id`` resolves on
    ``/trace/id/<trace_id>`` to a record whose ``schedules`` link points
    at a resident rollup-rebuild trace carrying the reverse
    ``follows_from`` link.
@@ -35,7 +35,6 @@ import urllib.request
 
 from repro.bench.harness import bench_settings, build_cube_engine, query2_for
 from repro.data.datasets import dataset1
-from repro.data.generator import generate_fact_rows
 
 #: counter keys the decomposition check sums across the span tree
 #: (chunk-read accounting is the paper's cost model, so these must
@@ -214,19 +213,13 @@ def run_trace_smoke(
                         f"{api.url}/cube/{logical.name}/aggregate"
                         "?drilldown=dim0:h01,dim1:h11"
                     )
-                    # burst: first request schedules the initial build,
-                    # later ones should route once the build lands
+                    # burst: grains are built at start, these route
                     for _ in range(3):
                         _http_json(aggregate_url)
                         time.sleep(0.05)
-                    # churn: bump the generation so the next request is
-                    # a stale-grain fallback that schedules a rebuild
-                    write_row = next(iter(generate_fact_rows(config)))
-                    service.write_cell(
-                        config.name,
-                        tuple(write_row[: config.ndim]),
-                        tuple(write_row[config.ndim :]),
-                    )
+                    # a write would patch the grain in place; evict it, so
+                    # the next request is a fallback that schedules a rebuild
+                    endpoint.router.reclaim_grains(0)
                     request = urllib.request.Request(aggregate_url)
                     with urllib.request.urlopen(
                         request, timeout=timeout_s

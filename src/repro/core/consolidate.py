@@ -63,6 +63,19 @@ _VECTOR_UFUNCS = {
 }
 
 
+def blank_column(name: str, dtype: np.dtype, shape) -> np.ndarray:
+    """A column of aggregate ``name`` nothing has been folded into, in
+    the measure dtype (so int64 folds are exact past 2**53).  min/max
+    start at the dtype's extreme; whether a cell holds a real value is
+    decided by its touch count, never by comparing against the sentinel."""
+    if dtype.kind == "f":
+        lowest, highest = -np.inf, np.inf
+    else:
+        lowest, highest = np.iinfo(dtype).min, np.iinfo(dtype).max
+    fill = {"sum": 0, "avg": 0, "min": highest, "max": lowest}
+    return np.full(shape, fill[name], dtype=dtype)
+
+
 @dataclass(frozen=True)
 class ConsolidationSpec:
     """What to do with one dimension: group by a level, the key, or drop.
@@ -201,21 +214,10 @@ class ResultAccumulator:
                 raise QueryError(
                     f"aggregate {name!r} not supported in vectorized mode"
                 )
-        # Columns stay in the measure dtype so int64 folds are exact past
-        # 2**53.  min/max start at the dtype's extreme; whether a cell
-        # holds a real value is decided by its touch count, never by
-        # comparing against the sentinel.
         dtype = np.dtype(self.array.dtype)
-        if dtype.kind == "f":
-            lowest, highest = -np.inf, np.inf
-        else:
-            lowest, highest = np.iinfo(dtype).min, np.iinfo(dtype).max
-        fill = {"sum": 0, "avg": 0, "min": highest, "max": lowest}
         self._vec_counts = np.zeros(self.total_cells, dtype=np.int64)
         self._vec = [
-            None
-            if name == "count"
-            else np.full(self.total_cells, fill[name], dtype=dtype)
+            None if name == "count" else blank_column(name, dtype, self.total_cells)
             for name in self.agg_names
         ]
 

@@ -297,8 +297,9 @@ class OLAPArray:
             return values[position].copy()
         return None
 
-    def write_cell(self, keys: tuple, measures) -> None:
-        """Insert or overwrite one cell.
+    def write_cell(self, keys: tuple, measures) -> np.ndarray | None:
+        """Insert or overwrite one cell; returns the measures it replaced
+        (``None`` for a new cell), which a materialized aggregate folds.
 
         The chunk is re-encoded into a *new* large object (large objects
         are immutable page runs); the directory is repointed and the old
@@ -313,7 +314,9 @@ class OLAPArray:
         chunk_no, offset = self.geometry.locate(self._coords_of(keys))
         offsets, values = self.read_chunk(chunk_no)
         position = int(np.searchsorted(offsets, offset))
+        replaced = None
         if position < len(offsets) and offsets[position] == offset:
+            replaced = values[position].copy()
             values = values.copy()
             values[position] = measures
         else:
@@ -332,6 +335,7 @@ class OLAPArray:
             self._dir_cache[chunk_no] = (oid, len(payload), len(offsets))
         if self.chunk_cache is not None:
             self.chunk_cache.invalidate_chunk(self.name, chunk_no)
+        return replaced
 
     # -- the §3.5 summation and slicing functions ----------------------------------------------
 

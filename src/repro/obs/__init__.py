@@ -73,7 +73,6 @@ from repro.obs.exporters import (
     trace_to_json,
 )
 from repro.obs.slowlog import SlowQueryLog, SlowQueryRecord
-from repro.obs.server import ObservabilityServer
 from repro.obs.tracing import (
     TraceContext,
     TraceRecord,
@@ -93,6 +92,17 @@ from repro.obs.tracer import tracing as tracing  # noqa: E402, F811
 from repro.obs.timeseries import TimePoint, TimeSeriesStore
 from repro.obs.alerts import AlertManager, SloRule, default_rules, load_rules
 from repro.obs.profiler import SamplingProfiler
+
+
+def __getattr__(name: str):
+    # on first use (PEP 562): obs.server imports http.server, which the
+    # storage layer (it imports obs.histogram) has no use for
+    if name == "ObservabilityServer":
+        from repro.obs.server import ObservabilityServer
+
+        return ObservabilityServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AlertManager",

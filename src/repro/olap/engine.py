@@ -116,6 +116,8 @@ class _ViewState:
     cube: str
     group_by: dict
     aggregate: str
+    #: the cube generation it was built at: no write maintains a view
+    generation: int
 
 
 def _dimension_data(schema: CubeSchema, dimension_rows) -> list[DimensionData]:
@@ -140,7 +142,7 @@ class OlapEngine:
         self.db = db if db is not None else Database(**db_kwargs)
         self._cubes: dict[str, _CubeState] = {}
         self._views: dict[str, _ViewState] = {}
-        self._write_listeners: list[Callable[[str], None]] = []
+        self._write_listeners: list[Callable[..., None]] = []
         self._explain_counters: Counters | None = None
         self._shard_coordinator = None
 
@@ -810,6 +812,7 @@ class OlapEngine:
             cube=query.cube,
             group_by=dict(query.group_by),
             aggregate=query.aggregate,
+            generation=state.generation,
         )
         result.result_array.heatmap = self.db.heatmap
         self.db.metrics.register(
@@ -895,10 +898,14 @@ class OlapEngine:
         """
         state = self.cube(query.cube)
         query.validate(state.schema)
+        stale = []
         for name in sorted(self._views):
             view = self._views[name]
             specs = self._view_plan(view, query)
             if specs is None:
+                continue
+            if view.generation != state.generation:
+                stale.append(name)
                 continue
             reaggregate = (
                 "sum" if query.aggregate in ("sum", "count") else query.aggregate
@@ -937,6 +944,7 @@ class OlapEngine:
         raise PlanError(
             "no materialized view can answer this query; views: "
             f"{self.view_names()}"
+            + (f"; stale since a write: {stale}" if stale else "")
         )
 
     def sql(self, cube_name: str, statement: str, **query_kwargs) -> QueryResult:
@@ -1005,21 +1013,29 @@ class OlapEngine:
         """
         return self.cube(name).generation
 
-    def add_write_listener(self, listener: Callable[[str], None]) -> None:
-        """Call ``listener(cube_name)`` after every write to any cube."""
+    def add_write_listener(self, listener: Callable[..., None]) -> None:
+        """Call ``listener(cube_name, delta)`` after every write to any
+        cube.  ``delta`` is ``(keys, old, new)`` when the write changed
+        exactly one array cell (``old`` is ``None`` for a new cell),
+        ``None`` when it changed more or the difference is not known."""
         self._write_listeners.append(listener)
 
-    def remove_write_listener(self, listener: Callable[[str], None]) -> None:
+    def remove_write_listener(self, listener: Callable[..., None]) -> None:
         """Detach a previously added write listener."""
         self._write_listeners.remove(listener)
 
-    def _note_write(self, state: _CubeState) -> None:
-        state.generation += 1
+    def _note_write(self, state: _CubeState, delta: tuple | None = None) -> None:
         # Transaction boundary: each engine-level write is one committed
         # unit, so crash recovery restores whole writes or none of them.
-        self.db.commit()
+        try:
+            self.db.commit()
+        finally:
+            # Only now: a reader beside the commit is served the state
+            # before the write from what is cached, not turned away for
+            # an fsync.  Even if it failed: nothing cached outlives it.
+            state.generation += 1
         for listener in list(self._write_listeners):
-            listener(state.schema.name)
+            listener(state.schema.name, delta)
 
     def write_cell(self, cube: str, keys: tuple, measures) -> None:
         """Insert or overwrite one cell in every built physical design.
@@ -1056,11 +1072,12 @@ class OlapEngine:
                     appended = True
                 else:
                     state.fact.update(found, keys + measures)
+            delta = None
             if state.array is not None:
-                state.array.write_cell(keys, measures)
+                delta = (keys, state.array.write_cell(keys, measures), measures)
             if appended:
                 state.indices_stale = True
-            self._note_write(state)
+            self._note_write(state, delta)
 
     def append_facts(self, cube: str, rows) -> None:
         """Append fact tuples to every built physical design.

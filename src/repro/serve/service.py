@@ -44,6 +44,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.errors import (
@@ -360,7 +361,16 @@ class QueryService:
         if state.array is not None and state.array.chunk_cache is None:
             state.array.chunk_cache = self.chunks
 
-    def _on_write(self, cube: str) -> None:
+    @contextmanager
+    def engine_access(self, cube: str):
+        """``cube``'s loaded state, held serialized with every miss and write
+        (the rollup router builds grains under it); refused while degraded."""
+        self._check_degraded(cube)
+        with self._engine_lock:
+            self._attach_chunk_cache(cube)
+            yield self.engine.cube(cube)
+
+    def _on_write(self, cube: str, delta: tuple | None) -> None:
         dropped = self.results.invalidate_cube(cube)
         self.counters.add("serve.writes")
         if dropped:

@@ -60,8 +60,10 @@ class TestPercentile:
 class TestRunReplay:
     @pytest.fixture(scope="class")
     def report(self):
+        # seed 7's schedule is 85% coverable (seed 5's was 79%: under the
+        # gate's 80% floor before a single request is issued)
         settings = ReplaySettings(
-            scale="small", requests=120, seed=5, clients=2, write_every=40
+            scale="small", requests=120, seed=7, clients=2, write_every=40
         )
         return run_replay(settings)
 
@@ -73,7 +75,9 @@ class TestRunReplay:
         assert statuses["2xx"] == 120
 
     def test_rollups_actually_hit(self, report):
-        assert report.payload["rollup"]["hit_rate"] > 0.5
+        # writes patch grains instead of staling them: what falls back
+        # is the schedule's uncoverable tail (18 of 120) and little else
+        assert report.payload["rollup"]["hit_rate"] > 0.8
 
     def test_churn_ran(self, report):
         assert report.payload["writes"] >= 1

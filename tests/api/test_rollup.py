@@ -3,6 +3,8 @@ correctness against the consolidation engine, and invalidation."""
 
 import time
 
+import numpy as np
+
 from repro.api.server import Cut
 from repro.data import generate_fact_rows
 from repro.olap import ConsolidationQuery
@@ -90,13 +92,20 @@ class TestRouting:
         assert decision.source == "base"
         assert "no declared rollup covers" in decision.reason
 
-    def test_avg_is_never_navigable(self, stack):
-        _, _, endpoint = stack
-        decision = endpoint.router.route(
-            _cube(endpoint), [("dim0", "h02")], [], "avg"
+    def test_avg_routes_and_equals_base(self, stack):
+        _, service, endpoint = stack
+        cube, router = _cube(endpoint), endpoint.router
+        decision = router.route(cube, [("dim0", "h02")], [], "avg")
+        assert decision.source == "rollup"
+        assert decision.rollup.name == "coarse"
+        # avg rides the grain's sum and count columns
+        stored = router.rows_for(cube, decision.rollup, "avg")
+        routed = router.scan(
+            cube, decision.rollup, stored, [("dim0", "h02")], [], "avg", [0]
         )
-        assert decision.source == "base"
-        assert "not navigable" in decision.reason
+        assert routed == _base_rows(
+            service, [("dim0", "h02")], aggregate="avg"
+        )
 
     def test_cut_dimension_counts_as_referenced(self, stack):
         _, _, endpoint = stack
@@ -186,48 +195,119 @@ class TestScanCorrectness:
         )
 
 
-class TestInvalidation:
-    def test_write_goes_stale_then_async_refresh_catches_up(self, stack):
-        engine, service, endpoint = stack
-        cube = _cube(endpoint)
-        rollup = cube.rollups[0]
-        router = endpoint.router
-        before = router.rows_for(cube, rollup, "sum")
-        assert router.try_rows(cube, rollup, "sum") == before
+def _same_columns(grain, other):
+    return np.array_equal(grain.counts, other.counts) and all(
+        np.array_equal(grain.columns[name], other.columns[name])
+        for name in grain.columns
+    )
 
-        # overwrite one valid cell so the total moves
+
+def _from_scratch(router, cube, rollup):
+    """The grain as one walk of the base array builds it now."""
+    router.reclaim_grains(0)
+    return router.rows_for(cube, rollup, "sum")
+
+
+def _wait_fresh(router, cube, rollup):
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        fresh = router.try_rows(cube, rollup, "sum")
+        if fresh is not None:
+            return fresh
+        time.sleep(0.01)
+    raise AssertionError("async refresh never completed")
+
+
+class TestInvalidation:
+    def test_write_patches_every_grain_equal_to_a_rebuild(self, stack):
+        _, service, endpoint = stack
+        cube, router = _cube(endpoint), endpoint.router
+        before = {r.name: router.try_rows(cube, r, "sum") for r in cube.rollups}
+        assert None not in before.values()  # built at start
+
+        # overwrite one valid cell so the total (and the max) moves
         service.write_cell(CONFIG.name, _valid_keys(), (999_999,))
+
+        # no stale window: the write itself moved every grain
+        after = {r.name: router.try_rows(cube, r, "sum") for r in cube.rollups}
+        assert None not in after.values()
+        snapshot = router.counters.snapshot()
+        assert snapshot["rollup.deltas"] == len(cube.rollups)
+        assert snapshot.get("rollup.stale", 0) == 0
+        for rollup in cube.rollups:
+            patched = after[rollup.name]
+            # what was handed out earlier did not change under its holder
+            assert patched is not before[rollup.name]
+            assert int(before[rollup.name].columns["max"].max()) < 999_999
+            assert int(patched.columns["max"].max()) == 999_999
+            assert _same_columns(patched, _from_scratch(router, cube, rollup))
+
+    def test_write_goes_stale_then_async_refresh_catches_up(self, stack):
+        _, service, endpoint = stack
+        cube, router = _cube(endpoint), endpoint.router
+        rollup = cube.rollups[0]
+        before = router.try_rows(cube, rollup, "sum")
+        assert before is not None
+
+        # an append carries no cell delta: every grain falls behind
+        service.append_facts(CONFIG.name, [_valid_keys() + (999_999,)])
 
         # the serving path must NOT rebuild inline: stale -> None now
         assert router.try_rows(cube, rollup, "sum") is None
-        deadline = time.monotonic() + 10.0
-        fresh = None
-        while time.monotonic() < deadline:
-            fresh = router.try_rows(cube, rollup, "sum")
-            if fresh is not None:
-                break
-            time.sleep(0.01)
-        assert fresh is not None, "async refresh never completed"
-        assert fresh != before
-        assert fresh == router.rows_for(cube, rollup, "sum")
+        fresh = _wait_fresh(router, cube, rollup)
+        assert int(fresh.columns["sum"].sum()) == (
+            int(before.columns["sum"].sum()) + 999_999
+        )
+        assert not _same_columns(fresh, before)
+        assert _same_columns(fresh, _from_scratch(router, cube, rollup))
         snapshot = router.counters.snapshot()
         assert snapshot["rollup.stale"] >= 1
         assert snapshot["rollup.refreshes_scheduled"] >= 1
 
+    def test_a_fold_that_cannot_be_followed_is_rebuilt_by_the_write(self, stack):
+        _, service, endpoint = stack
+        cube, router = _cube(endpoint), endpoint.router
+        service.write_cell(CONFIG.name, _valid_keys(), (999_999,))
+        rebuilds = router.counters.get("rollup.rebuilds")
+
+        # the cell leaves the max it held: a tie may remain, so only a
+        # rebuild can tell what its grain cells' max is now
+        service.write_cell(CONFIG.name, _valid_keys(), (5,))
+        assert router.counters.get("rollup.delta_misses") == len(cube.rollups)
+        assert router.counters.get("rollup.rebuilds") == rebuilds + len(cube.rollups)
+        # a reader finds after the write what it found before it: no
+        # stale window, no fallback, and the grain a walk would build
+        assert router.counters.get("rollup.stale") == 0
+        grains = [router.try_rows(cube, rollup, "max") for rollup in cube.rollups]
+        assert None not in grains
+        for rollup, grain in zip(cube.rollups, grains):
+            assert int(grain.columns["max"].max()) < 999_999
+            assert _same_columns(grain, _from_scratch(router, cube, rollup))
+
     def test_sync_rows_for_rebuilds_inline(self, stack):
-        engine, service, endpoint = stack
-        cube = _cube(endpoint)
+        _, service, endpoint = stack
+        cube, router = _cube(endpoint), endpoint.router
         rollup = cube.rollups[1]
-        before = endpoint.router.rows_for(cube, rollup, "sum")
-        service.write_cell(CONFIG.name, _valid_keys(), (123_456,))
-        after = endpoint.router.rows_for(cube, rollup, "sum")
-        assert after != before
+        before = router.rows_for(cube, rollup, "sum")
+        # an append carries no cell delta: every grain falls behind
+        service.append_facts(CONFIG.name, [_valid_keys() + (123_456,)])
+        assert router.try_rows(cube, rollup, "sum") is None
+        after = router.rows_for(cube, rollup, "sum")
+        assert after.generation == before.generation + 1
+        assert int(after.columns["sum"].sum()) == (
+            int(before.columns["sum"].sum()) + 123_456
+        )
 
     def test_resident_rollups_counts_entries(self, stack):
         _, _, endpoint = stack
-        cube = _cube(endpoint)
-        assert endpoint.router.resident_rollups() == 0
-        endpoint.router.rows_for(cube, cube.rollups[0], "sum")
-        endpoint.router.rows_for(cube, cube.rollups[0], "count")
-        endpoint.router.rows_for(cube, cube.rollups[1], "sum")
-        assert endpoint.router.resident_rollups() == 3
+        cube, router = _cube(endpoint), endpoint.router
+        # one grain per declared rollup, every aggregate in it, from start
+        assert router.resident_rollups() == len(cube.rollups) == 2
+        router.rows_for(cube, cube.rollups[0], "sum")
+        router.rows_for(cube, cube.rollups[0], "count")
+        assert router.resident_rollups() == 2
+        assert router.resident_bytes() == sum(
+            stats["resident_bytes"] for stats in router.grain_stats().values()
+        )
+        router.reclaim_grains(0)
+        assert router.resident_rollups() == 0

@@ -110,9 +110,17 @@ class TestAggregate:
     def test_first_request_falls_back_then_hits(self, server):
         _, _, endpoint, srv = server
         url = srv.url + "/cube/sales/aggregate?drilldown=dim1"
+        # grains are built at start: the very first request is routed
+        status, first = _get(url)
+        assert status == 200
+        assert first["route"]["source"] == "rollup"
+        assert endpoint.counters.get("api.stale_fallbacks") == 0
+        # an evicted grain is a never-built one: fall back, rebuild, hit
+        endpoint.router.reclaim_grains(0)
         status, cold = _get(url)
         assert status == 200
         assert cold["route"]["source"] == "base"
+        assert cold["route"]["rollup"] == "coarse"  # named on a fallback too
         assert "refresh scheduled" in cold["route"]["reason"]
         deadline_tries = 500
         for _ in range(deadline_tries):
@@ -120,7 +128,7 @@ class TestAggregate:
             if warm["route"]["source"] == "rollup":
                 break
         assert warm["route"]["source"] == "rollup"
-        assert warm["cells"] == cold["cells"]
+        assert warm["cells"] == cold["cells"] == first["cells"]
         snapshot = endpoint.counters.snapshot()
         assert snapshot["api.stale_fallbacks"] >= 1
         assert snapshot["api.rollup_hits"] >= 1

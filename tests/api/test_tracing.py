@@ -18,7 +18,6 @@ import urllib.request
 import pytest
 
 from repro.api.server import ApiServer
-from repro.data import generate_fact_rows
 from repro.obs.server import ObservabilityServer
 from repro.util.jsonschema_lite import validate
 
@@ -163,11 +162,9 @@ class TestAsyncCausality:
         engine, service, endpoint, srv = server
         _warm(endpoint)
         _wait_for(lambda: not endpoint.router._inflight)
-        # churn: bump the cube generation so the routed grain goes stale
-        row = next(iter(generate_fact_rows(CONFIG)))
-        service.write_cell(
-            CONFIG.name, tuple(row[: CONFIG.ndim]), tuple(row[CONFIG.ndim:])
-        )
+        # a write patches the grain; eviction is what leaves a routed
+        # request without one (as an append or an array rebuild would)
+        endpoint.router.reclaim_grains(0)
         status, payload, headers = _get(srv.url + AGG)
         assert status == 200
         assert payload["route"]["source"] == "base"  # the stale fallback
@@ -256,9 +253,14 @@ class TestRollupStats:
         _warm(endpoint)
         status, payload, _ = _get(srv.url + "/rollups")
         assert status == 200
+        # one entry per grain (every aggregate rides in it)
         assert payload["resident_entries"] == 2
+        assert set(payload["grains"]) == {"sales/coarse", "sales/mid01"}
         assert payload["resident_rows"] == sum(
             payload["grains"].values()
+        ) > 0
+        assert payload["resident_bytes"] == sum(
+            stats["resident_bytes"] for stats in payload["grain_stats"].values()
         ) > 0
 
     def test_resident_rows_gauge_on_metrics(self, server):

@@ -314,3 +314,31 @@ class TestMemoryRoute:
             ):
                 assert expected in stores, stores
             assert payload["total_resident_bytes"] == sum(stores.values())
+
+
+def test_importing_the_engine_does_not_import_http_server():
+    """``ObservabilityServer`` resolves lazily: the storage layer imports
+    ``repro.obs.histogram`` and so this package, and must not drag the
+    stdlib HTTP server into every process.  (A subprocess: this one
+    imported it long ago.)"""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import repro.olap.engine\n"
+        "assert 'http.server' not in sys.modules, 'http.server imported'\n"
+        "from repro.obs import ObservabilityServer\n"
+        "import repro.obs\n"
+        "assert 'ObservabilityServer' in repro.obs.__all__\n"
+        "assert ObservabilityServer.__module__ == 'repro.obs.server'\n"
+        "assert 'http.server' in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

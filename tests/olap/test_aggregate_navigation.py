@@ -143,3 +143,46 @@ class TestQueryFromViews:
         result = engine.query_from_views(query)
         assert result.backend == "view:count_view"
         assert result.rows == engine.query(query, backend="starjoin").rows
+
+
+class TestViewsBehindAWrite:
+    """No write maintains an engine view, so a view built before one
+    must not go on answering (it used to: a wrong number, silently)."""
+
+    @pytest.fixture()
+    def engine(self):
+        # an engine of its own: these tests write
+        from repro.data import (
+            cube_schema_for,
+            generate_dimension_rows,
+            generate_fact_rows,
+        )
+        from repro.olap import OlapEngine
+
+        engine = OlapEngine(page_size=1024, pool_bytes=1024 * 1024)
+        engine.load_cube(
+            cube_schema_for(CONFIG),
+            generate_dimension_rows(CONFIG),
+            generate_fact_rows(CONFIG),
+            chunk_shape=CONFIG.chunk_shape,
+        )
+        self.first_keys = tuple(generate_fact_rows(CONFIG)[0][: CONFIG.ndim])
+        return engine
+
+    QUERY = ConsolidationQuery.build("cube", group_by={"dim0": "h01"})
+
+    def test_a_stale_view_is_skipped_and_named(self, engine):
+        engine.materialize(self.QUERY, "by_h01")
+        assert engine.query_from_views(self.QUERY).backend == "view:by_h01"
+        engine.write_cell("cube", self.first_keys, (999_999,))
+        with pytest.raises(PlanError, match="stale.*by_h01"):
+            engine.query_from_views(self.QUERY)
+
+    def test_a_view_built_after_the_write_answers(self, engine):
+        engine.materialize(self.QUERY, "v1_before")  # sorts first
+        engine.write_cell("cube", self.first_keys, (999_999,))
+        engine.materialize(self.QUERY, "v2_after")
+        result = engine.query_from_views(self.QUERY)
+        assert result.backend == "view:v2_after"
+        assert result.rows == engine.query(self.QUERY, backend="array").rows
+        assert any(row[-1] >= 999_999 for row in result.rows)

@@ -19,6 +19,7 @@ from repro.data import (
     generate_dimension_rows,
     generate_fact_rows,
 )
+from repro.errors import PlanError
 from repro.olap import ConsolidationQuery, OlapEngine, SelectionPredicate
 
 from .conftest import CONFIG
@@ -157,7 +158,10 @@ def test_engine_totals_never_drop(ops):
                 views += 1
                 engine.materialize(plain, f"view{views}")
             elif op == "from_views" and views:
-                engine.query_from_views(rollup_query(dim0="h01"))
+                try:
+                    engine.query_from_views(rollup_query(dim0="h01"))
+                except PlanError:
+                    pass  # every view is behind a write: refused, not answered
             elif op == "cube":
                 compute_cube(array, SPECS)
             elif op == "write":
