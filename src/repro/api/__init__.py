@@ -7,9 +7,7 @@ A logical model (named cubes, dimensions, hierarchies, measures —
 materialized aggregate that covers it, falling back to base-cube
 consolidation through the :class:`~repro.serve.service.QueryService`;
 and :class:`~repro.api.server.ApiServer` exposes the whole stack over
-stdlib HTTP.  :mod:`repro.api.replay` replays seeded, skewed workloads
-against a live server so the bench/soak layers measure the stack
-end-to-end.
+stdlib HTTP.
 """
 
 from repro.api.model import (
@@ -20,12 +18,6 @@ from repro.api.model import (
     RollupDecl,
     load_model,
     model_from_dict,
-)
-from repro.api.replay import (
-    ReplayReport,
-    ReplaySettings,
-    run_replay,
-    write_replay_artifact,
 )
 from repro.api.rollup import RollupRouter, RouteDecision
 from repro.api.server import AggregateRequest, ApiEndpoint, ApiServer
@@ -38,13 +30,9 @@ __all__ = [
     "LogicalDimension",
     "LogicalMeasure",
     "LogicalModel",
-    "ReplayReport",
-    "ReplaySettings",
     "RollupDecl",
     "RollupRouter",
     "RouteDecision",
     "load_model",
     "model_from_dict",
-    "run_replay",
-    "write_replay_artifact",
 ]

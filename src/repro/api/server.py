@@ -28,7 +28,7 @@ is pinned by ``benchmarks/schemas/api_request.schema.json``):
 
 Every client mistake maps to a structured 4xx body
 ``{"error": {"kind", "message", "status"}}`` — a 5xx from this module
-is a bug (the replay harness gates on zero of them).
+is a bug.
 """
 
 from __future__ import annotations

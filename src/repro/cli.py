@@ -30,26 +30,6 @@ Commands:
   local synthetic workload or from a running endpoint (``--url``).
 - ``top`` — terminal dashboard (QPS, latency quantiles, cache hit
   rates, WAL fsync latency) polled from a ``/metrics`` endpoint.
-- ``bench-smoke`` — the CI serving smoke: warm + concurrent run over a
-  file-backed WAL, scrape-endpoint lint, ``BENCH_serving.json``
-  artifact (plus a timestamped copy under ``benchmarks/results/``);
-  non-zero exit on any regression.
-- ``bench-diff`` — compare two bench-smoke artifacts and exit non-zero
-  when the concurrent p95 regressed past ``--max-p95-regress``; with a
-  single path the repo-root ``BENCH_serving.json`` is the baseline.
-- ``bench-trend`` — walk every archived artifact under
-  ``benchmarks/results/``, render each scale's p50/p95 trajectory with
-  a sparkline, and gate the newest p95 against the median of the
-  earlier runs.
-- ``soak`` — seeded skewed/bursty replay workload for N seconds with
-  the full temporal stack live (TSDB sampler, SLO alerts, sampling
-  profiler); emits a ``BENCH_soak.json`` trend artifact with
-  time-bucketed p50/p95/p99, throughput and the alert transition log;
-  ``--inject-breach`` demonstrates one firing→resolved alert cycle.
-- ``replay`` — seeded skewed/bursty HTTP traffic replay against the
-  slicer API stack (logical model → rollup router → service), gating on
-  zero 5xx, router hit-rate and routed-vs-base latency; emits a
-  ``BENCH_api.json`` artifact.
 - ``api-serve`` — standalone slicer-style HTTP query API
   (``/cube/<name>/aggregate`` drilldown/cut requests) over a synthetic
   cube.
@@ -57,11 +37,6 @@ Commands:
   ``/timeseries`` endpoint, with firing alerts inlined.
 - ``alert-lint`` — validate an SLO rule file against the checked-in
   schema and parse it through the alert manager's loader.
-- ``trace-smoke`` — the CI distributed-tracing gate: a 4-shard
-  process-executor query whose flight-recorder trace must decompose
-  (scatter counter deltas == re-parented worker span deltas), plus an
-  API request whose ``X-Trace-Id`` must resolve to the rollup rebuild it
-  scheduled; validates both against ``trace.schema.json``.
 """
 
 from __future__ import annotations
@@ -109,24 +84,19 @@ def _add_scale_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_shard_arguments(
-    parser: argparse.ArgumentParser,
-    default_shards: int = 1,
-    default_executor: str = "local",
-) -> None:
+def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards",
         type=int,
-        default=default_shards,
+        default=1,
         help="chunk-range shards to scatter array consolidations over "
-        f"(default {default_shards})",
+        "(default 1)",
     )
     parser.add_argument(
         "--executor",
         choices=("local", "thread", "process"),
-        default=default_executor,
-        help="where shard scans run when --shards > 1 "
-        f"(default {default_executor})",
+        default="local",
+        help="where shard scans run when --shards > 1 (default local)",
     )
 
 
@@ -620,266 +590,6 @@ def cmd_top(args) -> int:
     return 0
 
 
-def cmd_bench_smoke(args) -> int:
-    from repro.bench.serving_smoke import (
-        archive_artifact,
-        run_serving_smoke,
-        write_artifact,
-    )
-
-    payload = run_serving_smoke(
-        scale=args.scale,
-        n_threads=args.threads,
-        rounds=args.rounds,
-        shards=args.shards,
-        executor=args.executor,
-    )
-    write_artifact(payload, args.output)
-    concurrent = payload["concurrent"]
-    shard_note = (
-        f"shards={payload['shards']}({payload['executor']}) "
-        if payload["shards"] > 1
-        else ""
-    )
-    print(
-        f"bench-smoke [{payload['scale']}]: {shard_note}"
-        f"p50={concurrent['p50_s'] * 1000:.3f}ms "
-        f"p95={concurrent['p95_s'] * 1000:.3f}ms "
-        f"p99={concurrent['p99_s'] * 1000:.3f}ms "
-        f"hit-rate={concurrent['hit_rate']:.0%} "
-        f"slowlog={payload['slowlog_entries']}"
-    )
-    print(f"artifact written to {args.output}")
-    if args.results_dir:
-        archived = archive_artifact(payload, args.results_dir)
-        print(f"archived to {archived}")
-    if payload["failures"]:
-        for failure in payload["failures"]:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    print("scrape lint + histogram coverage: ok")
-    return 0
-
-
-def cmd_bench_diff(args) -> int:
-    from repro.bench.diff import diff_artifacts, load_artifact
-
-    baseline, candidate_path = args.baseline, args.candidate
-    if candidate_path is None:
-        if baseline is None:
-            print(
-                "FAIL: bench-diff needs at least a candidate artifact",
-                file=sys.stderr,
-            )
-            return 1
-        # one path: it is the candidate; the canonical repo-root
-        # artifact (refreshed by every bench-smoke) is the baseline
-        candidate_path, baseline = baseline, "BENCH_serving.json"
-        print(f"baseline defaulted to {baseline}", file=sys.stderr)
-    try:
-        base = load_artifact(baseline)
-        candidate = load_artifact(candidate_path)
-    except (OSError, ValueError) as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
-    lines, failures = diff_artifacts(
-        base, candidate, max_p95_regress=args.max_p95_regress
-    )
-    for line in lines:
-        print(line)
-    return 1 if failures else 0
-
-
-def cmd_bench_trend(args) -> int:
-    from repro.bench.trend import load_trend, render_trend
-
-    notes: list[str] = []
-    by_scale = load_trend(args.results_dir, notes=notes)
-    if args.json:
-        print(json.dumps(by_scale, indent=2))
-    report, failed = render_trend(
-        by_scale, max_p95_regress=args.max_p95_regress
-    )
-    for note in notes:
-        print(f"note: {note}", file=sys.stderr)
-    if not args.json:
-        print(report)
-    elif failed:
-        print(report, file=sys.stderr)
-    return 1 if failed else 0
-
-
-def cmd_soak(args) -> int:
-    from repro.bench.soak import run_soak, write_soak_artifact
-
-    payload = run_soak(
-        scale=args.scale,
-        seconds=args.seconds,
-        seed=args.seed,
-        clients=args.clients,
-        bucket_s=args.bucket,
-        inject_breach=args.inject_breach,
-        shards=args.shards,
-        executor=args.executor,
-        memory_budget=args.memory_budget,
-    )
-    write_soak_artifact(payload, args.output)
-    latency = payload["latency"]
-    print(
-        f"soak [{payload['scale']}] {payload['seconds']:g}s seed={payload['seed']}: "
-        f"{payload['queries']} queries ({payload['writes']} writes) "
-        f"p50={latency['p50_s'] * 1000:.3f}ms "
-        f"p95={latency['p95_s'] * 1000:.3f}ms "
-        f"p99={latency['p99_s'] * 1000:.3f}ms "
-        f"hit-rate={payload['hit_rate']:.0%}"
-    )
-    populated = [b for b in payload["buckets"] if b["count"]]
-    print(
-        f"  buckets: {len(populated)}/{len(payload['buckets'])} with traffic  "
-        f"tsdb samples: {payload['timeseries']['samples_taken']}  "
-        f"alert transitions: {len(payload['alerts']['events'])}  "
-        f"profiler attribution: "
-        f"{payload['profiler']['attributed_fraction']:.0%}"
-    )
-    memory = payload["memory"]
-    budget_note = (
-        f"budget={memory['budget_bytes']:,}B"
-        if memory["budget_bytes"]
-        else "unbounded"
-    )
-    print(
-        f"  memory: high-water {memory['high_water_bytes']:,}B "
-        f"({budget_note})  "
-        f"pressure events {memory['pressure_events']:.0f}  "
-        f"reclaimed {memory['reclaimed_bytes']:,.0f}B"
-    )
-    if payload["shards"] > 1:
-        totals = payload["shard_counters"]
-        print(
-            f"  shards: {payload['shards']} ({payload['executor']})  "
-            f"scattered={totals.get('shard.queries', 0):.0f}  "
-            f"retries={totals.get('shard.retries', 0):.0f}  "
-            f"scatter={totals.get('shard.scatter_ms', 0):.1f}ms  "
-            f"merge={totals.get('shard.merge_ms', 0):.1f}ms"
-        )
-    injected = payload["alerts"]["injected"]
-    if injected is not None:
-        print(
-            f"  injected rule: fired {injected['firings']}x, "
-            f"resolved={injected['resolved']}"
-        )
-    print(f"artifact written to {args.output}")
-    if args.validate:
-        from repro.util.jsonschema_lite import SchemaError, validate
-
-        with open(args.validate, encoding="utf-8") as handle:
-            schema = json.load(handle)
-        try:
-            validate(payload, schema)
-        except SchemaError as exc:
-            print(f"FAIL: schema validation: {exc}", file=sys.stderr)
-            return 1
-        print(f"-- artifact validates against {args.validate}", file=sys.stderr)
-    if payload["failures"]:
-        for failure in payload["failures"]:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_replay(args) -> int:
-    from repro.api.replay import (
-        ReplaySettings,
-        run_replay,
-        write_replay_artifact,
-    )
-
-    report = run_replay(
-        ReplaySettings(
-            scale=args.scale,
-            requests=args.requests,
-            seed=args.seed,
-            clients=args.clients,
-            write_every=args.write_every,
-            model_path=args.model,
-            cube=args.cube,
-            memory_budget=args.memory_budget,
-        )
-    )
-    payload = report.payload
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
-    else:
-        statuses = payload["statuses"]
-        rollup = payload["rollup"]
-        latency = payload["latency"]
-        print(
-            f"replay [{payload['scale']}] {payload['requests']} requests "
-            f"seed={payload['seed']} clients={payload['clients']}: "
-            f"2xx={statuses['2xx']} 4xx={statuses['4xx']} "
-            f"5xx={statuses['5xx']} writes={payload['writes']}"
-        )
-        print(
-            f"  rollup: hits={rollup['hits']} "
-            f"base={rollup['base_fallbacks']} "
-            f"hit-rate={rollup['hit_rate']:.0%} "
-            f"resident={rollup['resident']} "
-            f"rebuilds={rollup['counters'].get('rollup.rebuilds', 0):.0f} "
-            f"stale={rollup['counters'].get('rollup.stale', 0):.0f}"
-        )
-        print(
-            f"  latency p95: all={latency['all']['p95_s'] * 1000:.3f}ms "
-            f"routed={latency['routed']['p95_s'] * 1000:.3f}ms "
-            f"base={latency['base']['p95_s'] * 1000:.3f}ms"
-        )
-        probe = payload["explain_probe"]
-        print(
-            f"  explain probe: root={probe['root_op']} "
-            f"rollup={probe['rollup']} analyzed={probe['analyzed']}"
-        )
-    write_replay_artifact(payload, args.output)
-    if not getattr(args, "json", False):
-        print(f"artifact written to {args.output}")
-    if args.validate_response or args.validate_plan:
-        from repro.util.jsonschema_lite import SchemaError, validate
-
-        checks = []
-        if args.validate_response:
-            checks.append(
-                (args.validate_response, payload.get("sample_response"),
-                 "sample response")
-            )
-        if args.validate_plan:
-            checks.append(
-                (args.validate_plan, payload["explain_probe"].get("plan"),
-                 "explain probe plan")
-            )
-        for schema_path, document, label in checks:
-            if document is None:
-                print(f"FAIL: no {label} captured to validate",
-                      file=sys.stderr)
-                return 1
-            with open(schema_path, encoding="utf-8") as handle:
-                schema = json.load(handle)
-            try:
-                validate(document, schema)
-            except SchemaError as exc:
-                print(
-                    f"FAIL: {label} vs {schema_path}: {exc}",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"-- {label} validates against {schema_path}",
-                file=sys.stderr,
-            )
-    if report.failures:
-        for failure in report.failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_api_serve(args) -> int:
     import tempfile
     import threading
@@ -1009,41 +719,6 @@ def cmd_faultcheck(args) -> int:
         print(f"{failures}/{len(outcomes)} scenarios FAILED")
         return 1
     print(f"all {len(outcomes)} scenarios upheld the crash-recovery property")
-    return 0
-
-
-def cmd_trace_smoke(args) -> int:
-    from repro.bench.trace_smoke import run_trace_smoke, write_trace_smoke_artifact
-
-    payload = run_trace_smoke(
-        scale=args.scale, shards=args.shards, executor=args.executor
-    )
-    if args.output:
-        write_trace_smoke_artifact(payload, args.output)
-        print(f"artifact written to {args.output}")
-    sharded = payload.get("sharded", {})
-    decomposition = sharded.get("decomposition", {})
-    chunk = decomposition.get("chunks_read", {})
-    print(
-        f"trace-smoke [{payload['scale']}]: "
-        f"shards={payload['shards']}({payload['executor']}) "
-        f"scans={sharded.get('shard_scans', 0)} "
-        f"workers={sharded.get('worker_spans', 0)} "
-        f"chunks_read scatter={chunk.get('scatter')} "
-        f"worker_sum={chunk.get('worker_sum')}"
-    )
-    api = payload.get("api", {})
-    print(
-        f"trace-smoke api: request {payload.get('api_trace_id')} "
-        f"schedules {api.get('build_trace_id')} "
-        f"follows_from={api.get('follows_from_back_link')} "
-        f"access_log={payload.get('access_log', {}).get('parsed', 0)} lines"
-    )
-    if payload["failures"]:
-        for failure in payload["failures"]:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    print("span decomposition + async causality + schema: ok")
     return 0
 
 
@@ -1279,165 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.set_defaults(run=cmd_top)
 
-    bench_smoke = commands.add_parser(
-        "bench-smoke",
-        help="CI serving smoke: workload + scrape lint + JSON artifact",
-    )
-    bench_smoke.add_argument(
-        "--output", default="BENCH_serving.json", metavar="FILE"
-    )
-    bench_smoke.add_argument("--threads", type=int, default=4)
-    bench_smoke.add_argument("--rounds", type=int, default=2)
-    bench_smoke.add_argument(
-        "--results-dir",
-        default="benchmarks/results",
-        metavar="DIR",
-        help="also archive a timestamped copy here for later bench-diff "
-        "runs (empty string disables archiving)",
-    )
-    _add_shard_arguments(bench_smoke)
-    _add_scale_argument(bench_smoke)
-    bench_smoke.set_defaults(run=cmd_bench_smoke)
-
-    bench_diff = commands.add_parser(
-        "bench-diff",
-        help="compare two bench-smoke artifacts; non-zero exit on a "
-        "p95 latency regression",
-    )
-    bench_diff.add_argument(
-        "baseline",
-        nargs="?",
-        default=None,
-        help="earlier BENCH_serving.json (with one path given, that "
-        "path is the candidate and the repo-root BENCH_serving.json "
-        "is the baseline)",
-    )
-    bench_diff.add_argument(
-        "candidate", nargs="?", default=None, help="newer BENCH_serving.json"
-    )
-    bench_diff.add_argument(
-        "--max-p95-regress",
-        type=float,
-        default=1.3,
-        metavar="RATIO",
-        help="fail when candidate p95 / baseline p95 exceeds this "
-        "(default 1.3)",
-    )
-    bench_diff.set_defaults(run=cmd_bench_diff)
-
-    bench_trend = commands.add_parser(
-        "bench-trend",
-        help="render and gate the p95 trajectory across every archived "
-        "bench-smoke artifact",
-    )
-    bench_trend.add_argument(
-        "--results-dir", default="benchmarks/results", metavar="DIR"
-    )
-    bench_trend.add_argument(
-        "--max-p95-regress",
-        type=float,
-        default=1.5,
-        metavar="RATIO",
-        help="fail when the newest p95 exceeds this multiple of the "
-        "median of the earlier runs at the same scale (default 1.5)",
-    )
-    bench_trend.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the grouped trajectory as JSON instead of the table",
-    )
-    bench_trend.set_defaults(run=cmd_bench_trend)
-
-    soak = commands.add_parser(
-        "soak",
-        help="seeded replay workload with the temporal observability "
-        "stack live; emits a BENCH_soak.json trend artifact",
-    )
-    soak.add_argument("--seconds", type=float, default=10.0)
-    soak.add_argument("--seed", type=int, default=0)
-    soak.add_argument("--clients", type=int, default=4)
-    soak.add_argument(
-        "--bucket",
-        type=float,
-        default=1.0,
-        metavar="S",
-        help="latency time-bucket width in seconds (default 1.0)",
-    )
-    soak.add_argument(
-        "--inject-breach",
-        action="store_true",
-        help="install an unsatisfiable SLO rule mid-run and force one "
-        "firing→resolved alert cycle (the lifecycle proof)",
-    )
-    soak.add_argument(
-        "--memory-budget",
-        type=int,
-        default=0,
-        metavar="BYTES",
-        help="resident-set budget enforced by pressure eviction "
-        "(default 0: accounting only)",
-    )
-    soak.add_argument("--output", default="BENCH_soak.json", metavar="FILE")
-    soak.add_argument(
-        "--validate",
-        metavar="SCHEMA",
-        help="validate the artifact against a schema file "
-        "(see benchmarks/schemas/bench_soak.schema.json)",
-    )
-    _add_shard_arguments(soak)
-    _add_scale_argument(soak)
-    soak.set_defaults(run=cmd_soak)
-
-    replay = commands.add_parser(
-        "replay",
-        help="seeded HTTP traffic replay against the API stack; emits "
-        "a BENCH_api.json artifact and gates on zero 5xx, rollup "
-        "hit-rate and routed-vs-base latency",
-    )
-    replay.add_argument("--requests", type=int, default=200)
-    replay.add_argument("--seed", type=int, default=0)
-    replay.add_argument("--clients", type=int, default=4)
-    replay.add_argument(
-        "--write-every",
-        type=int,
-        default=40,
-        metavar="N",
-        help="issue one churn write per N requests (0 disables; "
-        "default 40)",
-    )
-    replay.add_argument(
-        "--model", default="benchmarks/api_model.json", metavar="FILE"
-    )
-    replay.add_argument(
-        "--cube", default="sales", help="logical cube to replay against"
-    )
-    replay.add_argument(
-        "--memory-budget",
-        type=int,
-        default=0,
-        metavar="BYTES",
-        help="resident-set budget enforced by pressure eviction "
-        "(default 0: accounting only)",
-    )
-    replay.add_argument("--output", default="BENCH_api.json", metavar="FILE")
-    replay.add_argument(
-        "--validate-response",
-        metavar="SCHEMA",
-        help="validate the captured sample response against a schema "
-        "(see benchmarks/schemas/api_response.schema.json)",
-    )
-    replay.add_argument(
-        "--validate-plan",
-        metavar="SCHEMA",
-        help="validate the explain probe's plan against a schema "
-        "(see benchmarks/schemas/explain_plan.schema.json)",
-    )
-    replay.add_argument(
-        "--json", action="store_true", help="print the full artifact"
-    )
-    _add_scale_argument(replay)
-    replay.set_defaults(run=cmd_replay)
-
     api_serve = commands.add_parser(
         "api-serve",
         help="standalone HTTP query API over a synthetic cube",
@@ -1509,18 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to one crash point (repeatable)",
     )
     faultcheck.set_defaults(run=cmd_faultcheck)
-
-    trace_smoke = commands.add_parser(
-        "trace-smoke",
-        help="CI tracing gate: shard span decomposition + async rollup "
-        "causality over live HTTP",
-    )
-    trace_smoke.add_argument(
-        "--output", metavar="FILE", help="write the gate payload as JSON"
-    )
-    _add_shard_arguments(trace_smoke, default_shards=4, default_executor="process")
-    _add_scale_argument(trace_smoke)
-    trace_smoke.set_defaults(run=cmd_trace_smoke)
 
     return parser
 

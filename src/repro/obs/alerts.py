@@ -175,8 +175,8 @@ def default_rules() -> list[SloRule]:
     """The shipped SLO rule set (mirrored in ``benchmarks/slo_rules.json``).
 
     Thresholds are deliberately lax: the healthy serving path at every
-    scale must run a whole soak without a single firing, so CI can
-    treat *any* default-rule transition as a regression.
+    scale must never fire one, so *any* default-rule transition is a
+    regression.
     """
     return [
         SloRule(

@@ -66,8 +66,8 @@ class Histogram:
     Each bucket additionally keeps one *exemplar* — the trace_id and
     value of the last observation recorded into it with a trace_id —
     so a percentile read maps back to a concrete trace in the
-    :class:`~repro.obs.tracing.TraceStore` (``repro top`` and the soak
-    artifact surface these).
+    :class:`~repro.obs.tracing.TraceStore` (``repro top`` surfaces
+    these).
     """
 
     __slots__ = ("bounds", "_counts", "_sum", "_count", "_exemplars", "_lock")

@@ -267,9 +267,9 @@ class MemoryAccountant:
     def sample(self, reason: str = "sample") -> dict:
         """Enforce the budget, then read the ledger.
 
-        Enforce-*then*-read is what lets a recorded trajectory (soak,
-        replay) prove "the budget held at every sample" instead of
-        merely "we eventually reclaimed".
+        Enforce-*then*-read is what lets a recorded trajectory prove
+        "the budget held at every sample" instead of merely "we
+        eventually reclaimed".
         """
         reclaimed = self.maybe_reclaim(reason)
         usage = self.usage_by_store()

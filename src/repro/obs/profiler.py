@@ -25,9 +25,8 @@ handlers) — is skipped entirely: a profiler that mostly profiles
 itself is noise.
 
 ``attributed_fraction`` is span / (span + other): of the *busy*
-samples worth attributing, how many landed in a named phase.  The soak
-harness gates on it staying ≥ 0.8, which is what keeps the span
-instrumentation honest as the engine grows.
+samples worth attributing, how many landed in a named phase.  A low
+value means engine work is running outside any span.
 """
 
 from __future__ import annotations

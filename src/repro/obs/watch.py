@@ -5,7 +5,7 @@ Where ``repro top`` renders *instantaneous* headlines from two raw
 each frame fetches a handful of ``/timeseries/<metric>`` windows (plus
 ``/alerts``) and renders one sparkline row per metric — latency
 quantile trend, query-rate trend, cache-hit trend, in-flight depth —
-so a human watching a soak sees the shape over time, not just the
+so a human watching a long run sees the shape over time, not just the
 latest number.  Everything works on the JSON payloads alone, so frame
 rendering is testable without a live endpoint.
 """

@@ -16,7 +16,6 @@ import time
 import urllib.error
 import urllib.request
 
-from repro.api.replay import _negative_actuals
 from repro.api.server import ApiServer
 from repro.data import generate_fact_rows
 
@@ -33,6 +32,22 @@ def _get(url):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def _negative_actuals(explain: dict) -> dict[str, float]:
+    """Every negative actual or total in an analyzed plan payload."""
+    measured = [("totals", explain["execution"]["totals"])]
+    nodes = [explain["plan"]]
+    while nodes:
+        node = nodes.pop()
+        measured.append((node["op"], node.get("actuals", {})))
+        nodes.extend(node.get("children", ()))
+    return {
+        f"{where}.{name}": value
+        for where, counters in measured
+        for name, value in counters.items()
+        if value < 0
+    }
 
 
 class TestSingleThreaded:

@@ -1,10 +1,16 @@
 """Scatter/gather visibility: EXPLAIN nodes, service metrics, /metrics."""
 
+import json
+
 import pytest
 
-from repro.obs.exporters import prometheus_text
+from repro.bench import query2_for
+from repro.obs.exporters import prometheus_text, span_from_dict
 from repro.olap import ConsolidationQuery, ExecutionOptions
 from repro.serve import QueryService, ServiceConfig, query_fingerprint
+from repro.util.jsonschema_lite import validate
+
+from .conftest import CONFIG
 
 
 def query():
@@ -102,3 +108,43 @@ class TestShardedService:
         text = prometheus_text(engine.db.metrics)
         assert 'source="engine:shard"' in text
         assert "shard_queries_total" in text or "shard.queries" in text
+
+    def test_flight_recorder_record_validates_and_decomposes(self, engine):
+        """The worker subtrees survive into the stored trace record."""
+        config = ServiceConfig(
+            shards=2, executor="process", slowlog_threshold_s=0.0
+        )
+        with QueryService(engine, config) as svc:
+            svc.execute(query2_for(CONFIG))
+            trace_id = svc.slowlog.entries()[-1].trace_id
+            record = svc.traces.get(trace_id).to_dict()
+        with open(
+            "benchmarks/schemas/trace.schema.json", encoding="utf-8"
+        ) as handle:
+            validate(record, json.load(handle))
+
+        found = (
+            span_from_dict(root).find("shard_scatter")
+            for root in record["roots"]
+        )
+        scatter = next(span for span in found if span is not None)
+        scans = [
+            child
+            for child in scatter.children
+            if child.name.startswith("shard_scan_")
+        ]
+        assert len(scans) == 2
+        workers = []
+        for scan in scans:
+            shipped = [
+                child
+                for child in scan.children
+                if child.name.startswith("shard_worker")
+            ]
+            assert len(shipped) == 1
+            workers += shipped
+        for key in ("chunks_read", "cells_scanned"):
+            total = scatter.io[key]
+            assert total > 0
+            assert sum(scan.io[key] for scan in scans) == total
+            assert sum(worker.io[key] for worker in workers) == total

@@ -159,105 +159,6 @@ class TestExplainCommand:
         assert "FAIL" in capsys.readouterr().err
 
 
-class TestBenchDiffCommand:
-    def _write(self, path, p95, scale="small"):
-        import json
-
-        path.write_text(json.dumps({
-            "scale": scale,
-            "threads": 2,
-            "queries": 16,
-            "concurrent": {
-                "p50_s": 0.001, "p95_s": p95, "p99_s": 0.05,
-                "hit_rate": 0.5,
-            },
-        }))
-
-    def test_pass_and_fail_exit_codes(self, capsys, tmp_path):
-        base, cand = tmp_path / "a.json", tmp_path / "b.json"
-        self._write(base, p95=0.010)
-        self._write(cand, p95=0.011)
-        assert main(["bench-diff", str(base), str(cand)]) == 0
-        assert "ok" in capsys.readouterr().out
-        self._write(cand, p95=0.100)
-        assert main(["bench-diff", str(base), str(cand)]) == 1
-        assert "regressed" in capsys.readouterr().out
-
-    def test_custom_limit_flag(self, tmp_path):
-        base, cand = tmp_path / "a.json", tmp_path / "b.json"
-        self._write(base, p95=0.010)
-        self._write(cand, p95=0.012)
-        assert main(
-            ["bench-diff", str(base), str(cand),
-             "--max-p95-regress", "1.1"]
-        ) == 1
-
-    def test_unreadable_artifact_fails_cleanly(self, capsys, tmp_path):
-        base = tmp_path / "a.json"
-        self._write(base, p95=0.010)
-        assert main(
-            ["bench-diff", str(base), str(tmp_path / "missing.json")]
-        ) == 1
-        assert "FAIL" in capsys.readouterr().err
-
-    def test_one_path_defaults_baseline_to_repo_root_artifact(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        self._write(tmp_path / "BENCH_serving.json", p95=0.010)
-        cand = tmp_path / "candidate.json"
-        self._write(cand, p95=0.011)
-        assert main(["bench-diff", str(cand)]) == 0
-        captured = capsys.readouterr()
-        assert "baseline defaulted to BENCH_serving.json" in captured.err
-        assert "ok" in captured.out
-
-    def test_zero_paths_fails(self, capsys):
-        assert main(["bench-diff"]) == 1
-        assert "needs at least a candidate" in capsys.readouterr().err
-
-
-class TestBenchTrendCommand:
-    def _write(self, path, p95, scale="small", mtime=None):
-        import json
-        import os
-
-        path.write_text(json.dumps({
-            "scale": scale,
-            "concurrent": {
-                "p50_s": p95 / 2, "p95_s": p95, "p99_s": p95 * 1.2,
-                "hit_rate": 0.5,
-            },
-        }))
-        if mtime is not None:
-            os.utime(path, (mtime, mtime))
-
-    def test_empty_archive_passes(self, capsys, tmp_path):
-        assert main(["bench-trend", "--results-dir", str(tmp_path)]) == 0
-        assert "no archived artifacts" in capsys.readouterr().out
-
-    def test_steady_trajectory_passes(self, capsys, tmp_path):
-        self._write(tmp_path / "BENCH_serving.small.a.json", 0.010, mtime=100)
-        self._write(tmp_path / "BENCH_serving.small.b.json", 0.011, mtime=200)
-        assert main(["bench-trend", "--results-dir", str(tmp_path)]) == 0
-        assert "ok   trend:" in capsys.readouterr().out
-
-    def test_regression_fails(self, tmp_path):
-        self._write(tmp_path / "BENCH_serving.small.a.json", 0.010, mtime=100)
-        self._write(tmp_path / "BENCH_serving.small.b.json", 0.100, mtime=200)
-        assert main(["bench-trend", "--results-dir", str(tmp_path)]) == 1
-
-    def test_json_mode_emits_grouped_payload(self, capsys, tmp_path):
-        import json
-
-        self._write(tmp_path / "BENCH_serving.small.a.json", 0.010, mtime=100)
-        assert main(
-            ["bench-trend", "--results-dir", str(tmp_path), "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert list(payload) == ["small"]
-
-
 class TestAlertLintCommand:
     def test_shipped_rule_file_lints(self, capsys, monkeypatch):
         import os
@@ -294,24 +195,6 @@ class TestAlertLintCommand:
 
 
 class TestTemporalParsers:
-    def test_soak_defaults(self):
-        args = build_parser().parse_args(["soak"])
-        assert args.seconds == 10.0
-        assert args.seed == 0
-        assert args.clients == 4
-        assert args.inject_breach is False
-        assert args.output == "BENCH_soak.json"
-        assert args.validate is None
-
-    def test_soak_flags(self):
-        args = build_parser().parse_args(
-            ["soak", "--seconds", "8", "--inject-breach", "--scale", "small",
-             "--validate", "schema.json"]
-        )
-        assert args.seconds == 8.0
-        assert args.inject_breach is True
-        assert args.validate == "schema.json"
-
     def test_watch_requires_url(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["watch"])
