@@ -2,16 +2,18 @@
 
 ``ApiEndpoint`` owns the request pipeline — parse → validate against
 the logical model → route (rollup vs. base) → answer → shape the JSON
-response — and ``ApiServer`` puts it behind a
-:class:`~http.server.ThreadingHTTPServer` exactly like the
-observability endpoint.  Routes:
+response — and ``ApiServer`` puts it behind the one
+:class:`~http.server.ThreadingHTTPServer` in the tree.  Routes:
 
-- ``GET /``                        — server info + route list
+- ``GET /``                        — server info + every route served
 - ``GET /cubes``                   — logical cube names
 - ``GET /cube/<name>/model``       — one cube's logical model
 - ``GET|POST /cube/<name>/aggregate`` — the aggregate request
-- ``GET /metrics``                 — Prometheus text (``api.*`` included)
-- ``GET /healthz``                 — liveness via the attached service
+- ``GET /rollups``                 — rollup-grain residency
+- every pattern in :data:`repro.obs.server.ROUTES` (``/metrics``,
+  ``/healthz``, ``/traces``, …), mounted here and served *untraced*:
+  no trace is minted or stored for them, so a scraper cannot evict the
+  query traces it polls for
 
 Aggregate request surface (GET params or POST JSON body; the body shape
 is pinned by ``benchmarks/schemas/api_request.schema.json``):
@@ -26,7 +28,7 @@ is pinned by ``benchmarks/schemas/api_request.schema.json``):
 - ``explain=1`` embeds the plan JSON (same schema as ``/explain``),
   ``analyze=1`` additionally binds actuals.
 
-Every client mistake maps to a structured 4xx body
+Every client mistake on any route maps to a structured 4xx body
 ``{"error": {"kind", "message", "status"}}`` — a 5xx from this module
 is a bug.
 """
@@ -51,8 +53,9 @@ from repro.errors import (
     DegradedError,
     ReproError,
 )
-from repro.obs.exporters import prometheus_text, span_to_dict
+from repro.obs.exporters import span_to_dict
 from repro.obs.explain import PlanNode, QueryPlan, attach_actuals
+from repro.obs.server import ROUTES, ObservabilityRoutes
 from repro.obs.tracer import Tracer, get_tracer, thread_tracing
 from repro.obs.tracing import (
     TraceContext,
@@ -393,6 +396,8 @@ class ApiEndpoint:
         self.max_body_bytes = max_body_bytes
         registry = engine.db.metrics
         self.registry = registry
+        #: the introspection routes (``/metrics``, ``/healthz``, …)
+        self.obs = ObservabilityRoutes(registry, service)
         #: the serving layer's flight recorder, shared so API-handler
         #: spans and the query spans below merge into one trace record
         self.traces = getattr(service, "traces", None)
@@ -509,8 +514,7 @@ class ApiEndpoint:
                 "/cube/<name>/model",
                 "/cube/<name>/aggregate",
                 "/rollups",
-                "/metrics",
-                "/healthz",
+                *(pattern for pattern, _ in ROUTES),
             ],
         }
 
@@ -534,14 +538,6 @@ class ApiEndpoint:
 
     def cube_model_payload(self, name: str) -> dict:
         return self.model.cube(name).to_dict()
-
-    def health_payload(self) -> tuple[int, dict]:
-        degraded = self.service.degraded_cubes()
-        status = 503 if degraded else 200
-        return status, {
-            "status": "degraded" if degraded else "ok",
-            "degraded_cubes": degraded,
-        }
 
     # -- compilation ---------------------------------------------------------
 
@@ -848,12 +844,12 @@ class ApiEndpoint:
 
 
 class ApiServer:
-    """``ApiEndpoint`` behind a stdlib threading HTTP server.
+    """``ApiEndpoint`` behind a stdlib threading HTTP server — the only
+    listener in ``src/``.
 
-    The lifecycle mirrors
-    :class:`~repro.obs.server.ObservabilityServer`: bind port 0 for an
-    ephemeral port, serve from a daemon thread, ``stop()`` (or the
-    context manager) shuts down cleanly.
+    Bind port 0 for an ephemeral port (:attr:`port` after
+    :meth:`start`), serve from a daemon thread; ``stop()`` (or the
+    context manager) shuts down cleanly and ``start()`` binds again.
     """
 
     def __init__(
@@ -891,7 +887,7 @@ class ApiServer:
                 path: str,
                 status: int,
                 latency_s: float,
-                trace_id: str,
+                trace_id: str | None,
                 route_source: str | None,
             ) -> None:
                 if not access_log:
@@ -911,19 +907,35 @@ class ApiServer:
                 stream = access_log_stream or sys.stderr
                 print(line, file=stream, flush=True)
 
-            def _send(self, status: int, body: bytes, content_type: str):
+            def _respond(
+                self,
+                method: str,
+                path: str,
+                status: int,
+                payload,
+                content_type: str | None,
+                latency_s: float,
+                trace_id: str | None = None,
+                route_source: str | None = None,
+            ) -> None:
+                """Count, send and access-log one response; a ``None``
+                ``content_type`` means ``payload`` is JSON-encoded."""
+                endpoint.counters.add(f"api.responses_{status // 100}xx")
+                if content_type is None:
+                    body = json.dumps(payload).encode("utf-8")
+                    content_type = "application/json; charset=utf-8"
+                else:
+                    body = payload.encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", content_type)
                 self.send_header("Content-Length", str(len(body)))
-                trace_id = getattr(self, "_trace_id", None)
                 if trace_id is not None:
                     self.send_header("X-Trace-Id", trace_id)
                 self.end_headers()
                 self.wfile.write(body)
-
-            def _send_json(self, status: int, payload) -> None:
-                body = json.dumps(payload).encode("utf-8")
-                self._send(status, body, "application/json; charset=utf-8")
+                self._access_log(
+                    method, path, status, latency_s, trace_id, route_source
+                )
 
             def _params(self) -> dict[str, str]:
                 parts = self.path.split("?", 1)
@@ -960,13 +972,27 @@ class ApiServer:
                 endpoint.counters.add("api.requests")
                 path = self.path.split("?", 1)[0].rstrip("/") or "/"
                 started = time.perf_counter()
+                # /cube/… goes straight to the traced pipeline; any
+                # other GET tries the introspection table first, before
+                # a trace is minted: a poller's scrapes are never stored
+                # and so cannot evict query traces from the recorder
+                if method == "GET" and not path.startswith("/cube/"):
+                    try:
+                        served = endpoint.obs.handle(path, self._params())
+                    except Exception as exc:  # noqa: BLE001 — mapped, never raised
+                        served = (*endpoint.error_payload(exc), None)
+                    if served is not None:
+                        self._respond(
+                            method, path, *served,
+                            time.perf_counter() - started,
+                        )
+                        return
                 ctx = adopt_trace_id(
                     self.headers.get("X-Trace-Id"), origin="api"
                 )
                 explicit = ctx is not None
                 if ctx is None:
                     ctx = endpoint.mint_trace()
-                self._trace_id = ctx.trace_id
                 tracer = (
                     Tracer(registry=endpoint.registry)
                     if (ctx.sampled or explicit)
@@ -980,24 +1006,20 @@ class ApiServer:
                                 with tracer.span(
                                     "api.request", method=method, path=path
                                 ):
-                                    status, payload, content_type = (
-                                        self._route(method, path)
+                                    status, payload = self._route(
+                                        method, path
                                     )
                         else:
-                            status, payload, content_type = self._route(
-                                method, path
-                            )
+                            status, payload = self._route(method, path)
                     except Exception as exc:  # noqa: BLE001 — mapped, never raised
                         error_kind = type(exc).__name__
                         status, payload = endpoint.error_payload(exc)
-                        content_type = None
                     latency_s = time.perf_counter() - started
-                    route_source = None
-                    if isinstance(payload, dict):
-                        payload.setdefault("trace_id", ctx.trace_id)
-                        route = payload.get("route")
-                        if isinstance(route, dict):
-                            route_source = route.get("source")
+                    payload.setdefault("trace_id", ctx.trace_id)
+                    route = payload.get("route")
+                    route_source = (
+                        route.get("source") if isinstance(route, dict) else None
+                    )
                     endpoint.record_request_trace(
                         ctx,
                         method=method,
@@ -1009,54 +1031,34 @@ class ApiServer:
                         route_source=route_source,
                         error_kind=error_kind,
                     )
-                bucket = f"api.responses_{status // 100}xx"
-                endpoint.counters.add(bucket)
-                if content_type is not None:
-                    self._send(
-                        status, payload.encode("utf-8"), content_type
-                    )
-                else:
-                    self._send_json(status, payload)
-                self._access_log(
-                    method, path, status, latency_s, ctx.trace_id,
-                    route_source,
+                self._respond(
+                    method, path, status, payload, None, latency_s,
+                    ctx.trace_id, route_source,
                 )
 
-            def _route(self, method: str, path: str):
-                if path == "/metrics" and method == "GET":
-                    return (
-                        200,
-                        prometheus_text(endpoint.registry),
-                        "text/plain; version=0.0.4; charset=utf-8",
-                    )
+            def _route(self, method: str, path: str) -> tuple[int, dict]:
                 if path == "/" and method == "GET":
-                    return 200, endpoint.info_payload(), None
+                    return 200, endpoint.info_payload()
                 if path == "/cubes" and method == "GET":
-                    return 200, endpoint.cubes_payload(), None
+                    return 200, endpoint.cubes_payload()
                 if path == "/rollups" and method == "GET":
-                    return 200, endpoint.rollup_stats_payload(), None
-                if path == "/healthz" and method == "GET":
-                    status, payload = endpoint.health_payload()
-                    return status, payload, None
+                    return 200, endpoint.rollup_stats_payload()
                 if path.startswith("/cube/"):
                     rest = path[len("/cube/") :]
                     name, _, action = rest.partition("/")
                     if action == "model" and method == "GET":
-                        return 200, endpoint.cube_model_payload(name), None
+                        return 200, endpoint.cube_model_payload(name)
                     if action == "aggregate":
                         if method == "GET":
                             params = self._params()
-                            status, payload = endpoint.aggregate(
+                            return endpoint.aggregate(
                                 name,
                                 lambda parser: parser.from_params(params),
                             )
-                        else:
-                            body = self._read_body()
-                            status, payload = endpoint.aggregate(
-                                name,
-                                lambda parser: parser.from_body(body),
-                            )
-                        return status, payload, None
+                        body = self._read_body()
+                        return endpoint.aggregate(
+                            name, lambda parser: parser.from_body(body)
+                        )
                 raise ApiNotFoundError(
                     f"unknown route {method} {path!r}; see / for routes"
                 )

@@ -309,8 +309,8 @@ def run_concurrent(
 
     Pass ``service`` to run the workload through an existing (suitably
     sized) service instead of a private one — ``repro serve
-    --metrics-port`` does this so the observability endpoint scrapes
-    the same service the workload hits.  A passed-in service is left
+    --metrics-port`` does this so the server's ``/metrics`` scrapes the
+    same service the workload hits.  A passed-in service is left
     open; the private one is closed on return.
     """
     from contextlib import nullcontext

@@ -22,17 +22,16 @@ Commands:
 - ``bench`` — run one experiment's benchmark module via pytest.
 - ``serve`` — drive a concurrent mixed workload through the
   `QueryService` and print cache-hit rate and p50/p95/p99 latency;
-  ``--metrics-port`` exposes the live ``/metrics`` / ``/healthz`` /
-  ``/slowlog`` endpoint while the workload runs.
-- ``obs-server`` — standalone observability endpoint over a trickle
-  workload (scrape target for ``repro top`` / Prometheus).
+  ``--metrics-port`` serves the introspection routes (``/metrics``,
+  ``/healthz``, ``/slowlog``, …; ``GET /`` lists them) while the
+  workload runs and for ``--linger`` seconds after.
 - ``slowlog`` — dump the slow-query ring buffer as JSON, either from a
   local synthetic workload or from a running endpoint (``--url``).
 - ``top`` — terminal dashboard (QPS, latency quantiles, cache hit
   rates, WAL fsync latency) polled from a ``/metrics`` endpoint.
 - ``api-serve`` — standalone slicer-style HTTP query API
   (``/cube/<name>/aggregate`` drilldown/cut requests) over a synthetic
-  cube.
+  cube, the introspection routes on the same port.
 - ``watch`` — terminal trend view (sparklines per metric) polled from a
   ``/timeseries`` endpoint, with firing alerts inlined.
 - ``alert-lint`` — validate an SLO rule file against the checked-in
@@ -42,6 +41,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import subprocess
 import sys
@@ -166,24 +166,18 @@ _TRACE_QUERIES = {"q1": query1_for, "q2": query2_for, "q3": query3_for}
 
 
 def _cmd_trace_by_id(args) -> int:
-    """Fetch one stored trace from a running observability endpoint."""
-    import urllib.error
-
+    """Fetch one stored trace from a running endpoint."""
     from repro.obs.exporters import span_from_dict
-    from repro.obs.top import fetch_metrics
+    from repro.obs.top import fetch_json
 
     if not args.url:
-        print(
-            "trace --id needs --url <observability endpoint>",
-            file=sys.stderr,
-        )
+        print("trace --id needs --url <running endpoint>", file=sys.stderr)
         return 2
     trace_id = args.id.strip().lower()
     url = f"{args.url.rstrip('/')}/trace/id/{trace_id}"
-    try:
-        payload = json.loads(fetch_metrics(url))
-    except urllib.error.HTTPError as exc:
-        print(f"trace {trace_id}: HTTP {exc.code} from {url}", file=sys.stderr)
+    payload = fetch_json(url)
+    if payload is None:
+        print(f"trace {trace_id}: HTTP 404 from {url}", file=sys.stderr)
         return 1
     print(
         f"trace {payload['trace_id']} [{payload['status']}] "
@@ -306,9 +300,36 @@ def cmd_storage(args) -> int:
     return 0
 
 
+def _temporal_service(engine, **config):
+    """A `QueryService` with the time-series sampler and the profiler
+    running, so ``top`` / ``watch`` / ``/alerts`` have something to read."""
+    from repro.serve import QueryService, ServiceConfig
+
+    return QueryService(
+        engine,
+        ServiceConfig(
+            timeseries_interval_s=0.5, profile_sampling_s=0.005, **config
+        ),
+    )
+
+
+@contextlib.contextmanager
+def _serving(engine, model, port: int, **config):
+    """``(service, server)``: one temporal service behind the one HTTP
+    server (query API + introspection routes), both closed on exit."""
+    from repro.api.server import ApiEndpoint, ApiServer
+
+    with _temporal_service(engine, **config) as service:
+        with contextlib.closing(ApiEndpoint(engine, service, model)) as endpoint:
+            with ApiServer(endpoint, port=port) as server:
+                yield service, server
+
+
 def cmd_serve(args) -> int:
     import tempfile
-    import time
+    import threading
+
+    from repro.api.model import LogicalModel
 
     settings = bench_settings(args.scale)
     config = dataset1(settings.scale)[1]  # the x100 cube
@@ -330,32 +351,22 @@ def cmd_serve(args) -> int:
             f"hit-rate={warm.hit_rate:.0%} speedup={warm.speedup:,.0f}x"
         )
 
-        service = server = None
-        if args.metrics_port is not None:
-            from repro.obs.server import ObservabilityServer
-            from repro.serve import QueryService, ServiceConfig
-
-            service = QueryService(
+        if args.metrics_port is None:
+            scope = contextlib.nullcontext((None, None))
+        else:
+            scope = _serving(
                 engine,
-                ServiceConfig(
-                    max_workers=args.threads,
-                    max_in_flight=2 * args.threads * len(queries),
-                    slowlog_threshold_s=args.slow_threshold,
-                    timeseries_interval_s=0.5,
-                    profile_sampling_s=0.005,
-                    shards=args.shards,
-                    executor=args.executor,
-                ),
+                LogicalModel(cubes=()),
+                args.metrics_port,
+                max_workers=args.threads,
+                max_in_flight=2 * args.threads * len(queries),
+                slowlog_threshold_s=args.slow_threshold,
+                shards=args.shards,
+                executor=args.executor,
             )
-            server = ObservabilityServer(
-                engine.db.metrics, service=service, port=args.metrics_port
-            ).start()
-            print(
-                f"observability endpoint: {server.url}/metrics "
-                f"(also /healthz /slowlog /trace/<fingerprint> "
-                f"/timeseries /alerts /profile)"
-            )
-        try:
+        with scope as (service, server):
+            if server is not None:
+                print(f"serving {server.url} (see / for the routes)")
             report = run_concurrent(
                 engine,
                 queries,
@@ -381,94 +392,31 @@ def cmd_serve(args) -> int:
                 )
             if server is not None and args.linger > 0:
                 print(f"lingering {args.linger:.0f}s for scrapes ...")
-                time.sleep(args.linger)
-        finally:
-            if server is not None:
-                server.stop()
-            if service is not None:
-                service.close()
+                # park on an Event, not time.sleep: a C-level sleep has
+                # no Python frame, so the sampling profiler would blame
+                # this thread as busy instead of classifying it idle
+                threading.Event().wait(args.linger)
     return 0
 
 
 def _obs_stack(args, slowlog_threshold_s: float):
-    """Build the (engine, queries, service) trio the obs commands share.
+    """Build the (engine, queries, service) trio ``slowlog`` and ``mem``
+    share.
 
     The engine runs over a file-backed WAL in a caller-owned temp dir so
     fsync/commit histograms carry real observations.
     """
-    from repro.serve import QueryService, ServiceConfig
-
     settings = bench_settings(args.scale)
     config = dataset1(settings.scale)[1]  # the x100 cube
     engine = build_cube_engine(config, settings, wal_dir=args.wal_dir)
     queries = [query1_for(config), query2_for(config), query3_for(config)]
-    service = QueryService(
+    service = _temporal_service(
         engine,
-        ServiceConfig(
-            max_workers=args.threads,
-            max_in_flight=4 * args.threads * len(queries),
-            slowlog_threshold_s=slowlog_threshold_s,
-            timeseries_interval_s=0.5,
-            profile_sampling_s=0.005,
-        ),
+        max_workers=args.threads,
+        max_in_flight=4 * args.threads * len(queries),
+        slowlog_threshold_s=slowlog_threshold_s,
     )
     return engine, queries, service
-
-
-def cmd_obs_server(args) -> int:
-    import tempfile
-    import threading
-
-    from repro.obs.server import ObservabilityServer
-
-    with tempfile.TemporaryDirectory(prefix="repro-obs-") as wal_dir:
-        args.wal_dir = wal_dir
-        print("building workload cube ...")
-        engine, queries, service = _obs_stack(args, args.slow_threshold)
-        server = ObservabilityServer(
-            engine.db.metrics, service=service, port=args.port
-        ).start()
-        stop = threading.Event()
-
-        def trickle() -> None:
-            # round-robin the paper's three queries so every scrape sees
-            # fresh counters and latency observations
-            index = 0
-            while not stop.is_set():
-                try:
-                    service.execute(queries[index % len(queries)])
-                except Exception:
-                    pass  # degraded cube etc.; /healthz reports it
-                index += 1
-                stop.wait(args.think_time)
-
-        worker = threading.Thread(
-            target=trickle, name="repro-obs-trickle", daemon=True
-        )
-        worker.start()
-        print(
-            f"serving {server.url}/metrics /healthz /slowlog "
-            f"/trace/<fingerprint> /timeseries /alerts /profile"
-            + (f" for {args.duration:.0f}s" if args.duration else "")
-        )
-        try:
-            # park on an Event, not time.sleep: a C-level sleep has no
-            # Python frame, so the sampling profiler would blame this
-            # loop as busy instead of classifying it idle
-            park = threading.Event()
-            if args.duration:
-                park.wait(args.duration)
-            else:
-                while True:
-                    park.wait(3600)
-        except KeyboardInterrupt:
-            print("\ninterrupted")
-        finally:
-            stop.set()
-            worker.join(timeout=5)
-            server.stop()
-            service.close()
-    return 0
 
 
 def cmd_slowlog(args) -> int:
@@ -539,11 +487,13 @@ def _print_memory_payload(payload: dict, as_json: bool) -> None:
 
 def cmd_mem(args) -> int:
     if args.url:
-        import urllib.request
+        from repro.obs.top import fetch_json
 
         url = f"{args.url.rstrip('/')}/memory?top={args.top}"
-        with urllib.request.urlopen(url, timeout=5.0) as response:
-            payload = json.loads(response.read().decode("utf-8"))
+        payload = fetch_json(url)
+        if payload is None:
+            print(f"mem: HTTP 404 from {url}", file=sys.stderr)
+            return 1
         _print_memory_payload(payload, args.json)
         return 0
 
@@ -595,8 +545,6 @@ def cmd_api_serve(args) -> int:
     import threading
 
     from repro.api.model import load_model
-    from repro.api.server import ApiEndpoint, ApiServer
-    from repro.serve import QueryService, ServiceConfig
 
     settings = bench_settings(args.scale)
     config = dataset1(settings.scale)[1]  # the x100 cube
@@ -607,29 +555,22 @@ def cmd_api_serve(args) -> int:
     )
     with tempfile.TemporaryDirectory(prefix="repro-api-") as wal_dir:
         engine = build_cube_engine(config, settings, wal_dir=wal_dir)
-        service = QueryService(
-            engine, ServiceConfig(max_workers=args.threads)
-        )
-        try:
-            with ApiServer(
-                ApiEndpoint(engine, service, model), port=args.port
-            ) as server:
-                print(
-                    f"serving {server.url}/cube/<name>/aggregate "
-                    f"(also / /cubes /cube/<name>/model /metrics /healthz)"
-                    + (f" for {args.duration:.0f}s" if args.duration else "")
-                )
-                try:
-                    park = threading.Event()
-                    if args.duration:
-                        park.wait(args.duration)
-                    else:
-                        while True:
-                            park.wait(3600)
-                except KeyboardInterrupt:
-                    print("\ninterrupted")
-        finally:
-            service.close()
+        with _serving(
+            engine, model, args.port, max_workers=args.threads
+        ) as (_, server):
+            print(
+                f"serving {server.url} (see / for the routes)"
+                + (f" for {args.duration:.0f}s" if args.duration else "")
+            )
+            try:
+                park = threading.Event()  # not time.sleep: see cmd_serve
+                if args.duration:
+                    park.wait(args.duration)
+                else:
+                    while True:
+                        park.wait(3600)
+            except KeyboardInterrupt:
+                print("\ninterrupted")
     return 0
 
 
@@ -770,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         "a local query",
     )
     trace.add_argument(
-        "--url", help="observability endpoint base URL (with --id)"
+        "--url", help="running endpoint base URL (with --id)"
     )
     trace.add_argument("--backend", default="array")
     trace.add_argument(
@@ -844,15 +785,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="PORT",
-        help="expose /metrics /healthz /slowlog while the workload runs "
-        "(0 picks an ephemeral port)",
+        help="serve the introspection routes (/metrics /healthz /slowlog "
+        "...) while the workload runs (0 picks an ephemeral port)",
     )
     serve.add_argument(
         "--linger",
         type=float,
         default=0.0,
         metavar="S",
-        help="keep the metrics endpoint up S seconds after the workload",
+        help="keep the server up S seconds after the workload",
     )
     serve.add_argument(
         "--slow-threshold",
@@ -864,30 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shard_arguments(serve)
     _add_scale_argument(serve)
     serve.set_defaults(run=cmd_serve)
-
-    obs_server = commands.add_parser(
-        "obs-server",
-        help="standalone observability endpoint over a trickle workload",
-    )
-    obs_server.add_argument("--port", type=int, default=9100)
-    obs_server.add_argument(
-        "--duration",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="stop after S seconds (default: run until interrupted)",
-    )
-    obs_server.add_argument("--threads", type=int, default=2)
-    obs_server.add_argument(
-        "--think-time",
-        type=float,
-        default=0.2,
-        metavar="S",
-        help="pause between trickle queries (default 0.2s)",
-    )
-    obs_server.add_argument("--slow-threshold", type=float, default=0.25)
-    _add_scale_argument(obs_server)
-    obs_server.set_defaults(run=cmd_obs_server)
 
     slowlog = commands.add_parser(
         "slowlog", help="dump the slow-query ring buffer as JSON"

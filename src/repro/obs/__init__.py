@@ -35,8 +35,9 @@ carries a first-class accounting layer:
   and the ANALYZE heat overlay.
 - :mod:`repro.obs.exporters` — JSON trace dump, text tree rendering,
   Prometheus text exposition plus a parser/linter for it.
-- :mod:`repro.obs.server` — stdlib HTTP endpoint serving ``/metrics``,
-  ``/healthz``, ``/slowlog`` and ``/trace/<fingerprint>`` live.
+- :mod:`repro.obs.server` — the introspection route table (``ROUTES``:
+  ``/metrics``, ``/healthz``, ``/traces``, …) that
+  :class:`repro.api.server.ApiServer` mounts.
 """
 
 from repro.obs.explain import (
@@ -92,16 +93,7 @@ from repro.obs.tracer import tracing as tracing  # noqa: E402, F811
 from repro.obs.timeseries import TimePoint, TimeSeriesStore
 from repro.obs.alerts import AlertManager, SloRule, default_rules, load_rules
 from repro.obs.profiler import SamplingProfiler
-
-
-def __getattr__(name: str):
-    # on first use (PEP 562): obs.server imports http.server, which the
-    # storage layer (it imports obs.histogram) has no use for
-    if name == "ObservabilityServer":
-        from repro.obs.server import ObservabilityServer
-
-        return ObservabilityServer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.obs.server import ObservabilityRoutes
 
 
 __all__ = [
@@ -113,7 +105,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "ObservabilityServer",
+    "ObservabilityRoutes",
     "PlanCache",
     "PlanNode",
     "PromSample",

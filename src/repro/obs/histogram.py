@@ -154,34 +154,6 @@ class Histogram:
         with self._lock:
             return list(self._exemplars)
 
-    def exemplar_for_quantile(self, q: float) -> tuple[str, float] | None:
-        """The exemplar of the bucket the ``q``-quantile falls in.
-
-        Walks outward from the quantile's bucket toward slower buckets
-        (then faster) so a p95 read still links *some* nearby trace
-        when the exact bucket never saw a traced observation.
-        """
-        with self._lock:
-            counts = list(self._counts)
-            exemplars = list(self._exemplars)
-        total = sum(counts)
-        if total <= 0:
-            return None
-        rank = q * total
-        cumulative = 0.0
-        index = len(counts) - 1
-        for i, count in enumerate(counts):
-            cumulative += count
-            if cumulative >= rank and count > 0:
-                index = i
-                break
-        for i in list(range(index, len(exemplars))) + list(
-            range(index - 1, -1, -1)
-        ):
-            if exemplars[i] is not None:
-                return exemplars[i]
-        return None
-
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (linear interpolation in-bucket)."""
         with self._lock:

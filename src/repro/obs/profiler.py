@@ -226,10 +226,6 @@ class SamplingProfiler:
                 out[f"(other);{key}"] = count
         return dict(sorted(out.items(), key=lambda kv: (-kv[1], kv[0])))
 
-    def hottest(self, n: int = 10) -> list[tuple[str, int]]:
-        """The ``n`` most-sampled collapsed stacks, hottest first."""
-        return list(self.collapsed().items())[:n]
-
     def to_dict(self) -> dict:
         """The ``/profile`` JSON body."""
         payload = self.stats()

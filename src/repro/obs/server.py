@@ -1,407 +1,209 @@
-"""The live observability endpoint: stdlib HTTP over the registry.
+"""The introspection route table the API server mounts.
 
-``ObservabilityServer`` serves four routes from a daemon thread:
+:data:`ROUTES` is the one list of what is served: ``(pattern, method)``
+pairs, matched in order, where a trailing ``<name>`` in a pattern binds
+the rest of the path as the method's argument.  ``ObservabilityRoutes``
+holds the payload methods; it opens no socket — the listener is
+:class:`repro.api.server.ApiServer`, which calls :meth:`handle` for
+every ``GET`` outside ``/cube/…``.
 
-- ``/metrics``  — the registry in Prometheus exposition text format
-  (counters, gauges, and latency histograms as ``_bucket``/``_sum``/
-  ``_count`` series);
-- ``/healthz``  — JSON liveness: ``ok`` (HTTP 200) or ``degraded``
-  (HTTP 503) with the degraded cube list, in-flight depth and recovery
-  counters, read from an attached
-  :class:`~repro.serve.service.QueryService`;
-- ``/slowlog``  — the slow-query ring buffer as JSON;
-- ``/trace/<fingerprint>`` — the most recent captured profile (span
-  tree + counter deltas + plan choice) for one query fingerprint;
-- ``/traces`` — the flight-recorder index (recent distributed traces,
-  newest first), and ``/trace/id/<trace_id>`` — one full trace: span
-  trees with per-span counter deltas, follows-from links, outcome;
-- ``/explain`` — the fingerprints currently in the plan cache, and
-  ``/explain/<fingerprint>`` — that query's cached EXPLAIN payload
-  (estimate-vs-actual per plan node when it was ANALYZE'd);
-- ``/heatmap/<cube>`` — the cumulative chunk access heatmap of one
-  cube's array (logical accesses and disk reads per chunk number);
-- ``/timeseries`` — the metrics the time-series store knows about, and
-  ``/timeseries/<metric>?seconds=N&q=Q`` — that metric's trailing
-  window as points (counter deltas + rate, gauge samples, or windowed
-  histogram quantiles);
-- ``/alerts`` — currently-firing SLO rules, the firing/resolved alert
-  log (with linked slow-query fingerprints for latency alerts), and
-  the installed rule set;
-- ``/profile`` — the sampling profiler's collapsed stacks and
-  attribution statistics;
-- ``/memory`` — the memory accountant's resident-set breakdown: total
-  and per-store ``resident_bytes``, the top-N largest entries, and the
-  pressure/reclaim counters (``?top=N`` controls the entry list).
-
-Everything is read-only and stdlib-only (``http.server``), so the
-endpoint works in the bare CI container and maps 1:1 onto a real
-Prometheus + probe deployment.  Bind to port 0 to get an ephemeral
-port (tests do); the bound port is available as :attr:`port` after
-:meth:`start`.
+A payload method returns its JSON body (``/metrics``: the Prometheus
+text) or raises :class:`~repro.errors.ApiNotFoundError` when the part
+it reads is not attached or the fingerprint / trace id / metric / cube
+is unknown.  Numeric query parameters are the keyword-only arguments of
+the method that takes them (``/traces?limit=N``, ``/memory?top=N``,
+``/timeseries/<metric>?seconds=N&q=Q``); an unparsable or non-finite
+one is an :class:`~repro.errors.ApiRequestError`, any other query
+parameter is ignored.  Everything is read-only.
 """
 
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import math
 from typing import TYPE_CHECKING
 
+from repro.errors import ApiNotFoundError, ApiRequestError, ReproError
 from repro.obs.exporters import prometheus_text
-from repro.obs.explain import PlanCache
 from repro.obs.registry import MetricsRegistry
-from repro.obs.slowlog import SlowQueryLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serve.service import QueryService
 
+#: every introspection route: ``(pattern, payload method)``, first match wins
+ROUTES = (
+    ("/metrics", "metrics_payload"),
+    ("/healthz", "health_payload"),
+    ("/slowlog", "slowlog_payload"),
+    ("/traces", "traces_index_payload"),
+    ("/trace/id/<trace_id>", "trace_by_id_payload"),
+    ("/trace/<fingerprint>", "trace_payload"),
+    ("/explain", "explain_index_payload"),
+    ("/explain/<fingerprint>", "explain_payload"),
+    ("/heatmap/<cube>", "heatmap_payload"),
+    ("/timeseries", "timeseries_index_payload"),
+    ("/timeseries/<metric>", "timeseries_payload"),
+    ("/alerts", "alerts_payload"),
+    ("/profile", "profile_payload"),
+    ("/memory", "memory_payload"),
+)
 
-class ObservabilityServer:
-    """Serves ``/metrics``, ``/healthz``, ``/slowlog``, ``/trace/*``,
-    ``/explain/*``, ``/heatmap/*``, ``/timeseries/*``, ``/alerts``,
-    ``/profile`` and ``/memory``."""
+
+def _finite(name: str, raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ApiRequestError(
+            f"query parameter {name}={raw!r} must be a finite number"
+        )
+    return value
+
+
+class ObservabilityRoutes:
+    """The payload methods behind :data:`ROUTES`, over one registry and
+    (optionally) one :class:`~repro.serve.service.QueryService`."""
 
     def __init__(
-        self,
-        registry: MetricsRegistry,
-        service: "QueryService | None" = None,
-        slowlog: SlowQueryLog | None = None,
-        plans: PlanCache | None = None,
-        timeseries=None,
-        alerts=None,
-        profiler=None,
-        traces=None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        prefix: str = "repro",
+        self, registry: MetricsRegistry, service: "QueryService | None" = None
     ):
         self.registry = registry
         self.service = service
-        if slowlog is None and service is not None:
-            slowlog = getattr(service, "slowlog", None)
-        self.slowlog = slowlog
-        if plans is None and service is not None:
-            plans = getattr(service, "plans", None)
-        self.plans = plans
-        # the temporal layer defaults from the attached service, like
-        # the slowlog and plan cache do
-        if timeseries is None and service is not None:
-            timeseries = getattr(service, "timeseries", None)
-        self.timeseries = timeseries
-        if alerts is None and service is not None:
-            alerts = getattr(service, "alerts", None)
-        self.alerts = alerts
-        if profiler is None and service is not None:
-            profiler = getattr(service, "profiler", None)
-        self.profiler = profiler
-        if traces is None and service is not None:
-            traces = getattr(service, "traces", None)
-        self.traces = traces
-        #: the memory accountant defaults from the attached service too
-        self.memory = (
-            getattr(service, "memory", None) if service is not None else None
-        )
-        self.host = host
-        self.prefix = prefix
-        self._requested_port = port
-        self._httpd: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
+
+    def _part(self, name: str, label: str):
+        """One of the service's parts, read at request time."""
+        part = getattr(self.service, name, None)
+        if part is None:
+            raise ApiNotFoundError(f"no {label} attached")
+        return part
+
+    def handle(
+        self, path: str, params: dict[str, str]
+    ) -> tuple[int, object, str | None] | None:
+        """``(status, payload, content_type)`` for one ``GET``; ``None``
+        when no pattern matches.  ``content_type`` is ``None`` for JSON."""
+        for pattern, method in ROUTES:
+            head, placeholder, _ = pattern.partition("<")
+            if not placeholder:
+                if path != pattern:
+                    continue
+                args = ()
+            elif path.startswith(head) and len(path) > len(head):
+                args = (path[len(head) :],)
+            else:
+                continue
+            payload_of = getattr(self, method)
+            options = {
+                name: _finite(name, params[name])
+                for name in payload_of.__kwdefaults__ or ()
+                if name in params
+            }
+            body = payload_of(*args, **options)
+            if method == "metrics_payload":
+                return 200, body, "text/plain; version=0.0.4; charset=utf-8"
+            degraded = method == "health_payload" and body["status"] != "ok"
+            return (503 if degraded else 200), body, None
+        return None
 
     # -- route payloads ------------------------------------------------------
 
     def metrics_payload(self) -> str:
         """The Prometheus text for the current registry state."""
-        return prometheus_text(self.registry, prefix=self.prefix)
+        return prometheus_text(self.registry)
 
-    def health_payload(self) -> tuple[int, dict]:
-        """``(http_status, body)`` for ``/healthz``."""
+    def health_payload(self) -> dict:
+        """``/healthz``: ``ok``, or ``degraded`` (served as a 503)."""
         if self.service is None:
-            return 200, {"status": "ok", "service": "detached"}
+            return {"status": "ok", "service": "detached"}
         degraded = self.service.degraded_cubes()
-        body = {
+        return {
             "status": "degraded" if degraded else "ok",
             "degraded_cubes": degraded,
             "in_flight": self.service.in_flight,
             "recoveries": self.service.counters.get("serve.recoveries"),
             "degradations": self.service.counters.get("serve.degradations"),
         }
-        return (503 if degraded else 200), body
 
     def slowlog_payload(self) -> list[dict]:
-        if self.slowlog is None:
+        slowlog = getattr(self.service, "slowlog", None)
+        if slowlog is None:
             return []
-        return [entry.to_dict() for entry in self.slowlog.entries()]
+        return [entry.to_dict() for entry in slowlog.entries()]
 
-    def trace_payload(self, fingerprint: str) -> dict | None:
-        if self.slowlog is None:
-            return None
-        entry = self.slowlog.find(fingerprint)
-        return entry.to_dict() if entry is not None else None
+    def trace_payload(self, fingerprint: str) -> dict:
+        """``/trace/<fingerprint>``: that query's latest captured profile."""
+        entry = self._part("slowlog", "slow-query log").find(fingerprint)
+        if entry is None:
+            raise ApiNotFoundError(f"no trace for {fingerprint!r}")
+        return entry.to_dict()
 
-    def traces_index_payload(self, limit: int = 50) -> tuple[int, dict]:
+    def traces_index_payload(self, *, limit: float = 50) -> dict:
         """``/traces``: the flight recorder's recent-trace index."""
-        if self.traces is None:
-            return 404, {"error": "no trace store attached"}
-        return 200, {
-            "traces": self.traces.index(limit=limit),
-            "stored": self.traces.resident(),
-            "capacity": self.traces.capacity,
-            "counters": self.traces.counters.snapshot(),
+        traces = self._part("traces", "trace store")
+        return {
+            "traces": traces.index(limit=max(1, int(limit))),
+            "stored": traces.resident(),
+            "capacity": traces.capacity,
+            "counters": traces.counters.snapshot(),
         }
 
-    def trace_by_id_payload(self, trace_id: str) -> tuple[int, dict]:
+    def trace_by_id_payload(self, trace_id: str) -> dict:
         """``/trace/id/<trace_id>``: one full distributed trace."""
-        if self.traces is None:
-            return 404, {"error": "no trace store attached"}
-        record = self.traces.get(trace_id.strip().lower())
+        traces = self._part("traces", "trace store")
+        record = traces.get(trace_id.strip().lower())
         if record is None:
-            return 404, {"error": f"no trace with id {trace_id!r}"}
-        return 200, record.to_dict()
+            raise ApiNotFoundError(f"no trace with id {trace_id!r}")
+        return record.to_dict()
 
     def explain_index_payload(self) -> dict:
         """``/explain``: the fingerprints currently cached, oldest first."""
-        fingerprints = self.plans.fingerprints() if self.plans else []
+        plans = getattr(self.service, "plans", None)
+        fingerprints = plans.fingerprints() if plans else []
         return {"fingerprints": fingerprints, "count": len(fingerprints)}
 
-    def explain_payload(self, fingerprint: str) -> dict | None:
-        if self.plans is None:
-            return None
-        return self.plans.get(fingerprint)
+    def explain_payload(self, fingerprint: str) -> dict:
+        payload = self._part("plans", "plan cache").get(fingerprint)
+        if payload is None:
+            raise ApiNotFoundError(f"no plan for {fingerprint!r}")
+        return payload
 
-    def timeseries_index_payload(self) -> tuple[int, dict]:
+    def timeseries_index_payload(self) -> dict:
         """``/timeseries``: every known metric name and its kind."""
-        if self.timeseries is None:
-            return 404, {"error": "no time-series store attached"}
-        return 200, {
-            "metrics": self.timeseries.metric_names(),
-            "samples": len(self.timeseries),
-            "samples_taken": self.timeseries.samples_taken,
-            "capacity": self.timeseries.capacity,
+        timeseries = self._part("timeseries", "time-series store")
+        return {
+            "metrics": timeseries.metric_names(),
+            "samples": len(timeseries),
+            "samples_taken": timeseries.samples_taken,
+            "capacity": timeseries.capacity,
         }
 
     def timeseries_payload(
-        self, metric: str, seconds: float = 60.0, q: float = 0.95
-    ) -> tuple[int, dict]:
+        self, metric: str, *, seconds: float = 60.0, q: float = 0.95
+    ) -> dict:
         """``/timeseries/<metric>``: one metric's trailing window."""
-        if self.timeseries is None:
-            return 404, {"error": "no time-series store attached"}
-        payload = self.timeseries.series_payload(metric, seconds, q)
+        timeseries = self._part("timeseries", "time-series store")
+        payload = timeseries.series_payload(metric, seconds, q)
         if payload is None:
-            return 404, {
-                "error": f"no metric named {metric!r} in the store",
-                "metrics": sorted(self.timeseries.metric_names()),
-            }
-        return 200, payload
+            raise ApiNotFoundError(
+                f"no metric named {metric!r}; see /timeseries for the names"
+            )
+        return payload
 
-    def alerts_payload(self) -> tuple[int, dict]:
-        if self.alerts is None:
-            return 404, {"error": "no alert manager attached"}
-        return 200, self.alerts.to_dict()
+    def alerts_payload(self) -> dict:
+        return self._part("alerts", "alert manager").to_dict()
 
-    def profile_payload(self) -> tuple[int, dict]:
-        if self.profiler is None:
-            return 404, {"error": "no profiler attached"}
-        return 200, self.profiler.to_dict()
+    def profile_payload(self) -> dict:
+        return self._part("profiler", "profiler").to_dict()
 
-    def memory_payload(self, top: int = 10) -> tuple[int, dict]:
+    def memory_payload(self, *, top: float = 10) -> dict:
         """``/memory``: the resident-set breakdown by store."""
-        if self.memory is None:
-            return 404, {"error": "no memory accountant attached"}
-        return 200, self.memory.payload(top_n=max(1, top))
+        memory = self._part("memory", "memory accountant")
+        return memory.payload(top_n=max(1, int(top)))
 
-    def heatmap_payload(self, cube: str) -> tuple[int, dict]:
-        """``(http_status, body)`` for ``/heatmap/<cube>``."""
-        if self.service is None:
-            return 404, {"error": "no service attached"}
-        from repro.errors import ReproError
-
+    def heatmap_payload(self, cube: str) -> dict:
+        """``/heatmap/<cube>``: cumulative per-chunk access heat."""
+        engine = self._part("engine", "service")
         try:
-            return 200, self.service.engine.chunk_heatmap(cube)
+            return engine.chunk_heatmap(cube)
         except ReproError as exc:
-            return 404, {"error": str(exc)}
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> "ObservabilityServer":
-        """Bind and serve from a daemon thread; returns ``self``."""
-        if self._httpd is not None:
-            return self
-        endpoint = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, *args) -> None:  # silence per-request noise
-                pass
-
-            def _send(
-                self, status: int, body: bytes, content_type: str
-            ) -> None:
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def _send_json(self, status: int, payload) -> None:
-                body = json.dumps(payload, indent=2).encode("utf-8")
-                self._send(status, body, "application/json; charset=utf-8")
-
-            def _query_params(self) -> dict[str, str]:
-                parts = self.path.split("?", 1)
-                if len(parts) != 2:
-                    return {}
-                from urllib.parse import parse_qsl
-
-                return dict(parse_qsl(parts[1]))
-
-            @staticmethod
-            def _float_param(
-                params: dict[str, str], name: str, default: float
-            ) -> float:
-                try:
-                    return float(params.get(name, default))
-                except (TypeError, ValueError):
-                    return default
-
-            def do_GET(self) -> None:  # noqa: N802 - http.server API
-                path = self.path.split("?", 1)[0].rstrip("/") or "/"
-                try:
-                    if path == "/metrics":
-                        body = endpoint.metrics_payload().encode("utf-8")
-                        self._send(
-                            200, body, "text/plain; version=0.0.4; charset=utf-8"
-                        )
-                    elif path == "/healthz":
-                        status, payload = endpoint.health_payload()
-                        self._send_json(status, payload)
-                    elif path == "/slowlog":
-                        self._send_json(200, endpoint.slowlog_payload())
-                    elif path == "/traces":
-                        params = self._query_params()
-                        limit = int(
-                            self._float_param(params, "limit", 50.0)
-                        )
-                        status, payload = endpoint.traces_index_payload(
-                            limit=max(1, limit)
-                        )
-                        self._send_json(status, payload)
-                    elif path.startswith("/trace/id/"):
-                        trace_id = path[len("/trace/id/") :]
-                        status, payload = endpoint.trace_by_id_payload(
-                            trace_id
-                        )
-                        self._send_json(status, payload)
-                    elif path.startswith("/trace/"):
-                        fingerprint = path[len("/trace/") :]
-                        payload = endpoint.trace_payload(fingerprint)
-                        if payload is None:
-                            self._send_json(
-                                404,
-                                {"error": f"no trace for {fingerprint!r}"},
-                            )
-                        else:
-                            self._send_json(200, payload)
-                    elif path == "/explain":
-                        self._send_json(200, endpoint.explain_index_payload())
-                    elif path.startswith("/explain/"):
-                        fingerprint = path[len("/explain/") :]
-                        payload = endpoint.explain_payload(fingerprint)
-                        if payload is None:
-                            self._send_json(
-                                404,
-                                {"error": f"no plan for {fingerprint!r}"},
-                            )
-                        else:
-                            self._send_json(200, payload)
-                    elif path.startswith("/heatmap/"):
-                        cube = path[len("/heatmap/") :]
-                        status, payload = endpoint.heatmap_payload(cube)
-                        self._send_json(status, payload)
-                    elif path == "/timeseries":
-                        status, payload = endpoint.timeseries_index_payload()
-                        self._send_json(status, payload)
-                    elif path.startswith("/timeseries/"):
-                        metric = path[len("/timeseries/") :]
-                        params = self._query_params()
-                        status, payload = endpoint.timeseries_payload(
-                            metric,
-                            seconds=self._float_param(params, "seconds", 60.0),
-                            q=self._float_param(params, "q", 0.95),
-                        )
-                        self._send_json(status, payload)
-                    elif path == "/alerts":
-                        status, payload = endpoint.alerts_payload()
-                        self._send_json(status, payload)
-                    elif path == "/profile":
-                        status, payload = endpoint.profile_payload()
-                        self._send_json(status, payload)
-                    elif path == "/memory":
-                        params = self._query_params()
-                        top = int(self._float_param(params, "top", 10.0))
-                        status, payload = endpoint.memory_payload(top=top)
-                        self._send_json(status, payload)
-                    else:
-                        self._send_json(
-                            404,
-                            {
-                                "error": f"unknown route {path!r}",
-                                "routes": [
-                                    "/metrics",
-                                    "/healthz",
-                                    "/slowlog",
-                                    "/traces",
-                                    "/trace/id/<trace_id>",
-                                    "/trace/<fingerprint>",
-                                    "/explain",
-                                    "/explain/<fingerprint>",
-                                    "/heatmap/<cube>",
-                                    "/timeseries",
-                                    "/timeseries/<metric>",
-                                    "/alerts",
-                                    "/profile",
-                                    "/memory",
-                                ],
-                            },
-                        )
-                except BrokenPipeError:  # pragma: no cover - client went away
-                    pass
-
-        self._httpd = ThreadingHTTPServer(
-            (self.host, self._requested_port), Handler
-        )
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-obs-server",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    @property
-    def port(self) -> int:
-        """The bound port (meaningful after :meth:`start`)."""
-        if self._httpd is None:
-            return self._requested_port
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        """Base URL of the running endpoint."""
-        return f"http://{self.host}:{self.port}"
-
-    def stop(self) -> None:
-        """Shut the listener down and join the serving thread."""
-        if self._httpd is None:
-            return
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-        self._httpd = None
-        self._thread = None
-
-    def __enter__(self) -> "ObservabilityServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+            raise ApiNotFoundError(str(exc)) from None

@@ -13,7 +13,9 @@ any endpoint that speaks the format.
 
 from __future__ import annotations
 
+import json
 import math
+import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 
@@ -30,6 +32,16 @@ def fetch_metrics(url: str, timeout_s: float = 5.0) -> str:
     """GET one scrape; returns the exposition text."""
     with urllib.request.urlopen(url, timeout=timeout_s) as response:
         return response.read().decode("utf-8")
+
+
+def fetch_json(url: str, timeout_s: float = 5.0) -> dict | None:
+    """GET one JSON payload; ``None`` on a 404 (nothing by that name)."""
+    try:
+        return json.loads(fetch_metrics(url, timeout_s))
+    except urllib.error.HTTPError as exc:
+        if exc.code == 404:
+            return None
+        raise
 
 
 @dataclass

@@ -12,9 +12,7 @@ rendering is testable without a live endpoint.
 
 from __future__ import annotations
 
-import json
-
-from repro.obs.top import fetch_metrics
+from repro.obs.top import fetch_json
 
 #: the metrics one watch frame fetches, with a short display label
 WATCH_METRICS = (
@@ -27,18 +25,6 @@ WATCH_METRICS = (
 )
 
 _SPARKS = "▁▂▃▄▅▆▇█"
-
-
-def fetch_json(url: str, timeout_s: float = 5.0) -> dict | None:
-    """GET one JSON payload; ``None`` on a 404 (metric not exported)."""
-    import urllib.error
-
-    try:
-        return json.loads(fetch_metrics(url, timeout_s))
-    except urllib.error.HTTPError as exc:
-        if exc.code == 404:
-            return None
-        raise
 
 
 def _spark(values: list[float], width: int = 48) -> str:

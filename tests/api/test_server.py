@@ -344,6 +344,21 @@ class TestErrorPaths:
         assert status == 413
         assert _error(payload)["kind"] == "too_large"
 
+    def test_malformed_numbers_on_introspection_routes_400(self, server):
+        _, _, endpoint, srv = server
+        for path in (
+            "/memory?top=nan",
+            "/memory?top=inf",
+            "/traces?limit=nan",
+            "/timeseries/serve.admitted?seconds=x",
+        ):
+            status, payload = _get(srv.url + path)
+            assert status == 400, path
+            assert payload["error"]["kind"] == "bad_request"  # untraced
+        # the connection survived each one, and none was a server error
+        assert _get(srv.url + "/memory?top=2")[0] == 200
+        assert endpoint.counters.snapshot().get("api.responses_5xx", 0) == 0
+
     def test_no_500s_recorded(self, server):
         _, _, endpoint, srv = server
         for path in (

@@ -2,10 +2,10 @@
 
 Every response carries ``X-Trace-Id`` (and the same id inside its JSON
 body), an inbound well-formed header is adopted verbatim, traces
-resolve on the observability endpoint's ``/trace/id/<trace_id>`` route,
-a stale-grain fallback's trace links to the rollup rebuild it scheduled
-(and the build links back), and the opt-in structured access log emits
-one JSON line per request.
+resolve at ``/trace/id/<trace_id>`` on the port that issued them, a
+scraper's polling cannot evict them, a stale-grain fallback's trace
+links to the rollup rebuild it scheduled (and the build links back),
+and the opt-in structured access log emits one JSON line per request.
 """
 
 import io
@@ -18,7 +18,6 @@ import urllib.request
 import pytest
 
 from repro.api.server import ApiServer
-from repro.obs.server import ObservabilityServer
 from repro.util.jsonschema_lite import validate
 
 from .conftest import CONFIG
@@ -119,42 +118,43 @@ class TestResponseIdentity:
 
 class TestTraceResolution:
     def test_api_trace_resolves_on_observability_endpoint(self, server):
-        engine, service, endpoint, srv = server
+        _, _, endpoint, srv = server
         _warm(endpoint)
-        obs = ObservabilityServer(engine.db.metrics, service=service).start()
-        try:
-            _, _, headers = _get(srv.url + AGG)
-            trace_id = headers["X-Trace-Id"]
-            status, payload, _ = _get(f"{obs.url}/trace/id/{trace_id}")
-            assert status == 200
-            assert validate(payload, TRACE_SCHEMA) in (None, [])
-            assert payload["trace_id"] == trace_id
-            assert payload["attrs"]["method"] == "GET"
-            assert payload["attrs"]["http_status"] == 200
-        finally:
-            obs.stop()
+        _, _, headers = _get(srv.url + AGG)
+        trace_id = headers["X-Trace-Id"]
+        status, payload, _ = _get(f"{srv.url}/trace/id/{trace_id}")
+        assert status == 200
+        assert validate(payload, TRACE_SCHEMA) in (None, [])
+        assert payload["trace_id"] == trace_id
+        assert payload["attrs"]["method"] == "GET"
+        assert payload["attrs"]["http_status"] == 200
 
     def test_unknown_trace_id_404s(self, server):
-        engine, service, _, _ = server
-        obs = ObservabilityServer(engine.db.metrics, service=service).start()
-        try:
-            status, _, _ = _get(f"{obs.url}/trace/id/{'cd' * 16}")
-            assert status == 404
-        finally:
-            obs.stop()
+        _, _, _, srv = server
+        status, _, _ = _get(f"{srv.url}/trace/id/{'cd' * 16}")
+        assert status == 404
 
     def test_traces_index_lists_recent_requests(self, server):
-        engine, service, endpoint, srv = server
+        _, _, endpoint, srv = server
         _warm(endpoint)
-        obs = ObservabilityServer(engine.db.metrics, service=service).start()
-        try:
-            _, _, headers = _get(srv.url + AGG)
-            status, payload, _ = _get(f"{obs.url}/traces")
-            assert status == 200
-            listed = {entry["trace_id"] for entry in payload["traces"]}
-            assert headers["X-Trace-Id"] in listed
-        finally:
-            obs.stop()
+        _, _, headers = _get(srv.url + AGG)
+        status, payload, _ = _get(f"{srv.url}/traces")
+        assert status == 200
+        listed = {entry["trace_id"] for entry in payload["traces"]}
+        assert headers["X-Trace-Id"] in listed
+
+    def test_a_scraper_cannot_evict_a_query_trace(self, server):
+        _, service, endpoint, srv = server
+        _warm(endpoint)
+        trace_id = _get(srv.url + AGG)[2]["X-Trace-Id"]
+        for _ in range(service.traces.capacity + 44):
+            with urllib.request.urlopen(srv.url + "/metrics", timeout=30):
+                pass
+        for path in ("/traces", "/healthz", "/traces", "/healthz"):
+            assert _get(srv.url + path)[0] == 200
+        record = service.traces.get(trace_id)
+        assert record is not None and record.name.startswith("GET /cube/")
+        assert service.traces.counters.get("traces.evicted") == 0
 
 
 class TestAsyncCausality:

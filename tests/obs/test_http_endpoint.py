@@ -1,30 +1,47 @@
-"""The observability HTTP endpoint: routes, status codes, payloads."""
+"""The introspection routes: the table itself (``ObservabilityRoutes.
+handle``) on bare registries and stub services, and the HTTP-level
+behaviour — content types, status codes, lifecycle — once, on the one
+listener (``ApiServer``)."""
 
 import json
+import subprocess
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
-from repro.obs import ObservabilityServer, SlowQueryLog
+from repro.api.model import LogicalModel
+from repro.api.server import ApiEndpoint, ApiServer
+from repro.errors import ApiNotFoundError
+from repro.obs import ObservabilityRoutes, SlowQueryLog
 from repro.obs.exporters import lint_prometheus_text
 from repro.obs.registry import MetricsRegistry
+from repro.obs.server import ROUTES
+from repro.olap import ConsolidationQuery, ExecutionOptions
+from repro.serve import QueryService, ServiceConfig
 from repro.util.stats import Counters
+
+from tests.api.conftest import CONFIG, fresh_engine, fresh_model
 
 
 def _get(url: str):
-    """``(status, content_type, body_text)`` for one GET."""
+    """``(status, headers, body_text)`` for one GET."""
     try:
         with urllib.request.urlopen(url, timeout=5) as response:
             return (
                 response.status,
-                response.headers.get("Content-Type", ""),
+                response.headers,
                 response.read().decode("utf-8"),
             )
     except urllib.error.HTTPError as error:
-        return error.code, error.headers.get("Content-Type", ""), error.read().decode(
-            "utf-8"
-        )
+        return error.code, error.headers, error.read().decode("utf-8")
+
+
+QUERY = ConsolidationQuery.build(
+    CONFIG.name,
+    group_by={f"dim{d}": f"h{d}1" for d in range(CONFIG.ndim)},
+)
 
 
 @pytest.fixture
@@ -39,10 +56,25 @@ def registry():
     return registry
 
 
+@pytest.fixture(scope="module")
+def live():
+    """``(service, server)``: a live engine behind the one listener, every
+    query slow-logged and profiled."""
+    engine = fresh_engine()
+    with QueryService(
+        engine, ServiceConfig(slowlog_threshold_s=0.0)
+    ) as service:
+        endpoint = ApiEndpoint(engine, service, fresh_model())
+        with ApiServer(endpoint) as server:
+            yield service, server
+        endpoint.close()
+
+
 class TestRoutes:
     def test_metrics_route_serves_lintable_exposition_text(self, registry):
-        with ObservabilityServer(registry) as server:
-            status, content_type, body = _get(f"{server.url}/metrics")
+        status, body, content_type = ObservabilityRoutes(registry).handle(
+            "/metrics", {}
+        )
         assert status == 200
         assert content_type.startswith("text/plain")
         lint_prometheus_text(body)
@@ -50,56 +82,61 @@ class TestRoutes:
         assert "repro_svc_latency_seconds_bucket" in body
         assert "repro_svc_latency_seconds_count 3" in body
 
-    def test_ephemeral_port_binding(self, registry):
-        with ObservabilityServer(registry, port=0) as server:
-            assert server.port != 0
-            assert str(server.port) in server.url
+    def test_ephemeral_port_binding(self, live):
+        _, server = live
+        assert server.port != 0
+        assert str(server.port) in server.url
 
     def test_healthz_detached_reports_ok(self, registry):
-        with ObservabilityServer(registry) as server:
-            status, _, body = _get(f"{server.url}/healthz")
+        status, payload, _ = ObservabilityRoutes(registry).handle(
+            "/healthz", {}
+        )
         assert status == 200
-        payload = json.loads(body)
         assert payload == {"status": "ok", "service": "detached"}
 
     def test_slowlog_route_empty_without_log(self, registry):
-        with ObservabilityServer(registry) as server:
-            status, _, body = _get(f"{server.url}/slowlog")
+        status, payload, _ = ObservabilityRoutes(registry).handle(
+            "/slowlog", {}
+        )
         assert status == 200
-        assert json.loads(body) == []
+        assert payload == []
 
     def test_slowlog_and_trace_routes(self, registry):
         slowlog = SlowQueryLog(threshold_s=0.0)
         slowlog.record("fp123", "cube", "array", latency_s=0.5)
-        with ObservabilityServer(registry, slowlog=slowlog) as server:
-            status, _, body = _get(f"{server.url}/slowlog")
-            assert status == 200
-            entries = json.loads(body)
-            assert len(entries) == 1
-            assert entries[0]["fingerprint"] == "fp123"
+        routes = ObservabilityRoutes(
+            registry, SimpleNamespace(slowlog=slowlog)
+        )
+        status, entries, _ = routes.handle("/slowlog", {})
+        assert status == 200
+        assert len(entries) == 1
+        assert entries[0]["fingerprint"] == "fp123"
 
-            status, _, body = _get(f"{server.url}/trace/fp123")
-            assert status == 200
-            assert json.loads(body)["backend"] == "array"
+        status, payload, _ = routes.handle("/trace/fp123", {})
+        assert status == 200
+        assert payload["backend"] == "array"
 
-            status, _, body = _get(f"{server.url}/trace/unknown")
-            assert status == 404
-            assert "no trace" in json.loads(body)["error"]
+        with pytest.raises(ApiNotFoundError, match="no trace"):
+            routes.handle("/trace/unknown", {})
 
-    def test_unknown_route_404_lists_routes(self, registry):
-        with ObservabilityServer(registry) as server:
-            status, _, body = _get(f"{server.url}/nope")
+    def test_unknown_route_404_lists_routes(self, registry, live):
+        assert ObservabilityRoutes(registry).handle("/nope", {}) is None
+        _, server = live
+        status, _, body = _get(f"{server.url}/nope")
         assert status == 404
-        payload = json.loads(body)
-        assert "/metrics" in payload["routes"]
-        assert "/healthz" in payload["routes"]
+        assert "see / for routes" in json.loads(body)["error"]["message"]
+        routes = json.loads(_get(f"{server.url}/")[2])["routes"]
+        assert "/metrics" in routes
+        assert "/healthz" in routes
 
-    def test_query_string_and_trailing_slash_ignored(self, registry):
-        with ObservabilityServer(registry) as server:
-            status, _, _ = _get(f"{server.url}/metrics/?debug=1")
-            assert status == 200
-            status, _, _ = _get(f"{server.url}/healthz/")
-            assert status == 200
+    def test_query_string_and_trailing_slash_ignored(self, live):
+        _, server = live
+        status, headers, _ = _get(f"{server.url}/metrics/?debug=1")
+        assert status == 200
+        assert headers["Content-Type"].startswith("text/plain")
+        status, headers, _ = _get(f"{server.url}/healthz/")
+        assert status == 200
+        assert headers["Content-Type"].startswith("application/json")
 
 
 class _StubService:
@@ -117,20 +154,37 @@ class _StubService:
 
 class TestHealth:
     def test_degraded_service_reports_503(self, registry):
-        server = ObservabilityServer(registry, service=_StubService(["cube_a"]))
-        with server:
-            status, _, body = _get(f"{server.url}/healthz")
+        status, payload, _ = ObservabilityRoutes(
+            registry, _StubService(["cube_a"])
+        ).handle("/healthz", {})
         assert status == 503
-        payload = json.loads(body)
         assert payload["status"] == "degraded"
         assert payload["degraded_cubes"] == ["cube_a"]
         assert payload["in_flight"] == 2
 
     def test_healthy_service_reports_200(self, registry):
-        with ObservabilityServer(registry, service=_StubService([])) as server:
-            status, _, body = _get(f"{server.url}/healthz")
+        status, payload, _ = ObservabilityRoutes(
+            registry, _StubService([])
+        ).handle("/healthz", {})
         assert status == 200
-        assert json.loads(body)["status"] == "ok"
+        assert payload["status"] == "ok"
+
+    def test_one_health_body_on_the_api_server(self):
+        """The listener's ``/healthz`` is the table's: the full body, and
+        a 503 naming the cube when the attached service is degraded."""
+        for degraded, expected in (([], 200), (["cube_a"], 503)):
+            endpoint = ApiEndpoint(
+                fresh_engine(), _StubService(degraded), LogicalModel(cubes=())
+            )
+            with ApiServer(endpoint) as server:
+                status, _, body = _get(f"{server.url}/healthz")
+            endpoint.close()
+            payload = json.loads(body)
+            assert status == expected
+            assert payload["degraded_cubes"] == degraded
+            assert payload["in_flight"] == 2
+            assert payload["recoveries"] == 1
+            assert payload["degradations"] == 0
 
 
 class TestExplainRoutes:
@@ -139,108 +193,82 @@ class TestExplainRoutes:
 
         plans = PlanCache()
         plans.put("fp_a", {"backend": "array", "analyzed": False})
-        with ObservabilityServer(registry, plans=plans) as server:
-            status, content_type, body = _get(f"{server.url}/explain")
-            assert status == 200
-            assert content_type.startswith("application/json")
-            index = json.loads(body)
-            assert index == {"fingerprints": ["fp_a"], "count": 1}
+        routes = ObservabilityRoutes(registry, SimpleNamespace(plans=plans))
+        status, index, content_type = routes.handle("/explain", {})
+        assert status == 200
+        assert content_type is None  # JSON
+        assert index == {"fingerprints": ["fp_a"], "count": 1}
 
-            status, _, body = _get(f"{server.url}/explain/fp_a")
-            assert status == 200
-            assert json.loads(body)["backend"] == "array"
+        status, payload, _ = routes.handle("/explain/fp_a", {})
+        assert status == 200
+        assert payload["backend"] == "array"
 
     def test_explain_unknown_fingerprint_404(self, registry):
         from repro.obs.explain import PlanCache
 
-        with ObservabilityServer(registry, plans=PlanCache()) as server:
-            status, _, body = _get(f"{server.url}/explain/deadbeef")
-        assert status == 404
-        assert "no plan" in json.loads(body)["error"]
+        routes = ObservabilityRoutes(
+            registry, SimpleNamespace(plans=PlanCache())
+        )
+        with pytest.raises(ApiNotFoundError, match="no plan") as caught:
+            routes.handle("/explain/deadbeef", {})
+        assert caught.value.status == 404
 
     def test_explain_detached_serves_empty_index(self, registry):
-        with ObservabilityServer(registry) as server:
-            status, _, body = _get(f"{server.url}/explain")
-            assert status == 200
-            assert json.loads(body) == {"fingerprints": [], "count": 0}
-            status, _, _ = _get(f"{server.url}/explain/anything")
-            assert status == 404
+        routes = ObservabilityRoutes(registry)
+        status, payload, _ = routes.handle("/explain", {})
+        assert status == 200
+        assert payload == {"fingerprints": [], "count": 0}
+        with pytest.raises(ApiNotFoundError):
+            routes.handle("/explain/anything", {})
 
-    def test_routes_listed_in_404(self, registry):
-        with ObservabilityServer(registry) as server:
-            _, _, body = _get(f"{server.url}/nope")
-        routes = json.loads(body)["routes"]
+    def test_routes_listed_in_404(self, live):
+        _, server = live
+        routes = json.loads(_get(f"{server.url}/")[2])["routes"]
         assert "/explain/<fingerprint>" in routes
         assert "/heatmap/<cube>" in routes
+        assert [p for p, _ in ROUTES if p not in routes] == []
 
 
 class TestHeatmapRoute:
     def test_heatmap_detached_404(self, registry):
-        with ObservabilityServer(registry) as server:
-            status, _, body = _get(f"{server.url}/heatmap/cube")
+        with pytest.raises(ApiNotFoundError, match="no service"):
+            ObservabilityRoutes(registry).handle("/heatmap/cube", {})
+
+    def test_heatmap_served_from_live_service(self, live):
+        service, server = live
+        service.execute(QUERY)
+        status, headers, body = _get(f"{server.url}/heatmap/{CONFIG.name}")
+        assert status == 200
+        assert headers["Content-Type"].startswith("application/json")
+        payload = json.loads(body)
+        assert payload["cube"] == CONFIG.name
+        assert payload["total_accesses"] > 0
+        assert len(payload["accesses"]) <= payload["n_chunks"]
+        assert payload["hottest"]
+
+        status, _, body = _get(f"{server.url}/heatmap/unknown")
         assert status == 404
-        assert "no service" in json.loads(body)["error"]
+        assert "unknown" in json.loads(body)["error"]["message"]
 
-    def test_heatmap_served_from_live_service(self):
-        from repro.olap import ConsolidationQuery, ExecutionOptions
-        from repro.serve import QueryService
-
-        from tests.serve.conftest import CONFIG, fresh_engine
-
-        engine = fresh_engine()
-        query = ConsolidationQuery.build(
-            CONFIG.name,
-            group_by={f"dim{d}": f"h{d}1" for d in range(CONFIG.ndim)},
+    def test_service_explain_payload_served_end_to_end(self, live):
+        service, server = live
+        plan = service.explain(
+            QUERY, ExecutionOptions(backend="array"), analyze=True
         )
-        with QueryService(engine) as service:
-            service.execute(query)
-            server = ObservabilityServer(engine.db.metrics, service=service)
-            with server:
-                status, content_type, body = _get(
-                    f"{server.url}/heatmap/{CONFIG.name}"
-                )
-                assert status == 200
-                assert content_type.startswith("application/json")
-                payload = json.loads(body)
-                assert payload["cube"] == CONFIG.name
-                assert payload["total_accesses"] > 0
-                assert len(payload["accesses"]) <= payload["n_chunks"]
-                assert payload["hottest"]
-
-                status, _, body = _get(f"{server.url}/heatmap/unknown")
-                assert status == 404
-                assert "unknown" in json.loads(body)["error"]
-
-    def test_service_explain_payload_served_end_to_end(self):
-        from repro.olap import ConsolidationQuery, ExecutionOptions
-        from repro.serve import QueryService
-
-        from tests.serve.conftest import CONFIG, fresh_engine
-
-        engine = fresh_engine()
-        query = ConsolidationQuery.build(
-            CONFIG.name,
-            group_by={f"dim{d}": f"h{d}1" for d in range(CONFIG.ndim)},
-        )
-        with QueryService(engine) as service:
-            plan = service.explain(
-                query, ExecutionOptions(backend="array"), analyze=True
-            )
-            server = ObservabilityServer(engine.db.metrics, service=service)
-            with server:
-                status, _, body = _get(
-                    f"{server.url}/explain/{plan.fingerprint}"
-                )
-            assert status == 200
-            payload = json.loads(body)
-            assert payload["analyzed"] is True
-            assert payload["fingerprint"] == plan.fingerprint
-            assert payload["execution"]["rows"] == plan.rows
+        status, _, body = _get(f"{server.url}/explain/{plan.fingerprint}")
+        assert status == 200
+        payload = json.loads(body)
+        assert payload["analyzed"] is True
+        assert payload["fingerprint"] == plan.fingerprint
+        assert payload["execution"]["rows"] == plan.rows
 
 
 class TestLifecycle:
-    def test_stop_is_idempotent_and_start_restarts(self, registry):
-        server = ObservabilityServer(registry)
+    def test_stop_is_idempotent_and_start_restarts(self):
+        endpoint = ApiEndpoint(
+            fresh_engine(), _StubService([]), LogicalModel(cubes=())
+        )
+        server = ApiServer(endpoint)
         server.start()
         first_port = server.port
         assert _get(f"{server.url}/healthz")[0] == 200
@@ -251,15 +279,14 @@ class TestLifecycle:
             assert _get(f"{server.url}/healthz")[0] == 200
         finally:
             server.stop()
+            endpoint.close()
         assert first_port != 0
 
 
 class TestMemoryRoute:
     def test_404_without_accountant(self, registry):
-        with ObservabilityServer(registry) as server:
-            status, _, body = _get(f"{server.url}/memory")
-        assert status == 404
-        assert "no memory accountant" in json.loads(body)["error"]
+        with pytest.raises(ApiNotFoundError, match="no memory accountant"):
+            ObservabilityRoutes(registry).handle("/memory", {})
 
     def test_breakdown_payload_and_top_param(self, registry):
         from repro.obs.memory import MemoryAccountant
@@ -272,68 +299,91 @@ class TestMemoryRoute:
                 {"key": f"k{i}", "bytes": 100 - i} for i in range(n)
             ],
         )
-        server = ObservabilityServer(registry)
-        server.memory = accountant
-        with server:
-            status, _, body = _get(f"{server.url}/memory?top=2")
+        status, payload, _ = ObservabilityRoutes(
+            registry, SimpleNamespace(memory=accountant)
+        ).handle("/memory", {"top": "2"})
         assert status == 200
-        payload = json.loads(body)
         assert payload["budget_bytes"] == 10_000
         assert payload["total_resident_bytes"] == 2_048
         assert payload["stores"] == {"cachey": 2048}
         assert len(payload["top_entries"]) == 2
         assert payload["top_entries"][0]["store"] == "cachey"
 
-    def test_route_defaults_from_attached_service(self):
-        from repro.bench import bench_settings, build_cube_engine
-        from repro.data import SyntheticCubeConfig
-        from repro.serve import QueryService
+    def test_route_defaults_from_attached_service(self, live):
+        _, server = live
+        status, _, body = _get(f"{server.url}/memory")
+        assert status == 200
+        payload = json.loads(body)
+        stores = payload["stores"]
+        for expected in (
+            "buffer_pool",
+            "chunk_cache",
+            "result_cache",
+            "slowlog",
+            "traces",
+            "plan_cache",
+        ):
+            assert expected in stores, stores
+        assert payload["total_resident_bytes"] == sum(stores.values())
 
-        config = SyntheticCubeConfig(
-            name="memcube",
-            dim_sizes=(4, 4, 4),
-            n_valid=32,
-            chunk_shape=(2, 2, 2),
-            seed=3,
+
+@pytest.mark.parametrize("pattern", [pattern for pattern, _ in ROUTES])
+def test_one_table_every_pattern_is_served_untraced(live, pattern):
+    """Every ``ROUTES`` pattern answers 200 on the one listener, is listed
+    by ``GET /``, and is served before a trace is minted."""
+    service, server = live
+    service.execute(QUERY)
+    service.timeseries.sample()
+    fills = {
+        "<fingerprint>": service.slowlog.entries()[-1].fingerprint,
+        "<trace_id>": service.slowlog.entries()[-1].trace_id,
+        "<cube>": CONFIG.name,
+        "<metric>": "serve.admitted",
+    }
+    path = pattern
+    for placeholder, value in fills.items():
+        path = path.replace(placeholder, value)
+    stored = service.traces.counters.get("traces.stored")
+    status, headers, body = _get(server.url + path)
+    assert status == 200, body
+    assert "X-Trace-Id" not in headers
+    if pattern != "/metrics":
+        payload = json.loads(body)
+        # no injected id: a trace or slowlog record carries only its own
+        if isinstance(payload, dict) and "trace_id" in payload:
+            assert payload["trace_id"] == fills["<trace_id>"]
+    assert service.traces.counters.get("traces.stored") == stored
+    assert pattern in json.loads(_get(f"{server.url}/")[2])["routes"]
+
+
+def test_one_listener_in_src():
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    counts = {
+        str(path.relative_to(root)): path.read_text(encoding="utf-8").count(
+            "ThreadingHTTPServer("
         )
-        engine = build_cube_engine(config, bench_settings("small"))
-        with QueryService(engine) as service:
-            server = ObservabilityServer(engine.db.metrics, service=service)
-            with server:
-                status, _, body = _get(f"{server.url}/memory")
-            assert status == 200
-            payload = json.loads(body)
-            stores = payload["stores"]
-            for expected in (
-                "buffer_pool",
-                "chunk_cache",
-                "result_cache",
-                "slowlog",
-                "traces",
-                "plan_cache",
-            ):
-                assert expected in stores, stores
-            assert payload["total_resident_bytes"] == sum(stores.values())
+        for path in root.rglob("*.py")
+    }
+    assert {name: n for name, n in counts.items() if n} == {"api/server.py": 1}
 
 
 def test_importing_the_engine_does_not_import_http_server():
-    """``ObservabilityServer`` resolves lazily: the storage layer imports
-    ``repro.obs.histogram`` and so this package, and must not drag the
-    stdlib HTTP server into every process.  (A subprocess: this one
-    imported it long ago.)"""
+    """Nothing under ``repro.obs`` — the route table included — imports the
+    stdlib HTTP server; only ``repro.api.server`` does.  (A subprocess:
+    this one imported it long ago.)"""
     import os
-    import subprocess
     import sys
 
     code = (
         "import sys\n"
-        "import repro.olap.engine\n"
+        "import repro.olap.engine, repro.obs.server\n"
         "assert 'http.server' not in sys.modules, 'http.server imported'\n"
-        "from repro.obs import ObservabilityServer\n"
         "import repro.obs\n"
-        "assert 'ObservabilityServer' in repro.obs.__all__\n"
-        "assert ObservabilityServer.__module__ == 'repro.obs.server'\n"
-        "assert 'http.server' in sys.modules\n"
+        "assert 'ObservabilityRoutes' in repro.obs.__all__\n"
     )
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

@@ -169,7 +169,6 @@ class TestLifecycleAndOutput:
         assert list(collapsed.items()) == [
             ("c", 7), ("(other);m:f", 5), ("a;b", 3)
         ]
-        assert profiler.hottest(2) == [("c", 7), ("(other);m:f", 5)]
 
     def test_to_dict_shape(self):
         profiler = SamplingProfiler()

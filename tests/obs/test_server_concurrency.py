@@ -1,23 +1,25 @@
-"""Hammer the observability endpoint while the registry churns.
+"""Hammer the introspection routes while the registry churns.
 
-Readers GET ``/metrics``, ``/timeseries/*``, ``/alerts`` and
-``/profile`` from several threads while a mutator adds counters,
-records observations, samples the TSDB, retires per-query bags and swaps
-the source for a fresh bag (the one way a total still restarts from
-zero: a service re-registering with ``replace=True``) — every response
-must stay parseable (exposition text or JSON), never a 500.
+Readers call ``ObservabilityRoutes.handle`` for ``/metrics``,
+``/timeseries/*``, ``/alerts`` and ``/profile`` from several threads
+(the property is the payload functions' thread-safety, which needs no
+socket) while a mutator adds counters, records observations, samples
+the TSDB, retires per-query bags and swaps the source for a fresh bag
+(the one way a total still restarts from zero: a service re-registering
+with ``replace=True``) — every response must stay parseable (exposition
+text or JSON), never raise.
 """
 
 import json
 import threading
-import urllib.error
-import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
+from repro.errors import ApiNotFoundError
 from repro.obs import (
     AlertManager,
-    ObservabilityServer,
+    ObservabilityRoutes,
     SamplingProfiler,
     TimeSeriesStore,
 )
@@ -28,14 +30,6 @@ from repro.util.stats import Counters
 ROUNDS = 30
 
 
-def _get(url: str):
-    try:
-        with urllib.request.urlopen(url, timeout=5) as response:
-            return response.status, response.read().decode("utf-8")
-    except urllib.error.HTTPError as error:
-        return error.code, error.read().decode("utf-8")
-
-
 @pytest.fixture
 def stack():
     registry = MetricsRegistry()
@@ -43,23 +37,21 @@ def stack():
     registry.observe("svc.latency_seconds", 0.01)
     tsdb = TimeSeriesStore(registry)
     tsdb.sample()
-    alerts = AlertManager(tsdb)
-    profiler = SamplingProfiler()
-    with ObservabilityServer(
-        registry, timeseries=tsdb, alerts=alerts, profiler=profiler
-    ) as server:
-        yield registry, tsdb, server
+    service = SimpleNamespace(
+        timeseries=tsdb, alerts=AlertManager(tsdb), profiler=SamplingProfiler()
+    )
+    return registry, tsdb, ObservabilityRoutes(registry, service)
 
 
 def test_reads_survive_concurrent_mutation_and_resets(stack):
-    registry, tsdb, server = stack
+    registry, tsdb, routes = stack
     paths = (
-        "/metrics",
-        "/timeseries",
-        "/timeseries/svc.requests?seconds=30",
-        "/timeseries/svc.latency_seconds?seconds=30&q=0.99",
-        "/alerts",
-        "/profile",
+        ("/metrics", {}),
+        ("/timeseries", {}),
+        ("/timeseries/svc.requests", {"seconds": "30"}),
+        ("/timeseries/svc.latency_seconds", {"seconds": "30", "q": "0.99"}),
+        ("/alerts", {}),
+        ("/profile", {}),
     )
     failures: list[str] = []
     start = threading.Barrier(len(paths) + 2)
@@ -75,26 +67,26 @@ def test_reads_survive_concurrent_mutation_and_resets(stack):
             if i % 5 == 4:
                 registry.register("svc", Counters(), replace=True)
 
-    def read(path):
+    def read(path, params):
         start.wait()
         for _ in range(ROUNDS):
-            status, body = _get(f"{server.url}{path}")
-            if status == 500:
-                failures.append(f"{path}: HTTP 500")
-                return
             try:
+                status, body, _ = routes.handle(path, params)
+                assert status == 200
                 if path == "/metrics":
                     lint_prometheus_text(body)
                 else:
-                    json.loads(body)
+                    json.loads(json.dumps(body))
+            except ApiNotFoundError:
+                pass  # a 404 (metric not sampled yet) is an answer
             except Exception as error:
-                failures.append(f"{path}: unparseable ({error})")
+                failures.append(f"{path}: {type(error).__name__}: {error}")
                 return
 
     threads = [threading.Thread(target=mutate, daemon=True)]
     threads += [
-        threading.Thread(target=read, args=(path,), daemon=True)
-        for path in paths
+        threading.Thread(target=read, args=route, daemon=True)
+        for route in paths
     ]
     for thread in threads:
         thread.start()
@@ -106,18 +98,17 @@ def test_reads_survive_concurrent_mutation_and_resets(stack):
 
 
 def test_known_metric_route_stays_200_across_resets(stack):
-    registry, tsdb, server = stack
+    registry, tsdb, routes = stack
     registry.counters("svc").add("svc.requests", 3)
     tsdb.sample()
-    status, body = _get(f"{server.url}/timeseries/svc.requests")
+    status, payload, _ = routes.handle("/timeseries/svc.requests", {})
     assert status == 200
-    assert json.loads(body)["kind"] == "counter"
+    assert payload["kind"] == "counter"
     registry.register("svc", Counters(), replace=True)
     registry.counters("svc").add("svc.requests", 1)
     tsdb.sample()
-    status, body = _get(f"{server.url}/timeseries/svc.requests")
+    status, payload, _ = routes.handle("/timeseries/svc.requests", {})
     assert status == 200
-    payload = json.loads(body)
     # a replaced source restarts from zero: deltas clamp, never negative
     assert payload["points"]
     assert all(point["delta"] >= 0 for point in payload["points"])

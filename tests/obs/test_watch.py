@@ -1,6 +1,10 @@
 """Watch-frame rendering over /timeseries payloads (no live endpoint)."""
 
-from repro.obs import ObservabilityServer, TimeSeriesStore
+from types import SimpleNamespace
+
+from repro.api.model import LogicalModel
+from repro.api.server import ApiEndpoint, ApiServer
+from repro.obs import TimeSeriesStore
 from repro.obs.registry import MetricsRegistry
 from repro.obs.watch import (
     _headline,
@@ -9,6 +13,8 @@ from repro.obs.watch import (
     watch_frame,
 )
 from repro.util.stats import Counters
+
+from tests.api.conftest import fresh_engine
 
 
 def _counter_payload():
@@ -101,10 +107,15 @@ class TestLiveFrame:
         registry.counters("serve").add("serve.admitted", 2)
         registry.observe("serve.query_latency_seconds", 0.02)
         tsdb.sample()
-        with ObservabilityServer(registry, timeseries=tsdb) as server:
+        endpoint = ApiEndpoint(
+            fresh_engine(), SimpleNamespace(timeseries=tsdb),
+            LogicalModel(cubes=()),
+        )
+        with ApiServer(endpoint) as server:
             frame = watch_frame(server.url)
+        endpoint.close()
         # exported metrics render rows; never-exported ones say so; the
-        # detached server has no alert manager, so no alerts line
+        # stand-in service has no alert manager, so no alerts line
         assert "query p95" in frame
         assert "admitted" in frame
         assert "(not exported)" in frame

@@ -13,7 +13,9 @@ import time
 
 import pytest
 
-from repro.obs import ObservabilityServer, SlowQueryLog
+from repro.api.model import LogicalModel
+from repro.api.server import ApiEndpoint, ApiServer
+from repro.obs import SlowQueryLog
 from repro.olap.query import ConsolidationQuery
 from repro.serve import QueryService, ServiceConfig
 
@@ -146,8 +148,8 @@ class TestServiceCapture:
         with QueryService(engine, config) as service:
             service.execute(_query1())
             fingerprint = service.slowlog.entries()[0].fingerprint
-            with ObservabilityServer(
-                engine.db.metrics, service=service
+            with ApiServer(
+                ApiEndpoint(engine, service, LogicalModel(cubes=()))
             ) as server:
                 with urllib.request.urlopen(
                     f"{server.url}/trace/{fingerprint}", timeout=5

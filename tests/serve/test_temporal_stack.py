@@ -21,7 +21,9 @@ from repro.bench import (
     query3_for,
 )
 from repro.data import generate_fact_rows
-from repro.obs import ObservabilityServer, lint_prometheus_text
+from repro.api.model import LogicalModel
+from repro.api.server import ApiEndpoint, ApiServer
+from repro.obs import lint_prometheus_text
 from repro.obs.alerts import SloRule
 from repro.obs.top import MetricsView, fetch_metrics
 from repro.serve import QueryService, ServiceConfig
@@ -97,8 +99,10 @@ def test_alert_lifecycle_scrape_and_shutdown(tmp_path):
         assert service.alerts.firings(IMPOSSIBLE.name) == 1
         assert service.alerts.firing() == []
 
-        with ObservabilityServer(engine.db.metrics, service=service) as server:
+        endpoint = ApiEndpoint(engine, service, LogicalModel(cubes=()))
+        with ApiServer(endpoint) as server:
             scrape = fetch_metrics(f"{server.url}/metrics")
+        endpoint.close()
         lint_prometheus_text(scrape)
         observed = MetricsView.from_text(scrape).histogram_counts
         assert [
