@@ -7,7 +7,8 @@ harness
 1. builds a tiny cube on a :class:`~repro.storage.faults.FaultyDisk` +
    file-backed :class:`~repro.storage.faults.FaultyWAL` and checkpoints
    it (the baseline volume image),
-2. runs a write workload — each transaction inserts one new cell — with
+2. runs a write workload — each transaction inserts one new cell or
+   overwrites a base cell in place, with a value no other write uses — with
    a :class:`~repro.storage.crashpoints.FaultPlan` installed that
    "kills the process" at the crash point under test (a mid-workload
    checkpoint makes the checkpoint path itself crashable),
@@ -56,17 +57,18 @@ _X_SIZE, _Y_SIZE = 6, 4
 TORN_TAIL_POINTS = ("wal.torn_sync",)
 
 #: points hit often enough to vary *which* occurrence crashes by seed,
-#: so the crash lands mid-workload rather than always at transaction 0
-_VARIED_HIT_POINTS = frozenset(
-    {
-        "wal.append",
-        "wal.commit",
-        "wal.sync",
-        "lob.write",
-        "pool.flush_page",
-        "disk.write",
-    }
-)
+#: so the crash lands mid-workload rather than always at transaction 0:
+#: point → how many of its first hits to choose from (``lob.write`` only
+#: fires when a write creates a chunk, twice in this workload)
+_VARIED_HIT_POINTS = {
+    "wal.append": 4,
+    "wal.commit": 4,
+    "wal.sync": 4,
+    "lob.write": 2,
+    "lob.write_at": 4,
+    "pool.flush_page": 4,
+    "disk.write": 4,
+}
 
 
 def _crash_on_hit(crash_at: str, seed: int) -> int:
@@ -74,7 +76,9 @@ def _crash_on_hit(crash_at: str, seed: int) -> int:
     if crash_at not in _VARIED_HIT_POINTS:
         return 1
     # str-seeded Random is stable across processes (unlike hash())
-    return 1 + random.Random(f"{seed}:{crash_at}").randrange(4)
+    return 1 + random.Random(f"{seed}:{crash_at}").randrange(
+        _VARIED_HIT_POINTS[crash_at]
+    )
 
 
 def _schema() -> CubeSchema:
@@ -96,12 +100,19 @@ def _dimension_rows() -> dict[str, list[tuple]]:
 
 
 def _base_facts() -> list[tuple]:
-    # base cells live at x=0 so workload transactions never overwrite them
+    # base cells live at x=0; only the overwrite transactions touch them
     return [(0, j, (j + 1) * 10) for j in range(_Y_SIZE)]
 
 
 def _txn_cell(i: int) -> tuple[tuple[int, int], int]:
-    """Transaction ``i``'s target cell and its unique measure value."""
+    """Transaction ``i``'s target cell and its unique measure value.
+
+    Every third transaction overwrites a different base cell (the
+    in-place ``lob.write_at`` path); the rest insert new cells at x ≥ 2.
+    The value tells a surviving transaction from the cell it replaced.
+    """
+    if i % 3 == 2 and i // 3 < _Y_SIZE:
+        return (0, i // 3), 100 + i
     return (2 + i % 4, i // 4), 100 + i
 
 

@@ -15,6 +15,11 @@ is self-describing.
 - :class:`AdaptiveCodec` — picks dense above a density threshold,
   chunk-offset below (an extension the paper's storage analysis in
   §3.2 motivates).
+
+The two uncompressed formats are *addressable*: :meth:`ChunkCodec.value_at`
+names the byte where a stored cell's values start, so overwriting a
+cell is a patch of ``8·p`` bytes at that position (§3.5's cell write)
+rather than a re-encode.
 """
 
 from __future__ import annotations
@@ -79,6 +84,14 @@ class ChunkCodec:
     ) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
+    def value_at(
+        self, offset: int, rank: int, count: int, chunk_cells: int, n_measures: int
+    ) -> int | None:
+        """Byte position of a stored cell's values in this codec's
+        payload of ``count`` cells: the cell at ``offset`` in the chunk,
+        ``rank``-th in offset order.  ``None``: not addressable."""
+        return None
+
 
 class ChunkOffsetCodec(ChunkCodec):
     """§3.3: sorted ``(offsetInChunk, data)`` pairs, valid cells only."""
@@ -105,6 +118,9 @@ class ChunkOffsetCodec(ChunkCodec):
             payload, _np_dtype(dtype), count * n_measures, start + 4 * count
         ).reshape(count, n_measures)
         return offsets, values
+
+    def value_at(self, offset, rank, count, chunk_cells, n_measures):
+        return 1 + _COUNT.size + 4 * count + 8 * n_measures * rank
 
 
 class DenseCodec(ChunkCodec):
@@ -144,6 +160,9 @@ class DenseCodec(ChunkCodec):
     def decode(self, payload, chunk_cells, n_measures, dtype):
         return self._decode_body(payload[1:], chunk_cells, n_measures, dtype)
 
+    def value_at(self, offset, rank, count, chunk_cells, n_measures):
+        return 1 + (chunk_cells + 7) // 8 + 8 * n_measures * offset
+
 
 class LZWDenseCodec(DenseCodec):
     """The dense tile run through LZW (Paradise's generic compression)."""
@@ -161,6 +180,8 @@ class LZWDenseCodec(DenseCodec):
     def decode(self, payload, chunk_cells, n_measures, dtype):
         body = lzw_decompress(payload[1:])
         return self._decode_body(body, chunk_cells, n_measures, dtype)
+
+    value_at = ChunkCodec.value_at  # compressed: a cell has no position
 
 
 class AdaptiveCodec(ChunkCodec):
@@ -186,13 +207,23 @@ class AdaptiveCodec(ChunkCodec):
         self._sparse = ChunkOffsetCodec()
         self._dense = DenseCodec()
 
+    def _pick(self, count: int, chunk_cells: int) -> ChunkCodec:
+        """The codec whose tag a chunk of ``count`` cells is stored under."""
+        density = count / chunk_cells if chunk_cells else 0.0
+        return self._dense if density >= self.dense_threshold else self._sparse
+
     def encode(self, offsets, values, chunk_cells, dtype):
-        density = len(offsets) / chunk_cells if chunk_cells else 0.0
-        codec = self._dense if density >= self.dense_threshold else self._sparse
-        return codec.encode(offsets, values, chunk_cells, dtype)
+        return self._pick(len(offsets), chunk_cells).encode(
+            offsets, values, chunk_cells, dtype
+        )
 
     def decode(self, payload, chunk_cells, n_measures, dtype):
         return decode_chunk(payload, chunk_cells, n_measures, dtype)
+
+    def value_at(self, offset, rank, count, chunk_cells, n_measures):
+        return self._pick(count, chunk_cells).value_at(
+            offset, rank, count, chunk_cells, n_measures
+        )
 
 
 _BY_TAG: dict[int, ChunkCodec] = {

@@ -301,10 +301,12 @@ class OLAPArray:
         """Insert or overwrite one cell; returns the measures it replaced
         (``None`` for a new cell), which a materialized aggregate folds.
 
-        The chunk is re-encoded into a *new* large object (large objects
-        are immutable page runs); the directory is repointed and the old
-        object's space is reclaimed only by a rebuild — the standard
-        copy-on-write trade-off for tile stores.
+        An overwrite in an addressable codec (chunk-offset, dense) is a
+        :meth:`LargeObjectStore.write_at
+        <repro.storage.large_object.LargeObjectStore.write_at>` of the
+        cell's ``8·p`` value bytes: one page dirtied, no object created,
+        the directory untouched.  An insert — or any write to an LZW
+        chunk — re-encodes the chunk (see :meth:`_store_chunk`).
         """
         measures = np.asarray(measures, dtype=self._np_dtype).reshape(-1)
         if measures.size != self.n_measures:
@@ -314,28 +316,96 @@ class OLAPArray:
         chunk_no, offset = self.geometry.locate(self._coords_of(keys))
         offsets, values = self.read_chunk(chunk_no)
         position = int(np.searchsorted(offsets, offset))
-        replaced = None
         if position < len(offsets) and offsets[position] == offset:
             replaced = values[position].copy()
+            value_at = get_codec(self.codec_name).value_at(
+                offset, position, len(offsets), self.geometry.chunk_cells,
+                self.n_measures,
+            )
+            if value_at is not None:
+                oid = self._entries()[chunk_no][0]
+                self.chunks.write_at(oid, value_at, measures.tobytes())
+                if self.chunk_cache is not None:
+                    self.chunk_cache.invalidate_chunk(self.name, chunk_no)
+                return replaced
             values = values.copy()
             values[position] = measures
         else:
+            replaced = None
             offsets = np.insert(offsets, position, offset)
-            values = (
-                np.insert(values, position, measures, axis=0)
-                if values.size
-                else measures.reshape(1, -1)
+            values = np.insert(values, position, measures, axis=0)
+        self._store_chunk(chunk_no, offsets, values)
+        return replaced
+
+    def add_cells(self, coords: list[np.ndarray], measures: list[np.ndarray]) -> None:
+        """Fold measure rows into cells additively, one re-encode per chunk.
+
+        ``coords`` holds one array-index column per dimension and
+        ``measures`` one column per measure (cast to the array's dtype).
+        Each cell ends as ``stored + r1 + r2 + …`` over its rows in
+        order — a new cell starts from its first row — which is what
+        adding them one :meth:`write_cell` at a time gives.
+        """
+        if len(measures) != self.n_measures:
+            raise ArrayError(
+                f"expected {self.n_measures} measures, got {len(measures)}"
             )
+        rows = np.empty((len(coords[0]), self.n_measures), self._np_dtype)
+        if not len(rows):
+            return
+        for i, measure in enumerate(measures):  # each cast alone
+            rows[:, i] = measure
+        chunk_cells = self.geometry.chunk_cells
+        chunk_nos, offsets = self.geometry.locate_columns(coords)
+        cells = chunk_nos.astype(np.int64) * chunk_cells + offsets
+        order = np.argsort(cells, kind="stable")  # rows of a cell stay in order
+        cells, rows = cells[order], rows[order]
+        starts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+        runs = np.diff(np.r_[starts, len(cells)])
+        touched = cells[starts] // chunk_cells
+        bounds = np.flatnonzero(np.r_[True, touched[1:] != touched[:-1]])
+        for lo, hi in zip(bounds, np.r_[bounds[1:], len(starts)]):
+            chunk_no = int(touched[lo])
+            group = starts[lo:hi]
+            new = (cells[group] - chunk_no * chunk_cells).astype(np.int32)
+            stored_offsets, stored_values = self.read_chunk(chunk_no)
+            at = np.searchsorted(stored_offsets, new)
+            hit = at < len(stored_offsets)
+            hit[hit] = stored_offsets[at[hit]] == new[hit]
+            folded = rows[group]  # a copy: fancy indexing
+            folded[hit] = stored_values[at[hit]] + folded[hit]
+            group_runs = runs[lo:hi]
+            for r in range(1, int(group_runs.max())):
+                more = group_runs > r
+                folded[more] += rows[group[more] + r]
+            values = stored_values.copy()
+            values[at[hit]] = folded[hit]
+            merged = np.concatenate([stored_offsets, new[~hit]])
+            merged_order = np.argsort(merged, kind="stable")
+            self._store_chunk(
+                chunk_no,
+                merged[merged_order],
+                np.concatenate([values, folded[~hit]])[merged_order],
+            )
+
+    def _store_chunk(
+        self, chunk_no: int, offsets: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Re-encode one chunk's cells over its own page run when the
+        payload still needs as many pages; only a payload that outgrows
+        its run moves to a new object (the old run is then dead space,
+        reclaimed by a rebuild)."""
         payload = get_codec(self.codec_name).encode(
             offsets, values, self.geometry.chunk_cells, self.dtype
         )
-        oid = self.chunks.create(payload)
+        oid = self._entries()[chunk_no][0]
+        if oid == NO_CHUNK or not self.chunks.rewrite(oid, payload):
+            oid = self.chunks.create(payload)
         self.directory.set_entry(chunk_no, oid, len(payload), len(offsets))
         if self._dir_cache is not None:
             self._dir_cache[chunk_no] = (oid, len(payload), len(offsets))
         if self.chunk_cache is not None:
             self.chunk_cache.invalidate_chunk(self.name, chunk_no)
-        return replaced
 
     # -- the §3.5 summation and slicing functions ----------------------------------------------
 

@@ -1040,13 +1040,14 @@ class OlapEngine:
     def write_cell(self, cube: str, keys: tuple, measures) -> None:
         """Insert or overwrite one cell in every built physical design.
 
-        The array takes the copy-on-write chunk path
-        (:meth:`OLAPArray.write_cell
+        The array patches an existing cell's value bytes in place and
+        re-encodes the chunk for a new one (:meth:`OLAPArray.write_cell
         <repro.core.olap_array.OLAPArray.write_cell>`); the fact file
-        updates the matching tuple in place, or appends when the cell is
-        new.  Appends outgrow the position-based bitmap/B-tree indices,
-        so a new cell marks them stale (overwrites keep them valid: they
-        index keys and attributes, never measures).
+        updates the first tuple with the cell's keys in place
+        (:meth:`~repro.relational.fact_file.FactFile.find`), or appends
+        when the cell is new.  Appends outgrow the position-based
+        bitmap/B-tree indices, so a new cell marks them stale (overwrites
+        keep them valid: they index keys and attributes, never measures).
         """
         state = self.cube(cube)
         keys = tuple(keys)
@@ -1062,11 +1063,7 @@ class OlapEngine:
         with self.db.locks.locked(cube, "X", f"write-{id(keys)}"):
             appended = False
             if state.fact is not None:
-                found = None
-                for tuple_no, row in enumerate(state.fact.scan()):
-                    if tuple(row[:ndim]) == keys:
-                        found = tuple_no
-                        break
+                found = state.fact.find(keys)
                 if found is None:
                     state.fact.append(keys + measures)
                     appended = True
@@ -1084,7 +1081,9 @@ class OlapEngine:
 
         Rows are ``(keys..., measures...)`` as in :meth:`load_cube`.
         A row whose cell already exists folds its measures additively
-        into the array cell (the fact file keeps both tuples), so only
+        into the array cell (the fact file keeps both tuples), each
+        touched chunk re-encoded once (:meth:`OLAPArray.add_cells
+        <repro.core.olap_array.OLAPArray.add_cells>`), so only
         ``sum`` stays design-agnostic over duplicated cells — append
         distinct cells when cross-backend parity matters.  Appends mark
         the position-based indices stale (see :meth:`write_cell`).
@@ -1093,24 +1092,23 @@ class OlapEngine:
         columns = fact_columns(rows)
         if not columns:
             return
-        ndim = len(state.schema.dimensions)
         if state.fact is not None:
             records = state.fact.schema.codec.pack_columns(columns)
+        if state.array is not None:
+            array = state.array
+            coords, measures = fact_coords(
+                [
+                    DimensionData(name, index.keys())
+                    for name, index in zip(array.dim_names, array.dims)
+                ],
+                columns,
+            )
         with self.db.locks.locked(cube, "X", f"append-{id(columns)}"):
             if state.fact is not None:
                 state.fact.append_records(records)
                 state.indices_stale = True
             if state.array is not None:
-                for row in zip(*(column.tolist() for column in columns)):
-                    keys, measures = row[:ndim], row[ndim:]
-                    existing = state.array.get_cell(keys)
-                    if existing is not None:
-                        measures = tuple(
-                            float(e) + m if state.array.dtype != "int64"
-                            else int(e) + m
-                            for e, m in zip(existing, measures)
-                        )
-                    state.array.write_cell(keys, measures)
+                state.array.add_cells(coords, measures)
             self._note_write(state)
 
     def rebuild_array(
@@ -1121,11 +1119,12 @@ class OlapEngine:
     ) -> OLAPArray:
         """Rebuild the cube's array design from the current fact file.
 
-        Copy-on-write cell writes leave dead chunk objects behind; a
-        rebuild reclaims the space into a fresh, generation-suffixed
-        array and repoints the cube state (large-object names are
-        immutable, so the rebuild cannot reuse the old name).  Counts as
-        a write: the generation bumps and caches invalidate.
+        An insert whose chunk outgrows its page run moves the chunk and
+        leaves the old run dead; a rebuild reclaims that space into a
+        fresh, generation-suffixed array and repoints the cube state
+        (large-object names are immutable, so the rebuild cannot reuse
+        the old name).  Counts as a write: the generation bumps and
+        caches invalidate.
         """
         state = self.cube(cube)
         if state.fact is None:

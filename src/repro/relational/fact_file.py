@@ -155,6 +155,32 @@ class FactFile:
             yield from codec.iter_unpack(buf, in_page)
             remaining -= in_page
 
+    def find(self, keys: tuple) -> int | None:
+        """Tuple number of the first row whose leading fields equal
+        ``keys``, or ``None``: each page compared as one record array."""
+        codec = self.schema.codec
+        names = codec.dtype.names[: len(keys)]
+        wanted = []
+        for name, key in zip(names, keys):
+            if (codec.dtype[name].kind == "S") != isinstance(key, str):
+                return None  # as in a tuple compare, "1" is not 1
+            wanted.append(key.encode("utf-8") if isinstance(key, str) else key)
+        remaining = self._count
+        for page_no in range(self._file.npages):
+            in_page = min(self.records_per_page, remaining)
+            if in_page <= 0:
+                break
+            page = np.frombuffer(self._file.read(page_no), codec.dtype, in_page)
+            self.counters.add("fact_pages_scanned")
+            match = np.ones(in_page, dtype=bool)
+            for name, key in zip(names, wanted):
+                match &= page[name] == key
+            hits = np.flatnonzero(match)
+            if hits.size:
+                return page_no * self.records_per_page + int(hits[0])
+            remaining -= in_page
+        return None
+
     def fetch_bitmap(self, bits: Bitset) -> Iterator[tuple]:
         """Yield the rows at set bit positions, in position order.
 

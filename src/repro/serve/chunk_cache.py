@@ -139,7 +139,7 @@ class ChunkCache:
         return chunk
 
     def invalidate_chunk(self, array_name: str, chunk_no: int) -> None:
-        """Drop one chunk (called by copy-on-write cell writes)."""
+        """Drop one chunk (called by every cell write and chunk re-encode)."""
         with self._lock:
             key = (array_name, chunk_no)
             if key in self._entries:

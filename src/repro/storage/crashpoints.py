@@ -42,6 +42,7 @@ BUILTIN_CRASH_POINTS = (
     "wal.sync",
     "wal.torn_sync",
     "lob.write",
+    "lob.write_at",
     "disk.write",
     "disk.torn_write",
     "checkpoint.pre_truncate",

@@ -10,6 +10,12 @@ Objects created consecutively get consecutive page runs, so an array
 whose chunks are created in chunk-number order is "laid out on the disk
 in the same order as their chunk number order" (§4.2) — the property the
 chunk-ordered cross-product scan exploits.
+
+Objects are mutable in place: :meth:`LargeObjectStore.write_at` patches
+bytes inside an object's run (dirtying only the pages they cover, never
+the directory), and :meth:`LargeObjectStore.rewrite` replaces a payload
+that still needs the same number of pages.  Nothing is ever freed: a
+payload that outgrows its run is stored anew and the old run is dead.
 """
 
 from __future__ import annotations
@@ -88,6 +94,44 @@ class LargeObjectStore:
         self._count += 1
         self._directory.set_meta(_META.pack(self._count))
         return oid
+
+    def write_at(self, oid: int, at: int, data: bytes) -> None:
+        """Overwrite bytes ``[at, at + len(data))`` of an object in place.
+
+        Only the pages those bytes occupy are dirtied (one, or two when
+        they straddle a page boundary); the directory is not touched.
+        """
+        first, length = self._read_entry(oid)
+        if not 0 <= at <= at + len(data) <= length:
+            raise FileError(
+                f"write of {len(data)} bytes at {at} is outside OID {oid}'s "
+                f"{length} bytes"
+            )
+        crash_point("lob.write_at")
+        page_no, skip = divmod(at, self.page_size)
+        done = 0
+        while done < len(data):
+            take = min(self.page_size - skip, len(data) - done)
+            buf = self.pool.get(first + page_no)
+            buf[skip : skip + take] = data[done : done + take]
+            self.pool.mark_dirty(first + page_no)
+            done += take
+            page_no += 1
+            skip = 0
+
+    def rewrite(self, oid: int, payload: bytes) -> bool:
+        """Replace an object's payload inside its own page run.
+
+        Returns ``False``, writing nothing, when the payload needs a
+        different number of pages than the run holds.
+        """
+        first, length = self._read_entry(oid)
+        if self._data_pages(len(payload)) != self._data_pages(length):
+            return False
+        if len(payload) != length:
+            self._write_entry(oid, first, len(payload))
+        self.write_at(oid, 0, payload)
+        return True
 
     def read(self, oid: int) -> bytes:
         """Fetch an object's full payload."""

@@ -176,3 +176,44 @@ class TestBulkLoad:
         copy = FactFile.create(fm, "copy", FACT_SCHEMA)
         copy.append_many(source.scan())
         assert list(copy.scan()) == data
+
+
+class TestFind:
+    """``find`` is the first tuple a scan would match on the key fields."""
+
+    SCHEMA = Schema([("k", "int64"), ("name", "str:4"), ("m", "float64")])
+
+    @staticmethod
+    def _by_scan(fact, keys):
+        for tuple_no, row in enumerate(fact.scan()):
+            if tuple(row[: len(keys)]) == keys:
+                return tuple_no
+        return None
+
+    def test_agrees_with_the_scan(self, fm):
+        fact = FactFile.create(fm, "fact", self.SCHEMA)
+        # 20-byte records, 51 a 1 KiB page: 130 rows end on a partial page
+        data = [(i % 60, f"n{i % 7}", float(i)) for i in range(130)]
+        fact.append_many(data)
+        probes = [
+            (0, "n0"),  # duplicated: tuples 0 and 60 and 120
+            (59, "n3"),  # first match on the second page
+            (9, "n3"),  # only on the last, partial page (tuple 129)
+            (9, "n1"),  # never together
+            (2**62, "n0"),
+            (1, "n1x"),  # wider than the field
+            ("1", "n1"),  # a key of another kind
+            (1, 1),
+            (0,),  # a key prefix
+        ]
+        for keys in probes:
+            assert fact.find(keys) == self._by_scan(fact, keys), keys
+        assert fact.find((9, "n3")) == 129
+        assert fact.find((0, "n0")) == 0
+
+    def test_rows_past_the_count_are_not_found(self, fm):
+        fact = FactFile.create(fm, "fact", self.SCHEMA)
+        assert fact.find((0, "")) is None  # zeroed page, no tuples
+        fact.append((5, "a", 1.0))
+        assert fact.find((0, "")) is None
+        assert fact.find((5, "a", 1.0)) == 0

@@ -1,11 +1,13 @@
 """Model-based tests of the buffer pool.
 
 The pool must behave like a plain dict: a random sequence of new-page /
-write / read / clear operations runs against a tiny (heavy-eviction)
-pool and against an in-memory reference; contents must agree after
-every step.  And ``get_run`` must behave like the loop of ``get`` it is
-defined as: twin pools, one reading runs and one reading pages, stay
-indistinguishable.
+write / read / clear operations — and large objects created, read by
+run and patched in place with ``LargeObjectStore.write_at`` — runs
+against a tiny (heavy-eviction) pool and against an in-memory
+reference; contents must agree after every step, and a patch never
+changes a disk image the pool did not write.  And ``get_run`` must
+behave like the loop of ``get`` it is defined as: twin pools, one
+reading runs and one reading pages, stay indistinguishable.
 """
 
 import pytest
@@ -13,9 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BufferPoolError, PageError
-from repro.storage import BufferPool, SimulatedDisk, WriteAheadLog
+from repro.storage import (
+    BufferPool,
+    FileManager,
+    LargeObjectStore,
+    SimulatedDisk,
+    WriteAheadLog,
+)
 
-PAGE = 64
+PAGE = 128  # the smallest page a paged directory (the LOB's) works on
 
 
 @st.composite
@@ -23,16 +31,28 @@ def operation_sequences(draw):
     n_ops = draw(st.integers(1, 60))
     ops = []
     n_pages = 0
+    lengths: list[int] = []  # of the large objects, by OID
     for _ in range(n_ops):
-        if n_pages == 0:
-            kind = "new"
-        else:
-            kind = draw(
-                st.sampled_from(["new", "write", "read", "clear", "flush"])
-            )
+        kinds = ["new", "object"]
+        if n_pages:
+            kinds += ["write", "read", "clear", "flush"]
+        if lengths:
+            kinds += ["write_at", "write_at", "object_read"]
+        kind = draw(st.sampled_from(kinds))
         if kind == "new":
             ops.append(("new", draw(st.binary(min_size=PAGE, max_size=PAGE))))
             n_pages += 1
+        elif kind == "object":
+            payload = draw(st.binary(min_size=1, max_size=3 * PAGE))
+            ops.append(("object", payload))
+            lengths.append(len(payload))
+        elif kind == "write_at":
+            oid = draw(st.integers(0, len(lengths) - 1))
+            at = draw(st.integers(0, lengths[oid] - 1))
+            data = draw(st.binary(min_size=1, max_size=min(16, lengths[oid] - at)))
+            ops.append(("write_at", oid, at, data))
+        elif kind == "object_read":
+            ops.append(("object_read", draw(st.integers(0, len(lengths) - 1))))
         elif kind == "write":
             ops.append(
                 (
@@ -53,17 +73,44 @@ def operation_sequences(draw):
 def test_pool_matches_reference(ops, frames):
     disk = SimulatedDisk(page_size=PAGE)
     pool = BufferPool(disk, capacity_bytes=frames * PAGE)
+    store = LargeObjectStore(FileManager(pool), "lob")
     reference: dict[int, bytes] = {}
+    objects: list[bytearray] = []
+    pages = []  # page ids raw pages got: the LOB allocates between them
+    written: list[int] = []  # page ids the pool wrote back during an op
+    write_page = disk.write_page
+    disk.write_page = lambda page_id, image: (
+        written.append(page_id),
+        write_page(page_id, image),
+    )
     for op in ops:
+        written.clear()
         if op[0] == "new":
             page_id = pool.new_page()
             pool.write(page_id, op[1])
             reference[page_id] = op[1]
+            pages.append(page_id)
+        elif op[0] == "object":
+            assert store.create(op[1]) == len(objects)
+            objects.append(bytearray(op[1]))
+        elif op[0] == "write_at":
+            oid, at, data = op[1:]
+            before = list(disk._pages)
+            evicted = pool.counters.get("pool_evict_dirty")
+            store.write_at(oid, at, data)
+            objects[oid][at : at + len(data)] = data
+            # the patch lands in a frame: the disk only sees evictions
+            assert len(written) == pool.counters.get("pool_evict_dirty") - evicted
+            for page_id, image in enumerate(before):
+                if page_id not in written:
+                    assert disk._pages[page_id] is image
+        elif op[0] == "object_read":
+            assert store.read(op[1]) == bytes(objects[op[1]])
         elif op[0] == "write":
-            pool.write(op[1], op[2])
-            reference[op[1]] = op[2]
+            pool.write(pages[op[1]], op[2])
+            reference[pages[op[1]]] = op[2]
         elif op[0] == "read":
-            assert bytes(pool.get(op[1])) == reference[op[1]]
+            assert bytes(pool.get(pages[op[1]])) == reference[pages[op[1]]]
         elif op[0] == "clear":
             pool.clear()
         elif op[0] == "flush":
@@ -71,9 +118,17 @@ def test_pool_matches_reference(ops, frames):
     # final audit: every page readable with the right contents
     for page_id, expected in reference.items():
         assert bytes(pool.get(page_id)) == expected
+    for oid, payload in enumerate(objects):
+        assert store.read(oid) == bytes(payload)
     pool.clear()
     for page_id, expected in reference.items():
         assert disk.read_page(page_id) == expected
+    for oid, payload in enumerate(objects):
+        first = store.first_page(oid)
+        on_disk = b"".join(
+            disk.read_page(first + i) for i in range(store.object_pages(oid))
+        )
+        assert on_disk[: len(payload)] == payload
 
 
 # -- get_run is, by definition, the loop of get ---------------------------------
