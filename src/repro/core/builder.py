@@ -27,7 +27,7 @@ from repro.errors import ArrayError, DimensionError
 from repro.index.btree import BTree
 from repro.storage.large_object import LargeObjectStore
 from repro.storage.page_file import FileManager
-from repro.util.records import as_column, fact_columns
+from repro.util.records import as_column, fact_columns, narrowest
 
 
 @dataclass
@@ -55,15 +55,17 @@ class DimensionData:
         """The array index of every key in a fact column: a binary
         search into the sorted keys, then an equality check.  As in a
         dict, ``"1"`` is not ``1``: a column of the other kind holds no
-        known key."""
+        known key.  The indices come in the narrowest signed dtype that
+        holds the key count: one byte a row up to 127 keys."""
         keys = as_column(self.keys)
-        indices = np.zeros(len(column), dtype=np.intp)
+        indices = np.zeros(len(column), dtype=narrowest(len(keys), signed=True))
         found = np.zeros(len(column), dtype=bool)
         if len(keys) and (column.dtype.kind == "U") == (keys.dtype.kind == "U"):
             order = np.argsort(keys, kind="stable")
-            at = np.searchsorted(keys[order], column)
-            indices = order.take(at, mode="clip")
-            found = keys[indices] == column
+            ordered = keys[order]
+            at = np.searchsorted(ordered, column)
+            found = ordered.take(at, mode="clip") == column
+            indices = order.astype(indices.dtype).take(at, mode="clip")
         if not found.all():
             raise DimensionError(
                 "fact tuple references unknown dimension key "
@@ -132,17 +134,14 @@ def plan_olap_array(
         )
     if any(m.dtype.kind == "U" for m in measures):
         raise ArrayError("measures must be numbers")
-    values = np.empty((len(measures[0]) if measures else 0, n_measures), dtype)
-    for i, measure in enumerate(measures):  # each cast alone: no int via float
-        values[:, i] = measure
     # one sort key per cell, chunk-major; equal keys are duplicate
     # cells, so an unstable sort still yields the one order
-    cells = np.zeros(len(values), dtype=np.int64)
-    if coords:
-        chunk_nos, offsets = geometry.locate_columns(coords)
-        cells += chunk_nos * geometry.chunk_cells + offsets
+    cells = geometry.cell_keys(coords) if coords else np.zeros(0, np.int64)
     order = np.argsort(cells)
-    cells, values = cells[order], values[order]
+    cells = cells[order]
+    values = np.empty((len(order), n_measures), dtype)
+    for i, measure in enumerate(measures):  # each cast alone: no int via float
+        values[:, i] = measure[order]
     same = np.flatnonzero(cells[1:] == cells[:-1])
     if same.size:
         raise ArrayError(

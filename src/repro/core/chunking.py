@@ -172,22 +172,21 @@ class ChunkGeometry:
             coords.min() < 0 or (coords >= np.array(self.shape)).any()
         ):
             raise ChunkError("coordinates out of array bounds")
-        return self.locate_columns(coords.T)
+        return np.divmod(self.cell_keys(coords.T), self.chunk_cells)
 
-    def locate_columns(
-        self, columns: Sequence[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`locate` over one in-bounds index column per axis: both
-        results are sums of one term per axis, gathered from two small
-        per-axis tables (no per-cell division)."""
-        chunk_nos = offsets = 0
+    def cell_keys(self, columns: Sequence[np.ndarray]) -> np.ndarray:
+        """``chunk_no · chunk_cells + offsetInChunk`` of every cell, the
+        chunk-major sort key, from one in-bounds index column per axis
+        (any integer dtype).  Both terms are sums of one term per axis,
+        so one composed table per axis is gathered and added into the
+        key in place: no per-cell division, no full-length pair."""
+        keys = np.zeros(len(columns[0]), dtype=np.int64)
         for column, size, extent, grid_stride, cell_stride in zip(
             columns, self.shape, self.chunk_shape, self.grid_strides, self.cell_strides
         ):
-            grid, cell = np.divmod(np.arange(size), extent)
-            chunk_nos = chunk_nos + (grid * grid_stride)[column]
-            offsets = offsets + (cell * cell_stride)[column]
-        return chunk_nos, offsets
+            grid, cell = np.divmod(np.arange(size, dtype=np.int64), extent)
+            keys += (grid * (grid_stride * self.chunk_cells) + cell * cell_stride)[column]
+        return keys
 
     def chunk_offset_to_coords(
         self, chunk_no: int, offsets: np.ndarray

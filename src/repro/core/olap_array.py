@@ -356,8 +356,7 @@ class OLAPArray:
         for i, measure in enumerate(measures):  # each cast alone
             rows[:, i] = measure
         chunk_cells = self.geometry.chunk_cells
-        chunk_nos, offsets = self.geometry.locate_columns(coords)
-        cells = chunk_nos.astype(np.int64) * chunk_cells + offsets
+        cells = self.geometry.cell_keys(coords)
         order = np.argsort(cells, kind="stable")  # rows of a cell stay in order
         cells, rows = cells[order], rows[order]
         starts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])

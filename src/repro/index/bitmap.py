@@ -22,14 +22,17 @@ from repro.index.btree import BTree
 from repro.storage.large_object import LargeObjectStore
 from repro.storage.page_file import FileManager
 from repro.util.bitset import Bitset
+from repro.util.records import narrowest
 
 
 def factorize(values: Iterable) -> tuple[list, np.ndarray]:
-    """The distinct ``values`` ascending, and each value's index into them."""
+    """The distinct ``values`` ascending, and each value's index into them
+    in the narrowest unsigned dtype that holds the label count."""
     values = list(values)
     labels = sorted(set(values))
     code_of = {label: code for code, label in enumerate(labels)}
-    codes = np.fromiter(map(code_of.__getitem__, values), np.intp, len(values))
+    dtype = narrowest(len(labels), signed=False)
+    codes = np.fromiter(map(code_of.__getitem__, values), dtype, len(values))
     return labels, codes
 
 

@@ -187,6 +187,7 @@ class OlapEngine:
             raise QueryError(f"unknown backends {sorted(unknown)}")
         # Check, then create: each plan holds one design's checked input
         # and nothing exists yet, so a rejected load leaves nothing behind.
+        # A plan is dropped as soon as its design is written.
         columns = fact_columns(fact_rows)
         dim_data = _dimension_data(schema, dimension_rows)
         coords, measures = fact_coords(dim_data, columns)
@@ -204,6 +205,7 @@ class OlapEngine:
                     schema, dim_data, coords, measures, chunk_shape, codec
                 )
             )
+        del columns, coords, measures
 
         with self.db.locks.locked(schema.name, "X", "loader"):
             state = _CubeState(schema=schema, dim_tables={})
@@ -223,8 +225,8 @@ class OlapEngine:
                     table.insert_many(dimension_rows[dim.name])
                     state.dim_tables[dim.name] = table
 
-            for build in plans:
-                build(state)
+            while plans:
+                plans.pop(0)(state)
             self._cubes[schema.name] = state
             # The load is one transaction: under a WAL nothing above is
             # durable (or evictable, no-steal) until this commit.
@@ -257,14 +259,17 @@ class OlapEngine:
             bitmaps.append((dim_name, attr, labels, codes[coords[d]]))
 
         def build(state: _CubeState) -> None:
+            nonlocal records
             state.fact = self.db.create_fact_table(
                 fact_table_name(schema), fact_table_schema(schema)
             )
             state.fact.append_records(records)
-            for dim_name, attr, labels, codes in bitmaps:
+            records = None  # the fact file holds them now
+            while bitmaps:  # each code column goes once its bitmap is written
+                dim_name, attr, labels, codes = bitmaps.pop(0)
                 self.db.create_coded_bitmap_index(
                     bitmap_index_name(schema, dim_name, attr),
-                    len(records), labels, codes,
+                    len(state.fact), labels, codes,
                 )
                 state.bitmap_attrs.add((dim_name, attr))
 
@@ -1141,7 +1146,7 @@ class OlapEngine:
                 raise PlanError(
                     "rebuild_array is not supported for snowflake layouts"
                 )
-            columns = fact_columns(state.fact.scan())
+            columns = state.fact.schema.codec.unpack_columns(state.fact.records())
             if chunk_shape is None and old is not None:
                 chunk_shape = old.geometry.chunk_shape
             if codec is None:

@@ -229,21 +229,10 @@ class Database:
     def create_btree_index(
         self, index_name: str, table_name: str, column: str
     ) -> BTree:
-        """Build a B-tree mapping ``column`` values → tuple positions.
-
-        For a fact file the position is the tuple number (usable with
-        :meth:`FactFile.get`); for a heap table it is the scan ordinal.
-        """
-        table = self.table(table_name)
-        position = table.schema.index_of(column)
-        self._register(index_name, "btree")
-        tree = BTree.bulk_load(
-            self.fm,
-            index_name,
-            ((row[position], tuple_no) for tuple_no, row in enumerate(table.scan())),
-        )
-        self._btrees[index_name] = tree
-        return tree
+        """Build a B-tree mapping a fact file's ``column`` values → tuple
+        numbers (usable with :meth:`FactFile.get`)."""
+        (keys,) = self._key_columns(table_name, [column])
+        return self._bulk_load_index(index_name, keys)
 
     def create_composite_btree_index(
         self, index_name: str, table_name: str, columns: list[str]
@@ -253,17 +242,23 @@ class Database:
         The backing structure of the "skipping multi-attribute B-tree"
         selection baseline (§4.4); keys compare lexicographically.
         """
+        keys = list(zip(*self._key_columns(table_name, columns)))
+        return self._bulk_load_index(index_name, keys)
+
+    def _key_columns(self, table_name: str, columns: list[str]) -> list[list]:
+        """The named columns of a fact file as Python values in
+        tuple-number order, read a page slice at a time."""
         table = self.table(table_name)
+        if not isinstance(table, FactFile):
+            raise CatalogError(f"B-tree indices cover fact files, not {table_name!r}")
         positions = [table.schema.index_of(c) for c in columns]
+        stored = table.schema.codec.unpack_columns(table.records())
+        return [stored[p].tolist() for p in positions]
+
+    def _bulk_load_index(self, index_name: str, keys: list) -> BTree:
+        """Register ``index_name`` and bulk-load ``keys[t] → t``."""
         self._register(index_name, "btree")
-        tree = BTree.bulk_load(
-            self.fm,
-            index_name,
-            (
-                (tuple(row[p] for p in positions), tuple_no)
-                for tuple_no, row in enumerate(table.scan())
-            ),
-        )
+        tree = BTree.bulk_load(self.fm, index_name, zip(keys, range(len(keys))))
         self._btrees[index_name] = tree
         return tree
 

@@ -155,6 +155,22 @@ class FactFile:
             yield from codec.iter_unpack(buf, in_page)
             remaining -= in_page
 
+    def records(self) -> np.ndarray:
+        """Every stored record as one ``schema.codec.dtype`` array, in
+        tuple-number order: one slice copy per page, the inverse of
+        :meth:`append_records` (``schema.codec.unpack_columns`` splits
+        it into columns)."""
+        records = np.empty(self._count, dtype=self.schema.codec.dtype)
+        raw = memoryview(records.view(np.uint8))
+        size, per_page = self.record_size, self.records_per_page
+        for page_no, done in enumerate(range(0, self._count, per_page)):
+            take = min(per_page, self._count - done) * size
+            raw[done * size : done * size + take] = memoryview(
+                self._file.read(page_no)
+            )[:take]
+            self.counters.add("fact_pages_scanned")
+        return records
+
     def find(self, keys: tuple) -> int | None:
         """Tuple number of the first row whose leading fields equal
         ``keys``, or ``None``: each page compared as one record array."""

@@ -39,6 +39,17 @@ def as_column(values: Sequence) -> np.ndarray:
     raise SchemaError(f"column of mixed kinds or past int64: {values[:3]}...")
 
 
+def narrowest(count: int, signed: bool) -> np.dtype:
+    """The narrowest integer dtype that holds ``count``, so that a
+    per-row index or code into ``count`` things can never wrap."""
+    kinds = (
+        (np.int8, np.int16, np.int32, np.int64)
+        if signed
+        else (np.uint8, np.uint16, np.uint32, np.uint64)
+    )
+    return next(np.dtype(k) for k in kinds if np.iinfo(k).max >= count)
+
+
 def fact_columns(rows: Iterable[Sequence]) -> list[np.ndarray]:
     """Rows as one array per field: the loaders' only row-to-column door.
 
@@ -151,6 +162,18 @@ class RecordCodec:
             if ftype != "float64" and (records[name] != column).any():
                 raise SchemaError(f"a value does not fit its {ftype} field")
         return records
+
+    def unpack_columns(self, records: np.ndarray) -> list[np.ndarray]:
+        """Packed records back to one column per field, the inverse of
+        :meth:`pack_columns`: numbers in their field's dtype, strings
+        decoded to ``<U`` (what :meth:`unpack` yields, a column at a
+        time)."""
+        return [
+            np.char.decode(records[name], "utf-8")
+            if self.dtype[name].kind == "S"
+            else records[name]
+            for name in self.dtype.names
+        ]
 
     def unpack(self, payload: bytes) -> tuple:
         """Decode one record."""

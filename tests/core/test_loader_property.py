@@ -296,6 +296,9 @@ def test_fact_file_pages_equal_the_row_loaders(case):
             else:
                 reference_append_many(fact, batch)
         assert len(fact) == len(earlier) + sum(map(len, batches))
+        # the column read is the row scan, a column at a time
+        columns = schema.codec.unpack_columns(fact.records())
+        assert list(zip(*(c.tolist() for c in columns))) == list(fact.scan())
         twins.append(pages(fm))
     assert twins[0] == twins[1]
 
