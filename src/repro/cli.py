@@ -13,10 +13,9 @@ Commands:
   ``X-Trace-Id`` header, a slowlog entry, or a histogram exemplar named).
 - ``explain`` — EXPLAIN / EXPLAIN ANALYZE one of the paper's queries:
   the backend's plan tree with per-node cost estimates, and with
-  ``--analyze`` the measured actuals, misestimate factors and (for the
-  array backend) the chunk heatmap delta; ``--json`` for the machine
-  shape, ``--validate SCHEMA`` to check it against the checked-in
-  schema (the CI explain-smoke does).
+  ``--analyze`` the measured actuals and misestimate factors; ``--json``
+  for the machine shape, ``--validate SCHEMA`` to check it against the
+  checked-in schema (the CI explain-smoke does).
 - ``sql`` — run one SQL-subset statement against a synthetic cube.
 - ``storage`` — print the storage report for a synthetic cube.
 - ``bench`` — run one experiment's benchmark module via pytest.
@@ -27,15 +26,13 @@ Commands:
   workload runs and for ``--linger`` seconds after.
 - ``slowlog`` — dump the slow-query ring buffer as JSON, either from a
   local synthetic workload or from a running endpoint (``--url``).
-- ``top`` — terminal dashboard (QPS, latency quantiles, cache hit
-  rates, WAL fsync latency) polled from a ``/metrics`` endpoint.
 - ``api-serve`` — standalone slicer-style HTTP query API
   (``/cube/<name>/aggregate`` drilldown/cut requests) over a synthetic
   cube, the introspection routes on the same port.
-- ``watch`` — terminal trend view (sparklines per metric) polled from a
-  ``/timeseries`` endpoint, with firing alerts inlined.
-- ``alert-lint`` — validate an SLO rule file against the checked-in
-  schema and parse it through the alert manager's loader.
+- ``mem`` — the resident-set breakdown by store, from a local workload
+  or a running endpoint (``--url``).
+- ``faultcheck`` — the crash-recovery property over every registered
+  crash point.
 """
 
 from __future__ import annotations
@@ -45,6 +42,8 @@ import contextlib
 import json
 import subprocess
 import sys
+import urllib.error
+import urllib.request
 
 from repro import __version__
 from repro.bench.harness import (
@@ -65,6 +64,31 @@ from repro.obs.exporters import (
     render_span_tree,
     trace_to_json,
 )
+
+
+def fetch_metrics(url: str, timeout_s: float = 5.0) -> str:
+    """GET one endpoint route; returns the body as text."""
+    with urllib.request.urlopen(url, timeout=timeout_s) as response:
+        return response.read().decode("utf-8")
+
+
+def fetch_json(url: str, timeout_s: float = 5.0) -> dict | None:
+    """GET one JSON payload; ``None`` on a 404 (nothing by that name)."""
+    try:
+        return json.loads(fetch_metrics(url, timeout_s))
+    except urllib.error.HTTPError as exc:
+        if exc.code == 404:
+            return None
+        raise
+
+
+def _fmt_bytes(n: float) -> str:
+    for unit in ("B", "KiB", "MiB", "GiB"):
+        if abs(n) < 1024.0 or unit == "GiB":
+            return f"{n:7.1f}{unit}" if unit != "B" else f"{n:7.0f}B"
+        n /= 1024.0
+    return f"{n:7.1f}GiB"  # pragma: no cover - loop always returns
+
 
 EXPERIMENTS = (
     "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
@@ -168,7 +192,6 @@ _TRACE_QUERIES = {"q1": query1_for, "q2": query2_for, "q3": query3_for}
 def _cmd_trace_by_id(args) -> int:
     """Fetch one stored trace from a running endpoint."""
     from repro.obs.exporters import span_from_dict
-    from repro.obs.top import fetch_json
 
     if not args.url:
         print("trace --id needs --url <running endpoint>", file=sys.stderr)
@@ -302,7 +325,7 @@ def cmd_storage(args) -> int:
 
 def _temporal_service(engine, **config):
     """A `QueryService` with the time-series sampler and the profiler
-    running, so ``top`` / ``watch`` / ``/alerts`` have something to read."""
+    running, so ``/timeseries`` and ``/profile`` have something to read."""
     from repro.serve import QueryService, ServiceConfig
 
     return QueryService(
@@ -421,8 +444,6 @@ def _obs_stack(args, slowlog_threshold_s: float):
 
 def cmd_slowlog(args) -> int:
     if args.url:
-        from repro.obs.top import fetch_metrics
-
         print(fetch_metrics(f"{args.url.rstrip('/')}/slowlog"))
         return 0
 
@@ -450,8 +471,6 @@ def _print_memory_payload(payload: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(payload, indent=2))
         return
-    from repro.obs.top import _fmt_bytes
-
     total = payload["total_resident_bytes"]
     budget = payload["budget_bytes"]
     budget_note = (
@@ -487,8 +506,6 @@ def _print_memory_payload(payload: dict, as_json: bool) -> None:
 
 def cmd_mem(args) -> int:
     if args.url:
-        from repro.obs.top import fetch_json
-
         url = f"{args.url.rstrip('/')}/memory?top={args.top}"
         payload = fetch_json(url)
         if payload is None:
@@ -509,34 +526,6 @@ def cmd_mem(args) -> int:
             _print_memory_payload(service.memory.payload(args.top), args.json)
         finally:
             service.close()
-    return 0
-
-
-def cmd_top(args) -> int:
-    import time
-
-    from repro.obs.top import MetricsView, fetch_metrics, render_dashboard
-
-    url = f"{args.url.rstrip('/')}/metrics"
-    previous = None
-    iteration = 0
-    try:
-        while args.iterations == 0 or iteration < args.iterations:
-            if iteration:
-                time.sleep(args.interval)
-            current = MetricsView.from_text(fetch_metrics(url))
-            frame = render_dashboard(previous, current, args.interval)
-            if args.plain:
-                print(f"-- {url} @ {time.strftime('%H:%M:%S')}")
-                print(frame)
-            else:
-                print("\x1b[2J\x1b[H", end="")
-                print(f"repro top — {url} @ {time.strftime('%H:%M:%S')}\n")
-                print(frame)
-            previous = current
-            iteration += 1
-    except KeyboardInterrupt:
-        pass
     return 0
 
 
@@ -571,57 +560,6 @@ def cmd_api_serve(args) -> int:
                         park.wait(3600)
             except KeyboardInterrupt:
                 print("\ninterrupted")
-    return 0
-
-
-def cmd_watch(args) -> int:
-    import time
-
-    from repro.obs.watch import watch_frame
-
-    iteration = 0
-    try:
-        while args.iterations == 0 or iteration < args.iterations:
-            if iteration:
-                time.sleep(args.interval)
-            frame = watch_frame(args.url, seconds=args.seconds, q=args.q)
-            if args.plain:
-                print(f"-- {args.url} @ {time.strftime('%H:%M:%S')}")
-                print(frame)
-            else:
-                print("\x1b[2J\x1b[H", end="")
-                print(
-                    f"repro watch — {args.url} @ {time.strftime('%H:%M:%S')}\n"
-                )
-                print(frame)
-            iteration += 1
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def cmd_alert_lint(args) -> int:
-    from repro.errors import MetricsError
-    from repro.obs.alerts import load_rules
-    from repro.util.jsonschema_lite import SchemaError, validate
-
-    with open(args.rules, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    with open(args.schema, encoding="utf-8") as handle:
-        schema = json.load(handle)
-    try:
-        validate(payload, schema)
-    except SchemaError as exc:
-        print(f"FAIL: {args.rules}: schema validation: {exc}", file=sys.stderr)
-        return 1
-    try:
-        rules = load_rules(args.rules)
-    except MetricsError as exc:
-        print(f"FAIL: {args.rules}: {exc}", file=sys.stderr)
-        return 1
-    for rule in rules:
-        print(f"ok  {rule.name:<28} {rule.kind} ({rule.severity})")
-    print(f"{len(rules)} rules validate against {args.schema}")
     return 0
 
 
@@ -853,24 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_argument(mem)
     mem.set_defaults(run=cmd_mem)
 
-    top = commands.add_parser(
-        "top", help="terminal dashboard over a /metrics endpoint"
-    )
-    top.add_argument("--url", required=True, help="endpoint base URL")
-    top.add_argument("--interval", type=float, default=2.0)
-    top.add_argument(
-        "--iterations",
-        type=int,
-        default=0,
-        help="frames to render (default 0: until interrupted)",
-    )
-    top.add_argument(
-        "--plain",
-        action="store_true",
-        help="append frames instead of clearing the screen",
-    )
-    top.set_defaults(run=cmd_top)
-
     api_serve = commands.add_parser(
         "api-serve",
         help="standalone HTTP query API over a synthetic cube",
@@ -888,45 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scale_argument(api_serve)
     api_serve.set_defaults(run=cmd_api_serve)
-
-    watch = commands.add_parser(
-        "watch", help="terminal trend view over a /timeseries endpoint"
-    )
-    watch.add_argument("--url", required=True, help="endpoint base URL")
-    watch.add_argument("--interval", type=float, default=2.0)
-    watch.add_argument(
-        "--iterations",
-        type=int,
-        default=0,
-        help="frames to render (default 0: until interrupted)",
-    )
-    watch.add_argument(
-        "--seconds",
-        type=float,
-        default=60.0,
-        help="trailing window each frame asks the endpoint for",
-    )
-    watch.add_argument("--q", type=float, default=0.95)
-    watch.add_argument(
-        "--plain",
-        action="store_true",
-        help="append frames instead of clearing the screen",
-    )
-    watch.set_defaults(run=cmd_watch)
-
-    alert_lint = commands.add_parser(
-        "alert-lint",
-        help="validate an SLO rule file against the checked-in schema",
-    )
-    alert_lint.add_argument(
-        "--rules", default="benchmarks/slo_rules.json", metavar="FILE"
-    )
-    alert_lint.add_argument(
-        "--schema",
-        default="benchmarks/schemas/slo_rules.schema.json",
-        metavar="FILE",
-    )
-    alert_lint.set_defaults(run=cmd_alert_lint)
 
     faultcheck = commands.add_parser(
         "faultcheck",

@@ -62,6 +62,12 @@ _VECTOR_UFUNCS = {
     "count": None,
 }
 
+#: the dtype a materialized result stores each aggregate in (absent:
+#: the measure's own)
+_RESULT_DTYPES = {
+    "avg": "float64", "var": "float64", "stddev": "float64", "count": "int64",
+}
+
 
 def blank_column(name: str, dtype: np.dtype, shape) -> np.ndarray:
     """A column of aggregate ``name`` nothing has been folded into, in
@@ -83,9 +89,9 @@ class ConsolidationSpec:
     - ``level(attr)`` — group by hierarchy attribute ``attr``;
     - ``key()`` — group by the dimension key itself (identity);
     - ``drop()`` — aggregate the dimension away entirely;
-    - ``mapping(i2i)`` — group by an explicit IndexToIndex array (used
-      by aggregate navigation, which derives the mapping by factoring
-      hierarchy levels instead of reading it off the array).
+    - ``mapping(i2i)`` — group by an explicit IndexToIndex array (one
+      the caller derived instead of reading it off the array, e.g. to
+      roll a materialized result up a hierarchy it does not store).
     """
 
     kind: str
@@ -684,9 +690,11 @@ def _materialize(
         for d, spec, i2i in kept
     ]
     chunk_shape = tuple(min(len(dim.keys), 16) for dim in dimensions)
-    dtype = array.dtype
-    if any(n in ("avg",) for n in accumulator.agg_names):
-        dtype = "float64"
+    # one stored dtype for every measure: each aggregate's own, widened
+    produced = {
+        _RESULT_DTYPES.get(n, array.dtype) for n in accumulator.agg_names
+    }
+    dtype = "int64" if produced == {"int64"} else "float64"
     return build_olap_array(
         array.fm,
         name,

@@ -71,41 +71,6 @@ class IndexToIndex:
     def __getitem__(self, index: int) -> int:
         return int(self.mapping[index])
 
-    @classmethod
-    def factor(
-        cls, fine: "IndexToIndex", coarse: "IndexToIndex"
-    ) -> "IndexToIndex":
-        """The mapping ``m`` with ``coarse = m ∘ fine``, if one exists.
-
-        Both inputs map the *same* base indices (e.g. dimension keys) to
-        their levels.  The result maps fine-level indices to
-        coarse-level indices — exactly what aggregate navigation needs
-        to roll a (city-grained) materialized view up to states.  Raises
-        :class:`DimensionError` when the coarse level does not
-        functionally depend on the fine one (two base keys in one fine
-        group landing in different coarse groups).
-        """
-        if len(fine) != len(coarse):
-            raise DimensionError(
-                f"factor over different base sizes: {len(fine)} vs "
-                f"{len(coarse)}"
-            )
-        mapping = np.full(fine.target_size, -1, dtype=np.int32)
-        for base in range(len(fine)):
-            fine_group = int(fine.mapping[base])
-            coarse_group = int(coarse.mapping[base])
-            if mapping[fine_group] == -1:
-                mapping[fine_group] = coarse_group
-            elif mapping[fine_group] != coarse_group:
-                raise DimensionError(
-                    "coarse level is not a function of the fine level "
-                    f"(fine group {fine_group} maps to both "
-                    f"{mapping[fine_group]} and {coarse_group})"
-                )
-        if (mapping == -1).any():
-            raise DimensionError("fine level has groups with no base keys")
-        return cls(mapping, coarse.target_keys)
-
     def compose(self, finer_to_self: "IndexToIndex") -> "IndexToIndex":
         """Chain two hierarchy steps (city→state then state→region)."""
         if finer_to_self.target_size != len(self):

@@ -81,11 +81,6 @@ class OLAPArray:
         #: concurrent readers become safe (the cache serializes the
         #: underlying page I/O)
         self.chunk_cache = None
-        #: optional shared :class:`repro.obs.heatmap.ChunkHeatmap`; the
-        #: engine points this at its database's tracker when it
-        #: registers the array, after which every chunk access (and
-        #: separately every uncached disk read) is counted per chunk
-        self.heatmap = None
 
     def _bag(self, counters: Counters | None) -> Counters:
         """Who pays for a read: the caller's bag, else the array's own."""
@@ -199,8 +194,6 @@ class OLAPArray:
         is the bag a payload fetch is billed to (default: the array's
         own); a cache hit fetches nothing and bills nothing.
         """
-        if self.heatmap is not None:
-            self.heatmap.record(self.name, chunk_no)
         cache = self.chunk_cache
         if cache is not None:
             return cache.get_chunk(self, chunk_no, counters)
@@ -217,8 +210,6 @@ class OLAPArray:
                 (0, self.n_measures), dtype=self._np_dtype
             )
         counters.add("chunks_read")
-        if self.heatmap is not None:
-            self.heatmap.record(self.name, chunk_no, disk=True)
         payload = self.chunks.read(oid)
         counters.add("chunk_bytes_read", len(payload))
         return decode_chunk(

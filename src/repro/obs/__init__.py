@@ -30,11 +30,14 @@ carries a first-class accounting layer:
   per-node planner estimates, measured actuals from span counter
   deltas, misestimate factors, text rendering and a fingerprint-keyed
   :class:`PlanCache`.
-- :mod:`repro.obs.heatmap` — bounded per-array chunk access counters
-  (logical accesses vs. uncached disk reads) behind ``/heatmap/<cube>``
-  and the ANALYZE heat overlay.
 - :mod:`repro.obs.exporters` — JSON trace dump, text tree rendering,
   Prometheus text exposition plus a parser/linter for it.
+- :mod:`repro.obs.timeseries` — a bounded ring of registry snapshots
+  answering windowed rates and quantiles (``/timeseries``).
+- :mod:`repro.obs.profiler` — a wall-clock sampling profiler that
+  attributes busy threads to their innermost span (``/profile``).
+- :mod:`repro.obs.memory` — byte-accurate resident-set accounting with
+  pressure-aware eviction (``/memory``).
 - :mod:`repro.obs.server` — the introspection route table (``ROUTES``:
   ``/metrics``, ``/healthz``, ``/traces``, …) that
   :class:`repro.api.server.ApiServer` mounts.
@@ -48,7 +51,6 @@ from repro.obs.explain import (
     attach_actuals,
     render_plan,
 )
-from repro.obs.heatmap import ChunkHeatmap, heat_delta, hottest
 from repro.obs.histogram import DEFAULT_BOUNDS, Histogram, quantile_from_buckets
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import (
@@ -91,16 +93,13 @@ from repro.obs.tracing import (
 # context manager, which this package has always exported as `tracing`
 from repro.obs.tracer import tracing as tracing  # noqa: E402, F811
 from repro.obs.timeseries import TimePoint, TimeSeriesStore
-from repro.obs.alerts import AlertManager, SloRule, default_rules, load_rules
 from repro.obs.profiler import SamplingProfiler
 from repro.obs.server import ObservabilityRoutes
 
 
 __all__ = [
-    "AlertManager",
     "DEFAULT_BOUNDS",
     "MISESTIMATE_FACTOR_THRESHOLD",
-    "ChunkHeatmap",
     "Histogram",
     "MetricsRegistry",
     "NULL_TRACER",
@@ -111,7 +110,6 @@ __all__ = [
     "PromSample",
     "QueryPlan",
     "SamplingProfiler",
-    "SloRule",
     "SlowQueryLog",
     "SlowQueryRecord",
     "Span",
@@ -126,11 +124,7 @@ __all__ = [
     "attach_actuals",
     "current_trace_context",
     "current_trace_links",
-    "default_rules",
     "get_tracer",
-    "load_rules",
-    "heat_delta",
-    "hottest",
     "lint_prometheus_text",
     "new_trace_context",
     "parse_exemplar_comments",

@@ -149,8 +149,7 @@ class QueryPlan:
     """A backend's plan for one query, plus planner context.
 
     ``analyzed`` plans additionally carry execution totals (the merged
-    stats snapshot), row count, elapsed and simulated-I/O seconds, and
-    — for array plans — the chunk-access heatmap delta of the run.
+    stats snapshot), row count, elapsed and simulated-I/O seconds.
     """
 
     cube: str
@@ -165,7 +164,6 @@ class QueryPlan:
     elapsed_s: float = 0.0
     sim_io_s: float = 0.0
     totals: dict = field(default_factory=dict)
-    heatmap: dict | None = None
 
     def worst_misestimate(self) -> float | None:
         """The plan's worst per-node factor, or ``None`` pre-ANALYZE."""
@@ -199,8 +197,6 @@ class QueryPlan:
             worst = self.worst_misestimate()
             if worst is not None:
                 payload["worst_misestimate"] = worst
-        if self.heatmap is not None:
-            payload["heatmap"] = self.heatmap
         return payload
 
     @classmethod
@@ -215,7 +211,6 @@ class QueryPlan:
             planner=dict(payload.get("planner", {})),
             root=PlanNode.from_dict(payload["plan"]),
             analyzed=bool(payload.get("analyzed", False)),
-            heatmap=payload.get("heatmap"),
         )
         execution = payload.get("execution")
         if execution:

@@ -6,8 +6,8 @@ repro trace`` prints; the Prometheus text format is what the live
 ``/metrics`` endpoint serves, so the counters, gauges and latency
 histograms map 1:1 onto a real monitoring stack.  The matching
 :func:`parse_prometheus_text` / :func:`lint_prometheus_text` pair is
-the scrape side: ``repro top`` polls and parses the endpoint with it,
-and the test suite lints every export against the exposition grammar
+the scrape side: the test suite parses and lints every export against
+the exposition grammar
 (contiguous metric groups, ``# TYPE`` first, escaped label values,
 complete histogram series).
 """
@@ -231,8 +231,8 @@ def parse_exemplar_comments(text: str) -> dict[str, dict[str, dict]]:
     Returns ``{histogram_name: {le: {"trace_id": ..., "value": ...}}}``
     keyed by the full exported histogram name (e.g.
     ``repro_serve_query_latency_seconds``).  The scrape half of the
-    exemplar channel: ``repro top`` uses this to link a percentile
-    bucket back to a concrete trace.
+    exemplar channel: it links a percentile bucket back to a concrete
+    trace (``repro trace --id``).
     """
     exemplars: dict[str, dict[str, dict]] = {}
     for line in text.splitlines():
@@ -297,8 +297,8 @@ def parse_prometheus_text(
     """Parse exposition text into samples plus a metric→type map.
 
     Raises :class:`ValueError` on any line that is neither a valid
-    comment nor a valid sample.  (``repro top`` and the lint test share
-    this parser.)
+    comment nor a valid sample.  (:func:`lint_prometheus_text` is built
+    on it.)
     """
     samples: list[PromSample] = []
     types: dict[str, str] = {}

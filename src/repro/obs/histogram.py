@@ -66,8 +66,8 @@ class Histogram:
     Each bucket additionally keeps one *exemplar* — the trace_id and
     value of the last observation recorded into it with a trace_id —
     so a percentile read maps back to a concrete trace in the
-    :class:`~repro.obs.tracing.TraceStore` (``repro top`` surfaces
-    these).
+    :class:`~repro.obs.tracing.TraceStore` (the ``/metrics`` scrape
+    carries them as ``# EXEMPLAR`` comments).
     """
 
     __slots__ = ("bounds", "_counts", "_sum", "_count", "_exemplars", "_lock")
@@ -161,7 +161,7 @@ class Histogram:
         return quantile_from_buckets(self.bounds, counts, q)
 
     def percentiles(self) -> dict[str, float]:
-        """The serving dashboard's p50/p95/p99 in one consistent read."""
+        """p50/p95/p99 in one consistent read."""
         with self._lock:
             counts = list(self._counts)
         return {

@@ -9,8 +9,8 @@ this process holding, and in which store?".  The
 registers a byte-accurate usage callback, the accountant exports
 per-store ``memory.<store>.resident_bytes`` gauges plus one
 ``memory.total_resident_bytes`` through the
-:class:`~repro.obs.registry.MetricsRegistry` (so /metrics, /timeseries
-and the SLO alert rules all see them), and serves the ``/memory``
+:class:`~repro.obs.registry.MetricsRegistry` (so /metrics and
+/timeseries both see them), and serves the ``/memory``
 route and ``repro mem`` breakdowns.
 
 On top of accounting sits *pressure-aware eviction*: when

@@ -23,17 +23,12 @@ The profiler's own thread — and any thread whose name matches
 ``exclude_prefixes`` (the observability stack's samplers and HTTP
 handlers) — is skipped entirely: a profiler that mostly profiles
 itself is noise.
-
-``attributed_fraction`` is span / (span + other): of the *busy*
-samples worth attributing, how many landed in a named phase.  A low
-value means engine work is running outside any span.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-import time
 from collections import Counter
 
 from repro.obs.tracer import current_span_stacks
@@ -197,20 +192,18 @@ class SamplingProfiler:
             return self._ticks
 
     def stats(self) -> dict:
-        """Sample-class totals plus the attribution fraction."""
+        """Sample-class totals."""
         with self._lock:
             span = sum(self._span_samples.values())
             other = sum(self._other_samples.values())
             idle = self._idle
             ticks = self._ticks
-        busy = span + other
         return {
             "ticks": ticks,
             "samples": span + other + idle,
             "span_samples": span,
             "other_samples": other,
             "idle_samples": idle,
-            "attributed_fraction": span / busy if busy else 0.0,
         }
 
     def collapsed(self) -> dict[str, int]:
@@ -241,8 +234,7 @@ class SamplingProfiler:
         busy = stats["span_samples"] + stats["other_samples"]
         lines = [
             f"profile: {stats['samples']} samples over {stats['ticks']} "
-            f"ticks  (busy {busy}, idle {stats['idle_samples']}, "
-            f"attributed {stats['attributed_fraction']:.0%})"
+            f"ticks  (busy {busy}, idle {stats['idle_samples']})"
         ]
         if not collapsed:
             lines.append("  (no busy samples)")

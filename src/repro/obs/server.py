@@ -9,12 +9,12 @@ every ``GET`` outside ``/cube/…``.
 
 A payload method returns its JSON body (``/metrics``: the Prometheus
 text) or raises :class:`~repro.errors.ApiNotFoundError` when the part
-it reads is not attached or the fingerprint / trace id / metric / cube
-is unknown.  Numeric query parameters are the keyword-only arguments of
+it reads is not attached or the fingerprint / trace id / metric is
+unknown.  Numeric query parameters are the keyword-only arguments of
 the method that takes them (``/traces?limit=N``, ``/memory?top=N``,
-``/timeseries/<metric>?seconds=N&q=Q``); an unparsable or non-finite
-one is an :class:`~repro.errors.ApiRequestError`, any other query
-parameter is ignored.  Everything is read-only.
+``/timeseries/<metric>?seconds=N&q=Q``); an unparsable, non-finite or
+out-of-range one is an :class:`~repro.errors.ApiRequestError`, any
+other query parameter is ignored.  Everything is read-only.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from repro.errors import ApiNotFoundError, ApiRequestError, ReproError
+from repro.errors import ApiNotFoundError, ApiRequestError
 from repro.obs.exporters import prometheus_text
 from repro.obs.registry import MetricsRegistry
 
@@ -39,10 +39,8 @@ ROUTES = (
     ("/trace/<fingerprint>", "trace_payload"),
     ("/explain", "explain_index_payload"),
     ("/explain/<fingerprint>", "explain_payload"),
-    ("/heatmap/<cube>", "heatmap_payload"),
     ("/timeseries", "timeseries_index_payload"),
     ("/timeseries/<metric>", "timeseries_payload"),
-    ("/alerts", "alerts_payload"),
     ("/profile", "profile_payload"),
     ("/memory", "memory_payload"),
 )
@@ -181,6 +179,11 @@ class ObservabilityRoutes:
         self, metric: str, *, seconds: float = 60.0, q: float = 0.95
     ) -> dict:
         """``/timeseries/<metric>``: one metric's trailing window."""
+        if not 0.0 <= q <= 1.0 or seconds <= 0:
+            raise ApiRequestError(
+                f"need 0 <= q <= 1 and seconds > 0, got q={q:g} "
+                f"seconds={seconds:g}"
+            )
         timeseries = self._part("timeseries", "time-series store")
         payload = timeseries.series_payload(metric, seconds, q)
         if payload is None:
@@ -189,9 +192,6 @@ class ObservabilityRoutes:
             )
         return payload
 
-    def alerts_payload(self) -> dict:
-        return self._part("alerts", "alert manager").to_dict()
-
     def profile_payload(self) -> dict:
         return self._part("profiler", "profiler").to_dict()
 
@@ -199,11 +199,3 @@ class ObservabilityRoutes:
         """``/memory``: the resident-set breakdown by store."""
         memory = self._part("memory", "memory accountant")
         return memory.payload(top_n=max(1, int(top)))
-
-    def heatmap_payload(self, cube: str) -> dict:
-        """``/heatmap/<cube>``: cumulative per-chunk access heat."""
-        engine = self._part("engine", "service")
-        try:
-            return engine.chunk_heatmap(cube)
-        except ReproError as exc:
-            raise ApiNotFoundError(str(exc)) from None

@@ -13,8 +13,7 @@ buckets — into a fixed-capacity ring, and answers *windowed* questions:
 - "what is the p99 over the last 30 s, not since process start?"
   (:meth:`window_quantile` — the difference of two cumulative bucket
   vectors is exactly the histogram of the window between them),
-- "how did the cache hit rate evolve?" (:meth:`counter_series` /
-  :meth:`window_ratio`).
+- "how did the cache hits evolve?" (:meth:`counter_series`).
 
 Windows are **exact**: every registered source counts up for the life
 of its owner and histograms are cumulative, so what happened between two
@@ -30,7 +29,7 @@ between them, so a quiet ring costs little.
 
 The store is thread-safe and cheap enough to sample at sub-second
 intervals; :meth:`start` runs the sampler on a daemon thread and fires
-optional per-tick hooks (the alert evaluator rides there).
+optional per-tick hooks (the memory budget check rides there).
 """
 
 from __future__ import annotations
@@ -152,9 +151,8 @@ class TimeSeriesStore:
         """Sample every ``interval_s`` on a daemon thread; returns self.
 
         Each tick appends one snapshot and then runs every hook with the
-        fresh point (the alert evaluator attaches here so rules always
-        see the sample that just landed).  Hook exceptions are swallowed
-        — a broken rule must not kill the sampler.
+        fresh point.  Hook exceptions are swallowed — a broken hook must
+        not kill the sampler.
         """
         if interval_s <= 0:
             raise MetricsError(
@@ -238,22 +236,6 @@ class TimeSeriesStore:
             for p in self.points(window_s)
             if name in p.gauges
         ]
-
-    def window_ratio(
-        self, numerator: str, denominator_extra: str, window_s: float
-    ) -> float | None:
-        """``num / (num + extra)`` over window deltas (None when empty).
-
-        The hit-rate shape: ``window_ratio("result_cache.hits",
-        "result_cache.misses", 30)`` is the result-cache hit rate of the
-        last 30 seconds, not of the whole process.
-        """
-        hits = self.counter_delta(numerator, window_s)
-        misses = self.counter_delta(denominator_extra, window_s)
-        total = hits + misses
-        if total <= 0:
-            return None
-        return hits / total
 
     # -- windowed histogram math -----------------------------------------------
 

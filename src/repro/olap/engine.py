@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable
 
 from repro.core.builder import DimensionData, fact_coords, plan_olap_array
-from repro.core.consolidate import ConsolidationSpec, consolidate
-from repro.core.index_to_index import IndexToIndex
 from repro.core.olap_array import OLAPArray
 from repro.errors import CatalogError, PlanError, QueryError
 from repro.index.bitmap import factorize
@@ -108,18 +106,6 @@ class _CubeState:
         return backend_registry.available_backends(self)
 
 
-@dataclass
-class _ViewState:
-    """A materialized aggregate view and the definition that built it."""
-
-    array: OLAPArray
-    cube: str
-    group_by: dict
-    aggregate: str
-    #: the cube generation it was built at: no write maintains a view
-    generation: int
-
-
 def _dimension_data(schema: CubeSchema, dimension_rows) -> list[DimensionData]:
     """The loader's view of ``(key, level values...)`` dimension rows."""
     return [
@@ -141,7 +127,6 @@ class OlapEngine:
     def __init__(self, db: Database | None = None, **db_kwargs):
         self.db = db if db is not None else Database(**db_kwargs)
         self._cubes: dict[str, _CubeState] = {}
-        self._views: dict[str, _ViewState] = {}
         self._write_listeners: list[Callable[..., None]] = []
         self._explain_counters: Counters | None = None
         self._shard_coordinator = None
@@ -315,7 +300,6 @@ class OlapEngine:
             array = store(self.db.fm, name or array_name(schema))
             if state.array is not None:
                 array.chunk_cache = state.array.chunk_cache
-            array.heatmap = self.db.heatmap
             self.db.metrics.register(
                 f"array:{array_name(schema)}", array.counters, replace=True
             )
@@ -342,7 +326,6 @@ class OlapEngine:
             state.fact = self.db.table(fact_name)
         if self.db.fm.exists(f"{array_name(schema)}.dir"):
             state.array = OLAPArray.open(self.db.fm, array_name(schema))
-            state.array.heatmap = self.db.heatmap
             self.db.metrics.register(
                 f"array:{array_name(schema)}",
                 state.array.counters,
@@ -589,14 +572,12 @@ class OlapEngine:
         :class:`~repro.obs.explain.QueryPlan` carries per-node cost
         estimates; an ANALYZE run executes the query under a
         registry-bound tracer, attaches each node's actual counter
-        deltas, overlays the array plan with the chunk-heatmap delta of
-        the run, and feeds every node's misestimate factor into the
+        deltas, and feeds every node's misestimate factor into the
         ``engine.explain.misestimate_factor`` histogram.
         """
         # imported here: repro.serve imports this module (cycle guard),
         # matching the function-level import precedent in :meth:`sql`
         from repro.obs.explain import QueryPlan, attach_actuals
-        from repro.obs.heatmap import heat_delta, hottest
         from repro.obs.tracer import Tracer, thread_tracing
         from repro.serve.fingerprint import query_fingerprint
 
@@ -667,12 +648,6 @@ class OlapEngine:
         if not analyze:
             return plan
 
-        heat_array = state.array if backend == "array" else None
-        heat_before = (
-            self.db.heatmap.snapshot(heat_array.name)
-            if heat_array is not None
-            else None
-        )
         tracer = Tracer(registry=self.db.metrics)
         with thread_tracing(tracer):
             result = self.query(
@@ -696,14 +671,6 @@ class OlapEngine:
         plan.elapsed_s = result.elapsed_s
         plan.sim_io_s = result.sim_io_s
         plan.totals = dict(result.stats)
-        if heat_array is not None and heat_before is not None:
-            delta = heat_delta(
-                heat_before, self.db.heatmap.snapshot(heat_array.name)
-            )
-            delta["array"] = heat_array.name
-            delta["n_chunks"] = heat_array.geometry.n_chunks
-            delta["hottest"] = hottest(delta["accesses"])
-            plan.heatmap = delta
         self._record_misestimates(plan)
         return plan
 
@@ -731,226 +698,6 @@ class OlapEngine:
                 "engine:explain", Counters(), replace=True
             )
         return self._explain_counters
-
-    def chunk_heatmap(self, cube: str, top: int = 10) -> dict:
-        """The cumulative chunk access heatmap of one cube's array.
-
-        Returns a JSON-ready payload: per-chunk access and disk-read
-        counters (bounded — see
-        :class:`~repro.obs.heatmap.ChunkHeatmap`), totals, and the
-        ``top`` hottest chunks.  Raises :class:`PlanError` when the
-        cube has no array design.
-        """
-        from repro.obs.heatmap import hottest
-
-        state = self.cube(cube)
-        if state.array is None:
-            raise PlanError(f"cube {cube!r} has no array design to heat-map")
-        array = state.array
-        snap = self.db.heatmap.snapshot(array.name)
-        return {
-            "cube": cube,
-            "array": array.name,
-            "n_chunks": array.geometry.n_chunks,
-            "chunk_shape": list(array.geometry.chunk_shape),
-            "tracked_chunks": max(
-                len(snap["accesses"]), len(snap["disk_reads"])
-            ),
-            "accesses": snap["accesses"],
-            "disk_reads": snap["disk_reads"],
-            "overflow_accesses": snap["overflow_accesses"],
-            "overflow_disk_reads": snap["overflow_disk_reads"],
-            "total_accesses": (
-                sum(snap["accesses"]) + snap["overflow_accesses"]
-            ),
-            "total_disk_reads": (
-                sum(snap["disk_reads"]) + snap["overflow_disk_reads"]
-            ),
-            "hottest": hottest(snap["accesses"], top),
-        }
-
-    def materialize(
-        self,
-        query: ConsolidationQuery,
-        view_name: str,
-        mode: str = "auto",
-    ) -> OLAPArray:
-        """Compute an aggregate table and persist it as an OLAP array.
-
-        §4.4 notes consolidations matter "e.g., when computing an
-        aggregate table"; this runs the array consolidation with the
-        result materialized ("the result of a consolidation operation
-        ... is another instance of the OLAP Array ADT") and registers
-        it so :meth:`view` can retrieve it for further roll-ups.
-        Selections are not allowed in a materialized view definition.
-        """
-        state = self.cube(query.cube)
-        query.validate(state.schema)
-        if query.selections:
-            raise QueryError("materialized views cannot carry selections")
-        if state.array is None:
-            raise PlanError("materialize needs the cube's array backend")
-        if view_name in self._views:
-            raise CatalogError(f"view {view_name!r} already exists")
-        schema = state.schema
-        grouped = dict(query.group_by)
-        specs = []
-        for dim in schema.dimensions:
-            attr = grouped.get(dim.name)
-            if attr is None:
-                specs.append(ConsolidationSpec.drop())
-            elif attr == dim.key:
-                specs.append(ConsolidationSpec.key())
-            else:
-                specs.append(ConsolidationSpec.level(attr))
-        with self.db.metrics.scoped("materialize", Counters()) as counters:
-            result = consolidate(
-                state.array,
-                specs,
-                aggregate=query.aggregate,
-                mode=resolve_mode(mode, query.aggregate, "array"),
-                counters=counters,
-                materialize_as=view_name,
-            )
-        self._views[view_name] = _ViewState(
-            array=result.result_array,
-            cube=query.cube,
-            group_by=dict(query.group_by),
-            aggregate=query.aggregate,
-            generation=state.generation,
-        )
-        result.result_array.heatmap = self.db.heatmap
-        self.db.metrics.register(
-            f"array:{view_name}", result.result_array.counters, replace=True
-        )
-        self.db.commit()
-        return result.result_array
-
-    def view(self, name: str) -> OLAPArray:
-        """A previously materialized aggregate view's array."""
-        try:
-            return self._views[name].array
-        except KeyError:
-            raise CatalogError(f"no view named {name!r}") from None
-
-    def view_names(self) -> list[str]:
-        """All materialized view names, sorted."""
-        return sorted(self._views)
-
-    # -- aggregate navigation -----------------------------------------------------
-
-    def _level_i2i(self, state, dim_name: str, attr: str) -> IndexToIndex:
-        """Key-index → level-index mapping, derived from the dim table.
-
-        Built in dimension-table scan order — the same order the loader
-        assigned array indices and level numbering, so it aligns with
-        any materialized view's dimension keys.
-        """
-        dim = state.schema.dimension(dim_name)
-        table = state.dim_tables[dim_name]
-        key_pos = table.schema.index_of(dim.key)
-        if attr == dim.key:
-            return IndexToIndex.identity([row[key_pos] for row in table.scan()])
-        attr_pos = table.schema.index_of(attr)
-        return IndexToIndex.build([row[attr_pos] for row in table.scan()])
-
-    def _view_plan(self, view, query) -> list[ConsolidationSpec] | None:
-        """Consolidation specs rolling ``view`` up to ``query``, if legal."""
-        from repro.errors import DimensionError
-
-        if query.selections or query.cube != view.cube:
-            return None
-        if query.aggregate != view.aggregate or query.aggregate not in (
-            "sum", "count", "min", "max",
-        ):
-            return None
-        wanted = dict(query.group_by)
-        if not set(wanted) <= set(view.group_by):
-            return None
-        state = self.cube(query.cube)
-        specs = []
-        for dim in state.schema.dimensions:
-            if dim.name not in view.group_by:
-                continue  # the view already aggregated this dimension away
-            view_attr = view.group_by[dim.name]
-            query_attr = wanted.get(dim.name)
-            if query_attr is None:
-                specs.append(ConsolidationSpec.drop())
-            elif query_attr == view_attr:
-                specs.append(ConsolidationSpec.key())
-            else:
-                fine = self._level_i2i(state, dim.name, view_attr)
-                coarse = self._level_i2i(state, dim.name, query_attr)
-                try:
-                    specs.append(
-                        ConsolidationSpec.mapping(
-                            IndexToIndex.factor(fine, coarse)
-                        )
-                    )
-                except DimensionError:
-                    return None  # query level is finer / unrelated
-        return specs
-
-    def query_from_views(self, query: ConsolidationQuery) -> QueryResult:
-        """Answer a selection-free query from a materialized view.
-
-        Classic aggregate navigation: pick any registered view whose
-        grain refines the query\'s (every query level derivable from
-        the view\'s level via the hierarchy), then consolidate the
-        (small) view array instead of the base data.  ``count`` views
-        re-roll with ``sum`` (counts add); ``avg``/``var`` views are
-        never navigable (their results do not re-aggregate).
-        """
-        state = self.cube(query.cube)
-        query.validate(state.schema)
-        stale = []
-        for name in sorted(self._views):
-            view = self._views[name]
-            specs = self._view_plan(view, query)
-            if specs is None:
-                continue
-            if view.generation != state.generation:
-                stale.append(name)
-                continue
-            reaggregate = (
-                "sum" if query.aggregate in ("sum", "count") else query.aggregate
-            )
-            self.db.disk.park()
-            before = self.db.metrics.snapshot_by_source()
-            counters = Counters()
-            with self.db.metrics.scoped("query", counters):
-                with get_tracer().span(
-                    "query_from_views", cube=query.cube, view=name
-                ):
-                    with Timer() as timer:
-                        result = consolidate(
-                            view.array,
-                            specs,
-                            aggregate=reaggregate,
-                            mode="vectorized",
-                            counters=counters,
-                        )
-                        rows = self._project_measures(
-                            state,
-                            query,
-                            self._reorder_array_rows(state, query, result.rows),
-                        )
-                stats = counter_delta(
-                    before, self.db.metrics.snapshot_by_source()
-                )
-            return QueryResult(
-                rows=rows,
-                backend=f"view:{name}",
-                mode="vectorized",
-                elapsed_s=timer.elapsed,
-                sim_io_s=stats.get("sim_io_s", 0.0),
-                stats=stats,
-            )
-        raise PlanError(
-            "no materialized view can answer this query; views: "
-            f"{self.view_names()}"
-            + (f"; stale since a write: {stale}" if stale else "")
-        )
 
     def sql(self, cube_name: str, statement: str, **query_kwargs) -> QueryResult:
         """Parse a SQL-subset statement against a loaded cube and run it."""

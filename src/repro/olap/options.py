@@ -2,7 +2,7 @@
 
 Historically the knobs controlling *how* a query runs were scattered
 across ragged keyword lists — ``backend=`` on everything, ``mode=`` with
-divergent defaults (``OlapEngine.materialize`` said ``"vectorized"``
+divergent defaults (one engine entry point said ``"vectorized"``
 while the serving layer and CLI said ``"interpreted"``), and
 ``executor=`` only on a partitioned-consolidation helper of its own.
 This module folds them into a single frozen dataclass accepted by

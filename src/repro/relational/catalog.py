@@ -11,7 +11,6 @@ from __future__ import annotations
 from repro.errors import CatalogError
 from repro.index.bitmap import BitmapIndex, factorize
 from repro.index.btree import BTree
-from repro.obs.heatmap import ChunkHeatmap
 from repro.obs.registry import MetricsRegistry
 from repro.relational.fact_file import FactFile
 from repro.relational.heap_file import HeapFile
@@ -58,9 +57,6 @@ class Database:
         self.fm = FileManager(self.pool)
         self.locks = LockManager()
         self.metrics = self._build_metrics()
-        #: per-array chunk access counters; cumulative across queries
-        #: (cold_cache leaves it alone)
-        self.heatmap = ChunkHeatmap()
         self._tables: dict[str, HeapFile | FactFile] = {}
         self._btrees: dict[str, BTree] = {}
         self._bitmaps: dict[str, BitmapIndex] = {}
@@ -111,7 +107,6 @@ class Database:
         db.fm = FileManager(db.pool, master_page_id=0)
         db.locks = LockManager()
         db.metrics = db._build_metrics()
-        db.heatmap = ChunkHeatmap()
         db._tables = {}
         db._btrees = {}
         db._bitmaps = {}

@@ -31,12 +31,10 @@ gauges.
 
 The service also owns the **temporal** observability stack: a
 :class:`~repro.obs.timeseries.TimeSeriesStore` over the engine's
-registry, an :class:`~repro.obs.alerts.AlertManager` evaluated at every
-sampler tick (its firing count exports as the ``serve.alerts_firing``
-gauge), and a :class:`~repro.obs.profiler.SamplingProfiler`.  Both
-background threads are opt-in via :class:`ServiceConfig`
-(``timeseries_interval_s`` / ``profile_sampling_s``) and stop in
-:meth:`close`.
+registry (its sampler tick also enforces the memory budget) and a
+:class:`~repro.obs.profiler.SamplingProfiler`.  Both background threads
+are opt-in via :class:`ServiceConfig` (``timeseries_interval_s`` /
+``profile_sampling_s``) and stop in :meth:`close`.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ from repro.errors import (
     RetryExhaustedError,
     TransientError,
 )
-from repro.obs.alerts import AlertManager, SloRule
 from repro.obs.explain import PlanCache, QueryPlan, attach_actuals
 from repro.obs.memory import MemoryAccountant
 from repro.obs.profiler import SamplingProfiler
@@ -122,9 +119,6 @@ class ServiceConfig:
     timeseries_interval_s: float = 0.0
     #: ring capacity of the time-series store, in snapshots
     timeseries_capacity: int = 600
-    #: SLO rules the alert manager evaluates at every sampler tick
-    #: (``None`` installs :func:`repro.obs.alerts.default_rules`)
-    slo_rules: tuple[SloRule, ...] | None = None
     #: wall-clock sampling-profiler tick interval (0 keeps it off)
     profile_sampling_s: float = 0.0
     #: chunk-range shards engine misses scatter over (1 = classic
@@ -174,12 +168,6 @@ class QueryService:
         self.timeseries = TimeSeriesStore(
             engine.db.metrics, capacity=self.config.timeseries_capacity
         )
-        rules = self.config.slo_rules
-        self.alerts = AlertManager(
-            self.timeseries,
-            rules=list(rules) if rules is not None else None,
-            slowlog=self.slowlog,
-        )
         self.profiler = SamplingProfiler(
             interval_s=self.config.profile_sampling_s or 0.005
         )
@@ -204,7 +192,7 @@ class QueryService:
         if self.config.timeseries_interval_s > 0:
             self.timeseries.start(
                 self.config.timeseries_interval_s,
-                hooks=(self.alerts.evaluate, self._memory_tick),
+                hooks=(self._memory_tick,),
             )
         if self.config.profile_sampling_s > 0:
             self.profiler.start()
@@ -246,11 +234,6 @@ class QueryService:
         )
         registry.register_gauge(
             "serve.traces_resident", lambda: float(len(self.traces)),
-            replace=True,
-        )
-        registry.register_gauge(
-            "serve.alerts_firing",
-            lambda: float(self.alerts.firing_count()),
             replace=True,
         )
         # replace=True with no histogram supplied *keeps* an existing

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 
+from repro.api.model import RollupDecl
 from repro.api.server import Cut
 from repro.data import generate_fact_rows
 from repro.olap import ConsolidationQuery
@@ -165,6 +166,16 @@ class TestScanCorrectness:
                 service, [("dim0", "h02"), ("dim1", "h12")],
                 aggregate=aggregate,
             )
+
+    def test_key_grain_answers_a_coarser_level(self, stack):
+        _, service, endpoint = stack
+        cube, router = _cube(endpoint), endpoint.router
+        keys = RollupDecl("keys", (("dim0", "d0"), ("dim1", "d1")))
+        group_by = [("dim0", "h02"), ("dim1", "h11")]
+        routed = router.scan(
+            cube, keys, router.rows_for(cube, keys), group_by, [], "sum", [0]
+        )
+        assert routed == _base_rows(service, group_by)
 
     def test_in_list_cut_filters_derived_values(self, stack):
         _, service, endpoint = stack

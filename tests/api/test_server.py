@@ -345,12 +345,18 @@ class TestErrorPaths:
         assert _error(payload)["kind"] == "too_large"
 
     def test_malformed_numbers_on_introspection_routes_400(self, server):
-        _, _, endpoint, srv = server
+        _, service, endpoint, srv = server
+        service.timeseries.sample()  # a known metric, an empty window
+        latency = "/timeseries/serve.query_latency_seconds"
         for path in (
             "/memory?top=nan",
             "/memory?top=inf",
             "/traces?limit=nan",
             "/timeseries/serve.admitted?seconds=x",
+            latency + "?q=2",
+            latency + "?q=-1",
+            latency + "?seconds=-5",
+            latency + "?seconds=0",
         ):
             status, payload = _get(srv.url + path)
             assert status == 400, path

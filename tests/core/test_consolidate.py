@@ -212,14 +212,19 @@ class TestValidation:
 
 class TestMaterialize:
     def test_result_is_a_persisted_array(self, cube, fm_big):
+        # the stored dtype follows the aggregate: var/stddev not truncated
         array, facts = cube
-        out = consolidate(array, LEVEL1, materialize_as="cube.h1")
-        assert out.result_array is not None
-        reopened = OLAPArray.open(fm_big, "cube.h1")
-        assert reopened.geometry.shape == tuple(FANOUTS)
-        assert reopened.n_valid == len(out.rows)
-        for row in out.rows:
-            assert reopened.get_cell(row[:3])[0] == row[3]
+        for aggregate in ("sum", "count", "min", "max", "avg", "var", "stddev"):
+            name = f"cube.h1.{aggregate}"
+            out = consolidate(
+                array, LEVEL1, aggregate=aggregate, materialize_as=name
+            )
+            assert out.result_array is not None
+            reopened = OLAPArray.open(fm_big, name)
+            assert reopened.geometry.shape == tuple(FANOUTS)
+            assert reopened.n_valid == len(out.rows)
+            for row in out.rows:
+                assert reopened.get_cell(row[:3])[0] == row[3], aggregate
 
     def test_materialized_result_consolidates_again(self, cube, fm_big):
         # roll up the h1 result with a second consolidation (drop two dims)

@@ -225,30 +225,7 @@ class TestExplainRoutes:
         _, server = live
         routes = json.loads(_get(f"{server.url}/")[2])["routes"]
         assert "/explain/<fingerprint>" in routes
-        assert "/heatmap/<cube>" in routes
         assert [p for p, _ in ROUTES if p not in routes] == []
-
-
-class TestHeatmapRoute:
-    def test_heatmap_detached_404(self, registry):
-        with pytest.raises(ApiNotFoundError, match="no service"):
-            ObservabilityRoutes(registry).handle("/heatmap/cube", {})
-
-    def test_heatmap_served_from_live_service(self, live):
-        service, server = live
-        service.execute(QUERY)
-        status, headers, body = _get(f"{server.url}/heatmap/{CONFIG.name}")
-        assert status == 200
-        assert headers["Content-Type"].startswith("application/json")
-        payload = json.loads(body)
-        assert payload["cube"] == CONFIG.name
-        assert payload["total_accesses"] > 0
-        assert len(payload["accesses"]) <= payload["n_chunks"]
-        assert payload["hottest"]
-
-        status, _, body = _get(f"{server.url}/heatmap/unknown")
-        assert status == 404
-        assert "unknown" in json.loads(body)["error"]["message"]
 
     def test_service_explain_payload_served_end_to_end(self, live):
         service, server = live
@@ -337,7 +314,6 @@ def test_one_table_every_pattern_is_served_untraced(live, pattern):
     fills = {
         "<fingerprint>": service.slowlog.entries()[-1].fingerprint,
         "<trace_id>": service.slowlog.entries()[-1].trace_id,
-        "<cube>": CONFIG.name,
         "<metric>": "serve.admitted",
     }
     path = pattern

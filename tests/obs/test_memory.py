@@ -1,7 +1,6 @@
 """Memory observatory unit tests: ``deep_sizeof`` measurement, the
 :class:`MemoryAccountant` ledger, the share-respecting two-pass reclaim
-coordinator, the per-store reclaim hooks, and the ``repro top`` MEM
-panel's ABSENT degradation."""
+coordinator and the per-store reclaim hooks."""
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from repro.obs.memory import MemoryAccountant, deep_sizeof
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slowlog import SlowQueryLog
-from repro.obs.top import MetricsView, render_dashboard
 from repro.obs.tracing import TraceStore, new_trace_context
 
 
@@ -279,51 +277,3 @@ class TestStoreReclaimHooks:
         assert freed > 0
         assert cache.resident_bytes() <= before // 2
         assert cache.get("fp1") is None
-
-
-class TestTopMemPanel:
-    ABSENT = "—"
-
-    def test_panel_renders_resident_gauges(self):
-        view = MetricsView(
-            gauges={
-                "repro_memory_total_resident_bytes": 3 * 1024 * 1024,
-                "repro_memory_buffer_pool_resident_bytes": 1024.0,
-                "repro_memory_chunk_cache_resident_bytes": 2048.0,
-                "repro_memory_result_cache_resident_bytes": 512.0,
-                "repro_memory_rollup_grains_resident_bytes": 0.0,
-            }
-        )
-        frame = render_dashboard(None, view, 1.0)
-        mem_line = next(
-            line for line in frame.splitlines()
-            if line.startswith("mem resident")
-        )
-        assert "3.0MiB" in mem_line
-        assert self.ABSENT not in mem_line
-
-    def test_absent_gauges_render_dash_not_zero(self):
-        frame = render_dashboard(None, MetricsView(), 1.0)
-        mem_line = next(
-            line for line in frame.splitlines()
-            if line.startswith("mem resident")
-        )
-        assert self.ABSENT in mem_line
-        assert "0B" not in mem_line
-
-    def test_pressure_line_only_when_counter_present(self):
-        quiet = render_dashboard(None, MetricsView(), 1.0)
-        assert "mem pressure" not in quiet
-        view = MetricsView(
-            counters={
-                "repro_memory_pressure_events": 3.0,
-                "repro_memory_reclaimed_bytes": 4096.0,
-            }
-        )
-        noisy = render_dashboard(None, view, 1.0)
-        pressure = next(
-            line for line in noisy.splitlines()
-            if line.startswith("mem pressure")
-        )
-        assert "events 3" in pressure
-        assert "4.0KiB" in pressure

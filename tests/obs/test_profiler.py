@@ -123,20 +123,6 @@ class TestClassification:
             if key.startswith("(other);test_profiler")
         )
 
-    def test_attributed_fraction_math(self):
-        profiler = SamplingProfiler()
-        with profiler._lock:
-            profiler._span_samples[("a",)] = 8
-            profiler._other_samples["m:f"] = 2
-            profiler._idle = 90
-            profiler._ticks = 100
-        stats = profiler.stats()
-        assert stats["samples"] == 100
-        assert stats["attributed_fraction"] == 0.8
-
-    def test_attributed_fraction_zero_when_never_busy(self):
-        assert SamplingProfiler().stats()["attributed_fraction"] == 0.0
-
 
 class TestLifecycleAndOutput:
     def test_start_stop_and_ticks(self):

@@ -1,7 +1,7 @@
 """Hammer the introspection routes while the registry churns.
 
 Readers call ``ObservabilityRoutes.handle`` for ``/metrics``,
-``/timeseries/*``, ``/alerts`` and ``/profile`` from several threads
+``/timeseries/*`` and ``/profile`` from several threads
 (the property is the payload functions' thread-safety, which needs no
 socket) while a mutator adds counters, records observations, samples
 the TSDB, retires per-query bags and swaps the source for a fresh bag
@@ -17,12 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import ApiNotFoundError
-from repro.obs import (
-    AlertManager,
-    ObservabilityRoutes,
-    SamplingProfiler,
-    TimeSeriesStore,
-)
+from repro.obs import ObservabilityRoutes, SamplingProfiler, TimeSeriesStore
 from repro.obs.exporters import lint_prometheus_text
 from repro.obs.registry import MetricsRegistry
 from repro.util.stats import Counters
@@ -37,9 +32,7 @@ def stack():
     registry.observe("svc.latency_seconds", 0.01)
     tsdb = TimeSeriesStore(registry)
     tsdb.sample()
-    service = SimpleNamespace(
-        timeseries=tsdb, alerts=AlertManager(tsdb), profiler=SamplingProfiler()
-    )
+    service = SimpleNamespace(timeseries=tsdb, profiler=SamplingProfiler())
     return registry, tsdb, ObservabilityRoutes(registry, service)
 
 
@@ -50,7 +43,6 @@ def test_reads_survive_concurrent_mutation_and_resets(stack):
         ("/timeseries", {}),
         ("/timeseries/svc.requests", {"seconds": "30"}),
         ("/timeseries/svc.latency_seconds", {"seconds": "30", "q": "0.99"}),
-        ("/alerts", {}),
         ("/profile", {}),
     )
     failures: list[str] = []

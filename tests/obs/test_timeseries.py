@@ -109,20 +109,6 @@ class TestCounterMath:
         b = store.sample(now=1.0)
         assert a.sources["svc"] is b.sources["svc"]
 
-    def test_window_ratio_hit_rate_shape(self, registry):
-        store = TimeSeriesStore(registry)
-        store.sample(now=0.0)
-        _bump(registry, "hits", 30)
-        _bump(registry, "misses", 10)
-        store.sample(now=1.0)
-        assert store.window_ratio("hits", "misses", 100.0) == pytest.approx(0.75)
-
-    def test_window_ratio_none_when_empty(self, registry):
-        store = TimeSeriesStore(registry)
-        store.sample(now=0.0)
-        store.sample(now=1.0)
-        assert store.window_ratio("hits", "misses", 100.0) is None
-
 
 class TestWindowsOverRealQueries:
     def test_window_equals_the_sum_of_the_queries_in_it(self):

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.model import model_from_dict
+from repro.api.rollup import RollupRouter
 from repro.core import ConsolidationSpec, compute_cube, consolidate
 from repro.core.meta import NO_CHUNK
 from repro.data import (
@@ -19,8 +21,8 @@ from repro.data import (
     generate_dimension_rows,
     generate_fact_rows,
 )
-from repro.errors import PlanError
 from repro.olap import ConsolidationQuery, OlapEngine, SelectionPredicate
+from repro.serve import QueryService
 
 from .conftest import CONFIG
 
@@ -55,17 +57,43 @@ def rollup_query(**group_by):
 
 class TestNothingIsLost:
     def test_materialize_shows_in_the_registry(self, fresh):
+        """A rollup grain built by ``RollupRouter.rows_for`` bills its
+        walk to the ``rollup_build`` bag: every chunk read reaches the
+        registry, none lands in the array's own bag."""
         array = fresh.cube("cube").array
         expected = non_empty_chunks(array)
-        array.invalidate_caches()
-        before = fresh.db.metrics.merged_snapshot()
-        fresh.materialize(rollup_query(dim0="h01", dim1="h11"), "by_h1")
-        after = fresh.db.metrics.merged_snapshot()
+        cube = model_from_dict(
+            {
+                "cubes": [
+                    {
+                        "name": "sales",
+                        "cube": "cube",
+                        "dimensions": [
+                            {"name": f"dim{d}", "hierarchy": [f"d{d}", f"h{d}1"]}
+                            for d in range(3)
+                        ],
+                        "measures": [{"name": "volume"}],
+                        "rollups": [
+                            {"name": "by_h1", "grain": {"dim0": "h01", "dim1": "h11"}}
+                        ],
+                    }
+                ]
+            }
+        ).cube("sales")
+        with QueryService(fresh) as service:
+            router = RollupRouter(fresh, service, fresh.db.metrics)
+            array.invalidate_caches()
+            own_before = array.counters.get("chunks_read")
+            before = fresh.db.metrics.merged_snapshot()
+            router.rows_for(cube, cube.rollups[0])
+            after = fresh.db.metrics.merged_snapshot()
+            router.close()
         assert after["chunks_read"] - before.get("chunks_read", 0) == expected
         assert after["dir_loads"] - before.get("dir_loads", 0) == 1
         assert after["cells_scanned"] - before.get("cells_scanned", 0) == (
             array.n_valid
         )
+        assert array.counters.get("chunks_read") == own_before
 
     def test_an_unowned_cube_scan_falls_to_the_arrays_bag(self, fresh):
         array = fresh.cube("cube").array
@@ -114,8 +142,6 @@ _OPS = st.lists(
             "query",
             "query_sharded",
             "query_selective",
-            "materialize",
-            "from_views",
             "cube",
             "write",
             "get",
@@ -139,7 +165,6 @@ def test_engine_totals_never_drop(ops):
         group_by={"dim0": "h01"},
         selections=[SelectionPredicate.in_list("dim1", "h11", "AA0", "AA1")],
     )
-    views = 0
     try:
         previous = engine.db.metrics.merged_snapshot()
         for step, op in enumerate(ops):
@@ -154,14 +179,6 @@ def test_engine_totals_never_drop(ops):
                 )
             elif op == "query_selective":
                 engine.query(selective, backend="array", mode="interpreted")
-            elif op == "materialize":
-                views += 1
-                engine.materialize(plain, f"view{views}")
-            elif op == "from_views" and views:
-                try:
-                    engine.query_from_views(rollup_query(dim0="h01"))
-                except PlanError:
-                    pass  # every view is behind a write: refused, not answered
             elif op == "cube":
                 compute_cube(array, SPECS)
             elif op == "write":

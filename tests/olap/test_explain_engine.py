@@ -114,16 +114,6 @@ class TestArrayExactness:
             == probe.actuals["cross_product_size"]
         )
 
-    def test_heatmap_delta_rides_on_analyzed_array_plans(self, engine):
-        plan = engine.explain(_q1(), ExecutionOptions(backend="array"), analyze=True, cold=True)
-        scan = _node(plan, "array.scan_chunks")
-        heat = plan.heatmap
-        assert heat is not None and heat["array"]
-        # cold run: every chunk access during the scan missed to disk
-        assert sum(heat["disk_reads"]) == scan.actuals["chunks_read"]
-        assert sum(heat["accesses"]) >= sum(heat["disk_reads"])
-        assert heat["hottest"][0][1] >= 1
-
 
 class TestSelectionKernelEstimates:
     """EXPLAIN follows the selection kernel.
@@ -237,7 +227,6 @@ class TestPlanShape:
         assert not plan.analyzed
         assert all(n.actuals is None for n in plan.root.walk())
         assert plan.worst_misestimate() is None
-        assert plan.heatmap is None
 
     def test_auto_resolution_matches_query_and_is_recorded(self, engine):
         plan = engine.explain(_q2(), ExecutionOptions(backend="auto"))
@@ -273,6 +262,11 @@ class TestPlanShape:
         plan = engine.explain(_q1(), ExecutionOptions(backend="starjoin", mode="vectorized"))
         assert plan.mode == "interpreted"
 
+    def test_query_explain_convenience_delegates(self, engine):
+        plan = _q1().explain(engine, ExecutionOptions(backend="array"))
+        assert plan.cube == CONFIG.name
+        assert plan.backend == "array"
+
 
 class TestMisestimateMetrics:
     def test_analyze_feeds_histogram_and_counters(self, engine):
@@ -293,33 +287,3 @@ class TestMisestimateMetrics:
         engine.explain(_q1(), ExecutionOptions(backend="array"), analyze=True)
         engine.query(_q1(), backend="array", cold=True)  # resets stats
         assert engine.db.metrics.merged_snapshot()["explain.analyzed"] >= 1
-
-
-class TestChunkHeatmapEndpointPayload:
-    def test_payload_shape_and_totals(self, engine):
-        engine.query(_q1(), backend="array", cold=True)
-        payload = engine.chunk_heatmap(CONFIG.name, top=3)
-        assert payload["cube"] == CONFIG.name
-        assert payload["n_chunks"] == 8
-        assert payload["chunk_shape"] == list(CONFIG.chunk_shape)
-        assert payload["total_accesses"] >= payload["total_disk_reads"] > 0
-        assert len(payload["hottest"]) <= 3
-        assert sum(payload["accesses"]) + payload["overflow_accesses"] == (
-            payload["total_accesses"]
-        )
-
-    def test_cube_without_array_design_raises(self):
-        engine = OlapEngine(page_size=1024, pool_bytes=1024 * 1024)
-        engine.load_cube(
-            cube_schema_for(CONFIG),
-            generate_dimension_rows(CONFIG),
-            generate_fact_rows(CONFIG),
-            backends=("relational",),
-        )
-        with pytest.raises(PlanError, match="no array design"):
-            engine.chunk_heatmap(CONFIG.name)
-
-    def test_query_explain_convenience_delegates(self, engine):
-        plan = _q1().explain(engine, ExecutionOptions(backend="array"))
-        assert plan.cube == CONFIG.name
-        assert plan.backend == "array"

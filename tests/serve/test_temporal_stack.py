@@ -1,14 +1,11 @@
-"""The live temporal stack on one service, with the test driving the clock.
+"""The live temporal stack on one service, scraped once and shut down.
 
-Time-series sampler, SLO alert evaluation, sampling profiler, slow-query
-log and the scrape endpoint over one :class:`QueryService` on a
-file-backed WAL.  The sampler thread stays off
-(``timeseries_interval_s=0``): every tick is a
-``timeseries.sample(now=t)`` followed by ``alerts.evaluate(now=t)``, so
-the alert lifecycle — healthy traffic keeps every default rule silent, an
-impossible rule fires exactly once, does not flap, and resolves when its
-window drains — is asserted transition by transition instead of waited
-for.
+Sampling profiler, slow-query log, latency histograms and the scrape
+endpoint over one :class:`QueryService` on a file-backed WAL: after a
+mixed read/write workload the ``/metrics`` scrape lints, every latency
+family it exports has observations, each query-latency exemplar names a
+trace the flight recorder still holds, the slow log and the profiler
+have entries, and no thread the service started outlives ``close()``.
 """
 
 import threading
@@ -20,38 +17,24 @@ from repro.bench import (
     query2_for,
     query3_for,
 )
+from repro.cli import fetch_metrics
 from repro.data import generate_fact_rows
 from repro.api.model import LogicalModel
 from repro.api.server import ApiEndpoint, ApiServer
-from repro.obs import lint_prometheus_text
-from repro.obs.alerts import SloRule
-from repro.obs.top import MetricsView, fetch_metrics
+from repro.obs import lint_prometheus_text, parse_exemplar_comments
 from repro.serve import QueryService, ServiceConfig
 
 from .conftest import CONFIG
 
 QUERIES = (query1_for(CONFIG), query2_for(CONFIG), query3_for(CONFIG))
 
-#: the latency families the dashboards read; each needs an observation
+#: the latency families a scrape must carry; each needs an observation
 SCRAPED_HISTOGRAMS = (
     "repro_serve_query_latency_seconds",
     "repro_serve_queue_wait_seconds",
     "repro_serve_cache_lookup_seconds",
     "repro_wal_fsync_seconds",
     "repro_engine_query_seconds",
-)
-
-#: unsatisfiable on purpose: any engine observation in its window breaches
-IMPOSSIBLE = SloRule(
-    name="injected-latency",
-    kind="latency_quantile_ceiling",
-    description="engine p50 above zero (must fire once and resolve)",
-    severity="test",
-    metric="engine.query_seconds",
-    quantile=0.5,
-    ceiling=0.0,
-    window_s=5.0,
-    min_count=1,
 )
 
 
@@ -72,44 +55,27 @@ def test_alert_lifecycle_scrape_and_shutdown(tmp_path):
         ),
     )
 
-    def tick(now):
-        service.timeseries.sample(now=now)
-        return [
-            (event["rule"], event["state"])
-            for event in service.alerts.evaluate(now=now)
-        ]
-
-    def write_then_miss():
-        service.write_cell(CONFIG.name, keys, measures)
-        assert "result_cache_hit" not in service.execute(QUERIES[0]).stats
-
     try:
-        assert tick(0.0) == []
         for _ in range(10):
             for query in QUERIES:
                 service.execute(query)
-        write_then_miss()
-        assert tick(1.0) == []  # healthy traffic: every default rule silent
-
-        service.alerts.add_rule(IMPOSSIBLE)
-        write_then_miss()
-        assert tick(2.0) == [(IMPOSSIBLE.name, "firing")]
-        assert tick(3.0) == []  # still breached: no flap
-        assert tick(20.0) == [(IMPOSSIBLE.name, "resolved")]  # window drained
-        assert service.alerts.firings(IMPOSSIBLE.name) == 1
-        assert service.alerts.firing() == []
+        service.write_cell(CONFIG.name, keys, measures)
+        assert "result_cache_hit" not in service.execute(QUERIES[0]).stats
 
         endpoint = ApiEndpoint(engine, service, LogicalModel(cubes=()))
         with ApiServer(endpoint) as server:
             scrape = fetch_metrics(f"{server.url}/metrics")
         endpoint.close()
-        lint_prometheus_text(scrape)
-        observed = MetricsView.from_text(scrape).histogram_counts
-        assert [
-            family
-            for family in SCRAPED_HISTOGRAMS
-            if not observed.get(family)
-        ] == []
+        observed = {
+            sample.name[: -len("_count")]
+            for sample in lint_prometheus_text(scrape)
+            if sample.name.endswith("_count") and sample.value > 0
+        }
+        assert [f for f in SCRAPED_HISTOGRAMS if f not in observed] == []
+        exemplars = parse_exemplar_comments(scrape)[SCRAPED_HISTOGRAMS[0]]
+        assert exemplars
+        for exemplar in exemplars.values():
+            assert service.traces.get(exemplar["trace_id"]) is not None
 
         assert len(service.slowlog) > 0
         assert service.profiler.to_dict()["ticks"] > 0

@@ -36,6 +36,19 @@ class TestParser:
         for experiment in EXPERIMENTS:
             assert any(m.startswith(experiment) for m in modules), experiment
 
+    def test_the_subcommands_are_exactly_these(self):
+        import argparse
+
+        (commands,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert list(commands.choices) == (
+            "info demo trace explain sql storage bench serve slowlog mem "
+            "api-serve faultcheck"
+        ).split()
+
 
 class TestCommands:
     def test_info(self, capsys):
@@ -157,52 +170,3 @@ class TestExplainCommand:
             ["explain", "q1", "--json", "--validate", str(bad_schema)]
         ) == 1
         assert "FAIL" in capsys.readouterr().err
-
-
-class TestAlertLintCommand:
-    def test_shipped_rule_file_lints(self, capsys, monkeypatch):
-        import os
-
-        monkeypatch.chdir(os.path.join(os.path.dirname(__file__), ".."))
-        assert main(["alert-lint"]) == 0
-        out = capsys.readouterr().out
-        assert "7 rules validate" in out
-        assert "serve-latency-p99" in out
-
-    def test_schema_violation_fails(self, capsys, tmp_path, monkeypatch):
-        import json
-        import os
-
-        bad = tmp_path / "rules.json"
-        bad.write_text(json.dumps([{"name": "x", "kind": "telepathy"}]))
-        monkeypatch.chdir(os.path.join(os.path.dirname(__file__), ".."))
-        assert main(["alert-lint", "--rules", str(bad)]) == 1
-        assert "schema validation" in capsys.readouterr().err
-
-    def test_semantic_violation_fails(self, capsys, tmp_path, monkeypatch):
-        import json
-        import os
-
-        # schema-shaped but semantically wrong: a latency rule with no
-        # ceiling passes the (oneOf-free) schema, SloRule rejects it
-        bad = tmp_path / "rules.json"
-        bad.write_text(json.dumps([
-            {"name": "x", "kind": "latency_quantile_ceiling", "metric": "m"}
-        ]))
-        monkeypatch.chdir(os.path.join(os.path.dirname(__file__), ".."))
-        assert main(["alert-lint", "--rules", str(bad)]) == 1
-        assert "needs" in capsys.readouterr().err
-
-
-class TestTemporalParsers:
-    def test_watch_requires_url(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["watch"])
-
-    def test_watch_defaults(self):
-        args = build_parser().parse_args(["watch", "--url", "http://x"])
-        assert args.interval == 2.0
-        assert args.iterations == 0
-        assert args.seconds == 60.0
-        assert args.q == 0.95
-        assert args.plain is False
