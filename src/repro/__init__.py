@@ -48,7 +48,6 @@ from repro.olap import (
     QueryResult,
     SelectionPredicate,
     parse_query,
-    register_backend,
 )
 from repro.relational import Database, Schema
 from repro.serve import QueryService, ServiceConfig
@@ -76,7 +75,6 @@ __all__ = [
     "SelectionPredicate",
     "ExecutionOptions",
     "Backend",
-    "register_backend",
     "OlapEngine",
     "QueryResult",
     "parse_query",

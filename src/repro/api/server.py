@@ -449,12 +449,6 @@ class ApiEndpoint:
 
     # -- tracing -------------------------------------------------------------
 
-    def mint_trace(self) -> TraceContext:
-        """A fresh root context for one inbound request (store-sampled)."""
-        if self.traces is not None:
-            return self.traces.mint(origin="api")
-        return new_trace_context(origin="api")
-
     def record_request_trace(
         self,
         ctx: TraceContext,
@@ -463,7 +457,7 @@ class ApiEndpoint:
         path: str,
         status: int,
         latency_s: float,
-        tracer: Tracer | None,
+        tracer: Tracer,
         explicit: bool,
         route_source: str | None,
         error_kind: str | None,
@@ -494,7 +488,7 @@ class ApiEndpoint:
             latency_s=latency_s,
             roots=(
                 [span_to_dict(root) for root in tracer.roots]
-                if tracer is not None and tracer.roots
+                if tracer.roots
                 else None
             ),
             links=current_trace_links(),
@@ -992,25 +986,16 @@ class ApiServer:
                 )
                 explicit = ctx is not None
                 if ctx is None:
-                    ctx = endpoint.mint_trace()
-                tracer = (
-                    Tracer(registry=endpoint.registry)
-                    if (ctx.sampled or explicit)
-                    else None
-                )
+                    ctx = new_trace_context(origin="api")
+                tracer = Tracer(registry=endpoint.registry)
                 error_kind: str | None = None
                 with trace_context(ctx):
                     try:
-                        if tracer is not None:
-                            with thread_tracing(tracer):
-                                with tracer.span(
-                                    "api.request", method=method, path=path
-                                ):
-                                    status, payload = self._route(
-                                        method, path
-                                    )
-                        else:
-                            status, payload = self._route(method, path)
+                        with thread_tracing(tracer):
+                            with tracer.span(
+                                "api.request", method=method, path=path
+                            ):
+                                status, payload = self._route(method, path)
                     except Exception as exc:  # noqa: BLE001 — mapped, never raised
                         error_kind = type(exc).__name__
                         status, payload = endpoint.error_payload(exc)

@@ -20,12 +20,10 @@ so chronic planner errors are visible without reading any single plan.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.obs.memory import deep_sizeof
+from repro.obs.memory import SizedStore, deep_sizeof
 from repro.obs.tracer import Span
 
 #: a node whose worst estimate-vs-actual factor exceeds this counts as
@@ -298,82 +296,21 @@ def render_plan(plan: QueryPlan) -> str:
 # -- plan cache ---------------------------------------------------------------
 
 
-class PlanCache:
+class PlanCache(SizedStore):
     """A thread-safe bounded LRU of plan payloads keyed by fingerprint.
 
     The serving layer records every ``explain()`` result and every
     slowlog-captured plan here so ``/explain/<fingerprint>`` can serve
-    them without re-planning; capacity bounds memory like the slowlog's
-    ring does.
+    them without re-planning.  A dropped plan is rebuilt by the next
+    EXPLAIN of that query, so plans shed after the serving caches but
+    before correctness-bearing state.
     """
 
     def __init__(self, capacity: int = 64):
-        if capacity < 1:
-            raise ValueError("plan cache capacity must be >= 1")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._plans: OrderedDict[str, dict] = OrderedDict()
-        self._sizes: dict[str, int] = {}
-        self._resident_bytes = 0
+        super().__init__(capacity)
 
-    def put(self, fingerprint: str, payload: dict) -> None:
+    def put(  # type: ignore[override]
+        self, fingerprint: str, payload: dict
+    ) -> None:
         """Insert/refresh one plan payload, evicting the oldest at cap."""
-        nbytes = deep_sizeof((fingerprint, payload))
-        with self._lock:
-            if fingerprint in self._plans:
-                self._plans.pop(fingerprint)
-                self._resident_bytes -= self._sizes.pop(fingerprint, 0)
-            self._plans[fingerprint] = payload
-            self._sizes[fingerprint] = nbytes
-            self._resident_bytes += nbytes
-            while len(self._plans) > self.capacity:
-                victim, _ = self._plans.popitem(last=False)
-                self._resident_bytes -= self._sizes.pop(victim, 0)
-
-    def get(self, fingerprint: str) -> dict | None:
-        """The payload for one fingerprint, or ``None``."""
-        with self._lock:
-            payload = self._plans.get(fingerprint)
-            if payload is not None:
-                self._plans.move_to_end(fingerprint)
-            return payload
-
-    def fingerprints(self) -> list[str]:
-        """Cached fingerprints, oldest first."""
-        with self._lock:
-            return list(self._plans)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
-
-    def resident_bytes(self) -> int:
-        """Measured bytes across every cached plan payload (O(1))."""
-        with self._lock:
-            return self._resident_bytes
-
-    def top_entries(self, n: int = 10) -> list[dict]:
-        """The ``n`` largest plans as ``{"key", "bytes"}`` dicts."""
-        with self._lock:
-            sized = sorted(
-                self._sizes.items(), key=lambda item: item[1], reverse=True
-            )
-        return [
-            {"key": fingerprint, "bytes": nbytes}
-            for fingerprint, nbytes in sized[:n]
-        ]
-
-    def reclaim(self, target_bytes: int) -> int:
-        """Evict LRU plans until at most ``target_bytes`` remain.
-
-        A dropped plan is rebuilt by the next EXPLAIN of that query, so
-        plans shed after the serving caches but before correctness-
-        bearing state.  Returns bytes freed.
-        """
-        freed = 0
-        with self._lock:
-            while self._plans and self._resident_bytes - freed > target_bytes:
-                victim, _ = self._plans.popitem(last=False)
-                freed += self._sizes.pop(victim, 0)
-            self._resident_bytes -= freed
-        return freed
+        super().put(fingerprint, payload, deep_sizeof((fingerprint, payload)))

@@ -5,9 +5,10 @@ pool pages, decoded chunks, precomputed rollup grains, cached results —
 to buy query speed.  Every one of those stores already bounds its
 *entry count*, but none of them could answer "how many **bytes** is
 this process holding, and in which store?".  The
-:class:`MemoryAccountant` closes that gap: each resident store
-registers a byte-accurate usage callback, the accountant exports
-per-store ``memory.<store>.resident_bytes`` gauges plus one
+:class:`MemoryAccountant` closes that gap.  Each resident store
+registers with it, either as a :class:`SizedStore` (the one byte
+ledger every bounded cache and telemetry ring shares) or as a
+byte-accurate usage callback.  The accountant exports per-store ``memory.<store>.resident_bytes`` gauges plus one
 ``memory.total_resident_bytes`` through the
 :class:`~repro.obs.registry.MetricsRegistry` (so /metrics and
 /timeseries both see them), and serves the ``/memory``
@@ -32,9 +33,10 @@ from __future__ import annotations
 
 import sys
 import threading
-from collections import deque
-from collections.abc import Callable
+from collections import OrderedDict, deque
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
+from typing import Any
 
 from repro.obs.tracer import get_tracer
 from repro.util.stats import Counters
@@ -80,16 +82,163 @@ def deep_sizeof(obj: object) -> int:
     return total
 
 
+class SizedStore:
+    """A thread-safe keyed store with one byte ledger.
+
+    The contract :class:`MemoryAccountant` reads — an O(1)
+    :meth:`resident_bytes`, :meth:`reclaim` and :meth:`top_entries` —
+    written once for every bounded store.  Entries sit in one
+    insertion-ordered map whose head is the next victim, both of the
+    count cap and of :meth:`reclaim`: :meth:`get` moves a key to the
+    tail (an LRU cache), :meth:`peek` leaves it where it is (a ring that
+    only peeks is FIFO).  Callers measure an entry's bytes themselves,
+    outside the lock.  ``_lock`` is the store's one lock, re-entrant so
+    a subclass can hold it around a compound step.
+    """
+
+    #: counters bumped once per entry evicted at the count cap / by
+    #: :meth:`reclaim` (``None``: not counted)
+    _evict_counter: str | None = None
+    _pressure_counter: str | None = None
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self.counters = Counters()
+        self._lock = threading.RLock()
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        self._sizes: dict[Hashable, int] = {}
+        self._resident_bytes = 0
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def _drop(self, key: Hashable) -> int:
+        # caller holds the lock
+        del self._entries[key]
+        nbytes = self._sizes.pop(key)
+        self._resident_bytes -= nbytes
+        return nbytes
+
+    def _evict_oldest(self, counter: str | None) -> int:
+        # caller holds the lock
+        nbytes = self._drop(next(iter(self._entries)))
+        if counter is not None:
+            self.counters.add(counter)
+        return nbytes
+
+    def put(self, key: Hashable, value: Any, nbytes: int) -> None:
+        """Store ``value`` as the newest entry, charged ``nbytes``; the
+        oldest entries leave while the count is over capacity."""
+        with self._lock:
+            if key in self._entries:
+                self._drop(key)
+            self._entries[key] = value
+            self._sizes[key] = nbytes
+            self._resident_bytes += nbytes
+            while len(self._entries) > self.capacity:
+                self._evict_oldest(self._evict_counter)
+
+    def get(self, key: Hashable) -> Any:
+        """The value under ``key``, refreshed to newest, or ``None``."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def peek(self, key: Hashable) -> Any:
+        """The value under ``key`` without refreshing it, or ``None``."""
+        with self._lock:
+            return self._entries.get(key)
+
+    def pop(self, key: Hashable) -> Any:
+        """Remove ``key`` (not counted as an eviction); its value or ``None``."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._drop(key)
+            return value
+
+    def drop_where(self, predicate: Callable[[Any], bool]) -> int:
+        """Remove every entry whose key satisfies ``predicate``; how many."""
+        with self._lock:
+            doomed = [key for key in self._entries if predicate(key)]
+            for key in doomed:
+                self._drop(key)
+            return len(doomed)
+
+    def grow(self, key: Hashable, nbytes: int) -> None:
+        """Charge a resident entry ``nbytes`` more (it grew in place)."""
+        with self._lock:
+            if key in self._sizes:
+                self._sizes[key] += nbytes
+                self._resident_bytes += nbytes
+
+    def keys(self) -> list:
+        """The resident keys, oldest first."""
+        with self._lock:
+            return list(self._entries)
+
+    def values(self) -> list:
+        """The resident values, oldest first."""
+        with self._lock:
+            return list(self._entries.values())
+
+    def clear(self) -> None:
+        """Drop everything (not an eviction: nothing is counted)."""
+        with self._lock:
+            self._entries.clear()
+            self._sizes.clear()
+            self._resident_bytes = 0
+
+    # -- the accountant's contract -------------------------------------------
+
+    def resident_bytes(self) -> int:
+        """Measured bytes across every resident entry (O(1))."""
+        with self._lock:
+            return self._resident_bytes
+
+    def reclaim(self, target_bytes: int) -> int:
+        """Evict oldest-first until at most ``target_bytes`` remain.
+
+        Returns the bytes freed.  Counted apart from count-cap eviction,
+        so a dashboard can tell churn from a process over its budget.
+        """
+        freed = 0
+        with self._lock:
+            while self._entries and self._resident_bytes > target_bytes:
+                freed += self._evict_oldest(self._pressure_counter)
+        return freed
+
+    def top_entries(self, n: int = 10) -> list[dict]:
+        """The ``n`` largest entries as ``{"key", "bytes"}`` dicts."""
+        with self._lock:
+            sized = sorted(
+                self._sizes.items(), key=lambda item: item[1], reverse=True
+            )
+            return [
+                {"key": self._label(key), "bytes": nbytes}
+                for key, nbytes in sized[:n]
+            ]
+
+    def _label(self, key: Hashable) -> str:
+        """How :meth:`top_entries` names ``key`` (caller holds the lock)."""
+        return str(key)
+
+
 @dataclass
 class StoreAccount:
     """One registered resident store.
 
     ``usage`` is sampled on every read — it must be O(1) and
-    thread-safe (every in-tree store keeps a running byte total for
+    thread-safe (a :class:`SizedStore` keeps a running byte total for
     exactly this reason).  ``reclaim(target)`` shrinks the store to at
     most ``target`` resident bytes and returns how many bytes it
-    actually freed; stores without one (bounded rings, the buffer
-    pool) are accounted but never evicted from here.  ``cost_rank``
+    actually freed; stores without one (the time-series ring, the
+    buffer pool) are accounted but never evicted from here.  ``cost_rank``
     orders reclaim cheapest-to-rebuild first; ``share`` is the store's
     soft fraction of the budget, the floor pass one will not shrink
     below.
@@ -133,14 +282,24 @@ class MemoryAccountant:
     def register_store(
         self,
         name: str,
-        usage: Callable[[], float],
+        store: SizedStore | Callable[[], float],
         *,
         reclaim: Callable[[int], int] | None = None,
         top_entries: Callable[[int], list[dict]] | None = None,
         cost_rank: int = 100,
         share: float = 0.0,
     ) -> None:
-        """Register one resident store under ``name`` (idempotent)."""
+        """Register one resident store under ``name`` (idempotent).
+
+        A :class:`SizedStore` brings its own ledger, reclaim and top
+        entries; anything else is a usage callback, optionally with the
+        two hooks beside it.
+        """
+        if isinstance(store, SizedStore):
+            usage: Callable[[], float] = store.resident_bytes
+            reclaim, top_entries = store.reclaim, store.top_entries
+        else:
+            usage = store
         account = StoreAccount(
             name=name,
             usage=usage,

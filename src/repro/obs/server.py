@@ -140,7 +140,7 @@ class ObservabilityRoutes:
         traces = self._part("traces", "trace store")
         return {
             "traces": traces.index(limit=max(1, int(limit))),
-            "stored": traces.resident(),
+            "stored": len(traces),
             "capacity": traces.capacity,
             "counters": traces.counters.snapshot(),
         }
@@ -156,7 +156,7 @@ class ObservabilityRoutes:
     def explain_index_payload(self) -> dict:
         """``/explain``: the fingerprints currently cached, oldest first."""
         plans = getattr(self.service, "plans", None)
-        fingerprints = plans.fingerprints() if plans else []
+        fingerprints = plans.keys() if plans else []
         return {"fingerprints": fingerprints, "count": len(fingerprints)}
 
     def explain_payload(self, fingerprint: str) -> dict:

@@ -18,13 +18,11 @@ shape" is one lookup.
 from __future__ import annotations
 
 import json
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.obs.exporters import span_to_dict
-from repro.obs.memory import deep_sizeof
+from repro.obs.memory import SizedStore, deep_sizeof
 from repro.obs.tracer import Span
 
 
@@ -87,20 +85,17 @@ def _plan_from_trace(roots: list[Span]) -> dict:
     return {}
 
 
-class SlowQueryLog:
-    """Thread-safe ring buffer of :class:`SlowQueryRecord` entries."""
+class SlowQueryLog(SizedStore):
+    """Thread-safe ring buffer of :class:`SlowQueryRecord` entries.
+
+    Keyed by capture number and never touched, so the oldest record is
+    the first to go, at capacity or under memory pressure: a dropped
+    record costs one debugging breadcrumb, never a wrong answer.
+    """
 
     def __init__(self, capacity: int = 64, threshold_s: float = 0.25):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
+        super().__init__(capacity)
         self.threshold_s = threshold_s
-        self._entries: deque[SlowQueryRecord] = deque(maxlen=capacity)
-        #: parallel per-record byte sizes; same maxlen so both rings
-        #: evict the same head entry on overflow
-        self._sizes: deque[int] = deque(maxlen=capacity)
-        self._resident_bytes = 0
-        self._lock = threading.Lock()
         self._captured = 0
 
     def should_capture(self, latency_s: float) -> bool:
@@ -148,19 +143,11 @@ class SlowQueryLog:
         )
         nbytes = deep_sizeof(entry)
         with self._lock:
-            if len(self._entries) == self.capacity:
-                self._resident_bytes -= self._sizes[0]
-            self._entries.append(entry)
-            self._sizes.append(nbytes)
-            self._resident_bytes += nbytes
             self._captured += 1
+            self.put(self._captured, entry, nbytes)
         return entry
 
     # -- reading -------------------------------------------------------------
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
     @property
     def captured(self) -> int:
@@ -170,15 +157,13 @@ class SlowQueryLog:
 
     def entries(self) -> list[SlowQueryRecord]:
         """Current records, oldest first."""
-        with self._lock:
-            return list(self._entries)
+        return self.values()
 
     def find(self, fingerprint: str) -> SlowQueryRecord | None:
         """The most recent record for one query fingerprint, if any."""
-        with self._lock:
-            for entry in reversed(self._entries):
-                if entry.fingerprint == fingerprint:
-                    return entry
+        for entry in reversed(self.values()):
+            if entry.fingerprint == fingerprint:
+                return entry
         return None
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -187,29 +172,5 @@ class SlowQueryLog:
             [entry.to_dict() for entry in self.entries()], indent=indent
         )
 
-    def resident_bytes(self) -> int:
-        """Measured bytes across the resident ring (O(1))."""
-        with self._lock:
-            return self._resident_bytes
-
-    def reclaim(self, target_bytes: int) -> int:
-        """Drop oldest records until at most ``target_bytes`` remain.
-
-        Telemetry is the cheapest resident data to shed under memory
-        pressure: a dropped slowlog record costs one debugging
-        breadcrumb, never a wrong answer.  Returns bytes freed.
-        """
-        freed = 0
-        with self._lock:
-            while self._entries and self._resident_bytes - freed > target_bytes:
-                self._entries.popleft()
-                freed += self._sizes.popleft()
-            self._resident_bytes -= freed
-        return freed
-
-    def clear(self) -> None:
-        """Drop every record (the capture total is kept)."""
-        with self._lock:
-            self._entries.clear()
-            self._sizes.clear()
-            self._resident_bytes = 0
+    def _label(self, key) -> str:
+        return self._entries[key].fingerprint

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.errors import MetricsError
 from repro.obs.histogram import quantile_from_buckets
-from repro.obs.memory import deep_sizeof
+from repro.obs.memory import SizedStore, deep_sizeof
 from repro.obs.registry import MetricsRegistry
 from repro.util.stats import counter_delta
 
@@ -69,8 +68,13 @@ def _moved(older: TimePoint, newer: TimePoint, name: str) -> float:
     return max(0.0, delta.get(name, 0.0))
 
 
-class TimeSeriesStore:
-    """Fixed-capacity ring of registry snapshots with windowed queries."""
+class TimeSeriesStore(SizedStore):
+    """Fixed-capacity ring of registry snapshots with windowed queries.
+
+    Keyed by sample number and never touched, so the ring drops its
+    oldest point first.  The memory accountant reads its ledger but
+    never reclaims from it: the capacity is its bound.
+    """
 
     def __init__(
         self,
@@ -82,15 +86,9 @@ class TimeSeriesStore:
             raise MetricsError(
                 f"a time-series ring needs capacity >= 2, got {capacity}"
             )
+        super().__init__(capacity)
         self.registry = registry
-        self.capacity = capacity
         self.name = name
-        self._points: deque[TimePoint] = deque(maxlen=capacity)
-        #: parallel per-point byte sizes; same maxlen so both rings
-        #: evict the same head entry on overflow
-        self._sizes: deque[int] = deque(maxlen=capacity)
-        self._resident_bytes = 0
-        self._lock = threading.Lock()
         self._samples_taken = 0
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -118,12 +116,8 @@ class TimeSeriesStore:
         )
         nbytes = deep_sizeof(point)
         with self._lock:
-            if len(self._points) == self.capacity:
-                self._resident_bytes -= self._sizes[0]
-            self._points.append(point)
-            self._sizes.append(nbytes)
-            self._resident_bytes += nbytes
             self._samples_taken += 1
+            self.put(self._samples_taken, point, nbytes)
         return point
 
     @property
@@ -131,15 +125,6 @@ class TimeSeriesStore:
         """Total snapshots ever taken (including ones the ring evicted)."""
         with self._lock:
             return self._samples_taken
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._points)
-
-    def resident_bytes(self) -> int:
-        """Measured bytes across the resident ring (O(1))."""
-        with self._lock:
-            return self._resident_bytes
 
     # -- background sampler --------------------------------------------------
 
@@ -190,8 +175,7 @@ class TimeSeriesStore:
 
     def points(self, window_s: float | None = None) -> list[TimePoint]:
         """Points inside the trailing window (oldest first; all if None)."""
-        with self._lock:
-            points = list(self._points)
+        points = self.values()
         if window_s is None or not points:
             return points
         cutoff = points[-1].t - window_s
@@ -199,7 +183,7 @@ class TimeSeriesStore:
 
     def latest(self) -> TimePoint | None:
         with self._lock:
-            return self._points[-1] if self._points else None
+            return next(reversed(self._entries.values()), None)
 
     # -- windowed counter math -----------------------------------------------
 

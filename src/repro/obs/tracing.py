@@ -19,24 +19,21 @@ and background rollup rebuilds:
   (:func:`add_trace_link`), so the request's trace answers "which build
   did I schedule?" and the build's trace answers "who asked for this?".
 - :class:`TraceStore` is the flight recorder: a bounded, thread-safe
-  ring keyed by trace_id.  Sampling is always-on for slow, errored or
-  explicitly-requested traces and probabilistic otherwise; several
-  layers (API handler, query service) contribute spans to the same
-  trace_id and the store merges them into one record.
+  ring keyed by trace_id.  Slow, errored and explicitly-requested
+  traces are always kept, the rest when their context is sampled;
+  several layers (API handler, query service) contribute spans to the
+  same trace_id and the store merges them into one record.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import re
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.obs.memory import deep_sizeof
-from repro.util.stats import Counters
+from repro.obs.memory import SizedStore, deep_sizeof
 
 _TRACE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
 
@@ -251,58 +248,22 @@ class TraceRecord:
         }
 
 
-class TraceStore:
+class TraceStore(SizedStore):
     """A bounded, thread-safe ring of recent traces keyed by trace_id.
 
     The flight-recorder contract: keep the last ``capacity`` traces
     that mattered.  A trace is kept when it is already resident (later
     contributions merge), when the recorder forces it (explicit
     request, inbound header, EXPLAIN), when it errored or ran slow, or
-    when the head-sampling coin flip said yes.  Everything else counts
-    into ``traces.sampled_out`` and vanishes — recording must stay
-    cheap enough to leave on in production, which is the point of a
-    flight recorder.
+    when its context is sampled.  A contribution refreshes the trace's
+    recency; reading it does not.
     """
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        sample_rate: float = 1.0,
-        slow_threshold_s: float = 0.25,
-        seed: int | None = None,
-    ):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ValueError(
-                f"sample_rate must be in [0, 1], got {sample_rate}"
-            )
-        self.capacity = capacity
-        self.sample_rate = sample_rate
+    _evict_counter = "traces.evicted"
+
+    def __init__(self, capacity: int = 256, slow_threshold_s: float = 0.25):
+        super().__init__(capacity)
         self.slow_threshold_s = slow_threshold_s
-        self.counters = Counters()
-        self._records: OrderedDict[str, TraceRecord] = OrderedDict()
-        #: measured bytes per record; records mutate on merge, so the
-        #: size is re-measured on every contributing write
-        self._sizes: dict[str, int] = {}
-        self._resident_bytes = 0
-        self._random = random.Random(seed)
-        self._lock = threading.Lock()
-
-    # -- minting -------------------------------------------------------------
-
-    def should_sample(self) -> bool:
-        """The head-sampling decision for a fresh root context."""
-        if self.sample_rate >= 1.0:
-            return True
-        if self.sample_rate <= 0.0:
-            return False
-        with self._lock:
-            return self._random.random() < self.sample_rate
-
-    def mint(self, origin: str = "") -> TraceContext:
-        """A fresh root context carrying this store's sampling decision."""
-        return new_trace_context(origin=origin, sampled=self.should_sample())
 
     # -- recording -----------------------------------------------------------
 
@@ -335,34 +296,25 @@ class TraceStore:
         error = status not in ("ok", "")
         roots_bytes = deep_sizeof(roots) if roots else 0
         attrs_bytes = deep_sizeof(attrs) if attrs else 0
+        trace_id = context.trace_id
         with self._lock:
-            record = self._records.get(context.trace_id)
-            created = record is None
-            if created:
-                keep = force or slow or error or context.sampled
-                if not keep:
-                    self.counters.add("traces.sampled_out")
+            # a contributor refreshes recency, so a trace still being
+            # assembled is not evicted under its writers
+            record = super().get(trace_id)
+            if record is None:
+                if not (force or slow or error or context.sampled):
                     return False
                 record = TraceRecord(
-                    trace_id=context.trace_id,
+                    trace_id=trace_id,
                     origin=origin or context.origin,
                     name=name,
                     started_at=time.time(),
                 )
                 # the empty record's fixed skeleton; contributions
                 # below are charged from the pre-measured deltas
-                base_bytes = deep_sizeof(record)
-                self._records[context.trace_id] = record
+                self.put(trace_id, record, deep_sizeof(record))
                 self.counters.add("traces.stored")
-                while len(self._records) > self.capacity:
-                    victim, _ = self._records.popitem(last=False)
-                    self._resident_bytes -= self._sizes.pop(victim, 0)
-                    self.counters.add("traces.evicted")
             else:
-                base_bytes = 0
-                # later contributors refresh recency so a trace still
-                # being assembled is not evicted under its writers
-                self._records.move_to_end(context.trace_id)
                 self.counters.add("traces.merged")
             if name and not record.name:
                 record.name = name
@@ -380,76 +332,31 @@ class TraceStore:
                 if link not in record.links:
                     record.links.append(dict(link))
                     link_bytes += deep_sizeof(link)
-            delta = base_bytes + roots_bytes + attrs_bytes + link_bytes
-            self._resident_bytes += delta
-            self._sizes[context.trace_id] = (
-                self._sizes.get(context.trace_id, 0) + delta
-            )
+            self.grow(trace_id, roots_bytes + attrs_bytes + link_bytes)
         return True
 
     def link(self, trace_id: str, link: dict) -> bool:
         """Attach one link to an already-resident trace, if present."""
         link_bytes = deep_sizeof(link)
         with self._lock:
-            record = self._records.get(trace_id)
+            record = self.peek(trace_id)
             if record is None:
                 return False
             if link not in record.links:
                 record.links.append(dict(link))
-                self._resident_bytes += link_bytes
-                self._sizes[trace_id] = (
-                    self._sizes.get(trace_id, 0) + link_bytes
-                )
+                self.grow(trace_id, link_bytes)
             return True
 
     # -- reading -------------------------------------------------------------
 
-    def get(self, trace_id: str) -> TraceRecord | None:
-        """The resident record for ``trace_id``, or ``None``."""
-        with self._lock:
-            return self._records.get(trace_id)
+    def get(  # type: ignore[override]
+        self, trace_id: str
+    ) -> TraceRecord | None:
+        """The resident record for ``trace_id`` (recency untouched), or
+        ``None``."""
+        return self.peek(trace_id)
 
     def index(self, limit: int = 50) -> list[dict]:
         """Summaries of the most recent traces, newest first."""
-        with self._lock:
-            records = list(self._records.values())
+        records = self.values()
         return [record.summary() for record in reversed(records[-limit:])]
-
-    def resident(self) -> int:
-        """Number of traces currently held (the ``obs.traces`` gauge)."""
-        with self._lock:
-            return len(self._records)
-
-    def resident_bytes(self) -> int:
-        """Measured bytes across every resident record (O(1))."""
-        with self._lock:
-            return self._resident_bytes
-
-    def top_entries(self, n: int = 10) -> list[dict]:
-        """The ``n`` largest traces as ``{"key", "bytes"}`` dicts."""
-        with self._lock:
-            sized = sorted(
-                self._sizes.items(), key=lambda item: item[1], reverse=True
-            )
-        return [
-            {"key": trace_id, "bytes": nbytes}
-            for trace_id, nbytes in sized[:n]
-        ]
-
-    def reclaim(self, target_bytes: int) -> int:
-        """Drop oldest traces until at most ``target_bytes`` remain.
-
-        A dropped trace costs one debugging breadcrumb, never a wrong
-        answer — telemetry sheds first when the process is over budget.
-        Returns bytes freed.
-        """
-        freed = 0
-        with self._lock:
-            while self._records and self._resident_bytes - freed > target_bytes:
-                victim, _ = self._records.popitem(last=False)
-                freed += self._sizes.pop(victim, 0)
-            self._resident_bytes -= freed
-        return freed
-
-    def __len__(self) -> int:
-        return self.resident()

@@ -18,8 +18,6 @@ from repro.olap.backends import (
     available_backends,
     backend_names,
     get_backend,
-    register_backend,
-    unregister_backend,
 )
 from repro.olap.engine import OlapEngine, QueryResult
 from repro.olap.planner import choose_backend
@@ -39,8 +37,6 @@ __all__ = [
     "available_backends",
     "backend_names",
     "get_backend",
-    "register_backend",
-    "unregister_backend",
     "OlapEngine",
     "QueryResult",
     "choose_backend",

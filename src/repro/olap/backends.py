@@ -9,21 +9,9 @@ with one uniform surface:
   ``available(state)`` capability check;
 - :class:`BackendContext` — everything an execution needs (the engine,
   the loaded cube state, the query's counter bag, mode/order knobs);
-- a process-wide **registry** (:func:`register_backend`,
-  :func:`get_backend`) through which the engine resolves backend names.
-
-``array``/``starjoin``/``bitmap``/``btree``/``mbtree``/``leftdeep`` are
-registered implementations of the same protocol, so third-party
-backends plug in without editing ``engine.py``::
-
-    class MirrorBackend(Backend):
-        name = "mirror"
-        def execute(self, ctx, query):
-            rows = ...
-            return ctx.result(rows, self.name)
-
-    register_backend(MirrorBackend())
-    engine.query(query, backend="mirror")
+- a module-private **registry** of the six built-ins
+  (``array``/``starjoin``/``bitmap``/``btree``/``mbtree``/``leftdeep``),
+  through which the engine resolves backend names (:func:`get_backend`).
 
 ``auto`` is not a backend: the engine resolves it through the
 :mod:`~repro.olap.planner` rule before consulting the registry.
@@ -207,30 +195,13 @@ def _estimated_btree_probes(query) -> int:
 _REGISTRY: dict[str, Backend] = {}
 
 
-def register_backend(backend: Backend, replace: bool = False) -> Backend:
-    """Register a backend under its ``name``.
-
-    Third-party backends use this to become addressable from
-    ``OlapEngine.query(..., backend=<name>)`` without touching
-    ``engine.py``.
-    """
+def _register(backend: Backend) -> None:
+    """Add one built-in backend under its ``name``."""
     if not backend.name:
         raise PlanError("a backend needs a non-empty name")
     if backend.name == "auto":
         raise PlanError('"auto" is reserved for the planner')
-    if backend.name in _REGISTRY and not replace:
-        raise PlanError(f"backend {backend.name!r} is already registered")
     _REGISTRY[backend.name] = backend
-    return backend
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a backend from the registry (tests / plugin teardown)."""
-    if name in _BUILTIN_NAMES:
-        raise PlanError(f"cannot unregister built-in backend {name!r}")
-    if name not in _REGISTRY:
-        raise PlanError(f"no backend named {name!r} registered")
-    del _REGISTRY[name]
 
 
 def get_backend(name: str) -> Backend:
@@ -245,10 +216,8 @@ def get_backend(name: str) -> Backend:
 
 
 def backend_names() -> tuple[str, ...]:
-    """Every registered backend name, built-ins first."""
-    builtins = [n for n in _BUILTIN_NAMES if n in _REGISTRY]
-    extras = sorted(n for n in _REGISTRY if n not in _BUILTIN_NAMES)
-    return tuple(builtins + extras)
+    """Every backend name, in registration order."""
+    return tuple(_REGISTRY)
 
 
 def available_backends(state: "_CubeState") -> set[str]:
@@ -982,10 +951,6 @@ class LeftDeepBackend(Backend):
         return root
 
 
-_BUILTIN_NAMES = (
-    "array", "starjoin", "bitmap", "btree", "mbtree", "leftdeep",
-)
-
 for _backend in (
     ArrayBackend(),
     StarjoinBackend(),
@@ -994,4 +959,4 @@ for _backend in (
     MBTreeBackend(),
     LeftDeepBackend(),
 ):
-    register_backend(_backend)
+    _register(_backend)

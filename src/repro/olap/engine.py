@@ -60,10 +60,6 @@ from repro.relational.star_join import DimensionJoinSpec
 from repro.util.records import fact_columns
 from repro.util.stats import Counters, Timer, counter_delta
 
-_RELATIONAL_BACKENDS = ("starjoin", "bitmap", "btree", "mbtree", "leftdeep")
-#: the built-in backends; the live set is ``backends.backend_names()``
-BACKENDS = ("array",) + _RELATIONAL_BACKENDS
-
 
 @dataclass
 class QueryResult:
@@ -473,32 +469,9 @@ class OlapEngine:
         """
         state = self.cube(query.cube)
         query.validate(state.schema)
-        available = state.available_backends()
-        planner_reason = "explicit"
-        if backend == "auto":
-            backend, planner_reason = choose_backend_explained(
-                PlannerInputs(
-                    has_array="array" in available,
-                    has_bitmaps="bitmap" in available,
-                    has_selections=bool(query.selections),
-                    estimated_selectivity=(
-                        self.estimate_selectivity(query)
-                        if query.selections
-                        else 1.0
-                    ),
-                    has_range_selections=any(
-                        sel.is_range for sel in query.selections
-                    ),
-                ),
-                crossover_selectivity,
-            )
-        impl = backend_registry.get_backend(backend)
-        if not impl.available(state):
-            raise PlanError(
-                f"backend {backend!r} not available for cube "
-                f"{query.cube!r}; built: {sorted(available)}"
-            )
-
+        backend, impl, planner_reason, result_mode = self._resolve_backend(
+            state, query, backend, mode, crossover_selectivity
+        )
         if cold:
             if state.array is not None:
                 state.array.invalidate_caches()
@@ -508,8 +481,6 @@ class OlapEngine:
         metrics = self.db.metrics
         before = metrics.snapshot_by_source()
         counters = Counters()
-        resolved = resolve_mode(mode, query.aggregate, backend)
-        result_mode = resolved if backend == "array" else "interpreted"
         if trace is None:
             trace = current_trace_context()
         ctx = BackendContext(
@@ -547,6 +518,55 @@ class OlapEngine:
         result.stats = stats
         return result
 
+    def _resolve_backend(
+        self,
+        state: _CubeState,
+        query: ConsolidationQuery,
+        backend: str,
+        mode: str,
+        crossover_selectivity: float,
+        selectivity: float | None = None,
+    ) -> tuple[str, backend_registry.Backend, str, str]:
+        """The planner call, availability check and mode resolution that
+        :meth:`query` and :meth:`explain` share.
+
+        Returns ``(backend, implementation, planner reason, mode)``.
+        The selectivity is estimated only when the planner runs and the
+        caller has not already done so.
+        """
+        available = state.available_backends()
+        planner_reason = "explicit"
+        if backend == "auto":
+            if selectivity is None:
+                selectivity = (
+                    self.estimate_selectivity(query) if query.selections else 1.0
+                )
+            backend, planner_reason = choose_backend_explained(
+                PlannerInputs(
+                    has_array="array" in available,
+                    has_bitmaps="bitmap" in available,
+                    has_selections=bool(query.selections),
+                    estimated_selectivity=selectivity,
+                    has_range_selections=any(
+                        sel.is_range for sel in query.selections
+                    ),
+                ),
+                crossover_selectivity,
+            )
+        impl = backend_registry.get_backend(backend)
+        if not impl.available(state):
+            raise PlanError(
+                f"backend {backend!r} not available for cube "
+                f"{query.cube!r}; built: {sorted(available)}"
+            )
+        resolved = resolve_mode(mode, query.aggregate, backend)
+        return (
+            backend,
+            impl,
+            planner_reason,
+            resolved if backend == "array" else "interpreted",
+        )
+
     # -- EXPLAIN / EXPLAIN ANALYZE -------------------------------------------------
 
     def explain(
@@ -567,8 +587,8 @@ class OlapEngine:
         <repro.serve.service.QueryService.explain>` and ``repro
         explain``); precedence mirrors :meth:`run` (explicit ``options``
         > options attached to the query > defaults).  Planner resolution
-        (``backend="auto"``, availability checks) is
-        exactly :meth:`query`'s.  The returned
+        (``backend="auto"``, availability checks) is :meth:`query`'s
+        own helper.  The returned
         :class:`~repro.obs.explain.QueryPlan` carries per-node cost
         estimates; an ANALYZE run executes the query under a
         registry-bound tracer, attaches each node's actual counter
@@ -584,40 +604,25 @@ class OlapEngine:
         if options is None and query.options is not None:
             options = query.options
         opts = coerce_options(options, legacy, "OlapEngine.explain")
-        backend = opts.backend
+        requested = opts.backend
         state = self.cube(query.cube)
         query.validate(state.schema)
-        available = state.available_backends()
-        requested = backend
-        planner_reason = "explicit"
         estimated_selectivity = (
             self.estimate_selectivity(query) if query.selections else 1.0
         )
-        if backend == "auto":
-            backend, planner_reason = choose_backend_explained(
-                PlannerInputs(
-                    has_array="array" in available,
-                    has_bitmaps="bitmap" in available,
-                    has_selections=bool(query.selections),
-                    estimated_selectivity=estimated_selectivity,
-                    has_range_selections=any(
-                        sel.is_range for sel in query.selections
-                    ),
-                ),
-                crossover_selectivity,
-            )
-        impl = backend_registry.get_backend(backend)
-        if not impl.available(state):
-            raise PlanError(
-                f"backend {backend!r} not available for cube "
-                f"{query.cube!r}; built: {sorted(available)}"
-            )
-        resolved = resolve_mode(opts.mode, query.aggregate, backend)
+        backend, impl, planner_reason, mode = self._resolve_backend(
+            state,
+            query,
+            requested,
+            opts.mode,
+            crossover_selectivity,
+            estimated_selectivity,
+        )
         ctx = BackendContext(
             engine=self,
             state=state,
             counters=Counters(),
-            mode=resolved if backend == "array" else "interpreted",
+            mode=mode,
             order=opts.order,
             shards=opts.shards,
             executor=opts.executor,
@@ -626,7 +631,7 @@ class OlapEngine:
         plan = QueryPlan(
             cube=query.cube,
             backend=backend,
-            mode=resolved if backend == "array" else "interpreted",
+            mode=mode,
             order=opts.order,
             fingerprint=query_fingerprint(
                 query,
@@ -641,7 +646,7 @@ class OlapEngine:
                 "reason": planner_reason,
                 "estimated_selectivity": estimated_selectivity,
                 "crossover_selectivity": crossover_selectivity,
-                "available_backends": sorted(available),
+                "available_backends": sorted(state.available_backends()),
             },
             root=impl.explain(ctx, query),
         )

@@ -12,21 +12,19 @@ generation at compute time.  Invalidation is belt *and* braces:
   lookup and a store can never cause a stale read.
 
 Every entry's byte footprint is measured at store time
-(:func:`~repro.obs.memory.deep_sizeof`) into a running total, so the
-memory accountant's usage callback is O(1); :meth:`reclaim` shrinks
-LRU-first under memory pressure — the cache is the cheapest store to
-rebuild, so it is first in the eviction order.
+(:func:`~repro.obs.memory.deep_sizeof`) into the
+:class:`~repro.obs.memory.SizedStore` ledger, so the memory
+accountant's usage callback is O(1); ``reclaim`` shrinks LRU-first
+under memory pressure — the cache is the cheapest store to rebuild, so
+it is first in the eviction order.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
-from repro.obs.memory import deep_sizeof
-from repro.util.stats import Counters
+from repro.obs.memory import SizedStore, deep_sizeof
 
 
 @dataclass(frozen=True)
@@ -37,114 +35,50 @@ class CacheEntry:
     value: Any
 
 
-class ResultCache:
+class ResultCache(SizedStore):
     """Thread-safe LRU of query results keyed by canonical fingerprint."""
 
+    _evict_counter = "result_cache.evictions"
+    _pressure_counter = "result_cache.pressure_evictions"
+
     def __init__(self, capacity: int = 256):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.counters = Counters()
-        self._entries: OrderedDict[tuple[str, str], CacheEntry] = OrderedDict()
-        self._sizes: dict[tuple[str, str], int] = {}
-        self._resident_bytes = 0
-        self._lock = threading.RLock()
+        super().__init__(capacity)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def _drop(self, key: tuple[str, str]) -> None:
-        # caller holds the lock
-        del self._entries[key]
-        self._resident_bytes -= self._sizes.pop(key, 0)
-
-    def get(self, cube: str, fingerprint: str, generation: int):
+    def get(  # type: ignore[override]
+        self, cube: str, fingerprint: str, generation: int
+    ):
         """The cached value, or ``None`` on miss / generation mismatch."""
         key = (cube, fingerprint)
+        # one lock section on the serving hot path, over the store's map
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.counters.add("result_cache.misses")
-                return None
-            if entry.generation != generation:
+            if entry is not None and entry.generation != generation:
                 # lazy invalidation: computed against older data
                 self._drop(key)
                 self.counters.add("result_cache.stale_drops")
+                entry = None
+            if entry is None:
                 self.counters.add("result_cache.misses")
                 return None
             self._entries.move_to_end(key)
-            self.counters.add("result_cache.hits")
-            return entry.value
+        self.counters.add("result_cache.hits")
+        return entry.value
 
-    def put(self, cube: str, fingerprint: str, generation: int, value) -> None:
+    def put(  # type: ignore[override]
+        self, cube: str, fingerprint: str, generation: int, value
+    ) -> None:
         """Store one result computed at ``generation``."""
         key = (cube, fingerprint)
         nbytes = deep_sizeof((key, generation, value))
-        with self._lock:
-            if key in self._entries:
-                self._resident_bytes -= self._sizes.pop(key, 0)
-            self._entries[key] = CacheEntry(generation, value)
-            self._sizes[key] = nbytes
-            self._resident_bytes += nbytes
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                victim = next(iter(self._entries))
-                self._drop(victim)
-                self.counters.add("result_cache.evictions")
+        super().put(key, CacheEntry(generation, value), nbytes)
 
     def invalidate_cube(self, cube: str) -> int:
         """Drop exactly one cube's entries; returns how many dropped."""
-        with self._lock:
-            stale = [k for k in self._entries if k[0] == cube]
-            for key in stale:
-                self._drop(key)
-            if stale:
-                self.counters.add("result_cache.invalidations", len(stale))
-            return len(stale)
+        dropped = self.drop_where(lambda key: key[0] == cube)
+        if dropped:
+            self.counters.add("result_cache.invalidations", dropped)
+        return dropped
 
-    def clear(self) -> None:
-        """Drop everything."""
-        with self._lock:
-            self._entries.clear()
-            self._sizes.clear()
-            self._resident_bytes = 0
-
-    def keys(self) -> list[tuple[str, str]]:
-        """The live ``(cube, fingerprint)`` keys, LRU-first."""
-        with self._lock:
-            return list(self._entries)
-
-    # -- memory accounting -------------------------------------------------
-
-    def resident_bytes(self) -> int:
-        """Measured bytes across every live entry (O(1))."""
-        with self._lock:
-            return self._resident_bytes
-
-    def reclaim(self, target_bytes: int) -> int:
-        """Evict LRU-first until at most ``target_bytes`` remain.
-
-        Returns bytes freed.  Called by the memory accountant under
-        pressure; distinct from capacity eviction so dashboards can
-        tell "cache churn" from "process under memory pressure".
-        """
-        freed = 0
-        with self._lock:
-            while self._resident_bytes > target_bytes and self._entries:
-                victim = next(iter(self._entries))
-                freed += self._sizes.get(victim, 0)
-                self._drop(victim)
-                self.counters.add("result_cache.pressure_evictions")
-        return freed
-
-    def top_entries(self, n: int = 10) -> list[dict]:
-        """The ``n`` largest entries as ``{"key", "bytes"}`` dicts."""
-        with self._lock:
-            sized = sorted(
-                self._sizes.items(), key=lambda item: item[1], reverse=True
-            )
-        return [
-            {"key": f"{cube}/{fingerprint}", "bytes": nbytes}
-            for (cube, fingerprint), nbytes in sized[:n]
-        ]
+    def _label(self, key) -> str:
+        cube, fingerprint = key
+        return f"{cube}/{fingerprint}"

@@ -66,6 +66,7 @@ from repro.obs.tracing import (
     TraceStore,
     current_trace_context,
     current_trace_links,
+    new_trace_context,
     trace_context,
 )
 from repro.olap.engine import OlapEngine, QueryResult
@@ -87,10 +88,6 @@ class ServiceConfig:
     #: admitted-but-unfinished queries beyond which :meth:`submit`
     #: rejects with :class:`AdmissionError` (queued + running)
     max_in_flight: int = 16
-    #: LRU capacity of the query-result cache, in entries
-    result_cache_size: int = 256
-    #: LRU capacity of the shared decoded-chunk cache, in chunks
-    chunk_cache_chunks: int = 1024
     #: run engine misses cold (paper methodology) instead of warm
     cold: bool = False
     #: retries after a :class:`TransientError` before the cube degrades
@@ -102,23 +99,15 @@ class ServiceConfig:
     #: end-to-end latency beyond which a query's profile is captured
     #: into the slow-query log
     slowlog_threshold_s: float = 0.25
-    #: ring-buffer capacity of the slow-query log, in entries
-    slowlog_capacity: int = 64
     #: run every query under a per-thread tracer so slow ones capture
     #: their full span tree; disable to shave the per-span registry
-    #: snapshots off the hot path (slowlog entries then carry no trace)
+    #: snapshots off the hot path (slowlog entries then carry no trace
+    #: and slow misses no analyzed plan)
     profile_queries: bool = True
-    #: fingerprint-keyed LRU of EXPLAIN payloads (``/explain/<fp>``)
-    plan_cache_size: int = 64
-    #: embed an analyzed plan (estimate vs. actual per node) into every
-    #: slow-query record; needs ``profile_queries`` for the actuals
-    slowlog_plans: bool = True
     #: sample the registry into the time-series ring every this many
     #: seconds (0 keeps the sampler off; the store still answers
     #: windowed queries over manually-taken samples)
     timeseries_interval_s: float = 0.0
-    #: ring capacity of the time-series store, in snapshots
-    timeseries_capacity: int = 600
     #: wall-clock sampling-profiler tick interval (0 keeps it off)
     profile_sampling_s: float = 0.0
     #: chunk-range shards engine misses scatter over (1 = classic
@@ -126,16 +115,12 @@ class ServiceConfig:
     shards: int = 1
     #: where shard scans run: ``local`` / ``thread`` / ``process``
     executor: str = "local"
-    #: ring capacity of the flight-recorder trace store, in traces
-    trace_store_capacity: int = 256
-    #: head-sampling probability for traces that are neither slow,
-    #: errored nor explicitly requested (those are always kept)
-    trace_sample_rate: float = 1.0
     #: process resident-set budget across every accounted store, in
     #: bytes (0 = unbounded: accounting only, no pressure eviction).
-    #: When the accounted total exceeds this, the memory accountant
-    #: reclaims in cheap-to-rebuild-first order: result cache →
-    #: decoded chunks → coldest rollup grains
+    #: The one size setting: each cache and ring keeps its own default
+    #: entry cap.  When the accounted total exceeds this, the memory
+    #: accountant reclaims in cheap-to-rebuild-first order: result
+    #: cache → decoded chunks → coldest rollup grains
     memory_budget_bytes: int = 0
 
 
@@ -152,22 +137,15 @@ class QueryService:
     def __init__(self, engine: OlapEngine, config: ServiceConfig | None = None):
         self.engine = engine
         self.config = config or ServiceConfig()
-        self.results = ResultCache(self.config.result_cache_size)
-        self.chunks = ChunkCache(self.config.chunk_cache_chunks)
+        self.results = ResultCache()
+        self.chunks = ChunkCache()
         self.counters = Counters()
-        self.slowlog = SlowQueryLog(
-            capacity=self.config.slowlog_capacity,
-            threshold_s=self.config.slowlog_threshold_s,
-        )
-        self.plans = PlanCache(self.config.plan_cache_size)
+        self.slowlog = SlowQueryLog(threshold_s=self.config.slowlog_threshold_s)
+        self.plans = PlanCache()
         self.traces = TraceStore(
-            capacity=self.config.trace_store_capacity,
-            sample_rate=self.config.trace_sample_rate,
-            slow_threshold_s=self.config.slowlog_threshold_s,
+            slow_threshold_s=self.config.slowlog_threshold_s
         )
-        self.timeseries = TimeSeriesStore(
-            engine.db.metrics, capacity=self.config.timeseries_capacity
-        )
+        self.timeseries = TimeSeriesStore(engine.db.metrics)
         self.profiler = SamplingProfiler(
             interval_s=self.config.profile_sampling_s or 0.005
         )
@@ -265,46 +243,12 @@ class QueryService:
         both enforce their own capacity bounds.
         """
         memory = self.memory
-        memory.register_store(
-            "result_cache",
-            self.results.resident_bytes,
-            reclaim=self.results.reclaim,
-            top_entries=self.results.top_entries,
-            cost_rank=0,
-            share=0.10,
-        )
-        memory.register_store(
-            "chunk_cache",
-            self.chunks.resident_bytes,
-            reclaim=self.chunks.reclaim,
-            top_entries=self.chunks.top_entries,
-            cost_rank=1,
-            share=0.25,
-        )
+        memory.register_store("result_cache", self.results, cost_rank=0, share=0.10)
+        memory.register_store("chunk_cache", self.chunks, cost_rank=1, share=0.25)
         memory.register_store("buffer_pool", self.engine.db.pool.resident_bytes)
-        memory.register_store(
-            "plan_cache",
-            self.plans.resident_bytes,
-            reclaim=self.plans.reclaim,
-            top_entries=self.plans.top_entries,
-            cost_rank=3,
-            share=0.02,
-        )
-        memory.register_store(
-            "slowlog",
-            self.slowlog.resident_bytes,
-            reclaim=self.slowlog.reclaim,
-            cost_rank=4,
-            share=0.02,
-        )
-        memory.register_store(
-            "traces",
-            self.traces.resident_bytes,
-            reclaim=self.traces.reclaim,
-            top_entries=self.traces.top_entries,
-            cost_rank=5,
-            share=0.02,
-        )
+        memory.register_store("plan_cache", self.plans, cost_rank=3, share=0.02)
+        memory.register_store("slowlog", self.slowlog, cost_rank=4, share=0.02)
+        memory.register_store("traces", self.traces, cost_rank=5, share=0.02)
         memory.register_store("timeseries", self.timeseries.resident_bytes)
         memory.register_store("shard_workers", self._shard_worker_bytes)
         # the chunk cache's only growth point is a miss insert; check
@@ -416,7 +360,7 @@ class QueryService:
         # installed, then a fresh service-minted root
         trace = opts.trace or current_trace_context()
         if trace is None:
-            trace = self.traces.mint(origin="service")
+            trace = new_trace_context(origin="service")
         with self._admission_lock:
             if self._closed:
                 raise AdmissionError("service is closed")
@@ -549,7 +493,7 @@ class QueryService:
         the already-captured span tree — the query is *not* re-run.
         Cache hits never touched the engine, so they carry no plan.
         """
-        if not self.config.slowlog_plans or tracer is None:
+        if tracer is None:
             return None
         if result.stats.get("result_cache_hit"):
             return None

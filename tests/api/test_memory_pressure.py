@@ -144,7 +144,14 @@ class TestEvictionUnderWrites:
 
         # eviction races must not corrupt per-store ledgers: each
         # store's resident figure re-derives from its own entry sizes
-        for store in (service.results, service.chunks):
+        for store in (
+            service.results,
+            service.chunks,
+            service.plans,
+            service.slowlog,
+            service.traces,
+            service.timeseries,
+        ):
             with store._lock:
                 assert store._resident_bytes == sum(store._sizes.values())
                 assert store._resident_bytes >= 0

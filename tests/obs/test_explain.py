@@ -201,7 +201,7 @@ class TestPlanCache:
         cache = PlanCache(capacity=3)
         for name in ("x", "y", "z"):
             cache.put(name, {})
-        assert cache.fingerprints() == ["x", "y", "z"]
+        assert cache.keys() == ["x", "y", "z"]
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -246,7 +246,7 @@ class TestStoreReclaimHooks:
         assert log.resident_bytes() == 0
 
     def test_trace_store_reclaim_drops_oldest(self):
-        store = TraceStore(capacity=64, sample_rate=1.0)
+        store = TraceStore(capacity=64)
         contexts = [new_trace_context() for _ in range(6)]
         for i, ctx in enumerate(contexts):
             store.record(ctx, name=f"t{i}", attrs={"blob": "z" * 2048})
@@ -258,7 +258,7 @@ class TestStoreReclaimHooks:
         assert store.get(contexts[-1].trace_id) is not None
 
     def test_trace_store_incremental_sizes_track_merges(self):
-        store = TraceStore(capacity=8, sample_rate=1.0)
+        store = TraceStore(capacity=8)
         ctx = new_trace_context()
         store.record(ctx, name="t")
         first = store.resident_bytes()

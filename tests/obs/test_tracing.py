@@ -4,7 +4,7 @@ The in-process :class:`Tracer` is covered by ``test_tracer.py``; this
 file covers the cross-domain layer added on top — :class:`TraceContext`
 minting/adoption, the thread-local ``trace_context`` installation and
 its per-block link buffer, and the :class:`TraceStore` flight-recorder
-contract (sampling policy, merge-by-trace_id, bounded ring).
+contract (keep rule, merge-by-trace_id, bounded ring).
 """
 
 import re
@@ -123,50 +123,30 @@ class TestThreadLocalPropagation:
 
 
 class TestTraceStoreSampling:
-    def test_rate_one_always_samples(self):
-        assert all(TraceStore(sample_rate=1.0).mint().sampled for _ in range(8))
-
-    def test_rate_zero_never_samples(self):
-        store = TraceStore(sample_rate=0.0)
-        assert not any(store.mint().sampled for _ in range(8))
-
-    def test_seeded_rate_is_deterministic(self):
-        flips = []
-        for _ in range(2):
-            store = TraceStore(sample_rate=0.5, seed=42)
-            flips.append(tuple(store.should_sample() for _ in range(32)))
-        assert flips[0] == flips[1]
-        assert True in flips[0] and False in flips[0]
-
     def test_sampled_out_trace_not_stored(self):
-        store = TraceStore(sample_rate=0.0, slow_threshold_s=10.0)
-        ctx = store.mint()
+        store = TraceStore(slow_threshold_s=10.0)
+        ctx = new_trace_context(sampled=False)
         assert not store.record(ctx, name="q", latency_s=0.001)
         assert store.get(ctx.trace_id) is None
-        assert store.counters.snapshot()["traces.sampled_out"] == 1
+        assert len(store) == 0
 
     def test_slow_trace_kept_despite_sampling(self):
-        store = TraceStore(sample_rate=0.0, slow_threshold_s=0.25)
-        ctx = store.mint()
+        store = TraceStore(slow_threshold_s=0.25)
+        ctx = new_trace_context(sampled=False)
         assert store.record(ctx, name="q", latency_s=0.3)
         assert store.get(ctx.trace_id) is not None
 
     def test_error_trace_kept_despite_sampling(self):
-        store = TraceStore(sample_rate=0.0, slow_threshold_s=10.0)
-        ctx = store.mint()
+        store = TraceStore(slow_threshold_s=10.0)
+        ctx = new_trace_context(sampled=False)
         assert store.record(ctx, name="q", status="QueryError")
         assert store.get(ctx.trace_id).status == "QueryError"
 
     def test_force_keeps_fast_ok_unsampled(self):
-        store = TraceStore(sample_rate=0.0, slow_threshold_s=10.0)
-        ctx = store.mint()
+        store = TraceStore(slow_threshold_s=10.0)
+        ctx = new_trace_context(sampled=False)
         assert store.record(ctx, name="q", force=True)
         assert store.get(ctx.trace_id) is not None
-
-    @pytest.mark.parametrize("rate", [-0.1, 1.5])
-    def test_rate_validated(self, rate):
-        with pytest.raises(ValueError):
-            TraceStore(sample_rate=rate)
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -178,7 +158,7 @@ class TestTraceStoreMerge:
         # the API handler and the query service both record the same
         # trace_id; the store must present one merged record
         store = TraceStore()
-        ctx = store.mint(origin="api")
+        ctx = new_trace_context(origin="api")
         store.record(
             ctx, name="GET /cube", latency_s=0.01,
             roots=[{"name": "api.request", "children": []}],
@@ -201,14 +181,14 @@ class TestTraceStoreMerge:
 
     def test_error_status_wins_over_ok(self):
         store = TraceStore()
-        ctx = store.mint()
+        ctx = new_trace_context()
         store.record(ctx, status="QueryError")
         store.record(ctx, status="ok")
         assert store.get(ctx.trace_id).status == "QueryError"
 
     def test_links_deduplicate(self):
         store = TraceStore()
-        ctx = store.mint()
+        ctx = new_trace_context()
         link = {"kind": "schedules", "trace_id": "ab" * 16, "detail": "d"}
         store.record(ctx, links=[link, dict(link)])
         store.record(ctx, links=[dict(link)])
@@ -216,7 +196,7 @@ class TestTraceStoreMerge:
 
     def test_retro_link_onto_resident_trace(self):
         store = TraceStore()
-        ctx = store.mint()
+        ctx = new_trace_context()
         store.record(ctx)
         link = {"kind": "schedules", "trace_id": "cd" * 16, "detail": ""}
         assert store.link(ctx.trace_id, link)
@@ -229,17 +209,17 @@ class TestTraceStoreMerge:
 class TestTraceStoreRing:
     def test_eviction_drops_oldest(self):
         store = TraceStore(capacity=3)
-        contexts = [store.mint() for _ in range(5)]
+        contexts = [new_trace_context() for _ in range(5)]
         for ctx in contexts:
             store.record(ctx)
-        assert store.resident() == 3
+        assert len(store) == 3
         assert store.get(contexts[0].trace_id) is None
         assert store.get(contexts[-1].trace_id) is not None
         assert store.counters.snapshot()["traces.evicted"] == 2
 
     def test_merge_refreshes_recency(self):
         store = TraceStore(capacity=2)
-        first, second, third = (store.mint() for _ in range(3))
+        first, second, third = (new_trace_context() for _ in range(3))
         store.record(first)
         store.record(second)
         store.record(first)  # merge: first becomes most recent
@@ -249,7 +229,7 @@ class TestTraceStoreRing:
 
     def test_index_newest_first(self):
         store = TraceStore()
-        contexts = [store.mint() for _ in range(4)]
+        contexts = [new_trace_context() for _ in range(4)]
         for i, ctx in enumerate(contexts):
             store.record(ctx, name=f"q{i}")
         index = store.index(limit=2)
@@ -257,7 +237,7 @@ class TestTraceStoreRing:
 
     def test_record_payload_shape(self):
         store = TraceStore()
-        ctx = store.mint(origin="api")
+        ctx = new_trace_context(origin="api")
         store.record(
             ctx, name="q", latency_s=0.01,
             roots=[{"name": "a", "children": [{"name": "b", "children": []}]}],
@@ -274,10 +254,10 @@ class TestTraceStoreRing:
 
         def hammer(_):
             for _ in range(50):
-                store.record(store.mint(), name="q")
+                store.record(new_trace_context(), name="q")
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             list(pool.map(hammer, range(4)))
-        assert store.resident() <= 16
+        assert len(store) <= 16
         snapshot = store.counters.snapshot()
         assert snapshot["traces.stored"] == 200

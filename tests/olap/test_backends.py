@@ -1,4 +1,4 @@
-"""The Backend protocol and registry (third-party pluggability)."""
+"""The Backend protocol and the built-in registry."""
 
 import pytest
 
@@ -10,58 +10,21 @@ from repro.olap import (
     available_backends,
     backend_names,
     get_backend,
-    register_backend,
-    unregister_backend,
 )
+from repro.olap.backends import _register
 
 BUILTINS = ("array", "starjoin", "bitmap", "btree", "mbtree", "leftdeep")
-
-
-class EchoBackend(Backend):
-    """Returns one row echoing the query, no storage touched."""
-
-    name = "echo"
-
-    def execute(self, ctx, query):
-        return ctx.result([(query.cube, "echo")], self.name)
 
 
 class TestRegistry:
     def test_builtins_are_registered(self):
         for name in BUILTINS:
             assert get_backend(name).name == name
-        assert backend_names()[: len(BUILTINS)] == BUILTINS
+        assert backend_names() == BUILTINS
 
     def test_unknown_backend_raises_plan_error(self):
         with pytest.raises(PlanError, match="unknown backend"):
             get_backend("nope")
-
-    def test_register_and_unregister_third_party(self):
-        register_backend(EchoBackend())
-        try:
-            assert get_backend("echo").name == "echo"
-            assert backend_names()[-1] == "echo"  # extras sort after builtins
-        finally:
-            unregister_backend("echo")
-        with pytest.raises(PlanError):
-            get_backend("echo")
-
-    def test_duplicate_registration_needs_replace(self):
-        register_backend(EchoBackend())
-        try:
-            with pytest.raises(PlanError, match="already registered"):
-                register_backend(EchoBackend())
-            register_backend(EchoBackend(), replace=True)
-        finally:
-            unregister_backend("echo")
-
-    def test_builtins_cannot_be_unregistered(self):
-        with pytest.raises(PlanError):
-            unregister_backend("array")
-
-    def test_unregister_unknown_raises(self):
-        with pytest.raises(PlanError):
-            unregister_backend("nope")
 
     def test_auto_is_reserved(self):
         class AutoBackend(Backend):
@@ -71,7 +34,7 @@ class TestRegistry:
                 raise AssertionError
 
         with pytest.raises(PlanError, match="reserved"):
-            register_backend(AutoBackend())
+            _register(AutoBackend())
 
     def test_empty_name_rejected(self):
         class Nameless(Backend):
@@ -79,21 +42,10 @@ class TestRegistry:
                 raise AssertionError
 
         with pytest.raises(PlanError, match="non-empty"):
-            register_backend(Nameless())
+            _register(Nameless())
 
 
 class TestEngineIntegration:
-    def test_third_party_backend_runs_through_the_engine(self, engine):
-        register_backend(EchoBackend())
-        try:
-            query = ConsolidationQuery.build("cube", group_by={"dim0": "h01"})
-            result = engine.query(query, backend="echo")
-        finally:
-            unregister_backend("echo")
-        assert result.backend == "echo"
-        assert result.rows == [("cube", "echo")]
-        assert result.elapsed_s >= 0
-
     def test_availability_reflects_physical_design(self, engine):
         state = engine.cube("cube")
         names = available_backends(state)

@@ -1,7 +1,6 @@
 """EXPLAIN through the serving layer: plan cache + slowlog embedding."""
 
-import pytest
-
+from repro.obs.explain import PlanCache
 from repro.olap import ConsolidationQuery, ExecutionOptions
 from repro.olap.query import SelectionPredicate
 from repro.serve import QueryService, ServiceConfig
@@ -49,10 +48,9 @@ class TestServiceExplain:
             assert "execution" in payload
             assert service.stats()["serve.explain_analyzes"] == 1
 
-    def test_plan_cache_capacity_comes_from_config(self):
-        config = ServiceConfig(plan_cache_size=2)
-        with QueryService(fresh_engine(), config) as service:
-            assert service.plans.capacity == 2
+    def test_plan_cache_capacity_is_the_store_default(self):
+        with QueryService(fresh_engine()) as service:
+            assert service.plans.capacity == PlanCache().capacity == 64
 
     def test_plan_cache_entries_gauge_exported(self):
         engine = fresh_engine()
@@ -95,14 +93,6 @@ class TestSlowlogPlans:
             ]
             assert hit_entries
             assert all(e.explain is None for e in hit_entries)
-
-    def test_slowlog_plans_can_be_disabled(self):
-        config = ServiceConfig(slowlog_threshold_s=0.0, slowlog_plans=False)
-        with QueryService(fresh_engine(), config) as service:
-            service.execute(_q2())
-            assert all(
-                e.explain is None for e in service.slowlog.entries()
-            )
 
     def test_unprofiled_service_skips_plans_without_crashing(self):
         config = ServiceConfig(slowlog_threshold_s=0.0, profile_queries=False)

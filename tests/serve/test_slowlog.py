@@ -68,9 +68,7 @@ class TestRingBuffer:
 class TestServiceCapture:
     def test_slow_query_captured_with_full_span_tree(self, engine):
         """A deliberately slowed query lands in the log with its profile."""
-        config = ServiceConfig(
-            max_workers=2, slowlog_threshold_s=0.05, slowlog_capacity=8
-        )
+        config = ServiceConfig(max_workers=2, slowlog_threshold_s=0.05)
         with QueryService(engine, config) as service:
             # make the first (cache-miss) execution deliberately slow
             original = engine.query
