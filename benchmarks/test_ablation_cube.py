@@ -81,9 +81,7 @@ def test_ablation_cube(benchmark, array, table, strategy):
             engine.db.cold_cache()
             olap_array.invalidate_caches()
             io_before = engine.db.sim_io_seconds()
-            consolidate(
-                olap_array, subset_specs, mode="vectorized", counters=counters
-            )
+            consolidate(olap_array, subset_specs, counters=counters)
             sim_io += engine.db.sim_io_seconds() - io_before
         return counters, sim_io
 

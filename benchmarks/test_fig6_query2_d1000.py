@@ -2,8 +2,8 @@
 
 Selection on all four dimensions' hX1 attributes with the per-dimension
 fanout swept 2…10, so the star-join selectivity S sweeps 0.0625 down to
-0.0001.  Series: the §4.2 array algorithm (both execution modes) vs the
-§4.5 bitmap + fact-file algorithm.
+0.0001.  Series: the §4.2 array algorithm vs the §4.5 bitmap + fact-file
+algorithm.
 
 Paper shape: the array is faster while S > 0.00024; the relational cost
 falls steeply as selectivity shrinks (fewer tuples to fetch) while the
@@ -25,11 +25,7 @@ from repro.data import selectivity_configs
 
 SETTINGS = bench_settings()
 CONFIGS = selectivity_configs(SETTINGS.scale, fourth_dim="large")
-SERIES = [
-    ("array", "interpreted"),
-    ("array", "vectorized"),
-    ("bitmap", "interpreted"),
-]
+SERIES = ["array", "bitmap"]
 
 
 @pytest.fixture(scope="module")
@@ -52,19 +48,18 @@ def table():
     t.save()
 
 
-@pytest.mark.parametrize("series", SERIES, ids=lambda s: f"{s[0]}-{s[1]}")
+@pytest.mark.parametrize("backend", SERIES)
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
-def test_fig6(benchmark, engines, table, config, series):
-    backend, mode = series
+def test_fig6(benchmark, engines, table, config, backend):
     engine = engines[config.name]
     query = query2_for(config)
     result = benchmark.pedantic(
-        lambda: run_cold(engine, query, backend, mode=mode),
+        lambda: run_cold(engine, query, backend),
         rounds=2,
         iterations=1,
     )
     selectivity = round((1 / config.fanout1) ** 4, 6)
-    table.add(f"{backend}-{mode}", selectivity, result)
+    table.add(backend, selectivity, result)
     benchmark.extra_info["cost_s"] = result.cost_s
     benchmark.extra_info["selectivity"] = selectivity
 
@@ -76,8 +71,7 @@ def test_fig6_trace_artifact(benchmark, engines):
     query = query2_for(config)
     spans = benchmark.pedantic(
         lambda: [
-            run_cold_traced(engine, query, backend, mode=mode)[1]
-            for backend, mode in SERIES
+            run_cold_traced(engine, query, backend)[1] for backend in SERIES
         ],
         rounds=1,
         iterations=1,

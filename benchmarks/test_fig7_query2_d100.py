@@ -18,11 +18,7 @@ from repro.data import selectivity_configs
 
 SETTINGS = bench_settings()
 CONFIGS = selectivity_configs(SETTINGS.scale, fourth_dim="small")
-SERIES = [
-    ("array", "interpreted"),
-    ("array", "vectorized"),
-    ("bitmap", "interpreted"),
-]
+SERIES = ["array", "bitmap"]
 
 
 @pytest.fixture(scope="module")
@@ -42,17 +38,16 @@ def table():
     t.save()
 
 
-@pytest.mark.parametrize("series", SERIES, ids=lambda s: f"{s[0]}-{s[1]}")
+@pytest.mark.parametrize("backend", SERIES)
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
-def test_fig7(benchmark, engines, table, config, series):
-    backend, mode = series
+def test_fig7(benchmark, engines, table, config, backend):
     engine = engines[config.name]
     query = query2_for(config)
     result = benchmark.pedantic(
-        lambda: run_cold(engine, query, backend, mode=mode),
+        lambda: run_cold(engine, query, backend),
         rounds=2,
         iterations=1,
     )
     selectivity = round((1 / config.fanout1) ** 4, 6)
-    table.add(f"{backend}-{mode}", selectivity, result)
+    table.add(backend, selectivity, result)
     benchmark.extra_info["cost_s"] = result.cost_s

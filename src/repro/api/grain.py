@@ -32,7 +32,10 @@ def walk_columns(array, terms: list[np.ndarray], cells: int, bag):
     geometry = array.geometry
     counts = np.zeros(cells, dtype=np.int64)
     shape = (array.n_measures, cells)
-    columns = {name: blank_column(name, np.dtype(array.dtype), shape) for name in FOLDS}
+    columns = {
+        name: blank_column(ufunc, np.dtype(array.dtype), shape)
+        for name, ufunc in FOLDS.items()
+    }
     tables = ComposedTables(geometry, terms, np.add)
     for chunk_no, offsets, values in array.walk(
         range(geometry.n_chunks), None, bag
@@ -155,7 +158,9 @@ class Grain:
         columns = {}
         for name, measures in wanted.items():
             held = self.columns[name]
-            columns[name] = blank_column(name, held.dtype, (len(measures), cells))
+            columns[name] = blank_column(
+                FOLDS[name], held.dtype, (len(measures), cells)
+            )
             for column, m in zip(columns[name], measures):
                 FOLDS[name].at(column, targets, held[m][picked])
         return counts, columns

@@ -754,7 +754,6 @@ class ApiEndpoint:
         return QueryPlan(
             cube=cube.cube,
             backend="rollup",
-            mode="interpreted",
             order="chunk",
             fingerprint=query_fingerprint(base, backend="rollup"),
             planner={

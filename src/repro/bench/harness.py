@@ -165,18 +165,16 @@ def run_cold(
     engine: OlapEngine,
     query: ConsolidationQuery,
     backend: str,
-    mode: str = "auto",
     order: str = "chunk",
 ) -> QueryResult:
     """Execute one cold-cache query (the paper's measurement protocol)."""
-    return engine.query(query, backend=backend, mode=mode, cold=True, order=order)
+    return engine.query(query, backend=backend, cold=True, order=order)
 
 
 def run_cold_traced(
     engine: OlapEngine,
     query: ConsolidationQuery,
     backend: str,
-    mode: str = "auto",
     order: str = "chunk",
 ) -> tuple[QueryResult, Span]:
     """:func:`run_cold` with a live tracer; returns ``(result, root span)``.
@@ -187,9 +185,7 @@ def run_cold_traced(
     """
     tracer = Tracer(registry=engine.db.metrics)
     with tracing(tracer):
-        result = engine.query(
-            query, backend=backend, mode=mode, cold=True, order=order
-        )
+        result = engine.query(query, backend=backend, cold=True, order=order)
     if len(tracer.roots) != 1:
         raise RuntimeError(
             f"expected exactly one root span, got {len(tracer.roots)}"
@@ -234,7 +230,6 @@ def run_warm(
     engine: OlapEngine,
     query: ConsolidationQuery,
     backend: str = "auto",
-    mode: str = "auto",
     repeats: int = 3,
 ) -> WarmReport:
     """One cold run, then ``repeats`` runs through a warm `QueryService`.
@@ -245,8 +240,8 @@ def run_warm(
     """
     from repro.serve import QueryService, ServiceConfig
 
-    cold = run_cold(engine, query, backend, mode)
-    opts = ExecutionOptions(backend=backend, mode=mode)
+    cold = run_cold(engine, query, backend)
+    opts = ExecutionOptions(backend=backend)
     warm: list[QueryResult] = []
     with QueryService(engine, ServiceConfig(max_workers=1)) as service:
         service.execute(query, opts)  # populate
@@ -297,7 +292,6 @@ def run_concurrent(
     n_threads: int = 8,
     rounds: int = 2,
     backend: str = "auto",
-    mode: str = "auto",
     service=None,
 ) -> ConcurrentReport:
     """``n_threads`` clients each issue every query ``rounds`` times.
@@ -327,7 +321,7 @@ def run_concurrent(
         scope = nullcontext(service)
     latencies: list[float] = []
     lock = threading.Lock()
-    opts = ExecutionOptions(backend=backend, mode=mode)
+    opts = ExecutionOptions(backend=backend)
 
     with scope as service:
 

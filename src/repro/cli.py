@@ -238,9 +238,7 @@ def cmd_trace(args) -> int:
     config = dataset1(settings.scale)[1]  # the x100 cube
     query = _TRACE_QUERIES[args.query](config)
     engine = build_cube_engine(config, settings, fact_btrees=True)
-    result, root = run_cold_traced(
-        engine, query, args.backend, mode=args.mode
-    )
+    result, root = run_cold_traced(engine, query, args.backend)
     print(render_span_tree(root))
     print(
         f"-- backend={result.backend} cost={result.cost_s:.3f}s "
@@ -270,7 +268,6 @@ def cmd_explain(args) -> int:
         query,
         ExecutionOptions(
             backend=args.backend,
-            mode=args.mode,
             order=args.order,
             shards=args.shards,
             executor=args.executor,
@@ -652,11 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--url", help="running endpoint base URL (with --id)"
     )
     trace.add_argument("--backend", default="array")
-    trace.add_argument(
-        "--mode",
-        default="auto",
-        choices=("auto", "interpreted", "vectorized"),
-    )
     trace.add_argument("--json", metavar="FILE", help="also write the trace as JSON")
     trace.add_argument(
         "--prom", metavar="FILE", help="also write Prometheus-style metrics"
@@ -671,11 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument("query", choices=sorted(_TRACE_QUERIES))
     explain.add_argument("--backend", default="auto")
-    explain.add_argument(
-        "--mode",
-        default="auto",
-        choices=("auto", "interpreted", "vectorized"),
-    )
     explain.add_argument("--order", default="chunk", choices=("chunk", "naive"))
     _add_shard_arguments(explain)
     explain.add_argument(

@@ -17,23 +17,24 @@ paper's in-memory result OLAP object); :func:`consolidate` can
 optionally materialize it back into a persisted
 :class:`~repro.core.olap_array.OLAPArray`.
 
-Two execution modes: ``interpreted`` runs the per-cell loop exactly as
-the pseudo-code reads (used for the figures so the relational baseline,
-also per-tuple Python, pays symmetric interpreter costs);
-``vectorized`` keeps the pass position-based end to end: a cell's
+One kernel runs the pass, position-based end to end: a cell's
 ``offsetInChunk`` is split once into a high and a low part and each
 part indexes a small per-chunk table that already holds the composed
 IndexToIndex × result-stride contributions of its dimensions, so no
 cell's coordinates are ever rebuilt (see
-:class:`~repro.core.chunking.ComposedTables`).
+:class:`~repro.core.chunking.ComposedTables`).  Every aggregate folds
+into numpy columns — ``var``/``stddev`` as their moment columns.  The
+loop exactly as the pseudo-code reads survives as
+:func:`scan_chunk_range`'s ``"interpreted"`` kernel: the reference the
+kernel is tested against, and abl6's comparison.
 
-Either way the chunks come from the one walk
-(:meth:`OLAPArray.walk <repro.core.olap_array.OLAPArray.walk>`): a mode
-is a per-chunk kernel, a pushed-down selection is the walk's masks, and
-a partition is the walk over a sub-range (:func:`scan_chunk_range`).
-Under a selection the ``vectorized`` kernel has two directions per
-chunk — probe the chunk's share of the cross product (§4.2) or mask its
-stored cells (§4.1) — and takes the cheaper (:func:`probe_is_cheaper`).
+The chunks come from the one walk
+(:meth:`OLAPArray.walk <repro.core.olap_array.OLAPArray.walk>`): a
+pushed-down selection is the walk's masks, and a partition is the walk
+over a sub-range (:func:`scan_chunk_range`).  Under a selection the
+kernel has two directions per chunk — probe the chunk's share of the
+cross product (§4.2) or mask its stored cells (§4.1) — and takes the
+cheaper (:func:`probe_is_cheaper`).
 """
 
 from __future__ import annotations
@@ -52,15 +53,45 @@ from repro.errors import QueryError
 from repro.obs.tracer import get_tracer
 from repro.util.stats import Counters
 
-#: how each vectorizable aggregate folds into its column; ``count`` has
-#: no column — the per-cell touch counts already are the answer
-_VECTOR_UFUNCS = {
-    "sum": np.add,
-    "avg": np.add,
-    "min": np.minimum,
-    "max": np.maximum,
-    "count": None,
+
+def _finish_cells(agg, counts, cells):
+    return cells[0]
+
+
+def _finish_counts(agg, counts, cells):
+    return counts
+
+
+def _finish_means(agg, counts, cells):
+    return [total / n for total, n in zip(cells[0], counts)]
+
+
+def _finish_moments(agg, counts, cells):
+    return [agg.result(state) for state in zip(counts, *cells)]
+
+
+#: ``var``/``stddev`` keep :class:`~repro.aggregates.Variance`'s state as
+#: float64 moment columns: the sum, then the sum of squares
+_MOMENTS = ((np.add, np.float64, None), (np.add, np.float64, np.square))
+
+#: per aggregate, the columns it folds into — each column's ufunc (it
+#: folds and merges with), its dtype (None: the measure's own, so int64
+#: folds are exact past 2**53) and what of the measure it folds (None:
+#: the measure) — and how :meth:`ResultAccumulator.rows` finishes the
+#: touched cells from their counts and column values.  ``count`` has no
+#: column: the per-cell touch counts already are the answer.
+_FOLDS = {
+    "sum": (((np.add, None, None),), _finish_cells),
+    "avg": (((np.add, None, None),), _finish_means),
+    "min": (((np.minimum, None, None),), _finish_cells),
+    "max": (((np.maximum, None, None),), _finish_cells),
+    "count": ((), _finish_counts),
+    "var": (_MOMENTS, _finish_moments),
+    "stddev": (_MOMENTS, _finish_moments),
 }
+
+#: the two per-chunk kernels :func:`scan_chunk_range` runs
+_KERNELS = ("vectorized", "interpreted")
 
 #: the dtype a materialized result stores each aggregate in (absent:
 #: the measure's own)
@@ -69,17 +100,17 @@ _RESULT_DTYPES = {
 }
 
 
-def blank_column(name: str, dtype: np.dtype, shape) -> np.ndarray:
-    """A column of aggregate ``name`` nothing has been folded into, in
-    the measure dtype (so int64 folds are exact past 2**53).  min/max
-    start at the dtype's extreme; whether a cell holds a real value is
-    decided by its touch count, never by comparing against the sentinel."""
+def blank_column(ufunc: np.ufunc, dtype: np.dtype, shape) -> np.ndarray:
+    """A column nothing has been folded into by ``ufunc``: zeros for
+    ``np.add``, the dtype's extreme for ``np.minimum``/``np.maximum``.
+    Whether a cell holds a real value is decided by its touch count,
+    never by comparing against the sentinel."""
     if dtype.kind == "f":
         lowest, highest = -np.inf, np.inf
     else:
         lowest, highest = np.iinfo(dtype).min, np.iinfo(dtype).max
-    fill = {"sum": 0, "avg": 0, "min": highest, "max": lowest}
-    return np.full(shape, fill[name], dtype=dtype)
+    fill = {np.add: 0, np.minimum: highest, np.maximum: lowest}[ufunc]
+    return np.full(shape, fill, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -160,6 +191,12 @@ class ResultAccumulator:
     IndexToIndex array.  Dropped dimensions contribute a size-1 axis and
     are omitted from output rows.  ``counters`` is billed the
     IndexToIndex loads the specs cause (default: the array's own bag).
+
+    The state is one contiguous array per quantity: the per-cell touch
+    counts, and per measure the columns its aggregate folds into
+    (``_FOLDS``).  It is allocated by the first fold or merge, so an
+    accumulator that is only resolved, or that receives a shipped
+    state, never holds a blank one.
     """
 
     def __init__(
@@ -189,60 +226,51 @@ class ResultAccumulator:
             )
         self.agg_names = names
         self.aggs = [get_aggregate(n) for n in names]
-        # interpreted state: one list of per-measure states per touched cell
-        self._states: dict[int, list] = {}
-        # vectorized state: per-cell touch counts plus one contiguous
-        # column per measure in the array's own dtype (None for count)
-        self._vec: list[np.ndarray | None] | None = None
-        self._vec_counts: np.ndarray | None = None
+        self._folds = [_FOLDS[agg.name] for agg in self.aggs]
+        self._counts: np.ndarray | None = None
+        self._columns: list[list[np.ndarray]] = []
         self._targets: ComposedTables | None = None
 
-    # -- interpreted path ----------------------------------------------------
+    def _allocate(self) -> None:
+        measure = np.dtype(self.array.dtype)
+        self._counts = np.zeros(self.total_cells, dtype=np.int64)
+        self._columns = [
+            [
+                blank_column(
+                    ufunc,
+                    measure if dtype is None else np.dtype(dtype),
+                    self.total_cells,
+                )
+                for ufunc, dtype, _ in columns
+            ]
+            for columns, _ in self._folds
+        ]
 
     def mapping_lists(self) -> list[list[int]]:
         """Per-dimension index→result-index lists as plain Python lists."""
         return [i.mapping.tolist() for i in self.i2is]
 
-    def add_one(self, linear: int, measures) -> None:
-        """Fold one cell's measures into result cell ``linear``."""
-        state = self._states.get(linear)
-        if state is None:
-            state = [agg.initial() for agg in self.aggs]
-            self._states[linear] = state
-        for m, agg in enumerate(self.aggs):
-            state[m] = agg.add(state[m], measures[m])
-
-    # -- vectorized path ---------------------------------------------------------
-
-    def _vec_init(self) -> None:
-        for name in self.agg_names:
-            if name not in _VECTOR_UFUNCS:
-                raise QueryError(
-                    f"aggregate {name!r} not supported in vectorized mode"
-                )
-        dtype = np.dtype(self.array.dtype)
-        self._vec_counts = np.zeros(self.total_cells, dtype=np.int64)
-        self._vec = [
-            None if name == "count" else blank_column(name, dtype, self.total_cells)
-            for name in self.agg_names
-        ]
-
     def add_many(self, linear: np.ndarray, values: np.ndarray) -> None:
-        """Fold many cells at once (vectorized mode).
+        """Fold many cells at once, in the order given.
 
-        ``values`` is the chunk's ``(count, p)`` matrix in the array's
-        dtype; ``linear`` holds each row's result cell.
+        ``values`` is a ``(count, p)`` matrix in the array's dtype;
+        ``linear`` holds each row's result cell.
         """
-        if self._vec is None:
-            self._vec_init()
-        np.add.at(self._vec_counts, linear, 1)
-        for m, (name, column) in enumerate(zip(self.agg_names, self._vec)):
-            if column is not None:
-                # a decoded chunk's values are a view at an odd byte offset
-                # of its payload; ufunc.at only takes its fast path on
-                # aligned operands
-                measures = np.require(values[:, m], requirements="A")
-                _VECTOR_UFUNCS[name].at(column, linear, measures)
+        if self._counts is None:
+            self._allocate()
+        np.add.at(self._counts, linear, 1)
+        for m, ((folds, _), columns) in enumerate(
+            zip(self._folds, self._columns)
+        ):
+            if not columns:
+                continue
+            # a decoded chunk's values are a view at an odd byte offset
+            # of its payload; ufunc.at only takes its fast path on
+            # aligned operands
+            measures = np.require(values[:, m], requirements="A")
+            for (ufunc, _, of), column in zip(folds, columns):
+                operand = measures.astype(column.dtype, copy=False)
+                ufunc.at(column, linear, operand if of is None else of(operand))
 
     def target_terms(self) -> list[np.ndarray]:
         """Per dimension, each index's contribution to the result cell:
@@ -255,9 +283,9 @@ class ResultAccumulator:
     def add_chunk(self, origin, sub_offsets, values: np.ndarray) -> None:
         """Fold one chunk's cells, addressed by their split offsets.
 
-        The vectorized kernel: each cell's result cell is gathered from
-        the composed IndexToIndex × result-stride tables, never from
-        rebuilt coordinates.
+        The kernel: each cell's result cell is gathered from the
+        composed IndexToIndex × result-stride tables, never from rebuilt
+        coordinates.
         """
         if self._targets is None:
             self._targets = ComposedTables(
@@ -280,60 +308,52 @@ class ResultAccumulator:
         ]
 
     def rows(self) -> list[tuple]:
-        """Sorted output rows: ``(group values..., aggregates...)``."""
-        out: list[tuple] = []
-        if self._vec is not None:
-            touched = np.flatnonzero(self._vec_counts)
-            counts = self._vec_counts[touched].tolist()
-            columns = []
-            for name, column in zip(self.agg_names, self._vec):
-                if column is None:
-                    columns.append(counts)
-                    continue
-                cells = column[touched].tolist()
-                if name == "avg":  # Python numbers: the interpreted division
-                    cells = [total / n for total, n in zip(cells, counts)]
-                columns.append(cells)
-            out.extend(zip(*self._group_columns(touched), *columns))
-        if self._states:
-            results = [
-                [agg.result(state[m]) for state in self._states.values()]
-                for m, agg in enumerate(self.aggs)
-            ]
-            out.extend(zip(*self._group_columns(list(self._states)), *results))
+        """Sorted output rows: ``(group values..., aggregates...)``.
+
+        Aggregates finish on Python numbers: ``avg`` divides its sum by
+        the count, and ``var``/``stddev`` hand each cell's ``(count,
+        sum, squares)`` to their own :meth:`~repro.aggregates.Aggregate.
+        result`.
+        """
+        if self._counts is None:
+            return []
+        touched = np.flatnonzero(self._counts)
+        counts = self._counts[touched].tolist()
+        results = [
+            finish(agg, counts, [column[touched].tolist() for column in columns])
+            for agg, (_, finish), columns in zip(
+                self.aggs, self._folds, self._columns
+            )
+        ]
+        out = list(zip(*self._group_columns(touched), *results))
         out.sort()
         return out
 
     def touched_cells(self) -> int:
         """Number of distinct result cells that received input."""
-        if self._vec is not None:
-            return int(np.count_nonzero(self._vec_counts))
-        return len(self._states)
+        if self._counts is None:
+            return 0
+        return int(np.count_nonzero(self._counts))
 
     # -- shard transport (the repro.shard scatter-gather hook) -------------------
 
     def export_state(self) -> dict:
         """The accumulator's aggregate state as a picklable payload.
 
-        Every interpreted aggregate state is a plain Python scalar or
-        tuple and the vectorized state is the touch counts plus a list
-        of native-dtype columns, so the payload crosses a process
-        boundary losslessly.  The structural parts (array, specs,
-        strides) are *not* included — the receiver rebuilds an
-        accumulator against its own array handle and calls
-        :meth:`import_state`.
+        The touch counts and every measure's columns are plain numpy
+        arrays, so the payload crosses a process boundary losslessly.
+        The structural parts (array, specs, strides) are *not* included
+        — the receiver rebuilds an accumulator against its own array
+        handle and calls :meth:`import_state`.
         """
-        return {
-            "states": {int(k): list(v) for k, v in self._states.items()},
-            "vec": self._vec,
-            "vec_counts": self._vec_counts,
-        }
+        if self._counts is None:
+            self._allocate()
+        return {"counts": self._counts, "columns": self._columns}
 
     def import_state(self, payload: dict) -> "ResultAccumulator":
         """Restore a payload produced by :meth:`export_state`."""
-        self._states = {int(k): list(v) for k, v in payload["states"].items()}
-        self._vec = payload["vec"]
-        self._vec_counts = payload["vec_counts"]
+        self._counts = payload["counts"]
+        self._columns = payload["columns"]
         return self
 
     # -- partition merging (the §6 parallelization hook) ------------------------
@@ -342,26 +362,21 @@ class ResultAccumulator:
         """Fold another accumulator (same specs/aggregates) into this one.
 
         This is the combine step of a partitioned consolidation: each
-        partition aggregates its chunk range independently, then the
-        states merge exactly (every aggregate carries a mergeable
-        sketch).
+        partition aggregates its chunk range independently, then every
+        column merges with the ufunc it folds with.
         """
         if other.result_shape != self.result_shape or other.agg_names != self.agg_names:
             raise QueryError("cannot merge accumulators with different specs")
-        for linear, state in other._states.items():
-            mine = self._states.get(linear)
-            if mine is None:
-                self._states[linear] = list(state)
-            else:
-                for m, agg in enumerate(self.aggs):
-                    mine[m] = agg.merge(mine[m], state[m])
-        if other._vec is not None:
-            if self._vec is None:
-                self._vec_init()
-            self._vec_counts += other._vec_counts
-            for name, mine, theirs in zip(self.agg_names, self._vec, other._vec):
-                if mine is not None:
-                    _VECTOR_UFUNCS[name](mine, theirs, out=mine)
+        if other._counts is None:
+            return
+        if self._counts is None:
+            self._allocate()
+        self._counts += other._counts
+        for (folds, _), mine, theirs in zip(
+            self._folds, self._columns, other._columns
+        ):
+            for (ufunc, _, _), column, other_column in zip(folds, mine, theirs):
+                ufunc(column, other_column, out=column)
 
 
 def allowed_masks(
@@ -378,7 +393,8 @@ def allowed_masks(
 
 
 def _scan_interpreted(array, accumulator, cells) -> int:
-    """The per-cell kernel, exactly as the §4.1 pseudo-code reads."""
+    """The per-cell address loop, exactly as the §4.1 pseudo-code reads;
+    each chunk's cells then fold through one ``add_many``."""
     geometry = array.geometry
     maps = accumulator.mapping_lists()
     strides = accumulator.result_strides
@@ -388,14 +404,15 @@ def _scan_interpreted(array, accumulator, cells) -> int:
     scanned = 0
     for chunk_no, offsets, values in cells:
         origin = geometry.chunk_origin(chunk_no)
-        value_rows = values.tolist()
-        for j, offset in enumerate(offsets.tolist()):
-            linear = 0
+        linear = []
+        for offset in offsets.tolist():
+            cell = 0
             for d in range(ndim):
                 index = origin[d] + (offset // cell_strides[d]) % chunk_shape[d]
-                linear += maps[d][index] * strides[d]
-            accumulator.add_one(linear, value_rows[j])
-        scanned += len(value_rows)
+                cell += maps[d][index] * strides[d]
+            linear.append(cell)
+        accumulator.add_many(np.array(linear, dtype=np.int64), values)
+        scanned += len(linear)
     return scanned
 
 
@@ -413,7 +430,7 @@ def _scan_vectorized(array, accumulator, cells) -> int:
     return scanned
 
 
-# -- the vectorized selection kernel (§4.2 over the §4.1 walk) -----------------
+# -- the selection kernel (§4.2 over the §4.1 walk) ----------------------------
 
 #: The direction rule's one constant: how many binary-search steps a probe
 #: may spend per stored cell before masking every stored cell is cheaper.
@@ -492,8 +509,8 @@ def _filter_chunk(accumulator, selected, origin, offsets, values) -> int:
 
 
 def _select_vectorized(array, accumulator, chunk_range, masks, counters) -> int:
-    """The one vectorized selection kernel: each chunk the walk yields is
-    probed or filtered, whichever :func:`probe_is_cheaper` says.
+    """The one selection kernel: each chunk the walk yields is probed or
+    filtered, whichever :func:`probe_is_cheaper` says.
 
     Both directions fold the same cells in ascending offset order, so
     the result — float sums included — does not depend on the choice.
@@ -529,16 +546,14 @@ def estimate_chunk_range(
     masks: list[np.ndarray] | None = None,
     counters: Counters | None = None,
 ) -> dict[str, int]:
-    """What a vectorized :func:`scan_chunk_range` over ``chunk_range``
-    will bill, read off the chunk meta directory alone.
+    """What :func:`scan_chunk_range` over ``chunk_range`` will bill,
+    read off the chunk meta directory alone.
 
     The chunk keys are exact cold (the walk prunes by the same grid
     overlap and skips the same empty entries); ``cells_probed`` applies
     :func:`probe_is_cheaper` to each chunk's stored-cell count as the
     kernel will; ``cells_scanned`` scales it by the selected share of
     the chunk's index box, exact only for uniformly spread cells.
-    ``candidates`` is the walked chunks' share of the cross product —
-    what a scan that always probes (interpreted §4.2) searches.
     ``counters`` is billed the directory load this may cause.
     """
     entries = array._entries(counters)
@@ -550,7 +565,6 @@ def estimate_chunk_range(
         "chunks_read": 0,
         "chunk_bytes_read": 0,
         "cells_probed": 0,
-        "candidates": 0,
     }
     if masks is not None:
         slab_counts = [
@@ -572,7 +586,6 @@ def estimate_chunk_range(
             slab_counts[d][g]
             for d, g in enumerate(geometry.chunk_coords(chunk_no))
         )
-        estimate["candidates"] += candidates
         if probe_is_cheaper(candidates, stored):
             estimate["cells_probed"] += candidates
         scanned += stored * candidates / geometry.valid_cells_in_chunk(chunk_no)
@@ -584,7 +597,7 @@ def scan_chunk_range(
     array: OLAPArray,
     accumulator: ResultAccumulator,
     chunk_range,
-    mode: str,
+    kernel: str = "vectorized",
     allowed: list[list[int]] | None = None,
     counters: Counters | None = None,
 ) -> int:
@@ -595,25 +608,35 @@ def scan_chunk_range(
     with :meth:`ResultAccumulator.merge_from`.  Returns the number of
     valid cells folded in.
 
+    ``kernel`` is ``"vectorized"``, the composed-table kernel every
+    query runs, or ``"interpreted"``, the per-cell address loop exactly
+    as the pseudo-code reads — the reference the first is tested
+    against.  Both fold each chunk's cells in offset order, so they
+    leave the same state.
+
     ``allowed`` (per-dimension sorted index lists, the §4.2 "final
     lists") pushes a selection into the scan: chunks whose index box
     misses the selection are skipped without a read, and inside the
-    surviving chunks only the selected cells are folded — in
-    ``vectorized`` mode by the selection kernel, which probes or filters
-    each chunk, whichever is cheaper.  ``counters`` is billed everything
-    the scan spends — the walk's chunk keys, ``cells_scanned`` (stored
-    cells folded into the result) and ``cells_probed`` (cross-product
-    elements binary-searched; default: the array's own bag).
+    surviving chunks only the selected cells are folded — by the
+    selection kernel, which probes or filters each chunk, whichever is
+    cheaper.  ``counters`` is billed everything the scan spends — the
+    walk's chunk keys, ``cells_scanned`` (stored cells folded into the
+    result) and ``cells_probed`` (cross-product elements binary-searched;
+    default: the array's own bag).
     """
+    if kernel not in _KERNELS:
+        raise QueryError(
+            f"unknown kernel {kernel!r}; expected one of {_KERNELS}"
+        )
     counters = array.counters if counters is None else counters
     masks = allowed_masks(array, allowed) if allowed is not None else None
-    if masks is not None and mode != "interpreted":
+    if masks is not None and kernel == "vectorized":
         scanned = _select_vectorized(
             array, accumulator, chunk_range, masks, counters
         )
     else:
-        kernel = _scan_interpreted if mode == "interpreted" else _scan_vectorized
-        scanned = kernel(
+        scan = _scan_interpreted if kernel == "interpreted" else _scan_vectorized
+        scanned = scan(
             array,
             accumulator,
             array.selected_cells(chunk_range, masks, counters),
@@ -626,30 +649,23 @@ def consolidate(
     array: OLAPArray,
     specs: list[ConsolidationSpec],
     aggregate: str | list[str] = "sum",
-    mode: str = "interpreted",
     counters: Counters | None = None,
     materialize_as: str | None = None,
 ) -> ConsolidationResult:
     """Run the §4.1 consolidation over a whole array.
 
-    ``mode`` is ``interpreted`` (faithful per-cell loop) or
-    ``vectorized`` (numpy kernels).  With ``materialize_as`` the result
-    is also persisted as a new OLAP array of that name.
+    With ``materialize_as`` the result is also persisted as a new OLAP
+    array of that name.
     """
-    if mode not in ("interpreted", "vectorized"):
-        raise QueryError(f"unknown mode {mode!r}")
     counters = counters if counters is not None else Counters()
     tracer = get_tracer()
     with tracer.span("resolve_mappings"):
         accumulator = ResultAccumulator(array, specs, aggregate, counters)
-    with tracer.span(
-        "scan_chunks", mode=mode, chunks=array.geometry.n_chunks
-    ):
+    with tracer.span("scan_chunks", chunks=array.geometry.n_chunks):
         scan_chunk_range(
             array,
             accumulator,
             range(array.geometry.n_chunks),
-            mode,
             counters=counters,
         )
     counters.add("result_cells", accumulator.touched_cells())

@@ -23,13 +23,11 @@ With the paper's three optimizations:
 
 Optimization 1 is the one chunk walk every array operator shares
 (:meth:`OLAPArray.walk <repro.core.olap_array.OLAPArray.walk>`, its
-masks the final lists); the probe is a per-chunk kernel over it.
-``interpreted`` mode runs the loop above as written, one ``bisect`` per
-element.  ``vectorized`` mode hands the final lists to
-:func:`~repro.core.consolidate.scan_chunk_range` — the same call a shard
-task makes — whose selection kernel probes a chunk's elements in one
-``searchsorted`` when they are few against its stored cells, and masks
-the stored cells instead when they are not.
+masks the final lists); the probe is a per-chunk kernel over it.  The
+final lists go to :func:`~repro.core.consolidate.scan_chunk_range` —
+the same call a shard task makes — whose selection kernel probes a
+chunk's elements in one ``searchsorted`` when they are few against its
+stored cells, and masks the stored cells instead when they are not.
 
 ``order="naive"`` disables optimization 1/3 (the ablation ``abl5``):
 elements stream in global index order and every element re-derives and
@@ -39,7 +37,6 @@ re-reads its chunk through the buffer pool.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +45,7 @@ from repro.core.consolidate import (
     ConsolidationResult,
     ConsolidationSpec,
     ResultAccumulator,
-    allowed_masks,
     scan_chunk_range,
-    selection_slabs,
 )
 from repro.core.olap_array import OLAPArray
 from repro.errors import DimensionError, QueryError
@@ -144,13 +139,10 @@ def consolidate_with_selection(
     specs: list[ConsolidationSpec],
     selections: list[Selection],
     aggregate: str | list[str] = "sum",
-    mode: str = "interpreted",
     order: str = "chunk",
     counters: Counters | None = None,
 ) -> ConsolidationResult:
     """Run the §4.2 algorithm; returns sorted rows like :func:`consolidate`."""
-    if mode not in ("interpreted", "vectorized"):
-        raise QueryError(f"unknown mode {mode!r}")
     if order not in ("chunk", "naive"):
         raise QueryError(f"unknown order {order!r}")
     counters = counters if counters is not None else Counters()
@@ -159,17 +151,14 @@ def consolidate_with_selection(
         accumulator = ResultAccumulator(array, specs, aggregate, counters)
     with tracer.span("btree_dimension_lookup", selections=len(selections)):
         final_lists = _final_index_lists(array, selections, counters)
-    with tracer.span("probe_chunks", mode=mode, order=order):
+    with tracer.span("probe_chunks", order=order):
         if order == "naive":
             _enumerate_naive(array, accumulator, final_lists, counters)
-        elif mode == "interpreted":
-            _probe_chunks(array, accumulator, final_lists, counters)
         else:
             scan_chunk_range(
                 array,
                 accumulator,
                 range(array.geometry.n_chunks),
-                mode,
                 allowed=final_lists,
                 counters=counters,
             )
@@ -179,70 +168,30 @@ def consolidate_with_selection(
     return ConsolidationResult(rows=rows, counters=counters)
 
 
-def _probe_chunks(
-    array: OLAPArray,
-    accumulator: ResultAccumulator,
-    final_lists: list[list[int]],
-    counters: Counters,
-) -> None:
-    """Probe the cross product chunk by chunk, in chunk-number order."""
-    geometry = array.geometry
-    masks = allowed_masks(array, final_lists)
-    slabs = selection_slabs(geometry, masks, accumulator.target_terms())
-    for chunk_no, offsets, values in array.walk(
-        range(geometry.n_chunks), masks, counters
-    ):
-        parts = [
-            slabs[d][g] for d, g in enumerate(geometry.chunk_coords(chunk_no))
-        ]
-        _probe_interpreted(accumulator, parts, offsets, values, counters)
-
-
-def _probe_interpreted(accumulator, parts, offsets, values, counters) -> None:
-    """One binary search per cross-product element, as the paper reads."""
-    offset_list = offsets.tolist()
-    value_rows = values.tolist()
-    contribs = [
-        list(zip(offset_part.tolist(), result_part.tolist()))
-        for offset_part, result_part in parts
-    ]
-    ndim = len(contribs)
-
-    def recurse(axis: int, offset_base: int, result_base: int) -> None:
-        if axis == ndim:
-            counters.add("cells_probed")
-            position = bisect_left(offset_list, offset_base)
-            if (
-                position < len(offset_list)
-                and offset_list[position] == offset_base
-            ):
-                accumulator.add_one(result_base, value_rows[position])
-            return
-        for off_c, res_c in contribs[axis]:
-            recurse(axis + 1, offset_base + off_c, result_base + res_c)
-
-    recurse(0, 0, 0)
-
-
 def _enumerate_naive(
     array: OLAPArray,
     accumulator: ResultAccumulator,
     final_lists: list[list[int]],
     counters: Counters,
 ) -> None:
-    """The un-optimized order: global index order, chunk recomputed per cell."""
+    """The un-optimized order: global index order, chunk recomputed per
+    cell; the hits fold in that order once every element is probed."""
     geometry = array.geometry
     ndim = geometry.ndim
     maps = accumulator.mapping_lists()
     result_strides = accumulator.result_strides
-
+    linear, hits = [], []
     for coords in itertools.product(*final_lists):
         counters.add("cells_probed")
         chunk_no, offset = geometry.locate(coords)
         offsets, values = array.read_chunk(chunk_no, counters)
         position = int(np.searchsorted(offsets, offset))
         if position < len(offsets) and offsets[position] == offset:
-            linear = sum(
-                maps[d][coords[d]] * result_strides[d] for d in range(ndim)
+            linear.append(
+                sum(maps[d][coords[d]] * result_strides[d] for d in range(ndim))
             )
-            accumulator.add_one(linear, values[position].tolist())
+            hits.append(values[position].tolist())
+    if hits:
+        accumulator.add_many(
+            np.array(linear, dtype=np.int64), np.array(hits, dtype=array.dtype)
+        )

@@ -152,7 +152,6 @@ class QueryPlan:
 
     cube: str
     backend: str
-    mode: str
     order: str
     fingerprint: str
     planner: dict
@@ -177,7 +176,6 @@ class QueryPlan:
         payload: dict = {
             "cube": self.cube,
             "backend": self.backend,
-            "mode": self.mode,
             "order": self.order,
             "fingerprint": self.fingerprint,
             "analyzed": self.analyzed,
@@ -203,7 +201,6 @@ class QueryPlan:
         plan = cls(
             cube=payload["cube"],
             backend=payload["backend"],
-            mode=payload["mode"],
             order=payload["order"],
             fingerprint=payload["fingerprint"],
             planner=dict(payload.get("planner", {})),
@@ -272,7 +269,7 @@ def render_plan(plan: QueryPlan) -> str:
     verb = "EXPLAIN ANALYZE" if plan.analyzed else "EXPLAIN"
     lines = [
         f"{verb}  cube={plan.cube} backend={plan.backend} "
-        f"mode={plan.mode} order={plan.order}",
+        f"order={plan.order}",
         "planner: "
         + " ".join(
             f"{k}={v}"

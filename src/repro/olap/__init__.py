@@ -10,7 +10,7 @@ backend, or lets the :mod:`~repro.olap.planner` choose.
 """
 
 from repro.olap.model import CubeSchema, DimensionDef, MeasureDef
-from repro.olap.options import ExecutionOptions, resolve_mode
+from repro.olap.options import ExecutionOptions
 from repro.olap.query import ConsolidationQuery, SelectionPredicate
 from repro.olap.backends import (
     Backend,
@@ -29,7 +29,6 @@ __all__ = [
     "DimensionDef",
     "MeasureDef",
     "ExecutionOptions",
-    "resolve_mode",
     "ConsolidationQuery",
     "SelectionPredicate",
     "Backend",

@@ -8,7 +8,7 @@ with one uniform surface:
 - :class:`Backend` — ``execute(ctx, query) -> QueryResult`` plus an
   ``available(state)`` capability check;
 - :class:`BackendContext` — everything an execution needs (the engine,
-  the loaded cube state, the query's counter bag, mode/order knobs);
+  the loaded cube state, the query's counter bag, order/shard knobs);
 - a module-private **registry** of the six built-ins
   (``array``/``starjoin``/``bitmap``/``btree``/``mbtree``/``leftdeep``),
   through which the engine resolves backend names (:func:`get_backend`).
@@ -68,7 +68,6 @@ class BackendContext:
     engine: "OlapEngine"
     state: "_CubeState"
     counters: Counters
-    mode: str = "interpreted"
     order: str = "chunk"
     #: chunk-range shards for the array consolidation (1 = single scan)
     shards: int = 1
@@ -96,9 +95,7 @@ class BackendContext:
             f"engine.phase.{name}_seconds", time.perf_counter() - start
         )
 
-    def result(
-        self, rows: list[tuple], backend: str, mode: str = "interpreted"
-    ) -> "QueryResult":
+    def result(self, rows: list[tuple], backend: str) -> "QueryResult":
         """Wrap rows into a :class:`QueryResult` shell.
 
         Timing, simulated I/O and the merged stats snapshot are stamped
@@ -108,7 +105,7 @@ class BackendContext:
         from repro.olap.engine import QueryResult
 
         return QueryResult(
-            rows=rows, backend=backend, mode=mode, elapsed_s=0.0, sim_io_s=0.0
+            rows=rows, backend=backend, elapsed_s=0.0, sim_io_s=0.0
         )
 
 
@@ -269,7 +266,6 @@ class ArrayBackend(Backend):
                 "shard_consolidate",
                 shards=ctx.shards,
                 executor=ctx.executor,
-                mode=ctx.mode,
             ):
                 result = engine.shard_coordinator.consolidate(
                     ctx,
@@ -281,29 +277,27 @@ class ArrayBackend(Backend):
                     state,
                 )
         elif selections:
-            with ctx.phase("consolidate_with_selection", mode=ctx.mode):
+            with ctx.phase("consolidate_with_selection"):
                 result = consolidate_with_selection(
                     array,
                     specs,
                     selections,
                     aggregate=query.aggregate,
-                    mode=ctx.mode,
                     order=ctx.order,
                     counters=ctx.counters,
                 )
         else:
-            with ctx.phase("consolidate", mode=ctx.mode):
+            with ctx.phase("consolidate"):
                 result = consolidate(
                     array,
                     specs,
                     aggregate=query.aggregate,
-                    mode=ctx.mode,
                     counters=ctx.counters,
                 )
         with ctx.phase("project_rows"):
             rows = engine._project_measures(state, query, result.rows)
             rows = engine._reorder_array_rows(state, query, rows)
-        return ctx.result(rows, self.name, mode=ctx.mode)
+        return ctx.result(rows, self.name)
 
     def explain(self, ctx, query):
         engine, state = ctx.engine, ctx.state
@@ -323,7 +317,7 @@ class ArrayBackend(Backend):
         root = PlanNode(
             "array.query",
             span="query",
-            detail={"cube": query.cube, "mode": ctx.mode, "order": ctx.order},
+            detail={"cube": query.cube, "order": ctx.order},
         )
         if ctx.shards > 1:
             return self._explain_sharded(
@@ -363,11 +357,6 @@ class ArrayBackend(Backend):
                         array, _selection_index_lists(array, schema, key_sets)
                     ),
                 )
-                candidates = probe_estimates.pop("candidates")
-                if ctx.mode == "interpreted":
-                    # the paper's loop probes every element and folds hits
-                    probe_estimates["cells_probed"] = candidates
-                    del probe_estimates["cells_scanned"]
             probe_estimates["dir_loads"] = 1
             body = root.add(
                 PlanNode(
@@ -405,7 +394,7 @@ class ArrayBackend(Backend):
                 PlanNode(
                     "array.probe_chunks",
                     span="probe_chunks",
-                    detail={"mode": ctx.mode, "order": ctx.order},
+                    detail={"order": ctx.order},
                     estimates=probe_estimates,
                 )
             )
@@ -415,7 +404,6 @@ class ArrayBackend(Backend):
                 PlanNode(
                     "array.consolidate",
                     span="consolidate",
-                    detail={"mode": ctx.mode},
                     estimates={"result_cells": groups},
                 )
             )
@@ -430,7 +418,7 @@ class ArrayBackend(Backend):
                 PlanNode(
                     "array.scan_chunks",
                     span="scan_chunks",
-                    detail={"n_chunks": n_chunks, "mode": ctx.mode},
+                    detail={"n_chunks": n_chunks},
                     estimates={
                         "chunks_read": stored["chunks_read"],
                         "cells_scanned": stored["cells_scanned"],
@@ -486,8 +474,7 @@ class ArrayBackend(Backend):
                 "chunks_read": priced.est_chunks,
                 "cells_scanned": priced.est_cells,
             }
-            if allowed is not None and ctx.mode == "vectorized":
-                # only the vectorized selection kernel ever probes
+            if allowed is not None:  # only a selection ever probes
                 estimates["cells_probed"] = priced.est_probed
             return estimates
 
@@ -498,7 +485,6 @@ class ArrayBackend(Backend):
                 detail={
                     "shards": plan.shards,
                     "executor": plan.executor,
-                    "mode": ctx.mode,
                 },
                 estimates={"result_cells": groups},
             )

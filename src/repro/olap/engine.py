@@ -38,7 +38,7 @@ from repro.obs.tracing import TraceContext, current_trace_context
 from repro.olap import backends as backend_registry
 from repro.olap.backends import BackendContext
 from repro.olap.model import CubeSchema
-from repro.olap.options import ExecutionOptions, coerce_options, resolve_mode
+from repro.olap.options import ExecutionOptions, coerce_options
 from repro.olap.planner import (
     DEFAULT_CROSSOVER_SELECTIVITY,
     PlannerInputs,
@@ -67,7 +67,6 @@ class QueryResult:
 
     rows: list[tuple]
     backend: str
-    mode: str
     elapsed_s: float
     sim_io_s: float
     stats: dict[str, float] = field(default_factory=dict)
@@ -425,23 +424,17 @@ class OlapEngine:
 
         Precedence: explicit ``options`` > options attached to the query
         (``ConsolidationQuery.options``) > defaults.  The removed
-        per-keyword form (``backend=``, ``mode=``, ``executor=``,
-        ``shards=``, ...) raises :class:`TypeError`.
+        per-keyword form (``backend=``, ``executor=``, ``shards=``,
+        ...) raises :class:`TypeError`.
         """
         if options is None and query.options is not None:
             options = query.options
         opts = coerce_options(options, legacy, "OlapEngine.run")
         return self.query(
             query,
-            backend=opts.backend,
-            mode=opts.mode,
             cold=cold,
-            order=opts.order,
             crossover_selectivity=crossover_selectivity,
-            shards=opts.shards,
-            executor=opts.executor,
-            allow_partial=opts.allow_partial,
-            trace=opts.trace,
+            **vars(opts),
         )
 
     def query(
@@ -459,6 +452,9 @@ class OlapEngine:
     ) -> QueryResult:
         """Execute a consolidation query.
 
+        The execution keywords are :class:`ExecutionOptions`' fields,
+        checked by building one; ``mode`` predates the one array kernel
+        and accepts only ``"auto"``.
         With ``cold=True`` (the paper's methodology) the buffer pool is
         flushed before the measured run.  ``result.stats`` is what every
         registered counter source moved by while the query ran (the
@@ -467,10 +463,23 @@ class OlapEngine:
         ``shards > 1`` scatters the array consolidation over chunk-range
         shards on the given ``executor`` (see :mod:`repro.shard`).
         """
+        if mode != "auto":
+            raise QueryError(
+                f"unknown mode {mode!r}: the array runs one kernel, so "
+                "only 'auto' is accepted"
+            )
+        opts = ExecutionOptions(
+            backend=backend,
+            executor=executor,
+            shards=shards,
+            order=order,
+            allow_partial=allow_partial,
+            trace=trace,
+        )
         state = self.cube(query.cube)
         query.validate(state.schema)
-        backend, impl, planner_reason, result_mode = self._resolve_backend(
-            state, query, backend, mode, crossover_selectivity
+        backend, impl, planner_reason = self._resolve_backend(
+            state, query, opts.backend, crossover_selectivity
         )
         if cold:
             if state.array is not None:
@@ -487,11 +496,10 @@ class OlapEngine:
             engine=self,
             state=state,
             counters=counters,
-            mode=result_mode,
-            order=order,
-            shards=shards,
-            executor=executor,
-            allow_partial=allow_partial,
+            order=opts.order,
+            shards=opts.shards,
+            executor=opts.executor,
+            allow_partial=opts.allow_partial,
             trace=trace,
         )
         with metrics.scoped("query", counters):
@@ -499,10 +507,9 @@ class OlapEngine:
                 "query",
                 cube=query.cube,
                 backend=backend,
-                mode=result_mode,
                 planner_reason=planner_reason,
-                shards=shards,
-                executor=executor,
+                shards=opts.shards,
+                executor=opts.executor,
                 **({"trace_id": trace.trace_id} if trace is not None else {}),
             ):
                 with self.db.locks.locked(
@@ -523,14 +530,13 @@ class OlapEngine:
         state: _CubeState,
         query: ConsolidationQuery,
         backend: str,
-        mode: str,
         crossover_selectivity: float,
         selectivity: float | None = None,
-    ) -> tuple[str, backend_registry.Backend, str, str]:
-        """The planner call, availability check and mode resolution that
-        :meth:`query` and :meth:`explain` share.
+    ) -> tuple[str, backend_registry.Backend, str]:
+        """The planner call and availability check that :meth:`query`
+        and :meth:`explain` share.
 
-        Returns ``(backend, implementation, planner reason, mode)``.
+        Returns ``(backend, implementation, planner reason)``.
         The selectivity is estimated only when the planner runs and the
         caller has not already done so.
         """
@@ -559,13 +565,7 @@ class OlapEngine:
                 f"backend {backend!r} not available for cube "
                 f"{query.cube!r}; built: {sorted(available)}"
             )
-        resolved = resolve_mode(mode, query.aggregate, backend)
-        return (
-            backend,
-            impl,
-            planner_reason,
-            resolved if backend == "array" else "interpreted",
-        )
+        return backend, impl, planner_reason
 
     # -- EXPLAIN / EXPLAIN ANALYZE -------------------------------------------------
 
@@ -610,11 +610,10 @@ class OlapEngine:
         estimated_selectivity = (
             self.estimate_selectivity(query) if query.selections else 1.0
         )
-        backend, impl, planner_reason, mode = self._resolve_backend(
+        backend, impl, planner_reason = self._resolve_backend(
             state,
             query,
             requested,
-            opts.mode,
             crossover_selectivity,
             estimated_selectivity,
         )
@@ -622,7 +621,6 @@ class OlapEngine:
             engine=self,
             state=state,
             counters=Counters(),
-            mode=mode,
             order=opts.order,
             shards=opts.shards,
             executor=opts.executor,
@@ -631,12 +629,10 @@ class OlapEngine:
         plan = QueryPlan(
             cube=query.cube,
             backend=backend,
-            mode=mode,
             order=opts.order,
             fingerprint=query_fingerprint(
                 query,
                 backend=requested,
-                mode=opts.mode,
                 order=opts.order,
                 shards=opts.shards,
                 executor=opts.executor,
@@ -658,7 +654,6 @@ class OlapEngine:
             result = self.query(
                 query,
                 backend=backend,
-                mode=opts.mode,
                 cold=cold,
                 order=opts.order,
                 crossover_selectivity=crossover_selectivity,

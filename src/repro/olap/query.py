@@ -96,7 +96,7 @@ class ConsolidationQuery:
     selections: tuple[SelectionPredicate, ...] = ()
     aggregate: str = "sum"
     measures: tuple[str, ...] | None = None  # None = all cube measures
-    #: how to execute (backend/mode/executor/shards); None = engine
+    #: how to execute (backend/executor/shards); None = engine
     #: defaults.  Excluded from equality — options describe *how* a
     #: query runs, not *what* it asks, and fingerprints track the how.
     options: ExecutionOptions | None = field(default=None, compare=False)
@@ -218,8 +218,8 @@ class QueryBuilder:
         self._options = options
 
     def options(self, **knobs) -> "QueryBuilder":
-        """Attach execution knobs (``backend=``, ``mode=``, ``executor=``,
-        ``shards=``, ``order=``, ``allow_partial=``) to the built query."""
+        """Attach execution knobs (``backend=``, ``executor=``, ``shards=``,
+        ``order=``, ``allow_partial=``) to the built query."""
         base = self._options if self._options is not None else ExecutionOptions()
         self._options = base.merged_with(**knobs)
         return self

@@ -5,23 +5,17 @@ return identical rows get identical fingerprints: selections are ANDed,
 so their order is canonicalized away, as is the order of values inside
 an IN-list.  Everything that *does* change the answer — the group-by
 order (it fixes the output column order), the aggregate, the measure
-projection, the backend, the execution mode and the scan order — stays
-significant.
+projection, the backend and the scan order — stays significant.
 
-``mode`` is canonicalized through :func:`repro.olap.options.
-resolve_mode` before hashing, so ``mode="auto"`` fingerprints equal the
-concrete mode it resolves to and cached results never alias across
-modes.  The shard plan (``shards``/``executor``) joins the fingerprint
-only when ``shards > 1`` — single-shard fingerprints are bit-identical
-to the pre-sharding release, keeping warm caches valid across the
-upgrade.
+The shard plan (``shards``/``executor``) joins the fingerprint only
+when ``shards > 1``, so sharded and unsharded runs of one query never
+alias.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from repro.olap.options import resolve_mode
 from repro.olap.query import ConsolidationQuery, SelectionPredicate
 
 
@@ -36,7 +30,6 @@ def _selection_token(sel: SelectionPredicate) -> str:
 def query_fingerprint(
     query: ConsolidationQuery,
     backend: str = "auto",
-    mode: str = "auto",
     order: str = "chunk",
     shards: int = 1,
     executor: str = "local",
@@ -45,7 +38,6 @@ def query_fingerprint(
     parts = [
         f"cube={query.cube}",
         f"backend={backend}",
-        f"mode={resolve_mode(mode, query.aggregate, backend)}",
         f"order={order}",
         "group_by=" + ";".join(f"{d}.{a}" for d, a in query.group_by),
         "selections=" + ";".join(

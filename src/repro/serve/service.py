@@ -332,7 +332,7 @@ class QueryService:
 
         Precedence: explicit ``options`` > options attached to the query
         > the service config's ``shards``/``executor`` defaults.  The
-        removed loose keywords (``backend=``, ``mode=``, ...) raise
+        removed loose keywords (``backend=``, ``shards=``, ...) raise
         :class:`TypeError`.
         """
         opts = self._resolve_options(query, options, legacy, "QueryService.query")
@@ -399,7 +399,7 @@ class QueryService:
             start - admitted_s
         )
         fingerprint = query_fingerprint(
-            query, opts.backend, opts.mode, opts.order,
+            query, opts.backend, opts.order,
             shards=opts.shards, executor=opts.executor,
         )
         tracer: Tracer | None = None
@@ -562,7 +562,7 @@ class QueryService:
         cube = query.cube
         if fingerprint is None:
             fingerprint = query_fingerprint(
-                query, opts.backend, opts.mode, opts.order,
+                query, opts.backend, opts.order,
                 shards=opts.shards, executor=opts.executor,
             )
         tracer = get_tracer()
@@ -614,7 +614,6 @@ class QueryService:
                 result = self.engine.query(
                     query,
                     backend=opts.backend,
-                    mode=opts.mode,
                     cold=self.config.cold,
                     order=opts.order,
                     shards=opts.shards,
@@ -631,7 +630,6 @@ class QueryService:
         out = QueryResult(
             rows=result.rows,
             backend=result.backend,
-            mode=result.mode,
             elapsed_s=timer.elapsed,
             sim_io_s=0.0,
             stats=dict(result.stats),

@@ -196,7 +196,7 @@ class ShardCoordinator:
             trace = new_trace_context(origin="shard-scatter")
         task_trace = trace if tracer.enabled else None
         tasks, fn, cleanup = self._build_tasks(
-            plan, array, specs, aggregate, ctx.mode, allowed, cube, state,
+            plan, array, specs, aggregate, allowed, cube, state,
             trace=task_trace,
         )
         timeout_s = None if ctx.executor == "local" else self.timeout_s
@@ -259,7 +259,7 @@ class ShardCoordinator:
     # -- task construction ----------------------------------------------------
 
     def _build_tasks(
-        self, plan, array, specs, aggregate, mode, allowed, cube, state,
+        self, plan, array, specs, aggregate, allowed, cube, state,
         trace=None,
     ):
         """Tasks + task function + post-scatter cleanup for the executor.
@@ -291,7 +291,6 @@ class ShardCoordinator:
                 "array_name": array.name,
                 "specs": [(s.kind, s.attr) for s in specs],
                 "aggregate": aggregate,
-                "mode": mode,
                 "allowed": allowed,
             }
             tasks = [
@@ -313,7 +312,6 @@ class ShardCoordinator:
                 "array": array,
                 "specs": specs,
                 "aggregate": aggregate,
-                "mode": mode,
                 "allowed": allowed,
                 "start": a.start,
                 "stop": a.stop,

@@ -133,7 +133,6 @@ def run_inline_task(task: dict) -> dict:
             task["array"],
             accumulator,
             range(task["start"], task["stop"]),
-            task["mode"],
             allowed=task.get("allowed"),
             counters=counters,
         )
@@ -208,7 +207,6 @@ def run_shard_task(task: dict) -> dict:
             array,
             accumulator,
             range(task["start"], task["stop"]),
-            task["mode"],
             allowed=task.get("allowed"),
             counters=counters,
         )

@@ -12,7 +12,6 @@ def result(cost=1.0, io=0.4):
     return QueryResult(
         rows=[("a", 1)],
         backend="array",
-        mode="interpreted",
         elapsed_s=cost - io,
         sim_io_s=io,
         stats={"pages_read": 10},

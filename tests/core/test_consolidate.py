@@ -1,5 +1,7 @@
 """Tests for the §4.1 array consolidation algorithm."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import ConsolidationSpec, OLAPArray, consolidate
 from repro.core.builder import build_olap_array
+from repro.core.consolidate import ResultAccumulator, scan_chunk_range
 from repro.errors import QueryError
 from repro.util.stats import Counters
 
@@ -23,94 +26,114 @@ from .conftest import (
 LEVEL1 = [ConsolidationSpec.level("h1")] * 3
 
 
-@pytest.mark.parametrize("mode", ["interpreted", "vectorized"])
+def run(array, specs, kernel, aggregate="sum", counters=None):
+    """Rows of ``consolidate`` itself (``"vectorized"``) or of the same
+    scan through the per-cell reference kernel (``"interpreted"``)."""
+    if kernel == "vectorized":
+        return consolidate(array, specs, aggregate, counters=counters).rows
+    accumulator = ResultAccumulator(array, specs, aggregate, counters)
+    scan_chunk_range(
+        array,
+        accumulator,
+        range(array.geometry.n_chunks),
+        "interpreted",
+        counters=counters,
+    )
+    if counters is not None:
+        counters.add("result_cells", accumulator.touched_cells())
+    return accumulator.rows()
+
+
+@pytest.mark.parametrize("kernel", ["interpreted", "vectorized"])
 class TestBothModes:
-    def test_group_by_h1(self, cube, mode):
+    """The engine's kernel and the per-cell reference, each against the
+    brute-force fold."""
+
+    def test_group_by_h1(self, cube, kernel):
         array, facts = cube
-        out = consolidate(array, LEVEL1, mode=mode)
-        assert out.rows == reference_rows(
+        assert run(array, LEVEL1, kernel) == reference_rows(
             facts, [lambda k, d=d: h1(d, k) for d in range(3)]
         )
 
-    def test_group_by_h2(self, cube, mode):
+    def test_group_by_h2(self, cube, kernel):
         array, facts = cube
         specs = [ConsolidationSpec.level("h2")] * 3
-        out = consolidate(array, specs, mode=mode)
-        assert out.rows == reference_rows(
+        assert run(array, specs, kernel) == reference_rows(
             facts, [lambda k, d=d: h2(d, k) for d in range(3)]
         )
 
-    def test_mixed_levels(self, cube, mode):
+    def test_mixed_levels(self, cube, kernel):
         array, facts = cube
         specs = [
             ConsolidationSpec.level("h1"),
             ConsolidationSpec.level("h2"),
             ConsolidationSpec.key(),
         ]
-        out = consolidate(array, specs, mode=mode)
-        assert out.rows == reference_rows(
+        assert run(array, specs, kernel) == reference_rows(
             facts,
             [lambda k: h1(0, k), lambda k: h2(1, k), lambda k: k],
         )
 
-    def test_drop_dimension(self, cube, mode):
+    def test_drop_dimension(self, cube, kernel):
         array, facts = cube
         specs = [
             ConsolidationSpec.level("h1"),
             ConsolidationSpec.drop(),
             ConsolidationSpec.level("h1"),
         ]
-        out = consolidate(array, specs, mode=mode)
-        assert out.rows == reference_rows(
+        assert run(array, specs, kernel) == reference_rows(
             facts, [lambda k: h1(0, k), None, lambda k: h1(2, k)]
         )
 
-    def test_total_preserved(self, cube, mode):
+    def test_total_preserved(self, cube, kernel):
         array, facts = cube
-        out = consolidate(array, LEVEL1, mode=mode)
-        assert sum(r[-1] for r in out.rows) == sum(f[3] for f in facts)
+        rows = run(array, LEVEL1, kernel)
+        assert sum(r[-1] for r in rows) == sum(f[3] for f in facts)
 
-    def test_count_aggregate(self, cube, mode):
+    def test_count_aggregate(self, cube, kernel):
         array, facts = cube
-        out = consolidate(array, LEVEL1, aggregate="count", mode=mode)
-        assert sum(r[-1] for r in out.rows) == len(facts)
+        rows = run(array, LEVEL1, kernel, aggregate="count")
+        assert sum(r[-1] for r in rows) == len(facts)
 
-    def test_min_max_aggregates(self, cube, mode):
+    def test_min_max_aggregates(self, cube, kernel):
         array, facts = cube
         specs = [ConsolidationSpec.drop()] * 2 + [ConsolidationSpec.level("h1")]
-        low = consolidate(array, specs, aggregate="min", mode=mode)
-        high = consolidate(array, specs, aggregate="max", mode=mode)
-        for (group, lo), (_, hi) in zip(low.rows, high.rows):
+        low = run(array, specs, kernel, aggregate="min")
+        high = run(array, specs, kernel, aggregate="max")
+        for (group, lo), (_, hi) in zip(low, high):
             matching = [f[3] for f in facts if h1(2, f[2]) == group]
             assert lo == min(matching)
             assert hi == max(matching)
 
-    def test_counters(self, cube, mode):
+    def test_counters(self, cube, kernel):
         array, facts = cube
         counters = Counters()
-        out = consolidate(array, LEVEL1, mode=mode, counters=counters)
+        rows = run(array, LEVEL1, kernel, counters=counters)
         assert counters.get("cells_scanned") == len(facts)
-        assert counters.get("result_cells") == len(out.rows)
+        assert counters.get("result_cells") == len(rows)
         assert counters.get("chunks_read") > 0
 
 
 class TestModeEquivalence:
+    """The kernel and the per-cell reference fold the same cells in the
+    same order, so their rows are equal, not just close."""
+
     def test_modes_agree_on_random_cubes(self, fm_big):
         for seed in (1, 7, 13):
             facts = make_facts(density=0.3, seed=seed)
             array = build_olap_array(
                 fm_big, f"c{seed}", make_dimensions(), facts, (3, 2, 4)
             )
-            a = consolidate(array, LEVEL1, mode="interpreted")
-            b = consolidate(array, LEVEL1, mode="vectorized")
-            assert a.rows == b.rows
+            for aggregate in ("sum", "var", "stddev"):
+                assert run(array, LEVEL1, "interpreted", aggregate) == run(
+                    array, LEVEL1, "vectorized", aggregate
+                ), aggregate
 
     def test_avg_agrees_between_modes(self, cube):
         array, _ = cube
-        a = consolidate(array, LEVEL1, aggregate="avg", mode="interpreted")
-        b = consolidate(array, LEVEL1, aggregate="avg", mode="vectorized")
-        # both divide the same Python numbers: identical, not just close
-        assert a.rows == b.rows
+        assert run(array, LEVEL1, "interpreted", "avg") == run(
+            array, LEVEL1, "vectorized", "avg"
+        )
 
 
 class TestVectorizedExtraction:
@@ -132,11 +155,11 @@ class TestVectorizedExtraction:
             "max": value_type,
             "count": int,
             "avg": float,
+            "var": float,
+            "stddev": float,
         }
         for aggregate, cell_type in expected.items():
-            out = consolidate(
-                array, LEVEL1, aggregate=aggregate, mode="vectorized"
-            )
+            out = consolidate(array, LEVEL1, aggregate=aggregate)
             assert out.rows
             assert {type(row[-1]) for row in out.rows} == {cell_type}, aggregate
 
@@ -153,11 +176,11 @@ class TestVectorizedExtraction:
             ConsolidationSpec.drop(),
             ConsolidationSpec.key(),
         ]
-        out = consolidate(array, specs, mode="vectorized")
+        out = consolidate(array, specs)
         assert out.rows == sorted(out.rows)
         assert all(any(row[0] is t for t in targets) for row in out.rows)
         assert {type(row[1]) for row in out.rows} == {int}
-        assert out.rows == consolidate(array, specs, mode="interpreted").rows
+        assert out.rows == run(array, specs, "interpreted")
 
     def test_no_coordinates_are_reconstructed(self, cube, monkeypatch):
         from repro.core.chunking import ChunkGeometry
@@ -188,10 +211,13 @@ class TestValidation:
         with pytest.raises(QueryError):
             consolidate(array, LEVEL1[:2])
 
-    def test_unknown_mode(self, cube):
+    @pytest.mark.parametrize("kernel", ["gpu", "interp", "auto"])
+    def test_unknown_kernel(self, cube, kernel):
         array, _ = cube
-        with pytest.raises(QueryError):
-            consolidate(array, LEVEL1, mode="gpu")
+        with pytest.raises(QueryError, match="unknown kernel"):
+            scan_chunk_range(
+                array, ResultAccumulator(array, LEVEL1), range(1), kernel
+            )
 
     def test_unknown_spec_kind(self, cube):
         array, _ = cube
@@ -208,6 +234,31 @@ class TestValidation:
             fm_big, "empty", make_dimensions(), [], (3, 2, 4)
         )
         assert consolidate(array, LEVEL1).rows == []
+
+
+class TestUnfedAccumulator:
+    """The state is allocated by the first fold or merge; until then an
+    accumulator answers as an empty one."""
+
+    def test_merges_both_ways(self, cube):
+        array, _ = cube
+        fed = ResultAccumulator(array, LEVEL1, "var")
+        scan_chunk_range(array, fed, range(array.geometry.n_chunks))
+        expected = fed.rows()
+        unfed = ResultAccumulator(array, LEVEL1, "var")
+        assert unfed.rows() == [] and unfed.touched_cells() == 0
+        fed.merge_from(unfed)
+        assert fed.rows() == expected
+        unfed.merge_from(fed)
+        assert unfed.rows() == expected
+
+    def test_an_empty_state_ships(self, cube):
+        array, _ = cube
+        payload = ResultAccumulator(array, LEVEL1, "min").export_state()
+        shipped = ResultAccumulator(array, LEVEL1, "min").import_state(
+            pickle.loads(pickle.dumps(payload))
+        )
+        assert shipped.rows() == [] and shipped.touched_cells() == 0
 
 
 class TestMaterialize:
@@ -261,7 +312,7 @@ def test_consolidation_matches_reference_property(seed, density):
     )
     facts = make_facts(density=density, seed=seed)
     array = build_olap_array(fm, "c", make_dimensions(), facts, (3, 2, 4))
-    out = consolidate(array, LEVEL1, mode="vectorized")
+    out = consolidate(array, LEVEL1)
     assert out.rows == reference_rows(
         facts, [lambda k, d=d: h1(d, k) for d in range(3)]
     )

@@ -35,7 +35,7 @@ class TestComputeCube:
                 else ConsolidationSpec.drop()
                 for d in range(3)
             ]
-            direct = consolidate(array, specs, mode="vectorized")
+            direct = consolidate(array, specs)
             assert rows == direct.rows, subset
 
     def test_single_dimension_subset(self, cube):

@@ -24,7 +24,8 @@ LEVEL1 = [ConsolidationSpec.level("h1")] * 3
 
 
 def scan_partitioned(
-    array, specs, partitions, aggregate="sum", mode="interpreted", counters=None
+    array, specs, partitions, aggregate="sum", kernel="vectorized",
+    counters=None,
 ):
     """Sub-range scans into accumulators of their own, then merged."""
     merged = ResultAccumulator(array, specs, aggregate)
@@ -32,16 +33,13 @@ def scan_partitioned(
     for chunk_range in ranges:
         partial = ResultAccumulator(array, specs, aggregate)
         scan_chunk_range(
-            array, partial, chunk_range, mode, counters=counters
+            array, partial, chunk_range, kernel, counters=counters
         )
         merged.merge_from(partial)
     return merged.rows(), len(ranges)
 
 
-def scan_threaded(
-    array, specs, partitions, aggregate="sum", mode="interpreted",
-    max_workers=None,
-):
+def scan_threaded(array, specs, partitions, aggregate="sum", max_workers=None):
     """The same sub-range scans as thread-executor shard tasks.
 
     What the coordinator does for ``executor="thread"`` without an
@@ -58,7 +56,6 @@ def scan_threaded(
             "array": array,
             "specs": specs,
             "aggregate": aggregate,
-            "mode": mode,
             "start": chunk_range.start,
             "stop": chunk_range.stop,
         }
@@ -83,6 +80,14 @@ def scan_threaded(
         merged.merge_from(result["accumulator"])
         totals.add_many(result["counters"])
     return merged.rows(), totals
+
+
+def direct(array, specs, kernel, aggregate="sum"):
+    """The unpartitioned oracle: ``consolidate`` itself, or one scan of
+    every chunk through the per-cell reference kernel."""
+    if kernel == "vectorized":
+        return consolidate(array, specs, aggregate).rows
+    return scan_partitioned(array, specs, 1, aggregate, kernel)[0]
 
 
 def assert_rows_close(left, right):
@@ -145,23 +150,24 @@ class TestPartitionChunks:
             partition_chunks(5, 0)
 
 
-@pytest.mark.parametrize("mode", ["interpreted", "vectorized"])
+@pytest.mark.parametrize("kernel", ["interpreted", "vectorized"])
 class TestEquivalence:
-    @pytest.mark.parametrize("partitions", [1, 2, 3, 7, 100])
-    def test_matches_direct_consolidation(self, cube, mode, partitions):
-        array, _ = cube
-        direct = consolidate(array, LEVEL1, mode=mode)
-        rows, _ = scan_partitioned(array, LEVEL1, partitions, mode=mode)
-        assert rows == direct.rows
+    """Sub-range scans through either kernel merge to the direct
+    consolidation."""
 
-    def test_min_max_merge(self, cube, mode):
+    @pytest.mark.parametrize("partitions", [1, 2, 3, 7, 100])
+    def test_matches_direct_consolidation(self, cube, kernel, partitions):
         array, _ = cube
-        for aggregate in ("min", "max", "count", "avg"):
-            direct = consolidate(array, LEVEL1, aggregate=aggregate, mode=mode)
+        rows, _ = scan_partitioned(array, LEVEL1, partitions, kernel=kernel)
+        assert rows == consolidate(array, LEVEL1).rows
+
+    def test_min_max_merge(self, cube, kernel):
+        array, _ = cube
+        for aggregate in ("min", "max", "count", "avg", "var", "stddev"):
             rows, _ = scan_partitioned(
-                array, LEVEL1, 4, aggregate=aggregate, mode=mode
+                array, LEVEL1, 4, aggregate=aggregate, kernel=kernel
             )
-            assert_rows_close(direct.rows, rows)
+            assert_rows_close(consolidate(array, LEVEL1, aggregate).rows, rows)
 
 
 class TestVarianceMerge:
@@ -183,36 +189,33 @@ class TestVarianceMerge:
         assert result.rows == [(pytest.approx(np.var(values)),)]
 
 
-@pytest.mark.parametrize("mode", ["interpreted", "vectorized"])
+@pytest.mark.parametrize("kernel", ["interpreted", "vectorized"])
 class TestThreadedExecutor:
-    """The thread executor: the oracle holds under real concurrency."""
+    """The thread executor: the oracle holds under real concurrency.
+
+    ``kernel`` names the serial oracle's kernel; the shard tasks always
+    run the vectorized one.
+    """
 
     @pytest.mark.parametrize("partitions", [1, 2, 3, 7])
-    def test_matches_direct_consolidation(self, cube, mode, partitions):
+    def test_matches_direct_consolidation(self, cube, kernel, partitions):
         array, _ = cube
-        direct = consolidate(array, LEVEL1, mode=mode)
-        rows, _ = scan_threaded(array, LEVEL1, partitions, mode=mode)
-        assert rows == direct.rows
+        rows, _ = scan_threaded(array, LEVEL1, partitions)
+        assert rows == direct(array, LEVEL1, kernel)
 
-    def test_matches_serial_executor(self, cube, mode):
+    def test_matches_serial_executor(self, cube, kernel):
         array, _ = cube
-        aggregates = ("sum", "min", "max", "count", "avg")
-        if mode == "interpreted":  # var has no vectorized kernel
-            aggregates += ("var",)
-        for aggregate in aggregates:
+        for aggregate in ("sum", "min", "max", "count", "avg", "var", "stddev"):
             serial, _ = scan_partitioned(
-                array, LEVEL1, 4, aggregate=aggregate, mode=mode
+                array, LEVEL1, 4, aggregate=aggregate, kernel=kernel
             )
-            threaded, _ = scan_threaded(
-                array, LEVEL1, 4, aggregate=aggregate, mode=mode
-            )
+            threaded, _ = scan_threaded(array, LEVEL1, 4, aggregate=aggregate)
             assert_rows_close(serial, threaded)
 
-    def test_max_workers_capped(self, cube, mode):
+    def test_max_workers_capped(self, cube, kernel):
         array, _ = cube
-        direct = consolidate(array, LEVEL1, mode=mode)
-        rows, _ = scan_threaded(array, LEVEL1, 6, mode=mode, max_workers=2)
-        assert rows == direct.rows
+        rows, _ = scan_threaded(array, LEVEL1, 6, max_workers=2)
+        assert rows == direct(array, LEVEL1, kernel)
 
 
 class TestThreadedPlumbing:
@@ -273,10 +276,15 @@ class TestCounters:
         assert partitions == 3
         assert counters.get("cells_scanned") == len(facts)
 
-    def test_bad_mode(self, cube):
+    def test_bad_kernel(self, cube):
         array, _ = cube
         with pytest.raises(QueryError):
-            consolidate(array, LEVEL1, mode="threads")
+            scan_chunk_range(
+                array,
+                ResultAccumulator(array, LEVEL1),
+                range(array.geometry.n_chunks),
+                "threads",
+            )
 
     def test_merge_incompatible_accumulators(self, cube):
         array, _ = cube

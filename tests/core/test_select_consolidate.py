@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core import ConsolidationSpec, Selection, consolidate, consolidate_with_selection
 from repro.core.builder import build_olap_array
+from repro.core.consolidate import ResultAccumulator, scan_chunk_range
+from repro.core.select_consolidate import _final_index_lists
 from repro.errors import QueryError
 from repro.util.stats import Counters
 
@@ -32,62 +34,80 @@ def selector(selected):
     return check
 
 
-@pytest.mark.parametrize("mode", ["interpreted", "vectorized"])
+def select(array, specs, selections, kernel):
+    """Rows of ``consolidate_with_selection`` itself (``"vectorized"``)
+    or of its final lists through the per-cell reference kernel."""
+    if kernel == "vectorized":
+        return consolidate_with_selection(array, specs, selections).rows
+    accumulator = ResultAccumulator(array, specs)
+    scan_chunk_range(
+        array,
+        accumulator,
+        range(array.geometry.n_chunks),
+        "interpreted",
+        allowed=_final_index_lists(array, selections, Counters()),
+    )
+    return accumulator.rows()
+
+
+@pytest.mark.parametrize("kernel", ["interpreted", "vectorized"])
 class TestBothModes:
-    def test_select_on_every_dimension(self, cube, mode):
+    """The selection kernel and the per-cell reference over the same
+    final lists, each against the brute-force fold."""
+
+    def test_select_on_every_dimension(self, cube, kernel):
         array, facts = cube
         selected = ["A00", "A11", "A20"]
         selections = [Selection(d, "h1", (selected[d],)) for d in range(3)]
-        out = consolidate_with_selection(array, LEVEL1, selections, mode=mode)
+        rows = select(array, LEVEL1, selections, kernel)
         expected = reference_rows(
             facts,
             [lambda k, d=d: h1(d, k) for d in range(3)],
             selector=selector(selected),
         )
-        assert out.rows == expected
+        assert rows == expected
 
-    def test_select_on_subset_of_dimensions(self, cube, mode):
+    def test_select_on_subset_of_dimensions(self, cube, kernel):
         array, facts = cube
         selections = [Selection(1, "h1", ("A12",))]
-        out = consolidate_with_selection(array, LEVEL1, selections, mode=mode)
+        rows = select(array, LEVEL1, selections, kernel)
         expected = reference_rows(
             facts,
             [lambda k, d=d: h1(d, k) for d in range(3)],
             selector=selector([None, "A12", None]),
         )
-        assert out.rows == expected
+        assert rows == expected
 
-    def test_in_list_selection(self, cube, mode):
+    def test_in_list_selection(self, cube, kernel):
         array, facts = cube
         selections = [Selection(1, "h1", ("A10", "A12"))]
-        out = consolidate_with_selection(array, LEVEL1, selections, mode=mode)
+        rows = select(array, LEVEL1, selections, kernel)
         expected = reference_rows(
             facts,
             [lambda k, d=d: h1(d, k) for d in range(3)],
             selector=lambda row: h1(1, row[1]) in ("A10", "A12"),
         )
-        assert out.rows == expected
+        assert rows == expected
 
-    def test_two_predicates_on_one_dimension_intersect(self, cube, mode):
+    def test_two_predicates_on_one_dimension_intersect(self, cube, kernel):
         array, facts = cube
         selections = [
             Selection(0, "h1", ("A00",)),
             Selection(0, "h2", ("B00",)),
         ]
-        out = consolidate_with_selection(array, LEVEL1, selections, mode=mode)
+        rows = select(array, LEVEL1, selections, kernel)
         expected = reference_rows(
             facts,
             [lambda k, d=d: h1(d, k) for d in range(3)],
             selector=lambda row: h1(0, row[0]) == "A00" and h2(0, row[0]) == "B00",
         )
-        assert out.rows == expected
+        assert rows == expected
 
-    def test_no_selection_equals_plain_consolidation(self, cube, mode):
+    def test_no_selection_equals_plain_consolidation(self, cube, kernel):
         array, _ = cube
-        out = consolidate_with_selection(array, LEVEL1, [], mode=mode)
-        assert out.rows == consolidate(array, LEVEL1, mode=mode).rows
+        assert select(array, LEVEL1, [], kernel) == consolidate(array, LEVEL1).rows
 
-    def test_query3_shape_drop_plus_select(self, cube, mode):
+    def test_query3_shape_drop_plus_select(self, cube, kernel):
         # Query 3: selection on 3 dims would be all dims here; drop dim2
         array, facts = cube
         specs = [
@@ -99,19 +119,19 @@ class TestBothModes:
             Selection(0, "h1", ("A01",)),
             Selection(1, "h1", ("A10",)),
         ]
-        out = consolidate_with_selection(array, specs, selections, mode=mode)
+        rows = select(array, specs, selections, kernel)
         expected = reference_rows(
             facts,
             [lambda k: h1(0, k), lambda k: h1(1, k), None],
             selector=selector(["A01", "A10", None]),
         )
-        assert out.rows == expected
+        assert rows == expected
 
-    def test_unknown_value_gives_empty(self, cube, mode):
+    def test_unknown_value_gives_empty(self, cube, kernel):
         array, _ = cube
         selections = [Selection(0, "h1", ("NOPE",))]
-        out = consolidate_with_selection(array, LEVEL1, selections, mode=mode)
-        assert out.rows == []
+        rows = select(array, LEVEL1, selections, kernel)
+        assert rows == []
 
 
 class TestChunkOrderOptimizations:
@@ -172,18 +192,24 @@ class TestChunkOrderOptimizations:
         for d, size in enumerate(sizes):
             expected *= sum(1 for k in range(size) if h1(d, k) == h1(d, 0))
         assert counters.get("cross_product_size") == expected
-        assert counters.get("cells_probed") == expected
+        # the chunk-ordered kernel probes at most every element; the
+        # naive order probes each one
+        assert counters.get("cells_probed") <= expected
+        naive = Counters()
+        consolidate_with_selection(
+            array,
+            LEVEL1,
+            [Selection(d, "h1", (h1(d, 0),)) for d in range(3)],
+            order="naive",
+            counters=naive,
+        )
+        assert naive.get("cells_probed") == expected
 
 
 class TestValidation:
     def test_empty_value_tuple_rejected(self):
         with pytest.raises(QueryError):
             Selection(0, "h1", ())
-
-    def test_unknown_mode(self, cube):
-        array, _ = cube
-        with pytest.raises(QueryError):
-            consolidate_with_selection(array, LEVEL1, [], mode="quantum")
 
     def test_unknown_order(self, cube):
         array, _ = cube
@@ -213,9 +239,7 @@ def test_selection_matches_reference_property(seed, picks):
     array = build_olap_array(fm, "c", make_dimensions(), facts, (3, 2, 4))
     selected = [f"A{d}{picks[d] % FANOUTS[d]}" for d in range(3)]
     selections = [Selection(d, "h1", (selected[d],)) for d in range(3)]
-    out = consolidate_with_selection(
-        array, LEVEL1, selections, mode="vectorized"
-    )
+    out = consolidate_with_selection(array, LEVEL1, selections)
     expected = reference_rows(
         facts,
         [lambda k, d=d: h1(d, k) for d in range(3)],

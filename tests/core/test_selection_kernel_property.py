@@ -6,8 +6,10 @@ filtering its stored cells (§4.1 with the selection as a cell mask)
 pick the same cells and fold them in the same — ascending offset —
 order, so two accumulators driven one direction each end in identical
 state, float sums bit for bit.  Which direction the rule picks per
-chunk therefore cannot show in a result: the public vectorized scan ==
-the interpreted one == a brute-force fold, whatever the mix.
+chunk therefore cannot show in a result: the public scan == §4.2 as the
+paper writes it (one ``bisect`` per cross-product element, chunk by
+chunk, :func:`probe_as_written`) == the per-cell reference kernel == a
+brute-force fold, whatever the mix.
 
 Geometries, specs and aggregates are ``test_offset_kernel_property``'s
 (1-D arrays, size-1 axes, ragged edge chunks, both dtypes); a
@@ -18,6 +20,7 @@ and near-empty chunks in one array, under float measures whose sums
 
 import itertools
 import random
+from bisect import bisect_left
 
 import numpy as np
 from hypothesis import given, settings
@@ -67,19 +70,54 @@ def fold_both_directions(array, specs, aggregates, allowed):
     return probed, filtered, asked
 
 
+def probe_as_written(array, specs, aggregates, allowed):
+    """§4.2 as the paper writes it: chunk by chunk in chunk-number order,
+    every cross-product element in increasing offset order, one
+    ``bisect`` each; a chunk's hits fold in that order.
+
+    Returns the accumulator and the number of elements probed.
+    """
+    geometry = array.geometry
+    masks = allowed_masks(array, allowed)
+    accumulator = ResultAccumulator(array, specs, aggregates)
+    slabs = selection_slabs(geometry, masks, accumulator.target_terms())
+    probed = 0
+    for chunk_no, offsets, values in array.walk(
+        range(geometry.n_chunks), masks
+    ):
+        contribs = [
+            list(zip(part[0].tolist(), part[1].tolist()))
+            for part in (
+                slabs[d][g]
+                for d, g in enumerate(geometry.chunk_coords(chunk_no))
+            )
+        ]
+        offset_list = offsets.tolist()
+        linear, positions = [], []
+        for element in itertools.product(*contribs):
+            probed += 1
+            offset = sum(part[0] for part in element)
+            position = bisect_left(offset_list, offset)
+            if position < len(offset_list) and offset_list[position] == offset:
+                linear.append(sum(part[1] for part in element))
+                positions.append(position)
+        if positions:
+            accumulator.add_many(
+                np.array(linear, dtype=np.int64), values[positions]
+            )
+    return accumulator, probed
+
+
 def assert_same_state(left, right):
     """``export_state()`` equal: same dtypes, same bytes."""
     a, b = left.export_state(), right.export_state()
-    assert a["states"] == b["states"] == {}
-    assert (a["vec"] is None) == (b["vec"] is None)
-    if a["vec"] is None:
-        return
-    columns = zip([a["vec_counts"], *a["vec"]], [b["vec_counts"], *b["vec"]])
-    for mine, theirs in columns:
-        assert (mine is None) == (theirs is None)
-        if mine is not None:
-            assert mine.dtype == theirs.dtype
-            assert mine.tobytes() == theirs.tobytes()
+    assert set(a) == set(b) == {"counts", "columns"}
+    mine = [a["counts"], *itertools.chain.from_iterable(a["columns"])]
+    theirs = [b["counts"], *itertools.chain.from_iterable(b["columns"])]
+    assert len(mine) == len(theirs)
+    for column, other in zip(mine, theirs):
+        assert column.dtype == other.dtype
+        assert column.tobytes() == other.tobytes()
 
 
 @settings(max_examples=120, deadline=None)
@@ -94,16 +132,20 @@ def test_probe_and_filter_leave_identical_state(case):
     assert probed.rows() == expected
 
     # the public scan, whichever mix of directions the rule picks
-    for mode in ("vectorized", "interpreted"):
+    for kernel in ("vectorized", "interpreted"):
         accumulator = ResultAccumulator(array, specs, aggregates)
         scan_chunk_range(
             array,
             accumulator,
             range(array.geometry.n_chunks),
-            mode,
+            kernel,
             allowed=allowed,
         )
-        assert accumulator.rows() == expected, mode
+        assert accumulator.rows() == expected, kernel
+        assert_same_state(accumulator, probed)
+
+    written, _ = probe_as_written(array, specs, aggregates, allowed)
+    assert_same_state(written, probed)
 
 
 def mixed_density_array():
@@ -138,7 +180,7 @@ def test_dense_and_near_empty_chunks_in_one_array():
         ConsolidationSpec.drop(),
         ConsolidationSpec.key(),
     ]
-    aggregates = ["sum", "avg"]
+    aggregates = ["sum", "var"]
     allowed = [[1, 2, 4, 5], [0, 3, 6], [0, 1, 2, 3, 4]]
 
     probed, filtered, asked = fold_both_directions(
@@ -160,7 +202,7 @@ def test_dense_and_near_empty_chunks_in_one_array():
         counters=counters,
     )
     assert_same_state(public, probed)
-    assert counters.get("cells_scanned") == scanned == public._vec_counts.sum()
+    assert counters.get("cells_scanned") == scanned == public.export_state()["counts"].sum()
     assert counters.get("cells_probed") == sum(
         candidates for candidates, stored in asked
         if probe_is_cheaper(candidates, stored)
@@ -176,3 +218,9 @@ def test_dense_and_near_empty_chunks_in_one_array():
     )
     # same cells, same order, same IEEE additions: equal, not approx
     assert public.rows() == interpreted.rows()
+    assert_same_state(interpreted, public)
+
+    written, elements = probe_as_written(array, specs, aggregates, allowed)
+    assert_same_state(written, public)
+    # the paper's loop probes every element of every walked chunk
+    assert elements == sum(candidates for candidates, _ in asked)

@@ -121,9 +121,8 @@ class TestNothingIsMisbilled:
         first_fact = generate_fact_rows(CONFIG)[0]
         array.read_chunk(0)
         array.write_cell(tuple(first_fact[:3]), (first_fact[3] + 1,))
-        for mode in ("interpreted", "vectorized"):
-            result = consolidate(array, SPECS, mode=mode)
-            assert result.counters.get("chunks_read") == expected, mode
+        result = consolidate(array, SPECS)
+        assert result.counters.get("chunks_read") == expected
 
     def test_a_passed_bag_is_the_only_one_billed(self, fresh):
         from repro.util.stats import Counters
@@ -178,7 +177,7 @@ def test_engine_totals_never_drop(ops):
                     executor=("local", "thread")[step % 2],
                 )
             elif op == "query_selective":
-                engine.query(selective, backend="array", mode="interpreted")
+                engine.query(selective, backend="array", order="naive")
             elif op == "cube":
                 compute_cube(array, SPECS)
             elif op == "write":

@@ -42,7 +42,8 @@ class TestQuery1:
         assert result.rows == reference(fact_rows, CONFIG, GROUPS_Q1)
 
     def test_vectorized_array_matches(self, engine, fact_rows):
-        result = engine.query(Q1, backend="array", mode="vectorized")
+        # the call form the benchmark makes
+        result = engine.query(Q1, backend="array", mode="auto", cold=True)
         assert result.rows == reference(fact_rows, CONFIG, GROUPS_Q1)
 
     def test_auto_picks_array_without_selection(self, engine):
@@ -146,7 +147,7 @@ class TestAggregates:
         query = ConsolidationQuery.build(
             "cube", group_by={"dim0": "h01"}, aggregate="var"
         )
-        array = engine.query(query, backend="array").rows  # interpreted
+        array = engine.query(query, backend="array").rows
         starjoin = engine.query(query, backend="starjoin").rows
         for a, b in zip(array, starjoin):
             assert a[0] == b[0]

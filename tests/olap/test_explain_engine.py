@@ -155,11 +155,8 @@ class TestSelectionKernelEstimates:
                     f"{name}: estimated {estimate}, actual {actual}"
                 )
 
-    @pytest.mark.parametrize("mode", ["vectorized", "interpreted"])
     @pytest.mark.parametrize("which", ["one_dimension", "query2"])
-    def test_probe_node_estimates_within_2x_of_actuals(
-        self, small, which, mode
-    ):
+    def test_probe_node_estimates_within_2x_of_actuals(self, small, which):
         from repro.bench import query2_for
 
         engine, config = small
@@ -170,7 +167,7 @@ class TestSelectionKernelEstimates:
         )
         plan = engine.explain(
             query,
-            ExecutionOptions(backend="array", mode=mode),
+            ExecutionOptions(backend="array"),
             analyze=True,
             cold=True,
         )
@@ -184,7 +181,7 @@ class TestSelectionKernelEstimates:
         from repro.bench import query2_for
 
         engine, config = small
-        options = ExecutionOptions(backend="array", mode="vectorized")
+        options = ExecutionOptions(backend="array")
         filtered = _node(
             engine.explain(self._one_dimension(config), options),
             "array.probe_chunks",
@@ -204,9 +201,7 @@ class TestSelectionKernelEstimates:
         for query in (self._one_dimension(config), query2_for(config)):
             plan = engine.explain(
                 query,
-                ExecutionOptions(
-                    backend="array", mode="vectorized", shards=shards
-                ),
+                ExecutionOptions(backend="array", shards=shards),
                 analyze=True,
                 cold=True,
             )
@@ -257,10 +252,6 @@ class TestPlanShape:
         analyzed = [n for n in plan.root.walk() if n.actuals is not None]
         assert analyzed, f"{backend} plan has no analyzed nodes"
         assert plan.root.op == f"{backend}.query"
-
-    def test_relational_backends_report_interpreted_mode(self, engine):
-        plan = engine.explain(_q1(), ExecutionOptions(backend="starjoin", mode="vectorized"))
-        assert plan.mode == "interpreted"
 
     def test_query_explain_convenience_delegates(self, engine):
         plan = _q1().explain(engine, ExecutionOptions(backend="array"))

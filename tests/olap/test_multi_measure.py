@@ -8,6 +8,7 @@ from repro.olap import (
     ConsolidationQuery,
     CubeSchema,
     DimensionDef,
+    ExecutionOptions,
     MeasureDef,
     OlapEngine,
     SelectionPredicate,
@@ -63,7 +64,9 @@ class TestBothMeasures:
 
     def test_vectorized_array(self, loaded):
         engine, facts = loaded
-        rows = engine.query(QUERY, backend="array", mode="vectorized").rows
+        rows = engine.run(
+            QUERY, ExecutionOptions(backend="array", shards=2, executor="thread")
+        ).rows
         assert rows == reference(facts)
 
     @pytest.mark.parametrize("backend", ["array", "bitmap", "btree", "starjoin"])

@@ -102,8 +102,8 @@ def test_all_backends_agree(seed, query):
     rows = {}
     for backend in backends:
         rows[backend] = engine.query(query, backend=backend, cold=False).rows
-    rows["array-vectorized"] = engine.query(
-        query, backend="array", mode="vectorized", cold=False
+    rows["array-sharded"] = engine.query(
+        query, backend="array", shards=2, cold=False
     ).rows
     baseline = rows.pop("starjoin")
     for backend, answer in rows.items():

@@ -85,7 +85,7 @@ class TestCodecTransparency:
         other = build(pool_frames=2048, codec=codec)
         for query, backend, kwargs in (
             (Q1, "array", {}),
-            (Q1, "array", {"mode": "vectorized"}),
+            (Q1, "array", {"shards": 2}),
             (Q2, "array", {}),
             (Q2, "array", {"order": "naive"}),
         ):

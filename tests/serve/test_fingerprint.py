@@ -48,24 +48,11 @@ class TestSignificance:
         b = ConsolidationQuery.build("b", group_by={"dim0": "h01"})
         assert query_fingerprint(a) != query_fingerprint(b)
 
-    def test_backend_mode_order_matter(self):
+    def test_backend_and_order_matter(self):
         base = build()
         fp = query_fingerprint(base)
         assert query_fingerprint(base, backend="array") != fp
-        assert query_fingerprint(base, mode="interpreted") != fp
         assert query_fingerprint(base, order="row") != fp
-
-    def test_mode_auto_resolves_to_concrete_mode(self):
-        # "auto" canonicalizes through resolve_mode before hashing, so
-        # a cached auto result and its concrete-mode twin never alias
-        base = build()  # sum is vectorizable -> auto == vectorized
-        assert query_fingerprint(base, mode="auto") == query_fingerprint(
-            base, mode="vectorized"
-        )
-        stddev = build(aggregate="stddev")  # not vectorizable
-        assert query_fingerprint(stddev, mode="auto") == query_fingerprint(
-            stddev, mode="interpreted"
-        )
 
     def test_shard_plan_joins_fingerprint_only_when_sharded(self):
         base = build()

@@ -67,7 +67,7 @@ class TestRetries:
         with QueryService(engine, FAST_RETRY) as service:
             plan = FaultPlan(transient_read_errors=2)
             with fault_plan(plan):
-                result = service._execute(QUERY, ExecutionOptions(backend="array", mode="interpreted"))
+                result = service._execute(QUERY, ExecutionOptions(backend="array"))
             assert result.rows
             stats = service.stats()
             assert stats["serve.transient_faults"] >= 1
@@ -80,7 +80,7 @@ class TestRetries:
             plan = FaultPlan(transient_read_errors=10_000)
             with fault_plan(plan):
                 with pytest.raises(RetryExhaustedError):
-                    service._execute(QUERY, ExecutionOptions(backend="array", mode="interpreted"))
+                    service._execute(QUERY, ExecutionOptions(backend="array"))
             assert service.is_degraded(CUBE)
             assert service.degraded_cubes() == [CUBE]
             assert service.stats()["serve.retries_exhausted"] == 1
@@ -104,7 +104,7 @@ class TestRetries:
                 "repro.serve.service.time.sleep", probing_sleep
             )
             with fault_plan(FaultPlan(transient_read_errors=2)):
-                result = service._execute(QUERY, ExecutionOptions(backend="array", mode="interpreted"))
+                result = service._execute(QUERY, ExecutionOptions(backend="array"))
             assert result.rows
             assert held_during_sleep  # the retry loop did back off
             assert not any(held_during_sleep)
@@ -130,7 +130,7 @@ class TestDegradedMode:
         other = ConsolidationQuery.build(CUBE, group_by={"x": "xk"})
         with service:
             with pytest.raises(DegradedError):
-                service._execute(other, ExecutionOptions(backend="array", mode="interpreted"))
+                service._execute(other, ExecutionOptions(backend="array"))
             assert service.stats()["serve.degraded_rejections"] == 1
 
     def test_writes_rejected_while_degraded(self):
@@ -201,7 +201,7 @@ class TestEndToEndFaultStory:
             healthy = service.execute(QUERY, ARRAY_OPTS)
             with fault_plan(FaultPlan(transient_read_errors=10_000)):
                 with pytest.raises(RetryExhaustedError):
-                    service._execute(other, ExecutionOptions(backend="array", mode="interpreted"))
+                    service._execute(other, ExecutionOptions(backend="array"))
                 # degraded, but the cached query still answers
                 hit = service.execute(QUERY, ARRAY_OPTS)
                 assert sorted(hit.rows) == sorted(healthy.rows)

@@ -1,11 +1,13 @@
 """The unified ExecutionOptions surface (loose keywords are gone)."""
 
+import sys
 import warnings
 
 import pytest
 
 from repro.errors import QueryError
-from repro.olap import ConsolidationQuery, ExecutionOptions, resolve_mode
+from repro.olap import ConsolidationQuery, ExecutionOptions
+from repro.serve import QueryService
 
 
 def query():
@@ -16,7 +18,6 @@ class TestValidation:
     def test_defaults(self):
         opts = ExecutionOptions()
         assert opts.backend == "auto"
-        assert opts.mode == "auto"
         assert opts.executor == "local"
         assert opts.shards == 1
         assert opts.allow_partial is False
@@ -24,7 +25,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"mode": "fast"},
+            {"shards": -1},
             {"executor": "fiber"},
             {"shards": 0},
             {"order": "spiral"},
@@ -41,23 +42,6 @@ class TestValidation:
             opts.merged_with(shards=-1)
 
 
-class TestResolveMode:
-    def test_vectorizable_aggregates_go_vectorized(self):
-        for agg in ("sum", "count", "min", "max", "avg"):
-            assert resolve_mode("auto", agg, "array") == "vectorized"
-
-    def test_non_vectorizable_falls_back_interpreted(self):
-        assert resolve_mode("auto", "stddev", "array") == "interpreted"
-        assert resolve_mode("auto", "var", "auto") == "interpreted"
-
-    def test_non_array_backend_is_interpreted(self):
-        assert resolve_mode("auto", "sum", "starjoin") == "interpreted"
-
-    def test_explicit_mode_passes_through(self):
-        assert resolve_mode("interpreted", "sum", "array") == "interpreted"
-        assert resolve_mode("vectorized", "stddev", "array") == "vectorized"
-
-
 class TestEngineSurface:
     def test_run_accepts_options(self, engine):
         opts = ExecutionOptions(backend="array", shards=2, executor="thread")
@@ -68,7 +52,7 @@ class TestEngineSurface:
 
     def test_run_legacy_keywords_raise_pointing_at_options(self, engine):
         with pytest.raises(TypeError, match="ExecutionOptions"):
-            engine.run(query(), backend="array", mode="interpreted")
+            engine.run(query(), backend="array", shards=2)
 
     def test_explain_legacy_keywords_raise(self, engine):
         with pytest.raises(TypeError, match="ExecutionOptions"):
@@ -82,10 +66,10 @@ class TestEngineSurface:
         attached = ConsolidationQuery.build(
             "cube",
             group_by={"dim0": "h01"},
-            options=ExecutionOptions(backend="array", mode="interpreted"),
+            options=ExecutionOptions(backend="starjoin"),
         )
         result = engine.run(attached)
-        assert result.mode == "interpreted"
+        assert result.backend == "starjoin"
 
     def test_builder_options_chain(self, engine):
         result = (
@@ -96,10 +80,57 @@ class TestEngineSurface:
         )
         assert result.rows == engine.query(query(), backend="array").rows
 
-    def test_auto_mode_resolves_per_aggregate(self, engine):
-        assert engine.query(query(), backend="array").mode == "vectorized"
-        stddev = ConsolidationQuery.build(
-            "cube", group_by={"dim0": "h01"}, aggregate="stddev"
-        )
-        assert engine.query(stddev, backend="array").mode == "interpreted"
+    @pytest.mark.parametrize(
+        "keywords",
+        [{"shards": 0}, {"order": "bogus"}, {"executor": "fiber"}],
+        ids=["shards", "order", "executor"],
+    )
+    def test_query_keywords_are_checked_as_options_are(self, engine, keywords):
+        # one check for both entry points: query builds the options it runs
+        with pytest.raises(QueryError):
+            engine.query(query(), backend="array", **keywords)
+        with pytest.raises(QueryError):
+            engine.run(query(), ExecutionOptions(backend="array", **keywords))
 
+    def test_query_accepts_only_the_auto_mode(self, engine):
+        auto = engine.query(query(), backend="array", mode="auto")
+        assert auto.rows == engine.query(query(), backend="array").rows
+        with pytest.raises(QueryError, match="mode"):
+            engine.query(query(), backend="array", mode="interpreted")
+
+
+class TestMomentsRunTheKernel:
+    """``var``/``stddev`` fold as moment columns on every route."""
+
+    @pytest.mark.parametrize("aggregate", ["var", "stddev"])
+    def test_every_route_agrees_with_the_relational_fold(
+        self, engine, aggregate, monkeypatch
+    ):
+        # the module, not the function of the same name repro.core exports
+        kernels = sys.modules["repro.core.consolidate"]
+
+        def refuse(*args):
+            raise AssertionError("a query ran the per-cell reference kernel")
+
+        monkeypatch.setattr(kernels, "_scan_interpreted", refuse)
+        moments = ConsolidationQuery.build(
+            "cube", group_by={"dim0": "h01", "dim1": "h11"}, aggregate=aggregate
+        )
+        expected = engine.query(moments, backend="starjoin").rows
+        results = [engine.query(moments, backend="array")]
+        results += [
+            engine.query(moments, backend="array", shards=3, executor=executor)
+            for executor in ("local", "thread", "process")
+        ]
+        with QueryService(engine) as service:
+            results.append(
+                service.execute(moments, ExecutionOptions(backend="array"))
+            )
+        for result in results:
+            assert result.backend == "array"
+            assert [row[:-1] for row in result.rows] == [
+                row[:-1] for row in expected
+            ]
+            assert [row[-1] for row in result.rows] == pytest.approx(
+                [row[-1] for row in expected]
+            )

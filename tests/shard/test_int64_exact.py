@@ -1,17 +1,18 @@
 """int64 measures past 2**53 aggregate exactly on every vectorized route.
 
-float64 holds integers exactly only up to 2**53, so a vectorized scan
-that accumulates int64 measures in float64 silently disagrees with the
-interpreted loop (Python ints) above that.  Every route that reaches
-the vectorized kernel — ``consolidate`` itself, the thread and process
-shard executors (whose partial states cross ``export_state`` /
-``import_state``), and ``QueryService.execute`` — must return what an
-exact fold of the fact rows returns.
+float64 holds integers exactly only up to 2**53, so a scan that
+accumulates int64 measures in float64 silently disagrees with an exact
+fold (Python ints) above that.  Every route that reaches the kernel —
+``consolidate`` itself and the per-cell reference kernel, the thread
+and process shard executors (whose partial states cross
+``export_state`` / ``import_state``), and ``QueryService.execute`` —
+must return what an exact fold of the fact rows returns.
 """
 
 import pytest
 
 from repro.core import ConsolidationSpec, consolidate
+from repro.core.consolidate import ResultAccumulator, scan_chunk_range
 from repro.data import (
     SyntheticCubeConfig,
     cube_schema_for,
@@ -83,9 +84,12 @@ class TestExactPast2Pow53:
         array = engine.cube("big").array
         specs = [ConsolidationSpec.level("h01"), ConsolidationSpec.drop()]
         expected = exact_fold(fact_rows, aggregate)
-        for mode in ("interpreted", "vectorized"):
-            out = consolidate(array, specs, aggregate=aggregate, mode=mode)
-            assert out.rows == expected, mode
+        assert consolidate(array, specs, aggregate=aggregate).rows == expected
+        reference = ResultAccumulator(array, specs, aggregate)
+        scan_chunk_range(
+            array, reference, range(array.geometry.n_chunks), "interpreted"
+        )
+        assert reference.rows() == expected
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_two_shards(self, loaded, aggregate, executor):
@@ -93,7 +97,6 @@ class TestExactPast2Pow53:
         result = engine.query(
             query(aggregate),
             backend="array",
-            mode="vectorized",
             shards=2,
             executor=executor,
         )

@@ -92,7 +92,6 @@ def test_a_selection_bills_the_same_however_it_is_split(
         result = engine.query(
             query(selections),
             backend="array",
-            mode="vectorized",
             shards=shards,
             executor=executor,
             cold=True,
@@ -116,7 +115,7 @@ def test_the_two_selections_take_different_directions(engine):
     one, three = (
         billed(
             engine.query(
-                query(SELECTIONS[name]), backend="array", mode="vectorized"
+                query(SELECTIONS[name]), backend="array"
             )
         )
         for name in ("one_dimension", "three_dimensions")

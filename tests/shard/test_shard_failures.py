@@ -11,9 +11,7 @@ def query():
 
 
 def oracle(engine):
-    return engine.query(
-        query(), backend="array", mode="interpreted", shards=1
-    ).rows
+    return engine.query(query(), backend="array", shards=1).rows
 
 
 class TestRescatter:

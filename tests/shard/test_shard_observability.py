@@ -81,7 +81,7 @@ class TestShardedService:
         before = bag.snapshot().get("shard.queries", 0)
         result = service.query(query())
         assert result.rows == engine.query(
-            query(), backend="array", mode="interpreted", shards=1
+            query(), backend="array", shards=1
         ).rows
         assert bag.snapshot()["shard.queries"] == before + 1
         # hit: served from the result cache, no second scatter

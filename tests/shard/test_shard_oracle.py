@@ -1,20 +1,27 @@
-"""Sharded consolidation equals the single-process interpreted oracle.
+"""Sharded consolidation equals the single-process oracles.
 
 The property the coordinator must preserve (§6: the accumulators are
-mergeable sketches): for every shard count, executor, and execution
-mode, the scatter/gather result is row-identical to the classic
-single-shard interpreted scan.
+mergeable sketches): for every shard count and executor, the
+scatter/gather result is row-identical to the classic single-shard
+scan, and to the per-cell reference kernel over every chunk.
 """
 
 import pytest
 
+from repro.core.consolidate import (
+    ConsolidationSpec,
+    ResultAccumulator,
+    scan_chunk_range,
+)
 from repro.olap import ConsolidationQuery, SelectionPredicate
 
 from tests.shard.conftest import CONFIG
 
 SHARD_COUNTS = (1, 2, 4, 7)
 EXECUTORS = ("local", "thread", "process")
-MODES = ("interpreted", "vectorized")
+#: the kernel each oracle runs: the per-cell reference, or the one
+#: every query runs
+KERNELS = ("interpreted", "vectorized")
 
 
 def plain_query():
@@ -35,21 +42,39 @@ def selective_query():
 
 
 def oracle(engine, query):
-    return engine.query(
-        query, backend="array", mode="interpreted", shards=1
-    ).rows
+    return engine.query(query, backend="array", shards=1).rows
+
+
+def reference_rows(engine):
+    """``plain_query`` through the per-cell reference kernel."""
+    array = engine.cube("cube").array
+    accumulator = ResultAccumulator(
+        array,
+        [
+            ConsolidationSpec.level("h01"),
+            ConsolidationSpec.level("h11"),
+            ConsolidationSpec.drop(),
+        ],
+    )
+    scan_chunk_range(
+        array, accumulator, range(array.geometry.n_chunks), "interpreted"
+    )
+    return accumulator.rows()
 
 
 class TestOracleMatrix:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("executor", EXECUTORS)
-    @pytest.mark.parametrize("mode", MODES)
-    def test_plain_consolidation_matches(self, engine, shards, executor, mode):
-        expected = oracle(engine, plain_query())
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_plain_consolidation_matches(self, engine, shards, executor, kernel):
+        expected = (
+            reference_rows(engine)
+            if kernel == "interpreted"
+            else oracle(engine, plain_query())
+        )
         result = engine.query(
             plain_query(),
             backend="array",
-            mode=mode,
             shards=shards,
             executor=executor,
         )
@@ -64,7 +89,6 @@ class TestOracleMatrix:
         result = engine.query(
             selective_query(),
             backend="array",
-            mode="vectorized",
             shards=shards,
             executor=executor,
         )
@@ -75,24 +99,22 @@ class TestOracleMatrix:
     @pytest.mark.parametrize("aggregate", ("min", "max", "var"))
     def test_sketch_aggregates_match(self, engine, shards, executor, aggregate):
         # the partition-exactness the deleted core.parallel tests held:
-        # min/max fold, and var's (n, Σ, Σx²) sketch merges exactly
+        # min/max fold, and var's (n, Σ, Σx²) moment columns merge by
+        # addition
         query = ConsolidationQuery.build(
             "cube", group_by={"dim0": "h01", "dim1": "h11"}, aggregate=aggregate
         )
         expected = oracle(engine, query)
-        modes = MODES if aggregate != "var" else ("interpreted",)
-        for mode in modes:
-            result = engine.query(
-                query,
-                backend="array",
-                mode=mode,
-                shards=shards,
-                executor=executor,
-            )
-            assert len(result.rows) == len(expected)
-            for got, want in zip(result.rows, expected):
-                assert got[:-1] == want[:-1]
-                assert got[-1] == pytest.approx(want[-1])
+        result = engine.query(
+            query,
+            backend="array",
+            shards=shards,
+            executor=executor,
+        )
+        assert len(result.rows) == len(expected)
+        for got, want in zip(result.rows, expected):
+            assert got[:-1] == want[:-1]
+            assert got[-1] == pytest.approx(want[-1])
 
     def test_remainder_assignment_covers_every_chunk(self, engine):
         # 8 chunks over 7 shards: one shard gets the remainder, none
@@ -116,7 +138,6 @@ class TestOracleMatrix:
         result = engine.query(
             plain_query(),
             backend="array",
-            mode="vectorized",
             shards=4,
             executor="thread",
         )
