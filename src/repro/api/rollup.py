@@ -457,7 +457,6 @@ class RollupRouter:
             latency_s=latency_s,
             links=links,
             attrs={"cube": key[0], "rollup": key[1]},
-            force=True,  # causally linked builds are always kept
         )
 
     def close(self) -> None:

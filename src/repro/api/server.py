@@ -458,15 +458,14 @@ class ApiEndpoint:
         status: int,
         latency_s: float,
         tracer: Tracer,
-        explicit: bool,
         route_source: str | None,
         error_kind: str | None,
     ) -> None:
         """Contribute the handler-side view of one request to the store.
 
         Client 4xx are ``ok`` traces (the request worked, the caller was
-        wrong); 5xx and unmapped exceptions are errors and force-kept,
-        as is any request that arrived with an explicit ``X-Trace-Id``.
+        wrong); 5xx and unmapped exceptions are errors, which the store
+        evicts only after every ok trace.
         Must run inside the request's :class:`trace_context` block so
         the links the pipeline attached (a scheduled rollup rebuild)
         are still on this thread.
@@ -493,7 +492,6 @@ class ApiEndpoint:
             ),
             links=current_trace_links(),
             attrs=attrs,
-            force=explicit or status >= 500,
         )
 
     # -- static payloads ----------------------------------------------------
@@ -982,10 +980,7 @@ class ApiServer:
                         return
                 ctx = adopt_trace_id(
                     self.headers.get("X-Trace-Id"), origin="api"
-                )
-                explicit = ctx is not None
-                if ctx is None:
-                    ctx = new_trace_context(origin="api")
+                ) or new_trace_context(origin="api")
                 tracer = Tracer(registry=endpoint.registry)
                 error_kind: str | None = None
                 with trace_context(ctx):
@@ -1011,7 +1006,6 @@ class ApiServer:
                         status=status,
                         latency_s=latency_s,
                         tracer=tracer,
-                        explicit=explicit,
                         route_source=route_source,
                         error_kind=error_kind,
                     )

@@ -10,7 +10,7 @@ Commands:
   nested phase tree with per-phase I/O counter deltas; with ``--id`` and
   ``--url``, fetch one recorded distributed trace from a running
   endpoint's ``/trace/id/<trace_id>`` route instead (the id a response's
-  ``X-Trace-Id`` header, a slowlog entry, or a histogram exemplar named).
+  ``X-Trace-Id`` header, a ``/traces`` entry, or a histogram exemplar named).
 - ``explain`` — EXPLAIN / EXPLAIN ANALYZE one of the paper's queries:
   the backend's plan tree with per-node cost estimates, and with
   ``--analyze`` the measured actuals and misestimate factors; ``--json``
@@ -22,10 +22,8 @@ Commands:
 - ``serve`` — drive a concurrent mixed workload through the
   `QueryService` and print cache-hit rate and p50/p95/p99 latency;
   ``--metrics-port`` serves the introspection routes (``/metrics``,
-  ``/healthz``, ``/slowlog``, …; ``GET /`` lists them) while the
+  ``/healthz``, ``/traces``, …; ``GET /`` lists them) while the
   workload runs and for ``--linger`` seconds after.
-- ``slowlog`` — dump the slow-query ring buffer as JSON, either from a
-  local synthetic workload or from a running endpoint (``--url``).
 - ``api-serve`` — standalone slicer-style HTTP query API
   (``/cube/<name>/aggregate`` drilldown/cut requests) over a synthetic
   cube, the introspection routes on the same port.
@@ -380,7 +378,7 @@ def cmd_serve(args) -> int:
                 args.metrics_port,
                 max_workers=args.threads,
                 max_in_flight=2 * args.threads * len(queries),
-                slowlog_threshold_s=args.slow_threshold,
+                slow_threshold_s=args.slow_threshold,
                 shards=args.shards,
                 executor=args.executor,
             )
@@ -407,7 +405,8 @@ def cmd_serve(args) -> int:
                     print(f"    {name:<32} {report.stats[name]:>10,.0f}")
             if service is not None:
                 print(
-                    f"slowlog: {len(service.slowlog)} entries "
+                    "slow queries: "
+                    f"{service.counters.get('serve.slow_queries'):.0f} "
                     f"(threshold {args.slow_threshold * 1000:.0f}ms)"
                 )
             if server is not None and args.linger > 0:
@@ -416,51 +415,6 @@ def cmd_serve(args) -> int:
                 # no Python frame, so the sampling profiler would blame
                 # this thread as busy instead of classifying it idle
                 threading.Event().wait(args.linger)
-    return 0
-
-
-def _obs_stack(args, slowlog_threshold_s: float):
-    """Build the (engine, queries, service) trio ``slowlog`` and ``mem``
-    share.
-
-    The engine runs over a file-backed WAL in a caller-owned temp dir so
-    fsync/commit histograms carry real observations.
-    """
-    settings = bench_settings(args.scale)
-    config = dataset1(settings.scale)[1]  # the x100 cube
-    engine = build_cube_engine(config, settings, wal_dir=args.wal_dir)
-    queries = [query1_for(config), query2_for(config), query3_for(config)]
-    service = _temporal_service(
-        engine,
-        max_workers=args.threads,
-        max_in_flight=4 * args.threads * len(queries),
-        slowlog_threshold_s=slowlog_threshold_s,
-    )
-    return engine, queries, service
-
-
-def cmd_slowlog(args) -> int:
-    if args.url:
-        print(fetch_metrics(f"{args.url.rstrip('/')}/slowlog"))
-        return 0
-
-    import tempfile
-
-    with tempfile.TemporaryDirectory(prefix="repro-slowlog-") as wal_dir:
-        args.wal_dir = wal_dir
-        engine, queries, service = _obs_stack(args, args.threshold)
-        try:
-            for _ in range(args.rounds):
-                for query in queries:
-                    service.execute(query)
-            print(service.slowlog.to_json())
-            print(
-                f"-- {len(service.slowlog)} entries captured at threshold "
-                f"{args.threshold * 1000:.1f}ms",
-                file=sys.stderr,
-            )
-        finally:
-            service.close()
     return 0
 
 
@@ -513,16 +467,24 @@ def cmd_mem(args) -> int:
 
     import tempfile
 
+    settings = bench_settings(args.scale)
+    config = dataset1(settings.scale)[1]  # the x100 cube
+    queries = [query1_for(config), query2_for(config), query3_for(config)]
+    # a file-backed WAL so the fsync/commit histograms carry real
+    # observations; every query counts as slow, so each miss leaves its
+    # analyzed plan and the plan cache shows in the breakdown
     with tempfile.TemporaryDirectory(prefix="repro-mem-") as wal_dir:
-        args.wal_dir = wal_dir
-        engine, queries, service = _obs_stack(args, 0.0)
-        try:
+        engine = build_cube_engine(config, settings, wal_dir=wal_dir)
+        with _temporal_service(
+            engine,
+            max_workers=args.threads,
+            max_in_flight=4 * args.threads * len(queries),
+            slow_threshold_s=0.0,
+        ) as service:
             for _ in range(args.rounds):
                 for query in queries:
                     service.execute(query)
             _print_memory_payload(service.memory.payload(args.top), args.json)
-        finally:
-            service.close()
     return 0
 
 
@@ -710,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="PORT",
-        help="serve the introspection routes (/metrics /healthz /slowlog "
+        help="serve the introspection routes (/metrics /healthz /traces "
         "...) while the workload runs (0 picks an ephemeral port)",
     )
     serve.add_argument(
@@ -725,33 +687,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.25,
         metavar="S",
-        help="slow-query log threshold in seconds (default 0.25)",
+        help="latency in seconds at which a query counts as slow: its "
+        "trace outlives fast ones and a slow miss caches its analyzed "
+        "plan (default 0.25)",
     )
     _add_shard_arguments(serve)
     _add_scale_argument(serve)
     serve.set_defaults(run=cmd_serve)
-
-    slowlog = commands.add_parser(
-        "slowlog", help="dump the slow-query ring buffer as JSON"
-    )
-    slowlog.add_argument(
-        "--url",
-        default=None,
-        help="fetch <url>/slowlog from a running endpoint instead of "
-        "running a local workload",
-    )
-    slowlog.add_argument(
-        "--threshold",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="capture threshold for the local workload (default 0: "
-        "profile everything)",
-    )
-    slowlog.add_argument("--threads", type=int, default=2)
-    slowlog.add_argument("--rounds", type=int, default=1)
-    _add_scale_argument(slowlog)
-    slowlog.set_defaults(run=cmd_slowlog)
 
     mem = commands.add_parser(
         "mem",

@@ -19,13 +19,12 @@ carries a first-class accounting layer:
 - :mod:`repro.obs.histogram` — fixed log-scale-bucket latency
   histograms: lock-cheap ``observe``, mergeable, p50/p95/p99, JSON
   round-trip, Prometheus ``_bucket``/``_sum``/``_count`` export.
-- :mod:`repro.obs.slowlog` — a ring buffer of profiled slow queries
-  (span tree + counter deltas + plan choice per entry).
 - :mod:`repro.obs.tracing` — the distributed layer over the tracer:
   :class:`TraceContext` identity propagated across threads, shard
   worker processes and async rollup rebuilds (follows-from links), and
-  the bounded :class:`TraceStore` flight recorder behind ``/traces``
-  and ``/trace/id/<trace_id>``.
+  the bounded :class:`TraceStore` flight recorder — each request's one
+  record, slow and failed traces evicted after fast ones — behind
+  ``/traces`` and ``/trace/id/<trace_id>``.
 - :mod:`repro.obs.explain` — EXPLAIN / EXPLAIN ANALYZE plan trees:
   per-node planner estimates, measured actuals from span counter
   deltas, misestimate factors, text rendering and a fingerprint-keyed
@@ -75,7 +74,6 @@ from repro.obs.exporters import (
     trace_from_json,
     trace_to_json,
 )
-from repro.obs.slowlog import SlowQueryLog, SlowQueryRecord
 from repro.obs.tracing import (
     TraceContext,
     TraceRecord,
@@ -110,8 +108,6 @@ __all__ = [
     "PromSample",
     "QueryPlan",
     "SamplingProfiler",
-    "SlowQueryLog",
-    "SlowQueryRecord",
     "Span",
     "TimePoint",
     "TimeSeriesStore",

@@ -297,7 +297,7 @@ class PlanCache(SizedStore):
     """A thread-safe bounded LRU of plan payloads keyed by fingerprint.
 
     The serving layer records every ``explain()`` result and every
-    slowlog-captured plan here so ``/explain/<fingerprint>`` can serve
+    slow miss's analyzed plan here so ``/explain/<fingerprint>`` can serve
     them without re-planning.  A dropped plan is rebuilt by the next
     EXPLAIN of that query, so plans shed after the serving caches but
     before correctness-bearing state.

@@ -25,8 +25,8 @@ pass two reclaims unconditionally if the overshoot survives pass one.
 Evicted grains fall back to base-table scans exactly like the stale
 path, so serving correctness is untouched; the reclaim itself is
 counted (``memory.pressure_events`` / ``memory.reclaimed_bytes``) and
-wrapped in a tracer span so it shows up in EXPLAIN ANALYZE and the
-slowlog.
+wrapped in a tracer span so it shows up in EXPLAIN ANALYZE and in the
+trace of the request that triggered it.
 """
 
 from __future__ import annotations
@@ -89,7 +89,8 @@ class SizedStore:
     :meth:`resident_bytes`, :meth:`reclaim` and :meth:`top_entries` —
     written once for every bounded store.  Entries sit in one
     insertion-ordered map whose head is the next victim, both of the
-    count cap and of :meth:`reclaim`: :meth:`get` moves a key to the
+    count cap and of :meth:`reclaim`, unless a subclass's
+    :meth:`_victim` looks past it: :meth:`get` moves a key to the
     tail (an LRU cache), :meth:`peek` leaves it where it is (a ring that
     only peeks is FIFO).  Callers measure an entry's bytes themselves,
     outside the lock.  ``_lock`` is the store's one lock, re-entrant so
@@ -122,16 +123,23 @@ class SizedStore:
         self._resident_bytes -= nbytes
         return nbytes
 
-    def _evict_oldest(self, counter: str | None) -> int:
+    def _victim(self, spare: Hashable | None) -> Hashable:
+        """The key the count cap or :meth:`reclaim` evicts next: the
+        oldest.  ``spare`` is the key :meth:`put` just stored, which a
+        subclass that looks past the oldest must not pick (caller holds
+        the lock; the store is not empty)."""
+        return next(iter(self._entries))
+
+    def _evict(self, counter: str | None, spare: Hashable | None = None) -> int:
         # caller holds the lock
-        nbytes = self._drop(next(iter(self._entries)))
+        nbytes = self._drop(self._victim(spare))
         if counter is not None:
             self.counters.add(counter)
         return nbytes
 
     def put(self, key: Hashable, value: Any, nbytes: int) -> None:
-        """Store ``value`` as the newest entry, charged ``nbytes``; the
-        oldest entries leave while the count is over capacity."""
+        """Store ``value`` as the newest entry, charged ``nbytes``;
+        :meth:`_victim` entries leave while the count is over capacity."""
         with self._lock:
             if key in self._entries:
                 self._drop(key)
@@ -139,7 +147,7 @@ class SizedStore:
             self._sizes[key] = nbytes
             self._resident_bytes += nbytes
             while len(self._entries) > self.capacity:
-                self._evict_oldest(self._evict_counter)
+                self._evict(self._evict_counter, spare=key)
 
     def get(self, key: Hashable) -> Any:
         """The value under ``key``, refreshed to newest, or ``None``."""
@@ -202,7 +210,8 @@ class SizedStore:
             return self._resident_bytes
 
     def reclaim(self, target_bytes: int) -> int:
-        """Evict oldest-first until at most ``target_bytes`` remain.
+        """Evict :meth:`_victim`-first until at most ``target_bytes``
+        remain.
 
         Returns the bytes freed.  Counted apart from count-cap eviction,
         so a dashboard can tell churn from a process over its budget.
@@ -210,7 +219,7 @@ class SizedStore:
         freed = 0
         with self._lock:
             while self._entries and self._resident_bytes > target_bytes:
-                freed += self._evict_oldest(self._pressure_counter)
+                freed += self._evict(self._pressure_counter)
         return freed
 
     def top_entries(self, n: int = 10) -> list[dict]:

@@ -1,6 +1,6 @@
 """A thread-sampling wall-clock profiler attributing time to spans.
 
-Histograms say how slow; the slow-query log says why one query was
+Histograms say how slow; a slow query's trace says why it was
 slow; the profiler says where the *process* spends its wall-clock time
 while serving.  A daemon thread periodically snapshots every thread's
 Python frame via ``sys._current_frames()`` and classifies each

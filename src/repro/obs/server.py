@@ -33,10 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 ROUTES = (
     ("/metrics", "metrics_payload"),
     ("/healthz", "health_payload"),
-    ("/slowlog", "slowlog_payload"),
     ("/traces", "traces_index_payload"),
     ("/trace/id/<trace_id>", "trace_by_id_payload"),
-    ("/trace/<fingerprint>", "trace_payload"),
     ("/explain", "explain_index_payload"),
     ("/explain/<fingerprint>", "explain_payload"),
     ("/timeseries", "timeseries_index_payload"),
@@ -121,19 +119,6 @@ class ObservabilityRoutes:
             "recoveries": self.service.counters.get("serve.recoveries"),
             "degradations": self.service.counters.get("serve.degradations"),
         }
-
-    def slowlog_payload(self) -> list[dict]:
-        slowlog = getattr(self.service, "slowlog", None)
-        if slowlog is None:
-            return []
-        return [entry.to_dict() for entry in slowlog.entries()]
-
-    def trace_payload(self, fingerprint: str) -> dict:
-        """``/trace/<fingerprint>``: that query's latest captured profile."""
-        entry = self._part("slowlog", "slow-query log").find(fingerprint)
-        if entry is None:
-            raise ApiNotFoundError(f"no trace for {fingerprint!r}")
-        return entry.to_dict()
 
     def traces_index_payload(self, *, limit: float = 50) -> dict:
         """``/traces``: the flight recorder's recent-trace index."""

@@ -290,7 +290,7 @@ class thread_tracing:
     """Install a tracer for a ``with`` block on *this thread only*.
 
     The serving layer's worker threads use this to capture each query's
-    span tree for the slow-query log without racing a process-wide
+    span tree for its trace record without racing a process-wide
     :func:`set_tracer` against the other seven workers.  Inside the
     block, this thread's :func:`get_tracer` returns ``tracer``; other
     threads are unaffected.

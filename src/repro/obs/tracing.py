@@ -7,9 +7,9 @@ Dapper-style identity that survives thread pools, process shard workers
 and background rollup rebuilds:
 
 - :class:`TraceContext` is the propagated identity: a 128-bit
-  ``trace_id`` plus a 64-bit ``span_id``/``parent_span_id`` pair and a
-  head-sampling flag.  Contexts are minted at every entry point (an API
-  request, ``QueryService.query``, a CLI run), carried across threads
+  ``trace_id`` plus a 64-bit ``span_id``/``parent_span_id`` pair.
+  Contexts are minted at every entry point (an API request,
+  ``QueryService.query``, a CLI run), carried across threads
   explicitly (capture at submit, install in the worker via
   :class:`trace_context`) and across processes as a plain dict inside
   the shard task payload.
@@ -18,11 +18,12 @@ and background rollup rebuilds:
   fresh trace, and both sides carry a link to the other
   (:func:`add_trace_link`), so the request's trace answers "which build
   did I schedule?" and the build's trace answers "who asked for this?".
-- :class:`TraceStore` is the flight recorder: a bounded, thread-safe
-  ring keyed by trace_id.  Slow, errored and explicitly-requested
-  traces are always kept, the rest when their context is sampled;
-  several layers (API handler, query service) contribute spans to the
-  same trace_id and the store merges them into one record.
+- :class:`TraceStore` is the flight recorder, each request's one
+  record: a bounded, thread-safe ring keyed by trace_id.  Every trace
+  is stored; slow and errored ones are evicted only after every fast
+  one, so their evidence outlives any amount of fast traffic.  Several
+  layers (API handler, query service) contribute spans to the same
+  trace_id and the store merges them into one record.
 """
 
 from __future__ import annotations
@@ -31,11 +32,20 @@ import os
 import re
 import threading
 import time
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 from repro.obs.memory import SizedStore, deep_sizeof
 
 _TRACE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
+
+#: span trees one trace record keeps.  An API request contributes one
+#: or two, so only a client that reuses one ``X-Trace-Id`` on every
+#: request reaches it; later contributions still merge their status,
+#: latency, attrs and links, but their roots are dropped and counted
+#: (``traces.roots_dropped``), so that client cannot grow one record
+#: without bound.
+MAX_ROOTS_PER_TRACE = 32
 
 
 def _hex_id(n_bytes: int) -> str:
@@ -49,17 +59,14 @@ class TraceContext:
     ``trace_id`` is 128-bit (32 hex chars) and names the whole request;
     ``span_id`` is 64-bit and names the minting site's own span within
     it; ``parent_span_id`` is the minter's parent (``None`` at an entry
-    point).  ``sampled`` is the head-sampling decision made at mint
-    time — the :class:`TraceStore` still force-keeps slow and errored
-    traces regardless.  The frozen dataclass is picklable as-is, but
-    process boundaries ship the explicit :meth:`to_dict` form so worker
-    task payloads stay plain dicts.
+    point).  The frozen dataclass is picklable as-is, but process
+    boundaries ship the explicit :meth:`to_dict` form so worker task
+    payloads stay plain dicts.
     """
 
     trace_id: str
     span_id: str
     parent_span_id: str | None = None
-    sampled: bool = True
     origin: str = ""
 
     def child(self, origin: str | None = None) -> "TraceContext":
@@ -68,7 +75,6 @@ class TraceContext:
             trace_id=self.trace_id,
             span_id=_hex_id(8),
             parent_span_id=self.span_id,
-            sampled=self.sampled,
             origin=self.origin if origin is None else origin,
         )
 
@@ -78,7 +84,6 @@ class TraceContext:
             "trace_id": self.trace_id,
             "span_id": self.span_id,
             "parent_span_id": self.parent_span_id,
-            "sampled": self.sampled,
             "origin": self.origin,
         }
 
@@ -89,20 +94,16 @@ class TraceContext:
             trace_id=str(payload["trace_id"]),
             span_id=str(payload["span_id"]),
             parent_span_id=payload.get("parent_span_id"),
-            sampled=bool(payload.get("sampled", True)),
             origin=str(payload.get("origin", "")),
         )
 
 
-def new_trace_context(
-    origin: str = "", sampled: bool = True
-) -> TraceContext:
+def new_trace_context(origin: str = "") -> TraceContext:
     """Mint a fresh root context (new 128-bit trace, no parent)."""
     return TraceContext(
         trace_id=_hex_id(16),
         span_id=_hex_id(8),
         parent_span_id=None,
-        sampled=sampled,
         origin=origin,
     )
 
@@ -112,11 +113,9 @@ def adopt_trace_id(
 ) -> TraceContext | None:
     """Adopt an inbound ``X-Trace-Id`` header value, if well-formed.
 
-    Adopted traces are always sampled: a caller that went to the
-    trouble of sending an id is asking to find the trace later
-    (the "explicit" arm of the sampling policy).  Malformed ids are
-    rejected (``None``) rather than propagated, so a garbage header
-    cannot pollute the store keyspace.
+    A caller that sends an id is asking to find the trace later under
+    it.  Malformed ids are rejected (``None``) rather than propagated,
+    so a garbage header cannot pollute the store keyspace.
     """
     if trace_id is None:
         return None
@@ -127,7 +126,6 @@ def adopt_trace_id(
         trace_id=candidate,
         span_id=_hex_id(8),
         parent_span_id=None,
-        sampled=True,
         origin=origin,
     )
 
@@ -251,12 +249,13 @@ class TraceRecord:
 class TraceStore(SizedStore):
     """A bounded, thread-safe ring of recent traces keyed by trace_id.
 
-    The flight-recorder contract: keep the last ``capacity`` traces
-    that mattered.  A trace is kept when it is already resident (later
-    contributions merge), when the recorder forces it (explicit
-    request, inbound header, EXPLAIN), when it errored or ran slow, or
-    when its context is sampled.  A contribution refreshes the trace's
-    recency; reading it does not.
+    The flight-recorder contract: every contribution is stored, and the
+    store's one policy is which trace leaves.  A trace is *kept*
+    (:meth:`kept`) when it ran at least ``slow_threshold_s`` or its
+    status is an error; at the count cap and under :meth:`reclaim` the
+    victim is the oldest trace that is not kept, and the oldest kept
+    one only when nothing else is left.  A contribution refreshes the
+    trace's recency; reading it does not.
     """
 
     _evict_counter = "traces.evicted"
@@ -264,6 +263,24 @@ class TraceStore(SizedStore):
     def __init__(self, capacity: int = 256, slow_threshold_s: float = 0.25):
         super().__init__(capacity)
         self.slow_threshold_s = slow_threshold_s
+
+    def kept(self, record: TraceRecord) -> bool:
+        """Whether ``record`` outlives every fast, ok trace."""
+        return (
+            record.latency_s >= self.slow_threshold_s
+            or record.status not in ("ok", "")
+        )
+
+    def _victim(self, spare: Hashable | None) -> Hashable:
+        oldest_kept = None
+        for key, record in self._entries.items():
+            if key == spare:
+                continue
+            if not self.kept(record):
+                return key
+            if oldest_kept is None:
+                oldest_kept = key
+        return oldest_kept
 
     # -- recording -----------------------------------------------------------
 
@@ -278,23 +295,21 @@ class TraceStore(SizedStore):
         roots: list | None = None,
         links: list | None = None,
         attrs: dict | None = None,
-        force: bool = False,
-    ) -> bool:
+    ) -> None:
         """Store (or merge into) the trace for ``context``.
 
         ``roots`` is a list of serialized span trees
-        (:func:`~repro.obs.exporters.span_to_dict` form).  Returns
-        whether the trace is resident afterwards.
+        (:func:`~repro.obs.exporters.span_to_dict` form); a record keeps
+        at most :data:`MAX_ROOTS_PER_TRACE` of them.
 
         Byte accounting is *incremental*: each contributing write adds
-        the measured size of what it appended (span trees, attrs,
-        links), so a merge never re-walks the whole record — deep
-        measurement of the bulky span trees happens outside the store
-        lock, on the writer's thread.
+        the measured size of what it appended (span trees, attrs that
+        bring a new key, links), so a merge never re-walks the whole
+        record — deep measurement of the bulky span trees happens
+        outside the store lock, on the writer's thread.
         """
-        slow = latency_s >= self.slow_threshold_s
         error = status not in ("ok", "")
-        roots_bytes = deep_sizeof(roots) if roots else 0
+        root_bytes = [deep_sizeof(root) for root in roots or ()]
         attrs_bytes = deep_sizeof(attrs) if attrs else 0
         trace_id = context.trace_id
         with self._lock:
@@ -302,8 +317,6 @@ class TraceStore(SizedStore):
             # assembled is not evicted under its writers
             record = super().get(trace_id)
             if record is None:
-                if not (force or slow or error or context.sampled):
-                    return False
                 record = TraceRecord(
                     trace_id=trace_id,
                     origin=origin or context.origin,
@@ -323,17 +336,22 @@ class TraceStore(SizedStore):
             if error or record.status in ("ok", ""):
                 record.status = status
             record.latency_s = max(record.latency_s, latency_s)
+            grown = 0
             if attrs:
+                if not attrs.keys() <= record.attrs.keys():
+                    grown += attrs_bytes
                 record.attrs.update(attrs)
             if roots:
-                record.roots.extend(roots)
-            link_bytes = 0
+                room = max(0, MAX_ROOTS_PER_TRACE - len(record.roots))
+                record.roots.extend(roots[:room])
+                grown += sum(root_bytes[:room])
+                if len(roots) > room:
+                    self.counters.add("traces.roots_dropped", len(roots) - room)
             for link in links or ():
                 if link not in record.links:
                     record.links.append(dict(link))
-                    link_bytes += deep_sizeof(link)
-            self.grow(trace_id, roots_bytes + attrs_bytes + link_bytes)
-        return True
+                    grown += deep_sizeof(link)
+            self.grow(trace_id, grown)
 
     def link(self, trace_id: str, link: dict) -> bool:
         """Attach one link to an already-resident trace, if present."""

@@ -35,6 +35,13 @@ registry (its sampler tick also enforces the memory budget) and a
 :class:`~repro.obs.profiler.SamplingProfiler`.  Both background threads
 are opt-in via :class:`ServiceConfig` (``timeseries_interval_s`` /
 ``profile_sampling_s``) and stop in :meth:`close`.
+
+Every query's outcome is one record in the
+:class:`~repro.obs.tracing.TraceStore` (``traces``): span tree,
+fingerprint and latency, evicted only after fast traces when it ran
+slow or failed.  A slow engine miss also leaves its analyzed plan in
+the fingerprint-keyed plan cache (``plans``), so one trace plus one
+plan explain it without re-running it.
 """
 
 from __future__ import annotations
@@ -58,7 +65,6 @@ from repro.obs.explain import PlanCache, QueryPlan, attach_actuals
 from repro.obs.memory import MemoryAccountant
 from repro.obs.profiler import SamplingProfiler
 from repro.obs.exporters import span_to_dict
-from repro.obs.slowlog import SlowQueryLog
 from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.tracer import Tracer, get_tracer, thread_tracing
 from repro.obs.tracing import (
@@ -96,13 +102,14 @@ class ServiceConfig:
     retry_base_s: float = 0.001
     #: backoff ceiling, seconds
     retry_cap_s: float = 0.05
-    #: end-to-end latency beyond which a query's profile is captured
-    #: into the slow-query log
-    slowlog_threshold_s: float = 0.25
-    #: run every query under a per-thread tracer so slow ones capture
-    #: their full span tree; disable to shave the per-span registry
-    #: snapshots off the hot path (slowlog entries then carry no trace
-    #: and slow misses no analyzed plan)
+    #: end-to-end latency at which a query counts as slow: the trace
+    #: store evicts its trace only after every fast one, and a slow
+    #: engine miss leaves its analyzed plan in the plan cache
+    slow_threshold_s: float = 0.25
+    #: run every query under a per-thread tracer so its trace carries
+    #: the full span tree; disable to shave the per-span registry
+    #: snapshots off the hot path (traces then carry no span tree and
+    #: slow misses no analyzed plan)
     profile_queries: bool = True
     #: sample the registry into the time-series ring every this many
     #: seconds (0 keeps the sampler off; the store still answers
@@ -140,11 +147,8 @@ class QueryService:
         self.results = ResultCache()
         self.chunks = ChunkCache()
         self.counters = Counters()
-        self.slowlog = SlowQueryLog(threshold_s=self.config.slowlog_threshold_s)
         self.plans = PlanCache()
-        self.traces = TraceStore(
-            slow_threshold_s=self.config.slowlog_threshold_s
-        )
+        self.traces = TraceStore(slow_threshold_s=self.config.slow_threshold_s)
         self.timeseries = TimeSeriesStore(engine.db.metrics)
         self.profiler = SamplingProfiler(
             interval_s=self.config.profile_sampling_s or 0.005
@@ -203,10 +207,6 @@ class QueryService:
             replace=True,
         )
         registry.register_gauge(
-            "serve.slowlog_entries", lambda: float(len(self.slowlog)),
-            replace=True,
-        )
-        registry.register_gauge(
             "serve.plan_cache_entries", lambda: float(len(self.plans)),
             replace=True,
         )
@@ -236,9 +236,9 @@ class QueryService:
         Reclaim order (``cost_rank``) is cheapest-to-rebuild first:
         result cache (one engine query) → decoded chunks (one pool
         read + decode each) → rollup grains (rank 2, registered by the
-        API endpoint that owns the router) → cached plans → telemetry
-        rings (slowlog, traces), whose loss costs a debugging
-        breadcrumb but never a wrong answer.  The buffer pool and the
+        API endpoint that owns the router) → cached plans → the trace
+        store, whose loss costs a debugging breadcrumb but never a
+        wrong answer.  The buffer pool and the
         time-series ring are accounted but never evicted from here:
         both enforce their own capacity bounds.
         """
@@ -247,7 +247,6 @@ class QueryService:
         memory.register_store("chunk_cache", self.chunks, cost_rank=1, share=0.25)
         memory.register_store("buffer_pool", self.engine.db.pool.resident_bytes)
         memory.register_store("plan_cache", self.plans, cost_rank=3, share=0.02)
-        memory.register_store("slowlog", self.slowlog, cost_rank=4, share=0.02)
         memory.register_store("traces", self.traces, cost_rank=5, share=0.02)
         memory.register_store("timeseries", self.timeseries.resident_bytes)
         memory.register_store("shard_workers", self._shard_worker_bytes)
@@ -421,9 +420,7 @@ class QueryService:
                     self._record_trace(
                         trace, query, fingerprint, status, latency, tracer
                     )
-            self._note_latency(
-                latency, query, opts, fingerprint, result, tracer, trace
-            )
+            self._note_latency(latency, query, opts, fingerprint, result, tracer)
             return result
         finally:
             self._histograms["serve.query_latency_seconds"].observe(
@@ -459,31 +456,16 @@ class QueryService:
         )
 
     def _note_latency(
-        self, latency, query, opts, fingerprint, result, tracer, trace
+        self, latency, query, opts, fingerprint, result, tracer
     ) -> None:
-        """Feed one finished query into the slow-query log."""
-        if not self.slowlog.should_capture(latency):
+        """Count a slow query; a slow miss caches its analyzed plan under
+        the fingerprint its trace's attrs name."""
+        if latency < self.traces.slow_threshold_s:
             return
-        # snapshot the query's own span trees first: the plan rebuild
-        # below runs in its own span, which must not ride into this
-        # entry's trace
-        roots = list(tracer.roots) if tracer is not None else None
-        explain = self._slow_plan(query, opts, result, tracer)
-        entry = self.slowlog.record(
-            fingerprint=fingerprint,
-            cube=query.cube,
-            backend=result.backend,
-            latency_s=latency,
-            roots=roots,
-            cache="hit" if result.stats.get("result_cache_hit") else "miss",
-            requested_backend=opts.backend,
-            explain=explain,
-            trace_id=trace.trace_id if trace is not None else None,
-        )
-        if entry is not None:
-            self.counters.add("serve.slow_queries")
-            if explain is not None:
-                self.plans.put(fingerprint, explain)
+        self.counters.add("serve.slow_queries")
+        plan = self._slow_plan(query, opts, result, tracer)
+        if plan is not None:
+            self.plans.put(fingerprint, plan)
 
     def _slow_plan(self, query, opts, result, tracer) -> dict | None:
         """Best-effort analyzed plan for one slow engine miss.
@@ -512,6 +494,11 @@ class QueryService:
                 with self._engine_lock:
                     plan = self.engine.explain(query, opts)
         except ReproError:
+            return None
+        # a write landing between the run and this re-plan can flip the
+        # planner (stale indices); a plan naming a backend that did not
+        # run describes another query and binds its actuals to nothing
+        if plan.backend != result.backend:
             return None
         attach_actuals(plan.root, span)
         plan.analyzed = True

@@ -25,7 +25,7 @@ Tasks carrying a serialized trace context (``task["trace"]``) run the
 scan under a worker-local tracer and ship the resulting span tree back
 as ``result["trace"]`` (pickle-free :func:`span_to_dict` form); the
 coordinator re-parents it under its ``shard_scan_<i>`` span so EXPLAIN
-ANALYZE and the slow-query log show one contiguous tree per query even
+ANALYZE and the stored trace show one contiguous tree per query even
 across process boundaries.
 """
 

@@ -148,7 +148,6 @@ class TestEvictionUnderWrites:
             service.results,
             service.chunks,
             service.plans,
-            service.slowlog,
             service.traces,
             service.timeseries,
         ):

@@ -18,6 +18,7 @@ import urllib.request
 import pytest
 
 from repro.api.server import ApiServer
+from repro.obs.tracing import MAX_ROOTS_PER_TRACE
 from repro.util.jsonschema_lite import validate
 
 from .conftest import CONFIG
@@ -155,6 +156,24 @@ class TestTraceResolution:
         record = service.traces.get(trace_id)
         assert record is not None and record.name.startswith("GET /cube/")
         assert service.traces.counters.get("traces.evicted") == 0
+
+    def test_a_reused_trace_id_stays_bounded(self, server):
+        """A client that sends one ``X-Trace-Id`` on every request merges
+        into one record, whose roots and bytes stop growing at the cap."""
+        _, service, endpoint, srv = server
+        _warm(endpoint)
+        reused = {"X-Trace-Id": "ef" * 16}
+        resident = []
+        for _ in range(2):
+            for _ in range(MAX_ROOTS_PER_TRACE):
+                assert _get(srv.url + AGG, headers=reused)[0] == 200
+            resident.append(service.traces.resident_bytes())
+        assert service.traces.keys() == ["ef" * 16]
+        record = service.traces.get("ef" * 16)
+        assert len(record.roots) == MAX_ROOTS_PER_TRACE
+        assert resident[1] == resident[0]
+        dropped = service.traces.counters.get("traces.roots_dropped")
+        assert dropped >= MAX_ROOTS_PER_TRACE
 
 
 class TestAsyncCausality:

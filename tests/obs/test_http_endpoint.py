@@ -14,10 +14,11 @@ import pytest
 from repro.api.model import LogicalModel
 from repro.api.server import ApiEndpoint, ApiServer
 from repro.errors import ApiNotFoundError
-from repro.obs import ObservabilityRoutes, SlowQueryLog
+from repro.obs import ObservabilityRoutes
 from repro.obs.exporters import lint_prometheus_text
 from repro.obs.registry import MetricsRegistry
 from repro.obs.server import ROUTES
+from repro.obs.tracing import new_trace_context
 from repro.olap import ConsolidationQuery, ExecutionOptions
 from repro.serve import QueryService, ServiceConfig
 from repro.util.stats import Counters
@@ -59,10 +60,10 @@ def registry():
 @pytest.fixture(scope="module")
 def live():
     """``(service, server)``: a live engine behind the one listener, every
-    query slow-logged and profiled."""
+    query slow (so each miss caches its analyzed plan) and profiled."""
     engine = fresh_engine()
     with QueryService(
-        engine, ServiceConfig(slowlog_threshold_s=0.0)
+        engine, ServiceConfig(slow_threshold_s=0.0)
     ) as service:
         endpoint = ApiEndpoint(engine, service, fresh_model())
         with ApiServer(endpoint) as server:
@@ -93,31 +94,6 @@ class TestRoutes:
         )
         assert status == 200
         assert payload == {"status": "ok", "service": "detached"}
-
-    def test_slowlog_route_empty_without_log(self, registry):
-        status, payload, _ = ObservabilityRoutes(registry).handle(
-            "/slowlog", {}
-        )
-        assert status == 200
-        assert payload == []
-
-    def test_slowlog_and_trace_routes(self, registry):
-        slowlog = SlowQueryLog(threshold_s=0.0)
-        slowlog.record("fp123", "cube", "array", latency_s=0.5)
-        routes = ObservabilityRoutes(
-            registry, SimpleNamespace(slowlog=slowlog)
-        )
-        status, entries, _ = routes.handle("/slowlog", {})
-        assert status == 200
-        assert len(entries) == 1
-        assert entries[0]["fingerprint"] == "fp123"
-
-        status, payload, _ = routes.handle("/trace/fp123", {})
-        assert status == 200
-        assert payload["backend"] == "array"
-
-        with pytest.raises(ApiNotFoundError, match="no trace"):
-            routes.handle("/trace/unknown", {})
 
     def test_unknown_route_404_lists_routes(self, registry, live):
         assert ObservabilityRoutes(registry).handle("/nope", {}) is None
@@ -296,7 +272,6 @@ class TestMemoryRoute:
             "buffer_pool",
             "chunk_cache",
             "result_cache",
-            "slowlog",
             "traces",
             "plan_cache",
         ):
@@ -309,11 +284,12 @@ def test_one_table_every_pattern_is_served_untraced(live, pattern):
     """Every ``ROUTES`` pattern answers 200 on the one listener, is listed
     by ``GET /``, and is served before a trace is minted."""
     service, server = live
-    service.execute(QUERY)
+    ctx = new_trace_context()
+    service.execute(QUERY, ExecutionOptions(trace=ctx))
     service.timeseries.sample()
     fills = {
-        "<fingerprint>": service.slowlog.entries()[-1].fingerprint,
-        "<trace_id>": service.slowlog.entries()[-1].trace_id,
+        "<fingerprint>": service.traces.get(ctx.trace_id).attrs["fingerprint"],
+        "<trace_id>": ctx.trace_id,
         "<metric>": "serve.admitted",
     }
     path = pattern
@@ -325,7 +301,7 @@ def test_one_table_every_pattern_is_served_untraced(live, pattern):
     assert "X-Trace-Id" not in headers
     if pattern != "/metrics":
         payload = json.loads(body)
-        # no injected id: a trace or slowlog record carries only its own
+        # no injected id: a trace record carries only its own
         if isinstance(payload, dict) and "trace_id" in payload:
             assert payload["trace_id"] == fills["<trace_id>"]
     assert service.traces.counters.get("traces.stored") == stored

@@ -7,7 +7,6 @@ import pytest
 
 from repro.obs.memory import MemoryAccountant, deep_sizeof
 from repro.obs.registry import MetricsRegistry
-from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import TraceStore, new_trace_context
 
 
@@ -226,25 +225,6 @@ class TestReclaim:
 
 
 class TestStoreReclaimHooks:
-    def test_slowlog_reclaim_drops_oldest_first(self):
-        log = SlowQueryLog(capacity=16, threshold_s=0.0)
-        for i in range(6):
-            log.record(f"fp{i}", "cube", "array", latency_s=1.0)
-        before = log.resident_bytes()
-        freed = log.reclaim(before // 2)
-        assert freed > 0
-        assert log.resident_bytes() <= before // 2
-        assert log.entries()[0].fingerprint != "fp0"  # oldest went first
-        assert log.reclaim(before) == 0  # already under target
-
-    def test_slowlog_reclaim_to_zero_empties_ring(self):
-        log = SlowQueryLog(capacity=16, threshold_s=0.0)
-        for i in range(4):
-            log.record(f"fp{i}", "cube", "array", latency_s=1.0)
-        log.reclaim(0)
-        assert len(log) == 0
-        assert log.resident_bytes() == 0
-
     def test_trace_store_reclaim_drops_oldest(self):
         store = TraceStore(capacity=64)
         contexts = [new_trace_context() for _ in range(6)]

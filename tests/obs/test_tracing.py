@@ -4,7 +4,8 @@ The in-process :class:`Tracer` is covered by ``test_tracer.py``; this
 file covers the cross-domain layer added on top — :class:`TraceContext`
 minting/adoption, the thread-local ``trace_context`` installation and
 its per-block link buffer, and the :class:`TraceStore` flight-recorder
-contract (keep rule, merge-by-trace_id, bounded ring).
+contract (merge-by-trace_id, bounded ring, and the eviction rule that
+keeps slow and errored traces past fast ones).
 """
 
 import re
@@ -34,7 +35,6 @@ class TestTraceContext:
         assert HEX32.match(ctx.trace_id)
         assert HEX16.match(ctx.span_id)
         assert ctx.parent_span_id is None
-        assert ctx.sampled
         assert ctx.origin == "test"
 
     def test_mints_are_unique(self):
@@ -47,7 +47,6 @@ class TestTraceContext:
         assert child.trace_id == root.trace_id
         assert child.span_id != root.span_id
         assert child.parent_span_id == root.span_id
-        assert child.sampled == root.sampled
         assert child.origin == "api"
 
     def test_dict_round_trip(self):
@@ -59,7 +58,6 @@ class TestTraceContext:
         ctx = adopt_trace_id(inbound, origin="api")
         assert ctx is not None
         assert ctx.trace_id == inbound.lower()
-        assert ctx.sampled  # explicit ids are always kept
 
     @pytest.mark.parametrize(
         "bad",
@@ -122,35 +120,59 @@ class TestThreadLocalPropagation:
             assert pool.submit(work, ctx).result() == ctx.trace_id
 
 
-class TestTraceStoreSampling:
-    def test_sampled_out_trace_not_stored(self):
-        store = TraceStore(slow_threshold_s=10.0)
-        ctx = new_trace_context(sampled=False)
-        assert not store.record(ctx, name="q", latency_s=0.001)
-        assert store.get(ctx.trace_id) is None
-        assert len(store) == 0
-
-    def test_slow_trace_kept_despite_sampling(self):
-        store = TraceStore(slow_threshold_s=0.25)
-        ctx = new_trace_context(sampled=False)
-        assert store.record(ctx, name="q", latency_s=0.3)
-        assert store.get(ctx.trace_id) is not None
-
-    def test_error_trace_kept_despite_sampling(self):
-        store = TraceStore(slow_threshold_s=10.0)
-        ctx = new_trace_context(sampled=False)
-        assert store.record(ctx, name="q", status="QueryError")
-        assert store.get(ctx.trace_id).status == "QueryError"
-
-    def test_force_keeps_fast_ok_unsampled(self):
-        store = TraceStore(slow_threshold_s=10.0)
-        ctx = new_trace_context(sampled=False)
-        assert store.record(ctx, name="q", force=True)
-        assert store.get(ctx.trace_id) is not None
+class TestTraceStoreEviction:
+    """Every trace is stored; slow and errored ones leave last."""
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             TraceStore(capacity=0)
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [{"latency_s": 0.3}, {"status": "QueryError"}],
+        ids=["slow", "errored"],
+    )
+    def test_a_kept_trace_outlives_capacity_fast_ones(self, outcome):
+        store = TraceStore(capacity=4, slow_threshold_s=0.25)
+        kept = new_trace_context()
+        store.record(kept, name="kept", **outcome)
+        for _ in range(store.capacity):
+            store.record(new_trace_context(), latency_s=0.001)
+        assert store.get(kept.trace_id) is not None
+        assert len(store) == store.capacity
+        assert store.counters.get("traces.evicted") == 1
+
+    def test_a_fast_trace_goes_before_an_older_kept_one(self):
+        store = TraceStore(capacity=2, slow_threshold_s=0.25)
+        slow, fast, newest = (new_trace_context() for _ in range(3))
+        store.record(slow, latency_s=0.3)
+        store.record(fast, latency_s=0.001)
+        store.record(newest)
+        assert store.keys() == [slow.trace_id, newest.trace_id]
+
+    def test_a_ring_of_kept_traces_evicts_its_oldest(self):
+        store = TraceStore(capacity=2, slow_threshold_s=0.25)
+        contexts = [new_trace_context() for _ in range(3)]
+        for ctx in contexts:
+            store.record(ctx, status="QueryError")
+        assert store.keys() == [ctx.trace_id for ctx in contexts[1:]]
+        # the trace being inserted is never its own victim, fast or not
+        fast = new_trace_context()
+        store.record(fast)
+        assert store.keys() == [contexts[2].trace_id, fast.trace_id]
+
+    def test_reclaim_follows_the_same_order(self):
+        store = TraceStore(capacity=8, slow_threshold_s=0.25)
+        slow, older, newer = (new_trace_context() for _ in range(3))
+        store.record(slow, latency_s=0.3)
+        store.record(older)
+        store.record(newer)
+        gone = []
+        while len(store):
+            before = store.keys()
+            store.reclaim(store.resident_bytes() - 1)
+            gone += [key for key in before if key not in store.keys()]
+        assert gone == [older.trace_id, newer.trace_id, slow.trace_id]
 
 
 class TestTraceStoreMerge:
@@ -252,12 +274,17 @@ class TestTraceStoreRing:
     def test_concurrent_recording_is_bounded_and_clean(self):
         store = TraceStore(capacity=16)
 
-        def hammer(_):
-            for _ in range(50):
-                store.record(new_trace_context(), name="q")
+        def hammer(worker):
+            for i in range(50):
+                # every fifth trace slow, so victims are looked for
+                # past kept ones while other writers insert
+                slow = (worker + i) % 5 == 0
+                store.record(new_trace_context(), latency_s=0.3 * slow)
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             list(pool.map(hammer, range(4)))
         assert len(store) <= 16
         snapshot = store.counters.snapshot()
         assert snapshot["traces.stored"] == 200
+        with store._lock:
+            assert store._resident_bytes == sum(store._sizes.values())

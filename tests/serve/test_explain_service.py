@@ -1,6 +1,9 @@
-"""EXPLAIN through the serving layer: plan cache + slowlog embedding."""
+"""EXPLAIN through the serving layer: the plan cache, and the analyzed
+plan a slow miss leaves there."""
 
+from repro.bench import bench_settings, build_cube_engine
 from repro.obs.explain import PlanCache
+from repro.obs.tracing import new_trace_context
 from repro.olap import ConsolidationQuery, ExecutionOptions
 from repro.olap.query import SelectionPredicate
 from repro.serve import QueryService, ServiceConfig
@@ -60,62 +63,75 @@ class TestServiceExplain:
             assert gauges["serve.plan_cache_entries"] == 1.0
 
 
-class TestSlowlogPlans:
-    def test_slow_miss_embeds_analyzed_plan(self):
-        config = ServiceConfig(slowlog_threshold_s=0.0)
+def _nodes(node):
+    yield node
+    for child in node.get("children", ()):
+        yield from _nodes(child)
+
+
+def _slow_miss_plan(service, query):
+    """Run ``query`` under a fresh trace: its result, and the cached plan
+    the trace's fingerprint names (``None`` if there is none)."""
+    ctx = new_trace_context()
+    result = service.execute(query, ExecutionOptions(trace=ctx))
+    fingerprint = service.traces.get(ctx.trace_id).attrs["fingerprint"]
+    return result, service.plans.get(fingerprint)
+
+
+class TestSlowMissPlans:
+    def test_slow_miss_caches_analyzed_plan(self):
+        config = ServiceConfig(slow_threshold_s=0.0)
         with QueryService(fresh_engine(), config) as service:
-            fingerprint_result = service.execute(_q2())
-            entries = service.slowlog.entries()
-            assert entries
-            entry = entries[-1]
-            assert entry.explain is not None
-            assert entry.explain["analyzed"] is True
-            assert entry.explain["backend"] == fingerprint_result.backend
-            # actuals landed on at least one node of the embedded plan
-            def nodes(node):
-                yield node
-                for child in node.get("children", ()):
-                    yield from nodes(child)
-            assert any(
-                "actuals" in n and n["actuals"]
-                for n in nodes(entry.explain["plan"])
-            )
-            # and the payload is addressable via the plan cache too
-            assert service.plans.get(entry.fingerprint) == entry.explain
+            result, plan = _slow_miss_plan(service, _q2())
+        assert plan is not None
+        assert plan["analyzed"] is True
+        assert plan["backend"] == result.backend
+        # actuals landed on at least one node of the cached plan
+        assert any(node.get("actuals") for node in _nodes(plan["plan"]))
 
     def test_cache_hits_carry_no_plan(self):
-        config = ServiceConfig(slowlog_threshold_s=0.0)
+        config = ServiceConfig(slow_threshold_s=0.0)
         with QueryService(fresh_engine(), config) as service:
             service.execute(_q1())
+            service.plans.clear()
             service.execute(_q1())  # result-cache hit
-            hit_entries = [
-                e for e in service.slowlog.entries() if e.cache == "hit"
-            ]
-            assert hit_entries
-            assert all(e.explain is None for e in hit_entries)
+            assert len(service.plans) == 0
+            assert service.counters.get("serve.slow_queries") == 2
 
     def test_unprofiled_service_skips_plans_without_crashing(self):
-        config = ServiceConfig(slowlog_threshold_s=0.0, profile_queries=False)
+        config = ServiceConfig(slow_threshold_s=0.0, profile_queries=False)
         with QueryService(fresh_engine(), config) as service:
             service.execute(_q2())
-            entries = service.slowlog.entries()
-            assert entries
-            assert all(e.explain is None for e in entries)
+            assert len(service.plans) == 0
+
+    def test_a_plan_whose_backend_did_not_run_is_not_kept(self):
+        """A write between the miss and its plan rebuild can stale the
+        indices and flip the planner; that plan describes another run."""
+        engine = build_cube_engine(
+            CONFIG, bench_settings("small"), backends=("relational",)
+        )
+        state = engine.cube(CONFIG.name)
+        original = engine.query
+
+        def query_then_stale(*args, **kwargs):
+            result = original(*args, **kwargs)
+            if result.backend == "bitmap":
+                state.indices_stale = True  # as a racing insert would
+            return result
+
+        engine.query = query_then_stale
+        config = ServiceConfig(slow_threshold_s=0.0)
+        with QueryService(engine, config) as service:
+            result = service.execute(_q2())
+            backends = [service.plans.peek(fp)["backend"] for fp in service.plans.keys()]
+        assert result.backend == "bitmap"
+        assert [b for b in backends if b != result.backend] == []
 
 
 class TestRecordShape:
-    def test_slowlog_record_to_dict_includes_explain_field(self):
-        config = ServiceConfig(slowlog_threshold_s=0.0)
-        with QueryService(fresh_engine(), config) as service:
-            service.execute(_q2())
-            payload = service.slowlog.entries()[-1].to_dict()
-        assert "explain" in payload
-        assert payload["explain"] is None or payload["explain"]["plan"]
-
     def test_worst_misestimate_present_on_embedded_plan(self):
-        config = ServiceConfig(slowlog_threshold_s=0.0)
+        config = ServiceConfig(slow_threshold_s=0.0)
         with QueryService(fresh_engine(), config) as service:
-            service.execute(_q2())
-            entry = service.slowlog.entries()[-1]
-        assert entry.explain is not None
-        assert entry.explain.get("worst_misestimate", 1.0) >= 1.0
+            _, plan = _slow_miss_plan(service, _q2())
+        assert plan is not None
+        assert plan.get("worst_misestimate", 1.0) >= 1.0

@@ -3,11 +3,21 @@
 Every admitted query runs under a resolved :class:`TraceContext` —
 explicit options first, then the submitting thread's installed context,
 then a service-minted root — and records its outcome (span roots,
-fingerprint, slowlog entry, latency exemplar) under that identity.
+fingerprint, latency exemplar) under that identity.  A slow query's
+trace is its one record: span tree, planner reason, cache disposition
+and counters, kept past fast traffic, with a slow miss's analyzed plan
+at ``/explain/<attrs.fingerprint>``.
 """
+
+import contextlib
+import json
+import time
+import urllib.request
 
 import pytest
 
+from repro.api.model import LogicalModel
+from repro.api.server import ApiEndpoint, ApiServer
 from repro.obs.tracing import new_trace_context, trace_context
 from repro.olap import ConsolidationQuery
 from repro.olap.options import ExecutionOptions
@@ -18,53 +28,79 @@ from .conftest import CONFIG
 QUERY = ConsolidationQuery.build(
     CONFIG.name, group_by={"dim0": "h01", "dim1": "h11"}
 )
+#: Query 1's shape: every dimension grouped, no selection
+QUERY1 = ConsolidationQuery.build(
+    CONFIG.name,
+    group_by={f"dim{d}": f"h{d}1" for d in range(CONFIG.ndim)},
+)
 
 
 @pytest.fixture
 def service(engine):
-    svc = QueryService(
-        engine, ServiceConfig(max_workers=2, slowlog_threshold_s=0.0)
-    )
+    svc = QueryService(engine, ServiceConfig(max_workers=2))
     yield svc
     svc.close()
+
+
+@contextlib.contextmanager
+def slowed(engine, seconds):
+    """Every engine query sleeps ``seconds`` before it runs."""
+    original = engine.query
+
+    def slow_query(*args, **kwargs):
+        time.sleep(seconds)
+        return original(*args, **kwargs)
+
+    engine.query = slow_query
+    try:
+        yield
+    finally:
+        engine.query = original
+
+
+def _get_json(url):
+    with urllib.request.urlopen(url, timeout=10) as response:
+        return json.loads(response.read())
+
+
+def _nodes(node):
+    yield node
+    for child in node.get("children", ()):
+        yield from _nodes(child)
 
 
 class TestContextResolution:
     def test_service_mints_when_caller_has_none(self, service):
         service.execute(QUERY)
-        entry = service.slowlog.entries()[-1]
-        assert entry.trace_id
-        record = service.traces.get(entry.trace_id)
-        assert record is not None
+        (record,) = service.traces.values()
         assert record.origin == "service"
 
     def test_explicit_options_context_wins(self, service):
         ctx = new_trace_context(origin="caller")
         service.execute(QUERY, ExecutionOptions(trace=ctx))
-        assert service.slowlog.entries()[-1].trace_id == ctx.trace_id
+        assert service.traces.keys() == [ctx.trace_id]
 
     def test_callers_installed_context_survives_the_pool_hop(self, service):
         ctx = new_trace_context(origin="api")
         with trace_context(ctx):
             service.execute(QUERY)
-        assert service.slowlog.entries()[-1].trace_id == ctx.trace_id
+        assert service.traces.keys() == [ctx.trace_id]
 
     def test_trace_never_changes_the_fingerprint(self, service):
         service.execute(QUERY)
-        baseline = service.slowlog.entries()[-1].fingerprint
         service.execute(
             QUERY, ExecutionOptions(trace=new_trace_context())
         )
-        assert service.slowlog.entries()[-1].fingerprint == baseline
+        first, second = service.traces.values()
+        assert first.attrs["fingerprint"] == second.attrs["fingerprint"]
 
 
 class TestQueryRecord:
     def test_record_carries_spans_and_fingerprint(self, service):
         service.execute(QUERY)
-        entry = service.slowlog.entries()[-1]
-        record = service.traces.get(entry.trace_id)
+        (record,) = service.traces.values()
         assert record.name == f"query:{CONFIG.name}"
-        assert record.attrs["fingerprint"] == entry.fingerprint
+        assert record.attrs["fingerprint"] == service.explain(QUERY).fingerprint
         assert record.attrs["cube"] == CONFIG.name
         assert record.span_count() >= 1
         assert record.roots[0]["name"] == "serve_query"
@@ -92,3 +128,79 @@ class TestQueryRecord:
         registry = service.engine.db.metrics
         snapshot = registry.snapshot_by_source().get("serve:traces", {})
         assert snapshot.get("traces.stored", 0) >= 1
+
+
+class TestSlowTraces:
+    """A slow query's trace holds what explains it."""
+
+    def test_a_slow_miss_keeps_its_span_tree_reason_and_counters(self, engine):
+        config = ServiceConfig(max_workers=2, slow_threshold_s=0.05)
+        with QueryService(engine, config) as service:
+            with slowed(engine, 0.06):
+                service.execute(QUERY1)
+            (record,) = service.traces.values()
+            assert record.latency_s >= 0.05
+            assert service.traces.kept(record)
+            assert service.counters.get("serve.slow_queries") == 1
+        # serve_query wraps the engine's query span, which wraps the
+        # consolidation phases
+        (root,) = record.roots
+        assert root["name"] == "serve_query"
+        assert root["attrs"]["cache"] == "miss"
+        (query_span,) = root["children"]
+        assert query_span["name"] == "query"
+        assert query_span["attrs"]["backend"] == "array"
+        assert query_span["attrs"]["planner_reason"] == "no-selections"
+        assert "consolidate" in [c["name"] for c in query_span["children"]]
+        # the query's counter deltas are the root span's
+        assert root["io"].get("chunk_cache.misses", 0) > 0
+
+    def test_fast_queries_are_not_slow(self, engine):
+        config = ServiceConfig(max_workers=2, slow_threshold_s=30.0)
+        with QueryService(engine, config) as service:
+            service.execute(QUERY1)
+            (record,) = service.traces.values()
+            assert not service.traces.kept(record)
+            assert service.counters.get("serve.slow_queries") == 0
+            assert len(service.plans) == 0
+
+    def test_the_cache_disposition_rides_on_each_trace(self, engine):
+        with QueryService(engine, ServiceConfig(max_workers=2)) as service:
+            service.execute(QUERY1)
+            service.execute(QUERY1)
+            miss, hit = service.traces.values()
+        assert [r.roots[0]["attrs"]["cache"] for r in (miss, hit)] == [
+            "miss", "hit",
+        ]
+        assert miss.attrs["fingerprint"] == hit.attrs["fingerprint"]
+
+    def test_profile_capture_can_be_disabled(self, engine):
+        config = ServiceConfig(max_workers=2, profile_queries=False)
+        with QueryService(engine, config) as service:
+            service.execute(QUERY1)
+            (record,) = service.traces.values()
+        # still recorded, but without the span-tree profile
+        assert record.roots == []
+        assert record.attrs["cube"] == CONFIG.name
+
+    def test_one_trace_and_one_plan_explain_a_slow_miss(self, engine):
+        """Past ``capacity`` fast requests, the slow miss's trace is still
+        served, and its fingerprint names the analyzed plan of that run."""
+        config = ServiceConfig(max_workers=2, slow_threshold_s=0.05)
+        with QueryService(engine, config) as service:
+            ctx = new_trace_context(origin="test")
+            with slowed(engine, 0.06):
+                service.execute(QUERY1, ExecutionOptions(trace=ctx))
+            for _ in range(service.traces.capacity + 1):
+                service.execute(QUERY1)  # result-cache hits, all fast
+            assert service.traces.counters.get("traces.evicted") >= 1
+            endpoint = ApiEndpoint(engine, service, LogicalModel(cubes=()))
+            with contextlib.closing(endpoint), ApiServer(endpoint) as server:
+                trace = _get_json(f"{server.url}/trace/id/{ctx.trace_id}")
+                plan = _get_json(
+                    f"{server.url}/explain/{trace['attrs']['fingerprint']}"
+                )
+        assert trace["latency_s"] >= 0.05
+        assert plan["analyzed"] is True
+        assert plan["backend"] == "array"
+        assert any(node.get("actuals") for node in _nodes(plan["plan"]))

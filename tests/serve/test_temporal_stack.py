@@ -49,7 +49,7 @@ def test_alert_lifecycle_scrape_and_shutdown(tmp_path):
         engine,
         ServiceConfig(
             max_workers=2,
-            slowlog_threshold_s=0.0,
+            slow_threshold_s=0.0,
             profile_sampling_s=0.005,
             timeseries_interval_s=0,
         ),
@@ -77,7 +77,7 @@ def test_alert_lifecycle_scrape_and_shutdown(tmp_path):
         for exemplar in exemplars.values():
             assert service.traces.get(exemplar["trace_id"]) is not None
 
-        assert len(service.slowlog) > 0
+        assert service.counters.get("serve.slow_queries") > 0
         assert service.profiler.to_dict()["ticks"] > 0
     finally:
         service.close()

@@ -111,12 +111,10 @@ class TestShardedService:
 
     def test_flight_recorder_record_validates_and_decomposes(self, engine):
         """The worker subtrees survive into the stored trace record."""
-        config = ServiceConfig(
-            shards=2, executor="process", slowlog_threshold_s=0.0
-        )
+        config = ServiceConfig(shards=2, executor="process")
         with QueryService(engine, config) as svc:
             svc.execute(query2_for(CONFIG))
-            trace_id = svc.slowlog.entries()[-1].trace_id
+            (trace_id,) = svc.traces.keys()
             record = svc.traces.get(trace_id).to_dict()
         with open(
             "benchmarks/schemas/trace.schema.json", encoding="utf-8"

@@ -45,7 +45,7 @@ class TestParser:
             if isinstance(action, argparse._SubParsersAction)
         ]
         assert list(commands.choices) == (
-            "info demo trace explain sql storage bench serve slowlog mem "
+            "info demo trace explain sql storage bench serve mem "
             "api-serve faultcheck"
         ).split()
 
