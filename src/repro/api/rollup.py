@@ -275,8 +275,7 @@ class RollupRouter:
                 lambda: float(self.grain_rows().get(name, 0)),
                 replace=True,
             )
-        # outside both locks: the pressure hook may call right back into
-        # reclaim_grains(), and reclaim never runs under the engine lock
+        # outside the store lock: the hook calls back into reclaim_grains()
         if self.pressure_callback is not None:
             self.pressure_callback()
         return grain

@@ -431,6 +431,8 @@ class ApiEndpoint:
                 cost_rank=2,
                 share=0.25,
             )
+            # the router is no SizedStore, so its build hook is the one
+            # budget check the accountant does not install itself
             self.router.pressure_callback = (
                 lambda: memory.maybe_reclaim("rollup_build")
             )

@@ -318,26 +318,14 @@ def cmd_storage(args) -> int:
     return 0
 
 
-def _temporal_service(engine, **config):
-    """A `QueryService` with the time-series sampler and the profiler
-    running, so ``/timeseries`` and ``/profile`` have something to read."""
-    from repro.serve import QueryService, ServiceConfig
-
-    return QueryService(
-        engine,
-        ServiceConfig(
-            timeseries_interval_s=0.5, profile_sampling_s=0.005, **config
-        ),
-    )
-
-
 @contextlib.contextmanager
 def _serving(engine, model, port: int, **config):
-    """``(service, server)``: one temporal service behind the one HTTP
-    server (query API + introspection routes), both closed on exit."""
+    """``(service, server)``: one service behind the one HTTP server
+    (query API + introspection routes), both closed on exit."""
     from repro.api.server import ApiEndpoint, ApiServer
+    from repro.serve import QueryService, ServiceConfig
 
-    with _temporal_service(engine, **config) as service:
+    with QueryService(engine, ServiceConfig(**config)) as service:
         with contextlib.closing(ApiEndpoint(engine, service, model)) as endpoint:
             with ApiServer(endpoint, port=port) as server:
                 yield service, server
@@ -345,7 +333,7 @@ def _serving(engine, model, port: int, **config):
 
 def cmd_serve(args) -> int:
     import tempfile
-    import threading
+    import time
 
     from repro.api.model import LogicalModel
 
@@ -411,10 +399,7 @@ def cmd_serve(args) -> int:
                 )
             if server is not None and args.linger > 0:
                 print(f"lingering {args.linger:.0f}s for scrapes ...")
-                # park on an Event, not time.sleep: a C-level sleep has
-                # no Python frame, so the sampling profiler would blame
-                # this thread as busy instead of classifying it idle
-                threading.Event().wait(args.linger)
+                time.sleep(args.linger)
     return 0
 
 
@@ -467,6 +452,8 @@ def cmd_mem(args) -> int:
 
     import tempfile
 
+    from repro.serve import QueryService, ServiceConfig
+
     settings = bench_settings(args.scale)
     config = dataset1(settings.scale)[1]  # the x100 cube
     queries = [query1_for(config), query2_for(config), query3_for(config)]
@@ -475,11 +462,13 @@ def cmd_mem(args) -> int:
     # analyzed plan and the plan cache shows in the breakdown
     with tempfile.TemporaryDirectory(prefix="repro-mem-") as wal_dir:
         engine = build_cube_engine(config, settings, wal_dir=wal_dir)
-        with _temporal_service(
+        with QueryService(
             engine,
-            max_workers=args.threads,
-            max_in_flight=4 * args.threads * len(queries),
-            slow_threshold_s=0.0,
+            ServiceConfig(
+                max_workers=args.threads,
+                max_in_flight=4 * args.threads * len(queries),
+                slow_threshold_s=0.0,
+            ),
         ) as service:
             for _ in range(args.rounds):
                 for query in queries:
@@ -490,7 +479,7 @@ def cmd_mem(args) -> int:
 
 def cmd_api_serve(args) -> int:
     import tempfile
-    import threading
+    import time
 
     from repro.api.model import load_model
 
@@ -511,12 +500,11 @@ def cmd_api_serve(args) -> int:
                 + (f" for {args.duration:.0f}s" if args.duration else "")
             )
             try:
-                park = threading.Event()  # not time.sleep: see cmd_serve
                 if args.duration:
-                    park.wait(args.duration)
+                    time.sleep(args.duration)
                 else:
                     while True:
-                        park.wait(3600)
+                        time.sleep(3600)
             except KeyboardInterrupt:
                 print("\ninterrupted")
     return 0

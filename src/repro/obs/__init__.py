@@ -30,13 +30,12 @@ carries a first-class accounting layer:
   deltas, misestimate factors, text rendering and a fingerprint-keyed
   :class:`PlanCache`.
 - :mod:`repro.obs.exporters` — JSON trace dump, text tree rendering,
-  Prometheus text exposition plus a parser/linter for it.
-- :mod:`repro.obs.timeseries` — a bounded ring of registry snapshots
-  answering windowed rates and quantiles (``/timeseries``).
-- :mod:`repro.obs.profiler` — a wall-clock sampling profiler that
-  attributes busy threads to their innermost span (``/profile``).
+  Prometheus text exposition plus a parser/linter for it.  Trends are
+  a scraper's to window: ``/metrics`` exports every counter and
+  cumulative histogram, exemplars included.
 - :mod:`repro.obs.memory` — byte-accurate resident-set accounting with
-  pressure-aware eviction (``/memory``).
+  pressure-aware eviction (``/memory``), the budget checked where a
+  store grows.
 - :mod:`repro.obs.server` — the introspection route table (``ROUTES``:
   ``/metrics``, ``/healthz``, ``/traces``, …) that
   :class:`repro.api.server.ApiServer` mounts.
@@ -65,7 +64,6 @@ from repro.obs.tracer import (
 from repro.obs.exporters import (
     PromSample,
     lint_prometheus_text,
-    parse_exemplar_comments,
     parse_prometheus_text,
     prometheus_text,
     render_span_tree,
@@ -90,8 +88,6 @@ from repro.obs.tracing import (
 # attribute "tracing" to the module object; restore the tracer's
 # context manager, which this package has always exported as `tracing`
 from repro.obs.tracer import tracing as tracing  # noqa: E402, F811
-from repro.obs.timeseries import TimePoint, TimeSeriesStore
-from repro.obs.profiler import SamplingProfiler
 from repro.obs.server import ObservabilityRoutes
 
 
@@ -107,10 +103,7 @@ __all__ = [
     "PlanNode",
     "PromSample",
     "QueryPlan",
-    "SamplingProfiler",
     "Span",
-    "TimePoint",
-    "TimeSeriesStore",
     "TraceContext",
     "TraceRecord",
     "TraceStore",
@@ -123,7 +116,6 @@ __all__ = [
     "get_tracer",
     "lint_prometheus_text",
     "new_trace_context",
-    "parse_exemplar_comments",
     "parse_prometheus_text",
     "prometheus_text",
     "quantile_from_buckets",

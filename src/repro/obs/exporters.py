@@ -174,9 +174,8 @@ def prometheus_text(registry, prefix: str = "repro") -> str:
         lines.append(f"{full}_count {snapshot['count']:g}")
         # per-bucket trace exemplars ride as comment lines (the classic
         # exposition format has no exemplar syntax; OpenMetrics-style
-        # inline exemplars would fail parse_prometheus_text).  Scrapers
-        # that care use parse_exemplar_comments; everyone else skips
-        # them as free comments.
+        # inline exemplars would fail parse_prometheus_text), so a
+        # scraper that does not read them skips them as free comments
         exemplars = snapshot.get("exemplars")
         if exemplars:
             edges = [_format_bound(b) for b in bounds] + ["+Inf"]
@@ -216,38 +215,6 @@ class PromSample:
     name: str
     labels: dict[str, str]
     value: float
-
-
-_EXEMPLAR_RE = re.compile(
-    r"^# EXEMPLAR (?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)_bucket"
-    r'\{le="(?P<le>[^"]+)"\}'
-    r" trace_id=(?P<trace_id>\S+) value=(?P<value>\S+)$"
-)
-
-
-def parse_exemplar_comments(text: str) -> dict[str, dict[str, dict]]:
-    """Extract ``# EXEMPLAR`` comments from exposition text.
-
-    Returns ``{histogram_name: {le: {"trace_id": ..., "value": ...}}}``
-    keyed by the full exported histogram name (e.g.
-    ``repro_serve_query_latency_seconds``).  The scrape half of the
-    exemplar channel: it links a percentile bucket back to a concrete
-    trace (``repro trace --id``).
-    """
-    exemplars: dict[str, dict[str, dict]] = {}
-    for line in text.splitlines():
-        match = _EXEMPLAR_RE.match(line)
-        if match is None:
-            continue
-        try:
-            value = float(match.group("value"))
-        except ValueError:
-            continue
-        exemplars.setdefault(match.group("name"), {})[match.group("le")] = {
-            "trace_id": match.group("trace_id"),
-            "value": value,
-        }
-    return exemplars
 
 
 def _parse_labels(body: str, line_no: int) -> dict[str, str]:

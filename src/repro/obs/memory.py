@@ -7,19 +7,22 @@ to buy query speed.  Every one of those stores already bounds its
 this process holding, and in which store?".  The
 :class:`MemoryAccountant` closes that gap.  Each resident store
 registers with it, either as a :class:`SizedStore` (the one byte
-ledger every bounded cache and telemetry ring shares) or as a
-byte-accurate usage callback.  The accountant exports per-store ``memory.<store>.resident_bytes`` gauges plus one
+ledger every bounded cache and the trace store share) or as a
+byte-accurate usage callback.  The accountant exports per-store
+``memory.<store>.resident_bytes`` gauges plus one
 ``memory.total_resident_bytes`` through the
-:class:`~repro.obs.registry.MetricsRegistry` (so /metrics and
-/timeseries both see them), and serves the ``/memory``
-route and ``repro mem`` breakdowns.
+:class:`~repro.obs.registry.MetricsRegistry` (so ``/metrics`` sees
+them), and serves the ``/memory`` route and ``repro mem`` breakdowns.
 
 On top of accounting sits *pressure-aware eviction*: when
 ``ServiceConfig.memory_budget_bytes`` is set, :meth:`maybe_reclaim`
 shrinks stores in cheap-to-rebuild-first order (result cache →
 decoded chunks → coldest rollup grains by routed-hit recency →
-cached plans → telemetry rings) until the total fits the budget
-again.  Pass one respects each store's soft
+cached plans → traces) until the total fits the budget again.  The
+budget is checked where a store grows: registering a
+:class:`SizedStore` installs :meth:`maybe_reclaim` as its pressure
+hook, called once per growth step, and the rollup router's build hook
+is the one check outside a store.  Pass one respects each store's soft
 share of the budget — a store already below its share is skipped — and
 pass two reclaims unconditionally if the overshoot survives pass one.
 Evicted grains fall back to base-table scans exactly like the stale
@@ -95,6 +98,14 @@ class SizedStore:
     only peeks is FIFO).  Callers measure an entry's bytes themselves,
     outside the lock.  ``_lock`` is the store's one lock, re-entrant so
     a subclass can hold it around a compound step.
+
+    ``pressure_hook`` is where the memory budget is checked: the
+    accountant installs it at registration, and each growth step — a
+    :meth:`put` or :meth:`grow`, or a subclass's compound step built
+    from :meth:`_put` / :meth:`_grow` — calls it once, through
+    :meth:`_grew`.  The lock rule: the hook, and so every reclaim, never
+    runs under a store's ``_lock`` or another lock the step holds (the
+    chunk cache's ``_io_lock``); the service's engine lock may be held.
     """
 
     #: counters bumped once per entry evicted at the count cap / by
@@ -111,6 +122,8 @@ class SizedStore:
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._sizes: dict[Hashable, int] = {}
         self._resident_bytes = 0
+        #: called once after each growth step, with no store lock held
+        self.pressure_hook: Callable[[], object] | None = None
 
     def __len__(self) -> int:
         with self._lock:
@@ -137,9 +150,20 @@ class SizedStore:
             self.counters.add(counter)
         return nbytes
 
+    def _grew(self) -> None:
+        """End one growth step: call the pressure hook (no lock held)."""
+        hook = self.pressure_hook
+        if hook is not None:
+            hook()
+
     def put(self, key: Hashable, value: Any, nbytes: int) -> None:
         """Store ``value`` as the newest entry, charged ``nbytes``;
         :meth:`_victim` entries leave while the count is over capacity."""
+        self._put(key, value, nbytes)
+        self._grew()
+
+    def _put(self, key: Hashable, value: Any, nbytes: int) -> None:
+        """:meth:`put` without the pressure hook, for a compound step."""
         with self._lock:
             if key in self._entries:
                 self._drop(key)
@@ -180,6 +204,11 @@ class SizedStore:
 
     def grow(self, key: Hashable, nbytes: int) -> None:
         """Charge a resident entry ``nbytes`` more (it grew in place)."""
+        self._grow(key, nbytes)
+        self._grew()
+
+    def _grow(self, key: Hashable, nbytes: int) -> None:
+        """:meth:`grow` without the pressure hook, for a compound step."""
         with self._lock:
             if key in self._sizes:
                 self._sizes[key] += nbytes
@@ -246,8 +275,8 @@ class StoreAccount:
     thread-safe (a :class:`SizedStore` keeps a running byte total for
     exactly this reason).  ``reclaim(target)`` shrinks the store to at
     most ``target`` resident bytes and returns how many bytes it
-    actually freed; stores without one (the time-series ring, the
-    buffer pool) are accounted but never evicted from here.  ``cost_rank``
+    actually freed; stores without one (the buffer pool, the shard
+    workers) are accounted but never evicted from here.  ``cost_rank``
     orders reclaim cheapest-to-rebuild first; ``share`` is the store's
     soft fraction of the budget, the floor pass one will not shrink
     below.
@@ -259,6 +288,8 @@ class StoreAccount:
     top_entries: Callable[[int], list[dict]] | None = None
     cost_rank: int = 100
     share: float = 0.0
+    #: the store whose pressure hook this registration installed
+    sized: SizedStore | None = None
 
 
 class MemoryAccountant:
@@ -275,8 +306,8 @@ class MemoryAccountant:
         self._stores: dict[str, StoreAccount] = {}
         self._lock = threading.RLock()
         # non-reentrant by design: a reclaim that triggers a pressure
-        # callback (e.g. the chunk cache refilling during grain
-        # fallback) must not recurse into a second reclaim
+        # hook (e.g. the chunk cache refilling during grain fallback)
+        # must not recurse into a second reclaim
         self._reclaim_lock = threading.Lock()
         if registry is not None:
             registry.register("obs:memory", self.counters, replace=True)
@@ -301,12 +332,13 @@ class MemoryAccountant:
         """Register one resident store under ``name`` (idempotent).
 
         A :class:`SizedStore` brings its own ledger, reclaim and top
-        entries; anything else is a usage callback, optionally with the
-        two hooks beside it.
+        entries, and gets the budget check as its pressure hook; anything
+        else is a usage callback, optionally with the two hooks beside it.
         """
-        if isinstance(store, SizedStore):
-            usage: Callable[[], float] = store.resident_bytes
-            reclaim, top_entries = store.reclaim, store.top_entries
+        sized = store if isinstance(store, SizedStore) else None
+        if sized is not None:
+            usage: Callable[[], float] = sized.resident_bytes
+            reclaim, top_entries = sized.reclaim, sized.top_entries
         else:
             usage = store
         account = StoreAccount(
@@ -316,9 +348,13 @@ class MemoryAccountant:
             top_entries=top_entries,
             cost_rank=cost_rank,
             share=share,
+            sized=sized,
         )
         with self._lock:
             self._stores[name] = account
+        if sized is not None:
+            reason = f"{name}_growth"
+            sized.pressure_hook = lambda: self.maybe_reclaim(reason)
         if self._registry is not None:
             self._registry.register_gauge(
                 f"memory.{name}.resident_bytes", usage, replace=True
@@ -327,7 +363,9 @@ class MemoryAccountant:
     def unregister_store(self, name: str) -> None:
         """Drop one store from the ledger (missing names are ignored)."""
         with self._lock:
-            self._stores.pop(name, None)
+            account = self._stores.pop(name, None)
+        if account is not None and account.sized is not None:
+            account.sized.pressure_hook = None
         if self._registry is not None:
             # gauges cannot be removed; freeze the reading at zero so a
             # late scrape never calls into a closed store

@@ -9,12 +9,12 @@ every ``GET`` outside ``/cube/…``.
 
 A payload method returns its JSON body (``/metrics``: the Prometheus
 text) or raises :class:`~repro.errors.ApiNotFoundError` when the part
-it reads is not attached or the fingerprint / trace id / metric is
-unknown.  Numeric query parameters are the keyword-only arguments of
-the method that takes them (``/traces?limit=N``, ``/memory?top=N``,
-``/timeseries/<metric>?seconds=N&q=Q``); an unparsable, non-finite or
-out-of-range one is an :class:`~repro.errors.ApiRequestError`, any
-other query parameter is ignored.  Everything is read-only.
+it reads is not attached or the fingerprint / trace id is unknown.
+Numeric query parameters are the keyword-only arguments of the method
+that takes them (``/traces?limit=N``, ``/memory?top=N``); an
+unparsable or non-finite one is an
+:class:`~repro.errors.ApiRequestError`, any other query parameter is
+ignored.  Everything is read-only.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ ROUTES = (
     ("/trace/id/<trace_id>", "trace_by_id_payload"),
     ("/explain", "explain_index_payload"),
     ("/explain/<fingerprint>", "explain_payload"),
-    ("/timeseries", "timeseries_index_payload"),
-    ("/timeseries/<metric>", "timeseries_payload"),
-    ("/profile", "profile_payload"),
     ("/memory", "memory_payload"),
 )
 
@@ -149,36 +146,6 @@ class ObservabilityRoutes:
         if payload is None:
             raise ApiNotFoundError(f"no plan for {fingerprint!r}")
         return payload
-
-    def timeseries_index_payload(self) -> dict:
-        """``/timeseries``: every known metric name and its kind."""
-        timeseries = self._part("timeseries", "time-series store")
-        return {
-            "metrics": timeseries.metric_names(),
-            "samples": len(timeseries),
-            "samples_taken": timeseries.samples_taken,
-            "capacity": timeseries.capacity,
-        }
-
-    def timeseries_payload(
-        self, metric: str, *, seconds: float = 60.0, q: float = 0.95
-    ) -> dict:
-        """``/timeseries/<metric>``: one metric's trailing window."""
-        if not 0.0 <= q <= 1.0 or seconds <= 0:
-            raise ApiRequestError(
-                f"need 0 <= q <= 1 and seconds > 0, got q={q:g} "
-                f"seconds={seconds:g}"
-            )
-        timeseries = self._part("timeseries", "time-series store")
-        payload = timeseries.series_payload(metric, seconds, q)
-        if payload is None:
-            raise ApiNotFoundError(
-                f"no metric named {metric!r}; see /timeseries for the names"
-            )
-        return payload
-
-    def profile_payload(self) -> dict:
-        return self._part("profiler", "profiler").to_dict()
 
     def memory_payload(self, *, top: float = 10) -> dict:
         """``/memory``: the resident-set breakdown by store."""

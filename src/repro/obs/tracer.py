@@ -40,28 +40,6 @@ import time
 
 from repro.util.stats import Counters, counter_delta
 
-#: live span-name stacks by thread ident, maintained by every open
-#: :class:`_LiveSpan`.  ``threading.local`` hides a thread's stack from
-#: every other thread, but the sampling profiler needs to ask "which
-#: phase is thread X in right now?" from its own thread — this map is
-#: that cross-thread view.  Mutations are single bytecode-level list
-#: ops under the GIL; readers copy via :func:`current_span_stacks`.
-_SPAN_STACKS: dict[int, list[str]] = {}
-
-
-def current_span_stacks() -> dict[int, list[str]]:
-    """Snapshot of every thread's live span-name stack, by thread ident.
-
-    Only threads currently inside at least one live span appear.  The
-    copy is made entry-by-entry so a concurrently exiting span never
-    leaves a torn list in the result.
-    """
-    return {
-        ident: list(stack)
-        for ident, stack in list(_SPAN_STACKS.items())
-        if stack
-    }
-
 
 class Span:
     """One traced phase: name, attributes, duration, counter deltas."""
@@ -176,11 +154,6 @@ class _LiveSpan:
             else:
                 tracer.roots.append(span)
         stack.append(span)
-        ident = threading.get_ident()
-        names = _SPAN_STACKS.get(ident)
-        if names is None:
-            names = _SPAN_STACKS[ident] = []
-        names.append(span.name)
         if tracer.registry is not None:
             self._before = tracer.registry.snapshot_by_source()
         span.start_s = time.perf_counter()
@@ -195,13 +168,6 @@ class _LiveSpan:
                 self._before, tracer.registry.snapshot_by_source()
             )
         tracer._stack.pop()
-        ident = threading.get_ident()
-        names = _SPAN_STACKS.get(ident)
-        if names:
-            names.pop()
-            if not names:
-                # drop the entry so dead threads do not accumulate
-                _SPAN_STACKS.pop(ident, None)
 
 
 class Tracer:

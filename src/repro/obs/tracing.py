@@ -47,6 +47,12 @@ _TRACE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
 #: without bound.
 MAX_ROOTS_PER_TRACE = 32
 
+#: cross-trace links one record keeps, capped like its roots: a client
+#: that reuses one ``X-Trace-Id`` while grains are stale schedules a
+#: distinct build per request; links past the cap are dropped and
+#: counted (``traces.links_dropped``)
+MAX_LINKS_PER_TRACE = 32
+
 
 def _hex_id(n_bytes: int) -> str:
     return os.urandom(n_bytes).hex()
@@ -300,7 +306,9 @@ class TraceStore(SizedStore):
 
         ``roots`` is a list of serialized span trees
         (:func:`~repro.obs.exporters.span_to_dict` form); a record keeps
-        at most :data:`MAX_ROOTS_PER_TRACE` of them.
+        at most :data:`MAX_ROOTS_PER_TRACE` of them, and at most
+        :data:`MAX_LINKS_PER_TRACE` links.  The merge is one growth
+        step: the pressure hook fires once, after the lock is released.
 
         Byte accounting is *incremental*: each contributing write adds
         the measured size of what it appended (span trees, attrs that
@@ -325,7 +333,7 @@ class TraceStore(SizedStore):
                 )
                 # the empty record's fixed skeleton; contributions
                 # below are charged from the pre-measured deltas
-                self.put(trace_id, record, deep_sizeof(record))
+                self._put(trace_id, record, deep_sizeof(record))
                 self.counters.add("traces.stored")
             else:
                 self.counters.add("traces.merged")
@@ -348,22 +356,30 @@ class TraceStore(SizedStore):
                 if len(roots) > room:
                     self.counters.add("traces.roots_dropped", len(roots) - room)
             for link in links or ():
-                if link not in record.links:
-                    record.links.append(dict(link))
-                    grown += deep_sizeof(link)
-            self.grow(trace_id, grown)
+                grown += self._add_link(record, link)
+            self._grow(trace_id, grown)
+        self._grew()
+
+    def _add_link(self, record: TraceRecord, link: dict) -> int:
+        """Append ``link`` unless present or the record is at the cap;
+        the bytes it added (caller holds the lock)."""
+        if link in record.links:
+            return 0
+        if len(record.links) >= MAX_LINKS_PER_TRACE:
+            self.counters.add("traces.links_dropped")
+            return 0
+        record.links.append(dict(link))
+        return deep_sizeof(link)
 
     def link(self, trace_id: str, link: dict) -> bool:
         """Attach one link to an already-resident trace, if present."""
-        link_bytes = deep_sizeof(link)
         with self._lock:
             record = self.peek(trace_id)
             if record is None:
                 return False
-            if link not in record.links:
-                record.links.append(dict(link))
-                self.grow(trace_id, link_bytes)
-            return True
+            self._grow(trace_id, self._add_link(record, link))
+        self._grew()
+        return True
 
     # -- reading -------------------------------------------------------------
 

@@ -18,16 +18,14 @@ in-tree consumer already does.
 Byte accounting: an entry's footprint is the two numpy buffers'
 ``nbytes`` (plus a small fixed overhead), kept in the store's ledger
 so the memory accountant's usage callback is O(1).  A miss
-insert is the cache's only growth point, so it fires the optional
-``pressure_callback`` — the accountant's budget enforcement hook —
-*after* the I/O lock is released, never under it.
+insert is the cache's only growth point: it fires the store's pressure
+hook *after* the I/O lock is released, never under it.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.obs.histogram import Histogram
@@ -55,9 +53,6 @@ class ChunkCache(SizedStore):
             "chunk_cache.lookup_seconds": Histogram(),
             "chunk_cache.decode_seconds": Histogram(),
         }
-        #: called after a miss insert grew the cache; the memory
-        #: accountant installs its budget check here
-        self.pressure_callback: Callable[[], object] | None = None
         self._io_lock = threading.Lock()
 
     @staticmethod
@@ -89,13 +84,11 @@ class ChunkCache(SizedStore):
                         time.perf_counter() - decode_start
                     )
                     self.counters.add("chunk_cache.misses")
-                    self.put(key, chunk, self._chunk_bytes(chunk))
-        if not missed:
+                    self._put(key, chunk, self._chunk_bytes(chunk))
+        if missed:
+            self._grew()
+        else:
             self.counters.add("chunk_cache.hits")
-        elif self.pressure_callback is not None:
-            # outside both locks: the pressure hook may call right back
-            # into reclaim(), which takes the entry lock
-            self.pressure_callback()
         self.histograms["chunk_cache.lookup_seconds"].observe(
             time.perf_counter() - lookup_start
         )

@@ -29,12 +29,10 @@ there, count up for the life of the service (a window or a query is a
 difference of two snapshots); queue depth / cache residency export as
 gauges.
 
-The service also owns the **temporal** observability stack: a
-:class:`~repro.obs.timeseries.TimeSeriesStore` over the engine's
-registry (its sampler tick also enforces the memory budget) and a
-:class:`~repro.obs.profiler.SamplingProfiler`.  Both background threads
-are opt-in via :class:`ServiceConfig` (``timeseries_interval_s`` /
-``profile_sampling_s``) and stop in :meth:`close`.
+Every cache and the trace store register with the service's
+:class:`~repro.obs.memory.MemoryAccountant`, which checks
+``memory_budget_bytes`` each time one of them grows; the service runs
+no background thread of its own besides the query pool.
 
 Every query's outcome is one record in the
 :class:`~repro.obs.tracing.TraceStore` (``traces``): span tree,
@@ -63,9 +61,7 @@ from repro.errors import (
 )
 from repro.obs.explain import PlanCache, QueryPlan, attach_actuals
 from repro.obs.memory import MemoryAccountant
-from repro.obs.profiler import SamplingProfiler
 from repro.obs.exporters import span_to_dict
-from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.tracer import Tracer, get_tracer, thread_tracing
 from repro.obs.tracing import (
     TraceContext,
@@ -111,12 +107,6 @@ class ServiceConfig:
     #: snapshots off the hot path (traces then carry no span tree and
     #: slow misses no analyzed plan)
     profile_queries: bool = True
-    #: sample the registry into the time-series ring every this many
-    #: seconds (0 keeps the sampler off; the store still answers
-    #: windowed queries over manually-taken samples)
-    timeseries_interval_s: float = 0.0
-    #: wall-clock sampling-profiler tick interval (0 keeps it off)
-    profile_sampling_s: float = 0.0
     #: chunk-range shards engine misses scatter over (1 = classic
     #: single-scan path; >1 routes misses through the shard coordinator)
     shards: int = 1
@@ -125,9 +115,9 @@ class ServiceConfig:
     #: process resident-set budget across every accounted store, in
     #: bytes (0 = unbounded: accounting only, no pressure eviction).
     #: The one size setting: each cache and ring keeps its own default
-    #: entry cap.  When the accounted total exceeds this, the memory
-    #: accountant reclaims in cheap-to-rebuild-first order: result
-    #: cache → decoded chunks → coldest rollup grains
+    #: entry cap.  When a store's growth takes the accounted total past
+    #: this, the memory accountant reclaims in cheap-to-rebuild-first
+    #: order: result cache → decoded chunks → coldest rollup grains
     memory_budget_bytes: int = 0
 
 
@@ -149,10 +139,6 @@ class QueryService:
         self.counters = Counters()
         self.plans = PlanCache()
         self.traces = TraceStore(slow_threshold_s=self.config.slow_threshold_s)
-        self.timeseries = TimeSeriesStore(engine.db.metrics)
-        self.profiler = SamplingProfiler(
-            interval_s=self.config.profile_sampling_s or 0.005
-        )
         self._engine_lock = threading.RLock()
         self._admission_lock = threading.Lock()
         self._in_flight = 0
@@ -171,13 +157,6 @@ class QueryService:
             budget_bytes=self.config.memory_budget_bytes,
         )
         self._register_memory_stores()
-        if self.config.timeseries_interval_s > 0:
-            self.timeseries.start(
-                self.config.timeseries_interval_s,
-                hooks=(self._memory_tick,),
-            )
-        if self.config.profile_sampling_s > 0:
-            self.profiler.start()
 
     # -- metrics -----------------------------------------------------------
 
@@ -238,9 +217,9 @@ class QueryService:
         read + decode each) → rollup grains (rank 2, registered by the
         API endpoint that owns the router) → cached plans → the trace
         store, whose loss costs a debugging breadcrumb but never a
-        wrong answer.  The buffer pool and the
-        time-series ring are accounted but never evicted from here:
-        both enforce their own capacity bounds.
+        wrong answer.  Each of those four stores checks the budget
+        where it grows.  The buffer pool is accounted but never evicted
+        from here: it enforces its own capacity bound.
         """
         memory = self.memory
         memory.register_store("result_cache", self.results, cost_rank=0, share=0.10)
@@ -248,13 +227,7 @@ class QueryService:
         memory.register_store("buffer_pool", self.engine.db.pool.resident_bytes)
         memory.register_store("plan_cache", self.plans, cost_rank=3, share=0.02)
         memory.register_store("traces", self.traces, cost_rank=5, share=0.02)
-        memory.register_store("timeseries", self.timeseries.resident_bytes)
         memory.register_store("shard_workers", self._shard_worker_bytes)
-        # the chunk cache's only growth point is a miss insert; check
-        # the budget right there instead of waiting for a sampler tick
-        self.chunks.pressure_callback = (
-            lambda: memory.maybe_reclaim("chunk_cache_insert")
-        )
 
     def _shard_worker_bytes(self) -> float:
         """Process-worker buffer-pool bytes, as last folded back."""
@@ -262,10 +235,6 @@ class QueryService:
         if coordinator is None:
             return 0.0
         return coordinator.worker_pool_resident_bytes()
-
-    def _memory_tick(self, _point) -> None:
-        """Sampler hook: enforce the budget once per time-series tick."""
-        self.memory.maybe_reclaim("sampler")
 
     def stats(self) -> dict[str, float]:
         """Cumulative service + cache counters, merged."""
@@ -486,7 +455,7 @@ class QueryService:
                 break
         if span is None:
             return None
-        # a named span so the profiler attributes the planner rebuild
+        # a named span so the trace attributes the planner rebuild
         # (significant on miss-heavy workloads, e.g. under a memory
         # budget that keeps evicting the result cache)
         try:
@@ -566,14 +535,10 @@ class QueryService:
         self._check_degraded(cube)
         # each retry attempt takes the engine lock by itself, so backoff
         # sleeps never stall other cubes' queued queries
-        result = self._with_retries(
+        return self._with_retries(
             cube,
             lambda: self._execute_miss(query, opts, fingerprint),
         )
-        # the miss grew the result cache; check the budget after the
-        # engine lock is released so reclaim never runs under it
-        self.memory.maybe_reclaim("result_cache_insert")
-        return result
 
     def _execute_miss(self, query, opts: ExecutionOptions, fingerprint):
         """One serialized attempt at an engine miss (runs under retry)."""
@@ -754,10 +719,7 @@ class QueryService:
             if self._closed:
                 return
             self._closed = True
-        self.timeseries.stop()
-        self.profiler.stop()
         self._pool.shutdown(wait=wait)
-        self.chunks.pressure_callback = None
         self.memory.close()
         # shard worker pools / scratch volume images are engine-owned
         # but serving-driven; release them with the serving layer (the

@@ -35,8 +35,8 @@ Metrics flow into the registry's ``engine:shard`` bag
 ``shard.retries``, ``shard.timeouts``, ``shard.partial_results``,
 per-shard ``shard.<i>.pool_hits``/``pool_misses``) and into the
 ``engine.shard.scatter_seconds`` / ``merge_seconds`` /
-``scan_seconds`` histograms — the same stack the time-series store and
-alert rules sample.
+``scan_seconds`` histograms, exported on ``/metrics`` like every
+other source.
 """
 
 from __future__ import annotations

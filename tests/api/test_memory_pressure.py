@@ -149,7 +149,6 @@ class TestEvictionUnderWrites:
             service.chunks,
             service.plans,
             service.traces,
-            service.timeseries,
         ):
             with store._lock:
                 assert store._resident_bytes == sum(store._sizes.values())
@@ -194,3 +193,54 @@ class TestEvictionUnderWrites:
         finally:
             endpoint.close()
             service.close()
+
+
+#: three distinct queries, so the burst's hits leave three result-cache
+#: entries and its EXPLAIN ANALYZEs three plans
+BURST_QUERIES = [
+    ConsolidationQuery.build(CONFIG.name, group_by={"dim0": "h01"}),
+    ConsolidationQuery.build(
+        CONFIG.name, group_by={"dim1": "h11", "dim2": "h21"}
+    ),
+    ConsolidationQuery.build(
+        CONFIG.name, group_by={"dim0": "d0"}, aggregate="max"
+    ),
+]
+
+
+def _burst(budget_bytes):
+    """200 traced queries (all but the first three are result-cache hits)
+    and 50 EXPLAIN ANALYZEs on a service with no sampler.  Returns the
+    total resident bytes after each request, read without enforcing;
+    the largest unreclaimable floor (buffer pool + shard workers); and
+    the pressure-event count."""
+    engine = fresh_engine()
+    totals, floor = [], 0
+    with QueryService(
+        engine, ServiceConfig(memory_budget_bytes=budget_bytes)
+    ) as service:
+        for beat in range(250):
+            query = BURST_QUERIES[beat % len(BURST_QUERIES)]
+            if beat % 5 == 4:
+                service.explain(query, analyze=True)
+            else:
+                service.execute(query)
+            usage = service.memory.usage_by_store()
+            totals.append(sum(usage.values()))
+            floor = max(floor, usage["buffer_pool"] + usage["shard_workers"])
+        events = service.memory.counters.get("memory.pressure_events")
+    return totals, floor, events
+
+
+class TestBudgetCheckedWhereStoresGrow:
+    def test_burst_never_leaves_total_over_a_reachable_budget(self):
+        """The trace store and plan cache grow on every request; with no
+        background tick, their own growth must enforce the budget."""
+        unbudgeted, floor, events = _burst(0)
+        assert events == 0
+        budget = (floor + max(unbudgeted)) // 2
+        assert floor < budget < max(unbudgeted)
+        budgeted, _, events = _burst(budget)
+        over = [total for total in budgeted if total > budget]
+        assert over == [], f"{len(over)} of {len(budgeted)} over {budget}"
+        assert events >= 1

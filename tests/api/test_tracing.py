@@ -18,7 +18,7 @@ import urllib.request
 import pytest
 
 from repro.api.server import ApiServer
-from repro.obs.tracing import MAX_ROOTS_PER_TRACE
+from repro.obs.tracing import MAX_LINKS_PER_TRACE, MAX_ROOTS_PER_TRACE
 from repro.util.jsonschema_lite import validate
 
 from .conftest import CONFIG
@@ -159,21 +159,32 @@ class TestTraceResolution:
 
     def test_a_reused_trace_id_stays_bounded(self, server):
         """A client that sends one ``X-Trace-Id`` on every request merges
-        into one record, whose roots and bytes stop growing at the cap."""
+        into one record, whose roots, links and bytes stop growing at the
+        caps — even when every request schedules a rollup build of its
+        own, each a distinct link."""
         _, service, endpoint, srv = server
         _warm(endpoint)
         reused = {"X-Trace-Id": "ef" * 16}
         resident = []
         for _ in range(2):
-            for _ in range(MAX_ROOTS_PER_TRACE):
+            for _ in range(max(MAX_ROOTS_PER_TRACE, MAX_LINKS_PER_TRACE)):
+                # no grain and no build in flight: the request falls back
+                # to base and schedules a fresh build
+                _wait_for(lambda: not endpoint.router._inflight)
+                endpoint.router.reclaim_grains(0)
                 assert _get(srv.url + AGG, headers=reused)[0] == 200
-            resident.append(service.traces.resident_bytes())
-        assert service.traces.keys() == ["ef" * 16]
+            sizes = service.traces.top_entries(len(service.traces))
+            resident.append(
+                next(e["bytes"] for e in sizes if e["key"] == "ef" * 16)
+            )
         record = service.traces.get("ef" * 16)
         assert len(record.roots) == MAX_ROOTS_PER_TRACE
+        assert len(record.links) == MAX_LINKS_PER_TRACE
+        assert {link["kind"] for link in record.links} == {"schedules"}
         assert resident[1] == resident[0]
-        dropped = service.traces.counters.get("traces.roots_dropped")
-        assert dropped >= MAX_ROOTS_PER_TRACE
+        counters = service.traces.counters
+        assert counters.get("traces.roots_dropped") >= MAX_ROOTS_PER_TRACE
+        assert counters.get("traces.links_dropped") >= MAX_LINKS_PER_TRACE
 
 
 class TestAsyncCausality:

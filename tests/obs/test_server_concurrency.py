@@ -1,13 +1,13 @@
-"""Hammer the introspection routes while the registry churns.
+"""Hammer the introspection routes while their stores churn.
 
 Readers call ``ObservabilityRoutes.handle`` for ``/metrics``,
-``/timeseries/*`` and ``/profile`` from several threads
-(the property is the payload functions' thread-safety, which needs no
-socket) while a mutator adds counters, records observations, samples
-the TSDB, retires per-query bags and swaps the source for a fresh bag
-(the one way a total still restarts from zero: a service re-registering
-with ``replace=True``) — every response must stay parseable (exposition
-text or JSON), never raise.
+``/traces``, ``/explain`` and ``/memory`` from several threads (the
+property is the payload functions' thread-safety, which needs no
+socket) while a mutator adds counters, records observations and
+traces, caches plans, retires per-query bags and swaps the source for a
+fresh bag (the one way a total still restarts from zero: a service
+re-registering with ``replace=True``) — every response must stay
+parseable (exposition text or JSON), never raise.
 """
 
 import json
@@ -16,10 +16,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.errors import ApiNotFoundError
-from repro.obs import ObservabilityRoutes, SamplingProfiler, TimeSeriesStore
+from repro.obs import ObservabilityRoutes, PlanCache, TraceStore
 from repro.obs.exporters import lint_prometheus_text
+from repro.obs.memory import MemoryAccountant
 from repro.obs.registry import MetricsRegistry
+from repro.obs.tracing import new_trace_context
 from repro.util.stats import Counters
 
 ROUNDS = 30
@@ -30,20 +31,23 @@ def stack():
     registry = MetricsRegistry()
     registry.register("svc", Counters())
     registry.observe("svc.latency_seconds", 0.01)
-    tsdb = TimeSeriesStore(registry)
-    tsdb.sample()
-    service = SimpleNamespace(timeseries=tsdb, profiler=SamplingProfiler())
-    return registry, tsdb, ObservabilityRoutes(registry, service)
+    service = SimpleNamespace(
+        traces=TraceStore(capacity=8),
+        plans=PlanCache(capacity=4),
+        memory=MemoryAccountant(registry, budget_bytes=4_000),
+    )
+    service.memory.register_store("traces", service.traces, cost_rank=1)
+    service.memory.register_store("plan_cache", service.plans, cost_rank=0)
+    return registry, service, ObservabilityRoutes(registry, service)
 
 
 def test_reads_survive_concurrent_mutation_and_resets(stack):
-    registry, tsdb, routes = stack
+    registry, service, routes = stack
     paths = (
         ("/metrics", {}),
-        ("/timeseries", {}),
-        ("/timeseries/svc.requests", {"seconds": "30"}),
-        ("/timeseries/svc.latency_seconds", {"seconds": "30", "q": "0.99"}),
-        ("/profile", {}),
+        ("/traces", {"limit": "5"}),
+        ("/explain", {}),
+        ("/memory", {"top": "3"}),
     )
     failures: list[str] = []
     start = threading.Barrier(len(paths) + 2)
@@ -55,7 +59,14 @@ def test_reads_survive_concurrent_mutation_and_resets(stack):
             registry.observe("svc.latency_seconds", 0.001 * (i + 1))
             with registry.scoped("query", Counters()) as bag:
                 bag.add("svc.probes", 1)
-            tsdb.sample()
+            service.traces.record(
+                new_trace_context(),
+                name=f"query:{i}",
+                latency_s=0.001 * i,
+                roots=[{"name": "query", "children": []}],
+                links=[{"kind": "schedules", "trace_id": "ab" * 16}],
+            )
+            service.plans.put(f"fp{i % 6}", {"backend": "array", "round": i})
             if i % 5 == 4:
                 registry.register("svc", Counters(), replace=True)
 
@@ -69,8 +80,6 @@ def test_reads_survive_concurrent_mutation_and_resets(stack):
                     lint_prometheus_text(body)
                 else:
                     json.loads(json.dumps(body))
-            except ApiNotFoundError:
-                pass  # a 404 (metric not sampled yet) is an answer
             except Exception as error:
                 failures.append(f"{path}: {type(error).__name__}: {error}")
                 return
@@ -87,20 +96,5 @@ def test_reads_survive_concurrent_mutation_and_resets(stack):
         thread.join(timeout=30)
     assert failures == []
     assert not any(thread.is_alive() for thread in threads)
-
-
-def test_known_metric_route_stays_200_across_resets(stack):
-    registry, tsdb, routes = stack
-    registry.counters("svc").add("svc.requests", 3)
-    tsdb.sample()
-    status, payload, _ = routes.handle("/timeseries/svc.requests", {})
-    assert status == 200
-    assert payload["kind"] == "counter"
-    registry.register("svc", Counters(), replace=True)
-    registry.counters("svc").add("svc.requests", 1)
-    tsdb.sample()
-    status, payload, _ = routes.handle("/timeseries/svc.requests", {})
-    assert status == 200
-    # a replaced source restarts from zero: deltas clamp, never negative
-    assert payload["points"]
-    assert all(point["delta"] >= 0 for point in payload["points"])
+    # the stores' growth kept the budget: the last put reclaimed in place
+    assert service.memory.total_resident_bytes() <= 4_000

@@ -1,11 +1,11 @@
-"""The live temporal stack on one service, scraped once and shut down.
+"""The live observability stack on one service, scraped once and shut down.
 
-Sampling profiler, slow-query log, latency histograms and the scrape
-endpoint over one :class:`QueryService` on a file-backed WAL: after a
-mixed read/write workload the ``/metrics`` scrape lints, every latency
-family it exports has observations, each query-latency exemplar names a
-trace the flight recorder still holds, the slow log and the profiler
-have entries, and no thread the service started outlives ``close()``.
+Latency histograms, slow-query counting and the scrape endpoint over
+one :class:`QueryService` on a file-backed WAL: after a mixed
+read/write workload the ``/metrics`` scrape lints, every latency family
+it exports has observations, each query-latency exemplar names a trace
+the flight recorder still holds and appears in the scrape, slow queries
+were counted, and no thread the service started outlives ``close()``.
 """
 
 import threading
@@ -21,7 +21,7 @@ from repro.cli import fetch_metrics
 from repro.data import generate_fact_rows
 from repro.api.model import LogicalModel
 from repro.api.server import ApiEndpoint, ApiServer
-from repro.obs import lint_prometheus_text, parse_exemplar_comments
+from repro.obs import lint_prometheus_text
 from repro.serve import QueryService, ServiceConfig
 
 from .conftest import CONFIG
@@ -47,12 +47,7 @@ def test_alert_lifecycle_scrape_and_shutdown(tmp_path):
     before = set(threading.enumerate())
     service = QueryService(
         engine,
-        ServiceConfig(
-            max_workers=2,
-            slow_threshold_s=0.0,
-            profile_sampling_s=0.005,
-            timeseries_interval_s=0,
-        ),
+        ServiceConfig(max_workers=2, slow_threshold_s=0.0),
     )
 
     try:
@@ -72,13 +67,14 @@ def test_alert_lifecycle_scrape_and_shutdown(tmp_path):
             if sample.name.endswith("_count") and sample.value > 0
         }
         assert [f for f in SCRAPED_HISTOGRAMS if f not in observed] == []
-        exemplars = parse_exemplar_comments(scrape)[SCRAPED_HISTOGRAMS[0]]
+        latency = engine.db.metrics.histogram("serve.query_latency_seconds")
+        exemplars = [ex for ex in latency.exemplars() if ex is not None]
         assert exemplars
-        for exemplar in exemplars.values():
-            assert service.traces.get(exemplar["trace_id"]) is not None
+        for trace_id, _ in exemplars:
+            assert service.traces.get(trace_id) is not None
+            assert f"trace_id={trace_id} " in scrape
 
         assert service.counters.get("serve.slow_queries") > 0
-        assert service.profiler.to_dict()["ticks"] > 0
     finally:
         service.close()
     started = set(threading.enumerate()) - before
