@@ -1,172 +1,203 @@
-"""Aggregate functions shared by the relational and array engines.
+"""Aggregate functions, and the one column fold every backend runs.
 
 The paper implements summation and notes the algorithms "could easily
 be extended to aggregates such as count and average" — we do exactly
-that.  An :class:`Aggregate` is a tiny fold: ``initial()`` produces the
-state, ``add`` folds one measure in, ``merge`` combines two states, and
-``result`` extracts the final value.
+that.  An :class:`Aggregate` names the numpy columns its state folds
+into and how a touched result cell finishes (``_FOLDS``).  A
+:class:`ColumnFold` holds, over a table of result cells, the per-cell
+touch counts and every measure's columns, and folds measure columns in
+with ``ufunc.at`` in the order given.
+
+Both sides of the paper's comparison fold through it; they differ only
+in how a measure finds its result cell.  The array's
+:class:`~repro.core.consolidate.ResultAccumulator` computes the cell
+from the measure's *position* (§4.1); the relational operators
+(§4.3–4.5) call :func:`group_fold`, which numbers the groups from the
+tuples' group-by *values*.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+
+import numpy as np
+
 from repro.errors import QueryError
 
+#: the most group cells :func:`group_fold` gives every combination of
+#: its group codes; past it, the cells are renumbered to the
+#: combinations that occur
+DENSE_GROUPS = 1 << 16
 
+
+def _variances(counts: list, cells: list) -> list[float]:
+    """Population variance from the (count, Σx, Σx²) moments."""
+    out = []
+    for count, total, squares in zip(counts, *cells):
+        mean = total / count
+        out.append(max(0.0, squares / count - mean * mean))
+    return out
+
+
+@dataclass(frozen=True)
 class Aggregate:
-    """Base class; subclasses define the fold."""
+    """One aggregate function.
 
-    name = "?"
-
-    def initial(self):
-        raise NotImplementedError
-
-    def add(self, state, value):
-        raise NotImplementedError
-
-    def merge(self, state, other):
-        raise NotImplementedError
-
-    def result(self, state):
-        return state
-
-
-class Sum(Aggregate):
-    """Sum of measures (the paper's aggregate)."""
-
-    name = "sum"
-
-    def initial(self):
-        return 0
-
-    def add(self, state, value):
-        return state + value
-
-    def merge(self, state, other):
-        return state + other
-
-
-class Count(Aggregate):
-    """Number of valid cells / tuples in the group."""
-
-    name = "count"
-
-    def initial(self):
-        return 0
-
-    def add(self, state, value):
-        return state + 1
-
-    def merge(self, state, other):
-        return state + other
-
-
-class Min(Aggregate):
-    """Minimum measure in the group."""
-
-    name = "min"
-
-    def initial(self):
-        return None
-
-    def add(self, state, value):
-        return value if state is None or value < state else state
-
-    def merge(self, state, other):
-        if state is None:
-            return other
-        if other is None:
-            return state
-        return min(state, other)
-
-
-class Max(Aggregate):
-    """Maximum measure in the group."""
-
-    name = "max"
-
-    def initial(self):
-        return None
-
-    def add(self, state, value):
-        return value if state is None or value > state else state
-
-    def merge(self, state, other):
-        if state is None:
-            return other
-        if other is None:
-            return state
-        return max(state, other)
-
-
-class Avg(Aggregate):
-    """Arithmetic mean of measures in the group."""
-
-    name = "avg"
-
-    def initial(self):
-        return (0, 0)  # (sum, count)
-
-    def add(self, state, value):
-        return (state[0] + value, state[1] + 1)
-
-    def merge(self, state, other):
-        return (state[0] + other[0], state[1] + other[1])
-
-    def result(self, state):
-        total, count = state
-        return total / count if count else None
-
-
-class Variance(Aggregate):
-    """Population variance of the group's measures.
-
-    One of the "complicated mathematical and statistical functions"
-    §2.1 names and §3.5 promises the ADT model will eventually host.
-    State is the (count, sum, sum-of-squares) sketch, so partitions
-    merge exactly.
+    ``columns`` are the columns its state folds into — each one's ufunc
+    (it folds and merges with), its dtype (None: the measure's own, so
+    int64 folds are exact past 2**53) and what of the measure it folds
+    (None: the measure).  ``finish`` turns the touched cells' counts and
+    column values (Python lists) into results.  ``count`` has no column:
+    the touch counts already are the answer.
     """
 
-    name = "var"
-
-    def initial(self):
-        return (0, 0.0, 0.0)
-
-    def add(self, state, value):
-        count, total, squares = state
-        return (count + 1, total + value, squares + value * value)
-
-    def merge(self, state, other):
-        return tuple(a + b for a, b in zip(state, other))
-
-    def result(self, state):
-        count, total, squares = state
-        if count == 0:
-            return None
-        mean = total / count
-        return max(0.0, squares / count - mean * mean)
+    name: str
+    columns: tuple
+    finish: Callable[[list, list], list]
 
 
-class StdDev(Variance):
-    """Population standard deviation (square root of :class:`Variance`)."""
+#: ``var``/``stddev`` fold two float64 moment columns: Σx, then Σx²
+_MOMENTS = ((np.add, np.float64, None), (np.add, np.float64, np.square))
 
-    name = "stddev"
-
-    def result(self, state):
-        variance = super().result(state)
-        return None if variance is None else variance**0.5
-
-
-_REGISTRY: dict[str, Aggregate] = {
+_FOLDS: dict[str, Aggregate] = {
     agg.name: agg
-    for agg in (Sum(), Count(), Min(), Max(), Avg(), Variance(), StdDev())
+    for agg in (
+        Aggregate("sum", ((np.add, None, None),), lambda n, cells: cells[0]),
+        Aggregate(
+            "avg",
+            ((np.add, None, None),),
+            lambda n, cells: [total / count for total, count in zip(cells[0], n)],
+        ),
+        Aggregate("min", ((np.minimum, None, None),), lambda n, cells: cells[0]),
+        Aggregate("max", ((np.maximum, None, None),), lambda n, cells: cells[0]),
+        Aggregate("count", (), lambda n, cells: n),
+        Aggregate("var", _MOMENTS, _variances),
+        Aggregate(
+            "stddev",
+            _MOMENTS,
+            lambda n, cells: [v**0.5 for v in _variances(n, cells)],
+        ),
+    )
 }
 
 
 def get_aggregate(name: str) -> Aggregate:
-    """Look up an aggregate by name (``sum``/``count``/``min``/``max``/``avg``)."""
+    """Look up an aggregate by name (``sum``/``count``/``min``/``max``/
+    ``avg``/``var``/``stddev``)."""
     try:
-        return _REGISTRY[name.lower()]
+        return _FOLDS[name.lower()]
     except KeyError:
         raise QueryError(
-            f"unknown aggregate {name!r}; expected one of {sorted(_REGISTRY)}"
+            f"unknown aggregate {name!r}; expected one of {sorted(_FOLDS)}"
         ) from None
+
+
+def blank_column(ufunc: np.ufunc, dtype: np.dtype, shape) -> np.ndarray:
+    """A column nothing has been folded into by ``ufunc``: zeros for
+    ``np.add``, the dtype's extreme for ``np.minimum``/``np.maximum``.
+    Whether a cell holds a real value is decided by its touch count,
+    never by comparing against the sentinel."""
+    if dtype.kind == "f":
+        lowest, highest = -np.inf, np.inf
+    else:
+        lowest, highest = np.iinfo(dtype).min, np.iinfo(dtype).max
+    fill = {np.add: 0, np.minimum: highest, np.maximum: lowest}[ufunc]
+    return np.full(shape, fill, dtype=dtype)
+
+
+class ColumnFold:
+    """Per-cell touch counts and, per measure, the columns its aggregate
+    folds into: one contiguous array per quantity over the result cells.
+    The arrays are plain numpy, so a fold crosses a process boundary as
+    ``(counts, columns)``."""
+
+    def __init__(self, aggs: list[Aggregate], counts, columns):
+        self.aggs = aggs
+        self.counts = counts
+        self.columns = columns
+
+    @classmethod
+    def blank(cls, aggs: list[Aggregate], dtypes, cells: int) -> "ColumnFold":
+        """A fold over ``cells`` cells nothing has entered; measure ``m``
+        folds in ``dtypes[m]`` where its aggregate names no dtype."""
+        return cls(
+            aggs,
+            np.zeros(cells, dtype=np.int64),
+            [
+                [
+                    blank_column(ufunc, np.dtype(own or dtype), cells)
+                    for ufunc, own, _ in agg.columns
+                ]
+                for agg, dtype in zip(aggs, dtypes)
+            ],
+        )
+
+    def fold(self, cells: np.ndarray, measures: Sequence[np.ndarray]) -> None:
+        """Fold row ``i`` of every measure column into cell ``cells[i]``,
+        in row order."""
+        np.add.at(self.counts, cells, 1)
+        for agg, columns, values in zip(self.aggs, self.columns, measures):
+            if not columns:
+                continue
+            # a decoded chunk's values are a view at an odd byte offset
+            # of its payload; ufunc.at only takes its fast path on
+            # aligned operands
+            values = np.require(values, requirements="A")
+            for (ufunc, _, of), column in zip(agg.columns, columns):
+                operand = values.astype(column.dtype, copy=False)
+                ufunc.at(column, cells, operand if of is None else of(operand))
+
+    def merge_from(self, other: "ColumnFold") -> None:
+        """Fold another fold over the same cells into this one: every
+        column merges with the ufunc it folds with."""
+        self.counts += other.counts
+        for agg, mine, theirs in zip(self.aggs, self.columns, other.columns):
+            for (ufunc, _, _), column, other_column in zip(agg.columns, mine, theirs):
+                ufunc(column, other_column, out=column)
+
+    def finish(self, touched: np.ndarray) -> list[list]:
+        """Per measure, the results of the ``touched`` cells, finished
+        on Python numbers."""
+        counts = self.counts[touched].tolist()
+        return [
+            agg.finish(counts, [column[touched].tolist() for column in columns])
+            for agg, columns in zip(self.aggs, self.columns)
+        ]
+
+
+def group_fold(
+    groups: list[tuple[list, np.ndarray]],
+    measures: list[np.ndarray],
+    aggregates: list[str],
+) -> list[tuple]:
+    """Value-based aggregation: ``(group labels..., aggregates...)`` rows,
+    sorted.
+
+    ``groups`` holds, per group-by column, its labels ascending and each
+    row's code into them (:func:`~repro.index.bitmap.factorize`);
+    ``measures`` holds one column per aggregate.  A row's cell is its
+    codes composed row-major, so ascending cells are the labels' tuple
+    order.  While the combinations that could occur number more than
+    ``DENSE_GROUPS``, the cells composed so far are renumbered to those
+    that occur (``np.unique``).  Integer measures fold in int64 whatever
+    their width, float ones in float64, both in row order.
+    """
+    aggs = [get_aggregate(name) for name in aggregates]
+    cells, size = np.zeros(len(measures[0]), dtype=np.int64), 1
+    for labels, codes in groups:
+        cells = cells * len(labels) + codes
+        size *= len(labels)
+        if size > DENSE_GROUPS:
+            occurring, cells = np.unique(cells, return_inverse=True)
+            size = len(occurring)
+    fold = ColumnFold.blank(
+        aggs, [np.promote_types(m.dtype, np.int64) for m in measures], size
+    )
+    fold.fold(cells, measures)
+    touched = np.flatnonzero(fold.counts)
+    member = np.empty(size, dtype=np.int64)
+    member[cells] = np.arange(len(cells))  # some row of each cell
+    rows = member[touched]
+    labels = [map(names.__getitem__, codes[rows].tolist()) for names, codes in groups]
+    return list(zip(*labels, *fold.finish(touched)))

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.aggregates import blank_column
 from repro.core.chunking import ComposedTables, outer_fold
-from repro.core.consolidate import blank_column
 
 #: how each stored column folds, cell into cell (counts fold by ``+``)
 FOLDS = {"sum": np.add, "min": np.minimum, "max": np.maximum}

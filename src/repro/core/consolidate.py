@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.aggregates import get_aggregate
+from repro.aggregates import ColumnFold, get_aggregate
 from repro.core.chunking import ComposedTables, outer_fold
 from repro.core.index_to_index import IndexToIndex
 from repro.core.meta import NO_CHUNK
@@ -54,42 +54,6 @@ from repro.obs.tracer import get_tracer
 from repro.util.stats import Counters
 
 
-def _finish_cells(agg, counts, cells):
-    return cells[0]
-
-
-def _finish_counts(agg, counts, cells):
-    return counts
-
-
-def _finish_means(agg, counts, cells):
-    return [total / n for total, n in zip(cells[0], counts)]
-
-
-def _finish_moments(agg, counts, cells):
-    return [agg.result(state) for state in zip(counts, *cells)]
-
-
-#: ``var``/``stddev`` keep :class:`~repro.aggregates.Variance`'s state as
-#: float64 moment columns: the sum, then the sum of squares
-_MOMENTS = ((np.add, np.float64, None), (np.add, np.float64, np.square))
-
-#: per aggregate, the columns it folds into — each column's ufunc (it
-#: folds and merges with), its dtype (None: the measure's own, so int64
-#: folds are exact past 2**53) and what of the measure it folds (None:
-#: the measure) — and how :meth:`ResultAccumulator.rows` finishes the
-#: touched cells from their counts and column values.  ``count`` has no
-#: column: the per-cell touch counts already are the answer.
-_FOLDS = {
-    "sum": (((np.add, None, None),), _finish_cells),
-    "avg": (((np.add, None, None),), _finish_means),
-    "min": (((np.minimum, None, None),), _finish_cells),
-    "max": (((np.maximum, None, None),), _finish_cells),
-    "count": ((), _finish_counts),
-    "var": (_MOMENTS, _finish_moments),
-    "stddev": (_MOMENTS, _finish_moments),
-}
-
 #: the two per-chunk kernels :func:`scan_chunk_range` runs
 _KERNELS = ("vectorized", "interpreted")
 
@@ -98,19 +62,6 @@ _KERNELS = ("vectorized", "interpreted")
 _RESULT_DTYPES = {
     "avg": "float64", "var": "float64", "stddev": "float64", "count": "int64",
 }
-
-
-def blank_column(ufunc: np.ufunc, dtype: np.dtype, shape) -> np.ndarray:
-    """A column nothing has been folded into by ``ufunc``: zeros for
-    ``np.add``, the dtype's extreme for ``np.minimum``/``np.maximum``.
-    Whether a cell holds a real value is decided by its touch count,
-    never by comparing against the sentinel."""
-    if dtype.kind == "f":
-        lowest, highest = -np.inf, np.inf
-    else:
-        lowest, highest = np.iinfo(dtype).min, np.iinfo(dtype).max
-    fill = {np.add: 0, np.minimum: highest, np.maximum: lowest}[ufunc]
-    return np.full(shape, fill, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -192,11 +143,11 @@ class ResultAccumulator:
     are omitted from output rows.  ``counters`` is billed the
     IndexToIndex loads the specs cause (default: the array's own bag).
 
-    The state is one contiguous array per quantity: the per-cell touch
-    counts, and per measure the columns its aggregate folds into
-    (``_FOLDS``).  It is allocated by the first fold or merge, so an
-    accumulator that is only resolved, or that receives a shipped
-    state, never holds a blank one.
+    The state is a :class:`~repro.aggregates.ColumnFold` over the
+    result cells, the fold the relational operators run too.  It is
+    allocated by the first fold or merge, so an accumulator that is
+    only resolved, or that receives a shipped state, never holds a
+    blank one.
     """
 
     def __init__(
@@ -226,25 +177,15 @@ class ResultAccumulator:
             )
         self.agg_names = names
         self.aggs = [get_aggregate(n) for n in names]
-        self._folds = [_FOLDS[agg.name] for agg in self.aggs]
-        self._counts: np.ndarray | None = None
-        self._columns: list[list[np.ndarray]] = []
+        self._fold: ColumnFold | None = None
         self._targets: ComposedTables | None = None
 
-    def _allocate(self) -> None:
-        measure = np.dtype(self.array.dtype)
-        self._counts = np.zeros(self.total_cells, dtype=np.int64)
-        self._columns = [
-            [
-                blank_column(
-                    ufunc,
-                    measure if dtype is None else np.dtype(dtype),
-                    self.total_cells,
-                )
-                for ufunc, dtype, _ in columns
-            ]
-            for columns, _ in self._folds
-        ]
+    def _state(self) -> ColumnFold:
+        if self._fold is None:
+            self._fold = ColumnFold.blank(
+                self.aggs, [self.array.dtype] * len(self.aggs), self.total_cells
+            )
+        return self._fold
 
     def mapping_lists(self) -> list[list[int]]:
         """Per-dimension index→result-index lists as plain Python lists."""
@@ -256,21 +197,7 @@ class ResultAccumulator:
         ``values`` is a ``(count, p)`` matrix in the array's dtype;
         ``linear`` holds each row's result cell.
         """
-        if self._counts is None:
-            self._allocate()
-        np.add.at(self._counts, linear, 1)
-        for m, ((folds, _), columns) in enumerate(
-            zip(self._folds, self._columns)
-        ):
-            if not columns:
-                continue
-            # a decoded chunk's values are a view at an odd byte offset
-            # of its payload; ufunc.at only takes its fast path on
-            # aligned operands
-            measures = np.require(values[:, m], requirements="A")
-            for (ufunc, _, of), column in zip(folds, columns):
-                operand = measures.astype(column.dtype, copy=False)
-                ufunc.at(column, linear, operand if of is None else of(operand))
+        self._state().fold(linear, values.T)
 
     def target_terms(self) -> list[np.ndarray]:
         """Per dimension, each index's contribution to the result cell:
@@ -310,30 +237,21 @@ class ResultAccumulator:
     def rows(self) -> list[tuple]:
         """Sorted output rows: ``(group values..., aggregates...)``.
 
-        Aggregates finish on Python numbers: ``avg`` divides its sum by
-        the count, and ``var``/``stddev`` hand each cell's ``(count,
-        sum, squares)`` to their own :meth:`~repro.aggregates.Aggregate.
-        result`.
+        Aggregates finish on Python numbers
+        (:meth:`~repro.aggregates.ColumnFold.finish`).
         """
-        if self._counts is None:
+        if self._fold is None:
             return []
-        touched = np.flatnonzero(self._counts)
-        counts = self._counts[touched].tolist()
-        results = [
-            finish(agg, counts, [column[touched].tolist() for column in columns])
-            for agg, (_, finish), columns in zip(
-                self.aggs, self._folds, self._columns
-            )
-        ]
-        out = list(zip(*self._group_columns(touched), *results))
+        touched = np.flatnonzero(self._fold.counts)
+        out = list(zip(*self._group_columns(touched), *self._fold.finish(touched)))
         out.sort()
         return out
 
     def touched_cells(self) -> int:
         """Number of distinct result cells that received input."""
-        if self._counts is None:
+        if self._fold is None:
             return 0
-        return int(np.count_nonzero(self._counts))
+        return int(np.count_nonzero(self._fold.counts))
 
     # -- shard transport (the repro.shard scatter-gather hook) -------------------
 
@@ -346,14 +264,12 @@ class ResultAccumulator:
         — the receiver rebuilds an accumulator against its own array
         handle and calls :meth:`import_state`.
         """
-        if self._counts is None:
-            self._allocate()
-        return {"counts": self._counts, "columns": self._columns}
+        state = self._state()
+        return {"counts": state.counts, "columns": state.columns}
 
     def import_state(self, payload: dict) -> "ResultAccumulator":
         """Restore a payload produced by :meth:`export_state`."""
-        self._counts = payload["counts"]
-        self._columns = payload["columns"]
+        self._fold = ColumnFold(self.aggs, payload["counts"], payload["columns"])
         return self
 
     # -- partition merging (the §6 parallelization hook) ------------------------
@@ -367,16 +283,8 @@ class ResultAccumulator:
         """
         if other.result_shape != self.result_shape or other.agg_names != self.agg_names:
             raise QueryError("cannot merge accumulators with different specs")
-        if other._counts is None:
-            return
-        if self._counts is None:
-            self._allocate()
-        self._counts += other._counts
-        for (folds, _), mine, theirs in zip(
-            self._folds, self._columns, other._columns
-        ):
-            for (ufunc, _, _), column, other_column in zip(folds, mine, theirs):
-                ufunc(column, other_column, out=column)
+        if other._fold is not None:
+            self._state().merge_from(other._fold)
 
 
 def allowed_masks(

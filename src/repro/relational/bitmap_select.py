@@ -17,16 +17,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.aggregates import get_aggregate
 from repro.errors import QueryError
 from repro.index.bitmap import BitmapIndex
 from repro.obs.tracer import get_tracer
 from repro.relational.fact_file import FactFile
 from repro.relational.star_join import (
     DimensionJoinSpec,
-    aggregate_rows,
-    build_dimension_hash,
-    normalize_measures,
+    consolidate_facts,
+    row_columns,
 )
 from repro.util.bitset import Bitset
 from repro.util.stats import Counters
@@ -49,14 +47,8 @@ def bitmap_select_consolidate(
     are ``(group values..., aggregate values...)`` ordered as
     ``group_dimensions``; rows come out sorted.
     """
-    if not group_dimensions:
-        raise QueryError("consolidation needs at least one group dimension")
     counters = counters if counters is not None else Counters()
-    measures = normalize_measures(measure)
-    aggs = [get_aggregate(aggregate)] * len(measures)
-    tracer = get_tracer()
-
-    with tracer.span("fetch_bitmaps", selections=len(selections)):
+    with get_tracer().span("fetch_bitmaps", selections=len(selections)):
         result_bitmap = Bitset.ones(len(fact))
         for index, values in selections:
             if index.length != len(fact):
@@ -72,27 +64,11 @@ def bitmap_select_consolidate(
             result_bitmap.iand(merged)
         counters.add("selected_tuples", result_bitmap.count())
 
-    with tracer.span(
-        "build_dimension_hashes", dimensions=len(group_dimensions)
-    ):
-        dim_hashes = [build_dimension_hash(spec) for spec in group_dimensions]
-    fact_schema = fact.schema
-    key_positions = [fact_schema.index_of(s.fact_key) for s in group_dimensions]
-    measure_positions = [fact_schema.index_of(m) for m in measures]
-
-    groups: dict[tuple, list] = {}
-    with tracer.span("fetch_tuples"):
-        for row in fact.fetch_bitmap(result_bitmap):
-            key = tuple(
-                dim_hashes[d][row[p]] for d, p in enumerate(key_positions)
-            )
-            state = groups.get(key)
-            if state is None:
-                state = [agg.initial() for agg in aggs]
-                groups[key] = state
-            for m, agg in enumerate(aggs):
-                state[m] = agg.add(state[m], row[measure_positions[m]])
-        counters.add("result_groups", len(groups))
-
-    with tracer.span("finalize_groups", groups=len(groups)):
-        return aggregate_rows(groups, aggs)
+    return consolidate_facts(
+        fact,
+        group_dimensions,
+        lambda: row_columns(fact.schema, fact.fetch_bitmap(result_bitmap)),
+        measure,
+        aggregate,
+        counters,
+    )

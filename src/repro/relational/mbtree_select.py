@@ -21,16 +21,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 
-from repro.aggregates import get_aggregate
-from repro.errors import QueryError
 from repro.index.btree import BTree
 from repro.obs.tracer import get_tracer
 from repro.relational.fact_file import FactFile
 from repro.relational.star_join import (
     DimensionJoinSpec,
-    aggregate_rows,
-    build_dimension_hash,
-    normalize_measures,
+    consolidate_facts,
+    row_columns,
 )
 from repro.util.stats import Counters
 
@@ -128,38 +125,17 @@ def mbtree_select_consolidate(
 
     Output rows match the other selection algorithms' exactly.
     """
-    if not group_dimensions:
-        raise QueryError("consolidation needs at least one group dimension")
     counters = counters if counters is not None else Counters()
-    measures = normalize_measures(measure)
-    aggs = [get_aggregate(aggregate)] * len(measures)
-    tracer = get_tracer()
-
-    with tracer.span("skip_scan", dimensions=len(allowed)):
+    with get_tracer().span("skip_scan", dimensions=len(allowed)):
         positions = skip_scan(tree, allowed, counters)
         counters.add("selected_tuples", len(positions))
 
-    with tracer.span(
-        "build_dimension_hashes", dimensions=len(group_dimensions)
-    ):
-        dim_hashes = [build_dimension_hash(spec) for spec in group_dimensions]
-    fact_schema = fact.schema
-    key_positions = [fact_schema.index_of(s.fact_key) for s in group_dimensions]
-    measure_positions = [fact_schema.index_of(m) for m in measures]
-
-    groups: dict[tuple, list] = {}
-    with tracer.span("fetch_tuples", tuples=len(positions)):
-        for tuple_no in sorted(positions):
-            row = fact.get(tuple_no)
-            key = tuple(
-                dim_hashes[d][row[p]] for d, p in enumerate(key_positions)
-            )
-            state = groups.get(key)
-            if state is None:
-                state = [agg.initial() for agg in aggs]
-                groups[key] = state
-            for m, agg in enumerate(aggs):
-                state[m] = agg.add(state[m], row[measure_positions[m]])
-        counters.add("result_groups", len(groups))
-    with tracer.span("finalize_groups", groups=len(groups)):
-        return aggregate_rows(groups, aggs)
+    return consolidate_facts(
+        fact,
+        group_dimensions,
+        lambda: row_columns(fact.schema, map(fact.get, sorted(positions))),
+        measure,
+        aggregate,
+        counters,
+        tuples=len(positions),
+    )

@@ -4,7 +4,10 @@ These implement the "traditional alternative" the paper's introduction
 contrasts the specialized algorithms against: pipelined plans built
 from scans, filters, hash joins and a hash group-by.  They are used by
 the left-deep star-join baseline (ablation ``abl3``) and are general
-enough for ad-hoc queries in examples.
+enough for ad-hoc queries in examples.  Rows flow as tuples and every
+hash join materializes its build side, as in the paper's complaint; the
+group-by folds columns through the one fold every backend shares
+(:func:`~repro.aggregates.group_fold`).
 
 Column names can be qualified via a scan alias (``dim0.d0``) so joins
 between tables sharing column names stay unambiguous.
@@ -14,8 +17,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
-from repro.aggregates import get_aggregate
+import numpy as np
+
+from repro.aggregates import get_aggregate, group_fold
 from repro.errors import QueryError
+from repro.index.bitmap import factorize
 
 
 class Operator:
@@ -44,12 +50,7 @@ class SeqScan(Operator):
         self.names = tuple(f"{prefix}{n}" for n in table.schema.names)
 
     def __iter__(self) -> Iterator[tuple]:
-        return table_scan(self.table)
-
-
-def table_scan(table) -> Iterator[tuple]:
-    """Iterate a table's rows (shared by operators and algorithms)."""
-    return table.scan()
+        return self.table.scan()
 
 
 class Filter(Operator):
@@ -131,7 +132,9 @@ class HashJoin(Operator):
 
 
 class HashGroupBy(Operator):
-    """Group by columns and fold aggregates over measure columns."""
+    """Group by columns and fold aggregates over measure columns: each
+    group column coded (:func:`~repro.index.bitmap.factorize`), then
+    :func:`~repro.aggregates.group_fold`."""
 
     def __init__(
         self,
@@ -142,7 +145,7 @@ class HashGroupBy(Operator):
         self.child = child
         self._group_positions = tuple(child._index_of(c) for c in group_columns)
         self._aggs = [
-            (get_aggregate(name), child._index_of(col))
+            (get_aggregate(name).name, child._index_of(col))
             for name, col in aggregations
         ]
         self.names = tuple(group_columns) + tuple(
@@ -150,22 +153,12 @@ class HashGroupBy(Operator):
         )
 
     def __iter__(self) -> Iterator[tuple]:
-        groups: dict[tuple, list] = {}
-        group_positions = self._group_positions
-        aggs = self._aggs
-        for row in self.child:
-            key = tuple(row[i] for i in group_positions)
-            state = groups.get(key)
-            if state is None:
-                state = [agg.initial() for agg, _ in aggs]
-                groups[key] = state
-            for slot, (agg, position) in enumerate(aggs):
-                state[slot] = agg.add(state[slot], row[position])
-        for key in sorted(groups):
-            state = groups[key]
-            yield key + tuple(
-                agg.result(state[slot]) for slot, (agg, _) in enumerate(aggs)
-            )
+        rows = list(self.child)
+        yield from group_fold(
+            [factorize(row[i] for row in rows) for i in self._group_positions],
+            [np.asarray([row[i] for row in rows]) for _, i in self._aggs],
+            [name for name, _ in self._aggs],
+        )
 
 
 def left_deep_consolidation(

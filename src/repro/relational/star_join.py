@@ -1,32 +1,38 @@
 """The §4.3 Starjoin consolidation operator.
 
-One hash table per dimension plus one aggregation hash table, one scan
-of the fact table:
+One lookup table per dimension, one scan of the fact table:
 
-1. For each dimension, build an in-memory hash table mapping the
-   dimension key to the tuple's group-by attribute value (dimension
-   tables are assumed memory-resident — the standard star-schema
-   assumption).
-2. Scan the fact table once.  For each fact tuple, probe every
-   dimension hash table to assemble the group-by values, then fold the
-   measure(s) into the aggregation hash table.
+1. For each dimension, build an in-memory table from the dimension key
+   to the code of the tuple's group-by value (dimension tables are
+   assumed memory-resident — the standard star-schema assumption).
+2. Scan the fact table once, its pages read into columns.  Look each
+   fact tuple's foreign keys up to give its group codes, then fold its
+   measures into the group's cell.
 
 This is the *value-based* aggregation the paper contrasts with the
-array's *position-based* aggregation.  ``key_filters`` (an extension)
-lets the same single-scan operator evaluate selections: a fact tuple
-whose foreign key is not in a filter set is skipped.
+array's *position-based* aggregation.  Past the lookup both fold
+through the same columns (:class:`~repro.aggregates.ColumnFold`), and
+the selection operators end in the same lookup and fold
+(:func:`consolidate_facts`).  ``key_filters`` (an extension) lets the
+single-scan operator evaluate selections: a fact tuple whose foreign
+key is not in a filter set is skipped.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from repro.aggregates import get_aggregate
+import numpy as np
+
+from repro.aggregates import group_fold
 from repro.errors import QueryError
+from repro.index.bitmap import factorize
 from repro.obs.tracer import get_tracer
 from repro.relational.fact_file import FactFile
 from repro.relational.heap_file import HeapFile
+from repro.relational.schema import Schema
+from repro.util.records import fact_columns
 from repro.util.stats import Counters
 
 
@@ -52,19 +58,78 @@ def build_dimension_hash(spec: DimensionJoinSpec) -> dict:
     return {row[key_pos]: row[attr_pos] for row in spec.table.scan()}
 
 
-def normalize_measures(measure: str | list[str]) -> list[str]:
-    """Accept a single measure name or a list; return a list."""
-    return [measure] if isinstance(measure, str) else list(measure)
+def dimension_lookup(spec: DimensionJoinSpec) -> tuple[list, np.ndarray, np.ndarray]:
+    """One dimension's lookup table: its group-by values ascending, its
+    keys sorted, and each sorted key's code into those values."""
+    table = build_dimension_hash(spec)
+    labels, codes = factorize(table.values())
+    keys = np.array(list(table))
+    order = np.argsort(keys)
+    return labels, keys[order], codes[order]
 
 
-def aggregate_rows(
-    groups: dict[tuple, list], aggs: list
+def row_columns(schema: Schema, rows: Iterable[tuple]) -> list[np.ndarray]:
+    """Decoded rows as one column per field (no rows: empty columns of
+    the fields' own dtypes)."""
+    return fact_columns(rows) or schema.codec.unpack_columns(
+        np.empty(0, dtype=schema.codec.dtype)
+    )
+
+
+def consolidate_facts(
+    fact: FactFile | HeapFile,
+    dimensions: list[DimensionJoinSpec],
+    fetch: Callable[[], list[np.ndarray]],
+    measure: str | list[str],
+    aggregate: str | list[str],
+    counters: Counters,
+    span: str = "fetch_tuples",
+    count_entries: bool = False,
+    **attrs,
 ) -> list[tuple]:
-    """Finalize an aggregation hash table into sorted output rows."""
-    return [
-        key + tuple(agg.result(state[m]) for m, agg in enumerate(aggs))
-        for key, state in sorted(groups.items())
-    ]
+    """The value-based consolidation every operator here ends in.
+
+    Build one lookup per dimension; ``fetch()`` the fact tuples'
+    columns and look each foreign key up in its dimension's sorted keys
+    (inside ``span``); fold the measures of the tuples that join every
+    dimension by their group codes.  A tuple whose key has no dimension
+    row joins nothing: it is skipped and counted in
+    ``dangling_fact_tuples``.  Rows come out sorted.  ``measure`` is one
+    name or a list, ``aggregate`` one name for all or one per measure.
+    """
+    if not dimensions:
+        raise QueryError("consolidation needs at least one dimension")
+    measures = [measure] if isinstance(measure, str) else list(measure)
+    aggregates = (
+        [aggregate] * len(measures) if isinstance(aggregate, str) else list(aggregate)
+    )
+    if len(aggregates) != len(measures):
+        raise QueryError(f"{len(aggregates)} aggregates for {len(measures)} measures")
+    schema, tracer = fact.schema, get_tracer()
+    with tracer.span("build_dimension_hashes", dimensions=len(dimensions)):
+        lookups = [dimension_lookup(spec) for spec in dimensions]
+        if count_entries:
+            counters.add("dim_hash_entries", sum(len(keys) for _, keys, _ in lookups))
+    with tracer.span(span, **attrs):
+        columns = fetch()
+        joined, found = np.ones(len(columns[0]), dtype=bool), []
+        for spec, (labels, keys, codes) in zip(dimensions, lookups):
+            column = columns[schema.index_of(spec.fact_key)]
+            at = np.searchsorted(keys, column)
+            hit = at < len(keys)
+            hit[hit] = keys[at[hit]] == column[hit]
+            joined &= hit
+            found.append((labels, codes, at))
+        if not joined.all():
+            counters.add("dangling_fact_tuples", int(np.count_nonzero(~joined)))
+    with tracer.span("finalize_groups") as finalize:
+        groups = [(labels, codes[at[joined]]) for labels, codes, at in found]
+        rows = group_fold(
+            groups, [columns[schema.index_of(m)][joined] for m in measures], aggregates
+        )
+        counters.add("result_groups", len(rows))
+        finalize.annotate(groups=len(rows))
+        return rows
 
 
 def star_join_consolidate(
@@ -81,56 +146,28 @@ def star_join_consolidate(
     group values ordered as ``dimensions``.  ``key_filters`` maps a fact
     foreign-key column to the set of key values that pass selection.
     """
-    if not dimensions:
-        raise QueryError("consolidation needs at least one dimension")
     counters = counters if counters is not None else Counters()
-    measures = normalize_measures(measure)
-    agg_names = (
-        [aggregate] * len(measures) if isinstance(aggregate, str) else list(aggregate)
+    schema, filters = fact.schema, key_filters or {}
+
+    def scan() -> list[np.ndarray]:
+        if isinstance(fact, FactFile):
+            columns = schema.codec.unpack_columns(fact.records())
+        else:  # a heap file's slotted pages decode row by row
+            columns = row_columns(schema, fact.scan())
+        counters.add("fact_tuples_scanned", len(columns[0]))
+        passing = np.ones(len(columns[0]), dtype=bool)
+        for column, allowed in filters.items():
+            passing &= np.isin(columns[schema.index_of(column)], list(allowed))
+        return [column[passing] for column in columns]
+
+    return consolidate_facts(
+        fact,
+        dimensions,
+        scan,
+        measure,
+        aggregate,
+        counters,
+        span="scan_fact",
+        count_entries=True,
+        filters=len(filters),
     )
-    if len(agg_names) != len(measures):
-        raise QueryError(
-            f"{len(agg_names)} aggregates for {len(measures)} measures"
-        )
-    aggs = [get_aggregate(n) for n in agg_names]
-    tracer = get_tracer()
-
-    with tracer.span("build_dimension_hashes", dimensions=len(dimensions)):
-        dim_hashes = [build_dimension_hash(spec) for spec in dimensions]
-        for table in dim_hashes:
-            counters.add("dim_hash_entries", len(table))
-
-    fact_schema = fact.schema
-    key_positions = [fact_schema.index_of(s.fact_key) for s in dimensions]
-    measure_positions = [fact_schema.index_of(m) for m in measures]
-    filters = [
-        (fact_schema.index_of(column), frozenset(allowed))
-        for column, allowed in (key_filters or {}).items()
-    ]
-
-    groups: dict[tuple, list] = {}
-    scanned = 0
-    with tracer.span("scan_fact", filters=len(filters)):
-        for row in fact.scan():
-            scanned += 1
-            if any(row[p] not in allowed for p, allowed in filters):
-                continue
-            try:
-                key = tuple(
-                    dim_hashes[d][row[p]] for d, p in enumerate(key_positions)
-                )
-            except KeyError:
-                # a fact tuple with no matching dimension row joins nothing
-                counters.add("dangling_fact_tuples")
-                continue
-            state = groups.get(key)
-            if state is None:
-                state = [agg.initial() for agg in aggs]
-                groups[key] = state
-            for m, agg in enumerate(aggs):
-                state[m] = agg.add(state[m], row[measure_positions[m]])
-        counters.add("fact_tuples_scanned", scanned)
-        counters.add("result_groups", len(groups))
-
-    with tracer.span("finalize_groups", groups=len(groups)):
-        return aggregate_rows(groups, aggs)

@@ -217,3 +217,63 @@ class TestGoldenDirections:
 
     def test_query2_probes_every_chunk(self):
         assert self._cold_stats(query2_for, self.QUERY2) == self.QUERY2
+
+
+class TestGoldenRelationalCounters:
+    """The relational baselines read exactly the pages they always have.
+
+    A cold Query 1 on the two full-scan plans, and the one-dimension
+    ``h01 = AA0`` selection of :class:`TestGoldenDirections` (624 fact
+    tuples) on the three positional-fetch plans, at ``small`` scale.
+    How the fetched tuples are aggregated is CPU only: which pages are
+    read, in which order, and how many tuples are fetched must not move.
+    The values are what the per-tuple aggregation loops read.
+    """
+
+    KEYS = (
+        "pages_read",
+        "seeks",
+        "pool_hits",
+        "pool_misses",
+        "fact_pages_scanned",
+        "fact_bitmap_pages",
+        "fact_tuples_fetched",
+        "fact_tuple_gets",
+        "selected_tuples",
+    )
+    GOLDEN = {
+        "starjoin": ((1050, 11, 0, 1050, 1024, 0, 0, 0, 0), 1.9596372767815353),
+        "leftdeep": ((1050, 11, 0, 1050, 1024, 0, 0, 0, 0), 1.9290652901743925),
+        "bitmap": ((499, 254, 1, 499, 0, 490, 624, 0, 624), 1.8924441964282863),
+        "btree": ((624, 259, 135, 624, 0, 0, 0, 624, 624), 2.116367187499222),
+        "mbtree": ((1155, 272, 137, 1155, 0, 0, 0, 624, 624), 3.203038504461432),
+    }
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        from repro.data.datasets import dataset1
+
+        config = dataset1("small")[1]
+        return config, build_cube_engine(
+            config, bench_settings("small"), fact_btrees=True, fact_mbtree=True
+        )
+
+    @pytest.mark.parametrize("backend", list(GOLDEN))
+    def test_cold_counters_are_pinned(self, engine, backend):
+        from repro.olap import ConsolidationQuery, SelectionPredicate
+
+        config, engine = engine
+        if backend in ("starjoin", "leftdeep"):
+            query = query1_for(config)
+        else:
+            query = ConsolidationQuery.build(
+                config.name,
+                group_by={"dim1": "h11"},
+                selections=[SelectionPredicate.in_list("dim0", "h01", "AA0")],
+            )
+        stats = engine.query(query, backend=backend).stats
+        counts, sim_io_s = self.GOLDEN[backend]
+        assert {name: stats.get(name, 0) for name in self.KEYS} == dict(
+            zip(self.KEYS, counts)
+        )
+        assert stats["sim_io_s"] == pytest.approx(sim_io_s, rel=1e-9)

@@ -1,9 +1,9 @@
 """``var``/``stddev`` fold as moment columns and match a per-row fold.
 
-The accumulator keeps :class:`~repro.aggregates.Variance`'s ``(count,
-sum, sum of squares)`` state as the touch counts plus two float64
-columns, folded with ``np.add.at`` in the walk's cell order.  Against a
-per-row :class:`~repro.aggregates.Variance` / ``StdDev`` fold over the
+The accumulator keeps the per-row ``Variance``'s ``(count, sum, sum of
+squares)`` state (:mod:`tests.per_row_fold`) as the touch counts plus
+two float64 columns, folded with ``np.add.at`` in the walk's cell
+order.  Against a per-row ``Variance`` / ``StdDev`` fold over the
 same cells in the same order (chunk by chunk, ascending offset):
 
 - float64 measures, and int64 measures with ``|v| <= 2**26`` (where
@@ -21,8 +21,9 @@ same cells in the same order (chunk by chunk, ascending offset):
   sums add in another order: the merge agrees with the whole scan
   within the same bound.
 
-The formula is the raw-moment one ``Variance.result`` uses, and so does
-every relational backend; a pooled-moment fold would change results.
+The formula is the raw-moment one ``Variance.result`` uses; every
+relational backend folds through the same columns.  A pooled-moment
+fold would change results.
 """
 
 import itertools
@@ -32,11 +33,11 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregates import get_aggregate
 from repro.core import ConsolidationSpec
 from repro.core.builder import DimensionData, build_olap_array
 from repro.core.consolidate import ResultAccumulator, scan_chunk_range
 from repro.storage import BufferPool, FileManager, SimulatedDisk
+from tests.per_row_fold import REFERENCE
 
 #: ulps of a group's largest square allowed per cell of the group
 ULPS_PER_CELL = 8
@@ -118,7 +119,7 @@ def per_row_fold(case, array):
     """Group key -> (measure value lists, per-row ``Aggregate`` results),
     each group's cells folded in the order the walk yields them."""
     ndim = len(case["shape"])
-    aggs = [get_aggregate(name) for name in case["aggregates"]]
+    aggs = [REFERENCE[name] for name in case["aggregates"]]
     groups: dict[tuple, tuple[list, list]] = {}
     for fact in sorted(
         case["facts"], key=lambda f: array.geometry.locate(f[:ndim])

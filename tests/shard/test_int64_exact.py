@@ -1,11 +1,12 @@
-"""int64 measures past 2**53 aggregate exactly on every vectorized route.
+"""int64 measures past 2**53 aggregate exactly on every route.
 
-float64 holds integers exactly only up to 2**53, so a scan that
+float64 holds integers exactly only up to 2**53, so a fold that
 accumulates int64 measures in float64 silently disagrees with an exact
-fold (Python ints) above that.  Every route that reaches the kernel —
-``consolidate`` itself and the per-cell reference kernel, the thread
-and process shard executors (whose partial states cross
-``export_state`` / ``import_state``), and ``QueryService.execute`` —
+fold (Python ints) above that.  Every route to an answer — the array's
+``consolidate`` and the per-cell reference kernel, the thread and
+process shard executors (whose partial states cross ``export_state`` /
+``import_state``), ``QueryService.execute``, and the five relational
+backends, whose fetched columns fold through the same column fold —
 must return what an exact fold of the fact rows returns.
 """
 
@@ -19,7 +20,7 @@ from repro.data import (
     generate_dimension_rows,
     generate_fact_rows,
 )
-from repro.olap import ConsolidationQuery, OlapEngine
+from repro.olap import ConsolidationQuery, OlapEngine, SelectionPredicate
 from repro.serve import QueryService
 
 BIG = 2**53 + 1
@@ -47,7 +48,8 @@ def loaded():
         generate_dimension_rows(CONFIG),
         fact_rows,
         chunk_shape=CONFIG.chunk_shape,
-        backends=("array",),
+        fact_btrees=True,
+        fact_mbtree=True,
     )
     yield engine, fact_rows
     engine.close_shards()
@@ -68,10 +70,17 @@ def exact_fold(fact_rows, aggregate):
     return sorted((key, fold(values)) for key, values in groups.items())
 
 
-def query(aggregate):
+def query(aggregate, selections=()):
     return ConsolidationQuery.build(
-        "big", group_by={"dim0": "h01"}, aggregate=aggregate
+        "big",
+        group_by={"dim0": "h01"},
+        aggregate=aggregate,
+        selections=list(selections),
     )
+
+
+#: selects every fact tuple, so that the selection backends run too
+EVERY_H01 = SelectionPredicate.in_list("dim0", "h01", "AA0", "AA1")
 
 
 AGGREGATES = ("sum", "min", "max", "avg", "count")
@@ -107,4 +116,12 @@ class TestExactPast2Pow53:
         engine, fact_rows = loaded
         with QueryService(engine) as service:
             result = service.execute(query(aggregate))
+        assert result.rows == exact_fold(fact_rows, aggregate)
+
+    @pytest.mark.parametrize(
+        "backend", ["starjoin", "bitmap", "btree", "mbtree", "leftdeep"]
+    )
+    def test_relational(self, loaded, aggregate, backend):
+        engine, fact_rows = loaded
+        result = engine.query(query(aggregate, [EVERY_H01]), backend=backend)
         assert result.rows == exact_fold(fact_rows, aggregate)

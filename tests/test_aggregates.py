@@ -1,19 +1,30 @@
-"""Tests for the shared aggregate functions."""
+"""Tests for the column fold every backend aggregates through.
 
+Each case folds values through :func:`repro.aggregates.group_fold` and
+holds it to the per-row reference in :mod:`tests.per_row_fold`.
+"""
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.aggregates import get_aggregate
+from repro.aggregates import ColumnFold, get_aggregate, group_fold
 from repro.errors import QueryError
+from tests.per_row_fold import per_row_fold, per_row_group_by
+
+NAMES = ["sum", "count", "min", "max", "avg", "var", "stddev"]
 
 
-def fold(name, values):
-    agg = get_aggregate(name)
-    state = agg.initial()
-    for v in values:
-        state = agg.add(state, v)
-    return agg.result(state)
+def fold(name, values, dtype=np.int64):
+    """``values`` as one group's column fold: its result, or ``None``
+    when no row reaches the group (then there is no output row)."""
+    rows = group_fold(
+        [(["g"], np.zeros(len(values), dtype=np.uint8))],
+        [np.array(values, dtype=dtype)],
+        [name],
+    )
+    return rows[0][1] if rows else None
 
 
 class TestFolds:
@@ -21,7 +32,7 @@ class TestFolds:
         assert fold("sum", [1, 2, 3]) == 6
 
     def test_sum_empty(self):
-        assert fold("sum", []) == 0
+        assert fold("sum", []) is None  # an empty group has no row
 
     def test_count(self):
         assert fold("count", [5, 5, 5, 5]) == 4
@@ -41,8 +52,6 @@ class TestFolds:
         assert fold("avg", []) is None
 
     def test_variance_matches_numpy(self):
-        import numpy as np
-
         values = [3, 7, 7, 19, 2, 2, 5]
         assert fold("var", values) == pytest.approx(np.var(values))
         assert fold("stddev", values) == pytest.approx(np.std(values))
@@ -61,24 +70,96 @@ class TestFolds:
         with pytest.raises(QueryError):
             get_aggregate("median")
 
+    def test_int32_measures_widen_to_int64(self):
+        assert fold("sum", [2**31 - 1] * 3, dtype=np.int32) == 3 * (2**31 - 1)
+
+    def test_float_sum_is_the_row_order_sum(self):
+        values = [0.1, 1e16, -1e16, 0.2, 0.3]
+        assert fold("sum", values, np.float64) == per_row_fold("sum", values)
+
 
 @given(
-    st.sampled_from(["sum", "count", "min", "max", "avg", "var", "stddev"]),
+    st.sampled_from(NAMES),
     st.lists(st.integers(-100, 100), min_size=1),
     st.data(),
 )
 def test_merge_equals_sequential_fold(name, values, data):
-    agg = get_aggregate(name)
+    aggs = [get_aggregate(name)]
     cut = data.draw(st.integers(min_value=0, max_value=len(values)))
-    left = agg.initial()
-    for v in values[:cut]:
-        left = agg.add(left, v)
-    right = agg.initial()
-    for v in values[cut:]:
-        right = agg.add(right, v)
-    merged = agg.result(agg.merge(left, right))
-    sequential = fold(name, values)
+    column = np.array(values, dtype=np.int64)
+    left, right = (ColumnFold.blank(aggs, [np.int64], 1) for _ in range(2))
+    left.fold(np.zeros(cut, dtype=np.int64), [column[:cut]])
+    right.fold(np.zeros(len(values) - cut, dtype=np.int64), [column[cut:]])
+    left.merge_from(right)
+    (merged,) = left.finish(np.array([0]))[0]
+    sequential = per_row_fold(name, values)
     if isinstance(sequential, float):
         assert merged == pytest.approx(sequential)
     else:
         assert merged == sequential
+
+
+# |v| <= 2**26: every square is exact in float64, so the moment columns
+# round as the per-row Variance does, and every aggregate is bit-equal
+MEASURES = st.one_of(
+    st.integers(-(2**26), 2**26),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    st.lists(st.sampled_from(NAMES), min_size=1, max_size=3),
+    st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    st.data(),
+)
+def test_group_fold_equals_the_per_row_group_by(aggregates, widths, data):
+    """Several group columns of string labels, any measures: the column
+    fold returns the per-row group-by's rows, in its order, bit for bit."""
+    kinds = [data.draw(st.sampled_from(["int", "float"])) for _ in aggregates]
+    n = data.draw(st.integers(0, 40))
+    rows = [
+        tuple(f"L{data.draw(st.integers(0, width))}" for width in widths)
+        + tuple(
+            float(data.draw(MEASURES)) if kind == "float"
+            else data.draw(st.integers(-(2**26), 2**26))
+            for kind in kinds
+        )
+        for _ in range(n)
+    ]
+    groups = []
+    for g in range(len(widths)):
+        labels = sorted({row[g] for row in rows})
+        codes = np.array([labels.index(row[g]) for row in rows], dtype=np.uint8)
+        groups.append((labels, codes))
+    measures = [
+        np.array(
+            [row[len(widths) + m] for row in rows],
+            dtype=np.float64 if kind == "float" else np.int64,
+        )
+        for m, kind in enumerate(kinds)
+    ]
+    assert group_fold(groups, measures, aggregates) == per_row_group_by(
+        rows, len(widths), aggregates
+    )
+
+
+def test_group_fold_renumbers_past_the_dense_bound(monkeypatch):
+    """Past ``DENSE_GROUPS`` combinations the cells are the groups that
+    occur; the rows, and their order, are the same."""
+    import repro.aggregates as aggregates
+
+    rng = np.random.default_rng(5)
+    groups = [
+        ([f"k{i:02d}" for i in range(30)], rng.integers(0, 30, 500).astype(np.uint8))
+        for _ in range(3)
+    ]
+    measures = [rng.integers(-50, 50, 500)]
+    dense = group_fold(groups, measures, ["sum"])
+    monkeypatch.setattr(aggregates, "DENSE_GROUPS", 10)
+    assert group_fold(groups, measures, ["sum"]) == dense
+    rows = [
+        tuple(labels[c] for labels, c in zip([g[0] for g in groups], codes))
+        + (int(v),)
+        for codes, v in zip(zip(*(g[1] for g in groups)), measures[0])
+    ]
+    assert dense == per_row_group_by(rows, 3, ["sum"])
