@@ -14,20 +14,23 @@ Grains are **built once, before the first request**
 (:meth:`RollupRouter.materialize`), **patched by the write** (the
 engine's write listener folds a cell's ``(old, new)`` into every fresh
 grain) and **re-rolled by numpy**.  What a delta cannot express —
-appends, an array rebuild, recovery, an evicted grain, an overwrite off
-a min or max the cell may have tied — leaves the grain behind the cube
-generation: a request that finds it so is answered from the base cube
-(what it would cost with no router) while a daemon worker rebuilds the
-grain, so serving-path latency never includes a build.  Routing surfaces
-through EXPLAIN as a ``rollup.route`` plan node whose ANALYZE actuals
-bind to registry counter deltas, like every engine plan node.
+appends, an array rebuild, recovery, an evicted grain — leaves the
+grain behind the cube generation, and the next request routed to it
+rebuilds it inline (:meth:`RollupRouter.rows_for`, under the engine
+lock).  That build is one chunk walk, or a re-roll from a finer fresh
+grain: the work the base fallback it replaces would have done, so no
+background worker is needed.  A build that fails answers its request
+from base.  The grains sit on the memory ledger as a
+:class:`GrainStore`.  Routing surfaces through EXPLAIN as a
+``rollup.route`` plan node whose ANALYZE actuals bind to registry
+counter deltas, like every engine plan node.
 """
 
 from __future__ import annotations
 
-import queue
+import sys
 import threading
-import time
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +39,8 @@ from repro.api.grain import FOLDS, Grain, walk_columns
 from repro.api.model import LogicalCube, RollupDecl
 from repro.core.consolidate import ConsolidationSpec, ResultAccumulator
 from repro.errors import PlanError, ReproError
-from repro.obs.tracing import (
-    TraceContext,
-    add_trace_link,
-    current_trace_context,
-    new_trace_context,
-    trace_context,
-)
+from repro.obs.memory import SizedStore
+from repro.obs.tracer import get_tracer
 from repro.util.stats import Counters
 
 
@@ -57,40 +55,69 @@ class RouteDecision:
     estimated_rows: int | None = None
 
 
+class GrainStore(SizedStore):
+    """The stored grains, ``(logical cube, rollup name)`` → the grain's
+    latest :class:`Grain`, charged its columns' ``nbytes``.
+
+    A :meth:`get` is a routed hit, so :meth:`reclaim` evicts the
+    coldest-routed grain first; a :meth:`patch` leaves a grain's place
+    (and its bytes: a fold keeps every column's shape) as they were.
+    """
+
+    _pressure_counter = "rollup.evictions"
+
+    def __init__(self) -> None:
+        # the model's declarations bound the grains, not a count cap
+        super().__init__(capacity=sys.maxsize)
+
+    def patch(self, physical: str, delta: tuple, generation: int) -> list:
+        """Fold one cell write into every grain of ``physical`` that was
+        fresh before it; the keys of the grains the fold cannot follow
+        (:meth:`Grain.folded`), finest first."""
+        missed = []
+        with self._lock:
+            for key, grain in list(self._entries.items()):
+                if (grain.physical, grain.generation) != (physical, generation - 1):
+                    continue
+                patched = grain.folded(*delta, generation)
+                if patched is None:
+                    missed.append((-len(grain.counts), key))
+                else:
+                    self._entries[key] = patched
+                    self.counters.add("rollup.deltas")
+        return [key for _, key in sorted(missed)]
+
+    def _label(self, key: Hashable) -> str:
+        return "/".join(key)
+
+
 class RollupRouter:
     """Routes aggregate requests onto materialized multi-grain rollups.
 
-    Thread-safe: the store lock only guards the dicts, never a build.
-    Builds and the write listener both run under the service's engine
-    lock, so a grain is built from, and patched against, one generation.
+    Thread-safe: ``_lock`` only guards the hierarchy maps, never a
+    build.  Builds and the write listener both run under the service's
+    engine lock, so a grain is built from, and patched against, one
+    generation.
     """
 
     def __init__(self, engine, service, registry=None):
         self.engine = engine
         self.service = service
         self._registry = registry
-        self.counters = Counters()
+        self._store = GrainStore()
+        self.counters = self._store.counters
         self._lock = threading.Lock()
-        #: (logical cube, rollup name) -> the grain's latest generation
-        self._store: dict[tuple, Grain] = {}
         self._declared: dict[tuple, tuple[LogicalCube, RollupDecl]] = {}
-        #: monotonic time of each grain's last routed hit — the
-        #: "coldest grain" ordering for pressure eviction
-        self._last_hit: dict[tuple, float] = {}
-        #: called after a build grew the store; the memory accountant
-        #: installs its budget check here
-        self.pressure_callback = None
         #: (physical cube, dim, from_attr, to_attr) -> value map or None
         self._maps: dict[tuple, dict | None] = {}
         #: (physical cube, dim, attr) -> distinct value count
         self._cardinalities: dict[tuple, int] = {}
-        #: async refresh machinery (lazy: no thread until first schedule)
-        self._refresh_queue: queue.Queue = queue.Queue()
-        #: in-flight (cube, rollup) -> the build's trace_id, so a
-        #: deduplicated schedule still links to the running build
-        self._inflight: dict[tuple, str] = {}
-        self._worker: threading.Thread | None = None
         engine.add_write_listener(self._on_write)
+        # an evicted grain costs a rebuild on next demand: reclaimed
+        # after results and decoded chunks, before plans and traces
+        memory = getattr(service, "memory", None)
+        if memory is not None:
+            memory.register_store("rollup_grains", self._store, cost_rank=2, share=0.25)
         if registry is not None:
             registry.register("api:rollup", self.counters, replace=True)
             for name, read in (
@@ -226,7 +253,7 @@ class RollupRouter:
     def materialize(self, cube: LogicalCube) -> None:
         """Build every declared grain of ``cube`` now, finest first, so
         each coarser one re-rolls from a resident one.  A cube that is
-        not loaded or is degraded is left to the first request's refresh."""
+        not loaded or is degraded is left to its first request."""
         try:
             for rollup in sorted(
                 cube.rollups, key=lambda r: -self.estimated_rows(cube, r)
@@ -235,49 +262,45 @@ class RollupRouter:
         except ReproError:
             self.counters.add("rollup.refresh_failures")
 
-    def _fresh(self, cube: LogicalCube, rollup: RollupDecl) -> Grain | None:
-        """The stored grain, if it is at the cube's generation."""
-        generation = self.engine.cube_generation(cube.cube)
-        key = (cube.name, rollup.name)
-        with self._lock:
-            grain = self._store.get(key)
-            if grain is None or grain.generation != generation:
-                return None
-            self._last_hit[key] = time.monotonic()
+    def try_rows(
+        self, cube: LogicalCube, rollup: RollupDecl, aggregate: str | None = None
+    ) -> Grain | None:
+        """The stored grain if it is at the cube's generation, else
+        ``None``; nothing is built.  Every aggregate rides in a grain,
+        whichever one the caller names."""
+        grain = self._store.get((cube.name, rollup.name))
+        if grain is None or grain.generation != self.engine.cube_generation(cube.cube):
+            return None
         return grain
 
     def rows_for(self, cube: LogicalCube, rollup: RollupDecl, aggregate=None) -> Grain:
-        """The materialized grain, rebuilt *synchronously* when it is
-        behind the cube generation (start-up, the EXPLAIN path and the
-        refresh worker use this; the serving path goes through
-        :meth:`try_rows` so a request never waits on a build).  Every
-        aggregate rides in a grain, whichever one the caller names."""
-        grain = self._fresh(cube, rollup)
+        """The materialized grain, built now when it is behind the cube
+        generation — by the request that needs it, the write that could
+        not patch it, or start-up.  Raises what the build raises (a
+        degraded cube, an I/O fault); the caller decides what that costs."""
+        grain = self.try_rows(cube, rollup)
         if grain is not None:
             return grain
         key = (cube.name, rollup.name)
         with self.service.engine_access(cube.cube) as state:
             # under the engine lock no write can move the generation; a
-            # write that held it may have patched the grain fresh
-            grain = self._fresh(cube, rollup)
+            # write, or a request that waited here first, may have made
+            # the grain fresh
+            grain = self.try_rows(cube, rollup)
             if grain is not None:
                 return grain
-            grain = self._build(cube, rollup, state)
+            with get_tracer().span("rollup.build", cube=cube.name, rollup=rollup.name):
+                grain = self._build(cube, rollup, state)
             self.counters.add("rollup.rebuilds")
-            with self._lock:
-                self._store[key] = grain
-                self._declared[key] = (cube, rollup)
-                self._last_hit[key] = time.monotonic()
+            self._declared[key] = (cube, rollup)
+            # a growth step: the memory budget is checked here
+            self._store.put(key, grain, grain.nbytes)
         if self._registry is not None:
-            name = "/".join(key)
             self._registry.register_gauge(
                 "rollup.rows." + ".".join(key),
-                lambda: float(self.grain_rows().get(name, 0)),
+                lambda: float(len(self._store.peek(key) or ())),
                 replace=True,
             )
-        # outside the store lock: the hook calls back into reclaim_grains()
-        if self.pressure_callback is not None:
-            self.pressure_callback()
         return grain
 
     def _build(self, cube: LogicalCube, rollup: RollupDecl, state) -> Grain:
@@ -305,10 +328,8 @@ class RollupRouter:
             for d, name in enumerate(array.dim_names)
             if name in level
         )
-        with self._lock:
-            stored = dict(self._store)
         for name in self.route(cube, list(rollup.grain), [], "sum").candidates:
-            source = stored.get((cube.name, name))
+            source = self._store.peek((cube.name, name))
             if (
                 name != rollup.name
                 and source is not None
@@ -328,172 +349,44 @@ class RollupRouter:
     def _on_write(self, physical: str, delta: tuple | None) -> None:
         """The engine's write listener: fold a one-cell write into every
         grain of ``physical`` that was fresh before it and stamp it with
-        the new generation.  A grain the fold cannot follow
-        (:meth:`Grain.folded`) is rebuilt here, by the write — finest
-        first, so the coarser re-roll: a reader finds after a
-        ``write_cell`` the grains it found before it.  A write without a
-        delta leaves its grains behind: the stale path."""
+        the new generation.  A grain the fold cannot follow is rebuilt
+        here, by the write — finest first, so the coarser re-roll: a
+        reader finds after a ``write_cell`` the grains it found before
+        it.  A write without a delta leaves its grains behind for the
+        next request that needs one to rebuild."""
         if delta is None:
             return
         generation = self.engine.cube_generation(physical)
-        missed = []
-        with self._lock:
-            for key, grain in list(self._store.items()):
-                if (grain.physical, grain.generation) != (physical, generation - 1):
-                    continue
-                patched = grain.folded(*delta, generation)
-                if patched is None:
-                    missed.append((-len(grain.counts), key))
-                else:
-                    self._store[key] = patched
-                    self.counters.add("rollup.deltas")
-        for _, key in sorted(missed):
+        for key in self._store.patch(physical, delta, generation):
             self.counters.add("rollup.delta_misses")
             try:
                 self.rows_for(*self._declared[key])
             except Exception:  # the write is durable: its grain stays behind
                 self.counters.add("rollup.refresh_failures")
 
-    def try_rows(
-        self, cube: LogicalCube, rollup: RollupDecl, aggregate: str
-    ) -> Grain | None:
-        """The fresh materialized grain, or ``None`` with a background
-        refresh scheduled: a request must never pay a rollup build
-        inline.  A grain that is behind or missing hands the request
-        back to base-cube consolidation while the refresh worker
-        rebuilds; the next request at this grain scans the fresh one."""
-        grain = self._fresh(cube, rollup)
-        if grain is None:
-            self.counters.add("rollup.stale")
-            self.schedule_refresh(cube, rollup, aggregate)
-        return grain
-
-    def schedule_refresh(
-        self, cube: LogicalCube, rollup: RollupDecl, aggregate: str | None = None
-    ) -> str:
-        """Queue one grain rebuild, deduplicating in-flight work; starts
-        the daemon refresh worker on first use.  Returns the build's
-        trace_id.
-
-        The build's :class:`TraceContext` is minted *here*, at schedule
-        time, so the scheduling request can record which background
-        build it caused before it has run: a ``schedules`` link goes on
-        the caller's active trace, the build later records the reverse
-        ``follows_from``.  A deduplicated schedule links to the running
-        build; no second identity is minted.
-        """
-        key = (cube.name, rollup.name)
-        refresh_ctx = None
-        with self._lock:
-            trace_id = self._inflight.get(key)
-            if trace_id is None:
-                refresh_ctx = new_trace_context(origin="rollup-refresh")
-                trace_id = self._inflight[key] = refresh_ctx.trace_id
-                if self._worker is None:
-                    self._worker = threading.Thread(
-                        target=self._refresh_loop, name="rollup-refresh", daemon=True
-                    )
-                    self._worker.start()
-        add_trace_link("schedules", trace_id, detail="rollup " + "/".join(key))
-        if refresh_ctx is not None:
-            scheduler = current_trace_context()
-            self.counters.add("rollup.refreshes_scheduled")
-            self._refresh_queue.put(
-                (cube, rollup, refresh_ctx, scheduler and scheduler.trace_id)
-            )
-        return trace_id
-
-    def _refresh_loop(self) -> None:
-        while True:
-            item = self._refresh_queue.get()
-            if item is None:
-                return
-            cube, rollup, refresh_ctx, scheduler_trace_id = item
-            key = (cube.name, rollup.name)
-            status = "ok"
-            start = time.perf_counter()
-            try:
-                # the build runs under its own trace identity, not the
-                # one of the request that scheduled it
-                with trace_context(refresh_ctx):
-                    self.rows_for(cube, rollup)
-            except Exception as exc:
-                # a degraded cube or an I/O fault fails the refresh, not
-                # the requests it was serving; the next stale hit
-                # reschedules
-                status = type(exc).__name__
-                self.counters.add("rollup.refresh_failures")
-            finally:
-                self._record_refresh(
-                    refresh_ctx, scheduler_trace_id, key, status,
-                    time.perf_counter() - start,
-                )
-                with self._lock:
-                    self._inflight.pop(key, None)
-
-    def _record_refresh(
-        self, refresh_ctx: TraceContext, scheduler_trace_id: str | None,
-        key: tuple[str, str], status: str, latency_s: float,
-    ) -> None:
-        """Record the finished build's trace, linked back to its cause."""
-        store = getattr(self.service, "traces", None)
-        if store is None:
-            return
-        links = []
-        if scheduler_trace_id is not None:
-            links.append(
-                {
-                    "kind": "follows_from",
-                    "trace_id": scheduler_trace_id,
-                    "detail": "stale-grain fallback scheduled this build",
-                }
-            )
-        store.record(
-            refresh_ctx,
-            name="rollup-refresh:" + "/".join(key),
-            origin="rollup-refresh",
-            status=status,
-            latency_s=latency_s,
-            links=links,
-            attrs={"cube": key[0], "rollup": key[1]},
-        )
-
     def close(self) -> None:
-        """Detach from the engine; stop the refresh worker if it started."""
+        """Detach from the engine and from the memory ledger."""
         try:
             self.engine.remove_write_listener(self._on_write)
         except ValueError:  # already detached
             pass
-        with self._lock:
-            worker = self._worker
-            self._worker = None
-        if worker is not None:
-            self._refresh_queue.put(None)
-            worker.join(timeout=5)
+        memory = getattr(self.service, "memory", None)
+        if memory is not None:
+            memory.unregister_store("rollup_grains")
 
-    # -- residency and memory accounting ---------------------------------------
+    # -- residency -------------------------------------------------------------
 
     def grain_stats(self) -> dict[str, dict]:
         """Per stored grain, keyed ``<cube>/<rollup>``: ``{rows,
-        resident_bytes, last_hit_age_s}``; bytes are the columns' ``nbytes``."""
-        now = time.monotonic()
-        with self._lock:
-            stored = [
-                (key, grain, self._last_hit.get(key))
-                for key, grain in sorted(self._store.items())
-            ]
+        resident_bytes}``; bytes are the columns' ``nbytes``."""
         return {
-            "/".join(key): {
-                "rows": len(grain),
-                "resident_bytes": grain.nbytes,
-                "last_hit_age_s": None if hit is None else round(now - hit, 3),
-            }
-            for key, grain, hit in stored
+            "/".join(key): {"rows": len(grain), "resident_bytes": grain.nbytes}
+            for key, grain in sorted(self._store.items())
         }
 
     def resident_rollups(self) -> int:
         """Materialized grains currently stored."""
-        return len(self.grain_stats())
+        return len(self._store)
 
     def grain_rows(self) -> dict[str, int]:
         """Non-empty cells per stored grain, for the rollup stats payload."""
@@ -505,34 +398,11 @@ class RollupRouter:
 
     def resident_bytes(self) -> int:
         """Bytes held by every stored grain (the memory ledger's figure)."""
-        return sum(s["resident_bytes"] for s in self.grain_stats().values())
-
-    def top_entries(self, n: int = 10) -> list[dict]:
-        """The ``n`` largest grains as ``{"key", "bytes"}`` dicts."""
-        sized = [
-            {"key": name, "bytes": stats["resident_bytes"]}
-            for name, stats in self.grain_stats().items()
-        ]
-        return sorted(sized, key=lambda entry: entry["bytes"], reverse=True)[:n]
+        return self._store.resident_bytes()
 
     def reclaim_grains(self, target_bytes: int) -> int:
-        """Evict coldest-first (by routed-hit recency) until at most
-        ``target_bytes`` remain; returns bytes freed.  An evicted grain
-        is a never-built one: the next request routed to it falls back
-        to base and schedules an async rebuild — the stale path.
-        """
-        freed = 0
-        with self._lock:
-            resident = sum(grain.nbytes for grain in self._store.values())
-            for key in sorted(
-                self._store, key=lambda key: self._last_hit.get(key, 0.0)
-            ):
-                if resident - freed <= target_bytes:
-                    break
-                freed += self._store.pop(key).nbytes
-                self._last_hit.pop(key, None)
-                self.counters.add("rollup.evictions")
-        return freed
+        """Evict coldest-routed first down to ``target_bytes``; bytes freed."""
+        return self._store.reclaim(target_bytes)
 
     # -- answering -----------------------------------------------------------
 

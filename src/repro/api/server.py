@@ -61,7 +61,6 @@ from repro.obs.tracing import (
     TraceContext,
     adopt_trace_id,
     current_trace_context,
-    current_trace_links,
     new_trace_context,
     trace_context,
 )
@@ -419,34 +418,14 @@ class ApiEndpoint:
         )
         self._measure_lock = threading.Lock()
         self._measure_indexes: dict[tuple[str, str], int] = {}
-        # grain eviction is the most expensive reclaim (a full rebuild
-        # on next demand), so the router registers last in the order
-        memory = getattr(service, "memory", None)
-        if memory is not None:
-            memory.register_store(
-                "rollup_grains",
-                self.router.resident_bytes,
-                reclaim=self.router.reclaim_grains,
-                top_entries=self.router.top_entries,
-                cost_rank=2,
-                share=0.25,
-            )
-            # the router is no SizedStore, so its build hook is the one
-            # budget check the accountant does not install itself
-            self.router.pressure_callback = (
-                lambda: memory.maybe_reclaim("rollup_build")
-            )
         # every declared grain exists before the first request: a write
-        # patches a grain, so none is ever built because one was asked for
+        # patches it, so only what a delta cannot follow costs a request
+        # a build
         for cube in model.cubes:
             self.router.materialize(cube)
 
     def close(self) -> None:
-        """Stop the router's background refresh worker."""
-        self.router.pressure_callback = None
-        memory = getattr(self.service, "memory", None)
-        if memory is not None:
-            memory.unregister_store("rollup_grains")
+        """Detach the router from the engine and the memory ledger."""
         self.router.close()
 
     # -- tracing -------------------------------------------------------------
@@ -468,9 +447,6 @@ class ApiEndpoint:
         Client 4xx are ``ok`` traces (the request worked, the caller was
         wrong); 5xx and unmapped exceptions are errors, which the store
         evicts only after every ok trace.
-        Must run inside the request's :class:`trace_context` block so
-        the links the pipeline attached (a scheduled rollup rebuild)
-        are still on this thread.
         """
         if self.traces is None:
             return
@@ -492,7 +468,6 @@ class ApiEndpoint:
                 if tracer.roots
                 else None
             ),
-            links=current_trace_links(),
             attrs=attrs,
         )
 
@@ -515,8 +490,8 @@ class ApiEndpoint:
     def rollup_stats_payload(self) -> dict:
         """Router residency, per grain (``<cube>/<rollup>``: every
         aggregate rides in one entry).  ``grains`` stays a plain name →
-        row-count map; the byte (``Σ column.nbytes``) / recency breakdown
-        rides in ``grain_stats``, patches and misses in ``counters``.
+        row-count map; the byte (``Σ column.nbytes``) breakdown rides in
+        ``grain_stats``, patches and misses in ``counters``.
         """
         return {
             "resident_entries": self.router.resident_rollups(),
@@ -598,15 +573,15 @@ class ApiEndpoint:
         if decision.source == "rollup":
             payload = self._routed(cube, request, decision)
             if payload is None:
-                # chosen rollup stale or not yet built: refresh runs in
-                # the background, this request pays the base cost once
+                # the chosen grain could not be built: this request pays
+                # the base cost, the next one tries the build again
                 self.counters.add("api.stale_fallbacks")
                 decision = replace(
                     decision,
                     source="base",
                     reason=(
-                        f"rollup {decision.rollup.name!r} not fresh; "
-                        "refresh scheduled, answered from base"
+                        f"rollup {decision.rollup.name!r} could not be "
+                        "built; answered from base"
                     ),
                 )
         if payload is not None:
@@ -680,9 +655,13 @@ class ApiEndpoint:
         assert rollup is not None
         shape = list(request.drilldown), list(request.cuts), request.aggregate
         if not request.explain:
-            stored = self.router.try_rows(cube, rollup, request.aggregate)
-            if stored is None:
-                return None  # caller falls back to base for this request
+            try:
+                stored = self.router.rows_for(cube, rollup, request.aggregate)
+            except ReproError:
+                # a degraded cube or an I/O fault fails the build, not
+                # the request: the caller answers it from base
+                self.router.counters.add("rollup.refresh_failures")
+                return None
             rows = self.router.scan(cube, rollup, stored, *shape, measure_indexes)
             self.router.counters.add("rollup.hits")
             return self._shape(request, rows, decision, len(stored), None)

@@ -206,12 +206,6 @@ def _cmd_trace_by_id(args) -> int:
         f"latency={payload['latency_s'] * 1000:.3f}ms "
         f"spans={payload['spans']}"
     )
-    for link in payload.get("links", ()):
-        detail = link.get("detail", "")
-        print(
-            f"-- link {link['kind']} -> {link['trace_id']}"
-            + (f" ({detail})" if detail else "")
-        )
     for root in payload.get("roots", ()):
         print(render_span_tree(span_from_dict(root)))
     if args.json:

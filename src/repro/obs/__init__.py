@@ -20,11 +20,10 @@ carries a first-class accounting layer:
   histograms: lock-cheap ``observe``, mergeable, p50/p95/p99, JSON
   round-trip, Prometheus ``_bucket``/``_sum``/``_count`` export.
 - :mod:`repro.obs.tracing` — the distributed layer over the tracer:
-  :class:`TraceContext` identity propagated across threads, shard
-  worker processes and async rollup rebuilds (follows-from links), and
-  the bounded :class:`TraceStore` flight recorder — each request's one
-  record, slow and failed traces evicted after fast ones — behind
-  ``/traces`` and ``/trace/id/<trace_id>``.
+  :class:`TraceContext` identity propagated across threads and shard
+  worker processes, and the bounded :class:`TraceStore` flight
+  recorder — each request's one record, slow and failed traces evicted
+  after fast ones — behind ``/traces`` and ``/trace/id/<trace_id>``.
 - :mod:`repro.obs.explain` — EXPLAIN / EXPLAIN ANALYZE plan trees:
   per-node planner estimates, measured actuals from span counter
   deltas, misestimate factors, text rendering and a fingerprint-keyed
@@ -76,10 +75,8 @@ from repro.obs.tracing import (
     TraceContext,
     TraceRecord,
     TraceStore,
-    add_trace_link,
     adopt_trace_id,
     current_trace_context,
-    current_trace_links,
     new_trace_context,
     trace_context,
 )
@@ -108,11 +105,9 @@ __all__ = [
     "TraceRecord",
     "TraceStore",
     "Tracer",
-    "add_trace_link",
     "adopt_trace_id",
     "attach_actuals",
     "current_trace_context",
-    "current_trace_links",
     "get_tracer",
     "lint_prometheus_text",
     "new_trace_context",

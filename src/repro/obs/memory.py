@@ -7,8 +7,10 @@ to buy query speed.  Every one of those stores already bounds its
 this process holding, and in which store?".  The
 :class:`MemoryAccountant` closes that gap.  Each resident store
 registers with it, either as a :class:`SizedStore` (the one byte
-ledger every bounded cache and the trace store share) or as a
-byte-accurate usage callback.  The accountant exports per-store
+ledger every bounded cache, the rollup grains and the trace store
+share) or as a byte-accurate usage callback that is accounted but
+never evicted from (the buffer pool, the shard workers).  The
+accountant exports per-store
 ``memory.<store>.resident_bytes`` gauges plus one
 ``memory.total_resident_bytes`` through the
 :class:`~repro.obs.registry.MetricsRegistry` (so ``/metrics`` sees
@@ -21,12 +23,11 @@ decoded chunks → coldest rollup grains by routed-hit recency →
 cached plans → traces) until the total fits the budget again.  The
 budget is checked where a store grows: registering a
 :class:`SizedStore` installs :meth:`maybe_reclaim` as its pressure
-hook, called once per growth step, and the rollup router's build hook
-is the one check outside a store.  Pass one respects each store's soft
-share of the budget — a store already below its share is skipped — and
-pass two reclaims unconditionally if the overshoot survives pass one.
-Evicted grains fall back to base-table scans exactly like the stale
-path, so serving correctness is untouched; the reclaim itself is
+hook, called once per growth step.  Pass one respects each store's
+soft share of the budget — a store already below its share is skipped
+— and pass two reclaims unconditionally if the overshoot survives pass
+one.  An evicted grain is rebuilt by the next request routed to it, so
+serving correctness is untouched; the reclaim itself is
 counted (``memory.pressure_events`` / ``memory.reclaimed_bytes``) and
 wrapped in a tracer span so it shows up in EXPLAIN ANALYZE and in the
 trace of the request that triggered it.
@@ -224,6 +225,11 @@ class SizedStore:
         with self._lock:
             return list(self._entries.values())
 
+    def items(self) -> list:
+        """The resident ``(key, value)`` pairs, oldest first."""
+        with self._lock:
+            return list(self._entries.items())
+
     def clear(self) -> None:
         """Drop everything (not an eviction: nothing is counted)."""
         with self._lock:
@@ -273,22 +279,19 @@ class StoreAccount:
 
     ``usage`` is sampled on every read — it must be O(1) and
     thread-safe (a :class:`SizedStore` keeps a running byte total for
-    exactly this reason).  ``reclaim(target)`` shrinks the store to at
-    most ``target`` resident bytes and returns how many bytes it
-    actually freed; stores without one (the buffer pool, the shard
-    workers) are accounted but never evicted from here.  ``cost_rank``
-    orders reclaim cheapest-to-rebuild first; ``share`` is the store's
-    soft fraction of the budget, the floor pass one will not shrink
-    below.
+    exactly this reason).  ``sized`` is the store itself when it is a
+    :class:`SizedStore`: its ``reclaim(target)`` shrinks it to at most
+    ``target`` resident bytes and returns how many bytes it actually
+    freed.  A bare usage callback (the buffer pool, the shard workers)
+    is accounted but never evicted from here.  ``cost_rank`` orders
+    reclaim cheapest-to-rebuild first; ``share`` is the store's soft
+    fraction of the budget, the floor pass one will not shrink below.
     """
 
     name: str
     usage: Callable[[], float]
-    reclaim: Callable[[int], int] | None = None
-    top_entries: Callable[[int], list[dict]] | None = None
     cost_rank: int = 100
     share: float = 0.0
-    #: the store whose pressure hook this registration installed
     sized: SizedStore | None = None
 
 
@@ -324,8 +327,6 @@ class MemoryAccountant:
         name: str,
         store: SizedStore | Callable[[], float],
         *,
-        reclaim: Callable[[int], int] | None = None,
-        top_entries: Callable[[int], list[dict]] | None = None,
         cost_rank: int = 100,
         share: float = 0.0,
     ) -> None:
@@ -333,22 +334,12 @@ class MemoryAccountant:
 
         A :class:`SizedStore` brings its own ledger, reclaim and top
         entries, and gets the budget check as its pressure hook; anything
-        else is a usage callback, optionally with the two hooks beside it.
+        else is a usage callback, accounted only.
         """
         sized = store if isinstance(store, SizedStore) else None
-        if sized is not None:
-            usage: Callable[[], float] = sized.resident_bytes
-            reclaim, top_entries = sized.reclaim, sized.top_entries
-        else:
-            usage = store
+        usage = sized.resident_bytes if sized is not None else store
         account = StoreAccount(
-            name=name,
-            usage=usage,
-            reclaim=reclaim,
-            top_entries=top_entries,
-            cost_rank=cost_rank,
-            share=share,
-            sized=sized,
+            name=name, usage=usage, cost_rank=cost_rank, share=share, sized=sized
         )
         with self._lock:
             self._stores[name] = account
@@ -394,18 +385,12 @@ class MemoryAccountant:
         """The ``n`` largest entries across every store that itemises."""
         with self._lock:
             stores = list(self._stores.values())
-        merged: list[dict] = []
-        for store in stores:
-            if store.top_entries is None:
-                continue
-            for entry in store.top_entries(n):
-                merged.append(
-                    {
-                        "store": store.name,
-                        "key": str(entry.get("key", "")),
-                        "bytes": int(entry.get("bytes", 0)),
-                    }
-                )
+        merged = [
+            {"store": store.name, **entry}
+            for store in stores
+            if store.sized is not None
+            for entry in store.sized.top_entries(n)
+        ]
         merged.sort(key=lambda entry: entry["bytes"], reverse=True)
         return merged[:n]
 
@@ -431,8 +416,12 @@ class MemoryAccountant:
             self.counters.add("memory.pressure_events")
             with self._lock:
                 reclaimables = sorted(
-                    (s for s in self._stores.values() if s.reclaim is not None),
-                    key=lambda s: s.cost_rank,
+                    (
+                        (s, s.sized)
+                        for s in self._stores.values()
+                        if s.sized is not None
+                    ),
+                    key=lambda pair: pair[0].cost_rank,
                 )
             freed_total = 0
             with get_tracer().span(
@@ -442,26 +431,26 @@ class MemoryAccountant:
                 budget_bytes=self.budget_bytes,
             ) as span:
                 # pass 1: cheapest-first, down to each store's soft share
-                for store in reclaimables:
+                for store, sized in reclaimables:
                     remaining = overshoot - freed_total
                     if remaining <= 0:
                         break
-                    current = usage.get(store.name, int(store.usage()))
+                    current = usage.get(store.name, sized.resident_bytes())
                     floor = int(self.budget_bytes * store.share)
                     if current <= floor:
                         continue
                     target = max(floor, current - remaining)
-                    freed_total += max(0, int(store.reclaim(target)))
+                    freed_total += sized.reclaim(target)
                 # pass 2: still over — shares stop protecting anybody
                 if overshoot - freed_total > 0:
-                    for store in reclaimables:
+                    for _, sized in reclaimables:
                         remaining = overshoot - freed_total
                         if remaining <= 0:
                             break
-                        current = int(store.usage())
+                        current = sized.resident_bytes()
                         target = max(0, current - remaining)
                         if target < current:
-                            freed_total += max(0, int(store.reclaim(target)))
+                            freed_total += sized.reclaim(target)
                 span.annotate(reclaimed_bytes=freed_total)
             self.counters.add("memory.reclaimed_bytes", freed_total)
             return freed_total

@@ -3,8 +3,8 @@
 The span :class:`~repro.obs.tracer.Tracer` from the observability core
 is strictly in-process: each tracer records one tree and the active
 tracer is a thread-local.  This module adds the *cross-domain* layer —
-Dapper-style identity that survives thread pools, process shard workers
-and background rollup rebuilds:
+Dapper-style identity that survives thread pools and process shard
+workers:
 
 - :class:`TraceContext` is the propagated identity: a 128-bit
   ``trace_id`` plus a 64-bit ``span_id``/``parent_span_id`` pair.
@@ -13,17 +13,13 @@ and background rollup rebuilds:
   explicitly (capture at submit, install in the worker via
   :class:`trace_context`) and across processes as a plain dict inside
   the shard task payload.
-- Follows-from links record *causal but asynchronous* relationships:
-  a stale-grain rollup fallback schedules a background rebuild under a
-  fresh trace, and both sides carry a link to the other
-  (:func:`add_trace_link`), so the request's trace answers "which build
-  did I schedule?" and the build's trace answers "who asked for this?".
 - :class:`TraceStore` is the flight recorder, each request's one
   record: a bounded, thread-safe ring keyed by trace_id.  Every trace
   is stored; slow and errored ones are evicted only after every fast
   one, so their evidence outlives any amount of fast traffic.  Several
   layers (API handler, query service) contribute spans to the same
-  trace_id and the store merges them into one record.
+  trace_id and the store merges them into one record; a rollup grain a
+  request had to rebuild is a ``rollup.build`` span in it.
 """
 
 from __future__ import annotations
@@ -42,16 +38,10 @@ _TRACE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
 #: span trees one trace record keeps.  An API request contributes one
 #: or two, so only a client that reuses one ``X-Trace-Id`` on every
 #: request reaches it; later contributions still merge their status,
-#: latency, attrs and links, but their roots are dropped and counted
+#: latency and attrs, but their roots are dropped and counted
 #: (``traces.roots_dropped``), so that client cannot grow one record
 #: without bound.
 MAX_ROOTS_PER_TRACE = 32
-
-#: cross-trace links one record keeps, capped like its roots: a client
-#: that reuses one ``X-Trace-Id`` while grains are stale schedules a
-#: distinct build per request; links past the cap are dropped and
-#: counted (``traces.links_dropped``)
-MAX_LINKS_PER_TRACE = 32
 
 
 def _hex_id(n_bytes: int) -> str:
@@ -151,51 +141,21 @@ class trace_context:
 
     Mirrors :class:`~repro.obs.tracer.thread_tracing`: the serving
     pool's worker threads install the submitting request's context so
-    everything below (engine, scatter, rollup scheduling) can read it
-    without threading a parameter through every signature.  Each block
-    also gets a fresh link buffer for :func:`add_trace_link`.
+    everything below (engine, scatter) can read it without threading a
+    parameter through every signature.
     """
 
     def __init__(self, context: TraceContext | None):
         self.context = context
-        self._previous: tuple[TraceContext | None, list[dict]] | None = None
+        self._previous: TraceContext | None = None
 
     def __enter__(self) -> TraceContext | None:
-        self._previous = (
-            getattr(_thread_state, "context", None),
-            getattr(_thread_state, "links", []),
-        )
+        self._previous = getattr(_thread_state, "context", None)
         _thread_state.context = self.context
-        _thread_state.links = []
         return self.context
 
     def __exit__(self, *exc_info: object) -> None:
-        previous = self._previous or (None, [])
-        _thread_state.context = previous[0]
-        _thread_state.links = previous[1]
-
-
-def add_trace_link(
-    kind: str, trace_id: str, detail: str = ""
-) -> None:
-    """Attach a cross-trace link to the current thread's context.
-
-    ``kind`` is the relationship seen from this trace's side —
-    ``"schedules"`` on a request that queued a background rollup build,
-    ``"follows_from"`` on the build looking back at its scheduler.
-    A no-op outside any :class:`trace_context` block.
-    """
-    if getattr(_thread_state, "context", None) is None:
-        return
-    links = getattr(_thread_state, "links", None)
-    if links is None:
-        links = _thread_state.links = []
-    links.append({"kind": kind, "trace_id": trace_id, "detail": detail})
-
-
-def current_trace_links() -> list[dict]:
-    """A copy of the links attached so far in this context block."""
-    return list(getattr(_thread_state, "links", []) or [])
+        _thread_state.context = self._previous
 
 
 # -- the flight recorder ------------------------------------------------------
@@ -203,7 +163,7 @@ def current_trace_links() -> list[dict]:
 
 @dataclass
 class TraceRecord:
-    """One stored trace: identity, outcome, span trees, links."""
+    """One stored trace: identity, outcome, span trees."""
 
     trace_id: str
     origin: str = ""
@@ -213,7 +173,6 @@ class TraceRecord:
     started_at: float = 0.0
     attrs: dict = field(default_factory=dict)
     roots: list = field(default_factory=list)
-    links: list = field(default_factory=list)
 
     def span_count(self) -> int:
         """Total spans across every stored root tree."""
@@ -233,7 +192,6 @@ class TraceRecord:
             "latency_s": self.latency_s,
             "started_at": self.started_at,
             "attrs": dict(self.attrs),
-            "links": [dict(link) for link in self.links],
             "spans": self.span_count(),
             "roots": self.roots,
         }
@@ -248,7 +206,6 @@ class TraceRecord:
             "latency_s": self.latency_s,
             "started_at": self.started_at,
             "spans": self.span_count(),
-            "links": len(self.links),
         }
 
 
@@ -299,20 +256,19 @@ class TraceStore(SizedStore):
         status: str = "ok",
         latency_s: float = 0.0,
         roots: list | None = None,
-        links: list | None = None,
         attrs: dict | None = None,
     ) -> None:
         """Store (or merge into) the trace for ``context``.
 
         ``roots`` is a list of serialized span trees
         (:func:`~repro.obs.exporters.span_to_dict` form); a record keeps
-        at most :data:`MAX_ROOTS_PER_TRACE` of them, and at most
-        :data:`MAX_LINKS_PER_TRACE` links.  The merge is one growth
-        step: the pressure hook fires once, after the lock is released.
+        at most :data:`MAX_ROOTS_PER_TRACE` of them.  The merge is one
+        growth step: the pressure hook fires once, after the lock is
+        released.
 
         Byte accounting is *incremental*: each contributing write adds
         the measured size of what it appended (span trees, attrs that
-        bring a new key, links), so a merge never re-walks the whole
+        bring a new key), so a merge never re-walks the whole
         record — deep measurement of the bulky span trees happens
         outside the store lock, on the writer's thread.
         """
@@ -355,31 +311,8 @@ class TraceStore(SizedStore):
                 grown += sum(root_bytes[:room])
                 if len(roots) > room:
                     self.counters.add("traces.roots_dropped", len(roots) - room)
-            for link in links or ():
-                grown += self._add_link(record, link)
             self._grow(trace_id, grown)
         self._grew()
-
-    def _add_link(self, record: TraceRecord, link: dict) -> int:
-        """Append ``link`` unless present or the record is at the cap;
-        the bytes it added (caller holds the lock)."""
-        if link in record.links:
-            return 0
-        if len(record.links) >= MAX_LINKS_PER_TRACE:
-            self.counters.add("traces.links_dropped")
-            return 0
-        record.links.append(dict(link))
-        return deep_sizeof(link)
-
-    def link(self, trace_id: str, link: dict) -> bool:
-        """Attach one link to an already-resident trace, if present."""
-        with self._lock:
-            record = self.peek(trace_id)
-            if record is None:
-                return False
-            self._grow(trace_id, self._add_link(record, link))
-        self._grew()
-        return True
 
     # -- reading -------------------------------------------------------------
 

@@ -30,9 +30,10 @@ difference of two snapshots); queue depth / cache residency export as
 gauges.
 
 Every cache and the trace store register with the service's
-:class:`~repro.obs.memory.MemoryAccountant`, which checks
-``memory_budget_bytes`` each time one of them grows; the service runs
-no background thread of its own besides the query pool.
+:class:`~repro.obs.memory.MemoryAccountant` (so do an API endpoint's
+rollup grains), which checks ``memory_budget_bytes`` each time one of
+them grows; neither the service nor the rollup router runs a
+background thread besides the query pool.
 
 Every query's outcome is one record in the
 :class:`~repro.obs.tracing.TraceStore` (``traces``): span tree,
@@ -67,7 +68,6 @@ from repro.obs.tracing import (
     TraceContext,
     TraceStore,
     current_trace_context,
-    current_trace_links,
     new_trace_context,
     trace_context,
 )
@@ -215,10 +215,9 @@ class QueryService:
         Reclaim order (``cost_rank``) is cheapest-to-rebuild first:
         result cache (one engine query) → decoded chunks (one pool
         read + decode each) → rollup grains (rank 2, registered by the
-        API endpoint that owns the router) → cached plans → the trace
-        store, whose loss costs a debugging breadcrumb but never a
-        wrong answer.  Each of those four stores checks the budget
-        where it grows.  The buffer pool is accounted but never evicted
+        API's rollup router) → cached plans → the trace store, whose
+        loss costs a debugging breadcrumb but never a wrong answer.
+        Each of those stores checks the budget where it grows.  The buffer pool is accounted but never evicted
         from here: it enforces its own capacity bound.
         """
         memory = self.memory
@@ -403,10 +402,8 @@ class QueryService:
     ) -> None:
         """Contribute this query's outcome (and span trees) to the store.
 
-        Runs inside the :class:`trace_context` block so links attached
-        below (a stale-grain rollup fallback scheduling a rebuild) ride
-        along.  The store merges by trace_id, so an API request and the
-        queries it fanned out accumulate into one record.
+        The store merges by trace_id, so an API request and the queries
+        it fanned out accumulate into one record.
         """
         roots = (
             [span_to_dict(root) for root in tracer.roots]
@@ -420,7 +417,6 @@ class QueryService:
             status=status,
             latency_s=latency_s,
             roots=roots,
-            links=current_trace_links(),
             attrs={"fingerprint": fingerprint, "cube": query.cube},
         )
 

@@ -8,9 +8,10 @@ shuffled against the physical one) and random sequences of everything
 that can move a grain: cell overwrites, inserts, an overwrite *of* the
 current max/min with a tamer value (the fold that cannot be followed),
 an overwrite *to* a new extreme, ``append_facts``, ``rebuild_array`` and
-``reclaim_grains``.  After every step and for every grain, once
-``try_rows`` hands it out its columns equal those of a grain walked from
-the base array there and then, and every routed answer — five
+``reclaim_grains``.  After every step and for every grain, the grain
+``rows_for`` hands a request — the patched one, or one rebuilt then —
+has the columns of a grain walked from the base array there and then,
+and every routed answer — five
 aggregates, drilldowns at every derivable level, in-list and range cuts
 — equals the base consolidation.
 
@@ -168,16 +169,6 @@ def _apply(step, facts, service, router, shape):
     facts[cell] = values
 
 
-def _fresh_grain(router, cube, rollup):
-    deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline:
-        grain = router.try_rows(cube, rollup, "sum")
-        if grain is not None:
-            return grain
-        time.sleep(0.002)
-    raise AssertionError(f"grain {rollup.name!r} was never rebuilt")
-
-
 def _requests(router, cube, rollup):
     """Drilldowns at every derivable level of every grain dimension, and
     an in-list and a range cut on each."""
@@ -236,7 +227,7 @@ def test_delta_maintained_grain_equals_rebuild(case):
         for step in case["steps"]:
             _apply(step, facts, service, router, case["shape"])
             for rollup in cube.rollups:
-                grain = _fresh_grain(router, cube, rollup)
+                grain = router.rows_for(cube, rollup)
                 # a router of its own has nothing resident to re-roll
                 # from: this is one walk of the base array, now
                 scratch = RollupRouter(engine, service)

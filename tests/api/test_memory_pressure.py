@@ -6,7 +6,6 @@ and the accountant's ledger stays internally consistent at every
 sample."""
 
 import threading
-import time
 
 from repro.api.server import ApiEndpoint
 from repro.data import generate_fact_rows
@@ -18,7 +17,7 @@ from .conftest import CONFIG, fresh_engine, fresh_model
 #: below the stack's resident set at test scale (~51 KB, 47 KB of it the
 #: unreclaimable buffer pool: routed requests no longer fill the result
 #: cache), so every sample lands over budget and the reclaim path runs
-#: constantly — grains are evicted, fall back, and are rebuilt throughout
+#: constantly — grains are evicted and rebuilt throughout
 BUDGET_BYTES = 40_000
 
 TEMPLATES = [
@@ -154,11 +153,8 @@ class TestEvictionUnderWrites:
                 assert store._resident_bytes == sum(store._sizes.values())
                 assert store._resident_bytes >= 0
         # a grain's bytes are its columns': the router's figure is their
-        # sum, whatever eviction and rebuild raced (wait out the last one)
+        # sum, whatever eviction and rebuild raced
         router = endpoint.router
-        deadline = time.monotonic() + 10.0
-        while router._inflight and time.monotonic() < deadline:
-            time.sleep(0.01)
         with router._lock:
             grains = list(router._store.values())
         assert router.resident_bytes() == sum(

@@ -1,7 +1,9 @@
 """RollupRouter: derive maps, coverage, routing, re-aggregation
-correctness against the consolidation engine, and invalidation."""
+correctness against the consolidation engine, invalidation, and the
+inline rebuild of a grain the write left behind."""
 
-import time
+import sys
+import threading
 
 import numpy as np
 
@@ -219,16 +221,6 @@ def _from_scratch(router, cube, rollup):
     return router.rows_for(cube, rollup, "sum")
 
 
-def _wait_fresh(router, cube, rollup):
-    deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline:
-        fresh = router.try_rows(cube, rollup, "sum")
-        if fresh is not None:
-            return fresh
-        time.sleep(0.01)
-    raise AssertionError("async refresh never completed")
-
-
 class TestInvalidation:
     def test_write_patches_every_grain_equal_to_a_rebuild(self, stack):
         _, service, endpoint = stack
@@ -252,28 +244,6 @@ class TestInvalidation:
             assert int(before[rollup.name].columns["max"].max()) < 999_999
             assert int(patched.columns["max"].max()) == 999_999
             assert _same_columns(patched, _from_scratch(router, cube, rollup))
-
-    def test_write_goes_stale_then_async_refresh_catches_up(self, stack):
-        _, service, endpoint = stack
-        cube, router = _cube(endpoint), endpoint.router
-        rollup = cube.rollups[0]
-        before = router.try_rows(cube, rollup, "sum")
-        assert before is not None
-
-        # an append carries no cell delta: every grain falls behind
-        service.append_facts(CONFIG.name, [_valid_keys() + (999_999,)])
-
-        # the serving path must NOT rebuild inline: stale -> None now
-        assert router.try_rows(cube, rollup, "sum") is None
-        fresh = _wait_fresh(router, cube, rollup)
-        assert int(fresh.columns["sum"].sum()) == (
-            int(before.columns["sum"].sum()) + 999_999
-        )
-        assert not _same_columns(fresh, before)
-        assert _same_columns(fresh, _from_scratch(router, cube, rollup))
-        snapshot = router.counters.snapshot()
-        assert snapshot["rollup.stale"] >= 1
-        assert snapshot["rollup.refreshes_scheduled"] >= 1
 
     def test_a_fold_that_cannot_be_followed_is_rebuilt_by_the_write(self, stack):
         _, service, endpoint = stack
@@ -322,3 +292,78 @@ class TestInvalidation:
         )
         router.reclaim_grains(0)
         assert router.resident_rollups() == 0
+
+
+def _aggregate(endpoint, params):
+    """``(route source, sorted rows)`` of one API request."""
+    status, payload = endpoint.aggregate(
+        "sales", lambda parser: parser.from_params(params)
+    )
+    assert status == 200
+    labels = [f"{dim}.{attr}" for dim, attr in payload["drilldown"]]
+    rows = sorted(
+        tuple(cell[label] for label in labels + payload["measures"])
+        for cell in payload["cells"]
+    )
+    return payload["route"]["source"], rows
+
+
+def _no_refresh_thread():
+    return all(t.name != "rollup-refresh" for t in threading.enumerate())
+
+
+class TestInlineRebuild:
+    """A grain behind the cube is rebuilt by the request that needs it."""
+
+    def test_an_append_is_followed_by_the_next_request(self, stack):
+        _, service, endpoint = stack
+        cube, router = _cube(endpoint), endpoint.router
+        rollup = cube.rollups[1]  # mid01: the grain dim0:h01 routes to
+        before = router.try_rows(cube, rollup, "sum")
+        # an append carries no cell delta: every grain falls behind, and
+        # asking whether one is fresh builds nothing
+        service.append_facts(CONFIG.name, [_valid_keys() + (999_999,)])
+        assert router.try_rows(cube, rollup, "sum") is None
+        assert router.try_rows(cube, rollup, "sum") is None
+        assert _no_refresh_thread()
+        source, rows = _aggregate(endpoint, {"drilldown": "dim0:h01"})
+        assert source == "rollup"
+        assert rows == _base_rows(service, [("dim0", "h01")])
+        fresh = router.try_rows(cube, rollup, "sum")
+        assert int(fresh.columns["sum"].sum()) == (
+            int(before.columns["sum"].sum()) + 999_999
+        )
+        assert _same_columns(fresh, _from_scratch(router, cube, rollup))
+        assert router.counters.get("rollup.refresh_failures") == 0
+        assert endpoint.counters.get("api.stale_fallbacks") == 0
+        assert _no_refresh_thread()
+
+    def test_concurrent_requests_share_one_build(self, stack):
+        _, service, endpoint = stack
+        router = endpoint.router
+        router.reclaim_grains(0)
+        rebuilds = router.counters.get("rollup.rebuilds")
+        params = {"drilldown": "dim0:h01"}
+        start = threading.Barrier(8)
+        answers = []
+
+        def request():
+            start.wait()
+            answers.append(_aggregate(endpoint, params))
+
+        threads = [threading.Thread(target=request) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = _base_rows(service, [("dim0", "h01")])
+        assert answers == [("rollup", expected)] * 8
+        # the first waiter builds; the rest find it fresh under the lock
+        assert router.counters.get("rollup.rebuilds") == rebuilds + 1
+        assert _no_refresh_thread()

@@ -4,13 +4,15 @@ survives concurrent reads, writes, and garbage."""
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.api.server import ApiServer
+from repro.api.server import ApiServer, RequestParser
 from repro.data import generate_fact_rows
+from repro.errors import TransientDiskError
 from repro.util.jsonschema_lite import validate
 
 from .conftest import CONFIG
@@ -48,6 +50,25 @@ def _post(url, body, raw=False):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def _cells(payload):
+    labels = [f"{d}.{a}" for d, a in payload["drilldown"]] + payload["measures"]
+    return sorted(tuple(cell[label] for label in labels) for cell in payload["cells"])
+
+
+def _base_cells(service, endpoint, params):
+    """The base engine's answer to one request, through the result
+    cache the base fallback reads (and leaves it cached)."""
+    request = RequestParser(endpoint.model.cube("sales")).from_params(params)
+    return sorted(service.execute(endpoint.base_query(request)).rows)
+
+
+def _wait_for_counter(counters, name, value, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while counters.get(name) < value and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert counters.get(name) == value
 
 
 def _warm(endpoint):
@@ -107,31 +128,26 @@ class TestAggregate:
         assert payload["cell_count"] == len(payload["cells"])
         assert set(payload["cells"][0]) == {"dim0.h02", "volume"}
 
-    def test_first_request_falls_back_then_hits(self, server):
-        _, _, endpoint, srv = server
+    def test_an_evicted_grain_is_rebuilt_by_the_next_request(self, server):
+        _, service, endpoint, srv = server
         url = srv.url + "/cube/sales/aggregate?drilldown=dim1"
         # grains are built at start: the very first request is routed
         status, first = _get(url)
         assert status == 200
         assert first["route"]["source"] == "rollup"
-        assert endpoint.counters.get("api.stale_fallbacks") == 0
-        # an evicted grain is a never-built one: fall back, rebuild, hit
+        # an evicted grain is a never-built one: the next request builds it
+        rebuilds = endpoint.router.counters.get("rollup.rebuilds")
         endpoint.router.reclaim_grains(0)
-        status, cold = _get(url)
+        status, rebuilt = _get(url)
+        assert endpoint.router.counters.get("rollup.rebuilds") == rebuilds + 1
         assert status == 200
-        assert cold["route"]["source"] == "base"
-        assert cold["route"]["rollup"] == "coarse"  # named on a fallback too
-        assert "refresh scheduled" in cold["route"]["reason"]
-        deadline_tries = 500
-        for _ in range(deadline_tries):
-            status, warm = _get(url)
-            if warm["route"]["source"] == "rollup":
-                break
-        assert warm["route"]["source"] == "rollup"
-        assert warm["cells"] == cold["cells"] == first["cells"]
-        snapshot = endpoint.counters.snapshot()
-        assert snapshot["api.stale_fallbacks"] >= 1
-        assert snapshot["api.rollup_hits"] >= 1
+        assert rebuilt["route"]["source"] == "rollup"
+        assert rebuilt["route"]["rollup"] == "coarse"
+        assert _cells(rebuilt) == _cells(first) == _base_cells(
+            service, endpoint, {"drilldown": "dim1"}
+        )
+        assert endpoint.counters.get("api.stale_fallbacks") == 0
+        assert all(t.name != "rollup-refresh" for t in threading.enumerate())
 
     def test_routed_and_base_agree(self, server):
         _, _, endpoint, srv = server
@@ -414,3 +430,47 @@ class TestConcurrency:
         snapshot = endpoint.counters.snapshot()
         assert snapshot.get("api.responses_5xx", 0) == 0
         assert snapshot.get("api.server_errors", 0) == 0
+
+
+class TestBuildFailures:
+    """A grain that cannot be built costs its request the base answer,
+    never an error of its own."""
+
+    def test_a_transient_fault_in_the_build_is_answered_from_base(
+        self, server, monkeypatch
+    ):
+        _, service, endpoint, srv = server
+
+        def faulty_walk(*args):
+            raise TransientDiskError("injected fault in the grain walk")
+
+        monkeypatch.setattr("repro.api.rollup.walk_columns", faulty_walk)
+        failures = endpoint.router.counters.get("rollup.refresh_failures")
+        endpoint.router.reclaim_grains(0)
+        status, payload = _get(srv.url + "/cube/sales/aggregate?drilldown=dim1")
+        assert status == 200
+        assert payload["route"]["source"] == "base"
+        assert payload["route"]["rollup"] == "coarse"  # named on a fallback too
+        assert _cells(payload) == _base_cells(service, endpoint, {"drilldown": "dim1"})
+        assert endpoint.counters.get("api.stale_fallbacks") == 1
+        _wait_for_counter(
+            endpoint.router.counters, "rollup.refresh_failures", failures + 1
+        )
+
+    def test_a_degraded_cube_still_serves_a_cached_base_answer(self, server):
+        _, service, endpoint, srv = server
+        cached = _base_cells(service, endpoint, {"drilldown": "dim1"})
+        failures = endpoint.router.counters.get("rollup.refresh_failures")
+        endpoint.router.reclaim_grains(0)
+        service._mark_degraded(CONFIG.name)
+        status, payload = _get(srv.url + "/cube/sales/aggregate?drilldown=dim1")
+        assert status == 200
+        assert payload["route"]["source"] == "base"
+        assert _cells(payload) == cached
+        _wait_for_counter(
+            endpoint.router.counters, "rollup.refresh_failures", failures + 1
+        )
+        # a miss on a degraded cube is refused, as ever
+        status, payload = _get(srv.url + "/cube/sales/aggregate?drilldown=dim0:d0")
+        assert status == 503
+        assert payload["error"]["kind"] == "degraded"

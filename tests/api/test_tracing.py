@@ -3,9 +3,9 @@
 Every response carries ``X-Trace-Id`` (and the same id inside its JSON
 body), an inbound well-formed header is adopted verbatim, traces
 resolve at ``/trace/id/<trace_id>`` on the port that issued them, a
-scraper's polling cannot evict them, a stale-grain fallback's trace
-links to the rollup rebuild it scheduled (and the build links back),
-and the opt-in structured access log emits one JSON line per request.
+scraper's polling cannot evict them, a request that rebuilds its grain
+holds the build's spans in its own trace, and the opt-in structured
+access log emits one JSON line per request.
 """
 
 import io
@@ -18,7 +18,7 @@ import urllib.request
 import pytest
 
 from repro.api.server import ApiServer
-from repro.obs.tracing import MAX_LINKS_PER_TRACE, MAX_ROOTS_PER_TRACE
+from repro.obs.tracing import MAX_ROOTS_PER_TRACE
 from repro.util.jsonschema_lite import validate
 
 from .conftest import CONFIG
@@ -159,18 +159,14 @@ class TestTraceResolution:
 
     def test_a_reused_trace_id_stays_bounded(self, server):
         """A client that sends one ``X-Trace-Id`` on every request merges
-        into one record, whose roots, links and bytes stop growing at the
-        caps — even when every request schedules a rollup build of its
-        own, each a distinct link."""
+        into one record, whose roots and bytes stop growing at the cap —
+        even when every request rebuilds its grain."""
         _, service, endpoint, srv = server
         _warm(endpoint)
         reused = {"X-Trace-Id": "ef" * 16}
         resident = []
         for _ in range(2):
-            for _ in range(max(MAX_ROOTS_PER_TRACE, MAX_LINKS_PER_TRACE)):
-                # no grain and no build in flight: the request falls back
-                # to base and schedules a fresh build
-                _wait_for(lambda: not endpoint.router._inflight)
+            for _ in range(MAX_ROOTS_PER_TRACE):
                 endpoint.router.reclaim_grains(0)
                 assert _get(srv.url + AGG, headers=reused)[0] == 200
             sizes = service.traces.top_entries(len(service.traces))
@@ -179,64 +175,40 @@ class TestTraceResolution:
             )
         record = service.traces.get("ef" * 16)
         assert len(record.roots) == MAX_ROOTS_PER_TRACE
-        assert len(record.links) == MAX_LINKS_PER_TRACE
-        assert {link["kind"] for link in record.links} == {"schedules"}
         assert resident[1] == resident[0]
         counters = service.traces.counters
         assert counters.get("traces.roots_dropped") >= MAX_ROOTS_PER_TRACE
-        assert counters.get("traces.links_dropped") >= MAX_LINKS_PER_TRACE
 
 
-class TestAsyncCausality:
-    def test_stale_fallback_links_to_the_build_it_scheduled(self, server):
-        engine, service, endpoint, srv = server
-        _warm(endpoint)
-        _wait_for(lambda: not endpoint.router._inflight)
+def _spans(node):
+    yield node
+    for child in node["children"]:
+        yield from _spans(child)
+
+
+class TestInlineBuild:
+    def test_the_request_trace_holds_the_build_spans(self, server):
+        _, _, endpoint, srv = server
         # a write patches the grain; eviction is what leaves a routed
         # request without one (as an append or an array rebuild would)
         endpoint.router.reclaim_grains(0)
         status, payload, headers = _get(srv.url + AGG)
         assert status == 200
-        assert payload["route"]["source"] == "base"  # the stale fallback
-        trace_id = headers["X-Trace-Id"]
-
-        record = _wait_for(lambda: service.traces.get(trace_id))
-        schedules = [
-            link for link in record.links if link["kind"] == "schedules"
+        assert payload["route"]["source"] == "rollup"
+        status, trace, _ = _get(f"{srv.url}/trace/id/{headers['X-Trace-Id']}")
+        assert status == 200
+        assert validate(trace, TRACE_SCHEMA) in (None, [])
+        builds = [
+            span
+            for root in trace["roots"]
+            for span in _spans(root)
+            if span["name"] == "rollup.build"
         ]
-        assert len(schedules) == 1
-        build_id = schedules[0]["trace_id"]
-        assert HEX32.match(build_id)
-
-        def _build_with_back_link():
-            # the record turns resident at schedule time; the
-            # follows_from link lands when the rebuild worker runs
-            record = service.traces.get(build_id)
-            if record is None:
-                return None
-            if any(link["kind"] == "follows_from" for link in record.links):
-                return record
-            return None
-
-        build = _wait_for(_build_with_back_link)
-        assert build.origin == "rollup-refresh"
-        assert {
-            "kind": "follows_from", "trace_id": trace_id,
-        }.items() <= {
-            k: v
-            for link in build.links
-            if link["kind"] == "follows_from"
-            for k, v in link.items()
-        }.items()
-
-    def test_deduplicated_schedule_links_to_running_build(self, server):
-        engine, service, endpoint, srv = server
-        cube = endpoint.model.cube("sales")
-        rollup = cube.rollups[1]  # mid01: the grain AGG routes to
-        first = endpoint.router.schedule_refresh(cube, rollup, "sum")
-        second = endpoint.router.schedule_refresh(cube, rollup, "sum")
-        assert second == first  # same in-flight build, same identity
-        _wait_for(lambda: not endpoint.router._inflight)
+        assert [span["attrs"] for span in builds] == [
+            {"cube": "sales", "rollup": "mid01"}
+        ]
+        # the one chunk walk is the request's own work
+        assert builds[0]["io"].get("cells_scanned", 0) > 0
 
 
 class TestAccessLog:

@@ -242,16 +242,13 @@ class TestMemoryRoute:
             ObservabilityRoutes(registry).handle("/memory", {})
 
     def test_breakdown_payload_and_top_param(self, registry):
-        from repro.obs.memory import MemoryAccountant
+        from repro.obs.memory import MemoryAccountant, SizedStore
 
         accountant = MemoryAccountant(budget_bytes=10_000)
-        accountant.register_store(
-            "cachey",
-            lambda: 2_048.0,
-            top_entries=lambda n: [
-                {"key": f"k{i}", "bytes": 100 - i} for i in range(n)
-            ],
-        )
+        cachey = SizedStore(capacity=4)
+        for key, nbytes in (("k0", 1_000), ("k1", 600), ("k2", 448)):
+            cachey.put(key, key, nbytes)
+        accountant.register_store("cachey", cachey)
         status, payload, _ = ObservabilityRoutes(
             registry, SimpleNamespace(memory=accountant)
         ).handle("/memory", {"top": "2"})

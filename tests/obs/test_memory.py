@@ -5,7 +5,7 @@ coordinator and the per-store reclaim hooks."""
 import numpy as np
 import pytest
 
-from repro.obs.memory import MemoryAccountant, deep_sizeof
+from repro.obs.memory import MemoryAccountant, SizedStore, deep_sizeof
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import TraceStore, new_trace_context
 
@@ -47,21 +47,25 @@ class TestDeepSizeof:
         assert deep_sizeof(Holder()) > 8192
 
 
-class _FakeStore:
-    """An in-memory byte bucket with the reclaim contract."""
+class _FakeStore(SizedStore):
+    """``nbytes`` in 100-byte entries, recording each reclaim target."""
 
     def __init__(self, nbytes: int):
-        self.nbytes = float(nbytes)
+        super().__init__(capacity=1_000)
         self.reclaims: list[int] = []
-
-    def usage(self) -> float:
-        return self.nbytes
+        for key in range(nbytes // 100):
+            self.put(key, key, 100)
 
     def reclaim(self, target_bytes: int) -> int:
         self.reclaims.append(target_bytes)
-        freed = max(0, int(self.nbytes) - target_bytes)
-        self.nbytes -= freed
-        return freed
+        return super().reclaim(target_bytes)
+
+
+def _itemised(**sizes: int) -> SizedStore:
+    store = SizedStore(capacity=16)
+    for key, nbytes in sizes.items():
+        store.put(key, key, nbytes)
+    return store
 
 
 class TestAccountant:
@@ -112,19 +116,8 @@ class TestAccountant:
 
     def test_top_entries_merge_sorted_across_stores(self):
         accountant = MemoryAccountant()
-        accountant.register_store(
-            "a",
-            lambda: 0.0,
-            top_entries=lambda n: [{"key": "a1", "bytes": 10}],
-        )
-        accountant.register_store(
-            "b",
-            lambda: 0.0,
-            top_entries=lambda n: [
-                {"key": "b1", "bytes": 30},
-                {"key": "b2", "bytes": 20},
-            ],
-        )
+        accountant.register_store("a", _itemised(a1=10))
+        accountant.register_store("b", _itemised(b1=30, b2=20))
         merged = accountant.top_entries(2)
         assert [(e["store"], e["key"], e["bytes"]) for e in merged] == [
             ("b", "b1", 30),
@@ -146,34 +139,26 @@ class TestReclaim:
     def test_unbudgeted_never_reclaims(self):
         accountant = MemoryAccountant()
         store = _FakeStore(10_000)
-        accountant.register_store(
-            "a", store.usage, reclaim=store.reclaim, cost_rank=0
-        )
+        accountant.register_store("a", store, cost_rank=0)
         assert accountant.maybe_reclaim("test") == 0
         assert store.reclaims == []
 
     def test_under_budget_is_a_noop(self):
         accountant = MemoryAccountant(budget_bytes=100_000)
         store = _FakeStore(10_000)
-        accountant.register_store(
-            "a", store.usage, reclaim=store.reclaim, cost_rank=0
-        )
+        accountant.register_store("a", store, cost_rank=0)
         assert accountant.maybe_reclaim("test") == 0
         assert accountant.counters.get("memory.pressure_events") == 0
 
     def test_cheapest_store_reclaimed_first(self):
         accountant = MemoryAccountant(budget_bytes=1_500)
         cheap, pricey = _FakeStore(1_000), _FakeStore(1_000)
-        accountant.register_store(
-            "pricey", pricey.usage, reclaim=pricey.reclaim, cost_rank=5
-        )
-        accountant.register_store(
-            "cheap", cheap.usage, reclaim=cheap.reclaim, cost_rank=0
-        )
+        accountant.register_store("pricey", pricey, cost_rank=5)
+        accountant.register_store("cheap", cheap, cost_rank=0)
         freed = accountant.maybe_reclaim("test")
         assert freed == 500
-        assert cheap.nbytes == 500  # overshoot came out of rank 0
-        assert pricey.nbytes == 1_000
+        assert cheap.resident_bytes() == 500  # overshoot came out of rank 0
+        assert pricey.resident_bytes() == 1_000
         assert pricey.reclaims == []
 
     def test_pass_one_respects_share_floor(self):
@@ -181,34 +166,28 @@ class TestReclaim:
         # overshoot in an unreclaimable store cannot push "a" below it
         accountant = MemoryAccountant(budget_bytes=1_000)
         store = _FakeStore(800)
-        accountant.register_store(
-            "a", store.usage, reclaim=store.reclaim, cost_rank=0, share=0.5
-        )
+        accountant.register_store("a", store, cost_rank=0, share=0.5)
         accountant.register_store("fixed", lambda: 600.0)
         accountant.maybe_reclaim("test")
         # pass 1 stops at the floor; pass 2 then reclaims the rest
         assert store.reclaims[0] == 500
-        assert store.nbytes == 400  # 800+600 total, budget 1000
+        assert store.resident_bytes() == 400  # 800+600 total, budget 1000
 
     def test_pass_two_ignores_shares_when_still_over(self):
         accountant = MemoryAccountant(budget_bytes=1_000)
         store = _FakeStore(500)
-        accountant.register_store(
-            "a", store.usage, reclaim=store.reclaim, cost_rank=0, share=1.0
-        )
+        accountant.register_store("a", store, cost_rank=0, share=1.0)
         accountant.register_store("fixed", lambda: 1_200.0)
         freed = accountant.maybe_reclaim("test")
         # overshoot 700 > the whole store; pass 1 skips (under its
         # share floor), pass 2 empties it
         assert freed == 500
-        assert store.nbytes == 0
+        assert store.resident_bytes() == 0
 
     def test_counters_track_pressure_and_bytes(self):
         accountant = MemoryAccountant(budget_bytes=500)
         store = _FakeStore(900)
-        accountant.register_store(
-            "a", store.usage, reclaim=store.reclaim, cost_rank=0
-        )
+        accountant.register_store("a", store, cost_rank=0)
         accountant.maybe_reclaim("test")
         assert accountant.counters.get("memory.pressure_events") == 1
         assert accountant.counters.get("memory.reclaimed_bytes") == 400
@@ -216,9 +195,7 @@ class TestReclaim:
     def test_sample_enforces_then_reads(self):
         accountant = MemoryAccountant(budget_bytes=500)
         store = _FakeStore(2_000)
-        accountant.register_store(
-            "a", store.usage, reclaim=store.reclaim, cost_rank=0
-        )
+        accountant.register_store("a", store, cost_rank=0)
         snap = accountant.sample("test")
         assert snap["total_resident_bytes"] <= 500
         assert snap["reclaimed_bytes"] == 1_500

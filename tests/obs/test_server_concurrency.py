@@ -64,7 +64,6 @@ def test_reads_survive_concurrent_mutation_and_resets(stack):
                 name=f"query:{i}",
                 latency_s=0.001 * i,
                 roots=[{"name": "query", "children": []}],
-                links=[{"kind": "schedules", "trace_id": "ab" * 16}],
             )
             service.plans.put(f"fp{i % 6}", {"backend": "array", "round": i})
             if i % 5 == 4:

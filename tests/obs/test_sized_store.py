@@ -145,17 +145,14 @@ def test_a_trace_merge_is_one_growth_step():
     fired = _hook(store)
     context = new_trace_context()
     # a new record is a put and a grow; a merge only a grow: one call each
-    store.record(context, roots=[{"name": "a"}], links=[{"kind": "x"}])
+    store.record(context, roots=[{"name": "a"}])
     assert fired == [False]
     store.record(context, roots=[{"name": "b"}], attrs={"k": 1})
     assert fired == [False, False]
-    assert store.link(context.trace_id, {"kind": "y"})
-    assert fired == [False] * 3
-    assert not store.link("0" * 32, {"kind": "y"})  # not resident
     store.get(context.trace_id)
     store.index()
     store.reclaim(0)
-    assert fired == [False] * 3
+    assert fired == [False, False]
 
 
 class _StubArray:

@@ -2,8 +2,8 @@
 
 The in-process :class:`Tracer` is covered by ``test_tracer.py``; this
 file covers the cross-domain layer added on top — :class:`TraceContext`
-minting/adoption, the thread-local ``trace_context`` installation and
-its per-block link buffer, and the :class:`TraceStore` flight-recorder
+minting/adoption, the thread-local ``trace_context`` installation, and
+the :class:`TraceStore` flight-recorder
 contract (merge-by-trace_id, bounded ring, and the eviction rule that
 keeps slow and errored traces past fast ones).
 """
@@ -17,10 +17,8 @@ import pytest
 from repro.obs.tracing import (
     TraceContext,
     TraceStore,
-    add_trace_link,
     adopt_trace_id,
     current_trace_context,
-    current_trace_links,
     new_trace_context,
     trace_context,
 )
@@ -81,21 +79,6 @@ class TestThreadLocalPropagation:
             with trace_context(inner):
                 assert current_trace_context() is inner
             assert current_trace_context() is outer
-
-    def test_links_are_per_block(self):
-        with trace_context(new_trace_context()):
-            add_trace_link("schedules", "ab" * 16, detail="outer")
-            with trace_context(new_trace_context()):
-                assert current_trace_links() == []
-                add_trace_link("follows_from", "cd" * 16)
-                assert len(current_trace_links()) == 1
-            assert [link["detail"] for link in current_trace_links()] == [
-                "outer"
-            ]
-
-    def test_links_noop_outside_any_context(self):
-        add_trace_link("schedules", "ab" * 16)
-        assert current_trace_links() == []
 
     def test_context_does_not_leak_across_threads(self):
         ctx = new_trace_context()
@@ -208,24 +191,6 @@ class TestTraceStoreMerge:
         store.record(ctx, status="ok")
         assert store.get(ctx.trace_id).status == "QueryError"
 
-    def test_links_deduplicate(self):
-        store = TraceStore()
-        ctx = new_trace_context()
-        link = {"kind": "schedules", "trace_id": "ab" * 16, "detail": "d"}
-        store.record(ctx, links=[link, dict(link)])
-        store.record(ctx, links=[dict(link)])
-        assert store.get(ctx.trace_id).links == [link]
-
-    def test_retro_link_onto_resident_trace(self):
-        store = TraceStore()
-        ctx = new_trace_context()
-        store.record(ctx)
-        link = {"kind": "schedules", "trace_id": "cd" * 16, "detail": ""}
-        assert store.link(ctx.trace_id, link)
-        assert store.get(ctx.trace_id).links == [link]
-
-    def test_link_onto_absent_trace_is_refused(self):
-        assert not TraceStore().link("ab" * 16, {"kind": "x", "trace_id": "y"})
 
 
 class TestTraceStoreRing:
@@ -263,13 +228,12 @@ class TestTraceStoreRing:
         store.record(
             ctx, name="q", latency_s=0.01,
             roots=[{"name": "a", "children": [{"name": "b", "children": []}]}],
-            links=[{"kind": "schedules", "trace_id": "ab" * 16}],
         )
         payload = store.get(ctx.trace_id).to_dict()
         assert payload["trace_id"] == ctx.trace_id
         assert payload["spans"] == 2
         summary = store.index()[0]
-        assert summary["spans"] == 2 and summary["links"] == 1
+        assert summary["spans"] == 2
 
     def test_concurrent_recording_is_bounded_and_clean(self):
         store = TraceStore(capacity=16)
