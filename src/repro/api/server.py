@@ -50,8 +50,9 @@ from repro.errors import (
     ApiNotFoundError,
     ApiRequestError,
     ApiTooLargeError,
-    DegradedError,
+    PermanentError,
     ReproError,
+    TransientError,
 )
 from repro.obs.exporters import span_to_dict
 from repro.obs.explain import PlanNode, QueryPlan, attach_actuals
@@ -120,16 +121,19 @@ class AggregateRequest:
 
 
 def _coerce_key_value(cube: LogicalCube, dimension: str, raw):
-    """Key-level cut values arrive as strings; keys are integers."""
-    if isinstance(raw, int):
+    """Keys are integers: a JSON integer or an integer string.  A float
+    or a bool is refused, never truncated to a key it did not name."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ApiRequestError(
-            f"cut value {raw!r} on key level of dimension {dimension!r} "
-            "must be an integer"
-        ) from None
+    if isinstance(raw, str):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise ApiRequestError(
+        f"cut value {raw!r} on key level of dimension {dimension!r} "
+        "must be an integer"
+    )
 
 
 def _truthy(raw) -> bool:
@@ -785,7 +789,9 @@ class ApiEndpoint:
                     "status": 429,
                 }
             }
-        if isinstance(exc, DegradedError):
+        if isinstance(exc, (TransientError, PermanentError)):
+            # a degraded cube, an exhausted retry budget, a corrupt log
+            # or a disk fault: the server's trouble, not the request's
             self.counters.add("api.degraded_rejections")
             return 503, {
                 "error": {
@@ -925,6 +931,11 @@ class ApiServer:
                     raise ApiRequestError(
                         f"bad Content-Length {length_raw!r}"
                     ) from None
+                if length < 0:
+                    # rfile.read(-1) would block until the client closes
+                    raise ApiRequestError(
+                        f"bad Content-Length {length_raw!r}"
+                    )
                 if length > endpoint.max_body_bytes:
                     raise ApiTooLargeError(
                         f"request body of {length} bytes exceeds the "

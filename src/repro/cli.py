@@ -106,22 +106,6 @@ def _add_scale_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="chunk-range shards to scatter array consolidations over "
-        "(default 1)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("local", "thread", "process"),
-        default="local",
-        help="where shard scans run when --shards > 1 (default local)",
-    )
-
-
 def cmd_info(args) -> int:
     print(f"repro {__version__} — ICDE 1998 OLAP Array ADT reproduction")
     print(f"scales: {', '.join(SCALES)}")
@@ -361,8 +345,6 @@ def cmd_serve(args) -> int:
                 max_workers=args.threads,
                 max_in_flight=2 * args.threads * len(queries),
                 slow_threshold_s=args.slow_threshold,
-                shards=args.shards,
-                executor=args.executor,
             )
         with scope as (service, server):
             if server is not None:
@@ -608,7 +590,19 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("query", choices=sorted(_TRACE_QUERIES))
     explain.add_argument("--backend", default="auto")
     explain.add_argument("--order", default="chunk", choices=("chunk", "naive"))
-    _add_shard_arguments(explain)
+    explain.add_argument(
+        "--shards",
+        type=int,
+        default=1,
+        help="chunk-range shards to scatter array consolidations over "
+        "(default 1)",
+    )
+    explain.add_argument(
+        "--executor",
+        choices=("local", "thread", "process"),
+        default="local",
+        help="where shard scans run when --shards > 1 (default local)",
+    )
     explain.add_argument(
         "--analyze",
         action="store_true",
@@ -673,7 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
         "trace outlives fast ones and a slow miss caches its analyzed "
         "plan (default 0.25)",
     )
-    _add_shard_arguments(serve)
     _add_scale_argument(serve)
     serve.set_defaults(run=cmd_serve)
 

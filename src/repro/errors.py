@@ -227,6 +227,5 @@ class ShardScatterError(ShardError, TransientError):
 
     Transient by design: worker processes are respawned lazily, so the
     serving layer's retry loop may re-run the whole query and the next
-    scatter can succeed.  With ``allow_partial=True`` the coordinator
-    degrades to a partial result instead of raising this.
+    scatter can succeed.
     """

@@ -9,7 +9,7 @@ workers:
 - :class:`TraceContext` is the propagated identity: a 128-bit
   ``trace_id`` plus a 64-bit ``span_id``/``parent_span_id`` pair.
   Contexts are minted at every entry point (an API request,
-  ``QueryService.query``, a CLI run), carried across threads
+  ``QueryService.submit``, a CLI run), carried across threads
   explicitly (capture at submit, install in the worker via
   :class:`trace_context`) and across processes as a plain dict inside
   the shard task payload.

@@ -34,7 +34,6 @@ from repro.core.consolidate import (
 )
 from repro.obs.explain import PlanNode
 from repro.obs.tracer import get_tracer
-from repro.obs.tracing import TraceContext
 from repro.core.select_consolidate import Selection, consolidate_with_selection
 from repro.errors import PlanError
 from repro.olap.star_schema import (
@@ -73,11 +72,6 @@ class BackendContext:
     shards: int = 1
     #: where shard scans run: ``local`` / ``thread`` / ``process``
     executor: str = "local"
-    #: degrade to a partial result when shards stay lost after retries
-    allow_partial: bool = False
-    #: the request's distributed trace context, when one is active —
-    #: the shard coordinator ships child contexts to its workers
-    trace: "TraceContext | None" = None
 
     @contextmanager
     def phase(self, name: str, **attrs):

@@ -34,16 +34,13 @@ from repro.core.olap_array import OLAPArray
 from repro.errors import CatalogError, PlanError, QueryError
 from repro.index.bitmap import factorize
 from repro.obs.tracer import get_tracer
-from repro.obs.tracing import TraceContext, current_trace_context
+from repro.obs.tracing import current_trace_context
 from repro.olap import backends as backend_registry
+from repro.olap import planner
 from repro.olap.backends import BackendContext
 from repro.olap.model import CubeSchema
-from repro.olap.options import ExecutionOptions, coerce_options
-from repro.olap.planner import (
-    DEFAULT_CROSSOVER_SELECTIVITY,
-    PlannerInputs,
-    choose_backend_explained,
-)
+from repro.olap.options import ExecutionOptions
+from repro.olap.planner import PlannerInputs, choose_backend_explained
 from repro.olap.query import ConsolidationQuery
 from repro.olap.star_schema import (
     array_name,
@@ -412,31 +409,6 @@ class OlapEngine:
 
     # -- query execution ------------------------------------------------------------------------
 
-    def run(
-        self,
-        query: ConsolidationQuery,
-        options: ExecutionOptions | None = None,
-        cold: bool = True,
-        crossover_selectivity: float = DEFAULT_CROSSOVER_SELECTIVITY,
-        **legacy,
-    ) -> QueryResult:
-        """Execute a query under one :class:`ExecutionOptions` surface.
-
-        Precedence: explicit ``options`` > options attached to the query
-        (``ConsolidationQuery.options``) > defaults.  The removed
-        per-keyword form (``backend=``, ``executor=``, ``shards=``,
-        ...) raises :class:`TypeError`.
-        """
-        if options is None and query.options is not None:
-            options = query.options
-        opts = coerce_options(options, legacy, "OlapEngine.run")
-        return self.query(
-            query,
-            cold=cold,
-            crossover_selectivity=crossover_selectivity,
-            **vars(opts),
-        )
-
     def query(
         self,
         query: ConsolidationQuery,
@@ -444,11 +416,8 @@ class OlapEngine:
         mode: str = "auto",
         cold: bool = True,
         order: str = "chunk",
-        crossover_selectivity: float = DEFAULT_CROSSOVER_SELECTIVITY,
         shards: int = 1,
         executor: str = "local",
-        allow_partial: bool = False,
-        trace: TraceContext | None = None,
     ) -> QueryResult:
         """Execute a consolidation query.
 
@@ -461,7 +430,9 @@ class OlapEngine:
         difference of two registry snapshots; the cache preparation is
         not billed).
         ``shards > 1`` scatters the array consolidation over chunk-range
-        shards on the given ``executor`` (see :mod:`repro.shard`).
+        shards on the given ``executor`` (see :mod:`repro.shard`).  The
+        request's trace context is the one installed by
+        :func:`~repro.obs.tracing.trace_context`, if any.
         """
         if mode != "auto":
             raise QueryError(
@@ -473,13 +444,11 @@ class OlapEngine:
             executor=executor,
             shards=shards,
             order=order,
-            allow_partial=allow_partial,
-            trace=trace,
         )
         state = self.cube(query.cube)
         query.validate(state.schema)
         backend, impl, planner_reason = self._resolve_backend(
-            state, query, opts.backend, crossover_selectivity
+            state, query, opts.backend
         )
         if cold:
             if state.array is not None:
@@ -490,8 +459,7 @@ class OlapEngine:
         metrics = self.db.metrics
         before = metrics.snapshot_by_source()
         counters = Counters()
-        if trace is None:
-            trace = current_trace_context()
+        trace = current_trace_context()
         ctx = BackendContext(
             engine=self,
             state=state,
@@ -499,8 +467,6 @@ class OlapEngine:
             order=opts.order,
             shards=opts.shards,
             executor=opts.executor,
-            allow_partial=opts.allow_partial,
-            trace=trace,
         )
         with metrics.scoped("query", counters):
             with get_tracer().span(
@@ -530,7 +496,6 @@ class OlapEngine:
         state: _CubeState,
         query: ConsolidationQuery,
         backend: str,
-        crossover_selectivity: float,
         selectivity: float | None = None,
     ) -> tuple[str, backend_registry.Backend, str]:
         """The planner call and availability check that :meth:`query`
@@ -557,7 +522,6 @@ class OlapEngine:
                         sel.is_range for sel in query.selections
                     ),
                 ),
-                crossover_selectivity,
             )
         impl = backend_registry.get_backend(backend)
         if not impl.available(state):
@@ -575,20 +539,15 @@ class OlapEngine:
         options: ExecutionOptions | None = None,
         analyze: bool = False,
         cold: bool = True,
-        crossover_selectivity: float = DEFAULT_CROSSOVER_SELECTIVITY,
-        **legacy,
     ):
         """Build a query plan; with ``analyze=True`` also run and measure.
 
-        Takes the same ``(options, analyze)`` signature as every other
-        explain surface (:meth:`ConsolidationQuery.explain
-        <repro.olap.query.ConsolidationQuery.explain>`,
-        :meth:`QueryService.explain
+        Takes the same ``(options, analyze)`` signature as the other
+        explain surfaces (:meth:`QueryService.explain
         <repro.serve.service.QueryService.explain>` and ``repro
-        explain``); precedence mirrors :meth:`run` (explicit ``options``
-        > options attached to the query > defaults).  Planner resolution
-        (``backend="auto"``, availability checks) is :meth:`query`'s
-        own helper.  The returned
+        explain``); ``None`` means ``ExecutionOptions()``.  Planner
+        resolution (``backend="auto"``, availability checks) is
+        :meth:`query`'s own helper.  The returned
         :class:`~repro.obs.explain.QueryPlan` carries per-node cost
         estimates; an ANALYZE run executes the query under a
         registry-bound tracer, attaches each node's actual counter
@@ -601,9 +560,7 @@ class OlapEngine:
         from repro.obs.tracer import Tracer, thread_tracing
         from repro.serve.fingerprint import query_fingerprint
 
-        if options is None and query.options is not None:
-            options = query.options
-        opts = coerce_options(options, legacy, "OlapEngine.explain")
+        opts = options if options is not None else ExecutionOptions()
         requested = opts.backend
         state = self.cube(query.cube)
         query.validate(state.schema)
@@ -614,7 +571,6 @@ class OlapEngine:
             state,
             query,
             requested,
-            crossover_selectivity,
             estimated_selectivity,
         )
         ctx = BackendContext(
@@ -624,7 +580,6 @@ class OlapEngine:
             order=opts.order,
             shards=opts.shards,
             executor=opts.executor,
-            allow_partial=opts.allow_partial,
         )
         plan = QueryPlan(
             cube=query.cube,
@@ -641,7 +596,7 @@ class OlapEngine:
                 "requested": requested,
                 "reason": planner_reason,
                 "estimated_selectivity": estimated_selectivity,
-                "crossover_selectivity": crossover_selectivity,
+                "crossover_selectivity": planner.DEFAULT_CROSSOVER_SELECTIVITY,
                 "available_backends": sorted(state.available_backends()),
             },
             root=impl.explain(ctx, query),
@@ -656,10 +611,8 @@ class OlapEngine:
                 backend=backend,
                 cold=cold,
                 order=opts.order,
-                crossover_selectivity=crossover_selectivity,
                 shards=opts.shards,
                 executor=opts.executor,
-                allow_partial=opts.allow_partial,
             )
         root_span = next(
             (root for root in tracer.roots if root.name == "query"), None

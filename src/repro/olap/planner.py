@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from repro.errors import PlanError
 
 # §5.6: bitmap+fact-file beat the array below S = 0.00024; we plan
-# conservatively at the paper's observed crossover.
+# conservatively at the paper's observed crossover.  Read at call time;
+# EXPLAIN reports it as ``planner.crossover_selectivity``.
 DEFAULT_CROSSOVER_SELECTIVITY = 0.00024
 
 
@@ -32,10 +33,7 @@ class PlannerInputs:
     has_range_selections: bool = False
 
 
-def choose_backend_explained(
-    inputs: PlannerInputs,
-    crossover_selectivity: float = DEFAULT_CROSSOVER_SELECTIVITY,
-) -> tuple[str, str]:
+def choose_backend_explained(inputs: PlannerInputs) -> tuple[str, str]:
     """:func:`choose_backend` plus the *reason* for the choice.
 
     The reason string is a short stable token ("no-selections",
@@ -51,23 +49,21 @@ def choose_backend_explained(
         if inputs.has_bitmaps and not inputs.has_range_selections:
             return "bitmap", "no-array"
         return "starjoin", "no-array-range-or-no-bitmaps"
+    crossover = DEFAULT_CROSSOVER_SELECTIVITY
     if (
         inputs.has_bitmaps
         and not inputs.has_range_selections
-        and inputs.estimated_selectivity < crossover_selectivity
+        and inputs.estimated_selectivity < crossover
     ):
         return "bitmap", (
             f"below-crossover"
             f" (S={inputs.estimated_selectivity:.2g}"
-            f" < {crossover_selectivity:g})"
+            f" < {crossover:g})"
         )
     return "array", "above-crossover"
 
 
-def choose_backend(
-    inputs: PlannerInputs,
-    crossover_selectivity: float = DEFAULT_CROSSOVER_SELECTIVITY,
-) -> str:
+def choose_backend(inputs: PlannerInputs) -> str:
     """Pick ``array`` / ``starjoin`` / ``bitmap`` for a query.
 
     - no selections: the array consolidation if an array exists, else
@@ -79,7 +75,7 @@ def choose_backend(
       bitmap index cannot serve ``BETWEEN`` without enumerating the
       whole domain).
     """
-    return choose_backend_explained(inputs, crossover_selectivity)[0]
+    return choose_backend_explained(inputs)[0]
 
 
 def require_backend_available(backend: str, available: set[str]) -> None:

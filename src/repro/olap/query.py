@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import QueryError
 from repro.olap.model import CubeSchema
-from repro.olap.options import ExecutionOptions
 
 
 @dataclass(frozen=True)
@@ -96,10 +95,6 @@ class ConsolidationQuery:
     selections: tuple[SelectionPredicate, ...] = ()
     aggregate: str = "sum"
     measures: tuple[str, ...] | None = None  # None = all cube measures
-    #: how to execute (backend/executor/shards); None = engine
-    #: defaults.  Excluded from equality — options describe *how* a
-    #: query runs, not *what* it asks, and fingerprints track the how.
-    options: ExecutionOptions | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.group_by:
@@ -116,7 +111,6 @@ class ConsolidationQuery:
         selections: list[SelectionPredicate] | None = None,
         aggregate: str = "sum",
         measures: list[str] | None = None,
-        options: ExecutionOptions | None = None,
     ) -> "ConsolidationQuery":
         """Convenience constructor taking plain dicts/lists."""
         return cls(
@@ -125,13 +119,10 @@ class ConsolidationQuery:
             selections=tuple(selections or ()),
             aggregate=aggregate,
             measures=tuple(measures) if measures is not None else None,
-            options=options,
         )
 
     @classmethod
-    def builder(
-        cls, cube: str, options: ExecutionOptions | None = None
-    ) -> "QueryBuilder":
+    def builder(cls, cube: str) -> "QueryBuilder":
         """Start a fluent builder for a query against ``cube``::
 
             query = (ConsolidationQuery.builder("sales")
@@ -139,10 +130,12 @@ class ConsolidationQuery:
                      .where_in("store", "region", "West")
                      .where_between("time", "month", 1, 6)
                      .aggregate("volume", "sum")
-                     .options(shards=4, executor="process")
                      .build())
+
+        *How* it runs is not part of the query: pass an
+        :class:`~repro.olap.options.ExecutionOptions` where it executes.
         """
-        return QueryBuilder(cube, options=options)
+        return QueryBuilder(cube)
 
     @property
     def group_dims(self) -> tuple[str, ...]:
@@ -190,15 +183,6 @@ class ConsolidationQuery:
                 if m not in known:
                     raise QueryError(f"cube has no measure {m!r}")
 
-    def explain(self, engine, options=None, analyze: bool = False, **kwargs):
-        """EXPLAIN this query — see :meth:`OlapEngine.explain`.
-
-        The same ``(options, analyze)`` signature every explain surface
-        takes; ``explain(engine, analyze=True)`` runs the query and
-        attaches measured actuals to every plan node.
-        """
-        return engine.explain(self, options, analyze=analyze, **kwargs)
-
 
 class QueryBuilder:
     """Fluent construction of a :class:`ConsolidationQuery`.
@@ -209,20 +193,12 @@ class QueryBuilder:
     (fingerprinting, caching, execution) consumes.
     """
 
-    def __init__(self, cube: str, options: ExecutionOptions | None = None):
+    def __init__(self, cube: str):
         self._cube = cube
         self._group_by: list[tuple[str, str]] = []
         self._selections: list[SelectionPredicate] = []
         self._aggregate: str | None = None
         self._measures: list[str] | None = None
-        self._options = options
-
-    def options(self, **knobs) -> "QueryBuilder":
-        """Attach execution knobs (``backend=``, ``executor=``, ``shards=``,
-        ``order=``, ``allow_partial=``) to the built query."""
-        base = self._options if self._options is not None else ExecutionOptions()
-        self._options = base.merged_with(**knobs)
-        return self
 
     def group_by(self, dimension: str, attribute: str) -> "QueryBuilder":
         """Group on one dimension attribute (order fixes output order)."""
@@ -280,9 +256,4 @@ class QueryBuilder:
             measures=(
                 tuple(self._measures) if self._measures is not None else None
             ),
-            options=self._options,
         )
-
-    def run(self, engine, options=None, **kwargs):
-        """Build and execute on ``engine`` (attached options apply)."""
-        return engine.run(self.build(), options, **kwargs)

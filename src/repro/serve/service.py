@@ -4,6 +4,9 @@ The engine itself is deliberately single-threaded (its buffer pool,
 tracer spans and non-blocking lock manager assume one caller), so the
 service layers concurrency *around* it:
 
+- how a query runs is the :class:`~repro.olap.options.ExecutionOptions`
+  its call passes (``None`` = the defaults); :class:`ServiceConfig`
+  holds only serving knobs, no execution defaults;
 - a thread pool runs admitted queries; admission control rejects work
   beyond ``max_in_flight`` with :class:`~repro.errors.AdmissionError`
   (backpressure, not unbounded queueing);
@@ -72,7 +75,7 @@ from repro.obs.tracing import (
     trace_context,
 )
 from repro.olap.engine import OlapEngine, QueryResult
-from repro.olap.options import ExecutionOptions, coerce_options
+from repro.olap.options import ExecutionOptions
 from repro.olap.query import ConsolidationQuery
 from repro.serve.chunk_cache import ChunkCache
 from repro.serve.fingerprint import query_fingerprint
@@ -107,11 +110,6 @@ class ServiceConfig:
     #: snapshots off the hot path (traces then carry no span tree and
     #: slow misses no analyzed plan)
     profile_queries: bool = True
-    #: chunk-range shards engine misses scatter over (1 = classic
-    #: single-scan path; >1 routes misses through the shard coordinator)
-    shards: int = 1
-    #: where shard scans run: ``local`` / ``thread`` / ``process``
-    executor: str = "local"
     #: process resident-set budget across every accounted store, in
     #: bytes (0 = unbounded: accounting only, no pressure eviction).
     #: The one size setting: each cache and ring keeps its own default
@@ -272,60 +270,23 @@ class QueryService:
 
     # -- query path --------------------------------------------------------
 
-    def _resolve_options(
-        self,
-        query: ConsolidationQuery,
-        options: ExecutionOptions | None,
-        legacy: dict,
-        where: str,
-    ) -> ExecutionOptions:
-        """Precedence: explicit ``options`` > options attached to the
-        query > the service config's ``shards``/``executor`` defaults."""
-        if options is None and query.options is not None:
-            options = query.options
-        if options is None and not legacy:
-            return ExecutionOptions(
-                shards=self.config.shards, executor=self.config.executor
-            )
-        return coerce_options(options, legacy, where)
-
-    def query(
-        self,
-        query: ConsolidationQuery,
-        options: ExecutionOptions | None = None,
-        **legacy,
-    ) -> QueryResult:
-        """Execute under one :class:`ExecutionOptions` surface and wait.
-
-        Precedence: explicit ``options`` > options attached to the query
-        > the service config's ``shards``/``executor`` defaults.  The
-        removed loose keywords (``backend=``, ``shards=``, ...) raise
-        :class:`TypeError`.
-        """
-        opts = self._resolve_options(query, options, legacy, "QueryService.query")
-        return self.submit(query, opts).result()
-
     def submit(
         self,
         query: ConsolidationQuery,
         options: ExecutionOptions | None = None,
-        **legacy,
     ) -> "Future[QueryResult]":
         """Admit one query onto the pool; returns its future.
 
-        ``options`` defaults to the query's attached options, then to
-        the service config's ``shards``/``executor``.  Raises
+        ``options=None`` runs with ``ExecutionOptions()``.  Raises
         :class:`AdmissionError` when the service is closed or
         ``max_in_flight`` queries are already admitted.
         """
-        opts = self._resolve_options(
-            query, options, legacy, "QueryService.submit"
-        )
+        opts = options if options is not None else ExecutionOptions()
         # resolve the trace identity on the *caller's* thread, before the
-        # hop onto the pool loses its thread-locals: an explicit options
-        # context wins, then whatever the caller (API handler, CLI) has
-        # installed, then a fresh service-minted root
-        trace = opts.trace or current_trace_context()
+        # hop onto the pool loses its thread-locals: whatever the caller
+        # (API handler, CLI, ``with trace_context(...)``) has installed,
+        # else a fresh service-minted root
+        trace = current_trace_context()
         if trace is None:
             trace = new_trace_context(origin="service")
         with self._admission_lock:
@@ -353,10 +314,9 @@ class QueryService:
         self,
         query: ConsolidationQuery,
         options: ExecutionOptions | None = None,
-        **legacy,
     ) -> QueryResult:
         """Admit one query and wait for its result."""
-        return self.submit(query, options, **legacy).result()
+        return self.submit(query, options).result()
 
     def _run(
         self, query, opts: ExecutionOptions, trace: TraceContext, admitted_s
@@ -478,27 +438,22 @@ class QueryService:
         query: ConsolidationQuery,
         options: ExecutionOptions | None = None,
         analyze: bool = False,
-        **legacy,
     ) -> QueryPlan:
         """EXPLAIN (optionally ANALYZE) one query through the service.
 
         The same ``(options, analyze)`` signature as
-        :meth:`OlapEngine.explain <repro.olap.engine.OlapEngine.explain>`
-        and :meth:`ConsolidationQuery.explain
-        <repro.olap.query.ConsolidationQuery.explain>`.  Serializes
+        :meth:`OlapEngine.explain <repro.olap.engine.OlapEngine.explain>`.
+        Serializes
         behind the engine lock like any miss; an ANALYZE run executes
         with the service's warm/cold policy.  The payload is kept in
         the fingerprint-keyed plan cache for ``/explain/<fingerprint>``.
         """
         self._check_degraded(query.cube)
-        opts = self._resolve_options(
-            query, options, legacy, "QueryService.explain"
-        )
         with self._engine_lock:
             self._attach_chunk_cache(query.cube)
             plan = self.engine.explain(
                 query,
-                opts,
+                options,
                 analyze=analyze,
                 cold=self.config.cold,
             )
@@ -566,7 +521,6 @@ class QueryService:
                     order=opts.order,
                     shards=opts.shards,
                     executor=opts.executor,
-                    allow_partial=opts.allow_partial,
                 )
                 # the generation cannot have moved: writes also
                 # serialize behind the engine lock.  Inside the span so

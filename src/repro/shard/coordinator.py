@@ -11,11 +11,10 @@ ANALYZE binds estimates to measured actuals:
    the selected executor.  A task lost to a
    :class:`~repro.errors.TransientError`, a straggler timeout, or a
    broken process pool is re-scattered (up to
-   :attr:`~ShardCoordinator.MAX_RETRY_ROUNDS` extra rounds); shards
-   still lost after that raise
-   :class:`~repro.errors.ShardScatterError` — or, with
-   ``allow_partial=True``, degrade to a partial result flagged in the
-   query counters.  Completed shards get post-hoc ``shard_scan_<i>``
+   :attr:`~ShardCoordinator.MAX_RETRY_ROUNDS` extra rounds); a shard
+   still lost after that raises
+   :class:`~repro.errors.ShardScatterError`.  Completed shards get
+   post-hoc ``shard_scan_<i>``
    child spans carrying their measured per-shard counters (worker
    threads and processes trace into their own roots, so the coordinator
    re-binds the actuals on its own thread).
@@ -32,8 +31,7 @@ thread path.
 
 Metrics flow into the registry's ``engine:shard`` bag
 (``shard.queries``, ``shard.scatter_ms``, ``shard.merge_ms``,
-``shard.retries``, ``shard.timeouts``, ``shard.partial_results``,
-per-shard ``shard.<i>.pool_hits``/``pool_misses``) and into the
+``shard.retries``, ``shard.timeouts``, per-shard ``shard.<i>.pool_hits``/``pool_misses``) and into the
 ``engine.shard.scatter_seconds`` / ``merge_seconds`` /
 ``scan_seconds`` histograms, exported on ``/metrics`` like every
 other source.
@@ -187,11 +185,11 @@ class ShardCoordinator:
             counters=counters,
         )
         executor = self.executor(ctx.executor)
-        # the distributed trace context crossing into the workers: the
-        # ExecutionOptions-carried context wins, then the thread-local
-        # one; a live tracer with neither (EXPLAIN ANALYZE from the
-        # CLI) mints a scatter-local root so workers still ship trees
-        trace = getattr(ctx, "trace", None) or current_trace_context()
+        # the distributed trace context crossing into the workers is the
+        # thread-local one; a live tracer without one (EXPLAIN ANALYZE
+        # from the CLI) mints a scatter-local root so workers still
+        # ship trees
+        trace = current_trace_context()
         if trace is None and tracer.enabled:
             trace = new_trace_context(origin="shard-scatter")
         task_trace = trace if tracer.enabled else None
@@ -208,25 +206,13 @@ class ShardCoordinator:
             executor=plan.executor,
             ranges=plan.ranges_token(),
             **({"trace_id": trace.trace_id} if trace is not None else {}),
-        ) as scatter_span:
+        ):
             try:
-                partials, lost = self._scatter_with_retry(
+                partials = self._scatter_with_retry(
                     executor, fn, tasks, timeout_s
                 )
             finally:
                 cleanup()
-            if lost:
-                lost_token = ",".join(
-                    f"{t['start']}:{t['stop']}" for t in lost
-                )
-                if not ctx.allow_partial:
-                    raise ShardScatterError(
-                        f"lost chunk ranges [{lost_token}] after "
-                        f"{self.MAX_RETRY_ROUNDS} re-scatter rounds"
-                    )
-                bag.add("shard.partial_results")
-                counters.add("shard_partial", len(lost))
-                scatter_span.annotate(partial=True, lost_ranges=lost_token)
             self._bind_shard_actuals(ctx, plan, partials)
         scatter_s = time.perf_counter() - scatter_started
         bag.add("shard.scatter_ms", scatter_s * 1e3)
@@ -347,7 +333,11 @@ class ShardCoordinator:
         tasks: list[dict],
         timeout_s: float | None,
     ):
-        """Scatter; re-scatter lost tasks; return (partials, still_lost)."""
+        """Scatter; re-scatter lost tasks; return every shard's partial.
+
+        Raises :class:`ShardScatterError` when a task is still lost
+        after :attr:`MAX_RETRY_ROUNDS` re-scatter rounds.
+        """
         bag = self.counters
         pending = list(tasks)
         partials: dict[int, dict] = {}
@@ -372,10 +362,14 @@ class ShardCoordinator:
                 break
             rounds += 1
             if rounds > self.MAX_RETRY_ROUNDS:
-                return partials, failed
+                lost = ",".join(f"{t['start']}:{t['stop']}" for t in failed)
+                raise ShardScatterError(
+                    f"lost chunk ranges [{lost}] after "
+                    f"{self.MAX_RETRY_ROUNDS} re-scatter rounds"
+                )
             bag.add("shard.retries", len(failed))
             pending = failed
-        return partials, []
+        return partials
 
     # -- actuals binding ------------------------------------------------------
 
@@ -393,9 +387,7 @@ class ShardCoordinator:
         counters = ctx.counters
         bag = self.counters
         for assignment in plan.assignments:
-            result = partials.get(assignment.shard_no)
-            if result is None:
-                continue  # lost shard (partial mode)
+            result = partials[assignment.shard_no]
             deltas = dict(result["counters"])
             with tracer.span(
                 f"shard_scan_{assignment.shard_no}",

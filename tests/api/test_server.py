@@ -3,6 +3,7 @@ every error path maps to a structured 4xx (never a 500), and the server
 survives concurrent reads, writes, and garbage."""
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -12,7 +13,11 @@ import pytest
 
 from repro.api.server import ApiServer, RequestParser
 from repro.data import generate_fact_rows
-from repro.errors import TransientDiskError
+from repro.errors import (
+    CorruptWALError,
+    RetryExhaustedError,
+    TransientDiskError,
+)
 from repro.util.jsonschema_lite import validate
 
 from .conftest import CONFIG
@@ -325,6 +330,61 @@ class TestErrorPaths:
         assert status == 400
         assert "integer" in _error(payload)["message"]
 
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            {"values": [1.5]},
+            {"values": [2.9]},
+            {"values": [True]},
+            {"range": [0.5, 2]},
+            {"range": [False, None]},
+        ],
+        ids=["float", "float-up", "bool", "range-float", "range-bool"],
+    )
+    def test_non_integer_key_cut_in_body_400(self, server, cut):
+        # a float or a bool would otherwise answer for the key it
+        # truncates to, a wrong number from outside input
+        _, _, _, srv = server
+        status, payload = _post(
+            srv.url + "/cube/sales/aggregate",
+            {
+                "drilldown": ["dim0"],
+                "cut": [{"dimension": "dim0", "level": "d0", **cut}],
+            },
+        )
+        assert status == 400
+        assert "integer" in _error(payload)["message"]
+
+    def test_integer_key_cut_in_body_is_served(self, server):
+        _, _, _, srv = server
+        _, expected = _get(
+            srv.url + "/cube/sales/aggregate?drilldown=dim0&cut=dim0.d0:1"
+        )
+        for values in ([1], ["1"]):
+            status, payload = _post(
+                srv.url + "/cube/sales/aggregate",
+                {
+                    "drilldown": ["dim0"],
+                    "cut": [{"dimension": "dim0", "level": "d0", "values": values}],
+                },
+            )
+            assert status == 200
+            assert _cells(payload) == _cells(expected)
+
+    def test_negative_content_length_400(self, server):
+        # rfile.read(-1) reads to EOF: a client that keeps its socket
+        # open would hold the handler thread with no answer
+        _, _, _, srv = server
+        body = b'{"drilldown": ["dim0"]}'
+        with socket.create_connection((srv.host, srv.port), timeout=3) as sock:
+            sock.sendall(
+                b"POST /cube/sales/aggregate HTTP/1.1\r\n"
+                b"Host: localhost\r\nContent-Type: application/json\r\n"
+                b"Content-Length: -1\r\n\r\n" + body
+            )
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1] == b"400"
+
     def test_malformed_json_body_400(self, server):
         _, _, _, srv = server
         status, payload = _post(
@@ -390,6 +450,37 @@ class TestErrorPaths:
         assert snapshot.get("api.responses_5xx", 0) == 0
         assert snapshot.get("api.server_errors", 0) == 0
         assert snapshot["api.responses_4xx"] >= 4
+
+
+class TestServerFaults:
+    """A fault on the server's side is a 503, never the client's 400."""
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            RetryExhaustedError("transient faults outlasted the retries"),
+            CorruptWALError("bad CRC mid-log"),
+            TransientDiskError("injected disk fault"),
+        ],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_server_fault_is_503_degraded(self, server, monkeypatch, exc):
+        _, service, endpoint, srv = server
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(service, "explain", fail)
+        rejections = endpoint.counters.get("api.degraded_rejections")
+        client_errors = endpoint.counters.get("api.client_errors")
+        status, payload = _get(
+            srv.url
+            + "/cube/sales/aggregate?drilldown=dim0:d0&explain=1&analyze=1"
+        )
+        assert status == 503
+        assert _error(payload)["kind"] == "degraded"
+        assert endpoint.counters.get("api.degraded_rejections") == rejections + 1
+        assert endpoint.counters.get("api.client_errors") == client_errors
 
 
 class TestConcurrency:

@@ -18,7 +18,7 @@ from repro.obs import ObservabilityRoutes
 from repro.obs.exporters import lint_prometheus_text
 from repro.obs.registry import MetricsRegistry
 from repro.obs.server import ROUTES
-from repro.obs.tracing import new_trace_context
+from repro.obs.tracing import new_trace_context, trace_context
 from repro.olap import ConsolidationQuery, ExecutionOptions
 from repro.serve import QueryService, ServiceConfig
 from repro.util.stats import Counters
@@ -282,7 +282,8 @@ def test_one_table_every_pattern_is_served_untraced(live, pattern):
     by ``GET /``, and is served before a trace is minted."""
     service, server = live
     ctx = new_trace_context()
-    service.execute(QUERY, ExecutionOptions(trace=ctx))
+    with trace_context(ctx):
+        service.execute(QUERY)
     fills = {
         "<fingerprint>": service.traces.get(ctx.trace_id).attrs["fingerprint"],
         "<trace_id>": ctx.trace_id,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CatalogError, PlanError, QueryError
-from repro.olap import ConsolidationQuery, SelectionPredicate
+from repro.olap import ConsolidationQuery, SelectionPredicate, planner
 
 from .conftest import CONFIG, reference
 
@@ -188,8 +188,9 @@ class TestPlannerIntegration:
     def test_auto_with_selection_above_crossover(self, engine):
         assert engine.query(Q2, backend="auto").backend == "array"
 
-    def test_auto_below_crossover_picks_bitmap(self, engine):
-        result = engine.query(Q2, backend="auto", crossover_selectivity=1.0)
+    def test_auto_below_crossover_picks_bitmap(self, engine, monkeypatch):
+        monkeypatch.setattr(planner, "DEFAULT_CROSSOVER_SELECTIVITY", 1.0)
+        result = engine.query(Q2, backend="auto")
         assert result.backend == "bitmap"
 
     def test_estimate_selectivity(self, engine):

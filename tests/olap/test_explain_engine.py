@@ -253,8 +253,8 @@ class TestPlanShape:
         assert analyzed, f"{backend} plan has no analyzed nodes"
         assert plan.root.op == f"{backend}.query"
 
-    def test_query_explain_convenience_delegates(self, engine):
-        plan = _q1().explain(engine, ExecutionOptions(backend="array"))
+    def test_explain_takes_options(self, engine):
+        plan = engine.explain(_q1(), ExecutionOptions(backend="array"))
         assert plan.cube == CONFIG.name
         assert plan.backend == "array"
 

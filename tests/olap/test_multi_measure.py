@@ -8,7 +8,6 @@ from repro.olap import (
     ConsolidationQuery,
     CubeSchema,
     DimensionDef,
-    ExecutionOptions,
     MeasureDef,
     OlapEngine,
     SelectionPredicate,
@@ -64,8 +63,8 @@ class TestBothMeasures:
 
     def test_vectorized_array(self, loaded):
         engine, facts = loaded
-        rows = engine.run(
-            QUERY, ExecutionOptions(backend="array", shards=2, executor="thread")
+        rows = engine.query(
+            QUERY, backend="array", shards=2, executor="thread"
         ).rows
         assert rows == reference(facts)
 

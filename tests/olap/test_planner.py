@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import PlanError
+from repro.olap import planner
 from repro.olap.planner import (
     DEFAULT_CROSSOVER_SELECTIVITY,
     PlannerInputs,
@@ -69,10 +70,10 @@ class TestChooseBackend:
         )
         assert picked == "starjoin"
 
-    def test_custom_crossover(self):
+    def test_custom_crossover(self, monkeypatch):
+        monkeypatch.setattr(planner, "DEFAULT_CROSSOVER_SELECTIVITY", 0.5)
         picked = choose_backend(
-            inputs(has_selections=True, estimated_selectivity=0.01),
-            crossover_selectivity=0.5,
+            inputs(has_selections=True, estimated_selectivity=0.01)
         )
         assert picked == "bitmap"
 

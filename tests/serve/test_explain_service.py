@@ -3,7 +3,7 @@ plan a slow miss leaves there."""
 
 from repro.bench import bench_settings, build_cube_engine
 from repro.obs.explain import PlanCache
-from repro.obs.tracing import new_trace_context
+from repro.obs.tracing import new_trace_context, trace_context
 from repro.olap import ConsolidationQuery, ExecutionOptions
 from repro.olap.query import SelectionPredicate
 from repro.serve import QueryService, ServiceConfig
@@ -73,7 +73,8 @@ def _slow_miss_plan(service, query):
     """Run ``query`` under a fresh trace: its result, and the cached plan
     the trace's fingerprint names (``None`` if there is none)."""
     ctx = new_trace_context()
-    result = service.execute(query, ExecutionOptions(trace=ctx))
+    with trace_context(ctx):
+        result = service.execute(query)
     fingerprint = service.traces.get(ctx.trace_id).attrs["fingerprint"]
     return result, service.plans.get(fingerprint)
 

@@ -20,7 +20,6 @@ from repro.api.model import LogicalModel
 from repro.api.server import ApiEndpoint, ApiServer
 from repro.obs.tracing import new_trace_context, trace_context
 from repro.olap import ConsolidationQuery
-from repro.olap.options import ExecutionOptions
 from repro.serve import QueryService, ServiceConfig
 
 from .conftest import CONFIG
@@ -75,10 +74,12 @@ class TestContextResolution:
         (record,) = service.traces.values()
         assert record.origin == "service"
 
-    def test_explicit_options_context_wins(self, service):
+    def test_explicit_context_wins(self, service):
         ctx = new_trace_context(origin="caller")
-        service.execute(QUERY, ExecutionOptions(trace=ctx))
+        with trace_context(ctx):
+            service.execute(QUERY)
         assert service.traces.keys() == [ctx.trace_id]
+        assert service.traces.get(ctx.trace_id).origin == "caller"
 
     def test_callers_installed_context_survives_the_pool_hop(self, service):
         ctx = new_trace_context(origin="api")
@@ -88,9 +89,8 @@ class TestContextResolution:
 
     def test_trace_never_changes_the_fingerprint(self, service):
         service.execute(QUERY)
-        service.execute(
-            QUERY, ExecutionOptions(trace=new_trace_context())
-        )
+        with trace_context(new_trace_context()):
+            service.execute(QUERY)
         first, second = service.traces.values()
         assert first.attrs["fingerprint"] == second.attrs["fingerprint"]
 
@@ -190,7 +190,8 @@ class TestSlowTraces:
         with QueryService(engine, config) as service:
             ctx = new_trace_context(origin="test")
             with slowed(engine, 0.06):
-                service.execute(QUERY1, ExecutionOptions(trace=ctx))
+                with trace_context(ctx):
+                    service.execute(QUERY1)
             for _ in range(service.traces.capacity + 1):
                 service.execute(QUERY1)  # result-cache hits, all fast
             assert service.traces.counters.get("traces.evicted") >= 1

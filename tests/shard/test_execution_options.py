@@ -1,13 +1,15 @@
-"""The unified ExecutionOptions surface (loose keywords are gone)."""
+"""The one ExecutionOptions surface and the knobs it no longer has."""
 
+import dataclasses
+import inspect
 import sys
 import warnings
 
 import pytest
 
 from repro.errors import QueryError
-from repro.olap import ConsolidationQuery, ExecutionOptions
-from repro.serve import QueryService
+from repro.olap import ConsolidationQuery, ExecutionOptions, OlapEngine
+from repro.serve import QueryService, ServiceConfig
 
 
 def query():
@@ -20,7 +22,7 @@ class TestValidation:
         assert opts.backend == "auto"
         assert opts.executor == "local"
         assert opts.shards == 1
-        assert opts.allow_partial is False
+        assert opts.order == "chunk"
 
     @pytest.mark.parametrize(
         "bad",
@@ -35,50 +37,33 @@ class TestValidation:
         with pytest.raises(QueryError):
             ExecutionOptions(**bad)
 
-    def test_merged_with_revalidates(self):
-        opts = ExecutionOptions(shards=2)
-        assert opts.merged_with(executor="process").shards == 2
-        with pytest.raises(QueryError):
-            opts.merged_with(shards=-1)
+    def test_one_surface_is_counted(self):
+        # an ExecutionOptions argument (or engine.query's keywords for
+        # the same fields) is the one way to say how a query runs
+        names = [f.name for f in dataclasses.fields(ExecutionOptions)]
+        assert names == ["backend", "executor", "shards", "order"]
+        keywords = list(inspect.signature(OlapEngine.query).parameters)[2:]
+        assert keywords == [
+            "backend", "mode", "cold", "order", "shards", "executor"
+        ]
+        assert len(dataclasses.fields(ServiceConfig)) == 9
+        assert "options" not in {
+            f.name for f in dataclasses.fields(ConsolidationQuery)
+        }
 
 
 class TestEngineSurface:
     def test_run_accepts_options(self, engine):
-        opts = ExecutionOptions(backend="array", shards=2, executor="thread")
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the new surface must not warn
-            result = engine.run(query(), opts)
+            warnings.simplefilter("error")  # the one surface must not warn
+            result = engine.query(
+                query(), backend="array", shards=2, executor="thread"
+            )
         assert result.rows == engine.query(query(), backend="array").rows
-
-    def test_run_legacy_keywords_raise_pointing_at_options(self, engine):
-        with pytest.raises(TypeError, match="ExecutionOptions"):
-            engine.run(query(), backend="array", shards=2)
-
-    def test_explain_legacy_keywords_raise(self, engine):
-        with pytest.raises(TypeError, match="ExecutionOptions"):
-            engine.explain(query(), backend="array")
 
     def test_run_unknown_keyword_raises(self, engine):
         with pytest.raises(TypeError, match="unexpected keyword"):
-            engine.run(query(), executor_name="process")
-
-    def test_query_attached_options_are_used(self, engine):
-        attached = ConsolidationQuery.build(
-            "cube",
-            group_by={"dim0": "h01"},
-            options=ExecutionOptions(backend="starjoin"),
-        )
-        result = engine.run(attached)
-        assert result.backend == "starjoin"
-
-    def test_builder_options_chain(self, engine):
-        result = (
-            ConsolidationQuery.builder("cube")
-            .group_by("dim0", "h01")
-            .options(backend="array", shards=2, executor="thread")
-            .run(engine)
-        )
-        assert result.rows == engine.query(query(), backend="array").rows
+            engine.query(query(), executor_name="process")
 
     @pytest.mark.parametrize(
         "keywords",
@@ -90,7 +75,7 @@ class TestEngineSurface:
         with pytest.raises(QueryError):
             engine.query(query(), backend="array", **keywords)
         with pytest.raises(QueryError):
-            engine.run(query(), ExecutionOptions(backend="array", **keywords))
+            engine.explain(query(), ExecutionOptions(backend="array", **keywords))
 
     def test_query_accepts_only_the_auto_mode(self, engine):
         auto = engine.query(query(), backend="array", mode="auto")

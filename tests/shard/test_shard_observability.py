@@ -70,50 +70,49 @@ class TestExplainSharded:
 
 
 class TestShardedService:
+    #: every call names its shard plan; the service has no defaults
+    SHARDED = ExecutionOptions(shards=2, executor="thread")
+
     @pytest.fixture()
     def service(self, engine):
-        config = ServiceConfig(shards=2, executor="thread", max_workers=2)
-        with QueryService(engine, config) as svc:
+        with QueryService(engine, ServiceConfig(max_workers=2)) as svc:
             yield svc
 
     def test_misses_route_through_coordinator(self, engine, service):
         bag = engine.shard_coordinator.counters
         before = bag.snapshot().get("shard.queries", 0)
-        result = service.query(query())
+        result = service.execute(query(), self.SHARDED)
         assert result.rows == engine.query(
             query(), backend="array", shards=1
         ).rows
         assert bag.snapshot()["shard.queries"] == before + 1
         # hit: served from the result cache, no second scatter
-        service.query(query())
+        service.execute(query(), self.SHARDED)
         assert bag.snapshot()["shard.queries"] == before + 1
 
     def test_cache_keyed_by_shard_plan(self, service):
         fp_sharded = query_fingerprint(query(), shards=2, executor="thread")
         fp_classic = query_fingerprint(query())
-        service.query(query())
+        service.execute(query(), self.SHARDED)
         assert fp_sharded != fp_classic
 
     def test_query_accepts_execution_options(self, service):
         opts = ExecutionOptions(shards=4, executor="local")
-        result = service.query(query(), opts)
+        result = service.execute(query(), opts)
         assert result.rows
 
-    def test_legacy_keywords_raise(self, service):
-        with pytest.raises(TypeError, match="ExecutionOptions"):
-            service.query(query(), shards=1)
-
     def test_shard_counters_reach_metrics_endpoint(self, engine, service):
-        service.query(query())
+        service.execute(query(), self.SHARDED)
         text = prometheus_text(engine.db.metrics)
         assert 'source="engine:shard"' in text
         assert "shard_queries_total" in text or "shard.queries" in text
 
     def test_flight_recorder_record_validates_and_decomposes(self, engine):
         """The worker subtrees survive into the stored trace record."""
-        config = ServiceConfig(shards=2, executor="process")
-        with QueryService(engine, config) as svc:
-            svc.execute(query2_for(CONFIG))
+        with QueryService(engine) as svc:
+            svc.execute(
+                query2_for(CONFIG), ExecutionOptions(shards=2, executor="process")
+            )
             (trace_id,) = svc.traces.keys()
             record = svc.traces.get(trace_id).to_dict()
         with open(
