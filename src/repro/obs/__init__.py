@@ -32,7 +32,7 @@ carries a first-class accounting layer:
   Prometheus text exposition plus a parser/linter for it.  Trends are
   a scraper's to window: ``/metrics`` exports every counter and
   cumulative histogram, exemplars included.
-- :mod:`repro.obs.memory` — byte-accurate resident-set accounting with
+- :mod:`repro.obs.memory` — shape-charged resident-set accounting with
   pressure-aware eviction (``/memory``), the budget checked where a
   store grows.
 - :mod:`repro.obs.server` — the introspection route table (``ROUTES``:

@@ -20,10 +20,11 @@ so chronic planner errors are visible without reading any single plan.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.obs.memory import SizedStore, deep_sizeof
+from repro.obs.memory import SizedStore, tree_bytes
 from repro.obs.tracer import Span
 
 #: a node whose worst estimate-vs-actual factor exceeds this counts as
@@ -309,5 +310,8 @@ class PlanCache(SizedStore):
     def put(  # type: ignore[override]
         self, fingerprint: str, payload: dict
     ) -> None:
-        """Insert/refresh one plan payload, evicting the oldest at cap."""
-        super().put(fingerprint, payload, deep_sizeof((fingerprint, payload)))
+        """Insert/refresh one plan payload, evicting the oldest at cap;
+        it is charged its fingerprint and
+        :func:`~repro.obs.memory.tree_bytes`."""
+        nbytes = sys.getsizeof(fingerprint) + tree_bytes(payload)
+        super().put(fingerprint, payload, nbytes)

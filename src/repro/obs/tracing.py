@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 import threading
 import time
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 
-from repro.obs.memory import SizedStore, deep_sizeof
+from repro.obs.memory import SizedStore, tree_bytes
 
 _TRACE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
 
@@ -209,6 +210,39 @@ class TraceRecord:
         }
 
 
+#: a record's field table: a key-sharing instance dict, whose own
+#: ``sys.getsizeof`` drifts with how many records share its keys
+_FIELD_TABLE_BYTES = 288
+
+
+def _skeleton_bytes(record: TraceRecord) -> int:
+    """A record's own object, field table and field values, each value
+    charged ``sys.getsizeof`` without descending."""
+    return (
+        sys.getsizeof(record)
+        + _FIELD_TABLE_BYTES
+        + sum(sys.getsizeof(value) for value in vars(record).values())
+    )
+
+
+def _merge_attrs(into: dict, attrs: dict) -> int:
+    """Merge ``attrs`` into a record's ``into``; the bytes it grew by.
+
+    A new entry is charged its key and value, a replaced value the
+    difference from the old one, and the dict its table's growth — each
+    ``sys.getsizeof``, without descending into a value.
+    """
+    grown = -sys.getsizeof(into)
+    for key, value in attrs.items():
+        if key in into:
+            grown -= sys.getsizeof(into[key])
+        else:
+            grown += sys.getsizeof(key)
+        grown += sys.getsizeof(value)
+        into[key] = value
+    return grown + sys.getsizeof(into)
+
+
 class TraceStore(SizedStore):
     """A bounded, thread-safe ring of recent traces keyed by trace_id.
 
@@ -266,15 +300,15 @@ class TraceStore(SizedStore):
         growth step: the pressure hook fires once, after the lock is
         released.
 
-        Byte accounting is *incremental*: each contributing write adds
-        the measured size of what it appended (span trees, attrs that
-        bring a new key), so a merge never re-walks the whole
-        record — deep measurement of the bulky span trees happens
-        outside the store lock, on the writer's thread.
+        Byte accounting is *incremental* and reads shapes, not values:
+        a new record is charged its skeleton (:func:`_skeleton_bytes`),
+        each span tree it keeps :func:`~repro.obs.memory.tree_bytes`
+        (charged outside the store lock, on the writer's thread), and
+        an attrs merge only what it adds or replaces
+        (:func:`_merge_attrs`), so a merge never re-walks the record.
         """
         error = status not in ("ok", "")
-        root_bytes = [deep_sizeof(root) for root in roots or ()]
-        attrs_bytes = deep_sizeof(attrs) if attrs else 0
+        root_bytes = [tree_bytes(root) for root in roots or ()]
         trace_id = context.trace_id
         with self._lock:
             # a contributor refreshes recency, so a trace still being
@@ -288,8 +322,8 @@ class TraceStore(SizedStore):
                     started_at=time.time(),
                 )
                 # the empty record's fixed skeleton; contributions
-                # below are charged from the pre-measured deltas
-                self._put(trace_id, record, deep_sizeof(record))
+                # below are charged as they merge
+                self._put(trace_id, record, _skeleton_bytes(record))
                 self.counters.add("traces.stored")
             else:
                 self.counters.add("traces.merged")
@@ -302,13 +336,12 @@ class TraceStore(SizedStore):
             record.latency_s = max(record.latency_s, latency_s)
             grown = 0
             if attrs:
-                if not attrs.keys() <= record.attrs.keys():
-                    grown += attrs_bytes
-                record.attrs.update(attrs)
+                grown += _merge_attrs(record.attrs, attrs)
             if roots:
                 room = max(0, MAX_ROOTS_PER_TRACE - len(record.roots))
+                grown -= sys.getsizeof(record.roots)
                 record.roots.extend(roots[:room])
-                grown += sum(root_bytes[:room])
+                grown += sys.getsizeof(record.roots) + sum(root_bytes[:room])
                 if len(roots) > room:
                     self.counters.add("traces.roots_dropped", len(roots) - room)
             self._grow(trace_id, grown)

@@ -11,20 +11,62 @@ generation at compute time.  Invalidation is belt *and* braces:
   cube's current one, so even a racing write that lands between a
   lookup and a store can never cause a stale read.
 
-Every entry's byte footprint is measured at store time
-(:func:`~repro.obs.memory.deep_sizeof`) into the
-:class:`~repro.obs.memory.SizedStore` ledger, so the memory
-accountant's usage callback is O(1); ``reclaim`` shrinks LRU-first
-under memory pressure — the cache is the cheapest store to rebuild, so
-it is first in the eviction order.
+Every entry is charged at store time from its shape
+(:func:`result_bytes`: ``len(rows)`` times one row's tuple and numbers,
+plus a fixed part), into the :class:`~repro.obs.memory.SizedStore`
+ledger, so the memory accountant's usage callback is O(1); ``reclaim``
+shrinks LRU-first under memory pressure — the cache is the cheapest
+store to rebuild, so it is first in the eviction order.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any
 
-from repro.obs.memory import SizedStore, deep_sizeof
+from repro.obs.memory import TREE_ENTRY_BYTES, SizedStore
+
+#: a cached answer's fixed part beyond its key strings and stats dict:
+#: the key tuple, the generation, the ``CacheEntry`` and the
+#: ``QueryResult`` with its field table, backend name and timings
+RESULT_FIXED_BYTES = 640
+
+
+def result_bytes(cube: str, fingerprint: str, value: Any) -> int:
+    """Charge one cached answer from its shape, reading ``len(rows)``
+    and at most one row.
+
+    Every row of a result has the shape of the first: a tuple of group
+    labels and numbers.  A row costs its tuple plus its numbers; its
+    labels count as references, because they are the array's own
+    IndexToIndex target keys and dimension values, resident anyway
+    (a label that is an int, a dimension key, is charged as a number).
+    The key, the stats dict (charged like a span's, by its entry count)
+    and :data:`RESULT_FIXED_BYTES` are the fixed part.  Over every
+    backend's answers the charge stays within 0.5–2x of a full object
+    walk (``tests/obs/test_shape_charges.py``).
+    """
+    rows = getattr(value, "rows", ())
+    stats = getattr(value, "stats", {})
+    nbytes = (
+        RESULT_FIXED_BYTES
+        + sys.getsizeof(cube)
+        + sys.getsizeof(fingerprint)
+        + sys.getsizeof(stats)
+        + len(stats) * TREE_ENTRY_BYTES
+        + sys.getsizeof(rows)
+    )
+    n_rows = len(rows)
+    if n_rows:
+        row = rows[0]
+        numbers = sum(
+            sys.getsizeof(item)
+            for item in row
+            if isinstance(item, (int, float))
+        )
+        nbytes += n_rows * (sys.getsizeof(row) + numbers)
+    return nbytes
 
 
 @dataclass(frozen=True)
@@ -68,9 +110,8 @@ class ResultCache(SizedStore):
         self, cube: str, fingerprint: str, generation: int, value
     ) -> None:
         """Store one result computed at ``generation``."""
-        key = (cube, fingerprint)
-        nbytes = deep_sizeof((key, generation, value))
-        super().put(key, CacheEntry(generation, value), nbytes)
+        nbytes = result_bytes(cube, fingerprint, value)
+        super().put((cube, fingerprint), CacheEntry(generation, value), nbytes)
 
     def invalidate_cube(self, cube: str) -> int:
         """Drop exactly one cube's entries; returns how many dropped."""

@@ -1,13 +1,14 @@
-"""Memory observatory unit tests: ``deep_sizeof`` measurement, the
-:class:`MemoryAccountant` ledger, the share-respecting two-pass reclaim
+"""Memory observatory unit tests: the test-side ``deep_sizeof``
+reference walk, the :class:`MemoryAccountant` ledger, the share-respecting two-pass reclaim
 coordinator and the per-store reclaim hooks."""
 
 import numpy as np
 import pytest
 
-from repro.obs.memory import MemoryAccountant, SizedStore, deep_sizeof
+from repro.obs.memory import MemoryAccountant, SizedStore
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import TraceStore, new_trace_context
+from tests.deep_sizeof import deep_sizeof
 
 
 class TestDeepSizeof:
