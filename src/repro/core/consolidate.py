@@ -34,7 +34,9 @@ pushed-down selection is the walk's masks, and a partition is the walk
 over a sub-range (:func:`scan_chunk_range`).  Under a selection the
 kernel has two directions per chunk — probe the chunk's share of the
 cross product (§4.2) or mask its stored cells (§4.1) — and takes the
-cheaper (:func:`probe_is_cheaper`).
+cheaper (:func:`probe_is_cheaper`).  The probed chunks' shares are
+enumerated once per query, in chunk-number order, as §4.2 does
+(:func:`probe_candidates`).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.aggregates import ColumnFold, get_aggregate
-from repro.core.chunking import ComposedTables, outer_fold
+from repro.core.chunking import ComposedTables
 from repro.core.index_to_index import IndexToIndex
 from repro.core.meta import NO_CHUNK
 from repro.core.olap_array import OLAPArray
@@ -365,40 +367,101 @@ def probe_is_cheaper(candidates: int, stored: int) -> bool:
     )
 
 
-def selection_slabs(
+def flat_slabs(
     geometry, masks: list[np.ndarray], terms: list[np.ndarray]
-) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Per (dimension, grid coordinate): the selected indices' offset and
-    result contributions, ascending, shared by every chunk in that slab."""
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per dimension, the selected indices' offset (``int32``, like every
+    decoded chunk's offsets, so ``searchsorted`` compares in place) and
+    result contributions, ascending, and where each grid coordinate's
+    slab of them starts (``grid + 1`` bounds)."""
     slabs = []
-    for mask, targets, extent, stride in zip(
-        masks, terms, geometry.chunk_shape, geometry.cell_strides
+    for mask, targets, extent, stride, cells in zip(
+        masks, terms, geometry.chunk_shape, geometry.cell_strides, geometry.grid
     ):
-        slabs.append([])
-        for start in range(0, len(mask), extent):
-            local = np.flatnonzero(mask[start : start + extent])
-            # int32 like every decoded chunk's offsets: searchsorted then
-            # compares in place instead of widening the chunk per probe
-            slabs[-1].append(
-                ((local * stride).astype(np.int32), targets[start + local])
-            )
+        selected = np.flatnonzero(mask)
+        slab, local = np.divmod(selected, extent)
+        slabs.append((
+            (local * stride).astype(np.int32),
+            targets[selected],
+            np.searchsorted(slab, np.arange(cells + 1)),
+        ))
     return slabs
 
 
-def _probe_chunk(accumulator, parts, offsets, values) -> int:
-    """§4.2 as written: every cross-product element of the chunk binary-
-    searched in its sorted offsets, all at once.  Returns the hits."""
-    # row-major over sorted per-dimension parts: candidates ascend,
-    # the paper's "increasing order of their chunk offsets"
-    candidate_offsets = outer_fold(np.add, [part[0] for part in parts])
-    candidate_results = outer_fold(np.add, [part[1] for part in parts])
-    positions = np.searchsorted(offsets, candidate_offsets)
+def selection_slabs(
+    geometry, masks: list[np.ndarray], terms: list[np.ndarray]
+) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """:func:`flat_slabs` cut per (dimension, grid coordinate): the slab
+    every chunk at that coordinate shares."""
+    return [
+        [(offsets[a:b], results[a:b]) for a, b in zip(starts, starts[1:])]
+        for offsets, results, starts in flat_slabs(geometry, masks, terms)
+    ]
+
+
+def grid_coords(geometry, chunk_nos) -> np.ndarray:
+    """``(chunks, ndim)`` grid coordinates of many chunks at once."""
+    chunk_nos = np.asarray(chunk_nos, dtype=np.int64).reshape(-1, 1)
+    return chunk_nos // geometry.grid_strides % geometry.grid
+
+
+def chunk_shares(geometry, sizes: list[np.ndarray], chunk_nos) -> np.ndarray:
+    """``(chunks, ndim)``: each chunk's slab sizes, whose row product is
+    its share of the cross product (its candidates)."""
+    coords = grid_coords(geometry, chunk_nos)
+    return np.stack([size[coords[:, d]] for d, size in enumerate(sizes)], axis=1)
+
+
+def probe_candidates(geometry, slabs, chunk_nos):
+    """§4.2's enumeration, once for every chunk of ``chunk_nos``:
+    ``(bounds, offsets, results)``, each cross-product element's offset
+    in its chunk (``int32``) and its result cell, chunk by chunk in the
+    order given and, within a chunk, in ascending offset.  Chunk ``i``'s
+    elements are ``bounds[i]:bounds[i + 1]``.
+
+    A chunk's elements are the row-major cross product of its slabs.
+    Chunks whose slabs have the same sizes are enumerated together, as
+    one broadcast sum over a ``(chunks, *sizes)`` block, and each
+    chunk's row of the block is put at its bounds.
+    """
+    coords = grid_coords(geometry, chunk_nos)
+    sizes = chunk_shares(geometry, [np.diff(slab[2]) for slab in slabs], chunk_nos)
+    bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes.prod(axis=1), out=bounds[1:])
+    offsets = np.empty(bounds[-1], dtype=np.int32)
+    results = np.empty(bounds[-1], dtype=np.int64)
+    # one number per size vector (a slab holds at most its chunk extent)
+    radix = np.cumprod([1, *[e + 1 for e in geometry.chunk_shape[:0:-1]]])
+    _, shape_at, shape_of = np.unique(
+        sizes @ radix[::-1], return_index=True, return_inverse=True
+    )
+    for shape_no, shape in enumerate(sizes[shape_at].tolist()):
+        members = np.flatnonzero(shape_of == shape_no)
+        block_offsets = block_results = 0
+        for d, size in enumerate(shape):
+            first = slabs[d][2][coords[members, d]]
+            at = first[:, None] + np.arange(size)
+            axes = [len(members)] + [1] * geometry.ndim
+            axes[d + 1] = size
+            block_offsets = block_offsets + slabs[d][0][at].reshape(axes)
+            block_results = block_results + slabs[d][1][at].reshape(axes)
+        if len(shape_at) == 1:  # every chunk alike: the block is the whole
+            return bounds, block_offsets.ravel(), block_results.ravel()
+        where = (bounds[members][:, None] + np.arange(math.prod(shape))).ravel()
+        offsets[where] = block_offsets.ravel()
+        results[where] = block_results.ravel()
+    return bounds, offsets, results
+
+
+def _probe_chunk(candidates, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """§4.2 for one chunk: its candidate offsets (ascending, the paper's
+    "increasing order of their chunk offsets") binary-searched in its
+    sorted offsets, all at once.  Returns which candidates hit and the
+    stored positions they hit."""
+    positions = np.searchsorted(offsets, candidates)
     np.minimum(positions, len(offsets) - 1, out=positions)
-    hits = offsets[positions] == candidate_offsets
-    found = positions[hits]
-    if len(found):
-        accumulator.add_many(candidate_results[hits], values[found])
-    return len(found)
+    hits = offsets[positions] == candidates
+    return hits, positions[hits]
 
 
 def _filter_chunk(accumulator, selected, origin, offsets, values) -> int:
@@ -418,24 +481,49 @@ def _filter_chunk(accumulator, selected, origin, offsets, values) -> int:
 
 def _select_vectorized(array, accumulator, chunk_range, masks, counters) -> int:
     """The one selection kernel: each chunk the walk yields is probed or
-    filtered, whichever :func:`probe_is_cheaper` says.
+    filtered, whichever :func:`probe_is_cheaper` says of the chunk's
+    candidates and the stored cells the chunk directory records for it.
 
-    Both directions fold the same cells in ascending offset order, so
-    the result — float sums included — does not depend on the choice.
+    The probed chunks' candidates are enumerated once, before the walk
+    (:func:`probe_candidates`); a probed chunk then costs a slice, one
+    ``searchsorted`` and one compare, and a run of consecutive probed
+    chunks folds its hits in one ``add_many``, flushed before the next
+    filtered chunk.  Both directions fold the same cells in ascending
+    offset order, chunk by chunk, so the result — float sums included —
+    does not depend on the choice.
     """
     geometry = array.geometry
-    slabs = selection_slabs(geometry, masks, accumulator.target_terms())
+    slabs = flat_slabs(geometry, masks, accumulator.target_terms())
+    walked = geometry.overlapping_chunks(chunk_range, masks)
+    probing = []
+    if walked:  # else the walk reads nothing, the directory included
+        entries = array._entries(counters)
+        shares = chunk_shares(geometry, [np.diff(s[2]) for s in slabs], walked)
+        probing = [
+            chunk_no
+            for chunk_no, candidates in zip(walked, shares.prod(axis=1).tolist())
+            if entries[chunk_no][2]
+            and probe_is_cheaper(candidates, entries[chunk_no][2])
+        ]
+    bounds, candidate_offsets, candidate_results = probe_candidates(
+        geometry, slabs, probing
+    )
+    spans = dict(zip(probing, zip(bounds.tolist(), bounds[1:].tolist())))
     selected = ComposedTables(geometry, masks, np.logical_and)
+    cells: list[np.ndarray] = []  # the run's hits, not yet folded
+    rows: list[np.ndarray] = []
+
+    def fold_run() -> None:
+        if cells:
+            accumulator.add_many(np.concatenate(cells), np.concatenate(rows))
+            cells.clear()
+            rows.clear()
+
     scanned = probed = 0
     for chunk_no, offsets, values in array.walk(chunk_range, masks, counters):
-        parts = [
-            slabs[d][g] for d, g in enumerate(geometry.chunk_coords(chunk_no))
-        ]
-        candidates = math.prod(len(part[0]) for part in parts)
-        if probe_is_cheaper(candidates, len(offsets)):
-            probed += candidates
-            scanned += _probe_chunk(accumulator, parts, offsets, values)
-        else:
+        span = spans.get(chunk_no)
+        if span is None:
+            fold_run()
             scanned += _filter_chunk(
                 accumulator,
                 selected,
@@ -443,6 +531,15 @@ def _select_vectorized(array, accumulator, chunk_range, masks, counters) -> int:
                 offsets,
                 values,
             )
+            continue
+        low, high = span
+        hits, found = _probe_chunk(candidate_offsets[low:high], offsets)
+        probed += high - low
+        if len(found):
+            cells.append(candidate_results[low:high][hits])
+            rows.append(values[found])
+            scanned += len(found)
+    fold_run()
     if probed:
         counters.add("cells_probed", probed)
     return scanned
@@ -460,7 +557,7 @@ def estimate_chunk_range(
     The chunk keys are exact cold (the walk prunes by the same grid
     overlap and skips the same empty entries); ``cells_probed`` applies
     :func:`probe_is_cheaper` to each chunk's stored-cell count as the
-    kernel will; ``cells_scanned`` scales it by the selected share of
+    kernel does; ``cells_scanned`` scales it by the selected share of
     the chunk's index box, exact only for uniformly spread cells.
     ``counters`` is billed the directory load this may cause.
     """

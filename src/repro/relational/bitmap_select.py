@@ -21,11 +21,7 @@ from repro.errors import QueryError
 from repro.index.bitmap import BitmapIndex
 from repro.obs.tracer import get_tracer
 from repro.relational.fact_file import FactFile
-from repro.relational.star_join import (
-    DimensionJoinSpec,
-    consolidate_facts,
-    row_columns,
-)
+from repro.relational.star_join import DimensionJoinSpec, consolidate_facts
 from repro.util.bitset import Bitset
 from repro.util.stats import Counters
 
@@ -67,7 +63,7 @@ def bitmap_select_consolidate(
     return consolidate_facts(
         fact,
         group_dimensions,
-        lambda: row_columns(fact.schema, fact.fetch_bitmap(result_bitmap)),
+        lambda: fact.fetch_bitmap(result_bitmap),
         measure,
         aggregate,
         counters,

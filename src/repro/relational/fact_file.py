@@ -197,28 +197,34 @@ class FactFile:
             remaining -= in_page
         return None
 
-    def fetch_bitmap(self, bits: Bitset) -> Iterator[tuple]:
-        """Yield the rows at set bit positions, in position order.
+    def fetch_bitmap(self, bits: Bitset) -> list[np.ndarray]:
+        """The rows at set bit positions, in position order, as one
+        column per field (``schema.codec.unpack_columns``).
 
         Positions are grouped by page so each page is read once — the
         "interface that takes a bitmap and retrieves the tuples
-        corresponding to non-zero bit positions" of §4.4.
+        corresponding to non-zero bit positions" of §4.4 — and each page
+        is taken as one record array, whose selected slots are copied
+        out together.
         """
         if len(bits) != self._count:
             raise FileError(
                 f"bitmap covers {len(bits)} positions, table has {self._count}"
             )
         codec = self.schema.codec
-        current_page = -1
-        buf = None
-        for position in bits.set_positions().tolist():
-            page_no, index = divmod(position, self.records_per_page)
-            if page_no != current_page:
-                buf = self._file.read(page_no)
-                current_page = page_no
-                self.counters.add("fact_bitmap_pages")
-            self.counters.add("fact_tuples_fetched")
-            yield codec.unpack_from(buf, index * self.record_size)
+        pages, slots = np.divmod(bits.set_positions(), self.records_per_page)
+        records = np.empty(len(pages), dtype=codec.dtype)
+        bounds = [*np.flatnonzero(np.diff(pages, prepend=-1)).tolist(), len(pages)]
+        for first, stop in zip(bounds, bounds[1:]):
+            page = np.frombuffer(
+                self._file.read(int(pages[first])), codec.dtype, self.records_per_page
+            )
+            records[first:stop] = page[slots[first:stop]]
+        if len(pages):
+            self.counters.add_many(
+                {"fact_bitmap_pages": len(bounds) - 1, "fact_tuples_fetched": len(pages)}
+            )
+        return codec.unpack_columns(records)
 
     def __len__(self) -> int:
         return self._count

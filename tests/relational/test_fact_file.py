@@ -1,9 +1,13 @@
 """Tests for the §4.4 fact file."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FileError
 from repro.relational import FactFile, Schema
+from repro.storage import BufferPool, FileManager, SimulatedDisk
 from repro.util import Bitset
 
 FACT_SCHEMA = Schema(
@@ -66,13 +70,29 @@ class TestFactFile:
         fact.append_many(data)
         wanted = [5, 57, 58, 120, 299]
         bits = Bitset.from_indices(300, wanted)
-        assert list(fact.fetch_bitmap(bits)) == [data[i] for i in wanted]
+        columns = fact.fetch_bitmap(bits)
+        assert [column.dtype for column in columns] == [np.dtype("int32")] * 5
+        assert list(zip(*(column.tolist() for column in columns))) == [
+            data[i] for i in wanted
+        ]
+        counters = fact.counters
+        assert counters.get("fact_tuples_fetched") == len(wanted)
+        assert counters.get("fact_bitmap_pages") == len(
+            {i // fact.records_per_page for i in wanted}
+        )
+
+    def test_fetch_bitmap_of_no_rows_has_typed_empty_columns(self, fm):
+        fact = FactFile.create(fm, "fact", FACT_SCHEMA)
+        fact.append_many(rows(70))
+        columns = fact.fetch_bitmap(Bitset(70))
+        assert [(len(c), c.dtype) for c in columns] == [(0, np.dtype("int32"))] * 5
+        assert fact.counters.get("fact_tuples_fetched") == 0
 
     def test_fetch_bitmap_rejects_wrong_length(self, fm):
         fact = FactFile.create(fm, "fact", FACT_SCHEMA)
         fact.append_many(rows(10))
         with pytest.raises(FileError):
-            list(fact.fetch_bitmap(Bitset(9)))
+            fact.fetch_bitmap(Bitset(9))
 
     def test_fetch_bitmap_reads_each_page_once(self, fm):
         fact = FactFile.create(fm, "fact", FACT_SCHEMA)
@@ -82,7 +102,7 @@ class TestFactFile:
         before = disk.get("pages_read")
         per_page = fact.records_per_page
         bits = Bitset.from_indices(200, [0, 1, 2, per_page, per_page + 1])
-        list(fact.fetch_bitmap(bits))
+        fact.fetch_bitmap(bits)
         # five tuples on two pages: at most a couple of header reads extra
         assert disk.get("pages_read") - before <= 4
 
@@ -217,3 +237,31 @@ class TestFind:
         fact.append((5, "a", 1.0))
         assert fact.find((0, "")) is None
         assert fact.find((5, "a", 1.0)) == 0
+
+
+class TestFetchBitmapColumns:
+    """``fetch_bitmap`` is the positional ``get`` of every set bit, in
+    position order, taken a page at a time as columns."""
+
+    SCHEMA = Schema([("k", "int64"), ("name", "str:4"), ("m", "float64")])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_equals_a_get_per_set_bit(self, data):
+        pool = BufferPool(SimulatedDisk(page_size=1024), 64 * 1024)
+        fact = FactFile.create(FileManager(pool), "fact", self.SCHEMA)
+        # 20-byte records, 51 a page: the last page is partial
+        count = data.draw(st.integers(1, 260))
+        fact.append_many(
+            [(i * 2**40 - 7, f"n{i % 7}", i / 3) for i in range(count)]
+        )
+        wanted = sorted(
+            data.draw(st.sets(st.integers(0, count - 1), max_size=count))
+        )
+        columns = fact.fetch_bitmap(Bitset.from_indices(count, wanted))
+        assert list(zip(*(column.tolist() for column in columns))) == [
+            fact.get(i) for i in wanted
+        ]
+        assert fact.counters.get("fact_bitmap_pages") == len(
+            {i // fact.records_per_page for i in wanted}
+        )

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BitmapError
@@ -160,3 +160,61 @@ def test_serialization_roundtrip(params):
 def test_set_positions_returns_int64():
     bits = Bitset.from_indices(10, [1, 9])
     assert bits.set_positions().dtype == np.int64
+
+
+def unpack_everything(bits: Bitset) -> np.ndarray:
+    """The reference enumeration: every word unpacked, whatever is set."""
+    unpacked = np.unpackbits(
+        np.frombuffer(bits.to_bytes(), dtype=np.uint8), bitorder="little"
+    )
+    return np.flatnonzero(unpacked[: len(bits)]).astype(np.int64)
+
+
+@st.composite
+def bitsets(draw):
+    """Empty, all-ones and random-density bitsets, of lengths on and
+    off the 64-bit word boundary; some with their set bits clustered in
+    a few words, so both sides of the sparse-word rule are drawn."""
+    length = draw(
+        st.one_of(
+            st.sampled_from([0, 1, 63, 64, 65, 128, 640, 641]),
+            st.integers(0, 3000),
+        )
+    )
+    kind = draw(st.sampled_from(["empty", "ones", "density", "clustered"]))
+    if kind == "empty" or length == 0:
+        return Bitset(length)
+    if kind == "ones":
+        return Bitset.ones(length)
+    if kind == "density":
+        density = draw(st.sampled_from([0.001, 0.01, 0.1, 0.5, 0.9, 1.0]))
+        seed = draw(st.integers(0, 2**32 - 1))
+        mask = np.random.default_rng(seed).random(length) < density
+        return Bitset.from_mask(mask)
+    return Bitset.from_indices(
+        length, draw(st.sets(st.integers(0, length - 1), max_size=200))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(bitsets())
+def test_set_positions_equals_unpacking_every_word(bits):
+    positions = bits.set_positions()
+    expected = unpack_everything(bits)
+    assert positions.dtype == np.int64
+    assert positions.tolist() == expected.tolist()
+    assert len(positions) == bits.count()
+
+
+def test_set_positions_at_the_sparse_word_boundary():
+    # exactly half the words nonzero takes the word-skipping side, one
+    # more the full unpack; both name the same bits
+    for nonzero_words in (5, 6):
+        positions = [64 * w + w for w in range(nonzero_words)]
+        bits = Bitset.from_indices(640, positions)
+        assert bits.set_positions().tolist() == positions
+    # bits past the length in the last word (a raw payload) are not named
+    words = np.zeros(11, dtype=np.uint64)
+    words[-1] = np.uint64(0xFFFFFFFFFFFFFFFF)
+    raw = Bitset(641, words)
+    assert raw.set_positions().tolist() == [640] == unpack_everything(raw).tolist()
