@@ -16,6 +16,7 @@ from repro import (
     MeasureDef,
     OlapEngine,
 )
+from repro.bench import run_cold
 
 # -- 1. The logical model (§2): dimensions with hierarchies + a measure ----
 
@@ -82,8 +83,10 @@ query = ConsolidationQuery.build(
 )
 
 print("sum(volume) GROUP BY product.type, store.state\n")
+# the engine routes array, starjoin and bitmap; run_cold also runs the
+# paper's dominated baselines, such as the left-deep hash-join plan
 for backend in ("array", "starjoin", "leftdeep"):
-    result = engine.query(query, backend=backend)
+    result = run_cold(engine, query, backend)
     print(f"[{backend:8s}]  cost={result.cost_s * 1000:7.2f} ms  rows:")
     for row in result.rows:
         print(f"    {row[0]:<10} {row[1]:<4} {row[2]}")

@@ -28,6 +28,7 @@ from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from repro.bench.baselines import BASELINES
 from repro.data.datasets import get_scale
 from repro.data.generator import (
     SyntheticCubeConfig,
@@ -167,8 +168,20 @@ def run_cold(
     backend: str,
     order: str = "chunk",
 ) -> QueryResult:
-    """Execute one cold-cache query (the paper's measurement protocol)."""
-    return engine.query(query, backend=backend, cold=True, order=order)
+    """Execute one cold-cache query (the paper's measurement protocol).
+
+    A baseline name (``btree``, ``mbtree``, ``leftdeep``) runs its
+    :mod:`repro.bench.baselines` function through the engine's measured
+    run; any other name is the engine's to route.
+    """
+    baseline = BASELINES.get(backend)
+    if baseline is None:
+        return engine.query(query, backend=backend, cold=True, order=order)
+    state = engine.cube(query.cube)
+    query.validate(state.schema)
+    return engine.measured_run(
+        state, query, backend, baseline, ExecutionOptions(order=order)
+    )
 
 
 def run_cold_traced(
@@ -185,7 +198,7 @@ def run_cold_traced(
     """
     tracer = Tracer(registry=engine.db.metrics)
     with tracing(tracer):
-        result = engine.query(query, backend=backend, cold=True, order=order)
+        result = run_cold(engine, query, backend, order)
     if len(tracer.roots) != 1:
         raise RuntimeError(
             f"expected exactly one root span, got {len(tracer.roots)}"

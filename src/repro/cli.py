@@ -4,8 +4,8 @@ Commands:
 
 - ``info`` — version, available scales and experiment ids.
 - ``demo`` — build a synthetic cube and run the paper's Query 1/2/3
-  through every backend, printing a cost table (``--json`` for a
-  machine-readable report).
+  through the engine's backends and the harness's baselines, printing a
+  cost table (``--json`` for a machine-readable report).
 - ``trace`` — run one query cold with the span tracer on and print the
   nested phase tree with per-phase I/O counter deltas; with ``--id`` and
   ``--url``, fetch one recorded distributed trace from a running
@@ -56,6 +56,7 @@ from repro.bench.harness import (
     run_warm,
 )
 from repro.data.datasets import SCALES, dataset1
+from repro.errors import ReproError
 from repro.olap.options import ExecutionOptions
 from repro.obs.exporters import (
     prometheus_text,
@@ -239,7 +240,7 @@ def cmd_explain(args) -> int:
     settings = bench_settings(args.scale)
     config = dataset1(settings.scale)[1]  # the x100 cube
     query = _TRACE_QUERIES[args.query](config)
-    engine = build_cube_engine(config, settings, fact_btrees=True)
+    engine = build_cube_engine(config, settings)
     plan = engine.explain(
         query,
         ExecutionOptions(
@@ -734,7 +735,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except ReproError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

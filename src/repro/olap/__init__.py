@@ -5,8 +5,11 @@ This is the library's main public surface.  A
 hierarchies) and measures; an :class:`~repro.olap.engine.OlapEngine`
 loads the data into *both* physical designs — the relational star
 schema (§2.2) and the OLAP Array ADT (§2.3) — and executes
-:class:`~repro.olap.query.ConsolidationQuery` objects through any
-backend, or lets the :mod:`~repro.olap.planner` choose.
+:class:`~repro.olap.query.ConsolidationQuery` objects through one of
+the three backends the :mod:`~repro.olap.planner` can pick (``array``,
+``starjoin``, ``bitmap``), named or chosen by ``auto``.  The paper's
+dominated baselines are run by the experiment harness
+(:mod:`repro.bench.baselines`), not by the engine.
 """
 
 from repro.olap.model import CubeSchema, DimensionDef, MeasureDef

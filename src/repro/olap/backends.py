@@ -1,20 +1,18 @@
-"""The :class:`Backend` protocol and registry.
+"""The :class:`Backend` protocol and the engine's backend table.
 
-Historically :meth:`OlapEngine.query <repro.olap.engine.OlapEngine.query>`
-dispatched to seven private ``_run_*`` methods through an ``if``/``elif``
-chain, each with its own ad-hoc signature.  This module replaces that
-with one uniform surface:
-
-- :class:`Backend` — ``execute(ctx, query) -> QueryResult`` plus an
-  ``available(state)`` capability check;
+- :class:`Backend` — ``execute(ctx, query) -> rows`` and ``explain(ctx,
+  query) -> PlanNode``, plus an ``available(state)`` capability check;
 - :class:`BackendContext` — everything an execution needs (the engine,
   the loaded cube state, the query's counter bag, order/shard knobs);
-- a module-private **registry** of the six built-ins
-  (``array``/``starjoin``/``bitmap``/``btree``/``mbtree``/``leftdeep``),
-  through which the engine resolves backend names (:func:`get_backend`).
+- a fixed table of the three backends the planner can pick
+  (``array``/``starjoin``/``bitmap``), through which the engine resolves
+  backend names (:func:`get_backend`).
 
 ``auto`` is not a backend: the engine resolves it through the
-:mod:`~repro.olap.planner` rule before consulting the registry.
+:mod:`~repro.olap.planner` rule before consulting the table.  The
+paper's dominated baselines (``btree``, ``mbtree``, ``leftdeep``) are
+not engine routes; the experiment harness runs them
+(:mod:`repro.bench.baselines`).
 """
 
 from __future__ import annotations
@@ -36,20 +34,13 @@ from repro.obs.explain import PlanNode
 from repro.obs.tracer import get_tracer
 from repro.core.select_consolidate import Selection, consolidate_with_selection
 from repro.errors import PlanError
-from repro.olap.star_schema import (
-    bitmap_index_name,
-    btree_index_name,
-    mbtree_index_name,
-)
+from repro.olap.star_schema import bitmap_index_name
 from repro.relational.bitmap_select import bitmap_select_consolidate
-from repro.relational.btree_select import btree_select_consolidate
-from repro.relational.mbtree_select import mbtree_select_consolidate
-from repro.relational.operators import Filter, SeqScan, left_deep_consolidation
 from repro.relational.star_join import star_join_consolidate
 from repro.util.stats import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from repro.olap.engine import OlapEngine, QueryResult, _CubeState
+    from repro.olap.engine import OlapEngine, _CubeState
     from repro.olap.query import ConsolidationQuery
 
 
@@ -89,28 +80,15 @@ class BackendContext:
             f"engine.phase.{name}_seconds", time.perf_counter() - start
         )
 
-    def result(self, rows: list[tuple], backend: str) -> "QueryResult":
-        """Wrap rows into a :class:`QueryResult` shell.
-
-        Timing, simulated I/O and the merged stats snapshot are stamped
-        by the engine after ``execute`` returns — backends only produce
-        the row multiset.
-        """
-        from repro.olap.engine import QueryResult
-
-        return QueryResult(
-            rows=rows, backend=backend, elapsed_s=0.0, sim_io_s=0.0
-        )
-
 
 class Backend(ABC):
-    """One query-evaluation strategy: a name plus ``execute``.
+    """One query-evaluation strategy: a name, ``execute`` and ``explain``.
 
     Subclasses override :meth:`available` when they need specific
     physical structures (an array, a fact file, index families).
     """
 
-    #: registry key; also stamped on results
+    #: table key; also stamped on results
     name: str = ""
 
     def available(self, state: "_CubeState") -> bool:
@@ -120,9 +98,11 @@ class Backend(ABC):
     @abstractmethod
     def execute(
         self, ctx: BackendContext, query: "ConsolidationQuery"
-    ) -> "QueryResult":
-        """Evaluate ``query`` and return the (sorted-row) result."""
+    ) -> list[tuple]:
+        """Evaluate ``query`` and return its sorted rows; the engine's
+        measured run stamps timing, I/O and stats around the call."""
 
+    @abstractmethod
     def explain(
         self, ctx: BackendContext, query: "ConsolidationQuery"
     ) -> PlanNode:
@@ -130,15 +110,8 @@ class Backend(ABC):
 
         Each node names the tracer span whose counter deltas measure it
         (so ``EXPLAIN ANALYZE`` can attach actuals) and carries cost
-        estimates in the units of the execution counters.  The default
-        is one opaque node mapped to the engine's root span; built-ins
-        override with per-phase trees.
+        estimates in the units of the execution counters.
         """
-        return PlanNode(
-            f"{self.name}.query",
-            span="query",
-            detail={"cube": query.cube, "backend": self.name},
-        )
 
 
 # -- estimate helpers --------------------------------------------------------
@@ -179,43 +152,6 @@ def _estimated_btree_probes(query) -> int:
         1 if sel.is_range else len(sel.values or ())
         for sel in query.selections
     )
-
-
-# -- registry ---------------------------------------------------------------
-
-_REGISTRY: dict[str, Backend] = {}
-
-
-def _register(backend: Backend) -> None:
-    """Add one built-in backend under its ``name``."""
-    if not backend.name:
-        raise PlanError("a backend needs a non-empty name")
-    if backend.name == "auto":
-        raise PlanError('"auto" is reserved for the planner')
-    _REGISTRY[backend.name] = backend
-
-
-def get_backend(name: str) -> Backend:
-    """Resolve a backend name; raises :class:`PlanError` when unknown."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise PlanError(
-            f"unknown backend {name!r}; expected one of "
-            f"{tuple(backend_names())}"
-        ) from None
-
-
-def backend_names() -> tuple[str, ...]:
-    """Every backend name, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def available_backends(state: "_CubeState") -> set[str]:
-    """All registered backends whose ``available(state)`` holds."""
-    return {
-        name for name, backend in _REGISTRY.items() if backend.available(state)
-    }
 
 
 # -- built-in implementations ----------------------------------------------
@@ -291,7 +227,7 @@ class ArrayBackend(Backend):
         with ctx.phase("project_rows"):
             rows = engine._project_measures(state, query, result.rows)
             rows = engine._reorder_array_rows(state, query, rows)
-        return ctx.result(rows, self.name)
+        return rows
 
     def explain(self, ctx, query):
         engine, state = ctx.engine, ctx.state
@@ -569,7 +505,7 @@ class StarjoinBackend(Backend):
                 counters=ctx.counters,
                 key_filters=key_filters or None,
             )
-        return ctx.result(rows, self.name)
+        return rows
 
     def explain(self, ctx, query):
         engine, state = ctx.engine, ctx.state
@@ -655,7 +591,7 @@ class BitmapBackend(Backend):
                 aggregate=query.aggregate,
                 counters=ctx.counters,
             )
-        return ctx.result(rows, self.name)
+        return rows
 
     def explain(self, ctx, query):
         engine, state = ctx.engine, ctx.state
@@ -696,247 +632,31 @@ class BitmapBackend(Backend):
         return root
 
 
-class BTreeBackend(Backend):
-    """Standard B-tree selection baseline (§4.4's also-ran)."""
-
-    name = "btree"
-
-    def available(self, state) -> bool:
-        return (
-            state.fact is not None
-            and bool(state.btree_dims)
-            and not state.indices_stale
-        )
-
-    def execute(self, ctx, query):
-        engine, state = ctx.engine, ctx.state
-        if not query.selections:
-            raise PlanError("the btree backend needs at least one selection")
-        schema = state.schema
-        with ctx.phase("selection_key_sets"):
-            key_sets = engine._selection_key_sets(state, query)
-        selections = []
-        for dim_name, allowed in key_sets.items():
-            if dim_name not in state.btree_dims:
-                raise PlanError(
-                    f"no fact B-tree on dimension {dim_name!r}; load with "
-                    "fact_btrees=True"
-                )
-            tree = engine.db.btree(btree_index_name(schema, dim_name))
-            selections.append((tree, sorted(allowed)))
-        with ctx.phase("btree_select"):
-            rows = btree_select_consolidate(
-                state.fact,
-                engine._group_specs(state, query),
-                selections,
-                engine._query_measures(state, query),
-                aggregate=query.aggregate,
-                counters=ctx.counters,
-            )
-        return ctx.result(rows, self.name)
-
-    def explain(self, ctx, query):
-        engine, state = ctx.engine, ctx.state
-        fact_tuples = len(state.fact)
-        selectivity = (
-            engine.estimate_selectivity(query) if query.selections else 1.0
-        )
-        key_sets = engine._selection_key_sets(state, query)
-        selected = round(fact_tuples * selectivity)
-        root = PlanNode(
-            "btree.query",
-            span="query",
-            detail={
-                "cube": query.cube,
-                "estimated_selectivity": selectivity,
-            },
-        )
-        root.add(
-            PlanNode(
-                "btree.selection_key_sets",
-                span="selection_key_sets",
-                detail={"selections": len(query.selections)},
-            )
-        )
-        root.add(
-            PlanNode(
-                "btree.btree_select",
-                span="btree_select",
-                estimates={
-                    # one fact B-tree probe per allowed key per dimension
-                    "btree_probes": sum(len(v) for v in key_sets.values()),
-                    "selected_tuples": selected,
-                    "result_groups": min(
-                        _estimated_groups(ctx, query), max(selected, 1)
-                    ),
-                },
-            )
-        )
-        return root
+#: the backends the engine routes: the planner's three, by name
+_REGISTRY: dict[str, Backend] = {
+    backend.name: backend
+    for backend in (ArrayBackend(), StarjoinBackend(), BitmapBackend())
+}
 
 
-class MBTreeBackend(Backend):
-    """Skipping multi-attribute B-tree reconstruction (§4.4)."""
-
-    name = "mbtree"
-
-    def available(self, state) -> bool:
-        return (
-            state.fact is not None
-            and state.has_mbtree
-            and not state.indices_stale
-        )
-
-    def execute(self, ctx, query):
-        engine, state = ctx.engine, ctx.state
-        if not query.selections:
-            raise PlanError("the mbtree backend needs at least one selection")
-        schema = state.schema
-        with ctx.phase("selection_key_sets"):
-            key_sets = engine._selection_key_sets(state, query)
-            allowed = []
-            for dim in schema.dimensions:
-                if dim.name in key_sets:
-                    allowed.append(sorted(key_sets[dim.name]))
-                else:
-                    table = state.dim_tables[dim.name]
-                    key_pos = table.schema.index_of(dim.key)
-                    allowed.append(
-                        sorted(row[key_pos] for row in table.scan())
-                    )
-        tree = engine.db.btree(mbtree_index_name(schema))
-        with ctx.phase("mbtree_select"):
-            rows = mbtree_select_consolidate(
-                state.fact,
-                engine._group_specs(state, query),
-                tree,
-                allowed,
-                engine._query_measures(state, query),
-                aggregate=query.aggregate,
-                counters=ctx.counters,
-            )
-        return ctx.result(rows, self.name)
-
-    def explain(self, ctx, query):
-        engine, state = ctx.engine, ctx.state
-        fact_tuples = len(state.fact)
-        selectivity = (
-            engine.estimate_selectivity(query) if query.selections else 1.0
-        )
-        selected = round(fact_tuples * selectivity)
-        root = PlanNode(
-            "mbtree.query",
-            span="query",
-            detail={
-                "cube": query.cube,
-                "estimated_selectivity": selectivity,
-            },
-        )
-        root.add(
-            PlanNode(
-                "mbtree.selection_key_sets",
-                span="selection_key_sets",
-                detail={"selections": len(query.selections)},
-            )
-        )
-        root.add(
-            PlanNode(
-                "mbtree.mbtree_select",
-                span="mbtree_select",
-                estimates={
-                    # the skipping scan seeks about once per qualifying run
-                    "mbtree_hits": selected,
-                    "selected_tuples": selected,
-                    "result_groups": min(
-                        _estimated_groups(ctx, query), max(selected, 1)
-                    ),
-                },
-            )
-        )
-        return root
+def get_backend(name: str) -> Backend:
+    """Resolve a backend name; raises :class:`PlanError` when unknown."""
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise PlanError(
+            f"unknown backend {name!r}; expected one of "
+            f"{tuple(backend_names())}"
+        ) from None
 
 
-class LeftDeepBackend(Backend):
-    """Pipelined left-deep hash-join plan (§1's "traditional")."""
-
-    name = "leftdeep"
-
-    def available(self, state) -> bool:
-        return state.fact is not None
-
-    def execute(self, ctx, query):
-        engine, state = ctx.engine, ctx.state
-        schema = state.schema
-        grouped = dict(query.group_by)
-        key_sets = engine._selection_key_sets(state, query)
-        joined = [
-            d.name
-            for d in schema.dimensions
-            if d.name in grouped or d.name in key_sets
-        ]
-        fact_scan = SeqScan(state.fact, alias="f")
-        dim_scans = []
-        for dim_name in joined:
-            dim = schema.dimension(dim_name)
-            scan = SeqScan(state.dim_tables[dim_name], alias=dim_name)
-            if dim_name in key_sets:
-                allowed = key_sets[dim_name]
-                key_col = f"{dim_name}.{dim.key}"
-                position = scan.names.index(key_col)
-                scan = Filter(
-                    scan,
-                    predicate=lambda row, p=position, a=frozenset(allowed): row[p] in a,
-                )
-            dim_scans.append((scan, f"{dim_name}.{dim.key}", f"f.{dim.key}"))
-        plan = left_deep_consolidation(
-            fact_scan,
-            dim_scans,
-            [f"{d}.{grouped[d]}" for d in query.group_dims],
-            [f"f.{m}" for m in engine._query_measures(state, query)],
-            aggregate=query.aggregate,
-        )
-        with ctx.phase("leftdeep_pipeline", joins=len(dim_scans)):
-            ctx.counters.add("leftdeep_joins", len(dim_scans))
-            rows = list(plan)
-        return ctx.result(rows, self.name)
-
-    def explain(self, ctx, query):
-        engine, state = ctx.engine, ctx.state
-        schema = state.schema
-        grouped = dict(query.group_by)
-        key_sets = engine._selection_key_sets(state, query)
-        joined = [
-            d.name
-            for d in schema.dimensions
-            if d.name in grouped or d.name in key_sets
-        ]
-        root = PlanNode(
-            "leftdeep.query",
-            span="query",
-            detail={"cube": query.cube, "joins": len(joined)},
-        )
-        root.add(
-            PlanNode(
-                "leftdeep.pipeline",
-                span="leftdeep_pipeline",
-                detail={
-                    "dimensions": ",".join(joined),
-                    "hash_build_rows": sum(
-                        len(state.dim_tables[d]) for d in joined
-                    ),
-                },
-                estimates={"leftdeep_joins": len(joined)},
-            )
-        )
-        return root
+def backend_names() -> tuple[str, ...]:
+    """Every backend name, in table order."""
+    return tuple(_REGISTRY)
 
 
-for _backend in (
-    ArrayBackend(),
-    StarjoinBackend(),
-    BitmapBackend(),
-    BTreeBackend(),
-    MBTreeBackend(),
-    LeftDeepBackend(),
-):
-    _register(_backend)
+def available_backends(state: "_CubeState") -> set[str]:
+    """The table's backends whose ``available(state)`` holds."""
+    return {
+        name for name, backend in _REGISTRY.items() if backend.available(state)
+    }

@@ -1,4 +1,4 @@
-"""The unified OLAP engine: one cube, two physical designs, seven backends.
+"""The unified OLAP engine: one cube, two physical designs, three backends.
 
 :class:`OlapEngine` loads a :class:`~repro.olap.model.CubeSchema` into
 
@@ -7,20 +7,23 @@
 - the OLAP Array ADT of §3,
 
 then executes :class:`~repro.olap.query.ConsolidationQuery` objects
-through any backend:
+through the backends the planner can pick:
 
 ========== ==========================================================
 ``array``     §4.1 consolidation / §4.2 consolidation with selection
 ``starjoin``  §4.3 Starjoin operator (selections via key filters)
 ``bitmap``    §4.5 bitmap AND + fact-file fetch
-``btree``     standard B-tree selection baseline (§4.4's also-ran)
-``mbtree``    skipping multi-attribute B-tree reconstruction (§4.4)
-``leftdeep``  pipelined left-deep hash-join plan (§1's "traditional")
 ``auto``      the §5.6-derived planner rule
 ========== ==========================================================
 
 Every backend returns the identical sorted row multiset, so any two can
-be cross-checked — the integration tests' main oracle.
+be cross-checked — the integration tests' main oracle.  The paper's
+dominated baselines — the per-dimension B-tree (``btree``), the
+skipping multi-attribute B-tree (``mbtree``) and the pipelined
+left-deep hash-join plan (``leftdeep``) — are not engine routes: the
+experiment harness runs them through :meth:`OlapEngine.measured_run`
+(:mod:`repro.bench.baselines`), over the fact B-trees ``load_cube``
+builds on request.
 """
 
 from __future__ import annotations
@@ -90,8 +93,8 @@ class _CubeState:
     #: bumped on every write; result caches key their entries to it
     generation: int = 0
     #: set when appends outgrew the position-based indices (bitmap /
-    #: btree / mbtree); those backends drop out of availability until a
-    #: rebuild
+    #: btree / mbtree); the bitmap backend drops out of availability and
+    #: the B-tree baselines refuse to run until a rebuild
     indices_stale: bool = False
 
     def available_backends(self) -> set[str]:
@@ -450,6 +453,32 @@ class OlapEngine:
         backend, impl, planner_reason = self._resolve_backend(
             state, query, opts.backend
         )
+        return self.measured_run(
+            state, query, backend, impl.execute, opts, cold, planner_reason
+        )
+
+    def measured_run(
+        self,
+        state: _CubeState,
+        query: ConsolidationQuery,
+        backend: str,
+        execute: Callable[[BackendContext, ConsolidationQuery], list[tuple]],
+        opts: ExecutionOptions,
+        cold: bool = True,
+        planner_reason: str = "explicit",
+    ) -> QueryResult:
+        """Run ``execute(ctx, query)`` once under the measurement protocol.
+
+        The one copy of what every measured query does around its
+        backend: the cold flush (or, warm, the disk park), the registry
+        snapshot, the scoped ``query`` counter bag, the root ``query``
+        span, the cube's S-lock, the timer, the counter delta, the
+        ``engine.*_seconds`` histograms and the result stamping.
+        :meth:`query` passes a registered backend's ``execute``; the
+        experiment harness passes a dominated baseline
+        (:mod:`repro.bench.baselines`).  ``query`` must already be
+        validated against ``state``'s schema.
+        """
         if cold:
             if state.array is not None:
                 state.array.invalidate_caches()
@@ -482,14 +511,17 @@ class OlapEngine:
                     query.cube, "S", f"query-{id(query)}"
                 ):
                     with Timer() as timer:
-                        result = impl.execute(ctx, query)
+                        rows = execute(ctx, query)
             stats = counter_delta(before, metrics.snapshot_by_source())
         metrics.observe("engine.query_seconds", timer.elapsed)
         metrics.observe(f"engine.backend.{backend}_seconds", timer.elapsed)
-        result.elapsed_s = timer.elapsed
-        result.sim_io_s = stats.get("sim_io_s", 0.0)
-        result.stats = stats
-        return result
+        return QueryResult(
+            rows=rows,
+            backend=backend,
+            elapsed_s=timer.elapsed,
+            sim_io_s=stats.get("sim_io_s", 0.0),
+            stats=stats,
+        )
 
     def _resolve_backend(
         self,
@@ -892,4 +924,8 @@ class OlapEngine:
                 self.db.btree(btree_index_name(schema, d)).size_bytes()
                 for d in state.btree_dims
             )
+        if state.has_mbtree:
+            report["mbtree_index"] = self.db.btree(
+                mbtree_index_name(schema)
+            ).size_bytes()
         return report

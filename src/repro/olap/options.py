@@ -28,8 +28,9 @@ EXECUTOR_NAMES = ("local", "thread", "process")
 class ExecutionOptions:
     """Every knob that selects *how* (not *what*) a query executes.
 
-    - ``backend``: ``"auto"`` (planner picks) or a registered backend
-      name (``array``, ``starjoin``, ``bitmap``, ...).
+    - ``backend``: ``"auto"`` (planner picks) or one of the engine's
+      backends, ``array``, ``starjoin`` or ``bitmap``; any other name
+      is a :class:`~repro.errors.PlanError` when the query resolves it.
     - ``executor``: ``"local"`` / ``"thread"`` / ``"process"`` — where
       shard scans run when ``shards > 1``.
     - ``shards``: number of chunk-range shards to scatter the

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import PlanError
-
 # §5.6: bitmap+fact-file beat the array below S = 0.00024; we plan
 # conservatively at the paper's observed crossover.  Read at call time;
 # EXPLAIN reports it as ``planner.crossover_selectivity``.
@@ -77,11 +75,3 @@ def choose_backend(inputs: PlannerInputs) -> str:
     """
     return choose_backend_explained(inputs)[0]
 
-
-def require_backend_available(backend: str, available: set[str]) -> None:
-    """Raise :class:`PlanError` when a requested backend was not built."""
-    if backend not in available:
-        raise PlanError(
-            f"backend {backend!r} not available for this cube; built: "
-            f"{sorted(available)}"
-        )

@@ -271,7 +271,7 @@ class TestGoldenRelationalCounters:
                 group_by={"dim1": "h11"},
                 selections=[SelectionPredicate.in_list("dim0", "h01", "AA0")],
             )
-        stats = engine.query(query, backend=backend).stats
+        stats = run_cold(engine, query, backend).stats
         counts, sim_io_s = self.GOLDEN[backend]
         assert {name: stats.get(name, 0) for name in self.KEYS} == dict(
             zip(self.KEYS, counts)

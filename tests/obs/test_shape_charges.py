@@ -2,7 +2,7 @@
 from its shape; each charge stays within 0.5–2x of a full object walk.
 
 The reference is the test-side :func:`tests.deep_sizeof.deep_sizeof`.
-The corpus: the answers of all six backends with 1–4 group-by
+The corpus: the answers of the three engine backends with 1–4 group-by
 dimensions and all seven aggregates, over ``int64`` measures past 2**53
 and over ``float64``; the empty answer and a one-row answer; the span
 trees of a traced service miss and of an API request; an analyzed
@@ -33,7 +33,7 @@ from tests.deep_sizeof import deep_sizeof
 
 LOW, HIGH = 0.5, 2.0
 N_DIMS = 4
-BACKENDS = {"array", "starjoin", "bitmap", "btree", "mbtree", "leftdeep"}
+BACKENDS = {"array", "starjoin", "bitmap"}
 AGGREGATES = ("sum", "count", "avg", "min", "max", "var", "stddev")
 
 
@@ -69,14 +69,13 @@ def cube_engine(dtype: str) -> OlapEngine:
     engine = OlapEngine(page_size=512, pool_bytes=1 << 20)
     engine.load_cube(
         schema, dimension_rows, facts,
-        chunk_shape=(3,) * N_DIMS, fact_btrees=True, fact_mbtree=True,
+        chunk_shape=(3,) * N_DIMS,
     )
     assert engine.cube("c").available_backends() == BACKENDS
     return engine
 
 
 def query(n_group: int, aggregate: str, *labels: str) -> ConsolidationQuery:
-    # the btree backend needs a selection
     return ConsolidationQuery.build(
         "c",
         {f"dim{d}": f"h{d}" for d in range(n_group)},

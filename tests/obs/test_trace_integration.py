@@ -41,7 +41,7 @@ def engine():
     return engine
 
 
-BACKENDS = ["array", "bitmap", "btree", "mbtree"]
+BACKENDS = ["array", "bitmap", "btree", "mbtree", "leftdeep"]
 
 
 class TestTraceEqualsCostReport:

@@ -1,19 +1,20 @@
-"""The Backend protocol and the built-in registry."""
+"""The Backend protocol and the engine's backend table."""
 
 import pytest
 
 from repro.errors import PlanError
 from repro.olap import (
-    Backend,
     ConsolidationQuery,
+    OlapEngine,
     SelectionPredicate,
     available_backends,
     backend_names,
     get_backend,
 )
-from repro.olap.backends import _register
 
-BUILTINS = ("array", "starjoin", "bitmap", "btree", "mbtree", "leftdeep")
+from .conftest import CONFIG
+
+BUILTINS = ("array", "starjoin", "bitmap")
 
 
 class TestRegistry:
@@ -27,36 +28,32 @@ class TestRegistry:
             get_backend("nope")
 
     def test_auto_is_reserved(self):
-        class AutoBackend(Backend):
-            name = "auto"
-
-            def execute(self, ctx, query):  # pragma: no cover
-                raise AssertionError
-
-        with pytest.raises(PlanError, match="reserved"):
-            _register(AutoBackend())
-
-    def test_empty_name_rejected(self):
-        class Nameless(Backend):
-            def execute(self, ctx, query):  # pragma: no cover
-                raise AssertionError
-
-        with pytest.raises(PlanError, match="non-empty"):
-            _register(Nameless())
+        # the planner's name is resolved before the table, never in it
+        assert "auto" not in backend_names()
+        with pytest.raises(PlanError, match="unknown backend"):
+            get_backend("auto")
 
 
 class TestEngineIntegration:
     def test_availability_reflects_physical_design(self, engine):
         state = engine.cube("cube")
-        names = available_backends(state)
-        assert {"array", "starjoin", "leftdeep"} <= names
+        assert available_backends(state) == set(BUILTINS)
 
-    def test_unavailable_backend_rejected_by_engine(self, engine):
-        # the shared cube is built without an mbtree
+    def test_unavailable_backend_rejected_by_engine(self, schema, fact_rows):
+        from repro.data import generate_dimension_rows
+
+        engine = OlapEngine(page_size=1024, pool_bytes=512 * 1024)
+        engine.load_cube(
+            schema,
+            generate_dimension_rows(CONFIG),
+            fact_rows,
+            chunk_shape=CONFIG.chunk_shape,
+            backends=("array",),
+        )
         query = ConsolidationQuery.build(
             "cube",
             group_by={"dim0": "h01"},
             selections=[SelectionPredicate.in_list("dim1", "h11", "AA1")],
         )
-        with pytest.raises(PlanError):
-            engine.query(query, backend="mbtree")
+        with pytest.raises(PlanError, match="not available"):
+            engine.query(query, backend="bitmap")

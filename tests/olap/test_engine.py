@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import run_cold
 from repro.errors import CatalogError, PlanError, QueryError
 from repro.olap import ConsolidationQuery, SelectionPredicate, planner
 
@@ -38,7 +39,7 @@ class TestQuery1:
 
     @pytest.mark.parametrize("backend", ["starjoin", "leftdeep"])
     def test_relational_backends_match(self, engine, fact_rows, backend):
-        result = engine.query(Q1, backend=backend)
+        result = run_cold(engine, Q1, backend)
         assert result.rows == reference(fact_rows, CONFIG, GROUPS_Q1)
 
     def test_vectorized_array_matches(self, engine, fact_rows):
@@ -63,7 +64,7 @@ class TestQuery1:
         )
         expected = reference(fact_rows, CONFIG, [(1, 0), (0, 1)])
         for backend in ("array", "starjoin", "leftdeep"):
-            assert engine.query(query, backend=backend).rows == expected
+            assert run_cold(engine, query, backend).rows == expected
 
 
 class TestQuery2:
@@ -75,7 +76,7 @@ class TestQuery2:
             GROUPS_Q1,
             selected={0: {"AA0"}, 1: {"AA1"}, 2: {"AA2"}},
         )
-        assert engine.query(Q2, backend=backend).rows == expected
+        assert run_cold(engine, Q2, backend).rows == expected
 
     def test_in_list_selection(self, engine, fact_rows):
         query = ConsolidationQuery.build(
@@ -102,7 +103,7 @@ class TestQuery2:
                 groups[key] = groups.get(key, 0) + row[-1]
         expected = sorted(k + (v,) for k, v in groups.items())
         for backend in ("array", "starjoin", "btree"):
-            assert engine.query(query, backend=backend).rows == expected
+            assert run_cold(engine, query, backend).rows == expected
 
 
 class TestQuery3:
@@ -114,7 +115,7 @@ class TestQuery3:
             [(0, 1), (1, 1)],
             selected={0: {"AA1"}, 1: {"AA0"}},
         )
-        assert engine.query(Q3, backend=backend).rows == expected
+        assert run_cold(engine, Q3, backend).rows == expected
 
     def test_selection_on_ungrouped_dimension(self, engine, fact_rows):
         query = ConsolidationQuery.build(
@@ -126,7 +127,7 @@ class TestQuery3:
             fact_rows, CONFIG, [(0, 1)], selected={2: {"AA0"}}
         )
         for backend in ("array", "bitmap", "starjoin", "btree"):
-            assert engine.query(query, backend=backend).rows == expected
+            assert run_cold(engine, query, backend).rows == expected
 
 
 class TestAggregates:
@@ -173,7 +174,7 @@ class TestGroupByOrder:
             "cube", group_by={"dim2": "h21", "dim0": "h01"}
         )
         results = {
-            backend: engine.query(query, backend=backend).rows
+            backend: run_cold(engine, query, backend).rows
             for backend in ("array", "starjoin", "leftdeep")
         }
         baseline = results.pop("starjoin")
@@ -248,8 +249,8 @@ class TestValidation:
             engine.query(query)
 
     def test_btree_backend_requires_selection(self, engine):
-        with pytest.raises(PlanError):
-            engine.query(Q1, backend="btree")
+        with pytest.raises(PlanError, match="selection"):
+            run_cold(engine, Q1, "btree")
 
     def test_duplicate_cube_rejected(self, engine, schema):
         with pytest.raises(CatalogError):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.bench import run_cold
 from repro.olap import (
     ConsolidationQuery,
     CubeSchema,
@@ -58,7 +59,7 @@ class TestBothMeasures:
     @pytest.mark.parametrize("backend", ["array", "starjoin", "leftdeep"])
     def test_rows_carry_every_measure(self, loaded, backend):
         engine, facts = loaded
-        rows = engine.query(QUERY, backend=backend).rows
+        rows = run_cold(engine, QUERY, backend).rows
         assert rows == reference(facts)
 
     def test_vectorized_array(self, loaded):
@@ -76,7 +77,7 @@ class TestBothMeasures:
             group_by={"a": "ha", "b": "hb"},
             selections=[SelectionPredicate("a", "ha", values=("A1",))],
         )
-        rows = engine.query(query, backend=backend).rows
+        rows = run_cold(engine, query, backend).rows
         assert rows == reference(facts, selected_a="A1")
 
 

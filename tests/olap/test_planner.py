@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.errors import PlanError
 from repro.olap import planner
 from repro.olap.planner import (
     DEFAULT_CROSSOVER_SELECTIVITY,
     PlannerInputs,
     choose_backend,
-    require_backend_available,
 )
 
 
@@ -133,11 +131,3 @@ class TestRangeSelectionFallback:
         below_eq = dict(below, has_range_selections=False)
         assert choose_backend(inputs(**below_eq)) == "bitmap"
 
-
-class TestAvailability:
-    def test_available_passes(self):
-        require_backend_available("array", {"array", "starjoin"})
-
-    def test_missing_raises(self):
-        with pytest.raises(PlanError):
-            require_backend_available("bitmap", {"array"})

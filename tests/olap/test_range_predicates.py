@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import run_cold
 from repro.errors import QueryError
 from repro.olap import ConsolidationQuery, SelectionPredicate, parse_query
 
@@ -49,7 +50,7 @@ class TestKeyRanges:
         )
         if backend == "bitmap":
             pytest.skip("no bitmap index is built on key attributes")
-        rows = engine.query(query, backend=backend).rows
+        rows = run_cold(engine, query, backend).rows
         assert rows == key_range_reference(fact_rows, 1, 3)
 
     def test_open_bounds(self, engine, fact_rows):
@@ -73,7 +74,7 @@ class TestLevelRanges:
                 SelectionPredicate("dim1", "h11", low="AA1", high="AA2")
             ],
         )
-        rows = engine.query(query, backend=backend).rows
+        rows = run_cold(engine, query, backend).rows
         expected = reference(
             fact_rows,
             CONFIG,

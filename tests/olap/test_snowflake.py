@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import run_cold
 from repro.data import (
     SyntheticCubeConfig,
     cube_schema_for,
@@ -109,15 +110,15 @@ class TestQueryParity:
         if backend == "bitmap" and not query.selections:
             pytest.skip("bitmap path is for selections")
         assert (
-            snowflake.query(query, backend=backend).rows
-            == star.query(query, backend=backend).rows
+            run_cold(snowflake, query, backend).rows
+            == run_cold(star, query, backend).rows
         )
 
     def test_btree_backend_over_snowflake(self, star, snowflake):
         query = self.QUERIES[2]
         assert (
-            snowflake.query(query, backend="btree").rows
-            == star.query(query, backend="btree").rows
+            run_cold(snowflake, query, "btree").rows
+            == run_cold(star, query, "btree").rows
         )
 
 

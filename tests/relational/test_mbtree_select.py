@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import run_cold
 from repro.index import BTree
 from repro.relational import skip_scan
 from repro.storage import BufferPool, FileManager, SimulatedDisk
@@ -186,17 +187,28 @@ class TestEngineBackend:
                 SelectionPredicate("dim2", "h21", values=("AA0", "AA2")),
             ],
         )
-        mbtree = engine.query(query, backend="mbtree").rows
+        mbtree = run_cold(engine, query, "mbtree").rows
         bitmap = engine.query(query, backend="bitmap").rows
         assert mbtree == bitmap
+
+    def test_storage_report_counts_the_composite_btree(self, engine):
+        from repro.olap.star_schema import mbtree_index_name
+
+        state = engine.cube("mb")
+        report = engine.storage_report("mb")
+        assert report["mbtree_index"] == engine.db.btree(
+            mbtree_index_name(state.schema)
+        ).size_bytes()
+        assert report["mbtree_index"] > 0
+        assert "btree_indices" not in report  # no per-dimension trees
 
     def test_requires_selection(self, engine):
         from repro.errors import PlanError
         from repro.olap import ConsolidationQuery
 
         query = ConsolidationQuery.build("mb", group_by={"dim0": "h01"})
-        with pytest.raises(PlanError):
-            engine.query(query, backend="mbtree")
+        with pytest.raises(PlanError, match="selection"):
+            run_cold(engine, query, "mbtree")
 
     def test_unavailable_without_flag(self, loaded=None):
         from repro.data import (
@@ -222,5 +234,5 @@ class TestEngineBackend:
             group_by={"dim0": "h01"},
             selections=[SelectionPredicate("dim1", "h11", values=("AA1",))],
         )
-        with pytest.raises(PlanError):
-            engine.query(query, backend="mbtree")
+        with pytest.raises(PlanError, match="fact_mbtree"):
+            run_cold(engine, query, "mbtree")

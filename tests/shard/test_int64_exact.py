@@ -5,13 +5,15 @@ accumulates int64 measures in float64 silently disagrees with an exact
 fold (Python ints) above that.  Every route to an answer — the array's
 ``consolidate`` and the per-cell reference kernel, the thread and
 process shard executors (whose partial states cross ``export_state`` /
-``import_state``), ``QueryService.execute``, and the five relational
-backends, whose fetched columns fold through the same column fold —
+``import_state``), ``QueryService.execute``, the two relational
+backends and the harness's three relational baselines, whose fetched
+columns fold through the same column fold —
 must return what an exact fold of the fact rows returns.
 """
 
 import pytest
 
+from repro.bench import run_cold
 from repro.core import ConsolidationSpec, consolidate
 from repro.core.consolidate import ResultAccumulator, scan_chunk_range
 from repro.data import (
@@ -123,5 +125,5 @@ class TestExactPast2Pow53:
     )
     def test_relational(self, loaded, aggregate, backend):
         engine, fact_rows = loaded
-        result = engine.query(query(aggregate, [EVERY_H01]), backend=backend)
+        result = run_cold(engine, query(aggregate, [EVERY_H01]), backend)
         assert result.rows == exact_fold(fact_rows, aggregate)

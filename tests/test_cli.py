@@ -170,3 +170,17 @@ class TestExplainCommand:
             ["explain", "q1", "--json", "--validate", str(bad_schema)]
         ) == 1
         assert "FAIL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["btree", "nope"])
+    def test_a_backend_the_engine_does_not_route_is_one_line(
+        self, capsys, monkeypatch, backend
+    ):
+        monkeypatch.setenv("REPRO_SCALE", "small")
+        assert main(["explain", "q2", "--backend", backend]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = captured.err.strip()
+        assert message.startswith(f"repro: unknown backend '{backend}'")
+        assert "\n" not in message
+        for name in ("array", "starjoin", "bitmap"):
+            assert name in message
