@@ -140,10 +140,6 @@ class ColumnFold:
         for agg, columns, values in zip(self.aggs, self.columns, measures):
             if not columns:
                 continue
-            # a decoded chunk's values are a view at an odd byte offset
-            # of its payload; ufunc.at only takes its fast path on
-            # aligned operands
-            values = np.require(values, requirements="A")
             for (ufunc, _, of), column in zip(agg.columns, columns):
                 operand = values.astype(column.dtype, copy=False)
                 ufunc.at(column, cells, operand if of is None else of(operand))
@@ -184,6 +180,9 @@ def group_fold(
     their width, float ones in float64, both in row order.
     """
     aggs = [get_aggregate(name) for name in aggregates]
+    # a fact-file column can be a field of packed records, at an odd
+    # byte offset; ufunc.at only takes its fast path on aligned operands
+    measures = [np.require(m, requirements="A") for m in measures]
     cells, size = np.zeros(len(measures[0]), dtype=np.int64), 1
     for labels, codes in groups:
         cells = cells * len(labels) + codes

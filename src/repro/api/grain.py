@@ -37,21 +37,15 @@ def walk_columns(array, terms: list[np.ndarray], cells: int, bag):
         for name, ufunc in FOLDS.items()
     }
     tables = ComposedTables(geometry, terms, np.add)
-    for chunk_no, offsets, values in array.walk(
-        range(geometry.n_chunks), None, bag
-    ):
-        targets = tables.gather(
-            geometry.chunk_origin(chunk_no), geometry.split_offsets(offsets)
-        )
+    for chunk in array.walk(range(geometry.n_chunks), None, bag):
+        targets = tables.gather(chunk.origin, chunk.halves)
         if targets is None:  # every dimension dropped or one-membered
-            targets = np.zeros(len(offsets), dtype=np.int64)
+            targets = np.zeros(len(chunk), dtype=np.int64)
         np.add.at(counts, targets, 1)
-        # a decoded chunk's values are a view at an odd byte offset of
-        # its payload; ufunc.at is fast on aligned contiguous rows only
-        for m, measure in enumerate(np.require(values.T, requirements="AC")):
+        for m, measure in enumerate(chunk.values.T):
             for name, ufunc in FOLDS.items():
                 ufunc.at(columns[name][m], targets, measure)
-        bag.add("cells_scanned", len(offsets))
+        bag.add("cells_scanned", len(chunk))
     return counts, columns
 
 

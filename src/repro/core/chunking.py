@@ -14,6 +14,8 @@ provides all the arithmetic the paper's algorithms need:
   ``(chunk_no, offset)`` pairs for the loader and the region functions;
 - the two-way split of an ``offsetInChunk`` and the composed per-chunk
   tables (:class:`ComposedTables`) the vectorized kernels index with it;
+- the decoded chunk the kernels read (:class:`DecodedChunk`): its
+  cells, its origin and its split offsets, computed once per decode;
 - the one place that decides which chunks a selection can touch
   (:meth:`ChunkGeometry.overlapping_chunks`).
 """
@@ -26,6 +28,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import ChunkError
+from repro.util.records import narrowest
 
 
 def outer_fold(ufunc: np.ufunc, parts: list[np.ndarray]) -> np.ndarray:
@@ -80,6 +83,11 @@ class ChunkGeometry:
             dims
             for dims in (range(split), range(split, self.ndim))
             if dims
+        )
+        #: the narrowest unsigned dtype holding each half's sub-offsets
+        self.half_dtypes = tuple(
+            narrowest(math.prod(self.chunk_shape[d] for d in dims) - 1, signed=False)
+            for dims in self.offset_halves
         )
 
     # -- scalar conversions ------------------------------------------------
@@ -218,13 +226,21 @@ class ChunkGeometry:
         per-dimension terms can therefore be looked up as ``table_hi[hi]
         + table_lo[lo]`` from two tables of about ``sqrt(chunk_cells)``
         entries, for one integer division per cell whatever the rank —
-        instead of a ``//`` and a ``%`` per cell *per dimension*.
+        instead of a ``//`` and a ``%`` per cell *per dimension*.  Each
+        half comes back read-only in :attr:`half_dtypes`.
         """
+        halves: tuple[np.ndarray, ...]
         if len(self.offset_halves) == 1:
-            return (offsets,)
-        stride = self.cell_strides[self.offset_halves[1].start - 1]
-        hi = offsets // stride
-        return hi, offsets - hi * stride
+            halves = (offsets.astype(self.half_dtypes[0]),)
+        else:
+            stride = self.cell_strides[self.offset_halves[1].start - 1]
+            hi = offsets // stride  # np.divmod is slower
+            lo = offsets - hi * stride
+            hi_dtype, lo_dtype = self.half_dtypes
+            halves = (hi.astype(hi_dtype), lo.astype(lo_dtype))
+        for half in halves:
+            half.flags.writeable = False
+        return halves
 
     # -- selections ---------------------------------------------------------------
 
@@ -318,22 +334,101 @@ class ComposedTables:
             else None
             for dims in geometry.offset_halves
         ]
+        # per half, its table by the half's share of a chunk origin: the
+        # chunks of one grid row share their tables
+        self._tables: list[dict[tuple[int, ...], np.ndarray]] = [
+            {} for _ in self.halves
+        ]
+
+    def _table(self, half: int, origin: tuple[int, ...]) -> np.ndarray:
+        dims = self.halves[half]
+        key = tuple(origin[d] for d in dims)
+        table = self._tables[half].get(key)
+        if table is None:
+            table = self._tables[half][key] = outer_fold(
+                self.ufunc,
+                [self.terms[d][o : o + self.chunk_shape[d]] for d, o in zip(dims, key)],
+            )
+        return table
 
     def gather(
         self, origin: tuple[int, ...], sub_offsets: tuple[np.ndarray, ...]
     ) -> np.ndarray | None:
         """The quantity for each cell of one chunk (``None`` = identity)."""
         out = None
-        for dims, sub_offset in zip(self.halves, sub_offsets):
-            if dims is None:
+        for half, sub_offset in enumerate(sub_offsets):
+            if self.halves[half] is None:
                 continue
-            table = outer_fold(
-                self.ufunc,
-                [
-                    self.terms[d][origin[d] : origin[d] + self.chunk_shape[d]]
-                    for d in dims
-                ],
-            )
-            picked = table.take(sub_offset)
+            picked = self._table(half, origin).take(sub_offset)
             out = picked if out is None else self.ufunc(out, picked, out=out)
         return out
+
+
+class DecodedChunk:
+    """One decoded chunk, as every kernel reads it.
+
+    ``offsets`` (sorted ``int32``) and ``values`` (``(count, p)``) are
+    the codec's aligned, owned, read-only arrays.  :attr:`origin` and
+    :attr:`halves` depend only on the chunk and are computed on first
+    use, so a chunk that is only probed is never split.  A record shared
+    between threads (a :class:`~repro.serve.chunk_cache.ChunkCache`
+    entry) goes through :meth:`share` before it is published and is
+    never written after.
+    """
+
+    __slots__ = ("no", "offsets", "values", "_geometry", "_origin", "_halves")
+
+    def __init__(
+        self,
+        geometry: ChunkGeometry,
+        no: int,
+        offsets: np.ndarray,
+        values: np.ndarray,
+        origin: tuple[int, ...] | None = None,
+        halves: tuple[np.ndarray, ...] | None = None,
+    ):
+        self.no = no
+        self.offsets = offsets
+        self.values = values
+        self._geometry = geometry
+        self._origin = origin
+        self._halves = halves
+
+    @property
+    def origin(self) -> tuple[int, ...]:
+        """Global coordinates of the chunk's first cell."""
+        if self._origin is None:
+            self._origin = self._geometry.chunk_origin(self.no)
+        return self._origin
+
+    @property
+    def halves(self) -> tuple[np.ndarray, ...]:
+        """The offsets split in two (see :meth:`ChunkGeometry.split_offsets`)."""
+        if self._halves is None:
+            self._halves = self._geometry.split_offsets(self.offsets)
+        return self._halves
+
+    def share(self) -> None:
+        """Compute what is otherwise computed on first use, so that no
+        reader writes the record once it is shared."""
+        self._origin, self._halves = self.origin, self.halves
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the offsets, values and (once split) halves."""
+        split = 0 if self._halves is None else sum(h.nbytes for h in self._halves)
+        return self.offsets.nbytes + self.values.nbytes + split
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def take(self, index: np.ndarray) -> "DecodedChunk":
+        """The cells at ``index`` (positions or a boolean mask), in
+        order; halves already split are taken along, not split again."""
+        halves = self._halves
+        if halves is not None:
+            halves = tuple(half[index] for half in halves)
+        return DecodedChunk(
+            self._geometry, self.no, self.offsets[index], self.values[index],
+            self._origin, halves,
+        )

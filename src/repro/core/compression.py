@@ -4,7 +4,9 @@ A chunk's logical content is a set of valid cells: a sorted ``int32``
 array of offsets-in-chunk plus a ``(count, p)`` value matrix (``p``
 measures per cell, all of one dtype).  Codecs turn that into bytes and
 back; every payload starts with a one-byte codec tag so a stored chunk
-is self-describing.
+is self-describing.  :func:`decode_chunk` hands out both arrays
+aligned, owned and read-only: copied out of the payload once, so no
+kernel that reads them copies again.
 
 - :class:`ChunkOffsetCodec` — the paper's format: ``(offsetInChunk,
   data)`` pairs sorted by offset, enabling binary-search probes (§4.2).
@@ -117,7 +119,7 @@ class ChunkOffsetCodec(ChunkCodec):
         values = np.frombuffer(
             payload, _np_dtype(dtype), count * n_measures, start + 4 * count
         ).reshape(count, n_measures)
-        return offsets, values
+        return offsets.copy(), values.copy()
 
     def value_at(self, offset, rank, count, chunk_cells, n_measures):
         return 1 + _COUNT.size + 4 * count + 8 * n_measures * rank
@@ -147,7 +149,7 @@ class DenseCodec(ChunkCodec):
             body, np_dtype, chunk_cells * n_measures, nbitmap
         ).reshape(chunk_cells, n_measures)
         offsets = np.nonzero(valid)[0].astype(np.int32)
-        return offsets, slots[offsets].copy()
+        return offsets, slots[offsets]
 
     def encode(self, offsets, values, chunk_cells, dtype):
         offsets = np.ascontiguousarray(offsets, dtype=np.int32)
@@ -250,6 +252,7 @@ def decode_chunk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode any tagged chunk payload regardless of which codec wrote it.
 
+    Returns ``(offsets, values)``, both aligned, owned and read-only.
     Every malformed payload surfaces as :class:`CompressionError`, never
     as a bare struct/numpy exception.
     """
@@ -270,4 +273,5 @@ def decode_chunk(
         offsets.min() < 0 or offsets.max() >= chunk_cells
     ):
         raise CompressionError("corrupt chunk: offset outside the chunk")
+    offsets.flags.writeable = values.flags.writeable = False
     return offsets, values

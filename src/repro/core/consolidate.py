@@ -18,10 +18,11 @@ optionally materialize it back into a persisted
 :class:`~repro.core.olap_array.OLAPArray`.
 
 One kernel runs the pass, position-based end to end: a cell's
-``offsetInChunk`` is split once into a high and a low part and each
-part indexes a small per-chunk table that already holds the composed
-IndexToIndex × result-stride contributions of its dimensions, so no
-cell's coordinates are ever rebuilt (see
+``offsetInChunk`` is split once per decode into a high and a low part
+(the chunk's :class:`~repro.core.chunking.DecodedChunk` keeps them) and
+each part indexes a small per-chunk table that already holds the
+composed IndexToIndex × result-stride contributions of its dimensions,
+so no cell's coordinates are ever rebuilt (see
 :class:`~repro.core.chunking.ComposedTables`).  Every aggregate folds
 into numpy columns — ``var``/``stddev`` as their moment columns.  The
 loop exactly as the pseudo-code reads survives as
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.aggregates import ColumnFold, get_aggregate
-from repro.core.chunking import ComposedTables
+from repro.core.chunking import ComposedTables, DecodedChunk
 from repro.core.index_to_index import IndexToIndex
 from repro.core.meta import NO_CHUNK
 from repro.core.olap_array import OLAPArray
@@ -209,7 +210,7 @@ class ResultAccumulator:
             for i2i, stride in zip(self.i2is, self.result_strides)
         ]
 
-    def add_chunk(self, origin, sub_offsets, values: np.ndarray) -> None:
+    def add_chunk(self, chunk: DecodedChunk) -> None:
         """Fold one chunk's cells, addressed by their split offsets.
 
         The kernel: each cell's result cell is gathered from the
@@ -220,10 +221,10 @@ class ResultAccumulator:
             self._targets = ComposedTables(
                 self.array.geometry, self.target_terms(), np.add
             )
-        linear = self._targets.gather(origin, sub_offsets)
+        linear = self._targets.gather(chunk.origin, chunk.halves)
         if linear is None:  # every dimension dropped: one result cell
-            linear = np.zeros(len(values), dtype=np.int64)
-        self.add_many(linear, values)
+            linear = np.zeros(len(chunk), dtype=np.int64)
+        self.add_many(linear, chunk.values)
 
     # -- extraction -------------------------------------------------------------------
 
@@ -312,31 +313,26 @@ def _scan_interpreted(array, accumulator, cells) -> int:
     chunk_shape = geometry.chunk_shape
     ndim = geometry.ndim
     scanned = 0
-    for chunk_no, offsets, values in cells:
-        origin = geometry.chunk_origin(chunk_no)
+    for chunk in cells:
+        origin = chunk.origin
         linear = []
-        for offset in offsets.tolist():
+        for offset in chunk.offsets.tolist():
             cell = 0
             for d in range(ndim):
                 index = origin[d] + (offset // cell_strides[d]) % chunk_shape[d]
                 cell += maps[d][index] * strides[d]
             linear.append(cell)
-        accumulator.add_many(np.array(linear, dtype=np.int64), values)
+        accumulator.add_many(np.array(linear, dtype=np.int64), chunk.values)
         scanned += len(linear)
     return scanned
 
 
 def _scan_vectorized(array, accumulator, cells) -> int:
     """The composed-table kernel: two gathers per cell whatever the rank."""
-    geometry = array.geometry
     scanned = 0
-    for chunk_no, offsets, values in cells:
-        accumulator.add_chunk(
-            geometry.chunk_origin(chunk_no),
-            geometry.split_offsets(offsets),
-            values,
-        )
-        scanned += len(values)
+    for chunk in cells:
+        accumulator.add_chunk(chunk)
+        scanned += len(chunk)
     return scanned
 
 
@@ -464,19 +460,16 @@ def _probe_chunk(candidates, offsets) -> tuple[np.ndarray, np.ndarray]:
     return hits, positions[hits]
 
 
-def _filter_chunk(accumulator, selected, origin, offsets, values) -> int:
-    """§4.1 with the selection as a cell mask: the offsets are split once,
-    the membership tables pick the survivors, and only their sub-offsets
+def _filter_chunk(accumulator, selected, chunk: DecodedChunk) -> int:
+    """§4.1 with the selection as a cell mask: the membership tables pick
+    the survivors from the chunk's split offsets, and only their halves
     go through the accumulator's composed tables.  Returns the survivors."""
-    sub_offsets = accumulator.array.geometry.split_offsets(offsets)
-    keep = selected.gather(origin, sub_offsets)
+    keep = selected.gather(chunk.origin, chunk.halves)
     if keep is not None:
-        kept = np.flatnonzero(keep)
-        sub_offsets = tuple(part.take(kept) for part in sub_offsets)
-        values = values.take(kept, axis=0)
-    if len(values):
-        accumulator.add_chunk(origin, sub_offsets, values)
-    return len(values)
+        chunk = chunk.take(np.flatnonzero(keep))
+    if len(chunk):
+        accumulator.add_chunk(chunk)
+    return len(chunk)
 
 
 def _select_vectorized(array, accumulator, chunk_range, masks, counters) -> int:
@@ -520,24 +513,18 @@ def _select_vectorized(array, accumulator, chunk_range, masks, counters) -> int:
             rows.clear()
 
     scanned = probed = 0
-    for chunk_no, offsets, values in array.walk(chunk_range, masks, counters):
-        span = spans.get(chunk_no)
+    for chunk in array.walk(chunk_range, masks, counters):
+        span = spans.get(chunk.no)
         if span is None:
             fold_run()
-            scanned += _filter_chunk(
-                accumulator,
-                selected,
-                geometry.chunk_origin(chunk_no),
-                offsets,
-                values,
-            )
+            scanned += _filter_chunk(accumulator, selected, chunk)
             continue
         low, high = span
-        hits, found = _probe_chunk(candidate_offsets[low:high], offsets)
+        hits, found = _probe_chunk(candidate_offsets[low:high], chunk.offsets)
         probed += high - low
         if len(found):
             cells.append(candidate_results[low:high][hits])
-            rows.append(values[found])
+            rows.append(chunk.values[found])
             scanned += len(found)
     fold_run()
     if probed:

@@ -84,14 +84,10 @@ def compute_cube(
 
     with tracer.span("cube_scan", chunks=geometry.n_chunks):
         scanned = 0
-        for chunk_no, offsets, values in array.walk(
-            range(geometry.n_chunks), None, counters
-        ):
-            origin = geometry.chunk_origin(chunk_no)
-            halves = geometry.split_offsets(offsets)
-            scanned += len(offsets)
+        for chunk in array.walk(range(geometry.n_chunks), None, counters):
+            scanned += len(chunk)
             for accumulator in accumulators.values():
-                accumulator.add_chunk(origin, halves, values)
+                accumulator.add_chunk(chunk)
         counters.add("cells_scanned", scanned)
         counters.add("group_bys_computed", len(accumulators))
 

@@ -17,9 +17,10 @@ summation, slicing, and — in their own modules — consolidation and
 consolidation with selection.
 
 Every operator that visits chunks does so through one walk,
-:meth:`OLAPArray.walk`: chunks in physical order, the ones a selection
-cannot touch skipped unread, each read billed to the caller's counter
-bag.  Reads nobody owns (a bare :meth:`OLAPArray.get_cell`, the
+:meth:`OLAPArray.walk`: chunks in physical order as
+:class:`~repro.core.chunking.DecodedChunk` records, the ones a
+selection cannot touch skipped unread, each read billed to the caller's
+counter bag.  Reads nobody owns (a bare :meth:`OLAPArray.get_cell`, the
 read-modify-write of :meth:`OLAPArray.write_cell`) fall to the array's
 own :attr:`OLAPArray.counters`, a lifetime bag that is never emptied.
 """
@@ -31,7 +32,7 @@ import math
 
 import numpy as np
 
-from repro.core.chunking import ChunkGeometry, ComposedTables
+from repro.core.chunking import ChunkGeometry, ComposedTables, DecodedChunk
 from repro.core.compression import decode_chunk, get_codec
 from repro.core.dimension_index import DimensionIndex
 from repro.core.index_to_index import IndexToIndex
@@ -42,8 +43,6 @@ from repro.obs.tracer import get_tracer
 from repro.storage.large_object import LargeObjectStore
 from repro.storage.page_file import FileManager
 from repro.util.stats import Counters
-
-_EMPTY_OFFSETS = np.empty(0, dtype=np.int32)
 
 
 class OLAPArray:
@@ -183,16 +182,16 @@ class OLAPArray:
 
     def read_chunk(
         self, chunk_no: int, counters: Counters | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Decode one chunk: ``(sorted offsets, (count, p) values)``.
+    ) -> DecodedChunk:
+        """Decode one chunk: its record of sorted offsets, ``(count, p)``
+        values, origin and (split on first use) offset halves.
 
         Empty chunks return empty arrays without touching the disk
-        (the §4.2 skip optimization relies on this).  With a
-        :attr:`chunk_cache` attached, repeated reads of the same chunk
-        return the shared decoded copy — callers must treat the returned
-        arrays as read-only (every in-tree consumer does).  ``counters``
-        is the bag a payload fetch is billed to (default: the array's
-        own); a cache hit fetches nothing and bills nothing.
+        (the §4.2 skip optimization relies on this).  The arrays are
+        read-only; with a :attr:`chunk_cache` attached, repeated reads
+        of the same chunk return the one shared record, already split.
+        ``counters`` is the bag a payload fetch is billed to (default:
+        the array's own); a cache hit fetches nothing and bills nothing.
         """
         cache = self.chunk_cache
         if cache is not None:
@@ -201,32 +200,34 @@ class OLAPArray:
 
     def _read_chunk_direct(
         self, chunk_no: int, counters: Counters | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> DecodedChunk:
         """The uncached read path (large-object fetch + decode)."""
         counters = self._bag(counters)
         oid, _, count = self._entries(counters)[chunk_no]
         if oid == NO_CHUNK or count == 0:
-            return _EMPTY_OFFSETS, np.empty(
-                (0, self.n_measures), dtype=self._np_dtype
+            offsets = np.empty(0, dtype=np.int32)
+            values = np.empty((0, self.n_measures), dtype=self._np_dtype)
+            offsets.flags.writeable = values.flags.writeable = False
+        else:
+            counters.add("chunks_read")
+            payload = self.chunks.read(oid)
+            counters.add("chunk_bytes_read", len(payload))
+            offsets, values = decode_chunk(
+                payload, self.geometry.chunk_cells, self.n_measures, self.dtype
             )
-        counters.add("chunks_read")
-        payload = self.chunks.read(oid)
-        counters.add("chunk_bytes_read", len(payload))
-        return decode_chunk(
-            payload, self.geometry.chunk_cells, self.n_measures, self.dtype
-        )
+        return DecodedChunk(self.geometry, chunk_no, offsets, values)
 
     def walk(
         self, chunk_range: range, masks=None, counters: Counters | None = None
     ):
         """The one chunk walk: non-empty chunks a selection can touch.
 
-        Yields ``(chunk_no, offsets, values)`` in ascending chunk number
-        — the chunks' physical order (§4.2) — over ``chunk_range`` (a
-        partition is just a sub-range).  ``masks`` (one boolean
-        membership array per dimension) prunes chunks whose index box
-        misses the selection without reading them.  Everything spent is
-        billed to ``counters``: ``chunks_skipped`` (pruned),
+        Yields each chunk's :class:`~repro.core.chunking.DecodedChunk` in
+        ascending chunk number — the chunks' physical order (§4.2) — over
+        ``chunk_range`` (a partition is just a sub-range).  ``masks``
+        (one boolean membership array per dimension) prunes chunks whose
+        index box misses the selection without reading them.  Everything
+        spent is billed to ``counters``: ``chunks_skipped`` (pruned),
         ``empty_chunks_skipped`` (no stored cell, known from the
         directory alone), and per fetched payload ``chunks_read`` /
         ``chunk_bytes_read``, so the three add up to the range cold.
@@ -236,9 +237,9 @@ class OLAPArray:
         counters.add("chunks_skipped", len(chunk_range) - len(chunk_nos))
         empty = 0
         for chunk_no in chunk_nos:
-            offsets, values = self.read_chunk(chunk_no, counters)
-            if len(offsets):
-                yield chunk_no, offsets, values
+            chunk = self.read_chunk(chunk_no, counters)
+            if len(chunk):
+                yield chunk
             else:
                 empty += 1
         counters.add("empty_chunks_skipped", empty)
@@ -253,15 +254,12 @@ class OLAPArray:
             yield from self.walk(chunk_range, None, counters)
             return
         selected = ComposedTables(self.geometry, masks, np.logical_and)
-        for chunk_no, offsets, values in self.walk(chunk_range, masks, counters):
-            keep = selected.gather(
-                self.geometry.chunk_origin(chunk_no),
-                self.geometry.split_offsets(offsets),
-            )
+        for chunk in self.walk(chunk_range, masks, counters):
+            keep = selected.gather(chunk.origin, chunk.halves)
             if keep is None:
-                yield chunk_no, offsets, values
+                yield chunk
             elif keep.any():
-                yield chunk_no, offsets[keep], values[keep]
+                yield chunk.take(keep)
 
     # -- the §3.5 Read/Write function --------------------------------------------------------
 
@@ -282,10 +280,10 @@ class OLAPArray:
         the chunk's sorted offsets.
         """
         chunk_no, offset = self.geometry.locate(self._coords_of(keys))
-        offsets, values = self.read_chunk(chunk_no)
-        position = int(np.searchsorted(offsets, offset))
-        if position < len(offsets) and offsets[position] == offset:
-            return values[position].copy()
+        chunk = self.read_chunk(chunk_no)
+        position = int(np.searchsorted(chunk.offsets, offset))
+        if position < len(chunk) and chunk.offsets[position] == offset:
+            return chunk.values[position].copy()
         return None
 
     def write_cell(self, keys: tuple, measures) -> np.ndarray | None:
@@ -305,7 +303,8 @@ class OLAPArray:
                 f"expected {self.n_measures} measures, got {measures.size}"
             )
         chunk_no, offset = self.geometry.locate(self._coords_of(keys))
-        offsets, values = self.read_chunk(chunk_no)
+        chunk = self.read_chunk(chunk_no)
+        offsets, values = chunk.offsets, chunk.values
         position = int(np.searchsorted(offsets, offset))
         if position < len(offsets) and offsets[position] == offset:
             replaced = values[position].copy()
@@ -358,7 +357,8 @@ class OLAPArray:
             chunk_no = int(touched[lo])
             group = starts[lo:hi]
             new = (cells[group] - chunk_no * chunk_cells).astype(np.int32)
-            stored_offsets, stored_values = self.read_chunk(chunk_no)
+            stored = self.read_chunk(chunk_no)
+            stored_offsets, stored_values = stored.offsets, stored.values
             at = np.searchsorted(stored_offsets, new)
             hit = at < len(stored_offsets)
             hit[hit] = stored_offsets[at[hit]] == new[hit]
@@ -415,8 +415,8 @@ class OLAPArray:
         return normalized
 
     def _region_cells(self, ranges):
-        """The walk over an index-range box: ``(chunk_no, offsets, values)``
-        of the valid cells inside it; chunks outside are never read."""
+        """The walk over an index-range box: the chunks' records narrowed
+        to the valid cells inside it; chunks outside are never read."""
         masks = []
         for (low, high), size in zip(
             self._normalize_ranges(ranges), self.geometry.shape
@@ -434,8 +434,8 @@ class OLAPArray:
         box are never read.
         """
         totals = np.zeros(self.n_measures, dtype=self._np_dtype)
-        for _, _, values in self._region_cells(ranges):
-            totals += values.sum(axis=0, dtype=self._np_dtype)
+        for chunk in self._region_cells(ranges):
+            totals += chunk.values.sum(axis=0, dtype=self._np_dtype)
         return totals
 
     def slice_dim(self, dim: int | str, key) -> list[tuple[tuple, np.ndarray]]:
@@ -451,9 +451,9 @@ class OLAPArray:
             for axis in range(self.geometry.ndim)
         ]
         out = []
-        for chunk_no, offsets, values in self._region_cells(box):
-            coords = self.geometry.chunk_offset_to_coords(chunk_no, offsets)
-            for row, measure in zip(coords, values):
+        for chunk in self._region_cells(box):
+            coords = self.geometry.chunk_offset_to_coords(chunk.no, chunk.offsets)
+            for row, measure in zip(coords, chunk.values):
                 keys = tuple(
                     self.dims[axis].key_of(int(c)) for axis, c in enumerate(row)
                 )
@@ -465,7 +465,7 @@ class OLAPArray:
 
     def _region_values(self, ranges) -> np.ndarray:
         """All measure rows of valid cells inside a region box."""
-        parts = [values for _, _, values in self._region_cells(ranges)]
+        parts = [chunk.values for chunk in self._region_cells(ranges)]
         if not parts:
             return np.empty((0, self.n_measures), dtype=self._np_dtype)
         return np.concatenate(parts, axis=0)

@@ -184,13 +184,13 @@ def _enumerate_naive(
     for coords in itertools.product(*final_lists):
         counters.add("cells_probed")
         chunk_no, offset = geometry.locate(coords)
-        offsets, values = array.read_chunk(chunk_no, counters)
-        position = int(np.searchsorted(offsets, offset))
-        if position < len(offsets) and offsets[position] == offset:
+        chunk = array.read_chunk(chunk_no, counters)
+        position = int(np.searchsorted(chunk.offsets, offset))
+        if position < len(chunk) and chunk.offsets[position] == offset:
             linear.append(
                 sum(maps[d][coords[d]] * result_strides[d] for d in range(ndim))
             )
-            hits.append(values[position].tolist())
+            hits.append(chunk.values[position].tolist())
     if hits:
         accumulator.add_many(
             np.array(linear, dtype=np.int64), np.array(hits, dtype=array.dtype)

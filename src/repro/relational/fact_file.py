@@ -142,6 +142,27 @@ class FactFile:
         self.counters.add("fact_tuple_gets")
         return self.schema.codec.unpack_from(self._file.read(page_no), offset)
 
+    def get_many(self, positions: Iterable[int]) -> list[np.ndarray]:
+        """The rows at ``positions`` as one column per field
+        (``schema.codec.unpack_columns``), in the order given.
+
+        Each row is fetched as :meth:`get` fetches it — one page read and
+        one ``fact_tuple_gets`` apiece, so the pool and disk see the same
+        accesses — but its bytes are copied into one record array and
+        decoded once, not one tuple at a time.
+        """
+        codec, size = self.schema.codec, self.record_size
+        positions = list(positions)
+        records = np.empty(len(positions), dtype=codec.dtype)
+        raw = memoryview(records.view(np.uint8))
+        for at, tuple_no in enumerate(positions):
+            page_no, offset = self._locate(tuple_no)
+            self.counters.add("fact_tuple_gets")
+            raw[at * size : (at + 1) * size] = memoryview(
+                self._file.read(page_no)
+            )[offset : offset + size]
+        return codec.unpack_columns(records)
+
     def scan(self) -> Iterator[tuple]:
         """Yield every row in tuple-number order, one page at a time."""
         codec = self.schema.codec

@@ -24,11 +24,7 @@ from collections.abc import Sequence
 from repro.index.btree import BTree
 from repro.obs.tracer import get_tracer
 from repro.relational.fact_file import FactFile
-from repro.relational.star_join import (
-    DimensionJoinSpec,
-    consolidate_facts,
-    row_columns,
-)
+from repro.relational.star_join import DimensionJoinSpec, consolidate_facts
 from repro.util.stats import Counters
 
 
@@ -133,7 +129,7 @@ def mbtree_select_consolidate(
     return consolidate_facts(
         fact,
         group_dimensions,
-        lambda: row_columns(fact.schema, map(fact.get, sorted(positions))),
+        lambda: fact.get_many(sorted(positions)),
         measure,
         aggregate,
         counters,

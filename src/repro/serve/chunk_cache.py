@@ -2,24 +2,27 @@
 
 The buffer pool caches *pages*; every chunk read still pays the
 large-object fetch and the codec decode.  :class:`ChunkCache` keeps the
-decoded ``(offsets, values)`` pair per ``(array name, chunk number)``
-in an LRU map so concurrent consolidations of the same array reuse the
-decompressed chunk — the layering Rusu & Cheng describe as the standard
-array-engine serving architecture.
+decoded chunk (:class:`~repro.core.chunking.DecodedChunk`: offsets,
+values and the offsets' split halves) per ``(array name, chunk
+number)`` in an LRU map so concurrent consolidations of the same array
+reuse it — the layering Rusu & Cheng describe as the standard
+array-engine serving architecture.  A warm scan then only gathers and
+folds: nothing is decoded, copied or split again.
 
 Thread-safety: the map itself is guarded by the
 :class:`~repro.obs.memory.SizedStore` lock; a *separate* I/O lock
 serializes the underlying buffer-pool read on a miss (the pool's
 pin/evict bookkeeping is single-threaded) with a double-check so a
-chunk decoded while a reader waited is not decoded twice.  Cached
-arrays are shared — callers must treat them as read-only, which every
-in-tree consumer already does.
+chunk decoded while a reader waited is not decoded twice.  A record's
+origin and halves are computed under the I/O lock, before it is
+published (:meth:`~repro.core.chunking.DecodedChunk.share`), so a
+shared record is never written after insert; its arrays are read-only.
 
-Byte accounting: an entry's footprint is the two numpy buffers'
-``nbytes`` (plus a small fixed overhead), kept in the store's ledger
-so the memory accountant's usage callback is O(1).  A miss
-insert is the cache's only growth point: it fires the store's pressure
-hook *after* the I/O lock is released, never under it.
+Byte accounting: an entry's footprint is its three numpy buffers'
+``nbytes`` — offsets, values and halves — plus a small fixed overhead,
+kept in the store's ledger so the memory accountant's usage callback
+is O(1).  A miss insert is the cache's only growth point: it fires the
+store's pressure hook *after* the I/O lock is released, never under it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from repro.obs.histogram import Histogram
 from repro.obs.memory import SizedStore
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.chunking import DecodedChunk
     from repro.core.olap_array import OLAPArray
 
 #: per-entry bookkeeping overhead (tuple, dict slots, key) in bytes.
@@ -56,11 +60,12 @@ class ChunkCache(SizedStore):
         self._io_lock = threading.Lock()
 
     @staticmethod
-    def _chunk_bytes(chunk) -> int:
-        offsets, values = chunk
-        return int(offsets.nbytes) + int(values.nbytes) + _ENTRY_OVERHEAD
+    def _chunk_bytes(chunk: "DecodedChunk") -> int:
+        return chunk.nbytes + _ENTRY_OVERHEAD
 
-    def get_chunk(self, array: "OLAPArray", chunk_no: int, counters=None):
+    def get_chunk(
+        self, array: "OLAPArray", chunk_no: int, counters=None
+    ) -> "DecodedChunk":
         """The decoded chunk, from cache or via one serialized disk read.
 
         A miss's payload fetch is billed to ``counters`` (see
@@ -80,6 +85,7 @@ class ChunkCache(SizedStore):
                     missed = True
                     decode_start = time.perf_counter()
                     chunk = array._read_chunk_direct(chunk_no, counters)
+                    chunk.share()
                     self.histograms["chunk_cache.decode_seconds"].observe(
                         time.perf_counter() - decode_start
                     )

@@ -21,8 +21,8 @@ class TestBuild:
 
     def test_chunks_sorted_by_offset(self, cube):
         array, _ = cube
-        for _, offsets, _ in array.walk(range(array.geometry.n_chunks)):
-            assert (offsets[1:] > offsets[:-1]).all()
+        for chunk in array.walk(range(array.geometry.n_chunks)):
+            assert (chunk.offsets[1:] > chunk.offsets[:-1]).all()
 
     def test_chunk_objects_in_chunk_number_order(self, cube):
         array, _ = cube

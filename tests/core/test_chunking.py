@@ -1,6 +1,7 @@
 """Unit and property tests for chunk geometry."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -184,7 +185,14 @@ def test_bulk_offset_math_matches_scalar(g, data):
     assert [d for dims in g.offset_halves for d in dims] == list(range(g.ndim))
     origin = g.chunk_origin(chunk_no)
     for dims, sub_offsets in zip(g.offset_halves, halves):
-        assert sub_offsets.dtype == offsets.dtype
+        # the narrowest unsigned dtype holding the half's largest sub-offset
+        top = math.prod(g.chunk_shape[d] for d in dims) - 1
+        assert np.iinfo(sub_offsets.dtype).max >= top
+        assert sub_offsets.dtype.kind == "u"
+        assert sub_offsets.dtype.itemsize == 1 or top > np.iinfo(
+            np.dtype(f"u{sub_offsets.dtype.itemsize // 2}")
+        ).max
+        assert not sub_offsets.flags.writeable
         rebuilt = np.zeros(len(offsets), dtype=np.int64)
         for d in dims:
             rebuilt = rebuilt * g.chunk_shape[d] + (coords[:, d] - origin[d])

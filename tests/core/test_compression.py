@@ -36,6 +36,18 @@ class TestRoundtrip:
         assert off2.tolist() == [0, 5, 63]
         assert val2.ravel().tolist() == [10, 20, 30]
 
+    def test_decodes_to_aligned_owned_read_only_arrays(self, codec):
+        off = np.array([0, 5, 63], dtype=np.int32)
+        val = np.arange(6, dtype=np.int64).reshape(3, 2)
+        payload = codec.encode(off, val, CELLS, "int64")
+        offsets, values = decode_chunk(payload, CELLS, 2, "int64")
+        for array in (offsets, values):
+            assert array.flags.aligned and array.flags.owndata
+            with pytest.raises(ValueError):
+                array[0] = 1
+        assert offsets.tolist() == off.tolist()
+        assert values.tolist() == val.tolist()
+
     def test_empty_chunk(self, codec):
         off, val = make_chunk([], [])
         payload = codec.encode(off, val, CELLS, "int64")

@@ -91,9 +91,9 @@ def _check(array, reference, codec):
             offsets, values, geometry.chunk_cells, array.dtype
         )
     walked = {}
-    for chunk_no, offsets, values in array.walk(range(geometry.n_chunks)):
-        for offset, row in zip(offsets.tolist(), values):
-            walked[chunk_no * geometry.chunk_cells + offset] = row.tobytes()
+    for chunk in array.walk(range(geometry.n_chunks)):
+        for offset, row in zip(chunk.offsets.tolist(), chunk.values):
+            walked[chunk.no * geometry.chunk_cells + offset] = row.tobytes()
     assert walked == {c: v.tobytes() for c, v in reference.items()}
 
 

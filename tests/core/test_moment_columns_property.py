@@ -19,7 +19,9 @@ same cells in the same order (chunk by chunk, ascending offset):
 - split into 1–7 chunk ranges merged with ``merge_from`` (the last one
   across an ``export_state`` → pickle → ``import_state`` hop), partial
   sums add in another order: the merge agrees with the whole scan
-  within the same bound.
+  within the same bound;
+- run warm, twice over a decoded-chunk cache, the whole scan leaves the
+  cold state bit for bit.
 
 The formula is the raw-moment one ``Variance.result`` uses; every
 relational backend folds through the same columns.  A pooled-moment
@@ -37,6 +39,7 @@ from repro.core import ConsolidationSpec
 from repro.core.builder import DimensionData, build_olap_array
 from repro.core.consolidate import ResultAccumulator, scan_chunk_range
 from repro.storage import BufferPool, FileManager, SimulatedDisk
+from tests.core.test_offset_kernel_property import assert_same_state, warm_scans
 from tests.per_row_fold import REFERENCE
 
 #: ulps of a group's largest square allowed per cell of the group
@@ -180,6 +183,10 @@ def test_moment_columns_match_a_per_row_fold(case):
                 assert got[key][m] == results[m], (key, name)
             else:
                 assert within_bound(name, got[key][m], results[m], values[m])
+
+    # warm: the cached records' kept halves fold in the same order
+    for warm in warm_scans(array, specs, aggregates):
+        assert_same_state(warm, whole)
 
     # 1-7 chunk ranges, the last shipped across a process boundary
     bounds = [0, *case["cuts"], n_chunks]

@@ -13,6 +13,13 @@ shard executor does).  ``var``/``stddev``, whose float result does
 depend on order, have their own property
 (``test_moment_columns_property``).
 
+Warm equals cold: the same scan with a decoded-chunk cache attached,
+run twice so the second run folds the cached records' kept offset
+halves, leaves the cold scan's state bit for bit (:func:`warm_scans`).
+Deterministic cases put a half's extent on each side of the
+``uint8``/``uint16`` and ``uint16``/``uint32`` boundaries (256 and
+65 536 sub-offsets), the dtypes the halves are kept in.
+
 int64 measures range past 2**53 so a float64 detour would show; float
 measures are multiples of 1/4 so their sums are exact in any order and
 ``==`` is the right comparison.
@@ -29,6 +36,7 @@ from repro.core import ConsolidationSpec, consolidate
 from repro.core.builder import DimensionData, build_olap_array
 from repro.core.consolidate import ResultAccumulator, scan_chunk_range
 from repro.core.index_to_index import IndexToIndex
+from repro.serve import ChunkCache
 from repro.storage import BufferPool, FileManager, SimulatedDisk
 
 AGGREGATES = ("sum", "count", "min", "max", "avg")
@@ -156,6 +164,39 @@ def build(case):
     )
 
 
+def assert_same_state(left, right):
+    """``export_state()`` equal: same dtypes, same bytes."""
+    a, b = left.export_state(), right.export_state()
+    assert set(a) == set(b) == {"counts", "columns"}
+    mine = [a["counts"], *itertools.chain.from_iterable(a["columns"])]
+    theirs = [b["counts"], *itertools.chain.from_iterable(b["columns"])]
+    assert len(mine) == len(theirs)
+    for column, other in zip(mine, theirs):
+        assert column.dtype == other.dtype
+        assert column.tobytes() == other.tobytes()
+
+
+def warm_scans(array, specs, aggregates, allowed=None):
+    """The whole-range scan twice with a :class:`ChunkCache` attached:
+    the first run fills the cache, the second folds its records — split
+    once, when they were cached.  Returns both runs' accumulators."""
+    cache = ChunkCache()
+    array.chunk_cache = cache
+    try:
+        runs = []
+        for _ in range(2):
+            runs.append(ResultAccumulator(array, specs, aggregates))
+            scan_chunk_range(
+                array, runs[-1], range(array.geometry.n_chunks), allowed=allowed
+            )
+    finally:
+        array.chunk_cache = None
+    # the second run read every chunk the first one did, from the cache
+    misses = cache.counters.get("chunk_cache.misses")
+    assert cache.counters.get("chunk_cache.hits") == misses == len(cache)
+    return runs
+
+
 @settings(max_examples=120, deadline=None)
 @given(cases())
 def test_vectorized_equals_interpreted_equals_brute_force(case):
@@ -188,3 +229,71 @@ def test_vectorized_equals_interpreted_equals_brute_force(case):
         left.merge_from(shipped)
         assert left.rows() == expected, kernel
         assert left.touched_cells() == len(expected), kernel
+
+    cold = ResultAccumulator(array, specs, aggregates)
+    scan_chunk_range(array, cold, range(n_chunks), allowed=allowed)
+    for warm in warm_scans(array, specs, aggregates, allowed):
+        assert_same_state(warm, cold)
+
+
+def boundary_case(shape, chunk_shape, allowed=None):
+    """One array whose offset halves sit at a dtype boundary: 300 cells,
+    among them every corner of the first chunk (so each half's largest
+    sub-offset occurs), two ``float64`` measures in quarters (exact in
+    any order), ``sum`` and ``avg`` per dimension-level group."""
+    rng = np.random.default_rng(sum(shape))
+    corners = itertools.product(*[(0, extent - 1) for extent in chunk_shape])
+    cells = {*corners}
+    while len(cells) < 300:
+        cells.add(tuple(int(rng.integers(size)) for size in shape))
+    facts = [
+        cell + tuple(float(v) for v in rng.integers(-400, 400, 2) / 4)
+        for cell in sorted(cells)
+    ]
+    levels = [[f"L{d}{k % 3}" for k in range(size)] for d, size in enumerate(shape)]
+    last = len(shape) - 1
+    return {
+        "shape": shape,
+        "chunk_shape": chunk_shape,
+        "dtype": "float64",
+        "facts": facts,
+        "dimensions": [
+            DimensionData(f"dim{d}", list(range(size)), {"h1": levels[d]})
+            for d, size in enumerate(shape)
+        ],
+        "specs": [ConsolidationSpec.level("h1")] * last + [ConsolidationSpec.key()],
+        "group_of": levels[:last] + [list(range(shape[last]))],
+        "aggregates": ["sum", "avg"],
+        "allowed": allowed,
+    }
+
+
+def every_third(shape):
+    """A selection of about a third of each dimension, both ends kept."""
+    return [sorted({0, *range(1, size, 3), size - 1}) for size in shape]
+
+
+#: ``(shape, chunk shape, half dtypes)``: halves of 256 and 257
+#: sub-offsets, then of 65 536 and 300, then of 65 792 and 300 (the
+#: 3-D chunks split after their second axis)
+BOUNDARIES = [
+    ((260, 257), (256, 257), ("uint8", "uint16")),
+    ((256, 256, 310), (256, 256, 300), ("uint16", "uint16")),
+    ((256, 257, 310), (256, 257, 300), ("uint32", "uint16")),
+]
+
+
+def test_halves_at_dtype_boundaries_fold_as_cold():
+    for shape, chunk_shape, dtypes in BOUNDARIES:
+        for allowed in (None, every_third(shape)):
+            case = boundary_case(shape, chunk_shape, allowed)
+            array = build(case)
+            geometry = array.geometry
+            assert tuple(str(dtype) for dtype in geometry.half_dtypes) == dtypes
+            interpreted = ResultAccumulator(array, case["specs"], case["aggregates"])
+            scan_chunk_range(
+                array, interpreted, range(geometry.n_chunks), "interpreted", allowed
+            )
+            assert interpreted.rows() == brute_force(case, allowed)
+            for warm in warm_scans(array, case["specs"], case["aggregates"], allowed):
+                assert_same_state(warm, interpreted)

@@ -19,7 +19,10 @@ and near-empty chunks in one array, under float measures whose sums
 probed chunks' candidates once a query and folds a run of probed chunks
 in one ``add_many``; a second deterministic case pins that runs fold in
 walk order, that sub-ranges merge to the whole range, and a table pins
-the cold counters of the kernel that enumerated chunk by chunk.
+the cold counters of the kernel that enumerated chunk by chunk.  Every
+case is also run warm — twice over a decoded-chunk cache, the second
+run folding the cached records' kept offset halves — and must leave the
+cold state bit for bit, at the half-dtype boundaries too.
 """
 
 import itertools
@@ -45,7 +48,16 @@ from repro.core.consolidate import (
 )
 from repro.storage import BufferPool, FileManager, SimulatedDisk
 from repro.util.stats import Counters
-from tests.core.test_offset_kernel_property import brute_force, build, cases
+from tests.core.test_offset_kernel_property import (
+    BOUNDARIES,
+    assert_same_state,
+    boundary_case,
+    brute_force,
+    build,
+    cases,
+    every_third,
+    warm_scans,
+)
 
 
 def fold_both_directions(array, specs, aggregates, allowed):
@@ -66,18 +78,14 @@ def fold_both_directions(array, specs, aggregates, allowed):
     )
     selected = ComposedTables(geometry, masks, np.logical_and)
     asked = []
-    for chunk_no, offsets, values in array.walk(
-        range(geometry.n_chunks), masks
-    ):
-        low, high = bounds[walked.index(chunk_no) :][:2]
-        hits, found = _probe_chunk(candidates[low:high], offsets)
+    for chunk in array.walk(range(geometry.n_chunks), masks):
+        low, high = bounds[walked.index(chunk.no) :][:2]
+        hits, found = _probe_chunk(candidates[low:high], chunk.offsets)
         if len(found):
-            probed.add_many(results[low:high][hits], values[found])
-        kept = _filter_chunk(
-            filtered, selected, geometry.chunk_origin(chunk_no), offsets, values
-        )
-        assert len(found) == kept, chunk_no
-        asked.append((int(high - low), len(offsets)))
+            probed.add_many(results[low:high][hits], chunk.values[found])
+        kept = _filter_chunk(filtered, selected, chunk)
+        assert len(found) == kept, chunk.no
+        asked.append((int(high - low), len(chunk)))
     return probed, filtered, asked
 
 
@@ -93,17 +101,15 @@ def probe_as_written(array, specs, aggregates, allowed):
     accumulator = ResultAccumulator(array, specs, aggregates)
     slabs = selection_slabs(geometry, masks, accumulator.target_terms())
     probed = 0
-    for chunk_no, offsets, values in array.walk(
-        range(geometry.n_chunks), masks
-    ):
+    for chunk in array.walk(range(geometry.n_chunks), masks):
         contribs = [
             list(zip(part[0].tolist(), part[1].tolist()))
             for part in (
                 slabs[d][g]
-                for d, g in enumerate(geometry.chunk_coords(chunk_no))
+                for d, g in enumerate(geometry.chunk_coords(chunk.no))
             )
         ]
-        offset_list = offsets.tolist()
+        offset_list = chunk.offsets.tolist()
         linear, positions = [], []
         for element in itertools.product(*contribs):
             probed += 1
@@ -114,21 +120,9 @@ def probe_as_written(array, specs, aggregates, allowed):
                 positions.append(position)
         if positions:
             accumulator.add_many(
-                np.array(linear, dtype=np.int64), values[positions]
+                np.array(linear, dtype=np.int64), chunk.values[positions]
             )
     return accumulator, probed
-
-
-def assert_same_state(left, right):
-    """``export_state()`` equal: same dtypes, same bytes."""
-    a, b = left.export_state(), right.export_state()
-    assert set(a) == set(b) == {"counts", "columns"}
-    mine = [a["counts"], *itertools.chain.from_iterable(a["columns"])]
-    theirs = [b["counts"], *itertools.chain.from_iterable(b["columns"])]
-    assert len(mine) == len(theirs)
-    for column, other in zip(mine, theirs):
-        assert column.dtype == other.dtype
-        assert column.tobytes() == other.tobytes()
 
 
 @settings(max_examples=120, deadline=None)
@@ -157,6 +151,26 @@ def test_probe_and_filter_leave_identical_state(case):
 
     written, _ = probe_as_written(array, specs, aggregates, allowed)
     assert_same_state(written, probed)
+
+    # warm: the cached records' kept halves fold as the cold ones did
+    for warm in warm_scans(array, specs, aggregates, allowed):
+        assert_same_state(warm, probed)
+
+
+def test_both_directions_at_half_dtype_boundaries():
+    """The offset-kernel property's boundary arrays under a selection that
+    keeps every third index: both directions, the public scan and its
+    warm runs leave one state."""
+    for shape, chunk_shape, _ in BOUNDARIES:
+        allowed = every_third(shape)
+        case = boundary_case(shape, chunk_shape, allowed)
+        array = build(case)
+        specs, aggregates = case["specs"], case["aggregates"]
+        probed, filtered, _ = fold_both_directions(array, specs, aggregates, allowed)
+        assert_same_state(probed, filtered)
+        assert probed.rows() == brute_force(case, allowed)
+        for warm in warm_scans(array, specs, aggregates, allowed):
+            assert_same_state(warm, probed)
 
 
 def mixed_density_array():

@@ -88,9 +88,7 @@ def test_walk_yields_the_brute_force_chunks(case, data):
     assert list(geometry.overlapping_chunks(range(low, high), masks)) == touched
 
     bag = Counters()
-    walked = [
-        chunk_no for chunk_no, _, _ in array.walk(range(low, high), masks, bag)
-    ]
+    walked = [chunk.no for chunk in array.walk(range(low, high), masks, bag)]
     assert walked == [c for c in touched if c in stored]
     assert bag.get("chunks_read") == len(walked)
     assert bag.get("chunks_skipped") == (high - low) - len(touched)

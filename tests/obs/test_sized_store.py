@@ -19,6 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.chunking import ChunkGeometry, DecodedChunk
 from repro.obs.memory import MemoryAccountant, SizedStore
 from repro.obs.tracing import TraceStore, new_trace_context
 from repro.serve import ChunkCache
@@ -159,9 +160,15 @@ class _StubArray:
     """The two things :meth:`ChunkCache.get_chunk` reads of an array."""
 
     name = "stub"
+    geometry = ChunkGeometry((16,), (8,))
 
     def _read_chunk_direct(self, chunk_no, counters=None):
-        return np.arange(chunk_no + 1), np.ones(chunk_no + 1)
+        return DecodedChunk(
+            self.geometry,
+            chunk_no,
+            np.arange(chunk_no + 1, dtype=np.int32),
+            np.ones((chunk_no + 1, 1)),
+        )
 
 
 def test_a_chunk_miss_fires_once_after_the_io_lock():

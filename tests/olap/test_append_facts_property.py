@@ -93,9 +93,9 @@ def _stored(engine):
     state = engine.cube("c")
     array = state.array
     cells = {}
-    for chunk_no, offsets, values in array.walk(range(array.geometry.n_chunks)):
-        coords = array.geometry.chunk_offset_to_coords(chunk_no, offsets)
-        for coord, row in zip(coords.tolist(), values):
+    for chunk in array.walk(range(array.geometry.n_chunks)):
+        coords = array.geometry.chunk_offset_to_coords(chunk.no, chunk.offsets)
+        for coord, row in zip(coords.tolist(), chunk.values):
             cells[tuple(coord)] = row.tobytes()
     directory = [entry[2] for entry in array.directory.load_all()]
     return (

@@ -265,3 +265,47 @@ class TestFetchBitmapColumns:
         assert fact.counters.get("fact_bitmap_pages") == len(
             {i // fact.records_per_page for i in wanted}
         )
+
+
+class TestGetMany:
+    """``get_many`` is a ``get`` per position, decoded as columns: the
+    same rows, the same page reads in the same order, the same count."""
+
+    SCHEMA = Schema([("k", "int64"), ("name", "str:4"), ("m", "float64")])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_equals_a_get_per_position(self, data):
+        pool = BufferPool(SimulatedDisk(page_size=1024), 64 * 1024)
+        fact = FactFile.create(FileManager(pool), "fact", self.SCHEMA)
+        count = data.draw(st.integers(1, 260))
+        fact.append_many(
+            [(i * 2**40 - 7, f"n{i % 7}", i / 3) for i in range(count)]
+        )
+        wanted = sorted(
+            data.draw(st.sets(st.integers(0, count - 1), max_size=count))
+        )
+        reads = []
+        original = fact._file.read
+        fact._file.read = lambda page_no: reads.append(page_no) or original(page_no)
+        columns = fact.get_many(wanted)
+        batched, reads[:] = list(reads), []
+        gets = fact.counters.get("fact_tuple_gets")
+        rows = [fact.get(i) for i in wanted]
+        assert list(zip(*(column.tolist() for column in columns))) == rows
+        assert batched == reads
+        assert gets == len(wanted) == fact.counters.get("fact_tuple_gets") - gets
+        assert [column.dtype.kind for column in columns] == ["i", "U", "f"]
+
+    def test_no_positions_gives_empty_typed_columns(self, fm):
+        fact = FactFile.create(fm, "fact", FACT_SCHEMA)
+        fact.append_many(rows(5))
+        columns = fact.get_many([])
+        assert [len(column) for column in columns] == [0] * 5
+        assert [column.dtype for column in columns] == [np.dtype("<i4")] * 5
+
+    def test_out_of_range_position_rejected(self, fm):
+        fact = FactFile.create(fm, "fact", FACT_SCHEMA)
+        fact.append_many(rows(5))
+        with pytest.raises(FileError):
+            fact.get_many([1, 5])

@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 
 from repro.serve import ChunkCache
+from repro.serve.chunk_cache import _ENTRY_OVERHEAD
 
 
 def chunks_equal(a, b):
-    return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    return (
+        a.no == b.no
+        and np.array_equal(a.offsets, b.offsets)
+        and np.array_equal(a.values, b.values)
+    )
 
 
 @pytest.fixture
@@ -42,6 +47,42 @@ class TestBasics:
             array.chunk_cache = None
         assert cache.counters.get("chunk_cache.hits") == 1
         assert len(cache) == 1
+
+
+def first_stored_chunk(array):
+    return next(
+        n for n in range(array.geometry.n_chunks) if array.directory.entry(n)[2]
+    )
+
+
+class TestRecords:
+    def test_an_entry_is_charged_offsets_values_and_halves(self, array):
+        cache = ChunkCache()
+        chunk = cache.get_chunk(array, first_stored_chunk(array))
+        assert cache.resident_bytes() == (
+            chunk.offsets.nbytes
+            + chunk.values.nbytes
+            + sum(half.nbytes for half in chunk.halves)
+            + _ENTRY_OVERHEAD
+        )
+
+    def test_a_cached_record_is_split_before_it_is_shared(self, array):
+        cache = ChunkCache()
+        chunk = cache.get_chunk(array, first_stored_chunk(array))
+        # nothing is left to compute, so nothing writes it after insert
+        assert chunk._halves is not None and chunk._origin is not None
+        for part in (chunk.offsets, chunk.values, *chunk.halves):
+            assert part.flags.aligned
+            with pytest.raises(ValueError):
+                part[0] = 0
+
+    def test_an_uncached_record_splits_on_first_use(self, array):
+        chunk = array._read_chunk_direct(first_stored_chunk(array))
+        assert chunk._halves is None and chunk._origin is None
+        halves = chunk.halves
+        assert chunk.halves is halves
+        assert chunk.origin == array.geometry.chunk_origin(chunk.no)
+        assert [h.dtype for h in halves] == list(array.geometry.half_dtypes)
 
 
 class TestEviction:
