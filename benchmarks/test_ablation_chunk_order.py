@@ -1,9 +1,11 @@
 """Ablation abl5 — chunk-ordered vs naive cross-product enumeration (§4.2).
 
 The paper generates cross-product elements "according to the chunk
-number" so each chunk is read once, in disk order.  The naive order
-streams elements in global index order, re-deriving (and re-fetching,
-modulo the buffer pool) the chunk per element.
+number" so each chunk is read once, in disk order: the engine's
+``array`` backend.  The naive order streams elements in global index
+order, re-deriving (and re-fetching, modulo the buffer pool) the chunk
+per element: the harness's ``naive`` baseline
+(:mod:`repro.bench.baselines`), which no planner choice reaches.
 
 Expected shape: chunk order strictly cheaper; the gap grows with the
 cross-product size.
@@ -26,7 +28,8 @@ SETTINGS = bench_settings()
 CONFIGS = selectivity_configs(
     SETTINGS.scale, fourth_dim="small", fanouts=(2, 3)
 )
-ORDERS = ["chunk", "naive"]
+#: each series' label and what runs it
+ORDERS = {"chunk": "array", "naive": "naive"}
 
 
 @pytest.fixture(scope="module")
@@ -46,13 +49,13 @@ def table():
     t.save()
 
 
-@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("order", list(ORDERS))
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"f{c.fanout1}")
 def test_ablation_chunk_order(benchmark, engines, table, config, order):
     engine = engines[config.name]
     query = query2_for(config)
     result = benchmark.pedantic(
-        lambda: run_cold(engine, query, "array", order=order),
+        lambda: run_cold(engine, query, ORDERS[order]),
         rounds=2,
         iterations=1,
     )

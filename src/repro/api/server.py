@@ -36,7 +36,6 @@ is a bug.
 from __future__ import annotations
 
 import json
-import sys
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -55,7 +54,7 @@ from repro.errors import (
     TransientError,
 )
 from repro.obs.exporters import span_to_dict
-from repro.obs.explain import PlanNode, QueryPlan, attach_actuals
+from repro.obs.explain import PlanNode, QueryPlan
 from repro.obs.server import ROUTES, ObservabilityRoutes
 from repro.obs.tracer import Tracer, get_tracer, thread_tracing
 from repro.obs.tracing import (
@@ -65,6 +64,7 @@ from repro.obs.tracing import (
     new_trace_context,
     trace_context,
 )
+from repro.olap.options import ExecutionOptions
 from repro.olap.query import ConsolidationQuery, SelectionPredicate
 from repro.serve.fingerprint import query_fingerprint
 from repro.util.stats import Counters
@@ -73,6 +73,7 @@ from repro.util.stats import Counters
 MAX_DRILLDOWN_ITEMS = 16
 MAX_CUT_ITEMS = 32
 MAX_CUT_VALUES = 256
+MAX_BODY_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -391,12 +392,10 @@ class ApiEndpoint:
         engine,
         service,
         model: LogicalModel,
-        max_body_bytes: int = 64 * 1024,
     ):
         self.engine = engine
         self.service = service
         self.model = model
-        self.max_body_bytes = max_body_bytes
         registry = engine.db.metrics
         self.registry = registry
         #: the introspection routes (``/metrics``, ``/healthz``, …)
@@ -686,12 +685,13 @@ class ApiEndpoint:
         scan_node = plan.root.children[0]
         scan_node.estimates["rollup.rows_scanned"] = len(stored)
         if request.analyze and tracer.roots:
-            attach_actuals(plan.root, tracer.roots[0])
-            plan.analyzed = True
-            plan.rows = len(rows)
-            plan.elapsed_s = elapsed
-            plan.sim_io_s = 0.0
-            plan.totals = dict(tracer.roots[0].io)
+            plan.bind_actuals(
+                tracer.roots[0],
+                rows=len(rows),
+                elapsed_s=elapsed,
+                sim_io_s=0.0,
+                totals=tracer.roots[0].io,
+            )
             self.engine._record_misestimates(plan)
             self.counters.add("api.explain_analyzes")
         self.counters.add("api.explains")
@@ -737,8 +737,9 @@ class ApiEndpoint:
         return QueryPlan(
             cube=cube.cube,
             backend="rollup",
-            order="chunk",
-            fingerprint=query_fingerprint(base, backend="rollup"),
+            fingerprint=query_fingerprint(
+                base, ExecutionOptions(backend="rollup")
+            ),
             planner={
                 "requested": "auto",
                 "reason": decision.reason,
@@ -835,13 +836,9 @@ class ApiServer:
         endpoint: ApiEndpoint,
         host: str = "127.0.0.1",
         port: int = 0,
-        access_log: bool = False,
-        access_log_stream=None,
     ):
         self.endpoint = endpoint
         self.host = host
-        self.access_log = access_log
-        self.access_log_stream = access_log_stream
         self._requested_port = port
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
@@ -850,53 +847,21 @@ class ApiServer:
         if self._httpd is not None:
             return self
         endpoint = self.endpoint
-        access_log = self.access_log
-        access_log_stream = self.access_log_stream
 
         class Handler(BaseHTTPRequestHandler):
             def log_message(self, *args) -> None:
-                # the stdlib per-request line is replaced by the
-                # structured JSON access log below (opt-in)
+                # no per-request stderr line: each request's method,
+                # path, status, latency and route are its trace record
                 pass
-
-            def _access_log(
-                self,
-                method: str,
-                path: str,
-                status: int,
-                latency_s: float,
-                trace_id: str | None,
-                route_source: str | None,
-            ) -> None:
-                if not access_log:
-                    return
-                line = json.dumps(
-                    {
-                        "ts": round(time.time(), 3),
-                        "method": method,
-                        "path": path,
-                        "status": status,
-                        "latency_ms": round(latency_s * 1000.0, 3),
-                        "trace_id": trace_id,
-                        "route": route_source,
-                    },
-                    sort_keys=True,
-                )
-                stream = access_log_stream or sys.stderr
-                print(line, file=stream, flush=True)
 
             def _respond(
                 self,
-                method: str,
-                path: str,
                 status: int,
                 payload,
                 content_type: str | None,
-                latency_s: float,
                 trace_id: str | None = None,
-                route_source: str | None = None,
             ) -> None:
-                """Count, send and access-log one response; a ``None``
+                """Count and send one response; a ``None``
                 ``content_type`` means ``payload`` is JSON-encoded."""
                 endpoint.counters.add(f"api.responses_{status // 100}xx")
                 if content_type is None:
@@ -911,9 +876,6 @@ class ApiServer:
                     self.send_header("X-Trace-Id", trace_id)
                 self.end_headers()
                 self.wfile.write(body)
-                self._access_log(
-                    method, path, status, latency_s, trace_id, route_source
-                )
 
             def _params(self) -> dict[str, str]:
                 parts = self.path.split("?", 1)
@@ -936,10 +898,10 @@ class ApiServer:
                     raise ApiRequestError(
                         f"bad Content-Length {length_raw!r}"
                     )
-                if length > endpoint.max_body_bytes:
+                if length > MAX_BODY_BYTES:
                     raise ApiTooLargeError(
                         f"request body of {length} bytes exceeds the "
-                        f"{endpoint.max_body_bytes}-byte cap"
+                        f"{MAX_BODY_BYTES}-byte cap"
                     )
                 raw = self.rfile.read(length) if length else b""
                 if not raw:
@@ -965,10 +927,7 @@ class ApiServer:
                     except Exception as exc:  # noqa: BLE001 — mapped, never raised
                         served = (*endpoint.error_payload(exc), None)
                     if served is not None:
-                        self._respond(
-                            method, path, *served,
-                            time.perf_counter() - started,
-                        )
+                        self._respond(*served)
                         return
                 ctx = adopt_trace_id(
                     self.headers.get("X-Trace-Id"), origin="api"
@@ -1001,10 +960,7 @@ class ApiServer:
                         route_source=route_source,
                         error_kind=error_kind,
                     )
-                self._respond(
-                    method, path, status, payload, None, latency_s,
-                    ctx.trace_id, route_source,
-                )
+                self._respond(status, payload, None, ctx.trace_id)
 
             def _route(self, method: str, path: str) -> tuple[int, dict]:
                 if path == "/" and method == "GET":

@@ -1,19 +1,23 @@
-"""The paper's dominated baselines, run by the harness and not the engine.
+"""The paper's baselines, run by the harness and not the engine.
 
 The paper tried plain per-dimension B-trees, a skipping multi-attribute
 B-tree (§4.4) and pipelined left-deep hash joins (§1, §4.3), and
 reports them only as dominated.  They feed fig8's B-tree series and the
-abl3/abl8 ablations, and no planner choice reaches them, so the engine
-does not route them.  Each is a function ``(ctx, query) -> rows`` over
-:mod:`repro.relational`'s operators that :func:`repro.bench.run_cold`
-hands to :meth:`OlapEngine.measured_run
+abl3/abl8 ablations.  ``naive`` is §4.2's selection with optimizations
+1 and 3 off — cross-product elements probed in global index order, each
+re-deriving its chunk — and feeds abl5.  No planner choice reaches any
+of them, so the engine does not route them.  Each is a function
+``(ctx, query) -> rows`` that :func:`repro.bench.run_cold` hands to
+:meth:`OlapEngine.measured_run
 <repro.olap.engine.OlapEngine.measured_run>`: the same cold flush,
 counter capture and spans as an engine backend.
 """
 
 from __future__ import annotations
 
+from repro.core.select_consolidate import consolidate_with_selection
 from repro.errors import PlanError
+from repro.olap.backends import ArrayBackend
 from repro.olap.star_schema import btree_index_name, mbtree_index_name
 from repro.relational.btree_select import btree_select_consolidate
 from repro.relational.mbtree_select import mbtree_select_consolidate
@@ -129,5 +133,35 @@ def leftdeep(ctx, query) -> list[tuple]:
         return list(plan)
 
 
+def naive(ctx, query) -> list[tuple]:
+    """§4.2 in naive probe order (abl5); the array backend otherwise.
+
+    The query's operands and its rows are :class:`ArrayBackend`'s own,
+    so the probe order is the only difference.  A query without a
+    selection has nothing to probe and runs the §4.1 scan.
+    """
+    backend = ArrayBackend()
+    if not backend.available(ctx.state):
+        raise PlanError("the naive baseline needs a cube loaded with its array")
+    if not query.selections:
+        return backend.execute(ctx, query)
+    specs, selections = backend.operands(ctx.state, query)
+    with ctx.phase("consolidate_with_selection"):
+        result = consolidate_with_selection(
+            ctx.state.array,
+            specs,
+            selections,
+            aggregate=query.aggregate,
+            order="naive",
+            counters=ctx.counters,
+        )
+    return backend.rows(ctx, query, result)
+
+
 #: the baselines :func:`repro.bench.run_cold` runs, by name
-BASELINES = {"btree": btree, "mbtree": mbtree, "leftdeep": leftdeep}
+BASELINES = {
+    "btree": btree,
+    "mbtree": mbtree,
+    "leftdeep": leftdeep,
+    "naive": naive,
+}

@@ -163,32 +163,26 @@ def query3_for(
 
 
 def run_cold(
-    engine: OlapEngine,
-    query: ConsolidationQuery,
-    backend: str,
-    order: str = "chunk",
+    engine: OlapEngine, query: ConsolidationQuery, backend: str
 ) -> QueryResult:
     """Execute one cold-cache query (the paper's measurement protocol).
 
-    A baseline name (``btree``, ``mbtree``, ``leftdeep``) runs its
-    :mod:`repro.bench.baselines` function through the engine's measured
-    run; any other name is the engine's to route.
+    A baseline name (``btree``, ``mbtree``, ``leftdeep``, ``naive``)
+    runs its :mod:`repro.bench.baselines` function through the engine's
+    measured run; any other name is the engine's to route.
     """
     baseline = BASELINES.get(backend)
     if baseline is None:
-        return engine.query(query, backend=backend, cold=True, order=order)
+        return engine.query(query, backend=backend, cold=True)
     state = engine.cube(query.cube)
     query.validate(state.schema)
     return engine.measured_run(
-        state, query, backend, baseline, ExecutionOptions(order=order)
+        state, query, backend, baseline, ExecutionOptions()
     )
 
 
 def run_cold_traced(
-    engine: OlapEngine,
-    query: ConsolidationQuery,
-    backend: str,
-    order: str = "chunk",
+    engine: OlapEngine, query: ConsolidationQuery, backend: str
 ) -> tuple[QueryResult, Span]:
     """:func:`run_cold` with a live tracer; returns ``(result, root span)``.
 
@@ -198,7 +192,7 @@ def run_cold_traced(
     """
     tracer = Tracer(registry=engine.db.metrics)
     with tracing(tracer):
-        result = run_cold(engine, query, backend, order)
+        result = run_cold(engine, query, backend)
     if len(tracer.roots) != 1:
         raise RuntimeError(
             f"expected exactly one root span, got {len(tracer.roots)}"

@@ -245,7 +245,6 @@ def cmd_explain(args) -> int:
         query,
         ExecutionOptions(
             backend=args.backend,
-            order=args.order,
             shards=args.shards,
             executor=args.executor,
         ),
@@ -590,7 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument("query", choices=sorted(_TRACE_QUERIES))
     explain.add_argument("--backend", default="auto")
-    explain.add_argument("--order", default="chunk", choices=("chunk", "naive"))
     explain.add_argument(
         "--shards",
         type=int,

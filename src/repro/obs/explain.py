@@ -38,8 +38,8 @@ class PlanNode:
 
     ``span`` names the tracer span whose registry counter deltas are
     this node's actuals (``None`` for purely descriptive nodes);
-    ``detail`` holds plan-shape attributes (dimension names, orders,
-    predicate counts); ``estimates`` maps counter names to predicted
+    ``detail`` holds plan-shape attributes (dimension names, shard
+    ranges, predicate counts); ``estimates`` maps counter names to predicted
     values; ``actuals`` is filled by :func:`attach_actuals` after an
     ANALYZE run.
     """
@@ -153,7 +153,6 @@ class QueryPlan:
 
     cube: str
     backend: str
-    order: str
     fingerprint: str
     planner: dict
     root: PlanNode
@@ -172,12 +171,31 @@ class QueryPlan:
         ]
         return max(factors) if factors else None
 
+    def bind_actuals(
+        self,
+        span: Span | None,
+        *,
+        rows: int,
+        elapsed_s: float,
+        sim_io_s: float,
+        totals: dict,
+    ) -> None:
+        """Make this an analyzed plan: each node's actuals from ``span``'s
+        tree (see :func:`attach_actuals`; ``None`` leaves the nodes
+        unanalyzed) and the run's row count, timings and totals."""
+        if span is not None:
+            attach_actuals(self.root, span)
+        self.analyzed = True
+        self.rows = rows
+        self.elapsed_s = elapsed_s
+        self.sim_io_s = sim_io_s
+        self.totals = dict(totals)
+
     def to_dict(self) -> dict:
         """A JSON-serializable dict (the ``/explain`` payload shape)."""
         payload: dict = {
             "cube": self.cube,
             "backend": self.backend,
-            "order": self.order,
             "fingerprint": self.fingerprint,
             "analyzed": self.analyzed,
             "planner": dict(self.planner),
@@ -202,7 +220,6 @@ class QueryPlan:
         plan = cls(
             cube=payload["cube"],
             backend=payload["backend"],
-            order=payload["order"],
             fingerprint=payload["fingerprint"],
             planner=dict(payload.get("planner", {})),
             root=PlanNode.from_dict(payload["plan"]),
@@ -269,8 +286,7 @@ def render_plan(plan: QueryPlan) -> str:
     """
     verb = "EXPLAIN ANALYZE" if plan.analyzed else "EXPLAIN"
     lines = [
-        f"{verb}  cube={plan.cube} backend={plan.backend} "
-        f"order={plan.order}",
+        f"{verb}  cube={plan.cube} backend={plan.backend}",
         "planner: "
         + " ".join(
             f"{k}={v}"

@@ -66,10 +66,6 @@ class Span:
                 own[name] = own.get(name, 0.0) - value
         return {k: v for k, v in own.items() if v}
 
-    def self_duration_s(self) -> float:
-        """Wall seconds spent in this span outside any child span."""
-        return self.duration_s - sum(c.duration_s for c in self.children)
-
     def walk(self):
         """Yield this span then every descendant, depth first."""
         yield self

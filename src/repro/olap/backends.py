@@ -3,16 +3,16 @@
 - :class:`Backend` — ``execute(ctx, query) -> rows`` and ``explain(ctx,
   query) -> PlanNode``, plus an ``available(state)`` capability check;
 - :class:`BackendContext` — everything an execution needs (the engine,
-  the loaded cube state, the query's counter bag, order/shard knobs);
+  the loaded cube state, the query's counter bag, the shard knobs);
 - a fixed table of the three backends the planner can pick
   (``array``/``starjoin``/``bitmap``), through which the engine resolves
   backend names (:func:`get_backend`).
 
 ``auto`` is not a backend: the engine resolves it through the
 :mod:`~repro.olap.planner` rule before consulting the table.  The
-paper's dominated baselines (``btree``, ``mbtree``, ``leftdeep``) are
-not engine routes; the experiment harness runs them
-(:mod:`repro.bench.baselines`).
+paper's dominated baselines (``btree``, ``mbtree``, ``leftdeep``) and
+§4.2's naive probe order (``naive``) are not engine routes; the
+experiment harness runs them (:mod:`repro.bench.baselines`).
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class BackendContext:
     engine: "OlapEngine"
     state: "_CubeState"
     counters: Counters
-    order: str = "chunk"
     #: chunk-range shards for the array consolidation (1 = single scan)
     shards: int = 1
     #: where shard scans run: ``local`` / ``thread`` / ``process``
@@ -158,17 +157,23 @@ def _estimated_btree_probes(query) -> int:
 
 
 class ArrayBackend(Backend):
-    """§4.1 consolidation / §4.2 consolidation with selection."""
+    """§4.1 consolidation / §4.2 consolidation with selection, probed
+    chunk by chunk (the naive order is :func:`repro.bench.baselines.naive`,
+    which reuses :meth:`operands` and :meth:`rows`)."""
 
     name = "array"
 
     def available(self, state) -> bool:
         return state.array is not None
 
-    def execute(self, ctx, query):
-        engine, state = ctx.engine, ctx.state
+    @staticmethod
+    def operands(
+        state, query
+    ) -> tuple[list[ConsolidationSpec], list[Selection]]:
+        """``query`` as the core kernels take it: one
+        :class:`ConsolidationSpec` per cube dimension and the §4.2
+        selections (a key attribute selects by key, ``None``)."""
         schema = state.schema
-        array = state.array
         grouped = dict(query.group_by)
         specs = []
         for dim in schema.dimensions:
@@ -191,13 +196,27 @@ class ArrayBackend(Backend):
             )
             for sel in query.selections
         ]
+        return specs, selections
+
+    @staticmethod
+    def rows(ctx, query, result) -> list[tuple]:
+        """The kernel's rows with the asked-for measures, in query order."""
+        engine, state = ctx.engine, ctx.state
+        with ctx.phase("project_rows"):
+            rows = engine._project_measures(state, query, result.rows)
+            return engine._reorder_array_rows(state, query, rows)
+
+    def execute(self, ctx, query):
+        state = ctx.state
+        array = state.array
+        specs, selections = self.operands(state, query)
         if ctx.shards > 1:
             with ctx.phase(
                 "shard_consolidate",
                 shards=ctx.shards,
                 executor=ctx.executor,
             ):
-                result = engine.shard_coordinator.consolidate(
+                result = ctx.engine.shard_coordinator.consolidate(
                     ctx,
                     array,
                     specs,
@@ -213,7 +232,6 @@ class ArrayBackend(Backend):
                     specs,
                     selections,
                     aggregate=query.aggregate,
-                    order=ctx.order,
                     counters=ctx.counters,
                 )
         else:
@@ -224,10 +242,7 @@ class ArrayBackend(Backend):
                     aggregate=query.aggregate,
                     counters=ctx.counters,
                 )
-        with ctx.phase("project_rows"):
-            rows = engine._project_measures(state, query, result.rows)
-            rows = engine._reorder_array_rows(state, query, rows)
-        return rows
+        return self.rows(ctx, query, result)
 
     def explain(self, ctx, query):
         engine, state = ctx.engine, ctx.state
@@ -247,7 +262,7 @@ class ArrayBackend(Backend):
         root = PlanNode(
             "array.query",
             span="query",
-            detail={"cube": query.cube, "order": ctx.order},
+            detail={"cube": query.cube},
         )
         if ctx.shards > 1:
             return self._explain_sharded(
@@ -262,40 +277,21 @@ class ArrayBackend(Backend):
                 for d, dim in enumerate(schema.dimensions)
             ]
             cross = math.prod(n_sel)
-            if ctx.order == "naive":
-                # every cross-product element re-reads its chunk
-                est_chunks_read = round(
-                    cross * stored["chunks_read"] / n_chunks
-                )
-                avg_bytes = (
-                    stored["chunk_bytes_read"] / stored["chunks_read"]
-                    if stored["chunks_read"]
-                    else 0.0
-                )
-                probe_estimates = {
-                    "cells_probed": cross,
-                    "chunks_read": est_chunks_read,
-                    "chunk_bytes_read": round(est_chunks_read * avg_bytes),
-                }
-            else:
-                # chunk by chunk: what the walk and its kernel will bill,
-                # priced from the directory the scan itself reads
-                probe_estimates = estimate_chunk_range(
-                    array,
-                    range(n_chunks),
-                    allowed_masks(
-                        array, _selection_index_lists(array, schema, key_sets)
-                    ),
-                )
+            # what the chunk walk and its kernel will bill, priced from
+            # the directory the scan itself reads
+            probe_estimates = estimate_chunk_range(
+                array,
+                range(n_chunks),
+                allowed_masks(
+                    array, _selection_index_lists(array, schema, key_sets)
+                ),
+            )
             probe_estimates["dir_loads"] = 1
             body = root.add(
                 PlanNode(
                     "array.consolidate_with_selection",
                     span="consolidate_with_selection",
-                    detail={
-                        "selections": len(query.selections),
-                        "order": ctx.order,
-                    },
+                    detail={"selections": len(query.selections)},
                     estimates={
                         "cross_product_size": cross,
                         "result_cells": min(groups, cross),
@@ -324,7 +320,6 @@ class ArrayBackend(Backend):
                 PlanNode(
                     "array.probe_chunks",
                     span="probe_chunks",
-                    detail={"order": ctx.order},
                     estimates=probe_estimates,
                 )
             )

@@ -10,7 +10,7 @@ then executes :class:`~repro.olap.query.ConsolidationQuery` objects
 through the backends the planner can pick:
 
 ========== ==========================================================
-``array``     §4.1 consolidation / §4.2 consolidation with selection
+``array``     §4.1 consolidation / §4.2 chunk-ordered selection
 ``starjoin``  §4.3 Starjoin operator (selections via key filters)
 ``bitmap``    §4.5 bitmap AND + fact-file fetch
 ``auto``      the §5.6-derived planner rule
@@ -20,10 +20,11 @@ Every backend returns the identical sorted row multiset, so any two can
 be cross-checked — the integration tests' main oracle.  The paper's
 dominated baselines — the per-dimension B-tree (``btree``), the
 skipping multi-attribute B-tree (``mbtree``) and the pipelined
-left-deep hash-join plan (``leftdeep``) — are not engine routes: the
-experiment harness runs them through :meth:`OlapEngine.measured_run`
-(:mod:`repro.bench.baselines`), over the fact B-trees ``load_cube``
-builds on request.
+left-deep hash-join plan (``leftdeep``) — and §4.2's naive probe
+order (``naive``) are not engine routes: the experiment harness runs
+them through :meth:`OlapEngine.measured_run`
+(:mod:`repro.bench.baselines`), the B-tree ones over the fact B-trees
+``load_cube`` builds on request.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.core.builder import DimensionData, fact_coords, plan_olap_array
 from repro.core.olap_array import OLAPArray
 from repro.errors import CatalogError, PlanError, QueryError
 from repro.index.bitmap import factorize
+from repro.obs.explain import MISESTIMATE_FACTOR_THRESHOLD, QueryPlan
 from repro.obs.tracer import get_tracer
 from repro.obs.tracing import current_trace_context
 from repro.olap import backends as backend_registry
@@ -418,7 +420,6 @@ class OlapEngine:
         backend: str = "auto",
         mode: str = "auto",
         cold: bool = True,
-        order: str = "chunk",
         shards: int = 1,
         executor: str = "local",
     ) -> QueryResult:
@@ -446,7 +447,6 @@ class OlapEngine:
             backend=backend,
             executor=executor,
             shards=shards,
-            order=order,
         )
         state = self.cube(query.cube)
         query.validate(state.schema)
@@ -475,7 +475,7 @@ class OlapEngine:
         span, the cube's S-lock, the timer, the counter delta, the
         ``engine.*_seconds`` histograms and the result stamping.
         :meth:`query` passes a registered backend's ``execute``; the
-        experiment harness passes a dominated baseline
+        experiment harness passes a baseline
         (:mod:`repro.bench.baselines`).  ``query`` must already be
         validated against ``state``'s schema.
         """
@@ -493,7 +493,6 @@ class OlapEngine:
             engine=self,
             state=state,
             counters=counters,
-            order=opts.order,
             shards=opts.shards,
             executor=opts.executor,
         )
@@ -571,7 +570,7 @@ class OlapEngine:
         options: ExecutionOptions | None = None,
         analyze: bool = False,
         cold: bool = True,
-    ):
+    ) -> QueryPlan:
         """Build a query plan; with ``analyze=True`` also run and measure.
 
         Takes the same ``(options, analyze)`` signature as the other
@@ -581,19 +580,15 @@ class OlapEngine:
         resolution (``backend="auto"``, availability checks) is
         :meth:`query`'s own helper.  The returned
         :class:`~repro.obs.explain.QueryPlan` carries per-node cost
-        estimates; an ANALYZE run executes the query under a
-        registry-bound tracer, attaches each node's actual counter
-        deltas, and feeds every node's misestimate factor into the
-        ``engine.explain.misestimate_factor`` histogram.
+        estimates; ``analyze=True`` is :meth:`explain_analyze`'s plan.
         """
+        if analyze:
+            return self.explain_analyze(query, options, cold)[0]
         # imported here: repro.serve imports this module (cycle guard),
         # matching the function-level import precedent in :meth:`sql`
-        from repro.obs.explain import QueryPlan, attach_actuals
-        from repro.obs.tracer import Tracer, thread_tracing
         from repro.serve.fingerprint import query_fingerprint
 
         opts = options if options is not None else ExecutionOptions()
-        requested = opts.backend
         state = self.cube(query.cube)
         query.validate(state.schema)
         estimated_selectivity = (
@@ -602,30 +597,22 @@ class OlapEngine:
         backend, impl, planner_reason = self._resolve_backend(
             state,
             query,
-            requested,
+            opts.backend,
             estimated_selectivity,
         )
         ctx = BackendContext(
             engine=self,
             state=state,
             counters=Counters(),
-            order=opts.order,
             shards=opts.shards,
             executor=opts.executor,
         )
-        plan = QueryPlan(
+        return QueryPlan(
             cube=query.cube,
             backend=backend,
-            order=opts.order,
-            fingerprint=query_fingerprint(
-                query,
-                backend=requested,
-                order=opts.order,
-                shards=opts.shards,
-                executor=opts.executor,
-            ),
+            fingerprint=query_fingerprint(query, opts),
             planner={
-                "requested": requested,
+                "requested": opts.backend,
                 "reason": planner_reason,
                 "estimated_selectivity": estimated_selectivity,
                 "crossover_selectivity": planner.DEFAULT_CROSSOVER_SELECTIVITY,
@@ -633,36 +620,47 @@ class OlapEngine:
             },
             root=impl.explain(ctx, query),
         )
-        if not analyze:
-            return plan
 
+    def explain_analyze(
+        self,
+        query: ConsolidationQuery,
+        options: ExecutionOptions | None = None,
+        cold: bool = True,
+    ) -> tuple[QueryPlan, QueryResult]:
+        """EXPLAIN ANALYZE: ``(plan, result)`` of one measured run.
+
+        Runs the planned backend under a registry-bound tracer, binds
+        each node's actual counter deltas to the plan, and feeds every
+        node's misestimate factor into the
+        ``engine.explain.misestimate_factor`` histogram.  The run's
+        :class:`QueryResult` comes back too, so a caller that also
+        wants the rows need not run the query again.
+        """
+        from repro.obs.tracer import Tracer, thread_tracing
+
+        opts = options if options is not None else ExecutionOptions()
+        plan = self.explain(query, opts)
         tracer = Tracer(registry=self.db.metrics)
         with thread_tracing(tracer):
             result = self.query(
                 query,
-                backend=backend,
+                backend=plan.backend,
                 cold=cold,
-                order=opts.order,
                 shards=opts.shards,
                 executor=opts.executor,
             )
-        root_span = next(
-            (root for root in tracer.roots if root.name == "query"), None
+        plan.bind_actuals(
+            next((root for root in tracer.roots if root.name == "query"), None),
+            rows=len(result.rows),
+            elapsed_s=result.elapsed_s,
+            sim_io_s=result.sim_io_s,
+            totals=result.stats,
         )
-        if root_span is not None:
-            attach_actuals(plan.root, root_span)
-        plan.analyzed = True
-        plan.rows = len(result.rows)
-        plan.elapsed_s = result.elapsed_s
-        plan.sim_io_s = result.sim_io_s
-        plan.totals = dict(result.stats)
         self._record_misestimates(plan)
-        return plan
+        return plan, result
 
     def _record_misestimates(self, plan) -> None:
         """Feed an analyzed plan's estimate errors into ``/metrics``."""
-        from repro.obs.explain import MISESTIMATE_FACTOR_THRESHOLD
-
         counters = self._explain_stats()
         counters.add("explain.analyzed")
         for node in plan.root.walk():

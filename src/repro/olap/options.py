@@ -1,10 +1,9 @@
 """One execution surface: :class:`ExecutionOptions`.
 
-The knobs that select *how* a query runs — the backend, where shard
-scans run and how many there are, and the selection's probe order —
-are one frozen dataclass, and its ``__post_init__`` is the one place
-they are checked.  :meth:`OlapEngine.explain
-<repro.olap.engine.OlapEngine.explain>`, the
+The knobs that select *how* a query runs — the backend, and where
+shard scans run and how many there are — are one frozen dataclass,
+and its ``__post_init__`` is the one place they are checked.
+:meth:`OlapEngine.explain <repro.olap.engine.OlapEngine.explain>`, the
 :class:`~repro.serve.service.QueryService` entry points and the CLI
 take it whole; :meth:`OlapEngine.query
 <repro.olap.engine.OlapEngine.query>` takes the same knobs as keywords
@@ -35,14 +34,14 @@ class ExecutionOptions:
       shard scans run when ``shards > 1``.
     - ``shards``: number of chunk-range shards to scatter the
       consolidation over (1 = the classic single-scan path).
-    - ``order``: chunk-by-chunk (``"chunk"``) or naive (``"naive"``)
-      probe order for selections.
+
+    A selection always probes chunk by chunk; §4.2's naive order is the
+    ablation baseline ``naive`` in :mod:`repro.bench.baselines`.
     """
 
     backend: str = "auto"
     executor: str = "local"
     shards: int = 1
-    order: str = "chunk"
 
     def __post_init__(self) -> None:
         if self.executor not in EXECUTOR_NAMES:
@@ -52,5 +51,3 @@ class ExecutionOptions:
             )
         if self.shards < 1:
             raise QueryError(f"shards must be >= 1, got {self.shards}")
-        if self.order not in ("chunk", "naive"):
-            raise QueryError(f"unknown order {self.order!r}")

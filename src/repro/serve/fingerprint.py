@@ -5,17 +5,20 @@ return identical rows get identical fingerprints: selections are ANDed,
 so their order is canonicalized away, as is the order of values inside
 an IN-list.  Everything that *does* change the answer — the group-by
 order (it fixes the output column order), the aggregate, the measure
-projection, the backend and the scan order — stays significant.
+projection and the backend — stays significant.
 
-The shard plan (``shards``/``executor``) joins the fingerprint only
-when ``shards > 1``, so sharded and unsharded runs of one query never
-alias.
+The fingerprint reads the :class:`~repro.olap.options.ExecutionOptions`
+it identifies, so this module alone decides which settings name an
+evaluation: the requested backend always, the shard plan
+(``shards``/``executor``) only when ``shards > 1``, so sharded and
+unsharded runs of one query never alias.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+from repro.olap.options import ExecutionOptions
 from repro.olap.query import ConsolidationQuery, SelectionPredicate
 
 
@@ -28,17 +31,15 @@ def _selection_token(sel: SelectionPredicate) -> str:
 
 
 def query_fingerprint(
-    query: ConsolidationQuery,
-    backend: str = "auto",
-    order: str = "chunk",
-    shards: int = 1,
-    executor: str = "local",
+    query: ConsolidationQuery, opts: ExecutionOptions | None = None
 ) -> str:
-    """Hex digest identifying one (cube, backend, query) evaluation."""
+    """Hex digest identifying one evaluation of ``query`` under ``opts``
+    (``None`` means ``ExecutionOptions()``)."""
+    if opts is None:
+        opts = ExecutionOptions()
     parts = [
         f"cube={query.cube}",
-        f"backend={backend}",
-        f"order={order}",
+        f"backend={opts.backend}",
         "group_by=" + ";".join(f"{d}.{a}" for d, a in query.group_by),
         "selections=" + ";".join(
             sorted(_selection_token(s) for s in query.selections)
@@ -48,8 +49,8 @@ def query_fingerprint(
             ",".join(query.measures) if query.measures is not None else "*"
         ),
     ]
-    if shards > 1:
-        parts.append(f"shards={shards}")
-        parts.append(f"executor={executor}")
+    if opts.shards > 1:
+        parts.append(f"shards={opts.shards}")
+        parts.append(f"executor={opts.executor}")
     digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
     return digest[:32]

@@ -63,7 +63,7 @@ from repro.errors import (
     RetryExhaustedError,
     TransientError,
 )
-from repro.obs.explain import PlanCache, QueryPlan, attach_actuals
+from repro.obs.explain import PlanCache, QueryPlan
 from repro.obs.memory import MemoryAccountant
 from repro.obs.exporters import span_to_dict
 from repro.obs.tracer import Tracer, get_tracer, thread_tracing
@@ -325,10 +325,7 @@ class QueryService:
         self._histograms["serve.queue_wait_seconds"].observe(
             start - admitted_s
         )
-        fingerprint = query_fingerprint(
-            query, opts.backend, opts.order,
-            shards=opts.shards, executor=opts.executor,
-        )
+        fingerprint = query_fingerprint(query, opts)
         tracer: Tracer | None = None
         status = "ok"
         try:
@@ -425,12 +422,13 @@ class QueryService:
         # run describes another query and binds its actuals to nothing
         if plan.backend != result.backend:
             return None
-        attach_actuals(plan.root, span)
-        plan.analyzed = True
-        plan.rows = len(result.rows)
-        plan.elapsed_s = result.elapsed_s
-        plan.sim_io_s = result.sim_io_s
-        plan.totals = dict(result.stats)
+        plan.bind_actuals(
+            span,
+            rows=len(result.rows),
+            elapsed_s=result.elapsed_s,
+            sim_io_s=result.sim_io_s,
+            totals=result.stats,
+        )
         return plan.to_dict()
 
     def explain(
@@ -445,18 +443,25 @@ class QueryService:
         :meth:`OlapEngine.explain <repro.olap.engine.OlapEngine.explain>`.
         Serializes
         behind the engine lock like any miss; an ANALYZE run executes
-        with the service's warm/cold policy.  The payload is kept in
-        the fingerprint-keyed plan cache for ``/explain/<fingerprint>``.
+        with the service's warm/cold policy, and its result is cached
+        like a miss's, so an :meth:`execute` of the same query after it
+        is a hit.  The payload is kept in the fingerprint-keyed plan
+        cache for ``/explain/<fingerprint>``.
         """
-        self._check_degraded(query.cube)
+        cube = query.cube
+        self._check_degraded(cube)
         with self._engine_lock:
-            self._attach_chunk_cache(query.cube)
-            plan = self.engine.explain(
-                query,
-                options,
-                analyze=analyze,
-                cold=self.config.cold,
-            )
+            self._attach_chunk_cache(cube)
+            if analyze:
+                # writes serialize behind the engine lock too, so the
+                # run reads the generation it is cached at
+                generation = self.engine.cube_generation(cube)
+                plan, result = self.engine.explain_analyze(
+                    query, options, cold=self.config.cold
+                )
+                self.results.put(cube, plan.fingerprint, generation, result)
+            else:
+                plan = self.engine.explain(query, options)
         self.plans.put(plan.fingerprint, plan.to_dict())
         self.counters.add("serve.explains")
         if analyze:
@@ -468,10 +473,7 @@ class QueryService:
     ) -> QueryResult:
         cube = query.cube
         if fingerprint is None:
-            fingerprint = query_fingerprint(
-                query, opts.backend, opts.order,
-                shards=opts.shards, executor=opts.executor,
-            )
+            fingerprint = query_fingerprint(query, opts)
         tracer = get_tracer()
         with Timer() as timer:
             cached = self.results.get(
@@ -518,7 +520,6 @@ class QueryService:
                     query,
                     backend=opts.backend,
                     cold=self.config.cold,
-                    order=opts.order,
                     shards=opts.shards,
                     executor=opts.executor,
                 )

@@ -2,6 +2,7 @@
 every error path maps to a structured 4xx (never a 500), and the server
 survives concurrent reads, writes, and garbage."""
 
+import inspect
 import json
 import socket
 import threading
@@ -11,7 +12,12 @@ import urllib.request
 
 import pytest
 
-from repro.api.server import ApiServer, RequestParser
+from repro.api.server import (
+    MAX_BODY_BYTES,
+    ApiEndpoint,
+    ApiServer,
+    RequestParser,
+)
 from repro.data import generate_fact_rows
 from repro.errors import (
     CorruptWALError,
@@ -35,6 +41,17 @@ def server(stack):
     engine, service, endpoint = stack
     with ApiServer(endpoint) as srv:
         yield engine, service, endpoint, srv
+
+
+def test_constructors_take_only_what_callers_set():
+    # no access log (a request's trace record holds its line) and one
+    # body cap, MAX_BODY_BYTES, beside the other request caps
+    assert list(inspect.signature(ApiEndpoint).parameters) == [
+        "engine", "service", "model"
+    ]
+    assert list(inspect.signature(ApiServer).parameters) == [
+        "endpoint", "host", "port"
+    ]
 
 
 def _get(url):
@@ -243,6 +260,29 @@ class TestAggregate:
         validate(payload["explain"], PLAN_SCHEMA)
         assert payload["explain"]["backend"] != "rollup"
 
+    def test_base_analyze_runs_the_query_once(self, server):
+        engine, _, _, srv = server
+        url = srv.url + "/cube/sales/aggregate?drilldown=dim2:d2"
+        metrics = engine.db.metrics
+
+        def engine_runs():
+            if "engine.query_seconds" not in metrics.histogram_names():
+                return 0
+            return metrics.histogram("engine.query_seconds").count
+
+        before = engine_runs()
+        status, analyzed = _get(url + "&explain=1&analyze=1")
+        assert status == 200
+        assert analyzed["route"]["source"] == "base"
+        assert analyzed["explain"]["analyzed"]
+        # the answer's rows are the analyzed run's: one engine run
+        assert engine_runs() == before + 1
+        assert analyzed["explain"]["execution"]["rows"] == analyzed["cell_count"]
+        status, plain = _get(url)
+        assert status == 200
+        assert plain["cells"] == analyzed["cells"]
+        assert engine_runs() == before + 1
+
 
 def _error(payload):
     assert set(payload) == {"error", "trace_id"}
@@ -411,8 +451,8 @@ class TestErrorPaths:
         assert "bogus" in _error(payload)["message"]
 
     def test_oversized_body_413(self, server):
-        _, _, endpoint, srv = server
-        filler = "x" * (endpoint.max_body_bytes + 1)
+        _, _, _, srv = server
+        filler = "x" * (MAX_BODY_BYTES + 1)
         status, payload = _post(
             srv.url + "/cube/sales/aggregate",
             {"drilldown": ["dim0"], "pad": filler},

@@ -1,8 +1,14 @@
-"""The dominated baselines run through the harness, never the engine."""
+"""The baselines run through the harness, never the engine."""
 
 import pytest
 
-from repro.bench import bench_settings, build_cube_engine, query2_for, run_cold
+from repro.bench import (
+    bench_settings,
+    build_cube_engine,
+    query1_for,
+    query2_for,
+    run_cold,
+)
 from repro.data import SyntheticCubeConfig
 from repro.errors import PlanError
 from repro.olap import ExecutionOptions
@@ -15,7 +21,7 @@ TINY = SyntheticCubeConfig(
     chunk_shape=(3, 3, 3, 5),
     fanout1=3,
 )
-BASELINES = ("btree", "mbtree", "leftdeep")
+BASELINES = ("btree", "mbtree", "leftdeep", "naive")
 
 
 def tiny_engine():
@@ -63,3 +69,19 @@ def test_after_an_append_only_leftdeep_still_runs():
         run_cold(engine, query, "leftdeep").rows
         == run_cold(engine, query, "starjoin").rows
     )
+
+
+def test_naive_differs_from_array_only_in_probe_order(engine):
+    selective = query2_for(TINY)
+    naive = run_cold(engine, selective, "naive")
+    chunked = run_cold(engine, selective, "array")
+    assert naive.backend == "naive"
+    assert naive.rows == chunked.rows
+    # every cross-product element is probed, each re-deriving its chunk
+    assert naive.stats["cells_probed"] >= chunked.stats["cells_probed"]
+    # without a selection there is nothing to probe: the same §4.1 scan
+    naive, chunked = (
+        run_cold(engine, query1_for(TINY), name) for name in ("naive", "array")
+    )
+    assert naive.rows == chunked.rows
+    assert naive.stats == chunked.stats

@@ -104,7 +104,6 @@ def _plan(analyzed=False):
     plan = QueryPlan(
         cube="c",
         backend="array",
-        order="chunk",
         fingerprint="f" * 32,
         planner={"requested": "auto", "reason": "no-selections"},
         root=root,

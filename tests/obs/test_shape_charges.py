@@ -22,7 +22,12 @@ import pytest
 from repro.api.server import ApiEndpoint, ApiServer
 from repro.obs.explain import PlanCache
 from repro.obs.tracing import TraceStore, new_trace_context, trace_context
-from repro.olap import ConsolidationQuery, OlapEngine, SelectionPredicate
+from repro.olap import (
+    ConsolidationQuery,
+    ExecutionOptions,
+    OlapEngine,
+    SelectionPredicate,
+)
 from repro.olap.engine import QueryResult
 from repro.olap.model import CubeSchema, DimensionDef, MeasureDef
 from repro.serve import QueryService, ResultCache, ServiceConfig
@@ -88,7 +93,7 @@ def cached_charge(q: ConsolidationQuery, result) -> tuple[int, int]:
     """What the result cache charges ``result``, and the walk of what it
     holds for it."""
     cache = ResultCache()
-    fingerprint = query_fingerprint(q, result.backend)
+    fingerprint = query_fingerprint(q, ExecutionOptions(backend=result.backend))
     cache.put(q.cube, fingerprint, 3, result)
     walked = deep_sizeof(((q.cube, fingerprint), CacheEntry(3, result)))
     return cache.resident_bytes(), walked

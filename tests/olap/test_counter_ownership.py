@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.api.model import model_from_dict
 from repro.api.rollup import RollupRouter
+from repro.bench import run_cold
 from repro.core import ConsolidationSpec, compute_cube, consolidate
 from repro.core.meta import NO_CHUNK
 from repro.data import (
@@ -177,7 +178,7 @@ def test_engine_totals_never_drop(ops):
                     executor=("local", "thread")[step % 2],
                 )
             elif op == "query_selective":
-                engine.query(selective, backend="array", order="naive")
+                run_cold(engine, selective, "naive")  # abl5's baseline
             elif op == "cube":
                 compute_cube(array, SPECS)
             elif op == "write":

@@ -235,7 +235,9 @@ class TestPlanShape:
         from repro.serve.fingerprint import query_fingerprint
 
         plan = engine.explain(_q2(), ExecutionOptions(backend="auto"))
-        assert plan.fingerprint == query_fingerprint(_q2(), backend="auto")
+        assert plan.fingerprint == query_fingerprint(
+            _q2(), ExecutionOptions(backend="auto")
+        )
 
     def test_unavailable_backend_raises_plan_error(self):
         engine = OlapEngine(page_size=1024, pool_bytes=1024 * 1024)

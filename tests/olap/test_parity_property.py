@@ -119,7 +119,5 @@ def test_all_backends_agree(seed, query):
 def test_naive_order_agrees(query):
     engine, _ = cached_engine(0)
     chunked = engine.query(query, backend="array", cold=False).rows
-    naive = engine.query(
-        query, backend="array", order="naive", cold=False
-    ).rows
+    naive = run_cold(engine, query, "naive").rows  # the harness's abl5 baseline
     assert naive == chunked

@@ -7,6 +7,7 @@ swap codecs, to confirm the answers never change.
 
 import pytest
 
+from repro.bench import run_cold
 from repro.data import (
     SyntheticCubeConfig,
     cube_schema_for,
@@ -87,12 +88,16 @@ class TestCodecTransparency:
             (Q1, "array", {}),
             (Q1, "array", {"shards": 2}),
             (Q2, "array", {}),
-            (Q2, "array", {"order": "naive"}),
         ):
             assert (
                 other.query(query, backend=backend, **kwargs).rows
                 == roomy.query(query, backend=backend, **kwargs).rows
             )
+        # §4.2's naive order is the harness's abl5 baseline
+        assert (
+            run_cold(other, Q2, "naive").rows
+            == run_cold(roomy, Q2, "naive").rows
+        )
 
     def test_point_lookups_through_every_codec(self, roomy):
         facts = generate_fact_rows(CONFIG)

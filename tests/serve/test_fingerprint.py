@@ -1,6 +1,6 @@
 """Canonicalization rules of the query fingerprint."""
 
-from repro.olap import ConsolidationQuery, SelectionPredicate
+from repro.olap import ConsolidationQuery, ExecutionOptions, SelectionPredicate
 from repro.serve import query_fingerprint
 
 
@@ -48,21 +48,27 @@ class TestSignificance:
         b = ConsolidationQuery.build("b", group_by={"dim0": "h01"})
         assert query_fingerprint(a) != query_fingerprint(b)
 
-    def test_backend_and_order_matter(self):
+    def test_backend_matters(self):
         base = build()
         fp = query_fingerprint(base)
-        assert query_fingerprint(base, backend="array") != fp
-        assert query_fingerprint(base, order="row") != fp
+        assert query_fingerprint(base, ExecutionOptions()) == fp
+        assert query_fingerprint(base, ExecutionOptions(backend="array")) != fp
 
     def test_shard_plan_joins_fingerprint_only_when_sharded(self):
         base = build()
         fp = query_fingerprint(base)
-        # shards=1 keeps pre-sharding fingerprints bit-identical
-        assert query_fingerprint(base, shards=1, executor="process") == fp
-        sharded = query_fingerprint(base, shards=4, executor="process")
+
+        def sharded_fp(shards, executor):
+            return query_fingerprint(
+                base, ExecutionOptions(shards=shards, executor=executor)
+            )
+
+        # shards=1 keeps unsharded fingerprints bit-identical
+        assert sharded_fp(1, "process") == fp
+        sharded = sharded_fp(4, "process")
         assert sharded != fp
-        assert sharded != query_fingerprint(base, shards=2, executor="process")
-        assert sharded != query_fingerprint(base, shards=4, executor="thread")
+        assert sharded != sharded_fp(2, "process")
+        assert sharded != sharded_fp(4, "thread")
 
     def test_aggregate_and_measures_matter(self):
         assert query_fingerprint(build(aggregate="max")) != query_fingerprint(

@@ -22,7 +22,6 @@ class TestValidation:
         assert opts.backend == "auto"
         assert opts.executor == "local"
         assert opts.shards == 1
-        assert opts.order == "chunk"
 
     @pytest.mark.parametrize(
         "bad",
@@ -30,7 +29,6 @@ class TestValidation:
             {"shards": -1},
             {"executor": "fiber"},
             {"shards": 0},
-            {"order": "spiral"},
         ],
     )
     def test_bad_values_rejected(self, bad):
@@ -41,11 +39,9 @@ class TestValidation:
         # an ExecutionOptions argument (or engine.query's keywords for
         # the same fields) is the one way to say how a query runs
         names = [f.name for f in dataclasses.fields(ExecutionOptions)]
-        assert names == ["backend", "executor", "shards", "order"]
+        assert names == ["backend", "executor", "shards"]
         keywords = list(inspect.signature(OlapEngine.query).parameters)[2:]
-        assert keywords == [
-            "backend", "mode", "cold", "order", "shards", "executor"
-        ]
+        assert keywords == ["backend", "mode", "cold", "shards", "executor"]
         assert len(dataclasses.fields(ServiceConfig)) == 9
         assert "options" not in {
             f.name for f in dataclasses.fields(ConsolidationQuery)
@@ -67,8 +63,8 @@ class TestEngineSurface:
 
     @pytest.mark.parametrize(
         "keywords",
-        [{"shards": 0}, {"order": "bogus"}, {"executor": "fiber"}],
-        ids=["shards", "order", "executor"],
+        [{"shards": 0}, {"executor": "fiber"}],
+        ids=["shards", "executor"],
     )
     def test_query_keywords_are_checked_as_options_are(self, engine, keywords):
         # one check for both entry points: query builds the options it runs

@@ -65,7 +65,7 @@ class TestExplainSharded:
         classic = engine.explain(query(), ExecutionOptions(backend="array"))
         assert sharded.fingerprint != classic.fingerprint
         assert classic.fingerprint == query_fingerprint(
-            query(), backend="array"
+            query(), ExecutionOptions(backend="array")
         )
 
 
@@ -91,7 +91,7 @@ class TestShardedService:
         assert bag.snapshot()["shard.queries"] == before + 1
 
     def test_cache_keyed_by_shard_plan(self, service):
-        fp_sharded = query_fingerprint(query(), shards=2, executor="thread")
+        fp_sharded = query_fingerprint(query(), self.SHARDED)
         fp_classic = query_fingerprint(query())
         service.execute(query(), self.SHARDED)
         assert fp_sharded != fp_classic
