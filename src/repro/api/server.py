@@ -30,7 +30,9 @@ is pinned by ``benchmarks/schemas/api_request.schema.json``):
 
 Every client mistake on any route maps to a structured 4xx body
 ``{"error": {"kind", "message", "status"}}`` — a 5xx from this module
-is a bug.
+is a bug.  A repeated query parameter is a 400 (``|`` joins cuts, ``,``
+joins drilldowns), and any method but GET or POST a 405 with an
+``Allow: GET, POST`` header.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from repro.api.rollup import RollupRouter, RouteDecision
 from repro.errors import (
     AdmissionError,
     ApiError,
+    ApiMethodError,
     ApiNotFoundError,
     ApiRequestError,
     ApiTooLargeError,
@@ -658,12 +661,8 @@ class ApiEndpoint:
         assert rollup is not None
         shape = list(request.drilldown), list(request.cuts), request.aggregate
         if not request.explain:
-            try:
-                stored = self.router.rows_for(cube, rollup, request.aggregate)
-            except ReproError:
-                # a degraded cube or an I/O fault fails the build, not
-                # the request: the caller answers it from base
-                self.router.counters.add("rollup.refresh_failures")
+            stored = self._grain_rows(cube, rollup, request.aggregate)
+            if stored is None:
                 return None
             rows = self.router.scan(cube, rollup, stored, *shape, measure_indexes)
             self.router.counters.add("rollup.hits")
@@ -675,7 +674,9 @@ class ApiEndpoint:
         started = time.perf_counter()
         with thread_tracing(tracer):
             with tracer.span("rollup.route", rollup=rollup.name, cube=cube.name):
-                stored = self.router.rows_for(cube, rollup, request.aggregate)
+                stored = self._grain_rows(cube, rollup, request.aggregate)
+                if stored is None:
+                    return None
                 with tracer.span("rollup.scan", rows=len(stored)):
                     rows = self.router.scan(
                         cube, rollup, stored, *shape, measure_indexes
@@ -698,6 +699,20 @@ class ApiEndpoint:
         return self._shape(
             request, rows, decision, len(stored), plan.to_dict()
         )
+
+    def _grain_rows(self, cube: LogicalCube, rollup, aggregate: str):
+        """The grain's rows, built inline if stale; ``None`` when the
+        build fails.
+
+        A degraded cube or an I/O fault fails the build, not the
+        request: the caller answers it from base, with or without
+        EXPLAIN.
+        """
+        try:
+            return self.router.rows_for(cube, rollup, aggregate)
+        except ReproError:
+            self.router.counters.add("rollup.refresh_failures")
+            return None
 
     def _rollup_plan(
         self, cube: LogicalCube, request: AggregateRequest,
@@ -860,9 +875,11 @@ class ApiServer:
                 payload,
                 content_type: str | None,
                 trace_id: str | None = None,
+                allow: str | None = None,
             ) -> None:
                 """Count and send one response; a ``None``
-                ``content_type`` means ``payload`` is JSON-encoded."""
+                ``content_type`` means ``payload`` is JSON-encoded, and a
+                HEAD request gets the headers alone."""
                 endpoint.counters.add(f"api.responses_{status // 100}xx")
                 if content_type is None:
                     body = json.dumps(payload).encode("utf-8")
@@ -874,8 +891,11 @@ class ApiServer:
                 self.send_header("Content-Length", str(len(body)))
                 if trace_id is not None:
                     self.send_header("X-Trace-Id", trace_id)
+                if allow is not None:
+                    self.send_header("Allow", allow)
                 self.end_headers()
-                self.wfile.write(body)
+                if self.command != "HEAD":
+                    self.wfile.write(body)
 
             def _params(self) -> dict[str, str]:
                 parts = self.path.split("?", 1)
@@ -883,7 +903,18 @@ class ApiServer:
                     return {}
                 from urllib.parse import parse_qsl
 
-                return dict(parse_qsl(parts[1]))
+                pairs = parse_qsl(parts[1])
+                params = dict(pairs)
+                if len(params) != len(pairs):
+                    # a second value would silently replace the first
+                    # (a dropped cut answers a different question)
+                    keys = [key for key, _ in pairs]
+                    repeated = next(key for key in keys if keys.count(key) > 1)
+                    raise ApiRequestError(
+                        f"query parameter {repeated!r} is repeated; send "
+                        "it once: '|' joins cuts, ',' joins drilldowns"
+                    )
+                return params
 
             def _read_body(self) -> dict:
                 length_raw = self.headers.get("Content-Length", "0")
@@ -1000,6 +1031,24 @@ class ApiServer:
                     self._dispatch("POST")
                 except BrokenPipeError:  # pragma: no cover
                     pass
+
+            def _refuse_method(self) -> None:
+                """Any other method: a structured 405 naming the two."""
+                endpoint.counters.add("api.requests")
+                status, payload = endpoint.error_payload(
+                    ApiMethodError(
+                        f"method {self.command} is not allowed; "
+                        "the API serves GET and POST"
+                    )
+                )
+                try:
+                    self._respond(status, payload, None, allow="GET, POST")
+                except BrokenPipeError:  # pragma: no cover
+                    pass
+
+            do_PUT = do_DELETE = do_PATCH = do_OPTIONS = do_HEAD = (
+                _refuse_method
+            )
 
         self._httpd = ThreadingHTTPServer(
             (self.host, self._requested_port), Handler

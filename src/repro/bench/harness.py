@@ -176,9 +176,7 @@ def run_cold(
         return engine.query(query, backend=backend, cold=True)
     state = engine.cube(query.cube)
     query.validate(state.schema)
-    return engine.measured_run(
-        state, query, backend, baseline, ExecutionOptions()
-    )
+    return engine.measured_run(state, query, backend, baseline)
 
 
 def run_cold_traced(

@@ -243,11 +243,7 @@ def cmd_explain(args) -> int:
     engine = build_cube_engine(config, settings)
     plan = engine.explain(
         query,
-        ExecutionOptions(
-            backend=args.backend,
-            shards=args.shards,
-            executor=args.executor,
-        ),
+        ExecutionOptions(backend=args.backend),
         analyze=args.analyze,
     )
     payload = plan.to_dict()
@@ -589,19 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument("query", choices=sorted(_TRACE_QUERIES))
     explain.add_argument("--backend", default="auto")
-    explain.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="chunk-range shards to scatter array consolidations over "
-        "(default 1)",
-    )
-    explain.add_argument(
-        "--executor",
-        choices=("local", "thread", "process"),
-        default="local",
-        help="where shard scans run when --shards > 1 (default local)",
-    )
     explain.add_argument(
         "--analyze",
         action="store_true",

@@ -536,7 +536,6 @@ def estimate_chunk_range(
     array: OLAPArray,
     chunk_range: range,
     masks: list[np.ndarray] | None = None,
-    counters: Counters | None = None,
 ) -> dict[str, int]:
     """What :func:`scan_chunk_range` over ``chunk_range`` will bill,
     read off the chunk meta directory alone.
@@ -546,9 +545,8 @@ def estimate_chunk_range(
     :func:`probe_is_cheaper` to each chunk's stored-cell count as the
     kernel does; ``cells_scanned`` scales it by the selected share of
     the chunk's index box, exact only for uniformly spread cells.
-    ``counters`` is billed the directory load this may cause.
     """
-    entries = array._entries(counters)
+    entries = array._entries()
     geometry = array.geometry
     walked = geometry.overlapping_chunks(chunk_range, masks)
     estimate = {

@@ -211,6 +211,13 @@ class ApiNotFoundError(ApiError):
     kind = "not_found"
 
 
+class ApiMethodError(ApiError):
+    """An HTTP method the API does not serve (anything but GET/POST)."""
+
+    status = 405
+    kind = "method_not_allowed"
+
+
 class ApiTooLargeError(ApiError):
     """The request body exceeds the configured size cap."""
 

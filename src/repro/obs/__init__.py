@@ -19,11 +19,11 @@ carries a first-class accounting layer:
 - :mod:`repro.obs.histogram` — fixed log-scale-bucket latency
   histograms: lock-cheap ``observe``, mergeable, p50/p95/p99, JSON
   round-trip, Prometheus ``_bucket``/``_sum``/``_count`` export.
-- :mod:`repro.obs.tracing` — the distributed layer over the tracer:
-  :class:`TraceContext` identity propagated across threads and shard
-  worker processes, and the bounded :class:`TraceStore` flight
-  recorder — each request's one record, slow and failed traces evicted
-  after fast ones — behind ``/traces`` and ``/trace/id/<trace_id>``.
+- :mod:`repro.obs.tracing` — the request layer over the tracer:
+  :class:`TraceContext` identity propagated across threads, and the
+  bounded :class:`TraceStore` flight recorder — each request's one
+  record, slow and failed traces evicted after fast ones — behind
+  ``/traces`` and ``/trace/id/<trace_id>``.
 - :mod:`repro.obs.explain` — EXPLAIN / EXPLAIN ANALYZE plan trees:
   per-node planner estimates, measured actuals from span counter
   deltas, misestimate factors, text rendering and a fingerprint-keyed

@@ -38,8 +38,8 @@ class PlanNode:
 
     ``span`` names the tracer span whose registry counter deltas are
     this node's actuals (``None`` for purely descriptive nodes);
-    ``detail`` holds plan-shape attributes (dimension names, shard
-    ranges, predicate counts); ``estimates`` maps counter names to predicted
+    ``detail`` holds plan-shape attributes (dimension names, chunk
+    counts, predicate counts); ``estimates`` maps counter names to predicted
     values; ``actuals`` is filled by :func:`attach_actuals` after an
     ANALYZE run.
     """

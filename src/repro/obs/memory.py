@@ -9,7 +9,7 @@ this process holding, and in which store?".  The
 registers with it, either as a :class:`SizedStore` (the one byte
 ledger every bounded cache, the rollup grains and the trace store
 share) or as a usage callback that is accounted but never evicted from
-(the buffer pool, the shard workers).  The accountant exports
+(the buffer pool).  The accountant exports
 per-store ``memory.<store>.resident_bytes`` gauges plus one
 ``memory.total_resident_bytes`` through the
 :class:`~repro.obs.registry.MetricsRegistry` (so ``/metrics`` sees
@@ -282,10 +282,10 @@ class StoreAccount:
     exactly this reason).  ``sized`` is the store itself when it is a
     :class:`SizedStore`: its ``reclaim(target)`` shrinks it to at most
     ``target`` resident bytes and returns how many bytes it actually
-    freed.  A bare usage callback (the buffer pool, the shard workers)
-    is accounted but never evicted from here.  ``cost_rank`` orders
-    reclaim cheapest-to-rebuild first; ``share`` is the store's soft
-    fraction of the budget, the floor pass one will not shrink below.
+    freed.  A bare usage callback (the buffer pool) is accounted but
+    never evicted from here.  ``cost_rank`` orders reclaim
+    cheapest-to-rebuild first; ``share`` is the store's soft fraction
+    of the budget, the floor pass one will not shrink below.
     """
 
     name: str

@@ -1,18 +1,16 @@
-"""Distributed trace context and the flight-recorder trace store.
+"""Request trace context and the flight-recorder trace store.
 
 The span :class:`~repro.obs.tracer.Tracer` from the observability core
 is strictly in-process: each tracer records one tree and the active
-tracer is a thread-local.  This module adds the *cross-domain* layer —
-Dapper-style identity that survives thread pools and process shard
-workers:
+tracer is a thread-local.  This module adds the request-level layer —
+one identity shared by every layer a request passes through:
 
 - :class:`TraceContext` is the propagated identity: a 128-bit
-  ``trace_id`` plus a 64-bit ``span_id``/``parent_span_id`` pair.
-  Contexts are minted at every entry point (an API request,
-  ``QueryService.submit``, a CLI run), carried across threads
+  ``trace_id`` and the entry point that minted it.  Contexts are
+  minted at every entry point (an API request,
+  ``QueryService.submit``, a CLI run) and carried across threads
   explicitly (capture at submit, install in the worker via
-  :class:`trace_context`) and across processes as a plain dict inside
-  the shard task payload.
+  :class:`trace_context`).
 - :class:`TraceStore` is the flight recorder, each request's one
   record: a bounded, thread-safe ring keyed by trace_id.  Every trace
   is stored; slow and errored ones are evicted only after every fast
@@ -45,64 +43,21 @@ _TRACE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
 MAX_ROOTS_PER_TRACE = 32
 
 
-def _hex_id(n_bytes: int) -> str:
-    return os.urandom(n_bytes).hex()
-
-
 @dataclass(frozen=True)
 class TraceContext:
     """The propagated identity of one logical request.
 
     ``trace_id`` is 128-bit (32 hex chars) and names the whole request;
-    ``span_id`` is 64-bit and names the minting site's own span within
-    it; ``parent_span_id`` is the minter's parent (``None`` at an entry
-    point).  The frozen dataclass is picklable as-is, but process
-    boundaries ship the explicit :meth:`to_dict` form so worker task
-    payloads stay plain dicts.
+    ``origin`` names the entry point that minted it.
     """
 
     trace_id: str
-    span_id: str
-    parent_span_id: str | None = None
     origin: str = ""
-
-    def child(self, origin: str | None = None) -> "TraceContext":
-        """A new context one hop down: same trace, fresh span identity."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            span_id=_hex_id(8),
-            parent_span_id=self.span_id,
-            origin=self.origin if origin is None else origin,
-        )
-
-    def to_dict(self) -> dict:
-        """A plain-dict form for task payloads and JSON bodies."""
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_span_id": self.parent_span_id,
-            "origin": self.origin,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TraceContext":
-        """Rebuild a context from :meth:`to_dict` output."""
-        return cls(
-            trace_id=str(payload["trace_id"]),
-            span_id=str(payload["span_id"]),
-            parent_span_id=payload.get("parent_span_id"),
-            origin=str(payload.get("origin", "")),
-        )
 
 
 def new_trace_context(origin: str = "") -> TraceContext:
-    """Mint a fresh root context (new 128-bit trace, no parent)."""
-    return TraceContext(
-        trace_id=_hex_id(16),
-        span_id=_hex_id(8),
-        parent_span_id=None,
-        origin=origin,
-    )
+    """Mint a fresh root context (new 128-bit trace)."""
+    return TraceContext(trace_id=os.urandom(16).hex(), origin=origin)
 
 
 def adopt_trace_id(
@@ -119,12 +74,7 @@ def adopt_trace_id(
     candidate = trace_id.strip().lower()
     if not _TRACE_ID_RE.match(candidate):
         return None
-    return TraceContext(
-        trace_id=candidate,
-        span_id=_hex_id(8),
-        parent_span_id=None,
-        origin=origin,
-    )
+    return TraceContext(trace_id=candidate, origin=origin)
 
 
 # -- thread-local propagation -------------------------------------------------
@@ -142,7 +92,7 @@ class trace_context:
 
     Mirrors :class:`~repro.obs.tracer.thread_tracing`: the serving
     pool's worker threads install the submitting request's context so
-    everything below (engine, scatter) can read it without threading a
+    everything below (service, engine) can read it without threading a
     parameter through every signature.
     """
 

@@ -3,7 +3,9 @@
 - :class:`Backend` — ``execute(ctx, query) -> rows`` and ``explain(ctx,
   query) -> PlanNode``, plus an ``available(state)`` capability check;
 - :class:`BackendContext` — everything an execution needs (the engine,
-  the loaded cube state, the query's counter bag, the shard knobs);
+  the loaded cube state, the query's counter bag and, for
+  :meth:`OlapEngine.query <repro.olap.engine.OlapEngine.query>` alone,
+  its shard keywords);
 - a fixed table of the three backends the planner can pick
   (``array``/``starjoin``/``bitmap``), through which the engine resolves
   backend names (:func:`get_backend`).
@@ -58,7 +60,8 @@ class BackendContext:
     engine: "OlapEngine"
     state: "_CubeState"
     counters: Counters
-    #: chunk-range shards for the array consolidation (1 = single scan)
+    #: chunk-range shards for the array consolidation (1 = single
+    #: scan); only :meth:`OlapEngine.query`'s measured run sets it
     shards: int = 1
     #: where shard scans run: ``local`` / ``thread`` / ``process``
     executor: str = "local"
@@ -264,10 +267,6 @@ class ArrayBackend(Backend):
             span="query",
             detail={"cube": query.cube},
         )
-        if ctx.shards > 1:
-            return self._explain_sharded(
-                ctx, query, root, groups, level_loads
-            )
         if query.selections:
             key_sets = engine._selection_key_sets(state, query)
             n_sel = [
@@ -353,116 +352,6 @@ class ArrayBackend(Backend):
                 )
             )
             body.add(PlanNode("array.extract_rows", span="extract_rows"))
-        root.add(
-            PlanNode(
-                "array.project_rows",
-                span="project_rows",
-                detail={
-                    "measures": len(engine._query_measures(state, query))
-                },
-            )
-        )
-        return root
-
-    def _explain_sharded(self, ctx, query, root, groups, level_loads):
-        """The scatter/gather plan shape for ``ctx.shards > 1``.
-
-        Per-shard estimates come from the same
-        :func:`repro.shard.plan.plan_shards` pricing the coordinator
-        executes, with the selection's index lists derived from the
-        dimension tables (no B-tree probes at plan time) — so ANALYZE
-        binds each ``shard.scan[i]`` node's estimate to the measured
-        per-shard registry deltas.
-        """
-        from repro.shard.plan import plan_shards
-
-        engine, state = ctx.engine, ctx.state
-        array = state.array
-        schema = state.schema
-        allowed = None
-        if query.selections:
-            allowed = _selection_index_lists(
-                array, schema, engine._selection_key_sets(state, query)
-            )
-        plan = plan_shards(
-            array,
-            ctx.shards,
-            executor=ctx.executor,
-            cube=query.cube,
-            generation=state.generation,
-            allowed=allowed,
-        )
-
-        def scan_estimates(priced) -> dict:
-            """The plan's or one assignment's pricing, by counter name."""
-            estimates = {
-                "chunks_read": priced.est_chunks,
-                "cells_scanned": priced.est_cells,
-            }
-            if allowed is not None:  # only a selection ever probes
-                estimates["cells_probed"] = priced.est_probed
-            return estimates
-
-        body = root.add(
-            PlanNode(
-                "array.shard_consolidate",
-                span="shard_consolidate",
-                detail={
-                    "shards": plan.shards,
-                    "executor": plan.executor,
-                },
-                estimates={"result_cells": groups},
-            )
-        )
-        body.add(
-            PlanNode(
-                "array.resolve_mappings",
-                span="resolve_mappings",
-                estimates={"i2i_loads": level_loads},
-            )
-        )
-        if query.selections:
-            body.add(
-                PlanNode(
-                    "array.btree_dimension_lookup",
-                    span="btree_dimension_lookup",
-                    detail={
-                        "selections": len(query.selections),
-                    },
-                    estimates={"btree_probes": _estimated_btree_probes(query)},
-                )
-            )
-        scatter = body.add(
-            PlanNode(
-                "shard.scatter",
-                span="shard_scatter",
-                detail={
-                    "executor": plan.executor,
-                    "ranges": plan.ranges_token(),
-                },
-                estimates=scan_estimates(plan),
-            )
-        )
-        for assignment in plan.assignments:
-            scatter.add(
-                PlanNode(
-                    f"shard.scan[{assignment.shard_no}]",
-                    span=f"shard_scan_{assignment.shard_no}",
-                    detail={
-                        "range": f"{assignment.start}:{assignment.stop}",
-                    },
-                    estimates=scan_estimates(assignment),
-                )
-            )
-        body.add(
-            PlanNode(
-                "shard.gather",
-                span="shard_merge",
-                detail={"shards": plan.shards},
-                estimates={"result_cells": groups},
-            )
-        )
-        body.add(PlanNode("array.extract_rows", span="extract_rows"))
         root.add(
             PlanNode(
                 "array.project_rows",

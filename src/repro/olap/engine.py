@@ -62,6 +62,9 @@ from repro.relational.star_join import DimensionJoinSpec
 from repro.util.records import fact_columns
 from repro.util.stats import Counters, Timer, counter_delta
 
+#: where :meth:`OlapEngine.query`'s shard scans may run (:mod:`repro.shard`)
+SHARD_EXECUTORS = ("local", "thread", "process")
+
 
 @dataclass
 class QueryResult:
@@ -399,7 +402,8 @@ class OlapEngine:
     def shard_coordinator(self):
         """The lazily created scatter-gather coordinator (see
         :mod:`repro.shard`); one per engine, pools persist across
-        queries."""
+        queries.  :meth:`query`'s ``shards``/``executor`` keywords are
+        the one way a query reaches it."""
         if self._shard_coordinator is None:
             from repro.shard.coordinator import ShardCoordinator
 
@@ -425,36 +429,45 @@ class OlapEngine:
     ) -> QueryResult:
         """Execute a consolidation query.
 
-        The execution keywords are :class:`ExecutionOptions`' fields,
-        checked by building one; ``mode`` predates the one array kernel
-        and accepts only ``"auto"``.
+        ``backend`` is :class:`ExecutionOptions`' one field; ``mode``
+        predates the one array kernel and accepts only ``"auto"``.
         With ``cold=True`` (the paper's methodology) the buffer pool is
         flushed before the measured run.  ``result.stats`` is what every
         registered counter source moved by while the query ran (the
         difference of two registry snapshots; the cache preparation is
         not billed).
         ``shards > 1`` scatters the array consolidation over chunk-range
-        shards on the given ``executor`` (see :mod:`repro.shard`).  The
-        request's trace context is the one installed by
-        :func:`~repro.obs.tracing.trace_context`, if any.
+        shards on the given ``executor`` (see :mod:`repro.shard`); no
+        other entry point shards.  The request's trace context is the
+        one installed by :func:`~repro.obs.tracing.trace_context`, if
+        any.
         """
         if mode != "auto":
             raise QueryError(
                 f"unknown mode {mode!r}: the array runs one kernel, so "
                 "only 'auto' is accepted"
             )
-        opts = ExecutionOptions(
-            backend=backend,
-            executor=executor,
-            shards=shards,
-        )
+        if executor not in SHARD_EXECUTORS:
+            raise QueryError(
+                f"unknown executor {executor!r}; expected one of "
+                f"{SHARD_EXECUTORS}"
+            )
+        if shards < 1:
+            raise QueryError(f"shards must be >= 1, got {shards}")
         state = self.cube(query.cube)
         query.validate(state.schema)
         backend, impl, planner_reason = self._resolve_backend(
-            state, query, opts.backend
+            state, query, backend
         )
         return self.measured_run(
-            state, query, backend, impl.execute, opts, cold, planner_reason
+            state,
+            query,
+            backend,
+            impl.execute,
+            cold,
+            planner_reason,
+            shards=shards,
+            executor=executor,
         )
 
     def measured_run(
@@ -463,9 +476,10 @@ class OlapEngine:
         query: ConsolidationQuery,
         backend: str,
         execute: Callable[[BackendContext, ConsolidationQuery], list[tuple]],
-        opts: ExecutionOptions,
         cold: bool = True,
         planner_reason: str = "explicit",
+        shards: int = 1,
+        executor: str = "local",
     ) -> QueryResult:
         """Run ``execute(ctx, query)`` once under the measurement protocol.
 
@@ -477,7 +491,8 @@ class OlapEngine:
         :meth:`query` passes a registered backend's ``execute``; the
         experiment harness passes a baseline
         (:mod:`repro.bench.baselines`).  ``query`` must already be
-        validated against ``state``'s schema.
+        validated against ``state``'s schema; ``shards``/``executor``
+        are :meth:`query`'s, already checked.
         """
         if cold:
             if state.array is not None:
@@ -493,8 +508,8 @@ class OlapEngine:
             engine=self,
             state=state,
             counters=counters,
-            shards=opts.shards,
-            executor=opts.executor,
+            shards=shards,
+            executor=executor,
         )
         with metrics.scoped("query", counters):
             with get_tracer().span(
@@ -502,8 +517,6 @@ class OlapEngine:
                 cube=query.cube,
                 backend=backend,
                 planner_reason=planner_reason,
-                shards=opts.shards,
-                executor=opts.executor,
                 **({"trace_id": trace.trace_id} if trace is not None else {}),
             ):
                 with self.db.locks.locked(
@@ -600,13 +613,7 @@ class OlapEngine:
             opts.backend,
             estimated_selectivity,
         )
-        ctx = BackendContext(
-            engine=self,
-            state=state,
-            counters=Counters(),
-            shards=opts.shards,
-            executor=opts.executor,
-        )
+        ctx = BackendContext(engine=self, state=state, counters=Counters())
         return QueryPlan(
             cube=query.cube,
             backend=backend,
@@ -638,17 +645,10 @@ class OlapEngine:
         """
         from repro.obs.tracer import Tracer, thread_tracing
 
-        opts = options if options is not None else ExecutionOptions()
-        plan = self.explain(query, opts)
+        plan = self.explain(query, options)
         tracer = Tracer(registry=self.db.metrics)
         with thread_tracing(tracer):
-            result = self.query(
-                query,
-                backend=plan.backend,
-                cold=cold,
-                shards=opts.shards,
-                executor=opts.executor,
-            )
+            result = self.query(query, backend=plan.backend, cold=cold)
         plan.bind_actuals(
             next((root for root in tracer.roots if root.name == "query"), None),
             rows=len(result.rows),

@@ -9,9 +9,7 @@ projection and the backend — stays significant.
 
 The fingerprint reads the :class:`~repro.olap.options.ExecutionOptions`
 it identifies, so this module alone decides which settings name an
-evaluation: the requested backend always, the shard plan
-(``shards``/``executor``) only when ``shards > 1``, so sharded and
-unsharded runs of one query never alias.
+evaluation: the requested backend.
 """
 
 from __future__ import annotations
@@ -49,8 +47,5 @@ def query_fingerprint(
             ",".join(query.measures) if query.measures is not None else "*"
         ),
     ]
-    if opts.shards > 1:
-        parts.append(f"shards={opts.shards}")
-        parts.append(f"executor={opts.executor}")
     digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
     return digest[:32]

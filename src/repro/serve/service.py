@@ -224,14 +224,6 @@ class QueryService:
         memory.register_store("buffer_pool", self.engine.db.pool.resident_bytes)
         memory.register_store("plan_cache", self.plans, cost_rank=3, share=0.02)
         memory.register_store("traces", self.traces, cost_rank=5, share=0.02)
-        memory.register_store("shard_workers", self._shard_worker_bytes)
-
-    def _shard_worker_bytes(self) -> float:
-        """Process-worker buffer-pool bytes, as last folded back."""
-        coordinator = getattr(self.engine, "_shard_coordinator", None)
-        if coordinator is None:
-            return 0.0
-        return coordinator.worker_pool_resident_bytes()
 
     def stats(self) -> dict[str, float]:
         """Cumulative service + cache counters, merged."""
@@ -517,11 +509,7 @@ class QueryService:
             ):
                 self._attach_chunk_cache(cube)
                 result = self.engine.query(
-                    query,
-                    backend=opts.backend,
-                    cold=self.config.cold,
-                    shards=opts.shards,
-                    executor=opts.executor,
+                    query, backend=opts.backend, cold=self.config.cold
                 )
                 # the generation cannot have moved: writes also
                 # serialize behind the engine lock.  Inside the span so
@@ -672,10 +660,6 @@ class QueryService:
             self._closed = True
         self._pool.shutdown(wait=wait)
         self.memory.close()
-        # shard worker pools / scratch volume images are engine-owned
-        # but serving-driven; release them with the serving layer (the
-        # coordinator lazily recreates everything if queried again)
-        self.engine.close_shards()
         try:
             self.engine.remove_write_listener(self._on_write)
         except ValueError:  # pragma: no cover — already detached

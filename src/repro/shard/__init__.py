@@ -7,10 +7,12 @@ contiguous ranges, scattering each range's scan to a worker, and
 merging the partial :class:`~repro.core.consolidate.ResultAccumulator`
 states.  A shard's scan is the one chunk walk over a sub-range
 (:func:`repro.core.consolidate.scan_chunk_range`); there is no other
-partitioned-scan path in the tree.
+partitioned-scan path in the tree.  :meth:`OlapEngine.query
+<repro.olap.engine.OlapEngine.query>`'s ``shards``/``executor``
+keywords are the one way in: no serving surface (execution options,
+the query service, EXPLAIN, the CLI) shards.
 
-- :mod:`repro.shard.plan` — chunk-range assignments with per-shard
-  chunk/cell estimates (also the EXPLAIN estimate source);
+- :mod:`repro.shard.plan` — contiguous chunk-range assignments;
 - :mod:`repro.shard.executor` — the Executor protocol
   (``local`` / ``thread`` / ``process``);
 - :mod:`repro.shard.worker` — the per-shard scan task, runnable

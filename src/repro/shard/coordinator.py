@@ -1,23 +1,22 @@
-"""The shard coordinator: snapshot, scatter, re-scatter, merge.
+"""The shard coordinator: scatter, re-scatter, merge.
 
-One coordinator per :class:`~repro.olap.engine.OlapEngine`.  A sharded
-consolidation runs in five phases, each a tracer span so EXPLAIN
-ANALYZE binds estimates to measured actuals:
+One coordinator per :class:`~repro.olap.engine.OlapEngine`, reached
+only through :meth:`OlapEngine.query
+<repro.olap.engine.OlapEngine.query>`'s ``shards``/``executor``
+keywords.  A sharded consolidation runs in five phases, each a tracer
+span:
 
 1. ``resolve_mappings`` — build the merged result accumulator;
 2. ``btree_dimension_lookup`` — the §4.2 final index lists (when the
-   query has selections; the lists also refine the shard plan);
-3. ``shard_scatter`` — dispatch one task per chunk-range assignment to
-   the selected executor.  A task lost to a
-   :class:`~repro.errors.TransientError`, a straggler timeout, or a
-   broken process pool is re-scattered (up to
+   query has selections);
+3. ``shard_scatter`` — dispatch one task per chunk-range assignment
+   (:func:`~repro.shard.plan.plan_shards`) to the selected executor.
+   A task lost to a :class:`~repro.errors.TransientError`, a straggler
+   timeout, or a broken process pool is re-scattered (up to
    :attr:`~ShardCoordinator.MAX_RETRY_ROUNDS` extra rounds); a shard
    still lost after that raises
-   :class:`~repro.errors.ShardScatterError`.  Completed shards get
-   post-hoc ``shard_scan_<i>``
-   child spans carrying their measured per-shard counters (worker
-   threads and processes trace into their own roots, so the coordinator
-   re-binds the actuals on its own thread).
+   :class:`~repro.errors.ShardScatterError`.  Each shard's counters
+   fold into the query's bag once, whatever the executor;
 4. ``shard_merge`` — fold the partial accumulators (or, for process
    workers, their exported states) into the merged result;
 5. ``extract_rows`` — sorted output rows.
@@ -31,10 +30,9 @@ thread path.
 
 Metrics flow into the registry's ``engine:shard`` bag
 (``shard.queries``, ``shard.scatter_ms``, ``shard.merge_ms``,
-``shard.retries``, ``shard.timeouts``, per-shard ``shard.<i>.pool_hits``/``pool_misses``) and into the
-``engine.shard.scatter_seconds`` / ``merge_seconds`` /
-``scan_seconds`` histograms, exported on ``/metrics`` like every
-other source.
+``shard.retries``, ``shard.timeouts``, per-shard
+``shard.<i>.pool_hits``/``pool_misses``), exported on ``/metrics``
+like every other source.
 """
 
 from __future__ import annotations
@@ -49,11 +47,9 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.core.consolidate import ConsolidationResult, ResultAccumulator
 from repro.core.select_consolidate import _final_index_lists
 from repro.errors import QueryError, ShardScatterError, TransientError
-from repro.obs.exporters import span_from_dict
 from repro.obs.tracer import get_tracer
-from repro.obs.tracing import current_trace_context, new_trace_context
 from repro.shard.executor import ShardExecutor, make_executor
-from repro.shard.plan import ShardPlan, plan_shards
+from repro.shard.plan import plan_shards
 from repro.shard.worker import run_inline_task, run_shard_task
 from repro.util.stats import Counters
 
@@ -75,10 +71,6 @@ class ShardCoordinator:
         self._workspace: str | None = None
         self._images: dict[str, tuple[int, str]] = {}
         self._executors: dict[str, ShardExecutor] = {}
-        #: last reported buffer-pool bytes per process-worker shard —
-        #: the memory accountant's view of memory held *outside* this
-        #: process (folded back like the counter deltas are)
-        self._worker_pool_bytes: dict[int, float] = {}
 
     # -- workspace / executors ------------------------------------------------
 
@@ -128,28 +120,6 @@ class ShardCoordinator:
         self._images[cube] = (generation, path)
         return path
 
-    # -- planning -------------------------------------------------------------
-
-    def plan(
-        self,
-        array,
-        shards: int,
-        executor: str = "local",
-        cube: str = "",
-        generation: int = 0,
-        allowed: list[list[int]] | None = None,
-        counters: Counters | None = None,
-    ) -> ShardPlan:
-        return plan_shards(
-            array,
-            shards,
-            executor=executor,
-            cube=cube,
-            generation=generation,
-            allowed=allowed,
-            counters=counters,
-        )
-
     # -- the scatter-gather consolidation ------------------------------------
 
     def consolidate(
@@ -175,37 +145,21 @@ class ShardCoordinator:
             with tracer.span("btree_dimension_lookup"):
                 allowed = _final_index_lists(array, list(selections), counters)
 
-        plan = self.plan(
-            array,
-            ctx.shards,
-            executor=ctx.executor,
-            cube=cube,
-            generation=state.generation,
-            allowed=allowed,
-            counters=counters,
-        )
+        # the chunk directory loads here, on this thread and billed to
+        # the query, before any task runs; with the merged accumulator's
+        # mappings that is everything lazily loaded, so thread workers
+        # only read it
+        array._entries(counters)
+        plan = plan_shards(array, ctx.shards, ctx.executor)
         executor = self.executor(ctx.executor)
-        # the distributed trace context crossing into the workers is the
-        # thread-local one; a live tracer without one (EXPLAIN ANALYZE
-        # from the CLI) mints a scatter-local root so workers still
-        # ship trees
-        trace = current_trace_context()
-        if trace is None and tracer.enabled:
-            trace = new_trace_context(origin="shard-scatter")
-        task_trace = trace if tracer.enabled else None
         tasks, fn, cleanup = self._build_tasks(
-            plan, array, specs, aggregate, allowed, cube, state,
-            trace=task_trace,
+            plan, array, specs, aggregate, allowed, cube, state
         )
         timeout_s = None if ctx.executor == "local" else self.timeout_s
 
         scatter_started = time.perf_counter()
         with tracer.span(
-            "shard_scatter",
-            shards=plan.shards,
-            executor=plan.executor,
-            ranges=plan.ranges_token(),
-            **({"trace_id": trace.trace_id} if trace is not None else {}),
+            "shard_scatter", shards=plan.shards, executor=plan.executor
         ):
             try:
                 partials = self._scatter_with_retry(
@@ -213,14 +167,11 @@ class ShardCoordinator:
                 )
             finally:
                 cleanup()
-            self._bind_shard_actuals(ctx, plan, partials)
-        scatter_s = time.perf_counter() - scatter_started
-        bag.add("shard.scatter_ms", scatter_s * 1e3)
-        self.engine.db.metrics.observe(
-            "engine.shard.scatter_seconds",
-            scatter_s,
-            trace_id=trace.trace_id if trace is not None else None,
-        )
+            for shard_no in sorted(partials):
+                self._fold_shard_counters(
+                    counters, shard_no, partials[shard_no]["counters"]
+                )
+        bag.add("shard.scatter_ms", (time.perf_counter() - scatter_started) * 1e3)
 
         merge_started = time.perf_counter()
         with tracer.span("shard_merge", shards=len(partials)):
@@ -233,9 +184,7 @@ class ShardCoordinator:
                     partial.import_state(result["state"])
                     merged.merge_from(partial)
             counters.add("result_cells", merged.touched_cells())
-        merge_s = time.perf_counter() - merge_started
-        bag.add("shard.merge_ms", merge_s * 1e3)
-        self.engine.db.metrics.observe("engine.shard.merge_seconds", merge_s)
+        bag.add("shard.merge_ms", (time.perf_counter() - merge_started) * 1e3)
 
         counters.add("shards", plan.shards)
         with tracer.span("extract_rows"):
@@ -244,21 +193,8 @@ class ShardCoordinator:
 
     # -- task construction ----------------------------------------------------
 
-    def _build_tasks(
-        self, plan, array, specs, aggregate, allowed, cube, state,
-        trace=None,
-    ):
-        """Tasks + task function + post-scatter cleanup for the executor.
-
-        ``trace`` is the scatter's :class:`TraceContext`; each task gets
-        its own child context (fresh span identity, same trace) in the
-        picklable ``to_dict`` form, which makes the worker run its scan
-        under a local tracer and ship the span tree back.
-        """
-
-        def task_trace() -> dict | None:
-            return trace.child().to_dict() if trace is not None else None
-
+    def _build_tasks(self, plan, array, specs, aggregate, allowed, cube, state):
+        """Tasks + task function + post-scatter cleanup for the executor."""
         if plan.executor == "process":
             for spec in specs:
                 if spec.kind == "mapping":
@@ -286,7 +222,6 @@ class ShardCoordinator:
                     start=a.start,
                     stop=a.stop,
                     fail_marker=self._marker_path(a.shard_no),
-                    trace=task_trace(),
                 )
                 for a in plan.assignments
             ]
@@ -302,15 +237,13 @@ class ShardCoordinator:
                 "start": a.start,
                 "stop": a.stop,
                 "fail_marker": self._marker_path(a.shard_no),
-                "trace": task_trace(),
             }
             for a in plan.assignments
         ]
         cleanup = lambda: None  # noqa: E731
         if plan.executor == "thread" and array.chunk_cache is None:
             # everything lazily loaded (chunk directory, mappings) was
-            # resolved on this thread by the plan and the merged
-            # accumulator; what is left is the buffer pool, whose
+            # resolved on this thread before the scatter; what is left is the buffer pool, whose
             # pin/evict bookkeeping is single-threaded — a temporary
             # chunk cache's I/O lock serializes it under the scans
             from repro.serve.chunk_cache import ChunkCache
@@ -371,73 +304,28 @@ class ShardCoordinator:
             pending = failed
         return partials
 
-    # -- actuals binding ------------------------------------------------------
+    # -- counter folding ------------------------------------------------------
 
-    def _bind_shard_actuals(self, ctx, plan: ShardPlan, partials: dict) -> None:
-        """Re-bind worker-measured counters as coordinator-thread spans.
+    def _fold_shard_counters(
+        self, counters: Counters, shard_no: int, deltas: dict
+    ) -> None:
+        """Fold one shard task's counter deltas into the query's bag.
 
-        Worker threads/processes trace into their own roots (or not at
-        all), so EXPLAIN ANALYZE would see empty scan nodes.  Opening
-        ``shard_scan_<i>`` spans here — while ``ctx.counters`` is the
-        registry-scoped query bag — makes each shard's measured chunk
-        and cell counts the span's I/O delta, exactly what
-        ``attach_actuals`` binds to the plan's ``shard.scan[i]`` nodes.
+        A process worker's pool and disk are its own: its hit counts go
+        to the shard bag, its simulated I/O into the parent disk's so
+        cost accounting (``result.sim_io_s``) matches the thread path.
+        The rest is the task's private bag; ``counters`` receives it
+        here, once, whatever the executor (a measured zero is a report
+        too, so fold on presence).
         """
-        tracer = get_tracer()
-        counters = ctx.counters
-        bag = self.counters
-        for assignment in plan.assignments:
-            result = partials[assignment.shard_no]
-            deltas = dict(result["counters"])
-            with tracer.span(
-                f"shard_scan_{assignment.shard_no}",
-                shard=assignment.shard_no,
-                chunks=assignment.n_chunks,
-                executor=plan.executor,
-            ) as span:
-                span.annotate(scan_s=round(result["scan_s"], 6))
-                # a process worker's pool and disk are its own: its hit
-                # rates go to the shard bag, its simulated I/O into the
-                # parent disk's so cost accounting (result.sim_io_s)
-                # matches the thread path
-                for key in ("pool_hits", "pool_misses"):
-                    if key in deltas:
-                        bag.add(
-                            f"shard.{assignment.shard_no}.{key}",
-                            deltas.pop(key),
-                        )
-                if "sim_io_s" in deltas:
-                    self.engine.db.disk.counters.add(
-                        "sim_io_s", deltas.pop("sim_io_s")
-                    )
-                # the rest is the task's private bag; the query's bag
-                # receives it here, once, whatever the executor (a
-                # measured zero is a report too, so fold on presence)
-                for key, value in deltas.items():
-                    counters.add(key, value)
-                worker_roots = result.get("trace")
-                if worker_roots and tracer.enabled:
-                    # re-parent the worker's serialized span tree under
-                    # this shard's span: one contiguous tree per query,
-                    # even when the scan ran in another process
-                    span.children.extend(
-                        span_from_dict(payload) for payload in worker_roots
-                    )
-            self.engine.db.metrics.observe(
-                "engine.shard.scan_seconds", result["scan_s"]
-            )
-            if "pool_resident_bytes" in result:
-                self._worker_pool_bytes[assignment.shard_no] = float(
-                    result["pool_resident_bytes"]
-                )
-
-    def worker_pool_resident_bytes(self) -> float:
-        """Last-known buffer-pool bytes summed across process workers.
-
-        Inline executors share the parent's pool (already accounted),
-        so only process-worker reports land here.
-        """
-        return float(sum(self._worker_pool_bytes.values()))
+        deltas = dict(deltas)
+        for key in ("pool_hits", "pool_misses"):
+            if key in deltas:
+                self.counters.add(f"shard.{shard_no}.{key}", deltas.pop(key))
+        if "sim_io_s" in deltas:
+            self.engine.db.disk.counters.add("sim_io_s", deltas.pop("sim_io_s"))
+        for key, value in deltas.items():
+            counters.add(key, value)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -447,7 +335,6 @@ class ShardCoordinator:
             executor.close()
         self._executors.clear()
         self._images.clear()
-        self._worker_pool_bytes.clear()
         if self._workspace is not None:
             shutil.rmtree(self._workspace, ignore_errors=True)
             self._workspace = None

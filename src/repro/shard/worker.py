@@ -20,19 +20,11 @@ Databases are cached per ``(process, image path)``: a shard scan is
 usually one of many against the same cube generation, so reopening the
 image for every task would turn the buffer pool into a cold start each
 time.  A new image path (new generation) evicts the old entry.
-
-Tasks carrying a serialized trace context (``task["trace"]``) run the
-scan under a worker-local tracer and ship the resulting span tree back
-as ``result["trace"]`` (pickle-free :func:`span_to_dict` form); the
-coordinator re-parents it under its ``shard_scan_<i>`` span so EXPLAIN
-ANALYZE and the stored trace show one contiguous tree per query even
-across process boundaries.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 from repro.core.consolidate import (
     ConsolidationSpec,
@@ -40,8 +32,6 @@ from repro.core.consolidate import (
     scan_chunk_range,
 )
 from repro.errors import QueryError, TransientDiskError
-from repro.obs.exporters import span_to_dict
-from repro.obs.tracer import Span, Tracer, thread_tracing
 from repro.util.stats import Counters, counter_delta
 
 #: per-process cache: image_path -> (Database, {array_name: OLAPArray})
@@ -89,67 +79,25 @@ def build_specs(pairs: list[tuple[str, str | None]]) -> list[ConsolidationSpec]:
     return specs
 
 
-def _traced_scan(task: dict, scan, executor: str) -> Span | None:
-    """Run ``scan()`` under this worker's own tracer, when asked to.
-
-    A task carrying a ``trace`` payload (the coordinator's serialized
-    :class:`~repro.obs.tracing.TraceContext`) runs under a private
-    :class:`Tracer` so instrumented call sites inside the scan record
-    into a worker-local span tree — the tree the coordinator re-parents
-    under its ``shard_scan_<i>`` span.  Returns the worker's root span
-    (its ``io`` is filled with the shipped counter deltas by the
-    caller), or ``None`` when the task is untraced.
-    """
-    trace = task.get("trace")
-    if not trace:
-        scan()
-        return None
-    tracer = Tracer()  # durations only; root I/O is the shipped deltas
-    with thread_tracing(tracer):
-        with tracer.span(
-            "shard_worker",
-            shard=task["shard"],
-            pid=os.getpid(),
-            executor=executor,
-            trace_id=trace.get("trace_id"),
-            span_id=trace.get("span_id"),
-            parent_span_id=trace.get("parent_span_id"),
-        ) as root:
-            scan()
-    return root
-
-
 def run_inline_task(task: dict) -> dict:
     """Scan one chunk range in-process (``local``/``thread`` executors)."""
     _maybe_fail(task)
-    started = time.perf_counter()
     counters = Counters()
     accumulator = ResultAccumulator(
         task["array"], task["specs"], task["aggregate"], counters
     )
-
-    def scan() -> None:
-        scan_chunk_range(
-            task["array"],
-            accumulator,
-            range(task["start"], task["stop"]),
-            allowed=task.get("allowed"),
-            counters=counters,
-        )
-
-    root = _traced_scan(task, scan, executor="inline")
-    deltas = counters.snapshot()
-    result = {
+    scan_chunk_range(
+        task["array"],
+        accumulator,
+        range(task["start"], task["stop"]),
+        allowed=task.get("allowed"),
+        counters=counters,
+    )
+    return {
         "shard": task["shard"],
         "accumulator": accumulator,
-        "counters": deltas,
-        "scan_s": time.perf_counter() - started,
+        "counters": counters.snapshot(),
     }
-    if root is not None:
-        root.io = dict(deltas)
-        root.duration_s = result["scan_s"]
-        result["trace"] = [span_to_dict(root)]
-    return result
 
 
 def _open_worker_db(task: dict):
@@ -194,44 +142,26 @@ def run_shard_task(task: dict) -> dict:
     hit rates and simulated I/O to individual shards.
     """
     _maybe_fail(task)
-    started = time.perf_counter()
     db, array = _open_worker_db(task)
     before = db.metrics.snapshot_by_source()
     counters = Counters()
     accumulator = ResultAccumulator(
         array, build_specs(task["specs"]), task["aggregate"], counters
     )
-
-    def scan() -> None:
-        scan_chunk_range(
-            array,
-            accumulator,
-            range(task["start"], task["stop"]),
-            allowed=task.get("allowed"),
-            counters=counters,
-        )
-
-    root = _traced_scan(task, scan, executor="process")
+    scan_chunk_range(
+        array,
+        accumulator,
+        range(task["start"], task["stop"]),
+        allowed=task.get("allowed"),
+        counters=counters,
+    )
     deltas = counters.snapshot()
     moved = counter_delta(before, db.metrics.snapshot_by_source())
     deltas.update(
         (key, moved[key]) for key in _STORAGE_KEYS if key in moved
     )
-    result = {
+    return {
         "shard": task["shard"],
         "state": accumulator.export_state(),
         "counters": deltas,
-        "scan_s": time.perf_counter() - started,
-        # resident-set snapshot of this worker's private buffer pool —
-        # the coordinator folds it into the memory accountant the same
-        # way counter deltas fold into the query's metrics
-        "pool_resident_bytes": float(db.pool.resident_bytes()),
     }
-    if root is not None:
-        # the root's inclusive I/O *is* the shipped delta bag, so the
-        # coordinator-side re-parented tree decomposes exactly against
-        # the shard_scan_<i> span that replays these deltas
-        root.io = dict(deltas)
-        root.duration_s = result["scan_s"]
-        result["trace"] = [span_to_dict(root)]
-    return result

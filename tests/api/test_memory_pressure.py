@@ -208,7 +208,7 @@ def _burst(budget_bytes):
     """200 traced queries (all but the first three are result-cache hits)
     and 50 EXPLAIN ANALYZEs on a service with no sampler.  Returns the
     total resident bytes after each request, read without enforcing;
-    the largest unreclaimable floor (buffer pool + shard workers); and
+    the largest unreclaimable floor (the buffer pool); and
     the pressure-event count."""
     engine = fresh_engine()
     totals, floor = [], 0
@@ -223,7 +223,7 @@ def _burst(budget_bytes):
                 service.execute(query)
             usage = service.memory.usage_by_store()
             totals.append(sum(usage.values()))
-            floor = max(floor, usage["buffer_pool"] + usage["shard_workers"])
+            floor = max(floor, usage["buffer_pool"])
         events = service.memory.counters.get("memory.pressure_events")
     return totals, floor, events
 

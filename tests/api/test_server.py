@@ -477,6 +477,50 @@ class TestErrorPaths:
         assert _get(srv.url + "/memory?top=2")[0] == 200
         assert endpoint.counters.snapshot().get("api.responses_5xx", 0) == 0
 
+    def test_repeated_parameter_400(self, server):
+        # a second cut= used to replace the first: 200 with a filter
+        # silently dropped
+        _, _, _, srv = server
+        aggregate = srv.url + "/cube/sales/aggregate?drilldown=dim0&"
+        status, payload = _get(aggregate + "cut=dim1.h11:AA0&cut=dim2.h21:AA1")
+        assert status == 400
+        message = _error(payload)["message"]
+        assert "'cut'" in message
+        assert "'|' joins cuts" in message and "',' joins drilldowns" in message
+        status, payload = _get(aggregate + "drilldown=dim1")
+        assert status == 400
+        assert "'drilldown'" in _error(payload)["message"]
+        # the joined forms are the one way to send several
+        assert _get(aggregate + "cut=dim1.h11:AA0|dim2.h21:AA1")[0] == 200
+        status, payload = _get(srv.url + "/traces?limit=1&limit=2")
+        assert status == 400
+        assert payload["error"]["kind"] == "bad_request"  # untraced
+
+    @pytest.mark.parametrize(
+        "method", ["PUT", "DELETE", "PATCH", "OPTIONS", "HEAD"]
+    )
+    def test_other_methods_405(self, server, method):
+        _, _, endpoint, srv = server
+        before = endpoint.counters.get("api.responses_4xx")
+        request = urllib.request.Request(
+            srv.url + "/cube/sales/aggregate?drilldown=dim0", method=method
+        )
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=30)
+        response = caught.value
+        assert response.code == 405
+        assert response.headers["Allow"] == "GET, POST"
+        assert response.headers["Content-Type"].startswith("application/json")
+        body = response.read()
+        if method == "HEAD":
+            assert body == b""
+        else:
+            error = json.loads(body)["error"]
+            assert error["kind"] == "method_not_allowed"
+            assert error["status"] == 405
+            assert method in error["message"]
+        assert endpoint.counters.get("api.responses_4xx") == before + 1
+
     def test_no_500s_recorded(self, server):
         _, _, endpoint, srv = server
         for path in (
@@ -586,6 +630,36 @@ class TestBuildFailures:
         assert endpoint.counters.get("api.stale_fallbacks") == 1
         _wait_for_counter(
             endpoint.router.counters, "rollup.refresh_failures", failures + 1
+        )
+
+    def test_a_failed_build_under_explain_carries_the_base_plan(
+        self, server, monkeypatch
+    ):
+        # the EXPLAIN branch used to build outside the fallback: the
+        # plain request answered 200 from base, this one 503
+        _, service, endpoint, srv = server
+
+        def faulty_walk(*args):
+            raise TransientDiskError("injected fault in the grain walk")
+
+        monkeypatch.setattr("repro.api.rollup.walk_columns", faulty_walk)
+        failures = endpoint.router.counters.get("rollup.refresh_failures")
+        endpoint.router.reclaim_grains(0)
+        for suffix in ("&explain=1", "&explain=1&analyze=1"):
+            status, payload = _get(
+                srv.url + "/cube/sales/aggregate?drilldown=dim1" + suffix
+            )
+            assert status == 200
+            assert payload["route"]["source"] == "base"
+            assert _cells(payload) == _base_cells(
+                service, endpoint, {"drilldown": "dim1"}
+            )
+            validate(payload["explain"], PLAN_SCHEMA)
+            assert payload["explain"]["backend"] != "rollup"
+        assert endpoint.counters.get("api.stale_fallbacks") == 2
+        assert (
+            endpoint.router.counters.get("rollup.refresh_failures")
+            == failures + 2
         )
 
     def test_a_degraded_cube_still_serves_a_cached_base_answer(self, server):

@@ -193,28 +193,6 @@ class TestSelectionKernelEstimates:
         )
         assert probed.estimates["cells_probed"] == 10
 
-    @pytest.mark.parametrize("shards", [2, 3])
-    def test_shard_scan_nodes_share_the_pricing(self, small, shards):
-        from repro.bench import query2_for
-
-        engine, config = small
-        for query in (self._one_dimension(config), query2_for(config)):
-            plan = engine.explain(
-                query,
-                ExecutionOptions(backend="array", shards=shards),
-                analyze=True,
-                cold=True,
-            )
-            scans = [
-                n for n in plan.root.walk() if n.op.startswith("shard.scan[")
-            ]
-            assert len(scans) == shards
-            for scan in scans:
-                self._within_2x(scan)
-                assert scan.estimates["cells_probed"] == scan.actuals.get(
-                    "cells_probed", 0
-                )
-
 
 class TestPlanShape:
     def test_estimate_only_plan_has_no_actuals(self, engine):

@@ -54,22 +54,6 @@ class TestSignificance:
         assert query_fingerprint(base, ExecutionOptions()) == fp
         assert query_fingerprint(base, ExecutionOptions(backend="array")) != fp
 
-    def test_shard_plan_joins_fingerprint_only_when_sharded(self):
-        base = build()
-        fp = query_fingerprint(base)
-
-        def sharded_fp(shards, executor):
-            return query_fingerprint(
-                base, ExecutionOptions(shards=shards, executor=executor)
-            )
-
-        # shards=1 keeps unsharded fingerprints bit-identical
-        assert sharded_fp(1, "process") == fp
-        sharded = sharded_fp(4, "process")
-        assert sharded != fp
-        assert sharded != sharded_fp(2, "process")
-        assert sharded != sharded_fp(4, "thread")
-
     def test_aggregate_and_measures_matter(self):
         assert query_fingerprint(build(aggregate="max")) != query_fingerprint(
             build()

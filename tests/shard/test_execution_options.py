@@ -1,4 +1,9 @@
-"""The one ExecutionOptions surface and the knobs it no longer has."""
+"""The one ExecutionOptions surface and the knobs it no longer has.
+
+Shards are not among them: ``OlapEngine.query``'s ``shards`` and
+``executor`` keywords are the one way into :mod:`repro.shard`, and
+``query`` checks them itself.
+"""
 
 import dataclasses
 import inspect
@@ -18,10 +23,7 @@ def query():
 
 class TestValidation:
     def test_defaults(self):
-        opts = ExecutionOptions()
-        assert opts.backend == "auto"
-        assert opts.executor == "local"
-        assert opts.shards == 1
+        assert ExecutionOptions() == ExecutionOptions(backend="auto")
 
     @pytest.mark.parametrize(
         "bad",
@@ -31,15 +33,16 @@ class TestValidation:
             {"shards": 0},
         ],
     )
-    def test_bad_values_rejected(self, bad):
+    def test_bad_values_rejected(self, engine, bad):
         with pytest.raises(QueryError):
-            ExecutionOptions(**bad)
+            engine.query(query(), backend="array", **bad)
 
     def test_one_surface_is_counted(self):
-        # an ExecutionOptions argument (or engine.query's keywords for
-        # the same fields) is the one way to say how a query runs
+        # an ExecutionOptions argument (or engine.query's keyword for
+        # the same field) is the one way to say how a query runs; only
+        # engine.query shards
         names = [f.name for f in dataclasses.fields(ExecutionOptions)]
-        assert names == ["backend", "executor", "shards"]
+        assert names == ["backend"]
         keywords = list(inspect.signature(OlapEngine.query).parameters)[2:]
         assert keywords == ["backend", "mode", "cold", "shards", "executor"]
         assert len(dataclasses.fields(ServiceConfig)) == 9
@@ -67,11 +70,11 @@ class TestEngineSurface:
         ids=["shards", "executor"],
     )
     def test_query_keywords_are_checked_as_options_are(self, engine, keywords):
-        # one check for both entry points: query builds the options it runs
+        # query checks its shard keywords; no options object carries them
         with pytest.raises(QueryError):
             engine.query(query(), backend="array", **keywords)
-        with pytest.raises(QueryError):
-            engine.explain(query(), ExecutionOptions(backend="array", **keywords))
+        with pytest.raises(TypeError):
+            ExecutionOptions(backend="array", **keywords)
 
     def test_query_accepts_only_the_auto_mode(self, engine):
         auto = engine.query(query(), backend="array", mode="auto")

@@ -14,6 +14,7 @@ from repro.core.consolidate import (
     scan_chunk_range,
 )
 from repro.olap import ConsolidationQuery, SelectionPredicate
+from repro.shard.plan import plan_shards
 
 from tests.shard.conftest import CONFIG
 
@@ -122,9 +123,7 @@ class TestOracleMatrix:
         state = engine._cubes["cube"]
         n_chunks = len(state.array._entries())
         assert n_chunks % 7 != 0
-        plan = engine.shard_coordinator.plan(
-            state.array, 7, "local", "cube", state.generation
-        )
+        plan = plan_shards(state.array, 7)
         covered = sorted(
             c
             for a in plan.assignments

@@ -1,26 +1,12 @@
-"""Trace context across the shard scatter: one contiguous tree.
+"""Folding a shard task's counters into the query's bag.
 
-Worker threads and processes run their scans under their own tracers;
-the coordinator re-parents each shipped span tree under its live
-``shard_scan_<i>`` span.  These tests pin the contract end to end: the
-serialized (pickle-free) tree round-trips, re-parenting produces one
-contiguous tree whose counter deltas decompose exactly, and the
-zero-valued-delta fold regression stays fixed.
+The coordinator folds each task's private counter bag into the query's
+once, whatever the executor.  These tests pin the zero-valued-delta
+regression: a measured zero is folded, an absent key stays absent.
 """
 
-from types import SimpleNamespace
-
-import pytest
-
-from repro.obs.exporters import span_from_dict, span_to_dict
-from repro.obs.tracer import Tracer, thread_tracing
-from repro.obs.tracing import new_trace_context, trace_context
-from repro.olap import ConsolidationQuery
 from repro.util.stats import Counters
 
-QUERY = ConsolidationQuery.build(
-    "cube", group_by={"dim0": "h01", "dim1": "h11"}
-)
 
 class RecordingCounters(Counters):
     """Counters that remember every ``add`` call.
@@ -40,106 +26,11 @@ class RecordingCounters(Counters):
         super().add(name, amount)
 
 
-def traced_scatter(engine, shards, executor):
-    """Run one sharded query traced; returns the shard_scatter span."""
-    ctx = new_trace_context(origin="test")
-    tracer = Tracer(registry=engine.db.metrics)
-    with trace_context(ctx), thread_tracing(tracer):
-        engine.query(
-            QUERY, backend="array", shards=shards, executor=executor
-        )
-    root = tracer.roots[0]
-    scatter = root.find("shard_scatter")
-    assert scatter is not None
-    return ctx, scatter
-
-
-def scan_spans(scatter):
-    return [
-        child
-        for child in scatter.children
-        if child.name.startswith("shard_scan_")
-    ]
-
-
-def worker_spans(scatter):
-    return [
-        span for span in scatter.walk() if span.name == "shard_worker"
-    ]
-
-
-class TestContiguousTree:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_every_scan_carries_its_worker_subtree(self, engine, executor):
-        _, scatter = traced_scatter(engine, 4, executor)
-        scans = scan_spans(scatter)
-        assert len(scans) == 4
-        for scan in scans:
-            workers = [
-                c for c in scan.children if c.name == "shard_worker"
-            ]
-            assert len(workers) == 1
-            assert workers[0].attrs["shard"] == scan.attrs["shard"]
-
-    def test_worker_spans_carry_the_propagated_context(self, engine):
-        ctx, scatter = traced_scatter(engine, 2, "process")
-        assert scatter.attrs["trace_id"] == ctx.trace_id
-        for worker in worker_spans(scatter):
-            assert worker.attrs["trace_id"] == ctx.trace_id
-            # each task got its own child context under the scatter's
-            assert worker.attrs["parent_span_id"] is not None
-        span_ids = {w.attrs["span_id"] for w in worker_spans(scatter)}
-        assert len(span_ids) == 2
-
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_scatter_deltas_decompose_over_workers(self, engine, executor):
-        _, scatter = traced_scatter(engine, 4, executor)
-        scans, workers = scan_spans(scatter), worker_spans(scatter)
-        for key in ("chunks_read", "cells_scanned"):
-            scan_sum = sum(s.io.get(key, 0.0) for s in scans)
-            worker_sum = sum(w.io.get(key, 0.0) for w in workers)
-            assert scan_sum == pytest.approx(scatter.io.get(key, 0.0))
-            assert worker_sum == pytest.approx(scan_sum)
-            assert scan_sum > 0
-
-    def test_shipped_tree_round_trips_through_dict_form(self, engine):
-        _, scatter = traced_scatter(engine, 2, "process")
-        worker = worker_spans(scatter)[0]
-        clone = span_from_dict(span_to_dict(worker))
-        assert clone.name == worker.name
-        assert clone.attrs == worker.attrs
-        assert clone.io == worker.io
-        assert clone.duration_s == worker.duration_s
-        assert len(clone.children) == len(worker.children)
-
-    def test_untraced_scatter_ships_no_worker_trees(self, engine):
-        # no installed context and no live tracer: workers must skip
-        # their local tracer entirely (result carries no span tree)
-        tracer = Tracer(registry=engine.db.metrics)
-        with thread_tracing(tracer):
-            # a live tracer but no context still mints a scatter-local
-            # root so EXPLAIN ANALYZE keeps its contiguous tree
-            engine.query(QUERY, backend="array", shards=2, executor="process")
-        scatter = tracer.roots[0].find("shard_scatter")
-        assert len(worker_spans(scatter)) == 2
-
-
 class TestZeroDeltaFold:
     def _run_fold(self, engine, deltas):
-        """Drive _bind_shard_actuals with one fake shard result."""
-        coordinator = engine.shard_coordinator
+        """Fold one shard's counter deltas into a recording bag."""
         recorded = RecordingCounters()
-        ctx = SimpleNamespace(counters=recorded)
-        plan = SimpleNamespace(
-            executor="process",
-            assignments=[
-                SimpleNamespace(shard_no=0, start=0, stop=4, n_chunks=4)
-            ],
-        )
-        partials = {
-            0: {"counters": dict(deltas), "scan_s": 0.001, "trace": None}
-        }
-        coordinator._bind_shard_actuals(ctx, plan, partials)
+        engine.shard_coordinator._fold_shard_counters(recorded, 0, deltas)
         return recorded
 
     def test_zero_valued_deltas_fold_on_key_presence(self, engine):
