@@ -2,11 +2,11 @@
 
 A logical model (named cubes, dimensions, hierarchies, measures —
 :mod:`repro.api.model`) maps drilldown/cut requests onto
-:class:`~repro.olap.query.ConsolidationQuery` objects; a rollup router
-(:mod:`repro.api.rollup`) answers each request from the coarsest
-materialized aggregate that covers it, falling back to base-cube
-consolidation through the :class:`~repro.serve.service.QueryService`;
-and :class:`~repro.api.server.ApiServer` exposes the whole stack over
+:class:`~repro.olap.query.ConsolidationQuery` objects, each answered by
+the :class:`~repro.serve.service.QueryService`; the model's rollups are
+declared as the engine's grains (:mod:`repro.api.rollup`), so the
+planner answers a request one covers from the smallest such grain; and
+:class:`~repro.api.server.ApiServer` exposes the whole stack over
 stdlib HTTP.
 """
 

@@ -7,7 +7,7 @@ owns the mapping onto the physical layer.  Here a
 declares each dimension's hierarchy path ordered **finest → coarsest**
 (the key attribute first, exactly the order
 :class:`~repro.olap.model.DimensionDef` stores levels in), and lists
-the rollup grains the router may materialize.
+the rollups it declares as the engine's grains.
 
 The model is data, checked in as JSON (``benchmarks/api_model.json``)
 and validated on load; ``{scale}`` placeholders in physical cube names

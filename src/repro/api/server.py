@@ -1,9 +1,14 @@
 """The HTTP query surface: slicer-style aggregate requests over stdlib.
 
 ``ApiEndpoint`` owns the request pipeline — parse → validate against
-the logical model → route (rollup vs. base) → answer → shape the JSON
+the logical model → compile to a base-cube query → answer it through
+the :class:`~repro.serve.service.QueryService` → shape the JSON
 response — and ``ApiServer`` puts it behind the one
-:class:`~http.server.ThreadingHTTPServer` in the tree.  Routes:
+:class:`~http.server.ThreadingHTTPServer` in the tree.  Every answer is
+a service query: admitted, cached, degraded-checked and traced.  The
+model's rollups are the engine's grains (:mod:`repro.api.rollup`), so
+the planner's ``rollup`` route answers a request one covers, and the
+response's ``route`` object is the result's.  Routes:
 
 - ``GET /``                        — server info + every route served
 - ``GET /cubes``                   — logical cube names
@@ -40,11 +45,11 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.api.model import API_AGGREGATES, LogicalCube, LogicalModel
-from repro.api.rollup import RollupRouter, RouteDecision
+from repro.api.rollup import RollupRouter
 from repro.errors import (
     AdmissionError,
     ApiError,
@@ -57,9 +62,8 @@ from repro.errors import (
     TransientError,
 )
 from repro.obs.exporters import span_to_dict
-from repro.obs.explain import PlanNode, QueryPlan
 from repro.obs.server import ROUTES, ObservabilityRoutes
-from repro.obs.tracer import Tracer, get_tracer, thread_tracing
+from repro.obs.tracer import Tracer, thread_tracing
 from repro.obs.tracing import (
     TraceContext,
     adopt_trace_id,
@@ -67,9 +71,7 @@ from repro.obs.tracing import (
     new_trace_context,
     trace_context,
 )
-from repro.olap.options import ExecutionOptions
 from repro.olap.query import ConsolidationQuery, SelectionPredicate
-from repro.serve.fingerprint import query_fingerprint
 from repro.util.stats import Counters
 
 #: hard caps keeping one request's work bounded (structured 4xx beyond)
@@ -77,6 +79,16 @@ MAX_DRILLDOWN_ITEMS = 16
 MAX_CUT_ITEMS = 32
 MAX_CUT_VALUES = 256
 MAX_BODY_BYTES = 64 * 1024
+
+#: a response's ``route`` when no declared grain covers its request
+BASE_ROUTE = {
+    "source": "base",
+    "rollup": None,
+    "grain": None,
+    "reason": "no declared rollup covers the request",
+    "candidates": [],
+    "rows_scanned": None,
+}
 
 
 @dataclass(frozen=True)
@@ -390,49 +402,33 @@ class RequestParser:
 class ApiEndpoint:
     """The transport-independent request pipeline behind the server."""
 
-    def __init__(
-        self,
-        engine,
-        service,
-        model: LogicalModel,
-    ):
+    def __init__(self, engine, service, model: LogicalModel):
         self.engine = engine
         self.service = service
         self.model = model
-        registry = engine.db.metrics
-        self.registry = registry
+        self.registry = registry = engine.db.metrics
         #: the introspection routes (``/metrics``, ``/healthz``, …)
         self.obs = ObservabilityRoutes(registry, service)
         #: the serving layer's flight recorder, shared so API-handler
         #: spans and the query spans below merge into one trace record
         self.traces = getattr(service, "traces", None)
-        self.router = RollupRouter(engine, service, registry=registry)
         self.counters = Counters()
         registry.register("api:server", self.counters, replace=True)
         self._histograms = {
             name: registry.register_histogram(name, replace=True)
-            for name in (
-                "api.request_seconds",
-                "api.routed_seconds",
-                "api.base_seconds",
-            )
+            for name in ("api.request_seconds", "api.routed_seconds", "api.base_seconds")
         }
-        registry.register_gauge(
-            "api.rollups_resident",
-            lambda: float(self.router.resident_rollups()),
-            replace=True,
-        )
-        self._measure_lock = threading.Lock()
-        self._measure_indexes: dict[tuple[str, str], int] = {}
         # every declared grain exists before the first request: a write
         # patches it, so only what a delta cannot follow costs a request
         # a build
-        for cube in model.cubes:
-            self.router.materialize(cube)
+        self.router = RollupRouter(engine, service, model)
 
     def close(self) -> None:
-        """Detach the router from the engine and the memory ledger."""
-        self.router.close()
+        """Take this endpoint's counters off the registry, unless a
+        later endpoint's replaced them (the grains are the engine's,
+        and stay)."""
+        if self.registry.counters("api:server") is self.counters:
+            self.registry.unregister("api:server")
 
     # -- tracing -------------------------------------------------------------
 
@@ -494,17 +490,19 @@ class ApiEndpoint:
         }
 
     def rollup_stats_payload(self) -> dict:
-        """Router residency, per grain (``<cube>/<rollup>``: every
+        """The model's grain residency (``<cube>/<rollup>``: every
         aggregate rides in one entry).  ``grains`` stays a plain name →
         row-count map; the byte (``Σ column.nbytes``) breakdown rides in
-        ``grain_stats``, patches and misses in ``counters``.
+        ``grain_stats``, and the grain store's counters in ``counters``.
         """
+        stats = self.router.grain_stats()
+        grains = {name: entry["rows"] for name, entry in stats.items()}
         return {
-            "resident_entries": self.router.resident_rollups(),
-            "resident_rows": self.router.resident_rows(),
-            "resident_bytes": self.router.resident_bytes(),
-            "grains": self.router.grain_rows(),
-            "grain_stats": self.router.grain_stats(),
+            "resident_entries": len(stats),
+            "resident_rows": sum(grains.values()),
+            "resident_bytes": sum(e["resident_bytes"] for e in stats.values()),
+            "grains": grains,
+            "grain_stats": stats,
             "counters": self.router.counters.snapshot(),
         }
 
@@ -515,26 +513,6 @@ class ApiEndpoint:
         return self.model.cube(name).to_dict()
 
     # -- compilation ---------------------------------------------------------
-
-    def _measure_index(self, cube: LogicalCube, measure: str) -> int:
-        """Position of one measure in the physical cube's measure list
-        (the column order rollup rows store after the grain values)."""
-        key = (cube.cube, measure)
-        with self._measure_lock:
-            cached = self._measure_indexes.get(key)
-        if cached is None:
-            state = self.engine.cube(cube.cube)
-            names = [m.name for m in state.schema.measures]
-            try:
-                cached = names.index(measure)
-            except ValueError:
-                raise ApiNotFoundError(
-                    f"physical cube {cube.cube!r} has no measure "
-                    f"{measure!r}; model and schema disagree"
-                ) from None
-            with self._measure_lock:
-                self._measure_indexes[key] = cached
-        return cached
 
     def base_query(self, request: AggregateRequest) -> ConsolidationQuery:
         """The base-cube consolidation equivalent to one API request."""
@@ -569,219 +547,51 @@ class ApiEndpoint:
         self.counters.add("api.aggregate_requests")
         ctx = current_trace_context()
         trace_id = ctx.trace_id if ctx is not None else None
-        cube = self.model.cube(cube_name)
-        request = request_of(RequestParser(cube))
-        decision = self.router.route(
-            cube, list(request.drilldown), list(request.cuts),
-            request.aggregate,
-        )
-        payload: dict | None = None
-        if decision.source == "rollup":
-            payload = self._routed(cube, request, decision)
-            if payload is None:
-                # the chosen grain could not be built: this request pays
-                # the base cost, the next one tries the build again
-                self.counters.add("api.stale_fallbacks")
-                decision = replace(
-                    decision,
-                    source="base",
-                    reason=(
-                        f"rollup {decision.rollup.name!r} could not be "
-                        "built; answered from base"
-                    ),
-                )
-        if payload is not None:
+        request = request_of(RequestParser(self.model.cube(cube_name)))
+        query = self.base_query(request)
+        plan = None
+        if request.explain and request.analyze:
+            # the analyzed run is the answer: it leaves it cached
+            plan = self.service.explain(query, analyze=True)
+            self.counters.add("api.explain_analyzes")
+        result = self.service.execute(query)
+        if request.explain and plan is None:
+            # planned after the run, so it names the grain the run built
+            plan = self.service.explain(query)
+        if plan is not None:
+            self.counters.add("api.explains")
+        route = result.route or BASE_ROUTE
+        if route["source"] == "rollup":
             self.counters.add("api.rollup_hits")
-            self._histograms["api.routed_seconds"].observe(
-                time.perf_counter() - start, trace_id=trace_id
-            )
+            histogram = "api.routed_seconds"
         else:
-            payload = self._base(cube, request, decision)
+            if route["rollup"] is not None:
+                # the chosen grain could not be built: this request paid
+                # the base cost, the next miss tries the build again
+                self.counters.add("api.stale_fallbacks")
             self.counters.add("api.base_fallbacks")
-            self._histograms["api.base_seconds"].observe(
-                time.perf_counter() - start, trace_id=trace_id
-            )
-        payload["elapsed_s"] = time.perf_counter() - start
-        self._histograms["api.request_seconds"].observe(
-            payload["elapsed_s"], trace_id=trace_id
-        )
-        return 200, payload
-
-    def _labels(self, request: AggregateRequest) -> list[str]:
-        return [f"{dim}.{attr}" for dim, attr in request.drilldown] + list(
-            request.measures
-        )
-
-    def _shape(
-        self,
-        request: AggregateRequest,
-        rows: list,
-        decision: RouteDecision,
-        rows_scanned: int | None,
-        explain: dict | None,
-    ) -> dict:
-        labels = self._labels(request)
+            histogram = "api.base_seconds"
+        labels = [f"{d}.{a}" for d, a in request.drilldown] + list(request.measures)
         payload: dict = {
             "cube": request.cube.name,
             "aggregate": request.aggregate,
             "measures": list(request.measures),
             "drilldown": [list(pair) for pair in request.drilldown],
             "cuts": [cut.to_dict() for cut in request.cuts],
-            "cells": [dict(zip(labels, row)) for row in rows],
-            "cell_count": len(rows),
-            "route": {
-                "source": decision.source,
-                "rollup": (
-                    decision.rollup.name
-                    if decision.rollup is not None
-                    else None
-                ),
-                "grain": (
-                    decision.rollup.grain_dict()
-                    if decision.rollup is not None
-                    else None
-                ),
-                "reason": decision.reason,
-                "candidates": list(decision.candidates),
-                "rows_scanned": rows_scanned,
-            },
+            "cells": [
+                dict(zip(labels, row)) for row in sorted(result.rows)
+            ],
+            "cell_count": len(result.rows),
+            "route": dict(route),
         }
-        if explain is not None:
-            payload["explain"] = explain
-        return payload
-
-    def _routed(
-        self, cube: LogicalCube, request: AggregateRequest,
-        decision: RouteDecision,
-    ) -> dict | None:
-        measure_indexes = [
-            self._measure_index(cube, m) for m in request.measures
-        ]
-        rollup = decision.rollup
-        assert rollup is not None
-        shape = list(request.drilldown), list(request.cuts), request.aggregate
-        if not request.explain:
-            stored = self._grain_rows(cube, rollup, request.aggregate)
-            if stored is None:
-                return None
-            rows = self.router.scan(cube, rollup, stored, *shape, measure_indexes)
-            self.router.counters.add("rollup.hits")
-            return self._shape(request, rows, decision, len(stored), None)
-        # EXPLAIN (and ANALYZE): answer once, under a tracer when
-        # actuals are wanted, and bind them to the rollup plan nodes
-        plan = self._rollup_plan(cube, request, decision)
-        tracer = Tracer(registry=self.registry) if request.analyze else get_tracer()
-        started = time.perf_counter()
-        with thread_tracing(tracer):
-            with tracer.span("rollup.route", rollup=rollup.name, cube=cube.name):
-                stored = self._grain_rows(cube, rollup, request.aggregate)
-                if stored is None:
-                    return None
-                with tracer.span("rollup.scan", rows=len(stored)):
-                    rows = self.router.scan(
-                        cube, rollup, stored, *shape, measure_indexes
-                    )
-                self.router.counters.add("rollup.hits")
-        elapsed = time.perf_counter() - started
-        scan_node = plan.root.children[0]
-        scan_node.estimates["rollup.rows_scanned"] = len(stored)
-        if request.analyze and tracer.roots:
-            plan.bind_actuals(
-                tracer.roots[0],
-                rows=len(rows),
-                elapsed_s=elapsed,
-                sim_io_s=0.0,
-                totals=tracer.roots[0].io,
-            )
-            self.engine._record_misestimates(plan)
-            self.counters.add("api.explain_analyzes")
-        self.counters.add("api.explains")
-        return self._shape(
-            request, rows, decision, len(stored), plan.to_dict()
+        if plan is not None:
+            payload["explain"] = plan.to_dict()
+        payload["elapsed_s"] = time.perf_counter() - start
+        self._histograms[histogram].observe(payload["elapsed_s"], trace_id=trace_id)
+        self._histograms["api.request_seconds"].observe(
+            payload["elapsed_s"], trace_id=trace_id
         )
-
-    def _grain_rows(self, cube: LogicalCube, rollup, aggregate: str):
-        """The grain's rows, built inline if stale; ``None`` when the
-        build fails.
-
-        A degraded cube or an I/O fault fails the build, not the
-        request: the caller answers it from base, with or without
-        EXPLAIN.
-        """
-        try:
-            return self.router.rows_for(cube, rollup, aggregate)
-        except ReproError:
-            self.router.counters.add("rollup.refresh_failures")
-            return None
-
-    def _rollup_plan(
-        self, cube: LogicalCube, request: AggregateRequest,
-        decision: RouteDecision,
-    ) -> QueryPlan:
-        """The ``rollup.route`` plan for one routed request."""
-        rollup = decision.rollup
-        assert rollup is not None
-        base = self.base_query(request)
-        est_cells = 1
-        for dim, attr in request.drilldown:
-            est_cells *= self.router.cardinality(cube.cube, dim, attr)
-        root = PlanNode(
-            op="rollup.route",
-            span="rollup.route",
-            detail={
-                "rollup": rollup.name,
-                "grain": rollup.grain_dict(),
-                "base_cube": cube.cube,
-                "candidates": list(decision.candidates),
-                "drilldown": [list(p) for p in request.drilldown],
-                "cuts": len(request.cuts),
-            },
-            estimates={},
-        )
-        root.add(
-            PlanNode(
-                op="rollup.scan",
-                span="rollup.scan",
-                detail={"aggregate": request.aggregate},
-                estimates={
-                    "rollup.rows_scanned": decision.estimated_rows or 0,
-                    "rollup.cells_emitted": est_cells,
-                },
-            )
-        )
-        return QueryPlan(
-            cube=cube.cube,
-            backend="rollup",
-            fingerprint=query_fingerprint(
-                base, ExecutionOptions(backend="rollup")
-            ),
-            planner={
-                "requested": "auto",
-                "reason": decision.reason,
-                "route": {
-                    "source": "rollup",
-                    "rollup": rollup.name,
-                    "candidates": list(decision.candidates),
-                },
-            },
-            root=root,
-        )
-
-    def _base(
-        self, cube: LogicalCube, request: AggregateRequest,
-        decision: RouteDecision,
-    ) -> dict:
-        query = self.base_query(request)
-        explain: dict | None = None
-        if request.explain:
-            plan = self.service.explain(query, analyze=request.analyze)
-            explain = plan.to_dict()
-            self.counters.add("api.explains")
-            if request.analyze:
-                self.counters.add("api.explain_analyzes")
-        result = self.service.execute(query)
-        rows = sorted(result.rows)
-        return self._shape(request, rows, decision, None, explain)
+        return 200, payload
 
     # -- error shaping -------------------------------------------------------
 

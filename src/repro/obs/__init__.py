@@ -29,7 +29,7 @@ carries a first-class accounting layer:
   deltas, misestimate factors, text rendering and a fingerprint-keyed
   :class:`PlanCache`.
 - :mod:`repro.obs.exporters` — JSON trace dump, text tree rendering,
-  Prometheus text exposition plus a parser/linter for it.  Trends are
+  Prometheus text exposition (its linter is the tests').  Trends are
   a scraper's to window: ``/metrics`` exports every counter and
   cumulative histogram, exemplars included.
 - :mod:`repro.obs.memory` — shape-charged resident-set accounting with
@@ -61,14 +61,10 @@ from repro.obs.tracer import (
     tracing,
 )
 from repro.obs.exporters import (
-    PromSample,
-    lint_prometheus_text,
-    parse_prometheus_text,
     prometheus_text,
     render_span_tree,
     span_from_dict,
     span_to_dict,
-    trace_from_json,
     trace_to_json,
 )
 from repro.obs.tracing import (
@@ -98,7 +94,6 @@ __all__ = [
     "ObservabilityRoutes",
     "PlanCache",
     "PlanNode",
-    "PromSample",
     "QueryPlan",
     "Span",
     "TraceContext",
@@ -109,9 +104,7 @@ __all__ = [
     "attach_actuals",
     "current_trace_context",
     "get_tracer",
-    "lint_prometheus_text",
     "new_trace_context",
-    "parse_prometheus_text",
     "prometheus_text",
     "quantile_from_buckets",
     "render_plan",
@@ -121,7 +114,6 @@ __all__ = [
     "span_to_dict",
     "thread_tracing",
     "trace_context",
-    "trace_from_json",
     "trace_to_json",
     "tracing",
 ]

@@ -293,6 +293,8 @@ class StoreAccount:
     cost_rank: int = 100
     share: float = 0.0
     sized: SizedStore | None = None
+    #: the pressure hook this registration installed on ``sized``
+    hook: Callable[[], object] | None = None
 
 
 class MemoryAccountant:
@@ -341,11 +343,11 @@ class MemoryAccountant:
         account = StoreAccount(
             name=name, usage=usage, cost_rank=cost_rank, share=share, sized=sized
         )
-        with self._lock:
-            self._stores[name] = account
         if sized is not None:
             reason = f"{name}_growth"
-            sized.pressure_hook = lambda: self.maybe_reclaim(reason)
+            account.hook = sized.pressure_hook = lambda: self.maybe_reclaim(reason)
+        with self._lock:
+            self._stores[name] = account
         if self._registry is not None:
             self._registry.register_gauge(
                 f"memory.{name}.resident_bytes", usage, replace=True
@@ -355,8 +357,11 @@ class MemoryAccountant:
         """Drop one store from the ledger (missing names are ignored)."""
         with self._lock:
             account = self._stores.pop(name, None)
+        # a store two accountants share (an engine's grains under two
+        # services) keeps the hook the other installed
         if account is not None and account.sized is not None:
-            account.sized.pressure_hook = None
+            if account.sized.pressure_hook is account.hook:
+                account.sized.pressure_hook = None
         if self._registry is not None:
             # gauges cannot be removed; freeze the reading at zero so a
             # late scrape never calls into a closed store

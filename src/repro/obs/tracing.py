@@ -267,7 +267,7 @@ class TraceStore(SizedStore):
             if record is None:
                 record = TraceRecord(
                     trace_id=trace_id,
-                    origin=origin or context.origin,
+                    origin=context.origin or origin,
                     name=name,
                     started_at=time.time(),
                 )
@@ -277,7 +277,10 @@ class TraceStore(SizedStore):
                 self.counters.add("traces.stored")
             else:
                 self.counters.add("traces.merged")
-            if name and not record.name:
+            # the entry point that minted the trace names it, whoever
+            # contributed first (an API request's queries run before it
+            # records its own view)
+            if name and (not record.name or origin == record.origin):
                 record.name = name
             if origin and not record.origin:
                 record.origin = origin

@@ -7,9 +7,10 @@ loads the data into *both* physical designs — the relational star
 schema (§2.2) and the OLAP Array ADT (§2.3) — and executes
 :class:`~repro.olap.query.ConsolidationQuery` objects through one of
 the three backends the :mod:`~repro.olap.planner` can pick (``array``,
-``starjoin``, ``bitmap``), named or chosen by ``auto``.  The paper's
-dominated baselines are run by the experiment harness
-(:mod:`repro.bench.baselines`), not by the engine.
+``starjoin``, ``bitmap``), named or chosen by ``auto`` — which first
+answers from a covering declared grain (:mod:`~repro.olap.grains`).
+The harness runs the paper's dominated baselines
+(:mod:`repro.bench.baselines`).
 """
 
 from repro.olap.model import CubeSchema, DimensionDef, MeasureDef

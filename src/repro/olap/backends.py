@@ -6,9 +6,12 @@
   the loaded cube state, the query's counter bag and, for
   :meth:`OlapEngine.query <repro.olap.engine.OlapEngine.query>` alone,
   its shard keywords);
-- a fixed table of the three backends the planner can pick
+- a fixed table of the three base backends the planner can pick
   (``array``/``starjoin``/``bitmap``), through which the engine resolves
-  backend names (:func:`get_backend`).
+  backend names (:func:`get_backend`);
+- :class:`RollupBackend`, the planner's fourth route: one declared grain
+  that covers the query (:mod:`repro.olap.grains`), outside the table
+  because ``auto`` alone picks it, with the grain it found fresh.
 
 ``auto`` is not a backend: the engine resolves it through the
 :mod:`~repro.olap.planner` rule before consulting the table.  The
@@ -516,7 +519,60 @@ class BitmapBackend(Backend):
         return root
 
 
-#: the backends the engine routes: the planner's three, by name
+class RollupBackend(Backend):
+    """A covering grain re-rolled to the query's shape: ``rollup.route``
+    over one ``rollup.scan`` of the grain's non-empty cells.
+
+    One per resolution, holding the grain the planner found fresh (or
+    built), so eviction between plan and run cannot take it away."""
+
+    name = "rollup"
+
+    def __init__(self, choice, grain):
+        self.choice = choice
+        self.grain = grain
+
+    def execute(self, ctx, query):
+        engine, state = ctx.engine, ctx.state
+        names = [m.name for m in state.schema.measures]
+        with ctx.phase("rollup.scan", rows=len(self.grain)):
+            return engine.grains.answer(
+                self.grain,
+                query.group_by,
+                query.selections,
+                query.aggregate,
+                [names.index(m) for m in engine._query_measures(state, query)],
+            )
+
+    def explain(self, ctx, query):
+        grains = ctx.engine.grains
+        root = PlanNode(
+            "rollup.route",
+            span="query",
+            detail={
+                "rollup": self.choice.name,
+                "grain": dict(self.choice.grain),
+                "candidates": list(self.choice.candidates),
+            },
+        )
+        root.add(
+            PlanNode(
+                "rollup.scan",
+                span="rollup.scan",
+                detail={"aggregate": query.aggregate},
+                estimates={
+                    "rollup.rows_scanned": len(self.grain),
+                    "rollup.cells_emitted": math.prod(
+                        grains.cardinality(query.cube, dim, attr)
+                        for dim, attr in query.group_by
+                    ),
+                },
+            )
+        )
+        return root
+
+
+#: the backends the engine routes by name: the planner's base three
 _REGISTRY: dict[str, Backend] = {
     backend.name: backend
     for backend in (ArrayBackend(), StarjoinBackend(), BitmapBackend())

@@ -13,7 +13,9 @@ through the backends the planner can pick:
 ``array``     §4.1 consolidation / §4.2 chunk-ordered selection
 ``starjoin``  §4.3 Starjoin operator (selections via key filters)
 ``bitmap``    §4.5 bitmap AND + fact-file fetch
-``auto``      the §5.6-derived planner rule
+``rollup``    a declared grain that covers the query, re-rolled
+              (:mod:`repro.olap.grains`; ``auto`` alone picks it)
+``auto``      the covering grain, else the §5.6-derived planner rule
 ========== ==========================================================
 
 Every backend returns the identical sorted row multiset, so any two can
@@ -35,14 +37,15 @@ from collections.abc import Callable, Iterable
 
 from repro.core.builder import DimensionData, fact_coords, plan_olap_array
 from repro.core.olap_array import OLAPArray
-from repro.errors import CatalogError, PlanError, QueryError
+from repro.errors import CatalogError, PlanError, QueryError, ReproError
 from repro.index.bitmap import factorize
 from repro.obs.explain import MISESTIMATE_FACTOR_THRESHOLD, QueryPlan
 from repro.obs.tracer import get_tracer
 from repro.obs.tracing import current_trace_context
 from repro.olap import backends as backend_registry
 from repro.olap import planner
-from repro.olap.backends import BackendContext
+from repro.olap.backends import BackendContext, RollupBackend
+from repro.olap.grains import GRAIN_AGGREGATES, GrainStore
 from repro.olap.model import CubeSchema
 from repro.olap.options import ExecutionOptions
 from repro.olap.planner import PlannerInputs, choose_backend_explained
@@ -75,6 +78,9 @@ class QueryResult:
     elapsed_s: float
     sim_io_s: float
     stats: dict[str, float] = field(default_factory=dict)
+    #: ``auto``'s grain route when a declared grain covered the query
+    #: (:meth:`GrainChoice.route <repro.olap.grains.GrainChoice.route>`)
+    route: dict | None = None
 
     @property
     def cost_s(self) -> float:
@@ -128,6 +134,8 @@ class OlapEngine:
         self.db = db if db is not None else Database(**db_kwargs)
         self._cubes: dict[str, _CubeState] = {}
         self._write_listeners: list[Callable[..., None]] = []
+        #: the declared grains the planner's ``rollup`` route reads
+        self.grains = GrainStore(self)
         self._explain_counters: Counters | None = None
         self._shard_coordinator = None
 
@@ -360,6 +368,16 @@ class OlapEngine:
         except KeyError:
             raise CatalogError(f"no cube named {name!r} loaded") from None
 
+    def declare_grain(self, cube: str, name: str, grain: dict) -> None:
+        """Declare grain ``name`` of a loaded cube: ``{dimension:
+        level}`` (a level may be the key), every other dimension
+        consolidated away.  From now on ``auto`` answers a query the
+        grain covers from it (:mod:`repro.olap.grains`); nothing is
+        built until a query or :meth:`GrainStore.rows_for
+        <repro.olap.grains.GrainStore.rows_for>` needs it.  Declaring a
+        name again with another grain replaces it."""
+        self.grains.declare(self.cube(cube).schema, name, dict(grain))
+
     def _dimension_attr_map(self, state, dim_name: str, attr: str) -> dict:
         """key → attribute value for one dimension (key itself allowed)."""
         dim = state.schema.dimension(dim_name)
@@ -456,10 +474,10 @@ class OlapEngine:
             raise QueryError(f"shards must be >= 1, got {shards}")
         state = self.cube(query.cube)
         query.validate(state.schema)
-        backend, impl, planner_reason = self._resolve_backend(
+        backend, impl, planner_reason, route = self._resolve_backend(
             state, query, backend
         )
-        return self.measured_run(
+        result = self.measured_run(
             state,
             query,
             backend,
@@ -469,6 +487,8 @@ class OlapEngine:
             shards=shards,
             executor=executor,
         )
+        result.route = route
+        return result
 
     def measured_run(
         self,
@@ -541,39 +561,63 @@ class OlapEngine:
         query: ConsolidationQuery,
         backend: str,
         selectivity: float | None = None,
-    ) -> tuple[str, backend_registry.Backend, str]:
+        build: bool = True,
+    ) -> tuple[str, backend_registry.Backend, str, dict | None]:
         """The planner call and availability check that :meth:`query`
-        and :meth:`explain` share.
+        and :meth:`explain` share: ``(backend, implementation, planner
+        reason, route)``.
 
-        Returns ``(backend, implementation, planner reason)``.
-        The selectivity is estimated only when the planner runs and the
-        caller has not already done so.
+        ``auto`` first asks for the smallest declared grain covering the
+        query (:meth:`GrainStore.choose
+        <repro.olap.grains.GrainStore.choose>`); a stale one is built
+        now when ``build`` (a plain EXPLAIN builds nothing), and one
+        whose build fails is counted and passed over.  ``route`` reports
+        that choice, ``None`` when no grain covers.  The selectivity is
+        estimated only when the base rule runs and the caller has not
+        already done so.
         """
         available = state.available_backends()
         planner_reason = "explicit"
+        grain = route = None
         if backend == "auto":
-            if selectivity is None:
-                selectivity = (
-                    self.estimate_selectivity(query) if query.selections else 1.0
-                )
+            choice = query.aggregate in GRAIN_AGGREGATES and self.grains.choose(
+                state.schema,
+                query.group_by
+                + tuple((s.dimension, s.attribute) for s in query.selections),
+            )
+            if choice:
+                grain = self.grains.fresh(query.cube, choice.name)
+                if grain is None and build:
+                    try:
+                        grain = self.grains.rows_for(state, choice.name)
+                    except ReproError:
+                        self.grains.counters.add("rollup.refresh_failures")
+                route = choice.route(grain)
+            if selectivity is None and grain is None and query.selections:
+                selectivity = self.estimate_selectivity(query)
             backend, planner_reason = choose_backend_explained(
                 PlannerInputs(
                     has_array="array" in available,
                     has_bitmaps="bitmap" in available,
                     has_selections=bool(query.selections),
-                    estimated_selectivity=selectivity,
+                    estimated_selectivity=(
+                        1.0 if selectivity is None else selectivity
+                    ),
                     has_range_selections=any(
                         sel.is_range for sel in query.selections
                     ),
+                    has_grain=grain is not None,
                 ),
             )
+        if grain is not None:
+            return backend, RollupBackend(choice, grain), planner_reason, route
         impl = backend_registry.get_backend(backend)
         if not impl.available(state):
             raise PlanError(
                 f"backend {backend!r} not available for cube "
                 f"{query.cube!r}; built: {sorted(available)}"
             )
-        return backend, impl, planner_reason
+        return backend, impl, planner_reason, route
 
     # -- EXPLAIN / EXPLAIN ANALYZE -------------------------------------------------
 
@@ -591,12 +635,17 @@ class OlapEngine:
         <repro.serve.service.QueryService.explain>` and ``repro
         explain``); ``None`` means ``ExecutionOptions()``.  Planner
         resolution (``backend="auto"``, availability checks) is
-        :meth:`query`'s own helper.  The returned
-        :class:`~repro.obs.explain.QueryPlan` carries per-node cost
-        estimates; ``analyze=True`` is :meth:`explain_analyze`'s plan.
+        :meth:`query`'s own helper, except that a plain EXPLAIN builds
+        no grain.  The returned :class:`~repro.obs.explain.QueryPlan`
+        carries per-node cost estimates; ``analyze=True`` is
+        :meth:`explain_analyze`'s plan.
         """
         if analyze:
             return self.explain_analyze(query, options, cold)[0]
+        return self._plan(query, options, build=False)[0]
+
+    def _plan(self, query, options, build: bool):
+        """``(plan, state, implementation, route)`` of one resolution."""
         # imported here: repro.serve imports this module (cycle guard),
         # matching the function-level import precedent in :meth:`sql`
         from repro.serve.fingerprint import query_fingerprint
@@ -607,14 +656,11 @@ class OlapEngine:
         estimated_selectivity = (
             self.estimate_selectivity(query) if query.selections else 1.0
         )
-        backend, impl, planner_reason = self._resolve_backend(
-            state,
-            query,
-            opts.backend,
-            estimated_selectivity,
+        backend, impl, planner_reason, route = self._resolve_backend(
+            state, query, opts.backend, estimated_selectivity, build
         )
         ctx = BackendContext(engine=self, state=state, counters=Counters())
-        return QueryPlan(
+        plan = QueryPlan(
             cube=query.cube,
             backend=backend,
             fingerprint=query_fingerprint(query, opts),
@@ -627,6 +673,7 @@ class OlapEngine:
             },
             root=impl.explain(ctx, query),
         )
+        return plan, state, impl, route
 
     def explain_analyze(
         self,
@@ -636,19 +683,24 @@ class OlapEngine:
     ) -> tuple[QueryPlan, QueryResult]:
         """EXPLAIN ANALYZE: ``(plan, result)`` of one measured run.
 
-        Runs the planned backend under a registry-bound tracer, binds
-        each node's actual counter deltas to the plan, and feeds every
-        node's misestimate factor into the
+        Resolves the query as :meth:`query` does (building a stale
+        grain), runs the planned backend under a registry-bound tracer,
+        binds each node's actual counter deltas to the plan, and feeds
+        every node's misestimate factor into the
         ``engine.explain.misestimate_factor`` histogram.  The run's
         :class:`QueryResult` comes back too, so a caller that also
         wants the rows need not run the query again.
         """
         from repro.obs.tracer import Tracer, thread_tracing
 
-        plan = self.explain(query, options)
+        plan, state, impl, route = self._plan(query, options, build=True)
         tracer = Tracer(registry=self.db.metrics)
         with thread_tracing(tracer):
-            result = self.query(query, backend=plan.backend, cold=cold)
+            result = self.measured_run(
+                state, query, plan.backend, impl.execute, cold,
+                plan.planner["reason"],
+            )
+        result.route = route
         plan.bind_actuals(
             next((root for root in tracer.roots if root.name == "query"), None),
             rows=len(result.rows),
@@ -769,6 +821,8 @@ class OlapEngine:
             # before the write from what is cached, not turned away for
             # an fsync.  Even if it failed: nothing cached outlives it.
             state.generation += 1
+        if delta is not None:
+            self.grains.patch(state, delta)
         for listener in list(self._write_listeners):
             listener(state.schema.name, delta)
 

@@ -5,7 +5,10 @@ future work but its measurements imply a simple rule: the array wins
 except at extremely low star-join selectivity, where the bitmap + fact
 file pulls individual tuples while the array must fetch whole chunks
 (§5.6: the crossover sits near S = 0.00024).  :func:`choose_backend`
-encodes exactly that rule.
+encodes exactly that rule, after a fourth route the paper's own reading
+suggests: a consolidation's result is another array, so a declared
+grain that covers the query (:mod:`repro.olap.grains`) answers it
+before any base design is read.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ class PlannerInputs:
     #: True when any selection is a range predicate, which a value-list
     #: bitmap index can only serve by enumerating the qualifying domain.
     has_range_selections: bool = False
+    #: True when a declared grain covers the query and is fresh (or was
+    #: just built): the engine found it before asking
+    has_grain: bool = False
 
 
 def choose_backend_explained(inputs: PlannerInputs) -> tuple[str, str]:
@@ -39,6 +45,8 @@ def choose_backend_explained(inputs: PlannerInputs) -> tuple[str, str]:
     profiles, so a tail-latency investigation can see which planner rule
     fired without re-deriving the selectivity estimate.
     """
+    if inputs.has_grain:
+        return "rollup", "covering-grain"
     if not inputs.has_selections:
         if inputs.has_array:
             return "array", "no-selections"
@@ -62,8 +70,9 @@ def choose_backend_explained(inputs: PlannerInputs) -> tuple[str, str]:
 
 
 def choose_backend(inputs: PlannerInputs) -> str:
-    """Pick ``array`` / ``starjoin`` / ``bitmap`` for a query.
+    """Pick ``rollup`` / ``array`` / ``starjoin`` / ``bitmap`` for a query.
 
+    - a covering grain: ``rollup``, whatever the selections;
     - no selections: the array consolidation if an array exists, else
       the Starjoin operator;
     - with selections: the array algorithm above the crossover

@@ -32,11 +32,14 @@ there, count up for the life of the service (a window or a query is a
 difference of two snapshots); queue depth / cache residency export as
 gauges.
 
-Every cache and the trace store register with the service's
-:class:`~repro.obs.memory.MemoryAccountant` (so do an API endpoint's
-rollup grains), which checks ``memory_budget_bytes`` each time one of
-them grows; neither the service nor the rollup router runs a
-background thread besides the query pool.
+Every cache, the trace store and the engine's one grain store register
+with the service's :class:`~repro.obs.memory.MemoryAccountant`, which
+checks ``memory_budget_bytes`` each time one of them grows; the service
+runs no background thread besides the query pool.
+
+A query a declared grain covers (:mod:`repro.olap.grains`) is a query
+like any other: admitted, cached, degraded-checked and traced, its
+``QueryResult.route`` cached with its rows.
 
 Every query's outcome is one record in the
 :class:`~repro.obs.tracing.TraceStore` (``traces``): span tree,
@@ -115,7 +118,7 @@ class ServiceConfig:
     #: The one size setting: each cache and ring keeps its own default
     #: entry cap.  When a store's growth takes the accounted total past
     #: this, the memory accountant reclaims in cheap-to-rebuild-first
-    #: order: result cache → decoded chunks → coldest rollup grains
+    #: order: result cache → decoded chunks → coldest grains
     memory_budget_bytes: int = 0
 
 
@@ -212,15 +215,19 @@ class QueryService:
 
         Reclaim order (``cost_rank``) is cheapest-to-rebuild first:
         result cache (one engine query) → decoded chunks (one pool
-        read + decode each) → rollup grains (rank 2, registered by the
-        API's rollup router) → cached plans → the trace store, whose
-        loss costs a debugging breadcrumb but never a wrong answer.
-        Each of those stores checks the budget where it grows.  The buffer pool is accounted but never evicted
+        read + decode each) → the engine's grains (one re-roll or walk
+        each, rebuilt by the next query routed to one) → cached plans →
+        the trace store, whose loss costs a debugging breadcrumb but
+        never a wrong answer.  Each of those stores checks the budget
+        where it grows.  The buffer pool is accounted but never evicted
         from here: it enforces its own capacity bound.
         """
         memory = self.memory
         memory.register_store("result_cache", self.results, cost_rank=0, share=0.10)
         memory.register_store("chunk_cache", self.chunks, cost_rank=1, share=0.25)
+        memory.register_store(
+            "rollup_grains", self.engine.grains, cost_rank=2, share=0.25
+        )
         memory.register_store("buffer_pool", self.engine.db.pool.resident_bytes)
         memory.register_store("plan_cache", self.plans, cost_rank=3, share=0.02)
         memory.register_store("traces", self.traces, cost_rank=5, share=0.02)
@@ -248,7 +255,8 @@ class QueryService:
     @contextmanager
     def engine_access(self, cube: str):
         """``cube``'s loaded state, held serialized with every miss and write
-        (the rollup router builds grains under it); refused while degraded."""
+        (a caller building a grain outside a query holds it); refused
+        while degraded."""
         self._check_degraded(cube)
         with self._engine_lock:
             self._attach_chunk_cache(cube)
@@ -362,7 +370,7 @@ class QueryService:
         self.traces.record(
             trace,
             name=f"query:{query.cube}",
-            origin=trace.origin or "service",
+            origin="service",
             status=status,
             latency_s=latency_s,
             roots=roots,
@@ -524,6 +532,7 @@ class QueryService:
             elapsed_s=timer.elapsed,
             sim_io_s=0.0,
             stats=dict(result.stats),
+            route=result.route,
         )
         out.stats["result_cache_hit"] = 1.0
         return out

@@ -9,15 +9,15 @@ import threading
 
 from repro.api.server import ApiEndpoint
 from repro.data import generate_fact_rows
-from repro.olap import ConsolidationQuery
+from repro.olap import ConsolidationQuery, ExecutionOptions
 from repro.serve import QueryService, ServiceConfig
 
 from .conftest import CONFIG, fresh_engine, fresh_model
 
-#: below the stack's resident set at test scale (~51 KB, 47 KB of it the
-#: unreclaimable buffer pool: routed requests no longer fill the result
-#: cache), so every sample lands over budget and the reclaim path runs
-#: constantly — grains are evicted and rebuilt throughout
+#: below the stack's resident set at test scale (47 KB of it the
+#: unreclaimable buffer pool alone), so every sample lands over budget
+#: and the reclaim path runs constantly — grains are evicted and
+#: rebuilt throughout
 BUDGET_BYTES = 40_000
 
 TEMPLATES = [
@@ -45,7 +45,8 @@ def _oracle_rows(service, payload):
         selections=[],
         aggregate=payload["aggregate"],
     )
-    return sorted(service.execute(query).rows)
+    # pinned: auto would answer from the grain whose answer is checked
+    return sorted(service.execute(query, ExecutionOptions("array")).rows)
 
 
 class TestEvictionUnderWrites:
@@ -143,25 +144,26 @@ class TestEvictionUnderWrites:
 
         # eviction races must not corrupt per-store ledgers: each
         # store's resident figure re-derives from its own entry sizes
+        grains = service.engine.grains
         for store in (
             service.results,
             service.chunks,
             service.plans,
             service.traces,
+            grains,
         ):
             with store._lock:
                 assert store._resident_bytes == sum(store._sizes.values())
                 assert store._resident_bytes >= 0
-        # a grain's bytes are its columns': the router's figure is their
+        # a grain's bytes are its columns': the store's figure is their
         # sum, whatever eviction and rebuild raced
         router = endpoint.router
-        with router._lock:
-            grains = list(router._store.values())
-        assert router.resident_bytes() == sum(
-            grain.counts.nbytes
-            + sum(column.nbytes for column in grain.columns.values())
-            for grain in grains
-        )
+        with grains._lock:
+            assert grains.resident_bytes() == sum(
+                grain.counts.nbytes
+                + sum(column.nbytes for column in grain.columns.values())
+                for grain in grains.values()
+            )
         # the pressure came from eviction-then-rebuild: grains were
         # evicted, and rebuilt beyond the two builds at start
         assert router.counters.get("rollup.evictions") >= 1

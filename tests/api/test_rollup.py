@@ -1,6 +1,6 @@
-"""RollupRouter: derive maps, coverage, routing, re-aggregation
-correctness against the consolidation engine, invalidation, and the
-inline rebuild of a grain the write left behind."""
+"""RollupRouter over the engine's grains: derive maps, coverage,
+routing, re-aggregation correctness against the consolidation engine,
+invalidation, and the inline rebuild of a grain the write left behind."""
 
 import sys
 import threading
@@ -10,7 +10,7 @@ import numpy as np
 from repro.api.model import RollupDecl
 from repro.api.server import Cut
 from repro.data import generate_fact_rows
-from repro.olap import ConsolidationQuery
+from repro.olap import ConsolidationQuery, ExecutionOptions
 from repro.olap.query import SelectionPredicate
 
 from .conftest import CONFIG
@@ -31,39 +31,39 @@ def _base_rows(service, group_by, aggregate="sum", selections=None):
         selections=selections or [],
         aggregate=aggregate,
     )
-    return sorted(service.execute(query).rows)
+    # pinned: auto would answer from the grain the answer is checked against
+    return sorted(service.execute(query, ExecutionOptions("array")).rows)
 
 
 class TestDeriveMaps:
     def test_h01_to_h02_is_functional(self, stack):
-        _, _, endpoint = stack
-        router = endpoint.router
-        mapping = router.derive_map(CONFIG.name, "dim0", "h01", "h02")
+        engine, _, _ = stack
+        mapping = engine.grains.derive_map(CONFIG.name, "dim0", "h01", "h02")
         # fanout1=3, fanout2=2: AA0/AA2 -> BB0, AA1 -> BB1
         assert mapping == {"AA0": "BB0", "AA1": "BB1", "AA2": "BB0"}
 
     def test_h02_to_h01_is_not_functional(self, stack):
-        _, _, endpoint = stack
+        engine, _, _ = stack
         # BB0 would need to map to both AA0 and AA2
         assert (
-            endpoint.router.derive_map(CONFIG.name, "dim0", "h02", "h01")
+            engine.grains.derive_map(CONFIG.name, "dim0", "h02", "h01")
             is None
         )
 
     def test_identity_returns_none(self, stack):
-        _, _, endpoint = stack
+        engine, _, _ = stack
         assert (
-            endpoint.router.derive_map(CONFIG.name, "dim0", "h01", "h01")
+            engine.grains.derive_map(CONFIG.name, "dim0", "h01", "h01")
             is None
         )
 
     def test_cardinality(self, stack):
-        _, _, endpoint = stack
-        router = endpoint.router
-        assert router.cardinality(CONFIG.name, "dim0", "d0") == 6
-        assert router.cardinality(CONFIG.name, "dim0", "h01") == 3
-        assert router.cardinality(CONFIG.name, "dim0", "h02") == 2
-        assert router.cardinality(CONFIG.name, "dim2", "d2") == 10
+        engine, _, _ = stack
+        grains = engine.grains
+        assert grains.cardinality(CONFIG.name, "dim0", "d0") == 6
+        assert grains.cardinality(CONFIG.name, "dim0", "h01") == 3
+        assert grains.cardinality(CONFIG.name, "dim0", "h02") == 2
+        assert grains.cardinality(CONFIG.name, "dim2", "d2") == 10
 
 
 class TestRouting:

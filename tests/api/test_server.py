@@ -24,6 +24,7 @@ from repro.errors import (
     RetryExhaustedError,
     TransientDiskError,
 )
+from repro.olap import ExecutionOptions
 from repro.util.jsonschema_lite import validate
 
 from .conftest import CONFIG
@@ -80,10 +81,11 @@ def _cells(payload):
 
 
 def _base_cells(service, endpoint, params):
-    """The base engine's answer to one request, through the result
-    cache the base fallback reads (and leaves it cached)."""
+    """The array's answer to one request, through the service: pinned,
+    because ``auto`` answers from a covering grain."""
     request = RequestParser(endpoint.model.cube("sales")).from_params(params)
-    return sorted(service.execute(endpoint.base_query(request)).rows)
+    query = endpoint.base_query(request)
+    return sorted(service.execute(query, ExecutionOptions("array")).rows)
 
 
 def _wait_for_counter(counters, name, value, timeout_s=10.0):
@@ -619,7 +621,7 @@ class TestBuildFailures:
         def faulty_walk(*args):
             raise TransientDiskError("injected fault in the grain walk")
 
-        monkeypatch.setattr("repro.api.rollup.walk_columns", faulty_walk)
+        monkeypatch.setattr("repro.olap.grains.walk_columns", faulty_walk)
         failures = endpoint.router.counters.get("rollup.refresh_failures")
         endpoint.router.reclaim_grains(0)
         status, payload = _get(srv.url + "/cube/sales/aggregate?drilldown=dim1")
@@ -642,7 +644,7 @@ class TestBuildFailures:
         def faulty_walk(*args):
             raise TransientDiskError("injected fault in the grain walk")
 
-        monkeypatch.setattr("repro.api.rollup.walk_columns", faulty_walk)
+        monkeypatch.setattr("repro.olap.grains.walk_columns", faulty_walk)
         failures = endpoint.router.counters.get("rollup.refresh_failures")
         endpoint.router.reclaim_grains(0)
         for suffix in ("&explain=1", "&explain=1&analyze=1"):
@@ -663,19 +665,26 @@ class TestBuildFailures:
         )
 
     def test_a_degraded_cube_still_serves_a_cached_base_answer(self, server):
+        # a routed miss on a degraded cube used to fall back to a base
+        # answer cached beside it; it is a service miss now, refused
+        # like any other, while what the cache holds is still served
         _, service, endpoint, srv = server
-        cached = _base_cells(service, endpoint, {"drilldown": "dim1"})
+        base = srv.url + "/cube/sales/aggregate?drilldown=dim2:d2"
+        status, cached = _get(base)
+        assert status == 200 and cached["route"]["source"] == "base"
         failures = endpoint.router.counters.get("rollup.refresh_failures")
         endpoint.router.reclaim_grains(0)
         service._mark_degraded(CONFIG.name)
-        status, payload = _get(srv.url + "/cube/sales/aggregate?drilldown=dim1")
+        status, payload = _get(base)
         assert status == 200
-        assert payload["route"]["source"] == "base"
-        assert _cells(payload) == cached
-        _wait_for_counter(
-            endpoint.router.counters, "rollup.refresh_failures", failures + 1
-        )
-        # a miss on a degraded cube is refused, as ever
-        status, payload = _get(srv.url + "/cube/sales/aggregate?drilldown=dim0:d0")
-        assert status == 503
-        assert payload["error"]["kind"] == "degraded"
+        assert payload["route"] == cached["route"]
+        assert payload["cells"] == cached["cells"]
+        # a miss on a degraded cube is refused, as ever: routed or base
+        for drilldown in ("dim1", "dim0:d0"):
+            status, payload = _get(
+                srv.url + "/cube/sales/aggregate?drilldown=" + drilldown
+            )
+            assert status == 503
+            assert payload["error"]["kind"] == "degraded"
+        # refused before any build was tried
+        assert endpoint.router.counters.get("rollup.refresh_failures") == failures

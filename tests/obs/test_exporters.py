@@ -7,9 +7,9 @@ from repro.obs import (
     render_span_tree,
     span_from_dict,
     span_to_dict,
-    trace_from_json,
     trace_to_json,
 )
+from tests.prom_text import trace_from_json
 from repro.util.stats import Counters
 
 
@@ -106,7 +106,7 @@ class TestEscapingRoundTrip:
     """
 
     def _round_trip(self, source_name: str) -> str:
-        from repro.obs import parse_prometheus_text
+        from tests.prom_text import parse_prometheus_text
 
         registry = MetricsRegistry()
         registry.register(source_name, Counters()).add("gets", 1)
@@ -135,7 +135,7 @@ class TestEscapingRoundTrip:
         assert self._round_trip("not\\newline") != "not\newline"
 
     def test_lint_accepts_escaped_output(self):
-        from repro.obs import lint_prometheus_text
+        from tests.prom_text import lint_prometheus_text
 
         registry = MetricsRegistry()
         registry.register('we"ird\\nam\ne', Counters()).add("gets", 1)

@@ -204,7 +204,8 @@ class TestConcurrency:
 
     def test_registry_scrape_during_concurrent_writes(self):
         """Writers hammer counters + a histogram while readers scrape."""
-        from repro.obs.exporters import lint_prometheus_text, prometheus_text
+        from repro.obs.exporters import prometheus_text
+        from tests.prom_text import lint_prometheus_text
 
         registry = MetricsRegistry()
         counters = Counters()

@@ -15,7 +15,7 @@ from repro.api.model import LogicalModel
 from repro.api.server import ApiEndpoint, ApiServer
 from repro.errors import ApiNotFoundError
 from repro.obs import ObservabilityRoutes
-from repro.obs.exporters import lint_prometheus_text
+from tests.prom_text import lint_prometheus_text
 from repro.obs.registry import MetricsRegistry
 from repro.obs.server import ROUTES
 from repro.obs.tracing import new_trace_context, trace_context

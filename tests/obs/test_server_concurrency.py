@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.obs import ObservabilityRoutes, PlanCache, TraceStore
-from repro.obs.exporters import lint_prometheus_text
+from tests.prom_text import lint_prometheus_text
 from repro.obs.memory import MemoryAccountant
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import new_trace_context

@@ -18,7 +18,8 @@ from repro.bench import (
 )
 from repro.bench.report import write_trace
 from repro.data import SyntheticCubeConfig
-from repro.obs import get_tracer, trace_from_json
+from repro.obs import get_tracer
+from tests.prom_text import trace_from_json
 
 TINY = SyntheticCubeConfig(
     name="tiny",

@@ -12,8 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.model import model_from_dict
-from repro.api.rollup import RollupRouter
 from repro.bench import run_cold
 from repro.core import ConsolidationSpec, compute_cube, consolidate
 from repro.core.meta import NO_CHUNK
@@ -58,37 +56,19 @@ def rollup_query(**group_by):
 
 class TestNothingIsLost:
     def test_materialize_shows_in_the_registry(self, fresh):
-        """A rollup grain built by ``RollupRouter.rows_for`` bills its
-        walk to the ``rollup_build`` bag: every chunk read reaches the
-        registry, none lands in the array's own bag."""
+        """A grain built by ``GrainStore.rows_for`` bills its walk to
+        the ``rollup_build`` bag: every chunk read reaches the registry,
+        none lands in the array's own bag."""
         array = fresh.cube("cube").array
         expected = non_empty_chunks(array)
-        cube = model_from_dict(
-            {
-                "cubes": [
-                    {
-                        "name": "sales",
-                        "cube": "cube",
-                        "dimensions": [
-                            {"name": f"dim{d}", "hierarchy": [f"d{d}", f"h{d}1"]}
-                            for d in range(3)
-                        ],
-                        "measures": [{"name": "volume"}],
-                        "rollups": [
-                            {"name": "by_h1", "grain": {"dim0": "h01", "dim1": "h11"}}
-                        ],
-                    }
-                ]
-            }
-        ).cube("sales")
+        fresh.declare_grain("cube", "by_h1", {"dim0": "h01", "dim1": "h11"})
         with QueryService(fresh) as service:
-            router = RollupRouter(fresh, service, fresh.db.metrics)
             array.invalidate_caches()
             own_before = array.counters.get("chunks_read")
             before = fresh.db.metrics.merged_snapshot()
-            router.rows_for(cube, cube.rollups[0])
+            with service.engine_access("cube") as state:
+                fresh.grains.rows_for(state, "by_h1")
             after = fresh.db.metrics.merged_snapshot()
-            router.close()
         assert after["chunks_read"] - before.get("chunks_read", 0) == expected
         assert after["dir_loads"] - before.get("dir_loads", 0) == 1
         assert after["cells_scanned"] - before.get("cells_scanned", 0) == (

@@ -21,7 +21,7 @@ from repro.cli import fetch_metrics
 from repro.data import generate_fact_rows
 from repro.api.model import LogicalModel
 from repro.api.server import ApiEndpoint, ApiServer
-from repro.obs import lint_prometheus_text
+from tests.prom_text import lint_prometheus_text
 from repro.serve import QueryService, ServiceConfig
 
 from .conftest import CONFIG

@@ -89,7 +89,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.startswith("query")
         assert "probe_chunks" in out
-        from repro.obs import trace_from_json
+        from tests.prom_text import trace_from_json
 
         spans = trace_from_json(trace_file.read_text())
         assert spans[0].name == "query"
