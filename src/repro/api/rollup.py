@@ -134,11 +134,3 @@ class RollupRouter:
                         "rows": len(grain), "resident_bytes": grain.nbytes,
                     }
         return dict(sorted(stats.items()))
-
-    def resident_rollups(self) -> int:
-        """The model's grains currently stored."""
-        return len(self.grain_stats())
-
-    def resident_bytes(self) -> int:
-        """Bytes held by the model's stored grains."""
-        return sum(s["resident_bytes"] for s in self.grain_stats().values())

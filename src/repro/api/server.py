@@ -90,6 +90,21 @@ BASE_ROUTE = {
     "rows_scanned": None,
 }
 
+#: how a failure is answered: ``(class, status, kind, counter)``, the
+#: first row it is an instance of wins; an :class:`ApiError` carries
+#: its own status and kind
+ERROR_SHAPES = (
+    (ApiError, None, None, "api.client_errors"),
+    (AdmissionError, 429, "admission", "api.admission_rejections"),
+    # a degraded cube, an exhausted retry budget, a corrupt log or a
+    # disk fault: the server's trouble, not the request's
+    ((TransientError, PermanentError), 503, "degraded", "api.degraded_rejections"),
+    # engine-side validation of a compiled query (unknown physical
+    # attribute, bad aggregate): the client's fault
+    (ReproError, 400, "query_error", "api.client_errors"),
+    (Exception, 500, "internal", "api.server_errors"),
+)
+
 
 @dataclass(frozen=True)
 class Cut:
@@ -413,9 +428,9 @@ class ApiEndpoint:
         #: spans and the query spans below merge into one trace record
         self.traces = getattr(service, "traces", None)
         self.counters = Counters()
-        registry.register("api:server", self.counters, replace=True)
+        self._source = registry.register("api:server", self.counters)
         self._histograms = {
-            name: registry.register_histogram(name, replace=True)
+            name: registry.register_histogram(name)
             for name in ("api.request_seconds", "api.routed_seconds", "api.base_seconds")
         }
         # every declared grain exists before the first request: a write
@@ -424,11 +439,9 @@ class ApiEndpoint:
         self.router = RollupRouter(engine, service, model)
 
     def close(self) -> None:
-        """Take this endpoint's counters off the registry, unless a
-        later endpoint's replaced them (the grains are the engine's,
-        and stay)."""
-        if self.registry.counters("api:server") is self.counters:
-            self.registry.unregister("api:server")
+        """Take this endpoint's counters off the registry (the grains
+        are the engine's, and stay)."""
+        self.registry.unregister(self._source)
 
     # -- tracing -------------------------------------------------------------
 
@@ -597,54 +610,14 @@ class ApiEndpoint:
 
     def error_payload(self, exc: Exception) -> tuple[int, dict]:
         """Map one failure to ``(status, structured body)``."""
-        if isinstance(exc, ApiError):
-            self.counters.add("api.client_errors")
-            return exc.status, {
-                "error": {
-                    "kind": exc.kind,
-                    "message": str(exc),
-                    "status": exc.status,
-                }
-            }
-        if isinstance(exc, AdmissionError):
-            self.counters.add("api.admission_rejections")
-            return 429, {
-                "error": {
-                    "kind": "admission",
-                    "message": str(exc),
-                    "status": 429,
-                }
-            }
-        if isinstance(exc, (TransientError, PermanentError)):
-            # a degraded cube, an exhausted retry budget, a corrupt log
-            # or a disk fault: the server's trouble, not the request's
-            self.counters.add("api.degraded_rejections")
-            return 503, {
-                "error": {
-                    "kind": "degraded",
-                    "message": str(exc),
-                    "status": 503,
-                }
-            }
-        if isinstance(exc, ReproError):
-            # engine-side validation of a compiled query (unknown
-            # physical attribute, bad aggregate): the client's fault
-            self.counters.add("api.client_errors")
-            return 400, {
-                "error": {
-                    "kind": "query_error",
-                    "message": str(exc),
-                    "status": 400,
-                }
-            }
-        self.counters.add("api.server_errors")
-        return 500, {
-            "error": {
-                "kind": "internal",
-                "message": f"{type(exc).__name__}: {exc}",
-                "status": 500,
-            }
-        }
+        for classes, status, kind, counter in ERROR_SHAPES:
+            if isinstance(exc, classes):
+                break
+        self.counters.add(counter)
+        if kind is None:
+            status, kind = exc.status, exc.kind
+        message = f"{type(exc).__name__}: {exc}" if kind == "internal" else str(exc)
+        return status, {"error": {"kind": kind, "message": message, "status": status}}
 
 
 class ApiServer:

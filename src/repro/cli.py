@@ -321,9 +321,6 @@ def cmd_serve(args) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-serve-") as wal_dir:
         engine = build_cube_engine(config, settings, wal_dir=wal_dir)
 
-        # run_warm owns a private single-worker service; it must finish
-        # (and unregister its serve:* sources) before the shared service
-        # below registers the same names.
         warm = run_warm(engine, queries[0], backend="array")
         print(
             f"warm q1: cold={warm.cold.cost_s:.3f}s "

@@ -14,6 +14,10 @@ per-store ``memory.<store>.resident_bytes`` gauges plus one
 ``memory.total_resident_bytes`` through the
 :class:`~repro.obs.registry.MetricsRegistry` (so ``/metrics`` sees
 them), and serves the ``/memory`` route and ``repro mem`` breakdowns.
+It owns those gauges: unregistering a store removes its gauge, and
+:meth:`MemoryAccountant.close` removes the rest, so no scrape reads a
+closed service's stores and two services' accountants on one engine
+never touch each other's gauges.
 
 What each store is charged, and how closely:
 
@@ -295,6 +299,8 @@ class StoreAccount:
     sized: SizedStore | None = None
     #: the pressure hook this registration installed on ``sized``
     hook: Callable[[], object] | None = None
+    #: the name this store's ``resident_bytes`` gauge went live under
+    gauge: str | None = None
 
 
 class MemoryAccountant:
@@ -315,11 +321,9 @@ class MemoryAccountant:
         # must not recurse into a second reclaim
         self._reclaim_lock = threading.Lock()
         if registry is not None:
-            registry.register("obs:memory", self.counters, replace=True)
-            registry.register_gauge(
-                "memory.total_resident_bytes",
-                self.total_resident_bytes,
-                replace=True,
+            self._source = registry.register("obs:memory", self.counters)
+            self._total_gauge = registry.register_gauge(
+                "memory.total_resident_bytes", self.total_resident_bytes
             )
 
     # -- registration ------------------------------------------------------
@@ -332,7 +336,8 @@ class MemoryAccountant:
         cost_rank: int = 100,
         share: float = 0.0,
     ) -> None:
-        """Register one resident store under ``name`` (idempotent).
+        """Register one resident store under ``name``, replacing any
+        store this accountant holds under it.
 
         A :class:`SizedStore` brings its own ledger, reclaim and top
         entries, and gets the budget check as its pressure hook; anything
@@ -343,31 +348,29 @@ class MemoryAccountant:
         account = StoreAccount(
             name=name, usage=usage, cost_rank=cost_rank, share=share, sized=sized
         )
+        self.unregister_store(name)
         if sized is not None:
             reason = f"{name}_growth"
             account.hook = sized.pressure_hook = lambda: self.maybe_reclaim(reason)
+        if self._registry is not None:
+            account.gauge = self._registry.register_gauge(
+                f"memory.{name}.resident_bytes", usage
+            )
         with self._lock:
             self._stores[name] = account
-        if self._registry is not None:
-            self._registry.register_gauge(
-                f"memory.{name}.resident_bytes", usage, replace=True
-            )
 
     def unregister_store(self, name: str) -> None:
         """Drop one store from the ledger (missing names are ignored)."""
         with self._lock:
             account = self._stores.pop(name, None)
+        if account is None:
+            return
         # a store two accountants share (an engine's grains under two
         # services) keeps the hook the other installed
-        if account is not None and account.sized is not None:
-            if account.sized.pressure_hook is account.hook:
-                account.sized.pressure_hook = None
-        if self._registry is not None:
-            # gauges cannot be removed; freeze the reading at zero so a
-            # late scrape never calls into a closed store
-            self._registry.register_gauge(
-                f"memory.{name}.resident_bytes", lambda: 0.0, replace=True
-            )
+        if account.sized is not None and account.sized.pressure_hook is account.hook:
+            account.sized.pressure_hook = None
+        if account.gauge is not None:
+            self._registry.unregister_gauge(account.gauge)
 
     def store_names(self) -> list[str]:
         """All registered store names, sorted."""
@@ -495,16 +498,12 @@ class MemoryAccountant:
         }
 
     def close(self) -> None:
-        """Unregister every store and the counter source."""
+        """Unregister every store, the counter source and the total."""
         with self._lock:
             names = list(self._stores)
         for name in names:
             self.unregister_store(name)
-        if self._registry is not None:
-            try:
-                self._registry.unregister("obs:memory")
-            except Exception:
-                pass
-            self._registry.register_gauge(
-                "memory.total_resident_bytes", lambda: 0.0, replace=True
-            )
+        registry, self._registry = self._registry, None
+        if registry is not None:
+            registry.unregister(self._source)
+            registry.unregister_gauge(self._total_gauge)

@@ -13,20 +13,28 @@ snapshot costs what changed, not what exists: a source hands out the
 same frozen dict until its next increment and ``counter_delta`` skips it
 by identity.
 
-A per-query bag registered with :meth:`MetricsRegistry.scoped` is folded
-into the ``retired`` bag when its block ends, so totals never drop when
-a query finishes and a span enclosing the query sees the query's
-``cells_scanned`` / ``btree_probes`` in its own difference.  Gauges
-(callables sampled at export time) and cumulative
+Every registration is owned.  :meth:`MetricsRegistry.register` and
+:meth:`~MetricsRegistry.register_gauge` put an entry live under its
+name or, when another owner already holds that name, under ``name#N``,
+and return the name it went live under; the owner keeps it and hands
+it back to :meth:`~MetricsRegistry.unregister` /
+:meth:`~MetricsRegistry.unregister_gauge`, which remove exactly that
+entry.  So two services or endpoints on one engine never hide or
+remove each other's sources.  An unregistered source's counts move
+into the ``retired`` bag in one step, so no total ever drops and a
+span enclosing a finished query sees its ``cells_scanned`` /
+``btree_probes`` in its own difference; :meth:`~MetricsRegistry.scoped`
+is register + unregister around a ``with`` block.  Gauges (callables
+sampled at export time) and cumulative
 :class:`~repro.obs.histogram.Histogram` latency distributions ride along
-for the Prometheus exporter.
+for the Prometheus exporter; a histogram is shared by name, and every
+owner observes into the one :meth:`~MetricsRegistry.register_histogram`
+returns.
 
 The registry is thread-safe: the serving layer registers per-query
 scoped sources, samples gauges and scrapes snapshots concurrently, so
 every map mutation — and every snapshot, so that a bag is never seen
-both live and retired — happens under one lock.  :meth:`scoped`
-uniquifies its source name: two queries in flight both registering
-``"query"`` get distinct names instead of a duplicate-source error.
+both live and retired — happens under one lock.
 """
 
 from __future__ import annotations
@@ -40,8 +48,8 @@ from repro.obs.histogram import Histogram
 from repro.util.stats import Counters, counter_delta
 
 
-#: the snapshot key of the bag finished :meth:`MetricsRegistry.scoped`
-#: sources are folded into; not registrable
+#: the snapshot key of the bag unregistered sources are folded into;
+#: not registrable
 RETIRED = "retired"
 
 
@@ -57,24 +65,34 @@ class MetricsRegistry:
 
     # -- sources -----------------------------------------------------------
 
-    def register(
-        self, name: str, counters: Counters, replace: bool = False
-    ) -> Counters:
-        """Register one counter source under ``name``."""
+    @staticmethod
+    def _claim(taken, name: str) -> str:
+        """``name``, or ``name#N`` (the first free ``N`` from 2) when
+        another owner holds it."""
+        actual, serial = name, 2
+        while actual in taken:
+            actual = f"{name}#{serial}"
+            serial += 1
+        return actual
+
+    def register(self, name: str, counters: Counters) -> str:
+        """Put ``counters`` live under ``name``; return the name it is
+        live under, which the owner passes to :meth:`unregister`."""
         if name == RETIRED:
             raise MetricsError(f"metrics source name {name!r} is reserved")
         with self._lock:
-            if name in self._sources and not replace:
-                raise MetricsError(f"metrics source {name!r} already registered")
-            self._sources[name] = counters
-        return counters
+            actual = self._claim(self._sources, name)
+            self._sources[actual] = counters
+        return actual
 
     def unregister(self, name: str) -> None:
-        """Remove one source (its counters stop contributing)."""
+        """Remove the source live under ``name``; its counts move into
+        the ``retired`` bag in one step, so no total drops."""
         with self._lock:
-            if name not in self._sources:
+            counters = self._sources.pop(name, None)
+            if counters is None:
                 raise MetricsError(f"no metrics source named {name!r}")
-            del self._sources[name]
+            self._retired.merge(counters)
 
     @contextmanager
     def scoped(self, name: str, counters: Counters):
@@ -82,25 +100,13 @@ class MetricsRegistry:
 
         The engine uses this to expose a query's private counter bag
         (``chunks_read``, ``btree_probes``, ...) to the tracer while the
-        query runs.  When ``name`` is already taken — two queries in
-        flight — a uniquified ``name#N`` is used, so concurrent scoped
-        sources never collide.  On exit the bag's counts move into the
-        ``retired`` bag in one step, so no total drops and no snapshot
-        sees them twice.
+        query runs; two queries in flight get ``query`` and ``query#2``.
         """
-        with self._lock:
-            actual = name
-            serial = 2
-            while actual in self._sources or actual == RETIRED:
-                actual = f"{name}#{serial}"
-                serial += 1
-            self._sources[actual] = counters
+        actual = self.register(name, counters)
         try:
             yield counters
         finally:
-            with self._lock:
-                del self._sources[actual]
-                self._retired.merge(counters)
+            self.unregister(actual)
 
     def counters(self, name: str) -> Counters:
         """The registered bag for ``name``."""
@@ -117,14 +123,19 @@ class MetricsRegistry:
 
     # -- gauges ------------------------------------------------------------
 
-    def register_gauge(
-        self, name: str, fn: Callable[[], float], replace: bool = False
-    ) -> None:
-        """Register a point-in-time sampled value (e.g. pool residency)."""
+    def register_gauge(self, name: str, fn: Callable[[], float]) -> str:
+        """Register a point-in-time sampled value (e.g. pool residency)
+        under ``name`` or, when taken, ``name#N``; return that name."""
         with self._lock:
-            if name in self._gauges and not replace:
-                raise MetricsError(f"gauge {name!r} already registered")
-            self._gauges[name] = fn
+            actual = self._claim(self._gauges, name)
+            self._gauges[actual] = fn
+        return actual
+
+    def unregister_gauge(self, name: str) -> None:
+        """Remove the gauge live under ``name``."""
+        with self._lock:
+            if self._gauges.pop(name, None) is None:
+                raise MetricsError(f"no gauge named {name!r}")
 
     def gauge_values(self) -> dict[str, float]:
         """Sample every gauge now."""
@@ -135,26 +146,25 @@ class MetricsRegistry:
     # -- histograms --------------------------------------------------------
 
     def register_histogram(
-        self,
-        name: str,
-        histogram: Histogram | None = None,
-        replace: bool = False,
+        self, name: str, histogram: Histogram | None = None
     ) -> Histogram:
-        """Register (or create) a latency histogram under ``name``.
+        """The histogram shared under ``name``, created on first use.
 
-        With ``replace=True`` an existing histogram under the same name
-        is *kept* (and returned) when the caller did not supply one —
-        re-registration at e.g. service restart must not discard the
-        process's latency history.
+        Every owner observes into the one it is handed, so a service
+        restarted over the same engine continues the process's latency
+        history.  An owner that brings its own ``histogram`` (the buffer
+        pool's, the log's) makes it the shared one; the name must then
+        be free.
         """
         with self._lock:
             existing = self._histograms.get(name)
-            if existing is not None and not replace:
+            if existing is None:
+                existing = self._histograms[name] = (
+                    histogram if histogram is not None else Histogram()
+                )
+            elif histogram is not None and histogram is not existing:
                 raise MetricsError(f"histogram {name!r} already registered")
-            if histogram is None:
-                histogram = existing if existing is not None else Histogram()
-            self._histograms[name] = histogram
-        return histogram
+        return existing
 
     def histogram(self, name: str) -> Histogram:
         """The registered histogram for ``name``."""
@@ -178,11 +188,7 @@ class MetricsRegistry:
         thread a :class:`Histogram` handle around, just a registry.
         ``trace_id`` attaches an exemplar to the observation's bucket.
         """
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = Histogram()
-        histogram.observe(value, trace_id=trace_id)
+        self.register_histogram(name).observe(value, trace_id=trace_id)
 
     def histogram_snapshots(self) -> dict[str, dict]:
         """Per-histogram :meth:`Histogram.to_dict` payloads, by name."""
@@ -195,8 +201,8 @@ class MetricsRegistry:
     def snapshot_by_source(self) -> dict[str, dict[str, float]]:
         """Per-source frozen snapshots, keyed by source name.
 
-        Empty sources are kept; the ``retired`` bag appears once a
-        scoped source has been folded into it.  The dicts are shared
+        Empty sources are kept; the ``retired`` bag appears once an
+        unregistered source has been folded into it.  The dicts are shared
         (see :meth:`Counters.frozen <repro.util.stats.Counters.frozen>`):
         read them, diff two maps with
         :func:`~repro.util.stats.counter_delta`, never mutate them.

@@ -107,6 +107,8 @@ class _CubeState:
     #: btree / mbtree); the bitmap backend drops out of availability and
     #: the B-tree baselines refuse to run until a rebuild
     indices_stale: bool = False
+    #: the name ``array``'s counters went live under in the registry
+    array_source: str | None = None
 
     def available_backends(self) -> set[str]:
         return backend_registry.available_backends(self)
@@ -308,12 +310,20 @@ class OlapEngine:
             array = store(self.db.fm, name or array_name(schema))
             if state.array is not None:
                 array.chunk_cache = state.array.chunk_cache
-            self.db.metrics.register(
-                f"array:{array_name(schema)}", array.counters, replace=True
-            )
-            state.array = array
+            self._set_array(state, array)
 
         return build
+
+    def _set_array(self, state: _CubeState, array: OLAPArray) -> None:
+        """Point ``state`` at ``array``; its counters take the registry's
+        ``array:<cube>`` source over from the array it replaces."""
+        metrics = self.db.metrics
+        if state.array_source is not None:
+            metrics.unregister(state.array_source)
+        state.array = array
+        state.array_source = metrics.register(
+            f"array:{array_name(state.schema)}", array.counters
+        )
 
     def attach_cube(self, schema: CubeSchema) -> _CubeState:
         """Re-register a cube that already lives in this engine's database.
@@ -333,12 +343,7 @@ class OlapEngine:
         if fact_name in self.db.table_names():
             state.fact = self.db.table(fact_name)
         if self.db.fm.exists(f"{array_name(schema)}.dir"):
-            state.array = OLAPArray.open(self.db.fm, array_name(schema))
-            self.db.metrics.register(
-                f"array:{array_name(schema)}",
-                state.array.counters,
-                replace=True,
-            )
+            self._set_array(state, OLAPArray.open(self.db.fm, array_name(schema)))
         for dim in schema.dimensions:
             for attr in dim.level_names:
                 try:
@@ -729,9 +734,8 @@ class OlapEngine:
     def _explain_stats(self) -> Counters:
         """The ``engine:explain`` counter bag, registered on first use."""
         if self._explain_counters is None:
-            self._explain_counters = self.db.metrics.register(
-                "engine:explain", Counters(), replace=True
-            )
+            self._explain_counters = Counters()
+            self.db.metrics.register("engine:explain", self._explain_counters)
         return self._explain_counters
 
     def sql(self, cube_name: str, statement: str, **query_kwargs) -> QueryResult:

@@ -256,28 +256,25 @@ class GrainStore(SizedStore):
         )
         registry = self.engine.db.metrics
         if not self.declared:  # the store's metrics, once per engine
-            registry.register("olap:grains", self.counters, replace=True)
+            registry.register("olap:grains", self.counters)
             registry.register_gauge(
                 "rollup.resident_rows",
                 lambda: float(sum(map(len, self.values()))),
-                replace=True,
             )
             registry.register_gauge(
-                "rollup.resident_bytes",
-                lambda: float(self.resident_bytes()),
-                replace=True,
+                "rollup.resident_bytes", lambda: float(self.resident_bytes())
             )
         key = (schema.name, name)
         cube = self.declared.get(schema.name, {})
-        if cube.get(name, pairs) != pairs:
+        if name not in cube:  # the grain's gauge, once per grain
+            registry.register_gauge(
+                "rollup.rows." + ".".join(key),
+                lambda: float(len(self.peek(key) or ())),
+            )
+        elif cube[name] != pairs:
             self.pop(key)  # redeclared: the old one is gone
         # copied, never edited: a query choosing beside it reads one whole
         self.declared = {**self.declared, schema.name: {**cube, name: pairs}}
-        registry.register_gauge(
-            "rollup.rows." + ".".join(key),
-            lambda: float(len(self.peek(key) or ())),
-            replace=True,
-        )
 
     # -- hierarchy value maps ----------------------------------------------
 

@@ -52,7 +52,9 @@ class ChunkCache(SizedStore):
         super().__init__(max_chunks)
         #: lookup = whole get_chunk (hit or miss, including I/O-lock
         #: wait); decode = the serialized disk read + codec decode on a
-        #: miss.  Registered by ``QueryService._register_metrics``.
+        #: miss.  ``QueryService._register_metrics`` swaps in the
+        #: registry's histograms of these names, which every service
+        #: on the engine shares.
         self.histograms: dict[str, Histogram] = {
             "chunk_cache.lookup_seconds": Histogram(),
             "chunk_cache.decode_seconds": Histogram(),

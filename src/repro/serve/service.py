@@ -60,7 +60,6 @@ from dataclasses import dataclass
 from repro.errors import (
     AdmissionError,
     DegradedError,
-    MetricsError,
     PermanentError,
     ReproError,
     RetryExhaustedError,
@@ -163,42 +162,32 @@ class QueryService:
 
     def _register_metrics(self) -> None:
         registry = self.engine.db.metrics
-        registry.register("serve:service", self.counters, replace=True)
-        registry.register(
-            "serve:result_cache", self.results.counters, replace=True
-        )
-        registry.register(
-            "serve:chunk_cache", self.chunks.counters, replace=True
-        )
-        registry.register("serve:traces", self.traces.counters, replace=True)
-        registry.register_gauge(
-            "serve.in_flight", lambda: float(self._in_flight), replace=True
-        )
-        registry.register_gauge(
-            "serve.result_cache_entries", lambda: float(len(self.results)),
-            replace=True,
-        )
-        registry.register_gauge(
-            "serve.chunk_cache_entries", lambda: float(len(self.chunks)),
-            replace=True,
-        )
-        registry.register_gauge(
-            "serve.degraded_cubes", lambda: float(len(self._degraded)),
-            replace=True,
-        )
-        registry.register_gauge(
-            "serve.plan_cache_entries", lambda: float(len(self.plans)),
-            replace=True,
-        )
-        registry.register_gauge(
-            "serve.traces_resident", lambda: float(len(self.traces)),
-            replace=True,
-        )
-        # replace=True with no histogram supplied *keeps* an existing
-        # histogram, so a service restarted over the same engine
-        # continues the process's latency history
+        #: the names this service's sources and gauges went live under;
+        #: :meth:`close` removes exactly these
+        self._sources = [
+            registry.register(name, counters)
+            for name, counters in (
+                ("serve:service", self.counters),
+                ("serve:result_cache", self.results.counters),
+                ("serve:chunk_cache", self.chunks.counters),
+                ("serve:traces", self.traces.counters),
+            )
+        ]
+        self._gauges = [
+            registry.register_gauge(name, fn)
+            for name, fn in (
+                ("serve.in_flight", lambda: float(self._in_flight)),
+                ("serve.result_cache_entries", lambda: float(len(self.results))),
+                ("serve.chunk_cache_entries", lambda: float(len(self.chunks))),
+                ("serve.degraded_cubes", lambda: float(len(self._degraded))),
+                ("serve.plan_cache_entries", lambda: float(len(self.plans))),
+                ("serve.traces_resident", lambda: float(len(self.traces))),
+            )
+        ]
+        # histograms are shared by name, so a service restarted over
+        # the same engine continues the process's latency history
         self._histograms = {
-            name: registry.register_histogram(name, replace=True)
+            name: registry.register_histogram(name)
             for name in (
                 "serve.query_latency_seconds",
                 "serve.queue_wait_seconds",
@@ -207,8 +196,10 @@ class QueryService:
                 "serve.recovery_seconds",
             )
         }
-        for name, histogram in self.chunks.histograms.items():
-            registry.register_histogram(name, histogram, replace=True)
+        self.chunks.histograms = {
+            name: registry.register_histogram(name)
+            for name in self.chunks.histograms
+        }
 
     def _register_memory_stores(self) -> None:
         """Wire every resident store into the memory accountant.
@@ -677,16 +668,10 @@ class QueryService:
             if state.array is not None and state.array.chunk_cache is self.chunks:
                 state.array.chunk_cache = None
         registry = self.engine.db.metrics
-        for name in (
-            "serve:service",
-            "serve:result_cache",
-            "serve:chunk_cache",
-            "serve:traces",
-        ):
-            try:
-                registry.unregister(name)
-            except MetricsError:  # pragma: no cover — replaced by a newer service
-                pass
+        for name in self._sources:
+            registry.unregister(name)
+        for name in self._gauges:
+            registry.unregister_gauge(name)
 
     def __enter__(self) -> "QueryService":
         return self

@@ -65,9 +65,8 @@ class ShardCoordinator:
     def __init__(self, engine):
         self.engine = engine
         self.timeout_s: float | None = self.DEFAULT_TIMEOUT_S
-        self.counters = engine.db.metrics.register(
-            "engine:shard", Counters(), replace=True
-        )
+        self.counters = Counters()
+        self._source = engine.db.metrics.register("engine:shard", self.counters)
         self._workspace: str | None = None
         self._images: dict[str, tuple[int, str]] = {}
         self._executors: dict[str, ShardExecutor] = {}
@@ -338,7 +337,4 @@ class ShardCoordinator:
         if self._workspace is not None:
             shutil.rmtree(self._workspace, ignore_errors=True)
             self._workspace = None
-        try:
-            self.engine.db.metrics.unregister("engine:shard")
-        except Exception:
-            pass
+        self.engine.db.metrics.unregister(self._source)

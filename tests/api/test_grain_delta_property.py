@@ -168,7 +168,8 @@ def _apply(step, facts, service, router, shape):
         service.rebuild_array("c")
         return
     else:
-        router.reclaim_grains(router.resident_bytes() // 2 if pick % 2 else 0)
+        held = sum(s["resident_bytes"] for s in router.grain_stats().values())
+        router.reclaim_grains(held // 2 if pick % 2 else 0)
         return
     service.write_cell("c", cell, values)
     facts[cell] = values
@@ -230,7 +231,7 @@ def test_delta_maintained_grain_equals_rebuild(case):
     router, cube = endpoint.router, endpoint.model.cube("sales")
     n_measures = len(case["schema"].measures)
     try:
-        assert router.resident_rollups() == len(cube.rollups)  # built at start
+        assert len(router.grain_stats()) == len(cube.rollups)  # built at start
         for step in case["steps"]:
             _apply(step, facts, service, router, case["shape"])
             for rollup in cube.rollups:

@@ -161,8 +161,8 @@ class TestEndpointLifecycle:
             first.close()
             # the second endpoint's grains are still accounted
             assert "rollup_grains" in service.memory.store_names()
-            assert service.memory.usage_by_store()["rollup_grains"] == (
-                second.router.resident_bytes()
+            assert service.memory.usage_by_store()["rollup_grains"] == sum(
+                s["resident_bytes"] for s in second.router.grain_stats().values()
             ) > 0
             second.close()
 
@@ -199,3 +199,24 @@ class TestEndpointLifecycle:
             assert gauges["rollup.resident_rows"] == sum(
                 map(len, engine.grains.values())
             ) > 0
+
+    def test_two_endpoints_on_one_engine_both_count_while_both_serve(
+        self, engine
+    ):
+        from repro.serve import QueryService
+
+        registry = engine.db.metrics
+        with QueryService(engine) as service:
+            first = ApiEndpoint(engine, service, fresh_model())
+            second = ApiEndpoint(engine, service, fresh_model())
+            with ApiServer(first) as one, ApiServer(second) as two:
+                for srv in (one, one, two):
+                    status, _ = _get(srv.url + "/cube/sales/aggregate?drilldown=dim0")
+                    assert status == 200
+                assert first.counters.get("api.requests") == 2
+                assert second.counters.get("api.requests") == 1
+                assert registry.merged_snapshot()["api.requests"] == 3
+            second.close()
+            # the first endpoint still serves, and still counts
+            assert registry.merged_snapshot()["api.requests"] == 3
+            first.close()

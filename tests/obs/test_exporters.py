@@ -13,9 +13,16 @@ from tests.prom_text import trace_from_json
 from repro.util.stats import Counters
 
 
+def _live(registry, name):
+    """A fresh bag registered under ``name``."""
+    bag = Counters()
+    registry.register(name, bag)
+    return bag
+
+
 def sample_tree():
     registry = MetricsRegistry()
-    bag = registry.register("bag", Counters())
+    bag = _live(registry, "bag")
     tracer = Tracer(registry=registry)
     with tracer.span("query", backend="array") as root:
         bag.add("pages_read", 4)
@@ -72,8 +79,8 @@ class TestTextTree:
 class TestPrometheus:
     def test_counters_and_gauges_rendered(self):
         registry = MetricsRegistry()
-        registry.register("disk", Counters()).add("pages_read", 4)
-        registry.register("pool", Counters()).add("pool_hits", 2)
+        _live(registry, "disk").add("pages_read", 4)
+        _live(registry, "pool").add("pool_hits", 2)
         registry.register_gauge("pool_hit_rate", lambda: 0.5)
         text = prometheus_text(registry)
         assert "# TYPE repro_pages_read_total counter" in text
@@ -86,13 +93,13 @@ class TestPrometheus:
         # label *values* carry the source name verbatim (the exposition
         # format allows any UTF-8 there); only metric names get sanitized
         registry = MetricsRegistry()
-        registry.register("fact:ds1.fact", Counters()).add("gets", 1)
+        _live(registry, "fact:ds1.fact").add("gets", 1)
         text = prometheus_text(registry)
         assert 'source="fact:ds1.fact"' in text
 
     def test_label_values_escape_specials(self):
         registry = MetricsRegistry()
-        registry.register('we"ird\\nam\ne', Counters()).add("gets", 1)
+        _live(registry, 'we"ird\\nam\ne').add("gets", 1)
         text = prometheus_text(registry)
         assert 'source="we\\"ird\\\\nam\\ne"' in text
 
@@ -109,7 +116,7 @@ class TestEscapingRoundTrip:
         from tests.prom_text import parse_prometheus_text
 
         registry = MetricsRegistry()
-        registry.register(source_name, Counters()).add("gets", 1)
+        _live(registry, source_name).add("gets", 1)
         samples, _ = parse_prometheus_text(prometheus_text(registry))
         labelled = [s for s in samples if "source" in s.labels]
         assert len(labelled) == 1
@@ -138,5 +145,5 @@ class TestEscapingRoundTrip:
         from tests.prom_text import lint_prometheus_text
 
         registry = MetricsRegistry()
-        registry.register('we"ird\\nam\ne', Counters()).add("gets", 1)
+        _live(registry, 'we"ird\\nam\ne').add("gets", 1)
         lint_prometheus_text(prometheus_text(registry))

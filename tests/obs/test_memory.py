@@ -98,22 +98,36 @@ class TestAccountant:
         assert gauges["memory.total_resident_bytes"] == 512.0
         assert gauges["memory.cachey.resident_bytes"] == 512.0
 
-    def test_unregister_freezes_gauge_at_zero(self):
+    def test_unregister_removes_the_stores_gauge(self):
         registry = MetricsRegistry()
         accountant = MemoryAccountant(registry)
         accountant.register_store("cachey", lambda: 512.0)
+        accountant.register_store("cachey", lambda: 256.0)  # replaces
+        assert registry.gauge_values()["memory.cachey.resident_bytes"] == 256.0
         accountant.unregister_store("cachey")
         gauges = registry.gauge_values()
-        assert gauges["memory.cachey.resident_bytes"] == 0.0
+        assert "memory.cachey.resident_bytes" not in gauges
         assert gauges["memory.total_resident_bytes"] == 0.0
 
-    def test_close_freezes_everything(self):
+    def test_close_removes_everything_it_registered(self):
         registry = MetricsRegistry()
         accountant = MemoryAccountant(registry)
         accountant.register_store("cachey", lambda: 512.0)
         accountant.close()
         assert accountant.store_names() == []
-        assert registry.gauge_values()["memory.total_resident_bytes"] == 0.0
+        assert registry.gauge_values() == {}
+        assert registry.source_names() == []
+
+    def test_two_accountants_on_one_registry_keep_their_own_gauges(self):
+        registry = MetricsRegistry()
+        first, second = MemoryAccountant(registry), MemoryAccountant(registry)
+        first.register_store("cachey", lambda: 512.0)
+        second.register_store("cachey", lambda: 64.0)
+        first.close()
+        assert registry.gauge_values() == {
+            "memory.total_resident_bytes#2": 64.0,
+            "memory.cachey.resident_bytes#2": 64.0,
+        }
 
     def test_top_entries_merge_sorted_across_stores(self):
         accountant = MemoryAccountant()

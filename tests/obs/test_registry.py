@@ -6,43 +6,56 @@ from hypothesis import strategies as st
 
 from repro.errors import MetricsError
 from repro.obs import MetricsRegistry
+from repro.obs.histogram import Histogram
 from repro.util.stats import Counters, counter_delta
 
 
 class TestSources:
     def test_register_and_merge(self):
         registry = MetricsRegistry()
-        a = registry.register("a", Counters())
-        b = registry.register("b", Counters())
+        a, b = Counters(), Counters()
+        registry.register("a", a)
+        registry.register("b", b)
         a.add("x", 1)
         b.add("x", 2)
         b.add("y", 3)
         assert registry.merged_snapshot() == {"x": 3, "y": 3}
 
-    def test_duplicate_name_rejected(self):
+    def test_a_taken_name_goes_live_under_a_serial(self):
         registry = MetricsRegistry()
-        registry.register("a", Counters())
-        with pytest.raises(MetricsError):
-            registry.register("a", Counters())
+        first, second, third = Counters(), Counters(), Counters()
+        assert registry.register("a", first) == "a"
+        assert registry.register("a", second) == "a#2"
+        assert registry.register("a", third) == "a#3"
+        assert registry.counters("a") is first
+        assert registry.counters("a#2") is second
 
-    def test_replace_swaps_the_bag(self):
+    def test_each_owner_unregisters_only_its_own(self):
         registry = MetricsRegistry()
-        old = registry.register("a", Counters())
-        old.add("x", 1)
-        new = registry.register("a", Counters(), replace=True)
-        assert registry.counters("a") is new
-        assert registry.merged_snapshot() == {}
+        first, second = Counters(), Counters()
+        first_name = registry.register("a", first)
+        second_name = registry.register("a", second)
+        first.add("x", 1)
+        second.add("x", 2)
+        registry.unregister(first_name)
+        assert registry.source_names() == [second_name]
+        assert registry.counters(second_name) is second
+        second.add("x", 4)
+        assert registry.merged_snapshot() == {"x": 7}
+        # the freed name goes to the next owner
+        assert registry.register("a", Counters()) == "a"
 
     def test_unregister(self):
         registry = MetricsRegistry()
-        bag = registry.register("a", Counters())
+        bag = Counters()
+        name = registry.register("a", bag)
         bag.add("x", 1)
-        registry.unregister("a")
-        assert registry.merged_snapshot() == {}
+        registry.unregister(name)
+        assert registry.snapshot_by_source() == {"retired": {"x": 1}}
         with pytest.raises(MetricsError):
-            registry.unregister("a")
+            registry.unregister(name)
         with pytest.raises(MetricsError):
-            registry.counters("a")
+            registry.counters(name)
 
     def test_scoped_registration(self):
         registry = MetricsRegistry()
@@ -61,7 +74,9 @@ class TestSources:
 
     def test_snapshot_by_source(self):
         registry = MetricsRegistry()
-        registry.register("a", Counters()).add("x", 1)
+        bag = Counters()
+        registry.register("a", bag)
+        bag.add("x", 1)
         registry.register("b", Counters())
         assert registry.snapshot_by_source() == {"a": {"x": 1}, "b": {}}
 
@@ -82,8 +97,9 @@ class TestCountersOnlyCountUp:
 
     def test_idle_source_is_skipped_by_identity(self):
         registry = MetricsRegistry()
-        idle = registry.register("idle", Counters())
-        busy = registry.register("busy", Counters())
+        idle, busy = Counters(), Counters()
+        registry.register("idle", idle)
+        registry.register("busy", busy)
         idle.add("x", 5)
         before = registry.snapshot_by_source()
         busy.add("y", 1)
@@ -137,9 +153,8 @@ def test_totals_never_drop_and_deltas_equal_increments(steps):
 
     Every merged total is non-decreasing from step to step and
     ``counter_delta`` over any stretch equals the increments made in it
-    — across a scoped exit, and when a later bag reuses the name
-    ``query`` — except where a plain source is unregistered, which takes
-    its counts with it (the stretch restarts there).
+    — across a scoped exit or a plain unregister, and when a later bag
+    reuses the name ``query``.
     """
     registry = MetricsRegistry()
     plain: dict[str, Counters] = {}
@@ -155,7 +170,6 @@ def test_totals_never_drop_and_deltas_equal_increments(steps):
     previous_totals = registry.merged_snapshot()
     for step in steps:
         made: dict[str, float] = {}
-        dropped = False
         if step[0] in ("add", "add_many") and live():
             bag = live()[step[1] % len(live())]
             if step[0] == "add":
@@ -166,12 +180,12 @@ def test_totals_never_drop_and_deltas_equal_increments(steps):
                 made = dict(step[2])
         elif step[0] == "register":
             serial += 1
-            plain[f"s{serial}"] = registry.register(f"s{serial}", Counters())
+            bag = Counters()
+            plain[registry.register(f"s{serial}", bag)] = bag
         elif step[0] == "unregister" and plain:
             name = sorted(plain)[step[1] % len(plain)]
             registry.unregister(name)
             del plain[name]
-            dropped = True
         elif step[0] == "enter":
             bag = Counters()
             manager = registry.scoped("query", bag)
@@ -183,15 +197,12 @@ def test_totals_never_drop_and_deltas_equal_increments(steps):
 
         now = registry.snapshot_by_source()
         totals = registry.merged_snapshot()
-        if dropped:
-            stretch_start, stretch = now, {}
-        else:
-            assert counter_delta(previous, now) == made
-            for name, value in made.items():
-                stretch[name] = stretch.get(name, 0) + value
-            assert counter_delta(stretch_start, now) == stretch
-            for name, value in previous_totals.items():
-                assert totals.get(name, 0) >= value
+        assert counter_delta(previous, now) == made
+        for name, value in made.items():
+            stretch[name] = stretch.get(name, 0) + value
+        assert counter_delta(stretch_start, now) == stretch
+        for name, value in previous_totals.items():
+            assert totals.get(name, 0) >= value
         previous, previous_totals = now, totals
 
 
@@ -201,15 +212,35 @@ class TestGauges:
         registry.register_gauge("depth", lambda: 7)
         assert registry.gauge_values() == {"depth": 7.0}
 
-    def test_duplicate_gauge_rejected_unless_replaced(self):
+    def test_a_taken_gauge_name_goes_live_under_a_serial(self):
         registry = MetricsRegistry()
-        registry.register_gauge("g", lambda: 1)
+        first = registry.register_gauge("g", lambda: 1)
+        second = registry.register_gauge("g", lambda: 2)
+        assert (first, second) == ("g", "g#2")
+        assert registry.gauge_values() == {"g": 1.0, "g#2": 2.0}
+        registry.unregister_gauge(first)
+        assert registry.gauge_values() == {"g#2": 2.0}
         with pytest.raises(MetricsError):
-            registry.register_gauge("g", lambda: 2)
-        registry.register_gauge("g", lambda: 2, replace=True)
-        assert registry.gauge_values() == {"g": 2.0}
+            registry.unregister_gauge(first)
 
     def test_gauges_do_not_join_counter_merge(self):
         registry = MetricsRegistry()
         registry.register_gauge("g", lambda: 9)
         assert registry.merged_snapshot() == {}
+
+
+class TestHistograms:
+    def test_shared_by_name(self):
+        registry = MetricsRegistry()
+        first = registry.register_histogram("h")
+        assert registry.register_histogram("h") is first
+        registry.observe("h", 0.5)
+        assert first.count == 1
+
+    def test_an_owners_own_histogram_needs_a_free_name(self):
+        registry = MetricsRegistry()
+        own = Histogram()
+        assert registry.register_histogram("h", own) is own
+        assert registry.register_histogram("h", own) is own
+        with pytest.raises(MetricsError):
+            registry.register_histogram("h", Histogram())

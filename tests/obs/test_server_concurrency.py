@@ -67,7 +67,8 @@ def test_reads_survive_concurrent_mutation_and_resets(stack):
             )
             service.plans.put(f"fp{i % 6}", {"backend": "array", "round": i})
             if i % 5 == 4:
-                registry.register("svc", Counters(), replace=True)
+                registry.unregister("svc")
+                registry.register("svc", Counters())
 
     def read(path, params):
         start.wait()

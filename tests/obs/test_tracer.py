@@ -74,8 +74,8 @@ class TestNesting:
 
 class TestCounterDeltas:
     def make(self):
-        registry = MetricsRegistry()
-        bag = registry.register("bag", Counters())
+        registry, bag = MetricsRegistry(), Counters()
+        registry.register("bag", bag)
         return Tracer(registry=registry), bag
 
     def test_span_captures_inclusive_delta(self):

@@ -1,5 +1,8 @@
 """QueryService: caching, admission control, metrics, write invalidation."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.bench import bench_settings, query1_for, query2_for
@@ -128,6 +131,41 @@ class TestMetrics:
             name.startswith("serve:")
             for name in engine.db.metrics.source_names()
         )
+
+    def test_closing_one_service_leaves_anothers_sources_and_gauges(
+        self, engine
+    ):
+        registry = engine.db.metrics
+        first = QueryService(engine)
+        with QueryService(engine) as second:
+            second.execute(QUERY1)
+            second.execute(QUERY1)
+            first.close()
+            assert {
+                "serve:service#2", "serve:result_cache#2",
+                "serve:chunk_cache#2", "serve:traces#2", "obs:memory#2",
+            } <= set(registry.source_names())
+            merged = registry.merged_snapshot()
+            hits = second.stats()["result_cache.hits"]
+            assert merged["result_cache.hits"] == hits == 1
+            gauges = registry.gauge_values()
+            usage = second.memory.usage_by_store()
+            assert gauges["memory.total_resident_bytes#2"] == sum(usage.values()) > 0
+            for store, resident in usage.items():
+                assert gauges[f"memory.{store}.resident_bytes#2"] == resident
+            assert gauges["serve.result_cache_entries#2"] == len(second.results) == 1
+
+    def test_a_closed_service_is_freed_and_leaves_no_gauge(self, engine):
+        registry = engine.db.metrics
+        before = set(registry.gauge_values())
+        service = QueryService(engine)
+        service.execute(QUERY1)
+        alive = weakref.ref(service)
+        service.close()
+        del service
+        gc.collect()
+        assert alive() is None
+        assert set(registry.gauge_values()) == before
 
 
 class TestWriteInvalidation:
