@@ -42,7 +42,6 @@ from repro.olap import (
     ConsolidationQuery,
     CubeSchema,
     DimensionDef,
-    ExecutionOptions,
     MeasureDef,
     OlapEngine,
     QueryResult,
@@ -73,7 +72,6 @@ __all__ = [
     "MeasureDef",
     "ConsolidationQuery",
     "SelectionPredicate",
-    "ExecutionOptions",
     "Backend",
     "OlapEngine",
     "QueryResult",

@@ -62,8 +62,8 @@ class RollupRouter:
         aggregate: str,
     ) -> RouteDecision:
         """The engine's covering rule for one request: the smallest
-        covering grain, or base.  ``cuts`` items carry ``dimension`` and
-        ``attribute`` fields (see :class:`repro.api.server.Cut`);
+        covering grain, or base.  ``cuts`` are the query's
+        :class:`~repro.olap.query.SelectionPredicate` objects;
         ``aggregate`` does not narrow the choice among the API's."""
         state = self.engine.cube(cube.cube)
         choice = self.engine.grains.choose(

@@ -1,9 +1,10 @@
 """The HTTP query surface: slicer-style aggregate requests over stdlib.
 
-``ApiEndpoint`` owns the request pipeline — parse → validate against
-the logical model → compile to a base-cube query → answer it through
-the :class:`~repro.serve.service.QueryService` → shape the JSON
-response — and ``ApiServer`` puts it behind the one
+``ApiEndpoint`` owns the request pipeline — parse and validate against
+the logical model into a base-cube
+:class:`~repro.olap.query.ConsolidationQuery` → answer it through the
+:class:`~repro.serve.service.QueryService` → shape the JSON response —
+and ``ApiServer`` puts it behind the one
 :class:`~http.server.ThreadingHTTPServer` in the tree.  Every answer is
 a service query: admitted, cached, degraded-checked and traced.  The
 model's rollups are the engine's grains (:mod:`repro.api.rollup`), so
@@ -107,48 +108,25 @@ ERROR_SHAPES = (
 
 
 @dataclass(frozen=True)
-class Cut:
-    """One parsed cut: an in-list or an inclusive range on a level."""
-
-    dimension: str
-    attribute: str
-    values: tuple = ()
-    low: object = None
-    high: object = None
-
-    @property
-    def is_range(self) -> bool:
-        return not self.values
-
-    def matches(self, value) -> bool:
-        if self.values:
-            return value in self.values
-        if self.low is not None and value < self.low:
-            return False
-        if self.high is not None and value > self.high:
-            return False
-        return True
-
-    def to_dict(self) -> dict:
-        payload: dict = {"dimension": self.dimension, "level": self.attribute}
-        if self.values:
-            payload["values"] = list(self.values)
-        else:
-            payload["range"] = [self.low, self.high]
-        return payload
-
-
-@dataclass(frozen=True)
 class AggregateRequest:
-    """One validated aggregate request against a logical cube."""
+    """One validated aggregate request: the base-cube query it asks
+    against a logical cube, and whether to explain it."""
 
     cube: LogicalCube
-    drilldown: tuple[tuple[str, str], ...]
-    cuts: tuple[Cut, ...] = ()
-    aggregate: str = "sum"
-    measures: tuple[str, ...] = ()
+    query: ConsolidationQuery
     explain: bool = False
     analyze: bool = False
+
+
+def _cut_payload(cut: SelectionPredicate) -> dict:
+    """A cut as the request surface names it (and the response echoes
+    it): ``{"dimension", "level", "values" | "range"}``."""
+    payload: dict = {"dimension": cut.dimension, "level": cut.attribute}
+    if cut.is_range:
+        payload["range"] = [cut.low, cut.high]
+    else:
+        payload["values"] = list(cut.values)
+    return payload
 
 
 def _coerce_key_value(cube: LogicalCube, dimension: str, raw):
@@ -233,7 +211,7 @@ class RequestParser:
 
     # -- cuts --------------------------------------------------------------
 
-    def cut_item(self, raw) -> Cut:
+    def cut_item(self, raw) -> SelectionPredicate:
         if isinstance(raw, dict):
             return self._cut_from_object(raw)
         if not isinstance(raw, str):
@@ -261,7 +239,7 @@ class RequestParser:
                 raise ApiRequestError(
                     f"cut range {spec!r} needs at least one bound"
                 )
-            return Cut(dimension=dimension, attribute=attr, low=low, high=high)
+            return SelectionPredicate.between(dimension, attr, low, high)
         values = tuple(
             self._coerce(dimension, attr, v)
             for v in spec.split(";")
@@ -273,9 +251,9 @@ class RequestParser:
             raise ApiRequestError(
                 f"{len(values)} cut values exceed the cap of {MAX_CUT_VALUES}"
             )
-        return Cut(dimension=dimension, attribute=attr, values=values)
+        return SelectionPredicate.in_list(dimension, attr, *values)
 
-    def _cut_from_object(self, raw: dict) -> Cut:
+    def _cut_from_object(self, raw: dict) -> SelectionPredicate:
         dimension = raw.get("dimension")
         if not isinstance(dimension, str):
             raise ApiRequestError(
@@ -296,7 +274,7 @@ class RequestParser:
             values = tuple(
                 self._coerce(dimension, attr, v) for v in values_raw
             )
-            return Cut(dimension=dimension, attribute=attr, values=values)
+            return SelectionPredicate.in_list(dimension, attr, *values)
         if "range" in raw:
             bounds = raw["range"]
             if not isinstance(bounds, list) or len(bounds) != 2:
@@ -317,12 +295,12 @@ class RequestParser:
                 raise ApiRequestError(
                     f"cut range needs at least one bound: {raw!r}"
                 )
-            return Cut(dimension=dimension, attribute=attr, low=low, high=high)
+            return SelectionPredicate.between(dimension, attr, low, high)
         raise ApiRequestError(
             f"cut object needs 'values' or 'range': {raw!r}"
         )
 
-    def cuts(self, items) -> tuple[Cut, ...]:
+    def cuts(self, items) -> tuple[SelectionPredicate, ...]:
         if len(items) > MAX_CUT_ITEMS:
             raise ApiRequestError(
                 f"{len(items)} cuts exceed the cap of {MAX_CUT_ITEMS}"
@@ -348,14 +326,15 @@ class RequestParser:
             raise ApiRequestError(
                 "an aggregate request needs at least one drilldown item"
             )
-        return AggregateRequest(
-            cube=self.cube,
-            drilldown=drilldown,
-            cuts=self.cuts(cut_items),
+        query = ConsolidationQuery(
+            cube=self.cube.cube,
+            group_by=drilldown,
+            selections=self.cuts(cut_items),
             aggregate=aggregate,
             measures=tuple(measures),
-            explain=_truthy(explain),
-            analyze=_truthy(analyze),
+        )
+        return AggregateRequest(
+            self.cube, query, _truthy(explain), _truthy(analyze)
         )
 
     def from_params(self, params: dict[str, str]) -> AggregateRequest:
@@ -525,32 +504,6 @@ class ApiEndpoint:
     def cube_model_payload(self, name: str) -> dict:
         return self.model.cube(name).to_dict()
 
-    # -- compilation ---------------------------------------------------------
-
-    def base_query(self, request: AggregateRequest) -> ConsolidationQuery:
-        """The base-cube consolidation equivalent to one API request."""
-        selections = []
-        for cut in request.cuts:
-            if cut.is_range:
-                selections.append(
-                    SelectionPredicate.between(
-                        cut.dimension, cut.attribute, cut.low, cut.high
-                    )
-                )
-            else:
-                selections.append(
-                    SelectionPredicate.in_list(
-                        cut.dimension, cut.attribute, *cut.values
-                    )
-                )
-        return ConsolidationQuery.build(
-            request.cube.cube,
-            group_by=dict(request.drilldown),
-            selections=selections,
-            aggregate=request.aggregate,
-            measures=list(request.measures),
-        )
-
     # -- the aggregate pipeline ----------------------------------------------
 
     def aggregate(self, cube_name: str, request_of) -> tuple[int, dict]:
@@ -561,7 +514,7 @@ class ApiEndpoint:
         ctx = current_trace_context()
         trace_id = ctx.trace_id if ctx is not None else None
         request = request_of(RequestParser(self.model.cube(cube_name)))
-        query = self.base_query(request)
+        query = request.query
         plan = None
         if request.explain and request.analyze:
             # the analyzed run is the answer: it leaves it cached
@@ -584,13 +537,13 @@ class ApiEndpoint:
                 self.counters.add("api.stale_fallbacks")
             self.counters.add("api.base_fallbacks")
             histogram = "api.base_seconds"
-        labels = [f"{d}.{a}" for d, a in request.drilldown] + list(request.measures)
+        labels = [f"{d}.{a}" for d, a in query.group_by] + list(query.measures)
         payload: dict = {
             "cube": request.cube.name,
-            "aggregate": request.aggregate,
-            "measures": list(request.measures),
-            "drilldown": [list(pair) for pair in request.drilldown],
-            "cuts": [cut.to_dict() for cut in request.cuts],
+            "aggregate": query.aggregate,
+            "measures": list(query.measures),
+            "drilldown": [list(pair) for pair in query.group_by],
+            "cuts": [_cut_payload(cut) for cut in query.selections],
             "cells": [
                 dict(zip(labels, row)) for row in sorted(result.rows)
             ],

@@ -36,9 +36,8 @@ from repro.data.generator import (
     generate_dimension_rows,
     generate_fact_rows,
 )
-from repro.obs.tracer import Span, Tracer, tracing
+from repro.obs.tracer import Span, Tracer, thread_tracing
 from repro.olap.engine import OlapEngine, QueryResult
-from repro.olap.options import ExecutionOptions
 from repro.olap.query import ConsolidationQuery, SelectionPredicate
 from repro.storage.disk import DiskModel
 from repro.util.stats import Counters, Timer
@@ -189,7 +188,7 @@ def run_cold_traced(
     traced run costs exactly what the untraced run reports.
     """
     tracer = Tracer(registry=engine.db.metrics)
-    with tracing(tracer):
+    with thread_tracing(tracer):
         result = run_cold(engine, query, backend)
     if len(tracer.roots) != 1:
         raise RuntimeError(
@@ -246,12 +245,11 @@ def run_warm(
     from repro.serve import QueryService, ServiceConfig
 
     cold = run_cold(engine, query, backend)
-    opts = ExecutionOptions(backend=backend)
     warm: list[QueryResult] = []
     with QueryService(engine, ServiceConfig(max_workers=1)) as service:
-        service.execute(query, opts)  # populate
+        service.execute(query, backend)  # populate
         for _ in range(repeats):
-            warm.append(service.execute(query, opts))
+            warm.append(service.execute(query, backend))
     hits = sum(1 for r in warm if r.stats.get("result_cache_hit"))
     return WarmReport(cold=cold, warm=warm, hit_rate=hits / max(1, len(warm)))
 
@@ -326,7 +324,6 @@ def run_concurrent(
         scope = nullcontext(service)
     latencies: list[float] = []
     lock = threading.Lock()
-    opts = ExecutionOptions(backend=backend)
 
     with scope as service:
 
@@ -335,7 +332,7 @@ def run_concurrent(
             for _ in range(rounds):
                 for index, query in enumerate(queries):
                     with Timer() as timer:
-                        result = service.execute(query, opts)
+                        result = service.execute(query, backend)
                     with lock:
                         latencies.append(timer.elapsed)
                     seen.append((index, result.rows))

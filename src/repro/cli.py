@@ -57,7 +57,6 @@ from repro.bench.harness import (
 )
 from repro.data.datasets import SCALES, dataset1
 from repro.errors import ReproError
-from repro.olap.options import ExecutionOptions
 from repro.obs.exporters import (
     prometheus_text,
     render_span_tree,
@@ -241,11 +240,7 @@ def cmd_explain(args) -> int:
     config = dataset1(settings.scale)[1]  # the x100 cube
     query = _TRACE_QUERIES[args.query](config)
     engine = build_cube_engine(config, settings)
-    plan = engine.explain(
-        query,
-        ExecutionOptions(backend=args.backend),
-        analyze=args.analyze,
-    )
+    plan = engine.explain(query, args.backend, analyze=args.analyze)
     payload = plan.to_dict()
     if args.json:
         print(json.dumps(payload, indent=2))

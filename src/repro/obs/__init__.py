@@ -8,8 +8,7 @@ carries a first-class accounting layer:
   instrumented call site asks :func:`get_tracer` for the active tracer;
   the default is a shared no-op whose spans cost one method call, so
   benchmark numbers are unaffected unless a real :class:`Tracer` is
-  installed (via :func:`tracing`, or per-thread via
-  :class:`thread_tracing`).
+  installed on the calling thread via :class:`thread_tracing`.
 - :mod:`repro.obs.registry` — a :class:`MetricsRegistry` into which
   every counter source (disk, buffer pool, WAL, fact files, OLAP
   arrays, per-query bags) registers.  A tracer bound to a registry
@@ -56,9 +55,7 @@ from repro.obs.tracer import (
     Span,
     Tracer,
     get_tracer,
-    set_tracer,
     thread_tracing,
-    tracing,
 )
 from repro.obs.exporters import (
     prometheus_text,
@@ -76,11 +73,6 @@ from repro.obs.tracing import (
     new_trace_context,
     trace_context,
 )
-
-# importing the repro.obs.tracing submodule rebinds the package
-# attribute "tracing" to the module object; restore the tracer's
-# context manager, which this package has always exported as `tracing`
-from repro.obs.tracer import tracing as tracing  # noqa: E402, F811
 from repro.obs.server import ObservabilityRoutes
 
 
@@ -109,11 +101,9 @@ __all__ = [
     "quantile_from_buckets",
     "render_plan",
     "render_span_tree",
-    "set_tracer",
     "span_from_dict",
     "span_to_dict",
     "thread_tracing",
     "trace_context",
     "trace_to_json",
-    "tracing",
 ]

@@ -16,13 +16,13 @@ between), and a span enclosing a whole query — a rollup rebuild,
 process-wide: a span's delta covers everything done while it was open,
 other threads' I/O included.
 
-Instrumented call sites never pay for tracing unless it is on: the
-module-level active tracer defaults to :data:`NULL_TRACER`, whose
+Instrumented call sites never pay for tracing unless it is on: a
+thread's active tracer defaults to :data:`NULL_TRACER`, whose
 ``span()`` returns one shared no-op context manager.  Install a real
-tracer with :func:`tracing`::
+tracer on the calling thread with :class:`thread_tracing`::
 
     tracer = Tracer(registry=engine.db.metrics)
-    with tracing(tracer):
+    with thread_tracing(tracer):
         result = engine.query(query, backend="array")
     print(tracer.roots[0].name)  # "query"
 
@@ -204,58 +204,25 @@ class Tracer:
 
 NULL_TRACER = NullTracer()
 
-_active: Tracer | NullTracer = NULL_TRACER
 _thread_active = threading.local()
 
 
 def get_tracer() -> Tracer | NullTracer:
-    """The active tracer for this thread.
-
-    A thread-local override (see :class:`thread_tracing`) wins over the
-    process-wide tracer installed with :func:`set_tracer`; the default
-    is the no-op singleton.
-    """
-    override = getattr(_thread_active, "tracer", None)
-    if override is not None:
-        return override
-    return _active
-
-
-def set_tracer(tracer: Tracer | NullTracer | None) -> Tracer | NullTracer:
-    """Install ``tracer`` as the process-wide tracer (``None`` = disable)."""
-    global _active
-    _active = tracer if tracer is not None else NULL_TRACER
-    return _active
-
-
-class tracing:
-    """Context manager installing a tracer for a ``with`` block::
-
-        with tracing(Tracer(registry=db.metrics)) as tracer:
-            engine.query(...)
-        tracer.roots[0]
-    """
-
-    def __init__(self, tracer: Tracer | NullTracer):
-        self.tracer = tracer
-        self._previous: Tracer | NullTracer | None = None
-
-    def __enter__(self) -> Tracer | NullTracer:
-        self._previous = get_tracer()
-        return set_tracer(self.tracer)
-
-    def __exit__(self, *exc_info) -> None:
-        set_tracer(self._previous)
+    """The tracer :class:`thread_tracing` installed on this thread, else
+    the no-op :data:`NULL_TRACER`."""
+    return getattr(_thread_active, "tracer", None) or NULL_TRACER
 
 
 class thread_tracing:
-    """Install a tracer for a ``with`` block on *this thread only*.
+    """Install a tracer for a ``with`` block on *this thread only*::
 
-    The serving layer's worker threads use this to capture each query's
-    span tree for its trace record without racing a process-wide
-    :func:`set_tracer` against the other seven workers.  Inside the
-    block, this thread's :func:`get_tracer` returns ``tracer``; other
-    threads are unaffected.
+        with thread_tracing(Tracer(registry=db.metrics)) as tracer:
+            engine.query(...)
+        tracer.roots[0]
+
+    The serving layer's worker threads each capture their own query's
+    span tree this way.  Inside the block, this thread's
+    :func:`get_tracer` returns ``tracer``; other threads are unaffected.
     """
 
     def __init__(self, tracer: Tracer | NullTracer):

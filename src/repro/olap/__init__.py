@@ -14,7 +14,6 @@ The harness runs the paper's dominated baselines
 """
 
 from repro.olap.model import CubeSchema, DimensionDef, MeasureDef
-from repro.olap.options import ExecutionOptions
 from repro.olap.query import ConsolidationQuery, SelectionPredicate
 from repro.olap.backends import (
     Backend,
@@ -32,7 +31,6 @@ __all__ = [
     "CubeSchema",
     "DimensionDef",
     "MeasureDef",
-    "ExecutionOptions",
     "ConsolidationQuery",
     "SelectionPredicate",
     "Backend",

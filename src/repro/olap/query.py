@@ -132,8 +132,8 @@ class ConsolidationQuery:
                      .aggregate("volume", "sum")
                      .build())
 
-        *How* it runs is not part of the query: pass an
-        :class:`~repro.olap.options.ExecutionOptions` where it executes.
+        *How* it runs is not part of the query: pass a ``backend`` name
+        where it executes.
         """
         return QueryBuilder(cube)
 

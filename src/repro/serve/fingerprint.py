@@ -7,16 +7,14 @@ an IN-list.  Everything that *does* change the answer — the group-by
 order (it fixes the output column order), the aggregate, the measure
 projection and the backend — stays significant.
 
-The fingerprint reads the :class:`~repro.olap.options.ExecutionOptions`
-it identifies, so this module alone decides which settings name an
-evaluation: the requested backend.
+The one execution setting that names an evaluation is the requested
+backend, which the fingerprint takes beside the query.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from repro.olap.options import ExecutionOptions
 from repro.olap.query import ConsolidationQuery, SelectionPredicate
 
 
@@ -28,16 +26,11 @@ def _selection_token(sel: SelectionPredicate) -> str:
     return f"{sel.dimension}.{sel.attribute}|{body}"
 
 
-def query_fingerprint(
-    query: ConsolidationQuery, opts: ExecutionOptions | None = None
-) -> str:
-    """Hex digest identifying one evaluation of ``query`` under ``opts``
-    (``None`` means ``ExecutionOptions()``)."""
-    if opts is None:
-        opts = ExecutionOptions()
+def query_fingerprint(query: ConsolidationQuery, backend: str = "auto") -> str:
+    """Hex digest identifying one evaluation of ``query`` on ``backend``."""
     parts = [
         f"cube={query.cube}",
-        f"backend={opts.backend}",
+        f"backend={backend}",
         "group_by=" + ";".join(f"{d}.{a}" for d, a in query.group_by),
         "selections=" + ";".join(
             sorted(_selection_token(s) for s in query.selections)

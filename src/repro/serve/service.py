@@ -4,9 +4,9 @@ The engine itself is deliberately single-threaded (its buffer pool,
 tracer spans and non-blocking lock manager assume one caller), so the
 service layers concurrency *around* it:
 
-- how a query runs is the :class:`~repro.olap.options.ExecutionOptions`
-  its call passes (``None`` = the defaults); :class:`ServiceConfig`
-  holds only serving knobs, no execution defaults;
+- how a query runs is the ``backend`` name its call passes (``"auto"``
+  by default); :class:`ServiceConfig` holds only serving knobs, no
+  execution defaults;
 - a thread pool runs admitted queries; admission control rejects work
   beyond ``max_in_flight`` with :class:`~repro.errors.AdmissionError`
   (backpressure, not unbounded queueing);
@@ -19,7 +19,7 @@ service layers concurrency *around* it:
   :meth:`rebuild_array`) bumps the cube generation and eagerly
   invalidates exactly that cube's cached fingerprints;
 - the service is **recovery-aware**: engine calls that raise a
-  :class:`~repro.errors.TransientError` retry with capped exponential
+  :class:`~repro.errors.TransientError` retry with exponential
   backoff, a :class:`~repro.errors.PermanentError` (or an exhausted
   retry budget) flips the cube into *degraded mode* — cache hits keep
   being served, misses and writes raise
@@ -77,13 +77,17 @@ from repro.obs.tracing import (
     trace_context,
 )
 from repro.olap.engine import OlapEngine, QueryResult
-from repro.olap.options import ExecutionOptions
 from repro.olap.query import ConsolidationQuery
 from repro.serve.chunk_cache import ChunkCache
 from repro.serve.fingerprint import query_fingerprint
 from repro.serve.result_cache import ResultCache
 from repro.storage.wal import recover as wal_recover
 from repro.util.stats import Counters, Timer
+
+#: retries after a :class:`TransientError` before the cube degrades
+RETRY_ATTEMPTS = 3
+#: first retry backoff, seconds; it doubles per attempt (1, 2, 4 ms)
+RETRY_BASE_S = 0.001
 
 
 @dataclass(frozen=True)
@@ -97,12 +101,6 @@ class ServiceConfig:
     max_in_flight: int = 16
     #: run engine misses cold (paper methodology) instead of warm
     cold: bool = False
-    #: retries after a :class:`TransientError` before the cube degrades
-    retry_attempts: int = 3
-    #: first retry backoff, seconds (doubles per attempt)
-    retry_base_s: float = 0.001
-    #: backoff ceiling, seconds
-    retry_cap_s: float = 0.05
     #: end-to-end latency at which a query counts as slow: the trace
     #: store evicts its trace only after every fast one, and a slow
     #: engine miss leaves its analyzed plan in the plan cache
@@ -264,15 +262,13 @@ class QueryService:
     def submit(
         self,
         query: ConsolidationQuery,
-        options: ExecutionOptions | None = None,
+        backend: str = "auto",
     ) -> "Future[QueryResult]":
         """Admit one query onto the pool; returns its future.
 
-        ``options=None`` runs with ``ExecutionOptions()``.  Raises
-        :class:`AdmissionError` when the service is closed or
+        Raises :class:`AdmissionError` when the service is closed or
         ``max_in_flight`` queries are already admitted.
         """
-        opts = options if options is not None else ExecutionOptions()
         # resolve the trace identity on the *caller's* thread, before the
         # hop onto the pool loses its thread-locals: whatever the caller
         # (API handler, CLI, ``with trace_context(...)``) has installed,
@@ -296,7 +292,7 @@ class QueryService:
         return self._pool.submit(
             self._run,
             query,
-            opts,
+            backend,
             trace,
             time.perf_counter(),
         )
@@ -304,19 +300,19 @@ class QueryService:
     def execute(
         self,
         query: ConsolidationQuery,
-        options: ExecutionOptions | None = None,
+        backend: str = "auto",
     ) -> QueryResult:
         """Admit one query and wait for its result."""
-        return self.submit(query, options).result()
+        return self.submit(query, backend).result()
 
     def _run(
-        self, query, opts: ExecutionOptions, trace: TraceContext, admitted_s
+        self, query, backend: str, trace: TraceContext, admitted_s
     ) -> QueryResult:
         start = time.perf_counter()
         self._histograms["serve.queue_wait_seconds"].observe(
             start - admitted_s
         )
-        fingerprint = query_fingerprint(query, opts)
+        fingerprint = query_fingerprint(query, backend)
         tracer: Tracer | None = None
         status = "ok"
         try:
@@ -325,9 +321,9 @@ class QueryService:
                     if self.config.profile_queries:
                         tracer = Tracer(registry=self.engine.db.metrics)
                         with thread_tracing(tracer):
-                            result = self._execute(query, opts, fingerprint)
+                            result = self._execute(query, backend, fingerprint)
                     else:
-                        result = self._execute(query, opts, fingerprint)
+                        result = self._execute(query, backend, fingerprint)
                 except Exception as exc:
                     status = type(exc).__name__
                     raise
@@ -336,7 +332,7 @@ class QueryService:
                     self._record_trace(
                         trace, query, fingerprint, status, latency, tracer
                     )
-            self._note_latency(latency, query, opts, fingerprint, result, tracer)
+            self._note_latency(latency, query, backend, fingerprint, result, tracer)
             return result
         finally:
             self._histograms["serve.query_latency_seconds"].observe(
@@ -369,18 +365,18 @@ class QueryService:
         )
 
     def _note_latency(
-        self, latency, query, opts, fingerprint, result, tracer
+        self, latency, query, backend, fingerprint, result, tracer
     ) -> None:
         """Count a slow query; a slow miss caches its analyzed plan under
         the fingerprint its trace's attrs name."""
         if latency < self.traces.slow_threshold_s:
             return
         self.counters.add("serve.slow_queries")
-        plan = self._slow_plan(query, opts, result, tracer)
+        plan = self._slow_plan(query, backend, result, tracer)
         if plan is not None:
             self.plans.put(fingerprint, plan)
 
-    def _slow_plan(self, query, opts, result, tracer) -> dict | None:
+    def _slow_plan(self, query, backend, result, tracer) -> dict | None:
         """Best-effort analyzed plan for one slow engine miss.
 
         Rebuilds the planner's estimates (deterministic, so the plan
@@ -405,7 +401,7 @@ class QueryService:
         try:
             with tracer.span("slow_plan", cube=query.cube):
                 with self._engine_lock:
-                    plan = self.engine.explain(query, opts)
+                    plan = self.engine.explain(query, backend)
         except ReproError:
             return None
         # a write landing between the run and this re-plan can flip the
@@ -425,12 +421,12 @@ class QueryService:
     def explain(
         self,
         query: ConsolidationQuery,
-        options: ExecutionOptions | None = None,
+        backend: str = "auto",
         analyze: bool = False,
     ) -> QueryPlan:
         """EXPLAIN (optionally ANALYZE) one query through the service.
 
-        The same ``(options, analyze)`` signature as
+        The same ``(backend, analyze)`` signature as
         :meth:`OlapEngine.explain <repro.olap.engine.OlapEngine.explain>`.
         Serializes
         behind the engine lock like any miss; an ANALYZE run executes
@@ -448,23 +444,21 @@ class QueryService:
                 # run reads the generation it is cached at
                 generation = self.engine.cube_generation(cube)
                 plan, result = self.engine.explain_analyze(
-                    query, options, cold=self.config.cold
+                    query, backend, cold=self.config.cold
                 )
                 self.results.put(cube, plan.fingerprint, generation, result)
             else:
-                plan = self.engine.explain(query, options)
+                plan = self.engine.explain(query, backend)
         self.plans.put(plan.fingerprint, plan.to_dict())
         self.counters.add("serve.explains")
         if analyze:
             self.counters.add("serve.explain_analyzes")
         return plan
 
-    def _execute(
-        self, query, opts: ExecutionOptions, fingerprint=None
-    ) -> QueryResult:
+    def _execute(self, query, backend: str, fingerprint=None) -> QueryResult:
         cube = query.cube
         if fingerprint is None:
-            fingerprint = query_fingerprint(query, opts)
+            fingerprint = query_fingerprint(query, backend)
         tracer = get_tracer()
         with Timer() as timer:
             cached = self.results.get(
@@ -481,10 +475,10 @@ class QueryService:
         # sleeps never stall other cubes' queued queries
         return self._with_retries(
             cube,
-            lambda: self._execute_miss(query, opts, fingerprint),
+            lambda: self._execute_miss(query, backend, fingerprint),
         )
 
-    def _execute_miss(self, query, opts: ExecutionOptions, fingerprint):
+    def _execute_miss(self, query, backend: str, fingerprint):
         """One serialized attempt at an engine miss (runs under retry)."""
         cube = query.cube
         tracer = get_tracer()
@@ -504,11 +498,11 @@ class QueryService:
                     return self._from_cache(cached, timer)
             self._check_degraded(cube)  # may have degraded while we waited
             with tracer.span(
-                "serve_query", cube=cube, cache="miss", backend=opts.backend
+                "serve_query", cube=cube, cache="miss", backend=backend
             ):
                 self._attach_chunk_cache(cube)
                 result = self.engine.query(
-                    query, backend=opts.backend, cold=self.config.cold
+                    query, backend=backend, cold=self.config.cold
                 )
                 # the generation cannot have moved: writes also
                 # serialize behind the engine lock.  Inside the span so
@@ -559,7 +553,7 @@ class QueryService:
     def _with_retries(self, cube: str, action):
         """Run ``action`` retrying :class:`TransientError` failures.
 
-        Backoff doubles from ``retry_base_s`` up to ``retry_cap_s``.
+        Backoff doubles from :data:`RETRY_BASE_S` per attempt.
         A :class:`PermanentError` (or an exhausted retry budget) flips
         the cube into degraded mode, after which only cache hits are
         served until :meth:`recover_cube` runs.  ``action`` must take
@@ -567,9 +561,9 @@ class QueryService:
         locks held, so one cube's retry storm never blocks the others.
         """
         tracer = get_tracer()
-        delay = self.config.retry_base_s
+        delay = RETRY_BASE_S
         last: TransientError | None = None
-        for attempt in range(self.config.retry_attempts + 1):
+        for attempt in range(RETRY_ATTEMPTS + 1):
             try:
                 return action()
             except DegradedError:
@@ -580,18 +574,18 @@ class QueryService:
             except TransientError as exc:
                 last = exc
                 self.counters.add("serve.transient_faults")
-                if attempt >= self.config.retry_attempts:
+                if attempt >= RETRY_ATTEMPTS:
                     break
                 self.counters.add("serve.retries")
                 with tracer.span(
                     "serve_retry", cube=cube, attempt=attempt + 1
                 ):
                     time.sleep(delay)
-                delay = min(delay * 2, self.config.retry_cap_s)
+                delay *= 2
         self.counters.add("serve.retries_exhausted")
         self._mark_degraded(cube)
         raise RetryExhaustedError(
-            f"cube {cube!r}: {self.config.retry_attempts} retries failed "
+            f"cube {cube!r}: {RETRY_ATTEMPTS} retries failed "
             f"({last}); cube degraded"
         ) from last
 

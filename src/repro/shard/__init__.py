@@ -9,8 +9,8 @@ states.  A shard's scan is the one chunk walk over a sub-range
 (:func:`repro.core.consolidate.scan_chunk_range`); there is no other
 partitioned-scan path in the tree.  :meth:`OlapEngine.query
 <repro.olap.engine.OlapEngine.query>`'s ``shards``/``executor``
-keywords are the one way in: no serving surface (execution options,
-the query service, EXPLAIN, the CLI) shards.
+keywords are the one way in: no serving surface (the query service,
+EXPLAIN, the CLI) shards.
 
 - :mod:`repro.shard.plan` — contiguous chunk-range assignments;
 - :mod:`repro.shard.executor` — the Executor protocol

@@ -33,11 +33,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.model import model_from_dict
-from repro.api.server import ApiEndpoint, Cut
+from repro.api.server import ApiEndpoint
 from repro.data import generate_fact_rows
 from repro.olap import (
     ConsolidationQuery,
-    ExecutionOptions,
     OlapEngine,
     SelectionPredicate,
 )
@@ -195,23 +194,21 @@ def _requests(router, cube, rollup):
             members = sorted(set(grains.attr_map(cube.cube, dim, attr).values()))
             others = [(d, a) for d, a in grain.items() if d != dim][:1]
             yield [(dim, attr)], []
-            yield others + [(dim, attr)], [Cut(dim, attr, values=tuple(members[:2]))]
-            yield others or [(dim, attr)], [Cut(dim, attr, low=members[0], high=members[-1])]
-            yield [(dim, attr)], [Cut(dim, attr, low=members[-1])]
+            yield others + [(dim, attr)], [
+                SelectionPredicate.in_list(dim, attr, *members[:2])
+            ]
+            yield others or [(dim, attr)], [
+                SelectionPredicate.between(dim, attr, members[0], members[-1])
+            ]
+            yield [(dim, attr)], [SelectionPredicate.between(dim, attr, members[-1])]
 
 
 def _base(service, group_by, cuts, aggregate):
-    selections = [
-        SelectionPredicate.in_list(cut.dimension, cut.attribute, *cut.values)
-        if cut.values
-        else SelectionPredicate.between(cut.dimension, cut.attribute, cut.low, cut.high)
-        for cut in cuts
-    ]
     query = ConsolidationQuery.build(
-        "c", group_by=dict(group_by), selections=selections, aggregate=aggregate
+        "c", group_by=dict(group_by), selections=cuts, aggregate=aggregate
     )
     # pinned: auto would answer from the grain under test
-    return sorted(service.execute(query, ExecutionOptions("array")).rows)
+    return sorted(service.execute(query, "array").rows)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

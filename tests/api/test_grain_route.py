@@ -37,7 +37,7 @@ def _query(endpoint, params, aggregate):
     request = RequestParser(endpoint.model.cube("sales")).from_params(
         {**params, "aggregate": aggregate}
     )
-    return endpoint.base_query(request)
+    return request.query
 
 
 def _sql(query):

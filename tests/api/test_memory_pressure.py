@@ -9,7 +9,7 @@ import threading
 
 from repro.api.server import ApiEndpoint
 from repro.data import generate_fact_rows
-from repro.olap import ConsolidationQuery, ExecutionOptions
+from repro.olap import ConsolidationQuery
 from repro.serve import QueryService, ServiceConfig
 
 from .conftest import CONFIG, fresh_engine, fresh_model
@@ -46,7 +46,7 @@ def _oracle_rows(service, payload):
         aggregate=payload["aggregate"],
     )
     # pinned: auto would answer from the grain whose answer is checked
-    return sorted(service.execute(query, ExecutionOptions("array")).rows)
+    return sorted(service.execute(query, "array").rows)
 
 
 class TestEvictionUnderWrites:

@@ -8,9 +8,8 @@ import threading
 import numpy as np
 
 from repro.api.model import RollupDecl
-from repro.api.server import Cut
 from repro.data import generate_fact_rows
-from repro.olap import ConsolidationQuery, ExecutionOptions
+from repro.olap import ConsolidationQuery
 from repro.olap.query import SelectionPredicate
 
 from .conftest import CONFIG
@@ -32,7 +31,7 @@ def _base_rows(service, group_by, aggregate="sum", selections=None):
         aggregate=aggregate,
     )
     # pinned: auto would answer from the grain the answer is checked against
-    return sorted(service.execute(query, ExecutionOptions("array")).rows)
+    return sorted(service.execute(query, "array").rows)
 
 
 class TestDeriveMaps:
@@ -113,7 +112,7 @@ class TestRouting:
     def test_cut_dimension_counts_as_referenced(self, stack):
         _, _, endpoint = stack
         # dim2 at h21 is finer than coarse's h22 and absent from mid01
-        cut = Cut(dimension="dim2", attribute="h21", values=("AA0",))
+        cut = SelectionPredicate.in_list("dim2", "h21", "AA0")
         decision = endpoint.router.route(
             _cube(endpoint), [("dim0", "h02")], [cut], "sum"
         )
@@ -181,7 +180,7 @@ class TestScanCorrectness:
 
     def test_in_list_cut_filters_derived_values(self, stack):
         _, service, endpoint = stack
-        cut = Cut(dimension="dim1", attribute="h11", values=("AA1",))
+        cut = SelectionPredicate.in_list("dim1", "h11", "AA1")
         routed = self._routed(
             endpoint, "mid01", [("dim0", "h01")], [cut], "sum"
         )
@@ -193,9 +192,7 @@ class TestScanCorrectness:
 
     def test_range_cut(self, stack):
         _, service, endpoint = stack
-        cut = Cut(
-            dimension="dim1", attribute="h11", low="AA0", high="AA1"
-        )
+        cut = SelectionPredicate.between("dim1", "h11", "AA0", "AA1")
         routed = self._routed(
             endpoint, "mid01", [("dim0", "h01")], [cut], "sum"
         )

@@ -11,7 +11,6 @@ from repro.bench import (
 )
 from repro.data import SyntheticCubeConfig
 from repro.errors import PlanError
-from repro.olap import ExecutionOptions
 from repro.serve import QueryService
 
 TINY = SyntheticCubeConfig(
@@ -42,10 +41,10 @@ def test_engine_routes_reject_a_baseline(engine, baseline):
     with pytest.raises(PlanError, match=unknown):
         engine.query(query, backend=baseline)
     with pytest.raises(PlanError, match=unknown):
-        engine.explain(query, ExecutionOptions(backend=baseline))
+        engine.explain(query, baseline)
     with QueryService(engine) as service:
         with pytest.raises(PlanError, match=unknown):
-            service.execute(query, ExecutionOptions(backend=baseline))
+            service.execute(query, baseline)
 
 
 def test_after_an_append_only_leftdeep_still_runs():

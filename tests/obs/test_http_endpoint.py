@@ -19,7 +19,7 @@ from tests.prom_text import lint_prometheus_text
 from repro.obs.registry import MetricsRegistry
 from repro.obs.server import ROUTES
 from repro.obs.tracing import new_trace_context, trace_context
-from repro.olap import ConsolidationQuery, ExecutionOptions
+from repro.olap import ConsolidationQuery
 from repro.serve import QueryService, ServiceConfig
 from repro.util.stats import Counters
 
@@ -206,7 +206,7 @@ class TestExplainRoutes:
     def test_service_explain_payload_served_end_to_end(self, live):
         service, server = live
         plan = service.explain(
-            QUERY, ExecutionOptions(backend="array"), analyze=True
+            QUERY, "array", analyze=True
         )
         status, _, body = _get(f"{server.url}/explain/{plan.fingerprint}")
         assert status == 200

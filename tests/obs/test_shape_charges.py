@@ -24,7 +24,6 @@ from repro.obs.explain import PlanCache
 from repro.obs.tracing import TraceStore, new_trace_context, trace_context
 from repro.olap import (
     ConsolidationQuery,
-    ExecutionOptions,
     OlapEngine,
     SelectionPredicate,
 )
@@ -93,7 +92,7 @@ def cached_charge(q: ConsolidationQuery, result) -> tuple[int, int]:
     """What the result cache charges ``result``, and the walk of what it
     holds for it."""
     cache = ResultCache()
-    fingerprint = query_fingerprint(q, ExecutionOptions(backend=result.backend))
+    fingerprint = query_fingerprint(q, result.backend)
     cache.put(q.cube, fingerprint, 3, result)
     walked = deep_sizeof(((q.cube, fingerprint), CacheEntry(3, result)))
     return cache.resident_bytes(), walked

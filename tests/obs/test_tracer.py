@@ -5,11 +5,9 @@ import pytest
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
-    NullTracer,
     Tracer,
     get_tracer,
-    set_tracer,
-    tracing,
+    thread_tracing,
 )
 from repro.util.stats import Counters
 
@@ -131,23 +129,15 @@ class TestDisabledTracer:
 
     def test_tracing_installs_and_restores(self):
         tracer = Tracer()
-        with tracing(tracer) as active:
+        with thread_tracing(tracer) as active:
             assert active is tracer
             assert get_tracer() is tracer
         assert get_tracer() is NULL_TRACER
 
     def test_tracing_restores_previous_tracer(self):
         outer, inner = Tracer(), Tracer()
-        with tracing(outer):
-            with tracing(inner):
+        with thread_tracing(outer):
+            with thread_tracing(inner):
                 assert get_tracer() is inner
             assert get_tracer() is outer
         assert get_tracer() is NULL_TRACER
-
-    def test_set_tracer_none_disables(self):
-        set_tracer(Tracer())
-        try:
-            assert get_tracer().enabled
-        finally:
-            set_tracer(None)
-        assert isinstance(get_tracer(), NullTracer)

@@ -16,7 +16,7 @@ from repro.data import (
     generate_fact_rows,
 )
 from repro.errors import PlanError
-from repro.olap import ConsolidationQuery, ExecutionOptions, OlapEngine
+from repro.olap import ConsolidationQuery, OlapEngine
 from repro.olap.query import SelectionPredicate
 
 CONFIG = SyntheticCubeConfig(
@@ -71,7 +71,7 @@ class TestArrayExactness:
     def test_scan_actuals_equal_registry_deltas_of_the_same_query(
         self, engine
     ):
-        plan = engine.explain(_q1(), ExecutionOptions(backend="array"), analyze=True, cold=True)
+        plan = engine.explain(_q1(), "array", analyze=True, cold=True)
         reference = engine.query(_q1(), backend="array", cold=True)
         scan = _node(plan, "array.scan_chunks")
         # actuals are the registry counter deltas over the scan span;
@@ -83,7 +83,7 @@ class TestArrayExactness:
         )
 
     def test_cold_estimates_are_exact(self, engine):
-        plan = engine.explain(_q1(), ExecutionOptions(backend="array"), analyze=True, cold=True)
+        plan = engine.explain(_q1(), "array", analyze=True, cold=True)
         scan = _node(plan, "array.scan_chunks")
         for name in ("chunks_read", "cells_scanned", "chunk_bytes_read",
                      "dir_loads"):
@@ -95,7 +95,7 @@ class TestArrayExactness:
         )
 
     def test_every_estimated_metric_gets_a_ratio(self, engine):
-        plan = engine.explain(_q2(), ExecutionOptions(backend="array"), analyze=True, cold=True)
+        plan = engine.explain(_q2(), "array", analyze=True, cold=True)
         estimated = [n for n in plan.root.walk() if n.estimates]
         assert estimated
         for node in estimated:
@@ -103,7 +103,7 @@ class TestArrayExactness:
             assert node.worst_misestimate() >= 1.0
 
     def test_selection_probe_estimates(self, engine):
-        plan = engine.explain(_q2(), ExecutionOptions(backend="array"), analyze=True, cold=True)
+        plan = engine.explain(_q2(), "array", analyze=True, cold=True)
         lookup = _node(plan, "array.btree_dimension_lookup")
         # one probe per in-list value, known exactly from the predicate
         assert lookup.estimates["btree_probes"] == CONFIG.ndim
@@ -167,7 +167,7 @@ class TestSelectionKernelEstimates:
         )
         plan = engine.explain(
             query,
-            ExecutionOptions(backend="array"),
+            "array",
             analyze=True,
             cold=True,
         )
@@ -181,28 +181,27 @@ class TestSelectionKernelEstimates:
         from repro.bench import query2_for
 
         engine, config = small
-        options = ExecutionOptions(backend="array")
         filtered = _node(
-            engine.explain(self._one_dimension(config), options),
+            engine.explain(self._one_dimension(config), "array"),
             "array.probe_chunks",
         )
         assert filtered.estimates["cells_probed"] == 0
         assert filtered.estimates["cells_scanned"] > 0
         probed = _node(
-            engine.explain(query2_for(config), options), "array.probe_chunks"
+            engine.explain(query2_for(config), "array"), "array.probe_chunks"
         )
         assert probed.estimates["cells_probed"] == 10
 
 
 class TestPlanShape:
     def test_estimate_only_plan_has_no_actuals(self, engine):
-        plan = engine.explain(_q1(), ExecutionOptions(backend="array"))
+        plan = engine.explain(_q1(), "array")
         assert not plan.analyzed
         assert all(n.actuals is None for n in plan.root.walk())
         assert plan.worst_misestimate() is None
 
     def test_auto_resolution_matches_query_and_is_recorded(self, engine):
-        plan = engine.explain(_q2(), ExecutionOptions(backend="auto"))
+        plan = engine.explain(_q2(), "auto")
         result = engine.query(_q2(), backend="auto")
         assert plan.backend == result.backend
         assert plan.planner["requested"] == "auto"
@@ -212,9 +211,9 @@ class TestPlanShape:
     def test_fingerprint_keyed_by_requested_backend(self, engine):
         from repro.serve.fingerprint import query_fingerprint
 
-        plan = engine.explain(_q2(), ExecutionOptions(backend="auto"))
+        plan = engine.explain(_q2(), "auto")
         assert plan.fingerprint == query_fingerprint(
-            _q2(), ExecutionOptions(backend="auto")
+            _q2(), "auto"
         )
 
     def test_unavailable_backend_raises_plan_error(self):
@@ -227,12 +226,12 @@ class TestPlanShape:
             backends=("array",),
         )
         with pytest.raises(PlanError, match="'bitmap' not available"):
-            engine.explain(_q2(), ExecutionOptions(backend="bitmap"))
+            engine.explain(_q2(), "bitmap")
 
     @pytest.mark.parametrize("backend", ("array", "starjoin", "bitmap"))
     def test_every_backend_produces_an_analyzable_plan(self, engine, backend):
         query = _q1() if backend == "starjoin" else _q2()
-        plan = engine.explain(query, ExecutionOptions(backend=backend), analyze=True)
+        plan = engine.explain(query, backend, analyze=True)
         assert plan.analyzed
         assert plan.rows == len(engine.query(query, backend=backend).rows)
         analyzed = [n for n in plan.root.walk() if n.actuals is not None]
@@ -240,7 +239,7 @@ class TestPlanShape:
         assert plan.root.op == f"{backend}.query"
 
     def test_explain_takes_options(self, engine):
-        plan = engine.explain(_q1(), ExecutionOptions(backend="array"))
+        plan = engine.explain(_q1(), "array")
         assert plan.cube == CONFIG.name
         assert plan.backend == "array"
 
@@ -253,7 +252,7 @@ class TestMisestimateMetrics:
         ).count if (
             "engine.explain.misestimate_factor" in registry.histogram_names()
         ) else 0
-        engine.explain(_q1(), ExecutionOptions(backend="array"), analyze=True)
+        engine.explain(_q1(), "array", analyze=True)
         histogram = registry.histogram("engine.explain.misestimate_factor")
         assert histogram.count > before
         totals = registry.merged_snapshot()
@@ -261,6 +260,6 @@ class TestMisestimateMetrics:
         assert totals["explain.nodes_analyzed"] >= 1
 
     def test_counters_survive_cold_resets(self, engine):
-        engine.explain(_q1(), ExecutionOptions(backend="array"), analyze=True)
+        engine.explain(_q1(), "array", analyze=True)
         engine.query(_q1(), backend="array", cold=True)  # resets stats
         assert engine.db.metrics.merged_snapshot()["explain.analyzed"] >= 1

@@ -4,7 +4,7 @@ plan a slow miss leaves there."""
 from repro.bench import bench_settings, build_cube_engine
 from repro.obs.explain import PlanCache
 from repro.obs.tracing import new_trace_context, trace_context
-from repro.olap import ConsolidationQuery, ExecutionOptions
+from repro.olap import ConsolidationQuery
 from repro.olap.query import SelectionPredicate
 from repro.serve import QueryService, ServiceConfig
 
@@ -32,7 +32,7 @@ def _q2():
 class TestServiceExplain:
     def test_explain_caches_payload_by_fingerprint(self):
         with QueryService(fresh_engine()) as service:
-            plan = service.explain(_q1(), ExecutionOptions(backend="array"))
+            plan = service.explain(_q1(), "array")
             cached = service.plans.get(plan.fingerprint)
             assert cached is not None
             assert cached["backend"] == "array"
@@ -42,7 +42,7 @@ class TestServiceExplain:
     def test_explain_analyze_through_service(self):
         with QueryService(fresh_engine()) as service:
             plan = service.explain(
-                _q1(), ExecutionOptions(backend="array"), analyze=True
+                _q1(), "array", analyze=True
             )
             assert plan.analyzed
             assert plan.rows > 0

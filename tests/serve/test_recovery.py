@@ -10,7 +10,6 @@ from repro.errors import (
 )
 from repro.olap.engine import OlapEngine
 from repro.olap.model import CubeSchema, DimensionDef, MeasureDef
-from repro.olap.options import ExecutionOptions
 from repro.olap.query import ConsolidationQuery
 from repro.relational.catalog import Database
 from repro.serve import QueryService, ServiceConfig
@@ -19,16 +18,12 @@ from repro.storage.faults import FaultyDisk, FaultyWAL
 
 CUBE = "served"
 QUERY = ConsolidationQuery.build(CUBE, group_by={"x": "xk", "y": "yk"})
-ARRAY_OPTS = ExecutionOptions(backend="array")
 
-# cold=True forces every engine miss back to the (faulty) disk, and the
-# tiny backoffs keep the retry loop fast.  Fault plans are thread-local,
-# so fault-driven tests call ``service._execute`` on this thread rather
-# than going through the worker pool.
-FAST_RETRY = ServiceConfig(
-    max_workers=2, cold=True,
-    retry_attempts=3, retry_base_s=0.0001, retry_cap_s=0.001,
-)
+# cold=True forces every engine miss back to the (faulty) disk; the
+# service's three retries sleep 1, 2 and 4 ms.  Fault plans are
+# thread-local, so fault-driven tests call ``service._execute`` on this
+# thread rather than going through the worker pool.
+FAST_RETRY = ServiceConfig(max_workers=2, cold=True)
 
 
 def build_engine(tmp_path=None):
@@ -67,7 +62,7 @@ class TestRetries:
         with QueryService(engine, FAST_RETRY) as service:
             plan = FaultPlan(transient_read_errors=2)
             with fault_plan(plan):
-                result = service._execute(QUERY, ExecutionOptions(backend="array"))
+                result = service._execute(QUERY, "array")
             assert result.rows
             stats = service.stats()
             assert stats["serve.transient_faults"] >= 1
@@ -80,7 +75,7 @@ class TestRetries:
             plan = FaultPlan(transient_read_errors=10_000)
             with fault_plan(plan):
                 with pytest.raises(RetryExhaustedError):
-                    service._execute(QUERY, ExecutionOptions(backend="array"))
+                    service._execute(QUERY, "array")
             assert service.is_degraded(CUBE)
             assert service.degraded_cubes() == [CUBE]
             assert service.stats()["serve.retries_exhausted"] == 1
@@ -104,7 +99,7 @@ class TestRetries:
                 "repro.serve.service.time.sleep", probing_sleep
             )
             with fault_plan(FaultPlan(transient_read_errors=2)):
-                result = service._execute(QUERY, ExecutionOptions(backend="array"))
+                result = service._execute(QUERY, "array")
             assert result.rows
             assert held_during_sleep  # the retry loop did back off
             assert not any(held_during_sleep)
@@ -114,14 +109,14 @@ class TestDegradedMode:
     def degraded_service(self):
         engine = build_engine()
         service = QueryService(engine, FAST_RETRY)
-        warm = service.execute(QUERY, ARRAY_OPTS)  # populate the cache
+        warm = service.execute(QUERY, "array")  # populate the cache
         service._mark_degraded(CUBE)
         return service, warm
 
     def test_cache_hits_still_served(self):
         service, warm = self.degraded_service()
         with service:
-            result = service.execute(QUERY, ARRAY_OPTS)
+            result = service.execute(QUERY, "array")
             assert sorted(result.rows) == sorted(warm.rows)
             assert result.stats.get("result_cache_hit") == 1.0
 
@@ -130,7 +125,7 @@ class TestDegradedMode:
         other = ConsolidationQuery.build(CUBE, group_by={"x": "xk"})
         with service:
             with pytest.raises(DegradedError):
-                service._execute(other, ExecutionOptions(backend="array"))
+                service._execute(other, "array")
             assert service.stats()["serve.degraded_rejections"] == 1
 
     def test_writes_rejected_while_degraded(self):
@@ -157,7 +152,7 @@ class TestRecoverCube:
             service._mark_degraded(CUBE)
             service.recover_cube(CUBE)
             assert not service.is_degraded(CUBE)
-            assert service.execute(QUERY, ARRAY_OPTS).rows
+            assert service.execute(QUERY, "array").rows
             assert service.stats()["serve.recoveries"] == 1
 
     def test_recover_replays_committed_writes(self, tmp_path):
@@ -165,14 +160,14 @@ class TestRecoverCube:
         with QueryService(engine, FAST_RETRY) as service:
             service.write_cell(CUBE, (5, 3), (777,))
             before = sorted(
-                service.execute(QUERY, ARRAY_OPTS).rows
+                service.execute(QUERY, "array").rows
             )
             # a permanent fault degrades the cube...
             service._mark_degraded(CUBE)
             # ...recovery drops every frame and replays the WAL
             replayed = service.recover_cube(CUBE)
             assert replayed > 0
-            after = sorted(service.execute(QUERY, ARRAY_OPTS).rows)
+            after = sorted(service.execute(QUERY, "array").rows)
             assert after == before
             assert (5, 3, 777) in after
 
@@ -182,7 +177,7 @@ class TestRecoverCube:
             service.write_cell(CUBE, (5, 3), (777,))
             service._mark_degraded(CUBE)
             assert service.recover_cube(CUBE) == 0
-            rows = sorted(service.execute(QUERY, ARRAY_OPTS).rows)
+            rows = sorted(service.execute(QUERY, "array").rows)
             assert (5, 3, 777) in rows
 
     def test_unknown_cube_rejected(self):
@@ -198,14 +193,14 @@ class TestEndToEndFaultStory:
         engine = build_engine(tmp_path)
         other = ConsolidationQuery.build(CUBE, group_by={"y": "yg"})
         with QueryService(engine, FAST_RETRY) as service:
-            healthy = service.execute(QUERY, ARRAY_OPTS)
+            healthy = service.execute(QUERY, "array")
             with fault_plan(FaultPlan(transient_read_errors=10_000)):
                 with pytest.raises(RetryExhaustedError):
-                    service._execute(other, ExecutionOptions(backend="array"))
+                    service._execute(other, "array")
                 # degraded, but the cached query still answers
-                hit = service.execute(QUERY, ARRAY_OPTS)
+                hit = service.execute(QUERY, "array")
                 assert sorted(hit.rows) == sorted(healthy.rows)
             service.recover_cube(CUBE)
-            fresh = service.execute(other, ARRAY_OPTS)
+            fresh = service.execute(other, "array")
             assert fresh.rows
             assert not service.is_degraded(CUBE)

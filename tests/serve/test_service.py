@@ -13,14 +13,12 @@ from repro.data import (
     generate_fact_rows,
 )
 from repro.errors import AdmissionError
-from repro.olap import ExecutionOptions
 from repro.serve import QueryService, ServiceConfig, query_fingerprint
 
 from .conftest import CONFIG, fresh_engine
 
 QUERY1 = query1_for(CONFIG)
 QUERY2 = query2_for(CONFIG)
-ARRAY_OPTS = ExecutionOptions(backend="array")
 
 
 class TestCaching:
@@ -47,8 +45,8 @@ class TestCaching:
 
     def test_backend_is_part_of_the_key(self, engine):
         with QueryService(engine) as service:
-            service.execute(QUERY1, ARRAY_OPTS)
-            result = service.execute(QUERY1, ExecutionOptions(backend="starjoin"))
+            service.execute(QUERY1, "array")
+            result = service.execute(QUERY1, "starjoin")
         assert "result_cache_hit" not in result.stats
         assert result.backend == "starjoin"
 
@@ -61,7 +59,7 @@ class TestCaching:
 
     def test_cold_config_disables_warm_engine_runs(self, engine):
         with QueryService(engine, ServiceConfig(cold=True)) as service:
-            result = service.execute(QUERY1, ARRAY_OPTS)
+            result = service.execute(QUERY1, "array")
         assert result.sim_io_s > 0
 
 
@@ -174,32 +172,32 @@ class TestWriteInvalidation:
 
     def test_write_cell_invalidates_and_recomputes(self, engine):
         with QueryService(engine) as service:
-            before = service.execute(QUERY1, ARRAY_OPTS)
+            before = service.execute(QUERY1, "array")
             generation = engine.cube_generation(CONFIG.name)
             keys = self.put_keys(engine)[0]
             service.write_cell(CONFIG.name, keys, (10_000,))
             assert engine.cube_generation(CONFIG.name) == generation + 1
             assert len(service.results) == 0
-            after = service.execute(QUERY1, ARRAY_OPTS)
+            after = service.execute(QUERY1, "array")
         assert "result_cache_hit" not in after.stats
         assert sum(r[-1] for r in after.rows) != sum(r[-1] for r in before.rows)
         assert service.stats()["serve.entries_invalidated"] == 1
 
     def test_append_facts_invalidates(self, engine):
         with QueryService(engine) as service:
-            before = service.execute(QUERY1, ARRAY_OPTS)
+            before = service.execute(QUERY1, "array")
             service.append_facts(CONFIG.name, [(0, 0, 0, 500)])
-            after = service.execute(QUERY1, ARRAY_OPTS)
+            after = service.execute(QUERY1, "array")
         assert sum(r[-1] for r in after.rows) == (
             sum(r[-1] for r in before.rows) + 500
         )
 
     def test_rebuild_array_invalidates(self, engine):
         with QueryService(engine) as service:
-            service.execute(QUERY1, ARRAY_OPTS)
+            service.execute(QUERY1, "array")
             service.rebuild_array(CONFIG.name)
             assert len(service.results) == 0
-            result = service.execute(QUERY1, ARRAY_OPTS)
+            result = service.execute(QUERY1, "array")
             assert "result_cache_hit" not in result.stats
 
     def test_writes_invalidate_exactly_the_written_cube(self, engine):
@@ -251,5 +249,5 @@ def test_run_warm_leaves_no_dangling_chunk_cache():
     run_warm(engine, QUERY1, backend="array", repeats=1)
     assert engine.cube(CONFIG.name).array.chunk_cache is None
     with QueryService(engine) as service:
-        service.execute(QUERY1, ARRAY_OPTS)
+        service.execute(QUERY1, "array")
         assert service.stats()["chunk_cache.misses"] > 0

@@ -1,8 +1,9 @@
-"""The one ExecutionOptions surface and the knobs it no longer has.
+"""How a query runs is one ``backend`` name, and the knobs it no longer has.
 
-Shards are not among them: ``OlapEngine.query``'s ``shards`` and
-``executor`` keywords are the one way into :mod:`repro.shard`, and
-``query`` checks them itself.
+Every entry point that runs or plans a query takes that name beside the
+query; no options object carries it.  Shards are not among the knobs:
+``OlapEngine.query``'s ``shards`` and ``executor`` keywords are the one
+way into :mod:`repro.shard`, and ``query`` checks them itself.
 """
 
 import dataclasses
@@ -13,8 +14,19 @@ import warnings
 import pytest
 
 from repro.errors import QueryError
-from repro.olap import ConsolidationQuery, ExecutionOptions, OlapEngine
-from repro.serve import QueryService, ServiceConfig
+from repro.olap import ConsolidationQuery, OlapEngine
+from repro.serve import QueryService, ServiceConfig, query_fingerprint
+
+#: every entry point that takes the backend name beside the query
+BACKEND_SURFACES = (
+    OlapEngine.query,
+    OlapEngine.explain,
+    OlapEngine.explain_analyze,
+    QueryService.submit,
+    QueryService.execute,
+    QueryService.explain,
+    query_fingerprint,
+)
 
 
 def query():
@@ -23,7 +35,9 @@ def query():
 
 class TestValidation:
     def test_defaults(self):
-        assert ExecutionOptions() == ExecutionOptions(backend="auto")
+        for surface in BACKEND_SURFACES:
+            backend = inspect.signature(surface).parameters["backend"]
+            assert backend.default == "auto", surface.__qualname__
 
     @pytest.mark.parametrize(
         "bad",
@@ -38,14 +52,14 @@ class TestValidation:
             engine.query(query(), backend="array", **bad)
 
     def test_one_surface_is_counted(self):
-        # an ExecutionOptions argument (or engine.query's keyword for
-        # the same field) is the one way to say how a query runs; only
-        # engine.query shards
-        names = [f.name for f in dataclasses.fields(ExecutionOptions)]
-        assert names == ["backend"]
+        # the backend name beside the query is the one way to say how a
+        # query runs; only engine.query shards
+        for surface in BACKEND_SURFACES:
+            params = list(inspect.signature(surface).parameters)
+            assert params.index("backend") == params.index("query") + 1
         keywords = list(inspect.signature(OlapEngine.query).parameters)[2:]
         assert keywords == ["backend", "mode", "cold", "shards", "executor"]
-        assert len(dataclasses.fields(ServiceConfig)) == 9
+        assert len(dataclasses.fields(ServiceConfig)) == 6
         assert "options" not in {
             f.name for f in dataclasses.fields(ConsolidationQuery)
         }
@@ -70,11 +84,11 @@ class TestEngineSurface:
         ids=["shards", "executor"],
     )
     def test_query_keywords_are_checked_as_options_are(self, engine, keywords):
-        # query checks its shard keywords; no options object carries them
+        # query checks its shard keywords; no other surface takes them
         with pytest.raises(QueryError):
             engine.query(query(), backend="array", **keywords)
         with pytest.raises(TypeError):
-            ExecutionOptions(backend="array", **keywords)
+            engine.explain(query(), backend="array", **keywords)
 
     def test_query_accepts_only_the_auto_mode(self, engine):
         auto = engine.query(query(), backend="array", mode="auto")
@@ -108,7 +122,7 @@ class TestMomentsRunTheKernel:
         ]
         with QueryService(engine) as service:
             results.append(
-                service.execute(moments, ExecutionOptions(backend="array"))
+                service.execute(moments, "array")
             )
         for result in results:
             assert result.backend == "array"

@@ -2,7 +2,7 @@
 ``/metrics``."""
 
 from repro.obs.exporters import prometheus_text
-from repro.olap import ConsolidationQuery, ExecutionOptions
+from repro.olap import ConsolidationQuery
 
 
 def query():
@@ -13,7 +13,7 @@ def query():
 
 class TestExplainSharded:
     def test_unsharded_plan_keeps_classic_shape(self, engine):
-        plan = engine.explain(query(), ExecutionOptions(backend="array"))
+        plan = engine.explain(query(), "array")
         ops = [n.op for n in plan.root.walk()]
         assert "shard.scatter" not in ops
 

@@ -156,14 +156,14 @@ class TestExplainSchema:
 
     def test_real_explain_payload_validates(self, schema):
         from tests.serve.conftest import CONFIG, fresh_engine
-        from repro.olap import ConsolidationQuery, ExecutionOptions
+        from repro.olap import ConsolidationQuery
 
         engine = fresh_engine()
         query = ConsolidationQuery.build(
             CONFIG.name,
             group_by={f"dim{d}": f"h{d}1" for d in range(CONFIG.ndim)},
         )
-        validate(engine.explain(query, ExecutionOptions(backend="array")).to_dict(), schema)
+        validate(engine.explain(query, "array").to_dict(), schema)
         validate(
             engine.explain(query, analyze=True).to_dict(),
             schema,
