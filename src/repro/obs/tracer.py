@@ -11,10 +11,13 @@ snapshots at span entry and exit, so the simulated-I/O accounting of §4
 decomposes exactly over the span tree.  Sources only count up, so a
 delta is never negative (bar the array keys a scan moves from the
 array's bag to the query's, if another thread's span catches them in
-between), and a span enclosing a whole query — a rollup rebuild,
-``serve_query`` — includes that query's own counters.  The registry is
-process-wide: a span's delta covers everything done while it was open,
-other threads' I/O included.
+between), and a span enclosing a whole query — a rollup rebuild, an
+engine miss's ``serve_query`` — includes that query's own counters.  A
+result-cache hit's ``serve_query`` is never opened: the service builds
+it from the lookup's own timing and records it as it is (see
+:meth:`Tracer.attach`), so it carries no counters and takes no snapshot.
+The registry is process-wide: a span's delta covers everything done
+while it was open, other threads' I/O included.
 
 Instrumented call sites never pay for tracing unless it is on: a
 thread's active tracer defaults to :data:`NULL_TRACER`, whose
@@ -126,6 +129,9 @@ class NullTracer:
         """Return the shared no-op span context manager."""
         return _NULL_SPAN
 
+    def attach(self, span: "Span") -> None:
+        """Drop ``span`` (matching :meth:`Tracer.attach`)."""
+
 
 class _LiveSpan:
     """Context manager that opens/closes one :class:`Span` on a tracer."""
@@ -140,16 +146,8 @@ class _LiveSpan:
     def __enter__(self) -> Span:
         tracer = self._tracer
         span = self._span
-        stack = tracer._stack
-        # span-tree mutation happens under the tracer's tree lock: the
-        # 8-thread serving layer shares one tracer, and a root append
-        # must never race another thread's child append mid-resize
-        with tracer._tree_lock:
-            if stack:
-                stack[-1].children.append(span)
-            else:
-                tracer.roots.append(span)
-        stack.append(span)
+        tracer.attach(span)
+        tracer._stack.append(span)
         if tracer.registry is not None:
             self._before = tracer.registry.snapshot_by_source()
         span.start_s = time.perf_counter()
@@ -195,6 +193,20 @@ class Tracer:
     def span(self, name: str, **attrs) -> _LiveSpan:
         """Open a child span of the innermost active span (or a root)."""
         return _LiveSpan(self, Span(name, attrs))
+
+    def attach(self, span: Span) -> None:
+        """Add ``span`` under the innermost active span (or as a root)
+        as it is: an already-timed span, never opened here, so no
+        registry snapshot is taken for it."""
+        stack = self._stack
+        # span-tree mutation happens under the tree lock: threads may
+        # share one tracer, and a root append must never race another
+        # thread's child append mid-resize
+        with self._tree_lock:
+            if stack:
+                stack[-1].children.append(span)
+            else:
+                self.roots.append(span)
 
     def current(self) -> Span | None:
         """The innermost active span, or ``None`` outside any span."""

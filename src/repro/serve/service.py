@@ -7,12 +7,15 @@ service layers concurrency *around* it:
 - how a query runs is the ``backend`` name its call passes (``"auto"``
   by default); :class:`ServiceConfig` holds only serving knobs, no
   execution defaults;
-- a thread pool runs admitted queries; admission control rejects work
-  beyond ``max_in_flight`` with :class:`~repro.errors.AdmissionError`
-  (backpressure, not unbounded queueing);
 - a :class:`~repro.serve.result_cache.ResultCache` serves repeated
-  queries without touching the engine at all — cache hits are the
-  concurrency win, engine misses serialize behind one lock;
+  queries without touching the engine at all: a hit is answered on the
+  thread that calls :meth:`~QueryService.submit` /
+  :meth:`~QueryService.execute`, with no pool hop, no in-flight slot
+  and no registry snapshot — cache hits are the concurrency win;
+- a thread pool runs the misses, which serialize behind one engine
+  lock; admission control rejects misses beyond ``max_in_flight`` with
+  :class:`~repro.errors.AdmissionError` (backpressure, not unbounded
+  queueing), so a saturated service still answers cached queries;
 - a :class:`~repro.serve.chunk_cache.ChunkCache` is attached to every
   cube's array so consolidations reuse decoded chunks;
 - every write path (:meth:`write_cell`, :meth:`append_facts`,
@@ -68,7 +71,7 @@ from repro.errors import (
 from repro.obs.explain import PlanCache, QueryPlan
 from repro.obs.memory import MemoryAccountant
 from repro.obs.exporters import span_to_dict
-from repro.obs.tracer import Tracer, get_tracer, thread_tracing
+from repro.obs.tracer import Span, Tracer, get_tracer, thread_tracing
 from repro.obs.tracing import (
     TraceContext,
     TraceStore,
@@ -94,10 +97,11 @@ RETRY_BASE_S = 0.001
 class ServiceConfig:
     """Tuning knobs for one :class:`QueryService`."""
 
-    #: worker threads executing admitted queries
+    #: worker threads executing admitted misses
     max_workers: int = 4
-    #: admitted-but-unfinished queries beyond which :meth:`submit`
-    #: rejects with :class:`AdmissionError` (queued + running)
+    #: admitted-but-unfinished misses beyond which :meth:`submit`
+    #: rejects a miss with :class:`AdmissionError` (queued + running);
+    #: a result-cache hit takes no slot
     max_in_flight: int = 16
     #: run engine misses cold (paper methodology) instead of warm
     cold: bool = False
@@ -105,10 +109,12 @@ class ServiceConfig:
     #: store evicts its trace only after every fast one, and a slow
     #: engine miss leaves its analyzed plan in the plan cache
     slow_threshold_s: float = 0.25
-    #: run every query under a per-thread tracer so its trace carries
-    #: the full span tree; disable to shave the per-span registry
-    #: snapshots off the hot path (traces then carry no span tree and
-    #: slow misses no analyzed plan)
+    #: record each query's span tree in its trace: an engine miss runs
+    #: under a per-thread tracer, whose per-span registry snapshots fall
+    #: on misses only; a hit's one ``serve_query`` span is built from
+    #: its lookup's timing.  Disable to shave those snapshots off the
+    #: miss path (traces then carry no span tree and slow misses no
+    #: analyzed plan)
     profile_queries: bool = True
     #: process resident-set budget across every accounted store, in
     #: bytes (0 = unbounded: accounting only, no pressure eviction).
@@ -231,7 +237,7 @@ class QueryService:
 
     @property
     def in_flight(self) -> int:
-        """Admitted queries not yet finished (queued + running)."""
+        """Admitted misses not yet finished (queued + running)."""
         return self._in_flight
 
     # -- cache plumbing ----------------------------------------------------
@@ -264,18 +270,48 @@ class QueryService:
         query: ConsolidationQuery,
         backend: str = "auto",
     ) -> "Future[QueryResult]":
-        """Admit one query onto the pool; returns its future.
+        """Answer a cached query here; admit a miss onto the pool.
 
-        Raises :class:`AdmissionError` when the service is closed or
-        ``max_in_flight`` queries are already admitted.
+        The calling thread probes the result cache once: a hit returns
+        an already-completed future, taking no pool thread and no
+        in-flight slot.  Raises :class:`AdmissionError` when the service
+        is closed, or when a miss finds ``max_in_flight`` misses
+        already admitted.
         """
-        # resolve the trace identity on the *caller's* thread, before the
-        # hop onto the pool loses its thread-locals: whatever the caller
-        # (API handler, CLI, ``with trace_context(...)``) has installed,
-        # else a fresh service-minted root
+        # close() sets the flag under the admission lock and nothing
+        # clears it; a close racing the probe is caught by the miss's
+        # admission check below
+        if self._closed:
+            raise AdmissionError("service is closed")
+        start = time.perf_counter()
+        # the trace identity is the caller's: whatever it has installed
+        # (API handler, CLI, ``with trace_context(...)``), else a fresh
+        # service-minted root; a miss carries it across the pool hop
         trace = current_trace_context()
         if trace is None:
             trace = new_trace_context(origin="service")
+        fingerprint = query_fingerprint(query, backend)
+        cube = query.cube
+        with Timer() as timer:
+            cached = self.results.get(
+                cube, fingerprint, self.engine.cube_generation(cube)
+            )
+        self._histograms["serve.cache_lookup_seconds"].observe(timer.elapsed)
+        if cached is not None:
+            # the hit's trace merges into the caller's record (an API
+            # request's, say) from this thread: nothing crosses the pool
+            self.counters.add("serve.admitted")
+            result, span = self._hit(query, cached, timer)
+            latency = time.perf_counter() - start
+            roots = [span_to_dict(span)] if self.config.profile_queries else None
+            self._record_trace(trace, query, fingerprint, "ok", latency, roots)
+            self._note_latency(latency, query, backend, fingerprint, result, None)
+            self._histograms["serve.query_latency_seconds"].observe(
+                latency, trace_id=trace.trace_id
+            )
+            future: Future[QueryResult] = Future()
+            future.set_result(result)
+            return future
         with self._admission_lock:
             if self._closed:
                 raise AdmissionError("service is closed")
@@ -293,6 +329,7 @@ class QueryService:
             self._run,
             query,
             backend,
+            fingerprint,
             trace,
             time.perf_counter(),
         )
@@ -306,13 +343,12 @@ class QueryService:
         return self.submit(query, backend).result()
 
     def _run(
-        self, query, backend: str, trace: TraceContext, admitted_s
+        self, query, backend: str, fingerprint, trace: TraceContext, admitted_s
     ) -> QueryResult:
         start = time.perf_counter()
         self._histograms["serve.queue_wait_seconds"].observe(
             start - admitted_s
         )
-        fingerprint = query_fingerprint(query, backend)
         tracer: Tracer | None = None
         status = "ok"
         try:
@@ -329,8 +365,13 @@ class QueryService:
                     raise
                 finally:
                     latency = time.perf_counter() - start
+                    roots = (
+                        [span_to_dict(root) for root in tracer.roots]
+                        if tracer is not None
+                        else None
+                    )
                     self._record_trace(
-                        trace, query, fingerprint, status, latency, tracer
+                        trace, query, fingerprint, status, latency, roots
                     )
             self._note_latency(latency, query, backend, fingerprint, result, tracer)
             return result
@@ -342,18 +383,14 @@ class QueryService:
                 self._in_flight -= 1
 
     def _record_trace(
-        self, trace, query, fingerprint, status, latency_s, tracer
+        self, trace, query, fingerprint, status, latency_s, roots
     ) -> None:
-        """Contribute this query's outcome (and span trees) to the store.
+        """Contribute this query's outcome (and serialized span trees,
+        ``None`` when unprofiled) to the store.
 
         The store merges by trace_id, so an API request and the queries
         it fanned out accumulate into one record.
         """
-        roots = (
-            [span_to_dict(root) for root in tracer.roots]
-            if tracer is not None
-            else None
-        )
         self.traces.record(
             trace,
             name=f"query:{query.cube}",
@@ -456,20 +493,11 @@ class QueryService:
         return plan
 
     def _execute(self, query, backend: str, fingerprint=None) -> QueryResult:
+        """Run one engine miss: refused while the cube is degraded, else
+        serialized attempts under retry."""
         cube = query.cube
         if fingerprint is None:
             fingerprint = query_fingerprint(query, backend)
-        tracer = get_tracer()
-        with Timer() as timer:
-            cached = self.results.get(
-                cube, fingerprint, self.engine.cube_generation(cube)
-            )
-        self._histograms["serve.cache_lookup_seconds"].observe(timer.elapsed)
-        if cached is not None:
-            with tracer.span(
-                "serve_query", cube=cube, cache="hit", backend=cached.backend
-            ):
-                return self._from_cache(cached, timer)
         self._check_degraded(cube)
         # each retry attempt takes the engine lock by itself, so backoff
         # sleeps never stall other cubes' queued queries
@@ -492,10 +520,9 @@ class QueryService:
                 timer.elapsed
             )
             if cached is not None:
-                with tracer.span(
-                    "serve_query", cube=cube, cache="hit", backend=cached.backend
-                ):
-                    return self._from_cache(cached, timer)
+                result, span = self._hit(query, cached, timer)
+                tracer.attach(span)
+                return result
             self._check_degraded(cube)  # may have degraded while we waited
             with tracer.span(
                 "serve_query", cube=cube, cache="miss", backend=backend
@@ -510,17 +537,26 @@ class QueryService:
                 self.results.put(cube, fingerprint, generation, result)
             return result
 
-    def _from_cache(self, result: QueryResult, timer: Timer) -> QueryResult:
+    @staticmethod
+    def _hit(query, cached: QueryResult, timer: Timer) -> tuple[QueryResult, Span]:
+        """A cached answer and its ``serve_query`` span, both timed by
+        the lookup that found it: the span is never opened, so it
+        carries no I/O and takes no registry snapshot."""
+        span = Span(
+            "serve_query",
+            {"cube": query.cube, "cache": "hit", "backend": cached.backend},
+        )
+        span.duration_s = timer.elapsed
         out = QueryResult(
-            rows=result.rows,
-            backend=result.backend,
+            rows=cached.rows,
+            backend=cached.backend,
             elapsed_s=timer.elapsed,
             sim_io_s=0.0,
-            stats=dict(result.stats),
-            route=result.route,
+            stats=dict(cached.stats),
+            route=cached.route,
         )
         out.stats["result_cache_hit"] = 1.0
-        return out
+        return out, span
 
     # -- fault handling ----------------------------------------------------
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ArrayError, DimensionError
 
-from .conftest import SIZES, h1, make_facts
+from .conftest import SIZES, h1
 
 
 class TestCellAccess:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.builder import DimensionData, build_olap_array
+from repro.core.builder import build_olap_array
 from repro.errors import ArrayError
 
 from .conftest import make_dimensions

@@ -1,7 +1,5 @@
 """Tests for the paper dataset presets."""
 
-import math
-
 import pytest
 
 from repro.core import ChunkGeometry

@@ -7,7 +7,6 @@ selections — the §4.1/§4.2 array algorithms, the §4.3 Starjoin, the
 all return the same sorted rows.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

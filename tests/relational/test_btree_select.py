@@ -6,7 +6,7 @@ from repro.errors import QueryError
 from repro.relational import bitmap_select_consolidate, btree_select_consolidate
 from repro.util.stats import Counters
 
-from .conftest import FANOUTS, h1, join_specs
+from .conftest import h1, join_specs
 
 
 def fact_btree(db, d):

@@ -14,7 +14,7 @@ from repro.relational import (
 )
 from repro.relational.operators import left_deep_consolidation
 
-from .conftest import h1, join_specs, reference_consolidation
+from .conftest import h1, reference_consolidation
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import QueryError
-from repro.relational import DimensionJoinSpec, star_join_consolidate
+from repro.relational import star_join_consolidate
 from repro.relational.star_join import build_dimension_hash
 from repro.util.stats import Counters
 

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from repro.bench import bench_settings, query1_for, query2_for
+from repro.bench import query1_for, query2_for
 from repro.data import (
     SyntheticCubeConfig,
     cube_schema_for,
