@@ -13,7 +13,10 @@ in how a measure finds its result cell.  The array's
 :class:`~repro.core.consolidate.ResultAccumulator` computes the cell
 from the measure's *position* (§4.1); the relational operators
 (§4.3–4.5) call :func:`group_fold`, which numbers the groups from the
-tuples' group-by *values*.
+tuples' group-by *values*.  The rollup route folds through it too: a
+grain (:mod:`repro.olap.grains`) is the fold of its own consolidation,
+re-rolled into coarser cells by :meth:`ColumnFold.merge_from` and
+finished by :meth:`ColumnFold.finish`.
 """
 
 from __future__ import annotations
@@ -144,13 +147,21 @@ class ColumnFold:
                 operand = values.astype(column.dtype, copy=False)
                 ufunc.at(column, cells, operand if of is None else of(operand))
 
-    def merge_from(self, other: "ColumnFold") -> None:
-        """Fold another fold over the same cells into this one: every
-        column merges with the ufunc it folds with."""
-        self.counts += other.counts
+    def merge_from(self, other: "ColumnFold", cells: np.ndarray | None = None) -> None:
+        """Fold another fold into this one, its cell ``i`` into
+        ``cells[i]`` — or into cell ``i`` when ``cells`` is ``None``, a
+        fold over the same cells (a shard partial): every column merges
+        with the ufunc it folds with."""
+        if cells is None:
+            self.counts += other.counts
+        else:
+            np.add.at(self.counts, cells, other.counts)
         for agg, mine, theirs in zip(self.aggs, self.columns, other.columns):
             for (ufunc, _, _), column, other_column in zip(agg.columns, mine, theirs):
-                ufunc(column, other_column, out=column)
+                if cells is None:
+                    ufunc(column, other_column, out=column)
+                else:
+                    ufunc.at(column, cells, other_column)
 
     def finish(self, touched: np.ndarray) -> list[list]:
         """Per measure, the results of the ``touched`` cells, finished

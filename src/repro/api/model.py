@@ -20,10 +20,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.errors import ApiModelError, ApiNotFoundError
-
-#: aggregate functions the API accepts (the engine supports more; the
-#: API exposes the mergeable family EXPLAIN and the router understand)
-API_AGGREGATES = ("sum", "count", "min", "max", "avg")
+from repro.olap.grains import GRAIN_AGGREGATES
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,7 @@ class LogicalCube:
                 for d in self.dimensions
             ],
             "measures": [{"name": m.name} for m in self.measures],
-            "aggregates": list(API_AGGREGATES),
+            "aggregates": list(GRAIN_AGGREGATES),
             "rollups": [
                 {"name": r.name, "grain": r.grain_dict()}
                 for r in self.rollups

@@ -49,7 +49,7 @@ import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.api.model import API_AGGREGATES, LogicalCube, LogicalModel
+from repro.api.model import LogicalCube, LogicalModel
 from repro.api.rollup import RollupRouter
 from repro.errors import (
     AdmissionError,
@@ -72,6 +72,7 @@ from repro.obs.tracing import (
     new_trace_context,
     trace_context,
 )
+from repro.olap.grains import GRAIN_AGGREGATES
 from repro.olap.query import ConsolidationQuery, SelectionPredicate
 from repro.util.stats import Counters
 
@@ -312,10 +313,10 @@ class RequestParser:
     def _finish(
         self, drilldown_items, cut_items, aggregate, measures, explain, analyze
     ) -> AggregateRequest:
-        if aggregate not in API_AGGREGATES:
+        if aggregate not in GRAIN_AGGREGATES:
             raise ApiRequestError(
                 f"unknown aggregate {aggregate!r}; "
-                f"expected one of {list(API_AGGREGATES)}"
+                f"expected one of {list(GRAIN_AGGREGATES)}"
             )
         if not measures:
             measures = (self.cube.default_measure,)
@@ -699,7 +700,7 @@ class ApiServer:
                 ctx = adopt_trace_id(
                     self.headers.get("X-Trace-Id"), origin="api"
                 ) or new_trace_context(origin="api")
-                tracer = Tracer(registry=endpoint.registry)
+                tracer = Tracer()
                 error_kind: str | None = None
                 with trace_context(ctx):
                     try:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.aggregates import ColumnFold, get_aggregate
+from repro.aggregates import Aggregate, ColumnFold, get_aggregate
 from repro.core.chunking import ComposedTables, DecodedChunk
 from repro.core.index_to_index import IndexToIndex
 from repro.core.meta import NO_CHUNK
@@ -145,19 +145,20 @@ class ResultAccumulator:
     IndexToIndex array.  Dropped dimensions contribute a size-1 axis and
     are omitted from output rows.  ``counters`` is billed the
     IndexToIndex loads the specs cause (default: the array's own bag).
+    An aggregate is a name or an :class:`~repro.aggregates.Aggregate`.
 
-    The state is a :class:`~repro.aggregates.ColumnFold` over the
-    result cells, the fold the relational operators run too.  It is
-    allocated by the first fold or merge, so an accumulator that is
-    only resolved, or that receives a shipped state, never holds a
-    blank one.
+    The state (:meth:`state`) is a :class:`~repro.aggregates.ColumnFold`
+    over the result cells, the fold the relational operators and the
+    grains run too.  It is allocated by the first fold, merge or read,
+    so an accumulator that is only resolved, or that receives a shipped
+    state, never holds a blank one.
     """
 
     def __init__(
         self,
         array: OLAPArray,
         specs: list[ConsolidationSpec],
-        aggregate: str | list[str] = "sum",
+        aggregate: str | Aggregate | list = "sum",
         counters: Counters | None = None,
     ):
         self.array = array
@@ -171,19 +172,20 @@ class ResultAccumulator:
         self.result_strides = tuple(strides)
         names = (
             [aggregate] * array.n_measures
-            if isinstance(aggregate, str)
+            if isinstance(aggregate, (str, Aggregate))
             else list(aggregate)
         )
         if len(names) != array.n_measures:
             raise QueryError(
                 f"{len(names)} aggregates for {array.n_measures} measures"
             )
-        self.agg_names = names
-        self.aggs = [get_aggregate(n) for n in names]
+        self.agg_names = [n if isinstance(n, str) else n.name for n in names]
+        self.aggs = [n if isinstance(n, Aggregate) else get_aggregate(n) for n in names]
         self._fold: ColumnFold | None = None
         self._targets: ComposedTables | None = None
 
-    def _state(self) -> ColumnFold:
+    def state(self) -> ColumnFold:
+        """The fold every cell enters, allocated blank on first use."""
         if self._fold is None:
             self._fold = ColumnFold.blank(
                 self.aggs, [self.array.dtype] * len(self.aggs), self.total_cells
@@ -200,7 +202,7 @@ class ResultAccumulator:
         ``values`` is a ``(count, p)`` matrix in the array's dtype;
         ``linear`` holds each row's result cell.
         """
-        self._state().fold(linear, values.T)
+        self.state().fold(linear, values.T)
 
     def target_terms(self) -> list[np.ndarray]:
         """Per dimension, each index's contribution to the result cell:
@@ -267,7 +269,7 @@ class ResultAccumulator:
         — the receiver rebuilds an accumulator against its own array
         handle and calls :meth:`import_state`.
         """
-        state = self._state()
+        state = self.state()
         return {"counts": state.counts, "columns": state.columns}
 
     def import_state(self, payload: dict) -> "ResultAccumulator":
@@ -287,7 +289,7 @@ class ResultAccumulator:
         if other.result_shape != self.result_shape or other.agg_names != self.agg_names:
             raise QueryError("cannot merge accumulators with different specs")
         if other._fold is not None:
-            self._state().merge_from(other._fold)
+            self.state().merge_from(other._fold)
 
 
 def allowed_masks(

@@ -2,13 +2,15 @@
 
 The paper reads a consolidation's result as another OLAP array (§3's
 ``materialize_as``); a grain is one kept alive.  A :class:`Grain` holds
-the vectorized :class:`~repro.core.consolidate.ResultAccumulator` state
-of its own consolidation — touch counts and, per measure, ``sum`` /
-``min`` / ``max`` columns in the measure's dtype — dense over the cross
-product of its members.  So ``count`` is the counts and ``avg`` is
-``sum ÷ count``, a cell write moves exactly one position
-(:meth:`Grain.folded`), and re-rolling to a coarser shape is two outer
-folds and a ``ufunc.at`` (:meth:`Grain.reroll`).
+the :class:`~repro.aggregates.ColumnFold` of its own consolidation —
+touch counts and, per measure, :data:`GRAIN`'s ``sum`` / ``min`` /
+``max`` columns in the measure's dtype — dense over the cross product of
+its members.  The route folds through the fold every route runs: a
+build is the §4.1 scan (``scan_chunk_range``), a re-roll to a coarser
+shape is two outer folds and a ``ColumnFold.merge_from`` into the
+coarser cells (:meth:`Grain.reroll`), and an answer finishes through
+``ColumnFold.finish``, so ``count`` is the counts and ``avg`` is ``sum ÷
+count``.  A cell write moves exactly one position (:meth:`Grain.folded`).
 
 Grains are declared on a loaded cube as ``dimension → level``
 (:meth:`OlapEngine.declare_grain
@@ -30,44 +32,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.aggregates import blank_column
-from repro.core.chunking import ComposedTables, outer_fold
-from repro.core.consolidate import ConsolidationSpec, ResultAccumulator
+from repro.aggregates import Aggregate, ColumnFold, get_aggregate
+from repro.core.chunking import outer_fold
+from repro.core.consolidate import (
+    ConsolidationSpec,
+    ResultAccumulator,
+    scan_chunk_range,
+)
 from repro.errors import PlanError, QueryError, ReproError
 from repro.obs.memory import SizedStore
 from repro.obs.tracer import get_tracer
 from repro.util.stats import Counters
 
-#: how each stored column folds, cell into cell (counts fold by ``+``)
-FOLDS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+#: a grain's state per measure: a sum, a min and a max column.  Not in
+#: the aggregate table, so no query names it; nothing finishes it
+GRAIN = Aggregate(
+    "grain",
+    ((np.add, None, None), (np.minimum, None, None), (np.maximum, None, None)),
+    lambda n, cells: cells,
+)
 
-#: the aggregates a grain answers: the columns it keeps, and ``avg``
+#: the aggregates a grain answers: each folds only columns :data:`GRAIN` keeps
 GRAIN_AGGREGATES = ("sum", "count", "min", "max", "avg")
-
-
-def walk_columns(array, terms: list[np.ndarray], cells: int, bag):
-    """``(counts, columns)`` of one consolidation from one walk of
-    ``array``: all three folds fed with the offsets split once (the CUBE
-    kernel's shape).  ``terms`` are the accumulator's per-dimension
-    target terms; everything read is billed to ``bag``."""
-    geometry = array.geometry
-    counts = np.zeros(cells, dtype=np.int64)
-    shape = (array.n_measures, cells)
-    columns = {
-        name: blank_column(ufunc, np.dtype(array.dtype), shape)
-        for name, ufunc in FOLDS.items()
-    }
-    tables = ComposedTables(geometry, terms, np.add)
-    for chunk in array.walk(range(geometry.n_chunks), None, bag):
-        targets = tables.gather(chunk.origin, chunk.halves)
-        if targets is None:  # every dimension dropped or one-membered
-            targets = np.zeros(len(chunk), dtype=np.int64)
-        np.add.at(counts, targets, 1)
-        for m, measure in enumerate(chunk.values.T):
-            for name, ufunc in FOLDS.items():
-                ufunc.at(columns[name][m], targets, measure)
-        bag.add("cells_scanned", len(chunk))
-    return counts, columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,57 +73,64 @@ class Grain:
     #: (IndexToIndex target × result stride)
     key_terms: list[dict]
     generation: int
-    #: base cells folded into each grain cell
-    counts: np.ndarray
-    #: ``"sum"`` / ``"min"`` / ``"max"`` → ``(n_measures, cells)`` in the
-    #: measures' own dtype (int64 folds stay exact past 2**53)
-    columns: dict[str, np.ndarray]
+    #: the consolidation's state: touch counts and, per measure, the
+    #: :data:`GRAIN` columns in the measures' own dtype (int64 folds
+    #: stay exact past 2**53)
+    fold: ColumnFold
 
     def __len__(self) -> int:
         """Non-empty cells: the rows a consolidation at this grain has."""
-        return int(np.count_nonzero(self.counts))
+        return int(np.count_nonzero(self.fold.counts))
 
     @property
     def nbytes(self) -> int:
-        return self.counts.nbytes + sum(c.nbytes for c in self.columns.values())
+        fold = self.fold
+        return fold.counts.nbytes + sum(c.nbytes for cs in fold.columns for c in cs)
 
     def folded(self, keys, old, new, generation: int) -> "Grain | None":
         """This grain one cell write later (``old`` → ``new`` at ``keys``;
         ``old`` is ``None`` for a new cell), or ``None`` when only a
         rebuild can tell: the cell leaves a min or max it may have tied."""
         cell = sum(terms[key] for terms, key in zip(self.key_terms, keys))
-        new = np.asarray(new, dtype=self.columns["sum"].dtype)
-        low, high = self.columns["min"][:, cell], self.columns["max"][:, cell]
-        counts = self.counts
+        fold = self.fold
+        # per measure, the cell's GRAIN columns: (sum, min, max)
+        total, low, high = np.array([[c[cell] for c in cs] for cs in fold.columns]).T
+        new = np.asarray(new, dtype=total.dtype)
+        counts = fold.counts
         if old is None:
             counts = counts.copy()
             counts[cell] += 1
         elif ((old == low) & (new > low)).any() or ((old == high) & (new < high)).any():
             return None
-        patch = {
-            "sum": self.columns["sum"][:, cell] + (new if old is None else new - old),
-            "min": np.minimum(low, new),
-            "max": np.maximum(high, new),
-        }
-        columns = {}
-        for name, column in self.columns.items():
-            if (column[:, cell] != patch[name]).any():
-                column = column.copy()
-                column[:, cell] = patch[name]
-            columns[name] = column
-        return replace(self, generation=generation, counts=counts, columns=columns)
+        patch = zip(
+            total + (new if old is None else new - old),
+            np.minimum(low, new),
+            np.maximum(high, new),
+        )
+        columns = [list(measure) for measure in fold.columns]
+        for measure, values in zip(columns, patch):
+            for i, value in enumerate(values):
+                if measure[i][cell] != value:
+                    measure[i] = measure[i].copy()
+                    measure[i][cell] = value
+        return replace(
+            self, generation=generation, fold=ColumnFold(fold.aggs, counts, columns)
+        )
 
-    def reroll(self, axes, cuts: list, wanted: dict, derive):
-        """``(counts, columns)`` of this grain folded to the coarser shape
-        ``axes`` (as :attr:`axes`; cells row-major), the cells ``cuts``
-        drop left out; ``wanted`` is ``{column: measure indexes}`` and
+    def reroll(self, axes, cuts: list, aggs: list, measures, derive) -> ColumnFold:
+        """This grain folded to the coarser shape ``axes`` (as
+        :attr:`axes`; cells row-major), the cells ``cuts`` drop left
+        out, as the fold of ``aggs`` over the grain's measures
+        ``measures``: each of its columns is merged from the grain's
+        column of the same ``(ufunc, dtype, operand)``.
         ``derive(cube, dim, stored, attr)`` maps a stored level's values
         to a coarser one's.
 
         The grain being dense, where its cells land is an outer sum of
         one small array per dimension (member → target member's index ×
         stride) and which the cuts keep an outer ``and`` of member masks;
-        the non-empty kept cells then fold by ``ufunc.at``.
+        the non-empty kept cells then merge into the cells they land on
+        (:meth:`ColumnFold.merge_from <repro.aggregates.ColumnFold.merge_from>`).
         """
         cells = stride = math.prod(len(members) for _, _, members in axes)
         term_of = {}
@@ -165,20 +158,20 @@ class Grain:
             for cut in cuts:
                 if cut.dimension == dim:
                     masks[-1] &= [cut.matches(v) for v in seen_at(cut.attribute)]
-        keep = (self.counts > 0) & outer_fold(np.logical_and, masks)
-        picked = np.flatnonzero(keep)
-        targets = outer_fold(np.add, terms)[picked]
-        counts = np.zeros(cells, dtype=np.int64)
-        np.add.at(counts, targets, self.counts[picked])
-        columns = {}
-        for name, measures in wanted.items():
-            held = self.columns[name]
-            columns[name] = blank_column(
-                FOLDS[name], held.dtype, (len(measures), cells)
-            )
-            for column, m in zip(columns[name], measures):
-                FOLDS[name].at(column, targets, held[m][picked])
-        return counts, columns
+        held = self.fold
+        picked = np.flatnonzero((held.counts > 0) & outer_fold(np.logical_and, masks))
+        kept = ColumnFold(
+            aggs,
+            held.counts[picked],
+            [
+                [held.columns[m][GRAIN.columns.index(c)][picked] for c in agg.columns]
+                for agg, m in zip(aggs, measures)
+            ],
+        )
+        dtypes = [held.columns[m][0].dtype for m in measures]
+        fold = ColumnFold.blank(aggs, dtypes, cells)
+        fold.merge_from(kept, outer_fold(np.add, terms)[picked])
+        return fold
 
 
 @dataclass(frozen=True)
@@ -431,9 +424,9 @@ class GrainStore(SizedStore):
             else ConsolidationSpec.level(level[dim])
             for dim in array.dim_names
         ]
-        # the grain's own consolidation, resolved but never fed: its
-        # IndexToIndex arrays and result strides are the grain's layout
-        layout = ResultAccumulator(array, specs)
+        # the grain's own consolidation: its IndexToIndex arrays and
+        # result strides are the grain's layout, its fold the grain's
+        layout = ResultAccumulator(array, specs, GRAIN)
         terms = layout.target_terms()
         axes = tuple(
             (dim, level[dim], layout.i2is[d].target_keys)
@@ -447,16 +440,20 @@ class GrainStore(SizedStore):
                 and source is not None
                 and source.generation == state.generation
             ):
-                everything = dict.fromkeys(FOLDS, range(array.n_measures))
-                counts, columns = source.reroll(axes, [], everything, self.derive_map)
+                fold = source.reroll(
+                    axes, [], layout.aggs, range(array.n_measures), self.derive_map
+                )
                 break
         else:
             with self.engine.db.metrics.scoped("rollup_build", Counters()) as bag:
-                counts, columns = walk_columns(array, terms, layout.total_cells, bag)
+                scan_chunk_range(
+                    array, layout, range(array.geometry.n_chunks), counters=bag
+                )
+            fold = layout.state()
         key_terms = [
             dict(zip(dim.keys(), term.tolist())) for dim, term in zip(array.dims, terms)
         ]
-        return Grain(physical, axes, key_terms, state.generation, counts, columns)
+        return Grain(physical, axes, key_terms, state.generation, fold)
 
     def patch(self, state, delta: tuple) -> None:
         """Fold one cell write (``(keys, old, new)``) into every grain of
@@ -473,7 +470,7 @@ class GrainStore(SizedStore):
                     continue
                 patched = grain.folded(*delta, generation)
                 if patched is None:
-                    missed.append((-len(grain.counts), key))
+                    missed.append((-len(grain.fold.counts), key))
                 else:
                     self._entries[key] = patched
                     self.counters.add("rollup.deltas")
@@ -496,28 +493,18 @@ class GrainStore(SizedStore):
         """Re-aggregate ``grain`` to ``group_by`` (``(dimension,
         attribute)`` pairs), the cells ``cuts`` keep (anything with
         ``dimension``, ``attribute`` and ``matches``), ``aggregate`` over
-        the measures at ``measure_indexes`` (:meth:`Grain.reroll`).
-        ``count`` is the counts and ``avg`` divides Σsum by Σcount in
-        Python numbers, as :meth:`ResultAccumulator.rows` does.  Rows
-        come out sorted: axis members are sorted and cells row-major.
+        the measures at ``measure_indexes`` (:meth:`Grain.reroll`),
+        finished on Python numbers as every route finishes
+        (:meth:`ColumnFold.finish <repro.aggregates.ColumnFold.finish>`).
+        Rows come out sorted: axis members are sorted and cells row-major.
         """
         axes = [
             (dim, attr, sorted(set(self.attr_map(grain.physical, dim, attr).values())))
             for dim, attr in group_by
         ]
-        name = {"avg": "sum", "count": None}.get(aggregate, aggregate)
-        counts, columns = grain.reroll(
-            axes, cuts, {name: measure_indexes} if name else {}, self.derive_map
-        )
-        touched = np.flatnonzero(counts)
-        touches = counts[touched].tolist()
-        measures = [touches] * len(measure_indexes)
-        if name:
-            measures = columns[name][:, touched].tolist()
-        if aggregate == "avg":
-            measures = [
-                [total / n for total, n in zip(cells, touches)] for cells in measures
-            ]
+        aggs = [get_aggregate(aggregate)] * len(measure_indexes)
+        fold = grain.reroll(axes, cuts, aggs, measure_indexes, self.derive_map)
+        touched = np.flatnonzero(fold.counts)
         shape = tuple(len(members) for _, _, members in axes) or (1,)
         groups = [
             list(map(members.__getitem__, index.tolist()))
@@ -525,4 +512,4 @@ class GrainStore(SizedStore):
         ]
         self.counters.add("rollup.rows_scanned", len(grain))
         self.counters.add("rollup.cells_emitted", len(touched))
-        return list(zip(*groups, *measures))
+        return list(zip(*groups, *fold.finish(touched)))

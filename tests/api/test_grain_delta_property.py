@@ -239,10 +239,13 @@ def test_delta_maintained_grain_equals_rebuild(case):
                 scratch.declared = engine.grains.declared
                 walked = scratch.rows_for(engine.cube("c"), rollup.name)
                 assert grain.generation == walked.generation
-                assert np.array_equal(grain.counts, walked.counts), step
-                assert int(grain.counts.sum()) == len(facts)
-                for name, column in walked.columns.items():
-                    assert np.array_equal(grain.columns[name], column), (step, name)
+                assert np.array_equal(grain.fold.counts, walked.fold.counts), step
+                assert int(grain.fold.counts.sum()) == len(facts)
+                for m, columns in enumerate(walked.fold.columns):
+                    for name, column, patched in zip(
+                        ("sum", "min", "max"), columns, grain.fold.columns[m]
+                    ):
+                        assert np.array_equal(patched, column), (step, m, name)
                 for group_by, cuts in _requests(router, cube, rollup):
                     for aggregate in AGGREGATES:
                         routed = router.scan(

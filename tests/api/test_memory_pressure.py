@@ -160,8 +160,8 @@ class TestEvictionUnderWrites:
         router = endpoint.router
         with grains._lock:
             assert grains.resident_bytes() == sum(
-                grain.counts.nbytes
-                + sum(column.nbytes for column in grain.columns.values())
+                grain.fold.counts.nbytes
+                + sum(c.nbytes for columns in grain.fold.columns for c in columns)
                 for grain in grains.values()
             )
         # the pressure came from eviction-then-rebuild: grains were

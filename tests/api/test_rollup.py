@@ -206,9 +206,17 @@ class TestScanCorrectness:
 
 
 def _same_columns(grain, other):
-    return np.array_equal(grain.counts, other.counts) and all(
-        np.array_equal(grain.columns[name], other.columns[name])
-        for name in grain.columns
+    return np.array_equal(grain.fold.counts, other.fold.counts) and all(
+        np.array_equal(column, other_column)
+        for columns, others in zip(grain.fold.columns, other.fold.columns)
+        for column, other_column in zip(columns, others)
+    )
+
+
+def _column(grain, name):
+    """One of a grain's ``sum``/``min``/``max`` columns, every measure's."""
+    return np.stack(
+        [columns[("sum", "min", "max").index(name)] for columns in grain.fold.columns]
     )
 
 
@@ -238,8 +246,8 @@ class TestInvalidation:
             patched = after[rollup.name]
             # what was handed out earlier did not change under its holder
             assert patched is not before[rollup.name]
-            assert int(before[rollup.name].columns["max"].max()) < 999_999
-            assert int(patched.columns["max"].max()) == 999_999
+            assert int(_column(before[rollup.name], "max").max()) < 999_999
+            assert int(_column(patched, "max").max()) == 999_999
             assert _same_columns(patched, _from_scratch(router, cube, rollup))
 
     def test_a_fold_that_cannot_be_followed_is_rebuilt_by_the_write(self, stack):
@@ -259,7 +267,7 @@ class TestInvalidation:
         grains = [router.try_rows(cube, rollup, "max") for rollup in cube.rollups]
         assert None not in grains
         for rollup, grain in zip(cube.rollups, grains):
-            assert int(grain.columns["max"].max()) < 999_999
+            assert int(_column(grain, "max").max()) < 999_999
             assert _same_columns(grain, _from_scratch(router, cube, rollup))
 
     def test_sync_rows_for_rebuilds_inline(self, stack):
@@ -272,8 +280,8 @@ class TestInvalidation:
         assert router.try_rows(cube, rollup, "sum") is None
         after = router.rows_for(cube, rollup, "sum")
         assert after.generation == before.generation + 1
-        assert int(after.columns["sum"].sum()) == (
-            int(before.columns["sum"].sum()) + 123_456
+        assert int(_column(after, "sum").sum()) == (
+            int(_column(before, "sum").sum()) + 123_456
         )
 
     def test_resident_rollups_counts_entries(self, stack):
@@ -324,8 +332,8 @@ class TestInlineRebuild:
         assert source == "rollup"
         assert rows == _base_rows(service, [("dim0", "h01")])
         fresh = router.try_rows(cube, rollup, "sum")
-        assert int(fresh.columns["sum"].sum()) == (
-            int(before.columns["sum"].sum()) + 999_999
+        assert int(_column(fresh, "sum").sum()) == (
+            int(_column(before, "sum").sum()) + 999_999
         )
         assert _same_columns(fresh, _from_scratch(router, cube, rollup))
         assert router.counters.get("rollup.refresh_failures") == 0

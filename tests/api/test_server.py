@@ -634,10 +634,10 @@ class TestBuildFailures:
     ):
         _, service, endpoint, srv = server
 
-        def faulty_walk(*args):
+        def faulty_walk(*args, **kwargs):
             raise TransientDiskError("injected fault in the grain walk")
 
-        monkeypatch.setattr("repro.olap.grains.walk_columns", faulty_walk)
+        monkeypatch.setattr("repro.olap.grains.scan_chunk_range", faulty_walk)
         failures = endpoint.router.counters.get("rollup.refresh_failures")
         endpoint.router.reclaim_grains(0)
         status, payload = _get(srv.url + "/cube/sales/aggregate?drilldown=dim1")
@@ -657,10 +657,10 @@ class TestBuildFailures:
         # plain request answered 200 from base, this one 503
         _, service, endpoint, srv = server
 
-        def faulty_walk(*args):
+        def faulty_walk(*args, **kwargs):
             raise TransientDiskError("injected fault in the grain walk")
 
-        monkeypatch.setattr("repro.olap.grains.walk_columns", faulty_walk)
+        monkeypatch.setattr("repro.olap.grains.scan_chunk_range", faulty_walk)
         failures = endpoint.router.counters.get("rollup.refresh_failures")
         endpoint.router.reclaim_grains(0)
         for suffix in ("&explain=1", "&explain=1&analyze=1"):

@@ -17,6 +17,7 @@ import urllib.request
 import pytest
 
 from repro.api.server import ApiServer
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import MAX_ROOTS_PER_TRACE
 from repro.util.jsonschema_lite import validate
 
@@ -191,6 +192,45 @@ class TestInlineBuild:
         ]
         # the one chunk walk is the request's own work
         assert builds[0]["io"].get("cells_scanned", 0) > 0
+
+
+class TestHandlerSpan:
+    """The handler's ``api.request`` span is timed only: it takes no
+    registry snapshot, so a cached request takes none at all, and its
+    ``io`` never copies the counters the service's spans below it (or
+    another request's) carry."""
+
+    @pytest.fixture
+    def snapshot_calls(self, monkeypatch):
+        calls = []
+        original = MetricsRegistry.snapshot_by_source
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(MetricsRegistry, "snapshot_by_source", counted)
+        return calls
+
+    def _request_root(self, srv, trace_id):
+        status, trace, _ = _get(f"{srv.url}/trace/id/{trace_id}")
+        assert status == 200
+        (root,) = [root for root in trace["roots"] if root["name"] == "api.request"]
+        return root
+
+    def test_a_cached_request_takes_no_snapshot(self, server, snapshot_calls):
+        _, _, endpoint, srv = server
+        _warm(endpoint)
+        status, _, headers = _get(srv.url + AGG)  # a routed miss
+        assert status == 200
+        missed = headers["X-Trace-Id"]
+        snapshot_calls.clear()
+        status, payload, headers = _get(srv.url + AGG)
+        assert status == 200
+        assert payload["route"]["source"] == "rollup"
+        assert snapshot_calls == []
+        for trace_id in (missed, headers["X-Trace-Id"]):
+            assert self._request_root(srv, trace_id)["io"] == {}
 
 
 class TestAccessLog:

@@ -99,6 +99,68 @@ def test_merge_equals_sequential_fold(name, values, data):
         assert merged == sequential
 
 
+# values whose every partial sum and sum of squares over a few dozen rows
+# is exact in float64: regrouping the rows cannot round, so two folds of
+# the same rows agree bit for bit whatever cells they pass through
+EXACT = {
+    np.int64: st.integers(-(2**20), 2**20),
+    np.float64: st.integers(-(2**16), 2**16).map(lambda k: k / 4),
+}
+
+
+def _bits(fold):
+    """A fold's whole state as bytes: counts, then every column's dtype
+    and contents."""
+    return [fold.counts.tobytes()] + [
+        column.dtype.str.encode() + column.tobytes()
+        for columns in fold.columns
+        for column in columns
+    ]
+
+
+@given(st.sampled_from(NAMES), st.sampled_from([np.int64, np.float64]), st.data())
+def test_a_cell_mapped_merge_equals_folding_into_the_coarse_cells(name, dtype, data):
+    """Rows folded into fine cells and merged into the coarse cells each
+    fine cell maps to leave the state folding the rows straight into the
+    coarse cells leaves; without a map, a merge is the same-cell one."""
+    aggs = [get_aggregate(name)]
+    n_fine = data.draw(st.integers(1, 12))
+    coarse_of_fine = np.array(
+        data.draw(st.lists(st.integers(0, 3), min_size=n_fine, max_size=n_fine)),
+        dtype=np.int64,
+    )
+    n = data.draw(st.integers(0, 40))
+    cells = np.array(
+        data.draw(st.lists(st.integers(0, n_fine - 1), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    values = np.array(
+        data.draw(st.lists(EXACT[dtype], min_size=n, max_size=n)), dtype=dtype
+    )
+
+    def folded(into, cells, values):
+        fold = ColumnFold.blank(aggs, [dtype], into)
+        fold.fold(cells, [values])
+        return fold
+
+    fine = folded(n_fine, cells, values)
+    merged = ColumnFold.blank(aggs, [dtype], 4)
+    merged.merge_from(fine, cells=coarse_of_fine)
+    direct = folded(4, coarse_of_fine[cells], values)
+    assert _bits(merged) == _bits(direct)
+    touched = np.flatnonzero(direct.counts)
+    assert merged.finish(touched) == direct.finish(touched)
+
+    cut = data.draw(st.integers(0, n))
+    same_cells = folded(n_fine, cells[:cut], values[:cut])
+    same_cells.merge_from(folded(n_fine, cells[cut:], values[cut:]))
+    mapped = folded(n_fine, cells[:cut], values[:cut])
+    mapped.merge_from(
+        folded(n_fine, cells[cut:], values[cut:]), cells=np.arange(n_fine)
+    )
+    assert _bits(same_cells) == _bits(fine) == _bits(mapped)
+
+
 # |v| <= 2**26: every square is exact in float64, so the moment columns
 # round as the per-row Variance does, and every aggregate is bit-equal
 MEASURES = st.one_of(
