@@ -21,7 +21,7 @@ from repro.core.chunking import ChunkGeometry
 from repro.core.compression import get_codec
 from repro.core.dimension_index import DimensionIndex
 from repro.core.index_to_index import IndexToIndex
-from repro.core.meta import ChunkDirectory
+from repro.core.meta import NO_CHUNK, ChunkDirectory
 from repro.core.olap_array import OLAPArray
 from repro.errors import ArrayError, DimensionError
 from repro.index.btree import BTree
@@ -161,6 +161,7 @@ def plan_olap_array(
             DimensionIndex.build(fm, aux, f"{name}.dim{i}.key", d.keys)
             for i, d in enumerate(dimensions)
         ]
+        entries = [(NO_CHUNK, 0, 0)] * geometry.n_chunks
         firsts = np.arange(geometry.n_chunks + 1) * geometry.chunk_cells
         bounds = np.searchsorted(cells, firsts).tolist()
         for chunk_no, (start, stop) in enumerate(zip(bounds, bounds[1:])):
@@ -174,6 +175,7 @@ def plan_olap_array(
             )
             oid = chunk_store.create(payload)
             directory.set_entry(chunk_no, oid, len(payload), stop - start)
+            entries[chunk_no] = (oid, len(payload), stop - start)
 
         # -- attribute B-trees and IndexToIndex arrays ------------------------------
         meta_dims = []
@@ -200,6 +202,6 @@ def plan_olap_array(
             "dims": meta_dims,
         }
         directory.set_array_meta_oid(aux.create(json.dumps(meta).encode("utf-8")))
-        return OLAPArray(fm, name, meta)
+        return OLAPArray(fm, name, meta, entries)
 
     return store

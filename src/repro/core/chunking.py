@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +90,15 @@ class ChunkGeometry:
             narrowest(math.prod(self.chunk_shape[d] for d in dims) - 1, signed=False)
             for dims in self.offset_halves
         )
+
+    @cached_property
+    def chunk_valid_cells(self) -> np.ndarray:
+        """:meth:`valid_cells_in_chunk` of every chunk, by chunk number:
+        the outer product of the per-axis edge-clipped extents."""
+        return outer_fold(np.multiply, [
+            np.minimum(c, s - np.arange(g) * c)
+            for s, c, g in zip(self.shape, self.chunk_shape, self.grid)
+        ])
 
     # -- scalar conversions ------------------------------------------------
 

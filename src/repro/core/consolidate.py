@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.aggregates import Aggregate, ColumnFold, get_aggregate
-from repro.core.chunking import ComposedTables, DecodedChunk
+from repro.core.chunking import ComposedTables, DecodedChunk, outer_fold
 from repro.core.index_to_index import IndexToIndex
 from repro.core.meta import NO_CHUNK
 from repro.core.olap_array import OLAPArray
@@ -350,17 +350,19 @@ def _scan_vectorized(array, accumulator, cells) -> int:
 PROBE_STEPS_PER_STORED_CELL = 2
 
 
-def probe_is_cheaper(candidates: int, stored: int) -> bool:
+def probe_is_cheaper(candidates, stored):
     """The direction rule: probe the candidates or filter the stored cells.
 
     ``candidates`` is the chunk's share of the selection's cross product
     (the product of its per-dimension slab sizes), ``stored`` its valid
-    cell count.  A property of the input alone, so a partition — a
-    sub-range of the same walk — decides every chunk as the whole scan
-    does, and the planner's estimates can apply it to catalog statistics.
+    cell count; both may be integer arrays, one chunk per element.  A
+    property of the input alone, so a partition — a sub-range of the
+    same walk — decides every chunk as the whole scan does, and the
+    planner's estimates can apply it to catalog statistics.
     """
+    # a count's bit length is its binary exponent (exact below 2**53)
     return (
-        candidates * stored.bit_length()
+        candidates * np.frexp(stored)[1]
         <= stored * PROBE_STEPS_PER_STORED_CELL
     )
 
@@ -493,13 +495,11 @@ def _select_vectorized(array, accumulator, chunk_range, masks, counters) -> int:
     probing = []
     if walked:  # else the walk reads nothing, the directory included
         entries = array._entries(counters)
+        stored = np.array([entries[chunk_no][2] for chunk_no in walked])
         shares = chunk_shares(geometry, [np.diff(s[2]) for s in slabs], walked)
-        probing = [
-            chunk_no
-            for chunk_no, candidates in zip(walked, shares.prod(axis=1).tolist())
-            if entries[chunk_no][2]
-            and probe_is_cheaper(candidates, entries[chunk_no][2])
-        ]
+        probing = np.asarray(walked)[
+            (stored > 0) & probe_is_cheaper(shares.prod(axis=1), stored)
+        ].tolist()
     bounds, candidate_offsets, candidate_results = probe_candidates(
         geometry, slabs, probing
     )
@@ -540,48 +540,52 @@ def estimate_chunk_range(
     masks: list[np.ndarray] | None = None,
 ) -> dict[str, int]:
     """What :func:`scan_chunk_range` over ``chunk_range`` will bill,
-    read off the chunk meta directory alone.
+    read off the resident chunk directory
+    (:meth:`~repro.core.olap_array.OLAPArray.chunk_directory`) alone.
 
     The chunk keys are exact cold (the walk prunes by the same grid
     overlap and skips the same empty entries); ``cells_probed`` applies
     :func:`probe_is_cheaper` to each chunk's stored-cell count as the
     kernel does; ``cells_scanned`` scales it by the selected share of
-    the chunk's index box, exact only for uniformly spread cells.
+    the chunk's index box, exact only for uniformly spread cells.  A
+    chunk's candidates and valid cells are outer products of per-axis
+    counts, so no chunk is priced by a call of its own.
     """
-    entries = array._entries()
     geometry = array.geometry
-    walked = geometry.overlapping_chunks(chunk_range, masks)
+    first, stop = chunk_range.start, chunk_range.stop
+    if masks is None:
+        walked = np.arange(first, stop)
+    else:
+        # a chunk's share of the cross product; the walk prunes the
+        # chunks it leaves empty
+        candidates = outer_fold(
+            np.multiply,
+            [
+                np.add.reduceat(mask, np.arange(0, len(mask), extent), dtype=np.int64)
+                for mask, extent in zip(masks, geometry.chunk_shape)
+            ],
+        )
+        walked = np.flatnonzero(candidates[first:stop]) + first
+    oids, lengths, stored = array.chunk_directory()[walked].T
+    read = (oids != NO_CHUNK) & (stored > 0)
+    chunk_nos, lengths, stored = walked[read], lengths[read], stored[read]
     estimate = {
         "chunks_skipped": len(chunk_range) - len(walked),
-        "empty_chunks_skipped": 0,
-        "chunks_read": 0,
-        "chunk_bytes_read": 0,
+        "empty_chunks_skipped": len(walked) - len(chunk_nos),
+        "chunks_read": len(chunk_nos),
+        "chunk_bytes_read": int(lengths.sum()),
         "cells_probed": 0,
+        "cells_scanned": int(stored.sum()),
     }
-    if masks is not None:
-        slab_counts = [
-            mask.reshape(cells, -1).sum(axis=1).tolist()
-            for mask, cells in zip(geometry.pad_to_chunks(masks), geometry.grid)
-        ]
-    scanned = 0.0
-    for chunk_no in walked:
-        oid, length, stored = entries[chunk_no]
-        if oid == NO_CHUNK or not stored:
-            estimate["empty_chunks_skipped"] += 1
-            continue
-        estimate["chunks_read"] += 1
-        estimate["chunk_bytes_read"] += length
-        if masks is None:
-            scanned += stored
-            continue
-        candidates = math.prod(
-            slab_counts[d][g]
-            for d, g in enumerate(geometry.chunk_coords(chunk_no))
-        )
-        if probe_is_cheaper(candidates, stored):
-            estimate["cells_probed"] += candidates
-        scanned += stored * candidates / geometry.valid_cells_in_chunk(chunk_no)
-    estimate["cells_scanned"] = round(scanned)
+    if masks is None:
+        return estimate
+    candidates = candidates[chunk_nos]
+    valid = geometry.chunk_valid_cells[chunk_nos]
+    probed = probe_is_cheaper(candidates, stored)
+    estimate["cells_probed"] = int(candidates[probed].sum())
+    # summed chunk by chunk in walk order, as a running total would be
+    scanned = np.cumsum(stored * candidates / valid)
+    estimate["cells_scanned"] = round(float(scanned[-1])) if len(scanned) else 0
     return estimate
 
 

@@ -48,7 +48,10 @@ from repro.util.stats import Counters
 class OLAPArray:
     """A chunked, compressed multi-dimensional array with OLAP indices."""
 
-    def __init__(self, fm: FileManager, name: str, meta: dict):
+    def __init__(
+        self, fm: FileManager, name: str, meta: dict,
+        entries: list[tuple[int, int, int]] | None = None,
+    ):
         self.fm = fm
         self.name = name
         self.geometry = ChunkGeometry(
@@ -74,6 +77,9 @@ class OLAPArray:
         self._i2i_cache: dict[tuple[int, str], IndexToIndex] = {}
         self._attr_tree_cache: dict[tuple[int, str], BTree] = {}
         self._dir_cache: list[tuple[int, int, int]] | None = None
+        #: the planner's copy of the directory (:meth:`chunk_directory`):
+        #: a build's own ``entries``, else the last load's
+        self._catalog = None if entries is None else np.array(entries).reshape(-1, 3)
         #: optional shared decoded-chunk cache (see
         #: :class:`repro.serve.chunk_cache.ChunkCache`); when attached,
         #: :meth:`read_chunk` serves repeated reads from it and
@@ -92,8 +98,18 @@ class OLAPArray:
         if self._dir_cache is None:
             with get_tracer().span("chunk_directory_load", array=self.name):
                 self._dir_cache = self.directory.load_all()
+            self._catalog = np.array(self._dir_cache).reshape(-1, 3)
             self._bag(counters).add("dir_loads")
         return self._dir_cache
+
+    def chunk_directory(self) -> np.ndarray:
+        """The chunk meta directory as the planner reads it, one ``(oid,
+        length, valid cells)`` row per chunk: kept by every chunk write
+        and left resident by :meth:`invalidate_caches`, so a plan reads
+        no page while a cold walk still pays its own directory read."""
+        if self._catalog is None:
+            self._entries()
+        return self._catalog
 
     def invalidate_caches(self) -> None:
         """Forget in-memory copies of on-disk metadata.
@@ -392,8 +408,10 @@ class OLAPArray:
         if oid == NO_CHUNK or not self.chunks.rewrite(oid, payload):
             oid = self.chunks.create(payload)
         self.directory.set_entry(chunk_no, oid, len(payload), len(offsets))
-        if self._dir_cache is not None:
-            self._dir_cache[chunk_no] = (oid, len(payload), len(offsets))
+        # the walk's copy is loaded above, so the planner's is too
+        self._dir_cache[chunk_no] = self._catalog[chunk_no] = (
+            oid, len(payload), len(offsets)
+        )
         if self.chunk_cache is not None:
             self.chunk_cache.invalidate_chunk(self.name, chunk_no)
 

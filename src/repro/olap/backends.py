@@ -29,9 +29,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.consolidate import (
     ConsolidationSpec,
-    allowed_masks,
     consolidate,
     estimate_chunk_range,
 )
@@ -53,11 +54,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
 class BackendContext:
     """Everything one backend execution may need.
 
-    ``engine`` exposes the shared helpers (dimension attribute maps,
-    selection key sets, measure projection); ``state`` is the loaded
-    cube's physical design; ``counters`` is the query's private counter
-    bag (already registered with the metrics registry for the duration
-    of the query).
+    ``engine`` exposes the shared helpers (the scanned selection key
+    sets, measure projection); ``state`` is the loaded cube's physical
+    design and its :class:`~repro.olap.engine.DimensionStats`, which
+    the estimates read; ``counters`` is the query's private counter bag
+    (already registered with the metrics registry for the duration of
+    the query).
     """
 
     engine: "OlapEngine"
@@ -124,30 +126,24 @@ class Backend(ABC):
 
 def _estimated_groups(ctx: BackendContext, query) -> int:
     """Upper bound on result groups: Π per-dimension distinct values."""
-    engine, state = ctx.engine, ctx.state
-    total = 1
-    for dim_name, attr in query.group_by:
-        dim = state.schema.dimension(dim_name)
-        if attr == dim.key:
-            total *= max(1, len(state.dim_tables[dim_name]))
-        else:
-            values = engine._dimension_attr_map(state, dim_name, attr).values()
-            total *= max(1, len(set(values)))
-    return total
+    stats = ctx.state.dim_stats
+    return math.prod(
+        max(1, stats.cardinality(dim_name, attr))
+        for dim_name, attr in query.group_by
+    )
 
 
-def _selection_index_lists(array, schema, key_sets) -> list[list[int]]:
-    """The §4.2 final index lists, derived from the dimension tables'
-    key sets (no B-tree is probed at plan time)."""
-    allowed = []
-    for d, dim in enumerate(schema.dimensions):
-        keys = array.dims[d].keys()
+def _selection_masks(array, schema, key_sets) -> list[np.ndarray]:
+    """The §4.2 final index lists as membership masks, derived from the
+    dimension key sets (no B-tree is probed at plan time)."""
+    masks = []
+    for index, dim in zip(array.dims, schema.dimensions):
+        mask = np.full(len(index), dim.name not in key_sets)
         if dim.name in key_sets:
-            chosen = key_sets[dim.name]
-            allowed.append([i for i, key in enumerate(keys) if key in chosen])
-        else:
-            allowed.append(list(range(len(keys))))
-    return allowed
+            index_of = index.index_map()
+            mask[[index_of[key] for key in key_sets[dim.name]]] = True
+        masks.append(mask)
+    return masks
 
 
 def _estimated_btree_probes(query) -> int:
@@ -256,22 +252,22 @@ class ArrayBackend(Backend):
         schema = state.schema
         geometry = array.geometry
         n_chunks = geometry.n_chunks
-        # the whole array off the chunk directory: non-empty chunks,
-        # stored bytes and valid cells, by the counters a scan bills
-        stored = estimate_chunk_range(array, range(n_chunks))
         level_loads = sum(
             1
             for dim_name, attr in query.group_by
             if attr != schema.dimension(dim_name).key
         )
-        groups = min(stored["cells_scanned"], _estimated_groups(ctx, query))
+        # no more groups than the array stores cells
+        groups = min(
+            int(array.chunk_directory()[:, 2].sum()), _estimated_groups(ctx, query)
+        )
         root = PlanNode(
             "array.query",
             span="query",
             detail={"cube": query.cube},
         )
         if query.selections:
-            key_sets = engine._selection_key_sets(state, query)
+            key_sets = state.dim_stats.key_sets(query.selections)
             n_sel = [
                 len(key_sets[dim.name])
                 if dim.name in key_sets
@@ -282,11 +278,7 @@ class ArrayBackend(Backend):
             # what the chunk walk and its kernel will bill, priced from
             # the directory the scan itself reads
             probe_estimates = estimate_chunk_range(
-                array,
-                range(n_chunks),
-                allowed_masks(
-                    array, _selection_index_lists(array, schema, key_sets)
-                ),
+                array, range(n_chunks), _selection_masks(array, schema, key_sets)
             )
             probe_estimates["dir_loads"] = 1
             body = root.add(
@@ -327,6 +319,9 @@ class ArrayBackend(Backend):
             )
             body.add(PlanNode("array.extract_rows", span="extract_rows"))
         else:
+            # the whole array off the chunk directory: non-empty chunks,
+            # stored bytes and valid cells, by the counters a scan bills
+            stored = estimate_chunk_range(array, range(n_chunks))
             body = root.add(
                 PlanNode(
                     "array.consolidate",
@@ -397,9 +392,7 @@ class StarjoinBackend(Backend):
     def explain(self, ctx, query):
         engine, state = ctx.engine, ctx.state
         fact_tuples = len(state.fact)
-        selectivity = (
-            engine.estimate_selectivity(query) if query.selections else 1.0
-        )
+        selectivity = engine.estimate_selectivity(query)
         selected = round(fact_tuples * selectivity)
         groups = min(_estimated_groups(ctx, query), max(selected, 1))
         hash_entries = sum(
@@ -483,9 +476,7 @@ class BitmapBackend(Backend):
     def explain(self, ctx, query):
         engine, state = ctx.engine, ctx.state
         fact_tuples = len(state.fact)
-        selectivity = (
-            engine.estimate_selectivity(query) if query.selections else 1.0
-        )
+        selectivity = engine.estimate_selectivity(query)
         selected = round(fact_tuples * selectivity)
         root = PlanNode(
             "bitmap.query",
@@ -545,7 +536,6 @@ class RollupBackend(Backend):
             )
 
     def explain(self, ctx, query):
-        grains = ctx.engine.grains
         root = PlanNode(
             "rollup.route",
             span="query",
@@ -563,7 +553,7 @@ class RollupBackend(Backend):
                 estimates={
                     "rollup.rows_scanned": len(self.grain),
                     "rollup.cells_emitted": math.prod(
-                        grains.cardinality(query.cube, dim, attr)
+                        ctx.state.dim_stats.cardinality(dim, attr)
                         for dim, attr in query.group_by
                     ),
                 },

@@ -80,6 +80,9 @@ class QueryResult:
     #: ``auto``'s grain route when a declared grain covered the query
     #: (:meth:`GrainChoice.route <repro.olap.grains.GrainChoice.route>`)
     route: dict | None = None
+    #: the plan the run built and executed; ``None`` for a harness
+    #: baseline and a result-cache hit
+    plan: QueryPlan | None = None
 
     @property
     def cost_s(self) -> float:
@@ -89,11 +92,87 @@ class QueryResult:
     def __len__(self) -> int:
         return len(self.rows)
 
+    def analyzed_plan(self, tracer) -> QueryPlan:
+        """:attr:`plan` made analyzed: its nodes bound to the ``query``
+        span ``tracer`` recorded for this run, its totals to this run's."""
+        self.plan.bind_actuals(
+            next((s for s in (r.find("query") for r in tracer.roots) if s), None),
+            rows=len(self.rows),
+            elapsed_s=self.elapsed_s,
+            sim_io_s=self.sim_io_s,
+            totals=self.stats,
+        )
+        return self.plan
+
+
+class DimensionStats:
+    """One cube's dimension tables, resident: the loader's view of each
+    dimension (:attr:`dimensions`) and, per ``(dimension, attribute)``
+    (the key maps to itself), key → value, value → sorted keys and the
+    sorted distinct members.  Built from ``(key, level values...)`` rows
+    at :meth:`OlapEngine.load_cube` (the rows it loads) and
+    :meth:`OlapEngine.attach_cube` (one scan of each table), the only
+    writers of dimension tables, so nothing maintains it.  Plans and
+    :meth:`OlapEngine.rebuild_array` read it instead of the tables."""
+
+    def __init__(self, schema: CubeSchema, dimension_rows) -> None:
+        #: per cube dimension, in cube order, its keys and level columns
+        self.dimensions = [
+            DimensionData(
+                dim.name,
+                [r[0] for r in dimension_rows[dim.name]],
+                {
+                    level: [r[i + 1] for r in dimension_rows[dim.name]]
+                    for i, level in enumerate(dim.level_names)
+                },
+            )
+            for dim in schema.dimensions
+        ]
+        self._attrs: dict[tuple[str, str], tuple[dict, dict, list]] = {}
+        for dim, data in zip(schema.dimensions, self.dimensions):
+            for attr, column in ((dim.key, data.keys), *data.attributes.items()):
+                values = dict(zip(data.keys, column))
+                keys_of: dict = {}
+                for key, value in values.items():
+                    keys_of.setdefault(value, []).append(key)
+                members = sorted(keys_of)
+                keys_of = {value: sorted(keys_of[value]) for value in members}
+                self._attrs[dim.name, attr] = (values, keys_of, members)
+
+    def values(self, dim: str, attr: str) -> dict:
+        """key → ``attr`` value for one dimension."""
+        return self._attrs[dim, attr][0]
+
+    def members(self, dim: str, attr: str) -> list:
+        """``attr``'s distinct values, sorted."""
+        return self._attrs[dim, attr][2]
+
+    def cardinality(self, dim: str, attr: str) -> int:
+        """Distinct values of one attribute (of the key: the rows)."""
+        return len(self._attrs[dim, attr][2])
+
+    def key_sets(self, selections) -> dict[str, set]:
+        """Per selected dimension, the keys passing all its predicates
+        (IN-lists and ranges alike)."""
+        out: dict[str, set] = {}
+        for sel in selections:
+            _, keys_of, members = self._attrs[sel.dimension, sel.attribute]
+            chosen = (
+                [value for value in members if sel.matches(value)]
+                if sel.is_range
+                else sel.values
+            )
+            allowed = {key for value in chosen for key in keys_of.get(value, ())}
+            out.setdefault(sel.dimension, allowed).intersection_update(allowed)
+        return out
+
 
 @dataclass
 class _CubeState:
     schema: CubeSchema
     dim_tables: dict
+    #: the dimension tables' planning statistics
+    dim_stats: DimensionStats
     fact: object | None = None
     array: OLAPArray | None = None
     bitmap_attrs: set = field(default_factory=set)
@@ -111,21 +190,6 @@ class _CubeState:
 
     def available_backends(self) -> set[str]:
         return backend_registry.available_backends(self)
-
-
-def _dimension_data(schema: CubeSchema, dimension_rows) -> list[DimensionData]:
-    """The loader's view of ``(key, level values...)`` dimension rows."""
-    return [
-        DimensionData(
-            dim.name,
-            [r[0] for r in dimension_rows[dim.name]],
-            {
-                level: [r[i + 1] for r in dimension_rows[dim.name]]
-                for i, level in enumerate(dim.level_names)
-            },
-        )
-        for dim in schema.dimensions
-    ]
 
 
 class OlapEngine:
@@ -183,7 +247,8 @@ class OlapEngine:
         # and nothing exists yet, so a rejected load leaves nothing behind.
         # A plan is dropped as soon as its design is written.
         columns = fact_columns(fact_rows)
-        dim_data = _dimension_data(schema, dimension_rows)
+        dim_stats = DimensionStats(schema, dimension_rows)
+        dim_data = dim_stats.dimensions
         coords, measures = fact_coords(dim_data, columns)
         plans = []
         if "relational" in backends:
@@ -202,8 +267,7 @@ class OlapEngine:
         del columns, coords, measures
 
         with self.db.locks.locked(schema.name, "X", "loader"):
-            state = _CubeState(schema=schema, dim_tables={})
-            state.layout = relational_layout
+            state = _CubeState(schema, {}, dim_stats, layout=relational_layout)
             for dim in schema.dimensions:
                 if relational_layout == "snowflake":
                     from repro.olap.snowflake import build_snowflake_dimension
@@ -333,16 +397,16 @@ class OlapEngine:
         """
         if schema.name in self._cubes:
             raise CatalogError(f"cube {schema.name!r} already loaded")
-        state = _CubeState(schema=schema, dim_tables={})
-        for dim in schema.dimensions:
-            state.dim_tables[dim.name] = self.db.table(
-                dimension_table_name(schema, dim.name)
-            )
+        tables = {d.name: self.db.table(dimension_table_name(schema, d.name))
+                  for d in schema.dimensions}
+        rows = {name: list(table.scan()) for name, table in tables.items()}
+        state = _CubeState(schema, tables, DimensionStats(schema, rows))
         fact_name = fact_table_name(schema)
         if fact_name in self.db.table_names():
             state.fact = self.db.table(fact_name)
         if self.db.fm.exists(f"{array_name(schema)}.dir"):
             self._set_array(state, OLAPArray.open(self.db.fm, array_name(schema)))
+            state.array.chunk_directory()  # resident for the planner
         for dim in schema.dimensions:
             for attr in dim.level_names:
                 try:
@@ -382,39 +446,30 @@ class OlapEngine:
         name again with another grain replaces it."""
         self.grains.declare(self.cube(cube).schema, name, dict(grain))
 
-    def _dimension_attr_map(self, state, dim_name: str, attr: str) -> dict:
-        """key → attribute value for one dimension (key itself allowed)."""
-        dim = state.schema.dimension(dim_name)
-        table = state.dim_tables[dim_name]
-        key_pos = table.schema.index_of(dim.key)
-        attr_pos = table.schema.index_of(attr)
-        return {row[key_pos]: row[attr_pos] for row in table.scan()}
-
     def _selection_key_sets(self, state, query) -> dict[str, set]:
-        """Per selected dimension, the keys passing all its predicates.
-
-        Works uniformly for IN-lists and ranges: the predicate is
-        evaluated against the dimension table's attribute values (the
-        key attribute maps to itself).
-        """
+        """:meth:`DimensionStats.key_sets` read off the dimension tables,
+        one scan per predicate: §4.3's key-set step and its billed I/O,
+        which the starjoin backend and the harness baselines run."""
         out: dict[str, set] = {}
         for sel in query.selections:
-            attr_map = self._dimension_attr_map(
-                state, sel.dimension, sel.attribute
+            table = state.dim_tables[sel.dimension]
+            key_pos = table.schema.index_of(
+                state.schema.dimension(sel.dimension).key
             )
-            allowed = {k for k, v in attr_map.items() if sel.matches(v)}
-            if sel.dimension in out:
-                out[sel.dimension] &= allowed
-            else:
-                out[sel.dimension] = allowed
+            attr_pos = table.schema.index_of(sel.attribute)
+            allowed = {
+                row[key_pos] for row in table.scan() if sel.matches(row[attr_pos])
+            }
+            out.setdefault(sel.dimension, allowed).intersection_update(allowed)
         return out
 
     def estimate_selectivity(self, query: ConsolidationQuery) -> float:
         """Estimated star-join selectivity S = Π per-dimension fractions."""
         state = self.cube(query.cube)
+        stats = state.dim_stats
         selectivity = 1.0
-        for dim_name, allowed in self._selection_key_sets(state, query).items():
-            size = len(state.dim_tables[dim_name])
+        for dim_name, allowed in stats.key_sets(query.selections).items():
+            size = stats.cardinality(dim_name, state.schema.dimension(dim_name).key)
             selectivity *= len(allowed) / size if size else 0.0
         return selectivity
 
@@ -457,9 +512,9 @@ class OlapEngine:
         predates the one array kernel and accepts only ``"auto"``.
         With ``cold=True`` (the paper's methodology) the buffer pool is
         flushed before the measured run.  ``result.stats`` is what every
-        registered counter source moved by while the query ran (the
-        difference of two registry snapshots; the cache preparation is
-        not billed).
+        registered counter source moved by while the query was planned
+        and ran (the difference of two registry snapshots), a stale
+        grain's inline build included; ``result.plan`` is the plan.
         ``shards > 1`` scatters the array consolidation over chunk-range
         shards on the given ``executor`` (see :mod:`repro.shard`); no
         other entry point shards.  The request's trace context is the
@@ -480,45 +535,34 @@ class OlapEngine:
             raise QueryError(f"shards must be >= 1, got {shards}")
         state = self.cube(query.cube)
         query.validate(state.schema)
-        backend, impl, planner_reason, route = self._resolve_backend(
-            state, query, backend
+        return self.measured_run(
+            state, query, backend, None, cold, shards=shards, executor=executor
         )
-        result = self.measured_run(
-            state,
-            query,
-            backend,
-            impl.execute,
-            cold,
-            planner_reason,
-            shards=shards,
-            executor=executor,
-        )
-        result.route = route
-        return result
 
     def measured_run(
         self,
         state: _CubeState,
         query: ConsolidationQuery,
         backend: str,
-        execute: Callable[[BackendContext, ConsolidationQuery], list[tuple]],
+        execute: Callable[[BackendContext, ConsolidationQuery], list[tuple]]
+        | None = None,
         cold: bool = True,
-        planner_reason: str = "explicit",
         shards: int = 1,
         executor: str = "local",
     ) -> QueryResult:
-        """Run ``execute(ctx, query)`` once under the measurement protocol.
+        """Run ``query`` once under the measurement protocol.
 
-        The one copy of what every measured query does around its
-        backend: the cold flush (or, warm, the disk park), the registry
-        snapshot, the scoped ``query`` counter bag, the root ``query``
-        span, the cube's S-lock, the timer, the counter delta, the
-        ``engine.*_seconds`` histograms and the result stamping.
-        :meth:`query` passes a registered backend's ``execute``; the
-        experiment harness passes a baseline
-        (:mod:`repro.bench.baselines`).  ``query`` must already be
-        validated against ``state``'s schema; ``shards``/``executor``
-        are :meth:`query`'s, already checked.
+        The one copy of what every measured query does: the cold flush
+        (or, warm, the disk park), the registry snapshot, the scoped
+        ``query`` counter bag, the root ``query`` span, the cube's
+        S-lock, the timer, the counter delta, the ``engine.*_seconds``
+        histograms and the result stamping.  Inside all of that it plans
+        ``query`` for ``backend`` (:meth:`plan`; an inline grain build is
+        the ``rollup.build`` child of ``query``) and runs the plan —
+        unless the experiment harness passes a baseline's ``execute``
+        (:mod:`repro.bench.baselines`), run unplanned as ``backend``.
+        ``query`` must already be validated against ``state``'s schema;
+        ``shards``/``executor`` are :meth:`query`'s, already checked.
         """
         if cold:
             if state.array is not None:
@@ -537,18 +581,28 @@ class OlapEngine:
             shards=shards,
             executor=executor,
         )
+        plan = route = None
         with metrics.scoped("query", counters):
             with get_tracer().span(
                 "query",
                 cube=query.cube,
                 backend=backend,
-                planner_reason=planner_reason,
+                planner_reason="explicit",
                 **({"trace_id": trace.trace_id} if trace is not None else {}),
-            ):
+            ) as span:
                 with self.db.locks.locked(
                     query.cube, "S", f"query-{id(query)}"
                 ):
                     with Timer() as timer:
+                        if execute is None:
+                            plan, impl, route = self._planned(
+                                state, query, backend, build=True
+                            )
+                            backend, execute = plan.backend, impl.execute
+                            span.annotate(
+                                backend=backend,
+                                planner_reason=plan.planner["reason"],
+                            )
                         rows = execute(ctx, query)
             stats = counter_delta(before, metrics.snapshot_by_source())
         metrics.observe("engine.query_seconds", timer.elapsed)
@@ -559,30 +613,43 @@ class OlapEngine:
             elapsed_s=timer.elapsed,
             sim_io_s=stats.get("sim_io_s", 0.0),
             stats=stats,
+            route=route,
+            plan=plan,
         )
 
-    def _resolve_backend(
+    # -- planning, EXPLAIN and EXPLAIN ANALYZE ---------------------------------------
+
+    def plan(
+        self, query: ConsolidationQuery, backend: str = "auto"
+    ) -> QueryPlan:
+        """The plan of one evaluation of ``query`` on ``backend``, as
+        :meth:`query` builds it inside its measured run: resolution (for
+        ``auto`` the smallest covering grain, built now when stale, else
+        the §5.6 rule), the availability check and the backend's node
+        tree.  Estimates read resident statistics (:class:`DimensionStats`,
+        the array's chunk directory): no page but a grain build's."""
+        state = self.cube(query.cube)
+        query.validate(state.schema)
+        return self._planned(state, query, backend, build=True)[0]
+
+    def _planned(
         self,
         state: _CubeState,
         query: ConsolidationQuery,
         backend: str,
-        selectivity: float | None = None,
-        build: bool = True,
-    ) -> tuple[str, backend_registry.Backend, str, dict | None]:
-        """The planner call and availability check that :meth:`query`
-        and :meth:`explain` share: ``(backend, implementation, planner
-        reason, route)``.
+        build: bool,
+    ) -> tuple[QueryPlan, backend_registry.Backend, dict | None]:
+        """:meth:`plan`'s ``(plan, implementation, route)``; a stale
+        grain is built only when ``build`` (a plain EXPLAIN builds none),
+        and one whose build fails is counted and passed over.  ``route``
+        reports the grain choice, ``None`` when no grain covers."""
+        # imported here: repro.serve imports this module (cycle guard),
+        # matching the function-level import precedent in :meth:`sql`
+        from repro.serve.fingerprint import query_fingerprint
 
-        ``auto`` first asks for the smallest declared grain covering the
-        query (:meth:`GrainStore.choose
-        <repro.olap.grains.GrainStore.choose>`); a stale one is built
-        now when ``build`` (a plain EXPLAIN builds nothing), and one
-        whose build fails is counted and passed over.  ``route`` reports
-        that choice, ``None`` when no grain covers.  The selectivity is
-        estimated only when the base rule runs and the caller has not
-        already done so.
-        """
+        requested = backend
         available = state.available_backends()
+        selectivity = self.estimate_selectivity(query)
         planner_reason = "explicit"
         grain = route = None
         if backend == "auto":
@@ -599,16 +666,12 @@ class OlapEngine:
                     except ReproError:
                         self.grains.counters.add("rollup.refresh_failures")
                 route = choice.route(grain)
-            if selectivity is None and grain is None and query.selections:
-                selectivity = self.estimate_selectivity(query)
             backend, planner_reason = choose_backend_explained(
                 PlannerInputs(
                     has_array="array" in available,
                     has_bitmaps="bitmap" in available,
                     has_selections=bool(query.selections),
-                    estimated_selectivity=(
-                        1.0 if selectivity is None else selectivity
-                    ),
+                    estimated_selectivity=selectivity,
                     has_range_selections=any(
                         sel.is_range for sel in query.selections
                     ),
@@ -616,16 +679,31 @@ class OlapEngine:
                 ),
             )
         if grain is not None:
-            return backend, RollupBackend(choice, grain), planner_reason, route
-        impl = backend_registry.get_backend(backend)
-        if not impl.available(state):
-            raise PlanError(
-                f"backend {backend!r} not available for cube "
-                f"{query.cube!r}; built: {sorted(available)}"
-            )
-        return backend, impl, planner_reason, route
-
-    # -- EXPLAIN / EXPLAIN ANALYZE -------------------------------------------------
+            impl = RollupBackend(choice, grain)
+        else:
+            impl = backend_registry.get_backend(backend)
+            if not impl.available(state):
+                raise PlanError(
+                    f"backend {backend!r} not available for cube "
+                    f"{query.cube!r}; built: {sorted(available)}"
+                )
+        plan = QueryPlan(
+            cube=query.cube,
+            backend=backend,
+            fingerprint=query_fingerprint(query, requested),
+            planner={
+                "requested": requested,
+                "reason": planner_reason,
+                "estimated_selectivity": selectivity,
+                "crossover_selectivity": planner.DEFAULT_CROSSOVER_SELECTIVITY,
+                "available_backends": sorted(available),
+            },
+            root=impl.explain(
+                BackendContext(engine=self, state=state, counters=Counters()),
+                query,
+            ),
+        )
+        return plan, impl, route
 
     def explain(
         self,
@@ -634,50 +712,20 @@ class OlapEngine:
         analyze: bool = False,
         cold: bool = True,
     ) -> QueryPlan:
-        """Build a query plan; with ``analyze=True`` also run and measure.
+        """:meth:`plan` without running it; ``analyze=True`` is
+        :meth:`explain_analyze`'s plan.
 
         Takes the same ``(backend, analyze)`` signature as the other
         explain surfaces (:meth:`QueryService.explain
         <repro.serve.service.QueryService.explain>` and ``repro
-        explain``).  Planner resolution (``backend="auto"``,
-        availability checks) is :meth:`query`'s own helper, except that
-        a plain EXPLAIN builds no grain.  The returned :class:`~repro.obs.explain.QueryPlan`
-        carries per-node cost estimates; ``analyze=True`` is
-        :meth:`explain_analyze`'s plan.
+        explain``).  A plain EXPLAIN is plan-only: it builds no grain,
+        so a stale covering grain shows as its base plan.
         """
         if analyze:
             return self.explain_analyze(query, backend, cold)[0]
-        return self._plan(query, backend, build=False)[0]
-
-    def _plan(self, query, backend: str, build: bool):
-        """``(plan, state, implementation, route)`` of one resolution."""
-        # imported here: repro.serve imports this module (cycle guard),
-        # matching the function-level import precedent in :meth:`sql`
-        from repro.serve.fingerprint import query_fingerprint
-
         state = self.cube(query.cube)
         query.validate(state.schema)
-        estimated_selectivity = (
-            self.estimate_selectivity(query) if query.selections else 1.0
-        )
-        chosen, impl, planner_reason, route = self._resolve_backend(
-            state, query, backend, estimated_selectivity, build
-        )
-        ctx = BackendContext(engine=self, state=state, counters=Counters())
-        plan = QueryPlan(
-            cube=query.cube,
-            backend=chosen,
-            fingerprint=query_fingerprint(query, backend),
-            planner={
-                "requested": backend,
-                "reason": planner_reason,
-                "estimated_selectivity": estimated_selectivity,
-                "crossover_selectivity": planner.DEFAULT_CROSSOVER_SELECTIVITY,
-                "available_backends": sorted(state.available_backends()),
-            },
-            root=impl.explain(ctx, query),
-        )
-        return plan, state, impl, route
+        return self._planned(state, query, backend, build=False)[0]
 
     def explain_analyze(
         self,
@@ -685,33 +733,20 @@ class OlapEngine:
         backend: str = "auto",
         cold: bool = True,
     ) -> tuple[QueryPlan, QueryResult]:
-        """EXPLAIN ANALYZE: ``(plan, result)`` of one measured run.
-
-        Resolves the query as :meth:`query` does (building a stale
-        grain), runs the planned backend under a registry-bound tracer,
-        binds each node's actual counter deltas to the plan, and feeds
-        every node's misestimate factor into the
-        ``engine.explain.misestimate_factor`` histogram.  The run's
-        :class:`QueryResult` comes back too, so a caller that also
-        wants the rows need not run the query again.
-        """
+        """EXPLAIN ANALYZE: ``(plan, result)`` of one :meth:`query` run
+        under a registry-bound tracer, its own plan bound to the span
+        deltas (planning and any grain build included) and every node's
+        misestimate factor fed to ``engine.explain.misestimate_factor``.
+        The run's span tree goes on to the caller's tracer, if any."""
         from repro.obs.tracer import Tracer, thread_tracing
 
-        plan, state, impl, route = self._plan(query, backend, build=True)
+        outer = get_tracer()
         tracer = Tracer(registry=self.db.metrics)
         with thread_tracing(tracer):
-            result = self.measured_run(
-                state, query, plan.backend, impl.execute, cold,
-                plan.planner["reason"],
-            )
-        result.route = route
-        plan.bind_actuals(
-            next((root for root in tracer.roots if root.name == "query"), None),
-            rows=len(result.rows),
-            elapsed_s=result.elapsed_s,
-            sim_io_s=result.sim_io_s,
-            totals=result.stats,
-        )
+            result = self.query(query, backend, cold=cold)
+        for root in tracer.roots:
+            outer.attach(root)
+        plan = result.analyzed_plan(tracer)
         self._record_misestimates(plan)
         return plan, result
 
@@ -915,20 +950,14 @@ class OlapEngine:
         leaves the old run dead; a rebuild reclaims that space into a
         fresh, generation-suffixed array and repoints the cube state
         (large-object names are immutable, so the rebuild cannot reuse
-        the old name).  Counts as a write: the generation bumps and
-        caches invalidate.
+        the old name); the dimensions come from :class:`DimensionStats`.
+        Counts as a write: the generation bumps and caches invalidate.
         """
         state = self.cube(cube)
         if state.fact is None:
             raise PlanError("rebuild_array needs the cube's fact file")
         old = state.array
         with self.db.locks.locked(cube, "X", f"rebuild-{cube}"):
-            dimension_rows = {
-                dim.name: [
-                    tuple(row) for row in state.dim_tables[dim.name].scan()
-                ]
-                for dim in state.schema.dimensions
-            }
             if state.layout == "snowflake":
                 raise PlanError(
                     "rebuild_array is not supported for snowflake layouts"
@@ -939,7 +968,7 @@ class OlapEngine:
             if codec is None:
                 codec = old.codec_name if old is not None else "chunk-offset"
             name = f"{array_name(state.schema)}.g{state.generation + 1}"
-            dim_data = _dimension_data(state.schema, dimension_rows)
+            dim_data = state.dim_stats.dimensions
             self._plan_array(
                 state.schema, dim_data, *fact_coords(dim_data, columns),
                 chunk_shape, codec, name,

@@ -227,10 +227,8 @@ class GrainStore(SizedStore):
         self.engine = engine
         #: cube → grain name → ``((dimension, level), ...)``, cube order
         self.declared: dict[str, dict[str, tuple]] = {}
-        #: (cube, dim, from_attr, to_attr) -> value map or None
+        #: (cube, dim, from_attr, to_attr) -> derived value map or None
         self._maps: dict[tuple, dict | None] = {}
-        #: (cube, dim, attr) -> distinct value count
-        self._cardinalities: dict[tuple, int] = {}
 
     def declare(self, schema, name: str, grain: dict) -> None:
         """Record grain ``name`` of ``schema``'s cube (see
@@ -271,17 +269,6 @@ class GrainStore(SizedStore):
 
     # -- hierarchy value maps ----------------------------------------------
 
-    def attr_map(self, physical: str, dim: str, attr: str) -> dict:
-        """key → attribute value for one dimension."""
-        key = (physical, dim, attr, attr)
-        cached = self._maps.get(key)
-        if cached is None:
-            state = self.engine.cube(physical)
-            cached = self.engine._dimension_attr_map(state, dim, attr)
-            with self._lock:
-                self._maps[key] = cached
-        return cached
-
     def derive_map(
         self, physical: str, dim: str, from_attr: str, to_attr: str
     ) -> dict | None:
@@ -289,7 +276,8 @@ class GrainStore(SizedStore):
         ``to_attr`` is not functionally determined by ``from_attr``.
 
         Derivability is *verified*, not assumed: the map is built by
-        composing the two key-indexed attribute maps and rejected if any
+        composing the two key-indexed attribute maps of the cube's
+        :class:`~repro.olap.engine.DimensionStats` and rejected if any
         ``from`` value would need two different ``to`` values.
         """
         if from_attr == to_attr:
@@ -298,10 +286,10 @@ class GrainStore(SizedStore):
         with self._lock:
             if key in self._maps:
                 return self._maps[key]
-        from_map = self.attr_map(physical, dim, from_attr)
-        to_map = self.attr_map(physical, dim, to_attr)
+        stats = self.engine.cube(physical).dim_stats
+        to_map = stats.values(dim, to_attr)
         derived: dict | None = {}
-        for dim_key, from_value in from_map.items():
+        for dim_key, from_value in stats.values(dim, from_attr).items():
             to_value = to_map[dim_key]
             seen = derived.get(from_value, to_value)
             if seen != to_value:
@@ -314,13 +302,7 @@ class GrainStore(SizedStore):
 
     def cardinality(self, physical: str, dim: str, attr: str) -> int:
         """Distinct values of one dimension attribute (exact)."""
-        key = (physical, dim, attr)
-        cached = self._cardinalities.get(key)
-        if cached is None:
-            cached = len(set(self.attr_map(physical, dim, attr).values()))
-            with self._lock:
-                self._cardinalities[key] = cached
-        return cached
+        return self.engine.cube(physical).dim_stats.cardinality(dim, attr)
 
     def estimated_rows(self, physical: str, grain) -> int:
         """Upper bound on a grain's row count (cardinality product)."""
@@ -498,10 +480,8 @@ class GrainStore(SizedStore):
         (:meth:`ColumnFold.finish <repro.aggregates.ColumnFold.finish>`).
         Rows come out sorted: axis members are sorted and cells row-major.
         """
-        axes = [
-            (dim, attr, sorted(set(self.attr_map(grain.physical, dim, attr).values())))
-            for dim, attr in group_by
-        ]
+        stats = self.engine.cube(grain.physical).dim_stats
+        axes = [(dim, attr, stats.members(dim, attr)) for dim, attr in group_by]
         aggs = [get_aggregate(aggregate)] * len(measure_indexes)
         fold = grain.reroll(axes, cuts, aggs, measure_indexes, self.derive_map)
         touched = np.flatnonzero(fold.counts)

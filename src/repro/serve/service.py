@@ -47,9 +47,10 @@ like any other: admitted, cached, degraded-checked and traced, its
 Every query's outcome is one record in the
 :class:`~repro.obs.tracing.TraceStore` (``traces``): span tree,
 fingerprint and latency, evicted only after fast traces when it ran
-slow or failed.  A slow engine miss also leaves its analyzed plan in
-the fingerprint-keyed plan cache (``plans``), so one trace plus one
-plan explain it without re-running it.
+slow or failed.  A slow engine miss also leaves its own plan — the one
+its run built and executed, bound to the run's span tree — in the
+fingerprint-keyed plan cache (``plans``), so one trace plus one plan
+explain it without re-running or re-planning it.
 """
 
 from __future__ import annotations
@@ -58,13 +59,12 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import (
     AdmissionError,
     DegradedError,
     PermanentError,
-    ReproError,
     RetryExhaustedError,
     TransientError,
 )
@@ -305,7 +305,7 @@ class QueryService:
             latency = time.perf_counter() - start
             roots = [span_to_dict(span)] if self.config.profile_queries else None
             self._record_trace(trace, query, fingerprint, "ok", latency, roots)
-            self._note_latency(latency, query, backend, fingerprint, result, None)
+            self._note_latency(latency, fingerprint, result, None)
             self._histograms["serve.query_latency_seconds"].observe(
                 latency, trace_id=trace.trace_id
             )
@@ -373,7 +373,7 @@ class QueryService:
                     self._record_trace(
                         trace, query, fingerprint, status, latency, roots
                     )
-            self._note_latency(latency, query, backend, fingerprint, result, tracer)
+            self._note_latency(latency, fingerprint, result, tracer)
             return result
         finally:
             self._histograms["serve.query_latency_seconds"].observe(
@@ -401,59 +401,15 @@ class QueryService:
             attrs={"fingerprint": fingerprint, "cube": query.cube},
         )
 
-    def _note_latency(
-        self, latency, query, backend, fingerprint, result, tracer
-    ) -> None:
-        """Count a slow query; a slow miss caches its analyzed plan under
-        the fingerprint its trace's attrs name."""
+    def _note_latency(self, latency, fingerprint, result, tracer) -> None:
+        """Count a slow query; a slow traced miss caches its run's own
+        plan, bound to its span tree, under the fingerprint its trace's
+        attrs name.  A hit never touched the engine: it has no plan."""
         if latency < self.traces.slow_threshold_s:
             return
         self.counters.add("serve.slow_queries")
-        plan = self._slow_plan(query, backend, result, tracer)
-        if plan is not None:
-            self.plans.put(fingerprint, plan)
-
-    def _slow_plan(self, query, backend, result, tracer) -> dict | None:
-        """Best-effort analyzed plan for one slow engine miss.
-
-        Rebuilds the planner's estimates (deterministic, so the plan
-        matches the run we just traced) and attaches the actuals from
-        the already-captured span tree — the query is *not* re-run.
-        Cache hits never touched the engine, so they carry no plan.
-        """
-        if tracer is None:
-            return None
-        if result.stats.get("result_cache_hit"):
-            return None
-        span = None
-        for root in tracer.roots:
-            span = root.find("query")
-            if span is not None:
-                break
-        if span is None:
-            return None
-        # a named span so the trace attributes the planner rebuild
-        # (significant on miss-heavy workloads, e.g. under a memory
-        # budget that keeps evicting the result cache)
-        try:
-            with tracer.span("slow_plan", cube=query.cube):
-                with self._engine_lock:
-                    plan = self.engine.explain(query, backend)
-        except ReproError:
-            return None
-        # a write landing between the run and this re-plan can flip the
-        # planner (stale indices); a plan naming a backend that did not
-        # run describes another query and binds its actuals to nothing
-        if plan.backend != result.backend:
-            return None
-        plan.bind_actuals(
-            span,
-            rows=len(result.rows),
-            elapsed_s=result.elapsed_s,
-            sim_io_s=result.sim_io_s,
-            totals=result.stats,
-        )
-        return plan.to_dict()
+        if tracer is not None and result.plan is not None:
+            self.plans.put(fingerprint, result.analyzed_plan(tracer).to_dict())
 
     def explain(
         self,
@@ -483,7 +439,9 @@ class QueryService:
                 plan, result = self.engine.explain_analyze(
                     query, backend, cold=self.config.cold
                 )
-                self.results.put(cube, plan.fingerprint, generation, result)
+                self.results.put(
+                    cube, plan.fingerprint, generation, replace(result, plan=None)
+                )
             else:
                 plan = self.engine.explain(query, backend)
         self.plans.put(plan.fingerprint, plan.to_dict())
@@ -533,8 +491,11 @@ class QueryService:
                 )
                 # the generation cannot have moved: writes also
                 # serialize behind the engine lock.  Inside the span so
-                # the insert's byte measurement attributes to the query
-                self.results.put(cube, fingerprint, generation, result)
+                # the insert's byte measurement attributes to the query;
+                # the entry is the answer, not the plan that found it
+                self.results.put(
+                    cube, fingerprint, generation, replace(result, plan=None)
+                )
             return result
 
     @staticmethod

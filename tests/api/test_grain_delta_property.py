@@ -191,7 +191,7 @@ def _requests(router, cube, rollup):
     yield list(grain.items()), []
     for dim, attrs in derivable.items():
         for attr in attrs:
-            members = sorted(set(grains.attr_map(cube.cube, dim, attr).values()))
+            members = router.engine.cube(cube.cube).dim_stats.members(dim, attr)
             others = [(d, a) for d, a in grain.items() if d != dim][:1]
             yield [(dim, attr)], []
             yield others + [(dim, attr)], [

@@ -12,6 +12,7 @@ it adds or replaces.
 """
 
 import contextlib
+import dataclasses
 import itertools
 import json
 import random
@@ -90,7 +91,9 @@ def query(n_group: int, aggregate: str, *labels: str) -> ConsolidationQuery:
 
 def cached_charge(q: ConsolidationQuery, result) -> tuple[int, int]:
     """What the result cache charges ``result``, and the walk of what it
-    holds for it."""
+    holds for it: the answer, without the plan that found it, as the
+    service caches a miss."""
+    result = dataclasses.replace(result, plan=None)
     cache = ResultCache()
     fingerprint = query_fingerprint(q, result.backend)
     cache.put(q.cube, fingerprint, 3, result)

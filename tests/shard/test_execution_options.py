@@ -20,6 +20,7 @@ from repro.serve import QueryService, ServiceConfig, query_fingerprint
 #: every entry point that takes the backend name beside the query
 BACKEND_SURFACES = (
     OlapEngine.query,
+    OlapEngine.plan,
     OlapEngine.explain,
     OlapEngine.explain_analyze,
     QueryService.submit,

@@ -63,7 +63,7 @@ def matching_cells(engine, fact_rows, selections):
     state = engine.cube("cube")
     chosen = {}
     for dim, attr, values in selections:
-        attr_map = engine._dimension_attr_map(state, dim, attr)
+        attr_map = state.dim_stats.values(dim, attr)
         chosen[dim] = {key for key, value in attr_map.items() if value in values}
     names = [dim.name for dim in state.schema.dimensions]
     kept = sum(
