@@ -27,7 +27,7 @@ from repro.errors import ArrayError, DimensionError
 from repro.index.btree import BTree
 from repro.storage.large_object import LargeObjectStore
 from repro.storage.page_file import FileManager
-from repro.util.records import as_column, fact_columns, narrowest
+from repro.util.records import as_column, fact_columns, key_positions
 
 
 @dataclass
@@ -52,24 +52,16 @@ class DimensionData:
                 )
 
     def indices_of(self, column: np.ndarray) -> np.ndarray:
-        """The array index of every key in a fact column: a binary
-        search into the sorted keys, then an equality check.  As in a
-        dict, ``"1"`` is not ``1``: a column of the other kind holds no
-        known key.  The indices come in the narrowest signed dtype that
-        holds the key count: one byte a row up to 127 keys."""
-        keys = as_column(self.keys)
-        indices = np.zeros(len(column), dtype=narrowest(len(keys), signed=True))
-        found = np.zeros(len(column), dtype=bool)
-        if len(keys) and (column.dtype.kind == "U") == (keys.dtype.kind == "U"):
-            order = np.argsort(keys, kind="stable")
-            ordered = keys[order]
-            at = np.searchsorted(ordered, column)
-            found = ordered.take(at, mode="clip") == column
-            indices = order.astype(indices.dtype).take(at, mode="clip")
-        if not found.all():
+        """The array index of every key in a fact column
+        (:func:`~repro.util.records.key_positions`): as in a dict,
+        ``"1"`` is not ``1``.  The indices come in the narrowest signed
+        dtype that holds the key count: one byte a row up to 127 keys."""
+        indices = key_positions(as_column(self.keys), column)
+        unknown = indices < 0
+        if unknown.any():
             raise DimensionError(
                 "fact tuple references unknown dimension key "
-                f"{column[~found][0].item()!r}"
+                f"{column[unknown][0].item()!r}"
             )
         return indices
 
@@ -182,9 +174,11 @@ def plan_olap_array(
         for i, (data, dim_index) in enumerate(zip(dimensions, dim_indexes)):
             attrs_meta = {}
             for attr, attr_values in data.attributes.items():
-                tree = BTree.create(fm, f"{name}.dim{i}.{attr}.idx")
-                for index, value in enumerate(attr_values):
-                    tree.insert(value, index)
+                BTree.build(
+                    fm,
+                    f"{name}.dim{i}.{attr}.idx",
+                    zip(attr_values, range(len(attr_values))),
+                )
                 i2i = IndexToIndex.build(list(attr_values))
                 attrs_meta[attr] = {"i2i_oid": aux.create(i2i.to_blob())}
             meta_dims.append(

@@ -82,9 +82,7 @@ class DimensionIndex:
         """Assign indices 0..n-1 to ``keys`` in order and persist both maps."""
         if len(set(keys)) != len(keys):
             raise DimensionError(f"dimension {name!r} has duplicate keys")
-        tree = BTree.create(fm, name)
-        for index, key in enumerate(keys):
-            tree.insert(key, index)
+        tree = BTree.build(fm, name, zip(keys, range(len(keys))))
         rev_oid = aux.create(encode_keys(keys))
         return cls(tree, aux, rev_oid, keys=list(keys))
 

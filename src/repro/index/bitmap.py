@@ -86,11 +86,18 @@ class BitmapIndex:
                 f"got {len(codes)} position values, expected {length}"
             )
         index = cls(fm, name, length)
-        for code, label in enumerate(labels):
-            member = codes == code
-            if member.any():
-                oid = index._store.create(Bitset.from_mask(member).to_bytes())
-                index._directory.insert(label, oid)
+
+        def entries():
+            # each bitmap is stored just before its entry goes in, so the
+            # directory's page appends interleave with the bitmaps' as
+            # under one insert per entry: the same volume image
+            for code, label in enumerate(labels):
+                member = codes == code
+                if member.any():
+                    bits = Bitset.from_mask(member).to_bytes()
+                    yield label, index._store.create(bits)
+
+        index._directory.insert_many(entries())
         return index
 
     # -- lookup ------------------------------------------------------------------

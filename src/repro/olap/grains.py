@@ -227,6 +227,8 @@ class GrainStore(SizedStore):
         self.engine = engine
         #: cube → grain name → ``((dimension, level), ...)``, cube order
         self.declared: dict[str, dict[str, tuple]] = {}
+        #: cube → (the ``declared`` entry ranked, :meth:`_ranked`'s pair)
+        self._ranks: dict[str, tuple[dict, tuple]] = {}
         #: (cube, dim, from_attr, to_attr) -> derived value map or None
         self._maps: dict[tuple, dict | None] = {}
 
@@ -312,20 +314,52 @@ class GrainStore(SizedStore):
 
     # -- the covering rule ---------------------------------------------------
 
-    def _covers(self, schema, grain, referenced: dict[str, int]) -> bool:
+    def _ranked(self, schema, declared: dict) -> tuple[tuple, dict]:
+        """``declared``, ``schema``'s cube's grains, smallest first
+        (fewest estimated rows, ties by name), each ``(rows, name,
+        grain, levels)`` with ``levels`` dimension → (stored attribute,
+        its index finest first, the dimension's attributes); and
+        ``(dimension, attribute)`` → that index for the whole cube.
+        Ranked once per declaration change: a declaration replaces the
+        cube's dict."""
+        held = self._ranks.get(schema.name)
+        if held is not None and held[0] is declared:
+            return held[1]
+        attributes = {d.name: _levels(schema, d.name) for d in schema.dimensions}
+        ranked = sorted(
+            (
+                self.estimated_rows(schema.name, grain),
+                name,
+                grain,
+                {
+                    dim: (attr, attributes[dim].index(attr), attributes[dim])
+                    for dim, attr in grain
+                },
+            )
+            for name, grain in declared.items()
+        )
+        index_of = {
+            (dim, attr): i for dim, names in attributes.items()
+            for i, attr in enumerate(names)
+        }
+        pair = (tuple(ranked), index_of)
+        self._ranks[schema.name] = (declared, pair)
+        return pair
+
+    def _covers(self, physical: str, levels: dict, referenced: dict[str, int]) -> bool:
         """Whether every referenced (dim → finest-needed level index) is
-        present in the grain at a finer-or-equal level it derives from."""
-        stored = dict(grain)
+        present in the grain (:meth:`_ranked`'s ``levels``) at a
+        finer-or-equal level it derives from."""
         for dim_name, needed_index in referenced.items():
-            attr = stored.get(dim_name)
-            if attr is None:
+            stored = levels.get(dim_name)
+            if stored is None:
                 return False  # dimension consolidated away entirely
-            levels = _levels(schema, dim_name)
-            if levels.index(attr) > needed_index:
+            attr, index, names = stored
+            if index > needed_index:
                 return False  # stored coarser than requested
-            needed = levels[needed_index]
+            needed = names[needed_index]
             if attr != needed and (
-                self.derive_map(schema.name, dim_name, attr, needed) is None
+                self.derive_map(physical, dim_name, attr, needed) is None
             ):
                 return False
         return True
@@ -341,18 +375,17 @@ class GrainStore(SizedStore):
         declared = self.declared.get(schema.name)
         if not declared:
             return None
+        ranked, index_of = self._ranked(schema, declared)
         finest: dict[str, int] = {}
         for dim_name, attr in referenced:
-            index = _levels(schema, dim_name).index(attr)
+            index = index_of[dim_name, attr]
             finest[dim_name] = min(finest.get(dim_name, index), index)
-        sized = sorted(
-            (self.estimated_rows(schema.name, grain), name, grain)
-            for name, grain in declared.items()
-            if self._covers(schema, grain, finest)
-        )
+        sized = [
+            entry for entry in ranked if self._covers(schema.name, entry[3], finest)
+        ]
         if not sized:
             return None
-        rows, name, grain = sized[0]
+        rows, name, grain, _ = sized[0]
         return GrainChoice(
             name=name,
             grain=grain,
@@ -360,7 +393,7 @@ class GrainStore(SizedStore):
                 f"rollup {name!r} is the smallest of {len(sized)} "
                 "covering grain(s)"
             ),
-            candidates=tuple(name for _, name, _ in sized),
+            candidates=tuple(entry[1] for entry in sized),
             estimated_rows=rows,
         )
 

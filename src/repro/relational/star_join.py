@@ -32,7 +32,7 @@ from repro.obs.tracer import get_tracer
 from repro.relational.fact_file import FactFile
 from repro.relational.heap_file import HeapFile
 from repro.relational.schema import Schema
-from repro.util.records import fact_columns
+from repro.util.records import fact_columns, key_positions
 from repro.util.stats import Counters
 
 
@@ -60,12 +60,10 @@ def build_dimension_hash(spec: DimensionJoinSpec) -> dict:
 
 def dimension_lookup(spec: DimensionJoinSpec) -> tuple[list, np.ndarray, np.ndarray]:
     """One dimension's lookup table: its group-by values ascending, its
-    keys sorted, and each sorted key's code into those values."""
+    keys, and each key's code into those values."""
     table = build_dimension_hash(spec)
     labels, codes = factorize(table.values())
-    keys = np.array(list(table))
-    order = np.argsort(keys)
-    return labels, keys[order], codes[order]
+    return labels, np.array(list(table)), codes
 
 
 def row_columns(schema: Schema, rows: Iterable[tuple]) -> list[np.ndarray]:
@@ -90,9 +88,10 @@ def consolidate_facts(
     """The value-based consolidation every operator here ends in.
 
     Build one lookup per dimension; ``fetch()`` the fact tuples'
-    columns and look each foreign key up in its dimension's sorted keys
-    (inside ``span``); fold the measures of the tuples that join every
-    dimension by their group codes.  A tuple whose key has no dimension
+    columns and look each foreign key up among its dimension's keys
+    (:func:`~repro.util.records.key_positions`, inside ``span``); fold
+    the measures of the tuples that join every dimension by their group
+    codes.  A tuple whose key has no dimension
     row joins nothing: it is skipped and counted in
     ``dangling_fact_tuples``.  Rows come out sorted.  ``measure`` is one
     name or a list, ``aggregate`` one name for all or one per measure.
@@ -114,11 +113,8 @@ def consolidate_facts(
         columns = fetch()
         joined, found = np.ones(len(columns[0]), dtype=bool), []
         for spec, (labels, keys, codes) in zip(dimensions, lookups):
-            column = columns[schema.index_of(spec.fact_key)]
-            at = np.searchsorted(keys, column)
-            hit = at < len(keys)
-            hit[hit] = keys[at[hit]] == column[hit]
-            joined &= hit
+            at = key_positions(keys, columns[schema.index_of(spec.fact_key)])
+            joined &= at >= 0
             found.append((labels, codes, at))
         if not joined.all():
             counters.add("dangling_fact_tuples", int(np.count_nonzero(~joined)))
