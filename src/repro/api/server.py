@@ -793,6 +793,7 @@ class ApiServer:
         self._httpd.daemon_threads = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            args=(0.05,),  # seconds between shutdown checks: what stop() waits
             name="repro-api-server",
             daemon=True,
         )

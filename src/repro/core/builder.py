@@ -34,7 +34,7 @@ from repro.util.records import as_column, fact_columns, key_positions
 class DimensionData:
     """One dimension's contents for the loader.
 
-    ``keys`` defines the array-index order; ``attributes`` maps each
+    ``keys`` (distinct) defines the array-index order; ``attributes`` maps each
     hierarchy attribute name to its per-key values (aligned with
     ``keys``), coarsest last — e.g. ``{"h01": [...], "h02": [...]}``.
     """
@@ -44,6 +44,8 @@ class DimensionData:
     attributes: dict[str, list] = field(default_factory=dict)
 
     def __post_init__(self):
+        if len(set(self.keys)) != len(self.keys):
+            raise DimensionError(f"dimension {self.name!r} has duplicate keys")
         for attr, values in self.attributes.items():
             if len(values) != len(self.keys):
                 raise DimensionError(

@@ -79,9 +79,7 @@ class DimensionIndex:
     def build(
         cls, fm: FileManager, aux: LargeObjectStore, name: str, keys: list
     ) -> "DimensionIndex":
-        """Assign indices 0..n-1 to ``keys`` in order and persist both maps."""
-        if len(set(keys)) != len(keys):
-            raise DimensionError(f"dimension {name!r} has duplicate keys")
+        """Assign indices 0..n-1 to distinct ``keys`` in order and persist both maps."""
         tree = BTree.build(fm, name, zip(keys, range(len(keys))))
         rev_oid = aux.create(encode_keys(keys))
         return cls(tree, aux, rev_oid, keys=list(keys))

@@ -457,9 +457,9 @@ class OlapEngine:
                 state.schema.dimension(sel.dimension).key
             )
             attr_pos = table.schema.index_of(sel.attribute)
-            allowed = {
-                row[key_pos] for row in table.scan() if sel.matches(row[attr_pos])
-            }
+            columns = table.columns()
+            pairs = zip(columns[key_pos].tolist(), columns[attr_pos].tolist())
+            allowed = {key for key, value in pairs if sel.matches(value)}
             out.setdefault(sel.dimension, allowed).intersection_update(allowed)
         return out
 
@@ -962,7 +962,7 @@ class OlapEngine:
                 raise PlanError(
                     "rebuild_array is not supported for snowflake layouts"
                 )
-            columns = state.fact.schema.codec.unpack_columns(state.fact.records())
+            columns = state.fact.columns()
             if chunk_shape is None and old is not None:
                 chunk_shape = old.geometry.chunk_shape
             if codec is None:

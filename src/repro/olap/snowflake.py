@@ -25,6 +25,7 @@ from repro.errors import SchemaError
 from repro.olap.model import CubeSchema, DimensionDef
 from repro.relational.catalog import Database
 from repro.relational.schema import Column, Schema
+from repro.util.records import key_positions
 
 
 def snowflake_table_names(cube: CubeSchema, dimension: str) -> list[str]:
@@ -40,13 +41,7 @@ def snowflake_table_names(cube: CubeSchema, dimension: str) -> list[str]:
 def _distinct_ordinals(values: list) -> tuple[list[int], list]:
     """First-appearance ordinal of each value, plus the distinct list."""
     ordinals: dict = {}
-    ids = []
-    for value in values:
-        ordinal = ordinals.get(value)
-        if ordinal is None:
-            ordinal = len(ordinals)
-            ordinals[value] = ordinal
-        ids.append(ordinal)
+    ids = [ordinals.setdefault(value, len(ordinals)) for value in values]
     return ids, list(ordinals)
 
 
@@ -62,27 +57,23 @@ class SnowflakeDimension:
             + [Column(name, ctype) for name, ctype in dimension.levels]
         )
 
-    def scan(self):
-        """Yield denormalized ``(key, level values...)`` rows.
+    def columns(self) -> list:
+        """The denormalized ``(key, level values...)`` rows as columns.
 
-        The snowflake join: each level table loads into an in-memory
-        id → (value, parent id) map (level tables are tiny), then one
-        pass over the base table follows the chain.
+        The snowflake join: each level table is read whole (level tables
+        are tiny), then the base table, whose level id column is followed
+        down the ``(id, value[, parent id])`` chain.
         """
-        chains = []
-        for _, table in self.level_tables:
-            rows = {}
-            for row in table.scan():
-                # (id, value[, parent id])
-                rows[row[0]] = (row[1], row[2] if len(row) > 2 else None)
-            chains.append(rows)
-        for key, first_id in self.base.scan():
-            values = []
-            level_id = first_id
-            for level in chains:
-                value, level_id = level[level_id]
-                values.append(value)
-            yield (key, *values)
+        chains = [table.columns() for _, table in self.level_tables]
+        out = self.base.columns()
+        for ids, value, *parent in chains:
+            at = key_positions(ids, out.pop())
+            out += [value[at], *(column[at] for column in parent)]
+        return out[: 1 + len(chains)]  # no level: the base's id column goes
+
+    def scan(self):
+        """Yield denormalized ``(key, level values...)`` rows."""
+        return zip(*(column.tolist() for column in self.columns()))
 
     def __len__(self) -> int:
         return len(self.base)

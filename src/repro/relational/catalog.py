@@ -247,7 +247,7 @@ class Database:
         if not isinstance(table, FactFile):
             raise CatalogError(f"B-tree indices cover fact files, not {table_name!r}")
         positions = [table.schema.index_of(c) for c in columns]
-        stored = table.schema.codec.unpack_columns(table.records())
+        stored = table.columns()
         return [stored[p].tolist() for p in positions]
 
     def _bulk_load_index(self, index_name: str, keys: list) -> BTree:

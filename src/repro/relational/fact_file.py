@@ -192,6 +192,10 @@ class FactFile:
             self.counters.add("fact_pages_scanned")
         return records
 
+    def columns(self) -> list[np.ndarray]:
+        """:meth:`records` split into one column per field."""
+        return self.schema.codec.unpack_columns(self.records())
+
     def find(self, keys: tuple) -> int | None:
         """Tuple number of the first row whose leading fields equal
         ``keys``, or ``None``: each page compared as one record array."""

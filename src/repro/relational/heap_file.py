@@ -10,6 +10,8 @@ from __future__ import annotations
 import struct
 from collections.abc import Iterator
 
+import numpy as np
+
 from repro.errors import FileError
 from repro.relational.schema import Schema
 from repro.storage.page_file import FileManager, PageFile
@@ -147,12 +149,18 @@ class HeapFile:
         return self.schema.codec.unpack(page.get(slot))
 
     def scan(self) -> Iterator[tuple]:
-        """Yield every row in physical order."""
+        """Every row in physical order, read as :meth:`columns`."""
+        return zip(*(column.tolist() for column in self.columns()))
+
+    def columns(self) -> list[np.ndarray]:
+        """Every row as one column per field, in physical order: each
+        page's records gathered, then one ``unpack_columns`` call."""
         codec = self.schema.codec
-        for page_no in range(self._file.npages):
-            page = SlottedPage(self._file.read(page_no))
-            for _, payload in page.records():
-                yield codec.unpack(payload)
+        records = [np.empty(0, codec.dtype)] + [
+            SlottedPage(self._file.read(page_no)).fixed_records(codec.dtype)
+            for page_no in range(self._file.npages)
+        ]
+        return codec.unpack_columns(np.concatenate(records))
 
     def __len__(self) -> int:
         return self._count

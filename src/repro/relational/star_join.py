@@ -31,8 +31,7 @@ from repro.index.bitmap import factorize
 from repro.obs.tracer import get_tracer
 from repro.relational.fact_file import FactFile
 from repro.relational.heap_file import HeapFile
-from repro.relational.schema import Schema
-from repro.util.records import fact_columns, key_positions
+from repro.util.records import key_positions
 from repro.util.stats import Counters
 
 
@@ -53,9 +52,10 @@ class DimensionJoinSpec:
 
 def build_dimension_hash(spec: DimensionJoinSpec) -> dict:
     """Build the in-memory key → group-by-value hash for one dimension."""
+    columns = spec.table.columns()
     key_pos = spec.table.schema.index_of(spec.dim_key)
     attr_pos = spec.table.schema.index_of(spec.group_attr)
-    return {row[key_pos]: row[attr_pos] for row in spec.table.scan()}
+    return dict(zip(columns[key_pos].tolist(), columns[attr_pos].tolist()))
 
 
 def dimension_lookup(spec: DimensionJoinSpec) -> tuple[list, np.ndarray, np.ndarray]:
@@ -64,14 +64,6 @@ def dimension_lookup(spec: DimensionJoinSpec) -> tuple[list, np.ndarray, np.ndar
     table = build_dimension_hash(spec)
     labels, codes = factorize(table.values())
     return labels, np.array(list(table)), codes
-
-
-def row_columns(schema: Schema, rows: Iterable[tuple]) -> list[np.ndarray]:
-    """Decoded rows as one column per field (no rows: empty columns of
-    the fields' own dtypes)."""
-    return fact_columns(rows) or schema.codec.unpack_columns(
-        np.empty(0, dtype=schema.codec.dtype)
-    )
 
 
 def consolidate_facts(
@@ -146,10 +138,7 @@ def star_join_consolidate(
     schema, filters = fact.schema, key_filters or {}
 
     def scan() -> list[np.ndarray]:
-        if isinstance(fact, FactFile):
-            columns = schema.codec.unpack_columns(fact.records())
-        else:  # a heap file's slotted pages decode row by row
-            columns = row_columns(schema, fact.scan())
+        columns = fact.columns()
         counters.add("fact_tuples_scanned", len(columns[0]))
         passing = np.ones(len(columns[0]), dtype=bool)
         for column, allowed in filters.items():

@@ -450,12 +450,10 @@ class QueryService:
             self.counters.add("serve.explain_analyzes")
         return plan
 
-    def _execute(self, query, backend: str, fingerprint=None) -> QueryResult:
+    def _execute(self, query, backend: str, fingerprint) -> QueryResult:
         """Run one engine miss: refused while the cube is degraded, else
         serialized attempts under retry."""
         cube = query.cube
-        if fingerprint is None:
-            fingerprint = query_fingerprint(query, backend)
         self._check_degraded(cube)
         # each retry attempt takes the engine lock by itself, so backoff
         # sleeps never stall other cubes' queued queries

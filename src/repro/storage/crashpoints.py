@@ -9,8 +9,8 @@ installed :class:`FaultPlan` may terminate the "process" by raising
 and proves that recovery restores exactly the committed state no matter
 where the crash lands.
 
-A plan is installed with the :func:`fault_plan` context manager; when no
-plan is active every :func:`crash_point` call is a near-free no-op, so
+A plan is installed for the process (every thread) with :func:`fault_plan`;
+when no plan is active every :func:`crash_point` call is a near-free no-op, so
 the instrumentation stays in production paths permanently.
 
 All randomness (torn-write cut positions, transient-read selection)
@@ -21,7 +21,6 @@ replays bit-identically from its seed.
 from __future__ import annotations
 
 import random
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -49,7 +48,7 @@ BUILTIN_CRASH_POINTS = (
 )
 
 _registry: set[str] = set(BUILTIN_CRASH_POINTS)
-_active: threading.local = threading.local()
+_active_plan: "FaultPlan | None" = None  # set and restored by fault_plan
 
 
 def register_crash_point(name: str) -> str:
@@ -64,19 +63,19 @@ def registered_crash_points() -> tuple[str, ...]:
 
 
 def active_plan() -> "FaultPlan | None":
-    """The plan installed on this thread, if any."""
-    return getattr(_active, "plan", None)
+    """The plan installed for the process, if any."""
+    return _active_plan
 
 
 @contextmanager
 def fault_plan(plan: "FaultPlan"):
-    """Install ``plan`` for the duration of the ``with`` block."""
-    previous = active_plan()
-    _active.plan = plan
+    """Install ``plan`` for the process for the ``with`` block."""
+    global _active_plan
+    previous, _active_plan = _active_plan, plan
     try:
         yield plan
     finally:
-        _active.plan = previous
+        _active_plan = previous
 
 
 def crash_point(name: str) -> None:
@@ -98,7 +97,8 @@ class FaultPlan:
     One plan describes at most one crash (``crash_at`` names the crash
     point, ``crash_on_hit`` the 1-based occurrence that fires) plus a
     budget of transient read errors.  Counting is per plan instance, so
-    a fresh plan replays the identical scenario from the same seed.
+    a fresh plan replays the identical scenario from the same seed (its
+    draws come from disk and WAL I/O, which the engine serializes).
     """
 
     seed: int = 0

@@ -15,6 +15,8 @@ from __future__ import annotations
 import struct
 from collections.abc import Iterator
 
+import numpy as np
+
 from repro.errors import PageError
 
 _HEADER = struct.Struct("<HH")  # nslots, free_end
@@ -103,3 +105,10 @@ class SlottedPage:
             offset, length = self._slot(slot)
             if offset != _DELETED:
                 yield slot, bytes(self.buffer[offset : offset + length])
+
+    def fixed_records(self, dtype: np.dtype) -> np.ndarray:
+        """:meth:`records` gathered at once, each payload one ``dtype`` record."""
+        slots = np.frombuffer(self.buffer, "<u2", 2 * self.nslots, _HEADER.size)
+        live = slots[0::2][slots[0::2] != _DELETED].astype(np.intp)
+        at = live[:, None] + np.arange(dtype.itemsize)
+        return np.frombuffer(self.buffer, np.uint8)[at].view(dtype).reshape(-1)

@@ -10,28 +10,17 @@ negative: alone, after other requests, or beside concurrent readers and
 writes.
 """
 
-import json
 import threading
 import time
-import urllib.error
-import urllib.request
 
 from repro.api.server import ApiServer
 from repro.data import generate_fact_rows
 
-from .conftest import CONFIG
+from .conftest import CONFIG, http_get
 
 ROUTED = "/cube/sales/aggregate?drilldown=dim0:h02&explain=1&analyze=1"
 BASE = "/cube/sales/aggregate?drilldown=dim2:d2"
 BASE_ANALYZED = BASE + "&explain=1&analyze=1"
-
-
-def _get(url):
-    try:
-        with urllib.request.urlopen(url, timeout=30) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
 
 
 def _negative_actuals(explain: dict) -> dict[str, float]:
@@ -54,7 +43,7 @@ class TestSingleThreaded:
     def test_first_request_on_a_fresh_stack(self, stack):
         _, _, endpoint = stack
         with ApiServer(endpoint) as srv:
-            status, payload = _get(srv.url + ROUTED)
+            status, payload = http_get(srv.url + ROUTED)
         assert status == 200
         plan = payload["explain"]
         assert plan["backend"] == "rollup" and plan["analyzed"]
@@ -75,8 +64,8 @@ class TestSingleThreaded:
     def test_after_one_base_request(self, stack):
         _, _, endpoint = stack
         with ApiServer(endpoint) as srv:
-            assert _get(srv.url + BASE)[0] == 200
-            status, payload = _get(srv.url + ROUTED)
+            assert http_get(srv.url + BASE)[0] == 200
+            status, payload = http_get(srv.url + ROUTED)
         assert status == 200
         plan = payload["explain"]
         assert plan["backend"] == "rollup"
@@ -118,7 +107,7 @@ class TestBesideReadersAndWrites:
             turn = 0
             while not stop.is_set():
                 path = ROUTED if (index + turn) % 2 else BASE_ANALYZED
-                status, payload = _get(url + path)
+                status, payload = http_get(url + path)
                 with lock:
                     statuses.append(status)
                     if status == 200:

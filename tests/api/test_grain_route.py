@@ -6,9 +6,6 @@ misses); and an endpoint's close leaves nothing registered that reads it
 or another endpoint's grains."""
 
 import gc
-import json
-import urllib.error
-import urllib.request
 import weakref
 
 import pytest
@@ -16,7 +13,7 @@ import pytest
 from repro.api.server import ApiEndpoint, ApiServer, RequestParser
 from repro.olap import ConsolidationQuery, SelectionPredicate
 
-from .conftest import CONFIG, fresh_model
+from .conftest import CONFIG, degrade, fresh_model, http_get, payload_cells
 
 AGGREGATES = ("sum", "count", "min", "max", "avg")
 
@@ -61,11 +58,6 @@ def _sql(query):
     )
 
 
-def _cells(payload):
-    labels = [f"{d}.{a}" for d, a in payload["drilldown"]] + payload["measures"]
-    return sorted(tuple(cell[label] for label in labels) for cell in payload["cells"])
-
-
 class TestRouteParity:
     @pytest.mark.parametrize("aggregate", AGGREGATES)
     def test_every_surface_answers_from_the_grain_as_starjoin(
@@ -83,13 +75,12 @@ class TestRouteParity:
                     f"{key}={value}"
                     for key, value in {**params, "aggregate": aggregate}.items()
                 )
-                with urllib.request.urlopen(url, timeout=30) as response:
-                    payload = json.loads(response.read())
+                _, payload = http_get(url)
                 for result in (direct, served, via_sql):
                     assert result.backend == "rollup", params
                     assert sorted(result.rows) == expected, (params, result)
                 assert payload["route"]["source"] == "rollup"
-                assert _cells(payload) == expected, params
+                assert payload_cells(payload) == expected, params
 
     def test_a_query_no_grain_covers_keeps_the_base_rule(self, stack):
         engine, _, _ = stack
@@ -105,14 +96,6 @@ class TestRouteParity:
         )
 
 
-def _get(url):
-    try:
-        with urllib.request.urlopen(url, timeout=30) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
-
-
 class TestRoutedRequestIsAServiceQuery:
     def test_admitted_then_a_cache_hit_with_the_same_route(self, stack):
         _, service, endpoint = stack
@@ -120,10 +103,10 @@ class TestRoutedRequestIsAServiceQuery:
             url = srv.url + "/cube/sales/aggregate?drilldown=dim0:h01"
             admitted = service.counters.get("serve.admitted")
             hits = service.results.counters.get("result_cache.hits")
-            status, first = _get(url)
+            status, first = http_get(url)
             assert status == 200 and first["route"]["source"] == "rollup"
             assert service.counters.get("serve.admitted") == admitted + 1
-            status, again = _get(url)
+            status, again = http_get(url)
             assert status == 200
             assert service.counters.get("serve.admitted") == admitted + 2
             assert service.results.counters.get("result_cache.hits") == hits + 1
@@ -132,19 +115,19 @@ class TestRoutedRequestIsAServiceQuery:
             assert again["cells"] == first["cells"]
 
     def test_degraded_serves_a_cached_routed_answer_and_refuses_a_miss(
-        self, stack
+        self, stack, monkeypatch
     ):
         _, service, endpoint = stack
         with ApiServer(endpoint) as srv:
             cached = srv.url + "/cube/sales/aggregate?drilldown=dim0:h01"
-            status, first = _get(cached)
+            status, first = http_get(cached)
             assert status == 200 and first["route"]["source"] == "rollup"
-            service._mark_degraded(CONFIG.name)
-            status, again = _get(cached)
+            degrade(service, monkeypatch)
+            status, again = http_get(cached)
             assert status == 200
             assert again["route"] == first["route"]
             assert again["cells"] == first["cells"]
-            status, missed = _get(srv.url + "/cube/sales/aggregate?drilldown=dim1")
+            status, missed = http_get(srv.url + "/cube/sales/aggregate?drilldown=dim1")
             assert status == 503
             assert missed["error"]["kind"] == "degraded"
 
@@ -211,8 +194,8 @@ class TestEndpointLifecycle:
             second = ApiEndpoint(engine, service, fresh_model())
             with ApiServer(first) as one, ApiServer(second) as two:
                 for srv in (one, one, two):
-                    status, _ = _get(srv.url + "/cube/sales/aggregate?drilldown=dim0")
-                    assert status == 200
+                    url = srv.url + "/cube/sales/aggregate?drilldown=dim0"
+                    assert http_get(url)[0] == 200
                 assert first.counters.get("api.requests") == 2
                 assert second.counters.get("api.requests") == 1
                 assert registry.merged_snapshot()["api.requests"] == 3

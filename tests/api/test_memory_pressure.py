@@ -152,18 +152,18 @@ class TestEvictionUnderWrites:
             service.traces,
             grains,
         ):
-            with store._lock:
-                assert store._resident_bytes == sum(store._sizes.values())
-                assert store._resident_bytes >= 0
+            entries = store.top_entries(len(store))
+            assert len(entries) == len(store)
+            assert store.resident_bytes() == sum(e["bytes"] for e in entries)
+            assert store.resident_bytes() >= 0
         # a grain's bytes are its columns': the store's figure is their
         # sum, whatever eviction and rebuild raced
         router = endpoint.router
-        with grains._lock:
-            assert grains.resident_bytes() == sum(
-                grain.fold.counts.nbytes
-                + sum(c.nbytes for columns in grain.fold.columns for c in columns)
-                for grain in grains.values()
-            )
+        assert grains.resident_bytes() == sum(
+            grain.fold.counts.nbytes
+            + sum(c.nbytes for columns in grain.fold.columns for c in columns)
+            for grain in grains.values()
+        )
         # the pressure came from eviction-then-rebuild: grains were
         # evicted, and rebuilt beyond the two builds at start
         assert router.counters.get("rollup.evictions") >= 1

@@ -26,7 +26,7 @@ from repro.errors import (
 )
 from repro.util.jsonschema_lite import validate
 
-from .conftest import CONFIG
+from .conftest import CONFIG, degrade, http_get, payload_cells, warm_rollups
 
 RESPONSE_SCHEMA = json.load(
     open("benchmarks/schemas/api_response.schema.json", encoding="utf-8")
@@ -34,13 +34,6 @@ RESPONSE_SCHEMA = json.load(
 PLAN_SCHEMA = json.load(
     open("benchmarks/schemas/explain_plan.schema.json", encoding="utf-8")
 )
-
-
-@pytest.fixture
-def server(stack):
-    engine, service, endpoint = stack
-    with ApiServer(endpoint) as srv:
-        yield engine, service, endpoint, srv
 
 
 def test_constructors_take_only_what_callers_set():
@@ -54,14 +47,6 @@ def test_constructors_take_only_what_callers_set():
     ]
 
 
-def _get(url):
-    try:
-        with urllib.request.urlopen(url, timeout=30) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
-
-
 def _post(url, body, raw=False):
     data = body if raw else json.dumps(body).encode("utf-8")
     request = urllib.request.Request(
@@ -72,11 +57,6 @@ def _post(url, body, raw=False):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
-
-
-def _cells(payload):
-    labels = [f"{d}.{a}" for d, a in payload["drilldown"]] + payload["measures"]
-    return sorted(tuple(cell[label] for label in labels) for cell in payload["cells"])
 
 
 def _base_cells(service, endpoint, params):
@@ -93,29 +73,22 @@ def _wait_for_counter(counters, name, value, timeout_s=10.0):
     assert counters.get(name) == value
 
 
-def _warm(endpoint):
-    """Materialize every declared rollup for sum so routed requests hit."""
-    cube = endpoint.model.cube("sales")
-    for rollup in cube.rollups:
-        endpoint.router.rows_for(cube, rollup, "sum")
-
-
 class TestInfoEndpoints:
     def test_root_lists_routes(self, server):
         _, _, _, srv = server
-        status, payload = _get(srv.url + "/")
+        status, payload = http_get(srv.url + "/")
         assert status == 200
         assert any("aggregate" in route for route in payload["routes"])
 
     def test_cubes(self, server):
         _, _, _, srv = server
-        status, payload = _get(srv.url + "/cubes")
+        status, payload = http_get(srv.url + "/cubes")
         assert status == 200
         assert payload["cubes"] == ["sales"]
 
     def test_cube_model(self, server):
         _, _, _, srv = server
-        status, payload = _get(srv.url + "/cube/sales/model")
+        status, payload = http_get(srv.url + "/cube/sales/model")
         assert status == 200
         assert payload["cube"] == CONFIG.name
         assert [d["name"] for d in payload["dimensions"]] == [
@@ -124,13 +97,13 @@ class TestInfoEndpoints:
 
     def test_healthz(self, server):
         _, _, _, srv = server
-        status, payload = _get(srv.url + "/healthz")
+        status, payload = http_get(srv.url + "/healthz")
         assert status == 200
         assert payload["status"] == "ok"
 
     def test_metrics_exports_api_counters(self, server):
         _, _, _, srv = server
-        _get(srv.url + "/cubes")
+        http_get(srv.url + "/cubes")
         with urllib.request.urlopen(srv.url + "/metrics", timeout=30) as r:
             text = r.read().decode("utf-8")
         assert "api" in text
@@ -139,8 +112,8 @@ class TestInfoEndpoints:
 class TestAggregate:
     def test_get_response_validates_against_schema(self, server):
         _, _, endpoint, srv = server
-        _warm(endpoint)
-        status, payload = _get(
+        warm_rollups(endpoint)
+        status, payload = http_get(
             srv.url + "/cube/sales/aggregate?drilldown=dim0"
         )
         assert status == 200
@@ -154,18 +127,18 @@ class TestAggregate:
         _, service, endpoint, srv = server
         url = srv.url + "/cube/sales/aggregate?drilldown=dim1"
         # grains are built at start: the very first request is routed
-        status, first = _get(url)
+        status, first = http_get(url)
         assert status == 200
         assert first["route"]["source"] == "rollup"
         # an evicted grain is a never-built one: the next request builds it
         rebuilds = endpoint.router.counters.get("rollup.rebuilds")
         endpoint.router.reclaim_grains(0)
-        status, rebuilt = _get(url)
+        status, rebuilt = http_get(url)
         assert endpoint.router.counters.get("rollup.rebuilds") == rebuilds + 1
         assert status == 200
         assert rebuilt["route"]["source"] == "rollup"
         assert rebuilt["route"]["rollup"] == "coarse"
-        assert _cells(rebuilt) == _cells(first) == _base_cells(
+        assert payload_cells(rebuilt) == payload_cells(first) == _base_cells(
             service, endpoint, {"drilldown": "dim1"}
         )
         assert endpoint.counters.get("api.stale_fallbacks") == 0
@@ -173,12 +146,12 @@ class TestAggregate:
 
     def test_routed_and_base_agree(self, server):
         _, _, endpoint, srv = server
-        _warm(endpoint)
+        warm_rollups(endpoint)
         path = "/cube/sales/aggregate?drilldown=dim0:h01,dim1:h11&cut=dim1.h11:AA0;AA1"
-        _, routed = _get(srv.url + path)
+        _, routed = http_get(srv.url + path)
         assert routed["route"]["source"] == "rollup"
         # key-level drilldown forces the base engine for the same shape
-        _, base = _get(
+        _, base = http_get(
             srv.url
             + "/cube/sales/aggregate?drilldown=dim0:h01,dim1:h11,dim2:d2&cut=dim1.h11:AA0;AA1"
         )
@@ -195,9 +168,9 @@ class TestAggregate:
 
     def test_post_body_equivalent_to_get(self, server):
         _, _, endpoint, srv = server
-        _warm(endpoint)
+        warm_rollups(endpoint)
         url = srv.url + "/cube/sales/aggregate"
-        _, via_get = _get(url + "?drilldown=dim0:h01&aggregate=max")
+        _, via_get = http_get(url + "?drilldown=dim0:h01&aggregate=max")
         status, via_post = _post(
             url,
             {"drilldown": [{"dimension": "dim0", "level": "h01"}],
@@ -228,10 +201,10 @@ class TestAggregate:
         # a GET cut is a string, a POST cut an object; both echo as one
         # {"dimension", "level", "values" | "range"} object
         _, _, endpoint, srv = server
-        _warm(endpoint)
+        warm_rollups(endpoint)
         url = srv.url + "/cube/sales/aggregate"
         if isinstance(cut, str):
-            status, payload = _get(f"{url}?drilldown=dim0&cut={cut}")
+            status, payload = http_get(f"{url}?drilldown=dim0&cut={cut}")
         else:
             status, payload = _post(url, {"drilldown": ["dim0"], "cut": [cut]})
         assert status == 200
@@ -239,8 +212,8 @@ class TestAggregate:
 
     def test_explain_plan_validates_and_routes(self, server):
         _, _, endpoint, srv = server
-        _warm(endpoint)
-        status, payload = _get(
+        warm_rollups(endpoint)
+        status, payload = http_get(
             srv.url + "/cube/sales/aggregate?drilldown=dim0&explain=1"
         )
         assert status == 200
@@ -253,8 +226,8 @@ class TestAggregate:
 
     def test_explain_analyze_binds_actuals(self, server):
         _, _, endpoint, srv = server
-        _warm(endpoint)
-        status, payload = _get(
+        warm_rollups(endpoint)
+        status, payload = http_get(
             srv.url
             + "/cube/sales/aggregate?drilldown=dim0&explain=1&analyze=1"
         )
@@ -270,7 +243,7 @@ class TestAggregate:
 
     def test_base_explain_still_served(self, server):
         _, _, _, srv = server
-        status, payload = _get(
+        status, payload = http_get(
             srv.url + "/cube/sales/aggregate?drilldown=dim0:d0&explain=1"
         )
         assert status == 200
@@ -289,14 +262,14 @@ class TestAggregate:
             return metrics.histogram("engine.query_seconds").count
 
         before = engine_runs()
-        status, analyzed = _get(url + "&explain=1&analyze=1")
+        status, analyzed = http_get(url + "&explain=1&analyze=1")
         assert status == 200
         assert analyzed["route"]["source"] == "base"
         assert analyzed["explain"]["analyzed"]
         # the answer's rows are the analyzed run's: one engine run
         assert engine_runs() == before + 1
         assert analyzed["explain"]["execution"]["rows"] == analyzed["cell_count"]
-        status, plain = _get(url)
+        status, plain = http_get(url)
         assert status == 200
         assert plain["cells"] == analyzed["cells"]
         assert engine_runs() == before + 1
@@ -311,7 +284,7 @@ def _error(payload):
 class TestErrorPaths:
     def test_unknown_route_404(self, server):
         _, _, _, srv = server
-        status, payload = _get(srv.url + "/bogus")
+        status, payload = http_get(srv.url + "/bogus")
         assert status == 404
         assert _error(payload)["kind"] == "not_found"
 
@@ -323,7 +296,7 @@ class TestErrorPaths:
 
     def test_unknown_cube_404(self, server):
         _, _, _, srv = server
-        status, payload = _get(
+        status, payload = http_get(
             srv.url + "/cube/nope/aggregate?drilldown=dim0"
         )
         assert status == 404
@@ -331,7 +304,7 @@ class TestErrorPaths:
 
     def test_unknown_dimension_404(self, server):
         _, _, _, srv = server
-        status, payload = _get(
+        status, payload = http_get(
             srv.url + "/cube/sales/aggregate?drilldown=never"
         )
         assert status == 404
@@ -339,27 +312,27 @@ class TestErrorPaths:
 
     def test_unknown_level_404(self, server):
         _, _, _, srv = server
-        status, _ = _get(
+        status, _ = http_get(
             srv.url + "/cube/sales/aggregate?drilldown=dim0:h99"
         )
         assert status == 404
 
     def test_unknown_measure_404(self, server):
         _, _, _, srv = server
-        status, _ = _get(
+        status, _ = http_get(
             srv.url + "/cube/sales/aggregate?drilldown=dim0&measure=gold"
         )
         assert status == 404
 
     def test_missing_drilldown_400(self, server):
         _, _, _, srv = server
-        status, payload = _get(srv.url + "/cube/sales/aggregate")
+        status, payload = http_get(srv.url + "/cube/sales/aggregate")
         assert status == 400
         assert _error(payload)["kind"] == "bad_request"
 
     def test_bad_aggregate_400(self, server):
         _, _, _, srv = server
-        status, payload = _get(
+        status, payload = http_get(
             srv.url
             + "/cube/sales/aggregate?drilldown=dim0&aggregate=median"
         )
@@ -368,21 +341,21 @@ class TestErrorPaths:
 
     def test_duplicate_drilldown_dimension_400(self, server):
         _, _, _, srv = server
-        status, _ = _get(
+        status, _ = http_get(
             srv.url + "/cube/sales/aggregate?drilldown=dim0,dim0:h01"
         )
         assert status == 400
 
     def test_bad_cut_syntax_400(self, server):
         _, _, _, srv = server
-        status, _ = _get(
+        status, _ = http_get(
             srv.url + "/cube/sales/aggregate?drilldown=dim0&cut=dim0-h01"
         )
         assert status == 400
 
     def test_non_integer_key_cut_400(self, server):
         _, _, _, srv = server
-        status, payload = _get(
+        status, payload = http_get(
             srv.url + "/cube/sales/aggregate?drilldown=dim0&cut=dim0.d0:zzz"
         )
         assert status == 400
@@ -415,7 +388,7 @@ class TestErrorPaths:
 
     def test_integer_key_cut_in_body_is_served(self, server):
         _, _, _, srv = server
-        _, expected = _get(
+        _, expected = http_get(
             srv.url + "/cube/sales/aggregate?drilldown=dim0&cut=dim0.d0:1"
         )
         for values in ([1], ["1"]):
@@ -427,7 +400,7 @@ class TestErrorPaths:
                 },
             )
             assert status == 200
-            assert _cells(payload) == _cells(expected)
+            assert payload_cells(payload) == payload_cells(expected)
 
     def test_negative_content_length_400(self, server):
         # rfile.read(-1) reads to EOF: a client that keeps its socket
@@ -488,11 +461,11 @@ class TestErrorPaths:
             "/traces?limit=-inf",
             "/traces?limit=x",
         ):
-            status, payload = _get(srv.url + path)
+            status, payload = http_get(srv.url + path)
             assert status == 400, path
             assert payload["error"]["kind"] == "bad_request"  # untraced
         # the connection survived each one, and none was a server error
-        assert _get(srv.url + "/memory?top=2")[0] == 200
+        assert http_get(srv.url + "/memory?top=2")[0] == 200
         assert endpoint.counters.snapshot().get("api.responses_5xx", 0) == 0
 
     def test_repeated_parameter_400(self, server):
@@ -500,17 +473,17 @@ class TestErrorPaths:
         # silently dropped
         _, _, _, srv = server
         aggregate = srv.url + "/cube/sales/aggregate?drilldown=dim0&"
-        status, payload = _get(aggregate + "cut=dim1.h11:AA0&cut=dim2.h21:AA1")
+        status, payload = http_get(aggregate + "cut=dim1.h11:AA0&cut=dim2.h21:AA1")
         assert status == 400
         message = _error(payload)["message"]
         assert "'cut'" in message
         assert "'|' joins cuts" in message and "',' joins drilldowns" in message
-        status, payload = _get(aggregate + "drilldown=dim1")
+        status, payload = http_get(aggregate + "drilldown=dim1")
         assert status == 400
         assert "'drilldown'" in _error(payload)["message"]
         # the joined forms are the one way to send several
-        assert _get(aggregate + "cut=dim1.h11:AA0|dim2.h21:AA1")[0] == 200
-        status, payload = _get(srv.url + "/traces?limit=1&limit=2")
+        assert http_get(aggregate + "cut=dim1.h11:AA0|dim2.h21:AA1")[0] == 200
+        status, payload = http_get(srv.url + "/traces?limit=1&limit=2")
         assert status == 400
         assert payload["error"]["kind"] == "bad_request"  # untraced
 
@@ -547,7 +520,7 @@ class TestErrorPaths:
             "/cube/sales/aggregate?aggregate=median&drilldown=dim0",
             "/cube/sales/aggregate",
         ):
-            _get(srv.url + path)
+            http_get(srv.url + path)
         snapshot = endpoint.counters.snapshot()
         assert snapshot.get("api.responses_5xx", 0) == 0
         assert snapshot.get("api.server_errors", 0) == 0
@@ -575,7 +548,7 @@ class TestServerFaults:
         monkeypatch.setattr(service, "explain", fail)
         rejections = endpoint.counters.get("api.degraded_rejections")
         client_errors = endpoint.counters.get("api.client_errors")
-        status, payload = _get(
+        status, payload = http_get(
             srv.url
             + "/cube/sales/aggregate?drilldown=dim0:d0&explain=1&analyze=1"
         )
@@ -588,7 +561,7 @@ class TestServerFaults:
 class TestConcurrency:
     def test_hammering_with_writes_never_500s(self, server):
         engine, service, endpoint, srv = server
-        _warm(endpoint)
+        warm_rollups(endpoint)
         keys = tuple(generate_fact_rows(CONFIG)[0][:3])
         good = srv.url + "/cube/sales/aggregate?drilldown=dim0,dim1"
         bad = srv.url + "/cube/sales/aggregate?drilldown=dim0&cut=broken"
@@ -598,13 +571,13 @@ class TestConcurrency:
         def client(index: int) -> None:
             for turn in range(12):
                 if (index + turn) % 3 == 0:
-                    status, _ = _get(bad)
+                    status, _ = http_get(bad)
                 elif (index + turn) % 3 == 1:
                     status, _ = _post(
                         good.split("?")[0], {"drilldown": ["dim1"]}
                     )
                 else:
-                    status, _ = _get(good)
+                    status, _ = http_get(good)
                 with lock:
                     statuses.append(status)
 
@@ -640,11 +613,12 @@ class TestBuildFailures:
         monkeypatch.setattr("repro.olap.grains.scan_chunk_range", faulty_walk)
         failures = endpoint.router.counters.get("rollup.refresh_failures")
         endpoint.router.reclaim_grains(0)
-        status, payload = _get(srv.url + "/cube/sales/aggregate?drilldown=dim1")
+        status, payload = http_get(srv.url + "/cube/sales/aggregate?drilldown=dim1")
         assert status == 200
         assert payload["route"]["source"] == "base"
         assert payload["route"]["rollup"] == "coarse"  # named on a fallback too
-        assert _cells(payload) == _base_cells(service, endpoint, {"drilldown": "dim1"})
+        expected = _base_cells(service, endpoint, {"drilldown": "dim1"})
+        assert payload_cells(payload) == expected
         assert endpoint.counters.get("api.stale_fallbacks") == 1
         _wait_for_counter(
             endpoint.router.counters, "rollup.refresh_failures", failures + 1
@@ -664,12 +638,12 @@ class TestBuildFailures:
         failures = endpoint.router.counters.get("rollup.refresh_failures")
         endpoint.router.reclaim_grains(0)
         for suffix in ("&explain=1", "&explain=1&analyze=1"):
-            status, payload = _get(
+            status, payload = http_get(
                 srv.url + "/cube/sales/aggregate?drilldown=dim1" + suffix
             )
             assert status == 200
             assert payload["route"]["source"] == "base"
-            assert _cells(payload) == _base_cells(
+            assert payload_cells(payload) == _base_cells(
                 service, endpoint, {"drilldown": "dim1"}
             )
             validate(payload["explain"], PLAN_SCHEMA)
@@ -680,24 +654,26 @@ class TestBuildFailures:
             == failures + 2
         )
 
-    def test_a_degraded_cube_still_serves_a_cached_base_answer(self, server):
+    def test_a_degraded_cube_still_serves_a_cached_base_answer(
+        self, server, monkeypatch
+    ):
         # a routed miss on a degraded cube used to fall back to a base
         # answer cached beside it; it is a service miss now, refused
         # like any other, while what the cache holds is still served
         _, service, endpoint, srv = server
         base = srv.url + "/cube/sales/aggregate?drilldown=dim2:d2"
-        status, cached = _get(base)
+        status, cached = http_get(base)
         assert status == 200 and cached["route"]["source"] == "base"
         failures = endpoint.router.counters.get("rollup.refresh_failures")
         endpoint.router.reclaim_grains(0)
-        service._mark_degraded(CONFIG.name)
-        status, payload = _get(base)
+        degrade(service, monkeypatch)
+        status, payload = http_get(base)
         assert status == 200
         assert payload["route"] == cached["route"]
         assert payload["cells"] == cached["cells"]
         # a miss on a degraded cube is refused, as ever: routed or base
         for drilldown in ("dim1", "dim0:d0"):
-            status, payload = _get(
+            status, payload = http_get(
                 srv.url + "/cube/sales/aggregate?drilldown=" + drilldown
             )
             assert status == 503

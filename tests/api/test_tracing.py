@@ -16,12 +16,11 @@ import urllib.request
 
 import pytest
 
-from repro.api.server import ApiServer
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import MAX_ROOTS_PER_TRACE
 from repro.util.jsonschema_lite import validate
 
-from .conftest import CONFIG
+from .conftest import CONFIG, warm_rollups
 
 HEX32 = re.compile(r"^[0-9a-f]{32}$")
 TRACE_SCHEMA = json.load(
@@ -29,13 +28,6 @@ TRACE_SCHEMA = json.load(
 )
 
 AGG = "/cube/sales/aggregate?drilldown=dim0:h01,dim1:h11"
-
-
-@pytest.fixture
-def server(stack):
-    engine, service, endpoint = stack
-    with ApiServer(endpoint) as srv:
-        yield engine, service, endpoint, srv
 
 
 def _get(url, headers=None):
@@ -51,16 +43,10 @@ def _get(url, headers=None):
         return exc.code, json.loads(exc.read()), dict(exc.headers)
 
 
-def _warm(endpoint):
-    cube = endpoint.model.cube("sales")
-    for rollup in cube.rollups:
-        endpoint.router.rows_for(cube, rollup, "sum")
-
-
 class TestResponseIdentity:
     def test_every_response_carries_matching_header_and_body_id(self, server):
         _, _, endpoint, srv = server
-        _warm(endpoint)
+        warm_rollups(endpoint)
         status, payload, headers = _get(srv.url + AGG)
         assert status == 200
         trace_id = headers.get("X-Trace-Id")
@@ -75,7 +61,7 @@ class TestResponseIdentity:
 
     def test_inbound_header_adopted_verbatim(self, server):
         _, _, endpoint, srv = server
-        _warm(endpoint)
+        warm_rollups(endpoint)
         inbound = "ab" * 16
         _, payload, headers = _get(
             srv.url + AGG, headers={"X-Trace-Id": inbound}
@@ -85,7 +71,7 @@ class TestResponseIdentity:
 
     def test_malformed_inbound_header_replaced_not_propagated(self, server):
         _, _, endpoint, srv = server
-        _warm(endpoint)
+        warm_rollups(endpoint)
         _, payload, headers = _get(
             srv.url + AGG, headers={"X-Trace-Id": "not-a-trace-id"}
         )
@@ -94,7 +80,7 @@ class TestResponseIdentity:
 
     def test_distinct_requests_get_distinct_traces(self, server):
         _, _, endpoint, srv = server
-        _warm(endpoint)
+        warm_rollups(endpoint)
         ids = {_get(srv.url + AGG)[2].get("X-Trace-Id") for _ in range(3)}
         assert len(ids) == 3
 
@@ -102,7 +88,7 @@ class TestResponseIdentity:
 class TestTraceResolution:
     def test_api_trace_resolves_on_observability_endpoint(self, server):
         _, _, endpoint, srv = server
-        _warm(endpoint)
+        warm_rollups(endpoint)
         _, _, headers = _get(srv.url + AGG)
         trace_id = headers["X-Trace-Id"]
         status, payload, _ = _get(f"{srv.url}/trace/id/{trace_id}")
@@ -119,7 +105,7 @@ class TestTraceResolution:
 
     def test_traces_index_lists_recent_requests(self, server):
         _, _, endpoint, srv = server
-        _warm(endpoint)
+        warm_rollups(endpoint)
         _, _, headers = _get(srv.url + AGG)
         status, payload, _ = _get(f"{srv.url}/traces")
         assert status == 200
@@ -128,7 +114,7 @@ class TestTraceResolution:
 
     def test_a_scraper_cannot_evict_a_query_trace(self, server):
         _, service, endpoint, srv = server
-        _warm(endpoint)
+        warm_rollups(endpoint)
         trace_id = _get(srv.url + AGG)[2]["X-Trace-Id"]
         for _ in range(service.traces.capacity + 44):
             with urllib.request.urlopen(srv.url + "/metrics", timeout=30):
@@ -144,7 +130,7 @@ class TestTraceResolution:
         into one record, whose roots and bytes stop growing at the cap —
         even when every request rebuilds its grain."""
         _, service, endpoint, srv = server
-        _warm(endpoint)
+        warm_rollups(endpoint)
         reused = {"X-Trace-Id": "ef" * 16}
         resident = []
         for _ in range(2):
@@ -220,7 +206,7 @@ class TestHandlerSpan:
 
     def test_a_cached_request_takes_no_snapshot(self, server, snapshot_calls):
         _, _, endpoint, srv = server
-        _warm(endpoint)
+        warm_rollups(endpoint)
         status, _, headers = _get(srv.url + AGG)  # a routed miss
         assert status == 200
         missed = headers["X-Trace-Id"]
@@ -239,7 +225,7 @@ class TestAccessLog:
 
     def test_one_json_line_per_request(self, server):
         _, _, endpoint, srv = server
-        _warm(endpoint)
+        warm_rollups(endpoint)
         ok_id = _get(srv.url + AGG)[2]["X-Trace-Id"]
         err_id = _get(srv.url + "/cube/nope/model")[2]["X-Trace-Id"]
         _, ok, _ = _get(f"{srv.url}/trace/id/{ok_id}")
@@ -258,7 +244,7 @@ class TestAccessLog:
 
     def test_access_log_off_by_default(self, server, capfd):
         _, _, endpoint, srv = server
-        _warm(endpoint)
+        warm_rollups(endpoint)
         capfd.readouterr()
         status, _, _ = _get(srv.url + AGG)
         assert status == 200
@@ -272,7 +258,7 @@ class TestAccessLog:
 class TestRollupStats:
     def test_rollups_route_reports_resident_rows(self, server):
         _, _, endpoint, srv = server
-        _warm(endpoint)
+        warm_rollups(endpoint)
         status, payload, _ = _get(srv.url + "/rollups")
         assert status == 200
         # one entry per grain (every aggregate rides in it)
@@ -287,7 +273,7 @@ class TestRollupStats:
 
     def test_resident_rows_gauge_on_metrics(self, server):
         _, _, endpoint, srv = server
-        _warm(endpoint)
+        warm_rollups(endpoint)
         with urllib.request.urlopen(srv.url + "/metrics", timeout=30) as r:
             text = r.read().decode("utf-8")
         assert "rollup_resident_rows" in text

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.builder import DimensionData
 from repro.core.dimension_index import DimensionIndex, decode_keys, encode_keys
 from repro.errors import DimensionError
 from repro.storage import LargeObjectStore
@@ -69,8 +70,9 @@ class TestDimensionIndex:
             dim.key_of(2)
 
     def test_duplicate_keys_rejected(self, fm, aux):
-        with pytest.raises(DimensionError):
-            DimensionIndex.build(fm, aux, "d0", [1, 1])
+        # checked where every load passes, before any file exists
+        with pytest.raises(DimensionError, match="duplicate keys"):
+            DimensionData("d0", [1, 1])
 
     def test_index_map_is_a_copy(self, fm, aux):
         dim = DimensionIndex.build(fm, aux, "d0", [1, 2])

@@ -83,7 +83,7 @@ def _check(array, reference, codec):
             continue
         offsets = np.array([c - start for c in mine], dtype=np.int32)
         values = np.array(
-            [reference[c] for c in mine], dtype=array._np_dtype
+            [reference[c] for c in mine], dtype=array.dtype
         ).reshape(len(mine), array.n_measures)
         payload = array.chunks.read(oid)
         assert len(payload) == length

@@ -49,7 +49,7 @@ def scan_threaded(array, specs, partitions, aggregate="sum", max_workers=None):
     from repro.serve import ChunkCache
 
     merged = ResultAccumulator(array, specs, aggregate)
-    array._entries()
+    array.chunk_directory()
     tasks = [
         {
             "shard": shard,
@@ -99,21 +99,9 @@ def assert_rows_close(left, right):
 
 @pytest.fixture(scope="module")
 def engine():
-    from repro.data import (
-        cube_schema_for,
-        generate_dimension_rows,
-        generate_fact_rows,
-    )
-    from repro.olap import OlapEngine
-    from tests.shard.conftest import CONFIG
+    from tests.olap.conftest import build_loaded
 
-    engine = OlapEngine(page_size=1024, pool_bytes=1024 * 1024)
-    engine.load_cube(
-        cube_schema_for(CONFIG),
-        generate_dimension_rows(CONFIG),
-        generate_fact_rows(CONFIG),
-        chunk_shape=CONFIG.chunk_shape,
-    )
+    engine = build_loaded()[0]
     yield engine
     engine.close_shards()
 

@@ -5,6 +5,7 @@ listener (``ApiServer``)."""
 
 import json
 import subprocess
+import time
 import urllib.error
 import urllib.request
 from types import SimpleNamespace
@@ -225,7 +226,9 @@ class TestLifecycle:
         server.start()
         first_port = server.port
         assert _get(f"{server.url}/healthz")[0] == 200
+        started = time.perf_counter()
         server.stop()
+        assert time.perf_counter() - started < 0.1  # no half-second poll
         server.stop()  # second stop is a no-op
         server.start()
         try:

@@ -13,6 +13,8 @@ miss), never for a read or a shrink, and never under a lock the step
 holds.
 """
 
+import itertools
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -86,14 +88,20 @@ def _apply(store: SizedStore, model: OrderedDict, op: tuple) -> None:
         assert not model or store.resident_bytes() <= target
 
 
-def _hook(store, *locks):
-    """Install a pressure hook that records, per call, whether the
-    store's lock or any of ``locks`` was held; returns that record."""
+def _hook(store, probe=None):
+    """Install a pressure hook that records, per call, whether a lock
+    the step held kept another thread out of ``probe`` (default: the
+    store's :meth:`resident_bytes`); returns that record."""
     fired: list[bool] = []
+    probe = probe or store.resident_bytes
 
     def hook():
-        held = store._lock._is_owned() or any(lock.locked() for lock in locks)
-        fired.append(held)
+        if threading.current_thread().name == "probe":
+            return  # the probe's own growth step
+        prober = threading.Thread(target=probe, name="probe")
+        prober.start()
+        prober.join(timeout=2.0)
+        fired.append(prober.is_alive())
 
     store.pressure_hook = hook
     return fired
@@ -109,11 +117,12 @@ def test_ledger_matches_an_ordered_dict(capacity, operations):
         before = len(fired)
         _apply(store, model, op)
         assert fired[before:] == ([False] if op[0] in ("put", "grow") else []), op
-        assert store._resident_bytes == sum(store._sizes.values())
         assert store.resident_bytes() == sum(model.values())
         assert len(store) == len(model) <= capacity
         assert store.keys() == list(model)
-        assert dict(store._sizes) == dict(model)
+        assert {e["key"]: e["bytes"] for e in store.top_entries(capacity)} == {
+            str(key): nbytes for key, nbytes in model.items()
+        }
 
 
 def test_eviction_counters_split_churn_from_pressure():
@@ -159,8 +168,10 @@ def test_a_trace_merge_is_one_growth_step():
 class _StubArray:
     """The two things :meth:`ChunkCache.get_chunk` reads of an array."""
 
-    name = "stub"
     geometry = ChunkGeometry((16,), (8,))
+
+    def __init__(self, name="stub"):
+        self.name = name
 
     def _read_chunk_direct(self, chunk_no, counters=None):
         return DecodedChunk(
@@ -174,7 +185,9 @@ class _StubArray:
 def test_a_chunk_miss_fires_once_after_the_io_lock():
     array = _StubArray()
     cache = ChunkCache()
-    fired = _hook(cache, cache._io_lock)
+    # a miss of its own needs the store lock and then the I/O lock
+    fresh = (_StubArray(f"probe{n}") for n in itertools.count())
+    fired = _hook(cache, lambda: cache.get_chunk(next(fresh), 0))
     cache.get_chunk(array, 0)
     assert fired == [False]
     cache.get_chunk(array, 0)  # a hit

@@ -239,5 +239,5 @@ class TestTraceStoreRing:
         assert len(store) <= 16
         snapshot = store.counters.snapshot()
         assert snapshot["traces.stored"] == 200
-        with store._lock:
-            assert store._resident_bytes == sum(store._sizes.values())
+        entries = store.top_entries(len(store))
+        assert store.resident_bytes() == sum(e["bytes"] for e in entries)

@@ -21,8 +21,8 @@ CONFIG = SyntheticCubeConfig(
 )
 
 
-@pytest.fixture(scope="module")
-def loaded():
+def build_loaded():
+    """``(engine, schema, fact rows)``: the cube loaded in a fresh engine."""
     engine = OlapEngine(page_size=1024, pool_bytes=1024 * 1024)
     schema = cube_schema_for(CONFIG)
     fact_rows = generate_fact_rows(CONFIG)
@@ -34,6 +34,11 @@ def loaded():
         fact_btrees=True,
     )
     return engine, schema, fact_rows
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    return build_loaded()
 
 
 @pytest.fixture

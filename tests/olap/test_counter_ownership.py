@@ -47,7 +47,9 @@ def fresh():
 
 
 def non_empty_chunks(array):
-    return sum(1 for oid, _, n in array._entries() if oid != NO_CHUNK and n)
+    return sum(
+        1 for oid, _, n in array.chunk_directory().tolist() if oid != NO_CHUNK and n
+    )
 
 
 def rollup_query(**group_by):

@@ -9,6 +9,7 @@ and the simulator is deterministic.
 
 import pytest
 
+from repro.bench import query1_for, query2_for
 from repro.data import (
     SyntheticCubeConfig,
     cube_schema_for,
@@ -43,24 +44,6 @@ def engine():
     return engine
 
 
-def _q1():
-    return ConsolidationQuery.build(
-        CONFIG.name,
-        group_by={f"dim{d}": f"h{d}1" for d in range(CONFIG.ndim)},
-    )
-
-
-def _q2():
-    return ConsolidationQuery.build(
-        CONFIG.name,
-        group_by={f"dim{d}": f"h{d}1" for d in range(CONFIG.ndim)},
-        selections=[
-            SelectionPredicate.in_list(f"dim{d}", f"h{d}1", "AA1")
-            for d in range(CONFIG.ndim)
-        ],
-    )
-
-
 def _node(plan, op):
     matches = [n for n in plan.root.walk() if n.op == op]
     assert matches, f"plan has no {op!r} node"
@@ -71,8 +54,8 @@ class TestArrayExactness:
     def test_scan_actuals_equal_registry_deltas_of_the_same_query(
         self, engine
     ):
-        plan = engine.explain(_q1(), "array", analyze=True, cold=True)
-        reference = engine.query(_q1(), backend="array", cold=True)
+        plan = engine.explain(query1_for(CONFIG), "array", analyze=True, cold=True)
+        reference = engine.query(query1_for(CONFIG), backend="array", cold=True)
         scan = _node(plan, "array.scan_chunks")
         # actuals are the registry counter deltas over the scan span;
         # the reference run's merged stats are the same deltas for the
@@ -83,7 +66,7 @@ class TestArrayExactness:
         )
 
     def test_cold_estimates_are_exact(self, engine):
-        plan = engine.explain(_q1(), "array", analyze=True, cold=True)
+        plan = engine.explain(query1_for(CONFIG), "array", analyze=True, cold=True)
         scan = _node(plan, "array.scan_chunks")
         for name in ("chunks_read", "cells_scanned", "chunk_bytes_read",
                      "dir_loads"):
@@ -95,7 +78,7 @@ class TestArrayExactness:
         )
 
     def test_every_estimated_metric_gets_a_ratio(self, engine):
-        plan = engine.explain(_q2(), "array", analyze=True, cold=True)
+        plan = engine.explain(query2_for(CONFIG), "array", analyze=True, cold=True)
         estimated = [n for n in plan.root.walk() if n.estimates]
         assert estimated
         for node in estimated:
@@ -103,7 +86,7 @@ class TestArrayExactness:
             assert node.worst_misestimate() >= 1.0
 
     def test_selection_probe_estimates(self, engine):
-        plan = engine.explain(_q2(), "array", analyze=True, cold=True)
+        plan = engine.explain(query2_for(CONFIG), "array", analyze=True, cold=True)
         lookup = _node(plan, "array.btree_dimension_lookup")
         # one probe per in-list value, known exactly from the predicate
         assert lookup.estimates["btree_probes"] == CONFIG.ndim
@@ -157,7 +140,6 @@ class TestSelectionKernelEstimates:
 
     @pytest.mark.parametrize("which", ["one_dimension", "query2"])
     def test_probe_node_estimates_within_2x_of_actuals(self, small, which):
-        from repro.bench import query2_for
 
         engine, config = small
         query = (
@@ -178,7 +160,6 @@ class TestSelectionKernelEstimates:
             assert probe.estimates[name] == probe.actuals.get(name, 0), name
 
     def test_estimates_name_the_direction(self, small):
-        from repro.bench import query2_for
 
         engine, config = small
         filtered = _node(
@@ -195,14 +176,14 @@ class TestSelectionKernelEstimates:
 
 class TestPlanShape:
     def test_estimate_only_plan_has_no_actuals(self, engine):
-        plan = engine.explain(_q1(), "array")
+        plan = engine.explain(query1_for(CONFIG), "array")
         assert not plan.analyzed
         assert all(n.actuals is None for n in plan.root.walk())
         assert plan.worst_misestimate() is None
 
     def test_auto_resolution_matches_query_and_is_recorded(self, engine):
-        plan = engine.explain(_q2(), "auto")
-        result = engine.query(_q2(), backend="auto")
+        plan = engine.explain(query2_for(CONFIG), "auto")
+        result = engine.query(query2_for(CONFIG), backend="auto")
         assert plan.backend == result.backend
         assert plan.planner["requested"] == "auto"
         assert plan.planner["reason"]
@@ -211,9 +192,9 @@ class TestPlanShape:
     def test_fingerprint_keyed_by_requested_backend(self, engine):
         from repro.serve.fingerprint import query_fingerprint
 
-        plan = engine.explain(_q2(), "auto")
+        plan = engine.explain(query2_for(CONFIG), "auto")
         assert plan.fingerprint == query_fingerprint(
-            _q2(), "auto"
+            query2_for(CONFIG), "auto"
         )
 
     def test_unavailable_backend_raises_plan_error(self):
@@ -226,11 +207,11 @@ class TestPlanShape:
             backends=("array",),
         )
         with pytest.raises(PlanError, match="'bitmap' not available"):
-            engine.explain(_q2(), "bitmap")
+            engine.explain(query2_for(CONFIG), "bitmap")
 
     @pytest.mark.parametrize("backend", ("array", "starjoin", "bitmap"))
     def test_every_backend_produces_an_analyzable_plan(self, engine, backend):
-        query = _q1() if backend == "starjoin" else _q2()
+        query = query1_for(CONFIG) if backend == "starjoin" else query2_for(CONFIG)
         plan = engine.explain(query, backend, analyze=True)
         assert plan.analyzed
         assert plan.rows == len(engine.query(query, backend=backend).rows)
@@ -239,7 +220,7 @@ class TestPlanShape:
         assert plan.root.op == f"{backend}.query"
 
     def test_explain_takes_options(self, engine):
-        plan = engine.explain(_q1(), "array")
+        plan = engine.explain(query1_for(CONFIG), "array")
         assert plan.cube == CONFIG.name
         assert plan.backend == "array"
 
@@ -252,7 +233,7 @@ class TestMisestimateMetrics:
         ).count if (
             "engine.explain.misestimate_factor" in registry.histogram_names()
         ) else 0
-        engine.explain(_q1(), "array", analyze=True)
+        engine.explain(query1_for(CONFIG), "array", analyze=True)
         histogram = registry.histogram("engine.explain.misestimate_factor")
         assert histogram.count > before
         totals = registry.merged_snapshot()
@@ -260,6 +241,6 @@ class TestMisestimateMetrics:
         assert totals["explain.nodes_analyzed"] >= 1
 
     def test_counters_survive_cold_resets(self, engine):
-        engine.explain(_q1(), "array", analyze=True)
-        engine.query(_q1(), backend="array", cold=True)  # resets stats
+        engine.explain(query1_for(CONFIG), "array", analyze=True)
+        engine.query(query1_for(CONFIG), backend="array", cold=True)  # resets stats
         assert engine.db.metrics.merged_snapshot()["explain.analyzed"] >= 1

@@ -68,10 +68,10 @@ def engine_state(engine):
     return engine.db.table_names(), engine.db.index_names(), engine.db.fm.names()
 
 
-def load(engine, fact_rows, backends=("array", "relational")):
+def load(engine, fact_rows, backends=("array", "relational"), dimension_rows=None):
     return engine.load_cube(
         cube_schema_for(CONFIG),
-        generate_dimension_rows(CONFIG),
+        dimension_rows or generate_dimension_rows(CONFIG),
         fact_rows,
         chunk_shape=CONFIG.chunk_shape,
         backends=backends,
@@ -101,6 +101,21 @@ class TestEngineRejects:
         assert engine_state(engine) == before
         state = load(engine, GOOD)
         assert len(state.fact) == len(GOOD) and state.array.n_valid == len(GOOD)
+
+    @pytest.mark.parametrize(
+        "backends", [("array", "relational"), ("array",), ("relational",)]
+    )
+    def test_duplicate_dimension_keys_create_nothing(self, backends):
+        # parent: caught only inside the array's store, after the tables
+        # existed; the relational design alone took the second row's label
+        rows = generate_dimension_rows(CONFIG)
+        rows["dim0"] = rows["dim0"] + [rows["dim0"][0][:1] + rows["dim0"][1][1:]]
+        engine = OlapEngine(page_size=1024, pool_bytes=256 * 1024)
+        before = engine_state(engine)
+        with pytest.raises(DimensionError, match="duplicate keys"):
+            load(engine, GOOD, backends, rows)
+        assert engine_state(engine) == before
+        assert load(engine, GOOD, backends) is engine.cube(CONFIG.name)
 
     def test_unknown_key_without_the_array_design(self):
         # parent: a bare KeyError out of the bitmap's value generator

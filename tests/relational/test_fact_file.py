@@ -44,7 +44,7 @@ class TestFactFile:
         data = rows(500)  # 20-byte records on 1 KiB pages -> ~10 pages
         fact.append_many(data)
         assert list(fact.scan()) == data
-        assert fact._file.npages >= 9
+        assert fm.open("fact").npages >= 9
 
     def test_records_per_page_arithmetic(self, fm):
         fact = FactFile.create(fm, "fact", FACT_SCHEMA)
@@ -60,7 +60,7 @@ class TestFactFile:
         page = fm.pool.disk.page_size
         data_pages = -(-1000 // fact.records_per_page)
         # footprint = header + extent-rounded data pages, nothing per record
-        extent = fact._file.extent_pages
+        extent = fm.open("fact").extent_pages
         extents = -(-data_pages // extent)
         assert fact.size_bytes() == page * (1 + extents * extent)
 
@@ -286,8 +286,8 @@ class TestGetMany:
             data.draw(st.sets(st.integers(0, count - 1), max_size=count))
         )
         reads = []
-        original = fact._file.read
-        fact._file.read = lambda page_no: reads.append(page_no) or original(page_no)
+        original = pool.get
+        pool.get = lambda page_id: reads.append(page_id) or original(page_id)
         columns = fact.get_many(wanted)
         batched, reads[:] = list(reads), []
         gets = fact.counters.get("fact_tuple_gets")

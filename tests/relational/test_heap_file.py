@@ -27,7 +27,7 @@ class TestHeapFile:
         rows = [(i, "A", "B") for i in range(200)]
         table.insert_many(rows)
         assert list(table.scan()) == rows
-        assert table._file.npages > 1
+        assert fm.open("dim0").npages > 1
 
     def test_insert_many_counts(self, fm):
         table = HeapFile.create(fm, "dim0", DIM_SCHEMA)

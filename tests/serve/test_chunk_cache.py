@@ -19,7 +19,9 @@ def chunks_equal(a, b):
 
 @pytest.fixture
 def array(shared_engine):
-    return shared_engine.cube("served").array
+    array = shared_engine.cube("served").array
+    assert array.chunk_cache is None  # read_chunk is the uncached read
+    return array
 
 
 class TestBasics:
@@ -32,7 +34,7 @@ class TestBasics:
         first = cache.get_chunk(array, 0)
         second = cache.get_chunk(array, 0)
         assert second is first
-        assert chunks_equal(first, array._read_chunk_direct(0))
+        assert chunks_equal(first, array.read_chunk(0))
         snap = cache.counters.snapshot()
         assert snap["chunk_cache.misses"] == 1
         assert snap["chunk_cache.hits"] == 1
@@ -69,16 +71,20 @@ class TestRecords:
     def test_a_cached_record_is_split_before_it_is_shared(self, array):
         cache = ChunkCache()
         chunk = cache.get_chunk(array, first_stored_chunk(array))
-        # nothing is left to compute, so nothing writes it after insert
-        assert chunk._halves is not None and chunk._origin is not None
+        # nothing is left to compute, so nothing writes it after insert:
+        # its charge holds the halves before they are asked for
+        parts = (chunk.offsets, chunk.values)
+        assert chunk.nbytes == sum(p.nbytes for p in (*parts, *chunk.halves))
+        assert chunk._origin is not None
         for part in (chunk.offsets, chunk.values, *chunk.halves):
             assert part.flags.aligned
             with pytest.raises(ValueError):
                 part[0] = 0
 
     def test_an_uncached_record_splits_on_first_use(self, array):
-        chunk = array._read_chunk_direct(first_stored_chunk(array))
-        assert chunk._halves is None and chunk._origin is None
+        chunk = array.read_chunk(first_stored_chunk(array))
+        assert chunk.nbytes == chunk.offsets.nbytes + chunk.values.nbytes
+        assert chunk._origin is None
         halves = chunk.halves
         assert chunk.halves is halves
         assert chunk.origin == array.geometry.chunk_origin(chunk.no)
@@ -128,7 +134,7 @@ class TestConcurrency:
     def test_concurrent_readers_decode_each_chunk_once(self, array):
         cache = ChunkCache()
         n_chunks = min(4, array.geometry.n_chunks)
-        direct = [array._read_chunk_direct(n) for n in range(n_chunks)]
+        direct = [array.read_chunk(n) for n in range(n_chunks)]
 
         def reader(_):
             return [cache.get_chunk(array, n) for n in range(n_chunks)]

@@ -1,38 +1,18 @@
 """EXPLAIN through the serving layer: the plan cache, and the analyzed
 plan a slow miss leaves there."""
 
-from repro.bench import bench_settings, build_cube_engine
+from repro.bench import bench_settings, build_cube_engine, query1_for, query2_for
 from repro.obs.explain import PlanCache
 from repro.obs.tracing import new_trace_context, trace_context
-from repro.olap import ConsolidationQuery
-from repro.olap.query import SelectionPredicate
 from repro.serve import QueryService, ServiceConfig
 
 from tests.serve.conftest import CONFIG, fresh_engine
 
 
-def _q1():
-    return ConsolidationQuery.build(
-        CONFIG.name,
-        group_by={f"dim{d}": f"h{d}1" for d in range(CONFIG.ndim)},
-    )
-
-
-def _q2():
-    return ConsolidationQuery.build(
-        CONFIG.name,
-        group_by={f"dim{d}": f"h{d}1" for d in range(CONFIG.ndim)},
-        selections=[
-            SelectionPredicate.in_list(f"dim{d}", f"h{d}1", "AA1")
-            for d in range(CONFIG.ndim)
-        ],
-    )
-
-
 class TestServiceExplain:
     def test_explain_caches_payload_by_fingerprint(self):
         with QueryService(fresh_engine()) as service:
-            plan = service.explain(_q1(), "array")
+            plan = service.explain(query1_for(CONFIG), "array")
             cached = service.plans.get(plan.fingerprint)
             assert cached is not None
             assert cached["backend"] == "array"
@@ -42,7 +22,7 @@ class TestServiceExplain:
     def test_explain_analyze_through_service(self):
         with QueryService(fresh_engine()) as service:
             plan = service.explain(
-                _q1(), "array", analyze=True
+                query1_for(CONFIG), "array", analyze=True
             )
             assert plan.analyzed
             assert plan.rows > 0
@@ -58,7 +38,7 @@ class TestServiceExplain:
     def test_plan_cache_entries_gauge_exported(self):
         engine = fresh_engine()
         with QueryService(engine) as service:
-            service.explain(_q1())
+            service.explain(query1_for(CONFIG))
             gauges = engine.db.metrics.gauge_values()
             assert gauges["serve.plan_cache_entries"] == 1.0
 
@@ -83,7 +63,7 @@ class TestSlowMissPlans:
     def test_slow_miss_caches_analyzed_plan(self):
         config = ServiceConfig(slow_threshold_s=0.0)
         with QueryService(fresh_engine(), config) as service:
-            result, plan = _slow_miss_plan(service, _q2())
+            result, plan = _slow_miss_plan(service, query2_for(CONFIG))
         assert plan is not None
         assert plan["analyzed"] is True
         assert plan["backend"] == result.backend
@@ -93,16 +73,16 @@ class TestSlowMissPlans:
     def test_cache_hits_carry_no_plan(self):
         config = ServiceConfig(slow_threshold_s=0.0)
         with QueryService(fresh_engine(), config) as service:
-            service.execute(_q1())
+            service.execute(query1_for(CONFIG))
             service.plans.clear()
-            service.execute(_q1())  # result-cache hit
+            service.execute(query1_for(CONFIG))  # result-cache hit
             assert len(service.plans) == 0
             assert service.counters.get("serve.slow_queries") == 2
 
     def test_unprofiled_service_skips_plans_without_crashing(self):
         config = ServiceConfig(slow_threshold_s=0.0, profile_queries=False)
         with QueryService(fresh_engine(), config) as service:
-            service.execute(_q2())
+            service.execute(query2_for(CONFIG))
             assert len(service.plans) == 0
 
     def test_a_plan_whose_backend_did_not_run_is_not_kept(self):
@@ -123,7 +103,7 @@ class TestSlowMissPlans:
         engine.query = query_then_stale
         config = ServiceConfig(slow_threshold_s=0.0)
         with QueryService(engine, config) as service:
-            result = service.execute(_q2())
+            result = service.execute(query2_for(CONFIG))
             backends = [service.plans.peek(fp)["backend"] for fp in service.plans.keys()]
         assert result.backend == "bitmap"
         assert [b for b in backends if b != result.backend] == []
@@ -133,6 +113,6 @@ class TestRecordShape:
     def test_worst_misestimate_present_on_embedded_plan(self):
         config = ServiceConfig(slow_threshold_s=0.0)
         with QueryService(fresh_engine(), config) as service:
-            _, plan = _slow_miss_plan(service, _q2())
+            _, plan = _slow_miss_plan(service, query2_for(CONFIG))
         assert plan is not None
         assert plan.get("worst_misestimate", 1.0) >= 1.0

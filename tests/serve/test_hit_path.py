@@ -89,8 +89,9 @@ class TestAnsweredByTheCaller:
     def test_a_hit_counts_as_admitted_and_observes_its_latency(self, engine):
         with QueryService(engine) as service:
             service.execute(QUERY1)
-            latency = service._histograms["serve.query_latency_seconds"]
-            lookups = service._histograms["serve.cache_lookup_seconds"]
+            registry = engine.db.metrics
+            latency = registry.histogram("serve.query_latency_seconds")
+            lookups = registry.histogram("serve.cache_lookup_seconds")
             before = (latency.count, lookups.count)
             service.execute(QUERY1)
             assert (latency.count, lookups.count) == (before[0] + 1, before[1] + 1)
@@ -106,7 +107,7 @@ class TestSaturation:
             parked = []
             # the worker parks behind the engine lock, so the admitted
             # misses cannot finish
-            with service._engine_lock:
+            with service.engine_access(CONFIG.name):
                 parked.append(service.submit(QUERY2))
                 parked.append(service.submit(QUERY3))
                 assert service.in_flight == 2
@@ -139,7 +140,7 @@ class TestMisses:
         finds the first's answer on its double-check under the lock."""
         with QueryService(engine, ServiceConfig(max_workers=2)) as service:
             first_ctx, second_ctx = new_trace_context(), new_trace_context()
-            with service._engine_lock:
+            with service.engine_access(CONFIG.name):
                 with trace_context(first_ctx):
                     first = service.submit(QUERY1)
                 with trace_context(second_ctx):

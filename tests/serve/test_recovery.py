@@ -1,5 +1,7 @@
 """Recovery-aware serving: retries, degraded mode, recover_cube()."""
 
+import threading
+
 import pytest
 
 from repro.errors import (
@@ -18,11 +20,12 @@ from repro.storage.faults import FaultyDisk, FaultyWAL
 
 CUBE = "served"
 QUERY = ConsolidationQuery.build(CUBE, group_by={"x": "xk", "y": "yk"})
+DEGRADING = ConsolidationQuery.build(CUBE, group_by={"y": "yk"})
 
 # cold=True forces every engine miss back to the (faulty) disk; the
-# service's three retries sleep 1, 2 and 4 ms.  Fault plans are
-# thread-local, so fault-driven tests call ``service._execute`` on this
-# thread rather than going through the worker pool.
+# service's three retries sleep 1, 2 and 4 ms.  An installed fault plan
+# reaches the service's pool thread, so every miss here goes through
+# ``QueryService.execute``.
 FAST_RETRY = ServiceConfig(max_workers=2, cold=True)
 
 
@@ -56,13 +59,21 @@ def build_engine(tmp_path=None):
     return engine
 
 
+def degrade(service, query=DEGRADING):
+    """Exhaust one miss's retry budget, which degrades the cube."""
+    with fault_plan(FaultPlan(transient_read_errors=10_000)):
+        with pytest.raises(RetryExhaustedError):
+            service.execute(query, "array")
+    assert service.is_degraded(CUBE)
+
+
 class TestRetries:
     def test_transient_faults_are_retried_to_success(self):
         engine = build_engine()
         with QueryService(engine, FAST_RETRY) as service:
             plan = FaultPlan(transient_read_errors=2)
             with fault_plan(plan):
-                result = service._execute(QUERY, "array")
+                result = service.execute(QUERY, "array")
             assert result.rows
             stats = service.stats()
             assert stats["serve.transient_faults"] >= 1
@@ -72,11 +83,7 @@ class TestRetries:
     def test_retry_exhaustion_degrades_the_cube(self):
         engine = build_engine()
         with QueryService(engine, FAST_RETRY) as service:
-            plan = FaultPlan(transient_read_errors=10_000)
-            with fault_plan(plan):
-                with pytest.raises(RetryExhaustedError):
-                    service._execute(QUERY, "array")
-            assert service.is_degraded(CUBE)
+            degrade(service, QUERY)
             assert service.degraded_cubes() == [CUBE]
             assert service.stats()["serve.retries_exhausted"] == 1
 
@@ -93,13 +100,18 @@ class TestRetries:
             held_during_sleep = []
 
             def probing_sleep(_delay):
-                held_during_sleep.append(service._engine_lock._is_owned())
+                # another thread takes the engine only if the sleeper
+                # does not hold it
+                prober = threading.Thread(target=service.explain, args=(QUERY,))
+                prober.start()
+                prober.join(timeout=2.0)
+                held_during_sleep.append(prober.is_alive())
 
             monkeypatch.setattr(
                 "repro.serve.service.time.sleep", probing_sleep
             )
             with fault_plan(FaultPlan(transient_read_errors=2)):
-                result = service._execute(QUERY, "array")
+                result = service.execute(QUERY, "array")
             assert result.rows
             assert held_during_sleep  # the retry loop did back off
             assert not any(held_during_sleep)
@@ -110,7 +122,7 @@ class TestDegradedMode:
         engine = build_engine()
         service = QueryService(engine, FAST_RETRY)
         warm = service.execute(QUERY, "array")  # populate the cache
-        service._mark_degraded(CUBE)
+        degrade(service)
         return service, warm
 
     def test_cache_hits_still_served(self):
@@ -125,7 +137,7 @@ class TestDegradedMode:
         other = ConsolidationQuery.build(CUBE, group_by={"x": "xk"})
         with service:
             with pytest.raises(DegradedError):
-                service._execute(other, "array")
+                service.execute(other, "array")
             assert service.stats()["serve.degraded_rejections"] == 1
 
     def test_writes_rejected_while_degraded(self):
@@ -149,7 +161,7 @@ class TestRecoverCube:
     def test_recover_lifts_degradation(self):
         engine = build_engine()
         with QueryService(engine, FAST_RETRY) as service:
-            service._mark_degraded(CUBE)
+            degrade(service)
             service.recover_cube(CUBE)
             assert not service.is_degraded(CUBE)
             assert service.execute(QUERY, "array").rows
@@ -162,8 +174,8 @@ class TestRecoverCube:
             before = sorted(
                 service.execute(QUERY, "array").rows
             )
-            # a permanent fault degrades the cube...
-            service._mark_degraded(CUBE)
+            # an exhausted retry budget degrades the cube...
+            degrade(service)
             # ...recovery drops every frame and replays the WAL
             replayed = service.recover_cube(CUBE)
             assert replayed > 0
@@ -175,7 +187,7 @@ class TestRecoverCube:
         engine = build_engine()
         with QueryService(engine, FAST_RETRY) as service:
             service.write_cell(CUBE, (5, 3), (777,))
-            service._mark_degraded(CUBE)
+            degrade(service)
             assert service.recover_cube(CUBE) == 0
             rows = sorted(service.execute(QUERY, "array").rows)
             assert (5, 3, 777) in rows
@@ -196,7 +208,7 @@ class TestEndToEndFaultStory:
             healthy = service.execute(QUERY, "array")
             with fault_plan(FaultPlan(transient_read_errors=10_000)):
                 with pytest.raises(RetryExhaustedError):
-                    service._execute(other, "array")
+                    service.execute(other, "array")
                 # degraded, but the cached query still answers
                 hit = service.execute(QUERY, "array")
                 assert sorted(hit.rows) == sorted(healthy.rows)

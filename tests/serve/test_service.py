@@ -71,14 +71,11 @@ class TestAdmission:
         try:
             # park the worker behind the engine lock so the admitted
             # query cannot finish
-            service._engine_lock.acquire()
-            try:
+            with service.engine_access(CONFIG.name):
                 future = service.submit(QUERY1)
                 with pytest.raises(AdmissionError):
                     service.submit(QUERY2)
                 assert service.in_flight == 1
-            finally:
-                service._engine_lock.release()
             assert future.result().rows
             stats = service.stats()
             assert stats["serve.rejected"] == 1

@@ -116,7 +116,9 @@ class TestQueryRecord:
 
     def test_latency_exemplar_names_a_resident_trace(self, service):
         service.execute(QUERY)
-        histogram = service._histograms["serve.query_latency_seconds"]
+        histogram = service.engine.db.metrics.histogram(
+            "serve.query_latency_seconds"
+        )
         exemplars = [e for e in histogram.exemplars() if e is not None]
         assert exemplars
         trace_id, value = exemplars[0]

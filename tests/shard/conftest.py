@@ -1,4 +1,4 @@
-"""Shared synthetic cube for the shard-execution tests.
+"""Shared synthetic cube for the shard-execution tests: the OLAP tests'.
 
 The cube has 8 chunks (8x6x10 cells in 4x3x5 chunks -> a 2x2x2 chunk
 grid), deliberately *not* divisible by every shard count the oracle
@@ -8,46 +8,11 @@ exercised.
 
 import pytest
 
-from repro.data import (
-    SyntheticCubeConfig,
-    cube_schema_for,
-    generate_dimension_rows,
-    generate_fact_rows,
-)
-from repro.olap import OlapEngine
-
-CONFIG = SyntheticCubeConfig(
-    name="cube",
-    dim_sizes=(8, 6, 10),
-    n_valid=200,
-    chunk_shape=(4, 3, 5),
-    fanout1=3,
-    fanout2=2,
-    seed=7,
-)
+from tests.olap.conftest import CONFIG, build_loaded, engine, fact_rows  # noqa: F401
 
 
 @pytest.fixture(scope="package")
 def loaded():
-    engine = OlapEngine(page_size=1024, pool_bytes=1024 * 1024)
-    schema = cube_schema_for(CONFIG)
-    fact_rows = generate_fact_rows(CONFIG)
-    engine.load_cube(
-        schema,
-        generate_dimension_rows(CONFIG),
-        fact_rows,
-        chunk_shape=CONFIG.chunk_shape,
-        fact_btrees=True,
-    )
-    yield engine, schema, fact_rows
-    engine.close_shards()
-
-
-@pytest.fixture
-def engine(loaded):
-    return loaded[0]
-
-
-@pytest.fixture
-def fact_rows(loaded):
-    return loaded[2]
+    state = build_loaded()
+    yield state
+    state[0].close_shards()

@@ -36,7 +36,9 @@ def billed(result):
 
 def stored(array):
     """What a full scan fetches, read off the chunk directory."""
-    entries = [e for e in array._entries() if e[0] != NO_CHUNK and e[2]]
+    entries = [
+        e for e in array.chunk_directory().tolist() if e[0] != NO_CHUNK and e[2]
+    ]
     return {
         "chunks_read": len(entries),
         "chunk_bytes_read": sum(length for _, length, _ in entries),

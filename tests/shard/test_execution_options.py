@@ -8,11 +8,11 @@ way into :mod:`repro.shard`, and ``query`` checks them itself.
 
 import dataclasses
 import inspect
-import sys
 import warnings
 
 import pytest
 
+from repro.core.consolidate import ResultAccumulator
 from repro.errors import QueryError
 from repro.olap import ConsolidationQuery, OlapEngine
 from repro.serve import QueryService, ServiceConfig, query_fingerprint
@@ -105,13 +105,12 @@ class TestMomentsRunTheKernel:
     def test_every_route_agrees_with_the_relational_fold(
         self, engine, aggregate, monkeypatch
     ):
-        # the module, not the function of the same name repro.core exports
-        kernels = sys.modules["repro.core.consolidate"]
-
         def refuse(*args):
             raise AssertionError("a query ran the per-cell reference kernel")
 
-        monkeypatch.setattr(kernels, "_scan_interpreted", refuse)
+        # the per-cell loops' one input: the kernel every query runs
+        # composes tables instead
+        monkeypatch.setattr(ResultAccumulator, "mapping_lists", refuse)
         moments = ConsolidationQuery.build(
             "cube", group_by={"dim0": "h01", "dim1": "h11"}, aggregate=aggregate
         )

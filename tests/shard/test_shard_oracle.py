@@ -120,8 +120,8 @@ class TestOracleMatrix:
     def test_remainder_assignment_covers_every_chunk(self, engine):
         # 8 chunks over 7 shards: one shard gets the remainder, none
         # may be dropped or double-counted
-        state = engine._cubes["cube"]
-        n_chunks = len(state.array._entries())
+        state = engine.cube("cube")
+        n_chunks = len(state.array.chunk_directory())
         assert n_chunks % 7 != 0
         plan = plan_shards(state.array, 7)
         covered = sorted(

@@ -11,7 +11,7 @@ from repro.errors import (
     CompressionError,
     FileError,
     ReproError,
-    WALError,
+    SimulatedCrash,
 )
 from repro.index import BTree
 from repro.storage import (
@@ -21,6 +21,7 @@ from repro.storage import (
     SimulatedDisk,
     WriteAheadLog,
 )
+from repro.storage.faults import FaultPlan, FaultyWAL, fault_plan
 
 
 def make_stack(page_size=512, frames=128):
@@ -67,12 +68,19 @@ class TestCorruptPages:
 
 
 class TestCorruptWAL:
-    def test_truncated_log_detected(self):
-        wal = WriteAheadLog()
+    def test_truncated_log_detected(self, tmp_path):
+        wal = FaultyWAL(str(tmp_path))
         wal.log_page(1, b"x" * 40)
-        wal._buffer = wal._buffer[:-7]
-        with pytest.raises(WALError):
-            wal.records()
+        wal.log_commit()
+        with fault_plan(FaultPlan(crash_at="wal.torn_sync")):
+            wal.log_page(2, b"y" * 40)
+            with pytest.raises(SimulatedCrash):
+                wal.log_commit()
+        again = WriteAheadLog.open(str(tmp_path))
+        assert again.torn_tail_detected
+        # the torn commit's transaction is gone, the committed one kept
+        assert [r.page_id for r in again.records()] == [1, 0]
+        again.close()
 
 
 class TestBTreeValidation:
@@ -81,9 +89,12 @@ class TestBTreeValidation:
         tree = BTree.create(fm, "idx")
         for i in range(50):
             tree.insert(i, i)
-        tree._count = 999  # simulate a torn metadata write
+        stale = fm.open("idx").get_meta()
+        tree.insert(50, 50)
+        # the insert's metadata write is lost: the count is one behind
+        fm.open("idx").set_meta(stale)
         with pytest.raises(BTreeError):
-            tree.validate()
+            BTree.open(fm, "idx").validate()
 
 
 class TestErrorHierarchy:

@@ -1,5 +1,6 @@
 """Tests for the slot-directory page layout."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -45,6 +46,7 @@ class TestBasics:
         page.insert(b"c")
         page.delete(doomed)
         assert [(s, r) for s, r in page.records()] == [(0, b"a"), (2, b"c")]
+        assert page.fixed_records(np.dtype("S1")).tolist() == [b"a", b"c"]
 
     def test_get_deleted_raises(self):
         page = fresh_page()

@@ -37,11 +37,9 @@ class TestLog:
             LogRecord.decode(b"\x00\x01", 0)
 
     def test_decode_rejects_truncated_payload(self):
-        wal = WriteAheadLog()
-        wal.log_page(1, b"abcdef")
-        raw = wal._buffer[:-2]
+        raw = LogRecord(0, _KIND_PAGE, 1, b"abcdef").encode()[:-2]
         with pytest.raises(WALError):
-            LogRecord.decode(bytes(raw), 0)
+            LogRecord.decode(raw, 0)
 
 
 class TestRecovery:
@@ -307,12 +305,19 @@ class TestFileBackedLog:
         again.close()
 
     def test_corrupt_mid_log_record_still_raises(self, tmp_path):
-        wal = WriteAheadLog.open(self.waldir(tmp_path))
+        waldir = self.waldir(tmp_path)
+        wal = WriteAheadLog.open(waldir)
         wal.log_page(0, b"abcdef")
         wal.log_commit()
-        wal._buffer[5] ^= 0xFF  # flip a byte mid-record
+        wal.close()
+        segment = os.path.join(waldir, sorted(os.listdir(waldir))[-1])
+        with open(segment, "r+b") as handle:
+            handle.seek(8 + 5)  # magic, then a byte of record 0's header
+            byte = handle.read(1)
+            handle.seek(-1, os.SEEK_CUR)
+            handle.write(bytes([byte[0] ^ 0xFF]))
         with pytest.raises(WALError):
-            wal.records()
+            WriteAheadLog.open(waldir)
 
     def test_checkpoint_saves_image_and_truncates(self, tmp_path):
         waldir = self.waldir(tmp_path)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
@@ -37,14 +39,9 @@ class TestParser:
             assert any(m.startswith(experiment) for m in modules), experiment
 
     def test_the_subcommands_are_exactly_these(self):
-        import argparse
-
-        (commands,) = [
-            action
-            for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
-        assert list(commands.choices) == (
+        # the usage line lists the subcommands as one ``{a,b,...}`` choice
+        (commands,) = re.findall(r"\{([^}]*)\}", build_parser().format_usage())
+        assert commands.split(",") == (
             "info demo trace explain sql storage bench serve mem "
             "api-serve faultcheck"
         ).split()
