@@ -37,7 +37,7 @@ query = (
 
 # -- 1. repeated queries hit the result cache -------------------------------
 
-service = QueryService(engine, ServiceConfig(max_workers=4, max_in_flight=16))
+service = QueryService(engine, ServiceConfig(max_workers=8))
 cold = service.execute(query)
 warm = service.execute(query)
 print(f"cold miss : backend={cold.backend}  cost={cold.cost_s * 1e3:.2f} ms")

@@ -300,7 +300,8 @@ def run_concurrent(
     """``n_threads`` clients each issue every query ``rounds`` times.
 
     All clients share one :class:`~repro.serve.service.QueryService`
-    sized so no request is rejected; client-side wall latency is
+    admitting ``n_threads`` misses, one per client, so no request is
+    rejected; client-side wall latency is
     recorded per call.  The report carries cache-hit rate and p50/p95
     latency — the serving-mode numbers next to the cold cost tables.
 
@@ -315,11 +316,7 @@ def run_concurrent(
     from repro.serve import QueryService, ServiceConfig
 
     if service is None:
-        config = ServiceConfig(
-            max_workers=n_threads,
-            max_in_flight=2 * n_threads * max(1, len(queries)),
-        )
-        scope = QueryService(engine, config)
+        scope = QueryService(engine, ServiceConfig(max_workers=n_threads))
     else:
         scope = nullcontext(service)
     latencies: list[float] = []

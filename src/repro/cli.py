@@ -331,7 +331,6 @@ def cmd_serve(args) -> int:
                 LogicalModel(cubes=()),
                 args.metrics_port,
                 max_workers=args.threads,
-                max_in_flight=2 * args.threads * len(queries),
                 slow_threshold_s=args.slow_threshold,
             )
         with scope as (service, server):
@@ -428,11 +427,7 @@ def cmd_mem(args) -> int:
         engine = build_cube_engine(config, settings, wal_dir=wal_dir)
         with QueryService(
             engine,
-            ServiceConfig(
-                max_workers=args.threads,
-                max_in_flight=4 * args.threads * len(queries),
-                slow_threshold_s=0.0,
-            ),
+            ServiceConfig(slow_threshold_s=0.0),
         ) as service:
             for _ in range(args.rounds):
                 for query in queries:
@@ -456,9 +451,7 @@ def cmd_api_serve(args) -> int:
     )
     with tempfile.TemporaryDirectory(prefix="repro-api-") as wal_dir:
         engine = build_cube_engine(config, settings, wal_dir=wal_dir)
-        with _serving(
-            engine, model, args.port, max_workers=args.threads
-        ) as (_, server):
+        with _serving(engine, model, args.port) as (_, server):
             print(
                 f"serving {server.url} (see / for the routes)"
                 + (f" for {args.duration:.0f}s" if args.duration else "")
@@ -615,7 +608,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve", help="run a concurrent workload through the QueryService"
     )
-    serve.add_argument("--threads", type=int, default=8)
+    serve.add_argument(
+        "--threads",
+        type=int,
+        default=8,
+        help="client threads, each with at most one query in flight; "
+        "also the service's max_workers (default 8)",
+    )
     serve.add_argument("--rounds", type=int, default=2)
     serve.add_argument(
         "--metrics-port",
@@ -664,7 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     mem.add_argument(
         "--json", action="store_true", help="print the raw payload"
     )
-    mem.add_argument("--threads", type=int, default=2)
     mem.add_argument("--rounds", type=int, default=1)
     _add_scale_argument(mem)
     mem.set_defaults(run=cmd_mem)
@@ -674,7 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="standalone HTTP query API over a synthetic cube",
     )
     api_serve.add_argument("--port", type=int, default=8800)
-    api_serve.add_argument("--threads", type=int, default=4)
     api_serve.add_argument(
         "--model", default="benchmarks/api_model.json", metavar="FILE"
     )

@@ -493,17 +493,29 @@ class OLAPArray:
 
         ``ranges`` is as in :meth:`sum_region` (``None`` = whole array).
         The "expected value" style statistics §2.1 mentions, computed
-        inside the ADT.
+        inside the ADT.  An integer measure folds in Python integers: its
+        ``sum`` is exact, and ``mean`` and (population) ``var`` are each
+        rounded once from the exact moments.
         """
         if ranges is None:
             ranges = [None] * self.geometry.ndim
-        values = self._region_values(ranges).astype(np.float64)
+        values = self._region_values(ranges)
+        exact = np.issubdtype(values.dtype, np.integer)
         out: dict[str, dict[str, float]] = {}
         for m, name in enumerate(self.measure_names):
             column = values[:, m]
             count = int(column.size)
             stats = {"count": count}
-            if count:
+            if count and exact:
+                xs = column.tolist()
+                total = sum(xs)
+                squares = sum(x * x for x in xs)
+                # int / int is correctly rounded
+                stats["sum"] = total
+                stats["mean"] = total / count
+                stats["var"] = (count * squares - total * total) / (count * count)
+            elif count:
+                column = column.astype(np.float64)
                 stats["sum"] = float(column.sum())
                 stats["mean"] = float(column.mean())
                 stats["var"] = float(column.var())

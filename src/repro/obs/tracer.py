@@ -169,8 +169,7 @@ class Tracer:
 
     The span stack is per-thread: a span opened on a worker thread
     nests under that thread's innermost span, or starts a new root tree
-    (the serving layer and thread-backed partitioned consolidation rely
-    on this).  Counter deltas on concurrently open spans overlap — each
+    (thread-backed partitioned consolidation relies on this).  Counter deltas on concurrently open spans overlap — each
     span reports the registry delta over its own lifetime, whoever did
     the work.
     """
@@ -232,8 +231,9 @@ class thread_tracing:
             engine.query(...)
         tracer.roots[0]
 
-    The serving layer's worker threads each capture their own query's
-    span tree this way.  Inside the block, this thread's
+    The serving layer captures each miss's span tree this way, on the
+    caller's thread, in place of any tracer the caller installed.
+    Inside the block, this thread's
     :func:`get_tracer` returns ``tracer``; other threads are unaffected.
     """
 

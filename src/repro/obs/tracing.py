@@ -8,9 +8,9 @@ one identity shared by every layer a request passes through:
 - :class:`TraceContext` is the propagated identity: a 128-bit
   ``trace_id`` and the entry point that minted it.  Contexts are
   minted at every entry point (an API request,
-  ``QueryService.submit``, a CLI run) and carried across threads
-  explicitly (capture at submit, install in the worker via
-  :class:`trace_context`).
+  ``QueryService.execute``, a CLI run) and installed on the thread
+  that runs the request with :class:`trace_context`; a thread hop
+  carries it explicitly (capture, then install in the worker).
 - :class:`TraceStore` is the flight recorder, each request's one
   record: a bounded, thread-safe ring keyed by trace_id.  Every trace
   is stored; slow and errored ones are evicted only after every fast
@@ -90,8 +90,8 @@ def current_trace_context() -> TraceContext | None:
 class trace_context:
     """Install a :class:`TraceContext` on this thread for a ``with`` block.
 
-    Mirrors :class:`~repro.obs.tracer.thread_tracing`: the serving
-    pool's worker threads install the submitting request's context so
+    Mirrors :class:`~repro.obs.tracer.thread_tracing`: a request's
+    handler (or the service, minting one) installs its context so
     everything below (service, engine) can read it without threading a
     parameter through every signature.
     """

@@ -8,12 +8,12 @@ service layers concurrency *around* it:
   by default); :class:`ServiceConfig` holds only serving knobs, no
   execution defaults;
 - a :class:`~repro.serve.result_cache.ResultCache` serves repeated
-  queries without touching the engine at all: a hit is answered on the
-  thread that calls :meth:`~QueryService.submit` /
-  :meth:`~QueryService.execute`, with no pool hop, no in-flight slot
-  and no registry snapshot — cache hits are the concurrency win;
-- a thread pool runs the misses, which serialize behind one engine
-  lock; admission control rejects misses beyond ``max_in_flight`` with
+  queries without touching the engine at all: a hit takes no in-flight
+  slot, no engine lock and no registry snapshot — cache hits are the
+  concurrency win;
+- every query runs on the thread that calls :meth:`~QueryService.execute`;
+  misses serialize behind one engine lock, and admission control
+  rejects a miss beyond ``max_workers`` admitted ones with
   :class:`~repro.errors.AdmissionError` (backpressure, not unbounded
   queueing), so a saturated service still answers cached queries;
 - a :class:`~repro.serve.chunk_cache.ChunkCache` is attached to every
@@ -38,7 +38,7 @@ gauges.
 Every cache, the trace store and the engine's one grain store register
 with the service's :class:`~repro.obs.memory.MemoryAccountant`, which
 checks ``memory_budget_bytes`` each time one of them grows; the service
-runs no background thread besides the query pool.
+starts no thread of its own.
 
 A query a declared grain covers (:mod:`repro.olap.grains`) is a query
 like any other: admitted, cached, degraded-checked and traced, its
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -71,7 +70,7 @@ from repro.errors import (
 from repro.obs.explain import PlanCache, QueryPlan
 from repro.obs.memory import MemoryAccountant
 from repro.obs.exporters import span_to_dict
-from repro.obs.tracer import Span, Tracer, get_tracer, thread_tracing
+from repro.obs.tracer import NULL_TRACER, Span, Tracer, get_tracer, thread_tracing
 from repro.obs.tracing import (
     TraceContext,
     TraceStore,
@@ -97,12 +96,10 @@ RETRY_BASE_S = 0.001
 class ServiceConfig:
     """Tuning knobs for one :class:`QueryService`."""
 
-    #: worker threads executing admitted misses
-    max_workers: int = 4
-    #: admitted-but-unfinished misses beyond which :meth:`submit`
-    #: rejects a miss with :class:`AdmissionError` (queued + running);
-    #: a result-cache hit takes no slot
-    max_in_flight: int = 16
+    #: misses admitted at once: one runs, the rest wait for the engine
+    #: lock, and one more is rejected with :class:`AdmissionError`; a
+    #: result-cache hit takes no slot
+    max_workers: int = 16
     #: run engine misses cold (paper methodology) instead of warm
     cold: bool = False
     #: end-to-end latency at which a query counts as slow: the trace
@@ -110,7 +107,7 @@ class ServiceConfig:
     #: engine miss leaves its analyzed plan in the plan cache
     slow_threshold_s: float = 0.25
     #: record each query's span tree in its trace: an engine miss runs
-    #: under a per-thread tracer, whose per-span registry snapshots fall
+    #: under a tracer of its own, whose per-span registry snapshots fall
     #: on misses only; a hit's one ``serve_query`` span is built from
     #: its lookup's timing.  Disable to shave those snapshots off the
     #: miss path (traces then carry no span tree and slow misses no
@@ -128,8 +125,8 @@ class ServiceConfig:
 class QueryService:
     """Concurrent, cached query execution over one :class:`OlapEngine`.
 
-    Use as a context manager or call :meth:`close` to release the
-    thread pool and detach the write listener.  Mutations must go
+    Use as a context manager or call :meth:`close` to detach the write
+    listener and the metrics.  Mutations must go
     through the service's write methods — direct engine writes while
     queries are in flight would trip the engine's non-blocking lock
     manager (the service serializes engine access for both).
@@ -145,13 +142,11 @@ class QueryService:
         self.traces = TraceStore(slow_threshold_s=self.config.slow_threshold_s)
         self._engine_lock = threading.RLock()
         self._admission_lock = threading.Lock()
+        #: notified when the last admitted miss finishes (see close)
+        self._drained = threading.Condition(self._admission_lock)
         self._in_flight = 0
         self._closed = False
         self._degraded: set[str] = set()  # guarded by _admission_lock
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.max_workers,
-            thread_name_prefix="repro-serve",
-        )
         engine.add_write_listener(self._on_write)
         for name in list(engine._cubes):
             self._attach_chunk_cache(name)
@@ -237,7 +232,7 @@ class QueryService:
 
     @property
     def in_flight(self) -> int:
-        """Admitted misses not yet finished (queued + running)."""
+        """Admitted misses not yet finished (waiting + running)."""
         return self._in_flight
 
     # -- cache plumbing ----------------------------------------------------
@@ -265,31 +260,36 @@ class QueryService:
 
     # -- query path --------------------------------------------------------
 
-    def submit(
+    def execute(
         self,
         query: ConsolidationQuery,
         backend: str = "auto",
-    ) -> "Future[QueryResult]":
-        """Answer a cached query here; admit a miss onto the pool.
+    ) -> QueryResult:
+        """Answer one query on the calling thread.
 
-        The calling thread probes the result cache once: a hit returns
-        an already-completed future, taking no pool thread and no
-        in-flight slot.  Raises :class:`AdmissionError` when the service
-        is closed, or when a miss finds ``max_in_flight`` misses
-        already admitted.
+        The caller probes the result cache once: a hit takes no
+        in-flight slot.  A miss takes one and runs here.  Raises
+        :class:`AdmissionError` when the service is closed, or when a
+        miss finds ``max_workers`` misses already admitted.
         """
+        # the trace identity is the caller's: whatever it has installed
+        # (API handler, CLI, ``with trace_context(...)``), else a fresh
+        # service-minted root installed for this query, so the engine's
+        # spans carry it too
+        trace = current_trace_context()
+        if trace is not None:
+            return self._answer(query, backend, trace)
+        trace = new_trace_context(origin="service")
+        with trace_context(trace):
+            return self._answer(query, backend, trace)
+
+    def _answer(self, query, backend: str, trace: TraceContext) -> QueryResult:
         # close() sets the flag under the admission lock and nothing
         # clears it; a close racing the probe is caught by the miss's
         # admission check below
         if self._closed:
             raise AdmissionError("service is closed")
         start = time.perf_counter()
-        # the trace identity is the caller's: whatever it has installed
-        # (API handler, CLI, ``with trace_context(...)``), else a fresh
-        # service-minted root; a miss carries it across the pool hop
-        trace = current_trace_context()
-        if trace is None:
-            trace = new_trace_context(origin="service")
         fingerprint = query_fingerprint(query, backend)
         cube = query.cube
         with Timer() as timer:
@@ -298,8 +298,6 @@ class QueryService:
             )
         self._histograms["serve.cache_lookup_seconds"].observe(timer.elapsed)
         if cached is not None:
-            # the hit's trace merges into the caller's record (an API
-            # request's, say) from this thread: nothing crosses the pool
             self.counters.add("serve.admitted")
             result, span = self._hit(query, cached, timer)
             latency = time.perf_counter() - start
@@ -309,78 +307,58 @@ class QueryService:
             self._histograms["serve.query_latency_seconds"].observe(
                 latency, trace_id=trace.trace_id
             )
-            future: Future[QueryResult] = Future()
-            future.set_result(result)
-            return future
+            return result
         with self._admission_lock:
             if self._closed:
                 raise AdmissionError("service is closed")
-            if self._in_flight >= self.config.max_in_flight:
+            if self._in_flight >= self.config.max_workers:
                 self.counters.add("serve.rejected")
                 raise AdmissionError(
                     f"{self._in_flight} queries in flight (limit "
-                    f"{self.config.max_in_flight})"
+                    f"{self.config.max_workers})"
                 )
             self._in_flight += 1
             depth = self._in_flight
         self.counters.add("serve.admitted")
         self._histograms["serve.admission_depth"].observe(float(depth))
-        return self._pool.submit(
-            self._run,
-            query,
-            backend,
-            fingerprint,
-            trace,
-            time.perf_counter(),
-        )
-
-    def execute(
-        self,
-        query: ConsolidationQuery,
-        backend: str = "auto",
-    ) -> QueryResult:
-        """Admit one query and wait for its result."""
-        return self.submit(query, backend).result()
-
-    def _run(
-        self, query, backend: str, fingerprint, trace: TraceContext, admitted_s
-    ) -> QueryResult:
-        start = time.perf_counter()
-        self._histograms["serve.queue_wait_seconds"].observe(
-            start - admitted_s
-        )
-        tracer: Tracer | None = None
-        status = "ok"
         try:
-            with trace_context(trace):
-                try:
-                    if self.config.profile_queries:
-                        tracer = Tracer(registry=self.engine.db.metrics)
-                        with thread_tracing(tracer):
-                            result = self._execute(query, backend, fingerprint)
-                    else:
-                        result = self._execute(query, backend, fingerprint)
-                except Exception as exc:
-                    status = type(exc).__name__
-                    raise
-                finally:
-                    latency = time.perf_counter() - start
-                    roots = (
-                        [span_to_dict(root) for root in tracer.roots]
-                        if tracer is not None
-                        else None
-                    )
-                    self._record_trace(
-                        trace, query, fingerprint, status, latency, roots
-                    )
-            self._note_latency(latency, fingerprint, result, tracer)
-            return result
+            return self._run(query, backend, fingerprint, trace)
         finally:
-            self._histograms["serve.query_latency_seconds"].observe(
-                time.perf_counter() - start, trace_id=trace.trace_id
-            )
             with self._admission_lock:
                 self._in_flight -= 1
+                self._drained.notify_all()
+
+    def _run(
+        self, query, backend: str, fingerprint, trace: TraceContext
+    ) -> QueryResult:
+        """One admitted miss under the service's own tracer (never the
+        caller's): a registry-bound one when profiling, else none."""
+        start = time.perf_counter()
+        tracer = (
+            Tracer(registry=self.engine.db.metrics)
+            if self.config.profile_queries
+            else None
+        )
+        status = "ok"
+        try:
+            with thread_tracing(tracer or NULL_TRACER):
+                result = self._execute(query, backend, fingerprint)
+        except Exception as exc:
+            status = type(exc).__name__
+            raise
+        finally:
+            latency = time.perf_counter() - start
+            roots = (
+                [span_to_dict(root) for root in tracer.roots]
+                if tracer is not None
+                else None
+            )
+            self._record_trace(trace, query, fingerprint, status, latency, roots)
+            self._histograms["serve.query_latency_seconds"].observe(
+                latency, trace_id=trace.trace_id
+            )
+        self._note_latency(latency, fingerprint, result, tracer)
+        return result
 
     def _record_trace(
         self, trace, query, fingerprint, status, latency_s, roots
@@ -456,7 +434,7 @@ class QueryService:
         cube = query.cube
         self._check_degraded(cube)
         # each retry attempt takes the engine lock by itself, so backoff
-        # sleeps never stall other cubes' queued queries
+        # sleeps never stall other cubes' waiting misses
         return self._with_retries(
             cube,
             lambda: self._execute_miss(query, backend, fingerprint),
@@ -466,8 +444,12 @@ class QueryService:
         """One serialized attempt at an engine miss (runs under retry)."""
         cube = query.cube
         tracer = get_tracer()
+        waited = time.perf_counter()
         with self._engine_lock:
-            # double-check: another worker may have computed it while
+            self._histograms["serve.queue_wait_seconds"].observe(
+                time.perf_counter() - waited
+            )
+            # double-check: another miss may have computed it while
             # this one waited for the engine (or slept between attempts)
             with Timer() as timer:
                 generation = self.engine.cube_generation(cube)
@@ -641,13 +623,14 @@ class QueryService:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def close(self, wait: bool = True) -> None:
-        """Stop admitting, drain the pool, detach listener and metrics."""
+    def close(self) -> None:
+        """Stop admitting, wait for the admitted misses, detach the
+        listener, caches and metrics."""
         with self._admission_lock:
             if self._closed:
                 return
             self._closed = True
-        self._pool.shutdown(wait=wait)
+            self._drained.wait_for(lambda: not self._in_flight)
         self.memory.close()
         try:
             self.engine.remove_write_listener(self._on_write)

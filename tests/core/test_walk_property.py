@@ -9,10 +9,13 @@ arrays, size-1 axes, ragged edge chunks, chunk shape == shape):
   empty_chunks_skipped + chunks_read == len(range)`` cold;
 - ``sum_region``, ``measure_stats``, ``correlation``, ``slice_dim`` and
   ``compute_cube`` equal a numpy fold over the dense cell table (int64
-  measures range past 2**53, so a float64 detour in a sum would show).
+  measures range past 2**53, so a float64 detour in a sum would show);
+  an int64 measure's ``measure_stats`` equal exact Python-int and
+  :class:`~fractions.Fraction` references, each statistic rounded once.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConsolidationSpec, compute_cube
+from repro.core.builder import DimensionData
 from repro.util.stats import Counters
 
 from .test_offset_kernel_property import build, cases
@@ -102,6 +106,48 @@ def test_walk_yields_the_brute_force_chunks(case, data):
     assert array.counters.get("chunks_read") == 0
 
 
+def exact_stats(values):
+    """count/sum/mean/var of Python ints: the sum exact, mean and
+    (population) variance exact fractions rounded once to a float."""
+    count, total = len(values), sum(values)
+    mean = Fraction(total, count)
+    var = sum((value - mean) ** 2 for value in values) / count
+    return {"count": count, "sum": total, "mean": float(mean), "var": float(var)}
+
+
+def int64_case(values):
+    """A 1-D int64 array holding ``values`` in consecutive cells."""
+    keys = list(range(len(values)))
+    return {
+        "chunk_shape": (2,),
+        "dtype": "int64",
+        "facts": list(zip(keys, values)),
+        "dimensions": [DimensionData("dim0", keys, {"h1": ["L"] * len(keys)})],
+    }
+
+
+#: Hypothesis's falsifying sum: near 2**55, where float64 keeps every
+#: fourth integer, the first value rounds by one unit before the cancel
+CANCELLING_PAIR = [36_028_797_002_966_731, -36_028_797_006_966_576]
+
+
+def test_an_int64_region_sum_is_exact():
+    array = build(int64_case(CANCELLING_PAIR))
+    stats = array.measure_stats()["m0"]
+    assert stats["sum"] == -3_999_845
+    assert stats == exact_stats(CANCELLING_PAIR)
+
+
+def test_an_int64_region_mean_is_the_exact_mean_rounded_once():
+    # seven cells whose exact sum is -4 000 000: the float64 fold reads
+    # the first value one unit high, and its mean misses -571 428.571...
+    values = CANCELLING_PAIR + [-31] * 5
+    array = build(int64_case(values))
+    stats = array.measure_stats()["m0"]
+    assert stats["mean"] == float(Fraction(-4_000_000, 7))
+    assert stats == exact_stats(values)
+
+
 @settings(max_examples=120, deadline=None)
 @given(cases(), st.data())
 def test_region_functions_equal_a_dense_fold(case, data):
@@ -116,7 +162,11 @@ def test_region_functions_equal_a_dense_fold(case, data):
     as_float = inside.astype(np.float64)
     for m, name in enumerate(array.measure_names):
         assert stats[name]["count"] == len(inside)
-        if len(inside):
+        if not len(inside):
+            continue
+        if case["dtype"] == "int64":
+            assert stats[name] == exact_stats(inside[:, m].tolist())
+        else:
             column = as_float[:, m]
             assert stats[name]["sum"] == pytest.approx(column.sum())
             assert stats[name]["mean"] == pytest.approx(column.mean())

@@ -41,9 +41,7 @@ def test_concurrent_mixed_workload_matches_serial_replay():
     expected = serial_replay()
     engine = fresh_engine()
     barrier = threading.Barrier(N_THREADS)
-    config = ServiceConfig(
-        max_workers=N_THREADS, max_in_flight=N_THREADS * len(QUERIES) * 2
-    )
+    config = ServiceConfig(max_workers=N_THREADS)
 
     with QueryService(engine, config) as service:
 

@@ -15,7 +15,7 @@ from repro.data import (
 from repro.errors import AdmissionError
 from repro.serve import QueryService, ServiceConfig, query_fingerprint
 
-from .conftest import CONFIG, fresh_engine
+from .conftest import CONFIG, fresh_engine, start, wait_until
 
 QUERY1 = query1_for(CONFIG)
 QUERY2 = query2_for(CONFIG)
@@ -64,19 +64,18 @@ class TestCaching:
 
 
 class TestAdmission:
-    def test_backpressure_rejects_beyond_max_in_flight(self, engine):
-        service = QueryService(
-            engine, ServiceConfig(max_workers=1, max_in_flight=1)
-        )
+    def test_backpressure_rejects_beyond_max_workers(self, engine):
+        service = QueryService(engine, ServiceConfig(max_workers=1))
         try:
-            # park the worker behind the engine lock so the admitted
-            # query cannot finish
+            # the admitted miss waits for the engine lock held here
             with service.engine_access(CONFIG.name):
-                future = service.submit(QUERY1)
+                miss, answers = start(service, QUERY1)
+                wait_until(lambda: service.in_flight == 1)
                 with pytest.raises(AdmissionError):
-                    service.submit(QUERY2)
+                    service.execute(QUERY2)
                 assert service.in_flight == 1
-            assert future.result().rows
+            miss.join(timeout=10)
+            assert answers and answers[0].rows
             stats = service.stats()
             assert stats["serve.rejected"] == 1
             assert stats["serve.admitted"] == 1
@@ -88,7 +87,7 @@ class TestAdmission:
         service = QueryService(engine)
         service.close()
         with pytest.raises(AdmissionError):
-            service.submit(QUERY1)
+            service.execute(QUERY1)
 
     def test_close_is_idempotent(self, engine):
         service = QueryService(engine)
