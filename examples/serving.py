@@ -4,8 +4,8 @@
 The engine core is single-threaded by design; ``repro.serve`` wraps it
 for concurrent traffic.  This example stands a `QueryService` over a
 small synthetic cube and shows the three serving behaviours: repeated
-queries answered from the result cache, a write invalidating exactly
-the changed cube's entries, and eight client threads sharing one
+queries answered from the result cache, a write staling exactly the
+changed cube's entries (through its generation), and eight client threads sharing one
 service without ever observing a stale row.
 
 Run:  python examples/serving.py

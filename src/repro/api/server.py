@@ -31,7 +31,8 @@ is pinned by ``benchmarks/schemas/api_request.schema.json``):
   in-list ``v1;v2;v3`` or an inclusive range ``lo..hi``; JSON: list of
   strings or ``{"dimension", "level", "values" | "range"}`` objects.
 - ``measure`` / ``measures``, ``aggregate`` (default ``sum``),
-- ``explain=1`` embeds the plan JSON (same schema as ``/explain``),
+- ``explain=1`` embeds the plan JSON (the schema of a trace record's
+  ``plans``, ``benchmarks/schemas/explain_plan.schema.json``),
   ``analyze=1`` additionally binds actuals.
 
 Every client mistake on any route maps to a structured 4xx body

@@ -10,7 +10,8 @@ Commands:
   nested phase tree with per-phase I/O counter deltas; with ``--id`` and
   ``--url``, fetch one recorded distributed trace from a running
   endpoint's ``/trace/id/<trace_id>`` route instead (the id a response's
-  ``X-Trace-Id`` header, a ``/traces`` entry, or a histogram exemplar named).
+  ``X-Trace-Id`` header, a ``/traces`` entry, or a histogram exemplar named)
+  and print its span trees and the analyzed plans of its slow misses.
 - ``explain`` — EXPLAIN / EXPLAIN ANALYZE one of the paper's queries:
   the backend's plan tree with per-node cost estimates, and with
   ``--analyze`` the measured actuals and misestimate factors; ``--json``
@@ -172,7 +173,9 @@ _TRACE_QUERIES = {"q1": query1_for, "q2": query2_for, "q3": query3_for}
 
 
 def _cmd_trace_by_id(args) -> int:
-    """Fetch one stored trace from a running endpoint."""
+    """Fetch one stored trace from a running endpoint: its span trees,
+    then the analyzed plans its slow misses left."""
+    from repro.obs.explain import QueryPlan, render_plan
     from repro.obs.exporters import span_from_dict
 
     if not args.url:
@@ -192,6 +195,8 @@ def _cmd_trace_by_id(args) -> int:
     )
     for root in payload.get("roots", ()):
         print(render_span_tree(span_from_dict(root)))
+    for plan in payload.get("plans", ()):
+        print(render_plan(QueryPlan.from_dict(plan)))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
@@ -421,8 +426,8 @@ def cmd_mem(args) -> int:
     config = dataset1(settings.scale)[1]  # the x100 cube
     queries = [query1_for(config), query2_for(config), query3_for(config)]
     # a file-backed WAL so the fsync/commit histograms carry real
-    # observations; every query counts as slow, so each miss leaves its
-    # analyzed plan and the plan cache shows in the breakdown
+    # observations; every query counts as slow, so each miss's trace
+    # carries its analyzed plan, charged to the trace store
     with tempfile.TemporaryDirectory(prefix="repro-mem-") as wal_dir:
         engine = build_cube_engine(config, settings, wal_dir=wal_dir)
         with QueryService(

@@ -25,8 +25,8 @@ carries a first-class accounting layer:
   ``/traces`` and ``/trace/id/<trace_id>``.
 - :mod:`repro.obs.explain` — EXPLAIN / EXPLAIN ANALYZE plan trees:
   per-node planner estimates, measured actuals from span counter
-  deltas, misestimate factors, text rendering and a fingerprint-keyed
-  :class:`PlanCache`.
+  deltas, misestimate factors and text rendering; a slow miss's
+  analyzed plan is kept in its trace record.
 - :mod:`repro.obs.exporters` — JSON trace dump, text tree rendering,
   Prometheus text exposition (its linter is the tests').  Trends are
   a scraper's to window: ``/metrics`` exports every counter and
@@ -41,7 +41,6 @@ carries a first-class accounting layer:
 
 from repro.obs.explain import (
     MISESTIMATE_FACTOR_THRESHOLD,
-    PlanCache,
     PlanNode,
     QueryPlan,
     attach_actuals,
@@ -84,7 +83,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "ObservabilityRoutes",
-    "PlanCache",
     "PlanNode",
     "QueryPlan",
     "Span",

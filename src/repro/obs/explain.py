@@ -20,11 +20,9 @@ so chronic planner errors are visible without reading any single plan.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.obs.memory import SizedStore, tree_bytes
 from repro.obs.tracer import Span
 
 #: a node whose worst estimate-vs-actual factor exceeds this counts as
@@ -192,7 +190,8 @@ class QueryPlan:
         self.totals = dict(totals)
 
     def to_dict(self) -> dict:
-        """A JSON-serializable dict (the ``/explain`` payload shape)."""
+        """A JSON-serializable dict: what a trace record's ``plans`` and
+        the API's ``?explain=1`` body carry."""
         payload: dict = {
             "cube": self.cube,
             "backend": self.backend,
@@ -306,28 +305,3 @@ def render_plan(plan: QueryPlan) -> str:
     _render_children(plan.root, "", lines)
     return "\n".join(lines)
 
-
-# -- plan cache ---------------------------------------------------------------
-
-
-class PlanCache(SizedStore):
-    """A thread-safe bounded LRU of plan payloads keyed by fingerprint.
-
-    The serving layer records every ``explain()`` result and every
-    slow miss's analyzed plan here so ``/explain/<fingerprint>`` can serve
-    them without re-planning.  A dropped plan is rebuilt by the next
-    EXPLAIN of that query, so plans shed after the serving caches but
-    before correctness-bearing state.
-    """
-
-    def __init__(self, capacity: int = 64):
-        super().__init__(capacity)
-
-    def put(  # type: ignore[override]
-        self, fingerprint: str, payload: dict
-    ) -> None:
-        """Insert/refresh one plan payload, evicting the oldest at cap;
-        it is charged its fingerprint and
-        :func:`~repro.obs.memory.tree_bytes`."""
-        nbytes = sys.getsizeof(fingerprint) + tree_bytes(payload)
-        super().put(fingerprint, payload, nbytes)

@@ -27,7 +27,7 @@ What each store is charged, and how closely:
   plus a fixed part
   (:func:`~repro.serve.result_cache.result_bytes`), reading at most
   one row;
-- a trace's span trees and a cached plan: :func:`tree_bytes`, each
+- a trace's span trees and analyzed plans: :func:`tree_bytes`, each
   dict and list its own size plus a flat rate per entry, never
   measuring a value; a trace's attrs by what each merge adds or
   replaces.
@@ -40,7 +40,7 @@ On top of accounting sits *pressure-aware eviction*: when
 ``ServiceConfig.memory_budget_bytes`` is set, :meth:`maybe_reclaim`
 shrinks stores in cheap-to-rebuild-first order (result cache →
 decoded chunks → coldest rollup grains by routed-hit recency →
-cached plans → traces) until the total fits the budget again.  The
+traces) until the total fits the budget again.  The
 budget is checked where a store grows: registering a
 :class:`SizedStore` installs :meth:`maybe_reclaim` as its pressure
 hook, called once per growth step.  Pass one respects each store's

@@ -9,7 +9,7 @@ every ``GET`` outside ``/cube/…``.
 
 A payload method returns its JSON body (``/metrics``: the Prometheus
 text) or raises :class:`~repro.errors.ApiNotFoundError` when the part
-it reads is not attached or the fingerprint / trace id is unknown.
+it reads is not attached or the trace id is unknown.
 Numeric query parameters are the keyword-only arguments of the method
 that takes them (``/traces?limit=N``, ``/memory?top=N``); an
 unparsable or non-finite one is an
@@ -35,8 +35,6 @@ ROUTES = (
     ("/healthz", "health_payload"),
     ("/traces", "traces_index_payload"),
     ("/trace/id/<trace_id>", "trace_by_id_payload"),
-    ("/explain", "explain_index_payload"),
-    ("/explain/<fingerprint>", "explain_payload"),
     ("/memory", "memory_payload"),
 )
 
@@ -128,24 +126,13 @@ class ObservabilityRoutes:
         }
 
     def trace_by_id_payload(self, trace_id: str) -> dict:
-        """``/trace/id/<trace_id>``: one full distributed trace."""
+        """``/trace/id/<trace_id>``: one full distributed trace, span
+        trees and analyzed plans."""
         traces = self._part("traces", "trace store")
         record = traces.get(trace_id.strip().lower())
         if record is None:
             raise ApiNotFoundError(f"no trace with id {trace_id!r}")
         return record.to_dict()
-
-    def explain_index_payload(self) -> dict:
-        """``/explain``: the fingerprints currently cached, oldest first."""
-        plans = getattr(self.service, "plans", None)
-        fingerprints = plans.keys() if plans else []
-        return {"fingerprints": fingerprints, "count": len(fingerprints)}
-
-    def explain_payload(self, fingerprint: str) -> dict:
-        payload = self._part("plans", "plan cache").get(fingerprint)
-        if payload is None:
-            raise ApiNotFoundError(f"no plan for {fingerprint!r}")
-        return payload
 
     def memory_payload(self, *, top: float = 10) -> dict:
         """``/memory``: the resident-set breakdown by store."""

@@ -17,7 +17,9 @@ one identity shared by every layer a request passes through:
   one, so their evidence outlives any amount of fast traffic.  Several
   layers (API handler, query service) contribute spans to the same
   trace_id and the store merges them into one record; a rollup grain a
-  request had to rebuild is a ``rollup.build`` span in it.
+  request had to rebuild is a ``rollup.build`` span in it, and a slow
+  engine miss's analyzed plan is in its ``plans``, so the plan lives
+  exactly as long as the trace it explains.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ from repro.obs.memory import SizedStore, tree_bytes
 
 _TRACE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
 
-#: span trees one trace record keeps.  An API request contributes one
-#: or two, so only a client that reuses one ``X-Trace-Id`` on every
-#: request reaches it; later contributions still merge their status,
-#: latency and attrs, but their roots are dropped and counted
-#: (``traces.roots_dropped``), so that client cannot grow one record
+#: span trees (and, separately, analyzed plans) one trace record
+#: keeps.  An API request contributes one or two, so only a client that
+#: reuses one ``X-Trace-Id`` on every request reaches it; later
+#: contributions still merge their status, latency and attrs, but their
+#: roots and plans are dropped and counted (``traces.roots_dropped``,
+#: ``traces.plans_dropped``), so that client cannot grow one record
 #: without bound.
 MAX_ROOTS_PER_TRACE = 32
 
@@ -114,7 +117,9 @@ class trace_context:
 
 @dataclass
 class TraceRecord:
-    """One stored trace: identity, outcome, span trees."""
+    """One stored trace: identity, outcome, span trees, and the
+    analyzed-plan payloads (:meth:`QueryPlan.to_dict
+    <repro.obs.explain.QueryPlan.to_dict>`) its slow misses left."""
 
     trace_id: str
     origin: str = ""
@@ -124,6 +129,7 @@ class TraceRecord:
     started_at: float = 0.0
     attrs: dict = field(default_factory=dict)
     roots: list = field(default_factory=list)
+    plans: list = field(default_factory=list)
 
     def span_count(self) -> int:
         """Total spans across every stored root tree."""
@@ -134,18 +140,9 @@ class TraceRecord:
         return sum(count(root) for root in self.roots)
 
     def to_dict(self) -> dict:
-        """The full JSON payload ``/trace/id/<trace_id>`` serves."""
-        return {
-            "trace_id": self.trace_id,
-            "origin": self.origin,
-            "name": self.name,
-            "status": self.status,
-            "latency_s": self.latency_s,
-            "started_at": self.started_at,
-            "attrs": dict(self.attrs),
-            "spans": self.span_count(),
-            "roots": self.roots,
-        }
+        """The full JSON payload ``/trace/id/<trace_id>`` serves: every
+        field, and the span count."""
+        return {**vars(self), "attrs": dict(self.attrs), "spans": self.span_count()}
 
     def summary(self) -> dict:
         """The compact form the ``/traces`` index lists."""
@@ -240,25 +237,28 @@ class TraceStore(SizedStore):
         status: str = "ok",
         latency_s: float = 0.0,
         roots: list | None = None,
+        plans: list | None = None,
         attrs: dict | None = None,
     ) -> None:
         """Store (or merge into) the trace for ``context``.
 
         ``roots`` is a list of serialized span trees
-        (:func:`~repro.obs.exporters.span_to_dict` form); a record keeps
-        at most :data:`MAX_ROOTS_PER_TRACE` of them.  The merge is one
-        growth step: the pressure hook fires once, after the lock is
-        released.
+        (:func:`~repro.obs.exporters.span_to_dict` form) and ``plans`` a
+        list of analyzed-plan payloads; a record keeps at most
+        :data:`MAX_ROOTS_PER_TRACE` of each.  The merge is one growth
+        step: the pressure hook fires once, after the lock is released.
 
         Byte accounting is *incremental* and reads shapes, not values:
         a new record is charged its skeleton (:func:`_skeleton_bytes`),
-        each span tree it keeps :func:`~repro.obs.memory.tree_bytes`
-        (charged outside the store lock, on the writer's thread), and
-        an attrs merge only what it adds or replaces
-        (:func:`_merge_attrs`), so a merge never re-walks the record.
+        each span tree and plan it keeps
+        :func:`~repro.obs.memory.tree_bytes` (charged outside the store
+        lock, on the writer's thread), and an attrs merge only what it
+        adds or replaces (:func:`_merge_attrs`), so a merge never
+        re-walks the record.
         """
         error = status not in ("ok", "")
         root_bytes = [tree_bytes(root) for root in roots or ()]
+        plan_bytes = [tree_bytes(plan) for plan in plans or ()]
         trace_id = context.trace_id
         with self._lock:
             # a contributor refreshes recency, so a trace still being
@@ -291,14 +291,29 @@ class TraceStore(SizedStore):
             if attrs:
                 grown += _merge_attrs(record.attrs, attrs)
             if roots:
-                room = max(0, MAX_ROOTS_PER_TRACE - len(record.roots))
-                grown -= sys.getsizeof(record.roots)
-                record.roots.extend(roots[:room])
-                grown += sys.getsizeof(record.roots) + sum(root_bytes[:room])
-                if len(roots) > room:
-                    self.counters.add("traces.roots_dropped", len(roots) - room)
+                grown += self._extend_capped(
+                    record.roots, roots, root_bytes, "traces.roots_dropped"
+                )
+            if plans:
+                grown += self._extend_capped(
+                    record.plans, plans, plan_bytes, "traces.plans_dropped"
+                )
             self._grow(trace_id, grown)
         self._grew()
+
+    def _extend_capped(
+        self, into: list, items: list, sizes: list[int], counter: str
+    ) -> int:
+        """Append to a record's ``into`` what fits under
+        :data:`MAX_ROOTS_PER_TRACE`, counting the rest under
+        ``counter``; the bytes it grew by (the list's growth plus each
+        kept item's ``sizes`` charge)."""
+        room = max(0, MAX_ROOTS_PER_TRACE - len(into))
+        grown = -sys.getsizeof(into)
+        into.extend(items[:room])
+        if len(items) > room:
+            self.counters.add(counter, len(items) - room)
+        return grown + sys.getsizeof(into) + sum(sizes[:room])
 
     # -- reading -------------------------------------------------------------
 

@@ -198,7 +198,6 @@ class OlapEngine:
     def __init__(self, db: Database | None = None, **db_kwargs):
         self.db = db if db is not None else Database(**db_kwargs)
         self._cubes: dict[str, _CubeState] = {}
-        self._write_listeners: list[Callable[..., None]] = []
         #: the declared grains the planner's ``rollup`` route reads
         self.grains = GrainStore(self)
         self._explain_counters: Counters | None = None
@@ -838,17 +837,6 @@ class OlapEngine:
         """
         return self.cube(name).generation
 
-    def add_write_listener(self, listener: Callable[..., None]) -> None:
-        """Call ``listener(cube_name, delta)`` after every write to any
-        cube.  ``delta`` is ``(keys, old, new)`` when the write changed
-        exactly one array cell (``old`` is ``None`` for a new cell),
-        ``None`` when it changed more or the difference is not known."""
-        self._write_listeners.append(listener)
-
-    def remove_write_listener(self, listener: Callable[..., None]) -> None:
-        """Detach a previously added write listener."""
-        self._write_listeners.remove(listener)
-
     def _note_write(self, state: _CubeState, delta: tuple | None = None) -> None:
         # Transaction boundary: each engine-level write is one committed
         # unit, so crash recovery restores whole writes or none of them.
@@ -861,8 +849,6 @@ class OlapEngine:
             state.generation += 1
         if delta is not None:
             self.grains.patch(state, delta)
-        for listener in list(self._write_listeners):
-            listener(state.schema.name, delta)
 
     def write_cell(self, cube: str, keys: tuple, measures) -> None:
         """Insert or overwrite one cell in every built physical design.

@@ -2,14 +2,12 @@
 
 Entries are keyed by ``(cube, fingerprint)`` (see
 :mod:`repro.serve.fingerprint`) and stamped with the cube's write
-generation at compute time.  Invalidation is belt *and* braces:
-
-- eagerly, the :class:`~repro.serve.service.QueryService` write listener
-  calls :meth:`invalidate_cube` — exactly the written cube's entries
-  drop, never the whole cache;
-- lazily, :meth:`get` re-validates the stored generation against the
-  cube's current one, so even a racing write that lands between a
-  lookup and a store can never cause a stale read.
+generation at compute time.  The generation is the one staleness rule:
+every engine write bumps its cube's, and :meth:`get` drops an entry
+whose generation is not the cube's current one
+(``result_cache.stale_drops``), so even a write that lands between a
+lookup and a store can never cause a stale read.  A stale entry no
+lookup reaches ages out LRU-first like any other.
 
 Every entry is charged at store time from its shape
 (:func:`result_bytes`: ``len(rows)`` times one row's tuple and numbers,
@@ -112,13 +110,6 @@ class ResultCache(SizedStore):
         """Store one result computed at ``generation``."""
         nbytes = result_bytes(cube, fingerprint, value)
         super().put((cube, fingerprint), CacheEntry(generation, value), nbytes)
-
-    def invalidate_cube(self, cube: str) -> int:
-        """Drop exactly one cube's entries; returns how many dropped."""
-        dropped = self.drop_where(lambda key: key[0] == cube)
-        if dropped:
-            self.counters.add("result_cache.invalidations", dropped)
-        return dropped
 
     def _label(self, key) -> str:
         cube, fingerprint = key

@@ -19,8 +19,9 @@ service layers concurrency *around* it:
 - a :class:`~repro.serve.chunk_cache.ChunkCache` is attached to every
   cube's array so consolidations reuse decoded chunks;
 - every write path (:meth:`write_cell`, :meth:`append_facts`,
-  :meth:`rebuild_array`) bumps the cube generation and eagerly
-  invalidates exactly that cube's cached fingerprints;
+  :meth:`rebuild_array`) bumps the cube generation, and the result
+  cache drops an entry computed at an older generation when a lookup
+  finds it: one staleness rule;
 - the service is **recovery-aware**: engine calls that raise a
   :class:`~repro.errors.TransientError` retry with exponential
   backoff, a :class:`~repro.errors.PermanentError` (or an exhausted
@@ -47,10 +48,10 @@ like any other: admitted, cached, degraded-checked and traced, its
 Every query's outcome is one record in the
 :class:`~repro.obs.tracing.TraceStore` (``traces``): span tree,
 fingerprint and latency, evicted only after fast traces when it ran
-slow or failed.  A slow engine miss also leaves its own plan — the one
-its run built and executed, bound to the run's span tree — in the
-fingerprint-keyed plan cache (``plans``), so one trace plus one plan
-explain it without re-running or re-planning it.
+slow or failed.  A slow engine miss's record also carries its own plan
+— the one its run built and executed, bound to the run's span tree —
+in its ``plans``, so its one trace explains it without re-running or
+re-planning it, and the plan lives exactly as long as that trace.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from repro.errors import (
     RetryExhaustedError,
     TransientError,
 )
-from repro.obs.explain import PlanCache, QueryPlan
+from repro.obs.explain import QueryPlan
 from repro.obs.memory import MemoryAccountant
 from repro.obs.exporters import span_to_dict
 from repro.obs.tracer import NULL_TRACER, Span, Tracer, get_tracer, thread_tracing
@@ -104,7 +105,7 @@ class ServiceConfig:
     cold: bool = False
     #: end-to-end latency at which a query counts as slow: the trace
     #: store evicts its trace only after every fast one, and a slow
-    #: engine miss leaves its analyzed plan in the plan cache
+    #: engine miss's trace carries its analyzed plan
     slow_threshold_s: float = 0.25
     #: record each query's span tree in its trace: an engine miss runs
     #: under a tracer of its own, whose per-span registry snapshots fall
@@ -125,8 +126,8 @@ class ServiceConfig:
 class QueryService:
     """Concurrent, cached query execution over one :class:`OlapEngine`.
 
-    Use as a context manager or call :meth:`close` to detach the write
-    listener and the metrics.  Mutations must go
+    Use as a context manager or call :meth:`close` to detach the caches
+    and the metrics.  Mutations must go
     through the service's write methods — direct engine writes while
     queries are in flight would trip the engine's non-blocking lock
     manager (the service serializes engine access for both).
@@ -138,7 +139,6 @@ class QueryService:
         self.results = ResultCache()
         self.chunks = ChunkCache()
         self.counters = Counters()
-        self.plans = PlanCache()
         self.traces = TraceStore(slow_threshold_s=self.config.slow_threshold_s)
         self._engine_lock = threading.RLock()
         self._admission_lock = threading.Lock()
@@ -147,7 +147,6 @@ class QueryService:
         self._in_flight = 0
         self._closed = False
         self._degraded: set[str] = set()  # guarded by _admission_lock
-        engine.add_write_listener(self._on_write)
         for name in list(engine._cubes):
             self._attach_chunk_cache(name)
         self._register_metrics()
@@ -179,7 +178,6 @@ class QueryService:
                 ("serve.result_cache_entries", lambda: float(len(self.results))),
                 ("serve.chunk_cache_entries", lambda: float(len(self.chunks))),
                 ("serve.degraded_cubes", lambda: float(len(self._degraded))),
-                ("serve.plan_cache_entries", lambda: float(len(self.plans))),
                 ("serve.traces_resident", lambda: float(len(self.traces))),
             )
         ]
@@ -206,8 +204,8 @@ class QueryService:
         Reclaim order (``cost_rank``) is cheapest-to-rebuild first:
         result cache (one engine query) → decoded chunks (one pool
         read + decode each) → the engine's grains (one re-roll or walk
-        each, rebuilt by the next query routed to one) → cached plans →
-        the trace store, whose loss costs a debugging breadcrumb but
+        each, rebuilt by the next query routed to one) → the trace
+        store, whose loss costs a debugging breadcrumb but
         never a wrong answer.  Each of those stores checks the budget
         where it grows.  The buffer pool is accounted but never evicted
         from here: it enforces its own capacity bound.
@@ -219,7 +217,6 @@ class QueryService:
             "rollup_grains", self.engine.grains, cost_rank=2, share=0.25
         )
         memory.register_store("buffer_pool", self.engine.db.pool.resident_bytes)
-        memory.register_store("plan_cache", self.plans, cost_rank=3, share=0.02)
         memory.register_store("traces", self.traces, cost_rank=5, share=0.02)
 
     def stats(self) -> dict[str, float]:
@@ -251,12 +248,6 @@ class QueryService:
         with self._engine_lock:
             self._attach_chunk_cache(cube)
             yield self.engine.cube(cube)
-
-    def _on_write(self, cube: str, delta: tuple | None) -> None:
-        dropped = self.results.invalidate_cube(cube)
-        self.counters.add("serve.writes")
-        if dropped:
-            self.counters.add("serve.entries_invalidated", dropped)
 
     # -- query path --------------------------------------------------------
 
@@ -303,7 +294,7 @@ class QueryService:
             latency = time.perf_counter() - start
             roots = [span_to_dict(span)] if self.config.profile_queries else None
             self._record_trace(trace, query, fingerprint, "ok", latency, roots)
-            self._note_latency(latency, fingerprint, result, None)
+            self._count_slow(latency)
             self._histograms["serve.query_latency_seconds"].observe(
                 latency, trace_id=trace.trace_id
             )
@@ -340,6 +331,7 @@ class QueryService:
             else None
         )
         status = "ok"
+        result = None
         try:
             with thread_tracing(tracer or NULL_TRACER):
                 result = self._execute(query, backend, fingerprint)
@@ -348,23 +340,27 @@ class QueryService:
             raise
         finally:
             latency = time.perf_counter() - start
-            roots = (
-                [span_to_dict(root) for root in tracer.roots]
-                if tracer is not None
-                else None
+            slow = result is not None and self._count_slow(latency)
+            roots = plans = None
+            if tracer is not None:
+                roots = [span_to_dict(root) for root in tracer.roots]
+                # a slow miss's record carries its run's own plan, bound
+                # to its span tree; a double-checked hit has no plan
+                if slow and result.plan is not None:
+                    plans = [result.analyzed_plan(tracer).to_dict()]
+            self._record_trace(
+                trace, query, fingerprint, status, latency, roots, plans
             )
-            self._record_trace(trace, query, fingerprint, status, latency, roots)
             self._histograms["serve.query_latency_seconds"].observe(
                 latency, trace_id=trace.trace_id
             )
-        self._note_latency(latency, fingerprint, result, tracer)
         return result
 
     def _record_trace(
-        self, trace, query, fingerprint, status, latency_s, roots
+        self, trace, query, fingerprint, status, latency_s, roots, plans=None
     ) -> None:
         """Contribute this query's outcome (and serialized span trees,
-        ``None`` when unprofiled) to the store.
+        ``None`` when unprofiled, and analyzed plans) to the store.
 
         The store merges by trace_id, so an API request and the queries
         it fanned out accumulate into one record.
@@ -376,18 +372,16 @@ class QueryService:
             status=status,
             latency_s=latency_s,
             roots=roots,
+            plans=plans,
             attrs={"fingerprint": fingerprint, "cube": query.cube},
         )
 
-    def _note_latency(self, latency, fingerprint, result, tracer) -> None:
-        """Count a slow query; a slow traced miss caches its run's own
-        plan, bound to its span tree, under the fingerprint its trace's
-        attrs name.  A hit never touched the engine: it has no plan."""
+    def _count_slow(self, latency: float) -> bool:
+        """Whether an answered query ran slow, counted when it did."""
         if latency < self.traces.slow_threshold_s:
-            return
+            return False
         self.counters.add("serve.slow_queries")
-        if tracer is not None and result.plan is not None:
-            self.plans.put(fingerprint, result.analyzed_plan(tracer).to_dict())
+        return True
 
     def explain(
         self,
@@ -403,8 +397,8 @@ class QueryService:
         behind the engine lock like any miss; an ANALYZE run executes
         with the service's warm/cold policy, and its result is cached
         like a miss's, so an :meth:`execute` of the same query after it
-        is a hit.  The payload is kept in the fingerprint-keyed plan
-        cache for ``/explain/<fingerprint>``.
+        is a hit.  The plan is returned, not kept: a slow miss's plan
+        lives in its trace.
         """
         cube = query.cube
         self._check_degraded(cube)
@@ -422,7 +416,6 @@ class QueryService:
                 )
             else:
                 plan = self.engine.explain(query, backend)
-        self.plans.put(plan.fingerprint, plan.to_dict())
         self.counters.add("serve.explains")
         if analyze:
             self.counters.add("serve.explain_analyzes")
@@ -603,39 +596,42 @@ class QueryService:
 
     # -- write path --------------------------------------------------------
 
+    # Each write bumps the cube's generation, which is what stales the
+    # cube's cached results: the next lookup of one drops it.
+
     def write_cell(self, cube: str, keys, measures) -> None:
-        """Serialized :meth:`OlapEngine.write_cell` + cache invalidation."""
+        """Serialized :meth:`OlapEngine.write_cell`."""
         self._check_degraded(cube)
         with self._engine_lock:
             self.engine.write_cell(cube, keys, measures)
+        self.counters.add("serve.writes")
 
     def append_facts(self, cube: str, rows) -> None:
-        """Serialized :meth:`OlapEngine.append_facts` + cache invalidation."""
+        """Serialized :meth:`OlapEngine.append_facts`."""
         self._check_degraded(cube)
         with self._engine_lock:
             self.engine.append_facts(cube, rows)
+        self.counters.add("serve.writes")
 
     def rebuild_array(self, cube: str, **kwargs):
-        """Serialized :meth:`OlapEngine.rebuild_array` + cache invalidation."""
+        """Serialized :meth:`OlapEngine.rebuild_array`."""
         self._check_degraded(cube)
         with self._engine_lock:
-            return self.engine.rebuild_array(cube, **kwargs)
+            rebuilt = self.engine.rebuild_array(cube, **kwargs)
+        self.counters.add("serve.writes")
+        return rebuilt
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
         """Stop admitting, wait for the admitted misses, detach the
-        listener, caches and metrics."""
+        caches and metrics."""
         with self._admission_lock:
             if self._closed:
                 return
             self._closed = True
             self._drained.wait_for(lambda: not self._in_flight)
         self.memory.close()
-        try:
-            self.engine.remove_write_listener(self._on_write)
-        except ValueError:  # pragma: no cover — already detached
-            pass
         for state in self.engine._cubes.values():
             if state.array is not None and state.array.chunk_cache is self.chunks:
                 state.array.chunk_cache = None

@@ -148,7 +148,6 @@ class TestEvictionUnderWrites:
         for store in (
             service.results,
             service.chunks,
-            service.plans,
             service.traces,
             grains,
         ):

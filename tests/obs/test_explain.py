@@ -1,4 +1,4 @@
-"""Unit tests for the EXPLAIN plan model, rendering and plan cache."""
+"""Unit tests for the EXPLAIN plan model and its rendering."""
 
 import json
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs.explain import (
     MISESTIMATE_FACTOR_THRESHOLD,
-    PlanCache,
     PlanNode,
     QueryPlan,
     attach_actuals,
@@ -169,38 +168,3 @@ class TestRenderPlan:
         text = render_plan(plan)
         assert "available_backends" not in text
         assert "requested=auto" in text
-
-
-class TestPlanCache:
-    def test_put_get_and_len(self):
-        cache = PlanCache(capacity=4)
-        cache.put("fp1", {"a": 1})
-        assert cache.get("fp1") == {"a": 1}
-        assert cache.get("missing") is None
-        assert len(cache) == 1
-
-    def test_eviction_is_lru(self):
-        cache = PlanCache(capacity=2)
-        cache.put("a", {})
-        cache.put("b", {})
-        cache.get("a")  # refresh a; b is now the eviction victim
-        cache.put("c", {})
-        assert cache.get("b") is None
-        assert cache.get("a") is not None and cache.get("c") is not None
-
-    def test_reput_refreshes_instead_of_duplicating(self):
-        cache = PlanCache(capacity=2)
-        cache.put("a", {"v": 1})
-        cache.put("a", {"v": 2})
-        assert len(cache) == 1
-        assert cache.get("a") == {"v": 2}
-
-    def test_fingerprints_oldest_first(self):
-        cache = PlanCache(capacity=3)
-        for name in ("x", "y", "z"):
-            cache.put(name, {})
-        assert cache.keys() == ["x", "y", "z"]
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            PlanCache(capacity=0)

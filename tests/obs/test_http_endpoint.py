@@ -164,59 +164,6 @@ class TestHealth:
             assert payload["degradations"] == 0
 
 
-class TestExplainRoutes:
-    def test_explain_index_and_lookup(self, registry):
-        from repro.obs.explain import PlanCache
-
-        plans = PlanCache()
-        plans.put("fp_a", {"backend": "array", "analyzed": False})
-        routes = ObservabilityRoutes(registry, SimpleNamespace(plans=plans))
-        status, index, content_type = routes.handle("/explain", {})
-        assert status == 200
-        assert content_type is None  # JSON
-        assert index == {"fingerprints": ["fp_a"], "count": 1}
-
-        status, payload, _ = routes.handle("/explain/fp_a", {})
-        assert status == 200
-        assert payload["backend"] == "array"
-
-    def test_explain_unknown_fingerprint_404(self, registry):
-        from repro.obs.explain import PlanCache
-
-        routes = ObservabilityRoutes(
-            registry, SimpleNamespace(plans=PlanCache())
-        )
-        with pytest.raises(ApiNotFoundError, match="no plan") as caught:
-            routes.handle("/explain/deadbeef", {})
-        assert caught.value.status == 404
-
-    def test_explain_detached_serves_empty_index(self, registry):
-        routes = ObservabilityRoutes(registry)
-        status, payload, _ = routes.handle("/explain", {})
-        assert status == 200
-        assert payload == {"fingerprints": [], "count": 0}
-        with pytest.raises(ApiNotFoundError):
-            routes.handle("/explain/anything", {})
-
-    def test_routes_listed_in_404(self, live):
-        _, server = live
-        routes = json.loads(_get(f"{server.url}/")[2])["routes"]
-        assert "/explain/<fingerprint>" in routes
-        assert [p for p, _ in ROUTES if p not in routes] == []
-
-    def test_service_explain_payload_served_end_to_end(self, live):
-        service, server = live
-        plan = service.explain(
-            QUERY, "array", analyze=True
-        )
-        status, _, body = _get(f"{server.url}/explain/{plan.fingerprint}")
-        assert status == 200
-        payload = json.loads(body)
-        assert payload["analyzed"] is True
-        assert payload["fingerprint"] == plan.fingerprint
-        assert payload["execution"]["rows"] == plan.rows
-
-
 class TestLifecycle:
     def test_stop_is_idempotent_and_start_restarts(self):
         endpoint = ApiEndpoint(
@@ -273,7 +220,6 @@ class TestMemoryRoute:
             "chunk_cache",
             "result_cache",
             "traces",
-            "plan_cache",
         ):
             assert expected in stores, stores
         assert payload["total_resident_bytes"] == sum(stores.values())
@@ -287,13 +233,7 @@ def test_one_table_every_pattern_is_served_untraced(live, pattern):
     ctx = new_trace_context()
     with trace_context(ctx):
         service.execute(QUERY)
-    fills = {
-        "<fingerprint>": service.traces.get(ctx.trace_id).attrs["fingerprint"],
-        "<trace_id>": ctx.trace_id,
-    }
-    path = pattern
-    for placeholder, value in fills.items():
-        path = path.replace(placeholder, value)
+    path = pattern.replace("<trace_id>", ctx.trace_id)
     stored = service.traces.counters.get("traces.stored")
     status, headers, body = _get(server.url + path)
     assert status == 200, body
@@ -302,7 +242,7 @@ def test_one_table_every_pattern_is_served_untraced(live, pattern):
         payload = json.loads(body)
         # no injected id: a trace record carries only its own
         if isinstance(payload, dict) and "trace_id" in payload:
-            assert payload["trace_id"] == fills["<trace_id>"]
+            assert payload["trace_id"] == ctx.trace_id
     assert service.traces.counters.get("traces.stored") == stored
     assert pattern in json.loads(_get(f"{server.url}/")[2])["routes"]
 

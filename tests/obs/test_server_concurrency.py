@@ -1,10 +1,10 @@
 """Hammer the introspection routes while their stores churn.
 
 Readers call ``ObservabilityRoutes.handle`` for ``/metrics``,
-``/traces``, ``/explain`` and ``/memory`` from several threads (the
-property is the payload functions' thread-safety, which needs no
-socket) while a mutator adds counters, records observations and
-traces, caches plans, retires per-query bags and swaps the source for a
+``/traces`` and ``/memory`` from several threads (the property is the
+payload functions' thread-safety, which needs no socket) while a
+mutator adds counters, records observations and traces with their
+plans, retires per-query bags and swaps the source for a
 fresh bag (the one way a total still restarts from zero: a service
 re-registering with ``replace=True``) — every response must stay
 parseable (exposition text or JSON), never raise.
@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.obs import ObservabilityRoutes, PlanCache, TraceStore
+from repro.obs import ObservabilityRoutes, TraceStore
 from tests.prom_text import lint_prometheus_text
 from repro.obs.memory import MemoryAccountant
 from repro.obs.registry import MetricsRegistry
@@ -33,11 +33,9 @@ def stack():
     registry.observe("svc.latency_seconds", 0.01)
     service = SimpleNamespace(
         traces=TraceStore(capacity=8),
-        plans=PlanCache(capacity=4),
         memory=MemoryAccountant(registry, budget_bytes=4_000),
     )
     service.memory.register_store("traces", service.traces, cost_rank=1)
-    service.memory.register_store("plan_cache", service.plans, cost_rank=0)
     return registry, service, ObservabilityRoutes(registry, service)
 
 
@@ -46,7 +44,6 @@ def test_reads_survive_concurrent_mutation_and_resets(stack):
     paths = (
         ("/metrics", {}),
         ("/traces", {"limit": "5"}),
-        ("/explain", {}),
         ("/memory", {"top": "3"}),
     )
     failures: list[str] = []
@@ -64,8 +61,8 @@ def test_reads_survive_concurrent_mutation_and_resets(stack):
                 name=f"query:{i}",
                 latency_s=0.001 * i,
                 roots=[{"name": "query", "children": []}],
+                plans=[{"backend": "array", "round": i}],
             )
-            service.plans.put(f"fp{i % 6}", {"backend": "array", "round": i})
             if i % 5 == 4:
                 registry.unregister("svc")
                 registry.register("svc", Counters())

@@ -21,7 +21,6 @@ import urllib.request
 import pytest
 
 from repro.api.server import ApiEndpoint, ApiServer
-from repro.obs.explain import PlanCache
 from repro.obs.tracing import TraceStore, new_trace_context, trace_context
 from repro.olap import (
     ConsolidationQuery,
@@ -183,13 +182,14 @@ def test_an_analyzed_plan_tracks_the_walk(stack):
     q = ConsolidationQuery.build(
         CONFIG.name, group_by={"dim0": "h01", "dim1": "h11"}
     )
-    plan = service.explain(q, analyze=True)
-    payload = service.plans.get(plan.fingerprint)
+    payload = service.explain(q, analyze=True).to_dict()
     assert payload["analyzed"] and payload["plan"]["children"]
-    cache = PlanCache()
-    cache.put(plan.fingerprint, payload)
-    walked = deep_sizeof((plan.fingerprint, payload))
-    assert within_bounds(cache.resident_bytes(), walked)
+    # a trace record that carries only the plan, as a slow miss's does
+    traces = TraceStore()
+    ctx = new_trace_context()
+    traces.record(ctx, name="query", plans=[payload])
+    charged, walked = record_charge(traces, ctx.trace_id)
+    assert within_bounds(charged, walked), (charged, walked)
 
 
 class CountingRows(list):

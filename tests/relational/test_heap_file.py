@@ -35,6 +35,24 @@ class TestHeapFile:
         table.insert((99, "z", "w"))
         assert len(table) == 11
 
+    def test_non_ascii_values_round_trip_by_row_and_by_column(self, fm):
+        """A value holding a non-ASCII byte takes the UTF-8 decode; an
+        all-ASCII column, the plain cast: both give the stored strings."""
+        table = HeapFile.create(fm, "dim0", DIM_SCHEMA)
+        rows = [(0, "é", "BB0"), (1, "AA1", "ñandú"), (2, "AA2", "BB2")]
+        table.insert_many(rows)
+        assert list(table.scan()) == rows
+        keys, h01, h02 = table.columns()
+        assert keys.tolist() == [0, 1, 2]
+        assert h01.tolist() == ["é", "AA1", "AA2"]
+        assert h02.tolist() == ["BB0", "ñandú", "BB2"]
+        assert h01.dtype.kind == h02.dtype.kind == "U"
+        ascii_only = HeapFile.create(fm, "dim1", DIM_SCHEMA)
+        ascii_only.insert_many([(5, "AA5", "BB5")])
+        assert [c.tolist() for c in ascii_only.columns()] == [
+            [5], ["AA5"], ["BB5"]
+        ]
+
     def test_survives_cold_reopen(self, fm):
         table = HeapFile.create(fm, "dim0", DIM_SCHEMA)
         table.insert_many([(i, "a", "b") for i in range(25)])

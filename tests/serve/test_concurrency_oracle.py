@@ -68,23 +68,24 @@ def test_concurrent_mixed_workload_matches_serial_replay():
     lookups = stats["result_cache.hits"] + stats["result_cache.misses"]
     assert lookups >= N_THREADS * ROUNDS * len(QUERIES)
     assert stats["result_cache.hits"] > 0
-    # every round's write invalidated the previous round's entries
+    # every round's write staled the previous round's entries: the next
+    # round's lookups dropped them and recomputed, never served them
     assert stats["serve.writes"] == ROUNDS
-    assert stats["result_cache.invalidations"] > 0
+    assert stats["result_cache.stale_drops"] > 0
     assert stats.get("serve.rejected", 0) == 0
 
 
 def test_write_invalidates_only_the_changed_generation():
-    """A write must drop exactly the fingerprints whose cube generation
-    changed — entries recomputed afterwards live at the new generation
-    and keep hitting."""
+    """A write stales exactly the entries whose cube generation changed —
+    the next lookup drops one and recomputes, and the entry recomputed
+    afterwards lives at the new generation and keeps hitting."""
     engine = fresh_engine()
     with QueryService(engine) as service:
         service.execute(QUERIES[0])
         service.append_facts(CONFIG.name, writes_for(0))
-        assert len(service.results) == 0
         recomputed = service.execute(QUERIES[0])
         assert "result_cache_hit" not in recomputed.stats
+        assert service.stats()["result_cache.stale_drops"] == 1
         hit = service.execute(QUERIES[0])
         assert hit.stats["result_cache_hit"] == 1.0
         assert hit.rows == recomputed.rows

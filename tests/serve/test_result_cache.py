@@ -67,18 +67,23 @@ class TestGenerations:
 
 class TestInvalidation:
     def test_invalidate_exactly_one_cube(self):
+        """A write to cube ``a`` bumps only ``a``'s generation: each of
+        ``a``'s entries drops when looked up, ``b``'s keep hitting."""
         cache = ResultCache()
         cache.put("a", "q1", 0, 1)
         cache.put("a", "q2", 0, 2)
         cache.put("b", "q1", 0, 3)
-        dropped = cache.invalidate_cube("a")
-        assert dropped == 2
+        assert cache.get("a", "q1", 1) is None
+        assert cache.get("a", "q2", 1) is None
         assert cache.keys() == [("b", "q1")]
         assert cache.get("b", "q1", 0) == 3
-        assert cache.counters.get("result_cache.invalidations") == 2
+        assert cache.counters.get("result_cache.stale_drops") == 2
 
     def test_invalidate_unknown_cube_is_noop(self):
+        """A lookup on a cube with no entries is a plain miss: it drops
+        nothing of another cube's."""
         cache = ResultCache()
         cache.put("a", "q", 0, 1)
-        assert cache.invalidate_cube("zzz") == 0
+        assert cache.get("zzz", "q", 5) is None
         assert len(cache) == 1
+        assert cache.counters.get("result_cache.stale_drops") == 0

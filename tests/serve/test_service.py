@@ -173,11 +173,14 @@ class TestWriteInvalidation:
             keys = self.put_keys(engine)[0]
             service.write_cell(CONFIG.name, keys, (10_000,))
             assert engine.cube_generation(CONFIG.name) == generation + 1
-            assert len(service.results) == 0
             after = service.execute(QUERY1, "array")
+            stats = service.stats()
+        # the write's generation staled the entry: the lookup dropped it
+        # and the query ran again, never served the stale answer
         assert "result_cache_hit" not in after.stats
         assert sum(r[-1] for r in after.rows) != sum(r[-1] for r in before.rows)
-        assert service.stats()["serve.entries_invalidated"] == 1
+        assert stats["serve.writes"] == 1
+        assert stats["result_cache.stale_drops"] == 1
 
     def test_append_facts_invalidates(self, engine):
         with QueryService(engine) as service:
@@ -192,9 +195,9 @@ class TestWriteInvalidation:
         with QueryService(engine) as service:
             service.execute(QUERY1, "array")
             service.rebuild_array(CONFIG.name)
-            assert len(service.results) == 0
             result = service.execute(QUERY1, "array")
             assert "result_cache_hit" not in result.stats
+            assert service.stats()["result_cache.stale_drops"] == 1
 
     def test_writes_invalidate_exactly_the_written_cube(self, engine):
         other = SyntheticCubeConfig(
@@ -217,15 +220,15 @@ class TestWriteInvalidation:
             service.execute(other_query)
             assert len(service.results) == 2
             service.write_cell(other.name, (0, 0, 0), (1,))
-            keys = service.results.keys()
-            assert keys == [(CONFIG.name, query_fingerprint(QUERY1))]
-            # the untouched cube still hits
+            # the untouched cube still hits; the written one recomputes
             hit = service.execute(QUERY1)
+            recomputed = service.execute(other_query)
+            assert service.stats()["result_cache.stale_drops"] == 1
         assert hit.stats["result_cache_hit"] == 1.0
+        assert "result_cache_hit" not in recomputed.stats
 
     def test_stale_generation_read_is_lazy_dropped(self, engine):
-        # bypass the listener to prove the generation check alone is
-        # enough to prevent a stale read
+        # the generation check alone prevents a stale read
         with QueryService(engine) as service:
             service.execute(QUERY1)
             fingerprint = query_fingerprint(QUERY1)

@@ -6,7 +6,7 @@ then a service-minted root — and records its outcome (span roots,
 fingerprint, latency exemplar) under that identity.  A slow query's
 trace is its one record: span tree, planner reason, cache disposition
 and counters, kept past fast traffic, with a slow miss's analyzed plan
-at ``/explain/<attrs.fingerprint>``.
+in the same record's ``plans``.
 """
 
 import contextlib
@@ -164,7 +164,7 @@ class TestSlowTraces:
             (record,) = service.traces.values()
             assert not service.traces.kept(record)
             assert service.counters.get("serve.slow_queries") == 0
-            assert len(service.plans) == 0
+            assert record.plans == []
 
     def test_the_cache_disposition_rides_on_each_trace(self, engine):
         with QueryService(engine, ServiceConfig(max_workers=2)) as service:
@@ -187,7 +187,7 @@ class TestSlowTraces:
 
     def test_one_trace_and_one_plan_explain_a_slow_miss(self, engine):
         """Past ``capacity`` fast requests, the slow miss's trace is still
-        served, and its fingerprint names the analyzed plan of that run."""
+        served, and it carries the analyzed plan of that run."""
         config = ServiceConfig(max_workers=2, slow_threshold_s=0.05)
         with QueryService(engine, config) as service:
             ctx = new_trace_context(origin="test")
@@ -200,10 +200,47 @@ class TestSlowTraces:
             endpoint = ApiEndpoint(engine, service, LogicalModel(cubes=()))
             with contextlib.closing(endpoint), ApiServer(endpoint) as server:
                 trace = _get_json(f"{server.url}/trace/id/{ctx.trace_id}")
-                plan = _get_json(
-                    f"{server.url}/explain/{trace['attrs']['fingerprint']}"
-                )
         assert trace["latency_s"] >= 0.05
+        (plan,) = trace["plans"]
+        assert plan["fingerprint"] == trace["attrs"]["fingerprint"]
+        assert plan["analyzed"] is True
+        assert plan["backend"] == "array"
+        assert any(node.get("actuals") for node in _nodes(plan["plan"]))
+
+    def test_a_slow_miss_plan_outlives_a_reclaim_below_the_trace_store(
+        self, engine
+    ):
+        """A budget that sheds the result cache, ranked below the trace
+        store, and then fast traces leaves the slow miss's record, and
+        its plan, served."""
+        config = ServiceConfig(max_workers=2, slow_threshold_s=0.05)
+        with QueryService(engine, config) as service:
+            ctx = new_trace_context(origin="test")
+            with slowed(engine, 0.06):
+                with trace_context(ctx):
+                    service.execute(QUERY1)
+            for aggregate in ("sum", "count", "min", "max", "avg"):
+                for dim1 in ("h11", "h12"):
+                    service.execute(  # fast misses, each a fast trace
+                        ConsolidationQuery.build(
+                            CONFIG.name,
+                            group_by={"dim0": "h01", "dim1": dim1},
+                            aggregate=aggregate,
+                        )
+                    )
+            memory = service.memory
+            usage = memory.usage_by_store()
+            traces = len(service.traces)
+            memory.budget_bytes = usage["buffer_pool"] + usage["traces"] // 2
+            assert memory.maybe_reclaim(reason="test") > 0
+            after = memory.usage_by_store()
+            assert after["result_cache"] < usage["result_cache"]
+            assert sum(after.values()) <= memory.budget_bytes
+            assert len(service.traces) < traces  # fast traces went first
+            endpoint = ApiEndpoint(engine, service, LogicalModel(cubes=()))
+            with contextlib.closing(endpoint), ApiServer(endpoint) as server:
+                trace = _get_json(f"{server.url}/trace/id/{ctx.trace_id}")
+        (plan,) = trace["plans"]
         assert plan["analyzed"] is True
         assert plan["backend"] == "array"
         assert any(node.get("actuals") for node in _nodes(plan["plan"]))

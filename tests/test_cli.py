@@ -181,3 +181,53 @@ class TestExplainCommand:
         assert "\n" not in message
         for name in ("array", "starjoin", "bitmap"):
             assert name in message
+
+
+class TestTraceById:
+    """``repro trace --id <id> --url <endpoint>`` renders one stored
+    record: its span trees, then the analyzed plans of its slow misses."""
+
+    @pytest.fixture
+    def live(self):
+        import contextlib
+
+        from repro.api.model import LogicalModel
+        from repro.api.server import ApiEndpoint, ApiServer
+        from repro.bench import query2_for
+        from repro.obs.tracing import new_trace_context, trace_context
+        from repro.serve import QueryService, ServiceConfig
+        from tests.serve.conftest import CONFIG, fresh_engine
+
+        engine = fresh_engine()
+        config = ServiceConfig(slow_threshold_s=0.0)  # every query is slow
+        with QueryService(engine, config) as service:
+            ctx = new_trace_context(origin="test")
+            with trace_context(ctx):
+                service.execute(query2_for(CONFIG), "array")
+            endpoint = ApiEndpoint(engine, service, LogicalModel(cubes=()))
+            with contextlib.closing(endpoint), ApiServer(endpoint) as server:
+                yield ctx.trace_id, server.url
+
+    def test_renders_span_trees_then_the_slow_miss_plan(
+        self, capsys, live, tmp_path
+    ):
+        import json
+
+        trace_id, url = live
+        dump = tmp_path / "trace.json"
+        assert main(
+            ["trace", "--id", trace_id, "--url", url, "--json", str(dump)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"trace {trace_id} [ok]")
+        spans, plan = out.index("serve_query"), out.index("EXPLAIN ANALYZE")
+        assert spans < plan
+        assert "backend=array" in out[plan:]
+        assert "act{" in out[plan:]
+        (stored,) = json.loads(dump.read_text())["plans"]
+        assert stored["analyzed"] is True
+
+    def test_an_unknown_id_is_a_404(self, capsys, live):
+        _, url = live
+        assert main(["trace", "--id", "0" * 32, "--url", url]) == 1
+        assert "HTTP 404" in capsys.readouterr().err
