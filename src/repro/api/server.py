@@ -4,8 +4,10 @@
 the logical model into a base-cube
 :class:`~repro.olap.query.ConsolidationQuery` → answer it through the
 :class:`~repro.serve.service.QueryService` → shape the JSON response —
-and ``ApiServer`` puts it behind the one
-:class:`~http.server.ThreadingHTTPServer` in the tree.  Every answer is
+and ``ApiServer`` puts it behind the one listener in the tree, a
+:class:`ParkedHandlerServer`: each accepted connection is served by a
+handler thread parked waiting for one, and a thread is started only
+when none is idle.  Every answer is
 a service query: admitted, cached, degraded-checked and traced.  The
 model's rollups are the engine's grains (:mod:`repro.api.rollup`), so
 the planner's ``rollup`` route answers a request one covers, and the
@@ -45,10 +47,12 @@ joins drilldowns), and any method but GET or POST a 405 with an
 from __future__ import annotations
 
 import json
+import queue
+import socket
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from repro.api.model import LogicalCube, LogicalModel
 from repro.api.rollup import RollupRouter
@@ -575,13 +579,106 @@ class ApiEndpoint:
         return status, {"error": {"kind": kind, "message": message, "status": status}}
 
 
+class ParkedHandlerServer(HTTPServer):
+    """An HTTP server whose connections are served by parked threads.
+
+    :meth:`process_request` hands an accepted connection to a handler
+    thread parked on the work queue when one is idle, and starts a
+    handler only when none is.  After its connection a handler parks
+    again, unless ``max_parked`` handlers already wait or the server is
+    closing: then it exits.  So concurrent connections are still served
+    in parallel, one thread each, and a sequential client pays no thread
+    start-up.  :meth:`server_close` cuts the read side of every open
+    connection (a client that never sends reads as closed; a response
+    still being written goes out), releases every parked handler and
+    joins every handler.
+    """
+
+    def __init__(self, address, handler_class, max_parked: int):
+        super().__init__(address, handler_class)
+        self.max_parked = max_parked
+        self._work: queue.SimpleQueue = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._parked = 0
+        self._closing = False
+        self._handlers: set[threading.Thread] = set()
+        self._open: set[socket.socket] = set()
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            self._open.add(request)
+            if self._parked:
+                self._parked -= 1
+                self._work.put((request, client_address))
+                return
+            thread = threading.Thread(
+                target=self._handle,
+                args=(request, client_address),
+                name="repro-api-handler",
+                daemon=True,
+            )
+            self._handlers.add(thread)
+        try:
+            thread.start()
+        except BaseException:
+            with self._lock:
+                self._handlers.discard(thread)
+                self._open.discard(request)
+            raise
+
+    def _handle(self, request, client_address) -> None:
+        """Serve connections until told to exit (``None``) or not parked."""
+        try:
+            while True:
+                try:
+                    self.finish_request(request, client_address)
+                except Exception:  # noqa: BLE001 — socketserver's contract
+                    self.handle_error(request, client_address)
+                with self._lock:
+                    self._open.discard(request)
+                    park = not self._closing and self._parked < self.max_parked
+                    if park:
+                        self._parked += 1
+                # parked before the client sees its connection close, so
+                # the client's next connection finds this thread idle
+                self.shutdown_request(request)
+                if not park:
+                    return
+                work = self._work.get()
+                if work is None:
+                    return
+                request, client_address = work
+        finally:
+            with self._lock:
+                self._handlers.discard(threading.current_thread())
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            self._closing = True
+            parked, self._parked = self._parked, 0
+            handlers = list(self._handlers)
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the client is gone already
+        for _ in range(parked):
+            self._work.put(None)
+        for thread in handlers:
+            thread.join()
+
+
 class ApiServer:
-    """``ApiEndpoint`` behind a stdlib threading HTTP server — the only
+    """``ApiEndpoint`` behind a :class:`ParkedHandlerServer` — the only
     listener in ``src/``.
 
     Bind port 0 for an ephemeral port (:attr:`port` after
-    :meth:`start`), serve from a daemon thread; ``stop()`` (or the
-    context manager) shuts down cleanly and ``start()`` binds again.
+    :meth:`start`), accept from a daemon thread; at most the service's
+    ``max_workers`` idle handlers stay parked.  ``stop()`` (or the
+    context manager) shuts down cleanly — a request in flight is
+    answered, and no thread the server started outlives it — and
+    ``start()`` binds again.
     """
 
     def __init__(
@@ -593,7 +690,7 @@ class ApiServer:
         self.endpoint = endpoint
         self.host = host
         self._requested_port = port
-        self._httpd: ThreadingHTTPServer | None = None
+        self._httpd: ParkedHandlerServer | None = None
         self._thread: threading.Thread | None = None
 
     def start(self) -> "ApiServer":
@@ -788,10 +885,11 @@ class ApiServer:
                 _refuse_method
             )
 
-        self._httpd = ThreadingHTTPServer(
-            (self.host, self._requested_port), Handler
+        self._httpd = ParkedHandlerServer(
+            (self.host, self._requested_port),
+            Handler,
+            max_parked=endpoint.service.config.max_workers,
         )
-        self._httpd.daemon_threads = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             args=(0.05,),  # seconds between shutdown checks: what stop() waits

@@ -43,11 +43,11 @@ decoded chunks → coldest rollup grains by routed-hit recency →
 traces) until the total fits the budget again.  The
 budget is checked where a store grows: registering a
 :class:`SizedStore` installs :meth:`maybe_reclaim` as its pressure
-hook, called once per growth step.  Pass one respects each store's
-soft share of the budget — a store already below its share is skipped
-— and pass two reclaims unconditionally if the overshoot survives pass
-one.  An evicted grain is rebuilt by the next request routed to it, so
-serving correctness is untouched; the reclaim itself is
+hook, called once per growth step.  One pass walks the stores in that
+order, each shrunk by what is still over, so a store is shed only once
+every cheaper one is empty: the trace store goes last.  An evicted
+grain is rebuilt by the next request routed to it, so serving
+correctness is untouched; the reclaim itself is
 counted (``memory.pressure_events`` / ``memory.reclaimed_bytes``) and
 wrapped in a tracer span so it shows up in EXPLAIN ANALYZE and in the
 trace of the request that triggered it.
@@ -288,14 +288,12 @@ class StoreAccount:
     ``target`` resident bytes and returns how many bytes it actually
     freed.  A bare usage callback (the buffer pool) is accounted but
     never evicted from here.  ``cost_rank`` orders reclaim
-    cheapest-to-rebuild first; ``share`` is the store's soft fraction
-    of the budget, the floor pass one will not shrink below.
+    cheapest-to-rebuild first.
     """
 
     name: str
     usage: Callable[[], float]
     cost_rank: int = 100
-    share: float = 0.0
     sized: SizedStore | None = None
     #: the pressure hook this registration installed on ``sized``
     hook: Callable[[], object] | None = None
@@ -334,7 +332,6 @@ class MemoryAccountant:
         store: SizedStore | Callable[[], float],
         *,
         cost_rank: int = 100,
-        share: float = 0.0,
     ) -> None:
         """Register one resident store under ``name``, replacing any
         store this accountant holds under it.
@@ -346,7 +343,7 @@ class MemoryAccountant:
         sized = store if isinstance(store, SizedStore) else None
         usage = sized.resident_bytes if sized is not None else store
         account = StoreAccount(
-            name=name, usage=usage, cost_rank=cost_rank, share=share, sized=sized
+            name=name, usage=usage, cost_rank=cost_rank, sized=sized
         )
         self.unregister_store(name)
         if sized is not None:
@@ -438,27 +435,15 @@ class MemoryAccountant:
                 resident_bytes=total,
                 budget_bytes=self.budget_bytes,
             ) as span:
-                # pass 1: cheapest-first, down to each store's soft share
+                # cheapest-first: a store is shed only once every
+                # cheaper one is empty
                 for store, sized in reclaimables:
                     remaining = overshoot - freed_total
                     if remaining <= 0:
                         break
                     current = usage.get(store.name, sized.resident_bytes())
-                    floor = int(self.budget_bytes * store.share)
-                    if current <= floor:
-                        continue
-                    target = max(floor, current - remaining)
-                    freed_total += sized.reclaim(target)
-                # pass 2: still over — shares stop protecting anybody
-                if overshoot - freed_total > 0:
-                    for _, sized in reclaimables:
-                        remaining = overshoot - freed_total
-                        if remaining <= 0:
-                            break
-                        current = sized.resident_bytes()
-                        target = max(0, current - remaining)
-                        if target < current:
-                            freed_total += sized.reclaim(target)
+                    if current > 0:
+                        freed_total += sized.reclaim(max(0, current - remaining))
                 span.annotate(reclaimed_bytes=freed_total)
             self.counters.add("memory.reclaimed_bytes", freed_total)
             return freed_total

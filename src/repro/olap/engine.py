@@ -451,13 +451,11 @@ class OlapEngine:
         which the starjoin backend and the harness baselines run."""
         out: dict[str, set] = {}
         for sel in query.selections:
-            table = state.dim_tables[sel.dimension]
-            key_pos = table.schema.index_of(
-                state.schema.dimension(sel.dimension).key
+            key_name = state.schema.dimension(sel.dimension).key
+            keys, values = state.dim_tables[sel.dimension].columns(
+                [key_name, sel.attribute]
             )
-            attr_pos = table.schema.index_of(sel.attribute)
-            columns = table.columns()
-            pairs = zip(columns[key_pos].tolist(), columns[attr_pos].tolist())
+            pairs = zip(keys.tolist(), values.tolist())
             allowed = {key for key, value in pairs if sel.matches(value)}
             out.setdefault(sel.dimension, allowed).intersection_update(allowed)
         return out

@@ -57,8 +57,9 @@ class SnowflakeDimension:
             + [Column(name, ctype) for name, ctype in dimension.levels]
         )
 
-    def columns(self) -> list:
-        """The denormalized ``(key, level values...)`` rows as columns.
+    def columns(self, fields=None) -> list:
+        """The denormalized ``(key, level values...)`` rows as columns,
+        or only the named ``fields``, in the order given.
 
         The snowflake join: each level table is read whole (level tables
         are tiny), then the base table, whose level id column is followed
@@ -69,7 +70,10 @@ class SnowflakeDimension:
         for ids, value, *parent in chains:
             at = key_positions(ids, out.pop())
             out += [value[at], *(column[at] for column in parent)]
-        return out[: 1 + len(chains)]  # no level: the base's id column goes
+        out = out[: 1 + len(chains)]  # no level: the base's id column goes
+        if fields is None:
+            return out
+        return [out[self.schema.index_of(field)] for field in fields]
 
     def scan(self):
         """Yield denormalized ``(key, level values...)`` rows."""

@@ -8,7 +8,7 @@ fact file eliminates for the (much larger) fact table.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -152,15 +152,20 @@ class HeapFile:
         """Every row in physical order, read as :meth:`columns`."""
         return zip(*(column.tolist() for column in self.columns()))
 
-    def columns(self) -> list[np.ndarray]:
+    def columns(self, fields: Sequence[str] | None = None) -> list[np.ndarray]:
         """Every row as one column per field, in physical order: each
-        page's records gathered, then one ``unpack_columns`` call."""
+        page's records gathered, then one ``unpack_columns`` call.
+        ``fields`` (column names, in the order wanted) decodes only those
+        columns; every page is read either way."""
         codec = self.schema.codec
         records = [np.empty(0, codec.dtype)] + [
             SlottedPage(self._file.read(page_no)).fixed_records(codec.dtype)
             for page_no in range(self._file.npages)
         ]
-        return codec.unpack_columns(np.concatenate(records))
+        positions = (
+            None if fields is None else [self.schema.index_of(f) for f in fields]
+        )
+        return codec.unpack_columns(np.concatenate(records), positions)
 
     def __len__(self) -> int:
         return self._count

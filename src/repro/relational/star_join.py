@@ -52,10 +52,8 @@ class DimensionJoinSpec:
 
 def build_dimension_hash(spec: DimensionJoinSpec) -> dict:
     """Build the in-memory key → group-by-value hash for one dimension."""
-    columns = spec.table.columns()
-    key_pos = spec.table.schema.index_of(spec.dim_key)
-    attr_pos = spec.table.schema.index_of(spec.group_attr)
-    return dict(zip(columns[key_pos].tolist(), columns[attr_pos].tolist()))
+    keys, values = spec.table.columns([spec.dim_key, spec.group_attr])
+    return dict(zip(keys.tolist(), values.tolist()))
 
 
 def dimension_lookup(spec: DimensionJoinSpec) -> tuple[list, np.ndarray, np.ndarray]:

@@ -211,13 +211,11 @@ class QueryService:
         from here: it enforces its own capacity bound.
         """
         memory = self.memory
-        memory.register_store("result_cache", self.results, cost_rank=0, share=0.10)
-        memory.register_store("chunk_cache", self.chunks, cost_rank=1, share=0.25)
-        memory.register_store(
-            "rollup_grains", self.engine.grains, cost_rank=2, share=0.25
-        )
+        memory.register_store("result_cache", self.results, cost_rank=0)
+        memory.register_store("chunk_cache", self.chunks, cost_rank=1)
+        memory.register_store("rollup_grains", self.engine.grains, cost_rank=2)
         memory.register_store("buffer_pool", self.engine.db.pool.resident_bytes)
-        memory.register_store("traces", self.traces, cost_rank=5, share=0.02)
+        memory.register_store("traces", self.traces, cost_rank=5)
 
     def stats(self) -> dict[str, float]:
         """Cumulative service + cache counters, merged."""

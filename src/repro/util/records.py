@@ -222,16 +222,22 @@ class RecordCodec:
                 raise SchemaError(f"a value does not fit its {ftype} field")
         return records
 
-    def unpack_columns(self, records: np.ndarray) -> list[np.ndarray]:
+    def unpack_columns(
+        self, records: np.ndarray, fields: Sequence[int] | None = None
+    ) -> list[np.ndarray]:
         """Packed records back to one column per field, the inverse of
         :meth:`pack_columns`: numbers in their field's dtype, strings
         decoded to ``<U`` (what :meth:`unpack` yields, a column at a
-        time)."""
+        time).  ``fields`` (positions, in the order wanted) decodes only
+        those columns."""
+        names = self.dtype.names
+        if fields is not None:
+            names = [names[at] for at in fields]
         return [
             _decode_strings(records[name])
             if self.dtype[name].kind == "S"
             else records[name]
-            for name in self.dtype.names
+            for name in names
         ]
 
     def unpack(self, payload: bytes) -> tuple:

@@ -121,6 +121,7 @@ class _StubService:
 
     def __init__(self, degraded):
         self._degraded = degraded
+        self.config = ServiceConfig()
         self.in_flight = 2
         self.counters = Counters()
         self.counters.add("serve.recoveries", 1)
@@ -248,18 +249,22 @@ def test_one_table_every_pattern_is_served_untraced(live, pattern):
 
 
 def test_one_listener_in_src():
+    """One server class and one handler class, both in ``api/server.py``,
+    and no thread-per-connection server anywhere."""
     import pathlib
 
     import repro
 
     root = pathlib.Path(repro.__file__).parent
-    counts = {
-        str(path.relative_to(root)): path.read_text(encoding="utf-8").count(
-            "ThreadingHTTPServer("
-        )
+    texts = {
+        str(path.relative_to(root)): path.read_text(encoding="utf-8")
         for path in root.rglob("*.py")
     }
-    assert {name: n for name, n in counts.items() if n} == {"api/server.py": 1}
+    for base in ("(HTTPServer)", "(BaseHTTPRequestHandler)"):
+        counts = {name: text.count(base) for name, text in texts.items()}
+        assert {name: n for name, n in counts.items() if n} == {"api/server.py": 1}
+    for threading_server in ("ThreadingHTTPServer", "ThreadingMixIn"):
+        assert not any(threading_server in text for text in texts.values())
 
 
 def test_importing_the_engine_does_not_import_http_server():

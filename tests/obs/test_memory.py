@@ -176,28 +176,18 @@ class TestReclaim:
         assert pricey.resident_bytes() == 1_000
         assert pricey.reclaims == []
 
-    def test_pass_one_respects_share_floor(self):
-        # budget 1000, store share 0.5 -> floor 500; a 400-byte
-        # overshoot in an unreclaimable store cannot push "a" below it
-        accountant = MemoryAccountant(budget_bytes=1_000)
-        store = _FakeStore(800)
-        accountant.register_store("a", store, cost_rank=0, share=0.5)
-        accountant.register_store("fixed", lambda: 600.0)
-        accountant.maybe_reclaim("test")
-        # pass 1 stops at the floor; pass 2 then reclaims the rest
-        assert store.reclaims[0] == 500
-        assert store.resident_bytes() == 400  # 800+600 total, budget 1000
-
-    def test_pass_two_ignores_shares_when_still_over(self):
-        accountant = MemoryAccountant(budget_bytes=1_000)
-        store = _FakeStore(500)
-        accountant.register_store("a", store, cost_rank=0, share=1.0)
+    def test_a_store_is_shed_only_once_every_cheaper_one_is_empty(self):
+        # budget 2000, 2700 resident: the 700-byte overshoot empties
+        # the cheap store (500) before it takes 200 from the pricey one
+        accountant = MemoryAccountant(budget_bytes=2_000)
+        cheap, pricey = _FakeStore(500), _FakeStore(1_000)
+        accountant.register_store("pricey", pricey, cost_rank=5)
+        accountant.register_store("cheap", cheap, cost_rank=0)
         accountant.register_store("fixed", lambda: 1_200.0)
         freed = accountant.maybe_reclaim("test")
-        # overshoot 700 > the whole store; pass 1 skips (under its
-        # share floor), pass 2 empties it
-        assert freed == 500
-        assert store.resident_bytes() == 0
+        assert freed == 700
+        assert cheap.reclaims == [0]
+        assert pricey.reclaims == [800]
 
     def test_counters_track_pressure_and_bytes(self):
         accountant = MemoryAccountant(budget_bytes=500)

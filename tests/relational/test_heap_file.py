@@ -53,6 +53,24 @@ class TestHeapFile:
             [5], ["AA5"], ["BB5"]
         ]
 
+    def test_columns_by_name_decode_only_those_and_read_every_page(self, fm):
+        table = HeapFile.create(fm, "dim0", DIM_SCHEMA)
+        table.insert_many([(i, f"AA{i % 3}", f"BB{i % 2}") for i in range(200)])
+        disk = fm.pool.disk.counters
+        fm.pool.clear()
+        before = disk.get("pages_read")
+        keys, h01, h02 = table.columns()
+        whole = disk.get("pages_read") - before
+        fm.pool.clear()
+        before = disk.get("pages_read")
+        h02_only, keys_only = table.columns(["h02", "d0"])
+        assert disk.get("pages_read") - before == whole > 1
+        assert h02_only.tolist() == h02.tolist()
+        assert keys_only.tolist() == keys.tolist()
+        assert [c.tolist() for c in table.columns(["h01", "h01"])] == [
+            h01.tolist(), h01.tolist()
+        ]
+
     def test_survives_cold_reopen(self, fm):
         table = HeapFile.create(fm, "dim0", DIM_SCHEMA)
         table.insert_many([(i, "a", "b") for i in range(25)])

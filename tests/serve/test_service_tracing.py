@@ -244,3 +244,29 @@ class TestSlowTraces:
         assert plan["analyzed"] is True
         assert plan["backend"] == "array"
         assert any(node.get("actuals") for node in _nodes(plan["plan"]))
+
+    def test_a_reclaim_sheds_both_caches_before_the_slow_record(self, engine):
+        """A budget of the buffer pool plus the trace store is over by
+        what the caches hold: the reclaim takes it from them, cheapest
+        first, and the trace store — ranked last — keeps its one slow
+        record whole, however small a share of the budget it is."""
+        config = ServiceConfig(max_workers=2, slow_threshold_s=0.05)
+        with QueryService(engine, config) as service:
+            ctx = new_trace_context(origin="test")
+            with slowed(engine, 0.06):
+                with trace_context(ctx):
+                    service.execute(QUERY1)
+            service.explain(QUERY, analyze=True)
+            memory = service.memory
+            usage = memory.usage_by_store()
+            assert usage["result_cache"] > 0 and usage["chunk_cache"] > 0
+            memory.budget_bytes = usage["buffer_pool"] + usage["traces"]
+            freed = memory.maybe_reclaim(reason="test")
+            after = memory.usage_by_store()
+            assert freed == sum(usage.values()) - memory.budget_bytes
+            assert after["traces"] == usage["traces"]
+            assert after["result_cache"] + after["chunk_cache"] < (
+                usage["result_cache"] + usage["chunk_cache"]
+            )
+            record = service.traces.get(ctx.trace_id)
+        assert record is not None and record.plans
