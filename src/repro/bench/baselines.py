@@ -154,6 +154,7 @@ def naive(ctx, query) -> list[tuple]:
             aggregate=query.aggregate,
             order="naive",
             counters=ctx.counters,
+            cold=ctx.cold,
         )
     return backend.rows(ctx, query, result)
 

@@ -381,9 +381,9 @@ class DecodedChunk:
     the codec's aligned, owned, read-only arrays.  :attr:`origin` and
     :attr:`halves` depend only on the chunk and are computed on first
     use, so a chunk that is only probed is never split.  A record shared
-    between threads (a :class:`~repro.serve.chunk_cache.ChunkCache`
-    entry) goes through :meth:`share` before it is published and is
-    never written after.
+    between threads (an entry of the database's
+    :class:`~repro.storage.chunk_cache.ChunkCache`) goes through
+    :meth:`share` before it is published and is never written after.
     """
 
     __slots__ = ("no", "offsets", "values", "_geometry", "_origin", "_halves")

@@ -476,7 +476,7 @@ def _filter_chunk(accumulator, selected, chunk: DecodedChunk) -> int:
     return len(chunk)
 
 
-def _select_vectorized(array, accumulator, chunk_range, masks, counters) -> int:
+def _select_vectorized(array, accumulator, chunk_range, masks, counters, cold) -> int:
     """The one selection kernel: each chunk the walk yields is probed or
     filtered, whichever :func:`probe_is_cheaper` says of the chunk's
     candidates and the stored cells the chunk directory records for it.
@@ -515,7 +515,7 @@ def _select_vectorized(array, accumulator, chunk_range, masks, counters) -> int:
             rows.clear()
 
     scanned = probed = 0
-    for chunk in array.walk(chunk_range, masks, counters):
+    for chunk in array.walk(chunk_range, masks, counters, cold):
         span = spans.get(chunk.no)
         if span is None:
             fold_run()
@@ -596,6 +596,7 @@ def scan_chunk_range(
     kernel: str = "vectorized",
     allowed: list[list[int]] | None = None,
     counters: Counters | None = None,
+    cold: bool = False,
 ) -> int:
     """Run the §4.1 scan over a range of chunk numbers.
 
@@ -618,7 +619,8 @@ def scan_chunk_range(
     cheaper.  ``counters`` is billed everything the scan spends — the
     walk's chunk keys, ``cells_scanned`` (stored cells folded into the
     result) and ``cells_probed`` (cross-product elements binary-searched;
-    default: the array's own bag).
+    default: the array's own bag).  ``cold`` reads around the chunk
+    cache (:meth:`~repro.core.olap_array.OLAPArray.read_chunk`).
     """
     if kernel not in _KERNELS:
         raise QueryError(
@@ -628,14 +630,14 @@ def scan_chunk_range(
     masks = allowed_masks(array, allowed) if allowed is not None else None
     if masks is not None and kernel == "vectorized":
         scanned = _select_vectorized(
-            array, accumulator, chunk_range, masks, counters
+            array, accumulator, chunk_range, masks, counters, cold
         )
     else:
         scan = _scan_interpreted if kernel == "interpreted" else _scan_vectorized
         scanned = scan(
             array,
             accumulator,
-            array.selected_cells(chunk_range, masks, counters),
+            array.selected_cells(chunk_range, masks, counters, cold),
         )
     counters.add("cells_scanned", scanned)
     return scanned
@@ -647,11 +649,12 @@ def consolidate(
     aggregate: str | list[str] = "sum",
     counters: Counters | None = None,
     materialize_as: str | None = None,
+    cold: bool = False,
 ) -> ConsolidationResult:
     """Run the §4.1 consolidation over a whole array.
 
     With ``materialize_as`` the result is also persisted as a new OLAP
-    array of that name.
+    array of that name.  ``cold`` is :func:`scan_chunk_range`'s.
     """
     counters = counters if counters is not None else Counters()
     tracer = get_tracer()
@@ -663,6 +666,7 @@ def consolidate(
             accumulator,
             range(array.geometry.n_chunks),
             counters=counters,
+            cold=cold,
         )
     counters.add("result_cells", accumulator.touched_cells())
 

@@ -80,11 +80,9 @@ class OLAPArray:
         #: the planner's copy of the directory (:meth:`chunk_directory`):
         #: a build's own ``entries``, else the last load's
         self._catalog = None if entries is None else np.array(entries).reshape(-1, 3)
-        #: optional shared decoded-chunk cache (see
-        #: :class:`repro.serve.chunk_cache.ChunkCache`); when attached,
-        #: :meth:`read_chunk` serves repeated reads from it and
-        #: concurrent readers become safe (the cache serializes the
-        #: underlying page I/O)
+        #: the database's decoded-chunk cache, set by the engine serving
+        #: this array: warm reads go through it, which makes concurrent
+        #: readers safe (its I/O lock serializes the page reads)
         self.chunk_cache = None
 
     def _bag(self, counters: Counters | None) -> Counters:
@@ -116,14 +114,10 @@ class OLAPArray:
 
         Called at cold-cache query boundaries so each measured query
         pays for (one sequential) re-read of the chunk meta directory
-        and the IndexToIndex arrays, as the paper's runs did.  An
-        attached chunk cache drops this array's decoded chunks for the
-        same reason.
+        and the IndexToIndex arrays, as the paper's runs did.
         """
         self._dir_cache = None
         self._i2i_cache.clear()
-        if self.chunk_cache is not None:
-            self.chunk_cache.invalidate_array(self.name)
 
     # -- opening ----------------------------------------------------------------
 
@@ -197,22 +191,26 @@ class OLAPArray:
     # -- chunk access -------------------------------------------------------------------
 
     def read_chunk(
-        self, chunk_no: int, counters: Counters | None = None
+        self, chunk_no: int, counters: Counters | None = None, cold: bool = False
     ) -> DecodedChunk:
         """Decode one chunk: its record of sorted offsets, ``(count, p)``
         values, origin and (split on first use) offset halves.
 
         Empty chunks return empty arrays without touching the disk
         (the §4.2 skip optimization relies on this).  The arrays are
-        read-only; with a :attr:`chunk_cache` attached, repeated reads
-        of the same chunk return the one shared record, already split.
+        read-only; a warm read through the :attr:`chunk_cache` returns
+        the one shared record, already split.  A ``cold`` read (a
+        measured cold run) goes around the cache: no lookup, no fill.
         ``counters`` is the bag a payload fetch is billed to (default:
         the array's own); a cache hit fetches nothing and bills nothing.
         """
         cache = self.chunk_cache
-        if cache is not None:
-            return cache.get_chunk(self, chunk_no, counters)
-        return self._read_chunk_direct(chunk_no, counters)
+        if cache is None or cold:
+            return self._read_chunk_direct(chunk_no, counters)
+        return cache.get_chunk(
+            (self.name, chunk_no),
+            lambda: self._read_chunk_direct(chunk_no, counters),
+        )
 
     def _read_chunk_direct(
         self, chunk_no: int, counters: Counters | None = None
@@ -234,7 +232,8 @@ class OLAPArray:
         return DecodedChunk(self.geometry, chunk_no, offsets, values)
 
     def walk(
-        self, chunk_range: range, masks=None, counters: Counters | None = None
+        self, chunk_range: range, masks=None, counters: Counters | None = None,
+        cold: bool = False,
     ):
         """The one chunk walk: non-empty chunks a selection can touch.
 
@@ -247,30 +246,33 @@ class OLAPArray:
         ``empty_chunks_skipped`` (no stored cell, known from the
         directory alone), and per fetched payload ``chunks_read`` /
         ``chunk_bytes_read``, so the three add up to the range cold.
+        ``cold`` reads around the chunk cache (:meth:`read_chunk`).
         """
         counters = self._bag(counters)
         chunk_nos = self.geometry.overlapping_chunks(chunk_range, masks)
         counters.add("chunks_skipped", len(chunk_range) - len(chunk_nos))
         empty = 0
         for chunk_no in chunk_nos:
-            chunk = self.read_chunk(chunk_no, counters)
+            chunk = self.read_chunk(chunk_no, counters, cold)
             if len(chunk):
                 yield chunk
             else:
                 empty += 1
         counters.add("empty_chunks_skipped", empty)
 
-    def selected_cells(self, chunk_range: range, masks=None, counters=None):
+    def selected_cells(
+        self, chunk_range: range, masks=None, counters=None, cold: bool = False
+    ):
         """:meth:`walk`, narrowed to the cells the selection keeps.
 
         The per-cell filter is the ``logical_and`` of the same masks that
         pruned the chunks, looked up by ``offsetInChunk``.
         """
         if masks is None:
-            yield from self.walk(chunk_range, None, counters)
+            yield from self.walk(chunk_range, None, counters, cold)
             return
         selected = ComposedTables(self.geometry, masks, np.logical_and)
-        for chunk in self.walk(chunk_range, masks, counters):
+        for chunk in self.walk(chunk_range, masks, counters, cold):
             keep = selected.gather(chunk.origin, chunk.halves)
             if keep is None:
                 yield chunk

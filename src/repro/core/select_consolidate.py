@@ -141,8 +141,9 @@ def consolidate_with_selection(
     aggregate: str | list[str] = "sum",
     order: str = "chunk",
     counters: Counters | None = None,
+    cold: bool = False,
 ) -> ConsolidationResult:
-    """Run the §4.2 algorithm; returns sorted rows like :func:`consolidate`."""
+    """The §4.2 algorithm; sorted rows and ``cold`` as in :func:`consolidate`."""
     if order not in ("chunk", "naive"):
         raise QueryError(f"unknown order {order!r}")
     counters = counters if counters is not None else Counters()
@@ -153,7 +154,7 @@ def consolidate_with_selection(
         final_lists = _final_index_lists(array, selections, counters)
     with tracer.span("probe_chunks", order=order):
         if order == "naive":
-            _enumerate_naive(array, accumulator, final_lists, counters)
+            _enumerate_naive(array, accumulator, final_lists, counters, cold)
         else:
             scan_chunk_range(
                 array,
@@ -161,6 +162,7 @@ def consolidate_with_selection(
                 range(array.geometry.n_chunks),
                 allowed=final_lists,
                 counters=counters,
+                cold=cold,
             )
     counters.add("result_cells", accumulator.touched_cells())
     with tracer.span("extract_rows"):
@@ -173,6 +175,7 @@ def _enumerate_naive(
     accumulator: ResultAccumulator,
     final_lists: list[list[int]],
     counters: Counters,
+    cold: bool,
 ) -> None:
     """The un-optimized order: global index order, chunk recomputed per
     cell; the hits fold in that order once every element is probed."""
@@ -184,7 +187,7 @@ def _enumerate_naive(
     for coords in itertools.product(*final_lists):
         counters.add("cells_probed")
         chunk_no, offset = geometry.locate(coords)
-        chunk = array.read_chunk(chunk_no, counters)
+        chunk = array.read_chunk(chunk_no, counters, cold)
         position = int(np.searchsorted(chunk.offsets, offset))
         if position < len(chunk) and chunk.offsets[position] == offset:
             linear.append(

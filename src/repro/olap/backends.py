@@ -70,6 +70,8 @@ class BackendContext:
     shards: int = 1
     #: where shard scans run: ``local`` / ``thread`` / ``process``
     executor: str = "local"
+    #: a cold measured run: chunk reads go around the chunk cache
+    cold: bool = False
 
     @contextmanager
     def phase(self, name: str, **attrs):
@@ -235,6 +237,7 @@ class ArrayBackend(Backend):
                     selections,
                     aggregate=query.aggregate,
                     counters=ctx.counters,
+                    cold=ctx.cold,
                 )
         else:
             with ctx.phase("consolidate"):
@@ -243,6 +246,7 @@ class ArrayBackend(Backend):
                     specs,
                     aggregate=query.aggregate,
                     counters=ctx.counters,
+                    cold=ctx.cold,
                 )
         return self.rows(ctx, query, result)
 

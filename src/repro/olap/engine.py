@@ -369,19 +369,20 @@ class OlapEngine:
         )
 
         def build(state: _CubeState) -> None:
-            array = store(self.db.fm, name or array_name(schema))
-            if state.array is not None:
-                array.chunk_cache = state.array.chunk_cache
-            self._set_array(state, array)
+            self._set_array(state, store(self.db.fm, name or array_name(schema)))
 
         return build
 
     def _set_array(self, state: _CubeState, array: OLAPArray) -> None:
-        """Point ``state`` at ``array``; its counters take the registry's
-        ``array:<cube>`` source over from the array it replaces."""
+        """Point ``state`` at ``array`` and ``array`` at the database's
+        chunk cache (which drops the replaced array's chunks); its counters
+        take the registry's ``array:<cube>`` source over from that array."""
         metrics = self.db.metrics
         if state.array_source is not None:
             metrics.unregister(state.array_source)
+        if state.array is not None:
+            self.db.chunks.invalidate_array(state.array.name)
+        array.chunk_cache = self.db.chunks
         state.array = array
         state.array_source = metrics.register(
             f"array:{array_name(state.schema)}", array.counters
@@ -507,8 +508,9 @@ class OlapEngine:
         first) or one of the engine's backends, ``array``, ``starjoin``
         or ``bitmap``; any other name is a :class:`PlanError`.  ``mode``
         predates the one array kernel and accepts only ``"auto"``.
-        With ``cold=True`` (the paper's methodology) the buffer pool is
-        flushed before the measured run.  ``result.stats`` is what every
+        With ``cold=True`` (the paper's methodology) the buffer pool and
+        the decoded-chunk cache are emptied before the measured run.
+        ``result.stats`` is what every
         registered counter source moved by while the query was planned
         and ran (the difference of two registry snapshots), a stale
         grain's inline build included; ``result.plan`` is the plan.
@@ -560,6 +562,8 @@ class OlapEngine:
         (:mod:`repro.bench.baselines`), run unplanned as ``backend``.
         ``query`` must already be validated against ``state``'s schema;
         ``shards``/``executor`` are :meth:`query`'s, already checked.
+        A cold run reads around the decoded-chunk cache
+        (``BackendContext.cold``), a ``thread`` shard fan-out excepted.
         """
         if cold:
             if state.array is not None:
@@ -577,6 +581,7 @@ class OlapEngine:
             counters=counters,
             shards=shards,
             executor=executor,
+            cold=cold,
         )
         plan = route = None
         with metrics.scoped("query", counters):

@@ -1,9 +1,10 @@
 """The :class:`Database`: one storage stack plus a table/index catalog.
 
-A ``Database`` bundles the simulated disk, buffer pool, optional WAL,
-lock manager and file manager, and tracks which files are heap tables,
-fact files, B-trees or bitmap indices.  The experiment harness talks to
-a ``Database`` for cold-cache resets and I/O statistics.
+A ``Database`` bundles the simulated disk, buffer pool, decoded-chunk
+cache, optional WAL, lock manager and file manager, and tracks which
+files are heap tables, fact files, B-trees or bitmap indices.  The
+experiment harness talks to a ``Database`` for cold-cache resets and
+I/O statistics.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.relational.fact_file import FactFile
 from repro.relational.heap_file import HeapFile
 from repro.relational.schema import Schema
 from repro.storage.buffer_pool import BufferPool, DEFAULT_POOL_BYTES
+from repro.storage.chunk_cache import ChunkCache
 from repro.storage.disk import DiskModel, SimulatedDisk
 from repro.storage.locks import LockManager
 from repro.storage.page_file import FileManager
@@ -51,10 +53,16 @@ class Database:
             self.wal = WriteAheadLog()
         else:
             self.wal = None
-        self.pool = BufferPool(
-            self.disk, capacity_bytes=pool_bytes, wal=self.wal
-        )
-        self.fm = FileManager(self.pool)
+        self._open(pool_bytes)
+        self.fm.create(_CATALOG_FILE)
+
+    def _open(self, pool_bytes: int, master_page_id: int | None = None) -> None:
+        """Stack an empty catalog on ``disk``: the buffer pool, the
+        decoded-chunk cache above it (:meth:`cold_cache` empties both),
+        the file manager, locks and metrics."""
+        self.pool = BufferPool(self.disk, capacity_bytes=pool_bytes, wal=self.wal)
+        self.chunks = ChunkCache()
+        self.fm = FileManager(self.pool, master_page_id)
         self.locks = LockManager()
         self.metrics = self._build_metrics()
         self._tables: dict[str, HeapFile | FactFile] = {}
@@ -62,7 +70,6 @@ class Database:
         self._bitmaps: dict[str, BitmapIndex] = {}
         self._kinds: dict[str, str] = {}
         self._closed = False
-        self.fm.create(_CATALOG_FILE)
 
     def _build_metrics(self) -> MetricsRegistry:
         """Register every storage-stack counter source, gauge and
@@ -73,8 +80,11 @@ class Database:
         metrics.register_gauge("pool_resident_pages", self.pool.resident_pages)
         metrics.register_gauge("pool_hit_rate", self.pool.hit_rate)
         metrics.register_gauge("disk_used_bytes", self.disk.used_bytes)
-        for name, histogram in self.pool.histograms.items():
-            metrics.register_histogram(name, histogram)
+        metrics.register("chunk_cache", self.chunks.counters)
+        metrics.register_gauge("chunk_cache_entries", self.chunks.__len__)
+        for histograms in (self.pool.histograms, self.chunks.histograms):
+            for name, histogram in histograms.items():
+                metrics.register_histogram(name, histogram)
         if self.wal is not None:
             metrics.register("wal", self.wal.counters)
             metrics.register_gauge("wal_size_bytes", self.wal.size_bytes)
@@ -101,16 +111,9 @@ class Database:
         db = cls.__new__(cls)
         db.disk = disk
         db.wal = wal
-        db.pool = BufferPool(disk, capacity_bytes=pool_bytes, wal=wal)
         # the Database constructor allocates the FileManager master page
         # first, so it is always page 0 of the volume
-        db.fm = FileManager(db.pool, master_page_id=0)
-        db.locks = LockManager()
-        db.metrics = db._build_metrics()
-        db._tables = {}
-        db._btrees = {}
-        db._bitmaps = {}
-        db._closed = False
+        db._open(pool_bytes, master_page_id=0)
         db._kinds = db._load_kinds()
         for name, kind in db._kinds.items():
             if kind == "heap":
@@ -343,7 +346,8 @@ class Database:
     # -- measurement support ---------------------------------------------------------
 
     def cold_cache(self) -> None:
-        """Flush and empty the buffer pool and park the disk arm.
+        """Flush and empty the buffer pool, empty the decoded-chunk
+        cache and park the disk arm.
 
         This is the paper's pre-query ritual ("we flushed both the Unix
         file system buffer and Paradise buffer pool before running each
@@ -351,6 +355,7 @@ class Database:
         and after the measured work and subtract.
         """
         self.pool.clear()
+        self.chunks.clear()
         self.disk.park()
 
     def stats(self) -> dict[str, float]:

@@ -1,19 +1,18 @@
 """Concurrent serving over the OLAP engine (the ROADMAP north star).
 
 ``repro.serve`` wraps the single-threaded :class:`~repro.olap.engine.
-OlapEngine` for concurrent traffic: a thread pool with admission
-control, an LRU result cache with generation-based invalidation, and a
-shared decoded-chunk cache.  See :class:`QueryService`.
+OlapEngine` for concurrent traffic: admission control on the calling
+thread and an LRU result cache with generation-based invalidation; a
+miss reads through the database's decoded-chunk cache.  See
+:class:`QueryService`.
 """
 
-from repro.serve.chunk_cache import ChunkCache
 from repro.serve.fingerprint import query_fingerprint
 from repro.serve.result_cache import CacheEntry, ResultCache
 from repro.serve.service import QueryService, ServiceConfig
 
 __all__ = [
     "CacheEntry",
-    "ChunkCache",
     "QueryService",
     "ResultCache",
     "ServiceConfig",

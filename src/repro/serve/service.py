@@ -16,8 +16,8 @@ service layers concurrency *around* it:
   rejects a miss beyond ``max_workers`` admitted ones with
   :class:`~repro.errors.AdmissionError` (backpressure, not unbounded
   queueing), so a saturated service still answers cached queries;
-- a :class:`~repro.serve.chunk_cache.ChunkCache` is attached to every
-  cube's array so consolidations reuse decoded chunks;
+- every miss runs warm, through the database's decoded-chunk cache
+  (:class:`~repro.storage.chunk_cache.ChunkCache`);
 - every write path (:meth:`write_cell`, :meth:`append_facts`,
   :meth:`rebuild_array`) bumps the cube generation, and the result
   cache drops an entry computed at an older generation when a lookup
@@ -36,8 +36,9 @@ there, count up for the life of the service (a window or a query is a
 difference of two snapshots); queue depth / cache residency export as
 gauges.
 
-Every cache, the trace store and the engine's one grain store register
-with the service's :class:`~repro.obs.memory.MemoryAccountant`, which
+Every cache, the trace store and the engine's shared stores (the
+database's decoded chunks, the one grain store) register with the
+service's :class:`~repro.obs.memory.MemoryAccountant`, which
 checks ``memory_budget_bytes`` each time one of them grows; the service
 starts no thread of its own.
 
@@ -81,7 +82,6 @@ from repro.obs.tracing import (
 )
 from repro.olap.engine import OlapEngine, QueryResult
 from repro.olap.query import ConsolidationQuery
-from repro.serve.chunk_cache import ChunkCache
 from repro.serve.fingerprint import query_fingerprint
 from repro.serve.result_cache import ResultCache
 from repro.storage.wal import recover as wal_recover
@@ -101,8 +101,6 @@ class ServiceConfig:
     #: lock, and one more is rejected with :class:`AdmissionError`; a
     #: result-cache hit takes no slot
     max_workers: int = 16
-    #: run engine misses cold (paper methodology) instead of warm
-    cold: bool = False
     #: end-to-end latency at which a query counts as slow: the trace
     #: store evicts its trace only after every fast one, and a slow
     #: engine miss's trace carries its analyzed plan
@@ -126,8 +124,8 @@ class ServiceConfig:
 class QueryService:
     """Concurrent, cached query execution over one :class:`OlapEngine`.
 
-    Use as a context manager or call :meth:`close` to detach the caches
-    and the metrics.  Mutations must go
+    Use as a context manager or call :meth:`close` to detach the metrics
+    and the memory accountant.  Mutations must go
     through the service's write methods — direct engine writes while
     queries are in flight would trip the engine's non-blocking lock
     manager (the service serializes engine access for both).
@@ -137,7 +135,6 @@ class QueryService:
         self.engine = engine
         self.config = config or ServiceConfig()
         self.results = ResultCache()
-        self.chunks = ChunkCache()
         self.counters = Counters()
         self.traces = TraceStore(slow_threshold_s=self.config.slow_threshold_s)
         self._engine_lock = threading.RLock()
@@ -147,8 +144,6 @@ class QueryService:
         self._in_flight = 0
         self._closed = False
         self._degraded: set[str] = set()  # guarded by _admission_lock
-        for name in list(engine._cubes):
-            self._attach_chunk_cache(name)
         self._register_metrics()
         self.memory = MemoryAccountant(
             engine.db.metrics,
@@ -167,7 +162,6 @@ class QueryService:
             for name, counters in (
                 ("serve:service", self.counters),
                 ("serve:result_cache", self.results.counters),
-                ("serve:chunk_cache", self.chunks.counters),
                 ("serve:traces", self.traces.counters),
             )
         ]
@@ -176,7 +170,6 @@ class QueryService:
             for name, fn in (
                 ("serve.in_flight", lambda: float(self._in_flight)),
                 ("serve.result_cache_entries", lambda: float(len(self.results))),
-                ("serve.chunk_cache_entries", lambda: float(len(self.chunks))),
                 ("serve.degraded_cubes", lambda: float(len(self._degraded))),
                 ("serve.traces_resident", lambda: float(len(self.traces))),
             )
@@ -193,17 +186,13 @@ class QueryService:
                 "serve.recovery_seconds",
             )
         }
-        self.chunks.histograms = {
-            name: registry.register_histogram(name)
-            for name in self.chunks.histograms
-        }
 
     def _register_memory_stores(self) -> None:
         """Wire every resident store into the memory accountant.
 
         Reclaim order (``cost_rank``) is cheapest-to-rebuild first:
-        result cache (one engine query) → decoded chunks (one pool
-        read + decode each) → the engine's grains (one re-roll or walk
+        result cache (one engine query) → the database's decoded chunks
+        (one pool read + decode each) → the engine's grains (one re-roll or walk
         each, rebuilt by the next query routed to one) → the trace
         store, whose loss costs a debugging breadcrumb but
         never a wrong answer.  Each of those stores checks the budget
@@ -212,17 +201,18 @@ class QueryService:
         """
         memory = self.memory
         memory.register_store("result_cache", self.results, cost_rank=0)
-        memory.register_store("chunk_cache", self.chunks, cost_rank=1)
+        memory.register_store("chunk_cache", self.engine.db.chunks, cost_rank=1)
         memory.register_store("rollup_grains", self.engine.grains, cost_rank=2)
         memory.register_store("buffer_pool", self.engine.db.pool.resident_bytes)
         memory.register_store("traces", self.traces, cost_rank=5)
 
     def stats(self) -> dict[str, float]:
-        """Cumulative service + cache counters, merged."""
+        """Cumulative service + cache counters, merged (the decoded-chunk
+        cache's are the database's, shared with every service on it)."""
         merged = Counters()
         merged.merge(self.counters)
         merged.merge(self.results.counters)
-        merged.merge(self.chunks.counters)
+        merged.merge(self.engine.db.chunks.counters)
         return merged.snapshot()
 
     @property
@@ -230,12 +220,7 @@ class QueryService:
         """Admitted misses not yet finished (waiting + running)."""
         return self._in_flight
 
-    # -- cache plumbing ----------------------------------------------------
-
-    def _attach_chunk_cache(self, cube: str) -> None:
-        state = self.engine.cube(cube)
-        if state.array is not None and state.array.chunk_cache is None:
-            state.array.chunk_cache = self.chunks
+    # -- engine access -----------------------------------------------------
 
     @contextmanager
     def engine_access(self, cube: str):
@@ -244,7 +229,6 @@ class QueryService:
         while degraded."""
         self._check_degraded(cube)
         with self._engine_lock:
-            self._attach_chunk_cache(cube)
             yield self.engine.cube(cube)
 
     # -- query path --------------------------------------------------------
@@ -393,7 +377,7 @@ class QueryService:
         :meth:`OlapEngine.explain <repro.olap.engine.OlapEngine.explain>`.
         Serializes
         behind the engine lock like any miss; an ANALYZE run executes
-        with the service's warm/cold policy, and its result is cached
+        warm and its result is cached
         like a miss's, so an :meth:`execute` of the same query after it
         is a hit.  The plan is returned, not kept: a slow miss's plan
         lives in its trace.
@@ -401,14 +385,11 @@ class QueryService:
         cube = query.cube
         self._check_degraded(cube)
         with self._engine_lock:
-            self._attach_chunk_cache(cube)
             if analyze:
                 # writes serialize behind the engine lock too, so the
                 # run reads the generation it is cached at
                 generation = self.engine.cube_generation(cube)
-                plan, result = self.engine.explain_analyze(
-                    query, backend, cold=self.config.cold
-                )
+                plan, result = self.engine.explain_analyze(query, backend, cold=False)
                 self.results.put(
                     cube, plan.fingerprint, generation, replace(result, plan=None)
                 )
@@ -456,10 +437,7 @@ class QueryService:
             with tracer.span(
                 "serve_query", cube=cube, cache="miss", backend=backend
             ):
-                self._attach_chunk_cache(cube)
-                result = self.engine.query(
-                    query, backend=backend, cold=self.config.cold
-                )
+                result = self.engine.query(query, backend=backend, cold=False)
                 # the generation cannot have moved: writes also
                 # serialize behind the engine lock.  Inside the span so
                 # the insert's byte measurement attributes to the query;
@@ -563,13 +541,13 @@ class QueryService:
         With a WAL the pool is crashed (dropping every possibly-suspect
         frame) and committed after-images are replayed onto the disk —
         the same path a process restart takes, run in place.  Without a
-        WAL there is nothing to replay; the caches are still dropped so
-        the next read re-reads authoritative disk state.  Cached query
-        *results* are kept: they were computed from committed state,
-        which recovery preserves by definition.
+        WAL there is nothing to replay; the pool and the decoded-chunk
+        cache are still dropped so the next read re-reads authoritative
+        disk state.  Cached query *results* are kept: they were computed
+        from committed state, which recovery preserves by definition.
         """
         db = self.engine.db
-        state = self.engine.cube(cube)  # validates the name
+        self.engine.cube(cube)  # validates the name
         tracer = get_tracer()
         start = time.perf_counter()
         with self._engine_lock:
@@ -580,8 +558,7 @@ class QueryService:
                     replayed = wal_recover(db.disk, db.wal)
                 else:
                     db.pool.clear()
-                if state.array is not None:
-                    self.chunks.invalidate_array(state.array.name)
+                db.chunks.clear()
                 with self._admission_lock:
                     self._degraded.discard(cube)
                 self.counters.add("serve.recoveries")
@@ -623,16 +600,13 @@ class QueryService:
 
     def close(self) -> None:
         """Stop admitting, wait for the admitted misses, detach the
-        caches and metrics."""
+        memory accountant and metrics."""
         with self._admission_lock:
             if self._closed:
                 return
             self._closed = True
             self._drained.wait_for(lambda: not self._in_flight)
         self.memory.close()
-        for state in self.engine._cubes.values():
-            if state.array is not None and state.array.chunk_cache is self.chunks:
-                state.array.chunk_cache = None
         registry = self.engine.db.metrics
         for name in self._sources:
             registry.unregister(name)

@@ -150,22 +150,25 @@ class ShardCoordinator:
         # only read it
         array._entries(counters)
         plan = plan_shards(array, ctx.shards, ctx.executor)
-        executor = self.executor(ctx.executor)
-        tasks, fn, cleanup = self._build_tasks(
-            plan, array, specs, aggregate, allowed, cube, state
+        # thread scans read through the chunk cache even cold (the cold
+        # flush has just emptied it): its I/O lock serializes the pool's
+        # single-threaded bookkeeping.  Without one, scan on this thread.
+        name = ctx.executor
+        if name == "thread" and array.chunk_cache is None:
+            name = "local"
+        tasks, fn = self._build_tasks(
+            plan, array, specs, aggregate, allowed, cube, state,
+            cold=ctx.cold and name == "local",
         )
-        timeout_s = None if ctx.executor == "local" else self.timeout_s
+        timeout_s = None if name == "local" else self.timeout_s
 
         scatter_started = time.perf_counter()
         with tracer.span(
             "shard_scatter", shards=plan.shards, executor=plan.executor
         ):
-            try:
-                partials = self._scatter_with_retry(
-                    executor, fn, tasks, timeout_s
-                )
-            finally:
-                cleanup()
+            partials = self._scatter_with_retry(
+                self.executor(name), fn, tasks, timeout_s
+            )
             for shard_no in sorted(partials):
                 self._fold_shard_counters(
                     counters, shard_no, partials[shard_no]["counters"]
@@ -192,8 +195,9 @@ class ShardCoordinator:
 
     # -- task construction ----------------------------------------------------
 
-    def _build_tasks(self, plan, array, specs, aggregate, allowed, cube, state):
-        """Tasks + task function + post-scatter cleanup for the executor."""
+    def _build_tasks(self, plan, array, specs, aggregate, allowed, cube, state, cold):
+        """Tasks + task function for the executor; ``cold`` inline scans
+        read around the chunk cache."""
         if plan.executor == "process":
             for spec in specs:
                 if spec.kind == "mapping":
@@ -224,7 +228,7 @@ class ShardCoordinator:
                 )
                 for a in plan.assignments
             ]
-            return tasks, run_shard_task, lambda: None
+            return tasks, run_shard_task
 
         tasks = [
             {
@@ -235,26 +239,12 @@ class ShardCoordinator:
                 "allowed": allowed,
                 "start": a.start,
                 "stop": a.stop,
+                "cold": cold,
                 "fail_marker": self._marker_path(a.shard_no),
             }
             for a in plan.assignments
         ]
-        cleanup = lambda: None  # noqa: E731
-        if plan.executor == "thread" and array.chunk_cache is None:
-            # everything lazily loaded (chunk directory, mappings) was
-            # resolved on this thread before the scatter; what is left is the buffer pool, whose
-            # pin/evict bookkeeping is single-threaded — a temporary
-            # chunk cache's I/O lock serializes it under the scans
-            from repro.serve.chunk_cache import ChunkCache
-
-            temporary = ChunkCache(max_chunks=max(8, plan.shards))
-            array.chunk_cache = temporary
-
-            def cleanup() -> None:
-                array.chunk_cache = None
-                temporary.clear()
-
-        return tasks, run_inline_task, cleanup
+        return tasks, run_inline_task
 
     # -- scatter / retry ------------------------------------------------------
 

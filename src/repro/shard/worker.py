@@ -92,6 +92,7 @@ def run_inline_task(task: dict) -> dict:
         range(task["start"], task["stop"]),
         allowed=task.get("allowed"),
         counters=counters,
+        cold=task["cold"],
     )
     return {
         "shard": task["shard"],

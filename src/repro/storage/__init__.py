@@ -12,6 +12,7 @@ rather than estimates.
 
 from repro.storage.disk import DiskModel, SimulatedDisk
 from repro.storage.buffer_pool import BufferPool
+from repro.storage.chunk_cache import ChunkCache
 from repro.storage.page_file import FileManager, PageFile
 from repro.storage.slotted_page import SlottedPage
 from repro.storage.large_object import LargeObjectStore
@@ -31,6 +32,7 @@ __all__ = [
     "DiskModel",
     "SimulatedDisk",
     "BufferPool",
+    "ChunkCache",
     "FileManager",
     "PageFile",
     "SlottedPage",

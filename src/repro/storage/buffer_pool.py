@@ -6,12 +6,12 @@ calls :meth:`BufferPool.clear` before each measured run, as the paper
 flushed both the Unix file-system cache and the Paradise pool.
 
 Concurrency notes: the pool takes no lock and no latch of its own; its
-callers serialise access.  Under the serving layer chunks are read
-through :class:`~repro.serve.chunk_cache.ChunkCache`, whose I/O lock
-admits one pool reader at a time; the shard coordinator gives a thread
-fan-out a temporary cache of the same kind; writers hold the cube's
-exclusive lock.  Frames carry pin counts for correctness of eviction
-(a pinned frame is never evicted).
+callers serialise access.  Warm chunk reads — every service miss and
+every ``thread`` shard scan — go through the database's
+:class:`~repro.storage.chunk_cache.ChunkCache`, whose I/O lock admits
+one pool reader at a time; writers hold the cube's exclusive lock.
+Frames carry pin counts for correctness of eviction (a pinned frame is
+never evicted).
 
 Frame states: a frame faulted in by :meth:`BufferPool.get_run` holds the
 disk's own immutable ``bytes`` image (a cold scan copies no page);

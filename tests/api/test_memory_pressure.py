@@ -147,7 +147,7 @@ class TestEvictionUnderWrites:
         grains = service.engine.grains
         for store in (
             service.results,
-            service.chunks,
+            service.engine.db.chunks,
             service.traces,
             grains,
         ):

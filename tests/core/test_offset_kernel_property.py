@@ -36,7 +36,7 @@ from repro.core import ConsolidationSpec, consolidate
 from repro.core.builder import DimensionData, build_olap_array
 from repro.core.consolidate import ResultAccumulator, scan_chunk_range
 from repro.core.index_to_index import IndexToIndex
-from repro.serve import ChunkCache
+from repro.storage import ChunkCache
 from repro.storage import BufferPool, FileManager, SimulatedDisk
 
 AGGREGATES = ("sum", "count", "min", "max", "avg")

@@ -42,11 +42,12 @@ def scan_partitioned(
 def scan_threaded(array, specs, partitions, aggregate="sum", max_workers=None):
     """The same sub-range scans as thread-executor shard tasks.
 
-    What the coordinator does for ``executor="thread"`` without an
-    engine around it: a chunk cache's I/O lock serializes the buffer
-    pool under the concurrent scans.
+    What the coordinator does for ``executor="thread"``, without an
+    engine around the array: the scans read through a chunk cache, the
+    one the engine gives every array it serves, whose I/O lock
+    serializes the buffer pool under them.
     """
-    from repro.serve import ChunkCache
+    from repro.storage import ChunkCache
 
     merged = ResultAccumulator(array, specs, aggregate)
     array.chunk_directory()
@@ -58,6 +59,7 @@ def scan_threaded(array, specs, partitions, aggregate="sum", max_workers=None):
             "aggregate": aggregate,
             "start": chunk_range.start,
             "stop": chunk_range.stop,
+            "cold": False,
         }
         for shard, chunk_range in enumerate(
             partition_chunks(array.geometry.n_chunks, partitions)
@@ -223,36 +225,27 @@ class TestThreadedPlumbing:
                 engine_query(), backend="array", shards=2, executor="fork"
             )
 
-    def test_temporary_chunk_cache_detached(self, engine):
-        array = engine.cube("cube").array
-        assert array.chunk_cache is None
-        engine.query(
-            engine_query(), backend="array", shards=4, executor="thread"
-        )
-        assert array.chunk_cache is None
-
     def test_attached_chunk_cache_reused(self, engine):
-        from repro.serve import ChunkCache
-
         array = engine.cube("cube").array
-        cache = ChunkCache()
-        array.chunk_cache = cache
-        try:
-            first, second = (
-                engine.query(
-                    engine_query(),
-                    backend="array",
-                    shards=4,
-                    executor="thread",
-                    cold=cold,
-                )
-                for cold in (True, False)
+        cache = array.chunk_cache
+        assert cache is engine.db.chunks
+
+        def run(cold):
+            return engine.query(
+                engine_query(),
+                backend="array",
+                shards=4,
+                executor="thread",
+                cold=cold,
             )
-        finally:
-            array.chunk_cache = None
+
+        # a cold thread fan-out reads through the cache the cold flush
+        # emptied, so the warm pass reads every chunk out of it
+        first = run(cold=True)
+        hits = cache.counters.get("chunk_cache.hits")
+        second = run(cold=False)
         assert second.rows == first.rows
-        # the second pass reads every chunk out of the shared cache
-        assert cache.counters.get("chunk_cache.hits") >= array.geometry.n_chunks
+        assert cache.counters.get("chunk_cache.hits") - hits == array.geometry.n_chunks
         assert second.stats.get("chunks_read", 0) == 0
 
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.chunking import ChunkGeometry, DecodedChunk
 from repro.obs.memory import MemoryAccountant, SizedStore
 from repro.obs.tracing import TraceStore, new_trace_context
-from repro.serve import ChunkCache
+from repro.storage import ChunkCache
 
 KEYS = st.integers(0, 11)
 BYTES = st.integers(0, 500)
@@ -165,36 +165,31 @@ def test_a_trace_merge_is_one_growth_step():
     assert fired == [False, False]
 
 
-class _StubArray:
-    """The two things :meth:`ChunkCache.get_chunk` reads of an array."""
+_GEOMETRY = ChunkGeometry((16,), (8,))
 
-    geometry = ChunkGeometry((16,), (8,))
 
-    def __init__(self, name="stub"):
-        self.name = name
-
-    def _read_chunk_direct(self, chunk_no, counters=None):
-        return DecodedChunk(
-            self.geometry,
-            chunk_no,
-            np.arange(chunk_no + 1, dtype=np.int32),
-            np.ones((chunk_no + 1, 1)),
-        )
+def _load(chunk_no):
+    """A plain loader: what an array's uncached read hands the cache."""
+    return lambda: DecodedChunk(
+        _GEOMETRY,
+        chunk_no,
+        np.arange(chunk_no + 1, dtype=np.int32),
+        np.ones((chunk_no + 1, 1)),
+    )
 
 
 def test_a_chunk_miss_fires_once_after_the_io_lock():
-    array = _StubArray()
     cache = ChunkCache()
     # a miss of its own needs the store lock and then the I/O lock
-    fresh = (_StubArray(f"probe{n}") for n in itertools.count())
-    fired = _hook(cache, lambda: cache.get_chunk(next(fresh), 0))
-    cache.get_chunk(array, 0)
+    fresh = ((f"probe{n}", 0) for n in itertools.count())
+    fired = _hook(cache, lambda: cache.get_chunk(next(fresh), _load(0)))
+    cache.get_chunk(("stub", 0), _load(0))
     assert fired == [False]
-    cache.get_chunk(array, 0)  # a hit
-    cache.invalidate_chunk(array.name, 0)
-    cache.invalidate_array(array.name)
+    cache.get_chunk(("stub", 0), _load(0))  # a hit
+    cache.invalidate_chunk("stub", 0)
+    cache.invalidate_array("stub")
     assert fired == [False]
-    cache.get_chunk(array, 1)
+    cache.get_chunk(("stub", 1), _load(1))
     cache.clear()
     assert fired == [False, False]
 

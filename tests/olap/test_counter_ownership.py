@@ -104,7 +104,8 @@ class TestNothingIsMisbilled:
         first_fact = generate_fact_rows(CONFIG)[0]
         array.read_chunk(0)
         array.write_cell(tuple(first_fact[:3]), (first_fact[3] + 1,))
-        result = consolidate(array, SPECS)
+        # cold: around the chunk cache the reads above went through
+        result = consolidate(array, SPECS, cold=True)
         assert result.counters.get("chunks_read") == expected
 
     def test_a_passed_bag_is_the_only_one_billed(self, fresh):

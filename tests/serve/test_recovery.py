@@ -8,6 +8,7 @@ from repro.errors import (
     DegradedError,
     PermanentError,
     RetryExhaustedError,
+    SimulatedCrash,
     TransientError,
 )
 from repro.olap.engine import OlapEngine
@@ -22,11 +23,12 @@ CUBE = "served"
 QUERY = ConsolidationQuery.build(CUBE, group_by={"x": "xk", "y": "yk"})
 DEGRADING = ConsolidationQuery.build(CUBE, group_by={"y": "yk"})
 
-# cold=True forces every engine miss back to the (faulty) disk; the
+# A miss runs warm: a test whose miss must reach the (faulty) disk
+# empties the pool and the chunk cache first (``db.cold_cache()``).  The
 # service's three retries sleep 1, 2 and 4 ms.  An installed fault plan
-# reaches the service's pool thread, so every miss here goes through
-# ``QueryService.execute``.
-FAST_RETRY = ServiceConfig(max_workers=2, cold=True)
+# reaches every thread that calls the service, so every miss here goes
+# through ``QueryService.execute``.
+FAST_RETRY = ServiceConfig(max_workers=2)
 
 
 def build_engine(tmp_path=None):
@@ -61,6 +63,7 @@ def build_engine(tmp_path=None):
 
 def degrade(service, query=DEGRADING):
     """Exhaust one miss's retry budget, which degrades the cube."""
+    service.engine.db.cold_cache()
     with fault_plan(FaultPlan(transient_read_errors=10_000)):
         with pytest.raises(RetryExhaustedError):
             service.execute(query, "array")
@@ -71,6 +74,7 @@ class TestRetries:
     def test_transient_faults_are_retried_to_success(self):
         engine = build_engine()
         with QueryService(engine, FAST_RETRY) as service:
+            engine.db.cold_cache()
             plan = FaultPlan(transient_read_errors=2)
             with fault_plan(plan):
                 result = service.execute(QUERY, "array")
@@ -110,6 +114,7 @@ class TestRetries:
             monkeypatch.setattr(
                 "repro.serve.service.time.sleep", probing_sleep
             )
+            engine.db.cold_cache()
             with fault_plan(FaultPlan(transient_read_errors=2)):
                 result = service.execute(QUERY, "array")
             assert result.rows
@@ -192,6 +197,23 @@ class TestRecoverCube:
             rows = sorted(service.execute(QUERY, "array").rows)
             assert (5, 3, 777) in rows
 
+    def test_recover_drops_chunks_decoded_from_uncommitted_pages(
+        self, tmp_path
+    ):
+        engine = build_engine(tmp_path)
+        array = engine.cube(CUBE).array
+        with QueryService(engine, FAST_RETRY) as service:
+            service.write_cell(CUBE, (5, 3), (777,))
+            with fault_plan(FaultPlan(crash_at="wal.commit")):
+                with pytest.raises(SimulatedCrash):
+                    service.write_cell(CUBE, (5, 3), (999,))
+            # the uncommitted page is in the pool; a read caches its chunk
+            assert array.get_cell((5, 3))[0] == 999
+            assert len(engine.db.chunks)
+            service.recover_cube(CUBE)
+            assert array.get_cell((5, 3))[0] == 777
+            assert (5, 3, 777) in service.execute(QUERY, "array").rows
+
     def test_unknown_cube_rejected(self):
         engine = build_engine()
         with QueryService(engine, FAST_RETRY) as service:
@@ -206,6 +228,7 @@ class TestEndToEndFaultStory:
         other = ConsolidationQuery.build(CUBE, group_by={"y": "yg"})
         with QueryService(engine, FAST_RETRY) as service:
             healthy = service.execute(QUERY, "array")
+            engine.db.cold_cache()
             with fault_plan(FaultPlan(transient_read_errors=10_000)):
                 with pytest.raises(RetryExhaustedError):
                     service.execute(other, "array")

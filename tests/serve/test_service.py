@@ -50,17 +50,18 @@ class TestCaching:
         assert "result_cache_hit" not in result.stats
         assert result.backend == "starjoin"
 
-    def test_chunk_cache_attached_then_detached(self, engine):
+    def test_chunk_cache_outlives_the_service(self, engine):
         array = engine.cube(CONFIG.name).array
-        service = QueryService(engine)
-        assert array.chunk_cache is service.chunks
-        service.close()
-        assert array.chunk_cache is None
-
-    def test_cold_config_disables_warm_engine_runs(self, engine):
-        with QueryService(engine, ServiceConfig(cold=True)) as service:
-            result = service.execute(QUERY1, "array")
-        assert result.sim_io_s > 0
+        cache = engine.db.chunks
+        assert array.chunk_cache is cache
+        with QueryService(engine) as service:
+            service.execute(QUERY1, "array")
+            assert array.chunk_cache is cache
+            assert service.memory.usage_by_store()["chunk_cache"] == (
+                cache.resident_bytes()
+            ) > 0
+        assert array.chunk_cache is cache
+        assert cache.resident_bytes() > 0
 
 
 class TestAdmission:
@@ -102,11 +103,11 @@ class TestMetrics:
             service.execute(QUERY1)
             names = engine.db.metrics.source_names()
             assert {"serve:service", "serve:result_cache",
-                    "serve:chunk_cache"} <= set(names)
+                    "chunk_cache"} <= set(names)
             gauges = engine.db.metrics.gauge_values()
             assert gauges["serve.in_flight"] == 0.0
             assert gauges["serve.result_cache_entries"] == 1.0
-            assert gauges["serve.chunk_cache_entries"] >= 1.0
+            assert gauges["chunk_cache_entries"] == len(engine.db.chunks) >= 1
             merged = engine.db.metrics.merged_snapshot()
             assert merged["result_cache.hits"] == 1.0
 
@@ -137,7 +138,7 @@ class TestMetrics:
             first.close()
             assert {
                 "serve:service#2", "serve:result_cache#2",
-                "serve:chunk_cache#2", "serve:traces#2", "obs:memory#2",
+                "serve:traces#2", "obs:memory#2",
             } <= set(registry.source_names())
             merged = registry.merged_snapshot()
             hits = second.stats()["result_cache.hits"]
@@ -240,13 +241,18 @@ class TestWriteInvalidation:
 
 
 def test_run_warm_leaves_no_dangling_chunk_cache():
-    # regression: run_warm's service must detach its chunk cache on
-    # close, or the next service accounts into an orphaned cache
+    # regression: after run_warm's service has closed, the next service
+    # accounts the cache the array still reads, not an orphaned one
     from repro.bench import run_warm
 
     engine = fresh_engine()
     run_warm(engine, QUERY1, backend="array", repeats=1)
-    assert engine.cube(CONFIG.name).array.chunk_cache is None
+    cache = engine.db.chunks
+    assert engine.cube(CONFIG.name).array.chunk_cache is cache
     with QueryService(engine) as service:
+        hits = cache.counters.get("chunk_cache.hits")
         service.execute(QUERY1, "array")
-        assert service.stats()["chunk_cache.misses"] > 0
+        assert service.stats()["chunk_cache.hits"] > hits
+        assert service.memory.usage_by_store()["chunk_cache"] == (
+            cache.resident_bytes()
+        ) > 0

@@ -59,7 +59,7 @@ class TestValidation:
             assert params.index("backend") == params.index("query") + 1
         keywords = list(inspect.signature(OlapEngine.query).parameters)[2:]
         assert keywords == ["backend", "mode", "cold", "shards", "executor"]
-        assert len(dataclasses.fields(ServiceConfig)) == 5
+        assert len(dataclasses.fields(ServiceConfig)) == 4
         assert "options" not in {
             f.name for f in dataclasses.fields(ConsolidationQuery)
         }
