@@ -378,12 +378,14 @@ class DecodedChunk:
     """One decoded chunk, as every kernel reads it.
 
     ``offsets`` (sorted ``int32``) and ``values`` (``(count, p)``) are
-    the codec's aligned, owned, read-only arrays.  :attr:`origin` and
-    :attr:`halves` depend only on the chunk and are computed on first
-    use, so a chunk that is only probed is never split.  A record shared
-    between threads (an entry of the database's
-    :class:`~repro.storage.chunk_cache.ChunkCache`) goes through
-    :meth:`share` before it is published and is never written after.
+    the codec's aligned, read-only arrays, never views of a buffer-pool
+    frame (a chunk-offset chunk's view the reader's private joined copy
+    of its payload).  :attr:`origin` and :attr:`halves` depend only on
+    the chunk and are computed on first use, so a chunk that is only
+    probed is never split.  A record shared between threads (an entry
+    of the database's :class:`~repro.storage.chunk_cache.ChunkCache`)
+    goes through :meth:`share` before it is published and is never
+    written after.
     """
 
     __slots__ = ("no", "offsets", "values", "_geometry", "_origin", "_halves")

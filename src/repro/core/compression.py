@@ -5,8 +5,10 @@ array of offsets-in-chunk plus a ``(count, p)`` value matrix (``p``
 measures per cell, all of one dtype).  Codecs turn that into bytes and
 back; every payload starts with a one-byte codec tag so a stored chunk
 is self-describing.  :func:`decode_chunk` hands out both arrays
-aligned, owned and read-only: copied out of the payload once, so no
-kernel that reads them copies again.
+aligned and read-only, so no kernel that reads them copies them.  A
+chunk-offset payload that its reader joined behind the lead
+:func:`payload_lead` names is decoded as views of that private copy;
+only a misaligned buffer (a bare ``encode()`` result) is copied.
 
 - :class:`ChunkOffsetCodec` — the paper's format: ``(offsetInChunk,
   data)`` pairs sorted by offset, enabling binary-search probes (§4.2).
@@ -119,7 +121,9 @@ class ChunkOffsetCodec(ChunkCodec):
         values = np.frombuffer(
             payload, _np_dtype(dtype), count * n_measures, start + 4 * count
         ).reshape(count, n_measures)
-        return offsets.copy(), values.copy()
+        if offsets.flags.aligned and values.flags.aligned:
+            return offsets, values  # views: the payload sits behind its lead
+        return np.array(offsets), np.array(values)  # a bare payload: copied once
 
     def value_at(self, offset, rank, count, chunk_cells, n_measures):
         return 1 + _COUNT.size + 4 * count + 8 * n_measures * rank
@@ -247,12 +251,22 @@ def get_codec(name: str) -> ChunkCodec:
         ) from None
 
 
+def payload_lead(count: int) -> int:
+    """Bytes to put before a stored payload of ``count`` cells so that
+    a chunk-offset decode can view both arrays in place: the values
+    start on an 8-byte boundary, the offsets then on a 4-byte one (the
+    buffer the payload is joined into is itself 8-byte aligned)."""
+    return -(1 + _COUNT.size + 4 * count) % 8
+
+
 def decode_chunk(
-    payload: bytes, chunk_cells: int, n_measures: int, dtype: str
+    payload: bytes | memoryview, chunk_cells: int, n_measures: int, dtype: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode any tagged chunk payload regardless of which codec wrote it.
 
-    Returns ``(offsets, values)``, both aligned, owned and read-only.
+    Returns ``(offsets, values)``, both aligned and read-only.  A
+    chunk-offset payload read behind its :func:`payload_lead` is viewed
+    in place (the arrays share its buffer); any other is copied once.
     Every malformed payload surfaces as :class:`CompressionError`, never
     as a bare struct/numpy exception.
     """

@@ -230,26 +230,28 @@ class ResultAccumulator:
 
     # -- extraction -------------------------------------------------------------------
 
-    def _group_columns(self, linear) -> list[list]:
-        """Group values of result cells, one list per kept dimension."""
-        indices = np.unravel_index(linear, self.result_shape)
-        return [
-            list(map(i2i.target_keys.__getitem__, index.tolist()))
-            for spec, i2i, index in zip(self.specs, self.i2is, indices)
-            if spec.kind != "drop"
-        ]
-
     def rows(self) -> list[tuple]:
         """Sorted output rows: ``(group values..., aggregates...)``.
 
         Aggregates finish on Python numbers
-        (:meth:`~repro.aggregates.ColumnFold.finish`).
+        (:meth:`~repro.aggregates.ColumnFold.finish`).  The touched cells
+        come in row-major order, which is already the rows' order when
+        every kept dimension's keys ascend; only otherwise are they sorted.
         """
         if self._fold is None:
             return []
         touched = np.flatnonzero(self._fold.counts)
-        out = list(zip(*self._group_columns(touched), *self._fold.finish(touched)))
-        out.sort()
+        kept = [
+            (i2i, index)
+            for spec, i2i, index in zip(
+                self.specs, self.i2is, np.unravel_index(touched, self.result_shape)
+            )
+            if spec.kind != "drop"
+        ]
+        labels = [i2i.labels[index].tolist() for i2i, index in kept]
+        out = list(zip(*labels, *self._fold.finish(touched)))
+        if not all(i2i.keys_ascend for i2i, _ in kept):
+            out.sort()
         return out
 
     def touched_cells(self) -> int:

@@ -36,6 +36,8 @@ class IndexToIndex:
             raise DimensionError("IndexToIndex mapping out of target range")
         self.mapping = mapping
         self.target_keys = list(target_keys)
+        self._labels: np.ndarray | None = None
+        self._ascending: bool | None = None
 
     @classmethod
     def build(cls, attribute_values: list) -> "IndexToIndex":
@@ -67,6 +69,28 @@ class IndexToIndex:
     def target_size(self) -> int:
         """Number of groups at the target level."""
         return len(self.target_keys)
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The target keys as a 1-D object array, to gather by result index."""
+        if self._labels is None:
+            self._labels = np.fromiter(
+                self.target_keys, dtype=object, count=len(self.target_keys)
+            )
+        return self._labels
+
+    @property
+    def keys_ascend(self) -> bool:
+        """Whether the target keys strictly ascend, so that result-index
+        order is key order.  Keys are numbered by first appearance, so a
+        level need not (``"AA10" < "AA2"``)."""
+        if self._ascending is None:
+            keys = self.target_keys
+            try:
+                self._ascending = all(a < b for a, b in zip(keys, keys[1:]))
+            except TypeError:  # keys of mixed types have no order
+                self._ascending = False
+        return self._ascending
 
     def __getitem__(self, index: int) -> int:
         return int(self.mapping[index])

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
 from repro.core.chunking import ChunkGeometry, ComposedTables, DecodedChunk
-from repro.core.compression import decode_chunk, get_codec
+from repro.core.compression import decode_chunk, get_codec, payload_lead
 from repro.core.dimension_index import DimensionIndex
 from repro.core.index_to_index import IndexToIndex
 from repro.core.meta import NO_CHUNK, ChunkDirectory
@@ -206,30 +207,57 @@ class OLAPArray:
         """
         cache = self.chunk_cache
         if cache is None or cold:
-            return self._read_chunk_direct(chunk_no, counters)
+            return next(self._read_run([chunk_no], counters))
         return cache.get_chunk(
             (self.name, chunk_no),
-            lambda: self._read_chunk_direct(chunk_no, counters),
+            lambda: next(self._read_run([chunk_no], counters)),
         )
 
-    def _read_chunk_direct(
-        self, chunk_no: int, counters: Counters | None = None
-    ) -> DecodedChunk:
-        """The uncached read path (large-object fetch + decode)."""
+    def _read_run(
+        self, chunk_nos, counters: Counters | None = None
+    ) -> Iterator[DecodedChunk]:
+        """The one uncached read path: ``chunk_nos``' records in order.
+
+        The large-object store fetches each maximal run of their
+        payloads — consecutive objects, physically adjacent, fitting the
+        pool — with one pool call (:meth:`LargeObjectStore.read_many
+        <repro.storage.large_object.LargeObjectStore.read_many>`), each
+        joined behind the lead that lets the decode view it in place.
+        Chunks are joined, decoded and billed one at a time as they are
+        asked for, so one payload is alive at a time.
+        """
+        if not len(chunk_nos):
+            return  # reads nothing, the directory included
         counters = self._bag(counters)
-        oid, _, count = self._entries(counters)[chunk_no]
-        if oid == NO_CHUNK or count == 0:
-            offsets = np.empty(0, dtype=np.int32)
-            values = np.empty((0, self.n_measures), dtype=self._np_dtype)
-            offsets.flags.writeable = values.flags.writeable = False
-        else:
-            counters.add("chunks_read")
-            payload = self.chunks.read(oid)
-            counters.add("chunk_bytes_read", len(payload))
-            offsets, values = decode_chunk(
-                payload, self.geometry.chunk_cells, self.n_measures, self.dtype
-            )
-        return DecodedChunk(self.geometry, chunk_no, offsets, values)
+        entries = self._entries(counters)
+        stored = [entries[chunk_no] for chunk_no in chunk_nos]
+        read = [(oid, count) for oid, _, count in stored if oid != NO_CHUNK and count]
+        payloads = self.chunks.read_many(
+            [oid for oid, _ in read], [payload_lead(count) for _, count in read]
+        )
+        for chunk_no, (oid, _, count) in zip(chunk_nos, stored):
+            if oid == NO_CHUNK or count == 0:
+                offsets = np.empty(0, dtype=np.int32)
+                values = np.empty((0, self.n_measures), dtype=self._np_dtype)
+                offsets.flags.writeable = values.flags.writeable = False
+            else:
+                payload = next(payloads)
+                counters.add_many({"chunks_read": 1, "chunk_bytes_read": len(payload)})
+                offsets, values = decode_chunk(
+                    payload, self.geometry.chunk_cells, self.n_measures, self.dtype
+                )
+            yield DecodedChunk(self.geometry, chunk_no, offsets, values)
+
+    def _chunk_to_write(self, chunk_no: int) -> DecodedChunk:
+        """The stored chunk a write rewrites: the cache's record when one
+        is resident (peeked, so the write counts no hit and refreshes
+        nothing), else a direct read that caches nothing the write would
+        only invalidate."""
+        cache = self.chunk_cache
+        chunk = None if cache is None else cache.peek((self.name, chunk_no))
+        if chunk is None:
+            chunk = next(self._read_run([chunk_no]))
+        return chunk
 
     def walk(
         self, chunk_range: range, masks=None, counters: Counters | None = None,
@@ -246,14 +274,19 @@ class OLAPArray:
         ``empty_chunks_skipped`` (no stored cell, known from the
         directory alone), and per fetched payload ``chunks_read`` /
         ``chunk_bytes_read``, so the three add up to the range cold.
-        ``cold`` reads around the chunk cache (:meth:`read_chunk`).
+        ``cold`` reads around the chunk cache (:meth:`read_chunk`); a
+        walk that does, or an array without a cache, reads the chunks
+        a run at a time (:meth:`_read_run`).
         """
         counters = self._bag(counters)
         chunk_nos = self.geometry.overlapping_chunks(chunk_range, masks)
         counters.add("chunks_skipped", len(chunk_range) - len(chunk_nos))
+        if cold or self.chunk_cache is None:
+            chunks = self._read_run(chunk_nos, counters)
+        else:
+            chunks = (self.read_chunk(no, counters) for no in chunk_nos)
         empty = 0
-        for chunk_no in chunk_nos:
-            chunk = self.read_chunk(chunk_no, counters, cold)
+        for chunk in chunks:
             if len(chunk):
                 yield chunk
             else:
@@ -321,7 +354,7 @@ class OLAPArray:
                 f"expected {self.n_measures} measures, got {measures.size}"
             )
         chunk_no, offset = self.geometry.locate(self._coords_of(keys))
-        chunk = self.read_chunk(chunk_no)
+        chunk = self._chunk_to_write(chunk_no)
         offsets, values = chunk.offsets, chunk.values
         position = int(np.searchsorted(offsets, offset))
         if position < len(offsets) and offsets[position] == offset:
@@ -375,7 +408,7 @@ class OLAPArray:
             chunk_no = int(touched[lo])
             group = starts[lo:hi]
             new = (cells[group] - chunk_no * chunk_cells).astype(np.int32)
-            stored = self.read_chunk(chunk_no)
+            stored = self._chunk_to_write(chunk_no)
             stored_offsets, stored_values = stored.offsets, stored.values
             at = np.searchsorted(stored_offsets, new)
             hit = at < len(stored_offsets)

@@ -598,7 +598,7 @@ class OlapEngine:
                     with Timer() as timer:
                         if execute is None:
                             plan, impl, route = self._planned(
-                                state, query, backend, build=True
+                                state, query, backend, build=True, cold=cold
                             )
                             backend, execute = plan.backend, impl.execute
                             span.annotate(
@@ -640,11 +640,14 @@ class OlapEngine:
         query: ConsolidationQuery,
         backend: str,
         build: bool,
+        cold: bool = False,
     ) -> tuple[QueryPlan, backend_registry.Backend, dict | None]:
         """:meth:`plan`'s ``(plan, implementation, route)``; a stale
         grain is built only when ``build`` (a plain EXPLAIN builds none),
         and one whose build fails is counted and passed over.  ``route``
-        reports the grain choice, ``None`` when no grain covers."""
+        reports the grain choice, ``None`` when no grain covers.  A
+        ``cold`` run's build reads around the chunk cache, as its walk
+        would."""
         # imported here: repro.serve imports this module (cycle guard),
         # matching the function-level import precedent in :meth:`sql`
         from repro.serve.fingerprint import query_fingerprint
@@ -664,7 +667,7 @@ class OlapEngine:
                 grain = self.grains.fresh(query.cube, choice.name)
                 if grain is None and build:
                     try:
-                        grain = self.grains.rows_for(state, choice.name)
+                        grain = self.grains.rows_for(state, choice.name, cold)
                     except ReproError:
                         self.grains.counters.add("rollup.refresh_failures")
                 route = choice.route(grain)

@@ -407,22 +407,24 @@ class GrainStore(SizedStore):
             return None
         return grain
 
-    def rows_for(self, state, name: str) -> Grain:
+    def rows_for(self, state, name: str, cold: bool = False) -> Grain:
         """The grain, built now when it is behind ``state``'s generation;
-        raises what the build raises (a missing array, an I/O fault).
+        raises what the build raises (a missing array, an I/O fault).  A
+        ``cold`` build (inside a cold measured run) reads around the
+        chunk cache.
         The caller is the engine's one caller (under the service's
         engine lock), so no write moves the generation meanwhile."""
         physical = state.schema.name
         grain = self.fresh(physical, name)
         if grain is None:
             with get_tracer().span("rollup.build", cube=physical, rollup=name):
-                grain = self._build(state, name)
+                grain = self._build(state, name, cold)
             self.counters.add("rollup.rebuilds")
             # a growth step: the memory budget is checked here
             self.put((physical, name), grain, grain.nbytes)
         return grain
 
-    def _build(self, state, name: str) -> Grain:
+    def _build(self, state, name: str, cold: bool) -> Grain:
         """One grain at ``state``'s generation: re-rolled from the
         smallest fresh resident grain that covers it (building a grain is
         routing its own definition), else from one walk of the base array."""
@@ -462,7 +464,8 @@ class GrainStore(SizedStore):
         else:
             with self.engine.db.metrics.scoped("rollup_build", Counters()) as bag:
                 scan_chunk_range(
-                    array, layout, range(array.geometry.n_chunks), counters=bag
+                    array, layout, range(array.geometry.n_chunks),
+                    counters=bag, cold=cold,
                 )
             fold = layout.state()
         key_terms = [

@@ -13,8 +13,9 @@ one pool reader at a time; writers hold the cube's exclusive lock.
 Frames carry pin counts for correctness of eviction (a pinned frame is
 never evicted).
 
-Frame states: a frame faulted in by :meth:`BufferPool.get_run` holds the
-disk's own immutable ``bytes`` image (a cold scan copies no page);
+Frame states: a frame faulted in by a run read (:meth:`BufferPool.get_run`,
+:meth:`BufferPool.get_runs`) holds the disk's own immutable ``bytes``
+image (a cold scan copies no page);
 :meth:`BufferPool.get`, the mutable accessor every writer goes through
 before :meth:`BufferPool.mark_dirty`, replaces it by a private
 ``bytearray`` on first use.  Everything else reads a frame through
@@ -43,7 +44,7 @@ from repro.util.stats import Counters
 DEFAULT_POOL_BYTES = 16 * 1024 * 1024
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
     data: bytes | bytearray  # bytes: clean and shared with the disk
     dirty: bool = False
@@ -89,7 +90,7 @@ class BufferPool:
         if frame is not None:
             self._frames.move_to_end(page_id)
             self.counters.add("pool_hits")
-            if type(frame.data) is bytes:  # faulted in by get_run
+            if type(frame.data) is bytes:  # faulted in by a run read
                 frame.data = bytearray(frame.data)
             return frame.data
         self.counters.add("pool_misses")
@@ -106,10 +107,21 @@ class BufferPool:
         When the missing pages fit without evicting anything it gets
         there with one residency scan, one :meth:`SimulatedDisk.read_run`
         per maximal missing sub-run and one counter update, and the new
-        frames share the disk's images; otherwise it is that loop.
+        frames share the disk's images; otherwise it is that loop.  A
+        run with no page resident is one ``read_run``, one frame-map
+        update and one counter add.
         """
         frames = self._frames
         pages = range(first, first + n)
+        if (
+            n > 0
+            and len(frames) + n <= self.capacity_frames
+            and frames.keys().isdisjoint(pages)
+        ):
+            images = self.disk.read_run(first, n)
+            frames.update(zip(pages, map(_Frame, images)))
+            self.counters.add("pool_misses", n)
+            return images
         resident = [page_id for page_id in pages if page_id in frames]
         missing = n - len(resident)
         if len(frames) + missing > self.capacity_frames:
@@ -128,6 +140,58 @@ class BufferPool:
         for page_id in pages:
             frames.move_to_end(page_id)
         return [frames[page_id].data for page_id in pages]
+
+    def get_runs(
+        self, runs: list[tuple[int, int]], between: int
+    ) -> list[bytes | bytearray]:
+        """Read-only buffers of several runs' pages, as one new list.
+
+        Defined as the loop ``get_run(*runs[0])``, then ``get(between)``
+        and ``get_run(*run)`` for each further run, flattened: a large
+        object store's read of objects whose directory entries share the
+        page ``between``, which it has just read for the first entry.
+        When the runs are adjacent (each starts where the one before
+        ends), no page of them is resident, ``between`` is, and they fit
+        without evicting anything, the loop's per-page work is provably
+        idle but for its accounting: this is one
+        :meth:`SimulatedDisk.read_run` over the union, one frame-map
+        update per side of ``between`` and one counter add, with
+        ``between`` left just before the last run's pages as the loop
+        leaves it.  Otherwise it is that loop.
+        """
+        if len(runs) == 1:
+            return self.get_run(*runs[0])
+        frames = self._frames
+        first = stop = runs[0][0]
+        adjacent = True
+        for start, n in runs:
+            adjacent = adjacent and start == stop
+            stop = start + n
+        total = stop - first
+        pages = range(first, stop)
+        frame = frames.get(between)
+        if (
+            not adjacent
+            or frame is None
+            or len(frames) + total > self.capacity_frames
+            or not frames.keys().isdisjoint(pages)
+        ):
+            buffers = self.get_run(*runs[0])
+            for run in runs[1:]:
+                self.get(between)
+                buffers += self.get_run(*run)
+            return buffers
+        images = self.disk.read_run(first, total)
+        last = runs[-1][0]
+        frames.update(zip(range(first, last), map(_Frame, images)))
+        frames.move_to_end(between)
+        if type(frame.data) is bytes:  # as get() leaves it
+            frame.data = bytearray(frame.data)
+        frames.update(zip(range(last, stop), map(_Frame, images[last - first :])))
+        self.counters.add_many(
+            {"pool_hits": len(runs) - 1, "pool_misses": total}
+        )
+        return images
 
     def new_page(self, count: int = 1) -> int:
         """Allocate ``count`` fresh zeroed pages; return the first id.

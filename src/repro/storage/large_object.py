@@ -9,7 +9,8 @@ directory of ``(first_page, length)`` entries.
 Objects created consecutively get consecutive page runs, so an array
 whose chunks are created in chunk-number order is "laid out on the disk
 in the same order as their chunk number order" (§4.2) — the property the
-chunk-ordered cross-product scan exploits.
+chunk-ordered cross-product scan exploits: :meth:`LargeObjectStore.read_many`
+fetches a run of such objects with one pool call, one disk access cold.
 
 Objects are mutable in place: :meth:`LargeObjectStore.write_at` patches
 bytes inside an object's run (dirtying only the pages they cover, never
@@ -21,6 +22,7 @@ payload that outgrows its run is stored anew and the old run is dead.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 
 from repro.errors import FileError
 from repro.storage.buffer_pool import BufferPool
@@ -135,12 +137,75 @@ class LargeObjectStore:
 
     def read(self, oid: int) -> bytes:
         """Fetch an object's full payload."""
-        first, length = self._read_entry(oid)
-        pages = self.pool.get_run(first, self._data_pages(length))
-        # only the last page is padded: trim it to the payload's tail so
-        # the join is the one copy the payload gets
-        pages[-1] = pages[-1][: length - (len(pages) - 1) * self.page_size]
-        return b"".join(pages)
+        (payload,) = self._joined([oid], [0])
+        return payload
+
+    def read_many(
+        self, oids: list[int], leads: list[int]
+    ) -> Iterator[memoryview]:
+        """Each object's payload in turn, as a read-only view of a
+        private joined copy that starts ``leads[i]`` bytes into it (the
+        caller picks the lead that aligns what it views the payload as).
+
+        Defined as the loop of :meth:`read` over ``oids``, and lazy:
+        a run of consecutive OIDs whose directory entries share a page,
+        whose page runs are adjacent and which fits the pool without
+        eviction is fetched by one :meth:`BufferPool.get_runs` when its
+        first payload is asked for; each payload is joined when it is
+        yielded.  A fault in a later object of a run fails the whole run
+        before any of it is installed.
+        """
+        for joined, lead in zip(self._joined(oids, leads), leads):
+            yield memoryview(joined)[lead:]
+
+    def _joined(self, oids: list[int], leads: list[int]) -> Iterator[bytes]:
+        """The objects' payloads, each joined behind its lead's zero bytes."""
+        page_size = self.page_size
+        i = 0
+        while i < len(oids):
+            oid = oids[i]
+            if not 0 <= oid < self._count:
+                raise FileError(f"OID {oid} out of range [0, {self._count})")
+            page_no, offset = self._entry_location(oid)
+            buf = self._directory.read(page_no)
+            first, length = _DIR_ENTRY.unpack_from(buf, offset)
+            runs = [(first, self._data_pages(length))]
+            lengths = [length]
+            # grow the run while the next OID's entry is on this page, its
+            # pages follow on and the pool has a free frame for each
+            end = first + runs[0][1]
+            room = (
+                self.pool.capacity_frames - self.pool.resident_pages() - runs[0][1]
+            )
+            j = i + 1
+            while j < len(oids) and oids[j] == oid + j - i < self._count:
+                next_page, offset = self._entry_location(oids[j])
+                if next_page != page_no:
+                    break
+                first, length = _DIR_ENTRY.unpack_from(buf, offset)
+                npages = self._data_pages(length)
+                if first != end or npages > room:
+                    break
+                runs.append((first, npages))
+                lengths.append(length)
+                end += npages
+                room -= npages
+                j += 1
+            pages = self.pool.get_runs(runs, self._directory.page_id(page_no))
+            start = 0
+            for (_, npages), length, lead in zip(runs, lengths, leads[i:j]):
+                tail = length - (npages - 1) * page_size
+                # only the last page is padded: a view trimmed to the
+                # payload's tail, so the join is the one copy it gets
+                yield b"".join(
+                    (
+                        bytes(lead),
+                        *pages[start : start + npages - 1],
+                        memoryview(pages[start + npages - 1])[:tail],
+                    )
+                )
+                start += npages
+            i = j
 
     def length(self, oid: int) -> int:
         """Stored payload length of an object."""

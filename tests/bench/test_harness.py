@@ -162,6 +162,37 @@ class TestGoldenCounters:
         assert stats["sim_io_s"] == pytest.approx(1.2609765625, rel=1e-9)
 
 
+class TestColdRunReads:
+    """A cold walk reads a run of adjacent chunks with one disk access.
+
+    At ``paper`` scale the ×100 cube's 80 chunks are laid out back to
+    back and fit the 16 MiB pool, so a cold Query 1 fetches all of them
+    with one ``SimulatedDisk.read_run``, where a read per chunk made 80;
+    what it is billed does not move.
+    """
+
+    def test_cold_paper_query1_reads_its_chunks_in_one_disk_access(self):
+        from repro.data.datasets import dataset1
+
+        config = dataset1("paper")[1]
+        engine = build_cube_engine(config, bench_settings("paper"))
+        disk = engine.db.disk
+        calls = []
+        read_run = disk.read_run
+        disk.read_run = lambda first, n: calls.append((first, n)) or read_run(
+            first, n
+        )
+        stats = engine.query(query1_for(config), backend="array").stats
+        array = engine.cube(config.name).array
+        chunk_pages = sum(
+            array.chunks.object_pages(oid) for oid in range(len(array.chunks))
+        )
+        assert stats["chunks_read"] == array.geometry.n_chunks == 80
+        assert stats["pages_read"] >= chunk_pages
+        assert [n for _, n in calls if n > 1] == [chunk_pages]
+        assert (array.chunks.first_page(0), chunk_pages) in calls
+
+
 class TestGoldenDirections:
     """Which direction the vectorized selection kernel takes is a count.
 

@@ -12,7 +12,7 @@ from repro.core import (
     LZWDenseCodec,
     get_codec,
 )
-from repro.core.compression import decode_chunk
+from repro.core.compression import decode_chunk, payload_lead
 from repro.errors import CompressionError
 
 CELLS = 64
@@ -80,6 +80,70 @@ class TestRoundtrip:
         payload = codec.encode(off, val, CELLS, "int64")
         off2, val2 = decode_chunk(payload, CELLS, 1, "int64")
         assert off2.tolist() == [7] and val2[0, 0] == 70
+
+
+def behind_lead(payload, count):
+    """``payload`` joined behind the lead a reader puts before it: a
+    view of the payload's bytes inside a private buffer."""
+    lead = payload_lead(count)
+    joined = bytes(lead) + payload
+    return joined, memoryview(joined)[lead:]
+
+
+class TestViewsBehindTheLead:
+    """A chunk-offset payload read behind its lead decodes in place."""
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 8, 9])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_views_are_aligned_read_only_and_share_the_buffer(self, count, p):
+        off = np.arange(count, dtype=np.int32) * 3
+        val = np.arange(count * p, dtype=np.int64).reshape(count, p)
+        joined, payload = behind_lead(
+            ChunkOffsetCodec().encode(off, val, CELLS, "int64"), count
+        )
+        offsets, values = decode_chunk(payload, CELLS, p, "int64")
+        buffer = np.frombuffer(joined, np.uint8)
+        for array in (offsets, values):
+            assert array.flags.aligned and not array.flags.owndata
+            assert count == 0 or np.shares_memory(array, buffer)
+            with pytest.raises(ValueError):
+                array[...] = 0
+        assert offsets.tolist() == off.tolist()
+        assert values.tolist() == val.tolist()
+
+    def test_a_bare_payload_is_copied_once_into_aligned_arrays(self):
+        off, val = make_chunk([1, 2, 3], [4, 5, 6])  # odd: both misaligned
+        payload = ChunkOffsetCodec().encode(off, val, CELLS, "int64")
+        offsets, values = decode_chunk(payload, CELLS, 1, "int64")
+        assert offsets.flags.aligned and offsets.flags.owndata
+        assert values.flags.aligned and values.flags.owndata
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_corrupt_payloads_behind_the_lead_still_raise(self, count):
+        off = np.arange(count, dtype=np.int32)
+        val = np.ones((count, 1), dtype=np.int64)
+        payload = ChunkOffsetCodec().encode(off, val, CELLS, "int64")
+        _, truncated = behind_lead(payload[:-1], count)
+        _, bad_tag = behind_lead(b"\x09" + payload[1:], count)
+        outside = bytearray(payload)
+        outside[5:9] = np.int32(CELLS).tobytes()  # the first offset
+        _, out_of_range = behind_lead(bytes(outside), count)
+        for corrupt in (truncated, bad_tag, out_of_range):
+            with pytest.raises(CompressionError):
+                decode_chunk(corrupt, CELLS, 1, "int64")
+
+    @pytest.mark.parametrize(
+        "codec", [DenseCodec(), LZWDenseCodec()], ids=lambda c: c.name
+    )
+    def test_the_other_codecs_decode_owned_arrays_either_way(self, codec):
+        off, val = make_chunk([0, 5, 63], [10, 20, 30])
+        payload = codec.encode(off, val, CELLS, "int64")
+        _, viewed = behind_lead(payload, len(off))
+        for source in (payload, viewed):
+            offsets, values = decode_chunk(source, CELLS, 1, "int64")
+            assert offsets.flags.owndata and values.flags.owndata
+            assert offsets.tolist() == [0, 5, 63]
+            assert values.ravel().tolist() == [10, 20, 30]
 
 
 class TestValidation:

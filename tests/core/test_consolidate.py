@@ -182,6 +182,27 @@ class TestVectorizedExtraction:
         assert {type(row[1]) for row in out.rows} == {int}
         assert out.rows == run(array, specs, "interpreted")
 
+    def test_rows_are_sorted_when_target_keys_do_not_ascend(self, cube):
+        from repro.core.index_to_index import IndexToIndex
+
+        array, facts = cube
+        # numbered by first appearance: "AA2" < "AA10" does not hold
+        labels = ["AA2", "AA10", "AA1"]
+        unordered = IndexToIndex.build([labels[k % 3] for k in range(SIZES[0])])
+        assert unordered.target_keys == labels and not unordered.keys_ascend
+        ordered = IndexToIndex.identity(list(range(SIZES[2])))
+        assert ordered.keys_ascend
+        specs = [
+            ConsolidationSpec.mapping(unordered),
+            ConsolidationSpec.drop(),
+            ConsolidationSpec.mapping(ordered),
+        ]
+        rows = consolidate(array, specs).rows
+        assert rows == reference_rows(
+            facts, [lambda k: labels[k % 3], None, lambda k: k]
+        )
+        assert rows == run(array, specs, "interpreted")
+
     def test_no_coordinates_are_reconstructed(self, cube, monkeypatch):
         from repro.core.chunking import ChunkGeometry
         from repro.core.consolidate import ResultAccumulator, scan_chunk_range

@@ -221,3 +221,60 @@ class TestOneCachePerDatabase:
             assert not engine.db.chunks.keys()
             service.execute(QUERY1, "array")
             assert {name for name, _ in engine.db.chunks.keys()} == {rebuilt.name}
+
+
+class TestReadsAroundTheCache:
+    """What a write or a cold build reads leaves the cache as it was."""
+
+    @pytest.fixture
+    def x100(self):
+        from repro.bench import bench_settings, build_cube_engine
+        from repro.data.datasets import dataset1
+
+        config = dataset1("small")[1]
+        return config, build_cube_engine(config, bench_settings("small"))
+
+    def test_a_write_to_an_uncached_chunk_reads_around_the_cache(self, x100):
+        config, engine = x100
+        cache = engine.db.chunks
+        array = engine.cube(config.name).array
+        keys = tuple(dim.key_of(0) for dim in array.dims)
+        before = cache.counters.snapshot()
+        engine.write_cell(config.name, keys, (5,))
+        assert cache.counters.snapshot() == before
+        assert len(cache) == 0
+        assert array.get_cell(keys).tolist() == [5]
+
+    def test_a_write_to_a_cached_chunk_uses_the_record(self, x100):
+        config, engine = x100
+        cache = engine.db.chunks
+        array = engine.cube(config.name).array
+        keys = tuple(dim.key_of(0) for dim in array.dims)
+        record = array.read_chunk(0)
+        before = cache.counters.snapshot()
+        chunks_read = array.counters.get("chunks_read")
+        engine.write_cell(config.name, keys, (7,))
+        after = cache.counters.snapshot()
+        assert after.get("chunk_cache.hits") == before.get("chunk_cache.hits")
+        assert after["chunk_cache.invalidations"] == (
+            before.get("chunk_cache.invalidations", 0) + 1
+        )
+        assert array.counters.get("chunks_read") == chunks_read
+        assert len(cache) == 0
+        assert 7 not in record.values.ravel().tolist()  # its buffer is private
+        assert array.get_cell(keys).tolist() == [7]
+
+    def test_a_cold_query_builds_its_stale_grain_around_the_cache(self, x100):
+        from repro.olap import ConsolidationQuery
+
+        config, engine = x100
+        engine.declare_grain(config.name, "by_h01", {"dim0": "h01"})
+        query = ConsolidationQuery.build(config.name, group_by={"dim0": "h01"})
+        result = engine.query(query)
+        assert result.backend == "rollup"
+        assert len(engine.db.chunks) == 0
+        assert not any(key.startswith("chunk_cache.") for key in result.stats)
+        assert result.stats["chunks_read"] == 80
+        # what the build read through the cache it read around it
+        assert result.sim_io_s == pytest.approx(1.20876953125, rel=1e-9)
+        assert result.rows == engine.query(query, backend="array").rows

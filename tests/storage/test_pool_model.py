@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BufferPoolError, PageError
+from repro.errors import BufferPoolError, FileError, PageError
 from repro.storage import (
     BufferPool,
     FileManager,
@@ -245,6 +245,119 @@ def test_get_run_is_the_loop_of_get(ops, frames, with_wal):
             frame.pin_count = 0
         pool.clear()
     assert twins[0].disk._pages == twins[1].disk._pages
+
+
+# -- a multi-object read is, by definition, the loop of read ------------------
+#
+# Twin stores over twin pools take the same random writes; one side reads
+# each batch of OIDs with ``read_many``, the other with one ``read`` per
+# OID.  Payloads, frames in LRU order, counter bags, the arm and the
+# volume must agree after every step.  Eight directory entries fit a
+# 128-byte page, so a batch of more than eight OIDs straddles one.
+
+
+def pages_of(payload):
+    return max(1, -(-len(payload) // PAGE))
+
+
+@st.composite
+def object_sequences(draw):
+    n_ops = draw(st.integers(1, 40))
+    ops = []
+    pages: list[int] = []  # of the objects, by OID
+    moved: dict[int, int] = {}  # a chunk's first OID -> its current one
+    payload = st.binary(max_size=3 * PAGE)  # an empty payload is one page
+    for _ in range(n_ops):
+        n_objects = len(pages)
+        kinds = ["object", "object", "gap"]
+        if n_objects:
+            kinds += ["walk", "walk", "walk", "batch", "move", "touch", "clear"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "object":
+            data = draw(payload)
+            ops.append(("object", data))
+            pages.append(pages_of(data))
+        elif kind == "move":  # an insert: rewritten in place, or moved
+            chunk = draw(st.integers(0, n_objects - 1))
+            oid = moved.get(chunk, chunk)
+            data = draw(payload)
+            ops.append(("move", oid, data))
+            if pages_of(data) != pages[oid]:
+                moved[chunk] = n_objects  # it outgrew its run
+                pages.append(pages_of(data))
+        elif kind == "walk":  # chunk order over a range, moves followed
+            low = draw(st.integers(0, n_objects - 1))
+            high = draw(st.integers(low + 1, n_objects))
+            oids = [moved.get(oid, oid) for oid in range(low, high)]
+            leads = draw(st.lists(st.integers(0, 7), min_size=len(oids)))
+            if draw(st.booleans()):
+                ops.append(("clear",))  # a cold walk
+            ops.append(("read", oids, leads[: len(oids)]))
+        elif kind == "batch":  # any OIDs, repeats and a bad one included
+            oids = draw(st.lists(st.integers(0, n_objects), min_size=1, max_size=12))
+            ops.append(("read", oids, [0] * len(oids)))
+        elif kind == "touch":
+            ops.append(("touch", draw(st.integers(0, n_objects - 1))))
+        else:
+            ops.append((kind,))
+    return ops
+
+
+def _apply_object_op(store, op, by_many):
+    """Run one operation on ``store``; what it returned, or the error."""
+    try:
+        if op[0] == "object":
+            return store.create(op[1])
+        if op[0] == "gap":  # a page between two objects' runs
+            return store.pool.new_page()
+        if op[0] == "move":
+            if store.rewrite(op[1], op[2]):
+                return "rewritten"
+            return store.create(op[2])
+        if op[0] == "read":
+            oids, leads = op[1], op[2]
+            if by_many:
+                views = store.read_many(oids, leads)
+                return [bytes(view) for view in views]
+            return [store.read(oid) for oid in oids]
+        if op[0] == "touch":  # make one object's first page resident
+            if op[1] < len(store):
+                return bytes(store.pool.get(store.first_page(op[1])))
+            return None
+        return store.pool.clear()
+    except (BufferPoolError, FileError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(object_sequences(), st.integers(1, 64), st.booleans())
+def test_read_many_is_the_loop_of_read(ops, frames, with_wal):
+    if with_wal:  # no-steal: one frame cannot hold a new store's two pages
+        frames = max(frames, 2)
+    pools = [
+        BufferPool(
+            SimulatedDisk(page_size=PAGE),
+            capacity_bytes=frames * PAGE,
+            wal=WriteAheadLog() if with_wal else None,
+        )
+        for _ in range(2)
+    ]
+    stores = []
+    for pool in pools:
+        file_manager = FileManager(pool)
+        pool.commit()
+        stores.append(LargeObjectStore(file_manager, "lob"))
+    for op in ops:
+        by_many, by_read = (
+            _apply_object_op(store, op, by_many=side == 0)
+            for side, store in enumerate(stores)
+        )
+        assert by_many == by_read, op
+        for pool in pools:
+            pool.commit()  # no-steal: leave the writes evictable
+        (seen_many, io_many), (seen_read, io_read) = map(_observable, pools)
+        assert seen_many == seen_read, op
+        assert io_many == pytest.approx(io_read, rel=1e-9), op
 
 
 class TestRunReads:
