@@ -283,9 +283,8 @@ def decode_chunk(
         raise CompressionError(f"corrupt {codec.name} chunk: {exc}") from exc
     if len(offsets) != len(values):
         raise CompressionError("corrupt chunk: offset/value count mismatch")
-    if len(offsets) and (
-        offsets.min() < 0 or offsets.max() >= chunk_cells
-    ):
+    # every codec hands out int32 offsets: a negative one reads as >= 2**31
+    if len(offsets) and offsets.view(np.uint32).max() >= chunk_cells:
         raise CompressionError("corrupt chunk: offset outside the chunk")
     offsets.flags.writeable = values.flags.writeable = False
     return offsets, values

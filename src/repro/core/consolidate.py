@@ -37,7 +37,8 @@ kernel has two directions per chunk — probe the chunk's share of the
 cross product (§4.2) or mask its stored cells (§4.1) — and takes the
 cheaper (:func:`probe_is_cheaper`).  The probed chunks' shares are
 enumerated once per query, in chunk-number order, as §4.2 does
-(:func:`probe_candidates`).
+(:func:`probe_candidates`), and probed a run of consecutive probed
+chunks at a time: one compare and one fold per run.
 """
 
 from __future__ import annotations
@@ -455,17 +456,6 @@ def probe_candidates(geometry, slabs, chunk_nos):
     return bounds, offsets, results
 
 
-def _probe_chunk(candidates, offsets) -> tuple[np.ndarray, np.ndarray]:
-    """§4.2 for one chunk: its candidate offsets (ascending, the paper's
-    "increasing order of their chunk offsets") binary-searched in its
-    sorted offsets, all at once.  Returns which candidates hit and the
-    stored positions they hit."""
-    positions = np.searchsorted(offsets, candidates)
-    np.minimum(positions, len(offsets) - 1, out=positions)
-    hits = offsets[positions] == candidates
-    return hits, positions[hits]
-
-
 def _filter_chunk(accumulator, selected, chunk: DecodedChunk) -> int:
     """§4.1 with the selection as a cell mask: the membership tables pick
     the survivors from the chunk's split offsets, and only their halves
@@ -484,12 +474,18 @@ def _select_vectorized(array, accumulator, chunk_range, masks, counters, cold) -
     candidates and the stored cells the chunk directory records for it.
 
     The probed chunks' candidates are enumerated once, before the walk
-    (:func:`probe_candidates`); a probed chunk then costs a slice, one
-    ``searchsorted`` and one compare, and a run of consecutive probed
-    chunks folds its hits in one ``add_many``, flushed before the next
-    filtered chunk.  Both directions fold the same cells in ascending
-    offset order, chunk by chunk, so the result — float sums included —
-    does not depend on the choice.
+    (:func:`probe_candidates`), and probed a run of consecutive probed
+    chunks at a time.  A probed chunk costs one ``searchsorted`` of its
+    candidates into its sorted offsets (§4.2's binary search) and two
+    clipped ``take`` calls — the nearest stored offset and its value row
+    per candidate — into the run's buffers; when the run ends, at a
+    filtered chunk or the end of the walk, one compare against the
+    run's candidates selects the hits and one ``add_many`` folds them.
+    Both directions fold the same cells in ascending offset order,
+    chunk by chunk, so the result — float sums included — does not
+    depend on the choice.  The filter's membership tables are built
+    by the first filtered chunk, so a query that probes every chunk
+    builds none.
     """
     geometry = array.geometry
     slabs = flat_slabs(geometry, masks, accumulator.target_terms())
@@ -506,33 +502,42 @@ def _select_vectorized(array, accumulator, chunk_range, masks, counters, cold) -
         geometry, slabs, probing
     )
     spans = dict(zip(probing, zip(bounds.tolist(), bounds[1:].tolist())))
-    selected = ComposedTables(geometry, masks, np.logical_and)
-    cells: list[np.ndarray] = []  # the run's hits, not yet folded
-    rows: list[np.ndarray] = []
+    # per candidate: the stored offset its search lands on, and that
+    # row; every probed chunk is yielded (its directory count is > 0 and
+    # writes only add cells), so a run's slice is filled before its fold
+    nearest = np.empty_like(candidate_offsets)
+    rows = np.empty((len(nearest), array.n_measures), dtype=array.dtype)
+    selected = None
+    first = stop = scanned = 0  # the run: candidates first:stop
 
-    def fold_run() -> None:
-        if cells:
-            accumulator.add_many(np.concatenate(cells), np.concatenate(rows))
-            cells.clear()
-            rows.clear()
+    def fold_run() -> int:
+        """Fold the run's hits; returns how many there were."""
+        hits = nearest[first:stop] == candidate_offsets[first:stop]
+        found = int(np.count_nonzero(hits))
+        if found:
+            accumulator.add_many(
+                candidate_results[first:stop][hits], rows[first:stop][hits]
+            )
+        return found
 
-    scanned = probed = 0
     for chunk in array.walk(chunk_range, masks, counters, cold):
         span = spans.get(chunk.no)
         if span is None:
-            fold_run()
+            if first < stop:
+                scanned += fold_run()
+                first = stop
+            if selected is None:
+                selected = ComposedTables(geometry, masks, np.logical_and)
             scanned += _filter_chunk(accumulator, selected, chunk)
             continue
-        low, high = span
-        hits, found = _probe_chunk(candidate_offsets[low:high], chunk.offsets)
-        probed += high - low
-        if len(found):
-            cells.append(candidate_results[low:high][hits])
-            rows.append(chunk.values[found])
-            scanned += len(found)
-    fold_run()
-    if probed:
-        counters.add("cells_probed", probed)
+        low, stop = span
+        positions = chunk.offsets.searchsorted(candidate_offsets[low:stop])
+        chunk.offsets.take(positions, out=nearest[low:stop], mode="clip")
+        chunk.values.take(positions, axis=0, out=rows[low:stop], mode="clip")
+    if first < stop:
+        scanned += fold_run()
+    if len(candidate_offsets):
+        counters.add("cells_probed", len(candidate_offsets))
     return scanned
 
 

@@ -223,8 +223,11 @@ class OLAPArray:
         pool — with one pool call (:meth:`LargeObjectStore.read_many
         <repro.storage.large_object.LargeObjectStore.read_many>`), each
         joined behind the lead that lets the decode view it in place.
-        Chunks are joined, decoded and billed one at a time as they are
-        asked for, so one payload is alive at a time.
+        Chunks are joined and decoded one at a time as they are asked
+        for, so one payload is alive at a time.  The payloads fetched
+        are billed (``chunks_read``, ``chunk_bytes_read``) once, when
+        the reader is exhausted or closed: a walk abandoned part-way
+        pays for exactly the payloads it fetched.
         """
         if not len(chunk_nos):
             return  # reads nothing, the directory included
@@ -235,18 +238,27 @@ class OLAPArray:
         payloads = self.chunks.read_many(
             [oid for oid, _ in read], [payload_lead(count) for _, count in read]
         )
-        for chunk_no, (oid, _, count) in zip(chunk_nos, stored):
-            if oid == NO_CHUNK or count == 0:
-                offsets = np.empty(0, dtype=np.int32)
-                values = np.empty((0, self.n_measures), dtype=self._np_dtype)
-                offsets.flags.writeable = values.flags.writeable = False
-            else:
-                payload = next(payloads)
-                counters.add_many({"chunks_read": 1, "chunk_bytes_read": len(payload)})
-                offsets, values = decode_chunk(
-                    payload, self.geometry.chunk_cells, self.n_measures, self.dtype
+        fetched = fetched_bytes = 0
+        try:
+            for chunk_no, (oid, _, count) in zip(chunk_nos, stored):
+                if oid == NO_CHUNK or count == 0:
+                    offsets = np.empty(0, dtype=np.int32)
+                    values = np.empty((0, self.n_measures), dtype=self._np_dtype)
+                    offsets.flags.writeable = values.flags.writeable = False
+                else:
+                    payload = next(payloads)
+                    fetched += 1
+                    fetched_bytes += len(payload)
+                    offsets, values = decode_chunk(
+                        payload, self.geometry.chunk_cells, self.n_measures,
+                        self.dtype,
+                    )
+                yield DecodedChunk(self.geometry, chunk_no, offsets, values)
+        finally:
+            if fetched:
+                counters.add_many(
+                    {"chunks_read": fetched, "chunk_bytes_read": fetched_bytes}
                 )
-            yield DecodedChunk(self.geometry, chunk_no, offsets, values)
 
     def _chunk_to_write(self, chunk_no: int) -> DecodedChunk:
         """The stored chunk a write rewrites: the cache's record when one

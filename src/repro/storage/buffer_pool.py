@@ -76,6 +76,10 @@ class BufferPool:
             "pool.evict_seconds": Histogram(),
         }
         self._frames: OrderedDict[int, _Frame] = OrderedDict()
+        #: how many frames are pinned, and how many dirty: a clear, flush
+        #: or commit scans the frames only when one of its kind is
+        self._pinned = 0
+        self._dirty = 0
 
     # -- core access --------------------------------------------------------
 
@@ -204,6 +208,7 @@ class BufferPool:
         self._frames[first] = _Frame(
             bytearray(self.disk.page_size), dirty=True, logged=False
         )
+        self._dirty += 1
         return first
 
     def mark_dirty(self, page_id: int) -> None:
@@ -213,6 +218,8 @@ class BufferPool:
             raise BufferPoolError(
                 f"mark_dirty on page {page_id} which is not resident"
             )
+        if not frame.dirty:
+            self._dirty += 1
         frame.dirty = True
         frame.logged = False
 
@@ -228,11 +235,14 @@ class BufferPool:
             self._make_room()
             frame = _Frame(bytearray(image), dirty=True, logged=False)
             self._frames[page_id] = frame
+            self._dirty += 1
         else:
             if type(frame.data) is bytes:
                 frame.data = bytearray(image)
             else:
                 frame.data[:] = image
+            if not frame.dirty:
+                self._dirty += 1
             frame.dirty = True
             frame.logged = False
             self._frames.move_to_end(page_id)
@@ -242,7 +252,10 @@ class BufferPool:
     def pin(self, page_id: int) -> bytearray:
         """Fault in and pin a page; pinned frames are never evicted."""
         data = self.get(page_id)
-        self._frames[page_id].pin_count += 1
+        frame = self._frames[page_id]
+        if not frame.pin_count:
+            self._pinned += 1
+        frame.pin_count += 1
         return data
 
     def unpin(self, page_id: int) -> None:
@@ -251,6 +264,8 @@ class BufferPool:
         if frame is None or frame.pin_count <= 0:
             raise BufferPoolError(f"unpin of page {page_id} not pinned")
         frame.pin_count -= 1
+        if not frame.pin_count:
+            self._pinned -= 1
 
     # -- eviction / flushing -----------------------------------------------------
 
@@ -276,6 +291,7 @@ class BufferPool:
                 )
             frame = self._frames.pop(victim_id)
             if frame.dirty:
+                self._dirty -= 1
                 self.counters.add("pool_evict_dirty")
                 crash_point("pool.flush_page")
                 self.disk.write_page(victim_id, bytes(frame.data))
@@ -289,25 +305,31 @@ class BufferPool:
         """Write every dirty frame to disk (frames stay resident)."""
         if self.wal is not None:
             self.commit()
+        if not self._dirty:
+            return
         for page_id, frame in self._frames.items():
             if frame.dirty:
                 crash_point("pool.flush_page")
                 self.disk.write_page(page_id, bytes(frame.data))
                 frame.dirty = False
+                self._dirty -= 1
 
     def clear(self) -> None:
-        """Flush everything and drop all frames (the cold-cache reset)."""
-        pinned = [pid for pid, f in self._frames.items() if f.pin_count > 0]
-        if pinned:
-            raise BufferPoolError(f"cannot clear pool: pages {pinned} pinned")
+        """Flush everything and drop all frames (the cold-cache reset).
+
+        A clean pool with no page pinned drops its frames unscanned."""
+        if self._pinned:
+            pinned = [pid for pid, f in self._frames.items() if f.pin_count > 0]
+            if pinned:
+                raise BufferPoolError(f"cannot clear pool: pages {pinned} pinned")
         self.flush_all()
-        self._frames.clear()
+        self._drop_frames()
 
     # -- transactions (redo-only WAL) ------------------------------------------
 
     def commit(self) -> None:
         """Log after-images of all unlogged dirty frames, then a COMMIT."""
-        if self.wal is None:
+        if self.wal is None or not self._dirty:
             return
         logged_any = False
         for page_id, frame in self._frames.items():
@@ -320,7 +342,11 @@ class BufferPool:
 
     def crash(self) -> None:
         """Simulate a crash: every frame is lost, nothing is flushed."""
+        self._drop_frames()
+
+    def _drop_frames(self) -> None:
         self._frames.clear()
+        self._pinned = self._dirty = 0
 
     # -- statistics ------------------------------------------------------------
 

@@ -128,7 +128,10 @@ class TestViewsBehindTheLead:
         outside = bytearray(payload)
         outside[5:9] = np.int32(CELLS).tobytes()  # the first offset
         _, out_of_range = behind_lead(bytes(outside), count)
-        for corrupt in (truncated, bad_tag, out_of_range):
+        outside[5:9] = np.int32(-1).tobytes()  # reads as 2**32 - 1 unsigned
+        _, negative = behind_lead(bytes(outside), count)
+        # a bare negative payload takes the copying path
+        for corrupt in (truncated, bad_tag, out_of_range, negative, bytes(outside)):
             with pytest.raises(CompressionError):
                 decode_chunk(corrupt, CELLS, 1, "int64")
 

@@ -22,15 +22,20 @@ walk order, that sub-ranges merge to the whole range, and a table pins
 the cold counters of the kernel that enumerated chunk by chunk.  Every
 case is also run warm — twice over a decoded-chunk cache, the second
 run folding the cached records' kept offset halves — and must leave the
-cold state bit for bit, at the half-dtype boundaries too.
+cold state bit for bit, at the half-dtype boundaries too.  Last, a
+Hypothesis property stacks dense, all-miss, short, sparse and empty
+chunks in any order and checks the run-wise probe (one compare and one
+fold a run) against a probe and a fold per chunk, bit for bit.
 """
 
+import importlib
 import itertools
 import random
 from bisect import bisect_left
 
 import numpy as np
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ConsolidationSpec
 from repro.core.builder import DimensionData, build_olap_array
@@ -38,7 +43,6 @@ from repro.core.chunking import ComposedTables
 from repro.core.consolidate import (
     ResultAccumulator,
     _filter_chunk,
-    _probe_chunk,
     allowed_masks,
     flat_slabs,
     probe_candidates,
@@ -58,6 +62,17 @@ from tests.core.test_offset_kernel_property import (
     every_third,
     warm_scans,
 )
+
+
+def probe_one_chunk(candidates, offsets):
+    """§4.2 for one chunk, the per-chunk reference the kernel's run-wise
+    probe is checked against: the chunk's candidate offsets (ascending)
+    binary-searched in its sorted offsets.  Returns which candidates hit
+    and the stored positions they hit."""
+    positions = np.searchsorted(offsets, candidates)
+    np.minimum(positions, len(offsets) - 1, out=positions)
+    hits = offsets[positions] == candidates
+    return hits, positions[hits]
 
 
 def fold_both_directions(array, specs, aggregates, allowed):
@@ -80,7 +95,7 @@ def fold_both_directions(array, specs, aggregates, allowed):
     asked = []
     for chunk in array.walk(range(geometry.n_chunks), masks):
         low, high = bounds[walked.index(chunk.no) :][:2]
-        hits, found = _probe_chunk(candidates[low:high], chunk.offsets)
+        hits, found = probe_one_chunk(candidates[low:high], chunk.offsets)
         if len(found):
             probed.add_many(results[low:high][hits], chunk.values[found])
         kept = _filter_chunk(filtered, selected, chunk)
@@ -400,3 +415,149 @@ class TestCounterTable:
             stats = engine.query(query, backend="array").stats
             measured[name] = tuple(int(stats.get(key, 0)) for key in self.KEYS)
         assert measured == self.GOLDEN
+
+
+# -- the run-batched probe against the per-chunk reference --------------------
+#
+# Chunks of 4×8 cells stacked along the first axis, under a selection of
+# one or two columns (4 or 8 candidates a chunk), each chunk one of five
+# kinds: ``dense`` (all 32 cells, probed), ``miss`` (every unselected
+# cell, probed, no candidate hits), ``low`` (rows 0-2 only, probed, the
+# row-3 candidates lie past its last offset), ``sparse`` (two cells,
+# filtered, so it breaks a run) and ``empty`` (skipped by the walk).
+
+RUN_KINDS = ("dense", "miss", "low", "sparse", "empty")
+
+
+def stacked_chunks_array(kinds, columns, seed):
+    rng = random.Random(seed)
+    facts = []
+    for chunk, kind in enumerate(kinds):
+        cells = [(4 * chunk + row, col) for row in range(4) for col in range(8)]
+        if kind == "miss":
+            cells = [cell for cell in cells if cell[1] not in columns]
+        elif kind == "low":
+            cells = cells[:24]
+        elif kind == "sparse":
+            cells = [cells[columns[0]], cells[8 + (columns[0] + 1) % 8]]
+        elif kind == "empty":
+            cells = []
+        # float measures that are not dyadic: the fold order shows
+        facts += [cell + (rng.random() * 100, rng.random()) for cell in cells]
+    dimensions = [
+        DimensionData("dim0", list(range(4 * len(kinds)))),
+        DimensionData("dim1", list(range(8)), {"h1": [f"L{c % 3}" for c in range(8)]}),
+    ]
+    fm = FileManager(BufferPool(SimulatedDisk(page_size=1024), 512 * 1024))
+    return build_olap_array(
+        fm, "stacked", dimensions, facts, chunk_shape=(4, 8), dtype="float64"
+    )
+
+
+def probe_chunk_by_chunk(array, specs, aggregates, allowed):
+    """The kernel's direction rule, but each probed chunk searched and
+    folded alone (one ``add_many`` a chunk).  Returns the accumulator,
+    the elements probed, the cells folded and, per walked chunk,
+    ``(probed?, candidates, hits, past its last offset?)``."""
+    geometry = array.geometry
+    masks = allowed_masks(array, allowed)
+    accumulator = ResultAccumulator(array, specs, aggregates)
+    walked = geometry.overlapping_chunks(range(geometry.n_chunks), masks)
+    bounds, candidates, results = probe_candidates(
+        geometry, flat_slabs(geometry, masks, accumulator.target_terms()), walked
+    )
+    selected = ComposedTables(geometry, masks, np.logical_and)
+    probed = scanned = 0
+    chunks = []
+    for chunk in array.walk(range(geometry.n_chunks), masks):
+        low, high = bounds[walked.index(chunk.no) :][:2]
+        if not probe_is_cheaper(high - low, len(chunk)):
+            scanned += _filter_chunk(accumulator, selected, chunk)
+            chunks.append((False, high - low, None, None))
+            continue
+        share = candidates[low:high]
+        hits, found = probe_one_chunk(share, chunk.offsets)
+        if len(found):
+            accumulator.add_many(results[low:high][hits], chunk.values[found])
+        probed += high - low
+        scanned += len(found)
+        chunks.append(
+            (True, high - low, len(found), bool(share.max() > chunk.offsets[-1]))
+        )
+    return accumulator, probed, scanned, chunks
+
+
+def run_probe_against_reference(kinds, columns, seed):
+    array = stacked_chunks_array(kinds, columns, seed)
+    specs = [ConsolidationSpec.drop(), ConsolidationSpec.level("h1")]
+    aggregates = ["sum", "var"]
+    allowed = [list(range(4 * len(kinds))), sorted(columns)]
+    reference, probed, scanned, chunks = probe_chunk_by_chunk(
+        array, specs, aggregates, allowed
+    )
+    counters = Counters()
+    public = ResultAccumulator(array, specs, aggregates)
+    assert scan_chunk_range(
+        array, public, range(array.geometry.n_chunks), allowed=allowed,
+        counters=counters,
+    ) == scanned
+    assert_same_state(public, reference)
+    assert counters.get("cells_probed") == probed
+    assert counters.get("cells_scanned") == scanned
+    return chunks
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # the loader reads the measure count off the first fact
+    st.lists(st.sampled_from(RUN_KINDS), min_size=1, max_size=10).filter(
+        lambda kinds: set(kinds) != {"empty"}
+    ),
+    st.lists(st.integers(0, 7), min_size=1, max_size=2, unique=True),
+    st.integers(0, 2**16),
+)
+def test_the_run_batched_probe_equals_the_per_chunk_reference(kinds, columns, seed):
+    """Runs of probed chunks broken anywhere by filtered or empty ones:
+    the kernel's one compare and one ``add_many`` a run leave the state
+    of a probe and a fold per chunk, float sums bit for bit, with the
+    same ``cells_probed`` and ``cells_scanned``."""
+    chunks = run_probe_against_reference(kinds, columns, seed)
+    kinds = [kind for kind in kinds if kind != "empty"]
+    assert [probed for probed, *_ in chunks] == [
+        kind != "sparse" for kind in kinds
+    ]
+
+
+def test_the_stacked_kinds_cover_what_the_property_claims():
+    """One draw holding each case the property is for: a probed chunk
+    whose candidates all miss, one whose candidates run past its last
+    offset, and runs broken by a filtered chunk."""
+    kinds = ["dense", "miss", "sparse", "low", "dense", "empty", "sparse", "dense"]
+    chunks = run_probe_against_reference(kinds, [2, 5], seed=5)
+    assert chunks == [
+        (True, 8, 8, False),
+        (True, 8, 0, False),
+        (False, 8, None, None),
+        (True, 8, 6, True),
+        (True, 8, 8, False),
+        (False, 8, None, None),
+        (True, 8, 8, False),
+    ]
+
+
+def test_membership_tables_are_built_by_the_first_filtered_chunk(monkeypatch):
+    """A query whose chunks all probe builds no membership table; one
+    filtered chunk builds them once."""
+    # the package exports a function of the module's name
+    kernel_module = importlib.import_module("repro.core.consolidate")
+    built = []
+
+    def counted(geometry, terms, op):
+        built.append(op)
+        return ComposedTables(geometry, terms, op)
+
+    monkeypatch.setattr(kernel_module, "ComposedTables", counted)
+    run_probe_against_reference(["dense", "miss", "low", "dense"], [2, 5], seed=3)
+    assert built == []  # no membership table, nor the filter's target table
+    run_probe_against_reference(["dense", "sparse", "low", "sparse"], [2, 5], seed=3)
+    assert built.count(np.logical_and) == 1

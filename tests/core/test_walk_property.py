@@ -6,7 +6,8 @@ arrays, size-1 axes, ragged edge chunks, chunk shape == shape):
 - the walk over any chunk sub-range and any membership masks yields
   exactly the chunks a brute-force test of every chunk's index box
   keeps — ascending — and bills ``chunks_skipped +
-  empty_chunks_skipped + chunks_read == len(range)`` cold;
+  empty_chunks_skipped + chunks_read == len(range)`` cold; a walk
+  closed after ``k`` chunks bills exactly their ``k`` payloads;
 - ``sum_region``, ``measure_stats``, ``correlation``, ``slice_dim`` and
   ``compute_cube`` equal a numpy fold over the dense cell table (int64
   measures range past 2**53, so a float64 detour in a sum would show);
@@ -103,6 +104,24 @@ def test_walk_yields_the_brute_force_chunks(case, data):
         == high - low
     )
     # nobody else was billed: the array's own bag saw none of it
+    assert array.counters.get("chunks_read") == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.data())
+def test_a_walk_closed_after_k_chunks_bills_exactly_k(case, data):
+    """The cold walk bills its payloads once, when its reader ends; a
+    walk closed part-way bills the chunks it yielded and no other."""
+    array = build(case)
+    n_chunks = array.geometry.n_chunks
+    k = data.draw(st.integers(0, n_chunks))
+    bag = Counters()
+    walk = array.walk(range(n_chunks), None, bag)
+    taken = [chunk.no for chunk in itertools.islice(walk, k)]
+    walk.close()
+    lengths = array.chunk_directory()[:, 1]
+    assert bag.get("chunks_read") == len(taken)
+    assert bag.get("chunk_bytes_read") == sum(int(lengths[no]) for no in taken)
     assert array.counters.get("chunks_read") == 0
 
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import BufferPoolError, PageError
+from repro.errors import BufferPoolError, PageError, SimulatedCrash
 from repro.storage import BufferPool, SimulatedDisk, WriteAheadLog, recover
+from repro.storage.faults import FaultPlan, fault_plan
 
 
 def make_pool(frames=4, page_size=256, wal=None):
@@ -129,6 +130,78 @@ class TestColdReset:
         assert before == {"pool_misses": 1, "pool_hits": 1}
         pool.clear()
         assert pool.counters.snapshot() == before
+
+    def test_a_clean_unpinned_clear_writes_and_logs_nothing(self):
+        wal = WriteAheadLog()
+        disk, pool = make_pool(frames=8, wal=wal)
+        first = disk.allocate(6)
+        pool.get_run(first, 6)
+        pool.pin(first)
+        pool.pin(first)
+        pool.unpin(first)
+        pool.unpin(first)
+        records = len(wal.records())
+        written = disk.counters.get("pages_written")
+        with fault_plan(FaultPlan()) as plan:
+            pool.clear()
+        assert pool.resident_pages() == 0
+        assert plan.hits == {}  # no page flushed, no record appended
+        assert len(wal.records()) == records
+        assert disk.counters.get("pages_written") == written
+
+    def test_clear_refuses_while_any_pin_is_held(self):
+        disk, pool = make_pool()
+        pid = pool.new_page()
+        pool.pin(pid)
+        pool.pin(pid)
+        pool.unpin(pid)  # one pin still held
+        with pytest.raises(BufferPoolError, match=f"pages \\[{pid}\\] pinned"):
+            pool.clear()
+        assert pool.resident_pages() == 1
+        pool.unpin(pid)
+        pool.clear()
+        assert pool.resident_pages() == 0
+        assert disk.counters.get("pages_written") == 1  # the new page
+
+    def test_every_dirty_frame_is_flushed_once(self):
+        disk, pool = make_pool(frames=2)
+        pages = [pool.new_page() for _ in range(3)]  # the first is evicted dirty
+        pool.mark_dirty(pages[2])  # dirty already: counted once
+        pool.write(pages[0], bytes([7]) * disk.page_size)  # faulted back in
+        assert disk.counters.get("pages_written") == 2  # two evictions
+        with fault_plan(FaultPlan()) as plan:
+            pool.clear()
+        assert plan.hits == {"pool.flush_page": 2}
+        assert disk.read_page(pages[0])[0] == 7
+        with fault_plan(FaultPlan()) as plan:
+            pool.clear()
+        assert plan.hits == {}
+
+    def test_a_crash_drops_pins_and_dirt(self):
+        disk, pool = make_pool()
+        pid = pool.new_page()
+        pool.pin(pid)
+        pool.crash()
+        with fault_plan(FaultPlan()) as plan:
+            pool.clear()  # the crashed pin and dirty frame are gone
+        assert plan.hits == {}
+        assert disk.counters.get("pages_written") == 0
+
+    def test_under_a_wal_a_clear_logs_before_it_flushes(self):
+        wal = WriteAheadLog()
+        disk, pool = make_pool(wal=wal)
+        pages = [pool.new_page() for _ in range(2)]
+        for value, pid in enumerate(pages, 1):
+            pool.write(pid, bytes([value]) * disk.page_size)
+        with fault_plan(FaultPlan(crash_at="pool.flush_page")) as plan:
+            with pytest.raises(SimulatedCrash):
+                pool.clear()
+        order = list(plan.hits)  # each point where it first fired
+        assert order.index("wal.commit") < order.index("pool.flush_page")
+        assert [r.page_id for r in wal.records()][:2] == pages
+        pool.crash()
+        recover(disk, wal)  # the crash came after the commit was logged
+        assert [disk.read_page(pid)[0] for pid in pages] == [1, 2]
 
     def test_hit_rate(self):
         disk, pool = make_pool()
