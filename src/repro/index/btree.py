@@ -21,7 +21,19 @@ Design notes:
   on nodes held in memory and write each node once: the pages one
   insert per entry writes, without a page decode and encode per entry.
   :meth:`BTree.bulk_load` packs sorted entries instead (85 % fill, a
-  different shape).
+  different shape);
+- lookups (:meth:`BTree.search`, :meth:`BTree.range_search`, the descent
+  of :meth:`BTree.delete`) never decode a whole node: one entry reader,
+  :func:`_entries`, walks a node's bytes and hands each entry's *sort
+  key* to a compare with the encoded target, and only the keys a lookup
+  yields are decoded (once per run of equal keys).  A ``str`` key's sort
+  key is its raw UTF-8 bytes: UTF-8 is built so that byte order is code
+  point order, which is Python's ``str`` order, so a leaf sorted by
+  ``str`` is sorted by bytes (a lone surrogate, the one ``str`` with no
+  UTF-8 form, cannot be inserted).  An ``int`` key is its unpacked
+  int64 and a tuple key its decoded tuple, whose encoding (little-endian
+  ints, length-prefixed elements) does not sort bytewise.  Writes and
+  :meth:`BTree.validate` decode nodes (:class:`_Node`).
 """
 
 from __future__ import annotations
@@ -30,6 +42,8 @@ import struct
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from repro.errors import BTreeError
 from repro.storage.page_file import FileManager, PageFile
@@ -68,6 +82,32 @@ def _encode_key(key) -> tuple[int, bytes]:
             out += raw
         return _KIND_TUPLE, bytes(out)
     raise BTreeError(f"unsupported key type {type(key).__name__}")
+
+
+def _sort_key(kind: int, key):
+    """``key`` as :func:`_entries` yields the keys of a tree of ``kind``."""
+    return key.encode("utf-8") if kind == _KIND_STR else key
+
+
+def _entries(buf, kind: int) -> Iterator[tuple[object, int]]:
+    """Yield ``(sort key, end)`` for each entry of the encoded node
+    ``buf``, in key order, decoding nothing else: the entry's child page
+    or value is the int64 at ``end``, and an internal node's leading
+    child the int64 at ``_NODE_HEADER.size``.  The sort key orders as the
+    decoded key does (see the module notes)."""
+    is_leaf, nkeys, _ = _NODE_HEADER.unpack_from(buf, 0)
+    offset = _NODE_HEADER.size if is_leaf else _NODE_HEADER.size + _VALUE.size
+    head, value = _ENTRY_HEAD.unpack_from, _VALUE.unpack_from
+    for _ in range(nkeys):
+        start = offset + _ENTRY_HEAD.size
+        end = start + head(buf, offset)[0]
+        if kind == _KIND_STR:
+            yield buf[start:end], end
+        elif kind == _KIND_INT:
+            yield value(buf, start)[0], end
+        else:
+            yield _decode_key(kind, bytes(buf[start:end])), end
+        offset = end + _VALUE.size
 
 
 def _decode_key(kind: int, raw: bytes):
@@ -396,85 +436,76 @@ class BTree:
 
     # -- lookup ------------------------------------------------------------------------
 
-    def _leftmost_leaf_for(self, key) -> int:
+    def _leftmost_leaf_for(self, target) -> int:
+        """The leaf where entries of sort key ``target`` start (``None``:
+        the first leaf): at each level the child left of the first key
+        not below ``target``."""
         logical = self._root
-        node = self._read_node(logical)
-        while not node.is_leaf:
-            logical = node.children[bisect_left(node.keys, key)]
-            node = self._read_node(logical)
+        buf = self._file.read(logical)
+        while not buf[0]:  # the header's is_leaf byte
+            end = _NODE_HEADER.size  # the leading child
+            for key, key_end in _entries(buf, self._kind):
+                if target is None or key >= target:
+                    break
+                end = key_end
+            logical = _VALUE.unpack_from(buf, end)[0]
+            buf = self._file.read(logical)
         return logical
 
-    def search(self, key) -> list[int]:
-        """All values stored under ``key`` (ascending), possibly empty."""
-        if self._count == 0 or self._kind == _KIND_UNSET:
-            return []
-        self._check_key(key)
-        return [v for _, v in self._scan_from(key)]
+    def _leaf_entries(self, low, high) -> Iterator[tuple[object, int]]:
+        """Yield ``(sort key, value)`` for the leaf entries with ``low <=
+        key <= high`` (sort keys; ``None`` is open), in leaf order.
 
-    def _scan_from(self, key) -> Iterator[tuple[object, int]]:
-        """Yield ``(key, value)`` entries equal to ``key``, value-sorted.
+        The descent's leaf is read again here, so a lookup's pool hits are
+        those the golden counters pin.  Each leaf is walked as a snapshot
+        of its bytes: a caller may write the tree between two entries.
+        """
+        kind = self._kind
+        logical = self._leftmost_leaf_for(low)
+        while logical != _NO_PAGE:
+            buf = bytes(self._file.read(logical))
+            for key, end in _entries(buf, kind):
+                if low is not None and key < low:
+                    continue
+                if high is not None and key > high:
+                    return
+                yield key, _VALUE.unpack_from(buf, end)[0]
+            logical = _NODE_HEADER.unpack_from(buf, 0)[2]
+
+    def search(self, key) -> list[int]:
+        """All values stored under ``key`` (ascending), possibly empty.
 
         Duplicates of one key may be physically out of value order when
         a run spans a leaf split (inserts for the separator key always
-        descend right), so the run is buffered and sorted here.
+        descend right), so the run is sorted here.
         """
-        values = []
-        logical = self._leftmost_leaf_for(key)
-        while logical != _NO_PAGE:
-            node = self._read_node(logical)
-            for k, v in zip(node.keys, node.values):
-                if k < key:
-                    continue
-                if k > key:
-                    logical = _NO_PAGE
-                    break
-                values.append(v)
-            else:
-                logical = node.next_leaf
-        for value in sorted(values):
-            yield key, value
+        if self._count == 0 or self._kind == _KIND_UNSET:
+            return []
+        self._check_key(key)
+        target = _sort_key(self._kind, key)
+        return sorted(value for _, value in self._leaf_entries(target, target))
 
     def range_search(
         self, low=None, high=None
     ) -> Iterator[tuple[object, int]]:
         """Yield ``(key, value)`` with ``low <= key <= high`` in order.
 
-        ``None`` bounds are open.
+        ``None`` bounds are open.  Runs of one key are buffered and
+        value-sorted (see :meth:`search`); a run's key is decoded once.
         """
         if self._count == 0 or self._kind == _KIND_UNSET:
             return
+        kind = self._kind
         if low is not None:
             self._check_key(low)
-            logical = self._leftmost_leaf_for(low)
-        else:
-            logical = self._root
-            node = self._read_node(logical)
-            while not node.is_leaf:
-                logical = node.children[0]
-                node = self._read_node(logical)
+            low = _sort_key(kind, low)
         if high is not None:
             self._check_key(high)
-        # runs of one key are buffered and value-sorted (see _scan_from)
-        run_key: object = None
-        run_values: list[int] = []
-        while logical != _NO_PAGE:
-            node = self._read_node(logical)
-            for k, v in zip(node.keys, node.values):
-                if low is not None and k < low:
-                    continue
-                if high is not None and k > high:
-                    for value in sorted(run_values):
-                        yield run_key, value
-                    return
-                if run_values and k == run_key:
-                    run_values.append(v)
-                else:
-                    for value in sorted(run_values):
-                        yield run_key, value
-                    run_key, run_values = k, [v]
-            logical = node.next_leaf
-        for value in sorted(run_values):
-            yield run_key, value
+            high = _sort_key(kind, high)
+        for key, run in groupby(self._leaf_entries(low, high), itemgetter(0)):
+            decoded = key.decode("utf-8") if kind == _KIND_STR else key
+            for value in sorted(value for _, value in run):
+                yield decoded, value
 
     def items(self) -> Iterator[tuple[object, int]]:
         """Every entry in key order."""
@@ -496,7 +527,7 @@ class BTree:
         if self._count == 0:
             return False
         self._check_key(key)
-        logical = self._leftmost_leaf_for(key)
+        logical = self._leftmost_leaf_for(_sort_key(self._kind, key))
         while logical != _NO_PAGE:
             node = self._read_node(logical)
             for i, (k, v) in enumerate(zip(node.keys, node.values)):

@@ -10,16 +10,20 @@ callers serialise access.  Warm chunk reads — every service miss and
 every ``thread`` shard scan — go through the database's
 :class:`~repro.storage.chunk_cache.ChunkCache`, whose I/O lock admits
 one pool reader at a time; writers hold the cube's exclusive lock.
-Frames carry pin counts for correctness of eviction (a pinned frame is
-never evicted).
+A pinned page is never evicted.
 
-Frame states: a frame faulted in by a run read (:meth:`BufferPool.get_run`,
-:meth:`BufferPool.get_runs`) holds the disk's own immutable ``bytes``
-image (a cold scan copies no page);
+Frames: the frame map holds each resident page's image itself, in LRU
+order.  A page faulted in by a run read (:meth:`BufferPool.get_run`,
+:meth:`BufferPool.get_runs`) is the disk's own immutable ``bytes``
+image (a cold scan copies no page and allocates no per-page record);
 :meth:`BufferPool.get`, the mutable accessor every writer goes through
-before :meth:`BufferPool.mark_dirty`, replaces it by a private
-``bytearray`` on first use.  Everything else reads a frame through
-``bytes(frame.data)`` and cannot tell the two apart.
+before :meth:`BufferPool.mark_dirty`, replaces it in its LRU slot by a
+private ``bytearray`` on first use.  Everything else reads a frame
+through ``bytes(image)`` and cannot tell the two apart.  The few pinned
+or dirty pages are two small side tables, page → pin count and page →
+whether its after-image is logged; a page in neither is clean and
+unpinned, and each table's length is its count, so a clear, flush or
+commit scans the frames only when a page of its kind exists.
 
 Recovery integration: when constructed with a
 :class:`~repro.storage.wal.WriteAheadLog`, the pool runs a **no-steal /
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
 
 from repro.errors import BufferPoolError, PageError
 from repro.obs.histogram import Histogram
@@ -44,16 +47,9 @@ from repro.util.stats import Counters
 DEFAULT_POOL_BYTES = 16 * 1024 * 1024
 
 
-@dataclass(slots=True)
-class _Frame:
-    data: bytes | bytearray  # bytes: clean and shared with the disk
-    dirty: bool = False
-    pin_count: int = 0
-    logged: bool = field(default=True, repr=False)
-
-
-#: per-frame bookkeeping bytes beyond the page image itself (the
-#: ``_Frame`` object, its ``bytearray`` header, the OrderedDict slot).
+#: per-frame bookkeeping bytes charged beyond the page image itself: the
+#: image's object header and the frame map's linked slot, rounded up to
+#: price a pool of private copies (a shared run-read image costs less).
 _FRAME_OVERHEAD = 160
 
 
@@ -75,11 +71,12 @@ class BufferPool:
         self.histograms: dict[str, Histogram] = {
             "pool.evict_seconds": Histogram(),
         }
-        self._frames: OrderedDict[int, _Frame] = OrderedDict()
-        #: how many frames are pinned, and how many dirty: a clear, flush
-        #: or commit scans the frames only when one of its kind is
-        self._pinned = 0
-        self._dirty = 0
+        #: page -> image (``bytes`` shared with the disk, else private)
+        self._frames: OrderedDict[int, bytes | bytearray] = OrderedDict()
+        #: pinned page -> pin count (> 0)
+        self._pins: dict[int, int] = {}
+        #: dirty page -> whether its after-image is logged
+        self._dirty: dict[int, bool] = {}
 
     # -- core access --------------------------------------------------------
 
@@ -90,17 +87,17 @@ class BufferPool:
         :meth:`mark_dirty` to persist, but do not hold it across other
         pool calls without :meth:`pin`.
         """
-        frame = self._frames.get(page_id)
-        if frame is not None:
-            self._frames.move_to_end(page_id)
+        frames = self._frames
+        data = frames.get(page_id)
+        if data is not None:
+            frames.move_to_end(page_id)
             self.counters.add("pool_hits")
-            if type(frame.data) is bytes:  # faulted in by a run read
-                frame.data = bytearray(frame.data)
-            return frame.data
+            if type(data) is bytes:  # faulted in by a run read
+                data = frames[page_id] = bytearray(data)
+            return data
         self.counters.add("pool_misses")
         self._make_room()
-        data = bytearray(self.disk.read_page(page_id))
-        self._frames[page_id] = _Frame(data)
+        data = frames[page_id] = bytearray(self.disk.read_page(page_id))
         return data
 
     def get_run(self, first: int, n: int) -> list[bytes | bytearray]:
@@ -123,7 +120,7 @@ class BufferPool:
             and frames.keys().isdisjoint(pages)
         ):
             images = self.disk.read_run(first, n)
-            frames.update(zip(pages, map(_Frame, images)))
+            frames.update(zip(pages, images))
             self.counters.add("pool_misses", n)
             return images
         resident = [page_id for page_id in pages if page_id in frames]
@@ -138,12 +135,11 @@ class BufferPool:
             for stop in (*resident, first + n):  # ends a missing sub-run
                 if stop > start:
                     images = self.disk.read_run(start, stop - start)
-                    for page_id, image in enumerate(images, start):
-                        frames[page_id] = _Frame(image)
+                    frames.update(zip(range(start, stop), images))
                 start = stop + 1
         for page_id in pages:
             frames.move_to_end(page_id)
-        return [frames[page_id].data for page_id in pages]
+        return [frames[page_id] for page_id in pages]
 
     def get_runs(
         self, runs: list[tuple[int, int]], between: int
@@ -173,10 +169,10 @@ class BufferPool:
             stop = start + n
         total = stop - first
         pages = range(first, stop)
-        frame = frames.get(between)
+        between_image = frames.get(between)
         if (
             not adjacent
-            or frame is None
+            or between_image is None
             or len(frames) + total > self.capacity_frames
             or not frames.keys().isdisjoint(pages)
         ):
@@ -187,11 +183,11 @@ class BufferPool:
             return buffers
         images = self.disk.read_run(first, total)
         last = runs[-1][0]
-        frames.update(zip(range(first, last), map(_Frame, images)))
+        frames.update(zip(range(first, last), images))
         frames.move_to_end(between)
-        if type(frame.data) is bytes:  # as get() leaves it
-            frame.data = bytearray(frame.data)
-        frames.update(zip(range(last, stop), map(_Frame, images[last - first :])))
+        if type(between_image) is bytes:  # as get() leaves it
+            frames[between] = bytearray(between_image)
+        frames.update(zip(range(last, stop), images[last - first :]))
         self.counters.add_many(
             {"pool_hits": len(runs) - 1, "pool_misses": total}
         )
@@ -205,23 +201,17 @@ class BufferPool:
         """
         first = self.disk.allocate(count)
         self._make_room()
-        self._frames[first] = _Frame(
-            bytearray(self.disk.page_size), dirty=True, logged=False
-        )
-        self._dirty += 1
+        self._frames[first] = bytearray(self.disk.page_size)
+        self._dirty[first] = False
         return first
 
     def mark_dirty(self, page_id: int) -> None:
         """Record that the frame for ``page_id`` was modified."""
-        frame = self._frames.get(page_id)
-        if frame is None:
+        if page_id not in self._frames:
             raise BufferPoolError(
                 f"mark_dirty on page {page_id} which is not resident"
             )
-        if not frame.dirty:
-            self._dirty += 1
-        frame.dirty = True
-        frame.logged = False
+        self._dirty[page_id] = False
 
     def write(self, page_id: int, image: bytes) -> None:
         """Replace the whole page image (faulting the frame in if needed)."""
@@ -230,49 +220,43 @@ class BufferPool:
                 f"page image is {len(image)} bytes, page size is "
                 f"{self.disk.page_size}"
             )
-        frame = self._frames.get(page_id)
-        if frame is None:
+        frames = self._frames
+        data = frames.get(page_id)
+        if data is None:
             self._make_room()
-            frame = _Frame(bytearray(image), dirty=True, logged=False)
-            self._frames[page_id] = frame
-            self._dirty += 1
+            frames[page_id] = bytearray(image)
         else:
-            if type(frame.data) is bytes:
-                frame.data = bytearray(image)
+            if type(data) is bytes:
+                frames[page_id] = bytearray(image)
             else:
-                frame.data[:] = image
-            if not frame.dirty:
-                self._dirty += 1
-            frame.dirty = True
-            frame.logged = False
-            self._frames.move_to_end(page_id)
+                data[:] = image
+            frames.move_to_end(page_id)
+        self._dirty[page_id] = False
 
     # -- pinning --------------------------------------------------------------
 
     def pin(self, page_id: int) -> bytearray:
         """Fault in and pin a page; pinned frames are never evicted."""
         data = self.get(page_id)
-        frame = self._frames[page_id]
-        if not frame.pin_count:
-            self._pinned += 1
-        frame.pin_count += 1
+        self._pins[page_id] = self._pins.get(page_id, 0) + 1
         return data
 
     def unpin(self, page_id: int) -> None:
         """Release one pin on ``page_id``."""
-        frame = self._frames.get(page_id)
-        if frame is None or frame.pin_count <= 0:
+        count = self._pins.get(page_id)
+        if count is None:
             raise BufferPoolError(f"unpin of page {page_id} not pinned")
-        frame.pin_count -= 1
-        if not frame.pin_count:
-            self._pinned -= 1
+        if count > 1:
+            self._pins[page_id] = count - 1
+        else:
+            del self._pins[page_id]
 
     # -- eviction / flushing -----------------------------------------------------
 
-    def _evictable(self, frame: _Frame) -> bool:
-        if frame.pin_count > 0:
+    def _evictable(self, page_id: int) -> bool:
+        if page_id in self._pins:
             return False
-        if self.wal is not None and frame.dirty and not frame.logged:
+        if self.wal is not None and self._dirty.get(page_id) is False:
             return False  # no-steal: unlogged dirty pages stay resident
         return True
 
@@ -280,8 +264,8 @@ class BufferPool:
         while len(self._frames) >= self.capacity_frames:
             start = time.perf_counter()
             victim_id = None
-            for page_id, frame in self._frames.items():  # LRU order
-                if self._evictable(frame):
+            for page_id in self._frames:  # LRU order
+                if self._evictable(page_id):
                     victim_id = page_id
                     break
             if victim_id is None:
@@ -289,12 +273,11 @@ class BufferPool:
                     "no evictable frame: all pages pinned or dirty-unlogged "
                     "(call commit() when running with a WAL)"
                 )
-            frame = self._frames.pop(victim_id)
-            if frame.dirty:
-                self._dirty -= 1
+            data = self._frames.pop(victim_id)
+            if self._dirty.pop(victim_id, None) is not None:
                 self.counters.add("pool_evict_dirty")
                 crash_point("pool.flush_page")
-                self.disk.write_page(victim_id, bytes(frame.data))
+                self.disk.write_page(victim_id, bytes(data))
             else:
                 self.counters.add("pool_evict_clean")
             self.histograms["pool.evict_seconds"].observe(
@@ -305,23 +288,22 @@ class BufferPool:
         """Write every dirty frame to disk (frames stay resident)."""
         if self.wal is not None:
             self.commit()
-        if not self._dirty:
+        dirty = self._dirty
+        if not dirty:
             return
-        for page_id, frame in self._frames.items():
-            if frame.dirty:
+        for page_id, data in self._frames.items():  # LRU order
+            if page_id in dirty:
                 crash_point("pool.flush_page")
-                self.disk.write_page(page_id, bytes(frame.data))
-                frame.dirty = False
-                self._dirty -= 1
+                self.disk.write_page(page_id, bytes(data))
+                del dirty[page_id]
 
     def clear(self) -> None:
         """Flush everything and drop all frames (the cold-cache reset).
 
         A clean pool with no page pinned drops its frames unscanned."""
-        if self._pinned:
-            pinned = [pid for pid, f in self._frames.items() if f.pin_count > 0]
-            if pinned:
-                raise BufferPoolError(f"cannot clear pool: pages {pinned} pinned")
+        if self._pins:
+            pinned = [pid for pid in self._frames if pid in self._pins]
+            raise BufferPoolError(f"cannot clear pool: pages {pinned} pinned")
         self.flush_all()
         self._drop_frames()
 
@@ -329,16 +311,14 @@ class BufferPool:
 
     def commit(self) -> None:
         """Log after-images of all unlogged dirty frames, then a COMMIT."""
-        if self.wal is None or not self._dirty:
+        dirty = self._dirty
+        if self.wal is None or all(dirty.values()):
             return
-        logged_any = False
-        for page_id, frame in self._frames.items():
-            if frame.dirty and not frame.logged:
-                self.wal.log_page(page_id, bytes(frame.data))
-                frame.logged = True
-                logged_any = True
-        if logged_any:
-            self.wal.log_commit()
+        for page_id, data in self._frames.items():  # LRU order
+            if dirty.get(page_id) is False:
+                self.wal.log_page(page_id, bytes(data))
+                dirty[page_id] = True
+        self.wal.log_commit()
 
     def crash(self) -> None:
         """Simulate a crash: every frame is lost, nothing is flushed."""
@@ -346,7 +326,8 @@ class BufferPool:
 
     def _drop_frames(self) -> None:
         self._frames.clear()
-        self._pinned = self._dirty = 0
+        self._pins.clear()
+        self._dirty.clear()
 
     # -- statistics ------------------------------------------------------------
 

@@ -149,8 +149,8 @@ class TestFaultyDisk:
                 store.read(oid)
             assert disk.counters.get("transient_read_errors") == 1
             assert not any(first + i in pool._frames for i in range(5, 10))
-            for page_id, frame in pool._frames.items():
-                assert bytes(frame.data) == disk._pages[page_id]
+            for page_id, image in pool._frames.items():
+                assert bytes(image) == disk._pages[page_id]
             assert store.read(oid) == payload
         assert disk.counters.get("transient_read_errors") == 1
 

@@ -208,12 +208,14 @@ def _apply(pool, op, by_run):
 
 def _observable(pool):
     disk = pool.disk.counters.snapshot()
+    frames, dirty, pins = pool._frames, pool._dirty, pool._pins
     return {
         "pool": pool.counters.snapshot(),
         "disk": {k: v for k, v in disk.items() if k != "sim_io_s"},
-        "frames": [
-            (page_id, bytes(f.data), f.dirty, f.logged, f.pin_count)
-            for page_id, f in pool._frames.items()
+        "frames": [  # a clean page counts as logged
+            (page_id, bytes(image), page_id in dirty, dirty.get(page_id, True),
+             pins.get(page_id, 0))
+            for page_id, image in frames.items()
         ],
         "arm": pool.disk._last_accessed,
         "volume": list(pool.disk._pages),
@@ -241,8 +243,7 @@ def test_get_run_is_the_loop_of_get(ops, frames, with_wal):
         assert seen_run == seen_get, op
         assert io_run == pytest.approx(io_get, rel=1e-9), op
     for pool in twins:
-        for frame in pool._frames.values():
-            frame.pin_count = 0
+        pool._pins.clear()
         pool.clear()
     assert twins[0].disk._pages == twins[1].disk._pages
 
