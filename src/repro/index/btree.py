@@ -329,9 +329,13 @@ class BTree:
 
     # -- node I/O -----------------------------------------------------------------
 
-    def _read_node(self, logical: int) -> _Node:
+    def _read_node(self, logical: int, buf=None) -> _Node:
+        """The node at ``logical``; ``buf`` is its page when the caller
+        has read it already (a held node still wins over it)."""
         if self._held is None:
-            return _Node.decode(self._file.read(logical), self._kind)
+            if buf is None:
+                buf = self._file.read(logical)
+            return _Node.decode(buf, self._kind)
         node = self._held.get(logical)
         if node is None:
             node = self._held[logical] = _Node.decode(
@@ -436,10 +440,10 @@ class BTree:
 
     # -- lookup ------------------------------------------------------------------------
 
-    def _leftmost_leaf_for(self, target) -> int:
+    def _leftmost_leaf_for(self, target) -> tuple[int, bytes]:
         """The leaf where entries of sort key ``target`` start (``None``:
-        the first leaf): at each level the child left of the first key
-        not below ``target``."""
+        the first leaf), and a snapshot of its page: at each level the
+        child left of the first key not below ``target``."""
         logical = self._root
         buf = self._file.read(logical)
         while not buf[0]:  # the header's is_leaf byte
@@ -450,20 +454,19 @@ class BTree:
                 end = key_end
             logical = _VALUE.unpack_from(buf, end)[0]
             buf = self._file.read(logical)
-        return logical
+        return logical, bytes(buf)
 
     def _leaf_entries(self, low, high) -> Iterator[tuple[object, int]]:
         """Yield ``(sort key, value)`` for the leaf entries with ``low <=
         key <= high`` (sort keys; ``None`` is open), in leaf order.
 
-        The descent's leaf is read again here, so a lookup's pool hits are
-        those the golden counters pin.  Each leaf is walked as a snapshot
-        of its bytes: a caller may write the tree between two entries.
+        The descent's leaf is walked from the page the descent read; each
+        later leaf is read once.  Each leaf is walked as a snapshot of its
+        bytes: a caller may write the tree between two entries.
         """
         kind = self._kind
-        logical = self._leftmost_leaf_for(low)
-        while logical != _NO_PAGE:
-            buf = bytes(self._file.read(logical))
+        logical, buf = self._leftmost_leaf_for(low)
+        while True:
             for key, end in _entries(buf, kind):
                 if low is not None and key < low:
                     continue
@@ -471,6 +474,9 @@ class BTree:
                     return
                 yield key, _VALUE.unpack_from(buf, end)[0]
             logical = _NODE_HEADER.unpack_from(buf, 0)[2]
+            if logical == _NO_PAGE:
+                return
+            buf = bytes(self._file.read(logical))
 
     def search(self, key) -> list[int]:
         """All values stored under ``key`` (ascending), possibly empty.
@@ -527,9 +533,10 @@ class BTree:
         if self._count == 0:
             return False
         self._check_key(key)
-        logical = self._leftmost_leaf_for(_sort_key(self._kind, key))
+        logical, buf = self._leftmost_leaf_for(_sort_key(self._kind, key))
         while logical != _NO_PAGE:
-            node = self._read_node(logical)
+            node = self._read_node(logical, buf)
+            buf = None
             for i, (k, v) in enumerate(zip(node.keys, node.values)):
                 if k > key:
                     return False

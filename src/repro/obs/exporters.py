@@ -22,15 +22,33 @@ _METRIC_NAME = re.compile(r"[^a-zA-Z0-9_:]")
 # -- JSON traces ------------------------------------------------------------
 
 
+def span_dict(
+    name: str,
+    attrs: dict,
+    duration_s: float,
+    io: dict | None = None,
+    children: list | None = None,
+) -> dict:
+    """The serialized form of one span, which owns its key set: a leaf
+    with no I/O when ``io`` and ``children`` are left out."""
+    return {
+        "name": name,
+        "attrs": attrs,
+        "duration_s": duration_s,
+        "io": {} if io is None else io,
+        "children": [] if children is None else children,
+    }
+
+
 def span_to_dict(span: Span) -> dict:
     """A JSON-serializable dict of one span subtree."""
-    return {
-        "name": span.name,
-        "attrs": dict(span.attrs),
-        "duration_s": span.duration_s,
-        "io": dict(span.io),
-        "children": [span_to_dict(child) for child in span.children],
-    }
+    return span_dict(
+        span.name,
+        dict(span.attrs),
+        span.duration_s,
+        dict(span.io),
+        [span_to_dict(child) for child in span.children],
+    )
 
 
 def span_from_dict(payload: dict) -> Span:

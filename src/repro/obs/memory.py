@@ -27,10 +27,11 @@ What each store is charged, and how closely:
   plus a fixed part
   (:func:`~repro.serve.result_cache.result_bytes`), reading at most
   one row;
-- a trace's span trees and analyzed plans: :func:`tree_bytes`, each
-  dict and list its own size plus a flat rate per entry, never
-  measuring a value; a trace's attrs by what each merge adds or
-  replaces.
+- a trace: one constant for its fixed-size fields, its strings and
+  attr keys and values each ``sys.getsizeof``, and each span tree and
+  analyzed plan it keeps :func:`tree_bytes`, each dict and list its own
+  size plus a flat rate per entry, never measuring a value; a merge is
+  charged only what it adds or replaces.
 
 No entry is walked object by object; over the test corpus every shape
 charge stays within 0.5–2x of a full walk
@@ -107,7 +108,8 @@ class SizedStore:
     ``pressure_hook`` is where the memory budget is checked: the
     accountant installs it at registration, and each growth step — a
     :meth:`put` or :meth:`grow`, or a subclass's compound step built
-    from :meth:`_put` / :meth:`_grow` — calls it once, through
+    from :meth:`_put` / :meth:`_grow`, or from :meth:`_add` /
+    :meth:`_charge` under ``_lock`` — calls it once, through
     :meth:`_grew`.  The lock rule: the hook, and so every reclaim, never
     runs under a store's ``_lock`` or another lock the step holds (the
     chunk cache's ``_io_lock``); the service's engine lock may be held.
@@ -172,11 +174,15 @@ class SizedStore:
         with self._lock:
             if key in self._entries:
                 self._drop(key)
-            self._entries[key] = value
-            self._sizes[key] = nbytes
-            self._resident_bytes += nbytes
-            while len(self._entries) > self.capacity:
-                self._evict(self._evict_counter, spare=key)
+            self._add(key, value, nbytes)
+
+    def _add(self, key: Hashable, value: Any, nbytes: int) -> None:
+        # caller holds the lock; ``key`` is not resident
+        self._entries[key] = value
+        self._sizes[key] = nbytes
+        self._resident_bytes += nbytes
+        while len(self._entries) > self.capacity:
+            self._evict(self._evict_counter, spare=key)
 
     def get(self, key: Hashable) -> Any:
         """The value under ``key``, refreshed to newest, or ``None``."""
@@ -216,8 +222,12 @@ class SizedStore:
         """:meth:`grow` without the pressure hook, for a compound step."""
         with self._lock:
             if key in self._sizes:
-                self._sizes[key] += nbytes
-                self._resident_bytes += nbytes
+                self._charge(key, nbytes)
+
+    def _charge(self, key: Hashable, nbytes: int) -> None:
+        # caller holds the lock; ``key`` is resident
+        self._sizes[key] += nbytes
+        self._resident_bytes += nbytes
 
     def keys(self) -> list:
         """The resident keys, oldest first."""

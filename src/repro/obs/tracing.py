@@ -157,19 +157,28 @@ class TraceRecord:
         }
 
 
-#: a record's field table: a key-sharing instance dict, whose own
-#: ``sys.getsizeof`` drifts with how many records share its keys
-_FIELD_TABLE_BYTES = 288
+#: what every record is charged whatever it holds, computed once: the
+#: record object, its field table (a key-sharing instance dict whose
+#: ``sys.getsizeof`` drifts with how many records share its keys: 288 B,
+#: its size once two records do), the 32-char trace id, the two floats,
+#: the attrs dict and the roots and plans lists while empty, and the
+#: empty record's name and status (a contribution that relabels them is
+#: charged the difference); its origin is charged apart
+_RECORD_BYTES = (
+    sys.getsizeof(TraceRecord("0" * 32))
+    + 288
+    + sys.getsizeof("0" * 32)
+    + 2 * sys.getsizeof(0.0)
+    + sys.getsizeof({})
+    + 2 * sys.getsizeof([])
+    + sys.getsizeof(TraceRecord.name)
+    + sys.getsizeof(TraceRecord.status)
+)
 
-
-def _skeleton_bytes(record: TraceRecord) -> int:
-    """A record's own object, field table and field values, each value
-    charged ``sys.getsizeof`` without descending."""
-    return (
-        sys.getsizeof(record)
-        + _FIELD_TABLE_BYTES
-        + sum(sys.getsizeof(value) for value in vars(record).values())
-    )
+#: what a record's roots or plans list is charged for each item it
+#: keeps, beside the item's own :func:`~repro.obs.memory.tree_bytes`:
+#: one pointer slot
+_SLOT_BYTES = 8
 
 
 def _merge_attrs(into: dict, attrs: dict) -> int:
@@ -233,7 +242,7 @@ class TraceStore(SizedStore):
         context: TraceContext,
         *,
         name: str = "",
-        origin: str | None = None,
+        origin: str = "",
         status: str = "ok",
         latency_s: float = 0.0,
         roots: list | None = None,
@@ -245,49 +254,55 @@ class TraceStore(SizedStore):
         ``roots`` is a list of serialized span trees
         (:func:`~repro.obs.exporters.span_to_dict` form) and ``plans`` a
         list of analyzed-plan payloads; a record keeps at most
-        :data:`MAX_ROOTS_PER_TRACE` of each.  The merge is one growth
-        step: the pressure hook fires once, after the lock is released.
+        :data:`MAX_ROOTS_PER_TRACE` of each.
 
-        Byte accounting is *incremental* and reads shapes, not values:
-        a new record is charged its skeleton (:func:`_skeleton_bytes`),
-        each span tree and plan it keeps
-        :func:`~repro.obs.memory.tree_bytes` (charged outside the store
-        lock, on the writer's thread), and an attrs merge only what it
-        adds or replaces (:func:`_merge_attrs`), so a merge never
-        re-walks the record.
+        Byte accounting reads shapes, not values.  A record is charged
+        :data:`_RECORD_BYTES`, its origin, name and status and each attr
+        key and value ``sys.getsizeof`` (the attrs dict its table's
+        growth, :func:`_merge_attrs`), and each span tree and plan it
+        keeps a pointer slot plus :func:`~repro.obs.memory.tree_bytes`
+        (measured outside the store lock, on the writer's thread).  A
+        contribution is charged only what it adds or replaces, so a
+        merge never re-walks the record; one to a trace not yet resident
+        first stores an empty record, in the same step.  Either way the
+        store lock is taken once, and the pressure hook fires once,
+        after it is released.
         """
         error = status not in ("ok", "")
-        root_bytes = [tree_bytes(root) for root in roots or ()]
-        plan_bytes = [tree_bytes(plan) for plan in plans or ()]
+        root_bytes = list(map(tree_bytes, roots)) if roots else None
+        plan_bytes = list(map(tree_bytes, plans)) if plans else None
         trace_id = context.trace_id
         with self._lock:
-            # a contributor refreshes recency, so a trace still being
-            # assembled is not evicted under its writers
-            record = super().get(trace_id)
+            record = self._entries.get(trace_id)
             if record is None:
                 record = TraceRecord(
-                    trace_id=trace_id,
-                    origin=context.origin or origin,
-                    name=name,
-                    started_at=time.time(),
+                    trace_id, context.origin, started_at=time.time()
                 )
-                # the empty record's fixed skeleton; contributions
-                # below are charged as they merge
-                self._put(trace_id, record, _skeleton_bytes(record))
+                self._add(
+                    trace_id, record, _RECORD_BYTES + sys.getsizeof(record.origin)
+                )
                 self.counters.add("traces.stored")
             else:
+                # a contributor refreshes recency, so a trace still
+                # being assembled is not evicted under its writers
+                self._entries.move_to_end(trace_id)
                 self.counters.add("traces.merged")
+            grown = 0
             # the entry point that minted the trace names it, whoever
             # contributed first (an API request's queries run before it
             # records its own view)
             if name and (not record.name or origin == record.origin):
+                grown += sys.getsizeof(name) - sys.getsizeof(record.name)
                 record.name = name
             if origin and not record.origin:
+                grown += sys.getsizeof(origin) - sys.getsizeof(record.origin)
                 record.origin = origin
-            if error or record.status in ("ok", ""):
+            if status != record.status and (
+                error or record.status in ("ok", "")
+            ):
+                grown += sys.getsizeof(status) - sys.getsizeof(record.status)
                 record.status = status
             record.latency_s = max(record.latency_s, latency_s)
-            grown = 0
             if attrs:
                 grown += _merge_attrs(record.attrs, attrs)
             if roots:
@@ -298,7 +313,7 @@ class TraceStore(SizedStore):
                 grown += self._extend_capped(
                     record.plans, plans, plan_bytes, "traces.plans_dropped"
                 )
-            self._grow(trace_id, grown)
+            self._charge(trace_id, grown)
         self._grew()
 
     def _extend_capped(
@@ -306,14 +321,14 @@ class TraceStore(SizedStore):
     ) -> int:
         """Append to a record's ``into`` what fits under
         :data:`MAX_ROOTS_PER_TRACE`, counting the rest under
-        ``counter``; the bytes it grew by (the list's growth plus each
-        kept item's ``sizes`` charge)."""
+        ``counter``; what the kept items are charged (each its slot and
+        its ``sizes`` entry)."""
         room = max(0, MAX_ROOTS_PER_TRACE - len(into))
-        grown = -sys.getsizeof(into)
-        into.extend(items[:room])
+        kept = items[:room]
+        into.extend(kept)
         if len(items) > room:
             self.counters.add(counter, len(items) - room)
-        return grown + sys.getsizeof(into) + sum(sizes[:room])
+        return _SLOT_BYTES * len(kept) + sum(sizes[:room])
 
     # -- reading -------------------------------------------------------------
 

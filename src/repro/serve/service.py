@@ -71,7 +71,7 @@ from repro.errors import (
 )
 from repro.obs.explain import QueryPlan
 from repro.obs.memory import MemoryAccountant
-from repro.obs.exporters import span_to_dict
+from repro.obs.exporters import span_dict, span_to_dict
 from repro.obs.tracer import NULL_TRACER, Span, Tracer, get_tracer, thread_tracing
 from repro.obs.tracing import (
     TraceContext,
@@ -119,6 +119,11 @@ class ServiceConfig:
     #: this, the memory accountant reclaims in cheap-to-rebuild-first
     #: order: result cache → decoded chunks → coldest grains
     memory_budget_bytes: int = 0
+
+
+def _hit_attrs(query, cached: QueryResult) -> dict:
+    """A hit's ``serve_query`` span attributes."""
+    return {"cube": query.cube, "cache": "hit", "backend": cached.backend}
 
 
 class QueryService:
@@ -272,9 +277,15 @@ class QueryService:
         self._histograms["serve.cache_lookup_seconds"].observe(timer.elapsed)
         if cached is not None:
             self.counters.add("serve.admitted")
-            result, span = self._hit(query, cached, timer)
+            result = self._hit(cached, timer)
             latency = time.perf_counter() - start
-            roots = [span_to_dict(span)] if self.config.profile_queries else None
+            # the hit's serve_query span, built as the dict the store
+            # keeps: it is never opened, so it carries no I/O
+            roots = (
+                [span_dict("serve_query", _hit_attrs(query, cached), timer.elapsed)]
+                if self.config.profile_queries
+                else None
+            )
             self._record_trace(trace, query, fingerprint, "ok", latency, roots)
             self._count_slow(latency)
             self._histograms["serve.query_latency_seconds"].observe(
@@ -430,9 +441,12 @@ class QueryService:
                 timer.elapsed
             )
             if cached is not None:
-                result, span = self._hit(query, cached, timer)
+                # timed by the lookup: never opened, so no I/O and no
+                # registry snapshot
+                span = Span("serve_query", _hit_attrs(query, cached))
+                span.duration_s = timer.elapsed
                 tracer.attach(span)
-                return result
+                return self._hit(cached, timer)
             self._check_degraded(cube)  # may have degraded while we waited
             with tracer.span(
                 "serve_query", cube=cube, cache="miss", backend=backend
@@ -448,15 +462,8 @@ class QueryService:
             return result
 
     @staticmethod
-    def _hit(query, cached: QueryResult, timer: Timer) -> tuple[QueryResult, Span]:
-        """A cached answer and its ``serve_query`` span, both timed by
-        the lookup that found it: the span is never opened, so it
-        carries no I/O and takes no registry snapshot."""
-        span = Span(
-            "serve_query",
-            {"cube": query.cube, "cache": "hit", "backend": cached.backend},
-        )
-        span.duration_s = timer.elapsed
+    def _hit(cached: QueryResult, timer: Timer) -> QueryResult:
+        """A cached answer, timed by the lookup that found it."""
         out = QueryResult(
             rows=cached.rows,
             backend=cached.backend,
@@ -466,7 +473,7 @@ class QueryService:
             route=cached.route,
         )
         out.stats["result_cache_hit"] = 1.0
-        return out, span
+        return out
 
     # -- fault handling ----------------------------------------------------
 

@@ -43,28 +43,30 @@ def moved(before: dict, after: dict) -> dict:
     return {k: after[k] - before.get(k, 0) for k in after if after[k] != before.get(k, 0)}
 
 
-def reference_leaf(pfile, root: int, kind: int, key) -> int:
-    """The old descent: decode each node, bisect its keys (None: leftmost)."""
-    logical = root
-    node = _Node.decode(pfile.read(logical), kind)
+def reference_leaf(pfile, root: int, kind: int, key) -> _Node:
+    """The old descent: decode each node, bisect its keys (None: leftmost);
+    the leaf it reaches."""
+    node = _Node.decode(pfile.read(root), kind)
     while not node.is_leaf:
         logical = node.children[0 if key is None else bisect_left(node.keys, key)]
         node = _Node.decode(pfile.read(logical), kind)
-    return logical
+    return node
 
 
 def reference_walk(pfile, root: int, kind: int, low, high) -> None:
     """Read the pages a lookup of ``low <= key <= high`` reads, decoding
-    every node it reads."""
-    logical = reference_leaf(pfile, root, kind, low)
-    while logical != _NO_PAGE:
-        node = _Node.decode(pfile.read(logical), kind)
+    every node it reads: the descent's leaf is walked as the descent
+    read it, each later leaf read once."""
+    node = reference_leaf(pfile, root, kind, low)
+    while True:
         for key in node.keys:
             if low is not None and key < low:
                 continue
             if high is not None and key > high:
                 return
-        logical = node.next_leaf
+        if node.next_leaf == _NO_PAGE:
+            return
+        node = _Node.decode(pfile.read(node.next_leaf), kind)
 
 
 def model_range(model, low, high):
