@@ -27,7 +27,13 @@ from repro.errors import ArrayError, DimensionError
 from repro.index.btree import BTree
 from repro.storage.large_object import LargeObjectStore
 from repro.storage.page_file import FileManager
-from repro.util.records import as_column, fact_columns, key_positions
+from repro.util.records import (
+    SLAB_ROWS,
+    as_column,
+    fact_columns,
+    key_positions,
+    narrowest,
+)
 
 
 @dataclass
@@ -129,20 +135,31 @@ def plan_olap_array(
     if any(m.dtype.kind == "U" for m in measures):
         raise ArrayError("measures must be numbers")
     # one sort key per cell, chunk-major; equal keys are duplicate
-    # cells, so an unstable sort still yields the one order
+    # cells, so an unstable sort still yields the one order.  The plan
+    # keeps the order as a row permutation, each cell's offset in its
+    # chunk and the chunk bounds; the values stay in the measure columns
+    # until their chunk is encoded.
+    rows = len(coords[0]) if coords else 0
     cells = geometry.cell_keys(coords) if coords else np.zeros(0, np.int64)
     order = np.argsort(cells)
-    cells = cells[order]
-    values = np.empty((len(order), n_measures), dtype)
-    for i, measure in enumerate(measures):  # each cast alone: no int via float
-        values[:, i] = measure[order]
-    same = np.flatnonzero(cells[1:] == cells[:-1])
-    if same.size:
-        raise ArrayError(
-            "duplicate fact tuples address one cell (chunk {}, offset {})".format(
-                *divmod(int(cells[same[0]]), geometry.chunk_cells)
+    firsts = np.arange(geometry.n_chunks + 1) * geometry.chunk_cells
+    bounds = np.searchsorted(cells, firsts, sorter=order).tolist()
+    offsets = np.empty(rows, np.int32)
+    last = -1  # below every key
+    for start in range(0, rows, SLAB_ROWS):
+        block = cells.take(order[start : start + SLAB_ROWS])
+        same = np.flatnonzero(np.diff(block, prepend=last) == 0)
+        if same.size:
+            raise ArrayError(
+                "duplicate fact tuples address one cell (chunk {}, offset {})".format(
+                    *divmod(int(block[same[0]]), geometry.chunk_cells)
+                )
             )
-        )
+        offsets[start : start + len(block)] = block % geometry.chunk_cells
+        last = block[-1]
+    del cells
+    order = order.astype(narrowest(rows, signed=False), copy=False)
+    value_dtype = np.dtype(dtype)
 
     def store(fm: FileManager, name: str) -> OLAPArray:
         # Stores first: the directory's pages are fully allocated up
@@ -156,16 +173,15 @@ def plan_olap_array(
             for i, d in enumerate(dimensions)
         ]
         entries = [(NO_CHUNK, 0, 0)] * geometry.n_chunks
-        firsts = np.arange(geometry.n_chunks + 1) * geometry.chunk_cells
-        bounds = np.searchsorted(cells, firsts).tolist()
         for chunk_no, (start, stop) in enumerate(zip(bounds, bounds[1:])):
             if start == stop:
                 continue
+            picked = order[start:stop]
+            values = np.empty((stop - start, n_measures), value_dtype)
+            for i, measure in enumerate(measures):  # each cast alone: no int via float
+                values[:, i] = measure[picked]
             payload = codec_obj.encode(
-                (cells[start:stop] - firsts[chunk_no]).astype(np.int32),
-                values[start:stop],
-                geometry.chunk_cells,
-                dtype,
+                offsets[start:stop], values, geometry.chunk_cells, dtype
             )
             oid = chunk_store.create(payload)
             directory.set_entry(chunk_no, oid, len(payload), stop - start)

@@ -174,15 +174,22 @@ class SizedStore:
         with self._lock:
             if key in self._entries:
                 self._drop(key)
-            self._add(key, value, nbytes)
+            evicted = self._add(key, value, nbytes)
+            if evicted and self._evict_counter is not None:
+                self.counters.add(self._evict_counter, evicted)
 
-    def _add(self, key: Hashable, value: Any, nbytes: int) -> None:
-        # caller holds the lock; ``key`` is not resident
+    def _add(self, key: Hashable, value: Any, nbytes: int) -> int:
+        # caller holds the lock; ``key`` is not resident.  Returns how
+        # many entries the count cap evicted: the caller counts them, in
+        # one add with whatever else its step counts
         self._entries[key] = value
         self._sizes[key] = nbytes
         self._resident_bytes += nbytes
+        evicted = 0
         while len(self._entries) > self.capacity:
-            self._evict(self._evict_counter, spare=key)
+            self._evict(None, spare=key)
+            evicted += 1
+        return evicted
 
     def get(self, key: Hashable) -> Any:
         """The value under ``key``, refreshed to newest, or ``None``."""

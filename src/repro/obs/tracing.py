@@ -278,10 +278,13 @@ class TraceStore(SizedStore):
                 record = TraceRecord(
                     trace_id, context.origin, started_at=time.time()
                 )
-                self._add(
+                counts = {"traces.stored": 1}
+                evicted = self._add(
                     trace_id, record, _RECORD_BYTES + sys.getsizeof(record.origin)
                 )
-                self.counters.add("traces.stored")
+                if evicted:
+                    counts[self._evict_counter] = evicted
+                self.counters.add_many(counts)
             else:
                 # a contributor refreshes recency, so a trace still
                 # being assembled is not evicted under its writers

@@ -295,7 +295,7 @@ class OlapEngine:
         fact_mbtree=False,
     ) -> Callable[[_CubeState], None]:
         """Check the relational design's input; ``build(state)`` creates it."""
-        records = fact_table_schema(schema).codec.pack_columns(columns)
+        fact_table_schema(schema).codec.check_columns(columns)
         if bitmap_attrs == "all":
             wanted = [
                 (d.name, level)
@@ -316,12 +316,12 @@ class OlapEngine:
             bitmaps.append((dim_name, attr, labels, codes[coords[d]]))
 
         def build(state: _CubeState) -> None:
-            nonlocal records
+            nonlocal columns
             state.fact = self.db.create_fact_table(
                 fact_table_name(schema), fact_table_schema(schema)
             )
-            state.fact.append_records(records)
-            records = None  # the fact file holds them now
+            state.fact.append_columns(columns)
+            columns = None  # the fact file holds the rows now
             while bitmaps:  # each code column goes once its bitmap is written
                 dim_name, attr, labels, codes = bitmaps.pop(0)
                 self.db.create_coded_bitmap_index(
@@ -911,10 +911,13 @@ class OlapEngine:
         columns = fact_columns(rows)
         if not columns:
             return
-        if state.fact is not None:
-            records = state.fact.schema.codec.pack_columns(columns)
         if state.array is not None:
             array = state.array
+            if state.fact is not None:
+                # the fact schema's check goes first, as in load_cube: a
+                # key past its field's range is unknown to the array too,
+                # and raises SchemaError, not the array's DimensionError
+                state.fact.schema.codec.check_columns(columns)
             coords, measures = fact_coords(
                 [
                     DimensionData(name, index.keys())
@@ -924,7 +927,7 @@ class OlapEngine:
             )
         with self.db.locks.locked(cube, "X", f"append-{id(columns)}"):
             if state.fact is not None:
-                state.fact.append_records(records)
+                state.fact.append_columns(columns)
                 state.indices_stale = True
             if state.array is not None:
                 state.array.add_cells(coords, measures)

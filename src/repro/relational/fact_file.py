@@ -96,33 +96,42 @@ class FactFile:
 
     def append_many(self, rows: Iterable[tuple]) -> None:
         """Bulk append row tuples: taken whole before a page is touched
-        (``rows`` may itself read through this pool), packed and checked
-        as columns.  If the source raises midway, what it had yielded is
-        stored and counted."""
+        (``rows`` may itself read through this pool), then checked and
+        written as columns by :meth:`append_columns`.  If the source raises
+        midway, what it had yielded is stored and counted."""
         taken: list[tuple] = []
         try:
             taken.extend(rows)
         finally:
-            self.append_records(self.schema.codec.pack_columns(fact_columns(taken)))
+            self.append_columns(fact_columns(taken))
 
-    def append_records(self, records: np.ndarray) -> None:
-        """Append packed records (``schema.codec.pack_columns``): one
-        slice copy per page, the metadata written once at the end."""
-        if records.dtype != self.schema.codec.dtype:
-            raise FileError("records are not packed for this table's schema")
-        raw = memoryview(records.view(np.uint8))
+    def append_columns(self, columns: list[np.ndarray]) -> None:
+        """Append rows given as one column per field
+        (:func:`~repro.util.records.fact_columns`), the fact file's one
+        write door.  The columns are checked whole first
+        (``schema.codec.check_columns``, a slab at a time): a value its
+        field cannot hold raises before a page is touched.  Then each
+        page's slice of rows is packed straight into that page's frame,
+        through a ``schema.codec.dtype`` view of it, and the metadata is
+        written once at the end.  No packed copy of the rows is made.
+        """
+        codec = self.schema.codec
+        codec.check_columns(columns)
+        rows = len(columns[0]) if columns else 0
         size, per_page = self.record_size, self.records_per_page
         done = 0
-        while done < len(records):
+        while done < rows:
             page_no, index = divmod(self._count, per_page)
-            take = min(per_page - index, len(records) - done)
+            take = min(per_page - index, rows - done)
             if page_no == self._file.npages:
                 self._file.append_page()
-            buf = self._file.read(page_no)
+            frame = np.frombuffer(
+                self._file.read(page_no), codec.dtype, take, index * size
+            )
             self._file.mark_dirty(page_no)
-            buf[index * size : (index + take) * size] = raw[
-                done * size : (done + take) * size
-            ]
+            codec.pack_columns(
+                [column[done : done + take] for column in columns], frame
+            )
             self._count += take
             done += take
         self._store_meta()
@@ -178,18 +187,20 @@ class FactFile:
 
     def records(self) -> np.ndarray:
         """Every stored record as one ``schema.codec.dtype`` array, in
-        tuple-number order: one slice copy per page, the inverse of
-        :meth:`append_records` (``schema.codec.unpack_columns`` splits
-        it into columns)."""
+        tuple-number order (``schema.codec.unpack_columns`` splits it
+        into columns): one pool call per extent
+        (:meth:`PageFile.read_run`), one slice copy per page."""
         records = np.empty(self._count, dtype=self.schema.codec.dtype)
         raw = memoryview(records.view(np.uint8))
         size, per_page = self.record_size, self.records_per_page
-        for page_no, done in enumerate(range(0, self._count, per_page)):
-            take = min(per_page, self._count - done) * size
-            raw[done * size : done * size + take] = memoryview(
-                self._file.read(page_no)
-            )[:take]
-            self.counters.add("fact_pages_scanned")
+        pages, extent = -(-self._count // per_page), self._file.extent_pages
+        for first in range(0, pages, extent):
+            run = self._file.read_run(first, min(extent, pages - first))
+            for page_no, image in enumerate(run, first):
+                done = page_no * per_page
+                take = min(per_page, self._count - done) * size
+                raw[done * size : done * size + take] = memoryview(image)[:take]
+            self.counters.add("fact_pages_scanned", len(run))
         return records
 
     def columns(self) -> list[np.ndarray]:

@@ -108,15 +108,13 @@ class PageFile:
             remaining -= take
             (page_id,) = _DIR_NEXT.unpack_from(dir_buf, 0)
 
-    def _store_header(self) -> None:
-        in_header = self._header_capacity()
-        per_page = self._overflow_capacity()
-        overflow = self._extents[in_header:]
-        pages_needed = -(-len(overflow) // per_page) if overflow else 0
-        while len(self._dir_pages) < pages_needed:
-            self._dir_pages.append(self.pool.new_page())
-
-        buf = self.pool.get(self.header_page_id)
+    def _store_head(self, buf: bytearray | None = None) -> None:
+        """Write the header struct (page count, extent count, metadata
+        length, first overflow page) into the header page ``buf``: O(1),
+        for every extent entry is written once, when its extent is
+        added (:meth:`_store_extent`)."""
+        if buf is None:
+            buf = self.pool.get(self.header_page_id)
         _HEADER.pack_into(
             buf,
             0,
@@ -125,28 +123,41 @@ class PageFile:
             self.extent_pages,
             len(self._extents),
             self._meta_len,
-            self._dir_pages[0] if pages_needed else _NO_PAGE,
+            self._dir_pages[0] if self._dir_pages else _NO_PAGE,
         )
-        for i, first in enumerate(self._extents[:in_header]):
-            _EXTENT_ENTRY.pack_into(
-                buf, _HEADER.size + i * _EXTENT_ENTRY.size, first
-            )
         self.pool.mark_dirty(self.header_page_id)
 
-        for page_no in range(pages_needed):
-            dir_buf = self.pool.get(self._dir_pages[page_no])
-            next_page = (
-                self._dir_pages[page_no + 1]
-                if page_no + 1 < pages_needed
-                else _NO_PAGE
+    def _store_extent(self, extent: int) -> bytearray | None:
+        """Write directory entry ``extent``: in the header page, whose
+        frame is returned, or in its overflow page, chained on when the
+        entry is the page's first."""
+        in_header = self._header_capacity()
+        if extent < in_header:
+            buf = self.pool.get(self.header_page_id)
+            _EXTENT_ENTRY.pack_into(
+                buf, _HEADER.size + extent * _EXTENT_ENTRY.size, self._extents[extent]
             )
-            _DIR_NEXT.pack_into(dir_buf, 0, next_page)
-            piece = overflow[page_no * per_page : (page_no + 1) * per_page]
-            for i, first in enumerate(piece):
-                _EXTENT_ENTRY.pack_into(
-                    dir_buf, _DIR_NEXT.size + i * _EXTENT_ENTRY.size, first
+            return buf
+        page_no, slot = divmod(extent - in_header, self._overflow_capacity())
+        if page_no == len(self._dir_pages):
+            self._dir_pages.append(self.pool.new_page())
+            if page_no:  # the chain's last page points on to the new one
+                self._write_at(
+                    self._dir_pages[page_no - 1], _DIR_NEXT, 0, self._dir_pages[page_no]
                 )
-            self.pool.mark_dirty(self._dir_pages[page_no])
+            self._write_at(self._dir_pages[page_no], _DIR_NEXT, 0, _NO_PAGE)
+        self._write_at(
+            self._dir_pages[page_no],
+            _EXTENT_ENTRY,
+            _DIR_NEXT.size + slot * _EXTENT_ENTRY.size,
+            self._extents[extent],
+        )
+        return None
+
+    def _write_at(self, page_id: int, fmt: struct.Struct, offset: int, value) -> None:
+        buf = self.pool.get(page_id)
+        fmt.pack_into(buf, offset, value)
+        self.pool.mark_dirty(page_id)
 
     # -- geometry ---------------------------------------------------------------
 
@@ -167,13 +178,14 @@ class PageFile:
     def append_page(self) -> int:
         """Append one logical page; returns its logical page number."""
         logical = self._npages
-        extent, within = divmod(logical, self.extent_pages)
+        extent = logical // self.extent_pages
+        buf = None
         if extent == len(self._extents):
-            first = self.pool.disk.allocate(self.extent_pages)
-            self._extents.append(first)
+            self._extents.append(self.pool.disk.allocate(self.extent_pages))
             self.pool.counters.add("extents_allocated")
+            buf = self._store_extent(extent)
         self._npages += 1
-        self._store_header()
+        self._store_head(buf)
         return logical
 
     def ensure_pages(self, count: int) -> None:
@@ -186,6 +198,18 @@ class PageFile:
     def read(self, logical: int) -> bytearray:
         """Buffer-pool frame of a logical page (see :meth:`BufferPool.get`)."""
         return self.pool.get(self.page_id(logical))
+
+    def read_run(self, logical: int, n: int) -> list[bytes | bytearray]:
+        """Read-only images of ``n`` (≥ 1) consecutive logical pages
+        inside one extent, so physically adjacent: one
+        :meth:`BufferPool.get_run`."""
+        within = logical % self.extent_pages
+        if n < 1 or within + n > self.extent_pages:
+            raise FileError(
+                f"run of {n} pages at logical page {logical} leaves its extent"
+            )
+        self.page_id(logical + n - 1)  # the whole run is in range
+        return self.pool.get_run(self.page_id(logical), n)
 
     def mark_dirty(self, logical: int) -> None:
         """Mark a logical page modified."""
@@ -216,7 +240,7 @@ class PageFile:
         start = self.pool.disk.page_size - capacity
         buf[start : start + len(blob)] = blob
         self._meta_len = len(blob)
-        self._store_header()
+        self._store_head(buf)
 
     def size_bytes(self) -> int:
         """On-disk footprint: header, directory chain, and every extent."""

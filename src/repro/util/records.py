@@ -116,6 +116,12 @@ def fact_columns(rows: Iterable[Sequence]) -> list[np.ndarray]:
     return [as_column(values) for values in zip(*rows)]
 
 
+#: rows a loader's whole-table pass takes at a time (a slab): the pass's
+#: temporaries are one slab's, ≈ 100 KB of 24-byte records, never a
+#: table-sized copy (:meth:`RecordCodec.check_columns`, the array plan)
+SLAB_ROWS = 1 << 12
+
+
 def _decode_strings(column: np.ndarray) -> np.ndarray:
     """A ``S<n>`` column as ``<U<n>``: a cast (numpy 2.4, a 40-row
     ``S8`` column: ≈ 6 µs against ≈ 35 µs for ``np.char.decode``), and
@@ -200,27 +206,48 @@ class RecordCodec:
         """Encode one record into ``buffer`` at ``offset``."""
         self._struct.pack_into(buffer, offset, *self._encode_fields(values))
 
-    def pack_columns(self, columns: list[np.ndarray]) -> np.ndarray:
-        """Whole columns (:func:`fact_columns`) as packed records, the
-        bytes of :meth:`pack` on each row in turn.  A value its field
-        cannot hold (int out of range, string too wide) raises
-        :class:`SchemaError`: no cast wraps or truncates."""
+    def _encoded(self, columns: list[np.ndarray]) -> Iterator[tuple]:
+        """Each field's ``(name, type, column)``, the column checked for
+        arity and kind and a string column encoded to UTF-8 bytes."""
         if columns and len(columns) != len(self.field_types):
             raise SchemaError(
                 f"record has {len(columns)} values, codec expects "
                 f"{len(self.field_types)}"
             )
-        records = np.empty(len(columns[0]) if columns else 0, dtype=self.dtype)
         for name, ftype, column in zip(self.dtype.names, self.field_types, columns):
             kinds = {"f": "iuf", "S": "U"}.get(self.dtype[name].kind, "iu")
             if column.dtype.kind not in kinds:
                 raise SchemaError(f"a {column.dtype} column cannot fill a {ftype} field")
             if kinds == "U":
                 column = np.char.encode(column, "utf-8")
-            records[name] = column
-            if ftype != "float64" and (records[name] != column).any():
-                raise SchemaError(f"a value does not fit its {ftype} field")
-        return records
+            yield name, ftype, column
+
+    def pack_columns(self, columns: list[np.ndarray], out: np.ndarray) -> None:
+        """Columns (:func:`fact_columns`) as packed records, the bytes of
+        :meth:`pack` on each row in turn, written into ``out``: a
+        :attr:`dtype` array or view as long as the columns, such as a
+        page frame's.  Each field is one numpy cast, which wraps or
+        truncates a value its field cannot hold: the values must have
+        passed :meth:`check_columns`."""
+        for name, _, column in self._encoded(columns):
+            out[name] = column
+
+    def check_columns(self, columns: list[np.ndarray]) -> None:
+        """Raise :class:`SchemaError` unless every value fits its field
+        (no int out of range, no string too wide) and the columns match
+        the record's arity and kinds.  Each :data:`SLAB_ROWS` rows are
+        packed into one scratch slab and each field compared with its
+        column, so no cast wraps or truncates unseen, and a whole table
+        is checked without a packed copy of it."""
+        rows = len(columns[0]) if columns else 0
+        slab = np.empty(min(rows, SLAB_ROWS), dtype=self.dtype)
+        for start in range(0, max(rows, 1), SLAB_ROWS):  # once even if empty
+            part = [column[start : start + SLAB_ROWS] for column in columns]
+            packed = slab[: len(part[0]) if part else 0]
+            for name, ftype, column in self._encoded(part):
+                packed[name] = column
+                if ftype != "float64" and (packed[name] != column).any():
+                    raise SchemaError(f"a value does not fit its {ftype} field")
 
     def unpack_columns(
         self, records: np.ndarray, fields: Sequence[int] | None = None

@@ -29,9 +29,8 @@ def reference_append_facts(engine, cube, rows):
     state = engine.cube(cube)
     columns = fact_columns(rows)
     ndim = len(state.schema.dimensions)
-    records = state.fact.schema.codec.pack_columns(columns)
     with engine.db.locks.locked(cube, "X", "reference-append"):
-        state.fact.append_records(records)
+        state.fact.append_columns(columns)
         state.indices_stale = True
         for row in zip(*(column.tolist() for column in columns)):
             keys, measures = row[:ndim], row[ndim:]
