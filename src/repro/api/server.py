@@ -41,18 +41,27 @@ Every client mistake on any route maps to a structured 4xx body
 ``{"error": {"kind", "message", "status"}}`` — a 5xx from this module
 is a bug.  A repeated query parameter is a 400 (``|`` joins cuts, ``,``
 joins drilldowns), and any method but GET or POST a 405 with an
-``Allow: GET, POST`` header.
+``Allow: GET, POST`` header.  The handler reads the request head off
+the socket itself (:func:`read_head`): a malformed head is a 400, and
+one past ``http.server``'s limits (a 65 536-byte line, 99 headers) a
+414 or 431.  Each response goes out in one ``sendall``.
 """
 
 from __future__ import annotations
 
 import json
 import queue
+import re
 import socket
+import sys
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
+from http.server import HTTPServer
+from socketserver import BaseRequestHandler
+from urllib.parse import parse_qsl
 
 from repro.api.model import LogicalCube, LogicalModel
 from repro.api.rollup import RollupRouter
@@ -579,6 +588,179 @@ class ApiEndpoint:
         return status, {"error": {"kind": kind, "message": message, "status": status}}
 
 
+#: the limits ``http.server`` puts on a request head (``http.client``'s
+#: ``_MAXLINE`` and ``_MAXHEADERS``): a line, its line ending included,
+#: past the first is a 414 on the request line and a 431 on a header
+#: line; the header lines plus the blank line (or end of stream) that
+#: ends them past the second is a 431, so a head holds at most 99 headers
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
+#: the most bytes a connection reads looking for the end of its head: a
+#: head this long breaks one of the limits above
+MAX_HEAD_BYTES = (MAX_HEADERS + 1) * (MAX_LINE_BYTES + 2)
+#: what one ``recv`` asks for (the buffer http.server read through): a
+#: whole head, and most bodies, at once
+RECV_BYTES = 8192
+
+_VERSION = re.compile(r"HTTP/1\.[0-9]+")
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+#: the ``Server`` header ``http.server`` sent, kept byte for byte
+_SERVER = f"BaseHTTP/0.6 Python/{sys.version.split()[0]}"
+
+
+@dataclass
+class RequestHead:
+    """One request's head as :func:`read_head` reads it off a socket:
+    the request line's method and target, the headers by lower-cased
+    name (the first of a repeated name wins), and the bytes that came
+    after the head (the start of a body)."""
+
+    method: str
+    target: str
+    headers: dict[str, str]
+    rest: bytes
+
+
+def _head_end(buf, start: int = 0) -> tuple[int, int] | None:
+    """``(end of the head's last line, start of body)``: the head ends
+    at its first blank line, ``\r\n`` or a bare ``\n``."""
+    crlf = buf.find(b"\n\r\n", start)
+    lf = buf.find(b"\n\n", start, None if crlf < 0 else crlf)
+    if lf >= 0:
+        return lf + 1, lf + 2
+    if crlf >= 0:
+        return crlf + 1, crlf + 3
+    return None
+
+
+def _receive_head(sock) -> tuple[bytes, bytes] | None:
+    """``(head, rest)`` off the socket, ``None`` if the client sent
+    nothing.  The head's lines keep their line endings.  A head the
+    client stops sending, or one that reaches ``MAX_HEAD_BYTES``, is
+    what arrived; :func:`read_head` judges it against the limits."""
+    buf = sock.recv(RECV_BYTES)
+    end = _head_end(buf)
+    if end is not None:  # the usual case: the whole head in one read
+        return buf[: end[0]], buf[end[1] :]
+    if not buf:
+        return None
+    buf = bytearray(buf)
+    while len(buf) <= MAX_HEAD_BYTES:
+        data = sock.recv(RECV_BYTES)
+        if not data:
+            break
+        searched = max(len(buf) - 2, 0)
+        buf += data
+        end = _head_end(buf, searched)
+        if end is not None:
+            return bytes(buf[: end[0]]), bytes(buf[end[1] :])
+    return bytes(buf), b""
+
+
+def read_head(sock) -> RequestHead | None:
+    """Read and parse one request head; ``None`` if the client sent
+    nothing.  A head past the limits is an :class:`ApiTooLargeError`
+    (414 or 431), a malformed one an :class:`ApiRequestError`."""
+    received = _receive_head(sock)
+    if received is None:
+        return None
+    head, rest = received
+    lines = head.decode("latin-1").split("\n")
+    if len(head) > MAX_LINE_BYTES:
+        ended = head.endswith(b"\n")
+        for i, line in enumerate(lines):
+            # the "\n" split off counts, as in http.server's readline
+            if len(line) + (ended or i < len(lines) - 1) > MAX_LINE_BYTES:
+                what = "request" if i == 0 else "header"
+                raise ApiTooLargeError(
+                    f"{what} line exceeds {MAX_LINE_BYTES} bytes",
+                    status=414 if i == 0 else 431,
+                )
+    if not lines[-1]:
+        lines.pop()  # what follows the last line's "\n"
+    # the request line stands in for the blank line that http.client
+    # counts among the headers
+    if len(lines) > MAX_HEADERS:
+        raise ApiTooLargeError(f"more than {MAX_HEADERS - 1} headers", status=431)
+    words = lines[0].split()
+    if len(words) != 3:
+        raise ApiRequestError(
+            f"bad request line {lines[0].rstrip()[:200]!r}; expected "
+            "'METHOD target HTTP/1.x'"
+        )
+    method, target, version = words
+    if not _VERSION.fullmatch(version):
+        raise ApiRequestError(f"unsupported HTTP version {version[:20]!r}")
+    if target.startswith("//"):  # as http.server reads it: one leading /
+        target = "/" + target.lstrip("/")
+    headers: dict[str, str] = {}
+    for line in lines[1:]:
+        name, colon, value = line.partition(":")
+        if not colon or not name or name[0] in " \t" or name[-1] in " \t":
+            raise ApiRequestError(f"malformed header line {line[:200]!r}")
+        key, value = name.lower(), value.strip()
+        if headers.setdefault(key, value) != value and key == "content-length":
+            raise ApiRequestError("the request has two different Content-Length values")
+    return RequestHead(method, target, headers, rest)
+
+
+def read_body(sock, head: RequestHead) -> bytes:
+    """The ``Content-Length`` bytes of the request's body: what came
+    with the head, then further reads.  The length is checked first."""
+    length_raw = head.headers.get("content-length", "0")
+    try:
+        length = int(length_raw)
+    except ValueError:
+        raise ApiRequestError(f"bad Content-Length {length_raw!r}") from None
+    if length < 0:
+        raise ApiRequestError(f"bad Content-Length {length_raw!r}")
+    if length > MAX_BODY_BYTES:
+        raise ApiTooLargeError(
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte cap"
+        )
+    if not length:
+        raise ApiRequestError("request body is empty")
+    body = head.rest[:length]
+    if len(body) < length:
+        parts = [body]
+        missing = length - len(body)
+        while missing:
+            data = sock.recv(min(missing, RECV_BYTES))
+            if not data:
+                raise ApiRequestError(
+                    f"request body ended after {length - missing} of "
+                    f"{length} bytes"
+                )
+            parts.append(data)
+            missing -= len(data)
+        body = b"".join(parts)
+    return body
+
+
+def response_bytes(
+    status: int,
+    body: bytes,
+    content_type: str,
+    trace_id: str | None = None,
+    allow: str | None = None,
+    head_only: bool = False,
+) -> bytes:
+    """One whole response: status line, the headers ``http.server``
+    sent (``Server``, ``Date``) and ours, and the body."""
+    head = (
+        f"HTTP/1.0 {status} {_REASONS.get(status, '')}\r\n"
+        f"Server: {_SERVER}\r\nDate: {formatdate(usegmt=True)}\r\n"
+        f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n"
+    )
+    if trace_id is not None:
+        head += f"X-Trace-Id: {trace_id}\r\n"
+    if allow is not None:
+        head += f"Allow: {allow}\r\n"
+    head = (head + "\r\n").encode("latin-1")
+    return head if head_only else head + body
+
+
 class ParkedHandlerServer(HTTPServer):
     """An HTTP server whose connections are served by parked threads.
 
@@ -588,10 +770,12 @@ class ParkedHandlerServer(HTTPServer):
     again, unless ``max_parked`` handlers already wait or the server is
     closing: then it exits.  So concurrent connections are still served
     in parallel, one thread each, and a sequential client pays no thread
-    start-up.  :meth:`server_close` cuts the read side of every open
-    connection (a client that never sends reads as closed; a response
-    still being written goes out), releases every parked handler and
-    joins every handler.
+    start-up.  :meth:`serve` accepts with a blocking ``accept``, which
+    :meth:`shutdown` ends at once by shutting the listening socket down.
+    :meth:`server_close` cuts the read side of every open connection (a
+    client that never sends reads as closed; a response still being
+    written goes out), releases every parked handler and joins every
+    handler.
     """
 
     def __init__(self, address, handler_class, max_parked: int):
@@ -603,6 +787,31 @@ class ParkedHandlerServer(HTTPServer):
         self._closing = False
         self._handlers: set[threading.Thread] = set()
         self._open: set[socket.socket] = set()
+
+    def serve(self) -> None:
+        """Accept connections until :meth:`shutdown`."""
+        while True:
+            try:
+                request, client_address = self.socket.accept()
+            except OSError:
+                if self._closing:
+                    return
+                continue  # a failed accept (a reset connection, no free descriptor)
+            try:
+                self.process_request(request, client_address)
+            except Exception:  # noqa: BLE001 — socketserver's contract
+                self.handle_error(request, client_address)
+                self.shutdown_request(request)
+
+    def shutdown(self) -> None:
+        """End :meth:`serve` without waiting out a poll: its blocked
+        ``accept`` fails as soon as the listening socket is shut down."""
+        with self._lock:
+            self._closing = True
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never listened, or shut already
 
     def process_request(self, request, client_address) -> None:
         with self._lock:
@@ -698,11 +907,32 @@ class ApiServer:
             return self
         endpoint = self.endpoint
 
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, *args) -> None:
-                # no per-request stderr line: each request's method,
-                # path, status, latency and route are its trace record
-                pass
+        class Handler(BaseRequestHandler):
+            """One connection: one request read off the socket and one
+            response written to it in one ``sendall``."""
+
+            method: str | None = None
+
+            def handle(self) -> None:
+                try:
+                    self._serve()
+                except ConnectionError:
+                    pass  # the client went away: there is no one to answer
+
+            def _serve(self) -> None:
+                try:
+                    head = read_head(self.request)
+                except ApiError as exc:  # a head past the limits, or malformed
+                    endpoint.counters.add("api.requests")
+                    self._respond(*endpoint.error_payload(exc), None)
+                    return
+                if head is None:
+                    return  # the client sent nothing
+                self.head, self.method = head, head.method
+                if head.method in ("GET", "POST"):
+                    self._dispatch(head.method)
+                else:
+                    self._refuse_method()
 
             def _respond(
                 self,
@@ -718,26 +948,23 @@ class ApiServer:
                 endpoint.counters.add(f"api.responses_{status // 100}xx")
                 if content_type is None:
                     body = json.dumps(payload).encode("utf-8")
-                    content_type = "application/json; charset=utf-8"
                 else:
                     body = payload.encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                if trace_id is not None:
-                    self.send_header("X-Trace-Id", trace_id)
-                if allow is not None:
-                    self.send_header("Allow", allow)
-                self.end_headers()
-                if self.command != "HEAD":
-                    self.wfile.write(body)
+                self.request.sendall(
+                    response_bytes(
+                        status,
+                        body,
+                        content_type or "application/json; charset=utf-8",
+                        trace_id,
+                        allow,
+                        head_only=self.method == "HEAD",
+                    )
+                )
 
             def _params(self) -> dict[str, str]:
-                parts = self.path.split("?", 1)
+                parts = self.head.target.split("?", 1)
                 if len(parts) != 2:
                     return {}
-                from urllib.parse import parse_qsl
-
                 pairs = parse_qsl(parts[1])
                 params = dict(pairs)
                 if len(params) != len(pairs):
@@ -752,26 +979,7 @@ class ApiServer:
                 return params
 
             def _read_body(self) -> dict:
-                length_raw = self.headers.get("Content-Length", "0")
-                try:
-                    length = int(length_raw)
-                except ValueError:
-                    raise ApiRequestError(
-                        f"bad Content-Length {length_raw!r}"
-                    ) from None
-                if length < 0:
-                    # rfile.read(-1) would block until the client closes
-                    raise ApiRequestError(
-                        f"bad Content-Length {length_raw!r}"
-                    )
-                if length > MAX_BODY_BYTES:
-                    raise ApiTooLargeError(
-                        f"request body of {length} bytes exceeds the "
-                        f"{MAX_BODY_BYTES}-byte cap"
-                    )
-                raw = self.rfile.read(length) if length else b""
-                if not raw:
-                    raise ApiRequestError("request body is empty")
+                raw = read_body(self.request, self.head)
                 try:
                     return json.loads(raw)
                 except ValueError as exc:
@@ -781,7 +989,7 @@ class ApiServer:
 
             def _dispatch(self, method: str) -> None:
                 endpoint.counters.add("api.requests")
-                path = self.path.split("?", 1)[0].rstrip("/") or "/"
+                path = self.head.target.split("?", 1)[0].rstrip("/") or "/"
                 started = time.perf_counter()
                 # /cube/… goes straight to the traced pipeline; any
                 # other GET tries the introspection table first, before
@@ -796,7 +1004,7 @@ class ApiServer:
                         self._respond(*served)
                         return
                 ctx = adopt_trace_id(
-                    self.headers.get("X-Trace-Id"), origin="api"
+                    self.head.headers.get("x-trace-id"), origin="api"
                 ) or new_trace_context(origin="api")
                 tracer = Tracer()
                 error_kind: str | None = None
@@ -855,35 +1063,16 @@ class ApiServer:
                     f"unknown route {method} {path!r}; see / for routes"
                 )
 
-            def do_GET(self) -> None:  # noqa: N802 - http.server API
-                try:
-                    self._dispatch("GET")
-                except BrokenPipeError:  # pragma: no cover
-                    pass
-
-            def do_POST(self) -> None:  # noqa: N802 - http.server API
-                try:
-                    self._dispatch("POST")
-                except BrokenPipeError:  # pragma: no cover
-                    pass
-
             def _refuse_method(self) -> None:
                 """Any other method: a structured 405 naming the two."""
                 endpoint.counters.add("api.requests")
                 status, payload = endpoint.error_payload(
                     ApiMethodError(
-                        f"method {self.command} is not allowed; "
+                        f"method {self.method} is not allowed; "
                         "the API serves GET and POST"
                     )
                 )
-                try:
-                    self._respond(status, payload, None, allow="GET, POST")
-                except BrokenPipeError:  # pragma: no cover
-                    pass
-
-            do_PUT = do_DELETE = do_PATCH = do_OPTIONS = do_HEAD = (
-                _refuse_method
-            )
+                self._respond(status, payload, None, allow="GET, POST")
 
         self._httpd = ParkedHandlerServer(
             (self.host, self._requested_port),
@@ -891,8 +1080,7 @@ class ApiServer:
             max_parked=endpoint.service.config.max_workers,
         )
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            args=(0.05,),  # seconds between shutdown checks: what stop() waits
+            target=self._httpd.serve,
             name="repro-api-server",
             daemon=True,
         )
@@ -913,9 +1101,10 @@ class ApiServer:
         if self._httpd is None:
             return
         self._httpd.shutdown()
+        # the accept loop ends first, so no connection arrives after
+        # server_close has counted the handlers it joins
+        self._thread.join()
         self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
         self._httpd = None
         self._thread = None
 

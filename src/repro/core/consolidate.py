@@ -391,17 +391,6 @@ def flat_slabs(
     return slabs
 
 
-def selection_slabs(
-    geometry, masks: list[np.ndarray], terms: list[np.ndarray]
-) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """:func:`flat_slabs` cut per (dimension, grid coordinate): the slab
-    every chunk at that coordinate shares."""
-    return [
-        [(offsets[a:b], results[a:b]) for a, b in zip(starts, starts[1:])]
-        for offsets, results, starts in flat_slabs(geometry, masks, terms)
-    ]
-
-
 def grid_coords(geometry, chunk_nos) -> np.ndarray:
     """``(chunks, ndim)`` grid coordinates of many chunks at once."""
     chunk_nos = np.asarray(chunk_nos, dtype=np.int64).reshape(-1, 1)

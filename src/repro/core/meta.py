@@ -96,10 +96,6 @@ class ChunkDirectory:
         """Sum of valid-cell counts across all chunks."""
         return sum(self.entry(c)[2] for c in range(self.n_chunks))
 
-    def total_payload_bytes(self) -> int:
-        """Sum of stored chunk lengths."""
-        return sum(self.entry(c)[1] for c in range(self.n_chunks))
-
     # -- array metadata pointer ----------------------------------------------
 
     @property

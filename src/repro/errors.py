@@ -219,7 +219,8 @@ class ApiMethodError(ApiError):
 
 
 class ApiTooLargeError(ApiError):
-    """The request body exceeds the configured size cap."""
+    """The request body exceeds its size cap (413), or the request head
+    a line or header-count limit (414, 431)."""
 
     status = 413
     kind = "too_large"

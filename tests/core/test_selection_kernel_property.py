@@ -48,7 +48,6 @@ from repro.core.consolidate import (
     probe_candidates,
     probe_is_cheaper,
     scan_chunk_range,
-    selection_slabs,
 )
 from repro.storage import BufferPool, FileManager, SimulatedDisk
 from repro.util.stats import Counters
@@ -102,6 +101,15 @@ def fold_both_directions(array, specs, aggregates, allowed):
         assert len(found) == kept, chunk.no
         asked.append((int(high - low), len(chunk)))
     return probed, filtered, asked
+
+
+def selection_slabs(geometry, masks, terms):
+    """:func:`flat_slabs` cut per (dimension, grid coordinate): the slab
+    every chunk at that coordinate shares."""
+    return [
+        [(offsets[a:b], results[a:b]) for a, b in zip(starts, starts[1:])]
+        for offsets, results, starts in flat_slabs(geometry, masks, terms)
+    ]
 
 
 def probe_as_written(array, specs, aggregates, allowed):

@@ -260,7 +260,7 @@ def test_one_listener_in_src():
         str(path.relative_to(root)): path.read_text(encoding="utf-8")
         for path in root.rglob("*.py")
     }
-    for base in ("(HTTPServer)", "(BaseHTTPRequestHandler)"):
+    for base in ("(HTTPServer)", "(BaseRequestHandler)"):
         counts = {name: text.count(base) for name, text in texts.items()}
         assert {name: n for name, n in counts.items() if n} == {"api/server.py": 1}
     for threading_server in ("ThreadingHTTPServer", "ThreadingMixIn"):
